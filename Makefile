@@ -7,7 +7,7 @@ DOC_PKGS = repro/internal/jsontext repro/internal/infer \
            repro/internal/registry repro/internal/daemon/intake \
            repro/internal/daemon/metrics
 
-.PHONY: all build vet test race bench bench-stream bench-json docs fixtures serve smoke-daemon ci
+.PHONY: all build vet test race bench bench-stream bench-json bench-e2e bench-compare test-bench docs fixtures serve smoke-daemon ci
 
 all: build
 
@@ -29,23 +29,49 @@ bench:
 
 # Short streaming benchmark — the dom/scan/mison triplets, the
 # reader-vs-bytes zero-copy pair, plus the mison-vs-lexer
-# token-throughput pair (allocs/op and B/op are the headline metrics);
-# CI runs this as a non-blocking step so the numbers land in every
-# build log without gating merges on a noisy runner.
+# token-throughput pair. Every row is five samples of five iterations
+# (benchstat-comparable; a time-based -benchtime gave the 50–350 ms
+# tweets rows one iteration each, i.e. noise). CI runs this as a
+# non-blocking step so the numbers land in every build log without
+# gating merges on a noisy runner.
 bench-stream:
-	$(GO) test -run '^$$' -bench 'BenchmarkE3StreamingInference' -benchtime 200ms -benchmem .
-	$(GO) test -run '^$$' -bench 'BenchmarkTokenSourceVsLexer' -benchtime 200ms -benchmem ./internal/mison/
+	$(GO) test -run '^$$' -bench 'BenchmarkE3StreamingInference' -benchtime 5x -count 5 -benchmem .
+	$(GO) test -run '^$$' -bench 'BenchmarkTokenSourceVsLexer' -benchtime 5x -count 5 -benchmem ./internal/mison/
 
 # Perf trajectory: the E3 streamed rows (ns/op, MB/s, B/op, allocs/op)
 # as a machine-readable JSON report — `go test -bench -json`
-# post-processed by cmd/jsbenchjson into BENCH_10.json, which CI uploads
-# as an artifact so every build leaves a comparable benchmark record.
-# The rows now include the zero-copy -bytes/-mmap variants and the
-# large-corpus reader/bytes/mmap triplet over a 100MB jsgen-style
-# corpus (E3_CORPUS_BYTES, jsgen -target syntax).
+# post-processed by cmd/jsbenchjson into $(BENCH_JSON) (one row per
+# sample, five per benchmark), which CI uploads as an artifact so every
+# build leaves a comparable benchmark record. The rows include the
+# zero-copy -bytes/-mmap variants and the large-corpus reader/bytes/mmap
+# triplet over a 100MB jsgen-style corpus (E3_CORPUS_BYTES, jsgen
+# -target syntax).
+BENCH_JSON ?= BENCH_14.json
 bench-json:
-	E3_CORPUS_BYTES=100MB $(GO) test -run '^$$' -bench 'BenchmarkE3(StreamingInference|LargeCorpus)' -benchtime 200ms -benchmem -json . \
-		| $(GO) run repro/cmd/jsbenchjson -out BENCH_10.json
+	E3_CORPUS_BYTES=100MB $(GO) test -run '^$$' -bench 'BenchmarkE3(StreamingInference|LargeCorpus)' -benchtime 5x -count 5 -benchmem -json . \
+		| $(GO) run repro/cmd/jsbenchjson -out $(BENCH_JSON)
+
+# The repository benchmark (BENCHMARK.json, bench/README.md): bench-e2e
+# appends one result set — every workload, ten 25-second runs each — to
+# $(SETS) under the label $(SET) (about 20 minutes); bench-compare
+# applies BENCHMARK.json's bounds to two sets, each a file or
+# file#label, and exits 1 if any row is worse. Paths must be absolute:
+# the commands run inside bench/, a module of its own.
+#   make bench-e2e SET=parent      (on the parent commit's checkout)
+#   make bench-e2e SET=change SETS=/path/to/the/same/sets.json
+#   make bench-compare OLD=/path/sets.json#parent NEW=/path/sets.json#change
+SET  ?= a
+SETS ?= $(CURDIR)/bench/out/sets.json
+bench-e2e:
+	$(GO) run -C bench ./jsperf -workload all -runs 10 -seed 1 -set $(SET) -out $(SETS)
+
+bench-compare:
+	$(GO) run -C bench ./jsperf -compare '$(OLD)' '$(NEW)'
+
+# The benchmark's own unit and smoke tests (bench/ is a nested module,
+# so tier-1 `go test ./...` does not see them; about a minute).
+test-bench:
+	cd bench && $(GO) test ./...
 
 # Documentation smoke: formatting is clean, vet is clean, and every
 # documented package still renders a doc page.

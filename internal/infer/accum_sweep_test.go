@@ -184,3 +184,49 @@ func TestAbsorbSurfaceMatchesMergeAll(t *testing.T) {
 		}
 	}
 }
+
+// TestAbsorbFromTokensWarmTweetsZeroAllocs pins the steady state the
+// staging pools exist for, on the heterogeneous nested fixture: once one
+// accumulator has seen the tweets, absorbing them again — every staged
+// node, open record and retained label-set group recycled through the
+// pools, across an Accum.Reset as a chunk worker does — allocates
+// nothing, under both equivalences.
+func TestAbsorbFromTokensWarmTweetsZeroAllocs(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("..", "..", "testdata", "tweets.ndjson"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range []typelang.Equiv{typelang.EquivKind, typelang.EquivLabel} {
+		want := mergeAllReference(t, data, e)
+		tr := jsontext.NewTokenReaderBytes(nil)
+		tr.SetInternStrings(true)
+		acc := typelang.NewAccum(e)
+		pass := func() {
+			acc.Reset()
+			tr.ResetBytes(data, 0)
+			for {
+				if err := AbsorbFromTokens(tr, acc); err != nil {
+					if err != io.EOF {
+						t.Fatal(err)
+					}
+					return
+				}
+			}
+		}
+		// Warm the intern cache, the accumulator tree and the pools. The
+		// pool is a stack refilled in field-name order, so which node
+		// serves which field rotates from pass to pass and every pooled
+		// node has to meet every shape once before the state is steady.
+		for warm := 0; testing.AllocsPerRun(1, pass) > 0; warm++ {
+			if warm == 64 {
+				t.Fatalf("%v: absorption of the tweets fixture still allocates after %d warm-up passes", e, warm)
+			}
+		}
+		if n := testing.AllocsPerRun(20, pass); n > 0 {
+			t.Errorf("%v: warm absorption of the tweets fixture allocates %.1f times per pass; want 0", e, n)
+		}
+		if got := acc.Seal(); want.StringCounted() != got.StringCounted() {
+			t.Errorf("%v: warm passes diverge from MergeAll\n mergeall: %s\n accum:    %s", e, want.StringCounted(), got.StringCounted())
+		}
+	}
+}

@@ -9,10 +9,13 @@
 // staging node committed only at EndArray, and every object accumulates
 // its fields in an OpenRecord committed only at EndRecord — so a
 // document abandoned mid-parse (a syntax error) leaves the accumulator
-// exactly as it was, once the walker aborts its open frames. Staging
+// exactly as it was, once the walker aborts its open frames (an abort
+// ends the document: every enclosing frame must be aborted too). Staging
 // nodes and open records are pooled on the Accum and retain their
-// storage, so the steady state absorbs documents of seen shapes without
-// allocating.
+// storage — bounded by keepPooled and the pool-length caps below — so
+// the steady state absorbs documents of seen shapes without allocating,
+// and recycling a staged node costs what the document put into it, not
+// what the node ever held (accumNode.reset).
 
 package typelang
 
@@ -89,6 +92,10 @@ func (t Target) BeginArray() Target {
 	if n.arr == nil {
 		n.arr = &arrayAccum{}
 	}
+	// The elements dirty arr.elem before (and, if the document is
+	// abandoned or n collapsed to Any, without) EndArray counting the
+	// array: tell reset.
+	n.arr.opened = true
 	return Target{acc: t.acc, n: &n.arr.elem}
 }
 
@@ -107,7 +114,7 @@ func (t Target) EndArray(n int) {
 			nd.arr.extend(n)
 			nd.arr.elem.absorbNode(a.stageArr, a.equiv)
 		}
-		a.stageArr.reset()
+		a.stageArr.reset(keepPooled)
 		a.gen++
 		return
 	}
@@ -124,7 +131,7 @@ func (t Target) EndArray(n int) {
 // them.
 func (t Target) AbortArray() {
 	if t.root && t.acc.stageArr != nil {
-		t.acc.stageArr.reset()
+		t.acc.stageArr.reset(keepPooled)
 	}
 }
 
@@ -152,7 +159,7 @@ func (a *arrayAccum) extend(n int) {
 type OpenRecord struct {
 	acc    *Accum
 	fields []stagedField
-	seen   map[string]int // name -> index in fields, once past smallOpenFields
+	seen   map[string]int // name -> index in fields, while past smallOpenFields; else empty
 }
 
 // stagedField is one staged field slot: the name and the pooled node
@@ -165,8 +172,18 @@ type stagedField struct {
 // smallOpenFields bounds the linear duplicate-name scan of an open
 // record, mirroring the map phase's small-object threshold: below it a
 // scan over the staged fields beats maintaining a map; above it the map
-// keeps wide objects linear.
+// keeps wide objects linear. The mode follows the record being staged,
+// not the widest one the pooled OpenRecord ever held.
 const smallOpenFields = 16
+
+// Pool-length caps: what a release keeps for the next document. A
+// document staging more than this many fields at once, or an object
+// wider than maxPooledNodes, still absorbs; the excess goes to the
+// garbage collector instead of staying pooled for good.
+const (
+	maxPooledNodes   = 4096
+	maxPooledRecords = 1024
+)
 
 // BeginRecord opens an object value on the target. The record commits
 // on EndRecord and is discarded by Abort; exactly one of the two must
@@ -188,15 +205,18 @@ func (t Target) BeginRecord() *OpenRecord {
 func (r *OpenRecord) Field(name string) Target {
 	if i := r.index(name); i >= 0 {
 		n := r.fields[i].node
-		n.reset()
+		n.reset(keepPooled)
 		return Target{acc: r.acc, n: n}
 	}
 	n := r.acc.getNode()
 	r.fields = append(r.fields, stagedField{name: name, node: n})
-	if r.seen != nil {
-		r.seen[name] = len(r.fields) - 1
-	} else if len(r.fields) > smallOpenFields {
-		r.seen = make(map[string]int, 2*len(r.fields))
+	switch k := len(r.fields); {
+	case k > smallOpenFields+1:
+		r.seen[name] = k - 1
+	case k == smallOpenFields+1:
+		if r.seen == nil {
+			r.seen = make(map[string]int, 2*k)
+		}
 		for i := range r.fields {
 			r.seen[r.fields[i].name] = i
 		}
@@ -204,10 +224,10 @@ func (r *OpenRecord) Field(name string) Target {
 	return Target{acc: r.acc, n: n}
 }
 
-// index finds name among the staged fields: a linear scan below the
-// smallOpenFields threshold, the seen map above it.
+// index finds name among the staged fields: a linear scan up to
+// smallOpenFields staged fields, the seen map past it.
 func (r *OpenRecord) index(name string) int {
-	if r.seen != nil {
+	if len(r.fields) > smallOpenFields {
 		if i, ok := r.seen[name]; ok {
 			return i
 		}
@@ -255,35 +275,21 @@ func compareStagedNames(a, b stagedField) int { return strings.Compare(a.name, b
 // nothing (the real key string is made only when a new group is born).
 func (n *accumNode) stagedGroup(fields []stagedField, a *Accum) *recordAccum {
 	if a.equiv == EquivKind {
-		if len(n.recs) == 0 {
-			n.recs = append(n.recs, &recordAccum{})
-		}
-		return n.recs[0]
+		return n.kindGroup()
 	}
 	if n.recIndex != nil {
 		key := a.stagedKey(fields)
 		if ra := n.recIndex[string(key)]; ra != nil {
-			return ra
+			return n.activate(ra)
 		}
-		ra := &recordAccum{key: string(key), keyValid: true}
-		n.recs = append(n.recs, ra)
-		n.recIndex[ra.key] = ra
-		return ra
+		return n.newGroup(string(key))
 	}
 	for _, ra := range n.recs {
 		if ra.sameStagedLabels(fields) {
-			return ra
+			return n.activate(ra)
 		}
 	}
-	ra := &recordAccum{key: string(a.stagedKey(fields)), keyValid: true}
-	n.recs = append(n.recs, ra)
-	if len(n.recs) > smallRecordGroups {
-		n.recIndex = make(map[string]*recordAccum, 2*len(n.recs))
-		for _, g := range n.recs {
-			n.recIndex[g.labelKey()] = g
-		}
-	}
-	return ra
+	return n.newGroup(string(a.stagedKey(fields)))
 }
 
 // stagedKey renders the staged label set exactly as labelKey does, into
@@ -350,17 +356,28 @@ func (a *Accum) getNode() *accumNode {
 }
 
 // releaseOpen returns an open record and its staged nodes to their
-// pools, reset (storage retained) so the next document of the same
-// shape stages without allocating.
+// pools, reset (storage retained, within the caps) so the next document
+// of the same shape stages without allocating.
 func (a *Accum) releaseOpen(r *OpenRecord) {
+	k := len(r.fields)
 	for i := range r.fields {
-		r.fields[i].node.reset()
-		a.nodePool = append(a.nodePool, r.fields[i].node)
+		n := r.fields[i].node
 		r.fields[i] = stagedField{}
+		if len(a.nodePool) < maxPooledNodes {
+			n.reset(keepPooled)
+			a.nodePool = append(a.nodePool, n)
+		}
+	}
+	if k > smallOpenFields {
+		clear(r.seen)
+	}
+	if k > maxPooledNodes {
+		r.fields, r.seen = nil, nil
 	}
 	r.fields = r.fields[:0]
-	clear(r.seen)
-	a.recPool = append(a.recPool, r)
+	if len(a.recPool) < maxPooledRecords {
+		a.recPool = append(a.recPool, r)
+	}
 }
 
 // absorbNode folds one accumulator node into another — the accumulator
@@ -402,10 +419,7 @@ func (dst *accumNode) absorbNode(src *accumNode, e Equiv) {
 		}
 		dst.arr.absorbNodeArr(src.arr, e)
 	}
-	for _, sra := range src.recs {
-		if sra.nrecs == 0 {
-			continue // dead group retained across a reset
-		}
+	for _, sra := range src.recs[:src.live] {
 		dra := dst.accumGroup(sra, e)
 		dra.nrecs += sra.nrecs
 		dra.count += sra.count
@@ -437,38 +451,24 @@ func (a *arrayAccum) absorbNodeArr(src *arrayAccum, e Equiv) {
 // live group's field table is exactly its label set on both sides.
 func (n *accumNode) accumGroup(src *recordAccum, e Equiv) *recordAccum {
 	if e == EquivKind {
-		if len(n.recs) == 0 {
-			n.recs = append(n.recs, &recordAccum{})
-		}
-		return n.recs[0]
+		return n.kindGroup()
 	}
 	if n.recIndex != nil {
 		key := src.labelKey()
 		if ra := n.recIndex[key]; ra != nil {
-			return ra
+			return n.activate(ra)
 		}
-		ra := &recordAccum{key: key, keyValid: true}
-		n.recs = append(n.recs, ra)
-		n.recIndex[key] = ra
-		return ra
+		return n.newGroup(key)
 	}
 	for _, ra := range n.recs {
 		if ra.sameAccumLabels(src) {
-			return ra
+			return n.activate(ra)
 		}
 	}
-	ra := &recordAccum{key: src.labelKey(), keyValid: true}
-	n.recs = append(n.recs, ra)
-	if len(n.recs) > smallRecordGroups {
-		n.recIndex = make(map[string]*recordAccum, 2*len(n.recs))
-		for _, g := range n.recs {
-			n.recIndex[g.labelKey()] = g
-		}
-	}
-	return ra
+	return n.newGroup(src.labelKey())
 }
 
-// sameAccumLabels compares two live groups' label sets.
+// sameAccumLabels compares a group's label set with a live group's.
 func (ra *recordAccum) sameAccumLabels(src *recordAccum) bool {
 	if len(ra.fields) != len(src.fields) {
 		return false
@@ -491,7 +491,7 @@ func (ra *recordAccum) absorbAccum(src *recordAccum, e Equiv) {
 	for j := range src.fields {
 		sf := &src.fields[j]
 		if sf.seenIn == 0 {
-			continue // dead slot retained across a reset
+			continue // clean slot of a K group
 		}
 		for i < len(fs) && fs[i].name < sf.name {
 			i++
@@ -508,4 +508,51 @@ func (ra *recordAccum) absorbAccum(src *recordAccum, e Equiv) {
 		i++
 	}
 	ra.fields = fs
+}
+
+// Retained is a census of the storage an accumulator's staging pools
+// hold between documents: none of it is schema state, all of it is
+// clean (deeply zero) and kept only so the next document stages without
+// allocating.
+type Retained struct {
+	PooledNodes   int // staging nodes in the pool, plus the root-array staging node
+	PooledRecords int // open records in the pool
+	Nodes         int // accumulator nodes nested below the pooled ones (array elements, field slots)
+	Groups        int // clean record groups inside the pooled nodes, at any depth
+	Slots         int // clean field slots inside those groups
+}
+
+// Retained walks the staging pools and counts what they hold. It is
+// read-only and costs the size of the retained storage, so it is meant
+// for gauges and tests, not for the absorb path; call it between
+// documents, from the goroutine that owns the accumulator.
+func (a *Accum) Retained() Retained {
+	r := Retained{PooledNodes: len(a.nodePool), PooledRecords: len(a.recPool)}
+	for _, n := range a.nodePool {
+		n.census(&r)
+	}
+	if a.stageArr != nil {
+		r.PooledNodes++
+		a.stageArr.census(&r)
+	}
+	return r
+}
+
+// census adds the storage retained below n (n itself excluded).
+func (n *accumNode) census(r *Retained) {
+	if n.arr != nil {
+		r.Nodes++
+		n.arr.elem.census(r)
+	}
+	r.Groups += len(n.recs) - n.live
+	for _, ra := range n.recs {
+		for i := range ra.fields {
+			fa := &ra.fields[i]
+			if fa.seenIn == 0 {
+				r.Slots++
+			}
+			r.Nodes++
+			fa.node.census(r)
+		}
+	}
 }

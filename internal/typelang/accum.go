@@ -7,6 +7,7 @@
 package typelang
 
 import (
+	"math"
 	"slices"
 	"strings"
 )
@@ -52,8 +53,9 @@ type Accum struct {
 
 	// Direct-absorption staging (absorb.go): the root-array element
 	// staging node, the pools of staged field nodes and open records,
-	// and the scratch label-key buffer — all retained across documents
-	// and Resets so steady-state absorption allocates nothing.
+	// and the scratch label-key buffer — retained across documents and
+	// Resets, up to the keepPooled bounds, so steady-state absorption
+	// allocates nothing.
 	stageArr *accumNode
 	nodePool []*accumNode
 	recPool  []*OpenRecord
@@ -94,15 +96,17 @@ func (a *Accum) Seal() *Type {
 
 // Reset empties the accumulator for reuse, retaining the bucket and
 // field-table storage of the shapes it has seen so a worker absorbing
-// similar chunks allocates nothing on the next round. Previously sealed
-// types remain valid (they never alias accumulator state).
+// similar chunks allocates nothing on the next round. Its cost is the
+// size of what was absorbed since the previous Reset, not of what is
+// retained. Previously sealed types remain valid (they never alias
+// accumulator state).
 func (a *Accum) Reset() {
-	a.node.reset()
+	a.node.reset(keepAll)
 	if a.stageArr != nil {
 		// Defensive: direct absorption aborts its own staging, but a
 		// Reset must leave no residue regardless of how the previous
 		// round ended.
-		a.stageArr.reset()
+		a.stageArr.reset(keepPooled)
 	}
 	a.gen++
 	a.sealed = nil
@@ -138,15 +142,21 @@ type accumNode struct {
 	arr *arrayAccum
 
 	// recs are the record groups: exactly one under K (records always
-	// fuse); one per label set under L, in arrival order, sorted by
-	// label key at seal. Lookup on absorb is a linear scan while the
-	// groups are few (the common case; the scan is cheap — label sets
-	// differ in length most of the time, and equal field names are
-	// pointer-equal when the map phase interns them) and switches to
-	// recIndex, a label-key map, past smallRecordGroups — the hashed
-	// grouping the reference fold uses, so high-cardinality L data
-	// stays linear in documents instead of going quadratic in groups.
+	// fuse); one per label set under L, sorted by label key at seal.
+	// recs[:live] are the groups that absorbed a record since the last
+	// reset; recs[live:] are clean groups kept only so the next round
+	// can reuse their storage (see reset). Everything that reads the
+	// node — seal, empty, absorbNode — walks the live prefix only.
+	// Lookup on absorb is a linear scan while the groups are few (the
+	// common case; the scan is cheap — label sets differ in length most
+	// of the time, equal field names are pointer-equal when the map
+	// phase interns them, and the groups of the previous round sit at
+	// the front) and switches to recIndex, a label-key map over all of
+	// recs, past smallRecordGroups — the hashed grouping the reference
+	// fold uses, so high-cardinality L data stays linear in documents
+	// instead of going quadratic in groups.
 	recs     []*recordAccum
+	live     int
 	recIndex map[string]*recordAccum
 }
 
@@ -160,7 +170,11 @@ const smallRecordGroups = 16
 // always fuse (both equivalences act on records), so this is one count,
 // the observed length bounds, and the element-collection accumulator.
 type arrayAccum struct {
-	n              int // arrays absorbed; 0 marks the bucket inactive after a reset
+	n int // arrays absorbed since the last reset
+	// opened marks a direct-absorption BeginArray below the root since
+	// the last reset: elem may hold elements although n is still 0 (the
+	// array was abandoned, or the node had collapsed to Any).
+	opened         bool
 	count          int64
 	minLen, maxLen int
 	elem           accumNode
@@ -173,14 +187,16 @@ type arrayAccum struct {
 type recordAccum struct {
 	key      string // label key, built lazily for the seal ordering
 	keyValid bool
+	pos      int // index in the owning node's recs
 	nrecs    int
 	count    int64
 	fields   []fieldAccum
 }
 
 // fieldAccum is one field slot of a record group. seenIn counts the
-// absorbed records containing the field; after a Reset a slot with
-// seenIn == 0 is dead storage kept only so the next round can reuse it.
+// absorbed records containing the field; a slot with seenIn == 0 is
+// clean storage kept only so a later round can reuse it (only a K group
+// holds such slots next to live ones).
 type fieldAccum struct {
 	name     string
 	count    int64
@@ -253,49 +269,85 @@ func (a *arrayAccum) absorb(t *Type, e Equiv) {
 	a.elem.absorb(t.Elem, e)
 }
 
-// recordGroup finds (or creates) the group record t fuses into: the
-// single group under K, the group with t's label set under L.
+// recordGroup finds (or creates) the group record t fuses into — the
+// single group under K, the group with t's label set under L — and
+// marks it live.
 func (n *accumNode) recordGroup(t *Type, e Equiv) *recordAccum {
 	if e == EquivKind {
-		if len(n.recs) == 0 {
-			n.recs = append(n.recs, &recordAccum{})
-		}
-		return n.recs[0]
+		return n.kindGroup()
 	}
 	if n.recIndex != nil {
 		key := labelKey(t)
 		if ra := n.recIndex[key]; ra != nil {
-			return ra
+			return n.activate(ra)
 		}
-		ra := &recordAccum{key: key, keyValid: true}
-		n.recs = append(n.recs, ra)
-		n.recIndex[key] = ra
-		return ra
+		return n.newGroup(key)
 	}
 	for _, ra := range n.recs {
 		if ra.sameLabels(t.Fields) {
-			return ra
+			return n.activate(ra)
 		}
 	}
 	// New group: its key is the incoming record's label set (the field
 	// table is still empty; absorb fills it right after).
-	ra := &recordAccum{key: labelKey(t), keyValid: true}
+	return n.newGroup(labelKey(t))
+}
+
+// kindGroup is the one group every record fuses into under K.
+func (n *accumNode) kindGroup() *recordAccum {
+	if len(n.recs) == 0 {
+		return n.newGroup("")
+	}
+	return n.activate(n.recs[0])
+}
+
+// newGroup appends a live group with the given label key, building the
+// label-key index when the node outgrows the linear scan.
+func (n *accumNode) newGroup(key string) *recordAccum {
+	ra := &recordAccum{key: key, keyValid: true, pos: len(n.recs)}
 	n.recs = append(n.recs, ra)
-	if len(n.recs) > smallRecordGroups {
+	if n.recIndex != nil {
+		n.recIndex[key] = ra
+	} else if len(n.recs) > smallRecordGroups {
 		n.recIndex = make(map[string]*recordAccum, 2*len(n.recs))
 		for _, g := range n.recs {
 			n.recIndex[g.labelKey()] = g
 		}
 	}
+	return n.activate(ra)
+}
+
+// activate moves a clean retained group to the end of the live prefix;
+// a group that is already live stays where it is.
+func (n *accumNode) activate(ra *recordAccum) *recordAccum {
+	if i := ra.pos; i >= n.live {
+		o := n.recs[n.live]
+		n.recs[i], n.recs[n.live] = o, ra
+		o.pos, ra.pos = i, n.live
+		n.live++
+	}
 	return ra
+}
+
+// removeGroup drops recs[i] to the garbage collector, moving the last
+// group into its place.
+func (n *accumNode) removeGroup(i int) {
+	last := len(n.recs) - 1
+	if n.recIndex != nil {
+		delete(n.recIndex, n.recs[i].labelKey())
+	}
+	n.recs[i] = n.recs[last]
+	n.recs[i].pos = i
+	n.recs[last] = nil
+	n.recs = n.recs[:last]
 }
 
 // sameLabels reports whether the group's label set equals the given
 // (name-sorted) field list's. Under L a group's field table holds
-// exactly its label set, even across a Reset: a reset group is only
+// exactly its label set, even across a reset: a clean group is only
 // ever recycled by a record matching its full retained name set (an
 // exact match marks every slot live again), so an L group never holds a
-// dead slot while it has absorbed records, and the straight aligned
+// clean slot while it has absorbed records, and the straight aligned
 // walk below compares the label set either way.
 func (ra *recordAccum) sameLabels(fields []Field) bool {
 	if len(ra.fields) != len(fields) {
@@ -347,7 +399,7 @@ func (ra *recordAccum) absorb(t *Type, e Equiv) {
 // does — for the canonical union ordering at seal, and as the recIndex
 // key. It covers every slot in the field table: under L (the only
 // equivalence that uses keys) the table is exactly the label set even
-// across a Reset, because a reset group is only ever recycled by its
+// across a reset, because a clean group is only ever recycled by its
 // exact label set.
 func (ra *recordAccum) labelKey() string {
 	if !ra.keyValid {
@@ -371,12 +423,7 @@ func (n *accumNode) empty() bool {
 	if n.arr != nil && n.arr.n > 0 {
 		return false
 	}
-	for _, ra := range n.recs {
-		if ra.nrecs > 0 {
-			return false
-		}
-	}
-	return true
+	return n.live == 0
 }
 
 // seal builds the canonical type of the node: the same buckets, in the
@@ -386,13 +433,8 @@ func (n *accumNode) seal(e Equiv) *Type {
 	if n.haveAny {
 		return &Type{Kind: KAny, Count: n.total}
 	}
-	active := 0
-	for _, ra := range n.recs {
-		if ra.nrecs > 0 {
-			active++
-		}
-	}
-	nalts := active
+	live := n.recs[:n.live]
+	nalts := len(live)
 	if n.haveNull {
 		nalts++
 	}
@@ -428,25 +470,17 @@ func (n *accumNode) seal(e Equiv) *Type {
 	if n.haveStr {
 		out = append(out, &Type{Kind: KStr, Count: n.strCount})
 	}
-	if active == 1 || (active > 0 && e == EquivKind) {
-		for _, ra := range n.recs {
-			if ra.nrecs > 0 {
-				out = append(out, ra.seal(e))
-			}
-		}
-	} else if active > 1 {
-		groups := make([]*recordAccum, 0, active)
-		for _, ra := range n.recs {
-			if ra.nrecs > 0 {
-				groups = append(groups, ra)
-			}
-		}
-		slices.SortFunc(groups, func(a, b *recordAccum) int {
+	if len(live) > 1 {
+		// The live prefix is in arrival order; the canonical union wants
+		// label-key order. Sorted in place (groups are found by label
+		// set, never by position).
+		slices.SortFunc(live, func(a, b *recordAccum) int {
 			return strings.Compare(a.labelKey(), b.labelKey())
 		})
-		for _, ra := range groups {
-			out = append(out, ra.seal(e))
-		}
+	}
+	for i, ra := range live {
+		ra.pos = i
+		out = append(out, ra.seal(e))
 	}
 	if n.arr != nil && n.arr.n > 0 {
 		out = append(out, n.arr.seal(e))
@@ -462,7 +496,7 @@ func (ra *recordAccum) seal(e Equiv) *Type {
 	for i := range ra.fields {
 		fa := &ra.fields[i]
 		if fa.seenIn == 0 {
-			continue // dead slot retained across a Reset
+			continue // clean slot of a K group
 		}
 		if fields == nil {
 			fields = make([]Field, 0, len(ra.fields))
@@ -487,34 +521,81 @@ func (a *arrayAccum) seal(e Equiv) *Type {
 	return &Type{Kind: KArray, Elem: elem, Count: a.count, MinLen: a.minLen, MaxLen: a.maxLen}
 }
 
-// reset clears the node for reuse in place: atom buckets zero, the
-// array bucket and every record group reset recursively, all storage —
-// field tables, group lists, nested nodes — retained. Keeping the group
-// tables is the reuse payoff: a worker absorbing the next chunk (or the
-// next document's arrays) of the same shapes allocates nothing at all.
-func (n *accumNode) reset() {
+// retention bounds what a reset leaves behind for reuse: the record
+// groups one node may keep, and the field slots a group may have and
+// still be kept.
+type retention struct{ groups, slots int }
+
+var (
+	// keepAll is the accumulator tree's own Reset: the next chunk is
+	// expected to hold the same shapes, so everything is kept.
+	keepAll = retention{groups: math.MaxInt, slots: math.MaxInt}
+	// keepPooled is the recycle of staging storage (absorb.go): a pooled
+	// node serves whatever field comes next, so on a drifting or hostile
+	// corpus it would collect every label set it ever staged. It keeps
+	// the most recently live groups — enough that the nested label sets
+	// of an ordinary corpus never churn (evicting a group that comes
+	// back costs its allocation again: capping the tweets corpus, which
+	// needs 15, at 8 costs 40% throughput) — and drops the rest to the
+	// garbage collector.
+	keepPooled = retention{groups: 4 * smallRecordGroups, slots: 1024}
+)
+
+// reset clears the node for reuse in place, retaining its storage —
+// field tables, group lists, nested nodes — up to keep. Keeping the
+// group tables is the reuse payoff: a worker absorbing the next chunk
+// (or the next document's arrays) of the same shapes allocates nothing
+// at all.
+//
+// It costs what was dirtied since the previous reset, not what is
+// retained, by the clean-subtree invariant every mutation of the tree
+// maintains: a record group outside the live prefix (nrecs == 0), a
+// field slot with seenIn == 0, and an array bucket with n == 0 that was
+// not opened are deeply zero — every count, flag and nested node below
+// them — so reset never descends into them. The one way to dirty a
+// subtree without bumping its count is BeginArray below the root
+// (elements land in arr.elem before EndArray counts the array, and an
+// abandoned document or an Any-collapsed node never counts it); that is
+// what arrayAccum.opened records.
+func (n *accumNode) reset(keep retention) {
 	n.total = 0
 	n.haveAny, n.haveNull, n.haveBool, n.haveInt, n.haveNum, n.haveStr = false, false, false, false, false, false
 	n.nullCount, n.boolCount, n.intCount, n.numCount, n.strCount = 0, 0, 0, 0, 0
-	if n.arr != nil {
-		n.arr.n = 0
-		n.arr.count = 0
-		n.arr.minLen, n.arr.maxLen = 0, 0
-		n.arr.elem.reset()
+	if a := n.arr; a != nil && (a.n > 0 || a.opened) {
+		a.n, a.opened = 0, false
+		a.count = 0
+		a.minLen, a.maxLen = 0, 0
+		a.elem.reset(keep)
 	}
-	for _, ra := range n.recs {
-		ra.reset()
+	// Downwards, so removeGroup only ever moves in a group that is clean
+	// already.
+	for i := n.live - 1; i >= 0; i-- {
+		if ra := n.recs[i]; len(ra.fields) > keep.slots {
+			n.removeGroup(i)
+		} else {
+			ra.reset(keep)
+		}
+	}
+	n.live = 0
+	for len(n.recs) > keep.groups {
+		n.removeGroup(len(n.recs) - 1)
+	}
+	if n.recIndex != nil && len(n.recs) <= smallRecordGroups {
+		n.recIndex = nil // back to the linear scan
 	}
 }
 
-func (ra *recordAccum) reset() {
+func (ra *recordAccum) reset(keep retention) {
 	ra.nrecs = 0
 	ra.count = 0
 	for i := range ra.fields {
 		fa := &ra.fields[i]
+		if fa.seenIn == 0 {
+			continue
+		}
 		fa.count = 0
 		fa.optional = false
 		fa.seenIn = 0
-		fa.node.reset()
+		fa.node.reset(keep)
 	}
 }

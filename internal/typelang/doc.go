@@ -28,6 +28,17 @@
 // Sealing after N absorbed documents is pinned byte-identical to
 // merging N per-document types.
 //
+// Staging storage is pooled on the accumulator and recycled at the cost
+// of what a document dirtied, not of what the pool retains: clean
+// subtrees (a record group outside the live prefix, a field slot no
+// record touched, an array bucket neither counted nor opened) are deeply
+// zero by invariant and reset skips them (accumNode.reset). What the
+// pools may keep is capped (keepPooled, maxPooledNodes) so a drifting or
+// hostile corpus cannot grow them with the schema. Accum.Retained
+// reports what they hold — pooled nodes and open records, nested nodes,
+// clean groups and slots — and is the intended source for the
+// per-collection accumulator memory gauges of /v1/stats and /metrics.
+//
 // Types are immutable once built; all operations on them return new
 // values. Accum is the one deliberately mutable value: it is owned by
 // a single goroutine, and only its sealed (immutable) outputs are
