@@ -95,13 +95,11 @@ func BenchmarkE3ParallelInference(b *testing.B) {
 // goroutine, and the mison rows lex through the structural index
 // (bitmap chunking, positional string skipping) instead of the
 // byte-at-a-time scan. All streamed rows fold through the mutable
-// accumulator core (typelang.Accum: absorb in place, seal per chunk /
-// per publish); the parallel rows reduce through the sharded collector
-// tree by default, the single-collector rows (explicit ReduceShards: 1)
-// pin the legacy ordered in-line Merge fold as the A/B baseline, and
-// the registry-ingest rows measure the same bytes arriving through the
-// live-merge registry (shared symbol table, collector tree left open
-// across requests).
+// accumulator core (typelang.Accum: absorb in place, seal per chunk);
+// the parallel rows reduce in line on the committer (one accumulator,
+// one seal), and the registry-ingest rows measure the same bytes
+// arriving through the live-merge registry (shared symbol table,
+// collector tree left open across requests).
 func BenchmarkE3StreamingInference(b *testing.B) {
 	docs := genjson.Collection(genjson.Twitter{Seed: 13}, 5000)
 	raw := jsontext.MarshalLines(docs)
@@ -269,18 +267,6 @@ func BenchmarkE3StreamingInference(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, _, err := infer.InferStreamParallel(bytes.NewReader(raw),
 					infer.Options{Equiv: typelang.EquivLabel, Workers: workers, Map: infer.MapIndexed}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		// The old ordered in-line fold (ReduceShards: 1), the A/B
-		// baseline for the default sharded reduce above.
-		b.Run(fmt.Sprintf("mison-parallel-%d-single-collector", workers), func(b *testing.B) {
-			b.SetBytes(int64(len(raw)))
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, _, err := infer.InferStreamParallel(bytes.NewReader(raw),
-					infer.Options{Equiv: typelang.EquivLabel, Workers: workers, ReduceShards: 1}); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -43,8 +43,12 @@
 // stderr after inference: per-stage wall clocks (read, split, map,
 // reduce, fuse) and the stage counters — chunks split, bytes lexed,
 // documents absorbed, index fast-path vs token-fallback records, chunk
-// parity rejections, collector publishes, root fuses and seals. The
-// schema on stdout is unaffected, so -stats composes with scripts.
+// parity rejections and seals. A one-shot run reduces in line on the
+// committer (one accumulator, one final seal), so seals reads chunks + 1
+// and the fuse clock, batch_publishes and root_fuses — counters of the
+// registry's collector tree, which jsinferd reports through the same
+// table — read 0 here. The schema on stdout is unaffected, so -stats
+// composes with scripts.
 //
 // -cpuprofile and -memprofile write pprof profiles covering the
 // inference pass (the heap profile is taken after it completes), so
@@ -84,7 +88,7 @@ func main() {
 	precision := flag.Bool("precision", false, "with -stream: compute precision in a second pass over the input files")
 	mmap := flag.String("mmap", "auto", "with -stream and file arguments: memory-map inputs, auto (default), on, or off")
 	chunkBytes := flag.String("chunk-bytes", "", "with -stream: cut chunks at this byte size instead of every 256 documents (e.g. 4M)")
-	stats := flag.Bool("stats", false, "with -stream: print pipeline stage stats to stderr after inference")
+	stats := flag.Bool("stats", false, "with -stream: print pipeline stage stats to stderr after inference (fuse, batch_publishes and root_fuses are the registry's counters and read 0 here)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the inference pass to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile (taken after inference) to this file")
 	flag.Parse()
@@ -233,7 +237,7 @@ func main() {
 		fatal(fmt.Errorf("no input documents"))
 	}
 	if *simplify {
-		result.Type = typelang.Simplify(result.Type)
+		result.Simplify()
 	}
 
 	switch *output {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -8,6 +9,8 @@ import (
 
 	"repro/internal/genjson"
 	"repro/internal/jsontext"
+	"repro/internal/jsonvalue"
+	"repro/internal/mmapio"
 	"repro/internal/typelang"
 )
 
@@ -162,5 +165,86 @@ func TestCodegenOutputsMentionEveryTopLevelField(t *testing.T) {
 		if !strings.Contains(sw, field) {
 			t.Errorf("Swift output missing %s", field)
 		}
+	}
+}
+
+// TestStreamFilesKeepPrefixOnError pins the error contract the reader
+// and bytes facades already had on the files facade too: when a file is
+// malformed mid-way, the Inference returned with the error covers
+// exactly the documents before it — every earlier file plus the failing
+// file's good prefix — through the reader and the mmap route alike.
+func TestStreamFilesKeepPrefixOnError(t *testing.T) {
+	docs1 := genjson.Collection(genjson.Orders{Seed: 211}, 60)
+	docs2 := genjson.Collection(genjson.Twitter{Seed: 212}, 40)
+	good := jsontext.MarshalLines(docs2[:25])
+	broken := append(append(append([]byte{}, good...), "{]\n"...), jsontext.MarshalLines(docs2[25:])...)
+	dir := t.TempDir()
+	f1 := filepath.Join(dir, "a.ndjson")
+	bad := filepath.Join(dir, "bad.ndjson")
+	if err := os.WriteFile(f1, jsontext.MarshalLines(docs1), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(bad, broken, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	want, err := InferSchema(append(append([]*Value{}, docs1...), docs2[:25]...), ParametricL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	modes := []MmapMode{MmapOff}
+	if mmapio.Supported() {
+		modes = append(modes, MmapOn)
+	}
+	for _, mode := range modes {
+		inf, n, err := InferSchemaStreamFilesWith([]string{f1, bad}, ParametricL,
+			StreamOptions{Workers: 3, Mmap: mode})
+		var se *jsontext.SyntaxError
+		if !errors.As(err, &se) || !strings.Contains(err.Error(), "bad.ndjson") {
+			t.Fatalf("mmap=%v: error = %v, want a syntax error naming bad.ndjson", mode, err)
+		}
+		if wantOff := len(good) + 1; se.Offset != wantOff {
+			t.Errorf("mmap=%v: error offset %d, want %d (the ']', relative to its file)", mode, se.Offset, wantOff)
+		}
+		if n != 85 {
+			t.Errorf("mmap=%v: typed %d docs before the error, want 85", mode, n)
+		}
+		if inf == nil {
+			t.Fatalf("mmap=%v: no Inference returned with the error", mode)
+		}
+		if inf.Type.StringCounted() != want.Type.StringCounted() {
+			t.Errorf("mmap=%v: prefix type differs from inference over the 85 good documents\n want: %s\n got:  %s",
+				mode, want.Type.StringCounted(), inf.Type.StringCounted())
+		}
+		if inf.Size != want.Size || inf.Precision != -1 {
+			t.Errorf("mmap=%v: size %d precision %v, want %d and -1", mode, inf.Size, inf.Precision, want.Size)
+		}
+	}
+}
+
+// TestInferenceSimplifyCarriesDocument pins `jsinfer -simplify -output
+// jsonschema`: the document (and Size) must be the simplified type's,
+// not the one built before simplification. The type is the
+// subsumed-record union of typelang's simplify tests, set by hand: no
+// collection infers to a type Simplify changes (L groups records by
+// exact label set, K fuses them all), so the CLI cannot show the
+// difference from input alone.
+func TestInferenceSimplifyCarriesDocument(t *testing.T) {
+	narrow := typelang.NewRecord(typelang.Field{Name: "a", Type: typelang.Int})
+	wide := typelang.NewRecord(
+		typelang.Field{Name: "a", Type: typelang.Int},
+		typelang.Field{Name: "b", Type: typelang.Str, Optional: true},
+	)
+	u := &typelang.Type{Kind: typelang.KUnion, Alts: []*typelang.Type{narrow, wide}}
+	inf := &Inference{Engine: ParametricL, Type: u, JSONSchema: TypeToJSONSchema(u), Size: u.Size()}
+	inf.Simplify()
+	want := typelang.Simplify(u)
+	if !typelang.Equal(inf.Type, wide) || inf.Size != want.Size() {
+		t.Fatalf("Simplify left type %s (size %d), want the wide record alone (size %d)", inf.Type, inf.Size, want.Size())
+	}
+	if !jsonvalue.Equal(inf.JSONSchema, TypeToJSONSchema(want)) {
+		t.Errorf("document after Simplify = %s, want %s", Marshal(inf.JSONSchema), Marshal(TypeToJSONSchema(want)))
+	}
+	if jsonvalue.Equal(inf.JSONSchema, TypeToJSONSchema(u)) {
+		t.Error("Simplify changed the type but not the document")
 	}
 }

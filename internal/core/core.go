@@ -184,6 +184,21 @@ type Inference struct {
 	Size      int
 }
 
+// Simplify replaces Type with typelang.Simplify(Type) and brings the
+// fields derived from it — the JSON Schema document and Size — along, so
+// every output form shows the same schema. Skinfer's document is its
+// native output, not a rendering of Type, and is kept.
+func (inf *Inference) Simplify() {
+	s := typelang.Simplify(inf.Type)
+	if s == inf.Type {
+		return
+	}
+	inf.Type, inf.Size = s, s.Size()
+	if inf.Engine != Skinfer {
+		inf.JSONSchema = jsonschema.FromType(s)
+	}
+}
+
 // equivFor maps a parametric engine to its merge equivalence.
 func equivFor(engine Engine) (typelang.Equiv, bool) {
 	switch engine {
@@ -299,10 +314,6 @@ type StreamOptions struct {
 	// Tokenizer picks the lexing machinery; the zero value is
 	// TokenizerMison.
 	Tokenizer Tokenizer
-	// ReduceShards is the leaf count of the sharded collector tree the
-	// chunk results fold through: 0 sizes it automatically, 1 selects
-	// the single ordered in-line fold.
-	ReduceShards int
 	// Map picks the map phase; the zero value is MapFused
 	// (MapReference is the per-document-type A/B baseline, MapIndexed
 	// the index-driven fast path).
@@ -327,13 +338,12 @@ type StreamOptions struct {
 // inferOptions lowers the facade options to the engine's option set.
 func (o StreamOptions) inferOptions(eq typelang.Equiv) infer.Options {
 	return infer.Options{
-		Equiv:        eq,
-		Workers:      o.Workers,
-		Tokenizer:    o.Tokenizer,
-		ReduceShards: o.ReduceShards,
-		Map:          o.Map,
-		ChunkBytes:   o.ChunkBytes,
-		Stats:        o.Stats,
+		Equiv:      eq,
+		Workers:    o.Workers,
+		Tokenizer:  o.Tokenizer,
+		Map:        o.Map,
+		ChunkBytes: o.ChunkBytes,
+		Stats:      o.Stats,
 	}
 }
 
@@ -466,8 +476,9 @@ func InferSchemaStreamFiles(files []string, engine Engine, workers int) (*Infere
 // InferSchemaStreamFilesWith streams each named file in turn and merges
 // the per-file schemas into one inference — exact by associativity of
 // the merge. Each file gets its own decoder, so a decode error names
-// the offending file; inference stops there and the error reports how
-// many documents were typed before it.
+// the offending file; inference stops there, and the Inference and
+// count returned with the error cover exactly the documents before it:
+// the earlier files and the failing file's prefix.
 //
 // Regular files route per opts.Mmap: mapped inputs stream through the
 // zero-copy byte engines (the raw file pages are split and lexed in
@@ -480,13 +491,17 @@ func InferSchemaStreamFilesWith(files []string, engine Engine, opts StreamOption
 	}
 	acc := typelang.Bottom
 	total := 0
+	var ferr error
 	for _, name := range files {
 		part, n, err := streamOneFile(name, engine, opts)
 		total += n
-		if err != nil {
-			return nil, total, fmt.Errorf("%s: %w", name, err)
+		if part != nil { // nil: the file could not be opened or mapped
+			acc = typelang.Merge(acc, part.Type, eq)
 		}
-		acc = typelang.Merge(acc, part.Type, eq)
+		if err != nil {
+			ferr = fmt.Errorf("%s: %w", name, err)
+			break
+		}
 	}
 	return &Inference{
 		Engine:     engine,
@@ -494,7 +509,7 @@ func InferSchemaStreamFilesWith(files []string, engine Engine, opts StreamOption
 		JSONSchema: jsonschema.FromType(acc),
 		Precision:  -1,
 		Size:       acc.Size(),
-	}, total, nil
+	}, total, ferr
 }
 
 // streamOneFile infers one named file, routing it through a memory

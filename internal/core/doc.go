@@ -16,7 +16,7 @@
 //     StreamOptions selects the worker count, the tokenizer
 //     (TokenizerMison, the default structural-index fast path, or
 //     TokenizerScan, the reference lexer — identical results) and the
-//     reduce shape (ReduceShards leaves of the collector tree);
+//     map phase;
 //   - StreamPrecision / StreamPrecisionFiles grade a schema against
 //     re-readable input in a bounded-memory second pass, filling the
 //     precision column a single streamed pass cannot compute.

@@ -15,14 +15,13 @@ import (
 )
 
 // This file is the Accum-vs-MergeAll identity sweep: every streamed
-// engine now folds through typelang.Accum (worker folds, collector
-// leaves, the root fuse, the in-line auto fold), and this sweep pins
-// each of those seals byte-identical to the reference reduce — one
-// MergeAll over the per-document map-phase types — on every checked-in
-// fixture, under both equivalences, across map modes (the fused
-// direct-absorption default and the per-document reference map, the A/B
-// baseline), shard counts (including the explicit ReduceShards: 1
-// legacy Merge fold), worker counts, and both tokenizers.
+// engine folds through typelang.Accum (worker chunk folds, the
+// committer's in-line fold), and this sweep pins each of those seals
+// byte-identical to the reference reduce — one MergeAll over the
+// per-document map-phase types — on every checked-in fixture, under
+// both equivalences, across map modes (the fused direct-absorption
+// default and the per-document reference map, the A/B baseline), worker
+// counts, both tokenizers, and reader and byte-slice input.
 
 // mergeAllReference is the reference reduce: DOM-decode every document,
 // type it with the map phase, and fold the whole collection through one
@@ -38,6 +37,17 @@ func mergeAllReference(t *testing.T, data []byte, e typelang.Equiv) *typelang.Ty
 		ts[i] = TypeOf(d, e)
 	}
 	return typelang.MergeAll(ts, e)
+}
+
+// inputKinds names the parallel engine's two sources, and
+// inferStreamParallelOver runs it over data as the named one.
+var inputKinds = []string{"reader", "bytes"}
+
+func inferStreamParallelOver(input string, data []byte, opts Options) (*typelang.Type, int, error) {
+	if input == "bytes" {
+		return InferStreamParallelBytes(data, opts)
+	}
+	return InferStreamParallel(bytes.NewReader(data), opts)
 }
 
 func assertAccumMatchesMergeAll(t *testing.T, label string, data []byte) {
@@ -60,10 +70,10 @@ func assertAccumMatchesMergeAll(t *testing.T, label string, data []byte) {
 			check(fmt.Sprintf("sequential-%v", mm), got, err)
 			for _, tz := range []Tokenizer{TokenizerScan, TokenizerMison} {
 				for _, workers := range []int{2, 4} {
-					for _, shards := range []int{0, 1, 2, 3, 8} {
-						got, _, err := InferStreamParallel(bytes.NewReader(data),
-							Options{Equiv: e, Workers: workers, ReduceShards: shards, Tokenizer: tz, Map: mm})
-						check(fmt.Sprintf("parallel-%v-%v-w%d-shards-%d", mm, tz, workers, shards), got, err)
+					for _, input := range inputKinds {
+						got, _, err := inferStreamParallelOver(input, data,
+							Options{Equiv: e, Workers: workers, Tokenizer: tz, Map: mm})
+						check(fmt.Sprintf("parallel-%v-%v-w%d-%s", mm, tz, workers, input), got, err)
 					}
 				}
 			}

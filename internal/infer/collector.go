@@ -10,25 +10,23 @@ import (
 	"repro/internal/typelang"
 )
 
-// This file is the sharded collector tree — the distributed reduce that
-// removes the last sequential stage of the streamed pipeline. Chunk
-// results used to fold through one collector goroutine in stream order;
-// with wide worker pools that single fold became the bottleneck (the
-// merge inside typelang dominates the streamed profile). The tree splits
-// the fold: N leaf collectors each own a shard of the chunk results and
-// absorb their share into a typelang.Accum on their own goroutine,
+// This file is the sharded collector tree — the reduce of a schema that
+// is read while it grows, i.e. the live-merge engine of
+// internal/registry: long-lived collections fold ingest traffic through
+// it (InferStreamInto) and serve snapshot reads that never block the
+// ingest path. N leaf collectors each own a shard of the chunk results
+// and absorb their share into a typelang.Accum on their own goroutine,
 // sealing to an immutable partial only on publish, and a root fuses the
 // shard partials through an accumulator of its own — on demand for
 // snapshots, and in the background whenever a leaf publishes, so reads
-// mostly hit a cache.
+// mostly hit a cache. One-shot runs do not use it: they have no reader
+// before the end, so every publish and fuse would be discarded (see
+// inferStreamParallelFrom).
 //
 // By associativity and commutativity of the merge (Accum seals are
 // pinned byte-identical to the MergeAll reference fold) the tree's
-// result is byte-identical (same rendering, same counts) to the single
-// ordered fold's, which is pinned by the collector tests. The tree is
-// also the live-merge engine of internal/registry: long-lived
-// collections fold ingest traffic through it and serve snapshot reads
-// that never block the ingest path.
+// result is byte-identical (same rendering, same counts) to a single
+// ordered fold's, which is pinned by the collector tests.
 
 // maxAutoShards caps the automatically-sized collector tree: shard
 // partials multiply the final fuse cost, and past a handful of leaves

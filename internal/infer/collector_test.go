@@ -110,31 +110,28 @@ func TestShardedCollectorConcurrent(t *testing.T) {
 	}
 }
 
-// TestInferStreamParallelReduceShardSweep pins the acceptance criterion
-// directly on the engine: across worker counts and shard counts —
-// including the single-collector baseline — the streamed schema must be
-// byte-identical to the sequential engine's.
-func TestInferStreamParallelReduceShardSweep(t *testing.T) {
+// TestInferStreamParallelWorkerSweep pins the one-shot engine to the
+// oracle — Parse + TypeOf + MergeAll — across worker counts and both
+// input kinds: however the chunks interleave on their way to the
+// committer's accumulator, schema and count are the oracle's.
+func TestInferStreamParallelWorkerSweep(t *testing.T) {
 	docs := genjson.Collection(genjson.Twitter{Seed: 92}, 400)
 	data := jsontext.MarshalLines(docs)
 	for _, e := range []typelang.Equiv{typelang.EquivKind, typelang.EquivLabel} {
-		want, wantN, err := InferStream(bytes.NewReader(data), Options{Equiv: e})
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := mergeAllReference(t, data, e)
 		for _, workers := range []int{1, 2, 4, 8} {
-			for _, shards := range []int{0, 1, 2, 5} {
-				got, n, err := InferStreamParallel(bytes.NewReader(data),
-					Options{Equiv: e, Workers: workers, ReduceShards: shards})
+			opts := Options{Equiv: e, Workers: workers}
+			for _, input := range inputKinds {
+				got, n, err := inferStreamParallelOver(input, data, opts)
 				if err != nil {
-					t.Fatalf("equiv=%v workers=%d shards=%d: %v", e, workers, shards, err)
+					t.Fatalf("equiv=%v workers=%d %s: %v", e, workers, input, err)
 				}
-				if n != wantN {
-					t.Errorf("equiv=%v workers=%d shards=%d: %d docs, want %d", e, workers, shards, n, wantN)
+				if n != len(docs) {
+					t.Errorf("equiv=%v workers=%d %s: %d docs, want %d", e, workers, input, n, len(docs))
 				}
 				if got.StringCounted() != want.StringCounted() {
-					t.Errorf("equiv=%v workers=%d shards=%d: schema diverges\n want: %s\n got:  %s",
-						e, workers, shards, want.StringCounted(), got.StringCounted())
+					t.Errorf("equiv=%v workers=%d %s: schema diverges\n want: %s\n got:  %s",
+						e, workers, input, want.StringCounted(), got.StringCounted())
 				}
 			}
 		}

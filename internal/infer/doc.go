@@ -21,9 +21,10 @@
 //
 //   - the streamed engines fold through typelang.Accum, the mutable
 //     accumulator core: document types are absorbed in place and the
-//     canonical union is sealed once per chunk (and once per collector
-//     publish) instead of being rebuilt per merge — the DOM engines
-//     keep the batched MergeAll fold as the reference discipline;
+//     canonical union is sealed once per chunk and once per run (or
+//     once per publish, in a registry collection) instead of being
+//     rebuilt per merge — the DOM engines keep the batched MergeAll
+//     fold as the reference discipline;
 //   - InferParallel feeds batches through a bounded work queue to a
 //     worker pool; each worker folds its own partial type and the
 //     partials meet in a parallel binary tree reduction;
@@ -50,19 +51,19 @@
 //     differential.
 //
 // This package is the middle of the streamed pipeline (reader → chunker
-// → tokenizer → TypeFromTokens → ordered commit → collector tree): the
+// → tokenizer → AbsorbFromTokens → ordered commit → reduce): the
 // chunking stage (chunking.go) splits the stream into runs of whole
 // documents, the workers lex and type chunks in parallel, and chunk
 // results commit in stream order so schemas, document counts and error
-// offsets are exact. Committed results fold through the sharded
-// collector tree (ShardedCollector, collector.go): N leaf collectors
-// absorb their shard of the chunk results into live typelang.Accums on
-// their own goroutines (sealing on publish) and a root accumulator
-// fuses the sealed partials, so the reduce itself parallelises instead
-// of serialising on one goroutine — and the same tree, left open, is
-// the live-merge engine behind internal/registry's long-running
-// collections (InferStreamInto). ReduceShards: 1 keeps the legacy
-// in-line ordered Merge fold selectable as the A/B baseline.
+// offsets are exact. Who consumes the result decides the reduce. A
+// one-shot run (InferStreamParallel, InferStreamParallelBytes) is read
+// once, at the end, so its committer absorbs every chunk type into one
+// typelang.Accum and seals it once. A registry collection
+// (InferStreamInto) is read while it grows, so its chunk types go to a
+// caller-owned ShardedCollector (collector.go): leaf collectors absorb
+// their shard on their own goroutines and publish sealed partials, and
+// a root fuses them into the snapshot readers are served — work a run
+// with no reader would only throw away.
 // Options.Tokenizer picks the chunking and lexing machinery —
 // TokenizerMison (the default) for the structural-index fast path of
 // internal/mison, TokenizerScan for the reference byte-at-a-time lexer —

@@ -67,7 +67,7 @@ const (
 	// MapReference materialises the canonical per-document type through
 	// a scratch accumulator and folds it into the chunk accumulator —
 	// the old map discipline, kept selectable as the A/B equivalence
-	// baseline (the same pattern as TokenizerScan and ReduceShards: 1).
+	// baseline (the same pattern as TokenizerScan).
 	MapReference
 	// MapIndexed absorbs each document straight off mison's structural
 	// index (AbsorbFromIndex): object fields are walked
@@ -121,11 +121,6 @@ type Options struct {
 	// overhead regardless of how small the documents are. 0 keeps the
 	// document-count trigger.
 	ChunkBytes int
-	// ReduceShards is the leaf count of the sharded collector tree that
-	// folds chunk results in InferStreamParallel: 0 sizes it
-	// automatically (workers capped at maxAutoShards), 1 selects the
-	// single in-line ordered fold (the A/B baseline for the tree).
-	ReduceShards int
 	// Symbols, when non-nil, is a shared field-name symbol table: every
 	// worker interns record labels through it, deduping names across
 	// workers (and, in the registry, across requests) instead of once
@@ -150,13 +145,6 @@ func (o Options) batch() int {
 		return DefaultBatch
 	}
 	return o.Batch
-}
-
-func (o Options) reduceShards() int {
-	if o.ReduceShards > 0 {
-		return o.ReduceShards
-	}
-	return min(o.workers(), maxAutoShards)
 }
 
 // Interned count-1 atoms for the map phase. Types are immutable once

@@ -243,25 +243,26 @@ func TestInferStreamParallelDecodeError(t *testing.T) {
 	b.WriteString("{]\n")
 	b.Write(jsontext.MarshalLines(genjson.Collection(genjson.GitHub{Seed: 7}, 5)))
 	want := Infer(docs, Options{Equiv: typelang.EquivLabel})
-	for _, workers := range []int{1, 2, 6} {
-		ty, n, err := InferStreamParallel(
-			strings.NewReader(b.String()),
-			Options{Equiv: typelang.EquivLabel, Workers: workers, Batch: 3})
-		if err == nil {
-			t.Fatal("expected decode error")
-		}
-		var se *jsontext.SyntaxError
-		if !errors.As(err, &se) {
-			t.Fatalf("error type %T, want *jsontext.SyntaxError", err)
-		}
-		if wantOff := len(prefix) + 1; se.Offset != wantOff {
-			t.Errorf("workers=%d: error offset %d, want %d (the ']')", workers, se.Offset, wantOff)
-		}
-		if n != 10 {
-			t.Errorf("workers=%d: typed %d docs before the error, want 10", workers, n)
-		}
-		if !typelang.Equal(ty, want) {
-			t.Errorf("workers=%d: partial result differs from inference over the decoded prefix", workers)
+	for _, workers := range []int{1, 2, 4, 6} {
+		opts := Options{Equiv: typelang.EquivLabel, Workers: workers, Batch: 3}
+		for _, input := range inputKinds {
+			ty, n, err := inferStreamParallelOver(input, []byte(b.String()), opts)
+			if err == nil {
+				t.Fatal("expected decode error")
+			}
+			var se *jsontext.SyntaxError
+			if !errors.As(err, &se) {
+				t.Fatalf("error type %T, want *jsontext.SyntaxError", err)
+			}
+			if wantOff := len(prefix) + 1; se.Offset != wantOff {
+				t.Errorf("workers=%d %s: error offset %d, want %d (the ']')", workers, input, se.Offset, wantOff)
+			}
+			if n != 10 {
+				t.Errorf("workers=%d %s: typed %d docs before the error, want 10", workers, input, n)
+			}
+			if !typelang.Equal(ty, want) || ty.StringCounted() != want.StringCounted() {
+				t.Errorf("workers=%d %s: partial result differs from inference over the decoded prefix", workers, input)
+			}
 		}
 	}
 }

@@ -55,13 +55,15 @@ type StatsSnapshot struct {
 	// resolving positionally.
 	ScanDelegations int64
 	// BatchPublishes counts collector-leaf publishes (sealed partials
-	// made visible to snapshots).
+	// made visible to snapshots). Collector tree only: 0 on a one-shot
+	// run.
 	BatchPublishes int64
 	// RootFuses counts root fuse passes over the leaf partials (snapshot
-	// cache misses).
+	// cache misses). Collector tree only: 0 on a one-shot run.
 	RootFuses int64
 	// Seals counts accumulator seals the pipeline performed: one per
-	// worker chunk fold, one per leaf publish, one per root fuse.
+	// worker chunk fold, plus the one-shot run's single final seal or,
+	// in a collector tree, one per leaf publish and one per root fuse.
 	Seals int64
 	// BytesAliased counts chunk bytes emitted zero-copy — chunks that
 	// alias the caller's buffer (byte-slice engines, mmap'd files)
@@ -88,8 +90,8 @@ type StatsSnapshot struct {
 	ReadNanos   int64 // reader goroutine blocked in io.Reader.Read
 	SplitNanos  int64 // boundary finding (docSplitter.Splits)
 	MapNanos    int64 // workers lexing + absorbing chunks
-	ReduceNanos int64 // collector leaves absorbing committed results
-	FuseNanos   int64 // root fusing leaf partials
+	ReduceNanos int64 // committer (one-shot) or collector leaves absorbing committed results, and their seals
+	FuseNanos   int64 // collector root fusing leaf partials (0 on a one-shot run)
 }
 
 // Add accumulates other into s field by field.

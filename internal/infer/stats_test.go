@@ -2,6 +2,8 @@ package infer
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -229,6 +231,51 @@ func TestStatsShardedCollector(t *testing.T) {
 		t.Errorf("Seals=%d < publishes+fuses=%d", s.Seals, s.BatchPublishes+s.RootFuses)
 	}
 	col.Close()
+}
+
+// TestStatsOneShotRunSealsOnce pins the shape of the two reduces. A
+// one-shot parallel run has no reader before its end, so it publishes
+// nothing and fuses nothing: one seal per chunk on the workers, one for
+// the committer's accumulator. The registry's feed over the same input
+// still publishes and fuses — its collector serves snapshots.
+func TestStatsOneShotRunSealsOnce(t *testing.T) {
+	for _, fixture := range []string{"sparse.ndjson", "tweets.ndjson"} {
+		data, err := os.ReadFile(filepath.Join("..", "..", "testdata", fixture))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []int{2, 4} {
+			for _, input := range inputKinds {
+				var st PipelineStats
+				if _, _, err := inferStreamParallelOver(input, data,
+					Options{Equiv: typelang.EquivLabel, Workers: workers, Batch: 16, Stats: &st}); err != nil {
+					t.Fatal(err)
+				}
+				s := st.Snapshot()
+				if s.ChunksSplit < 2 {
+					t.Fatalf("%s/w%d/%s: %d chunks; the pin needs a multi-chunk run", fixture, workers, input, s.ChunksSplit)
+				}
+				if s.BatchPublishes != 0 || s.RootFuses != 0 || s.FuseNanos != 0 {
+					t.Errorf("%s/w%d/%s: batch_publishes=%d root_fuses=%d fuse=%dns on a one-shot run, want 0/0/0",
+						fixture, workers, input, s.BatchPublishes, s.RootFuses, s.FuseNanos)
+				}
+				if s.Seals != s.ChunksSplit+1 {
+					t.Errorf("%s/w%d/%s: seals=%d, want chunks+1=%d", fixture, workers, input, s.Seals, s.ChunksSplit+1)
+				}
+			}
+			var st PipelineStats
+			col := NewShardedCollectorStats(2, typelang.EquivLabel, &st)
+			if _, err := InferStreamInto(bytes.NewReader(data),
+				Options{Equiv: typelang.EquivLabel, Workers: workers, Batch: 16, Stats: &st}, col); err != nil {
+				t.Fatal(err)
+			}
+			col.Close()
+			if s := st.Snapshot(); s.BatchPublishes < 1 || s.RootFuses < 1 {
+				t.Errorf("%s/w%d: registry feed recorded batch_publishes=%d root_fuses=%d, want both >= 1",
+					fixture, workers, s.BatchPublishes, s.RootFuses)
+			}
+		}
+	}
 }
 
 // TestStatsSnapshotMonotoneUnderLoad is the race-detector workout the

@@ -258,7 +258,7 @@ func TestInferStreamIOErrorNotMaskedAsSyntax(t *testing.T) {
 	ioErr := errors.New("connection reset by peer")
 	payload := "{\"a\": 1}\n{\"a\": 2}\n{\"a\": 3}\n{\"a\":"
 	for _, tz := range []Tokenizer{TokenizerScan, TokenizerMison} {
-		for _, workers := range []int{1, 4} {
+		for _, workers := range []int{1, 2, 4} {
 			ty, n, err := InferStreamParallel(
 				&failingReader{data: []byte(payload), err: ioErr},
 				Options{Workers: workers, Batch: 2, Tokenizer: tz})

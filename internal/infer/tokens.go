@@ -420,12 +420,9 @@ type chunkResult struct {
 // the returned type and document count are identical to InferStream's,
 // and on a malformed document the error (with absolute offset) plus the
 // count cover precisely the documents before it — work done on later
-// chunks is discarded. The committed results fold through the sharded
-// collector tree (Options.ReduceShards leaves; see ShardedCollector), so
-// with wide worker pools the reduce itself runs in parallel instead of
-// serialising on the committer goroutine; by associativity and
-// commutativity of the merge the tree's result is byte-identical to the
-// single ordered fold's (ReduceShards: 1).
+// chunks is discarded. The committer goroutine absorbs the committed
+// chunk types into a single accumulator and seals it once at the end of
+// the stream: one reduce, one result.
 //
 // With a single worker there is no parallelism to buy, so the entry
 // point delegates to the cheapest sequential engine for the requested
@@ -475,40 +472,14 @@ func InferStreamParallelBytes(data []byte, opts Options) (*typelang.Type, int, e
 
 // inferStreamParallelFrom is the engine body shared by the reader and
 // byte-slice parallel entry points: the chunk source feeds the worker
-// pool and the committed results fold through one of the three reduce
-// disciplines.
+// pool, and the committer absorbs each in-order chunk type into one
+// accumulator, sealed once when the stream ends. A one-shot run has no
+// reader before that final seal, so nothing is published on the way (the
+// snapshot-serving collector tree is InferStreamInto's, for the
+// registry).
 func inferStreamParallelFrom(source chunkSource, opts Options) (*typelang.Type, int, error) {
 	st := opts.Stats
-	if shards := opts.reduceShards(); shards > 1 {
-		// Sharded reduce: committed chunk results distribute across the
-		// collector tree, so the merge work that used to serialise on
-		// this goroutine runs on the leaf collectors in parallel.
-		col := NewShardedCollectorStats(shards, opts.Equiv, st)
-		n, err := inferStreamChunks(source, opts, func(ts []*typelang.Type, docs int) {
-			col.AddBatch(ts, int64(docs))
-		})
-		acc, _ := col.Close()
-		return acc, n, err
-	}
 	var frame statsFrame
-	if opts.ReduceShards == 1 {
-		// Explicit single collector: the legacy in-line ordered Merge
-		// fold, kept selectable as the A/B reference for both the tree
-		// and the accumulator (like TokenizerScan for the tokenizer).
-		acc := typelang.Bottom
-		n, err := inferStreamChunks(source, opts, func(ts []*typelang.Type, _ int) {
-			start := statsClock(st)
-			for _, t := range ts {
-				acc = typelang.Merge(acc, t, opts.Equiv)
-			}
-			statsSince(st, &frame.ReduceNanos, start)
-		})
-		frame.flush(st)
-		return acc, n, err
-	}
-	// Auto-sized single collector (narrow pool): the in-line ordered
-	// fold through an accumulator — no collector goroutines, and no
-	// per-chunk re-canonicalisation of the accumulated schema.
 	acc := typelang.NewAccum(opts.Equiv)
 	n, err := inferStreamChunks(source, opts, func(ts []*typelang.Type, _ int) {
 		start := statsClock(st)
@@ -682,7 +653,8 @@ func inferStreamChunks(source chunkSource, opts Options, commit func([]*typelang
 	// Committer: release chunk results in stream order for exact error
 	// and count semantics, buffering up to commitBatch in-order results
 	// per commit call. The bookkeeping here is cheap — the merge work
-	// happens in commit's collector (sharded or in-line).
+	// happens in commit (the one-shot run's accumulator, or the
+	// registry's collector tree).
 	var (
 		pending     = make(map[int]chunkResult)
 		next        int

@@ -24,8 +24,8 @@ import (
 
 // TestBytesEngineMatchesReaderFixtures is the bytes-vs-reader
 // equivalence sweep: every checked-in fixture through every tokenizer,
-// map mode, worker count and shard count, demanding the byte-slice
-// engines return exactly what the reader engines return.
+// map mode and worker count, demanding the byte-slice engines return
+// exactly what the reader engines return.
 func TestBytesEngineMatchesReaderFixtures(t *testing.T) {
 	fixtures, err := filepath.Glob(filepath.Join("..", "..", "testdata", "*.ndjson"))
 	if err != nil {
@@ -61,13 +61,11 @@ func TestBytesEngineMatchesReaderFixtures(t *testing.T) {
 			check(fmt.Sprintf("sequential-%v", mm), want, got, wantN, gotN, wantErr, gotErr)
 			for _, tz := range []Tokenizer{TokenizerScan, TokenizerMison} {
 				for _, workers := range []int{1, 4} {
-					for _, shards := range []int{0, 1, 3} {
-						opts := Options{Map: mm, Tokenizer: tz, Workers: workers, ReduceShards: shards, Batch: 32}
-						want, wantN, wantErr := InferStreamParallel(bytes.NewReader(data), opts)
-						got, gotN, gotErr := InferStreamParallelBytes(data, opts)
-						check(fmt.Sprintf("parallel-%v-%v-w%d-shards-%d", mm, tz, workers, shards),
-							want, got, wantN, gotN, wantErr, gotErr)
-					}
+					opts := Options{Map: mm, Tokenizer: tz, Workers: workers, Batch: 32}
+					want, wantN, wantErr := InferStreamParallel(bytes.NewReader(data), opts)
+					got, gotN, gotErr := InferStreamParallelBytes(data, opts)
+					check(fmt.Sprintf("parallel-%v-%v-w%d", mm, tz, workers),
+						want, got, wantN, gotN, wantErr, gotErr)
 				}
 			}
 		}
@@ -102,15 +100,17 @@ func TestBytesEngineErrorEquivalence(t *testing.T) {
 					in, mm, wantErr, syntaxOffset(wantErr), wantN, gotErr, syntaxOffset(gotErr), gotN)
 			}
 			for _, tz := range []Tokenizer{TokenizerScan, TokenizerMison} {
-				opts := Options{Map: mm, Tokenizer: tz, Workers: 4, Batch: 1}
-				_, wantN, wantErr := InferStreamParallel(strings.NewReader(in), opts)
-				_, gotN, gotErr := InferStreamParallelBytes(data, opts)
-				if wantErr == nil || gotErr == nil {
-					t.Fatalf("%q/%v/%v: malformed input accepted", in, mm, tz)
-				}
-				if wantErr.Error() != gotErr.Error() || syntaxOffset(wantErr) != syntaxOffset(gotErr) || wantN != gotN {
-					t.Errorf("%q/par-%v-%v: reader (%q, off %d, %d docs), bytes (%q, off %d, %d docs)",
-						in, mm, tz, wantErr, syntaxOffset(wantErr), wantN, gotErr, syntaxOffset(gotErr), gotN)
+				for _, workers := range []int{1, 2, 4} {
+					opts := Options{Map: mm, Tokenizer: tz, Workers: workers, Batch: 1}
+					_, wantN, wantErr := InferStreamParallel(strings.NewReader(in), opts)
+					_, gotN, gotErr := InferStreamParallelBytes(data, opts)
+					if wantErr == nil || gotErr == nil {
+						t.Fatalf("%q/%v/%v/w%d: malformed input accepted", in, mm, tz, workers)
+					}
+					if wantErr.Error() != gotErr.Error() || syntaxOffset(wantErr) != syntaxOffset(gotErr) || wantN != gotN {
+						t.Errorf("%q/par-%v-%v-w%d: reader (%q, off %d, %d docs), bytes (%q, off %d, %d docs)",
+							in, mm, tz, workers, wantErr, syntaxOffset(wantErr), wantN, gotErr, syntaxOffset(gotErr), gotN)
+					}
 				}
 			}
 		}

@@ -368,6 +368,13 @@ func (ra *recordAccum) absorb(t *Type, e Equiv) {
 	ra.nrecs++
 	ra.count += t.Count
 	fs := ra.fields
+	if cap(fs) < len(t.Fields) {
+		// The table ends up at least as wide as the record (exactly as
+		// wide under L), and a slot embeds a whole accumNode by value:
+		// growing a fresh group's table one insert at a time would copy
+		// it 1→2→4→8.
+		fs = slices.Grow(fs, len(t.Fields)-len(fs))
+	}
 	i := 0
 	prev := ""
 	for j := range t.Fields {
