@@ -27,7 +27,7 @@ race:
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem ./...
 
-# Short streaming benchmark — the dom/scan/mison triplets, the
+# Short streaming benchmark — the dom/mison pairs, the
 # reader-vs-bytes zero-copy pair, plus the mison-vs-lexer
 # token-throughput pair. Every row is five samples of five iterations
 # (benchstat-comparable; a time-based -benchtime gave the 50–350 ms
@@ -46,7 +46,7 @@ bench-stream:
 # zero-copy -bytes/-mmap variants and the large-corpus reader/bytes/mmap
 # triplet over a 100MB jsgen-style corpus (E3_CORPUS_BYTES, jsgen
 # -target syntax).
-BENCH_JSON ?= BENCH_15.json
+BENCH_JSON ?= BENCH_16.json
 bench-json:
 	E3_CORPUS_BYTES=100MB $(GO) test -run '^$$' -bench 'BenchmarkE3(StreamingInference|LargeCorpus)' -benchtime 5x -count 5 -benchmem -json . \
 		| $(GO) run repro/cmd/jsbenchjson -out $(BENCH_JSON)

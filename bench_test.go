@@ -87,19 +87,30 @@ func BenchmarkE3ParallelInference(b *testing.B) {
 	}
 }
 
-// E3 (streaming): the DOM pipeline (decode to value trees, type the
-// trees) versus the token pipelines (type straight from tokens) — the
-// dom/scan/mison triplets of the streamed entry point. allocs/op is
-// the headline metric: the token paths build no value trees, their
-// parallel variants lex on the workers instead of the feeding
-// goroutine, and the mison rows lex through the structural index
-// (bitmap chunking, positional string skipping) instead of the
-// byte-at-a-time scan. All streamed rows fold through the mutable
-// accumulator core (typelang.Accum: absorb in place, seal per chunk);
-// the parallel rows reduce in line on the committer (one accumulator,
-// one seal), and the registry-ingest rows measure the same bytes
-// arriving through the live-merge registry (shared symbol table,
-// collector tree left open across requests).
+// E3 (streaming): the DOM pipeline (what jsinfer runs without -stream:
+// decode every document to a value tree, then type the trees) versus
+// the streamed engine (what it runs with -stream: type straight from
+// tokens) — the dom/mison pairs. The streamed rows build no value
+// trees, their parallel variants lex on the workers instead of the
+// feeding goroutine, and they lex through the structural index (bitmap
+// chunking, positional string skipping). All streamed rows fold
+// through the mutable accumulator core (typelang.Accum: absorb in
+// place, seal once per run and, above one worker, once per chunk); the
+// parallel rows reduce in line on the committer (one accumulator, one
+// seal), and the registry-ingest rows measure the same bytes arriving
+// through the live-merge registry (shared symbol table, collector tree
+// left open across requests).
+// domInfer is the DOM baseline of the E3 rows — exactly what a jsinfer
+// run without -stream does with its input: decode the whole collection
+// to value trees, then run the materialised map/reduce over them.
+func domInfer(b *testing.B, raw []byte, opts infer.Options) {
+	docs, err := jsontext.NewDecoder(bytes.NewReader(raw)).DecodeAll()
+	if err != nil {
+		b.Fatal(err)
+	}
+	infer.InferParallel(docs, opts)
+}
+
 func BenchmarkE3StreamingInference(b *testing.B) {
 	docs := genjson.Collection(genjson.Twitter{Seed: 13}, 5000)
 	raw := jsontext.MarshalLines(docs)
@@ -107,47 +118,19 @@ func BenchmarkE3StreamingInference(b *testing.B) {
 		b.SetBytes(int64(len(raw)))
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, _, err := infer.InferStreamDOM(jsontext.NewDecoder(bytes.NewReader(raw)),
-				infer.Options{Equiv: typelang.EquivLabel}); err != nil {
-				b.Fatal(err)
-			}
+			domInfer(b, raw, infer.Options{Equiv: typelang.EquivLabel, Workers: 1})
 		}
 	})
-	b.Run("scan-sequential", func(b *testing.B) {
+	b.Run("mison-sequential", func(b *testing.B) {
+		// One worker: the engine's sequential shape (large byte-target
+		// chunks through one accumulator, one seal). The default map
+		// phase is fused (documents absorb straight into the
+		// accumulator, no per-document type).
 		b.SetBytes(int64(len(raw)))
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if _, _, err := infer.InferStream(bytes.NewReader(raw),
-				infer.Options{Equiv: typelang.EquivLabel}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("mison-sequential", func(b *testing.B) {
-		// One worker, so the row isolates the tokenizer change from
-		// parallel speedup: the entry point delegates to the sequential
-		// chunk engine (large byte-target chunks through one
-		// accumulator, one seal). The default map phase is fused
-		// (documents absorb straight into the chunk accumulator, no
-		// per-document type).
-		b.SetBytes(int64(len(raw)))
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, _, err := infer.InferStreamParallel(bytes.NewReader(raw),
-				infer.Options{Equiv: typelang.EquivLabel, Workers: 1, Tokenizer: infer.TokenizerMison}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("mison-sequential-refmap", func(b *testing.B) {
-		// The A/B baseline for the fused map: the same pipeline with the
-		// per-document canonical type materialised (MapReference) — the
-		// allocation storm the fused rows delete.
-		b.SetBytes(int64(len(raw)))
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, _, err := infer.InferStreamParallel(bytes.NewReader(raw),
-				infer.Options{Equiv: typelang.EquivLabel, Workers: 1, Tokenizer: infer.TokenizerMison, Map: infer.MapReference}); err != nil {
+				infer.Options{Equiv: typelang.EquivLabel, Workers: 1}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -158,8 +141,8 @@ func BenchmarkE3StreamingInference(b *testing.B) {
 		b.SetBytes(int64(len(raw)))
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, _, err := infer.InferStreamParallel(bytes.NewReader(raw),
-				infer.Options{Equiv: typelang.EquivLabel, Workers: 1, Tokenizer: infer.TokenizerMison, Map: infer.MapIndexed}); err != nil {
+			if _, _, err := infer.InferStream(bytes.NewReader(raw),
+				infer.Options{Equiv: typelang.EquivLabel, Workers: 1, Map: infer.MapIndexed}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -172,8 +155,8 @@ func BenchmarkE3StreamingInference(b *testing.B) {
 		b.SetBytes(int64(len(raw)))
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, _, err := infer.InferStreamParallelBytes(raw,
-				infer.Options{Equiv: typelang.EquivLabel, Workers: 1, Tokenizer: infer.TokenizerMison}); err != nil {
+			if _, _, err := infer.InferStreamBytes(raw,
+				infer.Options{Equiv: typelang.EquivLabel, Workers: 1}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -203,8 +186,8 @@ func BenchmarkE3StreamingInference(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, _, err := infer.InferStreamParallelBytes(m.Data(),
-				infer.Options{Equiv: typelang.EquivLabel, Workers: 1, Tokenizer: infer.TokenizerMison}); err != nil {
+			if _, _, err := infer.InferStreamBytes(m.Data(),
+				infer.Options{Equiv: typelang.EquivLabel, Workers: 1}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -215,46 +198,27 @@ func BenchmarkE3StreamingInference(b *testing.B) {
 			b.SetBytes(int64(len(raw)))
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := infer.InferStreamParallelDOM(jsontext.NewDecoder(bytes.NewReader(raw)),
+				domInfer(b, raw, infer.Options{Equiv: typelang.EquivLabel, Workers: workers})
+			}
+		})
+		b.Run(fmt.Sprintf("mison-parallel-%d", workers), func(b *testing.B) {
+			b.SetBytes(int64(len(raw)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := infer.InferStream(bytes.NewReader(raw),
 					infer.Options{Equiv: typelang.EquivLabel, Workers: workers}); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
-		for _, tz := range []infer.Tokenizer{infer.TokenizerScan, infer.TokenizerMison} {
-			tz := tz
-			b.Run(fmt.Sprintf("%s-parallel-%d", tz, workers), func(b *testing.B) {
-				b.SetBytes(int64(len(raw)))
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					if _, _, err := infer.InferStreamParallel(bytes.NewReader(raw),
-						infer.Options{Equiv: typelang.EquivLabel, Workers: workers, Tokenizer: tz}); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
 		// The zero-copy byte engine under parallelism: workers consume
 		// chunks that alias one shared input slice.
 		b.Run(fmt.Sprintf("mison-parallel-%d-bytes", workers), func(b *testing.B) {
 			b.SetBytes(int64(len(raw)))
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := infer.InferStreamParallelBytes(raw,
+				if _, _, err := infer.InferStreamBytes(raw,
 					infer.Options{Equiv: typelang.EquivLabel, Workers: workers}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		// The reference map phase under parallelism: per-document
-		// canonical types on every worker (MapReference), the A/B
-		// baseline for the fused map rows above.
-		b.Run(fmt.Sprintf("mison-parallel-%d-refmap", workers), func(b *testing.B) {
-			b.SetBytes(int64(len(raw)))
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, _, err := infer.InferStreamParallel(bytes.NewReader(raw),
-					infer.Options{Equiv: typelang.EquivLabel, Workers: workers, Map: infer.MapReference}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -265,7 +229,7 @@ func BenchmarkE3StreamingInference(b *testing.B) {
 			b.SetBytes(int64(len(raw)))
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := infer.InferStreamParallel(bytes.NewReader(raw),
+				if _, _, err := infer.InferStream(bytes.NewReader(raw),
 					infer.Options{Equiv: typelang.EquivLabel, Workers: workers, Map: infer.MapIndexed}); err != nil {
 					b.Fatal(err)
 				}
@@ -305,8 +269,8 @@ func BenchmarkE3StreamingInference(b *testing.B) {
 			b.SetBytes(int64(len(fieldsRaw)))
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := infer.InferStreamParallel(bytes.NewReader(fieldsRaw),
-					infer.Options{Equiv: typelang.EquivLabel, Workers: 1, Tokenizer: infer.TokenizerMison, Map: row.mm}); err != nil {
+				if _, _, err := infer.InferStream(bytes.NewReader(fieldsRaw),
+					infer.Options{Equiv: typelang.EquivLabel, Workers: 1, Map: row.mm}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -338,12 +302,12 @@ func BenchmarkE3LargeCorpus(b *testing.B) {
 		buf.WriteByte('\n')
 	}
 	raw := buf.Bytes()
-	opts := infer.Options{Equiv: typelang.EquivLabel, Workers: 4, Tokenizer: infer.TokenizerMison}
+	opts := infer.Options{Equiv: typelang.EquivLabel, Workers: 4}
 	b.Run("reader", func(b *testing.B) {
 		b.SetBytes(int64(len(raw)))
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, _, err := infer.InferStreamParallel(bytes.NewReader(raw), opts); err != nil {
+			if _, _, err := infer.InferStream(bytes.NewReader(raw), opts); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -352,7 +316,7 @@ func BenchmarkE3LargeCorpus(b *testing.B) {
 		b.SetBytes(int64(len(raw)))
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, _, err := infer.InferStreamParallelBytes(raw, opts); err != nil {
+			if _, _, err := infer.InferStreamBytes(raw, opts); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -379,7 +343,7 @@ func BenchmarkE3LargeCorpus(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, _, err := infer.InferStreamParallelBytes(m.Data(), opts); err != nil {
+			if _, _, err := infer.InferStreamBytes(m.Data(), opts); err != nil {
 				b.Fatal(err)
 			}
 		}

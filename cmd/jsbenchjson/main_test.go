@@ -17,7 +17,7 @@ func TestParseEventsMixedStream(t *testing.T) {
 		// result line usually spans two output events.
 		`{"Action":"output","Output":"BenchmarkE3StreamingInference/mison-parallel-4-8         \t"}`,
 		`{"Action":"output","Output":"      33\t  36398818 ns/op\t  96.69 MB/s\t22345678 B/op\t  161616 allocs/op\n"}`,
-		`{"Action":"output","Output":"BenchmarkE3StreamingInference/scan-sequential-8 \t      14\t  83652642 ns/op\t  42.09 MB/s\t32090912 B/op\t  306844 allocs/op\n"}`,
+		`{"Action":"output","Output":"BenchmarkE3StreamingInference/dom-sequential-8 \t      14\t  83652642 ns/op\t  42.09 MB/s\t32090912 B/op\t  306844 allocs/op\n"}`,
 		`{"Action":"output","Output":"BenchmarkE1ParametricInference/K-8 \t     100\t   1234567 ns/op\t        77.0 schema-nodes\t         0.99 precision\n"}`,
 		`{"Action":"output","Output":"PASS\n"}`,
 		`{"Action":"pass","Package":"repro"}`,

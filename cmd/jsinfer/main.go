@@ -7,8 +7,8 @@
 //
 //	jsinfer [-engine parametric-L|parametric-K|spark|skinfer]
 //	        [-output type|jsonschema|typescript|swift|report]
-//	        [-workers N] [-stream] [-tokenizer scan|mison]
-//	        [-map fused|refmap|indexed] [-mmap auto|on|off]
+//	        [-workers N] [-stream] [-simplify]
+//	        [-map fused|indexed] [-mmap auto|on|off]
 //	        [-chunk-bytes SIZE] [-precision] [-counted]
 //	        [-stats] [-cpuprofile f] [-memprofile f] [file.ndjson ...]
 //
@@ -17,15 +17,13 @@
 // materialised: documents are typed straight from lexer tokens (no
 // value trees), and the workers lex and type document-aligned byte
 // chunks in parallel, so collections far larger than memory infer at
-// multi-worker speed. -tokenizer picks the streamed lexing machinery:
-// "mison" (default) is the structural-index fast path (bitmap chunking
-// and lexing), "scan" the byte-at-a-time reference lexer kept as the
-// fallback and A/B baseline — both produce identical results. -map
-// picks the streamed map phase: "fused" (default) absorbs documents
-// straight from tokens into the worker accumulators, "indexed" absorbs
-// straight off the structural index (separator tokens never
-// materialise), "refmap" materialises the canonical per-document type
-// first — identical results all three ways. With file arguments -mmap
+// multi-worker speed. Chunk boundaries and tokens come from the mison
+// structural index, with the byte-at-a-time reference lexer as the
+// per-chunk fallback. -map picks the streamed map phase: "fused"
+// (default) absorbs documents straight from tokens into the worker
+// accumulators, "indexed" absorbs straight off the structural index
+// (separator tokens never materialise) — identical results either way.
+// With file arguments -mmap
 // routes the input: "auto" (default) memory-maps large regular files so
 // the zero-copy byte engines split and lex the file pages in place,
 // falling back to buffered reads for pipes, short files and platforms
@@ -43,9 +41,10 @@
 // stderr after inference: per-stage wall clocks (read, split, map,
 // reduce, fuse) and the stage counters — chunks split, bytes lexed,
 // documents absorbed, index fast-path vs token-fallback records, chunk
-// parity rejections and seals. A one-shot run reduces in line on the
-// committer (one accumulator, one final seal), so seals reads chunks + 1
-// and the fuse clock, batch_publishes and root_fuses — counters of the
+// parity rejections and seals. A one-shot run reduces in line (one
+// accumulator, one final seal on the reduce clock), so seals reads 1 at
+// one worker and chunks + 1 above, and the fuse clock, batch_publishes
+// and root_fuses — counters of the
 // registry's collector tree, which jsinferd reports through the same
 // table — read 0 here. The schema on stdout is unaffected, so -stats
 // composes with scripts.
@@ -76,27 +75,39 @@ import (
 	"repro/internal/typelang"
 )
 
+// cliFlags are jsinfer's flags. registerFlags defines them on a flag
+// set of the caller's choosing so the README test can walk exactly the
+// set main parses.
+type cliFlags struct {
+	engine, output, mapMode, mmap, chunkBytes, cpuprofile, memprofile *string
+	counted, simplify, stream, precision, stats                       *bool
+	workers                                                           *int
+}
+
+func registerFlags(fs *flag.FlagSet) cliFlags {
+	return cliFlags{
+		engine:     fs.String("engine", "parametric-L", "inference engine: parametric-L, parametric-K, spark, skinfer"),
+		output:     fs.String("output", "type", "output form: type, jsonschema, typescript, swift, report"),
+		counted:    fs.Bool("counted", false, "render counting annotations (type output only)"),
+		simplify:   fs.Bool("simplify", false, "drop union alternatives subsumed by others"),
+		workers:    fs.Int("workers", 0, "parallel inference workers (parametric engines; 0 = GOMAXPROCS)"),
+		stream:     fs.Bool("stream", false, "stream the input instead of materialising it (parametric engines only)"),
+		mapMode:    fs.String("map", "fused", "with -stream: map phase, fused (default) or indexed"),
+		precision:  fs.Bool("precision", false, "with -stream: compute precision in a second pass over the input files"),
+		mmap:       fs.String("mmap", "auto", "with -stream and file arguments: memory-map inputs, auto (default), on, or off"),
+		chunkBytes: fs.String("chunk-bytes", "", "with -stream: cut chunks at this byte size instead of every 256 documents (e.g. 4M)"),
+		stats:      fs.Bool("stats", false, "with -stream: print pipeline stage stats to stderr after inference (fuse, batch_publishes and root_fuses are the registry's counters and read 0 here)"),
+		cpuprofile: fs.String("cpuprofile", "", "write a CPU profile of the inference pass to this file"),
+		memprofile: fs.String("memprofile", "", "write a heap profile (taken after inference) to this file"),
+	}
+}
+
 func main() {
-	engine := flag.String("engine", "parametric-L", "inference engine: parametric-L, parametric-K, spark, skinfer")
-	output := flag.String("output", "type", "output form: type, jsonschema, typescript, swift, report")
-	counted := flag.Bool("counted", false, "render counting annotations (type output only)")
-	simplify := flag.Bool("simplify", false, "drop union alternatives subsumed by others")
-	workers := flag.Int("workers", 0, "parallel inference workers (parametric engines; 0 = GOMAXPROCS)")
-	stream := flag.Bool("stream", false, "stream the input instead of materialising it (parametric engines only)")
-	tokenizer := flag.String("tokenizer", "mison", "with -stream: lexing machinery, mison (default) or scan")
-	mapMode := flag.String("map", "fused", "with -stream: map phase, fused (default), indexed or refmap")
-	precision := flag.Bool("precision", false, "with -stream: compute precision in a second pass over the input files")
-	mmap := flag.String("mmap", "auto", "with -stream and file arguments: memory-map inputs, auto (default), on, or off")
-	chunkBytes := flag.String("chunk-bytes", "", "with -stream: cut chunks at this byte size instead of every 256 documents (e.g. 4M)")
-	stats := flag.Bool("stats", false, "with -stream: print pipeline stage stats to stderr after inference (fuse, batch_publishes and root_fuses are the registry's counters and read 0 here)")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the inference pass to this file")
-	memprofile := flag.String("memprofile", "", "write a heap profile (taken after inference) to this file")
+	opt := registerFlags(flag.CommandLine)
 	flag.Parse()
-	tokenizerSet, mapSet, mmapSet := false, false, false
+	mapSet, mmapSet := false, false
 	flag.Visit(func(f *flag.Flag) {
 		switch f.Name {
-		case "tokenizer":
-			tokenizerSet = true
 		case "map":
 			mapSet = true
 		case "mmap":
@@ -104,8 +115,8 @@ func main() {
 		}
 	})
 
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
+	if *opt.cpuprofile != "" {
+		f, err := os.Create(*opt.cpuprofile)
 		if err != nil {
 			fatal(err)
 		}
@@ -114,9 +125,9 @@ func main() {
 		}
 		defer pprof.StopCPUProfile()
 	}
-	if *memprofile != "" {
+	if *opt.memprofile != "" {
 		defer func() {
-			f, err := os.Create(*memprofile)
+			f, err := os.Create(*opt.memprofile)
 			if err != nil {
 				fatal(err)
 			}
@@ -129,7 +140,7 @@ func main() {
 	}
 
 	var eng core.Engine
-	switch *engine {
+	switch *opt.engine {
 	case "parametric-L":
 		eng = core.ParametricL
 	case "parametric-K":
@@ -139,7 +150,7 @@ func main() {
 	case "skinfer":
 		eng = core.Skinfer
 	default:
-		fatal(fmt.Errorf("unknown engine %q", *engine))
+		fatal(fmt.Errorf("unknown engine %q", *opt.engine))
 	}
 
 	var (
@@ -147,28 +158,17 @@ func main() {
 		ndocs  int
 		docs   []*jsonvalue.Value
 	)
-	var tz core.Tokenizer
-	switch *tokenizer {
-	case "scan":
-		tz = core.TokenizerScan
-	case "mison":
-		tz = core.TokenizerMison
-	default:
-		fatal(fmt.Errorf("unknown tokenizer %q", *tokenizer))
-	}
 	var mm core.MapMode
-	switch *mapMode {
+	switch *opt.mapMode {
 	case "fused":
 		mm = core.MapFused
 	case "indexed":
 		mm = core.MapIndexed
-	case "refmap":
-		mm = core.MapReference
 	default:
-		fatal(fmt.Errorf("unknown map mode %q", *mapMode))
+		fatal(fmt.Errorf("unknown map mode %q (want fused or indexed)", *opt.mapMode))
 	}
 	var mmapMode core.MmapMode
-	switch *mmap {
+	switch *opt.mmap {
 	case "auto":
 		mmapMode = core.MmapAuto
 	case "on":
@@ -176,11 +176,11 @@ func main() {
 	case "off":
 		mmapMode = core.MmapOff
 	default:
-		fatal(fmt.Errorf("unknown mmap mode %q (want auto, on or off)", *mmap))
+		fatal(fmt.Errorf("unknown mmap mode %q (want auto, on or off)", *opt.mmap))
 	}
 	var chunkTarget int
-	if *chunkBytes != "" {
-		cb, err := genjson.ParseSize(*chunkBytes)
+	if *opt.chunkBytes != "" {
+		cb, err := genjson.ParseSize(*opt.chunkBytes)
 		if err != nil {
 			fatal(fmt.Errorf("-chunk-bytes: %w", err))
 		}
@@ -189,16 +189,16 @@ func main() {
 	// Flag-only validation happens before any input is read: a bad
 	// combination must exit non-zero immediately, not after a
 	// potentially huge inference pass (or, worse, be silently ignored).
-	if err := validateStreamFlags(*stream, *precision, tokenizerSet, mapSet, *stats, mmapSet, *mmap, *chunkBytes != "", *output, flag.NArg()); err != nil {
+	if err := validateStreamFlags(*opt.stream, *opt.precision, mapSet, *opt.stats, mmapSet, *opt.mmap, *opt.chunkBytes != "", *opt.output, flag.NArg()); err != nil {
 		fatal(err)
 	}
-	if *stream {
+	if *opt.stream {
 		var pstats *core.PipelineStats
-		if *stats {
+		if *opt.stats {
 			pstats = &core.PipelineStats{}
 		}
 		var err error
-		result, ndocs, err = streamInput(flag.Args(), eng, core.StreamOptions{Workers: *workers, Tokenizer: tz, Map: mm, ChunkBytes: chunkTarget, Mmap: mmapMode, Stats: pstats})
+		result, ndocs, err = streamInput(flag.Args(), eng, core.StreamOptions{Workers: *opt.workers, Map: mm, ChunkBytes: chunkTarget, Mmap: mmapMode, Stats: pstats})
 		if pstats != nil {
 			// Stats go to stderr even on an error exit: the partial
 			// counters cover exactly the work done before the failure.
@@ -207,7 +207,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		if *precision {
+		if *opt.precision {
 			// The streamed single pass cannot grade precision (the data
 			// is gone); the explicit second pass over the files can.
 			p, _, err := core.StreamPrecisionFiles(flag.Args(), result.Type)
@@ -228,7 +228,7 @@ func main() {
 			// cannot type an empty collection.
 			fatal(fmt.Errorf("no input documents"))
 		}
-		result, err = core.InferSchemaWorkers(docs, eng, *workers)
+		result, err = core.InferSchemaWorkers(docs, eng, *opt.workers)
 		if err != nil {
 			fatal(err)
 		}
@@ -236,22 +236,22 @@ func main() {
 	if ndocs == 0 {
 		fatal(fmt.Errorf("no input documents"))
 	}
-	if *simplify {
+	if *opt.simplify {
 		result.Simplify()
 	}
 
-	switch *output {
+	switch *opt.output {
 	case "type":
 		switch {
-		case *counted && (eng == core.ParametricK || eng == core.ParametricL):
+		case *opt.counted && (eng == core.ParametricK || eng == core.ParametricL):
 			// Parametric types carry counting annotations already — same
 			// rendering whether the input was streamed or materialised.
 			fmt.Println(result.Type.StringCounted())
-		case *counted:
+		case *opt.counted:
 			// Spark/Skinfer types carry no counts; derive them with a
 			// parametric K pass (these engines never stream, so docs are
 			// materialised here).
-			ty := infer.InferParallel(docs, infer.Options{Equiv: typelang.EquivKind, Workers: *workers})
+			ty := infer.InferParallel(docs, infer.Options{Equiv: typelang.EquivKind, Workers: *opt.workers})
 			fmt.Println(ty.StringCounted())
 		default:
 			fmt.Println(result.Type)
@@ -273,26 +273,23 @@ func main() {
 		}
 		fmt.Printf("type:      %s\n", result.Type)
 	default:
-		fatal(fmt.Errorf("unknown output %q", *output))
+		fatal(fmt.Errorf("unknown output %q", *opt.output))
 	}
 }
 
 // validateStreamFlags rejects stream-flag combinations up front, before
 // any input is read: -precision re-reads the input for the report's
 // precision column, so it needs -stream, the report output and
-// re-readable file arguments (stdin cannot be re-read); -tokenizer,
-// -map, -mmap, -chunk-bytes and -stats configure the streamed engines,
-// so explicitly setting any of them without -stream is a mistake rather
+// re-readable file arguments (stdin cannot be re-read); -map, -mmap,
+// -chunk-bytes and -stats configure the streamed engine, so
+// explicitly setting any of them without -stream is a mistake rather
 // than something to ignore. -mmap on additionally needs file arguments
 // — stdin is a pipe and cannot be memory-mapped, and "map or fail" must
 // fail here, not after a huge first pass.
-func validateStreamFlags(stream, precision, tokenizerSet, mapSet, stats, mmapSet bool, mmapMode string, chunkBytesSet bool, output string, nArgs int) error {
+func validateStreamFlags(stream, precision, mapSet, stats, mmapSet bool, mmapMode string, chunkBytesSet bool, output string, nArgs int) error {
 	if !stream {
 		if precision {
 			return fmt.Errorf("-precision requires -stream (a materialised report always includes precision)")
-		}
-		if tokenizerSet {
-			return fmt.Errorf("-tokenizer selects the streamed lexer; add -stream")
 		}
 		if mapSet {
 			return fmt.Errorf("-map selects the streamed map phase; add -stream")

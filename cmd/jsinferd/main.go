@@ -7,8 +7,7 @@
 // Usage:
 //
 //	jsinferd [-addr :8787] [-engine parametric-L|parametric-K]
-//	         [-workers N] [-shards N] [-tokenizer mison|scan]
-//	         [-map fused|indexed|refmap]
+//	         [-workers N] [-shards N] [-map fused|indexed]
 //	         [-max-body N] [-rate-docs N] [-rate-bytes N]
 //	         [-log-format text|json] [-slow-request D]
 //	         [-trace-buffer N] [-debug-addr addr]
@@ -43,13 +42,12 @@
 //	POST /v1/collections/{name}/ingest[?equiv=K|L][&quota=...]
 //	    Body: NDJSON or concatenated JSON, streamed straight into the
 //	    chunked token pipeline (bounded memory; the body is never
-//	    materialised). Content-Encoding: gzip and zstd bodies decode
+//	    materialised). Content-Encoding: gzip bodies decode
 //	    transparently — schemas and doc counts are byte-identical to
 //	    the identity encoding, and -max-body applies to *decompressed*
 //	    bytes, so a compressed body cannot smuggle past the limit. An
-//	    unsupported encoding yields 415 before any byte is read; so
-//	    does an entropy-coded zstd frame mid-stream (the built-in
-//	    decoder handles store-mode frames; see internal/daemon/intake).
+//	    unsupported encoding (zstd included) yields 415 before any
+//	    byte is read.
 //	    With ?equiv=, a collection created by this call folds under
 //	    that equivalence instead of the daemon default; on an existing
 //	    collection a disagreeing ?equiv= yields 409 before any byte is
@@ -127,70 +125,90 @@ import (
 	"repro/internal/typelang"
 )
 
+// daemonFlags are jsinferd's flags. registerFlags defines them on a flag
+// set of the caller's choosing so the README test can walk exactly the
+// set main parses.
+type daemonFlags struct {
+	addr, engine, mapMode, logFormat, debugAddr *string
+	workers, shards, traceBuf                   *int
+	maxBody                                     *int64
+	rateDocs, rateBytes                         *float64
+	slowReq                                     *time.Duration
+}
+
+func registerFlags(fs *flag.FlagSet) daemonFlags {
+	return daemonFlags{
+		addr:      fs.String("addr", ":8787", "listen address"),
+		engine:    fs.String("engine", "parametric-L", "inference engine: parametric-L or parametric-K"),
+		workers:   fs.Int("workers", 0, "parallel chunk workers per ingest request (0 = GOMAXPROCS)"),
+		shards:    fs.Int("shards", 0, "leaf collectors per collection (0 = auto)"),
+		mapMode:   fs.String("map", "fused", "ingest map phase: fused (default) or indexed"),
+		maxBody:   fs.Int64("max-body", 0, "max ingest request body in bytes (decoded, for compressed bodies); 0 disables the limit"),
+		rateDocs:  fs.Float64("rate-docs", 0, "default per-collection ingest quota in documents/sec; 0 disables the limit"),
+		rateBytes: fs.Float64("rate-bytes", 0, "default per-collection ingest quota in decoded bytes/sec; 0 disables the limit"),
+		logFormat: fs.String("log-format", "text", "log line format: text or json"),
+		slowReq:   fs.Duration("slow-request", 0, "log a warning for requests slower than this (0 disables)"),
+		traceBuf:  fs.Int("trace-buffer", trace.DefaultCapacity, "finished request traces kept for /debug/traces"),
+		debugAddr: fs.String("debug-addr", "", "serve net/http/pprof on this extra listener (empty disables)"),
+	}
+}
+
+// Both listeners get the same connection deadlines: a client that
+// stalls before finishing its request headers, or parks an idle
+// keep-alive connection, is disconnected instead of pinning a goroutine
+// forever. There is deliberately no body deadline — a legitimate
+// multi-GB ingest is long.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newServer builds the http.Server both listeners are served through.
+func newServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
+}
+
 func main() {
-	addr := flag.String("addr", ":8787", "listen address")
-	engine := flag.String("engine", "parametric-L", "inference engine: parametric-L or parametric-K")
-	workers := flag.Int("workers", 0, "parallel chunk workers per ingest request (0 = GOMAXPROCS)")
-	shards := flag.Int("shards", 0, "leaf collectors per collection (0 = auto)")
-	tokenizer := flag.String("tokenizer", "mison", "streamed lexing machinery: mison or scan")
-	mapMode := flag.String("map", "fused", "ingest map phase: fused (default), indexed or refmap")
-	maxBody := flag.Int64("max-body", 0, "max ingest request body in bytes (decoded, for compressed bodies); 0 disables the limit")
-	rateDocs := flag.Float64("rate-docs", 0, "default per-collection ingest quota in documents/sec; 0 disables the limit")
-	rateBytes := flag.Float64("rate-bytes", 0, "default per-collection ingest quota in decoded bytes/sec; 0 disables the limit")
-	logFormat := flag.String("log-format", "text", "log line format: text or json")
-	slowReq := flag.Duration("slow-request", 0, "log a warning for requests slower than this (0 disables)")
-	traceBuf := flag.Int("trace-buffer", trace.DefaultCapacity, "finished request traces kept for /debug/traces")
-	debugAddr := flag.String("debug-addr", "", "serve net/http/pprof on this extra listener (empty disables)")
+	opt := registerFlags(flag.CommandLine)
 	flag.Parse()
 
-	logger, err := newLogger(*logFormat)
+	logger, err := newLogger(*opt.logFormat)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "jsinferd: %v\n", err)
 		os.Exit(1)
 	}
 
 	opts := registry.Options{
-		Workers: *workers,
-		Shards:  *shards,
-		Quota:   registry.Quota{DocsPerSec: *rateDocs, BytesPerSec: *rateBytes},
+		Workers: *opt.workers,
+		Shards:  *opt.shards,
+		Quota:   registry.Quota{DocsPerSec: *opt.rateDocs, BytesPerSec: *opt.rateBytes},
 	}
-	switch *engine {
+	switch *opt.engine {
 	case "parametric-L":
 		opts.Equiv = typelang.EquivLabel
 	case "parametric-K":
 		opts.Equiv = typelang.EquivKind
 	default:
-		logger.Error("unknown engine (want parametric-L or parametric-K)", "engine", *engine)
+		logger.Error("unknown engine (want parametric-L or parametric-K)", "engine", *opt.engine)
 		os.Exit(1)
 	}
-	switch *tokenizer {
-	case "mison":
-		opts.Tokenizer = core.TokenizerMison
-	case "scan":
-		opts.Tokenizer = core.TokenizerScan
-	default:
-		logger.Error("unknown tokenizer (want mison or scan)", "tokenizer", *tokenizer)
-		os.Exit(1)
-	}
-	switch *mapMode {
+	switch *opt.mapMode {
 	case "fused":
 		opts.Map = core.MapFused
 	case "indexed":
 		opts.Map = core.MapIndexed
-	case "refmap":
-		opts.Map = core.MapReference
 	default:
-		logger.Error("unknown map mode (want fused, indexed or refmap)", "map", *mapMode)
+		logger.Error("unknown map mode (want fused or indexed)", "map", *opt.mapMode)
 		os.Exit(1)
 	}
 
 	reg := registry.New(opts)
-	srv := &http.Server{Handler: newHandler(reg, handlerConfig{
-		maxBody: *maxBody,
+	srv := newServer(newHandler(reg, handlerConfig{
+		maxBody: *opt.maxBody,
 		logger:  logger,
-		tracer:  trace.New(*traceBuf),
-		slow:    *slowReq,
-	})}
+		tracer:  trace.New(*opt.traceBuf),
+		slow:    *opt.slowReq,
+	}))
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -207,18 +225,18 @@ func main() {
 		}
 	}()
 
-	if *debugAddr != "" {
+	if *opt.debugAddr != "" {
 		// pprof lives on its own listener, never on the API mux: an
 		// operator opts in with -debug-addr (typically bound to
 		// localhost) and profiling stays off the public surface.
-		dln, err := net.Listen("tcp", *debugAddr)
+		dln, err := net.Listen("tcp", *opt.debugAddr)
 		if err != nil {
-			logger.Error("debug listen", "addr", *debugAddr, "err", err)
+			logger.Error("debug listen", "addr", *opt.debugAddr, "err", err)
 			os.Exit(1)
 		}
 		logger.Info("debug server listening (pprof)", "addr", dln.Addr().String())
 		go func() {
-			if err := http.Serve(dln, newDebugHandler()); err != nil && !errors.Is(err, http.ErrServerClosed) {
+			if err := newServer(newDebugHandler()).Serve(dln); err != nil && !errors.Is(err, http.ErrServerClosed) {
 				logger.Error("debug server", "err", err)
 			}
 		}()
@@ -228,12 +246,12 @@ func main() {
 	// socket is actually accepting, so scripts that wait for it (the
 	// smoke test, container healthchecks) cannot race the bind — and a
 	// bind failure is reported instead of a premature success line.
-	ln, err := net.Listen("tcp", *addr)
+	ln, err := net.Listen("tcp", *opt.addr)
 	if err != nil {
-		logger.Error("listen", "addr", *addr, "err", err)
+		logger.Error("listen", "addr", *opt.addr, "err", err)
 		os.Exit(1)
 	}
-	logger.Info("listening", "engine", *engine, "tokenizer", *tokenizer, "addr", ln.Addr().String())
+	logger.Info("listening", "engine", *opt.engine, "addr", ln.Addr().String())
 	if err := srv.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		logger.Error("serve", "err", err)
 		os.Exit(1)
@@ -453,16 +471,11 @@ func newHandler(reg *registry.Registry, cfg handlerConfig) http.Handler {
 			// body surfaces as 413 with exactly the malformed-doc
 			// bytes-kept semantics: the documents that fit are merged —
 			// the limit counts decoded bytes, so compressed bodies get
-			// identical treatment. An entropy-coded zstd frame the
-			// built-in decoder gates maps to 415: re-send store-mode
-			// zstd, gzip or identity.
+			// identical treatment.
 			status := http.StatusBadRequest
 			var tooBig *http.MaxBytesError
-			switch {
-			case errors.As(err, &tooBig):
+			if errors.As(err, &tooBig) {
 				status = http.StatusRequestEntityTooLarge
-			case errors.Is(err, intake.ErrZstdCompressedBlock):
-				status = http.StatusUnsupportedMediaType
 			}
 			writeJSON(w, status, jsonvalue.ObjectFromPairs(
 				"error", err.Error(),

@@ -66,7 +66,7 @@ func get(t *testing.T, url string) (int, string) {
 // TestServedSchemaMatchesBatchCLI is the acceptance criterion end to
 // end: ingest a checked-in fixture over HTTP and the served schema must
 // be byte-identical to what `jsinfer -stream` prints for the same file
-// (the CLI is fmt.Println over core.InferSchemaStreamFiles's Type).
+// (the CLI is fmt.Println over core.InferSchemaStreamFilesWith's Type).
 func TestServedSchemaMatchesBatchCLI(t *testing.T) {
 	fixtures, err := filepath.Glob(filepath.Join("..", "..", "testdata", "*.ndjson"))
 	if err != nil || len(fixtures) == 0 {
@@ -82,7 +82,7 @@ func TestServedSchemaMatchesBatchCLI(t *testing.T) {
 		if code, body := post(t, srv.URL+"/v1/collections/"+col+"/ingest", data); code != http.StatusOK {
 			t.Fatalf("%s: ingest status %d: %s", col, code, body)
 		}
-		inf, n, err := core.InferSchemaStreamFiles([]string{name}, core.ParametricL, 0)
+		inf, n, err := core.InferSchemaStreamFilesWith([]string{name}, core.ParametricL, core.StreamOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -135,7 +135,7 @@ func TestConcurrentIngestOneCollection(t *testing.T) {
 		}(c)
 	}
 	wg.Wait()
-	want, _, err := core.InferSchemaStream(bytes.NewReader(data), core.ParametricL, 0)
+	want, _, err := core.InferSchemaStreamWith(bytes.NewReader(data), core.ParametricL, core.StreamOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -404,11 +404,11 @@ func TestEquivParamCreateAndIngest(t *testing.T) {
 	srv, _ := newTestServer(t, registry.Options{Equiv: typelang.EquivKind})
 	docs := genjson.Collection(genjson.SkewedOptional{Seed: 9, NumFields: 6}, 200)
 	body := jsontext.MarshalLines(docs)
-	wantL, _, err := core.InferSchemaStream(bytes.NewReader(body), core.ParametricL, 0)
+	wantL, _, err := core.InferSchemaStreamWith(bytes.NewReader(body), core.ParametricL, core.StreamOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantK, _, err := core.InferSchemaStream(bytes.NewReader(body), core.ParametricK, 0)
+	wantK, _, err := core.InferSchemaStreamWith(bytes.NewReader(body), core.ParametricK, core.StreamOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

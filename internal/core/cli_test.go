@@ -40,7 +40,7 @@ func TestPipelineGenerateInferValidate(t *testing.T) {
 	}
 }
 
-func TestInferSchemaStreamFiles(t *testing.T) {
+func TestInferSchemaStreamFilesWith(t *testing.T) {
 	// Multi-file streaming must match materialised inference over the
 	// concatenation, and a decode error must name the offending file.
 	docs1 := genjson.Collection(genjson.Orders{Seed: 201}, 60)
@@ -54,7 +54,7 @@ func TestInferSchemaStreamFiles(t *testing.T) {
 	if err := os.WriteFile(f2, jsontext.MarshalLines(docs2), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	inf, n, err := InferSchemaStreamFiles([]string{f1, f2}, ParametricL, 3)
+	inf, n, err := InferSchemaStreamFilesWith([]string{f1, f2}, ParametricL, StreamOptions{Workers: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestInferSchemaStreamFiles(t *testing.T) {
 	if err := os.WriteFile(bad, []byte("{]\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, n, err := InferSchemaStreamFiles([]string{f1, bad}, ParametricL, 3); err == nil {
+	if _, n, err := InferSchemaStreamFilesWith([]string{f1, bad}, ParametricL, StreamOptions{Workers: 3}); err == nil {
 		t.Error("expected decode error")
 	} else {
 		if !strings.Contains(err.Error(), "bad.ndjson") {
@@ -84,7 +84,7 @@ func TestInferSchemaStreamFiles(t *testing.T) {
 		}
 	}
 
-	if _, _, err := InferSchemaStreamFiles([]string{f1}, Spark, 0); err == nil {
+	if _, _, err := InferSchemaStreamFilesWith([]string{f1}, Spark, StreamOptions{}); err == nil {
 		t.Error("Spark must reject streaming")
 	}
 }
@@ -100,7 +100,7 @@ func TestStreamPrecisionSecondPass(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	streamed, n, err := InferSchemaStreamFiles([]string{file}, ParametricL, 4)
+	streamed, n, err := InferSchemaStreamFilesWith([]string{file}, ParametricL, StreamOptions{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

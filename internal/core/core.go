@@ -245,31 +245,16 @@ func InferSchemaWorkers(docs []*Value, engine Engine, workers int) (*Inference, 
 	return out, nil
 }
 
-// Tokenizer selects the lexing machinery of the streamed engines:
-// TokenizerMison (the default) is the structural-index fast path
-// (bitmap-driven chunking and lexing), TokenizerScan the reference
-// byte-at-a-time lexer kept as the fallback — identical results either
-// way.
-type Tokenizer = infer.Tokenizer
-
-// The tokenizers of the streamed engines.
-const (
-	TokenizerScan  = infer.TokenizerScan
-	TokenizerMison = infer.TokenizerMison
-)
-
-// MapMode selects the map phase of the streamed engines: MapFused (the
-// default) absorbs documents straight into the worker accumulators,
-// MapReference materialises the canonical per-document type first, and
-// MapIndexed absorbs straight off mison's structural index, never
-// tokenising separators — identical results all three ways.
+// MapMode selects the map phase of the streamed engine: MapFused (the
+// default) absorbs documents from tokens straight into the worker
+// accumulators, MapIndexed absorbs straight off mison's structural
+// index, never tokenising separators — identical results either way.
 type MapMode = infer.MapMode
 
-// The map modes of the streamed engines.
+// The map modes of the streamed engine.
 const (
-	MapFused     = infer.MapFused
-	MapReference = infer.MapReference
-	MapIndexed   = infer.MapIndexed
+	MapFused   = infer.MapFused
+	MapIndexed = infer.MapIndexed
 )
 
 // MmapMode selects how the file-streaming engines read their inputs.
@@ -307,16 +292,12 @@ func (m MmapMode) String() string {
 // the reader path.
 const mmapMinSize = 1 << 20
 
-// StreamOptions tune the streamed inference engines.
+// StreamOptions tune the streamed inference engine.
 type StreamOptions struct {
 	// Workers bounds the parallel chunk workers; 0 means GOMAXPROCS.
 	Workers int
-	// Tokenizer picks the lexing machinery; the zero value is
-	// TokenizerMison.
-	Tokenizer Tokenizer
-	// Map picks the map phase; the zero value is MapFused
-	// (MapReference is the per-document-type A/B baseline, MapIndexed
-	// the index-driven fast path).
+	// Map picks the map phase; the zero value is MapFused (MapIndexed
+	// is the index-driven fast path).
 	Map MapMode
 	// ChunkBytes, when positive, switches the chunking stage to a
 	// byte-size target: chunks are cut at the first document boundary
@@ -340,7 +321,6 @@ func (o StreamOptions) inferOptions(eq typelang.Equiv) infer.Options {
 	return infer.Options{
 		Equiv:      eq,
 		Workers:    o.Workers,
-		Tokenizer:  o.Tokenizer,
 		Map:        o.Map,
 		ChunkBytes: o.ChunkBytes,
 		Stats:      o.Stats,
@@ -354,22 +334,12 @@ type PipelineStats = infer.PipelineStats
 // StatsSnapshot is a point-in-time copy of PipelineStats counters.
 type StatsSnapshot = infer.StatsSnapshot
 
-// InferSchemaStream infers a parametric schema from a stream of JSON
-// documents (NDJSON or concatenated JSON) on r without materialising
-// the collection, with the default tokenizer. It is
-// InferSchemaStreamWith with only the worker count set.
-func InferSchemaStream(r io.Reader, engine Engine, workers int) (*Inference, int, error) {
-	return InferSchemaStreamWith(r, engine, StreamOptions{Workers: workers})
-}
-
 // InferSchemaStreamWith infers a parametric schema from a stream of
 // JSON documents (NDJSON or concatenated JSON) on r without
 // materialising the collection. Documents are typed straight from
 // tokens — no value tree is ever built — and the worker pool lexes and
 // types document-aligned byte chunks in parallel, so the input may be
 // far larger than memory and decode throughput scales with workers.
-// opts.Tokenizer selects the chunking and lexing machinery (the scan
-// reference path or the Mison structural index — identical results).
 // It returns the inference and the number of documents consumed.
 //
 // Only the parametric engines support streaming — Spark and Skinfer
@@ -379,13 +349,13 @@ func InferSchemaStream(r io.Reader, engine Engine, workers int) (*Inference, int
 // StreamPrecision/StreamPrecisionFiles on re-readable input. On a
 // decode error the Inference is still returned alongside the error
 // (whose syntax offsets are absolute stream offsets) and covers every
-// document decoded before it, mirroring infer.InferStreamParallel.
+// document decoded before it, mirroring infer.InferStream.
 func InferSchemaStreamWith(r io.Reader, engine Engine, opts StreamOptions) (*Inference, int, error) {
 	eq, ok := equivFor(engine)
 	if !ok {
 		return nil, 0, fmt.Errorf("core: engine %s cannot infer from a stream", engine)
 	}
-	t, n, err := infer.InferStreamParallel(r, opts.inferOptions(eq))
+	t, n, err := infer.InferStream(r, opts.inferOptions(eq))
 	return &Inference{
 		Engine:     engine,
 		Type:       t,
@@ -408,7 +378,7 @@ func InferSchemaStreamBytesWith(data []byte, engine Engine, opts StreamOptions) 
 	if !ok {
 		return nil, 0, fmt.Errorf("core: engine %s cannot infer from a stream", engine)
 	}
-	t, n, err := infer.InferStreamParallelBytes(data, opts.inferOptions(eq))
+	t, n, err := infer.InferStreamBytes(data, opts.inferOptions(eq))
 	return &Inference{
 		Engine:     engine,
 		Type:       t,
@@ -464,13 +434,6 @@ func StreamPrecisionFiles(files []string, t *Type) (float64, int, error) {
 		f.Close()
 	}
 	return acc.Value(), acc.Docs(), nil
-}
-
-// InferSchemaStreamFiles streams each named file in turn with the
-// default tokenizer; it is InferSchemaStreamFilesWith with only the
-// worker count set.
-func InferSchemaStreamFiles(files []string, engine Engine, workers int) (*Inference, int, error) {
-	return InferSchemaStreamFilesWith(files, engine, StreamOptions{Workers: workers})
 }
 
 // InferSchemaStreamFilesWith streams each named file in turn and merges

@@ -10,13 +10,12 @@
 //   - InferSchema / InferSchemaWorkers run any engine (parametric K/L,
 //     Spark, Skinfer) over a materialised collection and grade the
 //     result (precision, size);
-//   - InferSchemaStream / InferSchemaStreamWith and their *Files
-//     variants run the parametric engines over streams of any size in
-//     bounded memory, typing documents straight from tokens;
-//     StreamOptions selects the worker count, the tokenizer
-//     (TokenizerMison, the default structural-index fast path, or
-//     TokenizerScan, the reference lexer — identical results) and the
-//     map phase;
+//   - InferSchemaStreamWith, InferSchemaStreamBytesWith and
+//     InferSchemaStreamFilesWith run the parametric engines over a
+//     reader, a byte slice or named files of any size in bounded
+//     memory, typing documents straight from tokens; StreamOptions
+//     selects the worker count, the map phase, the chunk size and how
+//     files are read;
 //   - StreamPrecision / StreamPrecisionFiles grade a schema against
 //     re-readable input in a bounded-memory second pass, filling the
 //     precision column a single streamed pass cannot compute.

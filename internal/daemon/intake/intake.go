@@ -1,5 +1,5 @@
 // Package intake is the daemon's request-body front door: transparent
-// Content-Encoding decoding (identity, gzip, zstd) with the body limit
+// Content-Encoding decoding (identity, gzip) with the body limit
 // enforced on *decompressed* bytes, so a compressed request cannot
 // smuggle an over-limit body past -max-body (decompression bombs
 // included) and 413 semantics are identical across encodings.
@@ -7,21 +7,13 @@
 // Decoding is lazy: Body never reads the request, it only inspects the
 // headers, so admission decisions (quota, equivalence) stay "before any
 // body byte is read" and decode errors — a corrupt gzip header, a
-// truncated zstd frame — surface as read errors inside the ingest
-// pipeline, where they get the same kept-prefix semantics as a
-// malformed document.
+// truncated stream — surface as read errors inside the ingest pipeline,
+// where they get the same kept-prefix semantics as a malformed
+// document.
 //
-// gzip rides on compress/gzip. zstd is decoded by the package's own
-// frame decoder (zstd.go): the full frame layer — magic, frame headers,
-// skippable frames, raw and RLE blocks, xxhash64 content checksums,
-// frame concatenation — with FSE/Huffman-compressed blocks explicitly
-// gated behind ErrZstdCompressedBlock, because a conforming entropy
-// decoder would ride on a dependency this build intentionally does not
-// take (github.com/klauspost/compress is the production choice).
-// Store-mode frames — what ZstdWriter emits, and what the reference
-// encoder produces for incompressible payloads — decode bit-exactly;
-// entropy-coded frames are rejected with a clear 415-able error, never
-// misdecoded.
+// gzip rides on compress/gzip. Every other encoding — zstd included: a
+// conforming decoder would ride on a dependency this build does not
+// take — is rejected up front with ErrUnsupportedEncoding.
 package intake
 
 import (
@@ -38,8 +30,8 @@ import (
 var ErrUnsupportedEncoding = errors.New("unsupported Content-Encoding")
 
 // Body returns r's body decoded according to its Content-Encoding
-// header ("" / "identity" pass through; "gzip", "x-gzip" and "zstd"
-// decode transparently). limit > 0 caps the number of *decoded* bytes a
+// header ("" / "identity" pass through; "gzip" and "x-gzip" decode
+// transparently). limit > 0 caps the number of *decoded* bytes a
 // caller may read: past it, Read returns *http.MaxBytesError exactly
 // like http.MaxBytesReader, so over-limit compressed bodies keep the
 // identity path's 413 semantics. An unrecognised or multi-valued
@@ -55,10 +47,8 @@ func Body(w http.ResponseWriter, r *http.Request, limit int64) (io.ReadCloser, e
 		return r.Body, nil
 	case "gzip", "x-gzip":
 		return limited(&lazyGzipReader{src: r.Body}, r.Body, limit), nil
-	case "zstd":
-		return limited(NewZstdReader(r.Body), r.Body, limit), nil
 	default:
-		return nil, fmt.Errorf("%w %q (supported: identity, gzip, zstd)", ErrUnsupportedEncoding, enc)
+		return nil, fmt.Errorf("%w %q (supported: identity, gzip)", ErrUnsupportedEncoding, enc)
 	}
 }
 

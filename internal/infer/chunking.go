@@ -5,11 +5,9 @@ import (
 	"io"
 	"sync"
 	"sync/atomic"
-
-	"repro/internal/mison"
 )
 
-// This file is the chunking stage of the streamed engines: the input is
+// This file is the chunking stage of the streamed engine: the input is
 // split into runs of whole top-level documents so the workers can lex
 // and type raw bytes in parallel. A chunk boundary is a newline at
 // container depth zero outside any string, so NDJSON splits per line
@@ -30,67 +28,19 @@ import (
 //     chunks alias the input directly, nothing is copied, nothing is
 //     pooled, and the steady state performs zero chunking allocations
 //     (pinned by TestSplitChunksBytesAllocFree). This is the path the
-//     byte-slice engines and mmap'd file inputs ride.
+//     byte-slice entry point and mmap'd file inputs ride.
 //
-// Boundary finding is pluggable (Options.Tokenizer): the scanning
-// splitter walks every byte through a string/escape/depth state
-// machine, and mison.Chunker reaches the same boundaries through the
-// structural bitmaps, touching only structural characters after a
-// branch-free word-at-a-time classification pass.
+// Boundary finding is mison.Chunker's: it reaches the boundaries through
+// the structural bitmaps, touching only structural characters after a
+// branch-free word-at-a-time classification pass. The stage takes it as
+// a docSplitter so the tests can run the byte-at-a-time reference
+// splitter through the same code and compare chunk streams.
 
 // docSplitter finds document-aligned split candidates incrementally:
 // Splits appends the exclusive end offset of every top-level newline in
 // block to dst, carrying string/escape/depth state to the next call.
 type docSplitter interface {
 	Splits(block []byte, dst []int) []int
-}
-
-// scanSplitter is the byte-at-a-time reference splitter.
-type scanSplitter struct {
-	inStr, esc bool
-	depth      int
-}
-
-func (s *scanSplitter) Splits(block []byte, dst []int) []int {
-	for i, c := range block {
-		if s.inStr {
-			switch {
-			case s.esc:
-				s.esc = false
-			case c == '\\':
-				s.esc = true
-			case c == '"':
-				s.inStr = false
-			}
-			continue
-		}
-		switch c {
-		case '"':
-			s.inStr = true
-		case '{', '[':
-			s.depth++
-		case '}', ']':
-			if s.depth > 0 {
-				// Underflow only happens on malformed input; clamping
-				// keeps later split points valid so the error stays
-				// confined to its own chunk.
-				s.depth--
-			}
-		case '\n':
-			if s.depth == 0 {
-				dst = append(dst, i+1)
-			}
-		}
-	}
-	return dst
-}
-
-// newSplitter picks the splitter for the configured tokenizer.
-func newSplitter(tz Tokenizer) docSplitter {
-	if tz == TokenizerMison {
-		return mison.NewChunker()
-	}
-	return &scanSplitter{}
 }
 
 // chunkReadSize is the read-block size of the chunk splitter.
@@ -189,24 +139,24 @@ func (o Options) chunkTargets() chunkTargets {
 }
 
 // sequentialChunkBytes is the default chunk byte target of the
-// sequential chunk engine. Parallel engines keep small document-count
-// chunks to balance load across workers; the sequential engine has no
-// workers to balance, its chunks exist only to amortise index and
-// tokenizer resets — so it prefers a handful of large chunks. Large
-// chunks are where the zero-copy split earns its keep: the byte-slice
-// source emits them for free by aliasing the input, while the reader
-// source must buffer each one contiguously.
+// one-worker shape. The multi-worker shape keeps small document-count
+// chunks to balance load across workers; with one worker there is no
+// load to balance, chunks exist only to amortise index and tokenizer
+// resets — so it prefers a handful of large ones. Large chunks are
+// where the zero-copy split earns its keep: the byte-slice source emits
+// them for free by aliasing the input, while the reader source must
+// buffer each one contiguously.
 const sequentialChunkBytes = 4 << 20
 
-// sequentialChunkOpts applies the sequential engine's larger default
-// chunk target. An explicit ChunkBytes or Batch wins — callers who
+// sequentialChunkTargets is chunkTargets with the one-worker shape's
+// larger default. An explicit ChunkBytes or Batch wins — callers who
 // tuned chunking (tests pinning multi-chunk runs, GB-scale jobs
 // choosing their own target) see exactly what they asked for.
-func sequentialChunkOpts(o Options) Options {
+func (o Options) sequentialChunkTargets() chunkTargets {
 	if o.ChunkBytes == 0 && o.Batch == 0 {
 		o.ChunkBytes = sequentialChunkBytes
 	}
-	return o
+	return o.chunkTargets()
 }
 
 // ripe reports whether a chunk spanning size bytes and docs documents
@@ -344,7 +294,7 @@ func readChunks(r io.Reader, targets chunkTargets, sp docSplitter, st *PipelineS
 var splitBufPool = sync.Pool{New: func() any { b := make([]int, 0, 512); return &b }}
 
 // splitChunksBytes is the zero-copy chunking stage: it splits data — a
-// caller-owned buffer (the byte-slice engines' input, or an mmap'd
+// caller-owned buffer (InferStreamBytes' input, or an mmap'd
 // file) — into document-aligned chunks that alias it directly. No
 // pending array, no compaction, no copies: the only work is boundary
 // finding, block by block so the splitter's carry logic is exercised

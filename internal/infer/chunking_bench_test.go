@@ -11,7 +11,7 @@ import (
 // BenchmarkSplitters isolates the chunking stage on tweet-shaped
 // NDJSON: the byte-at-a-time reference splitter against the
 // structural-bitmap chunker. The splitter runs alone on the reader
-// goroutine of InferStreamParallel, so its throughput bounds how fast
+// goroutine of a multi-worker run, so its throughput bounds how fast
 // chunks can reach the worker pool.
 func BenchmarkSplitters(b *testing.B) {
 	docs := genjson.Collection(genjson.Twitter{Seed: 13}, 2000)

@@ -12,6 +12,48 @@ import (
 	"repro/internal/mison"
 )
 
+// scanSplitter is the byte-at-a-time reference splitter: a
+// string/escape/depth state machine over every byte, the independent
+// implementation mison.Chunker is compared against.
+type scanSplitter struct {
+	inStr, esc bool
+	depth      int
+}
+
+func (s *scanSplitter) Splits(block []byte, dst []int) []int {
+	for i, c := range block {
+		if s.inStr {
+			switch {
+			case s.esc:
+				s.esc = false
+			case c == '\\':
+				s.esc = true
+			case c == '"':
+				s.inStr = false
+			}
+			continue
+		}
+		switch c {
+		case '"':
+			s.inStr = true
+		case '{', '[':
+			s.depth++
+		case '}', ']':
+			if s.depth > 0 {
+				// Underflow only happens on malformed input; clamping
+				// keeps later split points valid so the error stays
+				// confined to its own chunk.
+				s.depth--
+			}
+		case '\n':
+			if s.depth == 0 {
+				dst = append(dst, i+1)
+			}
+		}
+	}
+	return dst
+}
+
 // collectSplits feeds data to sp in blocks of at most blockSize bytes
 // and returns the absolute split offsets.
 func collectSplits(t *testing.T, sp docSplitter, data []byte, blockSize int) []int {

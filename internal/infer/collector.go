@@ -21,7 +21,7 @@ import (
 // snapshots, and in the background whenever a leaf publishes, so reads
 // mostly hit a cache. One-shot runs do not use it: they have no reader
 // before the end, so every publish and fuse would be discarded (see
-// inferStreamParallelFrom).
+// run in tokens.go).
 //
 // By associativity and commutativity of the merge (Accum seals are
 // pinned byte-identical to the MergeAll reference fold) the tree's

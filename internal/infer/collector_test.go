@@ -110,57 +110,37 @@ func TestShardedCollectorConcurrent(t *testing.T) {
 	}
 }
 
-// TestInferStreamParallelWorkerSweep pins the one-shot engine to the
-// oracle — Parse + TypeOf + MergeAll — across worker counts and both
-// input kinds: however the chunks interleave on their way to the
-// committer's accumulator, schema and count are the oracle's.
-func TestInferStreamParallelWorkerSweep(t *testing.T) {
+// TestInferStreamWorkerSweep pins the one-shot engine to the oracle on
+// a corpus that spans several default-sized chunks: however the chunks
+// interleave on their way to the committer's accumulator, schema and
+// count are the oracle's.
+func TestInferStreamWorkerSweep(t *testing.T) {
 	docs := genjson.Collection(genjson.Twitter{Seed: 92}, 400)
-	data := jsontext.MarshalLines(docs)
-	for _, e := range []typelang.Equiv{typelang.EquivKind, typelang.EquivLabel} {
-		want := mergeAllReference(t, data, e)
-		for _, workers := range []int{1, 2, 4, 8} {
-			opts := Options{Equiv: e, Workers: workers}
-			for _, input := range inputKinds {
-				got, n, err := inferStreamParallelOver(input, data, opts)
-				if err != nil {
-					t.Fatalf("equiv=%v workers=%d %s: %v", e, workers, input, err)
-				}
-				if n != len(docs) {
-					t.Errorf("equiv=%v workers=%d %s: %d docs, want %d", e, workers, input, n, len(docs))
-				}
-				if got.StringCounted() != want.StringCounted() {
-					t.Errorf("equiv=%v workers=%d %s: schema diverges\n want: %s\n got:  %s",
-						e, workers, input, want.StringCounted(), got.StringCounted())
-				}
-			}
-		}
-	}
+	assertMatchesOracle(t, "tweets-400", jsontext.MarshalLines(docs))
 }
 
-// TestInferStreamParallelSharedSymbols: a shared symbol table changes
-// nothing about the result and ends up holding the stream's field-name
+// TestInferStreamSharedSymbols: a shared symbol table changes nothing
+// about the result and ends up holding the stream's field-name
 // vocabulary exactly once.
-func TestInferStreamParallelSharedSymbols(t *testing.T) {
+func TestInferStreamSharedSymbols(t *testing.T) {
 	docs := genjson.Collection(genjson.Orders{Seed: 93}, 200)
 	data := jsontext.MarshalLines(docs)
-	want, wantN, err := InferStream(bytes.NewReader(data), Options{})
+	want, wantN, err := oracle(data, typelang.EquivKind)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, tz := range []Tokenizer{TokenizerScan, TokenizerMison} {
+	for _, mm := range sweepMaps {
 		st := jsontext.NewSymbolTable()
-		got, n, err := InferStreamParallel(bytes.NewReader(data),
-			Options{Workers: 4, Tokenizer: tz, Symbols: st})
+		got, n, err := InferStream(bytes.NewReader(data), Options{Workers: 4, Map: mm, Symbols: st})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if n != wantN || got.StringCounted() != want.StringCounted() {
 			t.Errorf("%v: shared-symbol run diverges (%d docs)\n want: %s\n got:  %s",
-				tz, n, want.StringCounted(), got.StringCounted())
+				mm, n, want.StringCounted(), got.StringCounted())
 		}
 		if st.Len() == 0 {
-			t.Errorf("%v: symbol table empty after a field-bearing stream", tz)
+			t.Errorf("%v: symbol table empty after a field-bearing stream", mm)
 		}
 		// Every field name in the schema must be the canonical interned
 		// string — pointer-equal to the table's copy.
@@ -170,7 +150,7 @@ func TestInferStreamParallelSharedSymbols(t *testing.T) {
 			case typelang.KRecord:
 				for _, f := range ty.Fields {
 					if canon := st.Intern([]byte(f.Name)); canon != f.Name {
-						t.Errorf("%v: field %q not canonical", tz, f.Name)
+						t.Errorf("%v: field %q not canonical", mm, f.Name)
 					}
 					walk(f.Type)
 				}

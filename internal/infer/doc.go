@@ -17,61 +17,52 @@
 //
 // Because the merge is associative and commutative, the reduce can be
 // parallelised and distributed arbitrarily. The execution layer here
-// exploits that three ways:
+// exploits that two ways:
 //
-//   - the streamed engines fold through typelang.Accum, the mutable
-//     accumulator core: document types are absorbed in place and the
-//     canonical union is sealed once per chunk and once per run (or
-//     once per publish, in a registry collection) instead of being
-//     rebuilt per merge — the DOM engines keep the batched MergeAll
-//     fold as the reference discipline;
-//   - InferParallel feeds batches through a bounded work queue to a
-//     worker pool; each worker folds its own partial type and the
-//     partials meet in a parallel binary tree reduction;
-//   - InferStream and InferStreamParallel fuse the map into the reduce:
+//   - Infer and InferParallel run over a materialised collection (the
+//     Spark/Skinfer/precision paths need the values anyway):
+//     InferParallel feeds batches through a bounded work queue to a
+//     worker pool, each worker folds its own partial type with the
+//     batched MergeAll, and the partials meet in a parallel binary tree
+//     reduction;
+//   - InferStream and InferStreamBytes never materialise anything: the
+//     input is split into runs of whole documents (chunking.go), and
 //     AbsorbFromTokens (tokens.go) walks each document's tokens and
-//     absorbs its structure straight into the chunk's typelang.Accum
-//     through the direct-absorption surface (Accum.Doc), so no
-//     per-document canonical type — and no value tree — is ever built;
-//     the parallel engine's work queue carries raw document-aligned
-//     byte chunks, so lexing itself scales with workers and
-//     collections larger than memory are inferred at multi-worker
-//     speed while only ever holding a bounded window of bytes.
-//     Options.Map selects the discipline: MapFused (the default)
-//     absorbs from the token stream; MapIndexed goes one layer lower
-//     and absorbs straight off mison's structural index
-//     (AbsorbFromIndex, index_absorb.go) — object fields walk
-//     span-at-a-time off the bitmap index via mison.FieldWalker, so
-//     separator tokens are never materialised at all, with per-record
-//     fallback to the token walker on anything the index cannot
-//     certify; MapReference revives the per-document type +
-//     fold.Absorb map phase as the A/B baseline. All three are pinned
-//     byte-identical — schemas, counts, document totals, and error
-//     offsets — by the accum sweep tests and the index-vs-tokens fuzz
+//     absorbs its structure straight into a typelang.Accum through the
+//     direct-absorption surface (Accum.Doc), so no per-document
+//     canonical type — and no value tree — is ever built, and
+//     collections larger than memory are inferred while only ever
+//     holding a bounded window of bytes. Options.Map selects the map
+//     phase: MapFused (the default) absorbs from the token stream;
+//     MapIndexed goes one layer lower and absorbs straight off mison's
+//     structural index (AbsorbFromIndex, index_absorb.go) — object
+//     fields walk span-at-a-time off the bitmap index via
+//     mison.FieldWalker, so separator tokens are never materialised at
+//     all, with per-record fallback to the token walker on anything the
+//     index cannot certify. The two are pinned byte-identical to an
+//     independent oracle (DOM decoder, TypeOf, one MergeAll) — schemas,
+//     counts, document totals, and error messages and offsets — by the
+//     sweeps in oracle_test.go and the index-vs-tokens fuzz
 //     differential.
 //
-// This package is the middle of the streamed pipeline (reader → chunker
-// → tokenizer → AbsorbFromTokens → ordered commit → reduce): the
-// chunking stage (chunking.go) splits the stream into runs of whole
-// documents, the workers lex and type chunks in parallel, and chunk
-// results commit in stream order so schemas, document counts and error
-// offsets are exact. Who consumes the result decides the reduce. A
-// one-shot run (InferStreamParallel, InferStreamParallelBytes) is read
-// once, at the end, so its committer absorbs every chunk type into one
-// typelang.Accum and seals it once. A registry collection
-// (InferStreamInto) is read while it grows, so its chunk types go to a
-// caller-owned ShardedCollector (collector.go): leaf collectors absorb
-// their shard on their own goroutines and publish sealed partials, and
-// a root fuses them into the snapshot readers are served — work a run
-// with no reader would only throw away.
-// Options.Tokenizer picks the chunking and lexing machinery —
-// TokenizerMison (the default) for the structural-index fast path of
-// internal/mison, TokenizerScan for the reference byte-at-a-time lexer —
-// with identical results either way, and Options.Symbols shares one
-// field-name symbol table across all workers.
-//
-// The DOM-based streaming engines (InferStreamDOM and
-// InferStreamParallelDOM) are retained for engines that need
-// materialised values and as the measured baseline the token path is
-// benchmarked against.
+// The streamed engine is one ladder in two shapes. The ladder is the
+// map phase of a chunk (chunkMapper.absorb): mison.Chunker found the
+// chunk's boundaries, the structural index or mison.TokenSource lexes
+// it, and the reference lexer (jsontext.TokenReader) takes over any
+// chunk the index rejects — results are identical whichever rung ran.
+// The shape is decided by Options.Workers alone. One worker absorbs
+// large chunks one after another into the run's single accumulator.
+// More workers lex and absorb small chunks in parallel, each sealing
+// its chunk's type, and chunk results commit in stream order so
+// schemas, document counts and error offsets are exact. Who consumes
+// the result decides the reduce. A one-shot run (InferStream,
+// InferStreamBytes) is read once, at the end, so its committer absorbs
+// every chunk type into the run's accumulator, sealed once. A registry
+// collection (InferStreamInto) is read while it grows, so its chunk
+// types go to a caller-owned ShardedCollector (collector.go): leaf
+// collectors absorb their shard on their own goroutines and publish
+// sealed partials, and a root fuses them into the snapshot readers are
+// served — work a run with no reader would only throw away.
+// Options.Symbols shares one field-name symbol table across all
+// workers.
 package infer

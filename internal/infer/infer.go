@@ -1,12 +1,10 @@
 // infer.go holds the map phase (TypeOf) and the materialised-collection
-// engines; the token-only streamed engines live in tokens.go and their
-// chunking stage in chunking.go.
+// engines; the streamed engine lives in tokens.go and its chunking stage
+// in chunking.go.
 
 package infer
 
 import (
-	"errors"
-	"io"
 	"runtime"
 	"sync"
 
@@ -21,40 +19,7 @@ import (
 // per-batch overhead vanishes against typing cost.
 const DefaultBatch = 256
 
-// Tokenizer selects the lexing machinery of the streamed parallel
-// engine.
-type Tokenizer uint8
-
-const (
-	// TokenizerMison — the zero value, and therefore the streamed
-	// default — is the structural-index fast path: mison.Chunker finds
-	// chunk boundaries through the string/depth bitmaps and
-	// mison.TokenSource lexes chunks positionally, falling back to the
-	// reference lexer per chunk (index rejection) and per token (dirty
-	// strings, fancy numbers, malformed constructs) so results stay
-	// byte-identical to TokenizerScan's. It soaked behind the scan
-	// default while the equivalence suite and fuzz targets pinned it;
-	// it is faster on string-heavy data and never slower.
-	TokenizerMison Tokenizer = iota
-	// TokenizerScan is the reference path, kept selectable as the
-	// fallback and the A/B baseline: the byte-at-a-time splitter finds
-	// chunk boundaries and jsontext.TokenReader lexes chunks.
-	TokenizerScan
-)
-
-// String names the tokenizer.
-func (t Tokenizer) String() string {
-	switch t {
-	case TokenizerScan:
-		return "scan"
-	case TokenizerMison:
-		return "mison"
-	default:
-		return "unknown"
-	}
-}
-
-// MapMode selects the map phase of the streamed token engines.
+// MapMode selects the map phase of the streamed engine.
 type MapMode uint8
 
 const (
@@ -64,21 +29,13 @@ const (
 	// ever materialised, so the map phase of a worker in steady state
 	// allocates nothing.
 	MapFused MapMode = iota
-	// MapReference materialises the canonical per-document type through
-	// a scratch accumulator and folds it into the chunk accumulator —
-	// the old map discipline, kept selectable as the A/B equivalence
-	// baseline (the same pattern as TokenizerScan).
-	MapReference
 	// MapIndexed absorbs each document straight off mison's structural
 	// index (AbsorbFromIndex): object fields are walked
 	// span-at-a-time from the leveled colon lists, so separator tokens
 	// are never materialised at all. Records the index cannot certify
 	// fall back to the token walker per record, and chunks the index
 	// rejects outright fall back whole, so schemas, counts and errors
-	// are byte-identical to MapFused's. All streamed engines honour it:
-	// the parallel engines index per worker chunk, and the sequential
-	// ones buffer document-aligned chunks through the same index-driven
-	// loop into one accumulator.
+	// are byte-identical to MapFused's.
 	MapIndexed
 )
 
@@ -87,8 +44,6 @@ func (m MapMode) String() string {
 	switch m {
 	case MapFused:
 		return "fused"
-	case MapReference:
-		return "refmap"
 	case MapIndexed:
 		return "indexed"
 	default:
@@ -101,18 +56,14 @@ type Options struct {
 	// Equiv is the merge equivalence: typelang.EquivKind (K) or
 	// typelang.EquivLabel (L). The zero value is K.
 	Equiv typelang.Equiv
-	// Workers bounds parallel workers in InferParallel and
-	// InferStreamParallel; 0 means GOMAXPROCS.
+	// Workers bounds parallel workers in InferParallel and the streamed
+	// engine; 0 means GOMAXPROCS.
 	Workers int
 	// Batch is the number of documents per work unit in the batched and
 	// parallel engines; 0 means DefaultBatch.
 	Batch int
-	// Tokenizer picks the streamed parallel engine's lexing machinery;
-	// the zero value is TokenizerMison (TokenizerScan is the reference
-	// fallback).
-	Tokenizer Tokenizer
-	// Map picks the streamed engines' map phase; the zero value is
-	// MapFused (MapReference is the per-document-type A/B baseline).
+	// Map picks the streamed engine's map phase; the zero value is
+	// MapFused.
 	Map MapMode
 	// ChunkBytes, when positive, switches the chunking stage to a byte
 	// target: chunks are emitted at the first document boundary at or
@@ -279,84 +230,6 @@ func InferParallel(docs []*jsonvalue.Value, opts Options) *typelang.Type {
 	return mergeTree(<-partials, opts.Equiv)
 }
 
-// InferStreamDOM types values from a streaming decoder without
-// materialising the collection, returning the inferred type and the
-// number of documents consumed. Like Infer it reduces in batches; on a
-// decode error the returned type covers every document decoded so far.
-//
-// It materialises one value tree per document and is kept as the DOM
-// baseline; InferStream types straight from tokens and is strictly
-// cheaper when only the schema is needed.
-func InferStreamDOM(dec *jsontext.Decoder, opts Options) (*typelang.Type, int, error) {
-	acc := typelang.Bottom
-	n := 0
-	batchSize := opts.batch()
-	var buf []*typelang.Type
-	batch := make([]*jsonvalue.Value, 0, batchSize)
-	for {
-		v, err := dec.Decode()
-		if err != nil {
-			acc, _ = foldBatch(acc, batch, buf, opts)
-			if errors.Is(err, io.EOF) {
-				err = nil
-			}
-			return acc, n, err
-		}
-		batch = append(batch, v)
-		n++
-		if len(batch) == batchSize {
-			acc, buf = foldBatch(acc, batch, buf, opts)
-			batch = batch[:0]
-		}
-	}
-}
-
-// InferStreamParallelDOM overlaps decoding with typing: the caller's
-// goroutine decodes batches of documents into a bounded queue while the
-// worker pool types and reduces them. Decoding to value trees happens on
-// the single feeding goroutine, which is exactly the sequential
-// bottleneck the token engine (InferStreamParallel) removes; this
-// variant is kept as the measured DOM baseline.
-//
-// It returns the type of every successfully decoded document and the
-// number of documents typed. On a decode error the stream stops there
-// and the partial result is returned alongside the error, mirroring
-// InferStreamDOM.
-func InferStreamParallelDOM(dec *jsontext.Decoder, opts Options) (*typelang.Type, int, error) {
-	workers := opts.workers()
-	if workers <= 1 {
-		return InferStreamDOM(dec, opts)
-	}
-	batchSize := opts.batch()
-	work := make(chan []*jsonvalue.Value, 2*workers)
-	partials := startWorkers(work, workers, opts)
-	var (
-		n    int
-		derr error
-	)
-	batch := make([]*jsonvalue.Value, 0, batchSize)
-	for {
-		v, err := dec.Decode()
-		if err != nil {
-			if !errors.Is(err, io.EOF) {
-				derr = err
-			}
-			break
-		}
-		batch = append(batch, v)
-		n++
-		if len(batch) == batchSize {
-			work <- batch
-			batch = make([]*jsonvalue.Value, 0, batchSize)
-		}
-	}
-	if len(batch) > 0 {
-		work <- batch
-	}
-	close(work)
-	return mergeTree(<-partials, opts.Equiv), n, derr
-}
-
 // startWorkers launches the reduce pool: each worker folds the batches
 // it pulls from work into its own partial type. The per-worker partials
 // are delivered on the returned channel once work is closed and
@@ -409,22 +282,4 @@ func mergeTree(ts []*typelang.Type, e typelang.Equiv) *typelang.Type {
 		return typelang.Bottom
 	}
 	return ts[0]
-}
-
-// InferSample infers from a deterministic 1-in-stride subsample, the
-// analogue of the samplingRatio knob on Spark's JSON source: trade
-// schema completeness for a cheaper pass. stride <= 1 means every
-// document. Rare variants absent from the sample are, by construction,
-// absent from the schema — callers validate accordingly.
-func InferSample(docs []*jsonvalue.Value, stride int, opts Options) (*typelang.Type, int) {
-	if stride <= 1 {
-		return Infer(docs, opts), len(docs)
-	}
-	acc := typelang.Bottom
-	sampled := 0
-	for i := 0; i < len(docs); i += stride {
-		acc = typelang.Merge(acc, TypeOf(docs[i], opts.Equiv), opts.Equiv)
-		sampled++
-	}
-	return acc, sampled
 }

@@ -167,31 +167,18 @@ func TestInferStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	if n != 100 {
-		t.Errorf("token stream consumed %d docs, want 100", n)
+		t.Errorf("stream consumed %d docs, want 100", n)
 	}
 	if !typelang.Equal(ty, want) {
-		t.Error("token stream inference differs from batch")
-	}
-
-	dec := jsontext.NewDecoder(strings.NewReader(string(data)))
-	ty, n, err = InferStreamDOM(dec, Options{Equiv: typelang.EquivLabel})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 100 {
-		t.Errorf("DOM stream consumed %d docs, want 100", n)
-	}
-	if !typelang.Equal(ty, want) {
-		t.Error("DOM stream inference differs from batch")
+		t.Error("streamed inference differs from batch")
 	}
 }
 
 func TestInferEnginesEquivalent(t *testing.T) {
-	// Every entry point — sequential fold, work-queue parallel, DOM
-	// streaming, and token streaming — must agree exactly (types and
-	// counts), across collection sizes that exercise every queue shape:
-	// empty input, one document, fewer documents than workers, a partial
-	// final batch.
+	// Every entry point — sequential fold, work-queue parallel and the
+	// streamed engine — must agree exactly (types and counts), across
+	// collection sizes that exercise every queue shape: empty input, one
+	// document, fewer documents than workers, a partial final batch.
 	g := genjson.Twitter{Seed: 42}
 	for _, n := range []int{0, 1, 3, 100, 513} {
 		docs := genjson.Collection(g, n)
@@ -205,25 +192,15 @@ func TestInferEnginesEquivalent(t *testing.T) {
 					if !typelang.Equal(seq, par) || seq.StringCounted() != par.StringCounted() {
 						t.Errorf("n=%d equiv=%v workers=%d batch=%d: InferParallel diverges", n, e, workers, batch)
 					}
-					st, m, err := InferStreamParallelDOM(jsontext.NewDecoder(strings.NewReader(string(data))), opts)
+					tk, m, err := InferStream(strings.NewReader(string(data)), opts)
 					if err != nil {
 						t.Fatalf("n=%d equiv=%v workers=%d batch=%d: %v", n, e, workers, batch, err)
 					}
 					if m != n {
-						t.Errorf("n=%d: DOM stream consumed %d docs", n, m)
-					}
-					if !typelang.Equal(seq, st) || seq.StringCounted() != st.StringCounted() {
-						t.Errorf("n=%d equiv=%v workers=%d batch=%d: InferStreamParallelDOM diverges", n, e, workers, batch)
-					}
-					tk, m, err := InferStreamParallel(strings.NewReader(string(data)), opts)
-					if err != nil {
-						t.Fatalf("n=%d equiv=%v workers=%d batch=%d: %v", n, e, workers, batch, err)
-					}
-					if m != n {
-						t.Errorf("n=%d: token stream consumed %d docs", n, m)
+						t.Errorf("n=%d: stream consumed %d docs", n, m)
 					}
 					if !typelang.Equal(seq, tk) || seq.StringCounted() != tk.StringCounted() {
-						t.Errorf("n=%d equiv=%v workers=%d batch=%d: InferStreamParallel diverges", n, e, workers, batch)
+						t.Errorf("n=%d equiv=%v workers=%d batch=%d: InferStream diverges", n, e, workers, batch)
 					}
 				}
 			}
@@ -231,7 +208,7 @@ func TestInferEnginesEquivalent(t *testing.T) {
 	}
 }
 
-func TestInferStreamParallelDecodeError(t *testing.T) {
+func TestInferStreamDecodeError(t *testing.T) {
 	// A malformed document mid-stream stops the pipeline: the error
 	// propagates with its absolute stream offset, and the partial result
 	// covers exactly the documents decoded before it — work done on
@@ -246,7 +223,7 @@ func TestInferStreamParallelDecodeError(t *testing.T) {
 	for _, workers := range []int{1, 2, 4, 6} {
 		opts := Options{Equiv: typelang.EquivLabel, Workers: workers, Batch: 3}
 		for _, input := range inputKinds {
-			ty, n, err := inferStreamParallelOver(input, []byte(b.String()), opts)
+			ty, n, err := inferStreamOver(input, []byte(b.String()), opts)
 			if err == nil {
 				t.Fatal("expected decode error")
 			}
@@ -267,20 +244,17 @@ func TestInferStreamParallelDecodeError(t *testing.T) {
 	}
 }
 
-func TestInferStreamParallelEmptyInput(t *testing.T) {
-	ty, n, err := InferStreamParallel(strings.NewReader(""), Options{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 0 || ty.Kind != typelang.KBottom {
-		t.Errorf("empty stream inferred %v over %d docs, want Bottom over 0", ty, n)
-	}
-	ty, n, err = InferStreamParallelDOM(jsontext.NewDecoder(strings.NewReader("")), Options{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 0 || ty.Kind != typelang.KBottom {
-		t.Errorf("empty DOM stream inferred %v over %d docs, want Bottom over 0", ty, n)
+func TestInferStreamEmptyInput(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		for _, input := range inputKinds {
+			ty, n, err := inferStreamOver(input, nil, Options{Workers: workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n != 0 || ty.Kind != typelang.KBottom {
+				t.Errorf("workers=%d %s: empty stream inferred %v over %d docs, want Bottom over 0", workers, input, ty, n)
+			}
+		}
 	}
 }
 
@@ -326,48 +300,5 @@ func TestKSchemaSmallerThanL(t *testing.T) {
 	}
 	if l.Size() >= input/4 {
 		t.Errorf("L schema size %d not ≪ input size %d", l.Size(), input)
-	}
-}
-
-func TestInferSample(t *testing.T) {
-	docs := genjson.Collection(genjson.GitHub{Seed: 99}, 600)
-	full := Infer(docs, Options{Equiv: typelang.EquivKind})
-	sampled, n := InferSample(docs, 10, Options{Equiv: typelang.EquivKind})
-	if n != 60 {
-		t.Errorf("sampled %d docs, want 60", n)
-	}
-	// The sample's schema is subsumed by the full schema.
-	if !typelang.Subtype(sampled, full) {
-		t.Error("sampled schema should be a subtype of the full schema")
-	}
-	// On this homogeneous-enough collection the sizes are close.
-	if sampled.Size() > full.Size() {
-		t.Errorf("sampled size %d > full size %d", sampled.Size(), full.Size())
-	}
-	// stride <= 1 degenerates to full inference.
-	whole, n2 := InferSample(docs, 1, Options{Equiv: typelang.EquivKind})
-	if n2 != len(docs) || !typelang.Equal(whole, full) {
-		t.Error("stride 1 should equal full inference")
-	}
-}
-
-func TestInferSampleMissesRareVariants(t *testing.T) {
-	// A rare field present in ~1/200 docs is likely missed at 1-in-50
-	// sampling — the documented trade-off.
-	var docs []*jsonvalue.Value
-	for i := 0; i < 400; i++ {
-		if i == 117 || i == 301 {
-			docs = append(docs, jsontext.MustParse(`{"a": 1, "rare": true}`))
-		} else {
-			docs = append(docs, jsontext.MustParse(`{"a": 1}`))
-		}
-	}
-	sampled, _ := InferSample(docs, 50, Options{Equiv: typelang.EquivKind})
-	if _, ok := sampled.Get("rare"); ok {
-		t.Skip("sample happened to include a rare doc (stride aligned)")
-	}
-	// The sampled schema rejects the rare documents.
-	if sampled.Matches(jsontext.MustParse(`{"a": 1, "rare": true}`)) {
-		t.Error("schema without the rare field should reject it (closed records)")
 	}
 }

@@ -1,0 +1,144 @@
+package infer
+
+import (
+	"bytes"
+	"errors"
+	"fmt"
+	"io"
+	"os"
+	"path/filepath"
+	"testing"
+
+	"repro/internal/jsontext"
+	"repro/internal/typelang"
+)
+
+// This file holds the one reference every identity and error sweep
+// compares the streamed engine against, and the sweep itself.
+
+// oracle is the independent reference: the DOM decoder materialises
+// each document, TypeOf types it, and one MergeAll folds the collection
+// — no chunking, no tokens, no accumulator. It returns the type and
+// count of the documents before the decoder's first error, and that
+// error (a *jsontext.SyntaxError carries its absolute offset).
+func oracle(data []byte, e typelang.Equiv) (*typelang.Type, int, error) {
+	dec := jsontext.NewDecoder(bytes.NewReader(data))
+	var ts []*typelang.Type
+	for {
+		v, err := dec.Decode()
+		if err != nil {
+			if errors.Is(err, io.EOF) {
+				err = nil
+			}
+			return typelang.MergeAll(ts, e), len(ts), err
+		}
+		ts = append(ts, TypeOf(v, e))
+	}
+}
+
+// The axes of the production engine: every sweep covers their product.
+var (
+	sweepEquivs  = []typelang.Equiv{typelang.EquivKind, typelang.EquivLabel}
+	sweepWorkers = []int{1, 2, 4, 8}
+	sweepMaps    = []MapMode{MapFused, MapIndexed}
+	inputKinds   = []string{"reader", "bytes"}
+)
+
+// inferStreamOver runs the engine over data as the named input kind.
+func inferStreamOver(input string, data []byte, opts Options) (*typelang.Type, int, error) {
+	if input == "bytes" {
+		return InferStreamBytes(data, opts)
+	}
+	return InferStream(bytes.NewReader(data), opts)
+}
+
+func syntaxOffset(err error) int {
+	var se *jsontext.SyntaxError
+	if errors.As(err, &se) {
+		return se.Offset
+	}
+	return -1
+}
+
+// assertMatchesOracle runs the engine over data under every
+// equivalence, worker count, map phase and input kind, once per
+// chunking (only Batch and ChunkBytes of a chunking are read; none
+// means the default), and demands the oracle's outcome over the same
+// bytes each time.
+func assertMatchesOracle(t *testing.T, label string, data []byte, chunkings ...Options) {
+	t.Helper()
+	if len(chunkings) == 0 {
+		chunkings = []Options{{}}
+	}
+	for _, e := range sweepEquivs {
+		want, wantN, wantErr := oracle(data, e)
+		for _, ck := range chunkings {
+			ck.Equiv = e
+			assertEngineYields(t, label, data, ck, sweepWorkers, want, wantN, wantErr)
+		}
+	}
+}
+
+// assertEngineYields runs the engine over data with base's equivalence
+// and chunking under every given worker count, map phase and input
+// kind, and demands the given outcome each time: the same schema in
+// plain and counted rendering, the same document count and — on
+// malformed input — the same error message and absolute offset, with
+// type and count covering exactly the documents before it.
+func assertEngineYields(t *testing.T, label string, data []byte, base Options, workers []int, want *typelang.Type, wantN int, wantErr error) {
+	t.Helper()
+	for _, w := range workers {
+		for _, mm := range sweepMaps {
+			for _, input := range inputKinds {
+				opts := Options{Equiv: base.Equiv, Workers: w, Map: mm, Batch: base.Batch, ChunkBytes: base.ChunkBytes}
+				name := fmt.Sprintf("%s/%v/w%d/%v/%s/batch%d/bytes%d", label, opts.Equiv, w, mm, input, opts.Batch, opts.ChunkBytes)
+				got, n, err := inferStreamOver(input, data, opts)
+				if (err == nil) != (wantErr == nil) ||
+					(err != nil && (err.Error() != wantErr.Error() || syntaxOffset(err) != syntaxOffset(wantErr))) {
+					t.Errorf("%s: error %v (offset %d), oracle %v (offset %d)",
+						name, err, syntaxOffset(err), wantErr, syntaxOffset(wantErr))
+				}
+				if n != wantN {
+					t.Errorf("%s: typed %d docs, oracle %d", name, n, wantN)
+				}
+				if want.String() != got.String() || want.StringCounted() != got.StringCounted() {
+					t.Errorf("%s: schema diverges\n oracle: %s\n engine: %s",
+						name, want.StringCounted(), got.StringCounted())
+				}
+			}
+		}
+	}
+}
+
+// forEachFixture calls fn with every checked-in NDJSON fixture.
+func forEachFixture(t *testing.T, fn func(name string, data []byte)) {
+	t.Helper()
+	fixtures, err := filepath.Glob(filepath.Join("..", "..", "testdata", "*.ndjson"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(fixtures) == 0 {
+		t.Fatal("no testdata fixtures found")
+	}
+	for _, name := range fixtures {
+		data, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fn(filepath.Base(name), data)
+	}
+}
+
+// malformedInputs are streams the decoder rejects, with the failure in
+// the first, a middle and the last document, at token and at structure
+// level.
+var malformedInputs = []string{
+	"{\"a\": 1}\n{]\n",
+	"[1, 2\n",
+	"{\"a\": tru}\n",
+	"\"unterminated\n{\"a\": 1}\n",
+	"{\"a\": 1}\n12..5\n{\"b\": 2}\n",
+	"{\"a\": 1}\n{\"s\": \"ctrl\x01\"}\n{\"b\": 2}\n",
+	"{\"a\": [1, {\"b\": 2}, \n",
+	"{\"a\": {\"b\": 1, }}\n",
+}

@@ -27,12 +27,11 @@ import (
 // StatsSnapshot is a point-in-time copy of the pipeline counters — a
 // plain value, safe to aggregate, diff and serialise.
 type StatsSnapshot struct {
-	// ChunksSplit counts document-aligned byte chunks the reader
-	// goroutine emitted to the worker pool.
+	// ChunksSplit counts document-aligned byte chunks the chunking
+	// stage emitted to the map phase.
 	ChunksSplit int64
 	// BytesLexed counts payload bytes handed to the map phase (the sum
-	// of emitted chunk lengths; for the unchunked sequential engine, the
-	// bytes the lexer consumed).
+	// of emitted chunk lengths).
 	BytesLexed int64
 	// DocsAbsorbed counts documents the map phase absorbed into chunk
 	// accumulators — work done, including chunks a later error discards
@@ -62,8 +61,9 @@ type StatsSnapshot struct {
 	// cache misses). Collector tree only: 0 on a one-shot run.
 	RootFuses int64
 	// Seals counts accumulator seals the pipeline performed: one per
-	// worker chunk fold, plus the one-shot run's single final seal or,
-	// in a collector tree, one per leaf publish and one per root fuse.
+	// chunk on a multi-worker run (none at one worker), plus the
+	// one-shot run's single final seal or, in a collector tree, one per
+	// leaf publish and one per root fuse.
 	Seals int64
 	// BytesAliased counts chunk bytes emitted zero-copy — chunks that
 	// alias the caller's buffer (byte-slice engines, mmap'd files)
@@ -89,8 +89,8 @@ type StatsSnapshot struct {
 	// goroutines spend their time", not "what fraction of the wall".
 	ReadNanos   int64 // reader goroutine blocked in io.Reader.Read
 	SplitNanos  int64 // boundary finding (docSplitter.Splits)
-	MapNanos    int64 // workers lexing + absorbing chunks
-	ReduceNanos int64 // committer (one-shot) or collector leaves absorbing committed results, and their seals
+	MapNanos    int64 // workers indexing, lexing, absorbing and sealing chunks
+	ReduceNanos int64 // committer (one-shot) or collector leaves absorbing committed results, and their seals; the one-shot run's final seal at any worker count
 	FuseNanos   int64 // collector root fusing leaf partials (0 on a one-shot run)
 }
 

@@ -15,8 +15,8 @@ import (
 
 // statsOptions is the base configuration of the stats tests: one worker
 // keeps chunk arithmetic deterministic, the equivalence is immaterial.
-func statsOptions(m MapMode, tz Tokenizer, st *PipelineStats) Options {
-	return Options{Equiv: typelang.EquivLabel, Workers: 1, Map: m, Tokenizer: tz, Stats: st}
+func statsOptions(m MapMode, st *PipelineStats) Options {
+	return Options{Equiv: typelang.EquivLabel, Workers: 1, Map: m, Stats: st}
 }
 
 // TestStatsCleanInputPinned pins the flight recorder's counters on
@@ -38,48 +38,35 @@ func TestStatsCleanInputPinned(t *testing.T) {
 	}
 	for name, input := range inputs {
 		docs := int64(strings.Count(input, "\n"))
-		for _, mode := range []MapMode{MapFused, MapIndexed, MapReference} {
-			for _, tz := range []Tokenizer{TokenizerMison, TokenizerScan} {
-				var st PipelineStats
-				_, n, err := InferStreamParallel(strings.NewReader(input), statsOptions(mode, tz, &st))
-				if err != nil {
-					t.Fatalf("%s/%v/%v: %v", name, mode, tz, err)
-				}
-				if int64(n) != docs {
-					t.Fatalf("%s/%v/%v: n=%d, want %d", name, mode, tz, n, docs)
-				}
-				s := st.Snapshot()
-				if s.DocsAbsorbed != docs {
-					t.Errorf("%s/%v/%v: DocsAbsorbed=%d, want %d", name, mode, tz, s.DocsAbsorbed, docs)
-				}
-				if s.BytesLexed != int64(len(input)) {
-					t.Errorf("%s/%v/%v: BytesLexed=%d, want %d", name, mode, tz, s.BytesLexed, len(input))
-				}
-				// One worker + scan + a token map delegates to the
-				// unchunked sequential engine; everything else chunks.
-				sequential := tz == TokenizerScan && mode != MapIndexed
-				if sequential {
-					if s.ChunksSplit != 0 {
-						t.Errorf("%s/%v/%v: ChunksSplit=%d on the sequential path, want 0", name, mode, tz, s.ChunksSplit)
-					}
-				} else if s.ChunksSplit < 1 {
-					t.Errorf("%s/%v/%v: ChunksSplit=%d, want >= 1", name, mode, tz, s.ChunksSplit)
-				}
-				if s.FallbackRecords != 0 || s.ParityRejects != 0 {
-					t.Errorf("%s/%v/%v: fallbacks=%d parity=%d on clean input, want 0/0",
-						name, mode, tz, s.FallbackRecords, s.ParityRejects)
-				}
-				wantIdx := int64(0)
-				if mode == MapIndexed {
-					wantIdx = docs
-				}
-				if s.IndexRecords != wantIdx {
-					t.Errorf("%s/%v/%v: IndexRecords=%d, want %d", name, mode, tz, s.IndexRecords, wantIdx)
-				}
-				// One seal per worker chunk fold plus the final fold seal.
-				if s.Seals < s.ChunksSplit {
-					t.Errorf("%s/%v/%v: Seals=%d < ChunksSplit=%d", name, mode, tz, s.Seals, s.ChunksSplit)
-				}
+		for _, mode := range sweepMaps {
+			var st PipelineStats
+			_, n, err := InferStream(strings.NewReader(input), statsOptions(mode, &st))
+			if err != nil {
+				t.Fatalf("%s/%v: %v", name, mode, err)
+			}
+			if int64(n) != docs {
+				t.Fatalf("%s/%v: n=%d, want %d", name, mode, n, docs)
+			}
+			s := st.Snapshot()
+			if s.DocsAbsorbed != docs {
+				t.Errorf("%s/%v: DocsAbsorbed=%d, want %d", name, mode, s.DocsAbsorbed, docs)
+			}
+			if s.BytesLexed != int64(len(input)) {
+				t.Errorf("%s/%v: BytesLexed=%d, want %d", name, mode, s.BytesLexed, len(input))
+			}
+			if s.ChunksSplit < 1 {
+				t.Errorf("%s/%v: ChunksSplit=%d, want >= 1", name, mode, s.ChunksSplit)
+			}
+			if s.FallbackRecords != 0 || s.ParityRejects != 0 {
+				t.Errorf("%s/%v: fallbacks=%d parity=%d on clean input, want 0/0",
+					name, mode, s.FallbackRecords, s.ParityRejects)
+			}
+			wantIdx := int64(0)
+			if mode == MapIndexed {
+				wantIdx = docs
+			}
+			if s.IndexRecords != wantIdx {
+				t.Errorf("%s/%v: IndexRecords=%d, want %d", name, mode, s.IndexRecords, wantIdx)
 			}
 		}
 	}
@@ -103,7 +90,7 @@ func TestStatsAdversarialCountersPinned(t *testing.T) {
 	t.Run("bad-literal-falls-back", func(t *testing.T) {
 		var st PipelineStats
 		input := `{"a": 1}` + "\n" + `{"a": trve}` + "\n"
-		_, n, err := InferStreamParallel(strings.NewReader(input), statsOptions(MapIndexed, TokenizerMison, &st))
+		_, n, err := InferStream(strings.NewReader(input), statsOptions(MapIndexed, &st))
 		if err == nil {
 			t.Fatal("malformed literal was accepted")
 		}
@@ -125,7 +112,7 @@ func TestStatsAdversarialCountersPinned(t *testing.T) {
 		for _, mode := range []MapMode{MapIndexed, MapFused} {
 			var st PipelineStats
 			input := `{"a": "unterminated` + "\n"
-			_, _, err := InferStreamParallel(strings.NewReader(input), statsOptions(mode, TokenizerMison, &st))
+			_, _, err := InferStream(strings.NewReader(input), statsOptions(mode, &st))
 			if err == nil {
 				t.Fatalf("%v: unterminated string was accepted", mode)
 			}
@@ -139,20 +126,6 @@ func TestStatsAdversarialCountersPinned(t *testing.T) {
 			}
 		}
 	})
-	t.Run("scan-tokenizer-never-parity-rejects", func(t *testing.T) {
-		// The scan tokenizer has no structural index, so the same input
-		// fails with the counter untouched — parity rejection is a
-		// mison-layer concept and must not leak.
-		var st PipelineStats
-		input := `{"a": "unterminated` + "\n"
-		_, _, err := InferStreamParallel(strings.NewReader(input), statsOptions(MapFused, TokenizerScan, &st))
-		if err == nil {
-			t.Fatal("unterminated string was accepted")
-		}
-		if s := st.Snapshot(); s.ParityRejects != 0 {
-			t.Errorf("ParityRejects=%d under the scan tokenizer, want 0", s.ParityRejects)
-		}
-	})
 }
 
 // TestStatsScanDelegationsPinned: escapes and non-plain numbers are the
@@ -160,16 +133,16 @@ func TestStatsAdversarialCountersPinned(t *testing.T) {
 // input delegates nothing.
 func TestStatsScanDelegationsPinned(t *testing.T) {
 	var clean PipelineStats
-	if _, _, err := InferStreamParallel(strings.NewReader(`{"a": 1}`+"\n"),
-		statsOptions(MapIndexed, TokenizerMison, &clean)); err != nil {
+	if _, _, err := InferStream(strings.NewReader(`{"a": 1}`+"\n"),
+		statsOptions(MapIndexed, &clean)); err != nil {
 		t.Fatal(err)
 	}
 	if s := clean.Snapshot(); s.ScanDelegations != 0 {
 		t.Errorf("clean input ScanDelegations=%d, want 0", s.ScanDelegations)
 	}
 	var esc PipelineStats
-	if _, _, err := InferStreamParallel(strings.NewReader(`{"a": "x\ny", "b": 1.5}`+"\n"),
-		statsOptions(MapIndexed, TokenizerMison, &esc)); err != nil {
+	if _, _, err := InferStream(strings.NewReader(`{"a": "x\ny", "b": 1.5}`+"\n"),
+		statsOptions(MapIndexed, &esc)); err != nil {
 		t.Fatal(err)
 	}
 	if s := esc.Snapshot(); s.ScanDelegations < 2 {
@@ -177,13 +150,13 @@ func TestStatsScanDelegationsPinned(t *testing.T) {
 	}
 }
 
-// TestStatsSequentialEngine: the unchunked engine reports through the
-// same recorder — whole stream as one map fold, lexer offset standing
-// in for chunk bytes.
+// TestStatsSequentialEngine pins the one-worker shape at its default
+// chunking: an input below the 4 MiB target is one chunk, absorbed into
+// the run's single accumulator and sealed once.
 func TestStatsSequentialEngine(t *testing.T) {
 	input := strings.Repeat(`{"a": 1, "b": [true, null]}`+"\n", 11)
 	var st PipelineStats
-	_, n, err := InferStream(strings.NewReader(input), Options{Equiv: typelang.EquivLabel, Stats: &st})
+	_, n, err := InferStream(strings.NewReader(input), statsOptions(MapFused, &st))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,10 +168,10 @@ func TestStatsSequentialEngine(t *testing.T) {
 		t.Errorf("BytesLexed=%d, want %d", s.BytesLexed, len(input))
 	}
 	if s.Seals != 1 {
-		t.Errorf("Seals=%d, want exactly 1 (one unchunked fold)", s.Seals)
+		t.Errorf("Seals=%d, want exactly 1 (one accumulator for the run)", s.Seals)
 	}
-	if s.ChunksSplit != 0 {
-		t.Errorf("ChunksSplit=%d, want 0 (no reader goroutine)", s.ChunksSplit)
+	if s.ChunksSplit != 1 {
+		t.Errorf("ChunksSplit=%d, want 1 (the input is below the one-worker byte target)", s.ChunksSplit)
 	}
 }
 
@@ -234,20 +207,24 @@ func TestStatsShardedCollector(t *testing.T) {
 }
 
 // TestStatsOneShotRunSealsOnce pins the shape of the two reduces. A
-// one-shot parallel run has no reader before its end, so it publishes
-// nothing and fuses nothing: one seal per chunk on the workers, one for
-// the committer's accumulator. The registry's feed over the same input
-// still publishes and fuses — its collector serves snapshots.
+// one-shot run has no reader before its end, so it publishes nothing
+// and fuses nothing, and it seals its accumulator once — booked to the
+// reduce clock at every worker count — on top of one seal per chunk on
+// the workers when there are several (one worker absorbs every chunk
+// into the run's accumulator directly). sparse.ndjson has thousands of
+// label sets, so that seal is too long for the clock to miss. The
+// registry's feed over the same input still publishes and fuses — its
+// collector serves snapshots.
 func TestStatsOneShotRunSealsOnce(t *testing.T) {
 	for _, fixture := range []string{"sparse.ndjson", "tweets.ndjson"} {
 		data, err := os.ReadFile(filepath.Join("..", "..", "testdata", fixture))
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, workers := range []int{2, 4} {
+		for _, workers := range []int{1, 4} {
 			for _, input := range inputKinds {
 				var st PipelineStats
-				if _, _, err := inferStreamParallelOver(input, data,
+				if _, _, err := inferStreamOver(input, data,
 					Options{Equiv: typelang.EquivLabel, Workers: workers, Batch: 16, Stats: &st}); err != nil {
 					t.Fatal(err)
 				}
@@ -259,8 +236,15 @@ func TestStatsOneShotRunSealsOnce(t *testing.T) {
 					t.Errorf("%s/w%d/%s: batch_publishes=%d root_fuses=%d fuse=%dns on a one-shot run, want 0/0/0",
 						fixture, workers, input, s.BatchPublishes, s.RootFuses, s.FuseNanos)
 				}
-				if s.Seals != s.ChunksSplit+1 {
-					t.Errorf("%s/w%d/%s: seals=%d, want chunks+1=%d", fixture, workers, input, s.Seals, s.ChunksSplit+1)
+				wantSeals := int64(1)
+				if workers > 1 {
+					wantSeals += s.ChunksSplit
+				}
+				if s.Seals != wantSeals {
+					t.Errorf("%s/w%d/%s: seals=%d, want %d", fixture, workers, input, s.Seals, wantSeals)
+				}
+				if s.ReduceNanos <= 0 {
+					t.Errorf("%s/w%d/%s: reduce clock reads %dns; the final seal belongs to it", fixture, workers, input, s.ReduceNanos)
 				}
 			}
 			var st PipelineStats
@@ -325,7 +309,7 @@ func TestStatsSnapshotMonotoneUnderLoad(t *testing.T) {
 		}
 	}()
 	for i := 0; i < 4; i++ {
-		_, n, err := InferStreamParallel(bytes.NewReader(data), Options{
+		_, n, err := InferStream(bytes.NewReader(data), Options{
 			Equiv: typelang.EquivLabel, Workers: 4, Batch: 16, Map: MapIndexed, Stats: &st,
 		})
 		if err != nil || n != 600 {
@@ -378,7 +362,7 @@ func TestStatsSnapshotArithmetic(t *testing.T) {
 
 	// A nil recorder through the full pipeline: same answer, no stats.
 	input := `{"a": 1}` + "\n"
-	if _, n, err := InferStreamParallel(strings.NewReader(input),
+	if _, n, err := InferStream(strings.NewReader(input),
 		Options{Equiv: typelang.EquivLabel, Workers: 2}); err != nil || n != 1 {
 		t.Fatalf("nil-stats run: n=%d err=%v", n, err)
 	}

@@ -1,11 +1,8 @@
 package infer
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -14,83 +11,18 @@ import (
 	"repro/internal/typelang"
 )
 
-// domInfer is the reference DOM path: parse every document to a value
-// tree, then Infer over the materialised collection.
-func domInfer(t *testing.T, data []byte, e typelang.Equiv) *typelang.Type {
-	t.Helper()
-	docs, err := jsontext.NewDecoder(bytes.NewReader(data)).DecodeAll()
-	if err != nil {
-		t.Fatalf("DOM decode: %v", err)
-	}
-	return Infer(docs, Options{Equiv: e})
-}
-
-// assertTokenMatchesDOM runs the token engines over data at several
-// worker/batch/tokenizer shapes and demands exact agreement with the
-// DOM result: typelang.Equivalent (mutual subtyping) plus identical
-// plain and counted renderings.
-func assertTokenMatchesDOM(t *testing.T, label string, data []byte, ndocs int) {
-	t.Helper()
-	for _, e := range []typelang.Equiv{typelang.EquivKind, typelang.EquivLabel} {
-		want := domInfer(t, data, e)
-		check := func(engine string, got *typelang.Type, n int, err error) {
-			t.Helper()
-			if err != nil {
-				t.Fatalf("%s/%v/%s: %v", label, e, engine, err)
-			}
-			if ndocs >= 0 && n != ndocs {
-				t.Errorf("%s/%v/%s: typed %d docs, want %d", label, e, engine, n, ndocs)
-			}
-			if !typelang.Equivalent(want, got) {
-				t.Errorf("%s/%v/%s: token type not equivalent to DOM type\n dom:   %s\n token: %s",
-					label, e, engine, want, got)
-			}
-			if want.String() != got.String() {
-				t.Errorf("%s/%v/%s: rendering diverges\n dom:   %s\n token: %s",
-					label, e, engine, want, got)
-			}
-			if want.StringCounted() != got.StringCounted() {
-				t.Errorf("%s/%v/%s: counted rendering diverges\n dom:   %s\n token: %s",
-					label, e, engine, want.StringCounted(), got.StringCounted())
-			}
-		}
-		ty, n, err := InferStream(bytes.NewReader(data), Options{Equiv: e})
-		check("sequential", ty, n, err)
-		for _, tz := range []Tokenizer{TokenizerScan, TokenizerMison} {
-			for _, workers := range []int{1, 2, 3, 8} {
-				for _, batch := range []int{0, 1, 5} {
-					ty, n, err := InferStreamParallel(bytes.NewReader(data),
-						Options{Equiv: e, Workers: workers, Batch: batch, Tokenizer: tz})
-					check(fmt.Sprintf("parallel-%v-%d-%d", tz, workers, batch), ty, n, err)
-				}
-			}
-		}
-	}
-}
-
-// TestTokenPathMatchesDOMPathFixtures pins the tentpole's equivalence on
-// every checked-in NDJSON fixture: typing straight from tokens must give
-// the same schema (same rendering, same counts) as decoding to value
-// trees and typing those.
+// TestTokenPathMatchesDOMPathFixtures pins the engine to the oracle on
+// every checked-in fixture under tiny document-count chunks — many
+// chunks per run, so the ordered commit and the per-chunk seals are
+// exercised on every fixture.
 func TestTokenPathMatchesDOMPathFixtures(t *testing.T) {
-	fixtures, err := filepath.Glob(filepath.Join("..", "..", "testdata", "*.ndjson"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(fixtures) == 0 {
-		t.Fatal("no testdata fixtures found")
-	}
-	for _, name := range fixtures {
-		data, err := os.ReadFile(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertTokenMatchesDOM(t, filepath.Base(name), data, -1)
-	}
+	forEachFixture(t, func(name string, data []byte) {
+		assertMatchesOracle(t, name, data, Options{Batch: 1}, Options{Batch: 5})
+	})
 }
 
 // TestTokenPathMatchesDOMPathGenerated sweeps random documents from
-// every generator family across worker and batch shapes.
+// every generator family, at the default chunking and a small one.
 func TestTokenPathMatchesDOMPathGenerated(t *testing.T) {
 	gens := []genjson.Generator{
 		genjson.Twitter{Seed: 71},
@@ -102,9 +34,8 @@ func TestTokenPathMatchesDOMPathGenerated(t *testing.T) {
 		genjson.OpenData{Seed: 77},
 	}
 	for _, g := range gens {
-		docs := genjson.Collection(g, 120)
-		data := jsontext.MarshalLines(docs)
-		assertTokenMatchesDOM(t, g.Name(), data, len(docs))
+		data := jsontext.MarshalLines(genjson.Collection(g, 120))
+		assertMatchesOracle(t, g.Name(), data, Options{}, Options{Batch: 7})
 	}
 }
 
@@ -125,56 +56,41 @@ func TestTokenPathHandlesNonNDJSONLayouts(t *testing.T) {
 		{"blank-lines", "\n\n{\"a\": 1}\n\n\n{\"a\": 2}\n\n", 2},
 	}
 	for _, c := range cases {
-		assertTokenMatchesDOM(t, c.name, []byte(c.input), c.docs)
+		if _, n, err := oracle([]byte(c.input), typelang.EquivKind); err != nil || n != c.docs {
+			t.Fatalf("%s: oracle typed %d docs (err %v), want %d", c.name, n, err, c.docs)
+		}
+		assertMatchesOracle(t, c.name, []byte(c.input), Options{}, Options{Batch: 1})
 	}
 }
 
-// TestTokenPathRejectsWhatDOMRejects: on malformed streams both paths
-// must fail, and the token path — with either tokenizer — must report
-// the same absolute offset the sequential decoder sees.
+// TestTokenPathRejectsWhatDOMRejects is the error sweep at one document
+// per chunk: the failing document sits in a chunk of its own, later
+// chunks are lexed concurrently and must be discarded, and message,
+// absolute offset and committed prefix are the decoder's.
 func TestTokenPathRejectsWhatDOMRejects(t *testing.T) {
-	bad := []string{
-		"{\"a\": 1}\n{]\n",
-		"[1, 2\n",
-		"{\"a\": tru}\n",
-		"\"unterminated\n{\"a\": 1}\n",
-		"{\"a\": 1}\n12..5\n{\"b\": 2}\n",
-		"{\"a\": 1}\n{\"s\": \"ctrl\x01\"}\n{\"b\": 2}\n",
-	}
-	for _, in := range bad {
-		_, _, seqErr := InferStream(strings.NewReader(in), Options{})
-		if seqErr == nil {
-			t.Fatalf("sequential token engine accepted %q", in)
-		}
-		if _, domErr := jsontext.NewDecoder(strings.NewReader(in)).DecodeAll(); domErr == nil {
+	for _, in := range malformedInputs {
+		if _, _, err := oracle([]byte(in), typelang.EquivKind); err == nil {
 			t.Fatalf("DOM decoder accepted %q", in)
 		}
-		for _, tz := range []Tokenizer{TokenizerScan, TokenizerMison} {
-			for _, workers := range []int{2, 4} {
-				_, _, parErr := InferStreamParallel(strings.NewReader(in),
-					Options{Workers: workers, Batch: 1, Tokenizer: tz})
-				if parErr == nil {
-					t.Fatalf("parallel token engine (%v) accepted %q", tz, in)
-				}
-				if so, po := syntaxOffset(seqErr), syntaxOffset(parErr); so != po {
-					t.Errorf("%q (%v): parallel error offset %d, sequential %d", in, tz, po, so)
-				}
-			}
-		}
+		assertMatchesOracle(t, fmt.Sprintf("%q", in), []byte(in), Options{Batch: 1})
 	}
 }
 
-func syntaxOffset(err error) int {
-	if se, ok := err.(*jsontext.SyntaxError); ok {
-		return se.Offset
+// typeFromTokens types exactly one JSON value through the token walker:
+// absorb into a fresh accumulator and seal (the MergeAll of one
+// document is the document's type).
+func typeFromTokens(in string, e typelang.Equiv) (*typelang.Type, error) {
+	acc := typelang.NewAccum(e)
+	if err := AbsorbFromTokens(jsontext.NewTokenReaderBytes([]byte(in)), acc); err != nil {
+		return nil, err
 	}
-	return -1
+	return acc.Seal(), nil
 }
 
-// TestTypeFromTokensMatchesTypeOf is the single-document map-phase
-// equivalence: for a spread of tricky documents, TypeFromTokens must
+// TestAbsorbFromTokensMatchesTypeOf is the single-document map-phase
+// equivalence: for a spread of tricky documents, the token walker must
 // produce exactly TypeOf's counted type.
-func TestTypeFromTokensMatchesTypeOf(t *testing.T) {
+func TestAbsorbFromTokensMatchesTypeOf(t *testing.T) {
 	cases := []string{
 		`null`, `true`, `false`, `0`, `-0`, `3`, `3.5`, `1e2`, `1.5e-1`,
 		`9007199254740993`, `123456789012345678901234567890`,
@@ -187,20 +103,20 @@ func TestTypeFromTokensMatchesTypeOf(t *testing.T) {
 	for _, in := range cases {
 		for _, e := range []typelang.Equiv{typelang.EquivKind, typelang.EquivLabel} {
 			want := TypeOf(jsontext.MustParse(in), e)
-			got, err := TypeFromTokens(jsontext.NewTokenReaderBytes([]byte(in)), e)
+			got, err := typeFromTokens(in, e)
 			if err != nil {
-				t.Fatalf("TypeFromTokens(%s): %v", in, err)
+				t.Fatalf("typeFromTokens(%s): %v", in, err)
 			}
 			if want.StringCounted() != got.StringCounted() {
-				t.Errorf("TypeFromTokens(%s) = %s, TypeOf = %s", in, got.StringCounted(), want.StringCounted())
+				t.Errorf("typeFromTokens(%s) = %s, TypeOf = %s", in, got.StringCounted(), want.StringCounted())
 			}
 		}
 	}
 }
 
-// TestTypeFromTokensWideObject crosses the duplicate-detection threshold
+// TestAbsorbFromTokensWideObject crosses the duplicate-detection threshold
 // (seen map) with duplicates on both sides of it.
-func TestTypeFromTokensWideObject(t *testing.T) {
+func TestAbsorbFromTokensWideObject(t *testing.T) {
 	var b strings.Builder
 	b.WriteByte('{')
 	for i := 0; i < 40; i++ {
@@ -222,7 +138,7 @@ func TestTypeFromTokensWideObject(t *testing.T) {
 	b.WriteByte('}')
 	in := b.String()
 	want := TypeOf(jsontext.MustParse(in), typelang.EquivKind)
-	got, err := TypeFromTokens(jsontext.NewTokenReaderBytes([]byte(in)), typelang.EquivKind)
+	got, err := typeFromTokens(in, typelang.EquivKind)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,38 +168,40 @@ func (f *failingReader) Read(p []byte) (int, error) {
 }
 
 // TestInferStreamIOErrorNotMaskedAsSyntax: when the reader dies mid-
-// document, both engines must report the I/O error, not a syntax error
+// document, the engine must report the I/O error, not a syntax error
 // manufactured by the truncation, and must cover the complete prefix.
 func TestInferStreamIOErrorNotMaskedAsSyntax(t *testing.T) {
 	ioErr := errors.New("connection reset by peer")
 	payload := "{\"a\": 1}\n{\"a\": 2}\n{\"a\": 3}\n{\"a\":"
-	for _, tz := range []Tokenizer{TokenizerScan, TokenizerMison} {
-		for _, workers := range []int{1, 2, 4} {
-			ty, n, err := InferStreamParallel(
+	for _, mm := range sweepMaps {
+		for _, workers := range sweepWorkers {
+			ty, n, err := InferStream(
 				&failingReader{data: []byte(payload), err: ioErr},
-				Options{Workers: workers, Batch: 2, Tokenizer: tz})
+				Options{Workers: workers, Batch: 2, Map: mm})
 			if !errors.Is(err, ioErr) {
-				t.Fatalf("%v/workers=%d: error = %v, want the reader's I/O error", tz, workers, err)
+				t.Fatalf("%v/workers=%d: error = %v, want the reader's I/O error", mm, workers, err)
 			}
 			if n != 3 {
-				t.Errorf("%v/workers=%d: typed %d docs, want the 3 complete ones", tz, workers, n)
+				t.Errorf("%v/workers=%d: typed %d docs, want the 3 complete ones", mm, workers, n)
 			}
 			if got := ty.String(); got != "{a: Int}" {
-				t.Errorf("%v/workers=%d: prefix type = %s", tz, workers, got)
+				t.Errorf("%v/workers=%d: prefix type = %s", mm, workers, got)
 			}
 		}
 	}
 	// A genuine syntax error before the I/O failure still wins: it is
 	// earlier in the stream.
 	bad := "{\"a\": 1}\n{]\n{\"a\": 2}\n"
-	_, n, err := InferStreamParallel(
-		&failingReader{data: []byte(bad), err: ioErr},
-		Options{Workers: 4, Batch: 1})
-	if err == nil || errors.Is(err, ioErr) {
-		t.Fatalf("error = %v, want the syntax error from the malformed document", err)
-	}
-	if n != 1 {
-		t.Errorf("typed %d docs before the syntax error, want 1", n)
+	for _, workers := range sweepWorkers {
+		_, n, err := InferStream(
+			&failingReader{data: []byte(bad), err: ioErr},
+			Options{Workers: workers, Batch: 1})
+		if err == nil || errors.Is(err, ioErr) {
+			t.Fatalf("workers=%d: error = %v, want the syntax error from the malformed document", workers, err)
+		}
+		if n != 1 {
+			t.Errorf("workers=%d: typed %d docs before the syntax error, want 1", workers, n)
+		}
 	}
 }
 

@@ -12,18 +12,17 @@ import (
 	"repro/internal/typelang"
 )
 
-// This file is the token-only inference path: the map phase of the
-// paper's map/reduce needs the *type* of each document, never its value,
-// so documents are typed straight from the lexer's tokens. Since the
-// fused-map refactor it does not even materialise a canonical type per
-// document: AbsorbFromTokens lands each document's structure directly in
-// the worker's chunk accumulator (typelang.Target), so the steady state
-// of a worker — same shapes, chunk after chunk — allocates nothing in
-// the map phase at all. Compared to the DOM path (jsontext.Decoder →
-// TypeOf) it allocates no value nodes, no element slices and no
-// value-string payloads — and because the work queue carries raw byte
-// chunks instead of pre-parsed values, lexing itself runs on every
-// worker instead of serialising on the decoder goroutine.
+// This file is the streamed engine: the token walker that types a
+// document straight from lexer tokens into an accumulator, and the one
+// engine that drives it (and its index-driven twin, index_absorb.go)
+// over document-aligned byte chunks. The map phase of the paper's
+// map/reduce needs the *type* of each document, never its value, so no
+// value tree — and not even a canonical per-document type — is ever
+// built: AbsorbFromTokens lands each document's structure directly in
+// the chunk accumulator (typelang.Target), and the steady state of a
+// worker — same shapes, chunk after chunk — allocates nothing in the map
+// phase at all. Because the work queue carries raw byte chunks, lexing
+// itself runs on every worker.
 
 // AbsorbFromTokens types exactly one JSON value read from tr straight
 // into acc — the fused map phase: the document's structure lands in the
@@ -43,20 +42,6 @@ func AbsorbFromTokens(tr jsontext.TokenSource, acc *typelang.Accum) error {
 		return io.EOF
 	}
 	return absorbValue(tr, tok, acc.Doc(), 0)
-}
-
-// TypeFromTokens types exactly one JSON value read from tr, returning
-// its canonical per-document type — equivalent to jsontext parse
-// followed by TypeOf but with no intermediate value tree. It is the
-// thin compatibility wrapper over AbsorbFromTokens: absorb into a fresh
-// accumulator, seal (the MergeAll of one document is the document's
-// type). The streamed engines use AbsorbFromTokens directly.
-func TypeFromTokens(tr jsontext.TokenSource, e typelang.Equiv) (*typelang.Type, error) {
-	acc := typelang.NewAccum(e)
-	if err := AbsorbFromTokens(tr, acc); err != nil {
-		return nil, err
-	}
-	return acc.Seal(), nil
 }
 
 // absorbValue absorbs the value beginning at tok into dst, pulling the
@@ -210,153 +195,11 @@ func absorbObject(tr jsontext.TokenSource, dst typelang.Target, depth int) error
 	}
 }
 
-// streamFold is the per-worker fold state of the token engines: the
-// chunk accumulator every document is absorbed into — one accumulator
-// per worker for its whole lifetime, Reset (storage-retaining) between
-// chunks, so the steady state types documents of seen shapes without
-// allocating. Under MapReference each document detours through a
-// per-document scratch accumulator and its sealed canonical type, the
-// old map discipline kept selectable as the A/B baseline.
-type streamFold struct {
-	mode MapMode
-	fold *typelang.Accum
-	doc  *typelang.Accum // MapReference only: per-document scratch
-}
-
-func newStreamFold(opts Options) *streamFold {
-	sf := &streamFold{mode: opts.Map, fold: typelang.NewAccum(opts.Equiv)}
-	if sf.mode == MapReference {
-		sf.doc = typelang.NewAccum(opts.Equiv)
-	}
-	return sf
-}
-
-// run types every document on tr, absorbing each into the chunk
-// accumulator, and seals once at the end — the accumulate → seal shape
-// of the reduce. On an error the sealed type covers exactly the
-// documents typed before it (the partial document is discarded: the
-// fused walker aborts its staged frames, and the reference mode's
-// partial document never leaves its scratch accumulator).
-func (sf *streamFold) run(tr jsontext.TokenSource) (*typelang.Type, int, error) {
-	sf.fold.Reset()
-	n := 0
-	for {
-		var err error
-		if sf.mode == MapReference {
-			sf.doc.Reset()
-			if err = AbsorbFromTokens(tr, sf.doc); err == nil {
-				sf.fold.Absorb(sf.doc.Seal())
-			}
-		} else {
-			err = AbsorbFromTokens(tr, sf.fold)
-		}
-		if err != nil {
-			if errors.Is(err, io.EOF) {
-				err = nil
-			}
-			return sf.fold.Seal(), n, err
-		}
-		n++
-	}
-}
-
-// runIndexed is run driving the index-driven walker instead of a token
-// source: every document of the absorber's chunk absorbs straight off
-// the structural index into the chunk accumulator (MapIndexed is
-// always fused — the per-document reference mode has no index
-// variant). Error and partial-type semantics are identical to run's.
-func (sf *streamFold) runIndexed(a *IndexAbsorber) (*typelang.Type, int, error) {
-	sf.fold.Reset()
-	n := 0
-	for {
-		if err := AbsorbFromIndex(a, sf.fold); err != nil {
-			if errors.Is(err, io.EOF) {
-				err = nil
-			}
-			return sf.fold.Seal(), n, err
-		}
-		n++
-	}
-}
-
-// InferStream types every document on r straight from tokens, without
-// materialising values or the collection — the sequential token engine.
-// It returns the inferred type and the number of documents typed; on a
-// syntax or I/O error the returned type covers every document typed
-// before it, and syntax errors carry absolute stream offsets.
-//
-// Map: MapIndexed is honoured: the structural index needs whole byte
-// chunks, so the stream routes through a chunk-buffering loop that
-// absorbs each document-aligned chunk off the index into one shared
-// accumulator, sealed once — still the sequential accumulate → seal
-// shape, with schemas, counts and error offsets byte-identical to the
-// token walk's.
-func InferStream(r io.Reader, opts Options) (*typelang.Type, int, error) {
-	if opts.Map == MapIndexed {
-		opts = sequentialChunkOpts(opts)
-		return inferStreamSequentialChunks(readerChunkSource(r, opts), opts)
-	}
-	tr := jsontext.NewTokenReader(r)
-	tr.SetInternStrings(true)
-	if opts.Symbols != nil {
-		tr.SetSymbolTable(opts.Symbols)
-	}
-	st := opts.Stats
-	start := statsClock(st)
-	t, n, err := newStreamFold(opts).run(tr)
-	if st != nil {
-		// The sequential engine has no chunking; the whole stream is one
-		// map fold sealed once, with the lexer's input offset standing in
-		// for the chunked engines' emitted-bytes count.
-		var frame statsFrame
-		statsSince(st, &frame.MapNanos, start)
-		frame.BytesLexed = int64(tr.InputOffset())
-		frame.DocsAbsorbed = int64(n)
-		frame.Seals = 1
-		frame.ReaderInputs = 1
-		frame.flush(st)
-	}
-	return t, n, err
-}
-
-// InferStreamBytes is InferStream over a caller-owned byte slice — the
-// zero-copy sequential engine. The lexer walks data in place (nothing
-// is buffered or copied; the caller keeps data alive and unmodified for
-// the duration of the call), so a memory-mapped file types at exactly
-// the cost of lexing it. Semantics are byte-identical to
-// InferStream(bytes.NewReader(data), opts): same schema, count, and
-// error offsets.
-func InferStreamBytes(data []byte, opts Options) (*typelang.Type, int, error) {
-	if opts.Map == MapIndexed {
-		opts = sequentialChunkOpts(opts)
-		return inferStreamSequentialChunks(bytesChunkSource(data, opts), opts)
-	}
-	tr := jsontext.NewTokenReaderBytes(data)
-	tr.SetInternStrings(true)
-	if opts.Symbols != nil {
-		tr.SetSymbolTable(opts.Symbols)
-	}
-	st := opts.Stats
-	start := statsClock(st)
-	t, n, err := newStreamFold(opts).run(tr)
-	if st != nil {
-		var frame statsFrame
-		statsSince(st, &frame.MapNanos, start)
-		frame.BytesLexed = int64(tr.InputOffset())
-		// Everything lexed was read in place from the caller's buffer.
-		frame.BytesAliased = frame.BytesLexed
-		frame.DocsAbsorbed = int64(n)
-		frame.Seals = 1
-		frame.flush(st)
-	}
-	return t, n, err
-}
-
-// byteChunk is one work unit of the parallel token engine: a run of
-// whole top-level documents, with the absolute stream offset of its
-// first byte for exact error attribution. Reader-path chunks alias a
-// pooled chunkBuf and hold a reference on it, released by the consumer
-// once the chunk's documents are absorbed; byte-mode chunks alias the
+// byteChunk is one work unit of the streamed engine: a run of whole
+// top-level documents, with the absolute stream offset of its first
+// byte for exact error attribution. Reader-path chunks alias a pooled
+// chunkBuf and hold a reference on it, released by the consumer once
+// the chunk's documents are absorbed; byte-mode chunks alias the
 // caller's buffer and carry no reference (buf is nil, release a no-op).
 type byteChunk struct {
 	index int
@@ -365,27 +208,221 @@ type byteChunk struct {
 	buf   *chunkBuf
 }
 
-// chunkSource drives the chunking stage of a streamed engine: it calls
-// emit once per document-aligned chunk, in stream order, stopping when
-// emit reports false, and returns the input's read error (nil for
-// in-memory sources). The two implementations are the pooled io.Reader
-// splitter and the zero-copy byte splitter; everything downstream —
-// workers, committer, the sequential indexed loop — is shared.
-type chunkSource func(emit func(byteChunk) bool) error
+// chunkSource drives the chunking stage of a streamed run: it calls
+// emit once per document-aligned chunk cut to targets, in stream order,
+// stopping when emit reports false, and returns the input's read error
+// (nil for in-memory sources). The two implementations are the pooled
+// io.Reader splitter and the zero-copy byte splitter; everything
+// downstream is shared.
+type chunkSource func(targets chunkTargets, st *PipelineStats, emit func(byteChunk) bool) error
 
 // readerChunkSource chunks r through readChunks' pooled buffers.
-func readerChunkSource(r io.Reader, opts Options) chunkSource {
-	return func(emit func(byteChunk) bool) error {
-		return readChunks(r, opts.chunkTargets(), newSplitter(opts.Tokenizer), opts.Stats, emit)
+func readerChunkSource(r io.Reader) chunkSource {
+	return func(targets chunkTargets, st *PipelineStats, emit func(byteChunk) bool) error {
+		return readChunks(r, targets, mison.NewChunker(), st, emit)
 	}
 }
 
 // bytesChunkSource chunks a caller-owned slice zero-copy through
 // splitChunksBytes.
-func bytesChunkSource(data []byte, opts Options) chunkSource {
-	return func(emit func(byteChunk) bool) error {
-		return splitChunksBytes(data, opts.chunkTargets(), newSplitter(opts.Tokenizer), opts.Stats, emit)
+func bytesChunkSource(data []byte) chunkSource {
+	return func(targets chunkTargets, st *PipelineStats, emit func(byteChunk) bool) error {
+		return splitChunksBytes(data, targets, mison.NewChunker(), st, emit)
 	}
+}
+
+// chunkMapper is the map phase of one worker: the lexers a chunk can go
+// through, wired once to the run's symbol table, and the stats frame the
+// worker records into. It is the only place the per-chunk fallback
+// ladder is written; both run shapes drive it.
+type chunkMapper struct {
+	ia    *IndexAbsorber        // nil unless Options.Map is MapIndexed
+	ms    *mison.TokenSource    // the default lexer
+	tr    *jsontext.TokenReader // reference lexer, for chunks the index rejects
+	st    *PipelineStats
+	frame statsFrame
+}
+
+func newChunkMapper(opts Options) *chunkMapper {
+	m := &chunkMapper{ms: mison.NewTokenSource(), tr: jsontext.NewTokenReaderBytes(nil), st: opts.Stats}
+	m.ms.SetInternStrings(true)
+	m.tr.SetInternStrings(true)
+	if opts.Map == MapIndexed {
+		m.ia = NewIndexAbsorber()
+		m.ia.SetInternStrings(true)
+	}
+	if opts.Symbols != nil {
+		m.ms.SetSymbolTable(opts.Symbols)
+		m.tr.SetSymbolTable(opts.Symbols)
+		if m.ia != nil {
+			m.ia.SetSymbolTable(opts.Symbols)
+		}
+	}
+	return m
+}
+
+// absorb absorbs every document of ch into acc and releases the chunk:
+// off the structural index under MapIndexed (records the index cannot
+// certify fall back to the token walker inside AbsorbFromIndex),
+// through the mison token source otherwise, and through the reference
+// lexer when the structural index rejects the chunk outright (odd quote
+// parity, unbalanced nesting) — that lexer then reports the
+// authoritative error for whatever is wrong. It returns the number of
+// documents absorbed and the first error; acc then holds exactly the
+// documents before it (a failed document's staged frames are aborted).
+func (m *chunkMapper) absorb(ch byteChunk, acc *typelang.Accum) (int, error) {
+	m.frame.BytesLexed += int64(len(ch.data))
+	start := statsClock(m.st)
+	var (
+		n   int
+		err error
+	)
+	if m.ia != nil && m.ia.Reset(ch.data, ch.base) == nil {
+		for err = AbsorbFromIndex(m.ia, acc); err == nil; err = AbsorbFromIndex(m.ia, acc) {
+			n++
+		}
+		idx, fb := m.ia.TakeRecordCounts()
+		m.frame.IndexRecords += idx
+		m.frame.FallbackRecords += fb
+		m.frame.ScanDelegations += m.ia.TakeScanDelegations()
+	} else {
+		var src jsontext.TokenSource = m.ms
+		rejected := m.ia != nil
+		if m.ms.Reset(ch.data, ch.base) != nil {
+			rejected = true
+			m.tr.ResetBytes(ch.data, ch.base)
+			src = m.tr
+		}
+		if rejected {
+			// One reject per chunk, however many index layers bounced
+			// it before the token path took over.
+			m.frame.ParityRejects++
+		}
+		for err = AbsorbFromTokens(src, acc); err == nil; err = AbsorbFromTokens(src, acc) {
+			n++
+		}
+		m.frame.ScanDelegations += m.ms.TakeDelegations()
+	}
+	statsSince(m.st, &m.frame.MapNanos, start)
+	ch.buf.release()
+	m.frame.DocsAbsorbed += int64(n)
+	if errors.Is(err, io.EOF) {
+		err = nil
+	}
+	return n, err
+}
+
+// seal seals acc, counting the seal and booking its time to *clock.
+func (f *statsFrame) seal(acc *typelang.Accum, st *PipelineStats, clock *int64) *typelang.Type {
+	start := statsClock(st)
+	t := acc.Seal()
+	statsSince(st, clock, start)
+	f.Seals++
+	return t
+}
+
+// InferStream infers the type of every document on r (NDJSON,
+// concatenated or pretty-printed JSON) without materialising values or
+// the collection, returning it with the number of documents typed. The
+// input is split into runs of whole documents and each run is lexed and
+// absorbed straight into a typelang.Accum (see chunkMapper.absorb for
+// the lexer ladder and Options.Map for the two map phases).
+//
+// Options.Workers decides the shape of the run, and nothing else
+// depends on it: schema, count and errors are identical at every
+// worker count. With one worker there is no parallelism to buy, so the
+// chunks — large ones, they only amortise lexer resets — are absorbed
+// one after another into the run's single accumulator. With more, the
+// source goroutine only finds chunk boundaries while the workers lex
+// and absorb chunks in parallel, each sealing its chunk's type, and a
+// committer absorbs those types in stream order into the run's
+// accumulator. Either way the accumulator is sealed once, at the end.
+//
+// On a malformed document the error carries its absolute stream offset,
+// and the returned type and count cover exactly the documents before it
+// — work done on later chunks is discarded. A read error from r wins
+// over a syntax error in the chunk it truncated.
+func InferStream(r io.Reader, opts Options) (*typelang.Type, int, error) {
+	return run(readerChunkSource(r), opts)
+}
+
+// InferStreamBytes is InferStream over a caller-owned byte slice — the
+// zero-copy entry point. Chunks alias data (no pending array, no
+// compaction, no per-chunk allocation) and are lexed where they sit, so
+// a memory-mapped file streams through without ever being copied. The
+// caller keeps data alive and unmodified until the call returns.
+// Schema, count and error offsets are identical to InferStream's over a
+// reader of the same bytes.
+func InferStreamBytes(data []byte, opts Options) (*typelang.Type, int, error) {
+	return run(bytesChunkSource(data), opts)
+}
+
+// run is the one-shot engine behind both entry points. A one-shot run
+// has no reader before its end, so its reduce is one accumulator sealed
+// once, whichever shape fills it (the snapshot-serving collector tree
+// is InferStreamInto's, for the registry).
+func run(source chunkSource, opts Options) (*typelang.Type, int, error) {
+	st := opts.Stats
+	var (
+		frame statsFrame
+		n     int
+		err   error
+	)
+	acc := typelang.NewAccum(opts.Equiv)
+	if opts.workers() <= 1 {
+		n, err = absorbChunks(source, opts, acc)
+	} else {
+		n, err = pipeChunks(source, opts, func(ts []*typelang.Type, _ int) {
+			start := statsClock(st)
+			for _, t := range ts {
+				acc.Absorb(t)
+			}
+			statsSince(st, &frame.ReduceNanos, start)
+		})
+	}
+	t := frame.seal(acc, st, &frame.ReduceNanos)
+	frame.flush(st)
+	return t, n, err
+}
+
+// InferStreamInto is InferStream folding into a caller-owned collector
+// tree instead of a fresh accumulator: committed chunk types are handed
+// to col in stream order (batched — one channel send per commit batch)
+// and the collector is left open, which is what lets a long-lived
+// accumulator (a registry collection) absorb many streams —
+// concurrently, even — into one monotonically-growing schema. It
+// returns the number of documents committed and the first error, with
+// exactly InferStream's error semantics: on a malformed document the
+// committed documents are precisely those before it. The caller flushes
+// or closes col to observe the result.
+func InferStreamInto(r io.Reader, opts Options, col *ShardedCollector) (int, error) {
+	return pipeChunks(readerChunkSource(r), opts, func(ts []*typelang.Type, docs int) {
+		col.AddBatch(ts, int64(docs))
+	})
+}
+
+// absorbChunks is the one-worker shape of the engine: the source's
+// chunks are absorbed synchronously, one after another, into acc — no
+// per-chunk seal, no reduce of chunk types. Processing stops at the
+// first error, which makes the errored chunk the last one the source
+// emitted, so a read failure wins over it exactly as in pipeChunks.
+func absorbChunks(source chunkSource, opts Options, acc *typelang.Accum) (int, error) {
+	m := newChunkMapper(opts)
+	var (
+		total  int
+		docErr error
+	)
+	rerr := source(opts.sequentialChunkTargets(), opts.Stats, func(ch byteChunk) bool {
+		n, err := m.absorb(ch, acc)
+		m.frame.flush(opts.Stats)
+		total += n
+		docErr = err
+		return err == nil
+	})
+	if rerr != nil {
+		docErr = rerr
+	}
+	return total, docErr
 }
 
 // chunkResult is what a worker makes of one chunk: the merged type of
@@ -398,142 +435,26 @@ type chunkResult struct {
 	err   error
 }
 
-// InferStreamParallel overlaps chunking with lexing AND typing: the
-// reader goroutine only splits the stream into runs of whole documents
-// (boundary finding never lands inside a document even for multi-line
-// layouts), and the workers do everything else — lex, type, and reduce
-// — in parallel. This is the engine change that makes decode throughput
-// scale with workers: the old pipeline parsed full value trees on one
-// goroutine and parallelised only the typing.
-//
-// Options.Tokenizer picks the lexing machinery: TokenizerMison (the
-// default) finds chunk boundaries with mison.Chunker's structural
-// bitmaps and lexes chunks through mison.TokenSource, falling back to
-// the reference lexer on any chunk the structural index rejects;
-// TokenizerScan walks every byte through the reference lexer.
-// Options.Map picks the map phase: MapFused (the default) absorbs
-// documents straight into the worker's chunk accumulator, MapReference
-// materialises the per-document canonical type first. All combinations
-// produce identical schemas, counts and errors.
-//
-// Chunk results are committed in stream order, so the outcome is exact:
-// the returned type and document count are identical to InferStream's,
-// and on a malformed document the error (with absolute offset) plus the
-// count cover precisely the documents before it — work done on later
-// chunks is discarded. The committer goroutine absorbs the committed
-// chunk types into a single accumulator and seals it once at the end of
-// the stream: one reduce, one result.
-//
-// With a single worker there is no parallelism to buy, so the entry
-// point delegates to the cheapest sequential engine for the requested
-// shape: the plain token fold for scan input, the chunk-buffering
-// single-accumulator loop for mison or indexed input (one seal for the
-// whole stream instead of a seal per chunk plus a reduce of the chunk
-// types). MapReference keeps the worker pipeline even at one worker —
-// its per-document type materialisation is the A/B baseline the fused
-// rows are measured against.
-func InferStreamParallel(r io.Reader, opts Options) (*typelang.Type, int, error) {
-	workers := opts.workers()
-	if workers <= 1 {
-		if opts.Tokenizer == TokenizerScan && opts.Map != MapIndexed {
-			return InferStream(r, opts)
-		}
-		if opts.Map != MapReference {
-			opts = sequentialChunkOpts(opts)
-			return inferStreamSequentialChunks(readerChunkSource(r, opts), opts)
-		}
-	}
-	return inferStreamParallelFrom(readerChunkSource(r, opts), opts)
-}
-
-// InferStreamParallelBytes is InferStreamParallel over a caller-owned
-// byte slice — the zero-copy parallel engine. The chunking stage splits
-// data in place (every chunk aliases the caller's buffer; no pending
-// array, no compaction, no per-chunk allocation), so the reader
-// goroutine's only work is boundary finding and the workers lex the
-// input bytes exactly where they sit — a memory-mapped file streams
-// through the full parallel pipeline without ever being copied. The
-// caller keeps data alive and unmodified until the call returns.
-// Semantics are byte-identical to InferStreamParallel over a reader of
-// the same bytes: same schema, count, and error offsets.
-func InferStreamParallelBytes(data []byte, opts Options) (*typelang.Type, int, error) {
-	workers := opts.workers()
-	if workers <= 1 {
-		if opts.Tokenizer == TokenizerScan && opts.Map != MapIndexed {
-			return InferStreamBytes(data, opts)
-		}
-		if opts.Map != MapReference {
-			opts = sequentialChunkOpts(opts)
-			return inferStreamSequentialChunks(bytesChunkSource(data, opts), opts)
-		}
-	}
-	return inferStreamParallelFrom(bytesChunkSource(data, opts), opts)
-}
-
-// inferStreamParallelFrom is the engine body shared by the reader and
-// byte-slice parallel entry points: the chunk source feeds the worker
-// pool, and the committer absorbs each in-order chunk type into one
-// accumulator, sealed once when the stream ends. A one-shot run has no
-// reader before that final seal, so nothing is published on the way (the
-// snapshot-serving collector tree is InferStreamInto's, for the
-// registry).
-func inferStreamParallelFrom(source chunkSource, opts Options) (*typelang.Type, int, error) {
-	st := opts.Stats
-	var frame statsFrame
-	acc := typelang.NewAccum(opts.Equiv)
-	n, err := inferStreamChunks(source, opts, func(ts []*typelang.Type, _ int) {
-		start := statsClock(st)
-		for _, t := range ts {
-			acc.Absorb(t)
-		}
-		statsSince(st, &frame.ReduceNanos, start)
-	})
-	start := statsClock(st)
-	t := acc.Seal()
-	statsSince(st, &frame.ReduceNanos, start)
-	if st != nil {
-		frame.Seals++
-		frame.flush(st)
-	}
-	return t, n, err
-}
-
-// InferStreamInto is InferStreamParallel folding into a caller-owned
-// collector tree instead of a fresh one: committed chunk results are
-// handed to col in stream order (batched — one channel send per commit
-// batch) and the collector is left open, which is what lets a
-// long-lived accumulator (a registry collection) absorb many streams —
-// concurrently, even — into one monotonically-growing schema. It
-// returns the number of documents committed and the first error, with
-// exactly InferStreamParallel's error semantics: on a malformed
-// document the committed documents are precisely those before it. The
-// caller flushes or closes col to observe the result.
-func InferStreamInto(r io.Reader, opts Options, col *ShardedCollector) (int, error) {
-	return inferStreamChunks(readerChunkSource(r, opts), opts, func(ts []*typelang.Type, docs int) {
-		col.AddBatch(ts, int64(docs))
-	})
-}
-
 // commitBatch is how many in-order chunk results the committer buffers
 // per commit call: one collector hand-off (one channel send, one
 // round-robin step) then carries a batch of sealed partials instead of
-// one, cutting the per-chunk commit overhead that contributed to the
-// parallel engines' flat scaling. Error semantics are unaffected — the
-// buffer holds only already-committed (in-order, pre-error) results and
-// is flushed before the error is recorded.
+// one. Error semantics are unaffected — the buffer holds only
+// already-committed (in-order, pre-error) results and is flushed before
+// the error is recorded.
 const commitBatch = 8
 
-// inferStreamChunks runs the chunked token pipeline — a source
+// pipeChunks is the multi-worker shape of the engine — a source
 // goroutine splitting the input into document-aligned chunks, workers
-// lexing and typing them in parallel — and calls commit with batches of
-// chunk types (in stream order; ownership of the slice passes to
-// commit). Commits stop at the first error; the committed chunks are
-// exactly those before it. It returns the number of documents committed
-// and that first error. Workers release each chunk's pooled buffer
-// reference once its documents are absorbed; because they drain the
-// work channel even after an early stop, every emitted chunk is
-// released on every path.
-func inferStreamChunks(source chunkSource, opts Options, commit func([]*typelang.Type, int)) (int, error) {
+// lexing and absorbing them in parallel, each into its own accumulator
+// (storage-retaining Reset between chunks, so the steady state types
+// documents of seen shapes without allocating) sealed per chunk — and
+// calls commit with batches of chunk types (in stream order; ownership
+// of the slice passes to commit). Commits stop at the first error; the
+// committed chunks are exactly those before it. It returns the number
+// of documents committed and that first error. Because the workers
+// drain the work channel even after an early stop, every emitted chunk
+// is released on every path.
+func pipeChunks(source chunkSource, opts Options, commit func([]*typelang.Type, int)) (int, error) {
 	workers := opts.workers()
 	work := make(chan byteChunk, 2*workers)
 	results := make(chan chunkResult, workers)
@@ -542,7 +463,7 @@ func inferStreamChunks(source chunkSource, opts Options, commit func([]*typelang
 	// Source: split the input into document-aligned chunks.
 	readErrCh := make(chan error, 1)
 	go func() {
-		readErrCh <- source(func(ch byteChunk) bool {
+		readErrCh <- source(opts.chunkTargets(), opts.Stats, func(ch byteChunk) bool {
 			select {
 			case work <- ch:
 				return true
@@ -554,93 +475,18 @@ func inferStreamChunks(source chunkSource, opts Options, commit func([]*typelang
 		close(work)
 	}()
 
-	// Workers: lex and type whole chunks, reducing in batches.
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			tr := jsontext.NewTokenReaderBytes(nil)
-			tr.SetInternStrings(true)
-			if opts.Symbols != nil {
-				tr.SetSymbolTable(opts.Symbols)
-			}
-			var ms *mison.TokenSource
-			if opts.Tokenizer == TokenizerMison {
-				ms = mison.NewTokenSource()
-				ms.SetInternStrings(true)
-				if opts.Symbols != nil {
-					ms.SetSymbolTable(opts.Symbols)
-				}
-			}
-			var ia *IndexAbsorber
-			if opts.Map == MapIndexed {
-				ia = NewIndexAbsorber()
-				ia.SetInternStrings(true)
-				if opts.Symbols != nil {
-					ia.SetSymbolTable(opts.Symbols)
-				}
-			}
-			fold := newStreamFold(opts)
-			st := opts.Stats
-			var frame statsFrame
+			m := newChunkMapper(opts)
+			acc := typelang.NewAccum(opts.Equiv)
 			for ch := range work {
-				frame.BytesLexed += int64(len(ch.data))
-				rejected := false
-				if ia != nil {
-					if err := ia.Reset(ch.data, ch.base); err == nil {
-						mapStart := statsClock(st)
-						t, n, err := fold.runIndexed(ia)
-						statsSince(st, &frame.MapNanos, mapStart)
-						ch.buf.release()
-						if st != nil {
-							idx, fb := ia.TakeRecordCounts()
-							frame.IndexRecords += idx
-							frame.FallbackRecords += fb
-							frame.ScanDelegations += ia.TakeScanDelegations()
-							frame.DocsAbsorbed += int64(n)
-							frame.Seals++
-							frame.flush(st)
-						}
-						results <- chunkResult{index: ch.index, t: t, n: n, err: err}
-						continue
-					}
-					// Index rejected the chunk outright (odd quote
-					// parity, unbalanced nesting): the token path below
-					// reports the authoritative error.
-					rejected = true
-				}
-				var src jsontext.TokenSource
-				if ms != nil {
-					if err := ms.Reset(ch.data, ch.base); err == nil {
-						src = ms
-					} else {
-						// On rejection the plain lexer below reports the
-						// authoritative error for whatever is wrong.
-						rejected = true
-					}
-				}
-				if rejected {
-					// One reject per chunk, however many index layers
-					// bounced it before the token path took over.
-					frame.ParityRejects++
-				}
-				if src == nil {
-					tr.ResetBytes(ch.data, ch.base)
-					src = tr
-				}
-				mapStart := statsClock(st)
-				t, n, err := fold.run(src)
-				statsSince(st, &frame.MapNanos, mapStart)
-				ch.buf.release()
-				if st != nil {
-					if src == ms {
-						frame.ScanDelegations += ms.TakeDelegations()
-					}
-					frame.DocsAbsorbed += int64(n)
-					frame.Seals++
-					frame.flush(st)
-				}
+				acc.Reset()
+				n, err := m.absorb(ch, acc)
+				t := m.frame.seal(acc, opts.Stats, &m.frame.MapNanos)
+				m.frame.flush(opts.Stats)
 				results <- chunkResult{index: ch.index, t: t, n: n, err: err}
 			}
 		}()
@@ -713,130 +559,4 @@ func inferStreamChunks(source chunkSource, opts Options, commit func([]*typelang
 		firstErr = rerr
 	}
 	return total, firstErr
-}
-
-// inferStreamSequentialChunks is the sequential engine for the map
-// shapes that need whole byte chunks — the chunk-buffering loop that
-// closes the gap between "the structural index (and the mison lexer)
-// need document-aligned byte runs" and "the sequential engine has no
-// chunks": the source's chunks are absorbed one after another,
-// synchronously, into a single shared accumulator, sealed once at the
-// end — no per-chunk seal, no reduce of chunk types. Under MapIndexed
-// documents absorb off the structural index, with chunks the index
-// rejects outright falling back to the token path (mison tokenizer
-// first when selected, then the reference lexer) and per-record
-// fallback inside AbsorbFromIndex; under MapFused the chunks lex
-// straight through the mison tokenizer (reference lexer on rejected
-// chunks) — exactly the parallel workers' discipline, so schemas,
-// counts, and error offsets are byte-identical to every other mode's.
-// Processing stops at the first error; a read failure from the source
-// wins over a syntax error in the chunk it truncated, matching the
-// chunked committer's rule (the stop-at-first-error discipline makes
-// the errored chunk the last one the source emitted).
-func inferStreamSequentialChunks(source chunkSource, opts Options) (*typelang.Type, int, error) {
-	st := opts.Stats
-	var ia *IndexAbsorber
-	if opts.Map == MapIndexed {
-		ia = NewIndexAbsorber()
-		ia.SetInternStrings(true)
-	}
-	tr := jsontext.NewTokenReaderBytes(nil)
-	tr.SetInternStrings(true)
-	var ms *mison.TokenSource
-	if opts.Tokenizer == TokenizerMison {
-		ms = mison.NewTokenSource()
-		ms.SetInternStrings(true)
-	}
-	if opts.Symbols != nil {
-		tr.SetSymbolTable(opts.Symbols)
-		if ia != nil {
-			ia.SetSymbolTable(opts.Symbols)
-		}
-		if ms != nil {
-			ms.SetSymbolTable(opts.Symbols)
-		}
-	}
-	fold := typelang.NewAccum(opts.Equiv)
-	var (
-		frame  statsFrame
-		total  int
-		docErr error
-	)
-	rerr := source(func(ch byteChunk) bool {
-		frame.BytesLexed += int64(len(ch.data))
-		var (
-			n    int
-			err  error
-			done bool
-		)
-		mapStart := statsClock(st)
-		rejected := false
-		if ia != nil {
-			if ierr := ia.Reset(ch.data, ch.base); ierr == nil {
-				for err = AbsorbFromIndex(ia, fold); err == nil; err = AbsorbFromIndex(ia, fold) {
-					n++
-				}
-				statsSince(st, &frame.MapNanos, mapStart)
-				if st != nil {
-					idx, fb := ia.TakeRecordCounts()
-					frame.IndexRecords += idx
-					frame.FallbackRecords += fb
-					frame.ScanDelegations += ia.TakeScanDelegations()
-				}
-				done = true
-			} else {
-				rejected = true
-			}
-		}
-		if !done {
-			var src jsontext.TokenSource
-			if ms != nil {
-				if merr := ms.Reset(ch.data, ch.base); merr == nil {
-					src = ms
-				} else {
-					// On rejection the plain lexer below reports the
-					// authoritative error for whatever is wrong.
-					rejected = true
-				}
-			}
-			if rejected {
-				// One reject per chunk, however many index layers
-				// bounced it before the token path took over.
-				frame.ParityRejects++
-			}
-			if src == nil {
-				tr.ResetBytes(ch.data, ch.base)
-				src = tr
-			}
-			for err = AbsorbFromTokens(src, fold); err == nil; err = AbsorbFromTokens(src, fold) {
-				n++
-			}
-			statsSince(st, &frame.MapNanos, mapStart)
-			if st != nil && src == ms {
-				frame.ScanDelegations += ms.TakeDelegations()
-			}
-		}
-		ch.buf.release()
-		total += n
-		if st != nil {
-			frame.DocsAbsorbed += int64(n)
-			frame.flush(st)
-		}
-		if errors.Is(err, io.EOF) {
-			return true
-		}
-		docErr = err
-		return false
-	})
-	sealStart := statsClock(st)
-	t := fold.Seal()
-	if st != nil {
-		statsSince(st, &frame.MapNanos, sealStart)
-		frame.Seals = 1
-		frame.flush(st)
-	}
-	if rerr != nil {
-		docErr = rerr
-	}
-	return t, total, docErr
 }

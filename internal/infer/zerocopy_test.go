@@ -3,117 +3,37 @@ package infer
 import (
 	"bytes"
 	"fmt"
-	"os"
-	"path/filepath"
-	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/genjson"
 	"repro/internal/jsontext"
-	"repro/internal/typelang"
 )
 
-// This file pins the zero-copy input layer: the byte-slice engines must
-// be byte-identical to the reader engines over the same input (schemas,
-// counts, error offsets) across the full engine matrix; the byte-mode
-// chunker must emit exactly the reader chunker's chunk stream; the
-// byte-mode steady state must not allocate; and the pooled reader
-// buffers must never be recycled while a chunk still aliases them (the
-// race test below runs under `make race`).
+// This file pins the zero-copy input layer: the byte-slice entry point
+// must be byte-identical to the reader one over the same input
+// (schemas, counts, error offsets); the byte-mode chunker must emit
+// exactly the reader chunker's chunk stream; the byte-mode steady state
+// must not allocate; and the pooled reader buffers must never be
+// recycled while a chunk still aliases them (the race test below runs
+// under `make race`).
 
-// TestBytesEngineMatchesReaderFixtures is the bytes-vs-reader
-// equivalence sweep: every checked-in fixture through every tokenizer,
-// map mode and worker count, demanding the byte-slice engines return
-// exactly what the reader engines return.
+// TestBytesEngineMatchesReaderFixtures sweeps every fixture under
+// byte-target chunking (Options.ChunkBytes), where the two sources
+// differ most: the byte splitter emits large chunks by aliasing, the
+// reader has to buffer, compact and grow to hold each one.
 func TestBytesEngineMatchesReaderFixtures(t *testing.T) {
-	fixtures, err := filepath.Glob(filepath.Join("..", "..", "testdata", "*.ndjson"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(fixtures) == 0 {
-		t.Fatal("no testdata fixtures found")
-	}
-	for _, name := range fixtures {
-		data, err := os.ReadFile(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		label := filepath.Base(name)
-		check := func(engine string, want, got *typelang.Type, wantN, gotN int, wantErr, gotErr error) {
-			t.Helper()
-			if (wantErr == nil) != (gotErr == nil) {
-				t.Fatalf("%s/%s: reader err %v, bytes err %v", label, engine, wantErr, gotErr)
-			}
-			if wantN != gotN {
-				t.Errorf("%s/%s: reader typed %d docs, bytes typed %d", label, engine, wantN, gotN)
-			}
-			if !typelang.Equal(want, got) || want.StringCounted() != got.StringCounted() {
-				t.Errorf("%s/%s: bytes engine diverges from reader\n reader: %s\n bytes:  %s",
-					label, engine, want.StringCounted(), got.StringCounted())
-			}
-		}
-		for _, mm := range []MapMode{MapFused, MapReference, MapIndexed} {
-			// Small batches force multi-chunk runs even on small fixtures.
-			seqOpts := Options{Map: mm, Batch: 32}
-			want, wantN, wantErr := InferStream(bytes.NewReader(data), seqOpts)
-			got, gotN, gotErr := InferStreamBytes(data, seqOpts)
-			check(fmt.Sprintf("sequential-%v", mm), want, got, wantN, gotN, wantErr, gotErr)
-			for _, tz := range []Tokenizer{TokenizerScan, TokenizerMison} {
-				for _, workers := range []int{1, 4} {
-					opts := Options{Map: mm, Tokenizer: tz, Workers: workers, Batch: 32}
-					want, wantN, wantErr := InferStreamParallel(bytes.NewReader(data), opts)
-					got, gotN, gotErr := InferStreamParallelBytes(data, opts)
-					check(fmt.Sprintf("parallel-%v-%v-w%d", mm, tz, workers),
-						want, got, wantN, gotN, wantErr, gotErr)
-				}
-			}
-		}
-	}
+	forEachFixture(t, func(name string, data []byte) {
+		assertMatchesOracle(t, name, data, Options{ChunkBytes: 1 << 10})
+	})
 }
 
-// TestBytesEngineErrorEquivalence pins the byte-slice engines' error
-// behaviour to the reader engines': same message, same absolute offset,
-// same count of documents typed before the failure, on every malformed
-// input and engine shape.
+// TestBytesEngineErrorEquivalence is the error sweep under a byte
+// target of one: every chunk ends at the first boundary past its first
+// byte, so absolute offsets ride on chunk bases in both sources.
 func TestBytesEngineErrorEquivalence(t *testing.T) {
-	bad := []string{
-		"{\"a\": 1}\n{]\n",
-		"[1, 2\n",
-		"{\"a\": tru}\n",
-		"\"unterminated\n{\"a\": 1}\n",
-		"{\"a\": 1}\n12..5\n{\"b\": 2}\n",
-		"{\"a\": 1}\n{\"s\": \"ctrl\x01\"}\n{\"b\": 2}\n",
-		"{\"a\": [1, {\"b\": 2}, \n",
-		"{\"a\": {\"b\": 1, }}\n",
-	}
-	for _, in := range bad {
-		data := []byte(in)
-		for _, mm := range []MapMode{MapFused, MapReference, MapIndexed} {
-			_, wantN, wantErr := InferStream(strings.NewReader(in), Options{Map: mm})
-			_, gotN, gotErr := InferStreamBytes(data, Options{Map: mm})
-			if wantErr == nil || gotErr == nil {
-				t.Fatalf("%q/%v: malformed input accepted (reader %v, bytes %v)", in, mm, wantErr, gotErr)
-			}
-			if wantErr.Error() != gotErr.Error() || syntaxOffset(wantErr) != syntaxOffset(gotErr) || wantN != gotN {
-				t.Errorf("%q/seq-%v: reader (%q, off %d, %d docs), bytes (%q, off %d, %d docs)",
-					in, mm, wantErr, syntaxOffset(wantErr), wantN, gotErr, syntaxOffset(gotErr), gotN)
-			}
-			for _, tz := range []Tokenizer{TokenizerScan, TokenizerMison} {
-				for _, workers := range []int{1, 2, 4} {
-					opts := Options{Map: mm, Tokenizer: tz, Workers: workers, Batch: 1}
-					_, wantN, wantErr := InferStreamParallel(strings.NewReader(in), opts)
-					_, gotN, gotErr := InferStreamParallelBytes(data, opts)
-					if wantErr == nil || gotErr == nil {
-						t.Fatalf("%q/%v/%v/w%d: malformed input accepted", in, mm, tz, workers)
-					}
-					if wantErr.Error() != gotErr.Error() || syntaxOffset(wantErr) != syntaxOffset(gotErr) || wantN != gotN {
-						t.Errorf("%q/par-%v-%v-w%d: reader (%q, off %d, %d docs), bytes (%q, off %d, %d docs)",
-							in, mm, tz, workers, wantErr, syntaxOffset(wantErr), wantN, gotErr, syntaxOffset(gotErr), gotN)
-					}
-				}
-			}
-		}
+	for _, in := range malformedInputs {
+		assertMatchesOracle(t, fmt.Sprintf("%q", in), []byte(in), Options{ChunkBytes: 1})
 	}
 }
 
@@ -303,12 +223,12 @@ func TestChunkPoolLifetimeRace(t *testing.T) {
 }
 
 // TestInferStreamBytesStats pins the zero-copy counters: a byte-mode
-// parallel run aliases every payload byte and copies none.
+// run aliases every payload byte and copies none.
 func TestInferStreamBytesStats(t *testing.T) {
 	docs := genjson.Collection(genjson.Orders{Seed: 94}, 500)
 	data := jsontext.MarshalLines(docs)
 	var st PipelineStats
-	_, n, err := InferStreamParallelBytes(data, Options{Workers: 4, Batch: 32, Stats: &st})
+	_, n, err := InferStreamBytes(data, Options{Workers: 4, Batch: 32, Stats: &st})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,14 +250,14 @@ func TestInferStreamBytesStats(t *testing.T) {
 	}
 }
 
-// TestSequentialIndexedEngineStats pins the new sequential MapIndexed
-// routing: chunked absorption off the structural index, one seal, and
-// the fast path actually taken on clean input.
+// TestSequentialIndexedEngineStats pins the one-worker shape under
+// MapIndexed: chunked absorption off the structural index, one seal,
+// and the fast path actually taken on clean input.
 func TestSequentialIndexedEngineStats(t *testing.T) {
 	docs := genjson.Collection(genjson.Twitter{Seed: 95}, 600)
 	data := jsontext.MarshalLines(docs)
 	var st PipelineStats
-	_, n, err := InferStream(bytes.NewReader(data), Options{Map: MapIndexed, Batch: 64, Stats: &st})
+	_, n, err := InferStream(bytes.NewReader(data), Options{Workers: 1, Map: MapIndexed, Batch: 64, Stats: &st})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,10 +266,10 @@ func TestSequentialIndexedEngineStats(t *testing.T) {
 		t.Fatalf("typed %d docs (absorbed %d), want 600", n, s.DocsAbsorbed)
 	}
 	if s.Seals != 1 {
-		t.Errorf("sequential indexed engine sealed %d times, want exactly 1", s.Seals)
+		t.Errorf("one-worker indexed run sealed %d times, want exactly 1", s.Seals)
 	}
 	if s.ChunksSplit == 0 {
-		t.Errorf("sequential indexed engine split no chunks; the index needs whole byte chunks")
+		t.Errorf("one-worker indexed run split no chunks; the index needs whole byte chunks")
 	}
 	if s.IndexRecords == 0 {
 		t.Errorf("clean input absorbed no records off the index (fallbacks: %d)", s.FallbackRecords)

@@ -13,7 +13,7 @@
 // the projected fields.
 //
 // The production face is the streamed-inference fast path: Chunker
-// finds document-aligned chunk boundaries for infer.InferStreamParallel
+// finds document-aligned chunk boundaries for infer.InferStream
 // through the string/depth bitmaps, walking only structural characters
 // after a branch-free word-at-a-time classification, and TokenSource
 // lexes whole chunks behind the jsontext.TokenSource pull interface —

@@ -18,8 +18,7 @@ import (
 )
 
 // Options configure a Registry; the zero value is usable (kind
-// equivalence, auto-sized workers and collector trees, the default
-// tokenizer).
+// equivalence, auto-sized workers and collector trees).
 type Options struct {
 	// Equiv is the merge equivalence every collection folds under:
 	// typelang.EquivKind (K) or typelang.EquivLabel (L).
@@ -33,9 +32,6 @@ type Options struct {
 	// Batch is the documents-per-chunk target of the ingest pipeline; 0
 	// means infer.DefaultBatch.
 	Batch int
-	// Tokenizer picks the ingest pipeline's lexing machinery; the zero
-	// value is the mison structural-index fast path.
-	Tokenizer infer.Tokenizer
 	// Map picks the ingest pipeline's map phase; the zero value is the
 	// fused token absorber (infer.MapIndexed absorbs straight off the
 	// structural index, falling back per record — the fallback and
@@ -273,13 +269,12 @@ func (r *Registry) IngestWith(name string, rd io.Reader, co CollectionOptions) (
 	cr := &countReader{r: rd}
 	endPipeline := stage("pipeline")
 	n, err := infer.InferStreamInto(cr, infer.Options{
-		Equiv:     c.equiv,
-		Workers:   r.opts.Workers,
-		Batch:     r.opts.Batch,
-		Tokenizer: r.opts.Tokenizer,
-		Map:       r.opts.Map,
-		Symbols:   r.symbols,
-		Stats:     &st,
+		Equiv:   c.equiv,
+		Workers: r.opts.Workers,
+		Batch:   r.opts.Batch,
+		Map:     r.opts.Map,
+		Symbols: r.symbols,
+		Stats:   &st,
 	}, c.col)
 	endPipeline()
 	endFlush := stage("flush")
