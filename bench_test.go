@@ -98,8 +98,8 @@ func BenchmarkE3ParallelInference(b *testing.B) {
 // place, seal once per run and, above one worker, once per chunk); the
 // parallel rows reduce in line on the committer (one accumulator, one
 // seal), and the registry-ingest rows measure the same bytes arriving
-// through the live-merge registry (shared symbol table, collector tree
-// left open across requests).
+// through the live-merge registry (shared symbol table, collector left
+// open across requests).
 // domInfer is the DOM baseline of the E3 rows — exactly what a jsinfer
 // run without -stream does with its input: decode the whole collection
 // to value trees, then run the materialised map/reduce over them.
@@ -236,7 +236,7 @@ func BenchmarkE3StreamingInference(b *testing.B) {
 			}
 		})
 		// The registry ingest path: same pipeline, but folding into one
-		// long-lived collection's collector tree through the shared
+		// long-lived collection's collector through the shared
 		// symbol table — the steady-state per-request cost of the
 		// jsinferd daemon (the schema converges after the first request,
 		// so later iterations measure warm live-merge).

@@ -43,11 +43,10 @@
 // documents absorbed, index fast-path vs token-fallback records, chunk
 // parity rejections and seals. A one-shot run reduces in line (one
 // accumulator, one final seal on the reduce clock), so seals reads 1 at
-// one worker and chunks + 1 above, and the fuse clock, batch_publishes
-// and root_fuses — counters of the
-// registry's collector tree, which jsinferd reports through the same
-// table — read 0 here. The schema on stdout is unaffected, so -stats
-// composes with scripts.
+// one worker and chunks + 1 above, and the fuse clock and root_fuses —
+// the cache-miss reads of the registry's collector, which jsinferd
+// reports through the same counters — read 0 here. The schema on stdout
+// is unaffected, so -stats composes with scripts.
 //
 // -cpuprofile and -memprofile write pprof profiles covering the
 // inference pass (the heap profile is taken after it completes), so
@@ -96,7 +95,7 @@ func registerFlags(fs *flag.FlagSet) cliFlags {
 		precision:  fs.Bool("precision", false, "with -stream: compute precision in a second pass over the input files"),
 		mmap:       fs.String("mmap", "auto", "with -stream and file arguments: memory-map inputs, auto (default), on, or off"),
 		chunkBytes: fs.String("chunk-bytes", "", "with -stream: cut chunks at this byte size instead of every 256 documents (e.g. 4M)"),
-		stats:      fs.Bool("stats", false, "with -stream: print pipeline stage stats to stderr after inference (fuse, batch_publishes and root_fuses are the registry's counters and read 0 here)"),
+		stats:      fs.Bool("stats", false, "with -stream: print pipeline stage stats to stderr after inference (fuse and root_fuses are the registry's counters and read 0 here)"),
 		cpuprofile: fs.String("cpuprofile", "", "write a CPU profile of the inference pass to this file"),
 		memprofile: fs.String("memprofile", "", "write a heap profile (taken after inference) to this file"),
 	}
@@ -351,7 +350,7 @@ func printStats(w io.Writer, s core.StatsSnapshot) {
 	fmt.Fprintf(w, "  %-7s %12s  bytes_aliased=%d\n", "split", ms(s.SplitNanos), s.BytesAliased)
 	fmt.Fprintf(w, "  %-7s %12s  docs_absorbed=%d bytes_lexed=%d index_records=%d fallback_records=%d parity_rejects=%d scan_delegations=%d\n",
 		"map", ms(s.MapNanos), s.DocsAbsorbed, s.BytesLexed, s.IndexRecords, s.FallbackRecords, s.ParityRejects, s.ScanDelegations)
-	fmt.Fprintf(w, "  %-7s %12s  batch_publishes=%d\n", "reduce", ms(s.ReduceNanos), s.BatchPublishes)
+	fmt.Fprintf(w, "  %-7s %12s\n", "reduce", ms(s.ReduceNanos))
 	fmt.Fprintf(w, "  %-7s %12s  root_fuses=%d seals=%d\n", "fuse", ms(s.FuseNanos), s.RootFuses, s.Seals)
 }
 

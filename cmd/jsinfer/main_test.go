@@ -55,7 +55,7 @@ func TestPrintStats(t *testing.T) {
 	printStats(&b, core.StatsSnapshot{
 		ChunksSplit: 3, BytesLexed: 4096, DocsAbsorbed: 128,
 		IndexRecords: 120, FallbackRecords: 8, ParityRejects: 1,
-		ScanDelegations: 5, BatchPublishes: 6, RootFuses: 2, Seals: 9,
+		ScanDelegations: 5, RootFuses: 2, Seals: 9,
 		BytesAliased: 2048, BytesCopied: 512, BuffersRecycled: 4,
 		MmapInputs: 1, ReaderInputs: 2,
 		ReadNanos: 1_500_000, SplitNanos: 250_000, MapNanos: 7_000_000,
@@ -76,7 +76,7 @@ func TestPrintStats(t *testing.T) {
 		"bytes_copied=512", "buffers_recycled=4", "bytes_aliased=2048",
 		"docs_absorbed=128", "bytes_lexed=4096",
 		"index_records=120", "fallback_records=8", "parity_rejects=1",
-		"scan_delegations=5", "batch_publishes=6", "root_fuses=2", "seals=9",
+		"scan_delegations=5", "root_fuses=2", "seals=9",
 		"1.500ms", "0.250ms", "7.000ms",
 	} {
 		if !strings.Contains(out, want) {

@@ -14,6 +14,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -22,6 +23,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
+	"repro/internal/daemon/metrics"
 	"repro/internal/jsontext"
 	"repro/internal/registry"
 	"repro/internal/typelang"
@@ -617,7 +620,6 @@ func TestMetricsReconcileWithStats(t *testing.T) {
 		"jsinferd_pipeline_fallback_records_total": "fallback_records",
 		"jsinferd_pipeline_parity_rejects_total":   "parity_rejects",
 		"jsinferd_pipeline_scan_delegations_total": "scan_delegations",
-		"jsinferd_pipeline_batch_publishes_total":  "batch_publishes",
 		"jsinferd_pipeline_root_fuses_total":       "root_fuses",
 		"jsinferd_pipeline_seals_total":            "seals",
 	} {
@@ -665,6 +667,37 @@ func TestMetricsReconcileWithStats(t *testing.T) {
 	}
 }
 
+// TestMetricsScrapeTakesStatsOnce: registry.Stats lists every
+// collection and walks every sealed schema, so one exposition takes it
+// once — every registry and pipeline family renders from that value —
+// not once per family.
+func TestMetricsScrapeTakesStatsOnce(t *testing.T) {
+	calls := 0
+	h := statsGauges(metrics.NewRegistry(), func() registry.Stats {
+		calls++
+		return registry.Stats{Collections: calls, Docs: 10 * int64(calls), Symbols: 100 * calls,
+			Pipeline: core.StatsSnapshot{Seals: 1000 * int64(calls)}}
+	})
+	for scrape := 1; scrape <= 2; scrape++ {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+		if calls != scrape {
+			t.Fatalf("scrape %d: stats taken %d times in all, want once per scrape", scrape, calls)
+		}
+		exp := rec.Body.String()
+		for metric, want := range map[string]float64{
+			"jsinferd_registry_collections": float64(scrape),
+			"jsinferd_registry_docs":        10 * float64(scrape),
+			"jsinferd_registry_symbols":     100 * float64(scrape),
+			"jsinferd_pipeline_seals_total": 1000 * float64(scrape),
+		} {
+			if got := metricValue(t, exp, metric); got != want {
+				t.Errorf("scrape %d: %s = %v, want %v (this scrape's stats)", scrape, metric, got, want)
+			}
+		}
+	}
+}
+
 // TestStalledHeaderClientIsDisconnected: a client that sends half a
 // request line and stalls is dropped once the header deadline passes —
 // it holds a connection and a goroutine until then, never an ingest —
@@ -708,5 +741,47 @@ func TestStalledHeaderClientIsDisconnected(t *testing.T) {
 	code, out, _ := request(t, "POST", "http://"+ln.Addr().String()+"/v1/collections/c/ingest", "", []byte(`{"a": 1}`+"\n"))
 	if code != http.StatusOK || !strings.Contains(out, `"docs": 1`) {
 		t.Errorf("ingest after the stalled client: %d %s", code, out)
+	}
+}
+
+// TestStalledBodyClientIsDisconnected: a client that announces a body,
+// sends part of it and stalls is failed by the body idle deadline
+// instead of holding the handler — and with it the collection's life
+// lock — forever: the request ends with the usual kept-prefix 400, the
+// document before the stall is merged, and a DELETE of the collection,
+// which must wait out in-flight ingests, returns.
+func TestStalledBodyClientIsDisconnected(t *testing.T) {
+	reg := registry.New(registry.Options{})
+	srv := httptest.NewServer(newHandler(reg, handlerConfig{bodyIdle: 50 * time.Millisecond}))
+	t.Cleanup(func() {
+		srv.Close()
+		reg.Close()
+	})
+
+	conn, err := net.Dial("tcp", srv.Listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write([]byte("POST /v1/collections/c/ingest HTTP/1.1\r\nHost: x\r\nContent-Length: 1000\r\n\r\n" +
+		`{"a": 1}` + "\n" + `{"b":`)); err != nil {
+		t.Fatal(err)
+	}
+	// The reply arrives and the server closes the connection — the rest
+	// of the announced body is never coming — well before the generous
+	// deadline below.
+	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	reply, err := io.ReadAll(conn)
+	if err != nil {
+		t.Fatalf("stalled request was not ended by the server: %v (read %q)", err, reply)
+	}
+	if out := string(reply); !strings.HasPrefix(out, "HTTP/1.1 400 ") || !strings.Contains(out, `"docs": 1`) {
+		t.Errorf("stalled ingest reply, want a 400 keeping 1 doc:\n%s", out)
+	}
+	if snap, ok := reg.Get("c"); !ok || snap.Docs != 1 || snap.Errors != 1 {
+		t.Errorf("collection after the stalled ingest: %+v, want the 1 document before the stall and 1 error", snap)
+	}
+	if code, out, _ := request(t, "DELETE", srv.URL+"/v1/collections/c", "", nil); code != http.StatusOK {
+		t.Errorf("DELETE after the stalled ingest: %d %s", code, out)
 	}
 }

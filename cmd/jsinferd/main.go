@@ -21,8 +21,8 @@
 //   - Every request runs under a span tracer: an incoming W3C
 //     traceparent header is joined (the response echoes the daemon's
 //     own traceparent either way), ingest requests grow child spans per
-//     stage (admission → decode → quota → ingest → flush) with document,
-//     byte and index-fallback attributes, and the last -trace-buffer
+//     stage (admission → decode → quota → ingest) with document, byte
+//     and index-fallback attributes, and the last -trace-buffer
 //     finished traces are served as JSON from GET /debug/traces.
 //   - -debug-addr (off by default) serves net/http/pprof on a separate
 //     listener, keeping profiling off the public API surface.
@@ -76,8 +76,8 @@
 //	    errors, rate-limited rejections, interned symbols, sealed
 //	    schema nodes) plus the aggregated pipeline flight recorder:
 //	    chunk/doc counters, index fast-path vs token-fallback records,
-//	    parity rejections, collector publishes and fuses, and
-//	    per-stage clocks.
+//	    parity rejections, seals and collector fuses, and per-stage
+//	    clocks.
 //	GET /debug/traces
 //	    The most recent finished request traces (JSON, oldest first):
 //	    span trees with per-stage timings and ingest attributes.
@@ -91,10 +91,10 @@
 //	GET /healthz
 //	    Liveness.
 //
-// Concurrent ingests — to one collection or many — fold through each
-// collection's sharded collector tree; schema reads are lock-free
-// snapshots that never block ingest. See docs/ARCHITECTURE.md for the
-// collector tree and the snapshot consistency model.
+// Concurrent ingests — to one collection or many — absorb into each
+// collection's sharded collector; a schema read seals and fuses what
+// was added since the last one, or answers from a cache. See
+// docs/ARCHITECTURE.md for the collector and the consistency model.
 package main
 
 import (
@@ -102,6 +102,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log/slog"
 	"math"
 	"net"
@@ -112,6 +113,7 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -141,7 +143,7 @@ func registerFlags(fs *flag.FlagSet) daemonFlags {
 		addr:      fs.String("addr", ":8787", "listen address"),
 		engine:    fs.String("engine", "parametric-L", "inference engine: parametric-L or parametric-K"),
 		workers:   fs.Int("workers", 0, "parallel chunk workers per ingest request (0 = GOMAXPROCS)"),
-		shards:    fs.Int("shards", 0, "leaf collectors per collection (0 = auto)"),
+		shards:    fs.Int("shards", 0, "accumulators per collection (0 = auto)"),
 		mapMode:   fs.String("map", "fused", "ingest map phase: fused (default) or indexed"),
 		maxBody:   fs.Int64("max-body", 0, "max ingest request body in bytes (decoded, for compressed bodies); 0 disables the limit"),
 		rateDocs:  fs.Float64("rate-docs", 0, "default per-collection ingest quota in documents/sec; 0 disables the limit"),
@@ -156,11 +158,12 @@ func registerFlags(fs *flag.FlagSet) daemonFlags {
 // Both listeners get the same connection deadlines: a client that
 // stalls before finishing its request headers, or parks an idle
 // keep-alive connection, is disconnected instead of pinning a goroutine
-// forever. There is deliberately no body deadline — a legitimate
-// multi-GB ingest is long.
+// forever. A body has no overall deadline (a legitimate multi-GB ingest
+// is long), only bodyIdleTimeout for each read of it (see idleBody).
 const (
 	readHeaderTimeout = 10 * time.Second
 	idleTimeout       = 2 * time.Minute
+	bodyIdleTimeout   = time.Minute
 )
 
 // newServer builds the http.Server both listeners are served through.
@@ -286,6 +289,9 @@ type handlerConfig struct {
 	tracer *trace.Tracer
 	// slow is the slow-request warning threshold; 0 disables it.
 	slow time.Duration
+	// bodyIdle is how long one read of an ingest body may make no
+	// progress; 0 means bodyIdleTimeout. Tests shorten it.
+	bodyIdle time.Duration
 }
 
 // newHandler builds the daemon's routing table over reg, instrumented
@@ -298,6 +304,9 @@ func newHandler(reg *registry.Registry, cfg handlerConfig) http.Handler {
 	}
 	if cfg.tracer == nil {
 		cfg.tracer = trace.New(0)
+	}
+	if cfg.bodyIdle == 0 {
+		cfg.bodyIdle = bodyIdleTimeout
 	}
 	prom := metrics.NewRegistry()
 	// The ingest counters mirror the registry's own accounting, fed from
@@ -314,20 +323,6 @@ func newHandler(reg *registry.Registry, cfg handlerConfig) http.Handler {
 		"Ingest calls that ended in a pipeline error (malformed document, over-limit or corrupt body).")
 	rateLimited := prom.Counter("jsinferd_rate_limited_total",
 		"Ingest requests rejected by a collection quota (429s).")
-	prom.Gauge("jsinferd_registry_collections", "Live collections.",
-		func() float64 { return float64(reg.Stats().Collections) })
-	prom.Gauge("jsinferd_registry_docs", "Documents summarised across all collections.",
-		func() float64 { return float64(reg.Stats().Docs) })
-	prom.Gauge("jsinferd_registry_schema_nodes", "Sealed schema nodes across all collection schemas.",
-		func() float64 { return float64(reg.Stats().SchemaNodes) })
-	prom.Gauge("jsinferd_registry_symbols", "Interned key symbols in the shared symbol table.",
-		func() float64 { return float64(reg.Stats().Symbols) })
-	// The pipeline flight recorder, aggregated across live collections.
-	// Function-backed gauges reading the same registry snapshots
-	// /v1/stats serves, so the two surfaces reconcile exactly once
-	// ingest quiesces (counters reset when a collection is deleted,
-	// exactly like the registry's own per-collection accounting).
-	pipelineGauges(prom, func() core.StatsSnapshot { return reg.Stats().Pipeline })
 	// Runtime gauges back the -debug-addr pprof endpoints: the scrape
 	// shows *that* goroutines or heap grew, the profiles show *why*.
 	prom.Gauge("jsinferd_goroutines", "Live goroutines.",
@@ -346,7 +341,11 @@ func newHandler(reg *registry.Registry, cfg handlerConfig) http.Handler {
 		})
 
 	mux := http.NewServeMux()
-	mux.Handle("GET /metrics", prom.Handler())
+	// The registry aggregates and the pipeline flight recorder are
+	// gauges over the registry.Stats /v1/stats serves, so the two
+	// surfaces reconcile exactly once ingest quiesces (counters reset
+	// when a collection is deleted, like the registry's own accounting).
+	mux.Handle("GET /metrics", statsGauges(prom, reg.Stats))
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, jsonvalue.ObjectFromPairs("status", "ok"))
 	})
@@ -422,6 +421,7 @@ func newHandler(reg *registry.Registry, cfg handlerConfig) http.Handler {
 		// intake.Body is lazy — headers only — so quota and equivalence
 		// admission below still happen before any body byte is read.
 		decode := tr.StartSpan("decode", nil)
+		r.Body = &idleBody{ReadCloser: r.Body, conn: http.NewResponseController(w), idle: cfg.bodyIdle}
 		body, err := intake.Body(w, r, cfg.maxBody)
 		decode.End()
 		if err != nil {
@@ -429,7 +429,7 @@ func newHandler(reg *registry.Registry, cfg handlerConfig) http.Handler {
 			return
 		}
 		if tr != nil {
-			// The registry's stage observer hangs the quota/ingest/flush
+			// The registry's stage observer hangs the quota/ingest
 			// spans off this request's trace; the registry itself stays
 			// tracing-agnostic.
 			co.Observer = func(stage string) func() {
@@ -724,60 +724,101 @@ func renderSchema(t *core.Type, output string) (any, error) {
 	}
 }
 
-// pipelineGauges registers the pipeline flight recorder's counters and
-// stage clocks as function-backed families over snap — the /metrics
-// face of the same numbers /v1/stats serves.
-func pipelineGauges(prom *metrics.Registry, snap func() core.StatsSnapshot) {
+// statsGauges registers the registry aggregates and the pipeline flight
+// recorder as function-backed families — the /metrics face of the
+// numbers /v1/stats serves — and returns the handler that serves prom.
+// Each exposition takes stats once and every family here reads that
+// value: stats walks each collection's sealed schema, and one scrape's
+// figures belong to one instant (scrapes in flight together may share
+// the later value).
+func statsGauges(prom *metrics.Registry, stats func() registry.Stats) http.Handler {
 	type row struct {
 		name, help string
-		get        func(core.StatsSnapshot) float64
+		get        func(registry.Stats) float64
 	}
 	rows := []row{
+		{"jsinferd_registry_collections", "Live collections.",
+			func(s registry.Stats) float64 { return float64(s.Collections) }},
+		{"jsinferd_registry_docs", "Documents summarised across all collections.",
+			func(s registry.Stats) float64 { return float64(s.Docs) }},
+		{"jsinferd_registry_schema_nodes", "Sealed schema nodes across all collection schemas.",
+			func(s registry.Stats) float64 { return float64(s.SchemaNodes) }},
+		{"jsinferd_registry_symbols", "Interned key symbols in the shared symbol table.",
+			func(s registry.Stats) float64 { return float64(s.Symbols) }},
 		{"jsinferd_pipeline_chunks_split_total", "Document-aligned byte chunks emitted to ingest worker pools.",
-			func(s core.StatsSnapshot) float64 { return float64(s.ChunksSplit) }},
+			func(s registry.Stats) float64 { return float64(s.Pipeline.ChunksSplit) }},
 		{"jsinferd_pipeline_bytes_lexed_total", "Payload bytes handed to the map phase.",
-			func(s core.StatsSnapshot) float64 { return float64(s.BytesLexed) }},
+			func(s registry.Stats) float64 { return float64(s.Pipeline.BytesLexed) }},
 		{"jsinferd_pipeline_docs_absorbed_total", "Documents absorbed by the map phase (kept prefixes of failed ingests included).",
-			func(s core.StatsSnapshot) float64 { return float64(s.DocsAbsorbed) }},
+			func(s registry.Stats) float64 { return float64(s.Pipeline.DocsAbsorbed) }},
 		{"jsinferd_pipeline_index_records_total", "Records absorbed entirely off the mison structural index.",
-			func(s core.StatsSnapshot) float64 { return float64(s.IndexRecords) }},
+			func(s registry.Stats) float64 { return float64(s.Pipeline.IndexRecords) }},
 		{"jsinferd_pipeline_fallback_records_total", "Records the index walk delegated to the token walker.",
-			func(s core.StatsSnapshot) float64 { return float64(s.FallbackRecords) }},
+			func(s registry.Stats) float64 { return float64(s.Pipeline.FallbackRecords) }},
 		{"jsinferd_pipeline_parity_rejects_total", "Chunks the structural index rejected outright (odd quote parity).",
-			func(s core.StatsSnapshot) float64 { return float64(s.ParityRejects) }},
+			func(s registry.Stats) float64 { return float64(s.Pipeline.ParityRejects) }},
 		{"jsinferd_pipeline_scan_delegations_total", "Tokens the mison fast paths handed to the reference scanner.",
-			func(s core.StatsSnapshot) float64 { return float64(s.ScanDelegations) }},
-		{"jsinferd_pipeline_batch_publishes_total", "Collector-leaf publishes of sealed partials.",
-			func(s core.StatsSnapshot) float64 { return float64(s.BatchPublishes) }},
-		{"jsinferd_pipeline_root_fuses_total", "Root fuse passes over collector leaf partials.",
-			func(s core.StatsSnapshot) float64 { return float64(s.RootFuses) }},
-		{"jsinferd_pipeline_seals_total", "Accumulator seals across map, leaf publish and root fuse.",
-			func(s core.StatsSnapshot) float64 { return float64(s.Seals) }},
+			func(s registry.Stats) float64 { return float64(s.Pipeline.ScanDelegations) }},
+		{"jsinferd_pipeline_root_fuses_total", "Collector reads that found new documents and rebuilt the served schema.",
+			func(s registry.Stats) float64 { return float64(s.Pipeline.RootFuses) }},
+		{"jsinferd_pipeline_seals_total", "Accumulator seals across map and collector reads.",
+			func(s registry.Stats) float64 { return float64(s.Pipeline.Seals) }},
 		{"jsinferd_pipeline_bytes_aliased_total", "Chunk bytes emitted zero-copy, aliasing the input buffer.",
-			func(s core.StatsSnapshot) float64 { return float64(s.BytesAliased) }},
+			func(s registry.Stats) float64 { return float64(s.Pipeline.BytesAliased) }},
 		{"jsinferd_pipeline_bytes_copied_total", "Bytes moved during reader-path buffer compaction.",
-			func(s core.StatsSnapshot) float64 { return float64(s.BytesCopied) }},
+			func(s registry.Stats) float64 { return float64(s.Pipeline.BytesCopied) }},
 		{"jsinferd_pipeline_buffers_recycled_total", "Chunk arrays reacquired from the pool instead of allocated.",
-			func(s core.StatsSnapshot) float64 { return float64(s.BuffersRecycled) }},
+			func(s registry.Stats) float64 { return float64(s.Pipeline.BuffersRecycled) }},
 		{"jsinferd_pipeline_mmap_inputs_total", "Inputs served through a memory mapping.",
-			func(s core.StatsSnapshot) float64 { return float64(s.MmapInputs) }},
+			func(s registry.Stats) float64 { return float64(s.Pipeline.MmapInputs) }},
 		{"jsinferd_pipeline_reader_inputs_total", "Inputs served through the copying io.Reader path.",
-			func(s core.StatsSnapshot) float64 { return float64(s.ReaderInputs) }},
+			func(s registry.Stats) float64 { return float64(s.Pipeline.ReaderInputs) }},
 		{"jsinferd_pipeline_read_seconds_total", "Reader-goroutine time blocked reading request bodies.",
-			func(s core.StatsSnapshot) float64 { return float64(s.ReadNanos) / 1e9 }},
+			func(s registry.Stats) float64 { return float64(s.Pipeline.ReadNanos) / 1e9 }},
 		{"jsinferd_pipeline_split_seconds_total", "Reader-goroutine time finding chunk boundaries.",
-			func(s core.StatsSnapshot) float64 { return float64(s.SplitNanos) / 1e9 }},
+			func(s registry.Stats) float64 { return float64(s.Pipeline.SplitNanos) / 1e9 }},
 		{"jsinferd_pipeline_map_seconds_total", "Worker time lexing and absorbing chunks.",
-			func(s core.StatsSnapshot) float64 { return float64(s.MapNanos) / 1e9 }},
-		{"jsinferd_pipeline_reduce_seconds_total", "Collector-leaf time absorbing committed results.",
-			func(s core.StatsSnapshot) float64 { return float64(s.ReduceNanos) / 1e9 }},
-		{"jsinferd_pipeline_fuse_seconds_total", "Root time fusing leaf partials.",
-			func(s core.StatsSnapshot) float64 { return float64(s.FuseNanos) / 1e9 }},
+			func(s registry.Stats) float64 { return float64(s.Pipeline.MapNanos) / 1e9 }},
+		{"jsinferd_pipeline_reduce_seconds_total", "Committer time absorbing chunk results into the collector.",
+			func(s registry.Stats) float64 { return float64(s.Pipeline.ReduceNanos) / 1e9 }},
+		{"jsinferd_pipeline_fuse_seconds_total", "Collector read time sealing changed shards and fusing them.",
+			func(s registry.Stats) float64 { return float64(s.Pipeline.FuseNanos) / 1e9 }},
 	}
+	var cur atomic.Pointer[registry.Stats]
 	for _, r := range rows {
 		get := r.get
-		prom.Gauge(r.name, r.help, func() float64 { return get(snap()) })
+		prom.Gauge(r.name, r.help, func() float64 { return get(*cur.Load()) })
 	}
+	render := prom.Handler()
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		st := stats()
+		cur.Store(&st)
+		render.ServeHTTP(w, r)
+	})
+}
+
+// idleBody puts an ingest body under a per-read idle deadline: a client
+// that stalls mid-body fails the pending read after idle instead of
+// pinning the handler, its pipeline goroutines and the collection's life
+// lock (wedging DELETE) forever. The expired read is the pipeline's read
+// error — 400, prefix kept — and the deadline stays expired, so net/http's
+// own drain of the unread body fails at once and the connection closes.
+type idleBody struct {
+	io.ReadCloser
+	conn *http.ResponseController
+	idle time.Duration
+}
+
+func (b *idleBody) Read(p []byte) (int, error) {
+	// ErrNotSupported (a writer over no connection: httptest recorders)
+	// leaves nothing to time out.
+	_ = b.conn.SetReadDeadline(time.Now().Add(b.idle))
+	n, err := b.ReadCloser.Read(p)
+	if err == io.EOF {
+		// Body complete; the connection's next read is not this body's.
+		_ = b.conn.SetReadDeadline(time.Time{})
+	}
+	return n, err
 }
 
 // pipelineMeta is the JSON envelope of a pipeline stats snapshot — the
@@ -792,7 +833,6 @@ func pipelineMeta(p core.StatsSnapshot) *jsonvalue.Value {
 		"fallback_records", p.FallbackRecords,
 		"parity_rejects", p.ParityRejects,
 		"scan_delegations", p.ScanDelegations,
-		"batch_publishes", p.BatchPublishes,
 		"root_fuses", p.RootFuses,
 		"seals", p.Seals,
 		"bytes_aliased", p.BytesAliased,

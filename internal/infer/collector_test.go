@@ -12,8 +12,8 @@ import (
 )
 
 // TestShardedCollectorMatchesSequentialFold: whatever the shard count,
-// the tree's final fold must be byte-identical (rendering and counts) to
-// the plain sequential MergeAll over the same inputs.
+// the collector's final fold must be byte-identical (rendering and
+// counts) to the plain sequential MergeAll over the same inputs.
 func TestShardedCollectorMatchesSequentialFold(t *testing.T) {
 	docs := genjson.Collection(genjson.GitHub{Seed: 91}, 300)
 	for _, e := range []typelang.Equiv{typelang.EquivKind, typelang.EquivLabel} {
@@ -24,15 +24,15 @@ func TestShardedCollectorMatchesSequentialFold(t *testing.T) {
 		want := typelang.MergeAll(ts, e)
 		for _, shards := range []int{1, 2, 3, 8, 0} {
 			col := NewShardedCollector(shards, e)
-			for _, ty := range ts {
-				col.Add(ty, 1)
+			for i := range ts {
+				col.AddBatch(ts[i:i+1], 1)
 			}
 			got, n := col.Close()
 			if n != int64(len(docs)) {
 				t.Errorf("equiv=%v shards=%d: %d docs, want %d", e, shards, n, len(docs))
 			}
 			if got.StringCounted() != want.StringCounted() {
-				t.Errorf("equiv=%v shards=%d: tree fold diverges\n want: %s\n got:  %s",
+				t.Errorf("equiv=%v shards=%d: sharded fold diverges\n want: %s\n got:  %s",
 					e, shards, want.StringCounted(), got.StringCounted())
 			}
 		}
@@ -40,54 +40,67 @@ func TestShardedCollectorMatchesSequentialFold(t *testing.T) {
 }
 
 // TestShardedCollectorSnapshotSemantics: snapshots grow monotonically,
-// Flush makes prior Adds visible, and a snapshot never blocks Add.
+// an AddBatch that returned is in the next snapshot with no flush in
+// between, and AddBatch after Close panics.
 func TestShardedCollectorSnapshotSemantics(t *testing.T) {
 	col := NewShardedCollector(2, typelang.EquivKind)
 	if ty, n := col.Snapshot(); n != 0 || ty.Kind != typelang.KBottom {
 		t.Fatalf("empty snapshot = %s/%d, want ⊥/0", ty, n)
 	}
-	col.Add(atomInt, 1)
-	col.Add(atomStr, 1)
-	col.Flush()
+	col.AddBatch([]*typelang.Type{atomInt}, 1)
+	col.AddBatch([]*typelang.Type{atomStr}, 1)
 	if ty, n := col.Snapshot(); n != 2 || ty.String() != "(Int + Str)" {
-		t.Errorf("post-flush snapshot = %s/%d, want (Int + Str)/2", ty, n)
+		t.Errorf("snapshot = %s/%d, want (Int + Str)/2", ty, n)
 	}
-	col.Add(atomBool, 1)
-	col.Flush()
+	col.AddBatch([]*typelang.Type{atomBool}, 1)
 	if ty, n := col.Snapshot(); n != 3 || ty.String() != "(Bool + Int + Str)" {
 		t.Errorf("snapshot = %s/%d, want (Bool + Int + Str)/3", ty, n)
 	}
 	if ty, n := col.Close(); n != 3 || ty.String() != "(Bool + Int + Str)" {
 		t.Errorf("close = %s/%d, want (Bool + Int + Str)/3", ty, n)
 	}
+	defer func() {
+		if recover() == nil {
+			t.Error("AddBatch after Close did not panic")
+		}
+	}()
+	col.AddBatch([]*typelang.Type{atomInt}, 1)
 }
 
 // TestShardedCollectorConcurrent is the race-detector workout: parallel
-// adders against continuous snapshot readers, with the final fold
-// checked for exactness.
+// adders against continuous snapshot readers. Snapshots are serialised
+// under the root lock, so the ones a reader observes, in the order it
+// observes them, only grow — in documents and in schema (each subsumes
+// the one before) — and the final fold is exact.
 func TestShardedCollectorConcurrent(t *testing.T) {
-	const adders, perAdder = 8, 200
+	const adders, perAdder, nReaders = 8, 200, 2
 	col := NewShardedCollector(4, typelang.EquivLabel)
 	stop := make(chan struct{})
 	var readers sync.WaitGroup
-	readers.Add(1)
-	go func() {
-		defer readers.Done()
-		var last int64
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-				_, n := col.Snapshot()
-				if n < last {
-					t.Errorf("snapshot docs regressed: %d after %d", n, last)
+	for r := 0; r < nReaders; r++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			lastTy, lastN := typelang.Bottom, int64(0)
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				ty, n := col.Snapshot()
+				if n < lastN {
+					t.Errorf("snapshot docs regressed: %d after %d", n, lastN)
 					return
 				}
-				last = n
+				if !typelang.Subtype(lastTy, ty) {
+					t.Errorf("snapshot schema shrank:\n before: %s\n after:  %s", lastTy, ty)
+					return
+				}
+				lastTy, lastN = ty, n
 			}
-		}
-	}()
+		}()
+	}
 	var wg sync.WaitGroup
 	for a := 0; a < adders; a++ {
 		wg.Add(1)
@@ -97,7 +110,7 @@ func TestShardedCollectorConcurrent(t *testing.T) {
 				ty := typelang.RecordOwned(1, []typelang.Field{
 					{Name: fmt.Sprintf("f%d", (a+i)%5), Type: atomInt, Count: 1},
 				})
-				col.Add(ty, 1)
+				col.AddBatch([]*typelang.Type{ty}, 1)
 			}
 		}(a)
 	}

@@ -55,14 +55,17 @@
 // More workers lex and absorb small chunks in parallel, each sealing
 // its chunk's type, and chunk results commit in stream order so
 // schemas, document counts and error offsets are exact. Who consumes
-// the result decides the reduce. A one-shot run (InferStream,
-// InferStreamBytes) is read once, at the end, so its committer absorbs
-// every chunk type into the run's accumulator, sealed once. A registry
-// collection (InferStreamInto) is read while it grows, so its chunk
-// types go to a caller-owned ShardedCollector (collector.go): leaf
-// collectors absorb their shard on their own goroutines and publish
-// sealed partials, and a root fuses them into the snapshot readers are
-// served — work a run with no reader would only throw away.
+// the result decides the reduce, which either way is the committer
+// absorbing chunk types in line into an accumulator sealed only when it
+// is read. A one-shot run (InferStream, InferStreamBytes) is read once,
+// at the end, so its committer absorbs every chunk type into the run's
+// own accumulator, sealed once. A registry collection
+// (InferStreamInto) is read while it grows, by other goroutines, so
+// its committers absorb into a caller-owned ShardedCollector
+// (collector.go): N mutex-guarded accumulators picked round-robin, of
+// which a Snapshot seals those that changed since the last read and
+// fuses the sealed partials — an ingest nobody reads after seals
+// nothing.
 // Options.Symbols shares one field-name symbol table across all
 // workers.
 package infer

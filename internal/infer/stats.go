@@ -9,16 +9,16 @@ import (
 // monotone counters and per-stage clocks every stage of the streamed
 // engines reports into when Options.Stats is set. The recording
 // discipline is lock-free and per-worker: each worker (and the reader
-// goroutine, and each collector leaf) accumulates into a private, plain
-// statsFrame while it works and publishes the frame with a handful of
-// atomic adds at chunk granularity — never per document, never per
+// goroutine, and the one-shot committer) accumulates into a private,
+// plain statsFrame while it works and publishes the frame with a handful
+// of atomic adds at chunk granularity — never per document, never per
 // token — so the counters cost nothing measurable on the hot path and
 // nothing at all when Stats is nil (every site is nil-guarded).
 //
 // Snapshot reads are atomic loads: consistent per counter, monotone
 // across successive reads, and safe to take while the pipeline runs.
 // The registry keeps one cumulative PipelineStats per collection (its
-// collector tree reports the reduce-side counters straight into it) and
+// collector reports the reduce-side counters straight into it) and
 // hands each ingest call a private one, whose snapshot becomes the
 // per-request delta that rides in IngestResult and on trace spans — so
 // `jsinfer -stats`, /v1/stats, /metrics and /debug/traces all account
@@ -53,17 +53,16 @@ type StatsSnapshot struct {
 	// reference scanner (escaped strings, fancy numbers) instead of
 	// resolving positionally.
 	ScanDelegations int64
-	// BatchPublishes counts collector-leaf publishes (sealed partials
-	// made visible to snapshots). Collector tree only: 0 on a one-shot
-	// run.
-	BatchPublishes int64
-	// RootFuses counts root fuse passes over the leaf partials (snapshot
-	// cache misses). Collector tree only: 0 on a one-shot run.
+	// RootFuses counts collector snapshots that found a shard changed
+	// and rebuilt the served schema (cache-miss reads). Collector only:
+	// 0 on a one-shot run.
 	RootFuses int64
 	// Seals counts accumulator seals the pipeline performed: one per
 	// chunk on a multi-worker run (none at one worker), plus the
-	// one-shot run's single final seal or, in a collector tree, one per
-	// leaf publish and one per root fuse.
+	// one-shot run's single final seal or, in a collector, the seals a
+	// cache-miss read did: one per shard that changed since the last
+	// read, plus the fuse's when there are several shards. A memoised
+	// seal that rebuilt nothing is not counted.
 	Seals int64
 	// BytesAliased counts chunk bytes emitted zero-copy — chunks that
 	// alias the caller's buffer (byte-slice engines, mmap'd files)
@@ -83,15 +82,16 @@ type StatsSnapshot struct {
 	ReaderInputs int64
 
 	// Per-stage wall time, monotonic nanoseconds. The stages overlap in
-	// real time (the reader splits while workers absorb while leaves
-	// fold), so the sum across stages exceeds the request wall time on a
-	// multi-core host — each figure answers "where did this stage's
-	// goroutines spend their time", not "what fraction of the wall".
+	// real time (the reader splits while workers absorb while the
+	// committer folds), so the sum across stages exceeds the request
+	// wall time on a multi-core host — each figure answers "where did
+	// this stage's goroutines spend their time", not "what fraction of
+	// the wall".
 	ReadNanos   int64 // reader goroutine blocked in io.Reader.Read
 	SplitNanos  int64 // boundary finding (docSplitter.Splits)
 	MapNanos    int64 // workers indexing, lexing, absorbing and sealing chunks
-	ReduceNanos int64 // committer (one-shot) or collector leaves absorbing committed results, and their seals; the one-shot run's final seal at any worker count
-	FuseNanos   int64 // collector root fusing leaf partials (0 on a one-shot run)
+	ReduceNanos int64 // committer absorbing committed chunk types (into the run's accumulator, or a collector shard); the one-shot run's final seal at any worker count
+	FuseNanos   int64 // collector cache-miss reads: sealing the changed shards and fusing the partials (0 on a one-shot run)
 }
 
 // Add accumulates other into s field by field.
@@ -103,7 +103,6 @@ func (s *StatsSnapshot) Add(other StatsSnapshot) {
 	s.FallbackRecords += other.FallbackRecords
 	s.ParityRejects += other.ParityRejects
 	s.ScanDelegations += other.ScanDelegations
-	s.BatchPublishes += other.BatchPublishes
 	s.RootFuses += other.RootFuses
 	s.Seals += other.Seals
 	s.BytesAliased += other.BytesAliased
@@ -131,7 +130,6 @@ type PipelineStats struct {
 	fallbackRecords atomic.Int64
 	parityRejects   atomic.Int64
 	scanDelegations atomic.Int64
-	batchPublishes  atomic.Int64
 	rootFuses       atomic.Int64
 	seals           atomic.Int64
 	bytesAliased    atomic.Int64
@@ -161,7 +159,6 @@ func (p *PipelineStats) Snapshot() StatsSnapshot {
 		FallbackRecords: p.fallbackRecords.Load(),
 		ParityRejects:   p.parityRejects.Load(),
 		ScanDelegations: p.scanDelegations.Load(),
-		BatchPublishes:  p.batchPublishes.Load(),
 		RootFuses:       p.rootFuses.Load(),
 		Seals:           p.seals.Load(),
 		BytesAliased:    p.bytesAliased.Load(),
@@ -191,7 +188,6 @@ func (p *PipelineStats) AddSnapshot(d StatsSnapshot) {
 	addNonZero(&p.fallbackRecords, d.FallbackRecords)
 	addNonZero(&p.parityRejects, d.ParityRejects)
 	addNonZero(&p.scanDelegations, d.ScanDelegations)
-	addNonZero(&p.batchPublishes, d.BatchPublishes)
 	addNonZero(&p.rootFuses, d.RootFuses)
 	addNonZero(&p.seals, d.Seals)
 	addNonZero(&p.bytesAliased, d.BytesAliased)
@@ -213,7 +209,7 @@ func addNonZero(a *atomic.Int64, v int64) {
 }
 
 // statsFrame is the private, unsynchronised accumulator a recording
-// site (worker, reader, collector leaf) fills while it works. flush
+// site (worker, reader, committer) fills while it works. flush
 // publishes it with atomic adds and resets it; sites flush at chunk
 // granularity, so the shared cache lines are touched a handful of times
 // per chunk rather than per document.
@@ -232,7 +228,6 @@ func (f *statsFrame) flush(p *PipelineStats) {
 		addNonZero(&p.fallbackRecords, f.FallbackRecords)
 		addNonZero(&p.parityRejects, f.ParityRejects)
 		addNonZero(&p.scanDelegations, f.ScanDelegations)
-		addNonZero(&p.batchPublishes, f.BatchPublishes)
 		addNonZero(&p.rootFuses, f.RootFuses)
 		addNonZero(&p.seals, f.Seals)
 		addNonZero(&p.bytesAliased, f.BytesAliased)

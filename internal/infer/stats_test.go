@@ -175,46 +175,67 @@ func TestStatsSequentialEngine(t *testing.T) {
 	}
 }
 
-// TestStatsShardedCollector: the collector tree reports its reduce-side
-// counters — leaf publishes, seals, root fuses — into the stats it was
-// built with.
+// TestStatsShardedCollector pins the collector's laziness through the
+// counters it reports into the stats it was built with: feeding it
+// seals nothing beyond the workers' chunk seals and fuses nothing, the
+// first read seals the shards that changed and fuses once, and a read
+// of the quiet collector does no work at all — it returns the very
+// same *Type.
 func TestStatsShardedCollector(t *testing.T) {
+	const shards = 2
 	var st PipelineStats
-	col := NewShardedCollectorStats(2, typelang.EquivLabel, &st)
+	col := NewShardedCollectorStats(shards, typelang.EquivLabel, &st)
 	docs := genjson.Collection(genjson.Twitter{Seed: 7}, 64)
 	data := jsontext.MarshalLines(docs)
-	if _, err := InferStreamInto(bytes.NewReader(data), Options{
-		Equiv: typelang.EquivLabel, Workers: 2, Batch: 8, Stats: &st,
-	}, col); err != nil {
-		t.Fatal(err)
+	for i := 0; i < 3; i++ {
+		if _, err := InferStreamInto(bytes.NewReader(data), Options{
+			Equiv: typelang.EquivLabel, Workers: 2, Batch: 8, Stats: &st,
+		}, col); err != nil {
+			t.Fatal(err)
+		}
 	}
-	col.Flush()
-	if _, n := col.Snapshot(); n != 64 {
-		t.Fatalf("collector holds %d docs, want 64", n)
+	fed := st.Snapshot()
+	if fed.RootFuses != 0 || fed.FuseNanos != 0 {
+		t.Errorf("RootFuses=%d FuseNanos=%d before any read, want 0/0", fed.RootFuses, fed.FuseNanos)
 	}
-	s := st.Snapshot()
-	if s.BatchPublishes < 1 {
-		t.Errorf("BatchPublishes=%d, want >= 1", s.BatchPublishes)
+	if fed.Seals != fed.ChunksSplit {
+		t.Errorf("Seals=%d before any read, want the %d chunk seals only", fed.Seals, fed.ChunksSplit)
 	}
-	if s.RootFuses < 1 {
-		t.Errorf("RootFuses=%d, want >= 1 (Snapshot fused the leaves)", s.RootFuses)
+	if fed.ReduceNanos <= 0 {
+		t.Errorf("ReduceNanos=%d, want the committers' absorb time", fed.ReduceNanos)
 	}
-	// Every publish and every fuse seals; so does every worker chunk.
-	if s.Seals < s.BatchPublishes+s.RootFuses {
-		t.Errorf("Seals=%d < publishes+fuses=%d", s.Seals, s.BatchPublishes+s.RootFuses)
+	first, n := col.Snapshot()
+	if n != 3*64 {
+		t.Fatalf("collector holds %d docs, want %d", n, 3*64)
 	}
-	col.Close()
+	read := st.Snapshot()
+	if read.RootFuses != 1 || read.FuseNanos <= 0 {
+		t.Errorf("first read: RootFuses=%d FuseNanos=%d, want 1 and a running clock", read.RootFuses, read.FuseNanos)
+	}
+	if got := read.Seals - fed.Seals; got < 2 || got > shards+1 {
+		t.Errorf("first read sealed %d times, want the changed shards (1..%d) + the fuse", got, shards)
+	}
+	again, _ := col.Snapshot()
+	if again != first {
+		t.Error("a quiet collector's second read returned a different *Type; want the cached one")
+	}
+	if quiet := st.Snapshot(); quiet.RootFuses != read.RootFuses || quiet.Seals != read.Seals || quiet.FuseNanos != read.FuseNanos {
+		t.Errorf("a quiet read recorded work: fuses %d→%d seals %d→%d", read.RootFuses, quiet.RootFuses, read.Seals, quiet.Seals)
+	}
+	if last, _ := col.Close(); last != first {
+		t.Error("Close of a quiet collector re-fused; want the cached *Type")
+	}
 }
 
 // TestStatsOneShotRunSealsOnce pins the shape of the two reduces. A
-// one-shot run has no reader before its end, so it publishes nothing
-// and fuses nothing, and it seals its accumulator once — booked to the
+// one-shot run has no reader before its end, so it fuses nothing, and
+// it seals its accumulator once — booked to the
 // reduce clock at every worker count — on top of one seal per chunk on
 // the workers when there are several (one worker absorbs every chunk
 // into the run's accumulator directly). sparse.ndjson has thousands of
 // label sets, so that seal is too long for the clock to miss. The
-// registry's feed over the same input still publishes and fuses — its
-// collector serves snapshots.
+// registry's feed over the same input fuses exactly when it is read —
+// here once, by Close.
 func TestStatsOneShotRunSealsOnce(t *testing.T) {
 	for _, fixture := range []string{"sparse.ndjson", "tweets.ndjson"} {
 		data, err := os.ReadFile(filepath.Join("..", "..", "testdata", fixture))
@@ -232,9 +253,9 @@ func TestStatsOneShotRunSealsOnce(t *testing.T) {
 				if s.ChunksSplit < 2 {
 					t.Fatalf("%s/w%d/%s: %d chunks; the pin needs a multi-chunk run", fixture, workers, input, s.ChunksSplit)
 				}
-				if s.BatchPublishes != 0 || s.RootFuses != 0 || s.FuseNanos != 0 {
-					t.Errorf("%s/w%d/%s: batch_publishes=%d root_fuses=%d fuse=%dns on a one-shot run, want 0/0/0",
-						fixture, workers, input, s.BatchPublishes, s.RootFuses, s.FuseNanos)
+				if s.RootFuses != 0 || s.FuseNanos != 0 {
+					t.Errorf("%s/w%d/%s: root_fuses=%d fuse=%dns on a one-shot run, want 0/0",
+						fixture, workers, input, s.RootFuses, s.FuseNanos)
 				}
 				wantSeals := int64(1)
 				if workers > 1 {
@@ -254,9 +275,9 @@ func TestStatsOneShotRunSealsOnce(t *testing.T) {
 				t.Fatal(err)
 			}
 			col.Close()
-			if s := st.Snapshot(); s.BatchPublishes < 1 || s.RootFuses < 1 {
-				t.Errorf("%s/w%d: registry feed recorded batch_publishes=%d root_fuses=%d, want both >= 1",
-					fixture, workers, s.BatchPublishes, s.RootFuses)
+			if s := st.Snapshot(); s.RootFuses != 1 || s.FuseNanos <= 0 {
+				t.Errorf("%s/w%d: registry feed recorded root_fuses=%d fuse=%dns, want the one read Close made",
+					fixture, workers, s.RootFuses, s.FuseNanos)
 			}
 		}
 	}
@@ -286,7 +307,6 @@ func TestStatsSnapshotMonotoneUnderLoad(t *testing.T) {
 				{s.FallbackRecords, last.FallbackRecords},
 				{s.ParityRejects, last.ParityRejects},
 				{s.ScanDelegations, last.ScanDelegations},
-				{s.BatchPublishes, last.BatchPublishes},
 				{s.RootFuses, last.RootFuses},
 				{s.Seals, last.Seals},
 				{s.ReadNanos, last.ReadNanos},
@@ -336,12 +356,12 @@ func TestStatsSnapshotMonotoneUnderLoad(t *testing.T) {
 // inert everywhere.
 func TestStatsSnapshotArithmetic(t *testing.T) {
 	a := StatsSnapshot{ChunksSplit: 1, BytesLexed: 10, DocsAbsorbed: 2, IndexRecords: 2,
-		FallbackRecords: 1, ParityRejects: 1, ScanDelegations: 3, BatchPublishes: 1,
+		FallbackRecords: 1, ParityRejects: 1, ScanDelegations: 3,
 		RootFuses: 1, Seals: 4, ReadNanos: 5, SplitNanos: 6, MapNanos: 7, ReduceNanos: 8, FuseNanos: 9}
 	b := a
 	b.Add(a)
 	want := StatsSnapshot{ChunksSplit: 2, BytesLexed: 20, DocsAbsorbed: 4, IndexRecords: 4,
-		FallbackRecords: 2, ParityRejects: 2, ScanDelegations: 6, BatchPublishes: 2,
+		FallbackRecords: 2, ParityRejects: 2, ScanDelegations: 6,
 		RootFuses: 2, Seals: 8, ReadNanos: 10, SplitNanos: 12, MapNanos: 14, ReduceNanos: 16, FuseNanos: 18}
 	if b != want {
 		t.Errorf("Add: got %+v, want %+v", b, want)

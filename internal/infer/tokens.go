@@ -359,8 +359,8 @@ func InferStreamBytes(data []byte, opts Options) (*typelang.Type, int, error) {
 
 // run is the one-shot engine behind both entry points. A one-shot run
 // has no reader before its end, so its reduce is one accumulator sealed
-// once, whichever shape fills it (the snapshot-serving collector tree
-// is InferStreamInto's, for the registry).
+// once, whichever shape fills it (the snapshot-serving, lockable
+// collector is InferStreamInto's, for the registry).
 func run(source chunkSource, opts Options) (*typelang.Type, int, error) {
 	st := opts.Stats
 	var (
@@ -386,15 +386,15 @@ func run(source chunkSource, opts Options) (*typelang.Type, int, error) {
 }
 
 // InferStreamInto is InferStream folding into a caller-owned collector
-// tree instead of a fresh accumulator: committed chunk types are handed
-// to col in stream order (batched — one channel send per commit batch)
+// instead of a fresh accumulator: committed chunk types are absorbed
+// into col in stream order (batched — one shard lock per commit batch)
 // and the collector is left open, which is what lets a long-lived
 // accumulator (a registry collection) absorb many streams —
 // concurrently, even — into one monotonically-growing schema. It
 // returns the number of documents committed and the first error, with
 // exactly InferStream's error semantics: on a malformed document the
-// committed documents are precisely those before it. The caller flushes
-// or closes col to observe the result.
+// committed documents are precisely those before it. Everything
+// committed is in col's next Snapshot.
 func InferStreamInto(r io.Reader, opts Options, col *ShardedCollector) (int, error) {
 	return pipeChunks(readerChunkSource(r), opts, func(ts []*typelang.Type, docs int) {
 		col.AddBatch(ts, int64(docs))
@@ -436,7 +436,7 @@ type chunkResult struct {
 }
 
 // commitBatch is how many in-order chunk results the committer buffers
-// per commit call: one collector hand-off (one channel send, one
+// per commit call: one collector hand-off (one shard lock, one
 // round-robin step) then carries a batch of sealed partials instead of
 // one. Error semantics are unaffected — the buffer holds only
 // already-committed (in-order, pre-error) results and is flushed before
@@ -500,7 +500,7 @@ func pipeChunks(source chunkSource, opts Options, commit func([]*typelang.Type, 
 	// and count semantics, buffering up to commitBatch in-order results
 	// per commit call. The bookkeeping here is cheap — the merge work
 	// happens in commit (the one-shot run's accumulator, or the
-	// registry's collector tree).
+	// registry's collector).
 	var (
 		pending     = make(map[int]chunkResult)
 		next        int

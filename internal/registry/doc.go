@@ -5,22 +5,22 @@
 // paper's batch map/reduce into a long-running service — the engine
 // behind the jsinferd daemon.
 //
-// Each collection owns a sharded collector tree (infer.ShardedCollector):
-// ingest requests run infer.InferStreamInto over their body, committing
-// chunk results into the tree where N leaf collectors absorb them into
-// live typelang.Accums in parallel and a root accumulator fuses the
-// sealed shard partials — sealing happens lazily, on publish and on
-// read, memoised by leaf generation, so Get/List on a quiet collection
-// reuse the previous sealed snapshot. Snapshot reads (Get, List, Stats)
-// load the leaves' published partials without taking any lock the
-// ingest path holds, so reads never block writes. Delete removes a
-// collection and shuts its tree down, waiting out in-flight ingests;
-// the name is immediately reusable.
+// Each collection owns a sharded collector (infer.ShardedCollector):
+// ingest requests run infer.InferStreamInto over their body, and each
+// request's committer absorbs its chunk results, on its own goroutine,
+// into one of the collector's N mutex-guarded typelang.Accums. Nothing
+// is sealed until somebody reads: a snapshot read (Get, List, Stats)
+// seals the shards that changed since the last read — each under its
+// own lock, so only adds to that shard wait — and fuses the sealed
+// partials; Get/List on a quiet collection reuse the previous sealed
+// snapshot. Delete removes a collection and closes its collector,
+// waiting out in-flight ingests; the name is immediately reusable.
 //
 // Consistency model: within one collection the schema only ever grows
-// (every snapshot subsumes every earlier one), an Ingest call flushes
-// its collector before returning (a client that completes a POST sees
-// its documents in the next read — read-your-writes), and a snapshot
+// (every snapshot subsumes every earlier one — reads are serialised,
+// so they are totally ordered), an Ingest call has absorbed everything
+// it commits by the time it returns (a client that completes a POST
+// sees its documents in the next read — read-your-writes), and a snapshot
 // taken while an ingest is in flight reflects some prefix of that
 // ingest's chunks. After all ingests complete, the snapshot is exactly
 // the schema batch inference (infer.InferStream) computes over the

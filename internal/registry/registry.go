@@ -18,7 +18,7 @@ import (
 )
 
 // Options configure a Registry; the zero value is usable (kind
-// equivalence, auto-sized workers and collector trees).
+// equivalence, auto-sized workers and collectors).
 type Options struct {
 	// Equiv is the merge equivalence every collection folds under:
 	// typelang.EquivKind (K) or typelang.EquivLabel (L).
@@ -26,12 +26,9 @@ type Options struct {
 	// Workers bounds the parallel chunk workers of each ingest call; 0
 	// means GOMAXPROCS.
 	Workers int
-	// Shards is the leaf count of each collection's collector tree; 0
-	// sizes the tree automatically.
+	// Shards is the number of accumulators each collection's collector
+	// stripes committed chunk types over; 0 sizes it automatically.
 	Shards int
-	// Batch is the documents-per-chunk target of the ingest pipeline; 0
-	// means infer.DefaultBatch.
-	Batch int
 	// Map picks the ingest pipeline's map phase; the zero value is the
 	// fused token absorber (infer.MapIndexed absorbs straight off the
 	// structural index, falling back per record — the fallback and
@@ -66,10 +63,10 @@ type CollectionOptions struct {
 }
 
 // StageObserver observes the phases of one ingest call: it is invoked
-// with a stage name ("quota", "pipeline", "flush") as the stage begins
-// and the func it returns is called when that stage ends. The daemon's
-// request tracer hangs spans off this hook; the registry itself knows
-// nothing about tracing.
+// with a stage name ("quota", "pipeline") as the stage begins and the
+// func it returns is called when that stage ends. The daemon's request
+// tracer hangs spans off this hook; the registry itself knows nothing
+// about tracing.
 type StageObserver func(stage string) func()
 
 // ErrEquivMismatch reports a per-collection equivalence override that
@@ -88,15 +85,16 @@ type Registry struct {
 	cols map[string]*collection
 }
 
-// collection is one named schema accumulator: a live collector tree
-// (whose leaves absorb into typelang.Accums and whose root seals
-// lazily, memoised by leaf generation — so Get/List on a quiet
-// collection reuse the previous sealed snapshot) plus counters.
+// collection is one named schema accumulator: a live collector (ingests
+// absorb into its typelang.Accums, reads seal and fuse what changed —
+// so Get/List on a quiet collection reuse the previous sealed snapshot)
+// plus counters.
 type collection struct {
 	name    string
 	equiv   typelang.Equiv // fixed at creation
 	col     *infer.ShardedCollector
 	lim     *limiter
+	docs    atomic.Int64  // documents merged by finished ingests
 	version atomic.Uint64 // completed ingests
 	ingests atomic.Int64  // ingest requests finished (with or without error)
 	errors  atomic.Int64  // ingest requests that ended in an error
@@ -104,14 +102,14 @@ type collection struct {
 	limited atomic.Int64  // ingest requests rejected by the quota
 
 	// stats is the collection's cumulative pipeline flight recorder:
-	// the collector tree reports its reduce-side counters straight into
+	// the collector reports its reduce-side counters straight into
 	// it, and each ingest call's map-side delta is folded in on
 	// completion (IngestWith).
 	stats infer.PipelineStats
 
 	// life guards the collector against Delete: ingests hold the read
 	// side for their whole run, Delete takes the write side before
-	// closing the tree, and closed marks a deleted collection so a
+	// closing the collector, and closed marks a deleted collection so a
 	// racing ingest re-resolves the name instead of touching a closed
 	// collector.
 	life   sync.RWMutex
@@ -128,9 +126,9 @@ func New(opts Options) *Registry {
 	}
 }
 
-// resolve returns the named collection, creating it (and its collector
-// tree) on first use — under the override's equivalence when co pins
-// one, the registry default otherwise. It reports whether this call
+// resolve returns the named collection, creating it (and its
+// collector) on first use — under the override's equivalence when co
+// pins one, the registry default otherwise. It reports whether this call
 // created the collection, and rejects an override that disagrees with
 // an existing collection's equivalence.
 func (r *Registry) resolve(name string, co CollectionOptions) (c *collection, created bool, err error) {
@@ -209,16 +207,16 @@ type IngestResult struct {
 // Ingest streams the documents on rd (NDJSON or concatenated JSON) into
 // the named collection, creating it if needed: the chunked token
 // pipeline lexes and types the body in parallel and commits chunk
-// results into the collection's collector tree in stream order. Any
+// results into the collection's collector in stream order. Any
 // number of Ingest calls may run concurrently, on the same or different
 // collections.
 //
 // On a malformed document the merged documents are exactly those before
 // it (the error carries an absolute body offset) and the error is both
 // returned and counted; the collection keeps the prefix. The result is
-// valid whether or not err is nil. Ingest flushes the collector before
-// returning, so a snapshot taken after it completes includes everything
-// it merged.
+// valid whether or not err is nil. Committing is absorbing — nothing
+// is buffered — so a snapshot taken after Ingest returns includes
+// everything it merged.
 func (r *Registry) Ingest(name string, rd io.Reader) (IngestResult, error) {
 	return r.IngestWith(name, rd, CollectionOptions{})
 }
@@ -258,12 +256,11 @@ func (r *Registry) IngestWith(name string, rd io.Reader, co CollectionOptions) (
 	endQuota()
 	if rlErr != nil {
 		c.limited.Add(1)
-		_, total := c.col.Snapshot()
-		return IngestResult{Collection: name, TotalDocs: total, Version: c.version.Load()}, rlErr
+		return IngestResult{Collection: name, TotalDocs: c.docs.Load(), Version: c.version.Load()}, rlErr
 	}
 	// Each call records into a private flight recorder so its snapshot
 	// is an exact per-request delta; the delta then folds into the
-	// collection's cumulative stats (the collector tree reports its
+	// collection's cumulative stats (the collector reports its
 	// reduce-side counters there directly).
 	var st infer.PipelineStats
 	cr := &countReader{r: rd}
@@ -271,15 +268,11 @@ func (r *Registry) IngestWith(name string, rd io.Reader, co CollectionOptions) (
 	n, err := infer.InferStreamInto(cr, infer.Options{
 		Equiv:   c.equiv,
 		Workers: r.opts.Workers,
-		Batch:   r.opts.Batch,
 		Map:     r.opts.Map,
 		Symbols: r.symbols,
 		Stats:   &st,
 	}, c.col)
 	endPipeline()
-	endFlush := stage("flush")
-	c.col.Flush()
-	endFlush()
 	delta := st.Snapshot()
 	c.stats.AddSnapshot(delta)
 	bytes := cr.n.Load()
@@ -290,8 +283,8 @@ func (r *Registry) IngestWith(name string, rd io.Reader, co CollectionOptions) (
 		c.errors.Add(1)
 		err = fmt.Errorf("registry: ingest into %q: %w", name, err)
 	}
+	total := c.docs.Add(int64(n))
 	v := c.version.Add(1)
-	_, total := c.col.Snapshot()
 	return IngestResult{Collection: name, Docs: n, TotalDocs: total, Bytes: bytes, Version: v, Stats: delta}, err
 }
 
@@ -337,16 +330,16 @@ type Snapshot struct {
 	// unlimited).
 	Quota Quota
 	// Pipeline is the collection's cumulative pipeline flight recorder:
-	// map-side deltas of every finished ingest plus the collector
-	// tree's reduce-side counters. Once ingest quiesces it reconciles
-	// exactly with the sum of the per-call IngestResult.Stats deltas
-	// (plus the collector's own publishes and fuses).
+	// map-side deltas of every finished ingest plus the collector's
+	// reduce-side counters. Once ingest quiesces it reconciles exactly
+	// with the sum of the per-call IngestResult.Stats deltas (plus the
+	// collector's own absorb clock, seals and fuses).
 	Pipeline infer.StatsSnapshot
 }
 
-// Get returns a snapshot of the named collection. It never blocks
-// ingest: the read loads the collector leaves' published partials and
-// the root's cached fuse.
+// Get returns a snapshot of the named collection. A quiet collection
+// answers from the collector's cache; after an ingest the read seals
+// and fuses what changed, holding each shard's lock only for its seal.
 func (r *Registry) Get(name string) (Snapshot, bool) {
 	r.mu.RLock()
 	c := r.cols[name]
@@ -377,8 +370,8 @@ func (c *collection) snapshot() Snapshot {
 	}
 }
 
-// Delete removes the named collection and shuts down its accumulator
-// tree, reporting whether it existed. It waits for in-flight ingests
+// Delete removes the named collection and closes its collector,
+// reporting whether it existed. It waits for in-flight ingests
 // into the collection to finish (their documents die with it); ingests
 // that resolve the name afterwards create a fresh, empty collection.
 // Snapshots taken before the delete stay valid — sealed types are
@@ -450,9 +443,9 @@ type Stats struct {
 	Pipeline infer.StatsSnapshot
 }
 
-// Stats returns registry-wide aggregates without blocking ingest. The
-// schema sizes come from the same sealed (and memoised) snapshots
-// Get/List serve, so a quiet registry reports them without re-fusing.
+// Stats returns registry-wide aggregates. The schema sizes come from
+// the same sealed (and memoised) snapshots Get/List serve, so a quiet
+// registry reports them without re-fusing.
 func (r *Registry) Stats() Stats {
 	s := Stats{Symbols: r.symbols.Len()}
 	for _, snap := range r.List() {
@@ -468,7 +461,7 @@ func (r *Registry) Stats() Stats {
 	return s
 }
 
-// Close shuts down every collection's collector tree. The caller must
+// Close closes every collection's collector. The caller must
 // have stopped ingesting; snapshots taken before Close stay valid (types
 // are immutable), but the registry must not be used afterwards.
 func (r *Registry) Close() {

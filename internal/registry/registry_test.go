@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -137,7 +138,7 @@ func TestConcurrentIngestStorm(t *testing.T) {
 					p := snap.Pipeline
 					if p.DocsAbsorbed < lastPipe.DocsAbsorbed || p.BytesLexed < lastPipe.BytesLexed ||
 						p.ChunksSplit < lastPipe.ChunksSplit || p.Seals < lastPipe.Seals ||
-						p.BatchPublishes < lastPipe.BatchPublishes || p.RootFuses < lastPipe.RootFuses {
+						p.RootFuses < lastPipe.RootFuses {
 						t.Errorf("pipeline stats regressed: %+v after %+v", p, lastPipe)
 						return
 					}
@@ -578,10 +579,11 @@ func TestCreateCollection(t *testing.T) {
 // TestPipelineStatsReconcile pins the flight recorder's accounting
 // identity: once ingest quiesces, a collection's cumulative
 // Snapshot.Pipeline equals the sum of the per-call IngestResult.Stats
-// deltas on every map-side counter (the reduce-side counters — leaf
-// publishes, root fuses and their seals/clocks — accrue on the shared
-// collector directly, so the cumulative figures can only exceed the
-// deltas there), and the registry-wide Stats().Pipeline is the sum over
+// deltas on every map-side counter (the reduce-side counters — the
+// committers' absorb clock, and the fuses, seals and clock of reads
+// that found something new — accrue on the shared collector directly,
+// so the cumulative figures can only exceed the deltas there), and the
+// registry-wide Stats().Pipeline is the sum over
 // live collections. The same identity is what makes /metrics reconcile
 // with /v1/stats on the daemon.
 func TestPipelineStatsReconcile(t *testing.T) {
@@ -644,13 +646,18 @@ func TestPipelineStatsReconcile(t *testing.T) {
 		} else if p.IndexRecords != 0 {
 			t.Errorf("fused: IndexRecords=%d, want 0", p.IndexRecords)
 		}
-		// Reduce-side counters accrue on the shared collector: at least
-		// the deltas, and at least one leaf publish for committed work.
-		if p.BatchPublishes < 1 {
-			t.Errorf("%v: BatchPublishes=%d, want >= 1", mode, p.BatchPublishes)
+		// Reduce-side counters accrue on the shared collector: the
+		// committers' absorb time, and — four ingests, one read — one
+		// fuse, whose seals (a shard or two and the fuse itself) are all
+		// the cumulative count has over the deltas' chunk seals.
+		if p.ReduceNanos <= 0 {
+			t.Errorf("%v: ReduceNanos=%d, want the committers' absorb time", mode, p.ReduceNanos)
 		}
-		if p.Seals < sum.Seals {
-			t.Errorf("%v: cumulative Seals=%d < delta sum %d", mode, p.Seals, sum.Seals)
+		if p.RootFuses != 1 || p.FuseNanos <= 0 {
+			t.Errorf("%v: RootFuses=%d FuseNanos=%d after one read, want 1 and a running clock", mode, p.RootFuses, p.FuseNanos)
+		}
+		if extra := p.Seals - sum.Seals; extra < 2 || extra > 3 {
+			t.Errorf("%v: the read sealed %d times (cumulative %d, delta sum %d), want 2..3", mode, extra, p.Seals, sum.Seals)
 		}
 
 		// A second collection: registry-wide Stats aggregates both.
@@ -660,16 +667,80 @@ func TestPipelineStatsReconcile(t *testing.T) {
 		snapD, _ := reg.Get("d")
 		agg := reg.Stats().Pipeline
 		var want infer.StatsSnapshot
-		// Re-snapshot c: the Get above fused its root, which the
-		// reduce-side counters record.
-		snapC, _ := reg.Get("c")
-		want.Add(snapC.Pipeline)
+		want.Add(snap.Pipeline)
 		want.Add(snapD.Pipeline)
-		if agg.DocsAbsorbed != want.DocsAbsorbed || agg.BytesLexed != want.BytesLexed ||
-			agg.IndexRecords != want.IndexRecords || agg.ChunksSplit != want.ChunksSplit {
+		// Every field: both collections are quiet, so the reads Stats
+		// makes are cache hits and record nothing.
+		if agg != want {
 			t.Errorf("%v: Stats().Pipeline=%+v, want the sum over collections %+v", mode, agg, want)
 		}
 		reg.Close()
+	}
+}
+
+// TestCollectionsParkNoGoroutines is the goroutine census: a collection
+// is state, not a process. Creating 200, ingesting into each and
+// deleting half leaves the goroutine count where it started — an
+// ingest's source and workers end with the call, and the collector
+// runs on its callers.
+func TestCollectionsParkNoGoroutines(t *testing.T) {
+	reg := New(Options{Equiv: typelang.EquivLabel})
+	defer reg.Close()
+	before := runtime.NumGoroutine()
+	for i := 0; i < 200; i++ {
+		name := fmt.Sprintf("c%d", i)
+		if _, err := reg.Ingest(name, strings.NewReader(`{"a": 1}`+"\n")); err != nil {
+			t.Fatal(err)
+		}
+		if i%2 == 0 && !reg.Delete(name) {
+			t.Fatalf("Delete(%s) = false", name)
+		}
+	}
+	if got := len(reg.List()); got != 100 {
+		t.Fatalf("%d collections live, want 100", got)
+	}
+	after := runtime.NumGoroutine()
+	for i := 0; i < 1000 && after > before; i++ {
+		// The last ingest's helper goroutines may still be returning.
+		runtime.Gosched()
+		after = runtime.NumGoroutine()
+	}
+	if after > before {
+		t.Errorf("%d goroutines after 200 collections, %d before: collections must not park any", after, before)
+	}
+}
+
+// TestSealsFollowReadsNotIngests replays the shipper shape of the
+// repository benchmark's serve_mixed workload — one body after another
+// into one collection, a schema read after every 8th — and bounds the
+// reduce by its readers: beyond the workers' one seal per chunk, only a
+// read seals (each shard that changed, plus the fuse), and only a read
+// fuses. Ingests nobody reads after cost no seal at all.
+func TestSealsFollowReadsNotIngests(t *testing.T) {
+	const bodies, perBody, shards = 48, 40, 2
+	reg := New(Options{Equiv: typelang.EquivLabel, Shards: shards})
+	defer reg.Close()
+	var reads int64
+	for i := 0; i < bodies; i++ {
+		data := jsontext.MarshalLines(genjson.Collection(genjson.Twitter{Seed: int64(i)}, perBody))
+		if _, err := reg.Ingest("c", bytes.NewReader(data)); err != nil {
+			t.Fatal(err)
+		}
+		if i%8 == 7 {
+			reg.Get("c")
+			reads++
+		}
+	}
+	snap, _ := reg.Get("c") // quiet since the last read: a cache hit
+	p := snap.Pipeline
+	if snap.Docs != bodies*perBody {
+		t.Fatalf("%d docs, want %d", snap.Docs, bodies*perBody)
+	}
+	if p.RootFuses != reads {
+		t.Errorf("RootFuses=%d over %d ingests and %d reads, want one per read", p.RootFuses, bodies, reads)
+	}
+	if bound := p.ChunksSplit + (shards+1)*reads; p.Seals > bound {
+		t.Errorf("Seals=%d > chunks %d + (shards+1) × reads %d = %d", p.Seals, p.ChunksSplit, reads, bound)
 	}
 }
 

@@ -43,7 +43,7 @@ type Accum struct {
 	equiv Equiv
 
 	// gen counts mutations; sealGen/sealed memoise the last Seal so
-	// snapshot-heavy callers (collector leaves, the registry) re-seal
+	// snapshot-heavy callers (collector shards, the registry) re-seal
 	// only after new documents arrived.
 	gen     uint64
 	sealGen uint64
