@@ -46,7 +46,7 @@ bench-stream:
 # zero-copy -bytes/-mmap variants and the large-corpus reader/bytes/mmap
 # triplet over a 100MB jsgen-style corpus (E3_CORPUS_BYTES, jsgen
 # -target syntax).
-BENCH_JSON ?= BENCH_17.json
+BENCH_JSON ?= BENCH.json
 bench-json:
 	E3_CORPUS_BYTES=100MB $(GO) test -run '^$$' -bench 'BenchmarkE3(StreamingInference|LargeCorpus)' -benchtime 5x -count 5 -benchmem -json . \
 		| $(GO) run repro/cmd/jsbenchjson -out $(BENCH_JSON)

@@ -8,9 +8,9 @@
 //	jsinfer [-engine parametric-L|parametric-K|spark|skinfer]
 //	        [-output type|jsonschema|typescript|swift|report]
 //	        [-workers N] [-stream] [-simplify]
-//	        [-map fused|indexed] [-mmap auto|on|off]
-//	        [-chunk-bytes SIZE] [-precision] [-counted]
-//	        [-stats] [-cpuprofile f] [-memprofile f] [file.ndjson ...]
+//	        [-map fused|indexed] [-chunk-bytes SIZE]
+//	        [-precision] [-counted] [-stats]
+//	        [-cpuprofile f] [-memprofile f] [file.ndjson ...]
 //
 // The parametric engines run their map/reduce over N workers
 // (-workers, default GOMAXPROCS). With -stream the input is never
@@ -23,19 +23,17 @@
 // (default) absorbs documents straight from tokens into the worker
 // accumulators, "indexed" absorbs straight off the structural index
 // (separator tokens never materialise) — identical results either way.
-// With file arguments -mmap
-// routes the input: "auto" (default) memory-maps large regular files so
-// the zero-copy byte engines split and lex the file pages in place,
-// falling back to buffered reads for pipes, short files and platforms
-// without mmap; "on" requires mapping (and fails fast on stdin); "off"
-// forces the reader path. -chunk-bytes SIZE (64K, 4M, …) cuts chunks at
-// a byte target instead of every 256 documents — the knob for GB-scale
-// corpora. Streaming is
-// parametric-only. A streamed report has no precision column in its
-// single pass; -precision fills it by re-reading the input in a
-// bounded-memory second pass, which requires file arguments (stdin
-// cannot be re-read). Flag combinations that could only fail after the
-// (potentially huge) first pass are rejected up front.
+// Large regular files given as arguments are memory-mapped, so the
+// zero-copy byte engines split and lex the file pages in place; pipes,
+// short files, platforms without mmap and stdin take buffered reads
+// (`jsinfer -stream < file` for a file that may be truncated while it is
+// read). -chunk-bytes SIZE (64K, 4M, …) cuts chunks at a byte target
+// instead of every 256 documents — the knob for GB-scale corpora.
+// Streaming is parametric-only. A streamed report has no precision
+// column in its single pass; -precision fills it by re-reading the
+// input in a bounded-memory second pass, which requires file arguments
+// (stdin cannot be re-read). Flag combinations that could only fail
+// after the (potentially huge) first pass are rejected up front.
 //
 // -stats (streamed runs only) prints the pipeline's flight recorder to
 // stderr after inference: per-stage wall clocks (read, split, map,
@@ -65,6 +63,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"strings"
 
 	"repro/internal/core"
 	"repro/internal/genjson"
@@ -78,9 +77,9 @@ import (
 // set of the caller's choosing so the README test can walk exactly the
 // set main parses.
 type cliFlags struct {
-	engine, output, mapMode, mmap, chunkBytes, cpuprofile, memprofile *string
-	counted, simplify, stream, precision, stats                       *bool
-	workers                                                           *int
+	engine, output, mapMode, chunkBytes, cpuprofile, memprofile *string
+	counted, simplify, stream, precision, stats                 *bool
+	workers                                                     *int
 }
 
 func registerFlags(fs *flag.FlagSet) cliFlags {
@@ -93,7 +92,6 @@ func registerFlags(fs *flag.FlagSet) cliFlags {
 		stream:     fs.Bool("stream", false, "stream the input instead of materialising it (parametric engines only)"),
 		mapMode:    fs.String("map", "fused", "with -stream: map phase, fused (default) or indexed"),
 		precision:  fs.Bool("precision", false, "with -stream: compute precision in a second pass over the input files"),
-		mmap:       fs.String("mmap", "auto", "with -stream and file arguments: memory-map inputs, auto (default), on, or off"),
 		chunkBytes: fs.String("chunk-bytes", "", "with -stream: cut chunks at this byte size instead of every 256 documents (e.g. 4M)"),
 		stats:      fs.Bool("stats", false, "with -stream: print pipeline stage stats to stderr after inference (fuse and root_fuses are the registry's counters and read 0 here)"),
 		cpuprofile: fs.String("cpuprofile", "", "write a CPU profile of the inference pass to this file"),
@@ -104,13 +102,10 @@ func registerFlags(fs *flag.FlagSet) cliFlags {
 func main() {
 	opt := registerFlags(flag.CommandLine)
 	flag.Parse()
-	mapSet, mmapSet := false, false
+	mapSet := false
 	flag.Visit(func(f *flag.Flag) {
-		switch f.Name {
-		case "map":
+		if f.Name == "map" {
 			mapSet = true
-		case "mmap":
-			mmapSet = true
 		}
 	})
 
@@ -166,17 +161,6 @@ func main() {
 	default:
 		fatal(fmt.Errorf("unknown map mode %q (want fused or indexed)", *opt.mapMode))
 	}
-	var mmapMode core.MmapMode
-	switch *opt.mmap {
-	case "auto":
-		mmapMode = core.MmapAuto
-	case "on":
-		mmapMode = core.MmapOn
-	case "off":
-		mmapMode = core.MmapOff
-	default:
-		fatal(fmt.Errorf("unknown mmap mode %q (want auto, on or off)", *opt.mmap))
-	}
 	var chunkTarget int
 	if *opt.chunkBytes != "" {
 		cb, err := genjson.ParseSize(*opt.chunkBytes)
@@ -188,7 +172,7 @@ func main() {
 	// Flag-only validation happens before any input is read: a bad
 	// combination must exit non-zero immediately, not after a
 	// potentially huge inference pass (or, worse, be silently ignored).
-	if err := validateStreamFlags(*opt.stream, *opt.precision, mapSet, *opt.stats, mmapSet, *opt.mmap, *opt.chunkBytes != "", *opt.output, flag.NArg()); err != nil {
+	if err := validateStreamFlags(*opt.stream, *opt.precision, mapSet, *opt.stats, *opt.chunkBytes != "", *opt.output, flag.NArg()); err != nil {
 		fatal(err)
 	}
 	if *opt.stream {
@@ -197,7 +181,7 @@ func main() {
 			pstats = &core.PipelineStats{}
 		}
 		var err error
-		result, ndocs, err = streamInput(flag.Args(), eng, core.StreamOptions{Workers: *opt.workers, Map: mm, ChunkBytes: chunkTarget, Mmap: mmapMode, Stats: pstats})
+		result, ndocs, err = streamInput(flag.Args(), eng, core.StreamOptions{Workers: *opt.workers, Map: mm, ChunkBytes: chunkTarget, Stats: pstats})
 		if pstats != nil {
 			// Stats go to stderr even on an error exit: the partial
 			// counters cover exactly the work done before the failure.
@@ -279,13 +263,11 @@ func main() {
 // validateStreamFlags rejects stream-flag combinations up front, before
 // any input is read: -precision re-reads the input for the report's
 // precision column, so it needs -stream, the report output and
-// re-readable file arguments (stdin cannot be re-read); -map, -mmap,
+// re-readable file arguments (stdin cannot be re-read); -map,
 // -chunk-bytes and -stats configure the streamed engine, so
 // explicitly setting any of them without -stream is a mistake rather
-// than something to ignore. -mmap on additionally needs file arguments
-// — stdin is a pipe and cannot be memory-mapped, and "map or fail" must
-// fail here, not after a huge first pass.
-func validateStreamFlags(stream, precision, mapSet, stats, mmapSet bool, mmapMode string, chunkBytesSet bool, output string, nArgs int) error {
+// than something to ignore.
+func validateStreamFlags(stream, precision, mapSet, stats, chunkBytesSet bool, output string, nArgs int) error {
 	if !stream {
 		if precision {
 			return fmt.Errorf("-precision requires -stream (a materialised report always includes precision)")
@@ -295,9 +277,6 @@ func validateStreamFlags(stream, precision, mapSet, stats, mmapSet bool, mmapMod
 		}
 		if stats {
 			return fmt.Errorf("-stats reports the streamed pipeline's counters; add -stream")
-		}
-		if mmapSet {
-			return fmt.Errorf("-mmap routes the streamed engines' file inputs; add -stream")
 		}
 		if chunkBytesSet {
 			return fmt.Errorf("-chunk-bytes sizes the streamed engines' chunks; add -stream")
@@ -309,9 +288,6 @@ func validateStreamFlags(stream, precision, mapSet, stats, mmapSet bool, mmapMod
 	}
 	if precision && nArgs == 0 {
 		return fmt.Errorf("-precision with -stream needs file arguments: stdin cannot be re-read")
-	}
-	if mmapMode == "on" && nArgs == 0 {
-		return fmt.Errorf("-mmap on needs file arguments: stdin is not a regular file and cannot be memory-mapped")
 	}
 	return nil
 }
@@ -342,16 +318,21 @@ func readInput(files []string) ([]*jsonvalue.Value, error) {
 // while the workers absorb), so the times answer "where did each
 // stage's goroutines spend their time", not fractions of the wall.
 func printStats(w io.Writer, s core.StatsSnapshot) {
-	ms := func(n int64) string { return fmt.Sprintf("%.3fms", float64(n)/1e6) }
 	fmt.Fprintln(w, "pipeline stats:")
 	fmt.Fprintf(w, "  %-7s %12s  %s\n", "stage", "time", "counters")
-	fmt.Fprintf(w, "  %-7s %12s  chunks_split=%d reader_inputs=%d mmap_inputs=%d bytes_copied=%d buffers_recycled=%d\n",
-		"read", ms(s.ReadNanos), s.ChunksSplit, s.ReaderInputs, s.MmapInputs, s.BytesCopied, s.BuffersRecycled)
-	fmt.Fprintf(w, "  %-7s %12s  bytes_aliased=%d\n", "split", ms(s.SplitNanos), s.BytesAliased)
-	fmt.Fprintf(w, "  %-7s %12s  docs_absorbed=%d bytes_lexed=%d index_records=%d fallback_records=%d parity_rejects=%d scan_delegations=%d\n",
-		"map", ms(s.MapNanos), s.DocsAbsorbed, s.BytesLexed, s.IndexRecords, s.FallbackRecords, s.ParityRejects, s.ScanDelegations)
-	fmt.Fprintf(w, "  %-7s %12s\n", "reduce", ms(s.ReduceNanos))
-	fmt.Fprintf(w, "  %-7s %12s  root_fuses=%d seals=%d\n", "fuse", ms(s.FuseNanos), s.RootFuses, s.Seals)
+	for _, clock := range infer.StatsFields {
+		if !clock.Clock() {
+			continue // one row per stage: the stages are the clocks, in table order
+		}
+		var counters []string
+		for _, f := range infer.StatsFields {
+			if f.Stage == clock.Stage && !f.Clock() {
+				counters = append(counters, fmt.Sprintf("%s=%d", f.Name, *f.At(&s)))
+			}
+		}
+		row := fmt.Sprintf("  %-7s %12s  %s", clock.Stage, fmt.Sprintf("%.3fms", float64(*clock.At(&s))/1e6), strings.Join(counters, " "))
+		fmt.Fprintln(w, strings.TrimRight(row, " "))
+	}
 }
 
 // streamInput runs streaming-parallel inference over stdin or the

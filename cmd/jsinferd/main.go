@@ -121,6 +121,7 @@ import (
 	"repro/internal/daemon/intake"
 	"repro/internal/daemon/metrics"
 	"repro/internal/daemon/trace"
+	"repro/internal/infer"
 	"repro/internal/jsontext"
 	"repro/internal/jsonvalue"
 	"repro/internal/registry"
@@ -538,10 +539,7 @@ func newHandler(reg *registry.Registry, cfg handlerConfig) http.Handler {
 			fmt.Fprintln(w, s)
 		}
 	})
-	// Trace outermost: it clones the request to attach the trace
-	// context, and the mux records the matched pattern on that clone, so
-	// everything reading r.Pattern afterwards must sit inside the clone.
-	return traceRequests(cfg, metrics.NewHTTP(prom, "jsinferd").Wrap(mux))
+	return instrument(cfg, metrics.NewHTTP(prom, "jsinferd"), mux)
 }
 
 // newDebugHandler is the -debug-addr surface: net/http/pprof wired onto
@@ -566,12 +564,13 @@ func traceFrom(ctx context.Context) *trace.Trace {
 	return tr
 }
 
-// traceRequests wraps next so every request runs under a span: an
-// incoming W3C traceparent joins the caller's trace, the response
-// carries the daemon's own traceparent, the finished trace lands in the
-// /debug/traces ring, and each request logs one structured line
+// instrument is the daemon's one request middleware: every request runs
+// under a span (an incoming W3C traceparent joins the caller's trace,
+// the response carries the daemon's own, the finished trace lands in the
+// /debug/traces ring), and its route, status and duration — each taken
+// once — feed the trace, the request metrics and one structured log line
 // (warning-level past the -slow-request threshold).
-func traceRequests(cfg handlerConfig, next http.Handler) http.Handler {
+func instrument(cfg handlerConfig, meter *metrics.HTTP, next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		parent, _ := trace.ParseTraceparent(r.Header.Get("Traceparent"))
 		tr := cfg.tracer.StartTrace(r.Method+" "+r.URL.Path, parent)
@@ -579,8 +578,9 @@ func traceRequests(cfg handlerConfig, next http.Handler) http.Handler {
 		sw := &statusRecorder{ResponseWriter: w}
 		r2 := r.WithContext(context.WithValue(r.Context(), traceKey{}, tr))
 		next.ServeHTTP(sw, r2)
-		// A matched pattern already carries its method ("GET /healthz");
-		// only the unmatched bucket needs it prefixed.
+		// The mux records the pattern it matched on the clone it was
+		// handed. A matched pattern already carries its method
+		// ("GET /healthz"); only the unmatched bucket needs it prefixed.
 		route := r2.Pattern
 		name := route
 		if route == "" {
@@ -598,6 +598,7 @@ func traceRequests(cfg handlerConfig, next http.Handler) http.Handler {
 		root.SetAttr("status", int64(status))
 		tr.Finish()
 		dur := tr.Duration()
+		meter.Observe(route, status, dur)
 		attrs := []any{
 			"method", r.Method,
 			"route", route,
@@ -613,9 +614,9 @@ func traceRequests(cfg handlerConfig, next http.Handler) http.Handler {
 	})
 }
 
-// statusRecorder records the status code a handler wrote, for the trace
-// attributes and the request log line. Unwrap keeps
-// http.ResponseController features reachable.
+// statusRecorder records the status code a handler wrote, for
+// instrument. Unwrap keeps http.ResponseController features (the ingest
+// body's read deadlines) reachable.
 type statusRecorder struct {
 	http.ResponseWriter
 	status int
@@ -732,62 +733,23 @@ func renderSchema(t *core.Type, output string) (any, error) {
 // figures belong to one instant (scrapes in flight together may share
 // the later value).
 func statsGauges(prom *metrics.Registry, stats func() registry.Stats) http.Handler {
-	type row struct {
-		name, help string
-		get        func(registry.Stats) float64
-	}
-	rows := []row{
-		{"jsinferd_registry_collections", "Live collections.",
-			func(s registry.Stats) float64 { return float64(s.Collections) }},
-		{"jsinferd_registry_docs", "Documents summarised across all collections.",
-			func(s registry.Stats) float64 { return float64(s.Docs) }},
-		{"jsinferd_registry_schema_nodes", "Sealed schema nodes across all collection schemas.",
-			func(s registry.Stats) float64 { return float64(s.SchemaNodes) }},
-		{"jsinferd_registry_symbols", "Interned key symbols in the shared symbol table.",
-			func(s registry.Stats) float64 { return float64(s.Symbols) }},
-		{"jsinferd_pipeline_chunks_split_total", "Document-aligned byte chunks emitted to ingest worker pools.",
-			func(s registry.Stats) float64 { return float64(s.Pipeline.ChunksSplit) }},
-		{"jsinferd_pipeline_bytes_lexed_total", "Payload bytes handed to the map phase.",
-			func(s registry.Stats) float64 { return float64(s.Pipeline.BytesLexed) }},
-		{"jsinferd_pipeline_docs_absorbed_total", "Documents absorbed by the map phase (kept prefixes of failed ingests included).",
-			func(s registry.Stats) float64 { return float64(s.Pipeline.DocsAbsorbed) }},
-		{"jsinferd_pipeline_index_records_total", "Records absorbed entirely off the mison structural index.",
-			func(s registry.Stats) float64 { return float64(s.Pipeline.IndexRecords) }},
-		{"jsinferd_pipeline_fallback_records_total", "Records the index walk delegated to the token walker.",
-			func(s registry.Stats) float64 { return float64(s.Pipeline.FallbackRecords) }},
-		{"jsinferd_pipeline_parity_rejects_total", "Chunks the structural index rejected outright (odd quote parity).",
-			func(s registry.Stats) float64 { return float64(s.Pipeline.ParityRejects) }},
-		{"jsinferd_pipeline_scan_delegations_total", "Tokens the mison fast paths handed to the reference scanner.",
-			func(s registry.Stats) float64 { return float64(s.Pipeline.ScanDelegations) }},
-		{"jsinferd_pipeline_root_fuses_total", "Collector reads that found new documents and rebuilt the served schema.",
-			func(s registry.Stats) float64 { return float64(s.Pipeline.RootFuses) }},
-		{"jsinferd_pipeline_seals_total", "Accumulator seals across map and collector reads.",
-			func(s registry.Stats) float64 { return float64(s.Pipeline.Seals) }},
-		{"jsinferd_pipeline_bytes_aliased_total", "Chunk bytes emitted zero-copy, aliasing the input buffer.",
-			func(s registry.Stats) float64 { return float64(s.Pipeline.BytesAliased) }},
-		{"jsinferd_pipeline_bytes_copied_total", "Bytes moved during reader-path buffer compaction.",
-			func(s registry.Stats) float64 { return float64(s.Pipeline.BytesCopied) }},
-		{"jsinferd_pipeline_buffers_recycled_total", "Chunk arrays reacquired from the pool instead of allocated.",
-			func(s registry.Stats) float64 { return float64(s.Pipeline.BuffersRecycled) }},
-		{"jsinferd_pipeline_mmap_inputs_total", "Inputs served through a memory mapping.",
-			func(s registry.Stats) float64 { return float64(s.Pipeline.MmapInputs) }},
-		{"jsinferd_pipeline_reader_inputs_total", "Inputs served through the copying io.Reader path.",
-			func(s registry.Stats) float64 { return float64(s.Pipeline.ReaderInputs) }},
-		{"jsinferd_pipeline_read_seconds_total", "Reader-goroutine time blocked reading request bodies.",
-			func(s registry.Stats) float64 { return float64(s.Pipeline.ReadNanos) / 1e9 }},
-		{"jsinferd_pipeline_split_seconds_total", "Reader-goroutine time finding chunk boundaries.",
-			func(s registry.Stats) float64 { return float64(s.Pipeline.SplitNanos) / 1e9 }},
-		{"jsinferd_pipeline_map_seconds_total", "Worker time lexing and absorbing chunks.",
-			func(s registry.Stats) float64 { return float64(s.Pipeline.MapNanos) / 1e9 }},
-		{"jsinferd_pipeline_reduce_seconds_total", "Committer time absorbing chunk results into the collector.",
-			func(s registry.Stats) float64 { return float64(s.Pipeline.ReduceNanos) / 1e9 }},
-		{"jsinferd_pipeline_fuse_seconds_total", "Collector read time sealing changed shards and fusing them.",
-			func(s registry.Stats) float64 { return float64(s.Pipeline.FuseNanos) / 1e9 }},
-	}
 	var cur atomic.Pointer[registry.Stats]
-	for _, r := range rows {
-		get := r.get
-		prom.Gauge(r.name, r.help, func() float64 { return get(*cur.Load()) })
+	prom.Gauge("jsinferd_registry_collections", "Live collections.",
+		func() float64 { return float64(cur.Load().Collections) })
+	prom.Gauge("jsinferd_registry_docs", "Documents summarised across all collections.",
+		func() float64 { return float64(cur.Load().Docs) })
+	prom.Gauge("jsinferd_registry_schema_nodes", "Sealed schema nodes across all collection schemas.",
+		func() float64 { return float64(cur.Load().SchemaNodes) })
+	prom.Gauge("jsinferd_registry_symbols", "Interned key symbols in the shared symbol table.",
+		func() float64 { return float64(cur.Load().Symbols) })
+	for _, f := range infer.StatsFields {
+		name, div := f.Name+"_total", 1.0
+		if f.Clock() {
+			// Divide (× 1e-9 rounds differently): /v1/stats must reconcile exactly.
+			name, div = f.Stage+"_seconds_total", 1e9
+		}
+		prom.Gauge("jsinferd_pipeline_"+name, f.Help,
+			func() float64 { return float64(*f.At(&cur.Load().Pipeline)) / div })
 	}
 	render := prom.Handler()
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -824,28 +786,12 @@ func (b *idleBody) Read(p []byte) (int, error) {
 // pipelineMeta is the JSON envelope of a pipeline stats snapshot — the
 // shape shared by /v1/stats ("pipeline") and each collection's entry in
 // /v1/collections.
-func pipelineMeta(p core.StatsSnapshot) *jsonvalue.Value {
-	return jsonvalue.ObjectFromPairs(
-		"chunks_split", p.ChunksSplit,
-		"bytes_lexed", p.BytesLexed,
-		"docs_absorbed", p.DocsAbsorbed,
-		"index_records", p.IndexRecords,
-		"fallback_records", p.FallbackRecords,
-		"parity_rejects", p.ParityRejects,
-		"scan_delegations", p.ScanDelegations,
-		"root_fuses", p.RootFuses,
-		"seals", p.Seals,
-		"bytes_aliased", p.BytesAliased,
-		"bytes_copied", p.BytesCopied,
-		"buffers_recycled", p.BuffersRecycled,
-		"mmap_inputs", p.MmapInputs,
-		"reader_inputs", p.ReaderInputs,
-		"read_nanos", p.ReadNanos,
-		"split_nanos", p.SplitNanos,
-		"map_nanos", p.MapNanos,
-		"reduce_nanos", p.ReduceNanos,
-		"fuse_nanos", p.FuseNanos,
-	)
+func pipelineMeta(p infer.StatsSnapshot) *jsonvalue.Value {
+	fields := make([]jsonvalue.Field, len(infer.StatsFields))
+	for i, f := range infer.StatsFields {
+		fields[i] = jsonvalue.Field{Name: f.Name, Value: jsonvalue.FromGo(*f.At(&p))}
+	}
+	return jsonvalue.NewObject(fields...)
 }
 
 // traceMeta is the JSON envelope of one finished trace for

@@ -19,6 +19,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/daemon/trace"
+	"repro/internal/infer"
 	"repro/internal/jsontext"
 	"repro/internal/jsonvalue"
 	"repro/internal/registry"
@@ -188,6 +189,8 @@ func TestRequestLogging(t *testing.T) {
 
 	get(t, srv.URL+"/healthz")
 	get(t, srv.URL+"/nowhere")
+	post(t, srv.URL+"/v1/collections/c/ingest", []byte(`{"a": 1}`+"\n"))
+	get(t, srv.URL+"/v1/collections/c/schema") // text form: Write without WriteHeader
 
 	mu.Lock()
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
@@ -222,6 +225,19 @@ func TestRequestLogging(t *testing.T) {
 		t.Error("no request line for the unmatched route")
 	} else if status, _ := unmatched.Get("status"); status.Int() != 404 {
 		t.Errorf("unmatched log status = %d, want 404", status.Int())
+	}
+	// The request metrics are fed the very route and status the log line
+	// carries — one middleware derives them once.
+	_, exposition := get(t, srv.URL+"/metrics")
+	for _, series := range []string{
+		`jsinferd_http_requests_total{route="GET /healthz",code="200"}`,
+		`jsinferd_http_requests_total{route="unmatched",code="404"}`,
+		`jsinferd_http_requests_total{route="GET /v1/collections/{name}/schema",code="200"}`,
+		`jsinferd_http_request_seconds_count{route="unmatched"}`,
+	} {
+		if got := metricValue(t, exposition, series); got != 1 {
+			t.Errorf("%s = %v, want 1", series, got)
+		}
 	}
 	// slow = 1ns: every request also warns, with the threshold attached.
 	slow, ok := byMsgRoute[[2]string{"slow request", "GET /healthz"}]
@@ -353,5 +369,58 @@ func TestPipelineCountersEndToEnd(t *testing.T) {
 		if sums[key] != want {
 			t.Errorf("trace attr %s sums to %d, want %d (must reconcile with /v1/stats)", key, sums[key], want)
 		}
+	}
+}
+
+// TestPipelineSurfacesFollowStatsFields holds the daemon's faces of the
+// flight recorder to its one table (infer.StatsFields): the "pipeline"
+// object of /v1/stats and of every /v1/collections entry has exactly the
+// table's names as keys, in table order, and /metrics has exactly one
+// jsinferd_pipeline_* family per row — <name>_total, or for a stage's
+// clock <stage>_seconds_total — with the row's help text.
+func TestPipelineSurfacesFollowStatsFields(t *testing.T) {
+	srv, _ := newTestServer(t, registry.Options{})
+	if code, out := post(t, srv.URL+"/v1/collections/c/ingest", []byte(`{"a": 1}`+"\n")); code != 200 {
+		t.Fatalf("ingest: %d %s", code, out)
+	}
+	var wantKeys, wantFamilies []string
+	for _, f := range infer.StatsFields {
+		wantKeys = append(wantKeys, f.Name)
+		family := "jsinferd_pipeline_" + f.Name + "_total"
+		if f.Clock() {
+			family = "jsinferd_pipeline_" + f.Stage + "_seconds_total"
+		}
+		wantFamilies = append(wantFamilies, "# HELP "+family+" "+f.Help)
+	}
+
+	parse := func(body string) *jsonvalue.Value {
+		t.Helper()
+		v, err := jsontext.ParseString(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v
+	}
+	_, stats := get(t, srv.URL+"/v1/stats")
+	if pv, ok := parse(stats).Get("pipeline"); !ok || !slices.Equal(pv.FieldNames(), wantKeys) {
+		t.Errorf("/v1/stats pipeline = %v, want the table's keys %v", pv, wantKeys)
+	}
+	_, list := get(t, srv.URL+"/v1/collections")
+	cols, _ := parse(list).Get("collections")
+	if pv, ok := cols.Elem(0).Get("pipeline"); !ok || !slices.Equal(pv.FieldNames(), wantKeys) {
+		t.Errorf("/v1/collections pipeline = %v, want the table's keys %v", pv, wantKeys)
+	}
+
+	_, exposition := get(t, srv.URL+"/metrics")
+	var gotFamilies []string
+	for _, line := range strings.Split(exposition, "\n") {
+		if strings.HasPrefix(line, "# HELP jsinferd_pipeline_") {
+			gotFamilies = append(gotFamilies, line)
+		}
+	}
+	slices.Sort(wantFamilies) // the exposition sorts families by name
+	if !slices.Equal(gotFamilies, wantFamilies) {
+		t.Errorf("/metrics pipeline families:\n%s\nwant one per table row:\n%s",
+			strings.Join(gotFamilies, "\n"), strings.Join(wantFamilies, "\n"))
 	}
 }

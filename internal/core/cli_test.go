@@ -172,51 +172,57 @@ func TestCodegenOutputsMentionEveryTopLevelField(t *testing.T) {
 // and bytes facades already had on the files facade too: when a file is
 // malformed mid-way, the Inference returned with the error covers
 // exactly the documents before it — every earlier file plus the failing
-// file's good prefix — through the reader and the mmap route alike.
+// file's good prefix — through the reader and the mmap route alike: the
+// failing file is once short of mmapMinSize (read) and once past it
+// (mapped, where the platform can).
 func TestStreamFilesKeepPrefixOnError(t *testing.T) {
 	docs1 := genjson.Collection(genjson.Orders{Seed: 211}, 60)
-	docs2 := genjson.Collection(genjson.Twitter{Seed: 212}, 40)
-	good := jsontext.MarshalLines(docs2[:25])
-	broken := append(append(append([]byte{}, good...), "{]\n"...), jsontext.MarshalLines(docs2[25:])...)
 	dir := t.TempDir()
 	f1 := filepath.Join(dir, "a.ndjson")
 	bad := filepath.Join(dir, "bad.ndjson")
 	if err := os.WriteFile(f1, jsontext.MarshalLines(docs1), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(bad, broken, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	want, err := InferSchema(append(append([]*Value{}, docs1...), docs2[:25]...), ParametricL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	modes := []MmapMode{MmapOff}
-	if mmapio.Supported() {
-		modes = append(modes, MmapOn)
-	}
-	for _, mode := range modes {
+	for _, goodDocs := range []int{25, 2000} {
+		docs2 := genjson.Collection(genjson.Twitter{Seed: 212}, goodDocs+15)
+		good := jsontext.MarshalLines(docs2[:goodDocs])
+		broken := append(append(append([]byte{}, good...), "{]\n"...), jsontext.MarshalLines(docs2[goodDocs:])...)
+		if err := os.WriteFile(bad, broken, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		mapped := len(broken) >= mmapMinSize && mmapio.Supported()
+		if (goodDocs == 2000) != (len(broken) >= mmapMinSize) {
+			t.Fatalf("good=%d: bad.ndjson is %d bytes, on the wrong side of mmapMinSize", goodDocs, len(broken))
+		}
+		want, err := InferSchema(append(append([]*Value{}, docs1...), docs2[:goodDocs]...), ParametricL)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var stats PipelineStats
 		inf, n, err := InferSchemaStreamFilesWith([]string{f1, bad}, ParametricL,
-			StreamOptions{Workers: 3, Mmap: mode})
+			StreamOptions{Workers: 3, Stats: &stats})
+		if got := stats.Snapshot().MmapInputs == 1; got != mapped {
+			t.Errorf("good=%d: bad.ndjson mapped = %v, want %v", goodDocs, got, mapped)
+		}
 		var se *jsontext.SyntaxError
 		if !errors.As(err, &se) || !strings.Contains(err.Error(), "bad.ndjson") {
-			t.Fatalf("mmap=%v: error = %v, want a syntax error naming bad.ndjson", mode, err)
+			t.Fatalf("mapped=%v: error = %v, want a syntax error naming bad.ndjson", mapped, err)
 		}
 		if wantOff := len(good) + 1; se.Offset != wantOff {
-			t.Errorf("mmap=%v: error offset %d, want %d (the ']', relative to its file)", mode, se.Offset, wantOff)
+			t.Errorf("mapped=%v: error offset %d, want %d (the ']', relative to its file)", mapped, se.Offset, wantOff)
 		}
-		if n != 85 {
-			t.Errorf("mmap=%v: typed %d docs before the error, want 85", mode, n)
+		if n != 60+goodDocs {
+			t.Errorf("mapped=%v: typed %d docs before the error, want %d", mapped, n, 60+goodDocs)
 		}
 		if inf == nil {
-			t.Fatalf("mmap=%v: no Inference returned with the error", mode)
+			t.Fatalf("mapped=%v: no Inference returned with the error", mapped)
 		}
 		if inf.Type.StringCounted() != want.Type.StringCounted() {
-			t.Errorf("mmap=%v: prefix type differs from inference over the 85 good documents\n want: %s\n got:  %s",
-				mode, want.Type.StringCounted(), inf.Type.StringCounted())
+			t.Errorf("mapped=%v: prefix type differs from inference over the %d good documents\n want: %s\n got:  %s",
+				mapped, 60+goodDocs, want.Type.StringCounted(), inf.Type.StringCounted())
 		}
 		if inf.Size != want.Size || inf.Precision != -1 {
-			t.Errorf("mmap=%v: size %d precision %v, want %d and -1", mode, inf.Size, inf.Precision, want.Size)
+			t.Errorf("mapped=%v: size %d precision %v, want %d and -1", mapped, inf.Size, inf.Precision, want.Size)
 		}
 	}
 }

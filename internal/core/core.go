@@ -257,39 +257,9 @@ const (
 	MapIndexed = infer.MapIndexed
 )
 
-// MmapMode selects how the file-streaming engines read their inputs.
-type MmapMode uint8
-
-const (
-	// MmapAuto — the zero value — memory-maps regular files of at
-	// least mmapMinSize on supporting platforms and silently falls
-	// back to the reader path everywhere else (pipes, short files,
-	// platforms without the syscall).
-	MmapAuto MmapMode = iota
-	// MmapOn requires mapping: inputs that cannot be mapped (stdin,
-	// pipes, unsupported platforms) fail rather than fall back.
-	MmapOn
-	// MmapOff always uses the copying reader path.
-	MmapOff
-)
-
-// String names the mode.
-func (m MmapMode) String() string {
-	switch m {
-	case MmapAuto:
-		return "auto"
-	case MmapOn:
-		return "on"
-	case MmapOff:
-		return "off"
-	default:
-		return "unknown"
-	}
-}
-
-// mmapMinSize is the MmapAuto threshold: below it the mapping-setup
-// syscalls cost more than the copies they save, so short files keep
-// the reader path.
+// mmapMinSize is the smallest file the *Files engines memory-map: below
+// it the mapping-setup syscalls cost more than the copies they save, so
+// short files keep the reader path.
 const mmapMinSize = 1 << 20
 
 // StreamOptions tune the streamed inference engine.
@@ -305,11 +275,6 @@ type StreamOptions struct {
 	// lets GB-scale inputs amortise per-chunk overhead over far larger
 	// chunks. 0 keeps the document-count default.
 	ChunkBytes int
-	// Mmap selects how the *Files engines read regular files: MmapAuto
-	// (the zero value) maps large regular files and falls back
-	// gracefully, MmapOn requires mapping, MmapOff forces the reader
-	// path. Mapped files stream through the zero-copy byte engines.
-	Mmap MmapMode
 	// Stats, when non-nil, receives the pipeline's stage counters and
 	// clocks (see infer.PipelineStats); nil keeps recording entirely
 	// off the hot path.
@@ -346,7 +311,7 @@ type StatsSnapshot = infer.StatsSnapshot
 // inference need the whole collection in memory. The returned
 // Inference carries no Precision (it is -1): computing it needs a
 // second pass over data the stream no longer holds; use
-// StreamPrecision/StreamPrecisionFiles on re-readable input. On a
+// StreamPrecisionFiles on re-readable input. On a
 // decode error the Inference is still returned alongside the error
 // (whose syntax offsets are absolute stream offsets) and covers every
 // document decoded before it, mirroring infer.InferStream.
@@ -388,29 +353,12 @@ func InferSchemaStreamBytesWith(data []byte, engine Engine, opts StreamOptions) 
 	}, n, err
 }
 
-// StreamPrecision grades an inferred schema against the documents on r
-// in a bounded-memory pass: documents are decoded one at a time and
-// folded into the precision accumulator, never held together. It is the
-// explicit second pass that fills the precision column a streamed
-// inference cannot compute in its single pass. It returns the precision
-// and the number of documents graded.
-func StreamPrecision(r io.Reader, t *Type) (float64, int, error) {
-	dec := jsontext.NewDecoder(r)
-	var acc typelang.PrecisionAcc
-	for {
-		v, err := dec.Decode()
-		if err == io.EOF {
-			return acc.Value(), acc.Docs(), nil
-		}
-		if err != nil {
-			return acc.Value(), acc.Docs(), err
-		}
-		acc.Add(t, v)
-	}
-}
-
-// StreamPrecisionFiles is StreamPrecision over the named files in turn,
-// accumulating one precision figure for the concatenation; a decode
+// StreamPrecisionFiles grades an inferred schema against the documents
+// in the named files in a bounded-memory pass: documents are decoded one
+// at a time and folded into one precision accumulator, never held
+// together. It is the explicit second pass that fills the precision
+// column a streamed inference cannot compute in its single pass. It
+// returns the precision and the number of documents graded; a decode
 // error names the offending file.
 func StreamPrecisionFiles(files []string, t *Type) (float64, int, error) {
 	var acc typelang.PrecisionAcc
@@ -443,10 +391,10 @@ func StreamPrecisionFiles(files []string, t *Type) (float64, int, error) {
 // count returned with the error cover exactly the documents before it:
 // the earlier files and the failing file's prefix.
 //
-// Regular files route per opts.Mmap: mapped inputs stream through the
-// zero-copy byte engines (the raw file pages are split and lexed in
-// place), everything else through the buffered reader path — results
-// are byte-identical either way.
+// Regular files of at least mmapMinSize are memory-mapped where the
+// platform can and stream through the zero-copy byte engines (the raw
+// file pages are split and lexed in place), everything else through the
+// buffered reader path — results are byte-identical either way.
 func InferSchemaStreamFilesWith(files []string, engine Engine, opts StreamOptions) (*Inference, int, error) {
 	eq, ok := equivFor(engine)
 	if !ok {
@@ -475,19 +423,15 @@ func InferSchemaStreamFilesWith(files []string, engine Engine, opts StreamOption
 	}, total, ferr
 }
 
-// streamOneFile infers one named file, routing it through a memory
-// mapping or the reader path per opts.Mmap.
+// streamOneFile infers one named file, through a memory mapping when
+// mapForStream grants one and the reader path otherwise.
 func streamOneFile(name string, engine Engine, opts StreamOptions) (*Inference, int, error) {
 	f, err := os.Open(name)
 	if err != nil {
 		return nil, 0, err
 	}
 	defer f.Close()
-	m, err := mapForStream(f, opts.Mmap)
-	if err != nil {
-		return nil, 0, err
-	}
-	if m != nil {
+	if m := mapForStream(f); m != nil {
 		defer m.Close()
 		// The engines count reader inputs themselves (they own that
 		// path end to end); mapped inputs are a routing decision made
@@ -498,33 +442,25 @@ func streamOneFile(name string, engine Engine, opts StreamOptions) (*Inference, 
 	return InferSchemaStreamWith(f, engine, opts)
 }
 
-// mapForStream decides whether f streams through a memory mapping:
-// never under MmapOff; unconditionally under MmapOn, surfacing the
-// mapping error if the input cannot be mapped; and opportunistically
-// under MmapAuto — regular files of at least mmapMinSize on supporting
-// platforms, with every failure (pipe, short file, no syscall, mmap
-// refusal) silently taking the reader path instead. A nil mapping with
-// a nil error means "use the reader".
-func mapForStream(f *os.File, mode MmapMode) (*mmapio.Mapping, error) {
-	switch mode {
-	case MmapOff:
-		return nil, nil
-	case MmapOn:
-		return mmapio.Map(f)
-	default:
-		if !mmapio.Supported() {
-			return nil, nil
-		}
-		fi, err := f.Stat()
-		if err != nil || !fi.Mode().IsRegular() || fi.Size() < mmapMinSize {
-			return nil, nil
-		}
-		m, err := mmapio.Map(f)
-		if err != nil {
-			return nil, nil
-		}
-		return m, nil
+// mapForStream decides whether f streams through a memory mapping — a
+// selection made from what the code can observe: a regular file of at
+// least mmapMinSize on a platform with mmap is mapped, and everything
+// else (pipe, short file, no syscall, mmap refusal) gets nil, "use the
+// reader". A file that may be truncated while it is read belongs on
+// stdin, which always takes the reader path.
+func mapForStream(f *os.File) *mmapio.Mapping {
+	if !mmapio.Supported() {
+		return nil
 	}
+	fi, err := f.Stat()
+	if err != nil || !fi.Mode().IsRegular() || fi.Size() < mmapMinSize {
+		return nil
+	}
+	m, err := mmapio.Map(f)
+	if err != nil {
+		return nil
+	}
+	return m
 }
 
 // AnalyzeStreaming runs the mongodb-schema style analyzer over a

@@ -14,11 +14,11 @@
 //     InferSchemaStreamFilesWith run the parametric engines over a
 //     reader, a byte slice or named files of any size in bounded
 //     memory, typing documents straight from tokens; StreamOptions
-//     selects the worker count, the map phase, the chunk size and how
-//     files are read;
-//   - StreamPrecision / StreamPrecisionFiles grade a schema against
-//     re-readable input in a bounded-memory second pass, filling the
-//     precision column a single streamed pass cannot compute.
+//     selects the worker count, the map phase and the chunk size
+//     (large regular files are memory-mapped, everything else read);
+//   - StreamPrecisionFiles grades a schema against re-readable files
+//     in a bounded-memory second pass, filling the precision column a
+//     single streamed pass cannot compute.
 //
 // The cmd/jsinfer command is a thin CLI over exactly this surface, and
 // internal/registry + cmd/jsinferd serve the same inference as a

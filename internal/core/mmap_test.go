@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"strings"
@@ -12,94 +13,61 @@ import (
 	"repro/internal/typelang"
 )
 
-// TestStreamFilesMmapEquivalence pins the mmap routing layer: forcing
-// the mapping on and forcing it off must infer the identical schema and
-// document count from the same files, and the stats must attribute each
-// input to the path that actually served it.
+// TestStreamFilesMmapEquivalence pins the mmap routing layer: a file of
+// at least mmapMinSize is mapped and a shorter one read, the stats
+// attribute each input to the path that served it, and the schema and
+// document count are those of the reader path over the same bytes.
 func TestStreamFilesMmapEquivalence(t *testing.T) {
-	docs1 := genjson.Collection(genjson.Twitter{Seed: 301}, 200)
-	docs2 := genjson.Collection(genjson.Orders{Seed: 302}, 150)
+	big := jsontext.MarshalLines(genjson.Collection(genjson.Twitter{Seed: 301}, 2000))
+	small := jsontext.MarshalLines(genjson.Collection(genjson.Orders{Seed: 302}, 150))
+	if len(big) < mmapMinSize || len(small) >= mmapMinSize {
+		t.Fatalf("corpora are %d and %d bytes; the pin needs one on each side of %d", len(big), len(small), mmapMinSize)
+	}
 	dir := t.TempDir()
-	f1 := filepath.Join(dir, "a.ndjson")
-	f2 := filepath.Join(dir, "b.ndjson")
-	if err := os.WriteFile(f1, jsontext.MarshalLines(docs1), 0o644); err != nil {
+	f1 := filepath.Join(dir, "big.ndjson")
+	f2 := filepath.Join(dir, "small.ndjson")
+	if err := os.WriteFile(f1, big, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(f2, jsontext.MarshalLines(docs2), 0o644); err != nil {
+	if err := os.WriteFile(f2, small, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	files := []string{f1, f2}
 
-	var offStats PipelineStats
-	off, offN, err := InferSchemaStreamFilesWith(files, ParametricL, StreamOptions{
-		Workers: 3, Mmap: MmapOff, Stats: &offStats,
-	})
+	var readStats PipelineStats
+	read, readN, err := InferSchemaStreamWith(bytes.NewReader(append(append([]byte{}, big...), small...)),
+		ParametricL, StreamOptions{Workers: 3, Stats: &readStats})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if offN != 350 {
-		t.Fatalf("reader path typed %d docs, want 350", offN)
+	if readN != 2150 {
+		t.Fatalf("reader path typed %d docs, want 2150", readN)
 	}
-	if s := offStats.Snapshot(); s.MmapInputs != 0 || s.ReaderInputs != 2 {
-		t.Errorf("MmapOff counted mmap_inputs=%d reader_inputs=%d, want 0/2", s.MmapInputs, s.ReaderInputs)
+	if s := readStats.Snapshot(); s.MmapInputs != 0 || s.ReaderInputs != 1 || s.BytesAliased != 0 {
+		t.Errorf("reader path counted mmap_inputs=%d reader_inputs=%d bytes_aliased=%d, want 0/1/0",
+			s.MmapInputs, s.ReaderInputs, s.BytesAliased)
 	}
 
+	var stats PipelineStats
+	got, n, err := InferSchemaStreamFilesWith([]string{f1, f2}, ParametricL, StreamOptions{Workers: 3, Stats: &stats})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n != readN {
+		t.Errorf("files facade typed %d docs, reader path %d", n, readN)
+	}
+	if !typelang.Equal(got.Type, read.Type) || got.Type.StringCounted() != read.Type.StringCounted() {
+		t.Errorf("files facade diverges from reader path\n files:  %s\n reader: %s",
+			got.Type.StringCounted(), read.Type.StringCounted())
+	}
+	wantMapped, wantAliased := int64(1), int64(len(big))
 	if !mmapio.Supported() {
-		if _, _, err := InferSchemaStreamFilesWith(files, ParametricL, StreamOptions{Mmap: MmapOn}); err == nil {
-			t.Error("MmapOn must fail where mmap is unsupported")
-		}
-		t.Skip("mmap not supported on this platform; reader path verified")
+		wantMapped, wantAliased = 0, 0
 	}
-
-	var onStats PipelineStats
-	on, onN, err := InferSchemaStreamFilesWith(files, ParametricL, StreamOptions{
-		Workers: 3, Mmap: MmapOn, Stats: &onStats,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if onN != offN {
-		t.Errorf("mmap path typed %d docs, reader path %d", onN, offN)
-	}
-	if !typelang.Equal(on.Type, off.Type) || on.Type.StringCounted() != off.Type.StringCounted() {
-		t.Errorf("mmap path diverges from reader path\n mmap:   %s\n reader: %s",
-			on.Type.StringCounted(), off.Type.StringCounted())
-	}
-	if s := onStats.Snapshot(); s.MmapInputs != 2 || s.ReaderInputs != 0 {
-		t.Errorf("MmapOn counted mmap_inputs=%d reader_inputs=%d, want 2/0", s.MmapInputs, s.ReaderInputs)
-	}
-	if s := onStats.Snapshot(); s.BytesCopied != 0 {
-		t.Errorf("mmap path copied %d bytes, want 0", s.BytesCopied)
-	}
-
-	// Auto on small files stays on the reader path (below the size
-	// threshold), so stdin-sized inputs never pay a mapping attempt.
-	var autoStats PipelineStats
-	_, autoN, err := InferSchemaStreamFilesWith(files, ParametricL, StreamOptions{Mmap: MmapAuto, Stats: &autoStats})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if autoN != offN {
-		t.Errorf("auto path typed %d docs, want %d", autoN, offN)
-	}
-	if s := autoStats.Snapshot(); s.MmapInputs != 0 || s.ReaderInputs != 2 {
-		t.Errorf("MmapAuto on small files counted mmap_inputs=%d reader_inputs=%d, want 0/2", s.MmapInputs, s.ReaderInputs)
-	}
-
-	// A decode error through the mmap path must still name the file.
-	bad := filepath.Join(dir, "bad.ndjson")
-	if err := os.WriteFile(bad, []byte("{\"a\": 1}\n{]\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, n, err := InferSchemaStreamFilesWith([]string{f1, bad}, ParametricL, StreamOptions{Mmap: MmapOn}); err == nil {
-		t.Error("expected decode error through the mmap path")
-	} else {
-		if !strings.Contains(err.Error(), "bad.ndjson") {
-			t.Errorf("error does not name the file: %v", err)
-		}
-		if n != 201 {
-			t.Errorf("typed %d docs before the error, want 201", n)
-		}
+	// The mapped file's chunks alias its pages; only the short file is
+	// served (and possibly compacted) by the copying reader.
+	if s := stats.Snapshot(); s.MmapInputs != wantMapped || s.ReaderInputs != 2-wantMapped || s.BytesAliased != wantAliased {
+		t.Errorf("files facade counted mmap_inputs=%d reader_inputs=%d bytes_aliased=%d, want %d/%d/%d",
+			s.MmapInputs, s.ReaderInputs, s.BytesAliased, wantMapped, 2-wantMapped, wantAliased)
 	}
 }
 

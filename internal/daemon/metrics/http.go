@@ -1,11 +1,10 @@
-// http.go is the daemon's HTTP instrumentation: middleware that meters
-// every request by route pattern and status code, feeding the
-// per-endpoint counters and latency histograms /metrics serves.
+// http.go is the daemon's HTTP instrumentation: the per-endpoint
+// request counters and latency histograms /metrics serves, by route
+// pattern and status code.
 
 package metrics
 
 import (
-	"net/http"
 	"strconv"
 	"time"
 )
@@ -15,8 +14,8 @@ import (
 // snapshot reads and GB-scale ingest requests.
 var DefBuckets = []float64{.005, .01, .025, .05, .1, .25, .5, 1, 2.5, 5, 10}
 
-// HTTP meters an http.Handler: request totals by (route, code) and a
-// latency histogram by route. Route is the mux pattern that matched
+// HTTP meters served requests: totals by (route, code) and a latency
+// histogram by route. Route is the mux pattern that matched
 // (e.g. "POST /v1/collections/{name}/ingest"), so path parameters don't
 // explode the label cardinality; unrouted requests meter as "unmatched".
 type HTTP struct {
@@ -24,7 +23,7 @@ type HTTP struct {
 	latency  *HistogramVec
 }
 
-// NewHTTP registers the middleware's families on reg under the given
+// NewHTTP registers the request families on reg under the given
 // namespace prefix (e.g. "jsinferd").
 func NewHTTP(reg *Registry, namespace string) *HTTP {
 	return &HTTP{
@@ -35,45 +34,11 @@ func NewHTTP(reg *Registry, namespace string) *HTTP {
 	}
 }
 
-// Wrap returns next instrumented: every request is timed and counted
-// after next finishes, under the route pattern the mux matched.
-func (h *HTTP) Wrap(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		sw := &statusWriter{ResponseWriter: w}
-		next.ServeHTTP(sw, r)
-		route := r.Pattern
-		if route == "" {
-			route = "unmatched"
-		}
-		code := sw.status
-		if code == 0 {
-			code = http.StatusOK
-		}
-		h.requests.With(route, strconv.Itoa(code)).Inc()
-		h.latency.With(route).Observe(time.Since(start).Seconds())
-	})
+// Observe meters one finished request: route is the mux pattern that
+// matched (or "unmatched"), code the status written, d how long the
+// request took. The daemon's request middleware calls it once per
+// request, with the same figures it logs and traces.
+func (h *HTTP) Observe(route string, code int, d time.Duration) {
+	h.requests.With(route, strconv.Itoa(code)).Inc()
+	h.latency.With(route).Observe(d.Seconds())
 }
-
-// statusWriter records the status code a handler wrote. Unwrap keeps
-// http.ResponseController features (flush, deadlines) reachable.
-type statusWriter struct {
-	http.ResponseWriter
-	status int
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	if w.status == 0 {
-		w.status = code
-	}
-	w.ResponseWriter.WriteHeader(code)
-}
-
-func (w *statusWriter) Write(p []byte) (int, error) {
-	if w.status == 0 {
-		w.status = http.StatusOK
-	}
-	return w.ResponseWriter.Write(p)
-}
-
-func (w *statusWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }

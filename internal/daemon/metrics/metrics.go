@@ -1,7 +1,7 @@
 // Package metrics is the daemon's Prometheus exposition layer: a small,
 // dependency-free metric registry rendering the text exposition format
-// (version 0.0.4) that Prometheus scrapes, plus HTTP middleware that
-// meters every route of the daemon (http.go).
+// (version 0.0.4) that Prometheus scrapes, plus the per-route request
+// families the daemon's request middleware feeds (http.go).
 //
 // The needs of jsinferd are deliberately modest — monotonic counters for
 // ingest volume, function-backed gauges mirroring registry.Stats, and

@@ -1,7 +1,6 @@
 package metrics
 
 import (
-	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -10,6 +9,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 // validateExposition checks s against the text exposition format
@@ -241,38 +241,19 @@ func TestConcurrentUpdatesAndScrapes(t *testing.T) {
 	}
 }
 
+// TestHTTPMiddleware pins what the daemon's request middleware feeds
+// Observe into: one counter series per (route pattern, status) and one
+// latency histogram per route, whatever the path parameters were.
 func TestHTTPMiddleware(t *testing.T) {
 	reg := NewRegistry()
 	mw := NewHTTP(reg, "d")
-	mux := http.NewServeMux()
-	mux.HandleFunc("GET /ok/{id}", func(w http.ResponseWriter, r *http.Request) {
-		fmt.Fprint(w, "ok") // implicit 200 via Write
-	})
-	mux.HandleFunc("POST /fail", func(w http.ResponseWriter, r *http.Request) {
-		http.Error(w, "nope", http.StatusTeapot)
-	})
-	srv := httptest.NewServer(mw.Wrap(mux))
-	defer srv.Close()
-
 	for i := 0; i < 3; i++ {
-		resp, err := http.Get(srv.URL + "/ok/" + strconv.Itoa(i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
+		mw.Observe("GET /ok/{id}", http.StatusOK, time.Duration(i+1)*time.Millisecond)
 	}
-	resp, err := http.Post(srv.URL+"/fail", "", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp, err = http.Get(srv.URL + "/no/such/route"); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
+	mw.Observe("POST /fail", http.StatusTeapot, time.Millisecond)
+	mw.Observe("unmatched", http.StatusNotFound, time.Millisecond)
 
 	samples := validateExposition(t, reg.Render())
-	// Path parameters collapse onto the pattern: 3 requests, 1 series.
 	if got := samples[`d_http_requests_total{route="GET /ok/{id}",code="200"}`]; got != 3 {
 		t.Errorf("pattern-labelled counter = %v, want 3\n%s", got, reg.Render())
 	}
@@ -284,6 +265,9 @@ func TestHTTPMiddleware(t *testing.T) {
 	}
 	if got := samples[`d_http_request_seconds_count{route="GET /ok/{id}"}`]; got != 3 {
 		t.Errorf("latency count = %v, want 3", got)
+	}
+	if got := samples[`d_http_request_seconds_sum{route="GET /ok/{id}"}`]; math.Abs(got-0.006) > 1e-9 {
+		t.Errorf("latency sum = %v, want 0.006 (1+2+3 ms)", got)
 	}
 }
 

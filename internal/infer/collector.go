@@ -112,7 +112,7 @@ func (c *ShardedCollector) AddBatch(ts []*typelang.Type, docs int64) {
 	s.docs += docs
 	s.mu.Unlock()
 	if c.stats != nil {
-		c.stats.reduceNanos.Add(time.Since(start).Nanoseconds())
+		c.stats.AddSnapshot(StatsSnapshot{ReduceNanos: time.Since(start).Nanoseconds()})
 	}
 }
 
@@ -152,10 +152,8 @@ func (c *ShardedCollector) Snapshot() (*typelang.Type, int64) {
 		c.root.t = fuse.Seal()
 		seals++
 	}
-	if st := c.stats; st != nil {
-		st.rootFuses.Add(1)
-		st.seals.Add(seals)
-		st.fuseNanos.Add(time.Since(start).Nanoseconds())
+	if c.stats != nil {
+		c.stats.AddSnapshot(StatsSnapshot{RootFuses: 1, Seals: seals, FuseNanos: time.Since(start).Nanoseconds()})
 	}
 	return c.root.t, docs
 }

@@ -67,5 +67,9 @@
 // fuses the sealed partials — an ingest nobody reads after seals
 // nothing.
 // Options.Symbols shares one field-name symbol table across all
-// workers.
+// workers. Options.Stats, when set, is the run's flight recorder
+// (stats.go): every stage publishes its counters and clock into one
+// PipelineStats, and StatsFields — the one table naming each
+// StatsSnapshot field, its stage and its help text — is what
+// `jsinfer -stats`, /v1/stats and /metrics range over.
 package infer

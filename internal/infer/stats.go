@@ -1,22 +1,20 @@
 package infer
 
 import (
-	"sync/atomic"
+	"strings"
+	"sync"
 	"time"
 )
 
 // This file is the pipeline's flight recorder: PipelineStats is a set of
 // monotone counters and per-stage clocks every stage of the streamed
-// engines reports into when Options.Stats is set. The recording
-// discipline is lock-free and per-worker: each worker (and the reader
-// goroutine, and the one-shot committer) accumulates into a private,
-// plain statsFrame while it works and publishes the frame with a handful
-// of atomic adds at chunk granularity — never per document, never per
-// token — so the counters cost nothing measurable on the hot path and
-// nothing at all when Stats is nil (every site is nil-guarded).
+// engines reports into when Options.Stats is set. Each worker (and the
+// reader goroutine, and the one-shot committer) accumulates into a
+// private, plain statsFrame while it works and publishes the frame under
+// the recorder's one lock at chunk granularity — never per document,
+// never per token — so the counters cost nothing measurable on the hot
+// path and nothing at all when Stats is nil (every site is nil-guarded).
 //
-// Snapshot reads are atomic loads: consistent per counter, monotone
-// across successive reads, and safe to take while the pipeline runs.
 // The registry keeps one cumulative PipelineStats per collection (its
 // collector reports the reduce-side counters straight into it) and
 // hands each ingest call a private one, whose snapshot becomes the
@@ -94,153 +92,106 @@ type StatsSnapshot struct {
 	FuseNanos   int64 // collector cache-miss reads: sealing the changed shards and fusing the partials (0 on a one-shot run)
 }
 
+// StatsField is one row of the flight recorder's table: a StatsSnapshot
+// field under the name it has on every surface. Adding a counter is a
+// struct field plus a row of StatsFields — Add, PipelineStats,
+// `jsinfer -stats`, /v1/stats, /v1/collections and the
+// jsinferd_pipeline_* families all range over the table.
+type StatsField struct {
+	// Name is the wire name: the JSON key, the -stats label and the stem
+	// of the /metrics count family. A _nanos suffix marks a stage's clock.
+	Name string
+	// Stage is the field's -stats row — read, split, map, reduce or fuse
+	// — and, for a clock, the name of its /metrics seconds family. Every
+	// stage has exactly one clock row; their order is the stages' order.
+	Stage string
+	Help  string                      // the family's /metrics HELP text
+	At    func(*StatsSnapshot) *int64 // the field itself, in the given snapshot
+}
+
+// Clock reports whether the field is a stage clock (nanoseconds) rather
+// than a count.
+func (f StatsField) Clock() bool { return strings.HasSuffix(f.Name, "_nanos") }
+
+// StatsFields lists every StatsSnapshot field exactly once, in wire
+// order (TestStatsFieldsCoverSnapshot holds it to the struct).
+var StatsFields = []StatsField{
+	{"chunks_split", "read", "Document-aligned byte chunks emitted to ingest worker pools.", func(s *StatsSnapshot) *int64 { return &s.ChunksSplit }},
+	{"bytes_lexed", "map", "Payload bytes handed to the map phase.", func(s *StatsSnapshot) *int64 { return &s.BytesLexed }},
+	{"docs_absorbed", "map", "Documents absorbed by the map phase (kept prefixes of failed ingests included).", func(s *StatsSnapshot) *int64 { return &s.DocsAbsorbed }},
+	{"index_records", "map", "Records absorbed entirely off the mison structural index.", func(s *StatsSnapshot) *int64 { return &s.IndexRecords }},
+	{"fallback_records", "map", "Records the index walk delegated to the token walker.", func(s *StatsSnapshot) *int64 { return &s.FallbackRecords }},
+	{"parity_rejects", "map", "Chunks the structural index rejected outright (odd quote parity).", func(s *StatsSnapshot) *int64 { return &s.ParityRejects }},
+	{"scan_delegations", "map", "Tokens the mison fast paths handed to the reference scanner.", func(s *StatsSnapshot) *int64 { return &s.ScanDelegations }},
+	{"root_fuses", "fuse", "Collector reads that found new documents and rebuilt the served schema.", func(s *StatsSnapshot) *int64 { return &s.RootFuses }},
+	{"seals", "fuse", "Accumulator seals across map and collector reads.", func(s *StatsSnapshot) *int64 { return &s.Seals }},
+	{"bytes_aliased", "split", "Chunk bytes emitted zero-copy, aliasing the input buffer.", func(s *StatsSnapshot) *int64 { return &s.BytesAliased }},
+	{"bytes_copied", "read", "Bytes moved during reader-path buffer compaction.", func(s *StatsSnapshot) *int64 { return &s.BytesCopied }},
+	{"buffers_recycled", "read", "Chunk arrays reacquired from the pool instead of allocated.", func(s *StatsSnapshot) *int64 { return &s.BuffersRecycled }},
+	{"mmap_inputs", "read", "Inputs served through a memory mapping.", func(s *StatsSnapshot) *int64 { return &s.MmapInputs }},
+	{"reader_inputs", "read", "Inputs served through the copying io.Reader path.", func(s *StatsSnapshot) *int64 { return &s.ReaderInputs }},
+	{"read_nanos", "read", "Reader-goroutine time blocked reading request bodies.", func(s *StatsSnapshot) *int64 { return &s.ReadNanos }},
+	{"split_nanos", "split", "Reader-goroutine time finding chunk boundaries.", func(s *StatsSnapshot) *int64 { return &s.SplitNanos }},
+	{"map_nanos", "map", "Worker time lexing and absorbing chunks.", func(s *StatsSnapshot) *int64 { return &s.MapNanos }},
+	{"reduce_nanos", "reduce", "Committer time absorbing chunk results into the collector.", func(s *StatsSnapshot) *int64 { return &s.ReduceNanos }},
+	{"fuse_nanos", "fuse", "Collector read time sealing changed shards and fusing them.", func(s *StatsSnapshot) *int64 { return &s.FuseNanos }},
+}
+
 // Add accumulates other into s field by field.
 func (s *StatsSnapshot) Add(other StatsSnapshot) {
-	s.ChunksSplit += other.ChunksSplit
-	s.BytesLexed += other.BytesLexed
-	s.DocsAbsorbed += other.DocsAbsorbed
-	s.IndexRecords += other.IndexRecords
-	s.FallbackRecords += other.FallbackRecords
-	s.ParityRejects += other.ParityRejects
-	s.ScanDelegations += other.ScanDelegations
-	s.RootFuses += other.RootFuses
-	s.Seals += other.Seals
-	s.BytesAliased += other.BytesAliased
-	s.BytesCopied += other.BytesCopied
-	s.BuffersRecycled += other.BuffersRecycled
-	s.MmapInputs += other.MmapInputs
-	s.ReaderInputs += other.ReaderInputs
-	s.ReadNanos += other.ReadNanos
-	s.SplitNanos += other.SplitNanos
-	s.MapNanos += other.MapNanos
-	s.ReduceNanos += other.ReduceNanos
-	s.FuseNanos += other.FuseNanos
+	for _, f := range StatsFields {
+		*f.At(s) += *f.At(&other)
+	}
 }
 
 // PipelineStats is the shared, concurrent-safe counter set the pipeline
-// reports into. All methods are safe for concurrent use; the zero value
-// is ready to record. A nil *PipelineStats is the "off" state — every
-// recording site treats it as a no-op — so the streamed engines carry
-// no stats cost unless a caller opts in through Options.Stats.
+// reports into: a StatsSnapshot behind a mutex. All methods are safe for
+// concurrent use; the zero value is ready to record. A nil
+// *PipelineStats is the "off" state — every recording site treats it as
+// a no-op — so the streamed engines carry no stats cost unless a caller
+// opts in through Options.Stats.
 type PipelineStats struct {
-	chunksSplit     atomic.Int64
-	bytesLexed      atomic.Int64
-	docsAbsorbed    atomic.Int64
-	indexRecords    atomic.Int64
-	fallbackRecords atomic.Int64
-	parityRejects   atomic.Int64
-	scanDelegations atomic.Int64
-	rootFuses       atomic.Int64
-	seals           atomic.Int64
-	bytesAliased    atomic.Int64
-	bytesCopied     atomic.Int64
-	buffersRecycled atomic.Int64
-	mmapInputs      atomic.Int64
-	readerInputs    atomic.Int64
-	readNanos       atomic.Int64
-	splitNanos      atomic.Int64
-	mapNanos        atomic.Int64
-	reduceNanos     atomic.Int64
-	fuseNanos       atomic.Int64
+	mu sync.Mutex
+	s  StatsSnapshot
 }
 
-// Snapshot returns a point-in-time copy of the counters. Each field is
-// an atomic load; successive snapshots of a live pipeline are monotone
-// per field.
+// Snapshot returns a point-in-time copy of the counters, consistent
+// across fields (no recording site's publish is ever seen half-applied);
+// successive snapshots of a live pipeline are monotone per field.
 func (p *PipelineStats) Snapshot() StatsSnapshot {
 	if p == nil {
 		return StatsSnapshot{}
 	}
-	return StatsSnapshot{
-		ChunksSplit:     p.chunksSplit.Load(),
-		BytesLexed:      p.bytesLexed.Load(),
-		DocsAbsorbed:    p.docsAbsorbed.Load(),
-		IndexRecords:    p.indexRecords.Load(),
-		FallbackRecords: p.fallbackRecords.Load(),
-		ParityRejects:   p.parityRejects.Load(),
-		ScanDelegations: p.scanDelegations.Load(),
-		RootFuses:       p.rootFuses.Load(),
-		Seals:           p.seals.Load(),
-		BytesAliased:    p.bytesAliased.Load(),
-		BytesCopied:     p.bytesCopied.Load(),
-		BuffersRecycled: p.buffersRecycled.Load(),
-		MmapInputs:      p.mmapInputs.Load(),
-		ReaderInputs:    p.readerInputs.Load(),
-		ReadNanos:       p.readNanos.Load(),
-		SplitNanos:      p.splitNanos.Load(),
-		MapNanos:        p.mapNanos.Load(),
-		ReduceNanos:     p.reduceNanos.Load(),
-		FuseNanos:       p.fuseNanos.Load(),
-	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.s
 }
 
-// AddSnapshot folds a snapshot (typically a per-request delta) into the
-// counters — how the registry rolls each ingest call's private stats
-// into the collection's cumulative ones.
+// AddSnapshot folds a snapshot into the counters: how every recording
+// site publishes (a stats frame, the collector's read) and how the
+// registry rolls each ingest call's private stats into the collection's
+// cumulative ones.
 func (p *PipelineStats) AddSnapshot(d StatsSnapshot) {
 	if p == nil {
 		return
 	}
-	addNonZero(&p.chunksSplit, d.ChunksSplit)
-	addNonZero(&p.bytesLexed, d.BytesLexed)
-	addNonZero(&p.docsAbsorbed, d.DocsAbsorbed)
-	addNonZero(&p.indexRecords, d.IndexRecords)
-	addNonZero(&p.fallbackRecords, d.FallbackRecords)
-	addNonZero(&p.parityRejects, d.ParityRejects)
-	addNonZero(&p.scanDelegations, d.ScanDelegations)
-	addNonZero(&p.rootFuses, d.RootFuses)
-	addNonZero(&p.seals, d.Seals)
-	addNonZero(&p.bytesAliased, d.BytesAliased)
-	addNonZero(&p.bytesCopied, d.BytesCopied)
-	addNonZero(&p.buffersRecycled, d.BuffersRecycled)
-	addNonZero(&p.mmapInputs, d.MmapInputs)
-	addNonZero(&p.readerInputs, d.ReaderInputs)
-	addNonZero(&p.readNanos, d.ReadNanos)
-	addNonZero(&p.splitNanos, d.SplitNanos)
-	addNonZero(&p.mapNanos, d.MapNanos)
-	addNonZero(&p.reduceNanos, d.ReduceNanos)
-	addNonZero(&p.fuseNanos, d.FuseNanos)
-}
-
-func addNonZero(a *atomic.Int64, v int64) {
-	if v != 0 {
-		a.Add(v)
-	}
+	p.mu.Lock()
+	p.s.Add(d)
+	p.mu.Unlock()
 }
 
 // statsFrame is the private, unsynchronised accumulator a recording
 // site (worker, reader, committer) fills while it works. flush
-// publishes it with atomic adds and resets it; sites flush at chunk
-// granularity, so the shared cache lines are touched a handful of times
-// per chunk rather than per document.
+// publishes it under the recorder's lock and resets it; sites flush at
+// chunk granularity, so the lock is taken a handful of times per chunk
+// rather than per document.
 type statsFrame struct {
 	StatsSnapshot
 }
 
-// flush publishes the frame's non-zero fields into p (nil p: drop) and
-// zeroes the frame.
+// flush publishes the frame into p (nil p: drop) and zeroes the frame.
 func (f *statsFrame) flush(p *PipelineStats) {
-	if p != nil {
-		addNonZero(&p.chunksSplit, f.ChunksSplit)
-		addNonZero(&p.bytesLexed, f.BytesLexed)
-		addNonZero(&p.docsAbsorbed, f.DocsAbsorbed)
-		addNonZero(&p.indexRecords, f.IndexRecords)
-		addNonZero(&p.fallbackRecords, f.FallbackRecords)
-		addNonZero(&p.parityRejects, f.ParityRejects)
-		addNonZero(&p.scanDelegations, f.ScanDelegations)
-		addNonZero(&p.rootFuses, f.RootFuses)
-		addNonZero(&p.seals, f.Seals)
-		addNonZero(&p.bytesAliased, f.BytesAliased)
-		addNonZero(&p.bytesCopied, f.BytesCopied)
-		addNonZero(&p.buffersRecycled, f.BuffersRecycled)
-		addNonZero(&p.mmapInputs, f.MmapInputs)
-		addNonZero(&p.readerInputs, f.ReaderInputs)
-		addNonZero(&p.readNanos, f.ReadNanos)
-		addNonZero(&p.splitNanos, f.SplitNanos)
-		addNonZero(&p.mapNanos, f.MapNanos)
-		addNonZero(&p.reduceNanos, f.ReduceNanos)
-		addNonZero(&p.fuseNanos, f.FuseNanos)
-	}
+	p.AddSnapshot(f.StatsSnapshot)
 	f.StatsSnapshot = StatsSnapshot{}
 }
 

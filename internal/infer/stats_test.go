@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
+	"unicode"
 
 	"repro/internal/genjson"
 	"repro/internal/jsontext"
@@ -348,6 +351,95 @@ func TestStatsSnapshotMonotoneUnderLoad(t *testing.T) {
 	}
 	if s.BytesLexed != 4*int64(len(data)) {
 		t.Errorf("BytesLexed=%d, want %d", s.BytesLexed, 4*int64(len(data)))
+	}
+}
+
+// TestStatsFieldsCoverSnapshot holds the flight recorder's one table to
+// the struct it describes, so a counter added to StatsSnapshot without a
+// row (or a row pointed at the wrong field) fails here instead of
+// silently missing from Add, -stats, /v1/stats and /metrics: row i
+// reaches field i, under the field's name in snake case; names are
+// unique; every stage a row names has exactly one clock, <stage>_nanos
+// (the stages of `jsinfer -stats` are the clock rows). Then a
+// snapshot holding a distinct prime per field must survive every path
+// that ranges over the table.
+func TestStatsFieldsCoverSnapshot(t *testing.T) {
+	var filled StatsSnapshot
+	v := reflect.ValueOf(&filled).Elem()
+	if v.NumField() != len(StatsFields) {
+		t.Fatalf("StatsSnapshot has %d fields, StatsFields %d rows", v.NumField(), len(StatsFields))
+	}
+	snake := func(s string) string {
+		var b strings.Builder
+		for i, r := range s {
+			if unicode.IsUpper(r) && i > 0 {
+				b.WriteByte('_')
+			}
+			b.WriteRune(unicode.ToLower(r))
+		}
+		return b.String()
+	}
+	var primes []int64
+	for n := int64(2); len(primes) < v.NumField(); n++ {
+		if !slices.ContainsFunc(primes, func(p int64) bool { return n%p == 0 }) {
+			primes = append(primes, n)
+		}
+	}
+	names := map[string]bool{}
+	clocks := map[string]int{}
+	for i, f := range StatsFields {
+		field := v.Type().Field(i)
+		if field.Type.Kind() != reflect.Int64 {
+			t.Fatalf("StatsSnapshot.%s is %s; every field is an int64 counter", field.Name, field.Type)
+		}
+		v.Field(i).SetInt(primes[i])
+		if f.At(&filled) != v.Field(i).Addr().Interface().(*int64) {
+			t.Errorf("row %d (%s) does not reach field %d (%s)", i, f.Name, i, field.Name)
+		}
+		if f.Name != snake(field.Name) {
+			t.Errorf("row %d is named %q, want %q after field %s", i, f.Name, snake(field.Name), field.Name)
+		}
+		if names[f.Name] {
+			t.Errorf("wire name %q appears twice", f.Name)
+		}
+		names[f.Name] = true
+		if f.Help == "" {
+			t.Errorf("%s has no help text", f.Name)
+		}
+		if f.Clock() {
+			clocks[f.Stage]++
+			if f.Name != f.Stage+"_nanos" {
+				t.Errorf("clock %q belongs to stage %q; want the name %s_nanos", f.Name, f.Stage, f.Stage)
+			}
+		}
+	}
+	for _, f := range StatsFields {
+		if clocks[f.Stage] != 1 {
+			t.Errorf("%s is on stage %q, which has %d clock rows; want exactly one", f.Name, f.Stage, clocks[f.Stage])
+		}
+	}
+
+	var twice StatsSnapshot
+	for i := range StatsFields {
+		reflect.ValueOf(&twice).Elem().Field(i).SetInt(2 * primes[i])
+	}
+	sum := filled
+	sum.Add(filled)
+	if sum != twice {
+		t.Errorf("Add: got %+v, want %+v", sum, twice)
+	}
+	var p PipelineStats
+	p.AddSnapshot(filled)
+	if got := p.Snapshot(); got != filled {
+		t.Errorf("AddSnapshot → Snapshot: got %+v, want %+v", got, filled)
+	}
+	frame := statsFrame{filled}
+	frame.flush(&p)
+	if got := p.Snapshot(); got != twice {
+		t.Errorf("frame flush on top: got %+v, want %+v", got, twice)
+	}
+	if frame.StatsSnapshot != (StatsSnapshot{}) {
+		t.Errorf("flush left the frame holding %+v", frame.StatsSnapshot)
 	}
 }
 

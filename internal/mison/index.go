@@ -255,19 +255,4 @@ func (ix *Index) ValueSpan(evIdx int, containerEnd int) (int, int) {
 	return start, end
 }
 
-// FieldColons returns the event indexes of the colons that belong
-// directly to the object spanning [objStart, objEnd] (depth d colons
-// within the span, where d is the object's contents depth).
-func (ix *Index) FieldColons(objStart, objEnd, contentsDepth int) []int {
-	all := ix.Colons[contentsDepth]
-	out := make([]int, 0, len(all))
-	for _, evIdx := range all {
-		pos := ix.Events[evIdx].Pos
-		if pos > objStart && pos < objEnd {
-			out = append(out, evIdx)
-		}
-	}
-	return out
-}
-
 func isSpace(c byte) bool { return c == ' ' || c == '\t' || c == '\n' || c == '\r' }

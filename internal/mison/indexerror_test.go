@@ -59,6 +59,4 @@ func TestParseLinesErrorOffsetsAreBufferRelative(t *testing.T) {
 	}
 	_, err := MustNewParser("x").ParseLines(data)
 	check("ParseLines", err)
-	_, err = ParseLinesParallel(data, 2, "x")
-	check("ParseLinesParallel", err)
 }

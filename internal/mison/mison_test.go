@@ -302,43 +302,6 @@ func TestSpeculationAcrossShapeChange(t *testing.T) {
 	}
 }
 
-func TestParseLinesParallelMatchesSequential(t *testing.T) {
-	docs := genjson.Collection(genjson.Twitter{Seed: 91}, 200)
-	data := jsontext.MarshalLines(docs)
-	seq, err := MustNewParser("id", "user.screen_name").ParseLines(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{0, 1, 3, 8} {
-		par, err := ParseLinesParallel(data, workers, "id", "user.screen_name")
-		if err != nil {
-			t.Fatalf("workers %d: %v", workers, err)
-		}
-		if len(par) != len(seq) {
-			t.Fatalf("workers %d: %d rows, want %d", workers, len(par), len(seq))
-		}
-		for i := range seq {
-			for j := range seq[i] {
-				if (seq[i][j] == nil) != (par[i][j] == nil) {
-					t.Fatalf("workers %d row %d col %d: presence mismatch", workers, i, j)
-				}
-				if seq[i][j] != nil && !jsonvalue.Equal(seq[i][j], par[i][j]) {
-					t.Fatalf("workers %d row %d col %d: value mismatch", workers, i, j)
-				}
-			}
-		}
-	}
-}
-
-func TestParseLinesParallelErrors(t *testing.T) {
-	if _, err := ParseLinesParallel([]byte("{\"a\": 1}\n{broken\n"), 4, "a"); err == nil {
-		t.Error("corrupt line should surface an error")
-	}
-	if _, err := ParseLinesParallel([]byte("{\"a\": 1}\n"), 4); err == nil {
-		t.Error("no projection paths should fail")
-	}
-}
-
 // buildBitmapsScalar is the byte-at-a-time phases 1-2 that Bitmaps.build
 // replaced with the shared SWAR classifier — kept as the differential
 // oracle for TestBitmapsMatchScalar.

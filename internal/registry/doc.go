@@ -13,8 +13,8 @@
 // seals the shards that changed since the last read — each under its
 // own lock, so only adds to that shard wait — and fuses the sealed
 // partials; Get/List on a quiet collection reuse the previous sealed
-// snapshot. Delete removes a collection and closes its collector,
-// waiting out in-flight ingests; the name is immediately reusable.
+// snapshot. Delete removes a collection, waiting out in-flight ingests,
+// and drops its collector unread; the name is immediately reusable.
 //
 // Consistency model: within one collection the schema only ever grows
 // (every snapshot subsumes every earlier one — reads are serialised,

@@ -108,10 +108,10 @@ type collection struct {
 	stats infer.PipelineStats
 
 	// life guards the collector against Delete: ingests hold the read
-	// side for their whole run, Delete takes the write side before
-	// closing the collector, and closed marks a deleted collection so a
-	// racing ingest re-resolves the name instead of touching a closed
-	// collector.
+	// side for their whole run, Delete takes the write side to wait
+	// them out, and closed marks a deleted collection so a racing ingest
+	// re-resolves the name instead of feeding a collector nobody will
+	// read.
 	life   sync.RWMutex
 	closed bool
 }
@@ -370,10 +370,11 @@ func (c *collection) snapshot() Snapshot {
 	}
 }
 
-// Delete removes the named collection and closes its collector,
-// reporting whether it existed. It waits for in-flight ingests
-// into the collection to finish (their documents die with it); ingests
-// that resolve the name afterwards create a fresh, empty collection.
+// Delete removes the named collection, reporting whether it existed. It
+// waits for in-flight ingests into the collection to finish (their
+// documents die with it); ingests that resolve the name afterwards
+// create a fresh, empty collection. The collector is dropped as it
+// stands — sealing and fusing it would build a schema nobody receives.
 // Snapshots taken before the delete stay valid — sealed types are
 // immutable and never alias collector state.
 func (r *Registry) Delete(name string) bool {
@@ -389,7 +390,6 @@ func (r *Registry) Delete(name string) bool {
 	c.life.Lock()
 	c.closed = true
 	c.life.Unlock()
-	c.col.Close()
 	return true
 }
 
@@ -461,14 +461,11 @@ func (r *Registry) Stats() Stats {
 	return s
 }
 
-// Close closes every collection's collector. The caller must
+// Close drops every collection, unfolded like Delete. The caller must
 // have stopped ingesting; snapshots taken before Close stay valid (types
 // are immutable), but the registry must not be used afterwards.
 func (r *Registry) Close() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for _, c := range r.cols {
-		c.col.Close()
-	}
 	r.cols = make(map[string]*collection)
 }

@@ -394,9 +394,10 @@ func TestGetUnknownAndList(t *testing.T) {
 }
 
 // TestDeleteCollection covers the admin delete: existing collections
-// are removed (their accumulator tree shut down), missing names report
-// false, snapshots taken before the delete stay valid, and the name is
-// reusable — a later ingest starts a fresh, empty collection.
+// are removed (their collector dropped as it stands, never folded into
+// a schema nobody receives), missing names report false, snapshots
+// taken before the delete stay valid, and the name is reusable — a
+// later ingest starts a fresh, empty collection.
 func TestDeleteCollection(t *testing.T) {
 	reg := New(Options{Equiv: typelang.EquivLabel})
 	defer reg.Close()
@@ -410,8 +411,19 @@ func TestDeleteCollection(t *testing.T) {
 	if !ok || snap.Docs != 1 {
 		t.Fatalf("snapshot before delete: %+v, %v", snap, ok)
 	}
+	// An ingest nobody has read leaves the collector with unsealed work;
+	// Delete must not do it.
+	if _, err := reg.Ingest("c", strings.NewReader(`{"z": [1]}`+"\n")); err != nil {
+		t.Fatal(err)
+	}
+	held := reg.cols["c"]
+	before := held.stats.Snapshot()
 	if !reg.Delete("c") {
 		t.Fatal("Delete on an existing collection must report true")
+	}
+	if after := held.stats.Snapshot(); after.RootFuses != before.RootFuses || after.Seals != before.Seals {
+		t.Errorf("Delete folded the dropped collector: root_fuses %d→%d seals %d→%d",
+			before.RootFuses, after.RootFuses, before.Seals, after.Seals)
 	}
 	if _, ok := reg.Get("c"); ok {
 		t.Error("Get after Delete must miss")
