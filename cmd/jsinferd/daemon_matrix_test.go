@@ -17,6 +17,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -25,6 +26,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/daemon/metrics"
+	"repro/internal/genjson"
 	"repro/internal/jsontext"
 	"repro/internal/registry"
 	"repro/internal/typelang"
@@ -668,21 +670,26 @@ func TestMetricsReconcileWithStats(t *testing.T) {
 }
 
 // TestMetricsScrapeTakesStatsOnce: registry.Stats lists every
-// collection and walks every sealed schema, so one exposition takes it
-// once — every registry and pipeline family renders from that value —
-// not once per family.
+// collection and walks every sealed schema, and runtime.ReadMemStats
+// stops the world, so one exposition takes each once — every registry,
+// pipeline and heap family renders from those values — not once per
+// family.
 func TestMetricsScrapeTakesStatsOnce(t *testing.T) {
-	calls := 0
+	calls, memReads := 0, 0
 	h := statsGauges(metrics.NewRegistry(), func() registry.Stats {
 		calls++
 		return registry.Stats{Collections: calls, Docs: 10 * int64(calls), Symbols: 100 * calls,
 			Pipeline: core.StatsSnapshot{Seals: 1000 * int64(calls)}}
+	}, func(ms *runtime.MemStats) {
+		memReads++
+		ms.HeapAlloc, ms.HeapObjects = 4096*uint64(memReads), 7*uint64(memReads)
 	})
 	for scrape := 1; scrape <= 2; scrape++ {
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
-		if calls != scrape {
-			t.Fatalf("scrape %d: stats taken %d times in all, want once per scrape", scrape, calls)
+		if calls != scrape || memReads != scrape {
+			t.Fatalf("scrape %d: stats taken %d times and MemStats read %d times in all, want once each per scrape",
+				scrape, calls, memReads)
 		}
 		exp := rec.Body.String()
 		for metric, want := range map[string]float64{
@@ -690,10 +697,62 @@ func TestMetricsScrapeTakesStatsOnce(t *testing.T) {
 			"jsinferd_registry_docs":        10 * float64(scrape),
 			"jsinferd_registry_symbols":     100 * float64(scrape),
 			"jsinferd_pipeline_seals_total": 1000 * float64(scrape),
+			"jsinferd_heap_alloc_bytes":     4096 * float64(scrape),
+			"jsinferd_heap_objects":         7 * float64(scrape),
 		} {
 			if got := metricValue(t, exp, metric); got != want {
 				t.Errorf("scrape %d: %s = %v, want %v (this scrape's stats)", scrape, metric, got, want)
 			}
+		}
+	}
+}
+
+// TestShipperLoopAbsorbsInLine drives the repository benchmark's
+// serve_mixed script through the handler — one closed-loop shipper, 100
+// documents a POST, every 4th gzip-encoded, a schema GET after every
+// 8th — and reads the cost model off /v1/stats: every body is one
+// chunk absorbed in line (no worker, no chunk seal, no committer
+// clock), the lone shipper fills one shard, so each read that finds
+// news seals once and fuses nothing, and what is served is what
+// `jsinfer -stream` makes of the same documents.
+func TestShipperLoopAbsorbsInLine(t *testing.T) {
+	const posts, perPost = 24, 100
+	data := jsontext.MarshalLines(genjson.Collection(genjson.Twitter{Seed: 19}, posts*perPost))
+	lines := bytes.SplitAfter(data, []byte("\n"))
+	srv, _ := newTestServer(t, registry.Options{Equiv: typelang.EquivLabel})
+	reads := int64(0)
+	for i := 0; i < posts; i++ {
+		enc := ""
+		if i%4 == 3 {
+			enc = "gzip"
+		}
+		body := bytes.Join(lines[i*perPost:(i+1)*perPost], nil)
+		if code, out, _ := request(t, "POST", srv.URL+"/v1/collections/c/ingest", enc, encodeBody(t, enc, body)); code != http.StatusOK {
+			t.Fatalf("POST %d: %d %s", i, code, out)
+		}
+		if i%8 == 7 {
+			want, _, err := core.InferSchemaStreamWith(bytes.NewReader(bytes.Join(lines[:(i+1)*perPost], nil)), core.ParametricL, core.StreamOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, served := get(t, srv.URL+"/v1/collections/c/schema"); served != want.Type.String()+"\n" {
+				t.Fatalf("after POST %d the served schema diverges from jsinfer -stream\n cli:    %s\n daemon: %s", i, want.Type, served)
+			}
+			reads++
+		}
+	}
+	_, stats := get(t, srv.URL+"/v1/stats") // quiet since the last read: a cache hit
+	sv, err := jsontext.ParseString(stats)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pv, _ := sv.Get("pipeline")
+	for stat, want := range map[string]int64{
+		"chunks_split": posts, "chunks_direct": posts, "docs_absorbed": posts * perPost,
+		"reduce_nanos": 0, "seals": reads, "root_fuses": reads,
+	} {
+		if v, _ := pv.Get(stat); v.Int() != want {
+			t.Errorf("/v1/stats pipeline.%s = %d, want %d", stat, v.Int(), want)
 		}
 	}
 }

@@ -143,8 +143,8 @@ func registerFlags(fs *flag.FlagSet) daemonFlags {
 	return daemonFlags{
 		addr:      fs.String("addr", ":8787", "listen address"),
 		engine:    fs.String("engine", "parametric-L", "inference engine: parametric-L or parametric-K"),
-		workers:   fs.Int("workers", 0, "parallel chunk workers per ingest request (0 = GOMAXPROCS)"),
-		shards:    fs.Int("shards", 0, "accumulators per collection (0 = auto)"),
+		workers:   fs.Int("workers", 0, "parallel chunk workers per ingest request of more than one chunk (0 = GOMAXPROCS)"),
+		shards:    fs.Int("shards", 0, "accumulators per collection: how many requests can absorb into one collection at once (0 = auto)"),
 		mapMode:   fs.String("map", "fused", "ingest map phase: fused (default) or indexed"),
 		maxBody:   fs.Int64("max-body", 0, "max ingest request body in bytes (decoded, for compressed bodies); 0 disables the limit"),
 		rateDocs:  fs.Float64("rate-docs", 0, "default per-collection ingest quota in documents/sec; 0 disables the limit"),
@@ -325,28 +325,17 @@ func newHandler(reg *registry.Registry, cfg handlerConfig) http.Handler {
 	rateLimited := prom.Counter("jsinferd_rate_limited_total",
 		"Ingest requests rejected by a collection quota (429s).")
 	// Runtime gauges back the -debug-addr pprof endpoints: the scrape
-	// shows *that* goroutines or heap grew, the profiles show *why*.
+	// shows *that* goroutines or heap grew, the profiles show *why* (the
+	// heap gauges are statsGauges': they share one ReadMemStats).
 	prom.Gauge("jsinferd_goroutines", "Live goroutines.",
 		func() float64 { return float64(runtime.NumGoroutine()) })
-	prom.Gauge("jsinferd_heap_alloc_bytes", "Bytes of allocated heap objects.",
-		func() float64 {
-			var ms runtime.MemStats
-			runtime.ReadMemStats(&ms)
-			return float64(ms.HeapAlloc)
-		})
-	prom.Gauge("jsinferd_heap_objects", "Allocated heap objects.",
-		func() float64 {
-			var ms runtime.MemStats
-			runtime.ReadMemStats(&ms)
-			return float64(ms.HeapObjects)
-		})
 
 	mux := http.NewServeMux()
 	// The registry aggregates and the pipeline flight recorder are
 	// gauges over the registry.Stats /v1/stats serves, so the two
 	// surfaces reconcile exactly once ingest quiesces (counters reset
 	// when a collection is deleted, like the registry's own accounting).
-	mux.Handle("GET /metrics", statsGauges(prom, reg.Stats))
+	mux.Handle("GET /metrics", statsGauges(prom, reg.Stats, runtime.ReadMemStats))
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, jsonvalue.ObjectFromPairs("status", "ok"))
 	})
@@ -445,6 +434,7 @@ func newHandler(reg *registry.Registry, cfg handlerConfig) http.Handler {
 			root.SetAttr("collection", name)
 			root.SetAttr("docs", int64(res.Docs))
 			root.SetAttr("bytes", res.Bytes)
+			root.SetAttr("chunks_direct", res.Stats.ChunksDirect)
 			root.SetAttr("index_records", res.Stats.IndexRecords)
 			root.SetAttr("fallback_records", res.Stats.FallbackRecords)
 			root.SetAttr("parity_rejects", res.Stats.ParityRejects)
@@ -725,15 +715,24 @@ func renderSchema(t *core.Type, output string) (any, error) {
 	}
 }
 
-// statsGauges registers the registry aggregates and the pipeline flight
-// recorder as function-backed families — the /metrics face of the
-// numbers /v1/stats serves — and returns the handler that serves prom.
-// Each exposition takes stats once and every family here reads that
-// value: stats walks each collection's sealed schema, and one scrape's
-// figures belong to one instant (scrapes in flight together may share
-// the later value).
-func statsGauges(prom *metrics.Registry, stats func() registry.Stats) http.Handler {
-	var cur atomic.Pointer[registry.Stats]
+// statsGauges registers the registry aggregates, the pipeline flight
+// recorder and the heap gauges as function-backed families — the
+// /metrics face of the numbers /v1/stats serves — and returns the
+// handler that serves prom. Each exposition takes stats and readMem
+// once and every family here reads those values: stats walks each
+// collection's sealed schema, readMem (runtime.ReadMemStats) stops the
+// world, and one scrape's figures belong to one instant (scrapes in
+// flight together may share the later value).
+func statsGauges(prom *metrics.Registry, stats func() registry.Stats, readMem func(*runtime.MemStats)) http.Handler {
+	type scrape struct {
+		registry.Stats
+		mem runtime.MemStats
+	}
+	var cur atomic.Pointer[scrape]
+	prom.Gauge("jsinferd_heap_alloc_bytes", "Bytes of allocated heap objects.",
+		func() float64 { return float64(cur.Load().mem.HeapAlloc) })
+	prom.Gauge("jsinferd_heap_objects", "Allocated heap objects.",
+		func() float64 { return float64(cur.Load().mem.HeapObjects) })
 	prom.Gauge("jsinferd_registry_collections", "Live collections.",
 		func() float64 { return float64(cur.Load().Collections) })
 	prom.Gauge("jsinferd_registry_docs", "Documents summarised across all collections.",
@@ -753,16 +752,18 @@ func statsGauges(prom *metrics.Registry, stats func() registry.Stats) http.Handl
 	}
 	render := prom.Handler()
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		st := stats()
-		cur.Store(&st)
+		next := &scrape{Stats: stats()}
+		readMem(&next.mem)
+		cur.Store(next)
 		render.ServeHTTP(w, r)
 	})
 }
 
 // idleBody puts an ingest body under a per-read idle deadline: a client
 // that stalls mid-body fails the pending read after idle instead of
-// pinning the handler, its pipeline goroutines and the collection's life
-// lock (wedging DELETE) forever. The expired read is the pipeline's read
+// pinning the handler — the pipeline reads the body on the handler's
+// own goroutine, holding no shard while it waits — and the collection's
+// life lock (wedging DELETE) forever. The expired read is the pipeline's read
 // error — 400, prefix kept — and the deadline stays expired, so net/http's
 // own drain of the unread body fails at once and the connection closes.
 type idleBody struct {

@@ -277,8 +277,10 @@ func TestNewLoggerFormats(t *testing.T) {
 
 // TestPipelineCountersEndToEnd is the acceptance criterion for the
 // stage stats: an index-mapped daemon ingests clean and adversarial
-// payloads, and the fallback/parity counters come out — with the same
-// values — on /v1/stats, /metrics, and the request's trace attributes.
+// payloads, and the fallback/parity counters — and the shape counter:
+// every body here is one chunk, absorbed in line — come out, with the
+// same values, on /v1/stats, /metrics, and the request's trace
+// attributes.
 func TestPipelineCountersEndToEnd(t *testing.T) {
 	tracer := trace.New(16)
 	srv, _ := newObservedServer(t, registry.Options{Map: core.MapIndexed},
@@ -316,6 +318,8 @@ func TestPipelineCountersEndToEnd(t *testing.T) {
 		"index_records":    4, // every absorbed doc; the bad literal counts as fallback instead
 		"fallback_records": 1,
 		"parity_rejects":   1,
+		"chunks_direct":    3,
+		"chunks_split":     3,
 	} {
 		if v, _ := pv.Get(stat); v.Int() != want {
 			t.Errorf("/v1/stats pipeline.%s = %d, want %d", stat, v.Int(), want)
@@ -328,6 +332,7 @@ func TestPipelineCountersEndToEnd(t *testing.T) {
 		"jsinferd_pipeline_index_records_total":    4,
 		"jsinferd_pipeline_fallback_records_total": 1,
 		"jsinferd_pipeline_parity_rejects_total":   1,
+		"jsinferd_pipeline_chunks_direct_total":    3,
 	} {
 		if got := metricValue(t, exp, metric); got != want {
 			t.Errorf("%s = %v, want %v", metric, got, want)
@@ -352,7 +357,7 @@ func TestPipelineCountersEndToEnd(t *testing.T) {
 		ingests++
 		spans, _ := tr.Get("spans")
 		attrs, _ := spans.Elem(0).Get("attrs")
-		for _, key := range []string{"docs", "index_records", "fallback_records", "parity_rejects"} {
+		for _, key := range []string{"docs", "chunks_direct", "index_records", "fallback_records", "parity_rejects"} {
 			v, ok := attrs.Get(key)
 			if !ok {
 				t.Fatalf("ingest trace lacks attr %q: %s", key, tr)
@@ -364,7 +369,7 @@ func TestPipelineCountersEndToEnd(t *testing.T) {
 		t.Fatalf("found %d ingest traces, want 3", ingests)
 	}
 	for key, want := range map[string]int64{
-		"docs": 4, "index_records": 4, "fallback_records": 1, "parity_rejects": 1,
+		"docs": 4, "chunks_direct": 3, "index_records": 4, "fallback_records": 1, "parity_rejects": 1,
 	} {
 		if sums[key] != want {
 			t.Errorf("trace attr %s sums to %d, want %d (must reconcile with /v1/stats)", key, sums[key], want)

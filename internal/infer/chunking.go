@@ -3,6 +3,7 @@ package infer
 import (
 	"errors"
 	"io"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -21,9 +22,10 @@ import (
 //     buffers (chunkBuf). Chunks alias the buffer they were read into
 //     and hold a reference on it; the worker releases the reference
 //     once the accumulator has absorbed the chunk, and a fully released
-//     buffer returns to the run's pool for the reader to refill — so
-//     the steady state recycles a handful of arrays instead of
-//     allocating a fresh pending array per compaction.
+//     buffer returns to its pool — the run's, or the collector's an
+//     ingest feeds — for a reader to refill, so the steady state
+//     recycles a handful of arrays instead of allocating a fresh
+//     pending array per compaction (or per ingest).
 //   - splitChunksBytes splits a caller-owned byte slice in place:
 //     chunks alias the input directly, nothing is copied, nothing is
 //     pooled, and the steady state performs zero chunking allocations
@@ -51,11 +53,10 @@ const chunkReadSize = 256 << 10
 const maxInitialChunkBuf = 64 << 20
 
 // chunkBuf is one refcounted chunk array of the reader path. The reader
-// goroutine holds one reference while it fills the buffer; every chunk
-// emitted from it holds another, released by the worker once the chunk
-// has been absorbed. When the last reference drops the array returns to
-// its pool, ready for the reader to refill — the recycling that
-// replaces the old fresh-array-per-compaction discipline.
+// holds one reference while it fills the buffer; every chunk emitted
+// from it holds another, released once the chunk has been absorbed.
+// When the last reference drops the array returns to its pool, ready
+// for a reader to refill.
 type chunkBuf struct {
 	data []byte // full backing array, sliced up to capacity
 	refs atomic.Int32
@@ -78,34 +79,37 @@ func (b *chunkBuf) release() {
 	}
 }
 
-// chunkPool recycles chunk arrays within one engine run. It is a thin
-// wrapper over sync.Pool: gets that miss allocate a fresh array, gets
-// that hit count into the BuffersRecycled stat. The pool is per run —
-// created by the engine entry point, garbage once the run ends — so a
-// benchmark iteration or an ingest request starts cold and recycles
-// within itself, and no chunk can ever alias another run's buffer.
+// chunkPool recycles chunk arrays: a mutex-guarded free list. The zero
+// value serves one engine run — garbage once the run ends, so no chunk
+// can alias another run's buffer — and keeps every array released to
+// it. A collector's pool outlives its ingests (only there do chunk
+// arrays outlive a run) and is bounded: limit arrays at most, none that
+// an unsplittable run grew past maxPooledChunkBuf.
 type chunkPool struct {
-	p        sync.Pool
-	recycled int64
+	mu    sync.Mutex
+	free  []*chunkBuf
+	limit int // 0: keep everything
 }
 
+// maxPooledChunkBuf is the largest array a bounded pool keeps: 4× the
+// reader path's initial array at the default chunk targets.
+const maxPooledChunkBuf = 4 * 2 * chunkReadSize
+
 // get returns a buffer whose array holds at least minCap bytes, with
-// one reference (the caller's) held. Pooled buffers whose capacity is
-// too small are dropped rather than grown; steady-state capacities are
-// uniform, so drops only happen while an unsplittable run is growing.
-func (cp *chunkPool) get(minCap int) *chunkBuf {
-	for {
-		v := cp.p.Get()
-		if v == nil {
-			break
-		}
-		b := v.(*chunkBuf)
-		if cap(b.data) >= minCap {
-			cp.recycled++
+// one reference (the caller's) held: off the free list, counted into
+// *recycled (the caller's BuffersRecycled stat), or freshly allocated.
+func (cp *chunkPool) get(minCap int, recycled *int64) *chunkBuf {
+	cp.mu.Lock()
+	for i := len(cp.free) - 1; i >= 0; i-- {
+		if b := cp.free[i]; cap(b.data) >= minCap {
+			cp.free = slices.Delete(cp.free, i, i+1)
+			cp.mu.Unlock()
 			b.refs.Store(1)
+			*recycled++
 			return b
 		}
 	}
+	cp.mu.Unlock()
 	b := &chunkBuf{data: make([]byte, minCap), pool: cp}
 	b.data = b.data[:cap(b.data)]
 	b.refs.Store(1)
@@ -114,14 +118,12 @@ func (cp *chunkPool) get(minCap int) *chunkBuf {
 
 // put returns a fully released buffer to the pool. Called from
 // chunkBuf.release, potentially on a worker goroutine.
-func (cp *chunkPool) put(b *chunkBuf) { cp.p.Put(b) }
-
-// takeRecycled harvests the recycle count for the stats frame. Only the
-// reader goroutine calls get, so the plain counter needs no atomics.
-func (cp *chunkPool) takeRecycled() int64 {
-	n := cp.recycled
-	cp.recycled = 0
-	return n
+func (cp *chunkPool) put(b *chunkBuf) {
+	cp.mu.Lock()
+	if cp.limit == 0 || (len(cp.free) < cp.limit && cap(b.data) <= maxPooledChunkBuf) {
+		cp.free = append(cp.free, b)
+	}
+	cp.mu.Unlock()
 }
 
 // chunkTargets bundles the chunk-size policy: emit a chunk at a split
@@ -174,12 +176,12 @@ func (t chunkTargets) ripe(docs, size int) bool {
 // targets and manages the pooled buffers. Every emitted chunk holds a
 // reference on the buffer it aliases — the consumer must release() it
 // once the bytes are dead (after absorption), or the array leaks from
-// the pool (harmless, but unrecycled). When st is non-nil the read (io)
-// and split (boundary-finding) stage clocks, the chunk counter and the
+// the pool (harmless, but unrecycled). The chunk the input ends with is
+// marked last. When st is non-nil the read (io) and split
+// (boundary-finding) stage clocks, the chunk counter and the
 // copy/recycle counters record into it, flushed once per emitted chunk.
-func readChunks(r io.Reader, targets chunkTargets, sp docSplitter, st *PipelineStats, emit func(byteChunk) bool) error {
+func readChunks(r io.Reader, targets chunkTargets, sp docSplitter, pool *chunkPool, st *PipelineStats, emit func(byteChunk) bool) error {
 	var (
-		pool      chunkPool
 		buf       *chunkBuf // current fill buffer; reader holds one ref
 		pending   []byte    // filled prefix of buf.data
 		scanned   int       // pending[:scanned] has been handed to the splitter
@@ -196,23 +198,22 @@ func readChunks(r io.Reader, targets chunkTargets, sp docSplitter, st *PipelineS
 	// target (capped, so a huge target cannot pre-commit memory the
 	// input may never fill — growth doubling covers the rest), which
 	// keeps byte-target chunking from copying its way up on every run.
-	buf = pool.get(min(max(2*chunkReadSize, targets.bytes+chunkReadSize), maxInitialChunkBuf))
+	buf = pool.get(min(max(2*chunkReadSize, targets.bytes+chunkReadSize), maxInitialChunkBuf), &frame.BuffersRecycled)
 	pending = buf.data[:0]
 	if st != nil {
 		frame.ReaderInputs = 1
 	}
-	emitUpTo := func(end int) bool {
+	emitUpTo := func(end int, last bool) bool {
 		if end <= lastSplit {
 			return true
 		}
-		ch := byteChunk{index: index, base: base + lastSplit, data: pending[lastSplit:end], buf: buf}
+		ch := byteChunk{index: index, base: base + lastSplit, data: pending[lastSplit:end], buf: buf, last: last}
 		buf.acquire()
 		index++
 		docs = 0
 		lastSplit = end
 		if st != nil {
 			frame.ChunksSplit++
-			frame.BuffersRecycled += pool.takeRecycled()
 			frame.flush(st)
 		}
 		return emit(ch)
@@ -234,13 +235,13 @@ func readChunks(r io.Reader, targets chunkTargets, sp docSplitter, st *PipelineS
 				// in place instead of allocating.
 				copy(buf.data, pending[lastSplit:])
 			case lastSplit > 0:
-				next := pool.get(max(cap(buf.data), tail+chunkReadSize))
+				next := pool.get(max(cap(buf.data), tail+chunkReadSize), &frame.BuffersRecycled)
 				copy(next.data, pending[lastSplit:])
 				buf.release()
 				buf = next
 			default:
 				// Unsplittable run: grow by doubling.
-				next := pool.get(max(2*cap(buf.data), tail+chunkReadSize))
+				next := pool.get(max(2*cap(buf.data), tail+chunkReadSize), &frame.BuffersRecycled)
 				copy(next.data, pending)
 				buf.release()
 				buf = next
@@ -270,9 +271,8 @@ func readChunks(r io.Reader, targets chunkTargets, sp docSplitter, st *PipelineS
 		statsSince(st, &frame.SplitNanos, splitStart)
 		for _, rel := range splitBuf {
 			docs++
-			if targets.ripe(docs, scanned+rel-lastSplit) {
-				if !emitUpTo(scanned + rel) {
-					frame.BuffersRecycled += pool.takeRecycled()
+			if end := scanned + rel; targets.ripe(docs, end-lastSplit) {
+				if !emitUpTo(end, sawEOF && end == len(pending)) {
 					frame.flush(st)
 					return readErr
 				}
@@ -280,8 +280,7 @@ func readChunks(r io.Reader, targets chunkTargets, sp docSplitter, st *PipelineS
 		}
 		scanned = len(pending)
 		if sawEOF {
-			emitUpTo(len(pending))
-			frame.BuffersRecycled += pool.takeRecycled()
+			emitUpTo(len(pending), true)
 			frame.flush(st)
 			return readErr
 		}
@@ -330,7 +329,7 @@ func splitChunksBytes(data []byte, targets chunkTargets, sp docSplitter, st *Pip
 				frame.BytesAliased += int64(end - lastSplit)
 				frame.flush(st)
 			}
-			ok := emit(byteChunk{index: index, base: lastSplit, data: data[lastSplit:end]})
+			ok := emit(byteChunk{index: index, base: lastSplit, data: data[lastSplit:end], last: end == len(data)})
 			index++
 			docs = 0
 			lastSplit = end
@@ -347,7 +346,7 @@ func splitChunksBytes(data []byte, targets chunkTargets, sp docSplitter, st *Pip
 			frame.ChunksSplit++
 			frame.BytesAliased += int64(len(data) - lastSplit)
 		}
-		emit(byteChunk{index: index, base: lastSplit, data: data[lastSplit:]})
+		emit(byteChunk{index: index, base: lastSplit, data: data[lastSplit:], last: true})
 	}
 	frame.flush(st)
 	*scratch = splits[:0]

@@ -2,6 +2,7 @@ package infer
 
 import (
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -13,15 +14,17 @@ import (
 // read while it grows, i.e. the live-merge engine of internal/registry:
 // long-lived collections fold ingest traffic into it (InferStreamInto)
 // and serve snapshot reads from it. It is the one-shot engine's reduce
-// (run in tokens.go) made shareable: committed chunk types are absorbed
-// in line, on the committer's goroutine, into one of N mutex-guarded
-// typelang.Accums, and nothing is canonicalised until somebody reads —
-// a Snapshot seals the shards added to since the last one and fuses
-// the sealed partials. By associativity and commutativity of the merge
-// (Accum seals are pinned byte-identical to the MergeAll reference
-// fold) the result is byte-identical (same rendering, same counts) to a
-// single ordered fold's, whichever shard each batch landed on; the
-// collector tests pin that.
+// (run in tokens.go) made shareable: a chunk's documents (the
+// sequential shape) or committed chunk types (the parallel one) are
+// absorbed in line, on the ingest's goroutine or its committer's, into
+// one of N mutex-guarded typelang.Accums, and nothing is canonicalised
+// until somebody reads — a Snapshot seals the shards added to since the
+// last one and, when several hold data, fuses the sealed partials. By
+// associativity and commutativity of the merge (Accum seals are pinned
+// byte-identical to the MergeAll reference fold) the result is
+// byte-identical (same rendering, same counts) to a single ordered
+// fold's, whichever shard each chunk or batch landed on; the collector
+// tests pin that.
 
 // maxAutoShards caps the automatically-sized collector: shard partials
 // multiply the fuse cost, and past a handful of shards concurrent
@@ -50,6 +53,14 @@ type ShardedCollector struct {
 	shards []shard
 	rr     atomic.Uint64
 	closed atomic.Bool
+
+	// What InferStreamInto would otherwise build per call, kept warm
+	// between ingests and bounded: at most one chunk array and one
+	// mapper per shard, none that a giant document or an unbounded key
+	// universe has bloated (chunkPool.put, release).
+	chunks  chunkPool
+	mu      sync.Mutex // guards mappers
+	mappers []*chunkMapper
 
 	// root serialises Snapshot, so the views it returns are totally
 	// ordered and, each shard only ever growing, monotone. parts holds
@@ -84,6 +95,7 @@ func NewShardedCollectorStats(shards int, e typelang.Equiv, st *PipelineStats) *
 		shards = min(runtime.GOMAXPROCS(0), maxAutoShards)
 	}
 	c := &ShardedCollector{equiv: e, shards: make([]shard, shards), stats: st}
+	c.chunks.limit = shards
 	c.root.parts = make([]*typelang.Type, shards)
 	for i := range c.shards {
 		c.shards[i].acc = typelang.NewAccum(e)
@@ -93,18 +105,85 @@ func NewShardedCollectorStats(shards int, e typelang.Equiv, st *PipelineStats) *
 	return c
 }
 
-// AddBatch folds a batch of chunk results — their types and total
-// document count — into the collector. Shards are picked round-robin
-// and the whole batch lands on one, under that shard's lock, so the
-// caller waits only for adders (or a snapshot's seal) that drew the
-// same shard; the final fold is the same wherever batches land (the
-// merge is associative and commutative). ts is not retained.
-func (c *ShardedCollector) AddBatch(ts []*typelang.Type, docs int64) {
+// lock returns a shard, locked: the first free one in index order — a
+// lone feeder therefore keeps filling (and keeps warm) one accumulator,
+// concurrent feeders spread out, and nobody waits behind a busy shard
+// while another is idle — or, when every shard is busy, the next one
+// round-robin. The final fold is the same wherever additions land (the
+// merge is associative and commutative).
+func (c *ShardedCollector) lock() *shard {
 	if c.closed.Load() {
-		panic("infer: AddBatch on a closed ShardedCollector")
+		panic("infer: add to a closed ShardedCollector")
+	}
+	for i := range c.shards {
+		if c.shards[i].mu.TryLock() {
+			return &c.shards[i]
+		}
 	}
 	s := &c.shards[(c.rr.Add(1)-1)%uint64(len(c.shards))]
 	s.mu.Lock()
+	return s
+}
+
+// absorbChunk is the sequential shape's fold: it types ch's documents
+// through m straight into a shard's accumulator and books them, all
+// under that shard's lock — held for this chunk only, never across a
+// read of the input. It returns m.absorb's count and error; the shard
+// holds exactly the documents before the error.
+func (c *ShardedCollector) absorbChunk(m *chunkMapper, ch byteChunk) (int, error) {
+	s := c.lock()
+	n, err := m.absorb(ch, s.acc)
+	s.docs += int64(n)
+	s.mu.Unlock()
+	return n, err
+}
+
+// maxPooledSymbols bounds a kept mapper's private intern caches from
+// outside: they only hold names the shared table holds too.
+const maxPooledSymbols = 1 << 16
+
+// mapper returns a chunk mapper wired for opts: a kept one when it was
+// wired to the same map mode and symbol table, a cold one otherwise.
+func (c *ShardedCollector) mapper(opts Options) *chunkMapper {
+	c.mu.Lock()
+	var m *chunkMapper
+	if n := len(c.mappers); n > 0 {
+		m = c.mappers[n-1]
+		c.mappers = slices.Delete(c.mappers, n-1, n)
+	}
+	c.mu.Unlock()
+	if m == nil || m.symbols != opts.Symbols || (m.ia != nil) != (opts.Map == MapIndexed) {
+		return newChunkMapper(opts)
+	}
+	m.st = opts.Stats
+	return m
+}
+
+// release keeps m for the next ingest unless that would keep too much:
+// bitmaps as wide as a chunk no bounded pool would keep the array of,
+// or intern caches nothing bounds (no shared table, or one grown past
+// maxPooledSymbols). The lexers are unbound from the last chunk's bytes.
+func (c *ShardedCollector) release(m *chunkMapper) {
+	if m.widest > maxPooledChunkBuf || m.symbols == nil || m.symbols.Len() > maxPooledSymbols {
+		return
+	}
+	m.ms.Reset(nil, 0)
+	m.tr.ResetBytes(nil, 0)
+	if m.ia != nil {
+		m.ia.Reset(nil, 0)
+	}
+	c.mu.Lock()
+	if len(c.mappers) < len(c.shards) {
+		c.mappers = append(c.mappers, m)
+	}
+	c.mu.Unlock()
+}
+
+// AddBatch folds a batch of chunk results — their types and total
+// document count — into the collector. The whole batch lands on one
+// shard (see lock), under that shard's lock. ts is not retained.
+func (c *ShardedCollector) AddBatch(ts []*typelang.Type, docs int64) {
+	s := c.lock()
 	start := statsClock(c.stats)
 	for _, t := range ts {
 		s.acc.Absorb(t)
@@ -116,13 +195,14 @@ func (c *ShardedCollector) AddBatch(ts []*typelang.Type, docs int64) {
 	}
 }
 
-// Snapshot returns the merged type and document count of every AddBatch
+// Snapshot returns the merged type and document count of every addition
 // that returned before the call (concurrent ones may or may not be
 // included); successive snapshots only ever grow. A quiet collector
 // answers from the cache — the same *Type as last time. Otherwise the
 // shards added to are sealed, each under its own lock (adds to that
 // shard wait for the seal, adds to the others do not), and the sealed
-// partials are fused; with one shard its seal is the answer.
+// partials are fused; when only one shard holds data — a lone feeder's
+// collector — its seal is the answer.
 func (c *ShardedCollector) Snapshot() (*typelang.Type, int64) {
 	c.root.mu.Lock()
 	defer c.root.mu.Unlock()
@@ -142,11 +222,17 @@ func (c *ShardedCollector) Snapshot() (*typelang.Type, int64) {
 	if seals == 0 {
 		return c.root.t, docs
 	}
-	if len(c.shards) == 1 {
-		c.root.t = c.root.parts[0]
+	var filled []*typelang.Type
+	for _, part := range c.root.parts {
+		if part.Kind != typelang.KBottom {
+			filled = append(filled, part)
+		}
+	}
+	if len(filled) == 1 {
+		c.root.t = filled[0]
 	} else {
 		fuse := typelang.NewAccum(c.equiv)
-		for _, part := range c.root.parts {
+		for _, part := range filled {
 			fuse.Absorb(part)
 		}
 		c.root.t = fuse.Seal()

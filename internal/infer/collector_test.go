@@ -3,6 +3,8 @@ package infer
 import (
 	"bytes"
 	"fmt"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 
@@ -68,13 +70,18 @@ func TestShardedCollectorSnapshotSemantics(t *testing.T) {
 }
 
 // TestShardedCollectorConcurrent is the race-detector workout: parallel
-// adders against continuous snapshot readers. Snapshots are serialised
-// under the root lock, so the ones a reader observes, in the order it
+// adders — some handing over sealed types, more of them than there are
+// shards streaming bodies in through InferStreamInto, one-chunk and
+// multi-chunk, sharing the collector's mapper and chunk-array pools —
+// against continuous snapshot readers. Snapshots are serialised under
+// the root lock, so the ones a reader observes, in the order it
 // observes them, only grow — in documents and in schema (each subsumes
-// the one before) — and the final fold is exact.
+// the one before) — and the final fold is the oracle's over everything
+// that was added.
 func TestShardedCollectorConcurrent(t *testing.T) {
-	const adders, perAdder, nReaders = 8, 200, 2
+	const adders, perAdder, feeders, perFeeder, nReaders = 4, 200, 6, 8, 2
 	col := NewShardedCollector(4, typelang.EquivLabel)
+	symbols := jsontext.NewSymbolTable()
 	stop := make(chan struct{})
 	var readers sync.WaitGroup
 	for r := 0; r < nReaders; r++ {
@@ -101,7 +108,10 @@ func TestShardedCollectorConcurrent(t *testing.T) {
 			}
 		}()
 	}
-	var wg sync.WaitGroup
+	var (
+		wg  sync.WaitGroup
+		all [adders + feeders][]*typelang.Type // what each goroutine added, for the oracle
+	)
 	for a := 0; a < adders; a++ {
 		wg.Add(1)
 		go func(a int) {
@@ -111,15 +121,148 @@ func TestShardedCollectorConcurrent(t *testing.T) {
 					{Name: fmt.Sprintf("f%d", (a+i)%5), Type: atomInt, Count: 1},
 				})
 				col.AddBatch([]*typelang.Type{ty}, 1)
+				all[a] = append(all[a], ty)
 			}
 		}(a)
+	}
+	for f := 0; f < feeders; f++ {
+		wg.Add(1)
+		go func(f int) {
+			defer wg.Done()
+			for i := 0; i < perFeeder; i++ {
+				docs := genjson.Collection(genjson.Twitter{Seed: int64(10*f + i)}, 30)
+				for _, d := range docs {
+					all[adders+f] = append(all[adders+f], TypeOf(d, typelang.EquivLabel))
+				}
+				// Every other body spans several chunks: the parallel shape.
+				opts := Options{Equiv: typelang.EquivLabel, Workers: 2, Batch: 256 - 248*(i%2), Map: MapMode(f % 2), Symbols: symbols}
+				if n, err := InferStreamInto(bytes.NewReader(jsontext.MarshalLines(docs)), opts, col); err != nil || n != len(docs) {
+					t.Errorf("feeder %d body %d: %d docs, err %v", f, i, n, err)
+				}
+			}
+		}(f)
 	}
 	wg.Wait()
 	close(stop)
 	readers.Wait()
-	_, n := col.Close()
-	if n != adders*perAdder {
-		t.Errorf("final docs = %d, want %d", n, adders*perAdder)
+	var added []*typelang.Type
+	for _, ts := range all {
+		added = append(added, ts...)
+	}
+	got, n := col.Close()
+	if n != int64(len(added)) {
+		t.Errorf("final docs = %d, want %d", n, len(added))
+	}
+	if want := typelang.MergeAll(added, typelang.EquivLabel); got.StringCounted() != want.StringCounted() {
+		t.Errorf("concurrent fold diverges from the oracle\n want: %s\n got:  %s", want.StringCounted(), got.StringCounted())
+	}
+}
+
+// ingestInto feeds body into col under opts with a private recorder and
+// returns the call's counters.
+func ingestInto(t *testing.T, col *ShardedCollector, body []byte, opts Options) StatsSnapshot {
+	t.Helper()
+	var st PipelineStats
+	opts.Stats = &st
+	if _, err := InferStreamInto(bytes.NewReader(body), opts, col); err != nil {
+		t.Fatal(err)
+	}
+	return st.Snapshot()
+}
+
+// TestCollectorKeepsBoundedState pins what a collector carries from one
+// ingest to the next: the chunk array and the mapper of an ordinary
+// body, which the next body reuses — and neither the array an
+// unsplittable 4 MiB document grew, nor the mapper whose bitmaps grew
+// with it, nor a mapper whose intern caches nothing bounds.
+func TestCollectorKeepsBoundedState(t *testing.T) {
+	small := []byte(`{"a": 1}` + "\n" + `{"b": [true]}` + "\n")
+	giant := []byte(`{"blob": "` + strings.Repeat("x", 4<<20) + `"}` + "\n")
+	opts := Options{Equiv: typelang.EquivLabel, Symbols: jsontext.NewSymbolTable()}
+	col := NewShardedCollector(2, typelang.EquivLabel)
+	kept := func() (arrays, widest, mappers int) {
+		for _, b := range col.chunks.free {
+			widest = max(widest, cap(b.data))
+		}
+		return len(col.chunks.free), widest, len(col.mappers)
+	}
+
+	if s := ingestInto(t, col, giant, opts); s.ChunksDirect != 1 || s.BytesCopied == 0 {
+		t.Fatalf("giant body: chunks_direct=%d bytes_copied=%d, want one in-line chunk grown by copying", s.ChunksDirect, s.BytesCopied)
+	}
+	if arrays, widest, mappers := kept(); widest > maxPooledChunkBuf || mappers != 0 {
+		t.Errorf("after a 4 MiB document the collector keeps %d arrays (widest %d B) and %d mappers; want nothing that grew with it",
+			arrays, widest, mappers)
+	}
+	if s := ingestInto(t, col, small, opts); s.BuffersRecycled > 1 {
+		t.Errorf("small body after the giant one recycled %d arrays", s.BuffersRecycled)
+	}
+	if arrays, widest, mappers := kept(); arrays == 0 || widest > maxPooledChunkBuf || mappers != 1 {
+		t.Errorf("after a small body the collector keeps %d arrays (widest %d B) and %d mappers, want its array and its mapper",
+			arrays, widest, mappers)
+	}
+	warm := col.mappers[0]
+	if s := ingestInto(t, col, small, opts); s.BuffersRecycled != 1 {
+		t.Errorf("second small body recycled %d arrays, want 1 (the kept one)", s.BuffersRecycled)
+	}
+	if col.mappers[0] != warm {
+		t.Error("second small body did not reuse the kept mapper")
+	}
+	for i := 0; i < 3*len(col.shards); i++ {
+		col.release(newChunkMapper(opts))
+		col.chunks.put(&chunkBuf{data: make([]byte, 8)})
+	}
+	if arrays, _, mappers := kept(); arrays > len(col.shards) || mappers > len(col.shards) {
+		t.Errorf("the pools grew to %d arrays and %d mappers, want at most one per shard (%d)", arrays, mappers, len(col.shards))
+	}
+
+	// The private intern caches only hold names the shared table holds,
+	// so its size bounds them; without a table, or past the cap, a mapper
+	// dies with its ingest as it did before mappers were kept.
+	for _, symbols := range []*jsontext.SymbolTable{nil, jsontext.NewSymbolTable()} {
+		if symbols != nil {
+			for i := 0; i <= maxPooledSymbols; i++ {
+				symbols.Intern(strconv.AppendInt(nil, int64(i), 10))
+			}
+		}
+		col := NewShardedCollector(2, typelang.EquivLabel)
+		ingestInto(t, col, small, Options{Equiv: typelang.EquivLabel, Symbols: symbols})
+		if len(col.mappers) != 0 {
+			t.Errorf("symbols=%v: mapper kept with unbounded intern caches", symbols != nil)
+		}
+	}
+}
+
+// TestCollectorMapperKeepsItsMode walks one collector through calls
+// that differ from the one before in map mode or in symbol table, never
+// both: the kept mapper, wired for the other, must not serve the call.
+// The index counters tell the modes apart — a fused call absorbs no
+// record off the index, an indexed one all of them — and a vocabulary
+// interned through the wrong table would miss from the call's own.
+func TestCollectorMapperKeepsItsMode(t *testing.T) {
+	docs := genjson.Collection(genjson.Orders{Seed: 5}, 20)
+	body := jsontext.MarshalLines(docs)
+	col := NewShardedCollector(2, typelang.EquivKind)
+	tables := []*jsontext.SymbolTable{jsontext.NewSymbolTable(), jsontext.NewSymbolTable()}
+	for i := 0; i < 12; i++ {
+		mode, symbols := sweepMaps[i/2%2], tables[(i+1)/2%2]
+		before := symbols.Len()
+		s := ingestInto(t, col, body, Options{Map: mode, Symbols: symbols})
+		wantIdx := int64(0)
+		if mode == MapIndexed {
+			wantIdx = int64(len(docs))
+		}
+		if s.IndexRecords != wantIdx || s.FallbackRecords != 0 {
+			t.Errorf("call %d (%v): index_records=%d fallback_records=%d, want %d/0", i, mode, s.IndexRecords, s.FallbackRecords, wantIdx)
+		}
+		if grew := symbols.Len() > before; grew != (i < 2) {
+			t.Errorf("call %d: symbol table went %d → %d names; each table meets the vocabulary on its first call (0 and 1)",
+				i, before, symbols.Len())
+		}
+	}
+	want, wantN, _ := oracle(bytes.Repeat(body, 12), typelang.EquivKind)
+	if got, n := col.Close(); n != int64(wantN) || got.StringCounted() != want.StringCounted() {
+		t.Errorf("alternating modes: %d docs %s, oracle %d docs %s", n, got.StringCounted(), wantN, want.StringCounted())
 	}
 }
 

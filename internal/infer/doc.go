@@ -50,22 +50,24 @@
 // chunk's boundaries, the structural index or mison.TokenSource lexes
 // it, and the reference lexer (jsontext.TokenReader) takes over any
 // chunk the index rejects — results are identical whichever rung ran.
-// The shape is decided by Options.Workers alone. One worker absorbs
-// large chunks one after another into the run's single accumulator.
-// More workers lex and absorb small chunks in parallel, each sealing
-// its chunk's type, and chunk results commit in stream order so
-// schemas, document counts and error offsets are exact. Who consumes
-// the result decides the reduce, which either way is the committer
-// absorbing chunk types in line into an accumulator sealed only when it
-// is read. A one-shot run (InferStream, InferStreamBytes) is read once,
-// at the end, so its committer absorbs every chunk type into the run's
-// own accumulator, sealed once. A registry collection
-// (InferStreamInto) is read while it grows, by other goroutines, so
-// its committers absorb into a caller-owned ShardedCollector
-// (collector.go): N mutex-guarded accumulators picked round-robin, of
-// which a Snapshot seals those that changed since the last read and
-// fuses the sealed partials — an ingest nobody reads after seals
-// nothing.
+// The shape is decided in one place (stream, tokens.go), from what it
+// can observe. The sequential shape — one worker, or an input that ends
+// inside its first chunk — absorbs chunk after chunk on the caller's
+// goroutine straight into the destination accumulator: no goroutine, no
+// chunk seal, no reduce. Otherwise workers lex and absorb small chunks
+// in parallel, each sealing its chunk's type, and a committer absorbs
+// the chunk types in stream order, so schemas, document counts and
+// error offsets are exact. Who consumes the result decides the
+// destination, which either way is sealed only when it is read. A
+// one-shot run (InferStream, InferStreamBytes) is read once, at the
+// end: its own accumulator, sealed once. A registry collection
+// (InferStreamInto) is read while it grows, by other goroutines, so it
+// lends — per chunk or commit batch — one of the N mutex-guarded
+// accumulators of a caller-owned ShardedCollector (collector.go), the
+// first that is free; a Snapshot seals those that changed since the
+// last read and fuses the sealed partials when several hold data — an
+// ingest nobody reads after seals nothing, and a one-chunk body costs
+// one absorb through lexers and a chunk array the collector keeps warm.
 // Options.Symbols shares one field-name symbol table across all
 // workers. Options.Stats, when set, is the run's flight recorder
 // (stats.go): every stage publishes its counters and clock into one

@@ -44,10 +44,21 @@ var (
 	inputKinds   = []string{"reader", "bytes"}
 )
 
-// inferStreamOver runs the engine over data as the named input kind.
+// inferStreamOver runs the engine over data as the named input kind;
+// "into" is the registry's feed — InferStreamInto a fresh two-shard
+// collector, closed for its fold.
 func inferStreamOver(input string, data []byte, opts Options) (*typelang.Type, int, error) {
-	if input == "bytes" {
+	switch input {
+	case "bytes":
 		return InferStreamBytes(data, opts)
+	case "into":
+		col := NewShardedCollector(2, opts.Equiv)
+		n, err := InferStreamInto(bytes.NewReader(data), opts, col)
+		t, docs := col.Close()
+		if docs != int64(n) {
+			err = fmt.Errorf("collector holds %d docs, the feed committed %d (feed error: %v)", docs, n, err)
+		}
+		return t, n, err
 	}
 	return InferStream(bytes.NewReader(data), opts)
 }
@@ -81,15 +92,20 @@ func assertMatchesOracle(t *testing.T, label string, data []byte, chunkings ...O
 
 // assertEngineYields runs the engine over data with base's equivalence
 // and chunking under every given worker count, map phase and input
-// kind, and demands the given outcome each time: the same schema in
+// kind — the collector feed included, at the worker counts that give it
+// each of its shapes — and demands the given outcome each time: the same schema in
 // plain and counted rendering, the same document count and — on
 // malformed input — the same error message and absolute offset, with
 // type and count covering exactly the documents before it.
 func assertEngineYields(t *testing.T, label string, data []byte, base Options, workers []int, want *typelang.Type, wantN int, wantErr error) {
 	t.Helper()
 	for _, w := range workers {
+		kinds := inputKinds
+		if w <= 2 {
+			kinds = append(kinds[:len(kinds):len(kinds)], "into")
+		}
 		for _, mm := range sweepMaps {
-			for _, input := range inputKinds {
+			for _, input := range kinds {
 				opts := Options{Equiv: base.Equiv, Workers: w, Map: mm, Batch: base.Batch, ChunkBytes: base.ChunkBytes}
 				name := fmt.Sprintf("%s/%v/w%d/%v/%s/batch%d/bytes%d", label, opts.Equiv, w, mm, input, opts.Batch, opts.ChunkBytes)
 				got, n, err := inferStreamOver(input, data, opts)

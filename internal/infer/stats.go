@@ -9,7 +9,7 @@ import (
 // This file is the pipeline's flight recorder: PipelineStats is a set of
 // monotone counters and per-stage clocks every stage of the streamed
 // engines reports into when Options.Stats is set. Each worker (and the
-// reader goroutine, and the one-shot committer) accumulates into a
+// chunking stage, and the one-shot committer) accumulates into a
 // private, plain statsFrame while it works and publishes the frame under
 // the recorder's one lock at chunk granularity — never per document,
 // never per token — so the counters cost nothing measurable on the hot
@@ -51,15 +51,20 @@ type StatsSnapshot struct {
 	// reference scanner (escaped strings, fancy numbers) instead of
 	// resolving positionally.
 	ScanDelegations int64
+	// ChunksDirect counts chunks absorbed in the sequential shape —
+	// straight into the run's accumulator or a collector shard, with no
+	// chunk seal and no reduce. Against ChunksSplit it says which shape
+	// ran: equal on a one-worker or one-chunk run, 0 on a parallel one.
+	ChunksDirect int64
 	// RootFuses counts collector snapshots that found a shard changed
 	// and rebuilt the served schema (cache-miss reads). Collector only:
 	// 0 on a one-shot run.
 	RootFuses int64
 	// Seals counts accumulator seals the pipeline performed: one per
-	// chunk on a multi-worker run (none at one worker), plus the
+	// chunk in the parallel shape (none in the sequential one), plus the
 	// one-shot run's single final seal or, in a collector, the seals a
 	// cache-miss read did: one per shard that changed since the last
-	// read, plus the fuse's when there are several shards. A memoised
+	// read, plus the fuse's when several shards hold data. A memoised
 	// seal that rebuilt nothing is not counted.
 	Seals int64
 	// BytesAliased counts chunk bytes emitted zero-copy — chunks that
@@ -79,16 +84,16 @@ type StatsSnapshot struct {
 	// path.
 	ReaderInputs int64
 
-	// Per-stage wall time, monotonic nanoseconds. The stages overlap in
-	// real time (the reader splits while workers absorb while the
-	// committer folds), so the sum across stages exceeds the request
-	// wall time on a multi-core host — each figure answers "where did
-	// this stage's goroutines spend their time", not "what fraction of
-	// the wall".
-	ReadNanos   int64 // reader goroutine blocked in io.Reader.Read
+	// Per-stage wall time, monotonic nanoseconds. In the parallel shape
+	// the stages overlap in real time (the caller splits while workers
+	// absorb while the committer folds), so the sum across stages can
+	// exceed the request wall time — each figure answers "where did this
+	// stage's goroutines spend their time", not "what fraction of the
+	// wall". In the sequential shape they are one goroutine's and add up.
+	ReadNanos   int64 // the run's caller blocked in io.Reader.Read
 	SplitNanos  int64 // boundary finding (docSplitter.Splits)
 	MapNanos    int64 // workers indexing, lexing, absorbing and sealing chunks
-	ReduceNanos int64 // committer absorbing committed chunk types (into the run's accumulator, or a collector shard); the one-shot run's final seal at any worker count
+	ReduceNanos int64 // parallel shape only: committer absorbing committed chunk types (into the run's accumulator, or a collector shard); plus the one-shot run's final seal in either shape
 	FuseNanos   int64 // collector cache-miss reads: sealing the changed shards and fusing the partials (0 on a one-shot run)
 }
 
@@ -123,17 +128,18 @@ var StatsFields = []StatsField{
 	{"fallback_records", "map", "Records the index walk delegated to the token walker.", func(s *StatsSnapshot) *int64 { return &s.FallbackRecords }},
 	{"parity_rejects", "map", "Chunks the structural index rejected outright (odd quote parity).", func(s *StatsSnapshot) *int64 { return &s.ParityRejects }},
 	{"scan_delegations", "map", "Tokens the mison fast paths handed to the reference scanner.", func(s *StatsSnapshot) *int64 { return &s.ScanDelegations }},
+	{"chunks_direct", "map", "Chunks absorbed straight into the destination accumulator (sequential shape: no chunk seal, no reduce).", func(s *StatsSnapshot) *int64 { return &s.ChunksDirect }},
 	{"root_fuses", "fuse", "Collector reads that found new documents and rebuilt the served schema.", func(s *StatsSnapshot) *int64 { return &s.RootFuses }},
-	{"seals", "fuse", "Accumulator seals across map and collector reads.", func(s *StatsSnapshot) *int64 { return &s.Seals }},
+	{"seals", "fuse", "Accumulator seals: per chunk in the parallel shape, per changed shard (and fuse) in collector reads.", func(s *StatsSnapshot) *int64 { return &s.Seals }},
 	{"bytes_aliased", "split", "Chunk bytes emitted zero-copy, aliasing the input buffer.", func(s *StatsSnapshot) *int64 { return &s.BytesAliased }},
 	{"bytes_copied", "read", "Bytes moved during reader-path buffer compaction.", func(s *StatsSnapshot) *int64 { return &s.BytesCopied }},
 	{"buffers_recycled", "read", "Chunk arrays reacquired from the pool instead of allocated.", func(s *StatsSnapshot) *int64 { return &s.BuffersRecycled }},
 	{"mmap_inputs", "read", "Inputs served through a memory mapping.", func(s *StatsSnapshot) *int64 { return &s.MmapInputs }},
 	{"reader_inputs", "read", "Inputs served through the copying io.Reader path.", func(s *StatsSnapshot) *int64 { return &s.ReaderInputs }},
-	{"read_nanos", "read", "Reader-goroutine time blocked reading request bodies.", func(s *StatsSnapshot) *int64 { return &s.ReadNanos }},
-	{"split_nanos", "split", "Reader-goroutine time finding chunk boundaries.", func(s *StatsSnapshot) *int64 { return &s.SplitNanos }},
+	{"read_nanos", "read", "Time blocked reading request bodies.", func(s *StatsSnapshot) *int64 { return &s.ReadNanos }},
+	{"split_nanos", "split", "Time finding chunk boundaries.", func(s *StatsSnapshot) *int64 { return &s.SplitNanos }},
 	{"map_nanos", "map", "Worker time lexing and absorbing chunks.", func(s *StatsSnapshot) *int64 { return &s.MapNanos }},
-	{"reduce_nanos", "reduce", "Committer time absorbing chunk results into the collector.", func(s *StatsSnapshot) *int64 { return &s.ReduceNanos }},
+	{"reduce_nanos", "reduce", "Committer time absorbing chunk results into the collector (parallel shape only).", func(s *StatsSnapshot) *int64 { return &s.ReduceNanos }},
 	{"fuse_nanos", "fuse", "Collector read time sealing changed shards and fusing them.", func(s *StatsSnapshot) *int64 { return &s.FuseNanos }},
 }
 

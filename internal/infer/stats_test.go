@@ -181,9 +181,11 @@ func TestStatsSequentialEngine(t *testing.T) {
 // TestStatsShardedCollector pins the collector's laziness through the
 // counters it reports into the stats it was built with: feeding it
 // seals nothing beyond the workers' chunk seals and fuses nothing, the
-// first read seals the shards that changed and fuses once, and a read
-// of the quiet collector does no work at all — it returns the very
-// same *Type.
+// first read of a lone feeder's collector — every batch found shard 0
+// free — seals that one shard and runs no fuse, and a read of the quiet
+// collector does no work at all — it returns the very same *Type. Only
+// once a feeder has found shard 0 busy and filled the next one does a
+// read fuse.
 func TestStatsShardedCollector(t *testing.T) {
 	const shards = 2
 	var st PipelineStats
@@ -201,8 +203,9 @@ func TestStatsShardedCollector(t *testing.T) {
 	if fed.RootFuses != 0 || fed.FuseNanos != 0 {
 		t.Errorf("RootFuses=%d FuseNanos=%d before any read, want 0/0", fed.RootFuses, fed.FuseNanos)
 	}
-	if fed.Seals != fed.ChunksSplit {
-		t.Errorf("Seals=%d before any read, want the %d chunk seals only", fed.Seals, fed.ChunksSplit)
+	if fed.Seals != fed.ChunksSplit || fed.ChunksDirect != 0 {
+		t.Errorf("Seals=%d ChunksDirect=%d before any read, want the %d chunk seals of the parallel shape only",
+			fed.Seals, fed.ChunksDirect, fed.ChunksSplit)
 	}
 	if fed.ReduceNanos <= 0 {
 		t.Errorf("ReduceNanos=%d, want the committers' absorb time", fed.ReduceNanos)
@@ -215,8 +218,8 @@ func TestStatsShardedCollector(t *testing.T) {
 	if read.RootFuses != 1 || read.FuseNanos <= 0 {
 		t.Errorf("first read: RootFuses=%d FuseNanos=%d, want 1 and a running clock", read.RootFuses, read.FuseNanos)
 	}
-	if got := read.Seals - fed.Seals; got < 2 || got > shards+1 {
-		t.Errorf("first read sealed %d times, want the changed shards (1..%d) + the fuse", got, shards)
+	if got := read.Seals - fed.Seals; got != 1 {
+		t.Errorf("first read of a lone feeder sealed %d times, want 1 (the one filled shard, no fuse)", got)
 	}
 	again, _ := col.Snapshot()
 	if again != first {
@@ -225,7 +228,19 @@ func TestStatsShardedCollector(t *testing.T) {
 	if quiet := st.Snapshot(); quiet.RootFuses != read.RootFuses || quiet.Seals != read.Seals || quiet.FuseNanos != read.FuseNanos {
 		t.Errorf("a quiet read recorded work: fuses %d→%d seals %d→%d", read.RootFuses, quiet.RootFuses, read.Seals, quiet.Seals)
 	}
-	if last, _ := col.Close(); last != first {
+
+	col.shards[0].mu.Lock() // a busy shard: the next batch lands on shard 1
+	col.AddBatch([]*typelang.Type{atomInt}, 1)
+	col.shards[0].mu.Unlock()
+	fused, n := col.Snapshot()
+	if want := typelang.Merge(first, atomInt, typelang.EquivLabel); n != 3*64+1 || fused.StringCounted() != want.StringCounted() {
+		t.Errorf("two filled shards read %d docs as %s, want %d as %s", n, fused.StringCounted(), 3*64+1, want.StringCounted())
+	}
+	if two := st.Snapshot(); two.RootFuses != read.RootFuses+1 || two.Seals != read.Seals+2 {
+		t.Errorf("read of two filled shards: fuses %d→%d seals %d→%d, want +1 and +2 (the changed shard, the fuse)",
+			read.RootFuses, two.RootFuses, read.Seals, two.Seals)
+	}
+	if last, _ := col.Close(); last != fused {
 		t.Error("Close of a quiet collector re-fused; want the cached *Type")
 	}
 }

@@ -201,11 +201,14 @@ func absorbObject(tr jsontext.TokenSource, dst typelang.Target, depth int) error
 // chunkBuf and hold a reference on it, released by the consumer once
 // the chunk's documents are absorbed; byte-mode chunks alias the
 // caller's buffer and carry no reference (buf is nil, release a no-op).
+// last marks the chunk the input ends with — what lets the engine see,
+// on the first chunk, a run that has no second one.
 type byteChunk struct {
 	index int
 	base  int
 	data  []byte
 	buf   *chunkBuf
+	last  bool
 }
 
 // chunkSource drives the chunking stage of a streamed run: it calls
@@ -216,10 +219,10 @@ type byteChunk struct {
 // downstream is shared.
 type chunkSource func(targets chunkTargets, st *PipelineStats, emit func(byteChunk) bool) error
 
-// readerChunkSource chunks r through readChunks' pooled buffers.
-func readerChunkSource(r io.Reader) chunkSource {
+// readerChunkSource chunks r through readChunks' buffers, pooled in pool.
+func readerChunkSource(r io.Reader, pool *chunkPool) chunkSource {
 	return func(targets chunkTargets, st *PipelineStats, emit func(byteChunk) bool) error {
-		return readChunks(r, targets, mison.NewChunker(), st, emit)
+		return readChunks(r, targets, mison.NewChunker(), pool, st, emit)
 	}
 }
 
@@ -234,17 +237,21 @@ func bytesChunkSource(data []byte) chunkSource {
 // chunkMapper is the map phase of one worker: the lexers a chunk can go
 // through, wired once to the run's symbol table, and the stats frame the
 // worker records into. It is the only place the per-chunk fallback
-// ladder is written; both run shapes drive it.
+// ladder is written; both run shapes drive it. A collector keeps its
+// mappers warm between ingests (ShardedCollector.mapper), which is what
+// symbols and widest are remembered for.
 type chunkMapper struct {
-	ia    *IndexAbsorber        // nil unless Options.Map is MapIndexed
-	ms    *mison.TokenSource    // the default lexer
-	tr    *jsontext.TokenReader // reference lexer, for chunks the index rejects
-	st    *PipelineStats
-	frame statsFrame
+	ia      *IndexAbsorber        // nil unless Options.Map is MapIndexed
+	ms      *mison.TokenSource    // the default lexer
+	tr      *jsontext.TokenReader // reference lexer, for chunks the index rejects
+	symbols *jsontext.SymbolTable // what the lexers intern through
+	widest  int                   // longest chunk lexed: the lexers' bitmaps are that wide
+	st      *PipelineStats
+	frame   statsFrame
 }
 
 func newChunkMapper(opts Options) *chunkMapper {
-	m := &chunkMapper{ms: mison.NewTokenSource(), tr: jsontext.NewTokenReaderBytes(nil), st: opts.Stats}
+	m := &chunkMapper{ms: mison.NewTokenSource(), tr: jsontext.NewTokenReaderBytes(nil), symbols: opts.Symbols, st: opts.Stats}
 	m.ms.SetInternStrings(true)
 	m.tr.SetInternStrings(true)
 	if opts.Map == MapIndexed {
@@ -272,6 +279,7 @@ func newChunkMapper(opts Options) *chunkMapper {
 // documents before it (a failed document's staged frames are aborted).
 func (m *chunkMapper) absorb(ch byteChunk, acc *typelang.Accum) (int, error) {
 	m.frame.BytesLexed += int64(len(ch.data))
+	m.widest = max(m.widest, len(ch.data))
 	start := statsClock(m.st)
 	var (
 		n   int
@@ -328,22 +336,17 @@ func (f *statsFrame) seal(acc *typelang.Accum, st *PipelineStats, clock *int64) 
 // absorbed straight into a typelang.Accum (see chunkMapper.absorb for
 // the lexer ladder and Options.Map for the two map phases).
 //
-// Options.Workers decides the shape of the run, and nothing else
-// depends on it: schema, count and errors are identical at every
-// worker count. With one worker there is no parallelism to buy, so the
-// chunks — large ones, they only amortise lexer resets — are absorbed
-// one after another into the run's single accumulator. With more, the
-// source goroutine only finds chunk boundaries while the workers lex
-// and absorb chunks in parallel, each sealing its chunk's type, and a
-// committer absorbs those types in stream order into the run's
-// accumulator. Either way the accumulator is sealed once, at the end.
+// The shape of the run is stream's to decide, from Options.Workers and
+// from whether the input has a second chunk at all, and nothing else
+// depends on it: schema, count and errors are identical in both shapes.
+// Either way the run's accumulator is sealed once, at the end.
 //
 // On a malformed document the error carries its absolute stream offset,
 // and the returned type and count cover exactly the documents before it
 // — work done on later chunks is discarded. A read error from r wins
 // over a syntax error in the chunk it truncated.
 func InferStream(r io.Reader, opts Options) (*typelang.Type, int, error) {
-	return run(readerChunkSource(r), opts)
+	return run(readerChunkSource(r, new(chunkPool)), opts)
 }
 
 // InferStreamBytes is InferStream over a caller-owned byte slice — the
@@ -360,65 +363,95 @@ func InferStreamBytes(data []byte, opts Options) (*typelang.Type, int, error) {
 // run is the one-shot engine behind both entry points. A one-shot run
 // has no reader before its end, so its reduce is one accumulator sealed
 // once, whichever shape fills it (the snapshot-serving, lockable
-// collector is InferStreamInto's, for the registry).
+// collector is InferStreamInto's, for the registry). With one worker
+// the chunks only amortise lexer resets, so they are cut large.
 func run(source chunkSource, opts Options) (*typelang.Type, int, error) {
 	st := opts.Stats
-	var (
-		frame statsFrame
-		n     int
-		err   error
-	)
+	var frame statsFrame
 	acc := typelang.NewAccum(opts.Equiv)
+	var m *chunkMapper // the sequential shape's; the parallel shape's workers bring their own
+	targets := opts.chunkTargets()
 	if opts.workers() <= 1 {
-		n, err = absorbChunks(source, opts, acc)
-	} else {
-		n, err = pipeChunks(source, opts, func(ts []*typelang.Type, _ int) {
-			start := statsClock(st)
-			for _, t := range ts {
-				acc.Absorb(t)
-			}
-			statsSince(st, &frame.ReduceNanos, start)
-		})
+		targets = opts.sequentialChunkTargets()
 	}
+	n, err := stream(source, targets, opts, func(ch byteChunk) (int, error) {
+		if m == nil {
+			m = newChunkMapper(opts)
+		}
+		defer m.frame.flush(st)
+		return m.absorb(ch, acc)
+	}, func(ts []*typelang.Type, _ int) {
+		start := statsClock(st)
+		for _, t := range ts {
+			acc.Absorb(t)
+		}
+		statsSince(st, &frame.ReduceNanos, start)
+	})
 	t := frame.seal(acc, st, &frame.ReduceNanos)
 	frame.flush(st)
 	return t, n, err
 }
 
 // InferStreamInto is InferStream folding into a caller-owned collector
-// instead of a fresh accumulator: committed chunk types are absorbed
-// into col in stream order (batched — one shard lock per commit batch)
-// and the collector is left open, which is what lets a long-lived
-// accumulator (a registry collection) absorb many streams —
-// concurrently, even — into one monotonically-growing schema. It
-// returns the number of documents committed and the first error, with
-// exactly InferStream's error semantics: on a malformed document the
-// committed documents are precisely those before it. Everything
-// committed is in col's next Snapshot.
+// instead of a fresh accumulator, which is left open: that is what lets
+// a long-lived accumulator (a registry collection) absorb many streams
+// — concurrently, even — into one monotonically-growing schema. In the
+// sequential shape each chunk is absorbed on the caller's goroutine
+// straight into a shard col lends for that chunk, through lexers and a
+// chunk array col keeps warm between calls; in the parallel shape
+// committed chunk types are absorbed into col in stream order (batched
+// — one shard lock per commit batch). The sequential shape cuts at the
+// parallel shape's targets, so no shard is held for longer than one such
+// chunk takes. It returns the number of documents committed and the
+// first error, with exactly InferStream's error semantics: on a
+// malformed document the committed documents are precisely those before
+// it. Everything committed is in col's next Snapshot.
 func InferStreamInto(r io.Reader, opts Options, col *ShardedCollector) (int, error) {
-	return pipeChunks(readerChunkSource(r), opts, func(ts []*typelang.Type, docs int) {
+	m := col.mapper(opts)
+	defer col.release(m)
+	return stream(readerChunkSource(r, &col.chunks), opts.chunkTargets(), opts, func(ch byteChunk) (int, error) {
+		defer m.frame.flush(opts.Stats)
+		return col.absorbChunk(m, ch)
+	}, func(ts []*typelang.Type, docs int) {
 		col.AddBatch(ts, int64(docs))
 	})
 }
 
-// absorbChunks is the one-worker shape of the engine: the source's
-// chunks are absorbed synchronously, one after another, into acc — no
-// per-chunk seal, no reduce of chunk types. Processing stops at the
-// first error, which makes the errored chunk the last one the source
-// emitted, so a read failure wins over it exactly as in pipeChunks.
-func absorbChunks(source chunkSource, opts Options, acc *typelang.Accum) (int, error) {
-	m := newChunkMapper(opts)
+// stream is the streamed engine: it runs source — cutting at targets —
+// on the caller's goroutine and gives the run one of two shapes. The
+// sequential shape hands each chunk to direct, which absorbs it into
+// the run's destination accumulator then and there: no goroutine, no
+// per-chunk seal, no reduce of chunk types. It is taken when there is
+// no parallelism to buy — one worker, or an input that ends inside its
+// first chunk. The parallel shape (pipeChunks) starts on the first
+// chunk that is not the input's last. Processing stops at the first
+// error; in the sequential shape that makes the errored chunk the last
+// one the source emitted, so a read failure wins over it exactly as in
+// pipeChunks.
+func stream(source chunkSource, targets chunkTargets, opts Options, direct func(byteChunk) (int, error), commit func([]*typelang.Type, int)) (int, error) {
 	var (
+		send   func(byteChunk) bool
+		finish func(error) (int, error)
 		total  int
 		docErr error
 	)
-	rerr := source(opts.sequentialChunkTargets(), opts.Stats, func(ch byteChunk) bool {
-		n, err := m.absorb(ch, acc)
-		m.frame.flush(opts.Stats)
-		total += n
-		docErr = err
-		return err == nil
+	oneWorker := opts.workers() <= 1
+	rerr := source(targets, opts.Stats, func(ch byteChunk) bool {
+		if send == nil && (oneWorker || ch.last) {
+			n, err := direct(ch)
+			opts.Stats.AddSnapshot(StatsSnapshot{ChunksDirect: 1})
+			total += n
+			docErr = err
+			return err == nil
+		}
+		if send == nil {
+			send, finish = pipeChunks(opts, commit)
+		}
+		return send(ch)
 	})
+	if finish != nil {
+		return finish(rerr)
+	}
 	if rerr != nil {
 		docErr = rerr
 	}
@@ -436,44 +469,29 @@ type chunkResult struct {
 }
 
 // commitBatch is how many in-order chunk results the committer buffers
-// per commit call: one collector hand-off (one shard lock, one
-// round-robin step) then carries a batch of sealed partials instead of
-// one. Error semantics are unaffected — the buffer holds only
-// already-committed (in-order, pre-error) results and is flushed before
-// the error is recorded.
+// per commit call: one collector hand-off (one shard lock) then carries
+// a batch of sealed partials instead of one. Error semantics are
+// unaffected — the buffer holds only already-committed (in-order,
+// pre-error) results and is flushed before the error is recorded.
 const commitBatch = 8
 
-// pipeChunks is the multi-worker shape of the engine — a source
-// goroutine splitting the input into document-aligned chunks, workers
-// lexing and absorbing them in parallel, each into its own accumulator
-// (storage-retaining Reset between chunks, so the steady state types
-// documents of seen shapes without allocating) sealed per chunk — and
-// calls commit with batches of chunk types (in stream order; ownership
-// of the slice passes to commit). Commits stop at the first error; the
-// committed chunks are exactly those before it. It returns the number
-// of documents committed and that first error. Because the workers
-// drain the work channel even after an early stop, every emitted chunk
-// is released on every path.
-func pipeChunks(source chunkSource, opts Options, commit func([]*typelang.Type, int)) (int, error) {
+// pipeChunks starts the multi-worker shape of the engine: workers
+// lexing and absorbing the chunks given to send in parallel, each into
+// its own accumulator (storage-retaining Reset between chunks, so the
+// steady state types documents of seen shapes without allocating)
+// sealed per chunk, and a committer that calls commit with batches of
+// chunk types (in stream order; ownership of the slice passes to
+// commit). Commits stop at the first error — the committed chunks are
+// exactly those before it — and send reports false from then on.
+// finish, called with the source's read error once it has returned,
+// waits for the committer and returns the number of documents committed
+// and that first error. Because the workers drain the work channel even
+// after an early stop, every emitted chunk is released on every path.
+func pipeChunks(opts Options, commit func([]*typelang.Type, int)) (send func(byteChunk) bool, finish func(error) (int, error)) {
 	workers := opts.workers()
 	work := make(chan byteChunk, 2*workers)
 	results := make(chan chunkResult, workers)
 	stop := make(chan struct{})
-
-	// Source: split the input into document-aligned chunks.
-	readErrCh := make(chan error, 1)
-	go func() {
-		readErrCh <- source(opts.chunkTargets(), opts.Stats, func(ch byteChunk) bool {
-			select {
-			case work <- ch:
-				return true
-			case <-stop:
-				ch.buf.release()
-				return false
-			}
-		})
-		close(work)
-	}()
 
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -518,45 +536,63 @@ func pipeChunks(source chunkSource, opts Options, commit func([]*typelang.Type, 
 		commit(batch, batchDocs)
 		batch, batchDocs = nil, 0
 	}
-	for res := range results {
-		pending[res.index] = res
-		for {
-			cr, ok := pending[next]
-			if !ok {
-				break
-			}
-			delete(pending, next)
-			next++
-			if firstErr != nil {
-				continue
-			}
-			if batch == nil {
-				batch = make([]*typelang.Type, 0, commitBatch)
-			}
-			batch = append(batch, cr.t)
-			batchDocs += cr.n
-			total += cr.n
-			if len(batch) == commitBatch {
-				flush()
-			}
-			if cr.err != nil {
-				flush()
-				firstErr = cr.err
-				firstErrIdx = cr.index
-				if !stopped {
-					stopped = true
-					close(stop)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for res := range results {
+			pending[res.index] = res
+			for {
+				cr, ok := pending[next]
+				if !ok {
+					break
+				}
+				delete(pending, next)
+				next++
+				if firstErr != nil {
+					continue
+				}
+				if batch == nil {
+					batch = make([]*typelang.Type, 0, commitBatch)
+				}
+				batch = append(batch, cr.t)
+				batchDocs += cr.n
+				total += cr.n
+				if len(batch) == commitBatch {
+					flush()
+				}
+				if cr.err != nil {
+					flush()
+					firstErr = cr.err
+					firstErrIdx = cr.index
+					if !stopped {
+						stopped = true
+						close(stop)
+					}
 				}
 			}
 		}
+		flush()
+	}()
+	send = func(ch byteChunk) bool {
+		select {
+		case work <- ch:
+			return true
+		case <-stop:
+			ch.buf.release()
+			return false
+		}
 	}
-	flush()
-	// A read failure truncates the final chunk, and the syntax error the
-	// worker reports on that cut is an artifact of the failed read, not
-	// of the data — so the I/O error wins over an error in the last
-	// chunk (earlier chunks are complete; their errors are genuine).
-	if rerr := <-readErrCh; rerr != nil && (firstErr == nil || firstErrIdx == next-1) {
-		firstErr = rerr
+	finish = func(rerr error) (int, error) {
+		close(work)
+		<-done
+		// A read failure truncates the final chunk, and the syntax error the
+		// worker reports on that cut is an artifact of the failed read, not
+		// of the data — so the I/O error wins over an error in the last
+		// chunk (earlier chunks are complete; their errors are genuine).
+		if rerr != nil && (firstErr == nil || firstErrIdx == next-1) {
+			firstErr = rerr
+		}
+		return total, firstErr
 	}
-	return total, firstErr
+	return send, finish
 }

@@ -56,7 +56,7 @@ func TestSplitChunksBytesMatchesReadChunks(t *testing.T) {
 		}
 		var err error
 		if viaReader {
-			err = readChunks(bytes.NewReader(data), targets, &scanSplitter{}, nil, emit)
+			err = readChunks(bytes.NewReader(data), targets, &scanSplitter{}, new(chunkPool), nil, emit)
 		} else {
 			err = splitChunksBytes(data, targets, &scanSplitter{}, nil, emit)
 		}
@@ -141,7 +141,7 @@ func TestReadChunksCompactionReuse(t *testing.T) {
 		t.Fatalf("fixture too small to force compactions: %d bytes", len(data))
 	}
 	var st PipelineStats
-	if err := readChunks(bytes.NewReader(data), chunkTargets{docs: 64}, &scanSplitter{}, &st,
+	if err := readChunks(bytes.NewReader(data), chunkTargets{docs: 64}, &scanSplitter{}, new(chunkPool), &st,
 		func(ch byteChunk) bool { ch.buf.release(); return true }); err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func TestReadChunksCompactionReuse(t *testing.T) {
 	// then recycle the arrays freed by earlier releases.
 	var held byteChunk
 	st = PipelineStats{}
-	if err := readChunks(bytes.NewReader(data), chunkTargets{docs: 64}, &scanSplitter{}, &st,
+	if err := readChunks(bytes.NewReader(data), chunkTargets{docs: 64}, &scanSplitter{}, new(chunkPool), &st,
 		func(ch byteChunk) bool {
 			held.buf.release()
 			held = ch
@@ -207,7 +207,7 @@ func TestChunkPoolLifetimeRace(t *testing.T) {
 			}
 		}()
 	}
-	err := readChunks(bytes.NewReader(data), chunkTargets{docs: 8}, &scanSplitter{}, nil,
+	err := readChunks(bytes.NewReader(data), chunkTargets{docs: 8}, &scanSplitter{}, new(chunkPool), nil,
 		func(ch byteChunk) bool { work <- ch; return true })
 	close(work)
 	wg.Wait()

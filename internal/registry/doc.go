@@ -5,14 +5,24 @@
 // paper's batch map/reduce into a long-running service — the engine
 // behind the jsinferd daemon.
 //
-// Each collection owns a sharded collector (infer.ShardedCollector):
-// ingest requests run infer.InferStreamInto over their body, and each
-// request's committer absorbs its chunk results, on its own goroutine,
-// into one of the collector's N mutex-guarded typelang.Accums. Nothing
-// is sealed until somebody reads: a snapshot read (Get, List, Stats)
-// seals the shards that changed since the last read — each under its
-// own lock, so only adds to that shard wait — and fuses the sealed
-// partials; Get/List on a quiet collection reuse the previous sealed
+// Each collection owns a sharded collector (infer.ShardedCollector)
+// of N mutex-guarded typelang.Accums, and ingest requests run
+// infer.InferStreamInto over their body on their own goroutine. A body
+// that ends inside its first chunk (up to 256 documents — what a
+// shipper's batch is) starts nothing: it is lexed, through lexers and
+// into a chunk array the collection keeps warm, and typed straight into
+// the first shard that is free, so a lone shipper keeps filling one
+// accumulator and concurrent shippers spread over the shards — at most
+// N bodies absorb into one collection at a time, and nobody waits
+// behind a busy shard while another is idle. A longer body is lexed by
+// parallel workers whose sealed chunk types its committer absorbs into
+// a shard the same way. A shard is locked per chunk, never across a
+// read of the body, so a stalled client holds nothing. Nothing is
+// sealed until somebody reads: a snapshot read (Get, List, Stats) seals
+// the shards that changed since the last read — each under its own
+// lock, so only adds to that shard wait, and for no longer than one
+// chunk's absorb — and fuses the sealed partials when several shards
+// hold data; Get/List on a quiet collection reuse the previous sealed
 // snapshot. Delete removes a collection, waiting out in-flight ingests,
 // and drops its collector unread; the name is immediately reusable.
 //

@@ -23,11 +23,13 @@ type Options struct {
 	// Equiv is the merge equivalence every collection folds under:
 	// typelang.EquivKind (K) or typelang.EquivLabel (L).
 	Equiv typelang.Equiv
-	// Workers bounds the parallel chunk workers of each ingest call; 0
-	// means GOMAXPROCS.
+	// Workers bounds the parallel chunk workers of an ingest call whose
+	// body spans several chunks (a one-chunk body starts none); 0 means
+	// GOMAXPROCS.
 	Workers int
 	// Shards is the number of accumulators each collection's collector
-	// stripes committed chunk types over; 0 sizes it automatically.
+	// stripes ingested chunks over — how many bodies can absorb into one
+	// collection at the same time; 0 sizes it automatically.
 	Shards int
 	// Map picks the ingest pipeline's map phase; the zero value is the
 	// fused token absorber (infer.MapIndexed absorbs straight off the
@@ -86,9 +88,10 @@ type Registry struct {
 }
 
 // collection is one named schema accumulator: a live collector (ingests
-// absorb into its typelang.Accums, reads seal and fuse what changed —
-// so Get/List on a quiet collection reuse the previous sealed snapshot)
-// plus counters.
+// absorb into its typelang.Accums — on their own goroutine, one chunk
+// per shard lock — reads seal what changed and fuse when several shards
+// hold data, so Get/List on a quiet collection reuse the previous
+// sealed snapshot) plus counters.
 type collection struct {
 	name    string
 	equiv   typelang.Equiv // fixed at creation
@@ -102,7 +105,8 @@ type collection struct {
 	limited atomic.Int64  // ingest requests rejected by the quota
 
 	// stats is the collection's cumulative pipeline flight recorder:
-	// the collector reports its reduce-side counters straight into
+	// the collector reports its reduce-side counters (a multi-chunk
+	// body's committer clock, the reads' seals and fuses) straight into
 	// it, and each ingest call's map-side delta is folded in on
 	// completion (IngestWith).
 	stats infer.PipelineStats
@@ -198,18 +202,21 @@ type IngestResult struct {
 	Version uint64
 	// Stats is this call's pipeline delta — the map-side counters and
 	// clocks of exactly this ingest (reduce-side counters accrue on the
-	// collection's shared collector and appear in Snapshot.Pipeline).
-	// The daemon's tracer and slow-request log read fallback and parity
-	// figures from here.
+	// collection's shared collector and appear in Snapshot.Pipeline);
+	// ChunksDirect == ChunksSplit says the body was absorbed in line.
+	// The daemon's tracer and slow-request log read the shape, fallback
+	// and parity figures from here.
 	Stats infer.StatsSnapshot
 }
 
 // Ingest streams the documents on rd (NDJSON or concatenated JSON) into
-// the named collection, creating it if needed: the chunked token
-// pipeline lexes and types the body in parallel and commits chunk
-// results into the collection's collector in stream order. Any
-// number of Ingest calls may run concurrently, on the same or different
-// collections.
+// the named collection, creating it if needed. A body of one chunk (up
+// to 256 documents) is lexed and typed on the caller's goroutine
+// straight into one of the collection's accumulators; a longer one is
+// lexed and typed in parallel, its chunk results committed into the
+// collector in stream order. Any number of Ingest calls may run
+// concurrently, on the same or different collections (up to Shards of
+// them absorb into one collection at the same time).
 //
 // On a malformed document the merged documents are exactly those before
 // it (the error carries an absolute body offset) and the error is both
@@ -275,7 +282,7 @@ func (r *Registry) IngestWith(name string, rd io.Reader, co CollectionOptions) (
 	endPipeline()
 	delta := st.Snapshot()
 	c.stats.AddSnapshot(delta)
-	bytes := cr.n.Load()
+	bytes := cr.n
 	c.lim.charge(int64(n), bytes, r.now())
 	c.bytesIn.Add(bytes)
 	c.ingests.Add(1)
@@ -289,16 +296,16 @@ func (r *Registry) IngestWith(name string, rd io.Reader, co CollectionOptions) (
 }
 
 // countReader counts payload bytes for the quota charge and the ingest
-// byte counters. The count is atomic: the pipeline's reader goroutine
-// writes it while the ingest call's goroutine reads it afterwards.
+// byte counters. The pipeline reads the body on the ingest call's own
+// goroutine, in either shape, so the count is a plain one.
 type countReader struct {
 	r io.Reader
-	n atomic.Int64
+	n int64
 }
 
 func (c *countReader) Read(p []byte) (int, error) {
 	n, err := c.r.Read(p)
-	c.n.Add(int64(n))
+	c.n += int64(n)
 	return n, err
 }
 
@@ -339,7 +346,8 @@ type Snapshot struct {
 
 // Get returns a snapshot of the named collection. A quiet collection
 // answers from the collector's cache; after an ingest the read seals
-// and fuses what changed, holding each shard's lock only for its seal.
+// what changed (and fuses, when several shards hold data), holding each
+// shard's lock only for its seal.
 func (r *Registry) Get(name string) (Snapshot, bool) {
 	r.mu.RLock()
 	c := r.cols[name]
