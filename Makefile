@@ -7,7 +7,7 @@ DOC_PKGS = repro/internal/jsontext repro/internal/infer \
            repro/internal/registry repro/internal/daemon/intake \
            repro/internal/daemon/metrics
 
-.PHONY: all build vet test race bench bench-stream bench-json bench-e2e bench-compare test-bench docs fixtures serve smoke-daemon ci
+.PHONY: all build vet test race fuzz-smoke bench bench-stream bench-json bench-e2e bench-compare test-bench docs fixtures serve smoke-daemon ci
 
 all: build
 
@@ -24,14 +24,27 @@ test:
 race:
 	$(GO) test -race ./internal/infer/ ./internal/typelang/ ./internal/jsontext/ ./internal/mison/ ./internal/registry/ ./internal/daemon/... ./cmd/jsinferd/
 
+# The lexer differentials, $(FUZZTIME) each: the index walk and the
+# token walk over mison's structural index against the reference lexer,
+# the reference lexer against the DOM decoder, and the absorption
+# surface against MergeAll. They gate every change to a lexer; `go test
+# -fuzz` takes one target of one package per run.
+FUZZTIME ?= 10s
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzIndexAbsorb$$' -fuzztime $(FUZZTIME) ./internal/infer/
+	$(GO) test -run '^$$' -fuzz '^FuzzTokenSource$$' -fuzztime $(FUZZTIME) ./internal/mison/
+	$(GO) test -run '^$$' -fuzz '^FuzzTokenReader$$' -fuzztime $(FUZZTIME) ./internal/jsontext/
+	$(GO) test -run '^$$' -fuzz '^FuzzAbsorbSurface$$' -fuzztime $(FUZZTIME) ./internal/typelang/
+
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem ./...
 
 # Short streaming benchmark — the dom/mison pairs, the
-# reader-vs-bytes zero-copy pair, plus the mison-vs-lexer
-# token-throughput pair. Every row is five samples of five iterations
-# (benchstat-comparable; a time-based -benchtime gave the 50–350 ms
-# tweets rows one iteration each, i.e. noise). CI runs this as a
+# reader-vs-bytes zero-copy pair and the colon-dense fields row (one
+# row per shape: the streamed engine has one map phase), plus the
+# mison-vs-lexer token-throughput pair. Every row is five samples of
+# five iterations (benchstat-comparable; a time-based -benchtime gave
+# the 50–350 ms tweets rows one iteration each, i.e. noise). CI runs this as a
 # non-blocking step so the numbers land in every build log without
 # gating merges on a noisy runner.
 bench-stream:

@@ -123,26 +123,14 @@ func BenchmarkE3StreamingInference(b *testing.B) {
 	})
 	b.Run("mison-sequential", func(b *testing.B) {
 		// One worker: the engine's sequential shape (large byte-target
-		// chunks through one accumulator, one seal). The default map
-		// phase is fused (documents absorb straight into the
-		// accumulator, no per-document type).
+		// chunks through one accumulator, one seal). Documents absorb
+		// straight off the structural index into the accumulator: no
+		// per-document type, no separator tokens.
 		b.SetBytes(int64(len(raw)))
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if _, _, err := infer.InferStream(bytes.NewReader(raw),
 				infer.Options{Equiv: typelang.EquivLabel, Workers: 1}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("mison-sequential-idx", func(b *testing.B) {
-		// The index-driven map (MapIndexed): documents absorb straight
-		// off the structural index, separator tokens never materialise.
-		b.SetBytes(int64(len(raw)))
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, _, err := infer.InferStream(bytes.NewReader(raw),
-				infer.Options{Equiv: typelang.EquivLabel, Workers: 1, Map: infer.MapIndexed}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -223,18 +211,6 @@ func BenchmarkE3StreamingInference(b *testing.B) {
 				}
 			}
 		})
-		// The index-driven map under parallelism: every worker absorbs
-		// straight off its own structural index (MapIndexed).
-		b.Run(fmt.Sprintf("mison-parallel-%d-idx", workers), func(b *testing.B) {
-			b.SetBytes(int64(len(raw)))
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, _, err := infer.InferStream(bytes.NewReader(raw),
-					infer.Options{Equiv: typelang.EquivLabel, Workers: workers, Map: infer.MapIndexed}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 		// The registry ingest path: same pipeline, but folding into one
 		// long-lived collection's collector through the shared
 		// symbol table — the steady-state per-request cost of the
@@ -253,29 +229,19 @@ func BenchmarkE3StreamingInference(b *testing.B) {
 		})
 	}
 	// The colon-dense corpus (jsgen -kind fields): hundreds of short
-	// fields per object, shallow atoms — the workload where skipping
-	// separator tokens matters most, so the fused-vs-indexed gap is
-	// widest here.
+	// fields per object, shallow atoms — the workload where never
+	// tokenising separators matters most.
 	fieldsRaw := jsontext.MarshalLines(genjson.Collection(genjson.Fields{Seed: 13}, 400))
-	for _, row := range []struct {
-		name string
-		mm   infer.MapMode
-	}{
-		{"fields-mison-sequential", infer.MapFused},
-		{"fields-mison-sequential-idx", infer.MapIndexed},
-	} {
-		row := row
-		b.Run(row.name, func(b *testing.B) {
-			b.SetBytes(int64(len(fieldsRaw)))
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, _, err := infer.InferStream(bytes.NewReader(fieldsRaw),
-					infer.Options{Equiv: typelang.EquivLabel, Workers: 1, Map: row.mm}); err != nil {
-					b.Fatal(err)
-				}
+	b.Run("fields-mison-sequential", func(b *testing.B) {
+		b.SetBytes(int64(len(fieldsRaw)))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, _, err := infer.InferStream(bytes.NewReader(fieldsRaw),
+				infer.Options{Equiv: typelang.EquivLabel, Workers: 1}); err != nil {
+				b.Fatal(err)
 			}
-		})
-	}
+		}
+	})
 }
 
 // E3 (large corpus): the zero-copy claims at the scale they were built

@@ -7,22 +7,18 @@
 //
 //	jsinfer [-engine parametric-L|parametric-K|spark|skinfer]
 //	        [-output type|jsonschema|typescript|swift|report]
-//	        [-workers N] [-stream] [-simplify]
-//	        [-map fused|indexed] [-chunk-bytes SIZE]
+//	        [-workers N] [-stream] [-simplify] [-chunk-bytes SIZE]
 //	        [-precision] [-counted] [-stats]
 //	        [-cpuprofile f] [-memprofile f] [file.ndjson ...]
 //
 // The parametric engines run their map/reduce over N workers
 // (-workers, default GOMAXPROCS). With -stream the input is never
-// materialised: documents are typed straight from lexer tokens (no
-// value trees), and the workers lex and type document-aligned byte
-// chunks in parallel, so collections far larger than memory infer at
-// multi-worker speed. Chunk boundaries and tokens come from the mison
-// structural index, with the byte-at-a-time reference lexer as the
-// per-chunk fallback. -map picks the streamed map phase: "fused"
-// (default) absorbs documents straight from tokens into the worker
-// accumulators, "indexed" absorbs straight off the structural index
-// (separator tokens never materialise) — identical results either way.
+// materialised: documents are typed straight off the mison structural
+// index (no value trees, no separator tokens), and the workers index
+// and type document-aligned byte chunks in parallel, so collections far
+// larger than memory infer at multi-worker speed. A record the index
+// cannot certify is re-read by the token walker over the same index,
+// and a chunk the index rejects by the byte-at-a-time reference lexer.
 // Large regular files given as arguments are memory-mapped, so the
 // zero-copy byte engines split and lex the file pages in place; pipes,
 // short files, platforms without mmap and stdin take buffered reads
@@ -77,9 +73,9 @@ import (
 // set of the caller's choosing so the README test can walk exactly the
 // set main parses.
 type cliFlags struct {
-	engine, output, mapMode, chunkBytes, cpuprofile, memprofile *string
-	counted, simplify, stream, precision, stats                 *bool
-	workers                                                     *int
+	engine, output, chunkBytes, cpuprofile, memprofile *string
+	counted, simplify, stream, precision, stats        *bool
+	workers                                            *int
 }
 
 func registerFlags(fs *flag.FlagSet) cliFlags {
@@ -90,7 +86,6 @@ func registerFlags(fs *flag.FlagSet) cliFlags {
 		simplify:   fs.Bool("simplify", false, "drop union alternatives subsumed by others"),
 		workers:    fs.Int("workers", 0, "parallel inference workers (parametric engines; 0 = GOMAXPROCS)"),
 		stream:     fs.Bool("stream", false, "stream the input instead of materialising it (parametric engines only)"),
-		mapMode:    fs.String("map", "fused", "with -stream: map phase, fused (default) or indexed"),
 		precision:  fs.Bool("precision", false, "with -stream: compute precision in a second pass over the input files"),
 		chunkBytes: fs.String("chunk-bytes", "", "with -stream: cut chunks at this byte size instead of every 256 documents (e.g. 4M)"),
 		stats:      fs.Bool("stats", false, "with -stream: print pipeline stage stats to stderr after inference (fuse and root_fuses are the registry's counters and read 0 here)"),
@@ -102,12 +97,6 @@ func registerFlags(fs *flag.FlagSet) cliFlags {
 func main() {
 	opt := registerFlags(flag.CommandLine)
 	flag.Parse()
-	mapSet := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "map" {
-			mapSet = true
-		}
-	})
 
 	if *opt.cpuprofile != "" {
 		f, err := os.Create(*opt.cpuprofile)
@@ -152,15 +141,6 @@ func main() {
 		ndocs  int
 		docs   []*jsonvalue.Value
 	)
-	var mm core.MapMode
-	switch *opt.mapMode {
-	case "fused":
-		mm = core.MapFused
-	case "indexed":
-		mm = core.MapIndexed
-	default:
-		fatal(fmt.Errorf("unknown map mode %q (want fused or indexed)", *opt.mapMode))
-	}
 	var chunkTarget int
 	if *opt.chunkBytes != "" {
 		cb, err := genjson.ParseSize(*opt.chunkBytes)
@@ -172,7 +152,7 @@ func main() {
 	// Flag-only validation happens before any input is read: a bad
 	// combination must exit non-zero immediately, not after a
 	// potentially huge inference pass (or, worse, be silently ignored).
-	if err := validateStreamFlags(*opt.stream, *opt.precision, mapSet, *opt.stats, *opt.chunkBytes != "", *opt.output, flag.NArg()); err != nil {
+	if err := validateStreamFlags(*opt.stream, *opt.precision, *opt.stats, *opt.chunkBytes != "", *opt.output, flag.NArg()); err != nil {
 		fatal(err)
 	}
 	if *opt.stream {
@@ -181,7 +161,7 @@ func main() {
 			pstats = &core.PipelineStats{}
 		}
 		var err error
-		result, ndocs, err = streamInput(flag.Args(), eng, core.StreamOptions{Workers: *opt.workers, Map: mm, ChunkBytes: chunkTarget, Stats: pstats})
+		result, ndocs, err = streamInput(flag.Args(), eng, core.StreamOptions{Workers: *opt.workers, ChunkBytes: chunkTarget, Stats: pstats})
 		if pstats != nil {
 			// Stats go to stderr even on an error exit: the partial
 			// counters cover exactly the work done before the failure.
@@ -263,17 +243,13 @@ func main() {
 // validateStreamFlags rejects stream-flag combinations up front, before
 // any input is read: -precision re-reads the input for the report's
 // precision column, so it needs -stream, the report output and
-// re-readable file arguments (stdin cannot be re-read); -map,
-// -chunk-bytes and -stats configure the streamed engine, so
-// explicitly setting any of them without -stream is a mistake rather
-// than something to ignore.
-func validateStreamFlags(stream, precision, mapSet, stats, chunkBytesSet bool, output string, nArgs int) error {
+// re-readable file arguments (stdin cannot be re-read); -chunk-bytes
+// and -stats configure the streamed engine, so explicitly setting
+// either without -stream is a mistake rather than something to ignore.
+func validateStreamFlags(stream, precision, stats, chunkBytesSet bool, output string, nArgs int) error {
 	if !stream {
 		if precision {
 			return fmt.Errorf("-precision requires -stream (a materialised report always includes precision)")
-		}
-		if mapSet {
-			return fmt.Errorf("-map selects the streamed map phase; add -stream")
 		}
 		if stats {
 			return fmt.Errorf("-stats reports the streamed pipeline's counters; add -stream")

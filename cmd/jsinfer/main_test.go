@@ -12,29 +12,27 @@ import (
 // pass must be rejected before any input is read.
 func TestValidateStreamFlags(t *testing.T) {
 	cases := []struct {
-		name                             string
-		stream, precision, mapSet, stats bool
-		chunkBytesSet                    bool
-		output                           string
-		nArgs                            int
-		wantErr                          bool
+		name                     string
+		stream, precision, stats bool
+		chunkBytesSet            bool
+		output                   string
+		nArgs                    int
+		wantErr                  bool
 	}{
-		{"plain materialised", false, false, false, false, false, "type", 1, false},
-		{"plain streamed stdin", true, false, false, false, false, "type", 0, false},
-		{"streamed report from files with precision", true, true, false, false, false, "report", 2, false},
-		{"explicit map with stream", true, false, true, false, false, "type", 0, false},
-		{"stats with stream", true, false, false, true, false, "type", 0, false},
-		{"chunk-bytes with stream", true, false, false, false, true, "type", 0, false},
+		{"plain materialised", false, false, false, false, "type", 1, false},
+		{"plain streamed stdin", true, false, false, false, "type", 0, false},
+		{"streamed report from files with precision", true, true, false, false, "report", 2, false},
+		{"stats with stream", true, false, true, false, "type", 0, false},
+		{"chunk-bytes with stream", true, false, false, true, "type", 0, false},
 
-		{"precision without stream", false, true, false, false, false, "report", 1, true},
-		{"map without stream", false, false, true, false, false, "type", 1, true},
-		{"stats without stream", false, false, false, true, false, "type", 1, true},
-		{"chunk-bytes without stream", false, false, false, false, true, "type", 1, true},
-		{"precision on non-report output", true, true, false, false, false, "type", 1, true},
-		{"precision from stdin", true, true, false, false, false, "report", 0, true},
+		{"precision without stream", false, true, false, false, "report", 1, true},
+		{"stats without stream", false, false, true, false, "type", 1, true},
+		{"chunk-bytes without stream", false, false, false, true, "type", 1, true},
+		{"precision on non-report output", true, true, false, false, "type", 1, true},
+		{"precision from stdin", true, true, false, false, "report", 0, true},
 	}
 	for _, c := range cases {
-		err := validateStreamFlags(c.stream, c.precision, c.mapSet, c.stats, c.chunkBytesSet, c.output, c.nArgs)
+		err := validateStreamFlags(c.stream, c.precision, c.stats, c.chunkBytesSet, c.output, c.nArgs)
 		if (err != nil) != c.wantErr {
 			t.Errorf("%s: err = %v, wantErr = %v", c.name, err, c.wantErr)
 		}

@@ -7,7 +7,7 @@
 // Usage:
 //
 //	jsinferd [-addr :8787] [-engine parametric-L|parametric-K]
-//	         [-workers N] [-shards N] [-map fused|indexed]
+//	         [-workers N] [-shards N]
 //	         [-max-body N] [-rate-docs N] [-rate-bytes N]
 //	         [-log-format text|json] [-slow-request D]
 //	         [-trace-buffer N] [-debug-addr addr]
@@ -41,7 +41,7 @@
 //	    in place.
 //	POST /v1/collections/{name}/ingest[?equiv=K|L][&quota=...]
 //	    Body: NDJSON or concatenated JSON, streamed straight into the
-//	    chunked token pipeline (bounded memory; the body is never
+//	    chunked inference pipeline (bounded memory; the body is never
 //	    materialised). Content-Encoding: gzip bodies decode
 //	    transparently — schemas and doc counts are byte-identical to
 //	    the identity encoding, and -max-body applies to *decompressed*
@@ -132,11 +132,11 @@ import (
 // set of the caller's choosing so the README test can walk exactly the
 // set main parses.
 type daemonFlags struct {
-	addr, engine, mapMode, logFormat, debugAddr *string
-	workers, shards, traceBuf                   *int
-	maxBody                                     *int64
-	rateDocs, rateBytes                         *float64
-	slowReq                                     *time.Duration
+	addr, engine, logFormat, debugAddr *string
+	workers, shards, traceBuf          *int
+	maxBody                            *int64
+	rateDocs, rateBytes                *float64
+	slowReq                            *time.Duration
 }
 
 func registerFlags(fs *flag.FlagSet) daemonFlags {
@@ -145,7 +145,6 @@ func registerFlags(fs *flag.FlagSet) daemonFlags {
 		engine:    fs.String("engine", "parametric-L", "inference engine: parametric-L or parametric-K"),
 		workers:   fs.Int("workers", 0, "parallel chunk workers per ingest request of more than one chunk (0 = GOMAXPROCS)"),
 		shards:    fs.Int("shards", 0, "accumulators per collection: how many requests can absorb into one collection at once (0 = auto)"),
-		mapMode:   fs.String("map", "fused", "ingest map phase: fused (default) or indexed"),
 		maxBody:   fs.Int64("max-body", 0, "max ingest request body in bytes (decoded, for compressed bodies); 0 disables the limit"),
 		rateDocs:  fs.Float64("rate-docs", 0, "default per-collection ingest quota in documents/sec; 0 disables the limit"),
 		rateBytes: fs.Float64("rate-bytes", 0, "default per-collection ingest quota in decoded bytes/sec; 0 disables the limit"),
@@ -194,15 +193,6 @@ func main() {
 		opts.Equiv = typelang.EquivKind
 	default:
 		logger.Error("unknown engine (want parametric-L or parametric-K)", "engine", *opt.engine)
-		os.Exit(1)
-	}
-	switch *opt.mapMode {
-	case "fused":
-		opts.Map = core.MapFused
-	case "indexed":
-		opts.Map = core.MapIndexed
-	default:
-		logger.Error("unknown map mode (want fused or indexed)", "map", *opt.mapMode)
 		os.Exit(1)
 	}
 

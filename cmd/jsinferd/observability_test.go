@@ -17,7 +17,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/daemon/trace"
 	"repro/internal/infer"
 	"repro/internal/jsontext"
@@ -276,15 +275,14 @@ func TestNewLoggerFormats(t *testing.T) {
 }
 
 // TestPipelineCountersEndToEnd is the acceptance criterion for the
-// stage stats: an index-mapped daemon ingests clean and adversarial
+// stage stats: a default daemon ingests clean and adversarial
 // payloads, and the fallback/parity counters — and the shape counter:
 // every body here is one chunk, absorbed in line — come out, with the
 // same values, on /v1/stats, /metrics, and the request's trace
 // attributes.
 func TestPipelineCountersEndToEnd(t *testing.T) {
 	tracer := trace.New(16)
-	srv, _ := newObservedServer(t, registry.Options{Map: core.MapIndexed},
-		handlerConfig{tracer: tracer})
+	srv, _ := newObservedServer(t, registry.Options{}, handlerConfig{tracer: tracer})
 
 	// Clean ingest: everything absorbs off the structural index.
 	if code, out := post(t, srv.URL+"/v1/collections/c/ingest",

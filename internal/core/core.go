@@ -245,18 +245,6 @@ func InferSchemaWorkers(docs []*Value, engine Engine, workers int) (*Inference, 
 	return out, nil
 }
 
-// MapMode selects the map phase of the streamed engine: MapFused (the
-// default) absorbs documents from tokens straight into the worker
-// accumulators, MapIndexed absorbs straight off mison's structural
-// index, never tokenising separators — identical results either way.
-type MapMode = infer.MapMode
-
-// The map modes of the streamed engine.
-const (
-	MapFused   = infer.MapFused
-	MapIndexed = infer.MapIndexed
-)
-
 // mmapMinSize is the smallest file the *Files engines memory-map: below
 // it the mapping-setup syscalls cost more than the copies they save, so
 // short files keep the reader path.
@@ -266,9 +254,6 @@ const mmapMinSize = 1 << 20
 type StreamOptions struct {
 	// Workers bounds the parallel chunk workers; 0 means GOMAXPROCS.
 	Workers int
-	// Map picks the map phase; the zero value is MapFused (MapIndexed
-	// is the index-driven fast path).
-	Map MapMode
 	// ChunkBytes, when positive, switches the chunking stage to a
 	// byte-size target: chunks are cut at the first document boundary
 	// at or past it, instead of every 256 documents — the knob that
@@ -286,7 +271,6 @@ func (o StreamOptions) inferOptions(eq typelang.Equiv) infer.Options {
 	return infer.Options{
 		Equiv:      eq,
 		Workers:    o.Workers,
-		Map:        o.Map,
 		ChunkBytes: o.ChunkBytes,
 		Stats:      o.Stats,
 	}

@@ -13,9 +13,9 @@
 //   - InferSchemaStreamWith, InferSchemaStreamBytesWith and
 //     InferSchemaStreamFilesWith run the parametric engines over a
 //     reader, a byte slice or named files of any size in bounded
-//     memory, typing documents straight from tokens; StreamOptions
-//     selects the worker count, the map phase and the chunk size
-//     (large regular files are memory-mapped, everything else read);
+//     memory, typing documents straight off the structural index;
+//     StreamOptions selects the worker count and the chunk size (large
+//     regular files are memory-mapped, everything else read);
 //   - StreamPrecisionFiles grades a schema against re-readable files
 //     in a bounded-memory second pass, filling the precision column a
 //     single streamed pass cannot compute.

@@ -26,21 +26,21 @@ func TestAccumFoldMatchesMergeAllFixtures(t *testing.T) {
 	})
 }
 
-// TestMapModeErrorEquivalence is the error sweep at the default
+// TestMalformedInputKeepsExactPrefix is the error sweep at the default
 // chunking, where the failing document shares its chunk (and, at one
 // worker, its accumulator) with the documents before it: aborting a
-// half-absorbed document must leave exactly the prefix behind, off the
-// index as much as from tokens.
-func TestMapModeErrorEquivalence(t *testing.T) {
+// half-absorbed document — off the index first, then from tokens —
+// must leave exactly the prefix behind.
+func TestMalformedInputKeepsExactPrefix(t *testing.T) {
 	for _, in := range malformedInputs {
 		assertMatchesOracle(t, fmt.Sprintf("%q", in), []byte(in))
 	}
 }
 
 // TestAbsorbSurfaceMatchesMergeAll drives typelang's direct-absorption
-// surface one generated document at a time (the exact calls the fused
+// surface one generated document at a time (the exact calls the token
 // walker makes) and pins the seal to the MergeAll reference — the unit
-// cut of the fused-map equivalence, with no tokenizer in the loop.
+// cut of the absorb-vs-merge equivalence, with no tokenizer in the loop.
 func TestAbsorbSurfaceMatchesMergeAll(t *testing.T) {
 	gens := []genjson.Generator{
 		genjson.Twitter{Seed: 31},

@@ -143,7 +143,7 @@ func (c *ShardedCollector) absorbChunk(m *chunkMapper, ch byteChunk) (int, error
 const maxPooledSymbols = 1 << 16
 
 // mapper returns a chunk mapper wired for opts: a kept one when it was
-// wired to the same map mode and symbol table, a cold one otherwise.
+// wired to the same symbol table, a cold one otherwise.
 func (c *ShardedCollector) mapper(opts Options) *chunkMapper {
 	c.mu.Lock()
 	var m *chunkMapper
@@ -152,7 +152,7 @@ func (c *ShardedCollector) mapper(opts Options) *chunkMapper {
 		c.mappers = slices.Delete(c.mappers, n-1, n)
 	}
 	c.mu.Unlock()
-	if m == nil || m.symbols != opts.Symbols || (m.ia != nil) != (opts.Map == MapIndexed) {
+	if m == nil || m.symbols != opts.Symbols {
 		return newChunkMapper(opts)
 	}
 	m.st = opts.Stats
@@ -167,11 +167,8 @@ func (c *ShardedCollector) release(m *chunkMapper) {
 	if m.widest > maxPooledChunkBuf || m.symbols == nil || m.symbols.Len() > maxPooledSymbols {
 		return
 	}
-	m.ms.Reset(nil, 0)
+	m.ia.Reset(nil, 0)
 	m.tr.ResetBytes(nil, 0)
-	if m.ia != nil {
-		m.ia.Reset(nil, 0)
-	}
 	c.mu.Lock()
 	if len(c.mappers) < len(c.shards) {
 		c.mappers = append(c.mappers, m)

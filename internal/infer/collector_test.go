@@ -135,7 +135,7 @@ func TestShardedCollectorConcurrent(t *testing.T) {
 					all[adders+f] = append(all[adders+f], TypeOf(d, typelang.EquivLabel))
 				}
 				// Every other body spans several chunks: the parallel shape.
-				opts := Options{Equiv: typelang.EquivLabel, Workers: 2, Batch: 256 - 248*(i%2), Map: MapMode(f % 2), Symbols: symbols}
+				opts := Options{Equiv: typelang.EquivLabel, Workers: 2, Batch: 256 - 248*(i%2), Symbols: symbols}
 				if n, err := InferStreamInto(bytes.NewReader(jsontext.MarshalLines(docs)), opts, col); err != nil || n != len(docs) {
 					t.Errorf("feeder %d body %d: %d docs, err %v", f, i, n, err)
 				}
@@ -233,36 +233,31 @@ func TestCollectorKeepsBoundedState(t *testing.T) {
 	}
 }
 
-// TestCollectorMapperKeepsItsMode walks one collector through calls
-// that differ from the one before in map mode or in symbol table, never
-// both: the kept mapper, wired for the other, must not serve the call.
-// The index counters tell the modes apart — a fused call absorbs no
-// record off the index, an indexed one all of them — and a vocabulary
+// TestCollectorMapperKeepsItsSymbolTable walks one collector through
+// calls that switch symbol table every other call: the kept mapper,
+// wired for the other table, must not serve the call — a vocabulary
 // interned through the wrong table would miss from the call's own.
-func TestCollectorMapperKeepsItsMode(t *testing.T) {
+// Every call absorbs all its records off the index.
+func TestCollectorMapperKeepsItsSymbolTable(t *testing.T) {
 	docs := genjson.Collection(genjson.Orders{Seed: 5}, 20)
 	body := jsontext.MarshalLines(docs)
 	col := NewShardedCollector(2, typelang.EquivKind)
 	tables := []*jsontext.SymbolTable{jsontext.NewSymbolTable(), jsontext.NewSymbolTable()}
-	for i := 0; i < 12; i++ {
-		mode, symbols := sweepMaps[i/2%2], tables[(i+1)/2%2]
+	for i := 0; i < 8; i++ {
+		symbols := tables[i/2%2]
 		before := symbols.Len()
-		s := ingestInto(t, col, body, Options{Map: mode, Symbols: symbols})
-		wantIdx := int64(0)
-		if mode == MapIndexed {
-			wantIdx = int64(len(docs))
+		s := ingestInto(t, col, body, Options{Symbols: symbols})
+		if s.IndexRecords != int64(len(docs)) || s.FallbackRecords != 0 {
+			t.Errorf("call %d: index_records=%d fallback_records=%d, want %d/0", i, s.IndexRecords, s.FallbackRecords, len(docs))
 		}
-		if s.IndexRecords != wantIdx || s.FallbackRecords != 0 {
-			t.Errorf("call %d (%v): index_records=%d fallback_records=%d, want %d/0", i, mode, s.IndexRecords, s.FallbackRecords, wantIdx)
-		}
-		if grew := symbols.Len() > before; grew != (i < 2) {
-			t.Errorf("call %d: symbol table went %d → %d names; each table meets the vocabulary on its first call (0 and 1)",
+		if grew := symbols.Len() > before; grew != (i == 0 || i == 2) {
+			t.Errorf("call %d: symbol table went %d → %d names; each table meets the vocabulary on its first call (0 and 2)",
 				i, before, symbols.Len())
 		}
 	}
-	want, wantN, _ := oracle(bytes.Repeat(body, 12), typelang.EquivKind)
+	want, wantN, _ := oracle(bytes.Repeat(body, 8), typelang.EquivKind)
 	if got, n := col.Close(); n != int64(wantN) || got.StringCounted() != want.StringCounted() {
-		t.Errorf("alternating modes: %d docs %s, oracle %d docs %s", n, got.StringCounted(), wantN, want.StringCounted())
+		t.Errorf("alternating tables: %d docs %s, oracle %d docs %s", n, got.StringCounted(), wantN, want.StringCounted())
 	}
 }
 
@@ -285,41 +280,39 @@ func TestInferStreamSharedSymbols(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, mm := range sweepMaps {
-		st := jsontext.NewSymbolTable()
-		got, n, err := InferStream(bytes.NewReader(data), Options{Workers: 4, Map: mm, Symbols: st})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if n != wantN || got.StringCounted() != want.StringCounted() {
-			t.Errorf("%v: shared-symbol run diverges (%d docs)\n want: %s\n got:  %s",
-				mm, n, want.StringCounted(), got.StringCounted())
-		}
-		if st.Len() == 0 {
-			t.Errorf("%v: symbol table empty after a field-bearing stream", mm)
-		}
-		// Every field name in the schema must be the canonical interned
-		// string — pointer-equal to the table's copy.
-		var walk func(ty *typelang.Type)
-		walk = func(ty *typelang.Type) {
-			switch ty.Kind {
-			case typelang.KRecord:
-				for _, f := range ty.Fields {
-					if canon := st.Intern([]byte(f.Name)); canon != f.Name {
-						t.Errorf("%v: field %q not canonical", mm, f.Name)
-					}
-					walk(f.Type)
+	st := jsontext.NewSymbolTable()
+	got, n, err := InferStream(bytes.NewReader(data), Options{Workers: 4, Symbols: st})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n != wantN || got.StringCounted() != want.StringCounted() {
+		t.Errorf("shared-symbol run diverges (%d docs)\n want: %s\n got:  %s",
+			n, want.StringCounted(), got.StringCounted())
+	}
+	if st.Len() == 0 {
+		t.Error("symbol table empty after a field-bearing stream")
+	}
+	// Every field name in the schema must be the canonical interned
+	// string — pointer-equal to the table's copy.
+	var walk func(ty *typelang.Type)
+	walk = func(ty *typelang.Type) {
+		switch ty.Kind {
+		case typelang.KRecord:
+			for _, f := range ty.Fields {
+				if canon := st.Intern([]byte(f.Name)); canon != f.Name {
+					t.Errorf("field %q not canonical", f.Name)
 				}
-			case typelang.KArray:
-				walk(ty.Elem)
-			case typelang.KUnion:
-				for _, a := range ty.Alts {
-					walk(a)
-				}
+				walk(f.Type)
+			}
+		case typelang.KArray:
+			walk(ty.Elem)
+		case typelang.KUnion:
+			for _, a := range ty.Alts {
+				walk(a)
 			}
 		}
-		walk(got)
 	}
+	walk(got)
 }
 
 // TestSymbolTableInternCanonical: equal byte sequences intern to the

@@ -27,29 +27,28 @@
 //     reduction;
 //   - InferStream and InferStreamBytes never materialise anything: the
 //     input is split into runs of whole documents (chunking.go), and
-//     AbsorbFromTokens (tokens.go) walks each document's tokens and
-//     absorbs its structure straight into a typelang.Accum through the
-//     direct-absorption surface (Accum.Doc), so no per-document
-//     canonical type — and no value tree — is ever built, and
-//     collections larger than memory are inferred while only ever
-//     holding a bounded window of bytes. Options.Map selects the map
-//     phase: MapFused (the default) absorbs from the token stream;
-//     MapIndexed goes one layer lower and absorbs straight off mison's
-//     structural index (AbsorbFromIndex, index_absorb.go) — object
-//     fields walk span-at-a-time off the bitmap index via
-//     mison.FieldWalker, so separator tokens are never materialised at
-//     all, with per-record fallback to the token walker on anything the
-//     index cannot certify. The two are pinned byte-identical to an
+//     each document's structure is absorbed straight into a
+//     typelang.Accum through the direct-absorption surface (Accum.Doc),
+//     so no per-document canonical type — and no value tree — is ever
+//     built, and collections larger than memory are inferred while only
+//     ever holding a bounded window of bytes. The map phase is one
+//     walk over one structural index: mison raises the chunk's bitmaps
+//     once, AbsorbFromIndex (index_absorb.go) walks object fields
+//     span-at-a-time off them via mison.FieldWalker, so separator
+//     tokens are never materialised at all, and a record the index
+//     cannot certify — a malformed one, or one nested past MaxDepth —
+//     is re-absorbed by the token walker (AbsorbFromTokens, tokens.go)
+//     over the same bitmaps. The result is pinned byte-identical to an
 //     independent oracle (DOM decoder, TypeOf, one MergeAll) — schemas,
 //     counts, document totals, and error messages and offsets — by the
-//     sweeps in oracle_test.go and the index-vs-tokens fuzz
-//     differential.
+//     sweeps in oracle_test.go, and the two walks to each other by the
+//     index-vs-tokens fuzz differential.
 //
 // The streamed engine is one ladder in two shapes. The ladder is the
 // map phase of a chunk (chunkMapper.absorb): mison.Chunker found the
-// chunk's boundaries, the structural index or mison.TokenSource lexes
-// it, and the reference lexer (jsontext.TokenReader) takes over any
-// chunk the index rejects — results are identical whichever rung ran.
+// chunk's boundaries, the structural index absorbs it, and the
+// reference lexer (jsontext.TokenReader) takes over any chunk the index
+// rejects — results are identical whichever rung ran.
 // The shape is decided in one place (stream, tokens.go), from what it
 // can observe. The sequential shape — one worker, or an input that ends
 // inside its first chunk — absorbs chunk after chunk on the caller's

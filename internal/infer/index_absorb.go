@@ -9,26 +9,25 @@ import (
 	"repro/internal/typelang"
 )
 
-// This file is the index-driven map phase (Options.Map: MapIndexed):
-// documents absorb into the chunk accumulator straight off mison's
-// structural index instead of a token stream. The fused token walker
-// (AbsorbFromTokens) still materialises a jsontext.Token for every
-// colon, comma and brace only to throw it away; here the leveled index
-// already locates every structural character of every record, so
-// object absorption is driven field-span-at-a-time — BeginRecord,
-// field name, AbsorbKind, EndRecord — with separators checked
-// positionally and never tokenised. Atoms classify by first byte and
-// span: the quote bitmap gives string spans for free, plain integers
-// and literals resolve by direct comparison, and everything the
-// bitmaps cannot prove clean delegates to the reference scanner at the
-// same position.
+// This file is the map phase's fast walk: documents absorb into the
+// chunk accumulator straight off mison's structural index instead of a
+// token stream. The token walker (AbsorbFromTokens) materialises a
+// jsontext.Token for every colon, comma and brace only to throw it
+// away; here the structural bitmap already locates every structural
+// character of every record, so object absorption is driven
+// field-span-at-a-time — BeginRecord, field name, AbsorbKind, EndRecord
+// — with separators checked positionally and never tokenised. Atoms
+// classify by first byte and span: the quote bitmap gives string spans
+// for free, plain integers and literals resolve by direct comparison,
+// and everything the bitmaps cannot prove clean delegates to the
+// reference scanner at the same position.
 //
 // Identity with the token walker is absolute, not best-effort: the
-// walk verifies every structural assumption (event positions, clean
+// walk verifies every structural assumption (separator positions, clean
 // gaps between spans, depth bounds) and bails out per record to the
 // token walker on the first thing it cannot certify — so schemas, doc
-// counts, error messages and error offsets are byte-identical to
-// MapFused's on every input, pinned by the map-mode sweep and the
+// counts, error messages and error offsets are byte-identical to the
+// token walk's on every input, pinned by the oracle sweeps and the
 // index-vs-tokens fuzz differential.
 
 // errIndexBail is the internal signal that the index walk cannot
@@ -37,14 +36,13 @@ import (
 var errIndexBail = errors.New("infer: index walk bailed")
 
 // IndexAbsorber is the per-worker state of index-driven absorption:
-// one reusable mison.FieldWalker (structural index, bitmap storage,
-// delegated scanner) plus the token reader used for per-record
-// fallback. Reset rebinds it to a chunk; a warm absorber absorbs an
-// arbitrary number of chunks without per-chunk allocation. It is not
-// safe for concurrent use — one per worker, like the TokenSource.
+// one reusable mison.FieldWalker, which owns the chunk's bitmaps, the
+// delegated scanner and — over the same bitmaps — the token source the
+// per-record fallback walks. Reset rebinds it to a chunk; a warm
+// absorber absorbs an arbitrary number of chunks without per-chunk
+// allocation. It is not safe for concurrent use — one per worker.
 type IndexAbsorber struct {
-	w  *mison.FieldWalker
-	fb *jsontext.TokenReader
+	w *mison.FieldWalker
 
 	data []byte
 	base int
@@ -65,31 +63,20 @@ type IndexAbsorber struct {
 
 // NewIndexAbsorber returns an empty absorber; bind it to a chunk with
 // Reset.
-func NewIndexAbsorber() *IndexAbsorber {
-	return &IndexAbsorber{w: mison.NewFieldWalker(), fb: jsontext.NewTokenReaderBytes(nil)}
-}
+func NewIndexAbsorber() *IndexAbsorber { return &IndexAbsorber{w: mison.NewFieldWalker()} }
 
-// SetInternStrings toggles field-name interning on both the walker's
-// fast path and the fallback token reader.
-func (a *IndexAbsorber) SetInternStrings(on bool) {
-	a.w.SetInternStrings(on)
-	a.fb.SetInternStrings(on)
-}
+// SetInternStrings toggles field-name interning, for both walks.
+func (a *IndexAbsorber) SetInternStrings(on bool) { a.w.SetInternStrings(on) }
 
-// SetSymbolTable attaches a shared field-name interner to both paths,
-// so names are canonical across workers whichever path decoded them.
-func (a *IndexAbsorber) SetSymbolTable(st *jsontext.SymbolTable) {
-	a.w.SetSymbolTable(st)
-	a.fb.SetSymbolTable(st)
-}
+// SetSymbolTable attaches a shared field-name interner, so names are
+// canonical across workers whichever walk decoded them.
+func (a *IndexAbsorber) SetSymbolTable(st *jsontext.SymbolTable) { a.w.SetSymbolTable(st) }
 
 // Reset rebinds the absorber to a chunk whose first byte sits at
 // absolute stream offset base. It returns the walker's *IndexError
-// when the structural index rejects the chunk (odd quote parity,
-// unbalanced nesting); the caller then lexes the whole chunk through
-// the token walker instead, which reports the authoritative error for
-// whatever is wrong — exactly the fallback discipline of
-// mison.TokenSource.Reset.
+// when the structural index rejects the chunk (odd quote parity); the
+// caller then lexes the whole chunk through the reference lexer
+// instead, which reports the authoritative error for whatever is wrong.
 func (a *IndexAbsorber) Reset(data []byte, base int) error {
 	if err := a.w.Reset(data, base); err != nil {
 		return err
@@ -136,18 +123,19 @@ func (a *IndexAbsorber) TakeRecordCounts() (idx, fallback int64) {
 	return idx, fallback
 }
 
-// TakeScanDelegations returns (and resets) the walker's count of spans
-// delegated to the reference scanner since the last call.
+// TakeScanDelegations returns (and resets) the count of tokens either
+// walk delegated to the reference scanner since the last call.
 func (a *IndexAbsorber) TakeScanDelegations() int64 { return a.w.TakeDelegations() }
 
 // fallbackRecord absorbs one document starting at the current position
-// through the token walker, then re-syncs the index cursors past it.
+// through the token walker — over the walker's own token source, whose
+// bitmaps Reset already built — then re-syncs the index cursors past it.
 func (a *IndexAbsorber) fallbackRecord(acc *typelang.Accum) error {
-	a.fb.ResetBytes(a.data[a.pos:], a.base+a.pos)
-	if err := AbsorbFromTokens(a.fb, acc); err != nil {
+	ts := a.w.TokensAt(a.pos)
+	if err := AbsorbFromTokens(ts, acc); err != nil {
 		return err
 	}
-	a.pos = a.fb.InputOffset() - a.base
+	a.pos = ts.InputOffset() - a.base
 	a.next = a.w.NextStructural(a.pos)
 	return nil
 }
@@ -169,7 +157,7 @@ func (a *IndexAbsorber) skipSpace() {
 // the bytes before it were all consumed by certified spans and
 // whitespace — and advances past it. No side effects on failure.
 func (a *IndexAbsorber) consume(ch byte) bool {
-	if a.pos != a.next || !a.w.StructuralAt(a.pos, ch) {
+	if a.pos != a.next || a.data[a.pos] != ch {
 		return false
 	}
 	a.pos++
@@ -297,7 +285,7 @@ func (a *IndexAbsorber) fieldName(open int) (string, int, bool) {
 
 // absorbObject absorbs an object field-span-at-a-time: names from the
 // quote bitmap, colons and separators consumed positionally off the
-// leveled event list, values recursively. The record stages in an
+// structural bitmap, values recursively. The record stages in an
 // OpenRecord and commits at '}' exactly as the token walker's does.
 func (a *IndexAbsorber) absorbObject(dst typelang.Target, depth int) error {
 	if !a.consume('{') {

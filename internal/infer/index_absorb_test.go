@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -13,7 +14,7 @@ import (
 )
 
 // absorbAllTokens is the reference side of the index-vs-tokens
-// differential: the fused token walker absorbing every document of data
+// differential: the token walker absorbing every document of data
 // into a fresh accumulator, returning the sealed type, the document
 // count, and the first error.
 func absorbAllTokens(data []byte) (*typelang.Type, int, error) {
@@ -54,12 +55,14 @@ func absorbAllIndexed(data []byte) (t *typelang.Type, n int, err error, ok bool)
 }
 
 // FuzzIndexAbsorb pins the tentpole identity of index-driven
-// absorption: on every input the index walker must produce exactly the
-// fused token walker's outcome — the same sealed schema (counts
-// included), the same document count, and on malformed input the same
-// error message and offset. When the walker's Reset rejects a chunk,
-// the fallback contract requires the token walker to reject the input
-// too: rejection may never hide an accepting absorption.
+// absorption: on every input the index walker — and, for the records it
+// bails on, the token walk over the same bitmaps — must produce exactly
+// the outcome of the token walker over the reference lexer: the same
+// sealed schema (counts included), the same document count, and on
+// malformed input the same error message and offset. When the walker's
+// Reset rejects a chunk, the fallback contract requires the token
+// walker to reject the input too: rejection may never hide an accepting
+// absorption.
 func FuzzIndexAbsorb(f *testing.F) {
 	seeds := []string{
 		`{"a": [1, {"b": "x"}, null], "c": 1e-3}`,
@@ -74,6 +77,11 @@ func FuzzIndexAbsorb(f *testing.F) {
 		// Malformed UTF-8, control bytes, stray backslashes.
 		"\"\xff\xfe\"", "\xff{", "\"a\xc3\x28b\"", "{\"s\": \"ctrl\x01\"}",
 		`\`, `{"a": 1}\`, "\\\n{\"a\": 1}",
+		// A backslash outside a string before a structural character: the
+		// walker's structural bitmap keeps the character (Bitmaps.build
+		// would strike it as escaped), and must bail on the backslash.
+		`{"a":1\,"b":2}`, `[1\]`, `\{}`, `{"a"\:1}`,
+		"{\"a\": 1}\n{\"b\": {\"x\": [1, 2\\]}, \"c\": 2}\n{\"d\": 3}\n",
 		// Truncations and structural errors.
 		`"\u12`, `"unterminated`, `{]`, `[1,]`, `{"a":1 "b":2}`,
 		`1 2`, `{"a"}`, ``, `   `, `tru`, `12..5`, `01`, `1e`,
@@ -144,8 +152,8 @@ func TestIndexAbsorbGeneratedCorpora(t *testing.T) {
 
 // TestIndexAbsorberZeroSteadyStateAllocs pins the reuse satellite: a
 // warm IndexAbsorber re-absorbing a clean chunk — structural index,
-// bitmap storage, leveled event lists, accumulator nodes — allocates
-// nothing in steady state. The fixture sticks to plain integers,
+// bitmap storage, accumulator nodes — allocates nothing in steady
+// state. The fixture sticks to plain integers,
 // strings, bools and nulls; every shape the absorber resolves without
 // delegation.
 func TestIndexAbsorberZeroSteadyStateAllocs(t *testing.T) {
@@ -169,5 +177,34 @@ func TestIndexAbsorberZeroSteadyStateAllocs(t *testing.T) {
 	drain() // warm the index, bitmaps, intern cache and accumulator pools
 	if n := testing.AllocsPerRun(50, drain); n > 0 {
 		t.Errorf("warm index absorption allocates %.1f times per chunk; want 0", n)
+	}
+}
+
+// TestColdMapperAllocatesFourBitmaps pins what raising the structural
+// index costs a cold worker: four bitmaps of one bit per input byte —
+// quote, backslash-or-control, non-ASCII and structural — built once,
+// whichever walk then reads them, and three when odd quote parity
+// rejects the chunk before the structural pass (the reference lexer
+// that takes over raises none). When the index walk had its own
+// twelve-bitmap builder the same chunks cost 1.5 and 2.0 bytes per
+// input byte.
+func TestColdMapperAllocatesFourBitmaps(t *testing.T) {
+	record := `{"id": 12345, "name": "alpha", "tags": ["a", "b"], "on": true, "ref": null}` + "\n"
+	clean := bytes.Repeat([]byte(record), 1<<20/len(record))
+	for name, data := range map[string][]byte{
+		"clean":      clean,
+		"odd-parity": append(clean[:len(clean):len(clean)], `{"s": "unterminated`+"\n"...),
+	} {
+		acc := typelang.NewAccum(typelang.EquivKind)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		n, err := newChunkMapper(Options{}).absorb(byteChunk{data: data}, acc)
+		runtime.ReadMemStats(&after)
+		if n != len(clean)/len(record) || (err != nil) != (name == "odd-parity") {
+			t.Fatalf("%s: absorbed %d documents, err %v", name, n, err)
+		}
+		if perByte := float64(after.TotalAlloc-before.TotalAlloc) / float64(len(data)); perByte > 0.55 {
+			t.Errorf("%s: a cold mapper allocated %.3f bytes per input byte, want at most 0.55 (four bitmaps are 0.5)", name, perByte)
+		}
 	}
 }

@@ -19,38 +19,6 @@ import (
 // per-batch overhead vanishes against typing cost.
 const DefaultBatch = 256
 
-// MapMode selects the map phase of the streamed engine.
-type MapMode uint8
-
-const (
-	// MapFused — the zero value, and therefore the streamed default —
-	// absorbs each document straight into the worker's chunk
-	// accumulator (AbsorbFromTokens): no canonical per-document type is
-	// ever materialised, so the map phase of a worker in steady state
-	// allocates nothing.
-	MapFused MapMode = iota
-	// MapIndexed absorbs each document straight off mison's structural
-	// index (AbsorbFromIndex): object fields are walked
-	// span-at-a-time from the leveled colon lists, so separator tokens
-	// are never materialised at all. Records the index cannot certify
-	// fall back to the token walker per record, and chunks the index
-	// rejects outright fall back whole, so schemas, counts and errors
-	// are byte-identical to MapFused's.
-	MapIndexed
-)
-
-// String names the map mode.
-func (m MapMode) String() string {
-	switch m {
-	case MapFused:
-		return "fused"
-	case MapIndexed:
-		return "indexed"
-	default:
-		return "unknown"
-	}
-}
-
 // Options configure an inference run.
 type Options struct {
 	// Equiv is the merge equivalence: typelang.EquivKind (K) or
@@ -62,9 +30,6 @@ type Options struct {
 	// Batch is the number of documents per work unit in the batched and
 	// parallel engines; 0 means DefaultBatch.
 	Batch int
-	// Map picks the streamed engine's map phase; the zero value is
-	// MapFused.
-	Map MapMode
 	// ChunkBytes, when positive, switches the chunking stage to a byte
 	// target: chunks are emitted at the first document boundary at or
 	// past ChunkBytes bytes instead of every Batch documents. GB-scale

@@ -12,7 +12,7 @@ import (
 // documents and the equivalence alone. Each fixture's documents are
 // shuffled and re-chunked at random (fixed seed; one-document chunks
 // and one-chunk runs always included) and run at several worker counts,
-// through both map phases and input kinds — and every run must render,
+// through every input kind — and every run must render,
 // plain and counted, exactly what the oracle makes of the file as
 // checked in.
 func TestSchemaInvariantUnderPermutationAndChunking(t *testing.T) {

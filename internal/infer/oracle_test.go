@@ -40,7 +40,6 @@ func oracle(data []byte, e typelang.Equiv) (*typelang.Type, int, error) {
 var (
 	sweepEquivs  = []typelang.Equiv{typelang.EquivKind, typelang.EquivLabel}
 	sweepWorkers = []int{1, 2, 4, 8}
-	sweepMaps    = []MapMode{MapFused, MapIndexed}
 	inputKinds   = []string{"reader", "bytes"}
 )
 
@@ -72,7 +71,7 @@ func syntaxOffset(err error) int {
 }
 
 // assertMatchesOracle runs the engine over data under every
-// equivalence, worker count, map phase and input kind, once per
+// equivalence, worker count and input kind, once per
 // chunking (only Batch and ChunkBytes of a chunking are read; none
 // means the default), and demands the oracle's outcome over the same
 // bytes each time.
@@ -91,7 +90,7 @@ func assertMatchesOracle(t *testing.T, label string, data []byte, chunkings ...O
 }
 
 // assertEngineYields runs the engine over data with base's equivalence
-// and chunking under every given worker count, map phase and input
+// and chunking under every given worker count and input
 // kind — the collector feed included, at the worker counts that give it
 // each of its shapes — and demands the given outcome each time: the same schema in
 // plain and counted rendering, the same document count and — on
@@ -104,23 +103,21 @@ func assertEngineYields(t *testing.T, label string, data []byte, base Options, w
 		if w <= 2 {
 			kinds = append(kinds[:len(kinds):len(kinds)], "into")
 		}
-		for _, mm := range sweepMaps {
-			for _, input := range kinds {
-				opts := Options{Equiv: base.Equiv, Workers: w, Map: mm, Batch: base.Batch, ChunkBytes: base.ChunkBytes}
-				name := fmt.Sprintf("%s/%v/w%d/%v/%s/batch%d/bytes%d", label, opts.Equiv, w, mm, input, opts.Batch, opts.ChunkBytes)
-				got, n, err := inferStreamOver(input, data, opts)
-				if (err == nil) != (wantErr == nil) ||
-					(err != nil && (err.Error() != wantErr.Error() || syntaxOffset(err) != syntaxOffset(wantErr))) {
-					t.Errorf("%s: error %v (offset %d), oracle %v (offset %d)",
-						name, err, syntaxOffset(err), wantErr, syntaxOffset(wantErr))
-				}
-				if n != wantN {
-					t.Errorf("%s: typed %d docs, oracle %d", name, n, wantN)
-				}
-				if want.String() != got.String() || want.StringCounted() != got.StringCounted() {
-					t.Errorf("%s: schema diverges\n oracle: %s\n engine: %s",
-						name, want.StringCounted(), got.StringCounted())
-				}
+		for _, input := range kinds {
+			opts := Options{Equiv: base.Equiv, Workers: w, Batch: base.Batch, ChunkBytes: base.ChunkBytes}
+			name := fmt.Sprintf("%s/%v/w%d/%s/batch%d/bytes%d", label, opts.Equiv, w, input, opts.Batch, opts.ChunkBytes)
+			got, n, err := inferStreamOver(input, data, opts)
+			if (err == nil) != (wantErr == nil) ||
+				(err != nil && (err.Error() != wantErr.Error() || syntaxOffset(err) != syntaxOffset(wantErr))) {
+				t.Errorf("%s: error %v (offset %d), oracle %v (offset %d)",
+					name, err, syntaxOffset(err), wantErr, syntaxOffset(wantErr))
+			}
+			if n != wantN {
+				t.Errorf("%s: typed %d docs, oracle %d", name, n, wantN)
+			}
+			if want.String() != got.String() || want.StringCounted() != got.StringCounted() {
+				t.Errorf("%s: schema diverges\n oracle: %s\n engine: %s",
+					name, want.StringCounted(), got.StringCounted())
 			}
 		}
 	}

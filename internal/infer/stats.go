@@ -36,19 +36,18 @@ type StatsSnapshot struct {
 	// before commit (IngestResult.Docs counts the committed prefix).
 	DocsAbsorbed int64
 	// IndexRecords counts records absorbed entirely off the structural
-	// index (MapIndexed fast path, no token ever materialised).
+	// index (the index walk, no token ever materialised).
 	IndexRecords int64
 	// FallbackRecords counts records the index walk could not certify
-	// and delegated to the token walker (MapIndexed per-record
-	// fallback), whether or not the token walker then accepted them.
+	// and delegated to the token walk over the same index, whether or
+	// not the token walker then accepted them. 0 on well-formed input.
 	FallbackRecords int64
 	// ParityRejects counts chunks the structural index rejected outright
-	// (odd unescaped-quote parity), each falling back whole to the token
-	// path. Counted once per chunk even when both the index absorber and
-	// the mison tokenizer reject it.
+	// (odd unescaped-quote parity), each lexed whole by the reference
+	// lexer instead.
 	ParityRejects int64
-	// ScanDelegations counts tokens the mison fast paths handed to the
-	// reference scanner (escaped strings, fancy numbers) instead of
+	// ScanDelegations counts tokens the index and token walks handed to
+	// the reference scanner (escaped strings, fancy numbers) instead of
 	// resolving positionally.
 	ScanDelegations int64
 	// ChunksDirect counts chunks absorbed in the sequential shape —
@@ -125,9 +124,9 @@ var StatsFields = []StatsField{
 	{"bytes_lexed", "map", "Payload bytes handed to the map phase.", func(s *StatsSnapshot) *int64 { return &s.BytesLexed }},
 	{"docs_absorbed", "map", "Documents absorbed by the map phase (kept prefixes of failed ingests included).", func(s *StatsSnapshot) *int64 { return &s.DocsAbsorbed }},
 	{"index_records", "map", "Records absorbed entirely off the mison structural index.", func(s *StatsSnapshot) *int64 { return &s.IndexRecords }},
-	{"fallback_records", "map", "Records the index walk delegated to the token walker.", func(s *StatsSnapshot) *int64 { return &s.FallbackRecords }},
+	{"fallback_records", "map", "Records the index walk delegated to the token walker (0 on well-formed input).", func(s *StatsSnapshot) *int64 { return &s.FallbackRecords }},
 	{"parity_rejects", "map", "Chunks the structural index rejected outright (odd quote parity).", func(s *StatsSnapshot) *int64 { return &s.ParityRejects }},
-	{"scan_delegations", "map", "Tokens the mison fast paths handed to the reference scanner.", func(s *StatsSnapshot) *int64 { return &s.ScanDelegations }},
+	{"scan_delegations", "map", "Tokens the index and token walks handed to the reference scanner.", func(s *StatsSnapshot) *int64 { return &s.ScanDelegations }},
 	{"chunks_direct", "map", "Chunks absorbed straight into the destination accumulator (sequential shape: no chunk seal, no reduce).", func(s *StatsSnapshot) *int64 { return &s.ChunksDirect }},
 	{"root_fuses", "fuse", "Collector reads that found new documents and rebuilt the served schema.", func(s *StatsSnapshot) *int64 { return &s.RootFuses }},
 	{"seals", "fuse", "Accumulator seals: per chunk in the parallel shape, per changed shard (and fuse) in collector reads.", func(s *StatsSnapshot) *int64 { return &s.Seals }},

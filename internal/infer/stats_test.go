@@ -18,14 +18,14 @@ import (
 
 // statsOptions is the base configuration of the stats tests: one worker
 // keeps chunk arithmetic deterministic, the equivalence is immaterial.
-func statsOptions(m MapMode, st *PipelineStats) Options {
-	return Options{Equiv: typelang.EquivLabel, Workers: 1, Map: m, Stats: st}
+func statsOptions(st *PipelineStats) Options {
+	return Options{Equiv: typelang.EquivLabel, Workers: 1, Stats: st}
 }
 
 // TestStatsCleanInputPinned pins the flight recorder's counters on
 // input the index must never bail on: every document is absorbed, every
-// byte is lexed, and — in MapIndexed mode — every record takes the
-// index fast path, with zero fallbacks and zero parity rejections.
+// byte is lexed, and every record takes the index fast path, with zero
+// fallbacks and zero parity rejections.
 // That last part is the acceptance criterion's "fixtures where the
 // index must not bail": a non-zero fallback count on these inputs means
 // the fast path silently regressed.
@@ -41,42 +41,36 @@ func TestStatsCleanInputPinned(t *testing.T) {
 	}
 	for name, input := range inputs {
 		docs := int64(strings.Count(input, "\n"))
-		for _, mode := range sweepMaps {
-			var st PipelineStats
-			_, n, err := InferStream(strings.NewReader(input), statsOptions(mode, &st))
-			if err != nil {
-				t.Fatalf("%s/%v: %v", name, mode, err)
-			}
-			if int64(n) != docs {
-				t.Fatalf("%s/%v: n=%d, want %d", name, mode, n, docs)
-			}
-			s := st.Snapshot()
-			if s.DocsAbsorbed != docs {
-				t.Errorf("%s/%v: DocsAbsorbed=%d, want %d", name, mode, s.DocsAbsorbed, docs)
-			}
-			if s.BytesLexed != int64(len(input)) {
-				t.Errorf("%s/%v: BytesLexed=%d, want %d", name, mode, s.BytesLexed, len(input))
-			}
-			if s.ChunksSplit < 1 {
-				t.Errorf("%s/%v: ChunksSplit=%d, want >= 1", name, mode, s.ChunksSplit)
-			}
-			if s.FallbackRecords != 0 || s.ParityRejects != 0 {
-				t.Errorf("%s/%v: fallbacks=%d parity=%d on clean input, want 0/0",
-					name, mode, s.FallbackRecords, s.ParityRejects)
-			}
-			wantIdx := int64(0)
-			if mode == MapIndexed {
-				wantIdx = docs
-			}
-			if s.IndexRecords != wantIdx {
-				t.Errorf("%s/%v: IndexRecords=%d, want %d", name, mode, s.IndexRecords, wantIdx)
-			}
+		var st PipelineStats
+		_, n, err := InferStream(strings.NewReader(input), statsOptions(&st))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if int64(n) != docs {
+			t.Fatalf("%s: n=%d, want %d", name, n, docs)
+		}
+		s := st.Snapshot()
+		if s.DocsAbsorbed != docs {
+			t.Errorf("%s: DocsAbsorbed=%d, want %d", name, s.DocsAbsorbed, docs)
+		}
+		if s.BytesLexed != int64(len(input)) {
+			t.Errorf("%s: BytesLexed=%d, want %d", name, s.BytesLexed, len(input))
+		}
+		if s.ChunksSplit < 1 {
+			t.Errorf("%s: ChunksSplit=%d, want >= 1", name, s.ChunksSplit)
+		}
+		if s.FallbackRecords != 0 || s.ParityRejects != 0 {
+			t.Errorf("%s: fallbacks=%d parity=%d on clean input, want 0/0",
+				name, s.FallbackRecords, s.ParityRejects)
+		}
+		if s.IndexRecords != docs {
+			t.Errorf("%s: IndexRecords=%d, want %d", name, s.IndexRecords, docs)
 		}
 	}
 }
 
 // TestStatsAdversarialCountersPinned pins the two counters that make
-// the indexed map's fallback discipline observable, on inputs built to
+// the map phase's fallback discipline observable, on inputs built to
 // trigger exactly one each:
 //
 //   - a malformed literal ("trve") survives the structural index (its
@@ -87,13 +81,12 @@ func TestStatsCleanInputPinned(t *testing.T) {
 //   - an unterminated string flips the chunk's unescaped-quote parity,
 //     so the structural index rejects the chunk outright before any
 //     record is walked — ParityRejects pins at 1, counted once per
-//     chunk even though both the index absorber and the mison
-//     tokenizer bounce it on the way to the token path.
+//     chunk, and the reference lexer words the error.
 func TestStatsAdversarialCountersPinned(t *testing.T) {
 	t.Run("bad-literal-falls-back", func(t *testing.T) {
 		var st PipelineStats
 		input := `{"a": 1}` + "\n" + `{"a": trve}` + "\n"
-		_, n, err := InferStream(strings.NewReader(input), statsOptions(MapIndexed, &st))
+		_, n, err := InferStream(strings.NewReader(input), statsOptions(&st))
 		if err == nil {
 			t.Fatal("malformed literal was accepted")
 		}
@@ -112,21 +105,19 @@ func TestStatsAdversarialCountersPinned(t *testing.T) {
 		}
 	})
 	t.Run("odd-parity-rejects-chunk", func(t *testing.T) {
-		for _, mode := range []MapMode{MapIndexed, MapFused} {
-			var st PipelineStats
-			input := `{"a": "unterminated` + "\n"
-			_, _, err := InferStream(strings.NewReader(input), statsOptions(mode, &st))
-			if err == nil {
-				t.Fatalf("%v: unterminated string was accepted", mode)
-			}
-			s := st.Snapshot()
-			if s.ParityRejects != 1 {
-				t.Errorf("%v: ParityRejects=%d, want exactly 1 per chunk", mode, s.ParityRejects)
-			}
-			if s.FallbackRecords != 0 || s.IndexRecords != 0 {
-				t.Errorf("%v: fallbacks=%d index=%d, want 0/0 (no record was ever walked)",
-					mode, s.FallbackRecords, s.IndexRecords)
-			}
+		var st PipelineStats
+		input := `{"a": "unterminated` + "\n"
+		_, _, err := InferStream(strings.NewReader(input), statsOptions(&st))
+		if err == nil {
+			t.Fatal("unterminated string was accepted")
+		}
+		s := st.Snapshot()
+		if s.ParityRejects != 1 {
+			t.Errorf("ParityRejects=%d, want exactly 1 per chunk", s.ParityRejects)
+		}
+		if s.FallbackRecords != 0 || s.IndexRecords != 0 {
+			t.Errorf("fallbacks=%d index=%d, want 0/0 (no record was ever walked)",
+				s.FallbackRecords, s.IndexRecords)
 		}
 	})
 }
@@ -137,7 +128,7 @@ func TestStatsAdversarialCountersPinned(t *testing.T) {
 func TestStatsScanDelegationsPinned(t *testing.T) {
 	var clean PipelineStats
 	if _, _, err := InferStream(strings.NewReader(`{"a": 1}`+"\n"),
-		statsOptions(MapIndexed, &clean)); err != nil {
+		statsOptions(&clean)); err != nil {
 		t.Fatal(err)
 	}
 	if s := clean.Snapshot(); s.ScanDelegations != 0 {
@@ -145,7 +136,7 @@ func TestStatsScanDelegationsPinned(t *testing.T) {
 	}
 	var esc PipelineStats
 	if _, _, err := InferStream(strings.NewReader(`{"a": "x\ny", "b": 1.5}`+"\n"),
-		statsOptions(MapIndexed, &esc)); err != nil {
+		statsOptions(&esc)); err != nil {
 		t.Fatal(err)
 	}
 	if s := esc.Snapshot(); s.ScanDelegations < 2 {
@@ -159,7 +150,7 @@ func TestStatsScanDelegationsPinned(t *testing.T) {
 func TestStatsSequentialEngine(t *testing.T) {
 	input := strings.Repeat(`{"a": 1, "b": [true, null]}`+"\n", 11)
 	var st PipelineStats
-	_, n, err := InferStream(strings.NewReader(input), statsOptions(MapFused, &st))
+	_, n, err := InferStream(strings.NewReader(input), statsOptions(&st))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,7 +339,7 @@ func TestStatsSnapshotMonotoneUnderLoad(t *testing.T) {
 	}()
 	for i := 0; i < 4; i++ {
 		_, n, err := InferStream(bytes.NewReader(data), Options{
-			Equiv: typelang.EquivLabel, Workers: 4, Batch: 16, Map: MapIndexed, Stats: &st,
+			Equiv: typelang.EquivLabel, Workers: 4, Batch: 16, Stats: &st,
 		})
 		if err != nil || n != 600 {
 			t.Fatalf("pass %d: n=%d err=%v", i, n, err)

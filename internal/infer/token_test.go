@@ -173,20 +173,18 @@ func (f *failingReader) Read(p []byte) (int, error) {
 func TestInferStreamIOErrorNotMaskedAsSyntax(t *testing.T) {
 	ioErr := errors.New("connection reset by peer")
 	payload := "{\"a\": 1}\n{\"a\": 2}\n{\"a\": 3}\n{\"a\":"
-	for _, mm := range sweepMaps {
-		for _, workers := range sweepWorkers {
-			ty, n, err := InferStream(
-				&failingReader{data: []byte(payload), err: ioErr},
-				Options{Workers: workers, Batch: 2, Map: mm})
-			if !errors.Is(err, ioErr) {
-				t.Fatalf("%v/workers=%d: error = %v, want the reader's I/O error", mm, workers, err)
-			}
-			if n != 3 {
-				t.Errorf("%v/workers=%d: typed %d docs, want the 3 complete ones", mm, workers, n)
-			}
-			if got := ty.String(); got != "{a: Int}" {
-				t.Errorf("%v/workers=%d: prefix type = %s", mm, workers, got)
-			}
+	for _, workers := range sweepWorkers {
+		ty, n, err := InferStream(
+			&failingReader{data: []byte(payload), err: ioErr},
+			Options{Workers: workers, Batch: 2})
+		if !errors.Is(err, ioErr) {
+			t.Fatalf("workers=%d: error = %v, want the reader's I/O error", workers, err)
+		}
+		if n != 3 {
+			t.Errorf("workers=%d: typed %d docs, want the 3 complete ones", workers, n)
+		}
+		if got := ty.String(); got != "{a: Int}" {
+			t.Errorf("workers=%d: prefix type = %s", workers, got)
 		}
 	}
 	// A genuine syntax error before the I/O failure still wins: it is

@@ -13,16 +13,17 @@ import (
 )
 
 // This file is the streamed engine: the token walker that types a
-// document straight from lexer tokens into an accumulator, and the one
-// engine that drives it (and its index-driven twin, index_absorb.go)
-// over document-aligned byte chunks. The map phase of the paper's
-// map/reduce needs the *type* of each document, never its value, so no
-// value tree — and not even a canonical per-document type — is ever
-// built: AbsorbFromTokens lands each document's structure directly in
-// the chunk accumulator (typelang.Target), and the steady state of a
-// worker — same shapes, chunk after chunk — allocates nothing in the map
-// phase at all. Because the work queue carries raw byte chunks, lexing
-// itself runs on every worker.
+// document straight from lexer tokens into an accumulator — the
+// fallback of the index walk (index_absorb.go), which absorbs every
+// record the structural index certifies without a token — and the one
+// engine that drives the two over document-aligned byte chunks. The map
+// phase of the paper's map/reduce needs the *type* of each document,
+// never its value, so no value tree — and not even a canonical
+// per-document type — is ever built: both walkers land each document's
+// structure directly in the chunk accumulator (typelang.Target), and
+// the steady state of a worker — same shapes, chunk after chunk —
+// allocates nothing in the map phase at all. Because the work queue
+// carries raw byte chunks, lexing itself runs on every worker.
 
 // AbsorbFromTokens types exactly one JSON value read from tr straight
 // into acc — the fused map phase: the document's structure lands in the
@@ -234,49 +235,40 @@ func bytesChunkSource(data []byte) chunkSource {
 	}
 }
 
-// chunkMapper is the map phase of one worker: the lexers a chunk can go
-// through, wired once to the run's symbol table, and the stats frame the
-// worker records into. It is the only place the per-chunk fallback
+// chunkMapper is the map phase of one worker: the two lexers a chunk can
+// go through, wired once to the run's symbol table, and the stats frame
+// the worker records into. It is the only place the per-chunk fallback
 // ladder is written; both run shapes drive it. A collector keeps its
 // mappers warm between ingests (ShardedCollector.mapper), which is what
 // symbols and widest are remembered for.
 type chunkMapper struct {
-	ia      *IndexAbsorber        // nil unless Options.Map is MapIndexed
-	ms      *mison.TokenSource    // the default lexer
+	ia      *IndexAbsorber        // the structural index and both walks over it
 	tr      *jsontext.TokenReader // reference lexer, for chunks the index rejects
 	symbols *jsontext.SymbolTable // what the lexers intern through
-	widest  int                   // longest chunk lexed: the lexers' bitmaps are that wide
+	widest  int                   // longest chunk lexed: the index's bitmaps are that wide
 	st      *PipelineStats
 	frame   statsFrame
 }
 
 func newChunkMapper(opts Options) *chunkMapper {
-	m := &chunkMapper{ms: mison.NewTokenSource(), tr: jsontext.NewTokenReaderBytes(nil), symbols: opts.Symbols, st: opts.Stats}
-	m.ms.SetInternStrings(true)
+	m := &chunkMapper{ia: NewIndexAbsorber(), tr: jsontext.NewTokenReaderBytes(nil), symbols: opts.Symbols, st: opts.Stats}
+	m.ia.SetInternStrings(true)
 	m.tr.SetInternStrings(true)
-	if opts.Map == MapIndexed {
-		m.ia = NewIndexAbsorber()
-		m.ia.SetInternStrings(true)
-	}
 	if opts.Symbols != nil {
-		m.ms.SetSymbolTable(opts.Symbols)
+		m.ia.SetSymbolTable(opts.Symbols)
 		m.tr.SetSymbolTable(opts.Symbols)
-		if m.ia != nil {
-			m.ia.SetSymbolTable(opts.Symbols)
-		}
 	}
 	return m
 }
 
 // absorb absorbs every document of ch into acc and releases the chunk:
-// off the structural index under MapIndexed (records the index cannot
-// certify fall back to the token walker inside AbsorbFromIndex),
-// through the mison token source otherwise, and through the reference
-// lexer when the structural index rejects the chunk outright (odd quote
-// parity, unbalanced nesting) — that lexer then reports the
-// authoritative error for whatever is wrong. It returns the number of
-// documents absorbed and the first error; acc then holds exactly the
-// documents before it (a failed document's staged frames are aborted).
+// off the structural index (records the index walk cannot certify fall
+// back to the token walk over the same index inside AbsorbFromIndex),
+// or, when the index rejects the chunk outright (odd quote parity),
+// through the reference lexer — which then reports the authoritative
+// error for whatever is wrong. It returns the number of documents
+// absorbed and the first error; acc then holds exactly the documents
+// before it (a failed document's staged frames are aborted).
 func (m *chunkMapper) absorb(ch byteChunk, acc *typelang.Accum) (int, error) {
 	m.frame.BytesLexed += int64(len(ch.data))
 	m.widest = max(m.widest, len(ch.data))
@@ -285,7 +277,7 @@ func (m *chunkMapper) absorb(ch byteChunk, acc *typelang.Accum) (int, error) {
 		n   int
 		err error
 	)
-	if m.ia != nil && m.ia.Reset(ch.data, ch.base) == nil {
+	if m.ia.Reset(ch.data, ch.base) == nil {
 		for err = AbsorbFromIndex(m.ia, acc); err == nil; err = AbsorbFromIndex(m.ia, acc) {
 			n++
 		}
@@ -294,22 +286,11 @@ func (m *chunkMapper) absorb(ch byteChunk, acc *typelang.Accum) (int, error) {
 		m.frame.FallbackRecords += fb
 		m.frame.ScanDelegations += m.ia.TakeScanDelegations()
 	} else {
-		var src jsontext.TokenSource = m.ms
-		rejected := m.ia != nil
-		if m.ms.Reset(ch.data, ch.base) != nil {
-			rejected = true
-			m.tr.ResetBytes(ch.data, ch.base)
-			src = m.tr
-		}
-		if rejected {
-			// One reject per chunk, however many index layers bounced
-			// it before the token path took over.
-			m.frame.ParityRejects++
-		}
-		for err = AbsorbFromTokens(src, acc); err == nil; err = AbsorbFromTokens(src, acc) {
+		m.frame.ParityRejects++
+		m.tr.ResetBytes(ch.data, ch.base)
+		for err = AbsorbFromTokens(m.tr, acc); err == nil; err = AbsorbFromTokens(m.tr, acc) {
 			n++
 		}
-		m.frame.ScanDelegations += m.ms.TakeDelegations()
 	}
 	statsSince(m.st, &m.frame.MapNanos, start)
 	ch.buf.release()
@@ -334,7 +315,7 @@ func (f *statsFrame) seal(acc *typelang.Accum, st *PipelineStats, clock *int64) 
 // the collection, returning it with the number of documents typed. The
 // input is split into runs of whole documents and each run is lexed and
 // absorbed straight into a typelang.Accum (see chunkMapper.absorb for
-// the lexer ladder and Options.Map for the two map phases).
+// the lexer ladder).
 //
 // The shape of the run is stream's to decide, from Options.Workers and
 // from whether the input has a second chunk at all, and nothing else

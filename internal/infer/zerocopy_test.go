@@ -250,14 +250,14 @@ func TestInferStreamBytesStats(t *testing.T) {
 	}
 }
 
-// TestSequentialIndexedEngineStats pins the one-worker shape under
-// MapIndexed: chunked absorption off the structural index, one seal,
-// and the fast path actually taken on clean input.
+// TestSequentialIndexedEngineStats pins the one-worker shape: chunked
+// absorption off the structural index, one seal, and the fast path
+// taken by every record of a clean input.
 func TestSequentialIndexedEngineStats(t *testing.T) {
 	docs := genjson.Collection(genjson.Twitter{Seed: 95}, 600)
 	data := jsontext.MarshalLines(docs)
 	var st PipelineStats
-	_, n, err := InferStream(bytes.NewReader(data), Options{Workers: 1, Map: MapIndexed, Batch: 64, Stats: &st})
+	_, n, err := InferStream(bytes.NewReader(data), Options{Workers: 1, Batch: 64, Stats: &st})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,8 +271,8 @@ func TestSequentialIndexedEngineStats(t *testing.T) {
 	if s.ChunksSplit == 0 {
 		t.Errorf("one-worker indexed run split no chunks; the index needs whole byte chunks")
 	}
-	if s.IndexRecords == 0 {
-		t.Errorf("clean input absorbed no records off the index (fallbacks: %d)", s.FallbackRecords)
+	if s.IndexRecords != 600 || s.FallbackRecords != 0 {
+		t.Errorf("clean input absorbed %d of 600 records off the index (fallbacks: %d)", s.IndexRecords, s.FallbackRecords)
 	}
 	if s.BytesLexed != int64(len(data)) {
 		t.Errorf("BytesLexed = %d, want %d", s.BytesLexed, len(data))

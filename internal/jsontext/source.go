@@ -53,14 +53,12 @@ func (s *Scanner) SetInternStrings(on bool) {
 	}
 }
 
-// InternMap returns the scanner's intern cache, enabling interning if
-// it was off. A caller with its own string fast path (the mison
-// tokenizer) shares this one cache, so a name dedups identically
-// whether it was decoded by the fast path or by a delegated token.
-func (s *Scanner) InternMap() map[string]string {
-	s.SetInternStrings(true)
-	return s.lex.intern
-}
+// Intern returns b as a string through the scanner's intern cache and
+// shared symbol table, exactly as a decoded field name would be. A
+// caller with its own string fast path (the mison token source) dedups
+// the names it certifies positionally here, so a name is the same
+// string whether the fast path or a delegated token decoded it.
+func (s *Scanner) Intern(b []byte) string { return s.lex.internBytes(b) }
 
 // SetSymbolTable attaches a shared field-name interner behind the
 // private intern cache, exactly as TokenReader.SetSymbolTable does.

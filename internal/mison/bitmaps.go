@@ -22,14 +22,6 @@ type Bitmaps struct {
 	LBracket  []uint64
 	RBracket  []uint64
 
-	// Ctrl marks control bytes (< 0x20) and NonASCII bytes >= 0x80,
-	// escape-unfiltered — the cleanliness classes the index-driven
-	// absorber needs to certify that a string span can be skipped (no
-	// control bytes) or its bytes interned verbatim (ASCII only),
-	// mirroring the TokenSource's private ctrl/nonascii bitmaps.
-	Ctrl     []uint64
-	NonASCII []uint64
-
 	// StringMask has bit i set when byte i lies inside a string
 	// literal (the opening quote's bit is set, the closing quote's bit
 	// is clear) — phase 3's prefix-XOR product.
@@ -59,8 +51,6 @@ func (b *Bitmaps) build(data []byte) {
 	b.RBrace = resetWords(b.RBrace, nw)
 	b.LBracket = resetWords(b.LBracket, nw)
 	b.RBracket = resetWords(b.RBracket, nw)
-	b.Ctrl = resetWords(b.Ctrl, nw)
-	b.NonASCII = resetWords(b.NonASCII, nw)
 	// Phase 1+2 on the shared SWAR classifier (swar.go): each 64-byte
 	// bitmap word is classified eight bytes at a time with the same
 	// word-at-a-time compares the Chunker and TokenSource use, then the
@@ -72,7 +62,7 @@ func (b *Bitmaps) build(data []byte) {
 	var escCarry uint64
 	for w := 0; w < nw; w++ {
 		base := w * 64
-		var bs, qt, co, cm, lb, rb, lk, rk, ct, na uint64
+		var bs, qt, co, cm, lb, rb, lk, rk uint64
 		for lane := 0; lane < 8 && base+lane*8 < len(data); lane++ {
 			v := loadWord(data, base+lane*8)
 			sh := uint(lane * 8)
@@ -84,13 +74,6 @@ func (b *Bitmaps) build(data []byte) {
 			rb |= swarEq(v, '}') << sh
 			lk |= swarEq(v, '[') << sh
 			rk |= swarEq(v, ']') << sh
-			ct |= swarLess(v, 0x20) << sh
-			na |= swarNonASCII(v) << sh
-		}
-		if valid := len(data) - base; valid < 64 {
-			// loadWord zero-pads past the end of data, and a zero byte
-			// classifies as a control byte; strike the phantom bits.
-			ct &= (uint64(1) << uint(valid)) - 1
 		}
 		var esc uint64
 		if bs|escCarry != 0 { // escapes are rare; skip the walk entirely
@@ -102,8 +85,6 @@ func (b *Bitmaps) build(data []byte) {
 		}
 		keep := ^esc
 		b.Backslash[w] = bs
-		b.Ctrl[w] = ct
-		b.NonASCII[w] = na
 		b.Quote[w] = qt & keep
 		b.Colon[w] = co & keep
 		b.Comma[w] = cm & keep

@@ -15,29 +15,29 @@
 // The production face is the streamed-inference fast path: Chunker
 // finds document-aligned chunk boundaries for infer.InferStream
 // through the string/depth bitmaps, walking only structural characters
-// after a branch-free word-at-a-time classification, and TokenSource
-// lexes whole chunks behind the jsontext.TokenSource pull interface —
-// string payloads are skipped positionally via the quote bitmap, plain
-// integers and literals are decided by direct comparison, and
-// everything the bitmaps cannot prove clean is delegated per token to
-// the reference lexer (jsontext.Scanner), keeping results
-// byte-identical to jsontext.TokenReader on every input. Chunks whose
-// quote parity the index rejects fall back wholesale to the plain
-// lexer; all rejection and defect errors are *IndexError values with
-// absolute byte offsets.
-//
-// FieldWalker goes one layer below TokenSource for the index-driven
-// map phase (infer.AbsorbFromIndex, Options.Map: MapIndexed): instead
+// after a branch-free word-at-a-time classification, and one structural
+// index per chunk serves the map phase. TokenSource owns it: Reset
+// raises the quote, backslash-or-control and non-ASCII bitmaps in one
+// pass and checks quote parity, and the delegated reference lexer
+// (jsontext.Scanner), the field-name intern cache and the delegation
+// counter live there too. Two walks read the index. FieldWalker — a
+// view over a TokenSource it owns, adding the one structural-character
+// bitmap — drives infer.AbsorbFromIndex, the production walk: instead
 // of lexing a token per structural character it answers positional
-// questions off the bitmaps directly — NextStructural/StructuralAt
-// make separator checks O(1) against a merged structural-class bitmap,
-// CloseQuote/SkippableSpan/VerbatimSpan certify string spans from the
-// quote/backslash/control/non-ASCII classes, PlainInt resolves plain
-// integers — so object absorption walks field-span-at-a-time and
-// separator tokens are never materialised at all. Anything unprovable
-// delegates to the same jsontext.Scanner (ScanValueAt), and the
-// absorber falls back per record to the token walker, keeping
-// absorption byte-identical to the token path on every input.
+// questions off the bitmaps directly — NextStructural makes separator
+// checks O(1), CloseQuote/SkippableSpan/VerbatimSpan certify string
+// spans, PlainInt resolves plain integers — so object absorption walks
+// field-span-at-a-time and separator tokens are never materialised at
+// all. TokenSource's own ReadToken, behind the jsontext.TokenSource
+// pull interface, is the token walk over the same bitmaps — string
+// payloads skipped positionally via the quote bitmap, plain integers
+// and literals decided by direct comparison — which re-reads the
+// records the index walk cannot certify (FieldWalker.TokensAt).
+// Everything the bitmaps cannot prove clean is delegated per token to
+// the reference lexer, keeping both walks byte-identical to
+// jsontext.TokenReader on every input. Chunks whose quote parity the
+// index rejects fall back wholesale to the plain lexer; all rejection
+// and defect errors are *IndexError values with absolute byte offsets.
 //
 // Substitution note (recorded in DESIGN.md): the original uses AVX2
 // SIMD to build per-character bitmaps. Go with stdlib only has no

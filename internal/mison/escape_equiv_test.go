@@ -93,32 +93,34 @@ func assertEscapeImplementationsAgree(t *testing.T, label string, data []byte) b
 	return ok
 }
 
+// escapeAdversarial holds the layouts where escape carries are hardest:
+// backslash runs of every parity straddling the 64-byte word boundary,
+// escaped quotes at word edges, and all-backslash input.
+var escapeAdversarial = map[string]string{
+	"empty":                "",
+	"lone-backslash":       `\`,
+	"escaped-quote":        `\"`,
+	"double-backslash":     `\\`,
+	"triple-then-quote":    `\\\"`,
+	"all-backslash-63":     strings.Repeat(`\`, 63),
+	"all-backslash-64":     strings.Repeat(`\`, 64),
+	"all-backslash-65":     strings.Repeat(`\`, 65),
+	"all-backslash-129":    strings.Repeat(`\`, 129),
+	"run-ends-at-word":     strings.Repeat("x", 62) + `\"` + strings.Repeat("y", 10),
+	"run-straddles-word":   strings.Repeat("x", 63) + `\"` + strings.Repeat("y", 10),
+	"odd-run-into-word":    strings.Repeat("x", 59) + strings.Repeat(`\`, 5) + `"tail"`,
+	"even-run-into-word":   strings.Repeat("x", 58) + strings.Repeat(`\`, 6) + `"tail"`,
+	"alternating":          strings.Repeat(`\"`, 70),
+	"quotes-only":          strings.Repeat(`"`, 130),
+	"json-ish":             `{"a": "x\\", "b\"c": "\\\"", "d": [1, "\\\\"]}`,
+	"tail-escape-pending":  strings.Repeat("x", 64) + `abc\`,
+	"carry-into-tail-word": strings.Repeat(`\`, 64) + `"x`,
+}
+
 // TestEscapeRemovalImplementationsAgreeAdversarial drives the pair over
-// the layouts where escape carries are hardest: backslash runs of every
-// parity straddling the 64-byte word boundary, escaped quotes at word
-// edges, and all-backslash input.
+// the escapeAdversarial layouts.
 func TestEscapeRemovalImplementationsAgreeAdversarial(t *testing.T) {
-	cases := map[string]string{
-		"empty":                "",
-		"lone-backslash":       `\`,
-		"escaped-quote":        `\"`,
-		"double-backslash":     `\\`,
-		"triple-then-quote":    `\\\"`,
-		"all-backslash-63":     strings.Repeat(`\`, 63),
-		"all-backslash-64":     strings.Repeat(`\`, 64),
-		"all-backslash-65":     strings.Repeat(`\`, 65),
-		"all-backslash-129":    strings.Repeat(`\`, 129),
-		"run-ends-at-word":     strings.Repeat("x", 62) + `\"` + strings.Repeat("y", 10),
-		"run-straddles-word":   strings.Repeat("x", 63) + `\"` + strings.Repeat("y", 10),
-		"odd-run-into-word":    strings.Repeat("x", 59) + strings.Repeat(`\`, 5) + `"tail"`,
-		"even-run-into-word":   strings.Repeat("x", 58) + strings.Repeat(`\`, 6) + `"tail"`,
-		"alternating":          strings.Repeat(`\"`, 70),
-		"quotes-only":          strings.Repeat(`"`, 130),
-		"json-ish":             `{"a": "x\\", "b\"c": "\\\"", "d": [1, "\\\\"]}`,
-		"tail-escape-pending":  strings.Repeat("x", 64) + `abc\`,
-		"carry-into-tail-word": strings.Repeat(`\`, 64) + `"x`,
-	}
-	for name, data := range cases {
+	for name, data := range escapeAdversarial {
 		assertEscapeImplementationsAgree(t, name, []byte(data))
 	}
 }

@@ -6,18 +6,19 @@ import (
 	"repro/internal/jsontext"
 )
 
-// FieldWalker is the driving surface of index-driven absorption: it
-// owns the phase-1–3 structural bitmaps of one chunk — unescaped
-// quotes, string mask, the six structural-character classes, plus the
-// cleanliness classes (control and non-ASCII bytes) — and answers the
-// positional questions a chunk absorber asks while walking records
-// field-span-at-a-time: where the next structural character sits,
-// whether it is the separator the grammar expects, where a string span
-// closes, whether a span is clean enough to skip or intern verbatim,
-// where a plain integer ends. Everything the bitmaps cannot prove
-// clean delegates to a jsontext.Scanner at the same position, exactly
-// as the TokenSource does, so accept/reject decisions stay
-// byte-identical to the reference lexer's.
+// FieldWalker is the driving surface of index-driven absorption: a view
+// over the TokenSource it owns. The token source keeps the chunk, the
+// one word-at-a-time build of the quote, backslash-or-control and
+// non-ASCII bitmaps with its quote-parity check, the delegated
+// reference scanner and the field-name intern cache; the walker adds
+// the one bitmap only it reads — every structural character outside a
+// string — and answers the positional questions a chunk absorber asks
+// while walking records field-span-at-a-time: where the next structural
+// character sits, where a string span closes, whether a span is clean
+// enough to skip or intern verbatim, where a plain integer ends.
+// Everything the bitmaps cannot prove clean delegates to the reference
+// scanner at the same position, exactly as the token walk does, so
+// accept/reject decisions stay byte-identical to the reference lexer's.
 //
 // Deliberately absent is phase 4, the materialised leveled colon
 // lists: the absorber's recursive walk IS the leveling — its call
@@ -30,227 +31,124 @@ import (
 //
 // The walker holds no byte cursor of its own: the absorber
 // (infer.AbsorbFromIndex) drives the walk and keeps position and
-// next-structural cursors, bailing out to the token walker per record
-// whenever a question here answers "not provable". Reset rebinds the
-// walker to a new chunk, reusing all bitmap storage, so one warm
-// walker per worker absorbs an arbitrary number of chunks without
+// next-structural cursors, and hands a record to the token walk
+// (TokensAt) whenever a question here answers "not provable". Reset
+// rebinds the walker to a new chunk, reusing all bitmap storage, so one
+// warm walker per worker absorbs an arbitrary number of chunks without
 // per-chunk allocation.
 //
 // A FieldWalker is not safe for concurrent use.
 type FieldWalker struct {
-	data []byte
-	base int
-	bm   Bitmaps
-	// merged is the union of the six structural classes — the single
-	// bitmap NextStructural scans.
-	merged []uint64
-
-	scan    jsontext.Scanner
-	intern  map[string]string
-	symbols *jsontext.SymbolTable
-
-	// delegations counts spans handed to the reference scanner instead
-	// of certified positionally (ScanValueAt calls), harvested per chunk
-	// by the pipeline's stage stats (TakeDelegations).
-	delegations int64
+	ts TokenSource
+	// structural marks the six structural characters { } [ ] : , that
+	// lie outside string literals — the bitmap NextStructural scans.
+	// Which of the six sits at a marked position is the byte itself.
+	structural []uint64
 }
 
 // NewFieldWalker returns an empty walker; bind it to a chunk with
 // Reset.
 func NewFieldWalker() *FieldWalker { return &FieldWalker{} }
 
-// SetInternStrings toggles the decoded-string intern cache for field
-// names, mirroring TokenSource.SetInternStrings. The cache survives
-// Reset and is shared with the delegated scanner, so a name dedups
-// identically whether the fast path or a delegated token decoded it.
-func (w *FieldWalker) SetInternStrings(on bool) {
-	if on {
-		w.intern = w.scan.InternMap()
-	} else {
-		w.scan.SetInternStrings(false)
-		w.intern = nil
-		w.symbols = nil
-	}
-}
+// SetInternStrings toggles the field-name intern cache
+// (TokenSource.SetInternStrings).
+func (w *FieldWalker) SetInternStrings(on bool) { w.ts.SetInternStrings(on) }
 
-// SetSymbolTable attaches a shared field-name interner behind the
-// private intern cache (which it enables), mirroring
-// TokenSource.SetSymbolTable. Pass nil to detach.
-func (w *FieldWalker) SetSymbolTable(st *jsontext.SymbolTable) {
-	w.symbols = st
-	w.scan.SetSymbolTable(st)
-	if st != nil && w.intern == nil {
-		w.intern = w.scan.InternMap()
-	}
-}
+// SetSymbolTable attaches a shared field-name interner
+// (TokenSource.SetSymbolTable). Pass nil to detach.
+func (w *FieldWalker) SetSymbolTable(st *jsontext.SymbolTable) { w.ts.SetSymbolTable(st) }
 
 // Reset rebinds the walker to a chunk whose first byte sits at absolute
-// stream offset base, rebuilding the structural bitmaps in place. It
-// returns an *IndexError (absolute offset) when the index rejects the
-// chunk — an odd number of structural quotes, i.e. an unterminated
-// string literal — and the caller falls back to the token walker for
-// the whole chunk, which reports the authoritative error for whatever
-// is wrong. Unbalanced nesting needs no up-front check here: the
-// absorber's grammar walk catches it positionally and falls back per
-// record.
+// stream offset base: the token source rebuilds its bitmaps in place,
+// and a second word-at-a-time pass marks the structural characters,
+// masked by the string mask (the bit-parallel prefix XOR of the quote
+// bitmap, carried across words). It returns the token source's
+// *IndexError when the index rejects the chunk — odd quote parity, i.e.
+// an unterminated string literal — before that second pass is paid, and
+// the caller lexes the whole chunk through the reference lexer, which
+// reports the authoritative error for whatever is wrong. Unbalanced
+// nesting needs no up-front check: the absorber's grammar walk catches
+// it positionally and falls back per record. Nor are escaped positions
+// outside strings struck from the bitmap, as the projecting Parser's
+// builder (bitmaps.go) strikes them: the backslash before one is a
+// syntax error no certified span covers, so the walk bails before it
+// could consume the character.
 func (w *FieldWalker) Reset(data []byte, base int) error {
-	w.data, w.base = data, base
-	w.bm.build(data)
-	bm := &w.bm
-	nw := len(bm.Quote)
-	if cap(w.merged) < nw {
-		w.merged = make([]uint64, nw)
+	if err := w.ts.Reset(data, base); err != nil {
+		return err
 	}
-	w.merged = w.merged[:nw]
-	parity := 0
-	for i := 0; i < nw; i++ {
-		w.merged[i] = bm.Colon[i] | bm.Comma[i] | bm.LBrace[i] | bm.RBrace[i] | bm.LBracket[i] | bm.RBracket[i]
-		parity ^= bits.OnesCount64(bm.Quote[i]) & 1
-	}
-	if parity == 1 {
-		return &IndexError{Offset: base + lastSetBit(bm.Quote), Msg: "unterminated string literal (index rejects chunk)"}
+	quote := w.ts.quote
+	w.structural = resetWords(w.structural, len(quote))
+	var inString uint64 // all-ones while a string is open across a word edge
+	for i, q := range quote {
+		var s uint64
+		for lane := 0; lane < 64 && i*64+lane < len(data); lane += 8 {
+			v := loadWord(data, i*64+lane)
+			s |= (swarEq(v, ':') | swarEq(v, ',') | swarEq(v, '{') | swarEq(v, '}') | swarEq(v, '[') | swarEq(v, ']')) << uint(lane)
+		}
+		w.structural[i] = s &^ (prefixXor(q) ^ inString)
+		if bits.OnesCount64(q)&1 == 1 {
+			inString = ^inString
+		}
 	}
 	return nil
 }
 
-// Data returns the chunk the walker is bound to.
-func (w *FieldWalker) Data() []byte { return w.data }
-
-// Base returns the absolute stream offset of Data()[0].
-func (w *FieldWalker) Base() int { return w.base }
+// TokensAt returns the walker's token source positioned at pos of the
+// chunk — the token walk over the bitmaps Reset already built, for a
+// record the index walk cannot certify.
+func (w *FieldWalker) TokensAt(pos int) *TokenSource {
+	w.ts.pos = pos
+	return &w.ts
+}
 
 // NextStructural returns the position of the first structural
-// character (of any of the six classes, outside strings, unescaped) at
-// or after from, or -1. The absorber keeps this as its second cursor:
-// a separator is legitimate exactly when it sits at the byte cursor
-// AND is the next unconsumed structural character — which
-// simultaneously proves every byte before it was consumed by certified
-// spans and whitespace.
-func (w *FieldWalker) NextStructural(from int) int { return nextSetBit(w.merged, from) }
-
-// StructuralAt reports whether position pos holds a structural
-// character of exactly class ch.
-func (w *FieldWalker) StructuralAt(pos int, ch byte) bool {
-	switch ch {
-	case ':':
-		return hasBit(w.bm.Colon, pos)
-	case ',':
-		return hasBit(w.bm.Comma, pos)
-	case '{':
-		return hasBit(w.bm.LBrace, pos)
-	case '}':
-		return hasBit(w.bm.RBrace, pos)
-	case '[':
-		return hasBit(w.bm.LBracket, pos)
-	case ']':
-		return hasBit(w.bm.RBracket, pos)
-	}
-	return false
-}
+// character (of any of the six classes, outside strings) at or after
+// from, or -1. The absorber keeps this as its second cursor: a
+// separator is legitimate exactly when it sits at the byte cursor AND
+// is the next unconsumed structural character — which simultaneously
+// proves every byte before it was consumed by certified spans and
+// whitespace.
+func (w *FieldWalker) NextStructural(from int) int { return nextSetBit(w.structural, from) }
 
 // StructuralQuote reports whether the byte at p is a structural
 // (unescaped, string-opening-or-closing) quote.
-func (w *FieldWalker) StructuralQuote(p int) bool { return hasBit(w.bm.Quote, p) }
+func (w *FieldWalker) StructuralQuote(p int) bool { return hasBit(w.ts.quote, p) }
 
 // CloseQuote returns the position of the next structural quote at or
 // after from, or -1 — the closing quote of a string whose opening
 // quote sits just before from, found without touching the payload
 // bytes.
-func (w *FieldWalker) CloseQuote(from int) int { return nextSetBit(w.bm.Quote, from) }
+func (w *FieldWalker) CloseQuote(from int) int { return nextSetBit(w.ts.quote, from) }
 
 // SkippableSpan reports whether the string payload [lo, hi) can be
 // accepted without scanning it: no backslash (no escapes to validate)
 // and no control byte (which the lexer rejects). Non-ASCII bytes are
 // fine — skip-mode validation accepts them unexamined, exactly as the
 // reference lexer does.
-func (w *FieldWalker) SkippableSpan(lo, hi int) bool {
-	return !anyInRange(w.bm.Backslash, lo, hi) && !anyInRange(w.bm.Ctrl, lo, hi)
-}
+func (w *FieldWalker) SkippableSpan(lo, hi int) bool { return !anyInRange(w.ts.dirty, lo, hi) }
 
 // VerbatimSpan reports whether the string payload [lo, hi) decodes to
 // exactly its own bytes: skippable and pure ASCII (non-ASCII payloads
 // go through the lexer's UTF-8-sanitising decode path instead).
 func (w *FieldWalker) VerbatimSpan(lo, hi int) bool {
-	return w.SkippableSpan(lo, hi) && !anyInRange(w.bm.NonASCII, lo, hi)
+	return w.SkippableSpan(lo, hi) && !anyInRange(w.ts.nonascii, lo, hi)
 }
 
-// InternSpan interns the bytes [lo, hi) as a field name, through the
-// private cache and the shared symbol table when attached — the same
-// dedup the TokenSource applies to positionally-decoded names.
-func (w *FieldWalker) InternSpan(lo, hi int) string {
-	b := w.data[lo:hi]
-	if w.intern == nil {
-		if w.symbols != nil {
-			return w.symbols.Intern(b)
-		}
-		return string(b)
-	}
-	if s, ok := w.intern[string(b)]; ok {
-		return s
-	}
-	var s string
-	if w.symbols != nil {
-		s = w.symbols.Intern(b)
-	} else {
-		s = string(b)
-	}
-	w.intern[s] = s
-	return s
-}
+// InternSpan interns the bytes [lo, hi) as a field name — the same
+// dedup the token walk applies to positionally-decoded names.
+func (w *FieldWalker) InternSpan(lo, hi int) string { return w.ts.scan.Intern(w.ts.data[lo:hi]) }
 
-// TakeDelegations returns the number of spans delegated to the
-// reference scanner since the last call, and resets the count — the
-// harvest point of the pipeline's per-chunk stage stats.
-func (w *FieldWalker) TakeDelegations() int64 {
-	n := w.delegations
-	w.delegations = 0
-	return n
-}
+// TakeDelegations returns (and resets) the number of tokens either walk
+// delegated to the reference scanner (TokenSource.TakeDelegations).
+func (w *FieldWalker) TakeDelegations() int64 { return w.ts.TakeDelegations() }
 
 // PlainInt resolves a plain integer literal at pos — no fraction, no
 // exponent, at most 18 digits — returning its end position and float64
-// value, mirroring the reference lexer's allocation-free skip-mode
-// grammar exactly (TokenSource.fastNumber and lexer.parsePlainInt make
-// the same decisions). ok is false for every other spelling; the
-// caller delegates those to ScanValueAt for identical accept/reject
-// behaviour.
+// value (plainInt, the token walk's own grammar). ok is false for every
+// other spelling; the caller delegates those to ScanValueAt.
 func (w *FieldWalker) PlainInt(pos int) (end int, f float64, ok bool) {
-	data := w.data
-	i := pos
-	if data[i] == '-' {
-		i++
-	}
-	switch {
-	case i < len(data) && data[i] == '0':
-		i++
-	case i < len(data) && data[i] >= '1' && data[i] <= '9':
-		for i < len(data) && data[i] >= '0' && data[i] <= '9' {
-			i++
-		}
-	default:
-		return 0, 0, false
-	}
-	if i < len(data) && (data[i] == '.' || data[i] == 'e' || data[i] == 'E') {
-		return 0, 0, false
-	}
-	digits := i - pos
-	neg := data[pos] == '-'
-	if neg {
-		digits--
-	}
-	if digits > 18 {
-		return 0, 0, false
-	}
-	var v int64
-	for _, c := range data[pos:i] {
-		if c != '-' {
-			v = v*10 + int64(c-'0')
-		}
-	}
-	if neg {
-		v = -v
-	}
-	return i, float64(v), true
+	return plainInt(w.ts.data, pos)
 }
 
 // ScanValueAt hands the token at pos to the reference scanner —
@@ -259,14 +157,5 @@ func (w *FieldWalker) PlainInt(pos int) (end int, f float64, ok bool) {
 // stream), the chunk-relative position of the first byte after it, and
 // any error (also rebased).
 func (w *FieldWalker) ScanValueAt(pos int, skip bool) (jsontext.Token, int, error) {
-	w.delegations++
-	tok, end, err := w.scan.ScanAt(w.data, pos, skip)
-	if err != nil {
-		if se, ok := err.(*jsontext.SyntaxError); ok {
-			return jsontext.Token{}, pos, &jsontext.SyntaxError{Offset: se.Offset + w.base, Msg: se.Msg}
-		}
-		return jsontext.Token{}, pos, err
-	}
-	tok.Offset += w.base
-	return tok, end, nil
+	return w.ts.scanAt(pos, skip)
 }

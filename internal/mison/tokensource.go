@@ -8,10 +8,14 @@ import (
 
 // TokenSource lexes one in-memory chunk of JSON through the structural
 // index, implementing the same pull interface as jsontext.TokenReader
-// (jsontext.TokenSource). It is the Mison fast path of the streamed
-// inference pipeline: Reset runs phases 1–3 over the chunk — quote,
-// backslash, control and non-ASCII bitmaps, escape filtering, all
-// word-at-a-time — and ReadToken then resolves the common tokens
+// (jsontext.TokenSource). It owns everything the streamed map phase
+// raises once per chunk: Reset runs phases 1–3 over the chunk — quote,
+// backslash-or-control and non-ASCII bitmaps, escape filtering, all
+// word-at-a-time in one pass — and both walkers read them. The
+// FieldWalker (the index-driven absorber's view, fieldwalker.go) adds
+// the structural-character bitmap on top; ReadToken is the token walk
+// over the same bitmaps, used for the records that walk cannot certify
+// and by anything that wants tokens. It resolves the common tokens
 // positionally:
 //
 //   - a string's closing quote is the next structural-quote bit, so
@@ -39,16 +43,17 @@ type TokenSource struct {
 	pos  int
 
 	// Structural bitmaps of the current chunk, one bit per byte:
-	// unescaped quotes, all backslashes, control bytes (< 0x20) and
-	// non-ASCII bytes (>= 0x80).
-	quote     []uint64
-	backslash []uint64
-	ctrl      []uint64
-	nonascii  []uint64
+	// unescaped quotes; backslashes and control bytes (< 0x20) together —
+	// what a string span must hold none of to be accepted unscanned, and
+	// nothing reads the two apart; non-ASCII bytes (>= 0x80).
+	quote    []uint64
+	dirty    []uint64
+	nonascii []uint64
 
-	scan    jsontext.Scanner
-	intern  map[string]string
-	symbols *jsontext.SymbolTable
+	// scan is the reference lexer tokens are delegated to. It also owns
+	// the field-name intern cache and the shared symbol table, so a name
+	// dedups identically whichever path decoded it.
+	scan jsontext.Scanner
 
 	// delegations counts tokens handed to the reference scanner instead
 	// of resolved positionally — the fast path's miss counter, harvested
@@ -65,29 +70,15 @@ func NewTokenSource() *TokenSource { return &TokenSource{} }
 
 // SetInternStrings toggles the decoded-string intern cache for field
 // names, mirroring TokenReader.SetInternStrings. The cache survives
-// Reset and is shared with the delegated lexer, so a chunk worker
-// dedups every name once no matter which path decoded it.
-func (ts *TokenSource) SetInternStrings(on bool) {
-	if on {
-		ts.intern = ts.scan.InternMap()
-	} else {
-		ts.scan.SetInternStrings(false)
-		ts.intern = nil
-		ts.symbols = nil
-	}
-}
+// Reset and is the delegated lexer's own, so a chunk worker dedups
+// every name once no matter which path decoded it.
+func (ts *TokenSource) SetInternStrings(on bool) { ts.scan.SetInternStrings(on) }
 
 // SetSymbolTable attaches a shared field-name interner behind the
 // private intern cache (which it enables), mirroring
 // jsontext.TokenReader.SetSymbolTable; both the positional fast path and
 // the delegated lexer canonicalise names through st. Pass nil to detach.
-func (ts *TokenSource) SetSymbolTable(st *jsontext.SymbolTable) {
-	ts.symbols = st
-	ts.scan.SetSymbolTable(st)
-	if st != nil && ts.intern == nil {
-		ts.intern = ts.scan.InternMap()
-	}
-}
+func (ts *TokenSource) SetSymbolTable(st *jsontext.SymbolTable) { ts.scan.SetSymbolTable(st) }
 
 // Reset rebinds the source to a chunk whose first byte sits at absolute
 // stream offset base, rebuilding the structural bitmaps in place. It
@@ -100,8 +91,7 @@ func (ts *TokenSource) Reset(data []byte, base int) error {
 	ts.data, ts.base, ts.pos = data, base, 0
 	nw := words(len(data))
 	ts.quote = resetWords(ts.quote, nw)
-	ts.backslash = resetWords(ts.backslash, nw)
-	ts.ctrl = resetWords(ts.ctrl, nw)
+	ts.dirty = resetWords(ts.dirty, nw)
 	ts.nonascii = resetWords(ts.nonascii, nw)
 	parity := 0
 	var escCarry uint64
@@ -141,7 +131,7 @@ func (ts *TokenSource) Reset(data []byte, base int) error {
 			esc, escCarry = escapedMaskTail(bs, escCarry, n)
 			q &^= esc
 		}
-		ts.quote[w], ts.backslash[w], ts.ctrl[w], ts.nonascii[w] = q, bs, ct, na
+		ts.quote[w], ts.dirty[w], ts.nonascii[w] = q, bs|ct, na
 		parity ^= bits.OnesCount64(q) & 1
 	}
 	if parity == 1 {
@@ -202,9 +192,11 @@ func (ts *TokenSource) readToken(skip bool) (jsontext.Token, error) {
 		}
 		return ts.delegate(pos, skip)
 	default:
-		if c == '-' || (c >= '0' && c <= '9') {
-			if tok, ok := ts.fastNumber(pos, skip); ok {
-				return tok, nil
+		// Decoding mode keeps NumRaw, so only skip mode takes the fast path.
+		if skip && (c == '-' || (c >= '0' && c <= '9')) {
+			if end, f, ok := plainInt(data, pos); ok {
+				ts.pos = end
+				return jsontext.Token{Kind: jsontext.TokNumber, Num: f, Offset: ts.base + pos}, nil
 			}
 		}
 		return ts.delegate(pos, skip)
@@ -242,31 +234,27 @@ func (ts *TokenSource) readString(open int, skip bool) (jsontext.Token, error) {
 		// Unterminated: the reference lexer words the error.
 		return ts.delegate(open, skip)
 	}
-	if anyInRange(ts.backslash, open+1, close) || anyInRange(ts.ctrl, open+1, close) ||
-		(!skip && anyInRange(ts.nonascii, open+1, close)) {
+	if anyInRange(ts.dirty, open+1, close) || (!skip && anyInRange(ts.nonascii, open+1, close)) {
 		return ts.delegate(open, skip)
 	}
 	var s string
 	if !skip {
-		s = ts.internBytes(ts.data[open+1 : close])
+		s = ts.scan.Intern(ts.data[open+1 : close])
 	}
 	ts.pos = close + 1
 	return jsontext.Token{Kind: jsontext.TokString, Str: s, Offset: ts.base + open}, nil
 }
 
-// fastNumber resolves plain integer literals — no sign beyond a leading
-// '-', no fraction, no exponent, at most 18 digits — without strconv,
-// mirroring the reference lexer's allocation-free skip-mode path (the
-// int64 → float64 conversion rounds exactly as strconv.ParseFloat
-// would; the mirrored grammar is held in lockstep by FuzzTokenSource
-// and TestTokenSourceMatchesLexer). Decoding mode and every other
-// spelling delegate, keeping NumRaw, overflow handling and error
-// wording identical.
-func (ts *TokenSource) fastNumber(pos int, skip bool) (jsontext.Token, bool) {
-	if !skip {
-		return jsontext.Token{}, false
-	}
-	data := ts.data
+// plainInt resolves the plain integer literal at data[pos] — no sign
+// beyond a leading '-', no fraction, no exponent, at most 18 digits —
+// without strconv, returning its end position and value. It mirrors the
+// reference lexer's allocation-free skip-mode path (the int64 → float64
+// conversion rounds exactly as strconv.ParseFloat would; the mirrored
+// grammar is held in lockstep by FuzzTokenSource and
+// TestTokenSourceMatchesLexer). ok is false for every other spelling;
+// callers delegate those, keeping overflow handling and error wording
+// identical.
+func plainInt(data []byte, pos int) (end int, f float64, ok bool) {
 	i := pos
 	if data[i] == '-' {
 		i++
@@ -279,10 +267,10 @@ func (ts *TokenSource) fastNumber(pos int, skip bool) (jsontext.Token, bool) {
 			i++
 		}
 	default:
-		return jsontext.Token{}, false
+		return 0, 0, false
 	}
 	if i < len(data) && (data[i] == '.' || data[i] == 'e' || data[i] == 'E') {
-		return jsontext.Token{}, false
+		return 0, 0, false
 	}
 	digits := i - pos
 	neg := data[pos] == '-'
@@ -290,7 +278,7 @@ func (ts *TokenSource) fastNumber(pos int, skip bool) (jsontext.Token, bool) {
 		digits--
 	}
 	if digits > 18 {
-		return jsontext.Token{}, false
+		return 0, 0, false
 	}
 	var v int64
 	for _, c := range data[pos:i] {
@@ -301,8 +289,7 @@ func (ts *TokenSource) fastNumber(pos int, skip bool) (jsontext.Token, bool) {
 	if neg {
 		v = -v
 	}
-	ts.pos = i
-	return jsontext.Token{Kind: jsontext.TokNumber, Num: float64(v), Offset: ts.base + pos}, true
+	return i, float64(v), true
 }
 
 // TakeDelegations returns the number of tokens delegated to the
@@ -314,43 +301,31 @@ func (ts *TokenSource) TakeDelegations() int64 {
 	return n
 }
 
-// delegate hands the token at pos to the reference lexer and rebases
-// its offsets onto the stream.
+// delegate reads the token at pos through the reference lexer.
 func (ts *TokenSource) delegate(pos int, skip bool) (jsontext.Token, error) {
+	tok, end, err := ts.scanAt(pos, skip)
+	if err == nil {
+		ts.pos = end
+	}
+	return tok, err
+}
+
+// scanAt hands the token at pos to the reference lexer — payload
+// decoding, accept/reject decisions and error wording exactly as
+// TokenReader's — and returns it with its offsets rebased onto the
+// stream and the chunk-relative position of the first byte after it
+// (pos itself on an error, which is rebased too).
+func (ts *TokenSource) scanAt(pos int, skip bool) (jsontext.Token, int, error) {
 	ts.delegations++
 	tok, end, err := ts.scan.ScanAt(ts.data, pos, skip)
 	if err != nil {
 		if se, ok := err.(*jsontext.SyntaxError); ok {
-			return jsontext.Token{}, &jsontext.SyntaxError{Offset: se.Offset + ts.base, Msg: se.Msg}
+			err = &jsontext.SyntaxError{Offset: se.Offset + ts.base, Msg: se.Msg}
 		}
-		return jsontext.Token{}, err
+		return jsontext.Token{}, pos, err
 	}
-	ts.pos = end
 	tok.Offset += ts.base
-	return tok, nil
-}
-
-// internBytes dedups field-name strings, as the lexer's intern cache
-// does for the delegated path; with a shared SymbolTable attached the
-// private cache fronts the table, so names are canonical across workers.
-func (ts *TokenSource) internBytes(b []byte) string {
-	if ts.intern == nil {
-		if ts.symbols != nil {
-			return ts.symbols.Intern(b)
-		}
-		return string(b)
-	}
-	if s, ok := ts.intern[string(b)]; ok {
-		return s
-	}
-	var s string
-	if ts.symbols != nil {
-		s = ts.symbols.Intern(b)
-	} else {
-		s = string(b)
-	}
-	ts.intern[s] = s
-	return s
+	return tok, end, nil
 }
 
 // hasBit reports whether bit i of the packed bitmap is set.

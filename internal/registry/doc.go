@@ -1,7 +1,7 @@
 // Package registry is the live-merge schema registry: named collections
 // that each hold a monotonically-growing typelang.Type plus document,
-// ingest and error counters, fed incrementally by the streamed token
-// pipeline as documents arrive. It is the stateful layer that turns the
+// ingest and error counters, fed incrementally by the streamed engine
+// as documents arrive. It is the stateful layer that turns the
 // paper's batch map/reduce into a long-running service — the engine
 // behind the jsinferd daemon.
 //
@@ -9,8 +9,8 @@
 // of N mutex-guarded typelang.Accums, and ingest requests run
 // infer.InferStreamInto over their body on their own goroutine. A body
 // that ends inside its first chunk (up to 256 documents — what a
-// shipper's batch is) starts nothing: it is lexed, through lexers and
-// into a chunk array the collection keeps warm, and typed straight into
+// shipper's batch is) starts nothing: it is read into a chunk array and
+// typed off a structural index the collection keeps warm, straight into
 // the first shard that is free, so a lone shipper keeps filling one
 // accumulator and concurrent shippers spread over the shards — at most
 // N bodies absorb into one collection at a time, and nobody waits

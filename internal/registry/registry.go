@@ -31,11 +31,6 @@ type Options struct {
 	// stripes ingested chunks over — how many bodies can absorb into one
 	// collection at the same time; 0 sizes it automatically.
 	Shards int
-	// Map picks the ingest pipeline's map phase; the zero value is the
-	// fused token absorber (infer.MapIndexed absorbs straight off the
-	// structural index, falling back per record — the fallback and
-	// parity counters in Snapshot.Pipeline track how often).
-	Map infer.MapMode
 	// Quota is the default ingest rate limit for new collections (the
 	// daemon's -rate-docs/-rate-bytes flags); the zero value is
 	// unlimited. Collections can pin their own via
@@ -275,7 +270,6 @@ func (r *Registry) IngestWith(name string, rd io.Reader, co CollectionOptions) (
 	n, err := infer.InferStreamInto(cr, infer.Options{
 		Equiv:   c.equiv,
 		Workers: r.opts.Workers,
-		Map:     r.opts.Map,
 		Symbols: r.symbols,
 		Stats:   &st,
 	}, c.col)

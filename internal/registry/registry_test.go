@@ -376,41 +376,39 @@ func numbered(docs, k int, bad string) []byte {
 // ingest does, and the collection's schema stays the oracle's over
 // everything kept.
 func TestWarmMapperServesLikeCold(t *testing.T) {
-	for _, mode := range []infer.MapMode{infer.MapFused, infer.MapIndexed} {
-		opts := Options{Equiv: typelang.EquivLabel, Map: mode}
-		warm := New(opts)
-		var kept []byte
-		for i := 0; i < 50; i++ {
-			good := jsontext.MarshalLines(genjson.Collection(genjson.Twitter{Seed: int64(i)}, 5))
-			bad, prefix := numbered(8, 5, `{"a": trve}`+"\n"), 5 // a failed document: the record falls back, then errors
-			if i%2 == 1 {
-				bad, prefix = append(numbered(3, -1, ""), `{"s": "unterminated`+"\n"...), 3 // odd quote parity: the index rejects the chunk
-			}
-			for _, body := range [][]byte{bad, good} {
-				cold := New(opts)
-				want, wantErr := cold.Ingest("c", bytes.NewReader(body))
-				got, err := warm.Ingest("c", bytes.NewReader(body))
-				if got.Docs != want.Docs || fmt.Sprint(err) != fmt.Sprint(wantErr) {
-					t.Fatalf("%v round %d: warm ingest kept %d docs (err %v), a cold one %d (err %v)",
-						mode, i, got.Docs, err, want.Docs, wantErr)
-				}
-				got.Stats.ReadNanos, got.Stats.SplitNanos, got.Stats.MapNanos = 0, 0, 0
-				want.Stats.ReadNanos, want.Stats.SplitNanos, want.Stats.MapNanos = 0, 0, 0
-				got.Stats.BuffersRecycled = want.Stats.BuffersRecycled // the warm collection reuses its chunk array
-				if got.Stats != want.Stats {
-					t.Fatalf("%v round %d: warm ingest counted %+v, a cold one %+v", mode, i, got.Stats, want.Stats)
-				}
-				cold.Close()
-			}
-			kept = append(append(kept, numbered(prefix, -1, "")...), good...)
-			want, wantN := oracleType(t, kept, typelang.EquivLabel)
-			if snap, _ := warm.Get("c"); snap.Docs != int64(wantN) || snap.Type.StringCounted() != want.StringCounted() {
-				t.Fatalf("%v round %d: %d docs %s, oracle %d docs %s",
-					mode, i, snap.Docs, snap.Type.StringCounted(), wantN, want.StringCounted())
-			}
+	opts := Options{Equiv: typelang.EquivLabel}
+	warm := New(opts)
+	var kept []byte
+	for i := 0; i < 50; i++ {
+		good := jsontext.MarshalLines(genjson.Collection(genjson.Twitter{Seed: int64(i)}, 5))
+		bad, prefix := numbered(8, 5, `{"a": trve}`+"\n"), 5 // a failed document: the record falls back, then errors
+		if i%2 == 1 {
+			bad, prefix = append(numbered(3, -1, ""), `{"s": "unterminated`+"\n"...), 3 // odd quote parity: the index rejects the chunk
 		}
-		warm.Close()
+		for _, body := range [][]byte{bad, good} {
+			cold := New(opts)
+			want, wantErr := cold.Ingest("c", bytes.NewReader(body))
+			got, err := warm.Ingest("c", bytes.NewReader(body))
+			if got.Docs != want.Docs || fmt.Sprint(err) != fmt.Sprint(wantErr) {
+				t.Fatalf("round %d: warm ingest kept %d docs (err %v), a cold one %d (err %v)",
+					i, got.Docs, err, want.Docs, wantErr)
+			}
+			got.Stats.ReadNanos, got.Stats.SplitNanos, got.Stats.MapNanos = 0, 0, 0
+			want.Stats.ReadNanos, want.Stats.SplitNanos, want.Stats.MapNanos = 0, 0, 0
+			got.Stats.BuffersRecycled = want.Stats.BuffersRecycled // the warm collection reuses its chunk array
+			if got.Stats != want.Stats {
+				t.Fatalf("round %d: warm ingest counted %+v, a cold one %+v", i, got.Stats, want.Stats)
+			}
+			cold.Close()
+		}
+		kept = append(append(kept, numbered(prefix, -1, "")...), good...)
+		want, wantN := oracleType(t, kept, typelang.EquivLabel)
+		if snap, _ := warm.Get("c"); snap.Docs != int64(wantN) || snap.Type.StringCounted() != want.StringCounted() {
+			t.Fatalf("round %d: %d docs %s, oracle %d docs %s",
+				i, snap.Docs, snap.Type.StringCounted(), wantN, want.StringCounted())
+		}
 	}
+	warm.Close()
 }
 
 // stutterReader delivers its payload then fails with a transport-style
@@ -729,98 +727,92 @@ func TestCreateCollection(t *testing.T) {
 // live collections. The same identity is what makes /metrics reconcile
 // with /v1/stats on the daemon.
 func TestPipelineStatsReconcile(t *testing.T) {
-	for _, mode := range []infer.MapMode{infer.MapFused, infer.MapIndexed} {
-		reg := New(Options{Equiv: typelang.EquivLabel, Workers: 2, Shards: 2, Map: mode})
+	reg := New(Options{Equiv: typelang.EquivLabel, Workers: 2, Shards: 2})
 
-		var sum infer.StatsSnapshot
-		var wantDocs, wantBytes int64
-		for i := 0; i < 4; i++ {
-			data := jsontext.MarshalLines(genjson.Collection(genjson.Twitter{Seed: int64(i)}, 50))
-			res, err := reg.Ingest("c", bytes.NewReader(data))
-			if err != nil {
-				t.Fatalf("%v: ingest %d: %v", mode, i, err)
-			}
-			if res.Stats.DocsAbsorbed != int64(res.Docs) {
-				t.Errorf("%v: per-call delta DocsAbsorbed=%d, want %d", mode, res.Stats.DocsAbsorbed, res.Docs)
-			}
-			sum.Add(res.Stats)
-			wantDocs += int64(res.Docs)
-			wantBytes += res.Bytes
+	var sum infer.StatsSnapshot
+	var wantDocs, wantBytes int64
+	for i := 0; i < 4; i++ {
+		data := jsontext.MarshalLines(genjson.Collection(genjson.Twitter{Seed: int64(i)}, 50))
+		res, err := reg.Ingest("c", bytes.NewReader(data))
+		if err != nil {
+			t.Fatalf("ingest %d: %v", i, err)
 		}
-
-		snap, ok := reg.Get("c")
-		if !ok {
-			t.Fatal("collection missing")
+		if res.Stats.DocsAbsorbed != int64(res.Docs) {
+			t.Errorf("per-call delta DocsAbsorbed=%d, want %d", res.Stats.DocsAbsorbed, res.Docs)
 		}
-		p := snap.Pipeline
-		// Map-side counters: exact equality with the delta sum.
-		exact := [][3]int64{
-			{p.ChunksSplit, sum.ChunksSplit, 0},
-			{p.BytesLexed, sum.BytesLexed, 1},
-			{p.DocsAbsorbed, sum.DocsAbsorbed, 2},
-			{p.IndexRecords, sum.IndexRecords, 3},
-			{p.FallbackRecords, sum.FallbackRecords, 4},
-			{p.ParityRejects, sum.ParityRejects, 5},
-			{p.ScanDelegations, sum.ScanDelegations, 6},
-			{p.ReadNanos, sum.ReadNanos, 7},
-			{p.SplitNanos, sum.SplitNanos, 8},
-			{p.MapNanos, sum.MapNanos, 9},
-			{p.ChunksDirect, sum.ChunksDirect, 10},
-		}
-		for _, e := range exact {
-			if e[0] != e[1] {
-				t.Errorf("%v: map-side field %d: cumulative=%d, delta sum=%d", mode, e[2], e[0], e[1])
-			}
-		}
-		// The work accounted matches the registry's own accounting.
-		if p.DocsAbsorbed != wantDocs || wantDocs != snap.Docs {
-			t.Errorf("%v: DocsAbsorbed=%d, ingested=%d, snapshot docs=%d — must all agree",
-				mode, p.DocsAbsorbed, wantDocs, snap.Docs)
-		}
-		if p.BytesLexed != wantBytes || wantBytes != snap.Bytes {
-			t.Errorf("%v: BytesLexed=%d, ingested bytes=%d, snapshot bytes=%d — must all agree",
-				mode, p.BytesLexed, wantBytes, snap.Bytes)
-		}
-		if mode == infer.MapIndexed {
-			if p.IndexRecords != wantDocs || p.FallbackRecords != 0 {
-				t.Errorf("indexed: IndexRecords=%d fallbacks=%d on clean input, want %d/0",
-					p.IndexRecords, p.FallbackRecords, wantDocs)
-			}
-		} else if p.IndexRecords != 0 {
-			t.Errorf("fused: IndexRecords=%d, want 0", p.IndexRecords)
-		}
-		// Every body was one chunk, absorbed in line: no chunk seal, no
-		// committer and so no reduce clock. Reduce-side, the collector saw
-		// — four ingests by a lone shipper, one read — one cache-miss
-		// read, whose one seal (the one shard that holds data; nothing to
-		// fuse) is all the cumulative count has.
-		if p.ChunksDirect != 4 || sum.Seals != 0 || p.ReduceNanos != 0 {
-			t.Errorf("%v: ChunksDirect=%d, ingest seals=%d, ReduceNanos=%d; want 4 in-line chunks, 0, 0",
-				mode, p.ChunksDirect, sum.Seals, p.ReduceNanos)
-		}
-		if p.RootFuses != 1 || p.FuseNanos <= 0 {
-			t.Errorf("%v: RootFuses=%d FuseNanos=%d after one read, want 1 and a running clock", mode, p.RootFuses, p.FuseNanos)
-		}
-		if p.Seals != 1 {
-			t.Errorf("%v: the read sealed %d times, want 1", mode, p.Seals)
-		}
-
-		// A second collection: registry-wide Stats aggregates both.
-		if _, err := reg.Ingest("d", strings.NewReader(`{"x": 1}`+"\n")); err != nil {
-			t.Fatal(err)
-		}
-		snapD, _ := reg.Get("d")
-		agg := reg.Stats().Pipeline
-		var want infer.StatsSnapshot
-		want.Add(snap.Pipeline)
-		want.Add(snapD.Pipeline)
-		// Every field: both collections are quiet, so the reads Stats
-		// makes are cache hits and record nothing.
-		if agg != want {
-			t.Errorf("%v: Stats().Pipeline=%+v, want the sum over collections %+v", mode, agg, want)
-		}
-		reg.Close()
+		sum.Add(res.Stats)
+		wantDocs += int64(res.Docs)
+		wantBytes += res.Bytes
 	}
+
+	snap, ok := reg.Get("c")
+	if !ok {
+		t.Fatal("collection missing")
+	}
+	p := snap.Pipeline
+	// Map-side counters: exact equality with the delta sum.
+	exact := [][3]int64{
+		{p.ChunksSplit, sum.ChunksSplit, 0},
+		{p.BytesLexed, sum.BytesLexed, 1},
+		{p.DocsAbsorbed, sum.DocsAbsorbed, 2},
+		{p.IndexRecords, sum.IndexRecords, 3},
+		{p.FallbackRecords, sum.FallbackRecords, 4},
+		{p.ParityRejects, sum.ParityRejects, 5},
+		{p.ScanDelegations, sum.ScanDelegations, 6},
+		{p.ReadNanos, sum.ReadNanos, 7},
+		{p.SplitNanos, sum.SplitNanos, 8},
+		{p.MapNanos, sum.MapNanos, 9},
+		{p.ChunksDirect, sum.ChunksDirect, 10},
+	}
+	for _, e := range exact {
+		if e[0] != e[1] {
+			t.Errorf("map-side field %d: cumulative=%d, delta sum=%d", e[2], e[0], e[1])
+		}
+	}
+	// The work accounted matches the registry's own accounting.
+	if p.DocsAbsorbed != wantDocs || wantDocs != snap.Docs {
+		t.Errorf("DocsAbsorbed=%d, ingested=%d, snapshot docs=%d — must all agree",
+			p.DocsAbsorbed, wantDocs, snap.Docs)
+	}
+	if p.BytesLexed != wantBytes || wantBytes != snap.Bytes {
+		t.Errorf("BytesLexed=%d, ingested bytes=%d, snapshot bytes=%d — must all agree",
+			p.BytesLexed, wantBytes, snap.Bytes)
+	}
+	if p.IndexRecords != wantDocs || p.FallbackRecords != 0 {
+		t.Errorf("IndexRecords=%d fallbacks=%d on clean input, want %d/0",
+			p.IndexRecords, p.FallbackRecords, wantDocs)
+	}
+	// Every body was one chunk, absorbed in line: no chunk seal, no
+	// committer and so no reduce clock. Reduce-side, the collector saw
+	// — four ingests by a lone shipper, one read — one cache-miss
+	// read, whose one seal (the one shard that holds data; nothing to
+	// fuse) is all the cumulative count has.
+	if p.ChunksDirect != 4 || sum.Seals != 0 || p.ReduceNanos != 0 {
+		t.Errorf("ChunksDirect=%d, ingest seals=%d, ReduceNanos=%d; want 4 in-line chunks, 0, 0",
+			p.ChunksDirect, sum.Seals, p.ReduceNanos)
+	}
+	if p.RootFuses != 1 || p.FuseNanos <= 0 {
+		t.Errorf("RootFuses=%d FuseNanos=%d after one read, want 1 and a running clock", p.RootFuses, p.FuseNanos)
+	}
+	if p.Seals != 1 {
+		t.Errorf("the read sealed %d times, want 1", p.Seals)
+	}
+
+	// A second collection: registry-wide Stats aggregates both.
+	if _, err := reg.Ingest("d", strings.NewReader(`{"x": 1}`+"\n")); err != nil {
+		t.Fatal(err)
+	}
+	snapD, _ := reg.Get("d")
+	agg := reg.Stats().Pipeline
+	var want infer.StatsSnapshot
+	want.Add(snap.Pipeline)
+	want.Add(snapD.Pipeline)
+	// Every field: both collections are quiet, so the reads Stats
+	// makes are cache hits and record nothing.
+	if agg != want {
+		t.Errorf("Stats().Pipeline=%+v, want the sum over collections %+v", agg, want)
+	}
+	reg.Close()
 }
 
 // TestCollectionsParkNoGoroutines is the goroutine census: a collection
@@ -896,7 +888,7 @@ func TestSealsFollowReadsNotIngests(t *testing.T) {
 // string rejects one chunk, and both ride the per-call delta as well as
 // the cumulative snapshot.
 func TestPipelineStatsAdversarialThroughRegistry(t *testing.T) {
-	reg := New(Options{Equiv: typelang.EquivLabel, Map: infer.MapIndexed})
+	reg := New(Options{Equiv: typelang.EquivLabel})
 	defer reg.Close()
 
 	res, err := reg.Ingest("c", strings.NewReader(`{"a": 1}`+"\n"+`{"a": trve}`+"\n"))
