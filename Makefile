@@ -101,7 +101,7 @@ serve:
 	$(GO) run repro/cmd/jsinferd -addr :8787
 
 # End-to-end daemon smoke: boot jsinferd, POST a checked-in fixture,
-# and assert the served schema is byte-identical to `jsinfer -stream`
+# and assert the served schema is byte-identical to `jsinfer`
 # over the same file.
 smoke-daemon:
 	./scripts/smoke_jsinferd.sh

@@ -87,10 +87,11 @@ func BenchmarkE3ParallelInference(b *testing.B) {
 	}
 }
 
-// E3 (streaming): the DOM pipeline (what jsinfer runs without -stream:
-// decode every document to a value tree, then type the trees) versus
-// the streamed engine (what it runs with -stream: type straight from
-// tokens) — the dom/mison pairs. The streamed rows build no value
+// E3 (streaming): the DOM pipeline (the library API over materialised
+// values: decode every document to a value tree, then type the trees)
+// versus the streamed engine (what jsinfer runs for the parametric
+// engines: type straight off the structural index) — the dom/mison
+// pairs. The streamed rows build no value
 // trees, their parallel variants lex on the workers instead of the
 // feeding goroutine, and they lex through the structural index (bitmap
 // chunking, positional string skipping). All streamed rows fold
@@ -100,9 +101,9 @@ func BenchmarkE3ParallelInference(b *testing.B) {
 // seal), and the registry-ingest rows measure the same bytes arriving
 // through the live-merge registry (shared symbol table, collector left
 // open across requests).
-// domInfer is the DOM baseline of the E3 rows — exactly what a jsinfer
-// run without -stream does with its input: decode the whole collection
-// to value trees, then run the materialised map/reduce over them.
+// domInfer is the DOM baseline of the E3 rows: decode the whole
+// collection to value trees, then run the materialised map/reduce over
+// them.
 func domInfer(b *testing.B, raw []byte, opts infer.Options) {
 	docs, err := jsontext.NewDecoder(bytes.NewReader(raw)).DecodeAll()
 	if err != nil {
@@ -150,8 +151,8 @@ func BenchmarkE3StreamingInference(b *testing.B) {
 		}
 	})
 	b.Run("mison-sequential-mmap", func(b *testing.B) {
-		// The byte engine fed by a memory-mapped file — the full jsinfer
-		// `-stream -mmap on` data path minus argument parsing. The kernel
+		// The byte engine fed by a memory-mapped file — the full `jsinfer
+		// FILE` data path minus argument parsing. The kernel
 		// pages the file in; the pipeline never copies it.
 		if !mmapio.Supported() {
 			b.Skip("mmap not supported on this platform")

@@ -7,58 +7,36 @@
 //
 //	jsinfer [-engine parametric-L|parametric-K|spark|skinfer]
 //	        [-output type|jsonschema|typescript|swift|report]
-//	        [-workers N] [-stream] [-simplify] [-chunk-bytes SIZE]
-//	        [-precision] [-counted] [-stats]
+//	        [-workers N] [-simplify] [-chunk-bytes SIZE]
+//	        [-precision] [-counted] [-stats] [-stream]
 //	        [-cpuprofile f] [-memprofile f] [file.ndjson ...]
 //
-// The parametric engines run their map/reduce over N workers
-// (-workers, default GOMAXPROCS). With -stream the input is never
-// materialised: documents are typed straight off the mison structural
-// index (no value trees, no separator tokens), and the workers index
-// and type document-aligned byte chunks in parallel, so collections far
-// larger than memory infer at multi-worker speed. A record the index
-// cannot certify is re-read by the token walker over the same index,
-// and a chunk the index rejects by the byte-at-a-time reference lexer.
-// Large regular files given as arguments are memory-mapped, so the
-// zero-copy byte engines split and lex the file pages in place; pipes,
-// short files, platforms without mmap and stdin take buffered reads
-// (`jsinfer -stream < file` for a file that may be truncated while it is
-// read). -chunk-bytes SIZE (64K, 4M, …) cuts chunks at a byte target
-// instead of every 256 documents — the knob for GB-scale corpora.
-// Streaming is parametric-only. A streamed report has no precision
-// column in its single pass; -precision fills it by re-reading the
-// input in a bounded-memory second pass, which requires file arguments
-// (stdin cannot be re-read). Flag combinations that could only fail
-// after the (potentially huge) first pass are rejected up front.
-//
-// -stats (streamed runs only) prints the pipeline's flight recorder to
-// stderr after inference: per-stage wall clocks (read, split, map,
-// reduce, fuse) and the stage counters — chunks split, bytes lexed,
-// documents absorbed, index fast-path vs token-fallback records, chunk
-// parity rejections and seals. A one-shot run reduces in line (one
-// accumulator, one final seal on the reduce clock), so seals reads 1 at
-// one worker and chunks + 1 above, and the fuse clock and root_fuses —
-// the cache-miss reads of the registry's collector, which jsinferd
-// reports through the same counters — read 0 here. The schema on stdout
-// is unaffected, so -stats composes with scripts.
-//
-// -cpuprofile and -memprofile write pprof profiles covering the
-// inference pass (the heap profile is taken after it completes), so
-// absorption-path work is profileable without editing benchmarks:
-// `go tool pprof jsinfer cpu.out`.
-//
-// -counted renders the selected parametric engine's own counting
-// annotations; for Spark/Skinfer (whose types carry no counts) it
-// falls back to a parametric-K pass over the materialised input.
+// The parametric engines always run the streamed pipeline of
+// docs/ARCHITECTURE.md — the input is never materialised, whatever its
+// size: file arguments go through core.InferSchemaStreamFilesWith
+// (large regular files memory-mapped), stdin through
+// core.InferSchemaStreamWith; -workers, -chunk-bytes SIZE (64K, 4M, …)
+// and -stats (the pipeline's flight recorder, on stderr; stdout is
+// unaffected) apply to every such run, and -stream is accepted and
+// ignored. Their report has no precision column in its single pass;
+// -precision fills it in a bounded-memory second pass, which needs file
+// arguments (stdin cannot be re-read). Spark and Skinfer need the whole
+// collection and are the only engines that materialise it; -counted
+// there falls back to a parametric-K pass over those documents. Flag
+// mistakes are rejected before any input is read. -cpuprofile and
+// -memprofile write pprof profiles of the inference pass (the heap
+// profile after it completes).
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 
 	"repro/internal/core"
@@ -71,7 +49,7 @@ import (
 
 // cliFlags are jsinfer's flags. registerFlags defines them on a flag
 // set of the caller's choosing so the README test can walk exactly the
-// set main parses.
+// set run parses.
 type cliFlags struct {
 	engine, output, chunkBytes, cpuprofile, memprofile *string
 	counted, simplify, stream, precision, stats        *bool
@@ -81,47 +59,71 @@ type cliFlags struct {
 func registerFlags(fs *flag.FlagSet) cliFlags {
 	return cliFlags{
 		engine:     fs.String("engine", "parametric-L", "inference engine: parametric-L, parametric-K, spark, skinfer"),
-		output:     fs.String("output", "type", "output form: type, jsonschema, typescript, swift, report"),
+		output:     fs.String("output", "type", "output form: "+strings.Join(outputs, ", ")),
 		counted:    fs.Bool("counted", false, "render counting annotations (type output only)"),
 		simplify:   fs.Bool("simplify", false, "drop union alternatives subsumed by others"),
 		workers:    fs.Int("workers", 0, "parallel inference workers (parametric engines; 0 = GOMAXPROCS)"),
-		stream:     fs.Bool("stream", false, "stream the input instead of materialising it (parametric engines only)"),
-		precision:  fs.Bool("precision", false, "with -stream: compute precision in a second pass over the input files"),
-		chunkBytes: fs.String("chunk-bytes", "", "with -stream: cut chunks at this byte size instead of every 256 documents (e.g. 4M)"),
-		stats:      fs.Bool("stats", false, "with -stream: print pipeline stage stats to stderr after inference (fuse and root_fuses are the registry's counters and read 0 here)"),
+		stream:     fs.Bool("stream", false, "no effect: the parametric engines always stream (kept for scripts that pass it)"),
+		precision:  fs.Bool("precision", false, "fill -output report's precision column in a second pass over the input files (parametric engines)"),
+		chunkBytes: fs.String("chunk-bytes", "", "cut chunks at this byte size instead of every 256 documents, e.g. 4M (parametric engines)"),
+		stats:      fs.Bool("stats", false, "print pipeline stage stats to stderr after inference (parametric engines; fuse and root_fuses are the registry's counters and read 0 here)"),
 		cpuprofile: fs.String("cpuprofile", "", "write a CPU profile of the inference pass to this file"),
 		memprofile: fs.String("memprofile", "", "write a heap profile (taken after inference) to this file"),
 	}
 }
 
-func main() {
-	opt := registerFlags(flag.CommandLine)
-	flag.Parse()
+// outputs are the forms -output selects; inferAndPrint's final switch
+// has a case for each.
+var outputs = []string{"type", "jsonschema", "typescript", "swift", "report"}
 
+var errNoInput = errors.New("no input documents")
+
+func main() { os.Exit(run(os.Args[1:], os.Stdin, os.Stdout, os.Stderr)) }
+
+// run is the whole command on explicit arguments and streams, so a test
+// can drive it; it returns the exit status.
+func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("jsinfer", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	opt := registerFlags(fs)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	if err := inferAndPrint(opt, fs.Args(), stdin, stdout, stderr); err != nil {
+		fmt.Fprintln(stderr, "jsinfer:", err)
+		return 1
+	}
+	return 0
+}
+
+// inferAndPrint is one invocation after flag parsing: validate, run the
+// engine over the files (or stdin), print the selected output.
+func inferAndPrint(opt cliFlags, files []string, stdin io.Reader, stdout, stderr io.Writer) (err error) {
 	if *opt.cpuprofile != "" {
 		f, err := os.Create(*opt.cpuprofile)
 		if err != nil {
-			fatal(err)
+			return err
 		}
+		defer f.Close()
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fatal(err)
+			return err
 		}
 		defer pprof.StopCPUProfile()
 	}
 	if *opt.memprofile != "" {
 		defer func() {
-			f, err := os.Create(*opt.memprofile)
-			if err != nil {
-				fatal(err)
-			}
-			defer f.Close()
-			runtime.GC()
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fatal(err)
+			if err == nil {
+				err = writeHeapProfile(*opt.memprofile)
 			}
 		}()
 	}
 
+	// Everything the flags alone decide is checked before any input is
+	// read: a mistake must exit non-zero immediately, not after a
+	// potentially huge inference pass (or, worse, be silently ignored).
 	var eng core.Engine
 	switch *opt.engine {
 	case "parametric-L":
@@ -133,71 +135,67 @@ func main() {
 	case "skinfer":
 		eng = core.Skinfer
 	default:
-		fatal(fmt.Errorf("unknown engine %q", *opt.engine))
+		return fmt.Errorf("unknown engine %q", *opt.engine)
+	}
+	parametric := eng == core.ParametricK || eng == core.ParametricL
+	if !slices.Contains(outputs, *opt.output) {
+		return fmt.Errorf("unknown output %q", *opt.output)
+	}
+	var chunkTarget int
+	if *opt.chunkBytes != "" {
+		cb, err := genjson.ParseSize(*opt.chunkBytes)
+		if err != nil {
+			return fmt.Errorf("-chunk-bytes: %w", err)
+		}
+		chunkTarget = int(cb)
+	}
+	if err := validateStreamFlags(parametric, *opt.precision, *opt.stats, *opt.chunkBytes != "", *opt.output, len(files)); err != nil {
+		return err
 	}
 
 	var (
 		result *core.Inference
 		ndocs  int
-		docs   []*jsonvalue.Value
+		docs   []*jsonvalue.Value // materialised for Spark and Skinfer only
 	)
-	var chunkTarget int
-	if *opt.chunkBytes != "" {
-		cb, err := genjson.ParseSize(*opt.chunkBytes)
-		if err != nil {
-			fatal(fmt.Errorf("-chunk-bytes: %w", err))
-		}
-		chunkTarget = int(cb)
-	}
-	// Flag-only validation happens before any input is read: a bad
-	// combination must exit non-zero immediately, not after a
-	// potentially huge inference pass (or, worse, be silently ignored).
-	if err := validateStreamFlags(*opt.stream, *opt.precision, *opt.stats, *opt.chunkBytes != "", *opt.output, flag.NArg()); err != nil {
-		fatal(err)
-	}
-	if *opt.stream {
+	if parametric {
 		var pstats *core.PipelineStats
 		if *opt.stats {
 			pstats = &core.PipelineStats{}
 		}
-		var err error
-		result, ndocs, err = streamInput(flag.Args(), eng, core.StreamOptions{Workers: *opt.workers, ChunkBytes: chunkTarget, Stats: pstats})
+		result, ndocs, err = streamInput(files, stdin, eng, core.StreamOptions{Workers: *opt.workers, ChunkBytes: chunkTarget, Stats: pstats})
 		if pstats != nil {
 			// Stats go to stderr even on an error exit: the partial
 			// counters cover exactly the work done before the failure.
-			printStats(os.Stderr, pstats.Snapshot())
+			printStats(stderr, pstats.Snapshot())
 		}
 		if err != nil {
-			fatal(err)
+			return err
+		}
+		if ndocs == 0 {
+			return errNoInput
 		}
 		if *opt.precision {
-			// The streamed single pass cannot grade precision (the data
-			// is gone); the explicit second pass over the files can.
-			p, _, err := core.StreamPrecisionFiles(flag.Args(), result.Type)
+			// The single pass cannot grade precision (the data is
+			// gone); the explicit second pass over the files can.
+			p, _, err := core.StreamPrecisionFiles(files, result.Type)
 			if err != nil {
-				fatal(fmt.Errorf("precision pass: %w", err))
+				return fmt.Errorf("precision pass: %w", err)
 			}
 			result.Precision = p
 		}
 	} else {
-		var err error
-		docs, err = readInput(flag.Args())
-		if err != nil {
-			fatal(err)
+		if docs, err = readInput(files, stdin); err != nil {
+			return err
 		}
-		ndocs = len(docs)
-		if ndocs == 0 {
-			// Checked before inference: the non-parametric engines
-			// cannot type an empty collection.
-			fatal(fmt.Errorf("no input documents"))
+		// Checked before inference: these engines cannot type an empty
+		// collection.
+		if ndocs = len(docs); ndocs == 0 {
+			return errNoInput
 		}
-		result, err = core.InferSchemaWorkers(docs, eng, *opt.workers)
-		if err != nil {
-			fatal(err)
+		if result, err = core.InferSchema(docs, eng); err != nil {
+			return err
 		}
-	}
-	if ndocs == 0 {
-		fatal(fmt.Errorf("no input documents"))
 	}
 	if *opt.simplify {
 		result.Simplify()
@@ -206,58 +204,55 @@ func main() {
 	switch *opt.output {
 	case "type":
 		switch {
-		case *opt.counted && (eng == core.ParametricK || eng == core.ParametricL):
-			// Parametric types carry counting annotations already — same
-			// rendering whether the input was streamed or materialised.
-			fmt.Println(result.Type.StringCounted())
+		case *opt.counted && parametric:
+			fmt.Fprintln(stdout, result.Type.StringCounted())
 		case *opt.counted:
 			// Spark/Skinfer types carry no counts; derive them with a
-			// parametric K pass (these engines never stream, so docs are
-			// materialised here).
+			// parametric K pass over the materialised documents.
 			ty := infer.InferParallel(docs, infer.Options{Equiv: typelang.EquivKind, Workers: *opt.workers})
-			fmt.Println(ty.StringCounted())
+			fmt.Fprintln(stdout, ty.StringCounted())
 		default:
-			fmt.Println(result.Type)
+			fmt.Fprintln(stdout, result.Type)
 		}
 	case "jsonschema":
-		fmt.Println(string(core.MarshalIndent(result.JSONSchema, "  ")))
+		fmt.Fprintln(stdout, string(core.MarshalIndent(result.JSONSchema, "  ")))
 	case "typescript":
-		fmt.Print(core.TypeToTypeScript("Root", result.Type))
+		fmt.Fprint(stdout, core.TypeToTypeScript("Root", result.Type))
 	case "swift":
-		fmt.Print(core.TypeToSwift("Root", result.Type))
+		fmt.Fprint(stdout, core.TypeToSwift("Root", result.Type))
 	case "report":
-		fmt.Printf("engine:    %s\n", result.Engine)
-		fmt.Printf("documents: %d\n", ndocs)
-		fmt.Printf("size:      %d nodes\n", result.Size)
+		fmt.Fprintf(stdout, "engine:    %s\n", result.Engine)
+		fmt.Fprintf(stdout, "documents: %d\n", ndocs)
+		fmt.Fprintf(stdout, "size:      %d nodes\n", result.Size)
 		if result.Precision >= 0 {
-			fmt.Printf("precision: %.3f\n", result.Precision)
+			fmt.Fprintf(stdout, "precision: %.3f\n", result.Precision)
 		} else {
-			fmt.Printf("precision: n/a (streamed single pass; rerun with -precision and file arguments for a second pass)\n")
+			fmt.Fprintf(stdout, "precision: n/a (streamed single pass; rerun with -precision and file arguments for a second pass)\n")
 		}
-		fmt.Printf("type:      %s\n", result.Type)
-	default:
-		fatal(fmt.Errorf("unknown output %q", *opt.output))
+		fmt.Fprintf(stdout, "type:      %s\n", result.Type)
 	}
+	return nil
 }
 
-// validateStreamFlags rejects stream-flag combinations up front, before
-// any input is read: -precision re-reads the input for the report's
-// precision column, so it needs -stream, the report output and
-// re-readable file arguments (stdin cannot be re-read); -chunk-bytes
-// and -stats configure the streamed engine, so explicitly setting
-// either without -stream is a mistake rather than something to ignore.
-func validateStreamFlags(stream, precision, stats, chunkBytesSet bool, output string, nArgs int) error {
-	if !stream {
-		if precision {
-			return fmt.Errorf("-precision requires -stream (a materialised report always includes precision)")
-		}
-		if stats {
-			return fmt.Errorf("-stats reports the streamed pipeline's counters; add -stream")
-		}
-		if chunkBytesSet {
-			return fmt.Errorf("-chunk-bytes sizes the streamed engines' chunks; add -stream")
-		}
-		return nil
+func writeHeapProfile(name string) error {
+	f, err := os.Create(name)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	runtime.GC()
+	return pprof.WriteHeapProfile(f)
+}
+
+// validateStreamFlags rejects mistakes in the streamed pipeline's flags
+// up front, before any input is read: -stats, -chunk-bytes and
+// -precision configure the pipeline only the parametric engines run, so
+// setting one for Spark or Skinfer is a mistake rather than something
+// to ignore; -precision re-reads the input for the report's precision
+// column, so it needs the report output and re-readable file arguments.
+func validateStreamFlags(parametric, precision, stats, chunkBytesSet bool, output string, nArgs int) error {
+	if !parametric && (precision || stats || chunkBytesSet) {
+		return fmt.Errorf("-stats, -chunk-bytes and -precision apply to the parametric engines")
 	}
 	if precision && output != "report" {
 		return fmt.Errorf("-precision only affects -output report")
@@ -268,9 +263,11 @@ func validateStreamFlags(stream, precision, stats, chunkBytesSet bool, output st
 	return nil
 }
 
-func readInput(files []string) ([]*jsonvalue.Value, error) {
+// readInput materialises stdin or the named files (a decode error names
+// its file) — for the engines that need the whole collection.
+func readInput(files []string, stdin io.Reader) ([]*jsonvalue.Value, error) {
 	if len(files) == 0 {
-		return jsontext.NewDecoder(os.Stdin).DecodeAll()
+		return jsontext.NewDecoder(stdin).DecodeAll()
 	}
 	var docs []*jsonvalue.Value
 	for _, name := range files {
@@ -311,16 +308,11 @@ func printStats(w io.Writer, s core.StatsSnapshot) {
 	}
 }
 
-// streamInput runs streaming-parallel inference over stdin or the
-// named files (one decoder per file, so errors name the file).
-func streamInput(files []string, eng core.Engine, opts core.StreamOptions) (*core.Inference, int, error) {
+// streamInput runs the streamed engine over stdin or the named files
+// (one decoder per file, so errors name the file).
+func streamInput(files []string, stdin io.Reader, eng core.Engine, opts core.StreamOptions) (*core.Inference, int, error) {
 	if len(files) == 0 {
-		return core.InferSchemaStreamWith(os.Stdin, eng, opts)
+		return core.InferSchemaStreamWith(stdin, eng, opts)
 	}
 	return core.InferSchemaStreamFilesWith(files, eng, opts)
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "jsinfer:", err)
-	os.Exit(1)
 }

@@ -1,40 +1,265 @@
 package main
 
 import (
+	"bytes"
+	"errors"
+	"fmt"
+	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/infer"
+	"repro/internal/jsontext"
+	"repro/internal/jsonvalue"
+	"repro/internal/typelang"
 )
+
+// untouched is a stdin that fails the test when read: what an
+// invocation rejected up front gets.
+type untouched struct{ t *testing.T }
+
+func (u untouched) Read([]byte) (int, error) {
+	u.t.Helper()
+	u.t.Error("stdin was read before the flags were validated")
+	return 0, io.EOF
+}
+
+// cli drives run in-process and returns what a shell would see.
+func cli(stdin io.Reader, args ...string) (stdout, stderr string, status int) {
+	var out, errs bytes.Buffer
+	status = run(args, stdin, &out, &errs)
+	return out.String(), errs.String(), status
+}
 
 // TestValidateStreamFlags pins the fail-fast matrix: every combination
 // that could only fail after (or silently survive) a full inference
 // pass must be rejected before any input is read.
 func TestValidateStreamFlags(t *testing.T) {
 	cases := []struct {
-		name                     string
-		stream, precision, stats bool
-		chunkBytesSet            bool
-		output                   string
-		nArgs                    int
-		wantErr                  bool
+		name                         string
+		parametric, precision, stats bool
+		chunkBytesSet                bool
+		output                       string
+		nArgs                        int
+		wantErr                      bool
 	}{
-		{"plain materialised", false, false, false, false, "type", 1, false},
-		{"plain streamed stdin", true, false, false, false, "type", 0, false},
-		{"streamed report from files with precision", true, true, false, false, "report", 2, false},
-		{"stats with stream", true, false, true, false, "type", 0, false},
-		{"chunk-bytes with stream", true, false, false, true, "type", 0, false},
+		{"plain parametric file", true, false, false, false, "type", 1, false},
+		{"plain parametric stdin", true, false, false, false, "type", 0, false},
+		{"report from files with precision", true, true, false, false, "report", 2, false},
+		{"stats", true, false, true, false, "type", 0, false},
+		{"chunk-bytes", true, false, false, true, "type", 0, false},
+		{"plain spark", false, false, false, false, "report", 1, false},
 
-		{"precision without stream", false, true, false, false, "report", 1, true},
-		{"stats without stream", false, false, true, false, "type", 1, true},
-		{"chunk-bytes without stream", false, false, false, true, "type", 1, true},
 		{"precision on non-report output", true, true, false, false, "type", 1, true},
 		{"precision from stdin", true, true, false, false, "report", 0, true},
+		{"precision with spark", false, true, false, false, "report", 1, true},
+		{"stats with spark", false, false, true, false, "type", 1, true},
+		{"chunk-bytes with skinfer", false, false, false, true, "type", 1, true},
 	}
 	for _, c := range cases {
-		err := validateStreamFlags(c.stream, c.precision, c.stats, c.chunkBytesSet, c.output, c.nArgs)
+		err := validateStreamFlags(c.parametric, c.precision, c.stats, c.chunkBytesSet, c.output, c.nArgs)
 		if (err != nil) != c.wantErr {
 			t.Errorf("%s: err = %v, wantErr = %v", c.name, err, c.wantErr)
+		}
+	}
+
+	// Through the command itself: a rejected invocation exits 1 with one
+	// line on stderr and never touches its input — -output included,
+	// which is checked beside -engine rather than after the pass.
+	for _, args := range [][]string{
+		{"-output", "bogus"},
+		{"-engine", "bogus"},
+		{"-chunk-bytes", "lots"},
+		{"-engine", "spark", "-stats"},
+		{"-engine", "skinfer", "-stream", "-chunk-bytes", "4M"},
+	} {
+		stdout, stderr, status := cli(untouched{t}, args...)
+		if status != 1 || stdout != "" || !strings.HasPrefix(stderr, "jsinfer: ") || strings.Count(stderr, "\n") != 1 {
+			t.Errorf("jsinfer %v: status %d, stdout %q, stderr %q; want 1, nothing, one jsinfer: line", args, status, stdout, stderr)
+		}
+	}
+}
+
+// fixture is one testdata collection with the oracle's view of it:
+// every document parsed, typed and merged, independently of the
+// streamed engine.
+type fixture struct {
+	path string
+	data []byte
+	docs []*jsonvalue.Value
+}
+
+func loadFixtures(t *testing.T) []fixture {
+	t.Helper()
+	paths, err := filepath.Glob("../../testdata/*.ndjson")
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no fixtures under testdata: %v", err)
+	}
+	var fx []fixture
+	for _, p := range paths {
+		data, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		docs, err := jsontext.ParseLines(data)
+		if err != nil {
+			t.Fatalf("%s: %v", p, err)
+		}
+		fx = append(fx, fixture{p, data, docs})
+	}
+	return fx
+}
+
+func (f fixture) oracle(e typelang.Equiv) *typelang.Type {
+	ts := make([]*typelang.Type, len(f.docs))
+	for i, d := range f.docs {
+		ts[i] = infer.TypeOf(d, e)
+	}
+	return typelang.MergeAll(ts, e)
+}
+
+var parametric = []struct {
+	name  string
+	equiv typelang.Equiv
+}{{"parametric-K", typelang.EquivKind}, {"parametric-L", typelang.EquivLabel}}
+
+// TestCLIMatrix runs the command end to end over every fixture × {K, L}
+// × every -output × {–, -counted, -simplify} × {file argument, stdin} ×
+// {without, with -stream}. -stream selects nothing, so both settings
+// agree byte for byte; and every expectation is computed here from the
+// Parse+TypeOf+MergeAll oracle, not read from a golden file.
+func TestCLIMatrix(t *testing.T) {
+	fixtures := loadFixtures(t)
+	t.Run("errors", func(t *testing.T) { testCLIErrors(t, fixtures[0]) })
+	for _, fx := range fixtures {
+		for _, eng := range parametric {
+			want := fx.oracle(eng.equiv)
+			for _, output := range outputs {
+				for _, mod := range []string{"", "-counted", "-simplify"} {
+					for _, fromStdin := range []bool{false, true} {
+						args := []string{"-engine", eng.name, "-output", output}
+						if mod != "" {
+							args = append(args, mod)
+						}
+						label := fmt.Sprintf("jsinfer %s < %s", strings.Join(args, " "), fx.path)
+						var stdin io.Reader = bytes.NewReader(fx.data)
+						if !fromStdin {
+							label = fmt.Sprintf("jsinfer %s %s", strings.Join(args, " "), fx.path)
+							args, stdin = append(args, fx.path), untouched{t}
+						}
+						stdout, stderr, status := cli(stdin, args...)
+						if status != 0 || stderr != "" {
+							t.Fatalf("%s: status %d, stderr %q", label, status, stderr)
+						}
+						if fromStdin {
+							stdin = bytes.NewReader(fx.data)
+						}
+						if o, e, s := cli(stdin, append([]string{"-stream"}, args...)...); o != stdout || e != stderr || s != status {
+							t.Errorf("%s: -stream changes the run: status %d, stderr %q, stdout\n%s\nwant\n%s", label, s, e, o, stdout)
+						}
+
+						ty := want
+						if mod == "-simplify" {
+							ty = typelang.Simplify(want)
+						}
+						var wantOut string
+						switch output {
+						case "type":
+							wantOut = ty.String() + "\n"
+							if mod == "-counted" {
+								wantOut = ty.StringCounted() + "\n"
+							}
+						case "jsonschema":
+							wantOut = string(core.MarshalIndent(core.TypeToJSONSchema(ty), "  ")) + "\n"
+						case "typescript":
+							wantOut = core.TypeToTypeScript("Root", ty)
+						case "swift":
+							wantOut = core.TypeToSwift("Root", ty)
+						case "report":
+							wantOut = fmt.Sprintf("engine:    %s\ndocuments: %d\nsize:      %d nodes\nprecision: n/a (streamed single pass; rerun with -precision and file arguments for a second pass)\ntype:      %s\n",
+								eng.name, len(fx.docs), ty.Size(), ty)
+						}
+						if stdout != wantOut {
+							t.Errorf("%s printed\n%s\nthe oracle gives\n%s", label, stdout, wantOut)
+						}
+					}
+				}
+			}
+
+			// The precision column is the second pass's: the oracle's
+			// grade of its own schema against the parsed documents.
+			wantLine := fmt.Sprintf("precision: %.3f\n", typelang.Precision(want, fx.docs))
+			for _, stream := range [][]string{nil, {"-stream"}} {
+				args := append(stream, "-engine", eng.name, "-precision", "-output", "report", fx.path)
+				stdout, stderr, status := cli(untouched{t}, args...)
+				if status != 0 || stderr != "" || !strings.Contains(stdout, wantLine) {
+					t.Errorf("jsinfer %v: status %d, stderr %q, stdout\n%s\nwant the line %q", args, status, stderr, stdout, wantLine)
+				}
+			}
+		}
+
+		// Spark and Skinfer materialise; their report grades in place,
+		// and -stream is ignored there too.
+		for _, eng := range []string{"spark", "skinfer"} {
+			stdout, stderr, status := cli(untouched{t}, "-engine", eng, "-output", "report", fx.path)
+			var precision float64
+			_, rest, _ := strings.Cut(stdout, "precision: ")
+			if _, err := fmt.Sscanf(rest, "%f", &precision); err != nil || precision < 0 || status != 0 || stderr != "" ||
+				!strings.HasPrefix(stdout, fmt.Sprintf("engine:    %s\ndocuments: %d\n", eng, len(fx.docs))) {
+				t.Errorf("jsinfer -engine %s -output report %s: status %d, stderr %q, precision %v (%v), stdout\n%s", eng, fx.path, status, stderr, precision, err, stdout)
+			}
+			if o, e, s := cli(untouched{t}, "-stream", "-engine", eng, "-output", "report", fx.path); o != stdout || e != stderr || s != status {
+				t.Errorf("jsinfer -engine %s: -stream changes the run: status %d, stderr %q, stdout\n%s", eng, s, e, o)
+			}
+		}
+	}
+}
+
+// testCLIErrors pins what a failed run prints: one "jsinfer:" line on
+// stderr, nothing on stdout, status 1 — the same with and without
+// -stream.
+func testCLIErrors(t *testing.T, fx fixture) {
+	malformed := append(append([]byte{}, fx.data...), "{]\n"...)
+	_, decodeErr := jsontext.NewDecoder(bytes.NewReader(malformed)).DecodeAll()
+	var se *jsontext.SyntaxError
+	if !errors.As(decodeErr, &se) || se.Offset != len(fx.data)+1 {
+		t.Fatalf("oracle error %v, want a syntax error at offset %d", decodeErr, len(fx.data)+1)
+	}
+	dir := t.TempDir()
+	bad, missing := filepath.Join(dir, "bad.ndjson"), filepath.Join(dir, "missing.ndjson")
+	if err := os.WriteFile(bad, malformed, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, openErr := os.Open(missing)
+
+	for _, c := range []struct {
+		name  string
+		stdin []byte // nil: must not be read
+		args  []string
+		want  string
+	}{
+		{"malformed stdin", malformed, nil, decodeErr.Error()},
+		{"malformed file", nil, []string{fx.path, bad}, bad + ": " + decodeErr.Error()},
+		{"malformed file, spark", nil, []string{"-engine", "spark", bad}, bad + ": " + decodeErr.Error()},
+		{"empty stdin", []byte{}, nil, "no input documents"},
+		{"empty stdin, skinfer", []byte(" \n"), []string{"-engine", "skinfer"}, "no input documents"},
+		{"missing file named once", nil, []string{fx.path, missing}, openErr.Error()},
+		{"missing file named once, spark", nil, []string{"-engine", "spark", missing}, openErr.Error()},
+		{"precision on stdin", nil, []string{"-precision", "-output", "report"}, "-precision with -stream needs file arguments: stdin cannot be re-read"},
+		{"unknown output", nil, []string{"-output", "bogus"}, `unknown output "bogus"`},
+	} {
+		for _, stream := range [][]string{nil, {"-stream"}} {
+			var stdin io.Reader = untouched{t}
+			if c.stdin != nil {
+				stdin = bytes.NewReader(c.stdin)
+			}
+			stdout, stderr, status := cli(stdin, append(stream, c.args...)...)
+			if status != 1 || stdout != "" || stderr != "jsinfer: "+c.want+"\n" {
+				t.Errorf("%s %v: status %d, stdout %q, stderr %q; want 1, nothing, %q", c.name, stream, status, stdout, stderr, "jsinfer: "+c.want)
+			}
 		}
 	}
 }

@@ -714,7 +714,7 @@ func TestMetricsScrapeTakesStatsOnce(t *testing.T) {
 // chunk absorbed in line (no worker, no chunk seal, no committer
 // clock), the lone shipper fills one shard, so each read that finds
 // news seals once and fuses nothing, and what is served is what
-// `jsinfer -stream` makes of the same documents.
+// `jsinfer` makes of the same documents.
 func TestShipperLoopAbsorbsInLine(t *testing.T) {
 	const posts, perPost = 24, 100
 	data := jsontext.MarshalLines(genjson.Collection(genjson.Twitter{Seed: 19}, posts*perPost))
@@ -736,7 +736,7 @@ func TestShipperLoopAbsorbsInLine(t *testing.T) {
 				t.Fatal(err)
 			}
 			if _, served := get(t, srv.URL+"/v1/collections/c/schema"); served != want.Type.String()+"\n" {
-				t.Fatalf("after POST %d the served schema diverges from jsinfer -stream\n cli:    %s\n daemon: %s", i, want.Type, served)
+				t.Fatalf("after POST %d the served schema diverges from jsinfer\n cli:    %s\n daemon: %s", i, want.Type, served)
 			}
 			reads++
 		}

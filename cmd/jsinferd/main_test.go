@@ -65,7 +65,7 @@ func get(t *testing.T, url string) (int, string) {
 
 // TestServedSchemaMatchesBatchCLI is the acceptance criterion end to
 // end: ingest a checked-in fixture over HTTP and the served schema must
-// be byte-identical to what `jsinfer -stream` prints for the same file
+// be byte-identical to what `jsinfer` prints for the same file
 // (the CLI is fmt.Println over core.InferSchemaStreamFilesWith's Type).
 func TestServedSchemaMatchesBatchCLI(t *testing.T) {
 	fixtures, err := filepath.Glob(filepath.Join("..", "..", "testdata", "*.ndjson"))
@@ -88,7 +88,7 @@ func TestServedSchemaMatchesBatchCLI(t *testing.T) {
 		}
 		_, served := get(t, srv.URL+"/v1/collections/"+col+"/schema")
 		if want := inf.Type.String() + "\n"; served != want {
-			t.Errorf("%s: served schema diverges from jsinfer -stream\n cli:    %s daemon: %s", col, want, served)
+			t.Errorf("%s: served schema diverges from jsinfer\n cli:    %s daemon: %s", col, want, served)
 		}
 		_, counted := get(t, srv.URL+"/v1/collections/"+col+"/schema?output=counted")
 		if want := inf.Type.StringCounted() + "\n"; counted != want {

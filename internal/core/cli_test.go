@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"strings"
@@ -82,6 +83,15 @@ func TestInferSchemaStreamFilesWith(t *testing.T) {
 		if n != 60 {
 			t.Errorf("typed %d docs before the error, want 60", n)
 		}
+	}
+
+	// A file that cannot be opened is named once — its *fs.PathError
+	// already carries the name, only decode errors get the prefix — and
+	// the files before it stay counted.
+	var pe *fs.PathError
+	_, n, err = InferSchemaStreamFilesWith([]string{f1, filepath.Join(dir, "missing.ndjson")}, ParametricL, StreamOptions{})
+	if !errors.As(err, &pe) || strings.Count(err.Error(), "missing.ndjson") != 1 || n != 60 {
+		t.Errorf("missing file: error %q after %d docs, want a PathError naming missing.ndjson once after 60", err, n)
 	}
 
 	if _, _, err := InferSchemaStreamFilesWith([]string{f1}, Spark, StreamOptions{}); err == nil {

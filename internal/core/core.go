@@ -211,21 +211,16 @@ func equivFor(engine Engine) (typelang.Equiv, bool) {
 	}
 }
 
-// InferSchema runs the selected engine over the collection with the
-// default worker count.
+// InferSchema runs the selected engine over a materialised collection
+// and grades the result against it (Precision, Size). The parametric
+// engines reduce over GOMAXPROCS workers; Spark and Skinfer are
+// single-threaded.
 func InferSchema(docs []*Value, engine Engine) (*Inference, error) {
-	return InferSchemaWorkers(docs, engine, 0)
-}
-
-// InferSchemaWorkers is InferSchema with an explicit parallel worker
-// count for the parametric engines (0 means GOMAXPROCS; the other
-// engines are single-threaded and ignore it).
-func InferSchemaWorkers(docs []*Value, engine Engine, workers int) (*Inference, error) {
 	out := &Inference{Engine: engine}
 	switch engine {
 	case ParametricK, ParametricL:
 		eq, _ := equivFor(engine)
-		out.Type = infer.InferParallel(docs, infer.Options{Equiv: eq, Workers: workers})
+		out.Type = infer.InferParallel(docs, infer.Options{Equiv: eq})
 		out.JSONSchema = jsonschema.FromType(out.Type)
 	case Spark:
 		out.Type = sparkinfer.Infer(docs).ToTypelang()
@@ -283,28 +278,18 @@ type PipelineStats = infer.PipelineStats
 // StatsSnapshot is a point-in-time copy of PipelineStats counters.
 type StatsSnapshot = infer.StatsSnapshot
 
-// InferSchemaStreamWith infers a parametric schema from a stream of
-// JSON documents (NDJSON or concatenated JSON) on r without
-// materialising the collection. Documents are typed straight from
-// tokens — no value tree is ever built — and the worker pool lexes and
-// types document-aligned byte chunks in parallel, so the input may be
-// far larger than memory and decode throughput scales with workers.
-// It returns the inference and the number of documents consumed.
-//
-// Only the parametric engines support streaming — Spark and Skinfer
-// inference need the whole collection in memory. The returned
-// Inference carries no Precision (it is -1): computing it needs a
-// second pass over data the stream no longer holds; use
-// StreamPrecisionFiles on re-readable input. On a
-// decode error the Inference is still returned alongside the error
-// (whose syntax offsets are absolute stream offsets) and covers every
-// document decoded before it, mirroring infer.InferStream.
-func InferSchemaStreamWith(r io.Reader, engine Engine, opts StreamOptions) (*Inference, int, error) {
+// streamed is the one constructor of a streamed Inference: it rejects
+// the engines that need the whole collection, runs the pass under the
+// engine's equivalence and wraps whatever type came back — on a decode
+// error too, where it covers every document before the error. Precision
+// is -1: grading needs a second pass over data the stream no longer
+// holds (StreamPrecisionFiles, on re-readable input).
+func streamed(engine Engine, opts StreamOptions, pass func(infer.Options) (*Type, int, error)) (*Inference, int, error) {
 	eq, ok := equivFor(engine)
 	if !ok {
 		return nil, 0, fmt.Errorf("core: engine %s cannot infer from a stream", engine)
 	}
-	t, n, err := infer.InferStream(r, opts.inferOptions(eq))
+	t, n, err := pass(opts.inferOptions(eq))
 	return &Inference{
 		Engine:     engine,
 		Type:       t,
@@ -314,27 +299,28 @@ func InferSchemaStreamWith(r io.Reader, engine Engine, opts StreamOptions) (*Inf
 	}, n, err
 }
 
+// InferSchemaStreamWith infers a parametric schema from a stream of
+// JSON documents (NDJSON or concatenated JSON) on r without
+// materialising the collection, so the input may be far larger than
+// memory. It returns the inference and the number of documents
+// consumed; a decode error carries absolute stream offsets and comes
+// with the Inference of the documents before it, mirroring
+// infer.InferStream.
+func InferSchemaStreamWith(r io.Reader, engine Engine, opts StreamOptions) (*Inference, int, error) {
+	return streamed(engine, opts, func(o infer.Options) (*Type, int, error) {
+		return infer.InferStream(r, o)
+	})
+}
+
 // InferSchemaStreamBytesWith is InferSchemaStreamWith over an
-// in-memory buffer — the zero-copy entry point. The chunking stage
-// splits data in place (every chunk aliases the caller's buffer; no
-// pending array, no copies), which is how memory-mapped files stream
-// through the pipeline at index speed. The buffer must stay alive and
-// unmodified until the call returns; results, counts and error offsets
-// are byte-identical to InferSchemaStreamWith over a reader of the
-// same bytes.
+// in-memory buffer — the zero-copy entry point: every chunk aliases
+// data, which must stay alive and unmodified until the call returns.
+// Results, counts and error offsets are byte-identical to
+// InferSchemaStreamWith over a reader of the same bytes.
 func InferSchemaStreamBytesWith(data []byte, engine Engine, opts StreamOptions) (*Inference, int, error) {
-	eq, ok := equivFor(engine)
-	if !ok {
-		return nil, 0, fmt.Errorf("core: engine %s cannot infer from a stream", engine)
-	}
-	t, n, err := infer.InferStreamBytes(data, opts.inferOptions(eq))
-	return &Inference{
-		Engine:     engine,
-		Type:       t,
-		JSONSchema: jsonschema.FromType(t),
-		Precision:  -1,
-		Size:       t.Size(),
-	}, n, err
+	return streamed(engine, opts, func(o infer.Options) (*Type, int, error) {
+		return infer.InferStreamBytes(data, o)
+	})
 }
 
 // StreamPrecisionFiles grades an inferred schema against the documents
@@ -370,41 +356,31 @@ func StreamPrecisionFiles(files []string, t *Type) (float64, int, error) {
 
 // InferSchemaStreamFilesWith streams each named file in turn and merges
 // the per-file schemas into one inference — exact by associativity of
-// the merge. Each file gets its own decoder, so a decode error names
-// the offending file; inference stops there, and the Inference and
-// count returned with the error cover exactly the documents before it:
-// the earlier files and the failing file's prefix.
+// the merge. Each file gets its own decoder, so a decode error is
+// prefixed with the offending file's name (an open error already names
+// it); inference stops there, and the Inference and count returned with
+// the error cover exactly the documents before it: the earlier files
+// and the failing file's prefix.
 //
 // Regular files of at least mmapMinSize are memory-mapped where the
 // platform can and stream through the zero-copy byte engines (the raw
 // file pages are split and lexed in place), everything else through the
 // buffered reader path — results are byte-identical either way.
 func InferSchemaStreamFilesWith(files []string, engine Engine, opts StreamOptions) (*Inference, int, error) {
-	eq, ok := equivFor(engine)
-	if !ok {
-		return nil, 0, fmt.Errorf("core: engine %s cannot infer from a stream", engine)
-	}
-	acc := typelang.Bottom
-	total := 0
-	var ferr error
-	for _, name := range files {
-		part, n, err := streamOneFile(name, engine, opts)
-		total += n
-		if part != nil { // nil: the file could not be opened or mapped
-			acc = typelang.Merge(acc, part.Type, eq)
+	return streamed(engine, opts, func(o infer.Options) (*Type, int, error) {
+		acc, total := typelang.Bottom, 0
+		for _, name := range files {
+			part, n, err := streamOneFile(name, engine, opts)
+			if part == nil { // not opened: the *fs.PathError names the file itself
+				return acc, total, err
+			}
+			acc, total = typelang.Merge(acc, part.Type, o.Equiv), total+n
+			if err != nil {
+				return acc, total, fmt.Errorf("%s: %w", name, err)
+			}
 		}
-		if err != nil {
-			ferr = fmt.Errorf("%s: %w", name, err)
-			break
-		}
-	}
-	return &Inference{
-		Engine:     engine,
-		Type:       acc,
-		JSONSchema: jsonschema.FromType(acc),
-		Precision:  -1,
-		Size:       acc.Size(),
-	}, total, ferr
+		return acc, total, nil
+	})
 }
 
 // streamOneFile infers one named file, through a memory mapping when

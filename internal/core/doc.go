@@ -5,22 +5,15 @@
 // program against this package; the internal/* packages behind it stay
 // independently usable.
 //
-// For schema inference the facade offers three shapes:
-//
-//   - InferSchema / InferSchemaWorkers run any engine (parametric K/L,
-//     Spark, Skinfer) over a materialised collection and grade the
-//     result (precision, size);
-//   - InferSchemaStreamWith, InferSchemaStreamBytesWith and
-//     InferSchemaStreamFilesWith run the parametric engines over a
-//     reader, a byte slice or named files of any size in bounded
-//     memory, typing documents straight off the structural index;
-//     StreamOptions selects the worker count and the chunk size (large
-//     regular files are memory-mapped, everything else read);
-//   - StreamPrecisionFiles grades a schema against re-readable files
-//     in a bounded-memory second pass, filling the precision column a
-//     single streamed pass cannot compute.
-//
-// The cmd/jsinfer command is a thin CLI over exactly this surface, and
+// Schema inference has two entries. InferSchemaStreamWith (a reader),
+// InferSchemaStreamBytesWith (a byte slice) and
+// InferSchemaStreamFilesWith (named files, large regular ones
+// memory-mapped) run the parametric engines in bounded memory — the one
+// pipeline docs/ARCHITECTURE.md describes, and what cmd/jsinfer runs for
+// every parametric invocation; StreamPrecisionFiles grades the result in
+// a second bounded-memory pass. InferSchema runs any engine over a
+// materialised collection and grades it in place: the library API, and
+// the CLI's path for Spark and Skinfer, which need the whole collection.
 // internal/registry + cmd/jsinferd serve the same inference as a
 // long-running ingest daemon with live, versioned schemas.
 package core

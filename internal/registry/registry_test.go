@@ -52,7 +52,7 @@ func oracleType(t *testing.T, data []byte, e typelang.Equiv) (*typelang.Type, in
 // TestIngestMatchesBatchInferStream pins the acceptance criterion on
 // every checked-in fixture: after one ingest, the live snapshot must be
 // byte-identical — same rendering, same counting annotations — to what
-// batch `jsinfer -stream` computes over the same file.
+// batch `jsinfer` computes over the same file.
 func TestIngestMatchesBatchInferStream(t *testing.T) {
 	fixtures, err := filepath.Glob(filepath.Join("..", "..", "testdata", "*.ndjson"))
 	if err != nil {

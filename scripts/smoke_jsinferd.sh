@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Daemon smoke test: boot jsinferd, POST a checked-in fixture (identity
 # and gzip-encoded), and assert the served schemas are byte-identical to
-# batch `jsinfer -stream` over the same file, then assert /metrics
+# batch `jsinfer` over the same file, then assert /metrics
 # serves ingest counters that add up. Run from anywhere; used by
 # `make smoke-daemon` and CI.
 set -euo pipefail
@@ -59,7 +59,7 @@ echo "smoke: ingesting $fixture (gzip)"
 gzip -c "$fixture" | curl -fsS -X POST -H 'Content-Encoding: gzip' \
     --data-binary @- "$base/v1/collections/smoke-gz/ingest"
 
-batch=$("$bindir/jsinfer" -stream "$fixture")
+batch=$("$bindir/jsinfer" "$fixture")
 for col in smoke smoke-gz; do
     served=$(curl -fsS "$base/v1/collections/$col/schema")
     if [ "$served" != "$batch" ]; then
@@ -113,4 +113,4 @@ echo "$stats" | grep -q "\"docs_absorbed\": $want_docs" || {
     echo "smoke: /v1/stats pipeline.docs_absorbed != $want_docs" >&2
     exit 1
 }
-echo "smoke ok: served schema is byte-identical to jsinfer -stream"
+echo "smoke ok: served schema is byte-identical to jsinfer"
