@@ -24,17 +24,21 @@ test:
 race:
 	$(GO) test -race ./internal/infer/ ./internal/typelang/ ./internal/jsontext/ ./internal/mison/ ./internal/registry/ ./internal/daemon/... ./cmd/jsinferd/
 
-# The lexer differentials, $(FUZZTIME) each: the index walk and the
-# token walk over mison's structural index against the reference lexer,
-# the reference lexer against the DOM decoder, and the absorption
-# surface against MergeAll. They gate every change to a lexer; `go test
-# -fuzz` takes one target of one package per run.
+# The differentials, $(FUZZTIME) each: the index walk and the token
+# walk over mison's structural index against the reference lexer, the
+# reference lexer against the DOM decoder, the absorption surface
+# against MergeAll, the sequential shape's windows (any target, every
+# input kind) against the oracle, and mison.Chunker against the
+# byte-at-a-time splitter. They gate every change to a lexer or to the
+# input stage; `go test -fuzz` takes one target of one package per run.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzIndexAbsorb$$' -fuzztime $(FUZZTIME) ./internal/infer/
 	$(GO) test -run '^$$' -fuzz '^FuzzTokenSource$$' -fuzztime $(FUZZTIME) ./internal/mison/
 	$(GO) test -run '^$$' -fuzz '^FuzzTokenReader$$' -fuzztime $(FUZZTIME) ./internal/jsontext/
 	$(GO) test -run '^$$' -fuzz '^FuzzAbsorbSurface$$' -fuzztime $(FUZZTIME) ./internal/typelang/
+	$(GO) test -run '^$$' -fuzz '^FuzzStreamWindows$$' -fuzztime $(FUZZTIME) ./internal/infer/
+	$(GO) test -run '^$$' -fuzz '^FuzzChunkerVsScan$$' -fuzztime $(FUZZTIME) ./internal/infer/
 
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem ./...

@@ -253,7 +253,8 @@ type StreamOptions struct {
 	// byte-size target: chunks are cut at the first document boundary
 	// at or past it, instead of every 256 documents — the knob that
 	// lets GB-scale inputs amortise per-chunk overhead over far larger
-	// chunks. 0 keeps the document-count default.
+	// chunks. 0 keeps the document-count default. At one worker it is
+	// the length of the windows the input is absorbed in (0: 4 MiB).
 	ChunkBytes int
 	// Stats, when non-nil, receives the pipeline's stage counters and
 	// clocks (see infer.PipelineStats); nil keeps recording entirely

@@ -1,6 +1,7 @@
 package infer
 
 import (
+	"bytes"
 	"errors"
 	"io"
 	"slices"
@@ -8,35 +9,41 @@ import (
 	"sync/atomic"
 )
 
-// This file is the chunking stage of the streamed engine: the input is
-// split into runs of whole top-level documents so the workers can lex
-// and type raw bytes in parallel. A chunk boundary is a newline at
-// container depth zero outside any string, so NDJSON splits per line
-// while pretty-printed or concatenated layouts are never cut inside a
-// document; input with no top-level newline at all degrades to a single
-// chunk.
+// This file is the input stage of the streamed engine: it hands the map
+// phase runs of bytes, in one of two ways; stream (tokens.go) picks.
 //
-// Two input modes feed the same byteChunk stream:
+// Windows feed the sequential shape, and nothing scans the input to cut
+// them: a window ends just after a raw '\n' — the last one inside the
+// byte target, else the first one past it, else at the end of input
+// (cutWindow). No JSON token holds a raw newline and in well-formed
+// JSON none lies inside a string, so no token is cut and the index's
+// quote-parity gate keeps its meaning; a pretty-printed document may
+// be. The index walk is the splitter: in a window that is not the
+// input's last, the record failing with an error more input could cure
+// (curable) is the straddler — absorption is transactional per
+// document, nothing of it was committed — and the next window begins at
+// its first byte. A window that completed no document is followed by
+// one at least twice as long, so a document larger than the target
+// makes progress and the bytes indexed twice stay O(n); input with no
+// newline at all is one window.
 //
-//   - readChunks pulls from an io.Reader into pooled, refcounted chunk
-//     buffers (chunkBuf). Chunks alias the buffer they were read into
-//     and hold a reference on it; the worker releases the reference
-//     once the accumulator has absorbed the chunk, and a fully released
-//     buffer returns to its pool — the run's, or the collector's an
-//     ingest feeds — for a reader to refill, so the steady state
-//     recycles a handful of arrays instead of allocating a fresh
-//     pending array per compaction (or per ingest).
-//   - splitChunksBytes splits a caller-owned byte slice in place:
-//     chunks alias the input directly, nothing is copied, nothing is
-//     pooled, and the steady state performs zero chunking allocations
-//     (pinned by TestSplitChunksBytesAllocFree). This is the path the
-//     byte-slice entry point and mmap'd file inputs ride.
+// Chunks feed the parallel shape: runs of whole documents, cut at a
+// newline at depth zero outside any string so workers can type them
+// independently. Boundary finding is mison.Chunker's (a docSplitter, so
+// tests can run the byte-at-a-time reference through the same code); it
+// runs only where chunks travel to other goroutines — an input that
+// ends inside the first read block (or is a slice), provably one chunk
+// (oneChunk), is emitted whole, unscanned, as the final window.
 //
-// Boundary finding is mison.Chunker's: it reaches the boundaries through
-// the structural bitmaps, touching only structural characters after a
-// branch-free word-at-a-time classification pass. The stage takes it as
-// a docSplitter so the tests can run the byte-at-a-time reference
-// splitter through the same code and compare chunk streams.
+// An io.Reader is read into pooled, refcounted buffers (chunkReader,
+// chunkBuf): chunks alias the buffer they were read into and hold a
+// reference the consumer releases after absorbing them, and a fully
+// released buffer returns to its pool — the run's, or the collector's
+// an ingest feeds — so the steady state recycles a handful of arrays; a
+// straddler is carried over exactly as an unsplit tail is. A
+// caller-owned slice (InferStreamBytes, an mmap'd file) is cut in
+// place: nothing copied, nothing pooled, no allocation in the steady
+// state (TestSplitChunksBytesAllocFree).
 
 // docSplitter finds document-aligned split candidates incrementally:
 // Splits appends the exclusive end offset of every top-level newline in
@@ -140,25 +147,29 @@ func (o Options) chunkTargets() chunkTargets {
 	return chunkTargets{docs: o.batch(), bytes: max(o.ChunkBytes, 0)}
 }
 
-// sequentialChunkBytes is the default chunk byte target of the
-// one-worker shape. The multi-worker shape keeps small document-count
-// chunks to balance load across workers; with one worker there is no
-// load to balance, chunks exist only to amortise index and tokenizer
-// resets — so it prefers a handful of large ones. Large chunks are
-// where the zero-copy split earns its keep: the byte-slice source emits
-// them for free by aliasing the input, while the reader source must
-// buffer each one contiguously.
+// sequentialChunkBytes is the default window of a one-shot run's
+// sequential shape. The parallel shape keeps small document-count
+// chunks to balance load across workers; with one worker windows only
+// bound the index's bitmaps and the reader's buffer, so it prefers a
+// handful of large ones. An explicit ChunkBytes wins; Batch counts
+// documents per work unit and cuts nothing where there are none.
 const sequentialChunkBytes = 4 << 20
 
-// sequentialChunkTargets is chunkTargets with the one-worker shape's
-// larger default. An explicit ChunkBytes or Batch wins — callers who
-// tuned chunking (tests pinning multi-chunk runs, GB-scale jobs
-// choosing their own target) see exactly what they asked for.
-func (o Options) sequentialChunkTargets() chunkTargets {
-	if o.ChunkBytes == 0 && o.Batch == 0 {
-		o.ChunkBytes = sequentialChunkBytes
+// oneChunk reports whether data, the whole input, is provably a single
+// chunk under t: no more bytes than the byte target or, every top-level
+// newline being a raw one, fewer raw newlines than the document target.
+func (t chunkTargets) oneChunk(data []byte) bool {
+	if t.bytes > 0 {
+		return len(data) <= t.bytes
 	}
-	return o.chunkTargets()
+	for n := 0; n < t.docs; n++ {
+		i := bytes.IndexByte(data, '\n')
+		if i < 0 {
+			return true
+		}
+		data = data[i+1:]
+	}
+	return false
 }
 
 // ripe reports whether a chunk spanning size bytes and docs documents
@@ -170,120 +181,199 @@ func (t chunkTargets) ripe(docs, size int) bool {
 	return docs >= t.docs
 }
 
+// chunkReader is the reader path's buffer: the bytes read and not yet
+// consumed, in a pooled array the emitted chunks alias. A caller-owned
+// slice rides it already filled (stream): eof set, nil buf, no reads.
+type chunkReader struct {
+	r       io.Reader
+	pool    *chunkPool
+	st      *PipelineStats // the read clock, the chunk counter and the copy/recycle counters record here
+	frame   statsFrame     // flushed once per emitted chunk
+	buf     *chunkBuf      // current fill buffer; the reader holds one ref
+	pending []byte         // filled prefix of buf.data
+	base    int            // absolute offset of pending[0]
+	start   int            // pending[:start] has been emitted and consumed
+	scanned int            // pending[:scanned] has been handed to the splitter
+	index   int
+	eof     bool  // the input has ended, or failed with err
+	err     error // the read error, nil at a clean end
+}
+
+// newChunkReader sizes the first buffer for one read block past the
+// byte target (capped, so a huge target cannot pre-commit memory the
+// input may never fill), so byte targets do not copy their way up.
+func newChunkReader(r io.Reader, target int, pool *chunkPool, st *PipelineStats) *chunkReader {
+	cr := &chunkReader{r: r, pool: pool, st: st}
+	cr.frame.ReaderInputs = 1
+	cr.buf = pool.get(min(max(2*chunkReadSize, target+chunkReadSize), maxInitialChunkBuf), &cr.frame.BuffersRecycled)
+	cr.pending = cr.buf.data[:0]
+	return cr
+}
+
+// close drops the reader's own reference and publishes the frame.
+func (cr *chunkReader) close() {
+	cr.buf.release()
+	cr.frame.flush(cr.st)
+}
+
+// fill reads one block. When the buffer is full it first recycles:
+// carry the unconsumed tail into the front of the same array when no
+// emitted chunk still aliases it (refs == 1), into a pooled/fresh array
+// otherwise; with nothing consumed at all the run is unsplittable and
+// the array doubles so total copying stays O(n).
+func (cr *chunkReader) fill() {
+	if len(cr.pending)+chunkReadSize > cap(cr.buf.data) {
+		tail := len(cr.pending) - cr.start
+		switch {
+		case cr.start > 0 && cr.buf.refs.Load() == 1 && tail+chunkReadSize <= cap(cr.buf.data):
+			// All chunks emitted from this array have been released:
+			// the reader owns it alone and may slide the tail down
+			// in place instead of allocating.
+			copy(cr.buf.data, cr.pending[cr.start:])
+		default:
+			size := max(cap(cr.buf.data), tail+chunkReadSize)
+			if cr.start == 0 {
+				size = max(2*cap(cr.buf.data), size) // unsplittable run: grow by doubling
+			}
+			next := cr.pool.get(size, &cr.frame.BuffersRecycled)
+			copy(next.data, cr.pending[cr.start:])
+			cr.buf.release()
+			cr.buf = next
+		}
+		cr.frame.BytesCopied += int64(tail)
+		cr.base += cr.start
+		cr.pending = cr.buf.data[:tail]
+		cr.scanned, cr.start = tail, 0
+	}
+	readStart := statsClock(cr.st)
+	n, err := cr.r.Read(cr.buf.data[len(cr.pending) : len(cr.pending)+chunkReadSize])
+	statsSince(cr.st, &cr.frame.ReadNanos, readStart)
+	cr.pending = cr.buf.data[:len(cr.pending)+n]
+	if err != nil {
+		if !errors.Is(err, io.EOF) {
+			cr.err = err
+		}
+		cr.eof = true
+	}
+}
+
+// chunk emits pending[start:end) and moves start past it. The chunk
+// holds a reference on the buffer it aliases: the consumer release()s
+// it once the bytes are dead, or the array never returns to the pool.
+func (cr *chunkReader) chunk(end int, last bool) byteChunk {
+	ch := byteChunk{index: cr.index, base: cr.base + cr.start, data: cr.pending[cr.start:end], buf: cr.buf, last: last}
+	cr.buf.acquire()
+	cr.index++
+	cr.start = end
+	cr.frame.ChunksSplit++
+	cr.frame.flush(cr.st)
+	return ch
+}
+
+// cutWindow returns the length of the window at the head of avail: just
+// past the last raw '\n' in avail[floor:want], else the first one from
+// want on, else — at the end of input, or when avail is all there is —
+// everything. -1 asks for more input first.
+func cutWindow(avail []byte, floor, want int, eof bool) int {
+	if len(avail) > want {
+		if i := bytes.LastIndexByte(avail[floor:want], '\n'); i >= 0 {
+			return floor + i + 1
+		}
+		if i := bytes.IndexByte(avail[want:], '\n'); i >= 0 {
+			return want + i + 1
+		}
+	}
+	if eof {
+		return len(avail)
+	}
+	return -1
+}
+
+// windows is the sequential shape's input loop (see the file comment):
+// it hands direct one window after another and starts the next where
+// direct says absorption stopped — the window's end, or its straddler.
+// It returns the documents absorbed and the first error; a read error
+// wins over an error in the window it truncated, and only that one.
+func windows(cr *chunkReader, target int, direct func(byteChunk) (int, int, error)) (int, error) {
+	defer cr.close()
+	total := 0
+	for floor, want := 0, target; !cr.eof || cr.start < len(cr.pending); {
+		avail := cr.pending[cr.start:]
+		if len(avail) <= want && !cr.eof {
+			cr.fill()
+			continue
+		}
+		end := cutWindow(avail, floor, want, cr.eof)
+		if end < 0 { // no newline in avail[floor:]: look again at twice the bytes
+			floor, want = len(avail), 2*len(avail)
+			continue
+		}
+		last := cr.eof && end == len(avail)
+		ch := cr.chunk(cr.start+end, last)
+		ch.open = !last
+		cr.frame.ChunksDirect++
+		n, used, err := direct(ch)
+		total += n
+		if cr.buf == nil {
+			cr.frame.BytesAliased += int64(used)
+		}
+		if last && cr.err != nil {
+			err = cr.err
+		}
+		if err != nil || last {
+			return total, err
+		}
+		cr.start -= end - used
+		floor, want = 0, target
+		if n == 0 && used < end { // nothing completed: the straddler needs a longer window
+			floor, want = end-used, 2*(end-used)
+		}
+	}
+	return total, cr.err
+}
+
 // readChunks splits the stream into document-aligned byte chunks and
 // hands them to emit (which reports false to stop early). Split
 // candidates come from sp; this loop batches them into chunks per the
-// targets and manages the pooled buffers. Every emitted chunk holds a
-// reference on the buffer it aliases — the consumer must release() it
-// once the bytes are dead (after absorption), or the array leaks from
-// the pool (harmless, but unrecycled). The chunk the input ends with is
-// marked last. When st is non-nil the read (io) and split
-// (boundary-finding) stage clocks, the chunk counter and the
-// copy/recycle counters record into it, flushed once per emitted chunk.
+// targets. The chunk the input ends with is marked last — and an input
+// that ends inside the first read block, provably one chunk, is emitted
+// without asking sp anything.
 func readChunks(r io.Reader, targets chunkTargets, sp docSplitter, pool *chunkPool, st *PipelineStats, emit func(byteChunk) bool) error {
-	var (
-		buf       *chunkBuf // current fill buffer; reader holds one ref
-		pending   []byte    // filled prefix of buf.data
-		scanned   int       // pending[:scanned] has been handed to the splitter
-		base      int       // absolute offset of pending[0]
-		index     int
-		docs      int // top-level newlines seen since the last split
-		lastSplit int // end of the last split point within pending
-		splitBuf  []int
-		readErr   error
-		sawEOF    bool
-		frame     statsFrame
-	)
-	// The initial buffer is sized for one read block past the byte
-	// target (capped, so a huge target cannot pre-commit memory the
-	// input may never fill — growth doubling covers the rest), which
-	// keeps byte-target chunking from copying its way up on every run.
-	buf = pool.get(min(max(2*chunkReadSize, targets.bytes+chunkReadSize), maxInitialChunkBuf), &frame.BuffersRecycled)
-	pending = buf.data[:0]
-	if st != nil {
-		frame.ReaderInputs = 1
+	cr := newChunkReader(r, targets.bytes, pool, st)
+	defer cr.close()
+	for len(cr.pending) < chunkReadSize && !cr.eof {
+		cr.fill()
 	}
-	emitUpTo := func(end int, last bool) bool {
-		if end <= lastSplit {
-			return true
+	if cr.eof && targets.oneChunk(cr.pending) {
+		if len(cr.pending) > 0 {
+			emit(cr.chunk(len(cr.pending), true))
 		}
-		ch := byteChunk{index: index, base: base + lastSplit, data: pending[lastSplit:end], buf: buf, last: last}
-		buf.acquire()
-		index++
-		docs = 0
-		lastSplit = end
-		if st != nil {
-			frame.ChunksSplit++
-			frame.flush(st)
-		}
-		return emit(ch)
+		return cr.err
 	}
-	defer func() { buf.release() }()
+	var splitBuf []int
+	docs := 0 // top-level newlines seen since the last split
 	for {
-		// Refill. When the buffer is full, recycle: carry the unsplit
-		// tail into the front of the same array when no emitted chunk
-		// still aliases it (refs == 1 — the compaction-reuse fix), into
-		// a pooled/fresh array otherwise; with no split point at all the
-		// run is unsplittable and the array doubles so total copying
-		// stays O(n).
-		if len(pending)+chunkReadSize > cap(buf.data) {
-			tail := len(pending) - lastSplit
-			switch {
-			case lastSplit > 0 && buf.refs.Load() == 1 && tail+chunkReadSize <= cap(buf.data):
-				// All chunks emitted from this array have been released:
-				// the reader owns it alone and may slide the tail down
-				// in place instead of allocating.
-				copy(buf.data, pending[lastSplit:])
-			case lastSplit > 0:
-				next := pool.get(max(cap(buf.data), tail+chunkReadSize), &frame.BuffersRecycled)
-				copy(next.data, pending[lastSplit:])
-				buf.release()
-				buf = next
-			default:
-				// Unsplittable run: grow by doubling.
-				next := pool.get(max(2*cap(buf.data), tail+chunkReadSize), &frame.BuffersRecycled)
-				copy(next.data, pending)
-				buf.release()
-				buf = next
-			}
-			if st != nil {
-				frame.BytesCopied += int64(tail)
-			}
-			base += lastSplit
-			pending = buf.data[:tail]
-			scanned = tail
-			lastSplit = 0
-		}
-		readStart := statsClock(st)
-		n, err := r.Read(buf.data[len(pending) : len(pending)+chunkReadSize])
-		statsSince(st, &frame.ReadNanos, readStart)
-		pending = buf.data[:len(pending)+n]
-		if err != nil {
-			if !errors.Is(err, io.EOF) {
-				readErr = err
-			}
-			sawEOF = true
-		}
-		// Find boundaries in the new bytes, emitting at every ripe split
-		// point.
+		// Find boundaries in the new bytes, emitting at every ripe one.
 		splitStart := statsClock(st)
-		splitBuf = sp.Splits(pending[scanned:], splitBuf[:0])
-		statsSince(st, &frame.SplitNanos, splitStart)
+		splitBuf = sp.Splits(cr.pending[cr.scanned:], splitBuf[:0])
+		statsSince(st, &cr.frame.SplitNanos, splitStart)
 		for _, rel := range splitBuf {
 			docs++
-			if end := scanned + rel; targets.ripe(docs, end-lastSplit) {
-				if !emitUpTo(end, sawEOF && end == len(pending)) {
-					frame.flush(st)
-					return readErr
+			if end := cr.scanned + rel; targets.ripe(docs, end-cr.start) {
+				docs = 0
+				if !emit(cr.chunk(end, cr.eof && end == len(cr.pending))) {
+					return cr.err
 				}
 			}
 		}
-		scanned = len(pending)
-		if sawEOF {
-			emitUpTo(len(pending), true)
-			frame.flush(st)
-			return readErr
+		cr.scanned = len(cr.pending)
+		if cr.eof {
+			if cr.start < len(cr.pending) {
+				emit(cr.chunk(len(cr.pending), true))
+			}
+			return cr.err
 		}
+		cr.fill()
 	}
 }
 
@@ -299,9 +389,10 @@ var splitBufPool = sync.Pool{New: func() any { b := make([]int, 0, 512); return 
 // finding, block by block so the splitter's carry logic is exercised
 // identically to the reader path. Emitted chunks carry no buffer
 // reference (release is a no-op); the caller keeps data alive for the
-// duration of the run. When st is non-nil every emitted chunk counts
-// its length into BytesAliased — the zero-copy twin of the reader
-// path's BytesCopied. The body is deliberately closure-free and its
+// duration of the run; one that is provably one chunk is emitted whole,
+// sp unasked. When st is non-nil every emitted chunk counts its length
+// into BytesAliased — the zero-copy twin of the reader path's
+// BytesCopied. The body is deliberately closure-free and its
 // split scratch is pooled, so the steady state allocates nothing
 // (pinned by TestSplitChunksBytesAllocFree).
 func splitChunksBytes(data []byte, targets chunkTargets, sp docSplitter, st *PipelineStats, emit func(byteChunk) bool) error {
@@ -313,7 +404,8 @@ func splitChunksBytes(data []byte, targets chunkTargets, sp docSplitter, st *Pip
 	)
 	scratch := splitBufPool.Get().(*[]int)
 	splits := (*scratch)[:0]
-	for blockStart := 0; blockStart < len(data); blockStart += chunkReadSize {
+	one := targets.oneChunk(data) // nothing to find: the tail below is the whole input
+	for blockStart := 0; blockStart < len(data) && !one; blockStart += chunkReadSize {
 		blockEnd := min(blockStart+chunkReadSize, len(data))
 		splitStart := statsClock(st)
 		splits = sp.Splits(data[blockStart:blockEnd], splits[:0])

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -160,6 +161,46 @@ func TestMisonChunkerMatchesScanChunkerEdgeCases(t *testing.T) {
 	for _, c := range cases {
 		assertSameSplits(t, c.name, []byte(c.input))
 	}
+}
+
+// FuzzChunkerVsScan holds mison.Chunker to the byte-at-a-time splitter
+// on arbitrary bytes fed in blocks of a fuzz-chosen size: the same
+// split candidates, up to the one divergence the Chunker documents — a
+// backslash outside any string, which phase 2 lets escape the byte
+// after it and the scanner does not. The lexer faults on that backslash
+// whichever chunk holds it, so the input is compared up to the first.
+func FuzzChunkerVsScan(f *testing.F) {
+	for _, in := range append(malformedInputs[:len(malformedInputs):len(malformedInputs)],
+		"{\"s\": \"a\\\"b\"}\n{\"t\": 1}\n", "{\"s\": \""+strings.Repeat("\\\\", 70)+"\"}\n{\"t\": 2}\n",
+		"{\n  \"a\": [1,\n 2]\n}\n{\n  \"a\": []\n}\n", "}]\n{\"a\": 1}\n", "{\"a\": 1}\\\"\n{\"b\": 2}\n",
+		strings.Repeat(strings.Repeat("x", 63)+"\n", 5)) {
+		for _, block := range []uint{1, 7, 64, 1 << 20} {
+			f.Add([]byte(in), block)
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte, block uint) {
+		inStr, esc := false, false
+		for i, c := range data {
+			switch {
+			case esc:
+				esc = false
+			case c == '\\':
+				esc = true
+			case c == '"':
+				inStr = !inStr
+			}
+			if esc && !inStr {
+				data = data[:i]
+				break
+			}
+		}
+		blockSize := 1 + int(block%uint(len(data)+1))
+		want := collectSplits(t, &scanSplitter{}, data, blockSize)
+		got := collectSplits(t, mison.NewChunker(), data, blockSize)
+		if !slices.Equal(want, got) {
+			t.Fatalf("block=%d: mison splits %v, scan splits %v on %q", blockSize, got, want, data)
+		}
+	})
 }
 
 // TestReadChunksEquivalence drives the full chunking stage with both

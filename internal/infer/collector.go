@@ -127,15 +127,15 @@ func (c *ShardedCollector) lock() *shard {
 
 // absorbChunk is the sequential shape's fold: it types ch's documents
 // through m straight into a shard's accumulator and books them, all
-// under that shard's lock — held for this chunk only, never across a
-// read of the input. It returns m.absorb's count and error; the shard
-// holds exactly the documents before the error.
-func (c *ShardedCollector) absorbChunk(m *chunkMapper, ch byteChunk) (int, error) {
+// under that shard's lock — held for this window only, never across a
+// read of the input. It returns what m.absorbWindow does; the shard
+// holds exactly the documents before the error or the straddler.
+func (c *ShardedCollector) absorbChunk(m *chunkMapper, ch byteChunk) (int, int, error) {
 	s := c.lock()
-	n, err := m.absorb(ch, s.acc)
+	n, used, err := m.absorbWindow(ch, s.acc)
 	s.docs += int64(n)
 	s.mu.Unlock()
-	return n, err
+	return n, used, err
 }
 
 // maxPooledSymbols bounds a kept mapper's private intern caches from

@@ -26,14 +26,14 @@
 //     batched MergeAll, and the partials meet in a parallel binary tree
 //     reduction;
 //   - InferStream and InferStreamBytes never materialise anything: the
-//     input is split into runs of whole documents (chunking.go), and
+//     input is handed over in runs of bytes (chunking.go), and
 //     each document's structure is absorbed straight into a
 //     typelang.Accum through the direct-absorption surface (Accum.Doc),
 //     so no per-document canonical type — and no value tree — is ever
 //     built, and collections larger than memory are inferred while only
 //     ever holding a bounded window of bytes. The map phase is one
-//     walk over one structural index: mison raises the chunk's bitmaps
-//     once, AbsorbFromIndex (index_absorb.go) walks object fields
+//     walk over one structural index: mison raises the run's bitmaps
+//     in one pass, AbsorbFromIndex (index_absorb.go) walks object fields
 //     span-at-a-time off them via mison.FieldWalker, so separator
 //     tokens are never materialised at all, and a record the index
 //     cannot certify — a malformed one, or one nested past MaxDepth —
@@ -45,18 +45,22 @@
 //     index-vs-tokens fuzz differential.
 //
 // The streamed engine is one ladder in two shapes. The ladder is the
-// map phase of a chunk (chunkMapper.absorb): mison.Chunker found the
-// chunk's boundaries, the structural index absorbs it, and the
-// reference lexer (jsontext.TokenReader) takes over any chunk the index
-// rejects — results are identical whichever rung ran.
-// The shape is decided in one place (stream, tokens.go), from what it
-// can observe. The sequential shape — one worker, or an input that ends
-// inside its first chunk — absorbs chunk after chunk on the caller's
-// goroutine straight into the destination accumulator: no goroutine, no
-// chunk seal, no reduce. Otherwise workers lex and absorb small chunks
-// in parallel, each sealing its chunk's type, and a committer absorbs
-// the chunk types in stream order, so schemas, document counts and
-// error offsets are exact. Who consumes the result decides the
+// map phase of a run of bytes (chunkMapper.absorb): the structural
+// index absorbs it, and the reference lexer (jsontext.TokenReader)
+// takes over any run the index rejects — results are identical
+// whichever rung ran. The shape is decided in one place (stream,
+// tokens.go), without scanning the input. The sequential shape — one
+// worker, or an input that ends inside its first chunk — absorbs on the
+// caller's goroutine straight into the destination accumulator: no
+// goroutine, no chunk seal, no reduce, no splitter. With one worker the
+// runs are windows, cut at raw newlines by byte count alone: the index
+// walk visits every record, so it is the splitter, and the record a
+// window's end cut — the straddler, which failed with an error more
+// input could cure and committed nothing — opens the next window.
+// Otherwise mison.Chunker cuts chunks of whole documents, workers
+// absorb them in parallel, each sealing its chunk's type, and a
+// committer absorbs the chunk types in stream order, so schemas, counts
+// and error offsets are exact. Who consumes the result decides the
 // destination, which either way is sealed only when it is read. A
 // one-shot run (InferStream, InferStreamBytes) is read once, at the
 // end: its own accumulator, sealed once. A registry collection
@@ -66,7 +70,8 @@
 // first that is free; a Snapshot seals those that changed since the
 // last read and fuses the sealed partials when several hold data — an
 // ingest nobody reads after seals nothing, and a one-chunk body costs
-// one absorb through lexers and a chunk array the collector keeps warm.
+// one index pass and one absorb, through lexers and a chunk array the
+// collector keeps warm.
 // Options.Symbols shares one field-name symbol table across all
 // workers. Options.Stats, when set, is the run's flight recorder
 // (stats.go): every stage publishes its counters and clock into one

@@ -183,9 +183,9 @@ func TestIndexAbsorberZeroSteadyStateAllocs(t *testing.T) {
 // TestColdMapperAllocatesFourBitmaps pins what raising the structural
 // index costs a cold worker: four bitmaps of one bit per input byte —
 // quote, backslash-or-control, non-ASCII and structural — built once,
-// whichever walk then reads them, and three when odd quote parity
-// rejects the chunk before the structural pass (the reference lexer
-// that takes over raises none). When the index walk had its own
+// in one pass, whichever walk then reads them, and the same four when
+// odd quote parity rejects the chunk at the end of that pass (the
+// reference lexer that takes over raises none). When the index walk had its own
 // twelve-bitmap builder the same chunks cost 1.5 and 2.0 bytes per
 // input byte.
 func TestColdMapperAllocatesFourBitmaps(t *testing.T) {

@@ -28,14 +28,15 @@ type Options struct {
 	// engine; 0 means GOMAXPROCS.
 	Workers int
 	// Batch is the number of documents per work unit in the batched and
-	// parallel engines; 0 means DefaultBatch.
+	// parallel engines; 0 means DefaultBatch. Not read at one worker.
 	Batch int
 	// ChunkBytes, when positive, switches the chunking stage to a byte
 	// target: chunks are emitted at the first document boundary at or
 	// past ChunkBytes bytes instead of every Batch documents. GB-scale
 	// inputs want this — bigger chunks amortise the per-chunk pipeline
 	// overhead regardless of how small the documents are. 0 keeps the
-	// document-count trigger.
+	// document-count trigger. At one worker it is the window length
+	// (0: 4 MiB, or one read block into a collector).
 	ChunkBytes int
 	// Symbols, when non-nil, is a shared field-name symbol table: every
 	// worker interns record labels through it, deduping names across

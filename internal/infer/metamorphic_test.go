@@ -10,8 +10,8 @@ import (
 // invariant as a metamorphic test: the merge is associative and
 // commutative, so the inferred schema is a function of the multiset of
 // documents and the equivalence alone. Each fixture's documents are
-// shuffled and re-chunked at random (fixed seed; one-document chunks
-// and one-chunk runs always included) and run at several worker counts,
+// shuffled and re-chunked at random (fixed seed; one-document chunks,
+// one-line windows and one-chunk runs always included) and run at several worker counts,
 // through every input kind — and every run must render,
 // plain and counted, exactly what the oracle makes of the file as
 // checked in.
@@ -31,6 +31,7 @@ func TestSchemaInvariantUnderPermutationAndChunking(t *testing.T) {
 			}
 			chunkings := []Options{
 				{Batch: 1},
+				{ChunkBytes: 1},
 				{ChunkBytes: len(data) + len(lines)},
 				{Batch: 2 + rng.Intn(2*len(lines))},
 				{ChunkBytes: 1 + rng.Intn(len(data))},

@@ -70,6 +70,10 @@ type StatsSnapshot struct {
 	// alias the caller's buffer (byte-slice engines, mmap'd files)
 	// instead of a reader-owned array.
 	BytesAliased int64
+	// BytesReindexed counts bytes the sequential shape indexed twice: the
+	// part of a window from its straddler — the record its end cut — on.
+	// 0 when windows end between documents (NDJSON); 0 in the parallel shape.
+	BytesReindexed int64
 	// BytesCopied counts bytes the reader path moved during buffer
 	// compaction (the unsplit tail carried between refills) — the copy
 	// tax the zero-copy path avoids.
@@ -131,6 +135,7 @@ var StatsFields = []StatsField{
 	{"root_fuses", "fuse", "Collector reads that found new documents and rebuilt the served schema.", func(s *StatsSnapshot) *int64 { return &s.RootFuses }},
 	{"seals", "fuse", "Accumulator seals: per chunk in the parallel shape, per changed shard (and fuse) in collector reads.", func(s *StatsSnapshot) *int64 { return &s.Seals }},
 	{"bytes_aliased", "split", "Chunk bytes emitted zero-copy, aliasing the input buffer.", func(s *StatsSnapshot) *int64 { return &s.BytesAliased }},
+	{"bytes_reindexed", "split", "Bytes indexed twice because their record straddled a window end (sequential shape).", func(s *StatsSnapshot) *int64 { return &s.BytesReindexed }},
 	{"bytes_copied", "read", "Bytes moved during reader-path buffer compaction.", func(s *StatsSnapshot) *int64 { return &s.BytesCopied }},
 	{"buffers_recycled", "read", "Chunk arrays reacquired from the pool instead of allocated.", func(s *StatsSnapshot) *int64 { return &s.BuffersRecycled }},
 	{"mmap_inputs", "read", "Inputs served through a memory mapping.", func(s *StatsSnapshot) *int64 { return &s.MmapInputs }},

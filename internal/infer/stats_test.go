@@ -252,10 +252,15 @@ func TestStatsOneShotRunSealsOnce(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{1, 4} {
+			// One worker cuts windows, by bytes alone; several cut chunks.
+			chunking := Options{Batch: 16}
+			if workers == 1 {
+				chunking = Options{ChunkBytes: 4 << 10}
+			}
 			for _, input := range inputKinds {
 				var st PipelineStats
 				if _, _, err := inferStreamOver(input, data,
-					Options{Equiv: typelang.EquivLabel, Workers: workers, Batch: 16, Stats: &st}); err != nil {
+					Options{Equiv: typelang.EquivLabel, Workers: workers, Batch: chunking.Batch, ChunkBytes: chunking.ChunkBytes, Stats: &st}); err != nil {
 					t.Fatal(err)
 				}
 				s := st.Snapshot()
@@ -280,7 +285,7 @@ func TestStatsOneShotRunSealsOnce(t *testing.T) {
 			var st PipelineStats
 			col := NewShardedCollectorStats(2, typelang.EquivLabel, &st)
 			if _, err := InferStreamInto(bytes.NewReader(data),
-				Options{Equiv: typelang.EquivLabel, Workers: workers, Batch: 16, Stats: &st}, col); err != nil {
+				Options{Equiv: typelang.EquivLabel, Workers: workers, Batch: chunking.Batch, ChunkBytes: chunking.ChunkBytes, Stats: &st}, col); err != nil {
 				t.Fatal(err)
 			}
 			col.Close()

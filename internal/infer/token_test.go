@@ -188,12 +188,13 @@ func TestInferStreamIOErrorNotMaskedAsSyntax(t *testing.T) {
 		}
 	}
 	// A genuine syntax error before the I/O failure still wins: it is
-	// earlier in the stream.
+	// earlier in the stream, in a chunk — at one worker, a window — the
+	// failed read did not truncate.
 	bad := "{\"a\": 1}\n{]\n{\"a\": 2}\n"
 	for _, workers := range sweepWorkers {
 		_, n, err := InferStream(
 			&failingReader{data: []byte(bad), err: ioErr},
-			Options{Workers: workers, Batch: 1})
+			Options{Workers: workers, Batch: 1, ChunkBytes: 1})
 		if err == nil || errors.Is(err, ioErr) {
 			t.Fatalf("workers=%d: error = %v, want the syntax error from the malformed document", workers, err)
 		}

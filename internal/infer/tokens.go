@@ -196,43 +196,34 @@ func absorbObject(tr jsontext.TokenSource, dst typelang.Target, depth int) error
 	}
 }
 
-// byteChunk is one work unit of the streamed engine: a run of whole
-// top-level documents, with the absolute stream offset of its first
-// byte for exact error attribution. Reader-path chunks alias a pooled
+// byteChunk is one run of bytes handed to the map phase — a work unit
+// of the parallel shape (whole top-level documents) or a window of the
+// sequential one — with the absolute stream offset of its first byte
+// for exact error attribution. Reader-path chunks alias a pooled
 // chunkBuf and hold a reference on it, released by the consumer once
 // the chunk's documents are absorbed; byte-mode chunks alias the
 // caller's buffer and carry no reference (buf is nil, release a no-op).
 // last marks the chunk the input ends with — what lets the engine see,
-// on the first chunk, a run that has no second one.
+// on the first chunk, a run that has no second one. open marks a window
+// more input follows: it may end inside a document (absorbWindow).
 type byteChunk struct {
 	index int
 	base  int
 	data  []byte
 	buf   *chunkBuf
 	last  bool
+	open  bool
 }
 
-// chunkSource drives the chunking stage of a streamed run: it calls
-// emit once per document-aligned chunk cut to targets, in stream order,
-// stopping when emit reports false, and returns the input's read error
-// (nil for in-memory sources). The two implementations are the pooled
-// io.Reader splitter and the zero-copy byte splitter; everything
-// downstream is shared.
-type chunkSource func(targets chunkTargets, st *PipelineStats, emit func(byteChunk) bool) error
-
-// readerChunkSource chunks r through readChunks' buffers, pooled in pool.
-func readerChunkSource(r io.Reader, pool *chunkPool) chunkSource {
-	return func(targets chunkTargets, st *PipelineStats, emit func(byteChunk) bool) error {
-		return readChunks(r, targets, mison.NewChunker(), pool, st, emit)
-	}
-}
-
-// bytesChunkSource chunks a caller-owned slice zero-copy through
-// splitChunksBytes.
-func bytesChunkSource(data []byte) chunkSource {
-	return func(targets chunkTargets, st *PipelineStats, emit func(byteChunk) bool) error {
-		return splitChunksBytes(data, targets, mison.NewChunker(), st, emit)
-	}
+// source is the input of a streamed run: r, read through pool's
+// buffers, or — r nil — the caller-owned slice data, aliased where it
+// sits. sp finds the parallel shape's chunk boundaries: nil means a
+// mison.Chunker (the tests put their own here).
+type source struct {
+	r    io.Reader
+	pool *chunkPool
+	data []byte
+	sp   docSplitter
 }
 
 // chunkMapper is the map phase of one worker: the two lexers a chunk can
@@ -270,17 +261,25 @@ func newChunkMapper(opts Options) *chunkMapper {
 // absorbed and the first error; acc then holds exactly the documents
 // before it (a failed document's staged frames are aborted).
 func (m *chunkMapper) absorb(ch byteChunk, acc *typelang.Accum) (int, error) {
-	m.frame.BytesLexed += int64(len(ch.data))
+	n, _, err := m.absorbWindow(ch, acc)
+	return n, err
+}
+
+// absorbWindow is absorb reporting also how many of ch's bytes it
+// consumed: all, unless ch is an open window whose last record failed
+// with an error more input could cure. That record is the straddler:
+// nothing of it was committed, it is no error, and used is its first
+// byte — where the next window begins.
+func (m *chunkMapper) absorbWindow(ch byteChunk, acc *typelang.Accum) (n, used int, err error) {
 	m.widest = max(m.widest, len(ch.data))
 	start := statsClock(m.st)
-	var (
-		n   int
-		err error
-	)
-	if m.ia.Reset(ch.data, ch.base) == nil {
+	at := 0 // where the record err is about begins
+	indexed := m.ia.Reset(ch.data, ch.base) == nil
+	if indexed {
 		for err = AbsorbFromIndex(m.ia, acc); err == nil; err = AbsorbFromIndex(m.ia, acc) {
 			n++
 		}
+		at = m.ia.pos
 		idx, fb := m.ia.TakeRecordCounts()
 		m.frame.IndexRecords += idx
 		m.frame.FallbackRecords += fb
@@ -288,17 +287,37 @@ func (m *chunkMapper) absorb(ch byteChunk, acc *typelang.Accum) (int, error) {
 	} else {
 		m.frame.ParityRejects++
 		m.tr.ResetBytes(ch.data, ch.base)
-		for err = AbsorbFromTokens(m.tr, acc); err == nil; err = AbsorbFromTokens(m.tr, acc) {
-			n++
+		for err == nil {
+			at = m.tr.InputOffset() - ch.base
+			if err = AbsorbFromTokens(m.tr, acc); err == nil {
+				n++
+			}
 		}
 	}
 	statsSince(m.st, &m.frame.MapNanos, start)
 	ch.buf.release()
 	m.frame.DocsAbsorbed += int64(n)
+	used = len(ch.data)
 	if errors.Is(err, io.EOF) {
 		err = nil
+	} else if ch.open && curable(err, ch.base+used) {
+		m.frame.BytesReindexed += int64(used - at)
+		used, err = at, nil
+		if indexed {
+			m.frame.FallbackRecords-- // the walk's bail was the window's end, not the record
+		}
 	}
-	return n, err
+	m.frame.BytesLexed += int64(used)
+	return n, used, err
+}
+
+// curable reports whether more input could cure err, met in a window
+// ending at absolute offset end: the lexer's truncation class, or a
+// grammar error placed at end itself — only the end-of-input token sits
+// there, so it reads "unexpected end of input".
+func curable(err error, end int) bool {
+	var se *jsontext.SyntaxError
+	return errors.As(err, &se) && (se.Truncated() || se.Offset == end)
 }
 
 // seal seals acc, counting the seal and booking its time to *clock.
@@ -327,7 +346,7 @@ func (f *statsFrame) seal(acc *typelang.Accum, st *PipelineStats, clock *int64) 
 // — work done on later chunks is discarded. A read error from r wins
 // over a syntax error in the chunk it truncated.
 func InferStream(r io.Reader, opts Options) (*typelang.Type, int, error) {
-	return run(readerChunkSource(r, new(chunkPool)), opts)
+	return run(source{r: r, pool: new(chunkPool)}, opts)
 }
 
 // InferStreamBytes is InferStream over a caller-owned byte slice — the
@@ -338,29 +357,25 @@ func InferStream(r io.Reader, opts Options) (*typelang.Type, int, error) {
 // Schema, count and error offsets are identical to InferStream's over a
 // reader of the same bytes.
 func InferStreamBytes(data []byte, opts Options) (*typelang.Type, int, error) {
-	return run(bytesChunkSource(data), opts)
+	return run(source{data: data}, opts)
 }
 
 // run is the one-shot engine behind both entry points. A one-shot run
 // has no reader before its end, so its reduce is one accumulator sealed
 // once, whichever shape fills it (the snapshot-serving, lockable
 // collector is InferStreamInto's, for the registry). With one worker
-// the chunks only amortise lexer resets, so they are cut large.
-func run(source chunkSource, opts Options) (*typelang.Type, int, error) {
+// the windows only bound the index, so they are cut large.
+func run(src source, opts Options) (*typelang.Type, int, error) {
 	st := opts.Stats
 	var frame statsFrame
 	acc := typelang.NewAccum(opts.Equiv)
 	var m *chunkMapper // the sequential shape's; the parallel shape's workers bring their own
-	targets := opts.chunkTargets()
-	if opts.workers() <= 1 {
-		targets = opts.sequentialChunkTargets()
-	}
-	n, err := stream(source, targets, opts, func(ch byteChunk) (int, error) {
+	n, err := stream(src, sequentialChunkBytes, opts, func(ch byteChunk) (int, int, error) {
 		if m == nil {
 			m = newChunkMapper(opts)
 		}
 		defer m.frame.flush(st)
-		return m.absorb(ch, acc)
+		return m.absorbWindow(ch, acc)
 	}, func(ts []*typelang.Type, _ int) {
 		start := statsClock(st)
 		for _, t := range ts {
@@ -377,20 +392,20 @@ func run(source chunkSource, opts Options) (*typelang.Type, int, error) {
 // instead of a fresh accumulator, which is left open: that is what lets
 // a long-lived accumulator (a registry collection) absorb many streams
 // — concurrently, even — into one monotonically-growing schema. In the
-// sequential shape each chunk is absorbed on the caller's goroutine
-// straight into a shard col lends for that chunk, through lexers and a
+// sequential shape each window is absorbed on the caller's goroutine
+// straight into a shard col lends for that window, through lexers and a
 // chunk array col keeps warm between calls; in the parallel shape
 // committed chunk types are absorbed into col in stream order (batched
-// — one shard lock per commit batch). The sequential shape cuts at the
-// parallel shape's targets, so no shard is held for longer than one such
-// chunk takes. It returns the number of documents committed and the
+// — one shard lock per commit batch). The sequential shape's windows
+// are one read block long, so no shard is held for longer than that
+// takes to absorb. It returns the number of documents committed and the
 // first error, with exactly InferStream's error semantics: on a
 // malformed document the committed documents are precisely those before
 // it. Everything committed is in col's next Snapshot.
 func InferStreamInto(r io.Reader, opts Options, col *ShardedCollector) (int, error) {
 	m := col.mapper(opts)
 	defer col.release(m)
-	return stream(readerChunkSource(r, &col.chunks), opts.chunkTargets(), opts, func(ch byteChunk) (int, error) {
+	return stream(source{r: r, pool: &col.chunks}, chunkReadSize, opts, func(ch byteChunk) (int, int, error) {
 		defer m.frame.flush(opts.Stats)
 		return col.absorbChunk(m, ch)
 	}, func(ts []*typelang.Type, docs int) {
@@ -398,38 +413,54 @@ func InferStreamInto(r io.Reader, opts Options, col *ShardedCollector) (int, err
 	})
 }
 
-// stream is the streamed engine: it runs source — cutting at targets —
-// on the caller's goroutine and gives the run one of two shapes. The
-// sequential shape hands each chunk to direct, which absorbs it into
-// the run's destination accumulator then and there: no goroutine, no
+// stream is the streamed engine: it runs src on the caller's goroutine
+// and gives the run one of two shapes. The sequential shape hands
+// direct one run of bytes after another, which absorbs it into the
+// run's destination accumulator then and there: no goroutine, no
 // per-chunk seal, no reduce of chunk types. It is taken when there is
-// no parallelism to buy — one worker, or an input that ends inside its
-// first chunk. The parallel shape (pipeChunks) starts on the first
-// chunk that is not the input's last. Processing stops at the first
-// error; in the sequential shape that makes the errored chunk the last
-// one the source emitted, so a read failure wins over it exactly as in
-// pipeChunks.
-func stream(source chunkSource, targets chunkTargets, opts Options, direct func(byteChunk) (int, error), commit func([]*typelang.Type, int)) (int, error) {
+// no parallelism to buy: one worker — the runs are then windows
+// (chunking.go) of ChunkBytes, else window, bytes, and no boundary is
+// looked for — or an input that ends inside its first chunk. The
+// parallel shape (pipeChunks) starts on the first chunk that is not the
+// input's last. Processing stops at the first error; a read failure
+// wins over an error in the run of bytes it truncated, and no other.
+func stream(src source, window int, opts Options, direct func(byteChunk) (int, int, error), commit func([]*typelang.Type, int)) (int, error) {
+	st := opts.Stats
+	if opts.workers() <= 1 {
+		if opts.ChunkBytes > 0 {
+			window = opts.ChunkBytes
+		}
+		if src.r == nil {
+			return windows(&chunkReader{pending: src.data, eof: true, st: st}, window, direct)
+		}
+		return windows(newChunkReader(src.r, window, src.pool, st), window, direct)
+	}
 	var (
 		send   func(byteChunk) bool
 		finish func(error) (int, error)
 		total  int
 		docErr error
 	)
-	oneWorker := opts.workers() <= 1
-	rerr := source(targets, opts.Stats, func(ch byteChunk) bool {
-		if send == nil && (oneWorker || ch.last) {
-			n, err := direct(ch)
-			opts.Stats.AddSnapshot(StatsSnapshot{ChunksDirect: 1})
-			total += n
-			docErr = err
-			return err == nil
+	emit := func(ch byteChunk) bool {
+		if send == nil && ch.last {
+			total, _, docErr = direct(ch)
+			st.AddSnapshot(StatsSnapshot{ChunksDirect: 1})
+			return docErr == nil
 		}
 		if send == nil {
 			send, finish = pipeChunks(opts, commit)
 		}
 		return send(ch)
-	})
+	}
+	if src.sp == nil {
+		src.sp = mison.NewChunker()
+	}
+	var rerr error
+	if src.r == nil {
+		rerr = splitChunksBytes(src.data, opts.chunkTargets(), src.sp, st, emit)
+	} else {
+		rerr = readChunks(src.r, opts.chunkTargets(), src.sp, src.pool, st, emit)
+	}
 	if finish != nil {
 		return finish(rerr)
 	}

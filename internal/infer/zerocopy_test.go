@@ -250,14 +250,14 @@ func TestInferStreamBytesStats(t *testing.T) {
 	}
 }
 
-// TestSequentialIndexedEngineStats pins the one-worker shape: chunked
+// TestSequentialIndexedEngineStats pins the one-worker shape: windowed
 // absorption off the structural index, one seal, and the fast path
 // taken by every record of a clean input.
 func TestSequentialIndexedEngineStats(t *testing.T) {
 	docs := genjson.Collection(genjson.Twitter{Seed: 95}, 600)
 	data := jsontext.MarshalLines(docs)
 	var st PipelineStats
-	_, n, err := InferStream(bytes.NewReader(data), Options{Workers: 1, Batch: 64, Stats: &st})
+	_, n, err := InferStream(bytes.NewReader(data), Options{Workers: 1, ChunkBytes: 32 << 10, Stats: &st})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,8 +268,11 @@ func TestSequentialIndexedEngineStats(t *testing.T) {
 	if s.Seals != 1 {
 		t.Errorf("one-worker indexed run sealed %d times, want exactly 1", s.Seals)
 	}
-	if s.ChunksSplit == 0 {
-		t.Errorf("one-worker indexed run split no chunks; the index needs whole byte chunks")
+	if s.ChunksSplit < 2 || s.ChunksDirect != s.ChunksSplit {
+		t.Errorf("one-worker indexed run cut %d windows and absorbed %d directly; want several, all direct", s.ChunksSplit, s.ChunksDirect)
+	}
+	if s.BytesReindexed != 0 {
+		t.Errorf("NDJSON windows end between documents, yet %d bytes were indexed twice", s.BytesReindexed)
 	}
 	if s.IndexRecords != 600 || s.FallbackRecords != 0 {
 		t.Errorf("clean input absorbed %d of 600 records off the index (fallbacks: %d)", s.IndexRecords, s.FallbackRecords)

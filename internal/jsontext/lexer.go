@@ -91,6 +91,17 @@ func (e *SyntaxError) Error() string {
 	return fmt.Sprintf("json syntax error at offset %d: %s", e.Offset, e.Msg)
 }
 
+// Truncated reports whether more input could cure the error: the window
+// ended inside a literal, an escape or a string. A caller that lexes a
+// stream window by window retries such a token with more bytes.
+func (e *SyntaxError) Truncated() bool { return e.truncated }
+
+// Rebased returns the error moved delta bytes along the stream — how a
+// window-relative error becomes an absolute one.
+func (e *SyntaxError) Rebased(delta int) *SyntaxError {
+	return &SyntaxError{Offset: e.Offset + delta, Msg: e.Msg, truncated: e.truncated}
+}
+
 func errAt(off int, format string, args ...any) error {
 	return &SyntaxError{Offset: off, Msg: fmt.Sprintf(format, args...)}
 }

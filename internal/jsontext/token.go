@@ -166,7 +166,7 @@ func (t *TokenReader) fill() error {
 func (t *TokenReader) absError(err error) error {
 	var se *SyntaxError
 	if errors.As(err, &se) {
-		return &SyntaxError{Offset: se.Offset + t.base + t.start, Msg: se.Msg}
+		return se.Rebased(t.base + t.start)
 	}
 	return err
 }

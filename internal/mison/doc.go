@@ -12,19 +12,23 @@
 // speculating on learned field positions and building values only for
 // the projected fields.
 //
-// The production face is the streamed-inference fast path: Chunker
-// finds document-aligned chunk boundaries for infer.InferStream
-// through the string/depth bitmaps, walking only structural characters
-// after a branch-free word-at-a-time classification, and one structural
-// index per chunk serves the map phase. TokenSource owns it: Reset
-// raises the quote, backslash-or-control and non-ASCII bitmaps in one
-// pass and checks quote parity, and the delegated reference lexer
-// (jsontext.Scanner), the field-name intern cache and the delegation
-// counter live there too. Two walks read the index. FieldWalker — a
-// view over a TokenSource it owns, adding the one structural-character
-// bitmap — drives infer.AbsorbFromIndex, the production walk: instead
-// of lexing a token per structural character it answers positional
-// questions off the bitmaps directly — NextStructural makes separator
+// The production face is the streamed-inference fast path: one
+// structural index per run of bytes, raised in one pass, serves the map
+// phase. TokenSource owns it: one word loop (index) loads each eight
+// bytes once and reads every class off them — quote,
+// backslash-or-control, non-ASCII and, for the FieldWalker, structural
+// characters outside strings — strikes escaped quotes and checks quote
+// parity; the delegated reference lexer (jsontext.Scanner), the
+// field-name intern cache and the delegation counter live there too.
+// Chunker, which finds document-aligned chunk boundaries through
+// string/depth bitmaps of its own, runs only where infer.InferStream
+// cuts work units for other goroutines; a sequential run cuts windows
+// at raw newlines and the index walk finds the documents. Two walks
+// read the index. FieldWalker — a view over a TokenSource it owns,
+// holding the structural bitmap — drives infer.AbsorbFromIndex, the
+// production walk: instead of lexing a token per structural character
+// it answers positional questions off the bitmaps directly —
+// NextStructural makes separator
 // checks O(1), CloseQuote/SkippableSpan/VerbatimSpan certify string
 // spans, PlainInt resolves plain integers — so object absorption walks
 // field-span-at-a-time and separator tokens are never materialised at

@@ -1,21 +1,18 @@
 package mison
 
-import (
-	"math/bits"
-
-	"repro/internal/jsontext"
-)
+import "repro/internal/jsontext"
 
 // FieldWalker is the driving surface of index-driven absorption: a view
 // over the TokenSource it owns. The token source keeps the chunk, the
-// one word-at-a-time build of the quote, backslash-or-control and
-// non-ASCII bitmaps with its quote-parity check, the delegated
-// reference scanner and the field-name intern cache; the walker adds
-// the one bitmap only it reads — every structural character outside a
-// string — and answers the positional questions a chunk absorber asks
-// while walking records field-span-at-a-time: where the next structural
-// character sits, where a string span closes, whether a span is clean
-// enough to skip or intern verbatim, where a plain integer ends.
+// one word-at-a-time pass that classifies it (TokenSource.index) with
+// its quote-parity check, the delegated reference scanner and the
+// field-name intern cache; the walker holds the one bitmap only it
+// reads — every structural character outside a string, raised by that
+// same pass — and answers the positional questions a chunk absorber
+// asks while walking records field-span-at-a-time: where the next
+// structural character sits, where a string span closes, whether a
+// span is clean enough to skip or intern verbatim, where a plain
+// integer ends.
 // Everything the bitmaps cannot prove clean delegates to the reference
 // scanner at the same position, exactly as the token walk does, so
 // accept/reject decisions stay byte-identical to the reference lexer's.
@@ -59,14 +56,11 @@ func (w *FieldWalker) SetInternStrings(on bool) { w.ts.SetInternStrings(on) }
 func (w *FieldWalker) SetSymbolTable(st *jsontext.SymbolTable) { w.ts.SetSymbolTable(st) }
 
 // Reset rebinds the walker to a chunk whose first byte sits at absolute
-// stream offset base: the token source rebuilds its bitmaps in place,
-// and a second word-at-a-time pass marks the structural characters,
-// masked by the string mask (the bit-parallel prefix XOR of the quote
-// bitmap, carried across words). It returns the token source's
-// *IndexError when the index rejects the chunk — odd quote parity, i.e.
-// an unterminated string literal — before that second pass is paid, and
-// the caller lexes the whole chunk through the reference lexer, which
-// reports the authoritative error for whatever is wrong. Unbalanced
+// stream offset base: the token source's one pass rebuilds all four
+// bitmaps in place. It returns the token source's *IndexError when the
+// index rejects the chunk — odd quote parity, i.e. an unterminated
+// string literal — and the caller lexes the whole chunk through the
+// reference lexer, which words the authoritative error. Unbalanced
 // nesting needs no up-front check: the absorber's grammar walk catches
 // it positionally and falls back per record. Nor are escaped positions
 // outside strings struck from the bitmap, as the projecting Parser's
@@ -74,24 +68,8 @@ func (w *FieldWalker) SetSymbolTable(st *jsontext.SymbolTable) { w.ts.SetSymbolT
 // syntax error no certified span covers, so the walk bails before it
 // could consume the character.
 func (w *FieldWalker) Reset(data []byte, base int) error {
-	if err := w.ts.Reset(data, base); err != nil {
-		return err
-	}
-	quote := w.ts.quote
-	w.structural = resetWords(w.structural, len(quote))
-	var inString uint64 // all-ones while a string is open across a word edge
-	for i, q := range quote {
-		var s uint64
-		for lane := 0; lane < 64 && i*64+lane < len(data); lane += 8 {
-			v := loadWord(data, i*64+lane)
-			s |= (swarEq(v, ':') | swarEq(v, ',') | swarEq(v, '{') | swarEq(v, '}') | swarEq(v, '[') | swarEq(v, ']')) << uint(lane)
-		}
-		w.structural[i] = s &^ (prefixXor(q) ^ inString)
-		if bits.OnesCount64(q)&1 == 1 {
-			inString = ^inString
-		}
-	}
-	return nil
+	w.structural = resetWords(w.structural, words(len(data)))
+	return w.ts.index(data, base, w.structural)
 }
 
 // TokensAt returns the walker's token source positioned at pos of the

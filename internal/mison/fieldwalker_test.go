@@ -11,15 +11,15 @@ import (
 
 // The package builds the structural index twice: Bitmaps.build, eleven
 // classes in three passes for the projecting Parser, and the streamed
-// engine's TokenSource.Reset + FieldWalker.Reset, four bitmaps in two.
+// engine's TokenSource.index, four bitmaps in one.
 // TestWalkerStructuralMatchesBitmaps holds the second to the first so
 // the two cannot drift apart: the walker's structural bitmap is the OR
 // of the six structural classes of Bitmaps, and its quote bitmap is
 // Bitmaps.Quote.
 
 // assertWalkerMatchesBitmaps compares the two builds over data. A chunk
-// with odd quote parity is rejected by the walker before its structural
-// pass, so only the quotes are compared there.
+// with odd quote parity is rejected by the walker, whose structural
+// words then mean nothing, so only the quotes are compared there.
 func assertWalkerMatchesBitmaps(t *testing.T, label string, w *FieldWalker, data []byte) {
 	t.Helper()
 	b := BuildBitmaps(data)

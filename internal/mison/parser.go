@@ -111,7 +111,7 @@ func (p *Parser) project(ix *Index, objStart, objEnd, depth int, path []string, 
 			// Rebase the parse error's record-relative offset onto the
 			// stream so attribution stays exact for sliced records.
 			if se, ok := err.(*jsontext.SyntaxError); ok {
-				err = &jsontext.SyntaxError{Offset: se.Offset + ix.base + vStart, Msg: se.Msg}
+				err = se.Rebased(ix.base + vStart)
 			}
 			return nil, fmt.Errorf("mison: field %q: %w", field, err)
 		}

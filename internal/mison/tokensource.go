@@ -9,14 +9,14 @@ import (
 // TokenSource lexes one in-memory chunk of JSON through the structural
 // index, implementing the same pull interface as jsontext.TokenReader
 // (jsontext.TokenSource). It owns everything the streamed map phase
-// raises once per chunk: Reset runs phases 1–3 over the chunk — quote,
-// backslash-or-control and non-ASCII bitmaps, escape filtering, all
-// word-at-a-time in one pass — and both walkers read them. The
-// FieldWalker (the index-driven absorber's view, fieldwalker.go) adds
-// the structural-character bitmap on top; ReadToken is the token walk
-// over the same bitmaps, used for the records that walk cannot certify
-// and by anything that wants tokens. It resolves the common tokens
-// positionally:
+// raises once per chunk, and the one pass that raises it (index):
+// phases 1–3 over the chunk — quote, backslash-or-control and non-ASCII
+// bitmaps, escape filtering, and for the FieldWalker (the index-driven
+// absorber's view, fieldwalker.go) the structural-character bitmap off
+// the same loaded words and the same string mask. Both walkers read
+// them; ReadToken is the token walk, used for the records the index
+// walk cannot certify and by anything that wants tokens. It resolves
+// the common tokens positionally:
 //
 //   - a string's closing quote is the next structural-quote bit, so
 //     string payloads are skipped without touching their bytes — the
@@ -87,54 +87,55 @@ func (ts *TokenSource) SetSymbolTable(st *jsontext.SymbolTable) { ts.scan.SetSym
 // and the caller falls back to the plain lexer, which reports the
 // authoritative error for whatever is wrong. The returned offset is
 // absolute, naming the unmatched opening quote.
-func (ts *TokenSource) Reset(data []byte, base int) error {
+func (ts *TokenSource) Reset(data []byte, base int) error { return ts.index(data, base, nil) }
+
+// index is the one classification pass over a chunk — one load per
+// eight bytes, every class read off that word: the quote,
+// backslash-or-control and non-ASCII bitmaps and, when structural is
+// not nil (the FieldWalker's, one word per 64 bytes of data), the six
+// structural characters { } [ ] : , outside strings. Escaped quotes are
+// struck once per 64-byte word (the escape carry crosses word edges)
+// and the string mask — the prefix XOR of the surviving quotes, carried
+// across words as inString — serves both the structural mask and the
+// parity verdict, which falls after the last word: a rejected chunk
+// wasted its structural words, and that is the malformed-input path.
+func (ts *TokenSource) index(data []byte, base int, structural []uint64) error {
 	ts.data, ts.base, ts.pos = data, base, 0
 	nw := words(len(data))
 	ts.quote = resetWords(ts.quote, nw)
 	ts.dirty = resetWords(ts.dirty, nw)
 	ts.nonascii = resetWords(ts.nonascii, nw)
-	parity := 0
-	var escCarry uint64
+	var escCarry, inString uint64 // inString: all-ones while a string is open across a word edge
 	for w := 0; w < nw; w++ {
 		wordStart := w * 64
-		n := len(data) - wordStart
-		if n > 64 {
-			n = 64
-		}
-		var q, bs, ct, na uint64
-		lane := 0
-		for ; lane+8 <= n; lane += 8 {
+		n := min(len(data)-wordStart, 64)
+		var q, bs, ct, na, s uint64
+		for lane := 0; lane < n; lane += 8 {
 			v := loadWord(data, wordStart+lane)
 			shift := uint(lane)
 			q |= swarEq(v, '"') << shift
 			bs |= swarEq(v, '\\') << shift
 			ct |= swarLess(v, 0x20) << shift
 			na |= swarNonASCII(v) << shift
-		}
-		for ; lane < n; lane++ {
-			bit := uint64(1) << uint(lane)
-			c := data[wordStart+lane]
-			switch c {
-			case '"':
-				q |= bit
-			case '\\':
-				bs |= bit
-			}
-			if c < 0x20 {
-				ct |= bit
-			} else if c >= 0x80 {
-				na |= bit
+			if structural != nil {
+				s |= (swarEq(v, ':') | swarEq(v, ',') | swarEq(v, '{') | swarEq(v, '}') | swarEq(v, '[') | swarEq(v, ']')) << shift
 			}
 		}
+		ct &= ^uint64(0) >> uint(64-n) // the zero padding of a final partial lane is not input
 		if bs != 0 || escCarry != 0 {
 			var esc uint64
 			esc, escCarry = escapedMaskTail(bs, escCarry, n)
 			q &^= esc
 		}
 		ts.quote[w], ts.dirty[w], ts.nonascii[w] = q, bs|ct, na
-		parity ^= bits.OnesCount64(q) & 1
+		if structural != nil {
+			structural[w] = s &^ (prefixXor(q) ^ inString)
+		}
+		if bits.OnesCount64(q)&1 == 1 {
+			inString = ^inString
+		}
 	}
-	if parity == 1 {
+	if inString != 0 {
 		return &IndexError{Offset: base + lastSetBit(ts.quote), Msg: "unterminated string literal (index rejects chunk)"}
 	}
 	return nil
@@ -320,7 +321,7 @@ func (ts *TokenSource) scanAt(pos int, skip bool) (jsontext.Token, int, error) {
 	tok, end, err := ts.scan.ScanAt(ts.data, pos, skip)
 	if err != nil {
 		if se, ok := err.(*jsontext.SyntaxError); ok {
-			err = &jsontext.SyntaxError{Offset: se.Offset + ts.base, Msg: se.Msg}
+			err = se.Rebased(ts.base)
 		}
 		return jsontext.Token{}, pos, err
 	}
