@@ -28,9 +28,11 @@ race:
 # walk over mison's structural index against the reference lexer, the
 # reference lexer against the DOM decoder, the absorption surface
 # against MergeAll, the sequential shape's windows (any target, every
-# input kind) against the oracle, and mison.Chunker against the
-# byte-at-a-time splitter. They gate every change to a lexer or to the
-# input stage; `go test -fuzz` takes one target of one package per run.
+# input kind) against the oracle, mison.Chunker against the
+# byte-at-a-time splitter, and an index walk whose pattern tree was
+# trained on foreign bytes against the token walker. They gate every
+# change to a lexer, to either walk or to the input stage; `go test
+# -fuzz` takes one target of one package per run.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzIndexAbsorb$$' -fuzztime $(FUZZTIME) ./internal/infer/
@@ -39,6 +41,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzAbsorbSurface$$' -fuzztime $(FUZZTIME) ./internal/typelang/
 	$(GO) test -run '^$$' -fuzz '^FuzzStreamWindows$$' -fuzztime $(FUZZTIME) ./internal/infer/
 	$(GO) test -run '^$$' -fuzz '^FuzzChunkerVsScan$$' -fuzztime $(FUZZTIME) ./internal/infer/
+	$(GO) test -run '^$$' -fuzz '^FuzzPatternTree$$' -fuzztime $(FUZZTIME) ./internal/infer/
 
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem ./...

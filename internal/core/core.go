@@ -357,11 +357,12 @@ func StreamPrecisionFiles(files []string, t *Type) (float64, int, error) {
 
 // InferSchemaStreamFilesWith streams each named file in turn and merges
 // the per-file schemas into one inference — exact by associativity of
-// the merge. Each file gets its own decoder, so a decode error is
-// prefixed with the offending file's name (an open error already names
-// it); inference stops there, and the Inference and count returned with
-// the error cover exactly the documents before it: the earlier files
-// and the failing file's prefix.
+// the merge; the first file's schema is adopted as it is, Merge runs
+// from the second file on. Each file gets its own decoder, so a decode
+// error is prefixed with the offending file's name (an open error
+// already names it); inference stops there, and the Inference and count
+// returned with the error cover exactly the documents before it: the
+// earlier files and the failing file's prefix.
 //
 // Regular files of at least mmapMinSize are memory-mapped where the
 // platform can and stream through the zero-copy byte engines (the raw
@@ -375,7 +376,12 @@ func InferSchemaStreamFilesWith(files []string, engine Engine, opts StreamOption
 			if part == nil { // not opened: the *fs.PathError names the file itself
 				return acc, total, err
 			}
-			acc, total = typelang.Merge(acc, part.Type, o.Equiv), total+n
+			total += n
+			if acc == typelang.Bottom {
+				acc = part.Type
+			} else {
+				acc = typelang.Merge(acc, part.Type, o.Equiv)
+			}
 			if err != nil {
 				return acc, total, fmt.Errorf("%s: %w", name, err)
 			}

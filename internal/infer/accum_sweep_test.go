@@ -5,6 +5,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/genjson"
@@ -34,6 +35,40 @@ func TestAccumFoldMatchesMergeAllFixtures(t *testing.T) {
 func TestMalformedInputKeepsExactPrefix(t *testing.T) {
 	for _, in := range malformedInputs {
 		assertMatchesOracle(t, fmt.Sprintf("%q", in), []byte(in))
+	}
+}
+
+// collidingLabelSets are pairs of records whose label sets typelang's
+// key rendered alike while it joined names with NUL: the empty name
+// against no name, and a NUL in a name against two names. MergeAll, the
+// oracle, fused each pair under L and an accumulator below its label-key
+// index did not.
+var collidingLabelSets = []string{
+	"{\"\": 0}\n{}\n",
+	"{\"a\\u0000b\": 1}\n{\"a\": 1, \"b\": 1}\n",
+}
+
+// TestLabelSetsNeverCollide sweeps them, each twice over — the second
+// record of a layout closes on the pattern tree and finds its group by
+// the shape's address — alone and after enough label sets that the
+// root looks its groups up by key, and holds the oracle itself to
+// keeping every label set apart.
+func TestLabelSetsNeverCollide(t *testing.T) {
+	var pad strings.Builder
+	for i := 0; i < 20; i++ { // past typelang's linear group scan
+		fmt.Fprintf(&pad, "{\"pad%d\": null}\n", i)
+	}
+	for _, pair := range collidingLabelSets {
+		for label, in := range map[string]string{"scan": pair + pair, "index": pad.String() + pair + pair} {
+			want, _, err := oracle([]byte(in), typelang.EquivLabel)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, sets := typelang.DistinctRecordAlternatives(want), strings.Count(in, "\n")-2; got != sets {
+				t.Errorf("%s %q: the oracle keeps %d record types apart under L, want %d: %s", label, pair, got, sets, want)
+			}
+			assertMatchesOracle(t, fmt.Sprintf("%s/%q", label, pair), []byte(in))
+		}
 	}
 }
 

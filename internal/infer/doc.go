@@ -38,7 +38,14 @@
 //     tokens are never materialised at all, and a record the index
 //     cannot certify — a malformed one, or one nested past MaxDepth —
 //     is re-absorbed by the token walker (AbsorbFromTokens, tokens.go)
-//     over the same bitmaps. The result is pinned byte-identical to an
+//     over the same bitmaps. Each absorber also keeps a pattern tree of
+//     the record layouts it has met — Mison's speculation, applied to
+//     field names: a record whose keys are, byte for byte, a sequence
+//     seen before is staged and grouped without a name being interned,
+//     sorted or compared, and any other record drops to the
+//     name-by-name path from the first unknown key on. The tree is a
+//     bounded cache, verified at every key and trusted nowhere
+//     (FuzzPatternTree). The result is pinned byte-identical to an
 //     independent oracle (DOM decoder, TypeOf, one MergeAll) — schemas,
 //     counts, document totals, and error messages and offsets — by the
 //     sweeps in oracle_test.go, and the two walks to each other by the

@@ -22,6 +22,15 @@ import (
 // and everything the bitmaps cannot prove clean delegates to the
 // reference scanner at the same position.
 //
+// On top of the index sits Mison's second idea, the pattern tree (at
+// the end of this file): a collection repeats a handful of record
+// layouts, so a record whose next key is, byte for byte, a name seen to
+// follow the ones before it is staged without interning, duplicate
+// check, sort or label-set lookup, and closed with the layout's
+// typelang.Shape. Every speculation is verified — the key's bytes are
+// compared, every separator is still consumed positionally — and a key
+// off the tree drops that record to the name-by-name path from there on.
+//
 // Identity with the token walker is absolute, not best-effort: the
 // walk verifies every structural assumption (separator positions, clean
 // gaps between spans, depth bounds) and bails out per record to the
@@ -59,6 +68,10 @@ type IndexAbsorber struct {
 	// by the pipeline's stage stats (TakeRecordCounts).
 	idxRecords int64
 	fbRecords  int64
+
+	// tree is the pattern tree: a cache of the layouts met so far that
+	// outlives Reset — chunks, windows and, in a kept mapper, ingests.
+	tree patternTree
 }
 
 // NewIndexAbsorber returns an empty absorber; bind it to a chunk with
@@ -100,12 +113,14 @@ func AbsorbFromIndex(a *IndexAbsorber, acc *typelang.Accum) error {
 	if a.pos >= len(a.data) {
 		return io.EOF
 	}
-	start := a.pos
-	if err := a.absorbValue(acc.Doc(), 0); err != nil {
+	start, closed := a.pos, a.tree.closed
+	a.tree.renew()
+	if err := a.absorbValue(acc.Doc(), 0, &a.tree.top); err != nil {
 		// The walk aborted its staged frames on the way out; the token
 		// walker re-absorbs the record from its first byte and is
 		// authoritative for both acceptance and errors.
 		a.pos = start
+		a.tree.closed = closed
 		a.fbRecords++
 		return a.fallbackRecord(acc)
 	}
@@ -121,6 +136,15 @@ func (a *IndexAbsorber) TakeRecordCounts() (idx, fallback int64) {
 	idx, fallback = a.idxRecords, a.fbRecords
 	a.idxRecords, a.fbRecords = 0, 0
 	return idx, fallback
+}
+
+// TakePatternRecords returns (and resets) the number of objects, at any
+// depth of a document absorbed off the index, closed on the pattern
+// tree with a Shape it already had.
+func (a *IndexAbsorber) TakePatternRecords() int64 {
+	n := a.tree.closed
+	a.tree.closed = 0
+	return n
 }
 
 // TakeScanDelegations returns (and resets) the count of tokens either
@@ -168,16 +192,18 @@ func (a *IndexAbsorber) consume(ch byte) bool {
 // absorbValue absorbs the value beginning at the current position into
 // dst. The caller guarantees a.pos points at a non-space byte. Any
 // construct the index cannot certify returns errIndexBail, with every
-// staged frame already aborted on the way out.
-func (a *IndexAbsorber) absorbValue(dst typelang.Target, depth int) error {
+// staged frame already aborted on the way out. under is the pattern
+// tree's node for this position — the field the value belongs to, or
+// the array holding it does — and nil off the tree.
+func (a *IndexAbsorber) absorbValue(dst typelang.Target, depth int, under *patternNode) error {
 	if depth > jsontext.MaxDepth {
 		return errIndexBail
 	}
 	switch c := a.data[a.pos]; c {
 	case '{':
-		return a.absorbObject(dst, depth)
+		return a.absorbObject(dst, depth, under)
 	case '[':
-		return a.absorbArray(dst, depth)
+		return a.absorbArray(dst, depth, under)
 	case '"':
 		end := a.stringEnd(a.pos)
 		if end < 0 {
@@ -284,21 +310,24 @@ func (a *IndexAbsorber) fieldName(open int) (string, int, bool) {
 }
 
 // absorbObject absorbs an object field-span-at-a-time: names from the
-// quote bitmap, colons and separators consumed positionally off the
+// pattern tree while the record stays on it and from the quote bitmap
+// once it has left, colons and separators consumed positionally off the
 // structural bitmap, values recursively. The record stages in an
-// OpenRecord and commits at '}' exactly as the token walker's does.
-func (a *IndexAbsorber) absorbObject(dst typelang.Target, depth int) error {
+// OpenRecord and commits at '}' exactly as the token walker's does —
+// with the layout's Shape if it ended on the tree.
+func (a *IndexAbsorber) absorbObject(dst typelang.Target, depth int, under *patternNode) error {
 	if !a.consume('{') {
 		return errIndexBail
 	}
 	rec := dst.BeginRecord()
+	at := a.tree.root(under) // the names so far as a node of the tree; nil once off it
 	a.skipSpace()
 	if a.pos < len(a.data) && a.data[a.pos] == '}' {
 		if !a.consume('}') {
 			rec.Abort()
 			return errIndexBail
 		}
-		dst.EndRecord(rec)
+		dst.EndRecord(rec, a.tree.shape(at))
 		return nil
 	}
 	for {
@@ -306,12 +335,18 @@ func (a *IndexAbsorber) absorbObject(dst typelang.Target, depth int) error {
 			rec.Abort()
 			return errIndexBail
 		}
-		name, end, ok := a.fieldName(a.pos)
-		if !ok {
-			rec.Abort()
-			return errIndexBail
+		var field typelang.Target
+		if at = a.follow(at); at != nil {
+			field = rec.Stage(at.name)
+		} else {
+			name, end, ok := a.fieldName(a.pos)
+			if !ok {
+				rec.Abort()
+				return errIndexBail
+			}
+			a.pos = end
+			field = rec.Field(name)
 		}
-		a.pos = end
 		a.skipSpace()
 		if !a.consume(':') {
 			rec.Abort()
@@ -322,7 +357,7 @@ func (a *IndexAbsorber) absorbObject(dst typelang.Target, depth int) error {
 			rec.Abort()
 			return errIndexBail
 		}
-		if err := a.absorbValue(rec.Field(name), depth+1); err != nil {
+		if err := a.absorbValue(field, depth+1, at); err != nil {
 			rec.Abort()
 			return err
 		}
@@ -331,7 +366,7 @@ func (a *IndexAbsorber) absorbObject(dst typelang.Target, depth int) error {
 		case a.consume(','):
 			a.skipSpace()
 		case a.consume('}'):
-			dst.EndRecord(rec)
+			dst.EndRecord(rec, a.tree.shape(at))
 			return nil
 		default:
 			rec.Abort()
@@ -342,7 +377,7 @@ func (a *IndexAbsorber) absorbObject(dst typelang.Target, depth int) error {
 
 // absorbArray absorbs array elements into the array bucket's staged
 // element collection, committing the observed length at ']'.
-func (a *IndexAbsorber) absorbArray(dst typelang.Target, depth int) error {
+func (a *IndexAbsorber) absorbArray(dst typelang.Target, depth int, under *patternNode) error {
 	if !a.consume('[') {
 		return errIndexBail
 	}
@@ -362,7 +397,7 @@ func (a *IndexAbsorber) absorbArray(dst typelang.Target, depth int) error {
 			dst.AbortArray()
 			return errIndexBail
 		}
-		if err := a.absorbValue(elem, depth+1); err != nil {
+		if err := a.absorbValue(elem, depth+1, under); err != nil {
 			dst.AbortArray()
 			return err
 		}
@@ -379,4 +414,133 @@ func (a *IndexAbsorber) absorbArray(dst typelang.Target, depth int) error {
 			return errIndexBail
 		}
 	}
+}
+
+// The pattern tree. A patternNode is one field name reached by the
+// sequence of names some record began with; its followers are the names
+// seen next, its shape is the layout of the records that ended there,
+// and sub roots the tree of the objects met as that field's value, or
+// in the array that is. A root stands for "no name yet": it has no
+// parent, and its shape is the empty record's.
+type patternNode struct {
+	name   string // as decoded and interned; the input spelled it exactly so between two quotes
+	parent *patternNode
+	next   []*patternNode
+	shape  *typelang.Shape
+	sub    *patternNode
+}
+
+// The tree is a cache, bounded by two constants and no knob: a node
+// remembers at most patternFanout followers, and an absorber's tree
+// holds at most patternNodes nodes, a layout's shape charged as one and
+// a sixteenth of its width (what it holds against what a node does).
+// That is a third of a megabyte at worst. A tree that has turned away
+// patternStale objects for being full is dropped and learned again, so
+// a collection that drifts is not stuck with the layouts a long-lived
+// absorber met first.
+const (
+	patternFanout = 8
+	patternNodes  = 4096
+	patternStale  = 4 * patternNodes
+)
+
+type patternTree struct {
+	top    patternNode // top.sub roots the documents themselves
+	size   int         // nodes held, shapes included, against patternNodes
+	closed int64       // objects closed with a shape the tree already had (TakePatternRecords)
+	missed int         // objects turned away because a bound was met
+}
+
+// renew, called between documents, drops the tree once it is stale.
+func (t *patternTree) renew() {
+	if t.missed >= patternStale {
+		*t = patternTree{closed: t.closed}
+	}
+}
+
+// root returns the root of the tree of the objects under a node, nil
+// off the tree (under is nil) or when the tree is full.
+func (t *patternTree) root(under *patternNode) *patternNode {
+	if under == nil {
+		return nil
+	}
+	if under.sub == nil {
+		if t.size >= patternNodes {
+			t.missed++
+			return nil
+		}
+		under.sub = &patternNode{}
+		t.size++
+	}
+	return under.sub
+}
+
+// shape returns the layout of the record whose last name is at — nil
+// off the tree — building it the first time a record ends there.
+func (t *patternTree) shape(at *patternNode) *typelang.Shape {
+	if at == nil {
+		return nil
+	}
+	if at.shape != nil {
+		t.closed++
+		return at.shape
+	}
+	width := 0
+	for p := at; p.parent != nil; p = p.parent {
+		width++
+	}
+	cost := 1 + width/16
+	if t.size+cost > patternNodes {
+		t.missed++
+		return nil // staged duplicate-free all the same: the record closes unshaped
+	}
+	names := make([]string, width)
+	for p := at; p.parent != nil; p = p.parent {
+		width--
+		names[width] = p.name
+	}
+	at.shape = typelang.NewShape(names)
+	t.size += cost
+	return at.shape
+}
+
+// follow takes the record's path one name on: to the follower of at
+// that the key opening at the cursor spells byte for byte — the closing
+// quote is among the bytes compared, so "f1" is not taken for "f10",
+// and a learned name is clean ASCII, so equal bytes decode to the equal
+// name — or to a follower learned from it now. It moves the cursor past
+// the key; nil, cursor unmoved, means the record leaves the tree here.
+func (a *IndexAbsorber) follow(at *patternNode) *patternNode {
+	if at == nil || !a.w.StructuralQuote(a.pos) {
+		return nil
+	}
+	lo := a.pos + 1
+	for _, f := range at.next {
+		if hi := lo + len(f.name); hi < len(a.data) && a.data[hi] == '"' && string(a.data[lo:hi]) == f.name {
+			a.pos = hi + 1
+			return f
+		}
+	}
+	t := &a.tree
+	if len(at.next) == patternFanout || t.size >= patternNodes {
+		t.missed++
+		return nil
+	}
+	// Learn the key if it is one fieldName would intern verbatim and
+	// the record has not had it yet (a duplicate rebinds: not a layout).
+	hi := a.w.CloseQuote(lo)
+	if hi < 0 || !a.w.VerbatimSpan(lo, hi) {
+		return nil
+	}
+	name := a.w.InternSpan(lo, hi)
+	for p := at; p.parent != nil; p = p.parent {
+		if p.name == name {
+			return nil
+		}
+	}
+	f := &patternNode{name: name, parent: at}
+	at.next = append(at.next, f)
+	t.size++
+	a.pos = hi + 1
+	return f
 }

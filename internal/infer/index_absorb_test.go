@@ -15,12 +15,12 @@ import (
 
 // absorbAllTokens is the reference side of the index-vs-tokens
 // differential: the token walker absorbing every document of data
-// into a fresh accumulator, returning the sealed type, the document
-// count, and the first error.
-func absorbAllTokens(data []byte) (*typelang.Type, int, error) {
+// into a fresh accumulator under e, returning the sealed type, the
+// document count, and the first error.
+func absorbAllTokens(data []byte, e typelang.Equiv) (*typelang.Type, int, error) {
 	tr := jsontext.NewTokenReaderBytes(data)
 	tr.SetInternStrings(true)
-	acc := typelang.NewAccum(typelang.EquivKind)
+	acc := typelang.NewAccum(e)
 	n := 0
 	for {
 		if err := AbsorbFromTokens(tr, acc); err != nil {
@@ -33,16 +33,15 @@ func absorbAllTokens(data []byte) (*typelang.Type, int, error) {
 	}
 }
 
-// absorbAllIndexed is the index-driven side: one warm IndexAbsorber
-// absorbing every document of data. ok is false when the index rejects
-// the chunk outright (the caller checks the reference rejects too).
-func absorbAllIndexed(data []byte) (t *typelang.Type, n int, err error, ok bool) {
-	ia := NewIndexAbsorber()
-	ia.SetInternStrings(true)
+// absorbAllIndexed is the index-driven side: ia — whatever its pattern
+// tree has learned so far — absorbing every document of data into a
+// fresh accumulator under e. ok is false when the index rejects the
+// chunk outright (the caller checks the reference rejects too).
+func absorbAllIndexed(ia *IndexAbsorber, data []byte, e typelang.Equiv) (t *typelang.Type, n int, err error, ok bool) {
 	if err := ia.Reset(data, 0); err != nil {
 		return nil, 0, nil, false
 	}
-	acc := typelang.NewAccum(typelang.EquivKind)
+	acc := typelang.NewAccum(e)
 	for {
 		if err := AbsorbFromIndex(ia, acc); err != nil {
 			if errors.Is(err, io.EOF) {
@@ -52,6 +51,14 @@ func absorbAllIndexed(data []byte) (t *typelang.Type, n int, err error, ok bool)
 		}
 		n++
 	}
+}
+
+// coldAbsorber is an absorber as a mapper wires it, its pattern tree
+// empty.
+func coldAbsorber() *IndexAbsorber {
+	ia := NewIndexAbsorber()
+	ia.SetInternStrings(true)
+	return ia
 }
 
 // FuzzIndexAbsorb pins the tentpole identity of index-driven
@@ -95,8 +102,8 @@ func FuzzIndexAbsorb(f *testing.F) {
 		f.Add([]byte(s))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		want, wantN, wantErr := absorbAllTokens(data)
-		got, gotN, gotErr, ok := absorbAllIndexed(data)
+		want, wantN, wantErr := absorbAllTokens(data, typelang.EquivKind)
+		got, gotN, gotErr, ok := absorbAllIndexed(coldAbsorber(), data, typelang.EquivKind)
 		if !ok {
 			if wantErr == nil {
 				t.Fatalf("index rejected chunk but the token walker accepts %q", data)
@@ -135,11 +142,11 @@ func TestIndexAbsorbGeneratedCorpora(t *testing.T) {
 	}
 	for _, g := range gens {
 		data := jsontext.MarshalLines(genjson.Collection(g, 150))
-		want, wantN, wantErr := absorbAllTokens(data)
+		want, wantN, wantErr := absorbAllTokens(data, typelang.EquivKind)
 		if wantErr != nil {
 			t.Fatalf("%s: reference rejects generated corpus: %v", g.Name(), wantErr)
 		}
-		got, gotN, gotErr, ok := absorbAllIndexed(data)
+		got, gotN, gotErr, ok := absorbAllIndexed(coldAbsorber(), data, typelang.EquivKind)
 		if !ok || gotErr != nil {
 			t.Fatalf("%s: indexed absorption failed (ok=%v err=%v)", g.Name(), ok, gotErr)
 		}

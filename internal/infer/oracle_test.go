@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/genjson"
 	"repro/internal/jsontext"
 	"repro/internal/typelang"
 )
@@ -140,6 +141,15 @@ func forEachFixture(t *testing.T, fn func(name string, data []byte)) {
 		}
 		fn(filepath.Base(name), data)
 	}
+}
+
+// sweepGenerators are the genjson families, one of each.
+var sweepGenerators = []genjson.Generator{
+	genjson.Twitter{Seed: 1}, genjson.GitHub{Seed: 2}, genjson.TypeDrift{Seed: 3},
+	genjson.SkewedOptional{Seed: 4}, genjson.NestedArrays{Seed: 5}, genjson.Orders{Seed: 6},
+	genjson.Mixture{Seed: 7, Generators: []genjson.Generator{genjson.Twitter{Seed: 8}, genjson.Orders{Seed: 9}}, Weights: []float64{1, 1}},
+	genjson.OpenData{Seed: 10}, genjson.NYTArticles{Seed: 11}, genjson.Wide{Seed: 12},
+	genjson.Fields{Seed: 13}, genjson.Sparse{Seed: 14}, genjson.Deep{Seed: 15},
 }
 
 // malformedInputs are streams the decoder rejects, with the failure in

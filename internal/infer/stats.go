@@ -38,6 +38,12 @@ type StatsSnapshot struct {
 	// IndexRecords counts records absorbed entirely off the structural
 	// index (the index walk, no token ever materialised).
 	IndexRecords int64
+	// PatternRecords counts objects, at any depth of a record the index
+	// walk absorbed, closed on the walk's pattern tree: every key was a
+	// learned layout's, matched byte for byte, so the object was staged
+	// and grouped without a name being interned, sorted or compared. The
+	// first object of each layout, which teaches it, does not count.
+	PatternRecords int64
 	// FallbackRecords counts records the index walk could not certify
 	// and delegated to the token walk over the same index, whether or
 	// not the token walker then accepted them. 0 on well-formed input.
@@ -128,6 +134,7 @@ var StatsFields = []StatsField{
 	{"bytes_lexed", "map", "Payload bytes handed to the map phase.", func(s *StatsSnapshot) *int64 { return &s.BytesLexed }},
 	{"docs_absorbed", "map", "Documents absorbed by the map phase (kept prefixes of failed ingests included).", func(s *StatsSnapshot) *int64 { return &s.DocsAbsorbed }},
 	{"index_records", "map", "Records absorbed entirely off the mison structural index.", func(s *StatsSnapshot) *int64 { return &s.IndexRecords }},
+	{"pattern_records", "map", "Objects (at any depth) closed on the index walk's pattern tree of learned record layouts.", func(s *StatsSnapshot) *int64 { return &s.PatternRecords }},
 	{"fallback_records", "map", "Records the index walk delegated to the token walker (0 on well-formed input).", func(s *StatsSnapshot) *int64 { return &s.FallbackRecords }},
 	{"parity_rejects", "map", "Chunks the structural index rejected outright (odd quote parity).", func(s *StatsSnapshot) *int64 { return &s.ParityRejects }},
 	{"scan_delegations", "map", "Tokens the index and token walks handed to the reference scanner.", func(s *StatsSnapshot) *int64 { return &s.ScanDelegations }},

@@ -28,18 +28,26 @@ func statsOptions(st *PipelineStats) Options {
 // fallbacks and zero parity rejections.
 // That last part is the acceptance criterion's "fixtures where the
 // index must not bail": a non-zero fallback count on these inputs means
-// the fast path silently regressed.
+// the fast path silently regressed. PatternRecords says how many
+// objects the pattern tree closed: every one after the first of its
+// layout, at any depth, and none whose key is not spelled verbatim.
 func TestStatsCleanInputPinned(t *testing.T) {
-	inputs := map[string]string{
-		"plain":         strings.Repeat(`{"a": 1, "b": "x"}`+"\n", 7),
-		"escaped-name":  `{"a\nb": 1}` + "\n",
-		"escaped-value": `{"a": "x\ny"}` + "\n",
-		"float":         `{"a": 1.5e3}` + "\n",
-		"scalar-root":   "42\n",
-		"array-root":    `[1, {"k": true}]` + "\n",
-		"nested":        `{"a": {"b": [1, 2, {"c": null}]}}` + "\n",
+	layoutA, layoutB := `{"a": 1, "b": "x"}`+"\n", `{"b": {"c": [{}, {}]}, "a": 1}`+"\n"
+	inputs := map[string]struct {
+		input   string
+		pattern int64
+	}{
+		"plain":         {strings.Repeat(layoutA, 7), 6},
+		"two-layouts":   {layoutA + layoutB + layoutB + layoutA + layoutA, 2 + 1 + 1 + 3}, // A's, B's, {"c":…}'s and the {}'s
+		"escaped-name":  {strings.Repeat(`{"a\nb": 1}`+"\n", 3), 0},
+		"escaped-value": {`{"a": "x\ny"}` + "\n", 0},
+		"float":         {`{"a": 1.5e3}` + "\n", 0},
+		"scalar-root":   {"42\n", 0},
+		"array-root":    {`[1, {"k": true}]` + "\n", 0},
+		"nested":        {`{"a": {"b": [1, 2, {"c": null}]}}` + "\n", 0},
 	}
-	for name, input := range inputs {
+	for name, c := range inputs {
+		input := c.input
 		docs := int64(strings.Count(input, "\n"))
 		var st PipelineStats
 		_, n, err := InferStream(strings.NewReader(input), statsOptions(&st))
@@ -66,10 +74,13 @@ func TestStatsCleanInputPinned(t *testing.T) {
 		if s.IndexRecords != docs {
 			t.Errorf("%s: IndexRecords=%d, want %d", name, s.IndexRecords, docs)
 		}
+		if s.PatternRecords != c.pattern {
+			t.Errorf("%s: PatternRecords=%d, want %d", name, s.PatternRecords, c.pattern)
+		}
 	}
 }
 
-// TestStatsAdversarialCountersPinned pins the two counters that make
+// TestStatsAdversarialCountersPinned pins the counters that make
 // the map phase's fallback discipline observable, on inputs built to
 // trigger exactly one each:
 //
@@ -78,6 +89,10 @@ func TestStatsCleanInputPinned(t *testing.T) {
 //     literal, and delegates the record to the token walker —
 //     FallbackRecords pins at 1 whether or not the walker then accepts
 //     (here it rejects, which is the authoritative error).
+//   - a key spelled with an escape is decoded by the scanner: the
+//     pattern tree learns only verbatim spellings, so records that open
+//     with one never close on it — PatternRecords stays 0 however often
+//     the layout repeats, and nothing falls back either.
 //   - an unterminated string flips the chunk's unescaped-quote parity,
 //     so the structural index rejects the chunk outright before any
 //     record is walked — ParityRejects pins at 1, counted once per
@@ -100,8 +115,22 @@ func TestStatsAdversarialCountersPinned(t *testing.T) {
 		if s.IndexRecords != 1 {
 			t.Errorf("IndexRecords=%d, want 1 (the clean prefix record)", s.IndexRecords)
 		}
+		if s.PatternRecords != 0 {
+			t.Errorf("PatternRecords=%d, want 0 (the record on the learned layout never closed)", s.PatternRecords)
+		}
 		if s.ParityRejects != 0 {
 			t.Errorf("ParityRejects=%d, want 0 (parity is fine, the literal is not)", s.ParityRejects)
+		}
+	})
+	t.Run("escaped-keys-stay-off-the-tree", func(t *testing.T) {
+		var st PipelineStats
+		input := strings.Repeat(`{"\u0061": 1, "b": 2}`+"\n", 4)
+		if _, _, err := InferStream(strings.NewReader(input), statsOptions(&st)); err != nil {
+			t.Fatal(err)
+		}
+		if s := st.Snapshot(); s.PatternRecords != 0 || s.IndexRecords != 4 || s.FallbackRecords != 0 {
+			t.Errorf("pattern=%d index=%d fallbacks=%d, want 0/4/0: a key that is not spelled verbatim is never learned",
+				s.PatternRecords, s.IndexRecords, s.FallbackRecords)
 		}
 	})
 	t.Run("odd-parity-rejects-chunk", func(t *testing.T) {

@@ -148,7 +148,7 @@ func absorbObject(tr jsontext.TokenSource, dst typelang.Target, depth int) error
 	}
 	rec := dst.BeginRecord()
 	if tok.Kind == jsontext.TokEndObject {
-		dst.EndRecord(rec)
+		dst.EndRecord(rec, nil)
 		return nil
 	}
 	for {
@@ -187,7 +187,7 @@ func absorbObject(tr jsontext.TokenSource, dst typelang.Target, depth int) error
 				return err
 			}
 		case jsontext.TokEndObject:
-			dst.EndRecord(rec)
+			dst.EndRecord(rec, nil)
 			return nil
 		default:
 			rec.Abort()
@@ -283,6 +283,7 @@ func (m *chunkMapper) absorbWindow(ch byteChunk, acc *typelang.Accum) (n, used i
 		idx, fb := m.ia.TakeRecordCounts()
 		m.frame.IndexRecords += idx
 		m.frame.FallbackRecords += fb
+		m.frame.PatternRecords += m.ia.TakePatternRecords()
 		m.frame.ScanDelegations += m.ia.TakeScanDelegations()
 	} else {
 		m.frame.ParityRejects++

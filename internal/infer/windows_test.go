@@ -68,13 +68,7 @@ func TestWindowsMatchOracleFixtures(t *testing.T) {
 // TestWindowsMatchOracleGenerated sweeps every generator family in both
 // layouts.
 func TestWindowsMatchOracleGenerated(t *testing.T) {
-	for _, g := range []genjson.Generator{
-		genjson.Twitter{Seed: 1}, genjson.GitHub{Seed: 2}, genjson.TypeDrift{Seed: 3},
-		genjson.SkewedOptional{Seed: 4}, genjson.NestedArrays{Seed: 5}, genjson.Orders{Seed: 6},
-		genjson.Mixture{Seed: 7, Generators: []genjson.Generator{genjson.Twitter{Seed: 8}, genjson.Orders{Seed: 9}}, Weights: []float64{1, 1}},
-		genjson.OpenData{Seed: 10}, genjson.NYTArticles{Seed: 11}, genjson.Wide{Seed: 12},
-		genjson.Fields{Seed: 13}, genjson.Sparse{Seed: 14}, genjson.Deep{Seed: 15},
-	} {
+	for _, g := range sweepGenerators {
 		data := jsontext.MarshalLines(genjson.Collection(g, 40))
 		assertWindowsMatchOracle(t, g.Name(), data)
 		assertWindowsMatchOracle(t, g.Name()+"-indent", indented(t, data))
@@ -104,8 +98,9 @@ var windowEdgeCases = []string{
 	strings.Repeat("[\n", jsontext.MaxDepth+2),
 }
 
-// windowInputs are those and the shared malformed inputs.
-var windowInputs = slices.Concat(windowEdgeCases, malformedInputs)
+// windowInputs are those, the shared malformed inputs and the label
+// sets typelang's key once confused.
+var windowInputs = slices.Concat(windowEdgeCases, malformedInputs, collidingLabelSets)
 
 // TestWindowsMatchOracleEdgeCases runs them under every window target.
 func TestWindowsMatchOracleEdgeCases(t *testing.T) {
@@ -118,12 +113,7 @@ func TestWindowsMatchOracleEdgeCases(t *testing.T) {
 // one-worker run cutting windows of a fuzz-chosen target — one byte to
 // the whole input — must yield the oracle's outcome over the same bytes
 // from every input kind: schema (plain and counted), document count,
-// error text and absolute offset. One class of input is compared under
-// K only: typelang's label-set key joins field names with NUL, so under
-// L a record whose one name is empty keys like the empty record (and a
-// name holding NUL like two names) — MergeAll fuses the pair, small
-// accumulators do not. That is typelang's to fix (ROADMAP), not a
-// property of windows.
+// error text and absolute offset, under K and under L.
 func FuzzStreamWindows(f *testing.F) {
 	for _, in := range windowInputs {
 		for _, target := range []uint{0, 6, 63} {
@@ -133,9 +123,6 @@ func FuzzStreamWindows(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte, target uint) {
 		ck := Options{ChunkBytes: 1 + int(target%uint(len(data)+1))}
 		for _, e := range sweepEquivs {
-			if e == typelang.EquivLabel && (bytes.Contains(data, []byte(`""`)) || bytes.Contains(data, []byte(`\u0000`))) {
-				continue
-			}
 			ck.Equiv = e
 			want, wantN, wantErr := oracle(data, e)
 			assertEngineYields(t, "fuzz", data, ck, []int{1}, want, wantN, wantErr)

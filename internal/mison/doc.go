@@ -53,5 +53,10 @@
 // eight-byte word arithmetic feeding the packed words. Every later
 // phase is genuinely bit-parallel, and the algorithmic speedups (no
 // tokenisation of skipped content, speculative field lookup) are
-// preserved.
+// preserved. The speculation has a production counterpart too: where
+// the Parser learns at which position a projected field sits, the
+// production walk learns which field names follow which
+// (infer.IndexAbsorber's pattern tree) and verifies the next record's
+// keys against them by byte comparison instead of decoding, interning
+// and sorting them again.
 package mison

@@ -396,6 +396,11 @@ func TestWarmMapperServesLikeCold(t *testing.T) {
 			got.Stats.ReadNanos, got.Stats.SplitNanos, got.Stats.MapNanos = 0, 0, 0
 			want.Stats.ReadNanos, want.Stats.SplitNanos, want.Stats.MapNanos = 0, 0, 0
 			got.Stats.BuffersRecycled = want.Stats.BuffersRecycled // the warm collection reuses its chunk array
+			if got.Stats.PatternRecords < want.Stats.PatternRecords {
+				t.Fatalf("round %d: the kept mapper's pattern tree closed %d objects, a cold one %d",
+					i, got.Stats.PatternRecords, want.Stats.PatternRecords)
+			}
+			got.Stats.PatternRecords = want.Stats.PatternRecords // and knows the layouts the cold one is still learning
 			if got.Stats != want.Stats {
 				t.Fatalf("round %d: warm ingest counted %+v, a cold one %+v", i, got.Stats, want.Stats)
 			}

@@ -159,7 +159,7 @@ func (a *arrayAccum) extend(n int) {
 type OpenRecord struct {
 	acc    *Accum
 	fields []stagedField
-	seen   map[string]int // name -> index in fields, while past smallOpenFields; else empty
+	seen   map[string]int // name -> index in fields[:len(seen)]; filled by index past smallOpenFields
 }
 
 // stagedField is one staged field slot: the name and the pooled node
@@ -167,6 +167,37 @@ type OpenRecord struct {
 type stagedField struct {
 	name string
 	node *accumNode
+}
+
+// Shape is a record layout a walker has certified once and closes
+// records with from then on (EndRecord): how many fields such a record
+// stages and where each lands in name order. It does not hold the names
+// — the contract is the walker's: every record closed with one Shape
+// staged exactly the names NewShape was given, in that order, each once.
+// A Shape is immutable, so its address identifies the label set: that
+// is what lets a record group be found by pointer (byShape).
+type Shape struct {
+	rank   []int32 // rank[i]: where the i-th staged field lands in name order
+	sorted bool    // rank is the identity: document order is name order
+}
+
+// NewShape builds the shape of the records that stage names, in that
+// order. The names must be distinct.
+func NewShape(names []string) *Shape {
+	order := make([]int32, len(names))
+	for i := range order {
+		order[i] = int32(i)
+	}
+	slices.SortFunc(order, func(a, b int32) int { return strings.Compare(names[a], names[b]) })
+	s := &Shape{rank: make([]int32, len(names)), sorted: true}
+	for r, i := range order {
+		if r > 0 && names[i] == names[order[r-1]] {
+			panic("typelang: NewShape with duplicate name " + names[i])
+		}
+		s.rank[i] = int32(r)
+		s.sorted = s.sorted && int(i) == r
+	}
+	return s
 }
 
 // smallOpenFields bounds the linear duplicate-name scan of an open
@@ -208,26 +239,29 @@ func (r *OpenRecord) Field(name string) Target {
 		n.reset(keepPooled)
 		return Target{acc: r.acc, n: n}
 	}
+	return r.Stage(name)
+}
+
+// Stage is Field for a name the caller knows the record has not staged
+// yet — a walker following a layout it has certified duplicate-free —
+// and looks nothing up.
+func (r *OpenRecord) Stage(name string) Target {
 	n := r.acc.getNode()
 	r.fields = append(r.fields, stagedField{name: name, node: n})
-	switch k := len(r.fields); {
-	case k > smallOpenFields+1:
-		r.seen[name] = k - 1
-	case k == smallOpenFields+1:
-		if r.seen == nil {
-			r.seen = make(map[string]int, 2*k)
-		}
-		for i := range r.fields {
-			r.seen[r.fields[i].name] = i
-		}
-	}
 	return Target{acc: r.acc, n: n}
 }
 
 // index finds name among the staged fields: a linear scan up to
-// smallOpenFields staged fields, the seen map past it.
+// smallOpenFields staged fields, the seen map past it — brought up to
+// date here, so staging itself never writes it.
 func (r *OpenRecord) index(name string) int {
 	if len(r.fields) > smallOpenFields {
+		if r.seen == nil {
+			r.seen = make(map[string]int, 2*len(r.fields))
+		}
+		for i := len(r.seen); i < len(r.fields); i++ {
+			r.seen[r.fields[i].name] = i
+		}
 		if i, ok := r.seen[name]; ok {
 			return i
 		}
@@ -242,17 +276,26 @@ func (r *OpenRecord) index(name string) int {
 }
 
 // EndRecord commits the staged record into the target — the direct
-// equivalent of absorbing the record type of its fields: group lookup
-// under the accumulator's equivalence, then a sorted merge of the
-// staged fields into the group's in-place field table.
-func (t Target) EndRecord(r *OpenRecord) {
+// equivalent of absorbing the record type of its fields: the fields are
+// put in name order, the group found under the accumulator's
+// equivalence, and the staged fields merged into the group's in-place
+// field table. A record staged along a layout the walker holds the
+// Shape of passes it: the order is then the shape's permutation instead
+// of a sort, and the group is looked for by the shape's address first.
+// s is nil for any other record.
+func (t Target) EndRecord(r *OpenRecord, s *Shape) {
 	n := t.n
 	n.total++
 	if !n.haveAny {
-		if !slices.IsSortedFunc(r.fields, compareStagedNames) {
+		if s != nil {
+			t.acc.permute(r, s)
+		} else if !slices.IsSortedFunc(r.fields, compareStagedNames) {
 			slices.SortFunc(r.fields, compareStagedNames)
 		}
-		ra := n.stagedGroup(r.fields, t.acc)
+		ra := n.stagedGroup(r.fields, s, t.acc)
+		if s != nil {
+			ra.shape = s
+		}
 		ra.nrecs++
 		ra.count++
 		ra.absorbStaged(r.fields, t.acc.equiv)
@@ -261,6 +304,24 @@ func (t Target) EndRecord(r *OpenRecord) {
 	if t.root {
 		t.acc.gen++
 	}
+}
+
+// permute puts r's staged fields in name order by s's ranks: one pass
+// through the accumulator's spare field list, which then trades places
+// with the record's own. No name is compared.
+func (a *Accum) permute(r *OpenRecord, s *Shape) {
+	if len(r.fields) != len(s.rank) {
+		panic("typelang: EndRecord with a Shape of another width")
+	}
+	if s.sorted {
+		return
+	}
+	out := slices.Grow(a.spare[:0], len(r.fields))[:len(r.fields)]
+	for i, sf := range r.fields {
+		out[s.rank[i]] = sf
+	}
+	clear(r.fields)
+	r.fields, a.spare = out, r.fields[:0]
 }
 
 // Abort discards the staged record (a document abandoned mid-parse),
@@ -272,10 +333,14 @@ func compareStagedNames(a, b stagedField) int { return strings.Compare(a.name, b
 // stagedGroup finds (or creates) the group the staged record fuses
 // into — recordGroup's staged twin, except the label key is built in
 // the accumulator's scratch buffer so the common lookup allocates
-// nothing (the real key string is made only when a new group is born).
-func (n *accumNode) stagedGroup(fields []stagedField, a *Accum) *recordAccum {
+// nothing (the real key string is made only when a new group is born),
+// and a record closed with a Shape is looked for by that first.
+func (n *accumNode) stagedGroup(fields []stagedField, s *Shape, a *Accum) *recordAccum {
 	if a.equiv == EquivKind {
 		return n.kindGroup()
+	}
+	if ra := n.byShape(s); ra != nil {
+		return ra
 	}
 	if n.recIndex != nil {
 		key := a.stagedKey(fields)
@@ -292,15 +357,30 @@ func (n *accumNode) stagedGroup(fields []stagedField, a *Accum) *recordAccum {
 	return n.newGroup(string(a.stagedKey(fields)))
 }
 
+// byShape finds the group that last took a record, or a group, of shape
+// s (recordAccum.shape), on the linear scan only: a node past
+// smallRecordGroups looks up by key. It is sound under L because a
+// Shape stands for one label set for good and so does a group — its
+// table is its label set from its first record on, resets included
+// (sameLabels).
+func (n *accumNode) byShape(s *Shape) *recordAccum {
+	if s == nil || n.recIndex != nil {
+		return nil
+	}
+	for _, ra := range n.recs {
+		if ra.shape == s {
+			return n.activate(ra)
+		}
+	}
+	return nil
+}
+
 // stagedKey renders the staged label set exactly as labelKey does, into
 // the accumulator's scratch buffer.
 func (a *Accum) stagedKey(fields []stagedField) []byte {
 	b := a.keyBuf[:0]
 	for i := range fields {
-		if i > 0 {
-			b = append(b, 0)
-		}
-		b = append(b, fields[i].name...)
+		b = appendLabel(b, fields[i].name)
 	}
 	a.keyBuf = b
 	return b
@@ -323,9 +403,21 @@ func (ra *recordAccum) sameStagedLabels(fields []stagedField) bool {
 // absorbStaged merges the staged (sorted, duplicate-free) fields into
 // the group's field table — recordAccum.absorb without the canonical
 // detour: each staged field bumps its slot and absorbs its staged node
-// in place.
+// in place. Under L a group that has its table was found by its label
+// set and the table is that set, so the two lists are aligned and no
+// name is compared; a group just born, and the one group of K, take the
+// merge walk.
 func (ra *recordAccum) absorbStaged(fields []stagedField, e Equiv) {
 	fs := ra.fields
+	if e == EquivLabel && len(fs) == len(fields) {
+		for j := range fields {
+			fa := &fs[j]
+			fa.count++
+			fa.seenIn++
+			fa.node.absorbNode(fields[j].node, e)
+		}
+		return
+	}
 	i := 0
 	for j := range fields {
 		sf := &fields[j]
@@ -368,7 +460,7 @@ func (a *Accum) releaseOpen(r *OpenRecord) {
 			a.nodePool = append(a.nodePool, n)
 		}
 	}
-	if k > smallOpenFields {
+	if len(r.seen) > 0 {
 		clear(r.seen)
 	}
 	if k > maxPooledNodes {
@@ -421,6 +513,9 @@ func (dst *accumNode) absorbNode(src *accumNode, e Equiv) {
 	}
 	for _, sra := range src.recs[:src.live] {
 		dra := dst.accumGroup(sra, e)
+		if sra.shape != nil {
+			dra.shape = sra.shape
+		}
 		dra.nrecs += sra.nrecs
 		dra.count += sra.count
 		dra.absorbAccum(sra, e)
@@ -447,11 +542,16 @@ func (a *arrayAccum) absorbNodeArr(src *arrayAccum, e Equiv) {
 }
 
 // accumGroup finds (or creates) the group a source record group fuses
-// into. Under L the source's label key doubles as the lookup key: a
-// live group's field table is exactly its label set on both sides.
+// into: by the shape the source last took a record of, which travels
+// with it, else by label set. Under L the source's label key doubles as
+// the lookup key: a live group's field table is exactly its label set
+// on both sides.
 func (n *accumNode) accumGroup(src *recordAccum, e Equiv) *recordAccum {
 	if e == EquivKind {
 		return n.kindGroup()
+	}
+	if ra := n.byShape(src.shape); ra != nil {
+		return ra
 	}
 	if n.recIndex != nil {
 		key := src.labelKey()
@@ -481,12 +581,22 @@ func (ra *recordAccum) sameAccumLabels(src *recordAccum) bool {
 	return true
 }
 
-// absorbAccum merges one record group into another: the sorted-merge
-// walk of absorbStaged generalised to counted slots — counts, seen
-// totals and optionality flags add, exactly as absorbing the source's
-// sealed record would.
+// absorbAccum merges one record group into another: absorbStaged
+// generalised to counted slots — counts, seen totals and optionality
+// flags add, exactly as absorbing the source's sealed record would —
+// with the same aligned zip under L.
 func (ra *recordAccum) absorbAccum(src *recordAccum, e Equiv) {
 	fs := ra.fields
+	if e == EquivLabel && len(fs) == len(src.fields) {
+		for j := range src.fields {
+			fa, sf := &fs[j], &src.fields[j]
+			fa.count += sf.count
+			fa.optional = fa.optional || sf.optional
+			fa.seenIn += sf.seenIn
+			fa.node.absorbNode(&sf.node, e)
+		}
+		return
+	}
 	i := 0
 	for j := range src.fields {
 		sf := &src.fields[j]

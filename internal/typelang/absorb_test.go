@@ -95,12 +95,29 @@ func (a *Accum) stagingDirt() string {
 // an array, a record — with duplicate names, and wide enough now and
 // then to cross smallOpenFields — or an abort, which abandons the
 // document the way the walkers do: every open frame aborted, innermost
-// first. Exhausted input reads as zero bytes (null atoms), so every
-// program terminates.
+// first. About half the records are staged the way the index walk
+// stages one on its pattern tree: Stage while the names are new to the
+// record, Field from the first repeated one on, and closed with the
+// layout's Shape — one per sequence of names, kept for the program's
+// life — if no name repeated. Exhausted input reads as zero bytes (null
+// atoms), so every program terminates.
 type surfaceProg struct {
-	data []byte
-	pos  int
-	e    Equiv
+	data   []byte
+	pos    int
+	e      Equiv
+	shapes map[string]*Shape
+}
+
+// shape returns the one Shape of the records staging names in order.
+func (p *surfaceProg) shape(names []string) *Shape {
+	key := fmt.Sprintf("%q", names)
+	if p.shapes[key] == nil {
+		if p.shapes == nil {
+			p.shapes = map[string]*Shape{}
+		}
+		p.shapes[key] = NewShape(names)
+	}
+	return p.shapes[key]
 }
 
 func (p *surfaceProg) next() byte {
@@ -171,6 +188,8 @@ func (p *surfaceProg) value(dst Target, depth int, b byte) (*Type, bool) {
 		}
 		r := dst.BeginRecord()
 		bound := map[string]*Type{}
+		var layout []string // the names staged, while none has repeated
+		onLayout := c >= 116 && c < 232 || c >= 244
 		for i := 0; i < n; i++ {
 			nb := p.next()
 			name := string(rune('a' + nb%7))
@@ -181,14 +200,24 @@ func (p *surfaceProg) value(dst Target, depth int, b byte) (*Type, bool) {
 				}
 				name = fmt.Sprintf("w%02d", idx)
 			}
-			t, ok := p.value(r.Field(name), depth+1, p.next())
+			var field Target
+			if _, dup := bound[name]; onLayout && !dup {
+				field, layout = r.Stage(name), append(layout, name)
+			} else {
+				field, onLayout = r.Field(name), false
+			}
+			t, ok := p.value(field, depth+1, p.next())
 			if !ok {
 				r.Abort()
 				return nil, false
 			}
 			bound[name] = t // last binding wins
 		}
-		dst.EndRecord(r)
+		if onLayout {
+			dst.EndRecord(r, p.shape(layout))
+		} else {
+			dst.EndRecord(r, nil)
+		}
 		fields := make([]Field, 0, len(bound))
 		for name, t := range bound {
 			fields = append(fields, Field{Name: name, Type: t, Count: 1})
@@ -255,6 +284,22 @@ var surfaceSeeds = [][]byte{
 	{1, 9, 238, 1, 2, 2, 2, 3, 2, 5, 4, 4, 2, 5, 2, 6, 2, 7, 2, 10, 3, 9, 2, 10, 2, 11, 2, 12, 2, 13, 2, 14, 2, 15, 4, 16, 2, 17, 2, 18, 2, 19, 2, 9, 2, 0, 2, 1, 4},
 	// Reset and Type absorbs between documents.
 	{1, 9, 1, 0, 2, progReset, progAbsorb, 7, 9, 1, 0, 4, progAbsorb, 9},
+	// The shaped records (c in [116, 232) or >= 244; c%6 fields, or
+	// 14 + c%8 wide ones). L: {"c": 1, "a": "s"} twice (the second finds
+	// its group by the shape), {"a": "s", "c": 1} (another shape of the
+	// same label set), {"c": 1, "a": 2} unshaped, then across a Reset.
+	{1, 9, 116, 2, 2, 0, 4, 9, 116, 2, 2, 0, 4, 9, 116, 0, 4, 2, 2, 9, 2, 2, 2, 0, 2, progReset, 9, 116, 2, 2, 0, 4},
+	// L, nested: {"b": {"c": 1}} twice — the staged group carries its
+	// shape into the commit — then {"b": {"c": <abort>, then {"b": {"c": "s"}}.
+	{1, 9, 121, 1, 9, 121, 2, 2, 9, 121, 1, 9, 121, 2, 2, 9, 121, 1, 9, 121, 2, opAbort, 9, 121, 1, 9, 121, 2, 4},
+	// K: {"a": 1, "a": "s", "b": null} leaves its layout at the repeated
+	// name; then a 19-field shaped record, the same with w02 rebound at
+	// the 18th field — past smallOpenFields, so the name map has to catch
+	// up with what Stage never wrote — and a narrow one through the pool.
+	{0, 9, 117, 0, 2, 0, 4, 1, 0,
+		9, 253, 1, 2, 2, 2, 3, 2, 4, 2, 6, 2, 7, 2, 8, 2, 9, 2, 11, 2, 12, 2, 13, 2, 14, 2, 16, 2, 17, 2, 18, 2, 19, 2, 21, 2, 22, 2, 23, 2,
+		9, 253, 1, 2, 2, 2, 3, 2, 4, 2, 6, 2, 7, 2, 8, 2, 9, 2, 11, 2, 12, 2, 13, 2, 14, 2, 16, 2, 17, 2, 18, 2, 19, 2, 21, 2, 20, 4, 23, 2,
+		9, 121, 0, 3},
 }
 
 func TestAbsorbSurfaceSeeds(t *testing.T) {
@@ -323,7 +368,7 @@ func absorbValue(dst Target, v *jsonvalue.Value) {
 		for _, f := range v.Fields() {
 			absorbValue(r.Field(f.Name), f.Value)
 		}
-		dst.EndRecord(r)
+		dst.EndRecord(r, nil)
 	}
 }
 
@@ -423,7 +468,7 @@ func TestOpenRecordLookupFollowsCurrentWidth(t *testing.T) {
 	if len(r.seen) != 0 {
 		t.Errorf("a 3-field record wrote %d entries to the name map", len(r.seen))
 	}
-	a.Doc().EndRecord(r)
+	a.Doc().EndRecord(r, nil)
 
 	fresh := NewAccum(EquivLabel)
 	absorbValue(fresh.Doc(), jsonvalue.NewObject(wide...))

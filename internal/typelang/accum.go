@@ -53,13 +53,15 @@ type Accum struct {
 
 	// Direct-absorption staging (absorb.go): the root-array element
 	// staging node, the pools of staged field nodes and open records,
-	// and the scratch label-key buffer — retained across documents and
-	// Resets, up to the keepPooled bounds, so steady-state absorption
-	// allocates nothing.
+	// the scratch label-key buffer and the spare field list a shaped
+	// record is put in name order through — retained across documents
+	// and Resets, up to the keepPooled bounds, so steady-state
+	// absorption allocates nothing.
 	stageArr *accumNode
 	nodePool []*accumNode
 	recPool  []*OpenRecord
 	keyBuf   []byte
+	spare    []stagedField
 }
 
 // NewAccum returns an empty accumulator folding under equivalence e.
@@ -187,7 +189,8 @@ type arrayAccum struct {
 type recordAccum struct {
 	key      string // label key, built lazily for the seal ordering
 	keyValid bool
-	pos      int // index in the owning node's recs
+	shape    *Shape // of the last shaped record (or group) taken, nil if none: the pointer lookup of byShape
+	pos      int    // index in the owning node's recs
 	nrecs    int
 	count    int64
 	fields   []fieldAccum
@@ -410,14 +413,11 @@ func (ra *recordAccum) absorb(t *Type, e Equiv) {
 // exact label set.
 func (ra *recordAccum) labelKey() string {
 	if !ra.keyValid {
-		var b strings.Builder
+		var b []byte
 		for i := range ra.fields {
-			if i > 0 {
-				b.WriteByte(0)
-			}
-			b.WriteString(ra.fields[i].name)
+			b = appendLabel(b, ra.fields[i].name)
 		}
-		ra.key = b.String()
+		ra.key = string(b)
 		ra.keyValid = true
 	}
 	return ra.key

@@ -3,6 +3,8 @@ package typelang
 import (
 	"fmt"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -289,6 +291,85 @@ func TestAccumManyLabelGroups(t *testing.T) {
 		if got := a.Seal(); !identical(want, got) {
 			t.Fatalf("round %d: indexed groups diverge\n want: %s\n got:  %s",
 				round, want.StringCounted(), got.StringCounted())
+		}
+	}
+}
+
+// TestLabelKeyIsInjectiveAndOrdered pins the label-set key all three
+// builders share (appendLabel): over names that hold the terminator and
+// the escape byte themselves, two label lists get the same key only if
+// they are the same list, and keys order exactly as the lists do — so
+// terminating and escaping moved no union's canonical order.
+func TestLabelKeyIsInjectiveAndOrdered(t *testing.T) {
+	alphabet := []string{"", "\x00", "\x01", "\x01\x01", "\x00\x01", "a", "a\x00", "a\x00b", "a\x01", "b", "\x02", "\xff"}
+	r := rand.New(rand.NewSource(23))
+	list := func() []string {
+		names := make([]string, r.Intn(4))
+		for i := range names {
+			names[i] = alphabet[r.Intn(len(alphabet))]
+		}
+		return names
+	}
+	key := func(names []string) string {
+		fields := make([]Field, len(names))
+		for i, n := range names {
+			fields[i] = Field{Name: n, Type: Atom(KInt, 1), Count: 1}
+		}
+		// Not through NewRecord: the key renders the list as given.
+		return labelKey(&Type{Kind: KRecord, Fields: fields, Count: 1})
+	}
+	for i := 0; i < 20000; i++ {
+		a, b := list(), list()
+		if got, want := strings.Compare(key(a), key(b)), slices.CompareFunc(a, b, strings.Compare); got != want {
+			t.Fatalf("keys of %q and %q compare %d, the lists %d", a, b, got, want)
+		}
+	}
+	for _, names := range [][]string{{"a", "b"}, {"k0", "k1", "k10"}, {"x"}} {
+		if got, want := key(names), strings.Join(names, "\x00")+"\x00"; got != want {
+			t.Errorf("key of %q is %q, want the names NUL-terminated %q", names, got, want)
+		}
+	}
+}
+
+// TestShapedRecordsFindTheirLabelSet: records closed with a Shape find
+// their group by the shape's address, and that must be the group their
+// label set has — for the label sets the key once confused, for two
+// layouts of one label set, below and past the label-key index.
+func TestShapedRecordsFindTheirLabelSet(t *testing.T) {
+	layouts := [][]string{{""}, {}, {"a\x00b"}, {"a", "b"}, {"b", "a"}, {"b"}}
+	for _, pad := range []int{0, smallRecordGroups + 4} {
+		a := NewAccum(EquivLabel)
+		var all []*Type
+		for i := 0; i < pad; i++ {
+			rec := NewRecordCounted(1, Field{Name: fmt.Sprintf("pad%d", i), Type: Atom(KNull, 1), Count: 1})
+			a.Absorb(rec)
+			all = append(all, rec)
+		}
+		shapes := make([]*Shape, len(layouts))
+		for round := 0; round < 3; round++ {
+			for i, names := range layouts {
+				r := a.Doc().BeginRecord()
+				fields := make([]Field, len(names))
+				for j, name := range names {
+					r.Stage(name).AbsorbKind(KInt)
+					fields[j] = Field{Name: name, Type: Atom(KInt, 1), Count: 1}
+				}
+				if round == 1 { // unshaped in between: the group keeps the shape it knows
+					a.Doc().EndRecord(r, nil)
+				} else {
+					if shapes[i] == nil {
+						shapes[i] = NewShape(names)
+					}
+					a.Doc().EndRecord(r, shapes[i])
+				}
+				all = append(all, NewRecordCounted(1, fields...))
+			}
+		}
+		if want, got := MergeAll(all, EquivLabel), a.Seal(); !identical(want, got) {
+			t.Errorf("pad %d: shaped staging diverges from MergeAll\n want: %s\n got:  %s", pad, want.StringCounted(), got.StringCounted())
+		}
+		if got := DistinctRecordAlternatives(a.Seal()); got != pad+len(layouts)-1 {
+			t.Errorf("pad %d: %d record types, want %d", pad, got, pad+len(layouts)-1)
 		}
 	}
 }

@@ -26,7 +26,12 @@
 // directly — staged per document so a malformed document aborts without
 // a trace — eliminating the per-document canonical type entirely.
 // Sealing after N absorbed documents is pinned byte-identical to
-// merging N per-document types.
+// merging N per-document types. A walker that has certified a record
+// layout closes its records with the layout's Shape: EndRecord then
+// orders the fields by the shape's ranks instead of sorting them and
+// finds the record group by the shape's address instead of by its label
+// set — sound under L because a Shape and a group each stand for one
+// label set for good.
 //
 // Staging storage is pooled on the accumulator and recycled at the cost
 // of what a document dirtied, not of what the pool retains: clean

@@ -217,13 +217,31 @@ func mergeRecords(records []*Type, e Equiv) []*Type {
 	return out
 }
 
-// labelKey is the record's label set rendered canonically.
+// labelKey is the record's label set rendered canonically: every name
+// followed by a NUL. The rendering is injective — {} is "" and {"": 1}
+// is "\x00", where joining names with NUL gave both "" — and keys order
+// as their name lists do, so the canonical order of a union's records
+// is the order of their label sets.
 func labelKey(r *Type) string {
-	names := make([]string, len(r.Fields))
-	for i, f := range r.Fields {
-		names[i] = f.Name
+	var b []byte
+	for i := range r.Fields {
+		b = appendLabel(b, r.Fields[i].Name)
 	}
-	return strings.Join(names, "\x00")
+	return string(b)
+}
+
+// appendLabel appends one name of a label key and its terminator. A NUL
+// inside a name is written 01 01 and a 01 byte 01 02, so no name holds
+// the terminator and the escaping keeps the order of names.
+func appendLabel(b []byte, name string) []byte {
+	from := 0
+	for i := 0; i < len(name); i++ {
+		if c := name[i]; c <= 1 {
+			b = append(append(b, name[from:i]...), 1, c+1)
+			from = i + 1
+		}
+	}
+	return append(append(b, name[from:]...), 0)
 }
 
 // fuseRecords merges records field-wise: shared fields merge their
