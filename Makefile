@@ -7,7 +7,7 @@ DOC_PKGS = repro/internal/jsontext repro/internal/infer \
            repro/internal/registry repro/internal/daemon/intake \
            repro/internal/daemon/metrics
 
-.PHONY: all build vet test race fuzz-smoke bench bench-stream bench-json bench-e2e bench-compare test-bench docs fixtures serve smoke-daemon ci
+.PHONY: all build vet test race fuzz-smoke bench bench-stream bench-e2e bench-compare test-bench docs fixtures serve smoke-daemon ci
 
 all: build
 
@@ -57,19 +57,6 @@ bench:
 bench-stream:
 	$(GO) test -run '^$$' -bench 'BenchmarkE3StreamingInference' -benchtime 5x -count 5 -benchmem .
 	$(GO) test -run '^$$' -bench 'BenchmarkTokenSourceVsLexer' -benchtime 5x -count 5 -benchmem ./internal/mison/
-
-# Perf trajectory: the E3 streamed rows (ns/op, MB/s, B/op, allocs/op)
-# as a machine-readable JSON report — `go test -bench -json`
-# post-processed by cmd/jsbenchjson into $(BENCH_JSON) (one row per
-# sample, five per benchmark), which CI uploads as an artifact so every
-# build leaves a comparable benchmark record. The rows include the
-# zero-copy -bytes/-mmap variants and the large-corpus reader/bytes/mmap
-# triplet over a 100MB jsgen-style corpus (E3_CORPUS_BYTES, jsgen
-# -target syntax).
-BENCH_JSON ?= BENCH.json
-bench-json:
-	E3_CORPUS_BYTES=100MB $(GO) test -run '^$$' -bench 'BenchmarkE3(StreamingInference|LargeCorpus)' -benchtime 5x -count 5 -benchmem -json . \
-		| $(GO) run repro/cmd/jsbenchjson -out $(BENCH_JSON)
 
 # The repository benchmark (BENCHMARK.json, bench/README.md): bench-e2e
 # appends one result set — every workload, ten 25-second runs each — to

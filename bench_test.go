@@ -246,9 +246,9 @@ func BenchmarkE3StreamingInference(b *testing.B) {
 }
 
 // E3 (large corpus): the zero-copy claims at the scale they were built
-// for — a corpus sized by E3_CORPUS_BYTES (jsgen -target syntax; the
-// Makefile's bench-json target passes 100MB, the default keeps local
-// `make bench` quick) streamed through the reader path, the byte-slice
+// for — a corpus sized by E3_CORPUS_BYTES (jsgen -target syntax, e.g.
+// 100MB for a run by hand; the default keeps local `make bench` quick)
+// streamed through the reader path, the byte-slice
 // path, and the mmap path. The corpus is generated in index order from
 // per-document seeds, so a given (seed, target) names the same bytes on
 // every run.

@@ -272,7 +272,7 @@ func TestPrintStats(t *testing.T) {
 	var b strings.Builder
 	printStats(&b, core.StatsSnapshot{
 		ChunksSplit: 3, BytesLexed: 4096, DocsAbsorbed: 128,
-		IndexRecords: 120, PatternRecords: 400, FallbackRecords: 8, ParityRejects: 1,
+		IndexRecords: 120, PatternRecords: 400, FallbackRecords: 8,
 		ScanDelegations: 5, ChunksDirect: 3, RootFuses: 2, Seals: 9,
 		BytesAliased: 2048, BytesReindexed: 77, BytesCopied: 512, BuffersRecycled: 4,
 		MmapInputs: 1, ReaderInputs: 2,
@@ -283,7 +283,7 @@ func TestPrintStats(t *testing.T) {
   stage           time  counters
   read         1.500ms  chunks_split=3 bytes_copied=512 buffers_recycled=4 mmap_inputs=1 reader_inputs=2
   split        0.250ms  bytes_aliased=2048 bytes_reindexed=77
-  map          7.000ms  bytes_lexed=4096 docs_absorbed=128 index_records=120 pattern_records=400 fallback_records=8 parity_rejects=1 scan_delegations=5 chunks_direct=3
+  map          7.000ms  bytes_lexed=4096 docs_absorbed=128 index_records=120 pattern_records=400 fallback_records=8 scan_delegations=5 chunks_direct=3
   reduce       0.900ms
   fuse         0.100ms  root_fuses=2 seals=9
 `

@@ -620,7 +620,6 @@ func TestMetricsReconcileWithStats(t *testing.T) {
 		"jsinferd_pipeline_docs_absorbed_total":    "docs_absorbed",
 		"jsinferd_pipeline_index_records_total":    "index_records",
 		"jsinferd_pipeline_fallback_records_total": "fallback_records",
-		"jsinferd_pipeline_parity_rejects_total":   "parity_rejects",
 		"jsinferd_pipeline_scan_delegations_total": "scan_delegations",
 		"jsinferd_pipeline_root_fuses_total":       "root_fuses",
 		"jsinferd_pipeline_seals_total":            "seals",

@@ -76,8 +76,7 @@
 //	    errors, rate-limited rejections, interned symbols, sealed
 //	    schema nodes) plus the aggregated pipeline flight recorder:
 //	    chunk/doc counters, index fast-path vs token-fallback records,
-//	    parity rejections, seals and collector fuses, and per-stage
-//	    clocks.
+//	    seals and collector fuses, and per-stage clocks.
 //	GET /debug/traces
 //	    The most recent finished request traces (JSON, oldest first):
 //	    span trees with per-stage timings and ingest attributes.
@@ -427,7 +426,6 @@ func newHandler(reg *registry.Registry, cfg handlerConfig) http.Handler {
 			root.SetAttr("chunks_direct", res.Stats.ChunksDirect)
 			root.SetAttr("index_records", res.Stats.IndexRecords)
 			root.SetAttr("fallback_records", res.Stats.FallbackRecords)
-			root.SetAttr("parity_rejects", res.Stats.ParityRejects)
 		}
 		// Kept prefixes of failed ingests count too: the documents are
 		// merged, so the counters reflect them (and reconcile with

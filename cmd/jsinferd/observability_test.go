@@ -276,7 +276,7 @@ func TestNewLoggerFormats(t *testing.T) {
 
 // TestPipelineCountersEndToEnd is the acceptance criterion for the
 // stage stats: a default daemon ingests clean and adversarial
-// payloads, and the fallback/parity counters — and the shape counter:
+// payloads, and the index/fallback counters — and the shape counter:
 // every body here is one chunk, absorbed in line — come out, with the
 // same values, on /v1/stats, /metrics, and the request's trace
 // attributes.
@@ -295,10 +295,11 @@ func TestPipelineCountersEndToEnd(t *testing.T) {
 		[]byte(`{"a": 4}`+"\n"+`{"a": trve}`+"\n")); code != 400 {
 		t.Fatal("bad literal: want 400")
 	}
-	// An unterminated string breaks quote parity, so the whole chunk is
-	// rejected for index absorption before any record is attempted.
+	// An unterminated string breaks quote parity; the chunk is indexed
+	// all the same, the record before it comes off the index and the
+	// broken one is the token fallback's to reject.
 	if code, _ := post(t, srv.URL+"/v1/collections/c/ingest",
-		[]byte(`{"a": "unterminated`)); code != 400 {
+		[]byte(`{"a": 5}`+"\n"+`{"a": "unterminated`)); code != 400 {
 		t.Fatal("unterminated string: want 400")
 	}
 
@@ -312,10 +313,9 @@ func TestPipelineCountersEndToEnd(t *testing.T) {
 		t.Fatalf("/v1/stats lacks pipeline: %s", stats)
 	}
 	for stat, want := range map[string]int64{
-		"docs_absorbed":    4, // 3 clean + the kept prefix of the bad batch
-		"index_records":    4, // every absorbed doc; the bad literal counts as fallback instead
-		"fallback_records": 1,
-		"parity_rejects":   1,
+		"docs_absorbed":    5, // 3 clean + the kept prefixes of the two bad batches
+		"index_records":    5, // every absorbed doc; the two broken records count as fallbacks instead
+		"fallback_records": 2,
 		"chunks_direct":    3,
 		"chunks_split":     3,
 	} {
@@ -326,10 +326,9 @@ func TestPipelineCountersEndToEnd(t *testing.T) {
 
 	_, exp := get(t, srv.URL+"/metrics")
 	for metric, want := range map[string]float64{
-		"jsinferd_pipeline_docs_absorbed_total":    4,
-		"jsinferd_pipeline_index_records_total":    4,
-		"jsinferd_pipeline_fallback_records_total": 1,
-		"jsinferd_pipeline_parity_rejects_total":   1,
+		"jsinferd_pipeline_docs_absorbed_total":    5,
+		"jsinferd_pipeline_index_records_total":    5,
+		"jsinferd_pipeline_fallback_records_total": 2,
 		"jsinferd_pipeline_chunks_direct_total":    3,
 	} {
 		if got := metricValue(t, exp, metric); got != want {
@@ -355,7 +354,7 @@ func TestPipelineCountersEndToEnd(t *testing.T) {
 		ingests++
 		spans, _ := tr.Get("spans")
 		attrs, _ := spans.Elem(0).Get("attrs")
-		for _, key := range []string{"docs", "chunks_direct", "index_records", "fallback_records", "parity_rejects"} {
+		for _, key := range []string{"docs", "chunks_direct", "index_records", "fallback_records"} {
 			v, ok := attrs.Get(key)
 			if !ok {
 				t.Fatalf("ingest trace lacks attr %q: %s", key, tr)
@@ -367,7 +366,7 @@ func TestPipelineCountersEndToEnd(t *testing.T) {
 		t.Fatalf("found %d ingest traces, want 3", ingests)
 	}
 	for key, want := range map[string]int64{
-		"docs": 4, "chunks_direct": 3, "index_records": 4, "fallback_records": 1, "parity_rejects": 1,
+		"docs": 5, "chunks_direct": 3, "index_records": 5, "fallback_records": 2,
 	} {
 		if sums[key] != want {
 			t.Errorf("trace attr %s sums to %d, want %d (must reconcile with /v1/stats)", key, sums[key], want)

@@ -9,41 +9,41 @@ import (
 	"sync/atomic"
 )
 
-// This file is the input stage of the streamed engine: it hands the map
-// phase runs of bytes, in one of two ways; stream (tokens.go) picks.
+// This file is the input stage of the streamed engine
+// (docs/ARCHITECTURE.md, "The zero-copy input layer"): one chunkReader
+// per run, which an io.Reader fills a read block at a time and a
+// caller-owned slice rides already filled, and the two loops that cut
+// it into runs of bytes for the map phase; stream (tokens.go) picks.
 //
-// Windows feed the sequential shape, and nothing scans the input to cut
-// them: a window ends just after a raw '\n' — the last one inside the
-// byte target, else the first one past it, else at the end of input
-// (cutWindow). No JSON token holds a raw newline and in well-formed
-// JSON none lies inside a string, so no token is cut and the index's
-// quote-parity gate keeps its meaning; a pretty-printed document may
-// be. The index walk is the splitter: in a window that is not the
-// input's last, the record failing with an error more input could cure
-// (curable) is the straddler — absorption is transactional per
-// document, nothing of it was committed — and the next window begins at
-// its first byte. A window that completed no document is followed by
-// one at least twice as long, so a document larger than the target
-// makes progress and the bytes indexed twice stay O(n); input with no
-// newline at all is one window.
+// windows feeds the sequential shape, and nothing scans the input to
+// cut them: a window ends just after a raw '\n' — the last one inside
+// the byte target, else the first one past it, else at the end of input
+// (cutWindow). No JSON token holds a raw newline, so no token is cut; a
+// pretty-printed document may be. The index walk is the splitter: in a
+// window that is not the input's last, the record failing with an error
+// more input could cure (curable) is the straddler — absorption is
+// transactional per document, nothing of it was committed — and the
+// next window begins at its first byte. A window that completed no
+// document is followed by one at least twice as long, so a document
+// larger than the target makes progress and the bytes indexed twice
+// stay O(n); input with no newline at all is one window.
 //
-// Chunks feed the parallel shape: runs of whole documents, cut at a
-// newline at depth zero outside any string so workers can type them
+// readChunks feeds the parallel shape: runs of whole documents, cut at
+// a newline at depth zero outside any string so workers can type them
 // independently. Boundary finding is mison.Chunker's (a docSplitter, so
 // tests can run the byte-at-a-time reference through the same code); it
 // runs only where chunks travel to other goroutines — an input that
 // ends inside the first read block (or is a slice), provably one chunk
 // (oneChunk), is emitted whole, unscanned, as the final window.
 //
-// An io.Reader is read into pooled, refcounted buffers (chunkReader,
-// chunkBuf): chunks alias the buffer they were read into and hold a
-// reference the consumer releases after absorbing them, and a fully
-// released buffer returns to its pool — the run's, or the collector's
-// an ingest feeds — so the steady state recycles a handful of arrays; a
-// straddler is carried over exactly as an unsplit tail is. A
-// caller-owned slice (InferStreamBytes, an mmap'd file) is cut in
-// place: nothing copied, nothing pooled, no allocation in the steady
-// state (TestSplitChunksBytesAllocFree).
+// A reader's chunks alias the pooled, refcounted array they were read
+// into (chunkBuf) and hold a reference the consumer releases after
+// absorbing them; a fully released array returns to its pool — the
+// run's, or the collector's an ingest feeds — so the steady state
+// recycles a handful of arrays, and a straddler is carried over exactly
+// as an unsplit tail is. A slice's chunks alias the caller's memory:
+// nothing copied, nothing pooled, nothing allocated per chunk
+// (TestSplitChunksBytesAllocFree).
 
 // docSplitter finds document-aligned split candidates incrementally:
 // Splits appends the exclusive end offset of every top-level newline in
@@ -144,7 +144,7 @@ type chunkTargets struct {
 }
 
 func (o Options) chunkTargets() chunkTargets {
-	return chunkTargets{docs: o.batch(), bytes: max(o.ChunkBytes, 0)}
+	return chunkTargets{docs: o.batchSize(), bytes: max(o.ChunkBytes, 0)}
 }
 
 // sequentialChunkBytes is the default window of a one-shot run's
@@ -181,9 +181,10 @@ func (t chunkTargets) ripe(docs, size int) bool {
 	return docs >= t.docs
 }
 
-// chunkReader is the reader path's buffer: the bytes read and not yet
+// chunkReader is the input of both loops: the bytes read and not yet
 // consumed, in a pooled array the emitted chunks alias. A caller-owned
-// slice rides it already filled (stream): eof set, nil buf, no reads.
+// slice rides it already filled: eof set, nil buf, no reads, and its
+// chunks count into BytesAliased instead of holding a reference.
 type chunkReader struct {
 	r       io.Reader
 	pool    *chunkPool
@@ -199,13 +200,18 @@ type chunkReader struct {
 	err     error // the read error, nil at a clean end
 }
 
-// newChunkReader sizes the first buffer for one read block past the
-// byte target (capped, so a huge target cannot pre-commit memory the
-// input may never fill), so byte targets do not copy their way up.
-func newChunkReader(r io.Reader, target int, pool *chunkPool, st *PipelineStats) *chunkReader {
-	cr := &chunkReader{r: r, pool: pool, st: st}
+// newChunkReader returns the reader of a run over src: a caller-owned
+// slice already filled, else a first buffer sized for one read block
+// past the byte target (capped, so a huge target cannot pre-commit
+// memory the input may never fill), so byte targets do not copy their
+// way up.
+func newChunkReader(src source, target int, st *PipelineStats) *chunkReader {
+	if src.r == nil {
+		return &chunkReader{pending: src.data, eof: true, st: st}
+	}
+	cr := &chunkReader{r: src.r, pool: src.pool, st: st}
 	cr.frame.ReaderInputs = 1
-	cr.buf = pool.get(min(max(2*chunkReadSize, target+chunkReadSize), maxInitialChunkBuf), &cr.frame.BuffersRecycled)
+	cr.buf = cr.pool.get(min(max(2*chunkReadSize, target+chunkReadSize), maxInitialChunkBuf), &cr.frame.BuffersRecycled)
 	cr.pending = cr.buf.data[:0]
 	return cr
 }
@@ -332,116 +338,52 @@ func windows(cr *chunkReader, target int, direct func(byteChunk) (int, int, erro
 	return total, cr.err
 }
 
-// readChunks splits the stream into document-aligned byte chunks and
-// hands them to emit (which reports false to stop early). Split
-// candidates come from sp; this loop batches them into chunks per the
-// targets. The chunk the input ends with is marked last — and an input
-// that ends inside the first read block, provably one chunk, is emitted
-// without asking sp anything.
-func readChunks(r io.Reader, targets chunkTargets, sp docSplitter, pool *chunkPool, st *PipelineStats, emit func(byteChunk) bool) error {
-	cr := newChunkReader(r, targets.bytes, pool, st)
+// readChunks is the parallel shape's input loop: it cuts cr's input
+// into document-aligned chunks and hands them to emit (which reports
+// false to stop early). Split candidates come from sp, asked one read
+// block at a time whatever cr rides — a slice handed over whole would
+// cost eight bytes of scratch per document of a mapped file; this loop
+// batches them into chunks per the targets. The chunk the input ends
+// with is marked last — and an input that ends inside the first read
+// block (or is a slice), provably one chunk, is emitted without asking
+// sp anything.
+func readChunks(cr *chunkReader, targets chunkTargets, sp docSplitter, emit func(byteChunk) bool) error {
 	defer cr.close()
 	for len(cr.pending) < chunkReadSize && !cr.eof {
 		cr.fill()
 	}
-	if cr.eof && targets.oneChunk(cr.pending) {
-		if len(cr.pending) > 0 {
-			emit(cr.chunk(len(cr.pending), true))
+	cut := func(end int) bool {
+		if cr.buf == nil {
+			cr.frame.BytesAliased += int64(end - cr.start)
 		}
-		return cr.err
+		return emit(cr.chunk(end, cr.eof && end == len(cr.pending)))
 	}
-	var splitBuf []int
-	docs := 0 // top-level newlines seen since the last split
-	for {
-		// Find boundaries in the new bytes, emitting at every ripe one.
-		splitStart := statsClock(st)
-		splitBuf = sp.Splits(cr.pending[cr.scanned:], splitBuf[:0])
-		statsSince(st, &cr.frame.SplitNanos, splitStart)
-		for _, rel := range splitBuf {
-			docs++
-			if end := cr.scanned + rel; targets.ripe(docs, end-cr.start) {
-				docs = 0
-				if !emit(cr.chunk(end, cr.eof && end == len(cr.pending))) {
-					return cr.err
+	if !cr.eof || !targets.oneChunk(cr.pending) { // else nothing to find: the tail below is the whole input
+		splits := make([]int, 0, 512) // sized once: nothing below allocates per chunk
+		docs := 0                     // top-level newlines seen since the last split
+		for !cr.eof || cr.scanned < len(cr.pending) {
+			if cr.scanned == len(cr.pending) {
+				cr.fill()
+			}
+			// Find boundaries in the next block, emitting at every ripe one.
+			block := cr.pending[cr.scanned:min(cr.scanned+chunkReadSize, len(cr.pending))]
+			splitStart := statsClock(cr.st)
+			splits = sp.Splits(block, splits[:0])
+			statsSince(cr.st, &cr.frame.SplitNanos, splitStart)
+			for _, rel := range splits {
+				docs++
+				if end := cr.scanned + rel; targets.ripe(docs, end-cr.start) {
+					docs = 0
+					if !cut(end) {
+						return cr.err
+					}
 				}
 			}
-		}
-		cr.scanned = len(cr.pending)
-		if cr.eof {
-			if cr.start < len(cr.pending) {
-				emit(cr.chunk(len(cr.pending), true))
-			}
-			return cr.err
-		}
-		cr.fill()
-	}
-}
-
-// splitBufPool recycles the split-offset scratch of the byte-mode
-// splitter across runs, keeping splitChunksBytes allocation-free in the
-// steady state.
-var splitBufPool = sync.Pool{New: func() any { b := make([]int, 0, 512); return &b }}
-
-// splitChunksBytes is the zero-copy chunking stage: it splits data — a
-// caller-owned buffer (InferStreamBytes' input, or an mmap'd
-// file) — into document-aligned chunks that alias it directly. No
-// pending array, no compaction, no copies: the only work is boundary
-// finding, block by block so the splitter's carry logic is exercised
-// identically to the reader path. Emitted chunks carry no buffer
-// reference (release is a no-op); the caller keeps data alive for the
-// duration of the run; one that is provably one chunk is emitted whole,
-// sp unasked. When st is non-nil every emitted chunk counts its length
-// into BytesAliased — the zero-copy twin of the reader path's
-// BytesCopied. The body is deliberately closure-free and its
-// split scratch is pooled, so the steady state allocates nothing
-// (pinned by TestSplitChunksBytesAllocFree).
-func splitChunksBytes(data []byte, targets chunkTargets, sp docSplitter, st *PipelineStats, emit func(byteChunk) bool) error {
-	var (
-		index     int
-		docs      int
-		lastSplit int
-		frame     statsFrame
-	)
-	scratch := splitBufPool.Get().(*[]int)
-	splits := (*scratch)[:0]
-	one := targets.oneChunk(data) // nothing to find: the tail below is the whole input
-	for blockStart := 0; blockStart < len(data) && !one; blockStart += chunkReadSize {
-		blockEnd := min(blockStart+chunkReadSize, len(data))
-		splitStart := statsClock(st)
-		splits = sp.Splits(data[blockStart:blockEnd], splits[:0])
-		statsSince(st, &frame.SplitNanos, splitStart)
-		for _, rel := range splits {
-			docs++
-			end := blockStart + rel
-			if !targets.ripe(docs, end-lastSplit) {
-				continue
-			}
-			if st != nil {
-				frame.ChunksSplit++
-				frame.BytesAliased += int64(end - lastSplit)
-				frame.flush(st)
-			}
-			ok := emit(byteChunk{index: index, base: lastSplit, data: data[lastSplit:end], last: end == len(data)})
-			index++
-			docs = 0
-			lastSplit = end
-			if !ok {
-				frame.flush(st)
-				*scratch = splits[:0]
-				splitBufPool.Put(scratch)
-				return nil
-			}
+			cr.scanned += len(block)
 		}
 	}
-	if lastSplit < len(data) {
-		if st != nil {
-			frame.ChunksSplit++
-			frame.BytesAliased += int64(len(data) - lastSplit)
-		}
-		emit(byteChunk{index: index, base: lastSplit, data: data[lastSplit:], last: true})
+	if cr.start < len(cr.pending) {
+		cut(len(cr.pending))
 	}
-	frame.flush(st)
-	*scratch = splits[:0]
-	splitBufPool.Put(scratch)
-	return nil
+	return cr.err
 }

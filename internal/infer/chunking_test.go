@@ -216,7 +216,7 @@ func TestReadChunksEquivalence(t *testing.T) {
 		}
 		collect := func(sp docSplitter) []chunk {
 			var out []chunk
-			err := readChunks(bytes.NewReader(data), chunkTargets{docs: docsPerChunk}, sp, new(chunkPool), nil, func(ch byteChunk) bool {
+			err := cutChunks(readerSource(data), chunkTargets{docs: docsPerChunk}, sp, nil, func(ch byteChunk) bool {
 				out = append(out, chunk{ch.index, ch.base, string(ch.data)})
 				ch.buf.release()
 				return true

@@ -128,11 +128,11 @@ func (c *ShardedCollector) lock() *shard {
 // absorbChunk is the sequential shape's fold: it types ch's documents
 // through m straight into a shard's accumulator and books them, all
 // under that shard's lock — held for this window only, never across a
-// read of the input. It returns what m.absorbWindow does; the shard
+// read of the input. It returns what m.absorb does; the shard
 // holds exactly the documents before the error or the straddler.
 func (c *ShardedCollector) absorbChunk(m *chunkMapper, ch byteChunk) (int, int, error) {
 	s := c.lock()
-	n, used, err := m.absorbWindow(ch, s.acc)
+	n, used, err := m.absorb(ch, s.acc)
 	s.docs += int64(n)
 	s.mu.Unlock()
 	return n, used, err
@@ -162,13 +162,12 @@ func (c *ShardedCollector) mapper(opts Options) *chunkMapper {
 // release keeps m for the next ingest unless that would keep too much:
 // bitmaps as wide as a chunk no bounded pool would keep the array of,
 // or intern caches nothing bounds (no shared table, or one grown past
-// maxPooledSymbols). The lexers are unbound from the last chunk's bytes.
+// maxPooledSymbols). The absorber is unbound from the last chunk's bytes.
 func (c *ShardedCollector) release(m *chunkMapper) {
 	if m.widest > maxPooledChunkBuf || m.symbols == nil || m.symbols.Len() > maxPooledSymbols {
 		return
 	}
-	m.ia.Reset(nil, 0)
-	m.tr.ResetBytes(nil, 0)
+	_ = m.ia.Reset(nil, 0) // always nil
 	c.mu.Lock()
 	if len(c.mappers) < len(c.shards) {
 		c.mappers = append(c.mappers, m)

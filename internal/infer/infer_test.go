@@ -187,7 +187,7 @@ func TestInferEnginesEquivalent(t *testing.T) {
 			seq := Infer(docs, Options{Equiv: e})
 			for _, workers := range []int{2, 5} {
 				for _, batch := range []int{0, 1, 7} {
-					opts := Options{Equiv: e, Workers: workers, Batch: batch}
+					opts := Options{Equiv: e, Workers: workers, batch: batch}
 					par := InferParallel(docs, opts)
 					if !typelang.Equal(seq, par) || seq.StringCounted() != par.StringCounted() {
 						t.Errorf("n=%d equiv=%v workers=%d batch=%d: InferParallel diverges", n, e, workers, batch)
@@ -221,7 +221,7 @@ func TestInferStreamDecodeError(t *testing.T) {
 	b.Write(jsontext.MarshalLines(genjson.Collection(genjson.GitHub{Seed: 7}, 5)))
 	want := Infer(docs, Options{Equiv: typelang.EquivLabel})
 	for _, workers := range []int{1, 2, 4, 6} {
-		opts := Options{Equiv: typelang.EquivLabel, Workers: workers, Batch: 3}
+		opts := Options{Equiv: typelang.EquivLabel, Workers: workers, batch: 3}
 		for _, input := range inputKinds {
 			ty, n, err := inferStreamOver(input, []byte(b.String()), opts)
 			if err == nil {

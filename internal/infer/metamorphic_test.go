@@ -30,10 +30,10 @@ func TestSchemaInvariantUnderPermutationAndChunking(t *testing.T) {
 				t.Fatalf("%s: oracle typed %d docs (err %v), fixture has %d lines", name, wantN, err, len(lines))
 			}
 			chunkings := []Options{
-				{Batch: 1},
+				{batch: 1},
 				{ChunkBytes: 1},
 				{ChunkBytes: len(data) + len(lines)},
-				{Batch: 2 + rng.Intn(2*len(lines))},
+				{batch: 2 + rng.Intn(2*len(lines))},
 				{ChunkBytes: 1 + rng.Intn(len(data))},
 				{},
 			}

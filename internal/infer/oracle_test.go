@@ -73,7 +73,7 @@ func syntaxOffset(err error) int {
 
 // assertMatchesOracle runs the engine over data under every
 // equivalence, worker count and input kind, once per
-// chunking (only Batch and ChunkBytes of a chunking are read; none
+// chunking (only batch and ChunkBytes of a chunking are read; none
 // means the default), and demands the oracle's outcome over the same
 // bytes each time.
 func assertMatchesOracle(t *testing.T, label string, data []byte, chunkings ...Options) {
@@ -105,8 +105,8 @@ func assertEngineYields(t *testing.T, label string, data []byte, base Options, w
 			kinds = append(kinds[:len(kinds):len(kinds)], "into")
 		}
 		for _, input := range kinds {
-			opts := Options{Equiv: base.Equiv, Workers: w, Batch: base.Batch, ChunkBytes: base.ChunkBytes}
-			name := fmt.Sprintf("%s/%v/w%d/%s/batch%d/bytes%d", label, opts.Equiv, w, input, opts.Batch, opts.ChunkBytes)
+			opts := Options{Equiv: base.Equiv, Workers: w, batch: base.batch, ChunkBytes: base.ChunkBytes}
+			name := fmt.Sprintf("%s/%v/w%d/%s/batch%d/bytes%d", label, opts.Equiv, w, input, opts.batch, opts.ChunkBytes)
 			got, n, err := inferStreamOver(input, data, opts)
 			if (err == nil) != (wantErr == nil) ||
 				(err != nil && (err.Error() != wantErr.Error() || syntaxOffset(err) != syntaxOffset(wantErr))) {

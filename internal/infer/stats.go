@@ -48,10 +48,6 @@ type StatsSnapshot struct {
 	// and delegated to the token walk over the same index, whether or
 	// not the token walker then accepted them. 0 on well-formed input.
 	FallbackRecords int64
-	// ParityRejects counts chunks the structural index rejected outright
-	// (odd unescaped-quote parity), each lexed whole by the reference
-	// lexer instead.
-	ParityRejects int64
 	// ScanDelegations counts tokens the index and token walks handed to
 	// the reference scanner (escaped strings, fancy numbers) instead of
 	// resolving positionally.
@@ -136,7 +132,6 @@ var StatsFields = []StatsField{
 	{"index_records", "map", "Records absorbed entirely off the mison structural index.", func(s *StatsSnapshot) *int64 { return &s.IndexRecords }},
 	{"pattern_records", "map", "Objects (at any depth) closed on the index walk's pattern tree of learned record layouts.", func(s *StatsSnapshot) *int64 { return &s.PatternRecords }},
 	{"fallback_records", "map", "Records the index walk delegated to the token walker (0 on well-formed input).", func(s *StatsSnapshot) *int64 { return &s.FallbackRecords }},
-	{"parity_rejects", "map", "Chunks the structural index rejected outright (odd quote parity).", func(s *StatsSnapshot) *int64 { return &s.ParityRejects }},
 	{"scan_delegations", "map", "Tokens the index and token walks handed to the reference scanner.", func(s *StatsSnapshot) *int64 { return &s.ScanDelegations }},
 	{"chunks_direct", "map", "Chunks absorbed straight into the destination accumulator (sequential shape: no chunk seal, no reduce).", func(s *StatsSnapshot) *int64 { return &s.ChunksDirect }},
 	{"root_fuses", "fuse", "Collector reads that found new documents and rebuilt the served schema.", func(s *StatsSnapshot) *int64 { return &s.RootFuses }},

@@ -25,7 +25,7 @@ func statsOptions(st *PipelineStats) Options {
 // TestStatsCleanInputPinned pins the flight recorder's counters on
 // input the index must never bail on: every document is absorbed, every
 // byte is lexed, and every record takes the index fast path, with zero
-// fallbacks and zero parity rejections.
+// fallbacks.
 // That last part is the acceptance criterion's "fixtures where the
 // index must not bail": a non-zero fallback count on these inputs means
 // the fast path silently regressed. PatternRecords says how many
@@ -67,9 +67,8 @@ func TestStatsCleanInputPinned(t *testing.T) {
 		if s.ChunksSplit < 1 {
 			t.Errorf("%s: ChunksSplit=%d, want >= 1", name, s.ChunksSplit)
 		}
-		if s.FallbackRecords != 0 || s.ParityRejects != 0 {
-			t.Errorf("%s: fallbacks=%d parity=%d on clean input, want 0/0",
-				name, s.FallbackRecords, s.ParityRejects)
+		if s.FallbackRecords != 0 {
+			t.Errorf("%s: fallbacks=%d on clean input, want 0", name, s.FallbackRecords)
 		}
 		if s.IndexRecords != docs {
 			t.Errorf("%s: IndexRecords=%d, want %d", name, s.IndexRecords, docs)
@@ -93,10 +92,10 @@ func TestStatsCleanInputPinned(t *testing.T) {
 //     pattern tree learns only verbatim spellings, so records that open
 //     with one never close on it — PatternRecords stays 0 however often
 //     the layout repeats, and nothing falls back either.
-//   - an unterminated string flips the chunk's unescaped-quote parity,
-//     so the structural index rejects the chunk outright before any
-//     record is walked — ParityRejects pins at 1, counted once per
-//     chunk, and the reference lexer words the error.
+//   - an unterminated string flips the chunk's unescaped-quote parity
+//     and the chunk is indexed all the same: the records before it are
+//     IndexRecords, the broken one is the one FallbackRecords, and the
+//     token walk words the error the reference lexer would.
 func TestStatsAdversarialCountersPinned(t *testing.T) {
 	t.Run("bad-literal-falls-back", func(t *testing.T) {
 		var st PipelineStats
@@ -118,9 +117,6 @@ func TestStatsAdversarialCountersPinned(t *testing.T) {
 		if s.PatternRecords != 0 {
 			t.Errorf("PatternRecords=%d, want 0 (the record on the learned layout never closed)", s.PatternRecords)
 		}
-		if s.ParityRejects != 0 {
-			t.Errorf("ParityRejects=%d, want 0 (parity is fine, the literal is not)", s.ParityRejects)
-		}
 	})
 	t.Run("escaped-keys-stay-off-the-tree", func(t *testing.T) {
 		var st PipelineStats
@@ -133,20 +129,18 @@ func TestStatsAdversarialCountersPinned(t *testing.T) {
 				s.PatternRecords, s.IndexRecords, s.FallbackRecords)
 		}
 	})
-	t.Run("odd-parity-rejects-chunk", func(t *testing.T) {
+	t.Run("odd-parity-chunk-is-indexed", func(t *testing.T) {
 		var st PipelineStats
-		input := `{"a": "unterminated` + "\n"
-		_, _, err := InferStream(strings.NewReader(input), statsOptions(&st))
-		if err == nil {
-			t.Fatal("unterminated string was accepted")
+		input := strings.Repeat(`{"a": 1}`+"\n", 3) + `{"a": "unterminated` + "\n"
+		_, n, err := InferStream(strings.NewReader(input), statsOptions(&st))
+		_, _, wantErr := oracle([]byte(input), typelang.EquivLabel)
+		if err == nil || err.Error() != wantErr.Error() {
+			t.Fatalf("error %v, want the reference lexer's %v", err, wantErr)
 		}
 		s := st.Snapshot()
-		if s.ParityRejects != 1 {
-			t.Errorf("ParityRejects=%d, want exactly 1 per chunk", s.ParityRejects)
-		}
-		if s.FallbackRecords != 0 || s.IndexRecords != 0 {
-			t.Errorf("fallbacks=%d index=%d, want 0/0 (no record was ever walked)",
-				s.FallbackRecords, s.IndexRecords)
+		if n != 3 || s.IndexRecords != 3 || s.FallbackRecords != 1 || s.DocsAbsorbed != 3 {
+			t.Errorf("n=%d index=%d fallbacks=%d absorbed=%d, want 3/3/1/3 (the prefix off the index, the broken record through the token walk)",
+				n, s.IndexRecords, s.FallbackRecords, s.DocsAbsorbed)
 		}
 	})
 }
@@ -214,7 +208,7 @@ func TestStatsShardedCollector(t *testing.T) {
 	data := jsontext.MarshalLines(docs)
 	for i := 0; i < 3; i++ {
 		if _, err := InferStreamInto(bytes.NewReader(data), Options{
-			Equiv: typelang.EquivLabel, Workers: 2, Batch: 8, Stats: &st,
+			Equiv: typelang.EquivLabel, Workers: 2, batch: 8, Stats: &st,
 		}, col); err != nil {
 			t.Fatal(err)
 		}
@@ -282,14 +276,14 @@ func TestStatsOneShotRunSealsOnce(t *testing.T) {
 		}
 		for _, workers := range []int{1, 4} {
 			// One worker cuts windows, by bytes alone; several cut chunks.
-			chunking := Options{Batch: 16}
+			chunking := Options{batch: 16}
 			if workers == 1 {
 				chunking = Options{ChunkBytes: 4 << 10}
 			}
 			for _, input := range inputKinds {
 				var st PipelineStats
 				if _, _, err := inferStreamOver(input, data,
-					Options{Equiv: typelang.EquivLabel, Workers: workers, Batch: chunking.Batch, ChunkBytes: chunking.ChunkBytes, Stats: &st}); err != nil {
+					Options{Equiv: typelang.EquivLabel, Workers: workers, batch: chunking.batch, ChunkBytes: chunking.ChunkBytes, Stats: &st}); err != nil {
 					t.Fatal(err)
 				}
 				s := st.Snapshot()
@@ -314,7 +308,7 @@ func TestStatsOneShotRunSealsOnce(t *testing.T) {
 			var st PipelineStats
 			col := NewShardedCollectorStats(2, typelang.EquivLabel, &st)
 			if _, err := InferStreamInto(bytes.NewReader(data),
-				Options{Equiv: typelang.EquivLabel, Workers: workers, Batch: chunking.Batch, ChunkBytes: chunking.ChunkBytes, Stats: &st}, col); err != nil {
+				Options{Equiv: typelang.EquivLabel, Workers: workers, batch: chunking.batch, ChunkBytes: chunking.ChunkBytes, Stats: &st}, col); err != nil {
 				t.Fatal(err)
 			}
 			col.Close()
@@ -348,7 +342,6 @@ func TestStatsSnapshotMonotoneUnderLoad(t *testing.T) {
 				{s.DocsAbsorbed, last.DocsAbsorbed},
 				{s.IndexRecords, last.IndexRecords},
 				{s.FallbackRecords, last.FallbackRecords},
-				{s.ParityRejects, last.ParityRejects},
 				{s.ScanDelegations, last.ScanDelegations},
 				{s.RootFuses, last.RootFuses},
 				{s.Seals, last.Seals},
@@ -373,7 +366,7 @@ func TestStatsSnapshotMonotoneUnderLoad(t *testing.T) {
 	}()
 	for i := 0; i < 4; i++ {
 		_, n, err := InferStream(bytes.NewReader(data), Options{
-			Equiv: typelang.EquivLabel, Workers: 4, Batch: 16, Stats: &st,
+			Equiv: typelang.EquivLabel, Workers: 4, batch: 16, Stats: &st,
 		})
 		if err != nil || n != 600 {
 			t.Fatalf("pass %d: n=%d err=%v", i, n, err)
@@ -385,9 +378,9 @@ func TestStatsSnapshotMonotoneUnderLoad(t *testing.T) {
 	if s.DocsAbsorbed != 4*600 {
 		t.Errorf("DocsAbsorbed=%d across 4 passes, want %d", s.DocsAbsorbed, 4*600)
 	}
-	if s.IndexRecords != 4*600 || s.FallbackRecords != 0 || s.ParityRejects != 0 {
-		t.Errorf("index=%d fallback=%d parity=%d, want %d/0/0 on clean input",
-			s.IndexRecords, s.FallbackRecords, s.ParityRejects, 4*600)
+	if s.IndexRecords != 4*600 || s.FallbackRecords != 0 {
+		t.Errorf("index=%d fallback=%d, want %d/0 on clean input",
+			s.IndexRecords, s.FallbackRecords, 4*600)
 	}
 	if s.BytesLexed != 4*int64(len(data)) {
 		t.Errorf("BytesLexed=%d, want %d", s.BytesLexed, 4*int64(len(data)))
@@ -488,12 +481,12 @@ func TestStatsFieldsCoverSnapshot(t *testing.T) {
 // inert everywhere.
 func TestStatsSnapshotArithmetic(t *testing.T) {
 	a := StatsSnapshot{ChunksSplit: 1, BytesLexed: 10, DocsAbsorbed: 2, IndexRecords: 2,
-		FallbackRecords: 1, ParityRejects: 1, ScanDelegations: 3,
+		FallbackRecords: 1, ScanDelegations: 3,
 		RootFuses: 1, Seals: 4, ReadNanos: 5, SplitNanos: 6, MapNanos: 7, ReduceNanos: 8, FuseNanos: 9}
 	b := a
 	b.Add(a)
 	want := StatsSnapshot{ChunksSplit: 2, BytesLexed: 20, DocsAbsorbed: 4, IndexRecords: 4,
-		FallbackRecords: 2, ParityRejects: 2, ScanDelegations: 6,
+		FallbackRecords: 2, ScanDelegations: 6,
 		RootFuses: 2, Seals: 8, ReadNanos: 10, SplitNanos: 12, MapNanos: 14, ReduceNanos: 16, FuseNanos: 18}
 	if b != want {
 		t.Errorf("Add: got %+v, want %+v", b, want)

@@ -17,7 +17,7 @@ import (
 // exercised on every fixture.
 func TestTokenPathMatchesDOMPathFixtures(t *testing.T) {
 	forEachFixture(t, func(name string, data []byte) {
-		assertMatchesOracle(t, name, data, Options{Batch: 1}, Options{Batch: 5})
+		assertMatchesOracle(t, name, data, Options{batch: 1}, Options{batch: 5})
 	})
 }
 
@@ -35,7 +35,7 @@ func TestTokenPathMatchesDOMPathGenerated(t *testing.T) {
 	}
 	for _, g := range gens {
 		data := jsontext.MarshalLines(genjson.Collection(g, 120))
-		assertMatchesOracle(t, g.Name(), data, Options{}, Options{Batch: 7})
+		assertMatchesOracle(t, g.Name(), data, Options{}, Options{batch: 7})
 	}
 }
 
@@ -59,7 +59,7 @@ func TestTokenPathHandlesNonNDJSONLayouts(t *testing.T) {
 		if _, n, err := oracle([]byte(c.input), typelang.EquivKind); err != nil || n != c.docs {
 			t.Fatalf("%s: oracle typed %d docs (err %v), want %d", c.name, n, err, c.docs)
 		}
-		assertMatchesOracle(t, c.name, []byte(c.input), Options{}, Options{Batch: 1})
+		assertMatchesOracle(t, c.name, []byte(c.input), Options{}, Options{batch: 1})
 	}
 }
 
@@ -72,7 +72,7 @@ func TestTokenPathRejectsWhatDOMRejects(t *testing.T) {
 		if _, _, err := oracle([]byte(in), typelang.EquivKind); err == nil {
 			t.Fatalf("DOM decoder accepted %q", in)
 		}
-		assertMatchesOracle(t, fmt.Sprintf("%q", in), []byte(in), Options{Batch: 1})
+		assertMatchesOracle(t, fmt.Sprintf("%q", in), []byte(in), Options{batch: 1})
 	}
 }
 
@@ -176,7 +176,7 @@ func TestInferStreamIOErrorNotMaskedAsSyntax(t *testing.T) {
 	for _, workers := range sweepWorkers {
 		ty, n, err := InferStream(
 			&failingReader{data: []byte(payload), err: ioErr},
-			Options{Workers: workers, Batch: 2})
+			Options{Workers: workers, batch: 2})
 		if !errors.Is(err, ioErr) {
 			t.Fatalf("workers=%d: error = %v, want the reader's I/O error", workers, err)
 		}
@@ -194,7 +194,7 @@ func TestInferStreamIOErrorNotMaskedAsSyntax(t *testing.T) {
 	for _, workers := range sweepWorkers {
 		_, n, err := InferStream(
 			&failingReader{data: []byte(bad), err: ioErr},
-			Options{Workers: workers, Batch: 1, ChunkBytes: 1})
+			Options{Workers: workers, batch: 1, ChunkBytes: 1})
 		if err == nil || errors.Is(err, ioErr) {
 			t.Fatalf("workers=%d: error = %v, want the syntax error from the malformed document", workers, err)
 		}

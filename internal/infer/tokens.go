@@ -32,8 +32,8 @@ import (
 // no further value, and a *jsontext.SyntaxError (with absolute offset)
 // on malformed input; on an error the accumulator is left exactly as it
 // was (the partial document contributes nothing). Any
-// jsontext.TokenSource feeds it: the reference TokenReader or the mison
-// structural-index tokenizer.
+// jsontext.TokenSource feeds it: production hands it the mison
+// structural-index tokenizer, the tests also the reference lexer.
 func AbsorbFromTokens(tr jsontext.TokenSource, acc *typelang.Accum) error {
 	tok, err := tr.ReadTokenSkipString()
 	if err != nil {
@@ -205,7 +205,7 @@ func absorbObject(tr jsontext.TokenSource, dst typelang.Target, depth int) error
 // caller's buffer and carry no reference (buf is nil, release a no-op).
 // last marks the chunk the input ends with — what lets the engine see,
 // on the first chunk, a run that has no second one. open marks a window
-// more input follows: it may end inside a document (absorbWindow).
+// more input follows: it may end inside a document (chunkMapper.absorb).
 type byteChunk struct {
 	index int
 	base  int
@@ -215,10 +215,11 @@ type byteChunk struct {
 	open  bool
 }
 
-// source is the input of a streamed run: r, read through pool's
-// buffers, or — r nil — the caller-owned slice data, aliased where it
-// sits. sp finds the parallel shape's chunk boundaries: nil means a
-// mison.Chunker (the tests put their own here).
+// source is the input of a streamed run, what newChunkReader builds the
+// run's reader from: r, read through pool's buffers, or — r nil — the
+// caller-owned slice data, aliased where it sits. sp finds the parallel
+// shape's chunk boundaries: nil means a mison.Chunker (the tests put
+// their own here).
 type source struct {
 	r    io.Reader
 	pool *chunkPool
@@ -226,75 +227,51 @@ type source struct {
 	sp   docSplitter
 }
 
-// chunkMapper is the map phase of one worker: the two lexers a chunk can
-// go through, wired once to the run's symbol table, and the stats frame
-// the worker records into. It is the only place the per-chunk fallback
-// ladder is written; both run shapes drive it. A collector keeps its
-// mappers warm between ingests (ShardedCollector.mapper), which is what
-// symbols and widest are remembered for.
+// chunkMapper is the map phase of one worker: the index absorber every
+// run of bytes goes through, wired once to the run's symbol table, and
+// the stats frame the worker records into. Both run shapes drive it. A
+// collector keeps its mappers warm between ingests
+// (ShardedCollector.mapper), which is what symbols and widest are
+// remembered for.
 type chunkMapper struct {
 	ia      *IndexAbsorber        // the structural index and both walks over it
-	tr      *jsontext.TokenReader // reference lexer, for chunks the index rejects
-	symbols *jsontext.SymbolTable // what the lexers intern through
+	symbols *jsontext.SymbolTable // what the absorber interns through
 	widest  int                   // longest chunk lexed: the index's bitmaps are that wide
 	st      *PipelineStats
 	frame   statsFrame
 }
 
 func newChunkMapper(opts Options) *chunkMapper {
-	m := &chunkMapper{ia: NewIndexAbsorber(), tr: jsontext.NewTokenReaderBytes(nil), symbols: opts.Symbols, st: opts.Stats}
+	m := &chunkMapper{ia: NewIndexAbsorber(), symbols: opts.Symbols, st: opts.Stats}
 	m.ia.SetInternStrings(true)
-	m.tr.SetInternStrings(true)
 	if opts.Symbols != nil {
 		m.ia.SetSymbolTable(opts.Symbols)
-		m.tr.SetSymbolTable(opts.Symbols)
 	}
 	return m
 }
 
-// absorb absorbs every document of ch into acc and releases the chunk:
-// off the structural index (records the index walk cannot certify fall
-// back to the token walk over the same index inside AbsorbFromIndex),
-// or, when the index rejects the chunk outright (odd quote parity),
-// through the reference lexer — which then reports the authoritative
-// error for whatever is wrong. It returns the number of documents
-// absorbed and the first error; acc then holds exactly the documents
-// before it (a failed document's staged frames are aborted).
-func (m *chunkMapper) absorb(ch byteChunk, acc *typelang.Accum) (int, error) {
-	n, _, err := m.absorbWindow(ch, acc)
-	return n, err
-}
-
-// absorbWindow is absorb reporting also how many of ch's bytes it
-// consumed: all, unless ch is an open window whose last record failed
-// with an error more input could cure. That record is the straddler:
-// nothing of it was committed, it is no error, and used is its first
-// byte — where the next window begins.
-func (m *chunkMapper) absorbWindow(ch byteChunk, acc *typelang.Accum) (n, used int, err error) {
+// absorb absorbs every document of ch into acc off the structural index
+// (a record the index walk cannot certify falls back to the token walk
+// over the same index inside AbsorbFromIndex, which words every error)
+// and releases the chunk. It returns the number of documents absorbed,
+// how many of ch's bytes it consumed and the first error; acc then
+// holds exactly the documents before it (a failed document's staged
+// frames are aborted). used is all of ch, unless ch is an open window
+// whose last record failed with an error more input could cure. That
+// record is the straddler: nothing of it was committed, it is no error,
+// and used is its first byte — where the next window begins.
+func (m *chunkMapper) absorb(ch byteChunk, acc *typelang.Accum) (n, used int, err error) {
 	m.widest = max(m.widest, len(ch.data))
 	start := statsClock(m.st)
-	at := 0 // where the record err is about begins
-	indexed := m.ia.Reset(ch.data, ch.base) == nil
-	if indexed {
-		for err = AbsorbFromIndex(m.ia, acc); err == nil; err = AbsorbFromIndex(m.ia, acc) {
-			n++
-		}
-		at = m.ia.pos
-		idx, fb := m.ia.TakeRecordCounts()
-		m.frame.IndexRecords += idx
-		m.frame.FallbackRecords += fb
-		m.frame.PatternRecords += m.ia.TakePatternRecords()
-		m.frame.ScanDelegations += m.ia.TakeScanDelegations()
-	} else {
-		m.frame.ParityRejects++
-		m.tr.ResetBytes(ch.data, ch.base)
-		for err == nil {
-			at = m.tr.InputOffset() - ch.base
-			if err = AbsorbFromTokens(m.tr, acc); err == nil {
-				n++
-			}
-		}
+	_ = m.ia.Reset(ch.data, ch.base) // always nil; the result is bench/'s to check
+	for err = AbsorbFromIndex(m.ia, acc); err == nil; err = AbsorbFromIndex(m.ia, acc) {
+		n++
 	}
+	idx, fb := m.ia.TakeRecordCounts()
+	m.frame.IndexRecords += idx
+	m.frame.FallbackRecords += fb
+	m.frame.PatternRecords += m.ia.TakePatternRecords()
+	m.frame.ScanDelegations += m.ia.TakeScanDelegations()
 	statsSince(m.st, &m.frame.MapNanos, start)
 	ch.buf.release()
 	m.frame.DocsAbsorbed += int64(n)
@@ -302,11 +279,10 @@ func (m *chunkMapper) absorbWindow(ch byteChunk, acc *typelang.Accum) (n, used i
 	if errors.Is(err, io.EOF) {
 		err = nil
 	} else if ch.open && curable(err, ch.base+used) {
-		m.frame.BytesReindexed += int64(used - at)
-		used, err = at, nil
-		if indexed {
-			m.frame.FallbackRecords-- // the walk's bail was the window's end, not the record
-		}
+		// m.ia.pos is where the record err is about begins.
+		m.frame.BytesReindexed += int64(used - m.ia.pos)
+		used, err = m.ia.pos, nil
+		m.frame.FallbackRecords-- // the walk's bail was the window's end, not the record
 	}
 	m.frame.BytesLexed += int64(used)
 	return n, used, err
@@ -334,8 +310,7 @@ func (f *statsFrame) seal(acc *typelang.Accum, st *PipelineStats, clock *int64) 
 // concatenated or pretty-printed JSON) without materialising values or
 // the collection, returning it with the number of documents typed. The
 // input is split into runs of whole documents and each run is lexed and
-// absorbed straight into a typelang.Accum (see chunkMapper.absorb for
-// the lexer ladder).
+// absorbed straight into a typelang.Accum (chunkMapper.absorb).
 //
 // The shape of the run is stream's to decide, from Options.Workers and
 // from whether the input has a second chunk at all, and nothing else
@@ -376,7 +351,7 @@ func run(src source, opts Options) (*typelang.Type, int, error) {
 			m = newChunkMapper(opts)
 		}
 		defer m.frame.flush(st)
-		return m.absorbWindow(ch, acc)
+		return m.absorb(ch, acc)
 	}, func(ts []*typelang.Type, _ int) {
 		start := statsClock(st)
 		for _, t := range ts {
@@ -431,10 +406,7 @@ func stream(src source, window int, opts Options, direct func(byteChunk) (int, i
 		if opts.ChunkBytes > 0 {
 			window = opts.ChunkBytes
 		}
-		if src.r == nil {
-			return windows(&chunkReader{pending: src.data, eof: true, st: st}, window, direct)
-		}
-		return windows(newChunkReader(src.r, window, src.pool, st), window, direct)
+		return windows(newChunkReader(src, window, st), window, direct)
 	}
 	var (
 		send   func(byteChunk) bool
@@ -456,12 +428,8 @@ func stream(src source, window int, opts Options, direct func(byteChunk) (int, i
 	if src.sp == nil {
 		src.sp = mison.NewChunker()
 	}
-	var rerr error
-	if src.r == nil {
-		rerr = splitChunksBytes(src.data, opts.chunkTargets(), src.sp, st, emit)
-	} else {
-		rerr = readChunks(src.r, opts.chunkTargets(), src.sp, src.pool, st, emit)
-	}
+	targets := opts.chunkTargets()
+	rerr := readChunks(newChunkReader(src, targets.bytes, st), targets, src.sp, emit)
 	if finish != nil {
 		return finish(rerr)
 	}
@@ -515,7 +483,7 @@ func pipeChunks(opts Options, commit func([]*typelang.Type, int)) (send func(byt
 			acc := typelang.NewAccum(opts.Equiv)
 			for ch := range work {
 				acc.Reset()
-				n, err := m.absorb(ch, acc)
+				n, _, err := m.absorb(ch, acc)
 				t := m.frame.seal(acc, opts.Stats, &m.frame.MapNanos)
 				m.frame.flush(opts.Stats)
 				results <- chunkResult{index: ch.index, t: t, n: n, err: err}

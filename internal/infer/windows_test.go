@@ -98,9 +98,47 @@ var windowEdgeCases = []string{
 	strings.Repeat("[\n", jsontext.MaxDepth+2),
 }
 
+// brokenStrings are the defects that leave a run of bytes with an odd
+// number of structural quotes — what the index once rejected a whole
+// chunk for, to be lexed by the reference lexer: an unterminated string
+// before more documents and at the end of input, a raw newline inside a
+// string, a stray quote after a document and alone.
+var brokenStrings = []string{
+	"{\"s\": \"open\n{\"b\": 2}\n",
+	"{\"s\": \"open",
+	"{\"s\": \"line\nbreak\"}\n{\"b\": 2}\n",
+	"{\"b\": 2} \"\n{\"b\": 3}\n",
+	"\"",
+}
+
+// TestBrokenStringsMatchOracle sweeps brokenStrings after 0, 3, 8 and
+// DefaultBatch good documents — so that each is met mid-chunk and as
+// the first record of a later chunk — through every worker count, input
+// kind and chunking, through every window target, and through the one
+// window target that cuts exactly at the defect's first raw newline:
+// the oracle's schema and count of the preceding documents, its error
+// text and its absolute offset, whichever walk met the defect.
+func TestBrokenStringsMatchOracle(t *testing.T) {
+	good := `{"a": 1, "s": "x"}` + "\n"
+	for _, defect := range brokenStrings {
+		for _, n := range []int{0, 3, 8, DefaultBatch} {
+			data := []byte(strings.Repeat(good, n) + defect)
+			label := fmt.Sprintf("%d+%.20q", n, defect)
+			assertMatchesOracle(t, label, data, Options{}, Options{batch: 4}, Options{batch: 1}, Options{ChunkBytes: 2 * len(good)})
+			assertWindowsMatchOracle(t, label, data)
+			if i := strings.IndexByte(defect, '\n'); i >= 0 {
+				for _, e := range sweepEquivs {
+					want, wantN, wantErr := oracle(data, e)
+					assertEngineYields(t, label+"/cut", data, Options{Equiv: e, ChunkBytes: n*len(good) + i + 1}, []int{1}, want, wantN, wantErr)
+				}
+			}
+		}
+	}
+}
+
 // windowInputs are those, the shared malformed inputs and the label
 // sets typelang's key once confused.
-var windowInputs = slices.Concat(windowEdgeCases, malformedInputs, collidingLabelSets)
+var windowInputs = slices.Concat(windowEdgeCases, brokenStrings, malformedInputs, collidingLabelSets)
 
 // TestWindowsMatchOracleEdgeCases runs them under every window target.
 func TestWindowsMatchOracleEdgeCases(t *testing.T) {
@@ -147,9 +185,9 @@ func TestStraddlerIsReindexedNotCommitted(t *testing.T) {
 			t.Errorf("%s: schema %s, want %s", input, got, want)
 		}
 		s := st.Snapshot()
-		if s.BytesLexed != int64(len(data)) || s.DocsAbsorbed != 3 || s.IndexRecords != 3 || s.FallbackRecords != 0 || s.ParityRejects != 0 {
-			t.Errorf("%s: bytes_lexed=%d docs=%d index=%d fallback=%d parity=%d; want %d/3/3/0/0",
-				input, s.BytesLexed, s.DocsAbsorbed, s.IndexRecords, s.FallbackRecords, s.ParityRejects, len(data))
+		if s.BytesLexed != int64(len(data)) || s.DocsAbsorbed != 3 || s.IndexRecords != 3 || s.FallbackRecords != 0 {
+			t.Errorf("%s: bytes_lexed=%d docs=%d index=%d fallback=%d; want %d/3/3/0",
+				input, s.BytesLexed, s.DocsAbsorbed, s.IndexRecords, s.FallbackRecords, len(data))
 		}
 		if s.BytesReindexed <= 0 || s.BytesReindexed > 2*int64(len(doc)) {
 			t.Errorf("%s: bytes_reindexed=%d; want the cut parts of a %d-byte document, growing geometrically", input, s.BytesReindexed, len(doc))
@@ -176,8 +214,8 @@ func (c *countingSplitter) Splits(block []byte, dst []int) []int {
 // TestSequentialShapeNeverSplits pins where the Chunker is off the
 // path: a one-worker run of many windows, from either source, and a
 // several-worker run over an input that ends inside its first read
-// block with fewer lines than Batch — a 100-line ingest body. The
-// control is the same body at Batch 64: the splitter runs from the
+// block with fewer lines than DefaultBatch — a 100-line ingest body. The
+// control is the same body at batch 64: the splitter runs from the
 // first byte, and the run takes the parallel shape.
 func TestSequentialShapeNeverSplits(t *testing.T) {
 	body := jsontext.MarshalLines(genjson.Collection(genjson.Twitter{Seed: 22}, 100))
@@ -191,9 +229,9 @@ func TestSequentialShapeNeverSplits(t *testing.T) {
 		{"w1-windows", Options{Workers: 1, ChunkBytes: 2 << 10}, true, false},
 		{"w4-one-chunk", Options{Workers: 4}, false, false},
 		{"w4-byte-target", Options{Workers: 4, ChunkBytes: len(body)}, false, false},
-		{"w4-control", Options{Workers: 4, Batch: 64}, false, true},
+		{"w4-control", Options{Workers: 4, batch: 64}, false, true},
 	} {
-		for _, src := range []source{{data: body}, {r: bytes.NewReader(body), pool: new(chunkPool)}} {
+		for _, src := range []source{{data: body}, readerSource(body)} {
 			sp := &countingSplitter{}
 			src.sp = sp
 			var st PipelineStats

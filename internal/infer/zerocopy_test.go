@@ -12,11 +12,22 @@ import (
 
 // This file pins the zero-copy input layer: the byte-slice entry point
 // must be byte-identical to the reader one over the same input
-// (schemas, counts, error offsets); the byte-mode chunker must emit
-// exactly the reader chunker's chunk stream; the byte-mode steady state
-// must not allocate; and the pooled reader buffers must never be
-// recycled while a chunk still aliases them (the race test below runs
-// under `make race`).
+// (schemas, counts, error offsets); the one chunk loop must cut a slice
+// into exactly the chunk stream it cuts a reader into, allocating
+// nothing per chunk and asking the splitter one block at a time; and
+// the pooled reader buffers must never be recycled while a chunk still
+// aliases them (the race test below runs under `make race`).
+
+// cutChunks runs the parallel shape's input loop over src as stream
+// does: one chunkReader, readChunks.
+func cutChunks(src source, targets chunkTargets, sp docSplitter, st *PipelineStats, emit func(byteChunk) bool) error {
+	return readChunks(newChunkReader(src, targets.bytes, st), targets, sp, emit)
+}
+
+// readerSource is data behind an io.Reader with a run's own pool.
+func readerSource(data []byte) source {
+	return source{r: bytes.NewReader(data), pool: new(chunkPool)}
+}
 
 // TestBytesEngineMatchesReaderFixtures sweeps every fixture under
 // byte-target chunking (Options.ChunkBytes), where the two sources
@@ -37,9 +48,9 @@ func TestBytesEngineErrorEquivalence(t *testing.T) {
 	}
 }
 
-// TestSplitChunksBytesMatchesReadChunks pins the two chunking stages to
-// the same chunk stream — same data, same absolute bases, same indexes
-// — across document-count and byte-size targets and both splitters.
+// TestSplitChunksBytesMatchesReadChunks pins the chunk loop to the same
+// chunk stream over a slice as over a reader — same data, same absolute
+// bases, same indexes — across document-count and byte-size targets.
 func TestSplitChunksBytesMatchesReadChunks(t *testing.T) {
 	docs := genjson.Collection(genjson.Twitter{Seed: 90}, 400)
 	data := jsontext.MarshalLines(docs)
@@ -54,13 +65,11 @@ func TestSplitChunksBytesMatchesReadChunks(t *testing.T) {
 			ch.buf.release()
 			return true
 		}
-		var err error
+		src := source{data: data}
 		if viaReader {
-			err = readChunks(bytes.NewReader(data), targets, &scanSplitter{}, new(chunkPool), nil, emit)
-		} else {
-			err = splitChunksBytes(data, targets, &scanSplitter{}, nil, emit)
+			src = readerSource(data)
 		}
-		if err != nil {
+		if err := cutChunks(src, targets, &scanSplitter{}, nil, emit); err != nil {
 			t.Fatal(err)
 		}
 		return out
@@ -95,9 +104,28 @@ func TestSplitChunksBytesMatchesReadChunks(t *testing.T) {
 	}
 }
 
-// TestSplitChunksBytesAllocFree pins the tentpole's allocation claim:
-// the byte-mode chunking stage allocates nothing in the steady state —
-// no pending array, no compaction, no per-chunk allocation.
+// boundedSplitter fails the test when the chunk loop hands the splitter
+// more than one read block, or scratch grown past what one block of
+// these documents can hold.
+type boundedSplitter struct {
+	scanSplitter
+	t      *testing.T
+	maxCap int
+}
+
+func (b *boundedSplitter) Splits(block []byte, dst []int) []int {
+	if len(block) > chunkReadSize || cap(dst) > b.maxCap {
+		b.t.Fatalf("splitter asked about %d bytes with %d candidates of scratch; want at most %d and %d", len(block), cap(dst), chunkReadSize, b.maxCap)
+	}
+	return b.scanSplitter.Splits(block, dst)
+}
+
+// TestSplitChunksBytesAllocFree pins the slice side of the chunk loop:
+// no pending array, no compaction, nothing allocated per chunk — a run
+// allocates its reader and its split scratch whether it cuts 19 chunks
+// or 300 — and the scratch stays one block's worth of candidates
+// however long the slice is (a mapped file is never handed to the
+// splitter whole).
 func TestSplitChunksBytesAllocFree(t *testing.T) {
 	docs := genjson.Collection(genjson.Orders{Seed: 91}, 300)
 	data := jsontext.MarshalLines(docs)
@@ -108,24 +136,35 @@ func TestSplitChunksBytesAllocFree(t *testing.T) {
 		total += len(ch.data)
 		return true
 	}
-	targets := chunkTargets{docs: 16}
-	// Warm the split-scratch pool, then demand a zero steady state.
-	if err := splitChunksBytes(data, targets, sp, nil, emit); err != nil {
-		t.Fatal(err)
-	}
-	if chunks == 0 {
-		t.Fatal("no chunks emitted")
-	}
-	if n := testing.AllocsPerRun(20, func() {
-		*sp = scanSplitter{}
-		if err := splitChunksBytes(data, targets, sp, nil, emit); err != nil {
-			t.Fatal(err)
+	var perRun [2]float64
+	for i, targets := range []chunkTargets{{docs: 16}, {docs: 1}} {
+		chunks = 0
+		perRun[i] = testing.AllocsPerRun(20, func() {
+			*sp = scanSplitter{}
+			if err := cutChunks(source{data: data}, targets, sp, nil, emit); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if want := 21 * ((300 + targets.docs - 1) / targets.docs); chunks != want {
+			t.Fatalf("targets=%+v: %d chunks emitted over 21 runs, want %d", targets, chunks, want)
 		}
-	}); n > 0 {
-		t.Errorf("byte-mode chunking allocates %.1f times per run, want 0", n)
+	}
+	if perRun[0] != perRun[1] || perRun[0] > 2 {
+		t.Errorf("slice chunking allocates %.1f times per run at 16 documents a chunk and %.1f at one; want the same, at most 2", perRun[0], perRun[1])
 	}
 	if total == 0 {
 		t.Fatal("no bytes emitted")
+	}
+
+	line := []byte(`{"id":12345678,"name":"a document of sixty-four bytes, newline"}` + "\n")
+	long := bytes.Repeat(line, (16<<20)/len(line))
+	chunks, total = 0, 0
+	bounded := &boundedSplitter{t: t, maxCap: 2 * (chunkReadSize/len(line) + 1)}
+	if err := cutChunks(source{data: long}, chunkTargets{docs: DefaultBatch}, bounded, nil, emit); err != nil {
+		t.Fatal(err)
+	}
+	if want := (len(long)/len(line) + DefaultBatch - 1) / DefaultBatch; chunks != want || total != len(long) {
+		t.Errorf("16 MB slice: %d chunks covering %d bytes, want %d covering %d", chunks, total, want, len(long))
 	}
 }
 
@@ -141,7 +180,7 @@ func TestReadChunksCompactionReuse(t *testing.T) {
 		t.Fatalf("fixture too small to force compactions: %d bytes", len(data))
 	}
 	var st PipelineStats
-	if err := readChunks(bytes.NewReader(data), chunkTargets{docs: 64}, &scanSplitter{}, new(chunkPool), &st,
+	if err := cutChunks(readerSource(data), chunkTargets{docs: 64}, &scanSplitter{}, &st,
 		func(ch byteChunk) bool { ch.buf.release(); return true }); err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +200,7 @@ func TestReadChunksCompactionReuse(t *testing.T) {
 	// then recycle the arrays freed by earlier releases.
 	var held byteChunk
 	st = PipelineStats{}
-	if err := readChunks(bytes.NewReader(data), chunkTargets{docs: 64}, &scanSplitter{}, new(chunkPool), &st,
+	if err := cutChunks(readerSource(data), chunkTargets{docs: 64}, &scanSplitter{}, &st,
 		func(ch byteChunk) bool {
 			held.buf.release()
 			held = ch
@@ -207,7 +246,7 @@ func TestChunkPoolLifetimeRace(t *testing.T) {
 			}
 		}()
 	}
-	err := readChunks(bytes.NewReader(data), chunkTargets{docs: 8}, &scanSplitter{}, new(chunkPool), nil,
+	err := cutChunks(readerSource(data), chunkTargets{docs: 8}, &scanSplitter{}, nil,
 		func(ch byteChunk) bool { work <- ch; return true })
 	close(work)
 	wg.Wait()
@@ -228,7 +267,7 @@ func TestInferStreamBytesStats(t *testing.T) {
 	docs := genjson.Collection(genjson.Orders{Seed: 94}, 500)
 	data := jsontext.MarshalLines(docs)
 	var st PipelineStats
-	_, n, err := InferStreamBytes(data, Options{Workers: 4, Batch: 32, Stats: &st})
+	_, n, err := InferStreamBytes(data, Options{Workers: 4, batch: 32, Stats: &st})
 	if err != nil {
 		t.Fatal(err)
 	}

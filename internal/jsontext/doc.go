@@ -4,27 +4,19 @@
 // decoder. The grammar is RFC 8259 JSON.
 //
 // TokenReader is the single front end — Parse and Decoder are thin
-// wrappers that build values from its tokens, and the schema inference
-// in internal/infer consumes its tokens directly without ever
-// materialising a value tree. In the streamed inference pipeline
-// (reader → chunker → tokenizer → infer.AbsorbFromTokens → ordered fold →
-// typelang.Merge) this package is the tokenizer stage: every chunk
-// worker lexes raw document-aligned bytes through a warm TokenReader,
-// with ReadTokenSkipString validating value strings without
-// materialising them and SetInternStrings dedupping the field names
-// that do get decoded. SetSymbolTable goes one step further: a
-// SymbolTable is a sharded, concurrency-safe interner shared across
-// lexers, so workers — and, in the registry daemon, requests — hand out
-// one canonical string per field name process-wide.
-//
-// Two seams exist for alternative tokenizers. TokenSource is the pull
-// interface the inference engine programs against, implemented by both
-// TokenReader and the Mison structural-index tokenizer
-// (internal/mison.TokenSource). Scanner lexes single tokens at
-// caller-chosen positions, so an alternative tokenizer can delegate
-// exactly the tokens its index cannot prove clean and still be
-// byte-identical to the reference lexer on payload decoding,
-// accept/reject decisions and error offsets.
+// wrappers that build values from its tokens. It is in no production
+// map phase of the streamed inference pipeline: there it is the
+// independent reference the tests compare against, and the pipeline
+// (docs/ARCHITECTURE.md) uses three other pieces of this package.
+// TokenSource is the pull interface infer.AbsorbFromTokens programs
+// against, implemented by TokenReader and by the Mison structural-index
+// tokenizer (internal/mison.TokenSource). Scanner lexes single tokens at
+// caller-chosen positions, so that tokenizer can delegate exactly the
+// tokens its index cannot prove clean and still be byte-identical to
+// the reference lexer on payload decoding, accept/reject decisions and
+// error offsets. SymbolTable is a sharded, concurrency-safe field-name
+// interner shared across lexers, so workers — and, in the registry
+// daemon, requests — hand out one canonical string per name.
 //
 // It is the "conventional parser" of the tutorial's §4.2 — the baseline
 // that Mison-style structural-index parsing (internal/mison) and

@@ -12,36 +12,18 @@
 // speculating on learned field positions and building values only for
 // the projected fields.
 //
-// The production face is the streamed-inference fast path: one
-// structural index per run of bytes, raised in one pass, serves the map
-// phase. TokenSource owns it: one word loop (index) loads each eight
-// bytes once and reads every class off them — quote,
-// backslash-or-control, non-ASCII and, for the FieldWalker, structural
-// characters outside strings — strikes escaped quotes and checks quote
-// parity; the delegated reference lexer (jsontext.Scanner), the
-// field-name intern cache and the delegation counter live there too.
-// Chunker, which finds document-aligned chunk boundaries through
-// string/depth bitmaps of its own, runs only where infer.InferStream
-// cuts work units for other goroutines; a sequential run cuts windows
-// at raw newlines and the index walk finds the documents. Two walks
-// read the index. FieldWalker — a view over a TokenSource it owns,
-// holding the structural bitmap — drives infer.AbsorbFromIndex, the
-// production walk: instead of lexing a token per structural character
-// it answers positional questions off the bitmaps directly —
-// NextStructural makes separator
-// checks O(1), CloseQuote/SkippableSpan/VerbatimSpan certify string
-// spans, PlainInt resolves plain integers — so object absorption walks
-// field-span-at-a-time and separator tokens are never materialised at
-// all. TokenSource's own ReadToken, behind the jsontext.TokenSource
-// pull interface, is the token walk over the same bitmaps — string
-// payloads skipped positionally via the quote bitmap, plain integers
-// and literals decided by direct comparison — which re-reads the
-// records the index walk cannot certify (FieldWalker.TokensAt).
-// Everything the bitmaps cannot prove clean is delegated per token to
-// the reference lexer, keeping both walks byte-identical to
-// jsontext.TokenReader on every input. Chunks whose quote parity the
-// index rejects fall back wholesale to the plain lexer; all rejection
-// and defect errors are *IndexError values with absolute byte offsets.
+// The production face is the streamed-inference fast path: TokenSource
+// raises one structural index per run of bytes, in one pass, and two
+// walks read it — FieldWalker, the positional view infer.AbsorbFromIndex
+// drives, and TokenSource's own ReadToken, the token walk that re-reads
+// the records the first cannot certify. Everything the bitmaps cannot
+// prove clean is delegated per token to jsontext.Scanner, keeping both
+// walks byte-identical to jsontext.TokenReader on every input. Chunker
+// finds document-aligned chunk boundaries for the parallel shape. The
+// pipeline around them is described in docs/ARCHITECTURE.md
+// ("Index-driven absorption: the map phase", "The mison fast path in
+// one paragraph"). The projecting face reports defects as *IndexError
+// values with absolute byte offsets.
 //
 // Substitution note (recorded in DESIGN.md): the original uses AVX2
 // SIMD to build per-character bitmaps. Go with stdlib only has no

@@ -2,12 +2,11 @@ package mison
 
 import "fmt"
 
-// IndexError reports a structural defect the bitmap index found in (or
-// a rejection it issued for) a record, with the absolute byte offset of
-// the offending position. Absolute means relative to the same stream
-// the caller's other offsets use: BuildIndexAt, ParseLines and
-// TokenSource.Reset all thread a base offset through, so fallback
-// decisions and error attribution line up exactly with the
+// IndexError reports a structural defect the projecting Parser's index
+// found in a record, with the absolute byte offset of the offending
+// position. Absolute means relative to the same stream the caller's
+// other offsets use: BuildIndexAt and ParseLines thread a base offset
+// through, so error attribution lines up exactly with the
 // jsontext.SyntaxError offsets of the reference lexer.
 type IndexError struct {
 	// Offset is the absolute byte offset of the defect.

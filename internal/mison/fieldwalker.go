@@ -4,9 +4,9 @@ import "repro/internal/jsontext"
 
 // FieldWalker is the driving surface of index-driven absorption: a view
 // over the TokenSource it owns. The token source keeps the chunk, the
-// one word-at-a-time pass that classifies it (TokenSource.index) with
-// its quote-parity check, the delegated reference scanner and the
-// field-name intern cache; the walker holds the one bitmap only it
+// one word-at-a-time pass that classifies it (TokenSource.index), the
+// delegated reference scanner and the field-name intern cache; the
+// walker holds the one bitmap only it
 // reads — every structural character outside a string, raised by that
 // same pass — and answers the positional questions a chunk absorber
 // asks while walking records field-span-at-a-time: where the next
@@ -57,19 +57,16 @@ func (w *FieldWalker) SetSymbolTable(st *jsontext.SymbolTable) { w.ts.SetSymbolT
 
 // Reset rebinds the walker to a chunk whose first byte sits at absolute
 // stream offset base: the token source's one pass rebuilds all four
-// bitmaps in place. It returns the token source's *IndexError when the
-// index rejects the chunk — odd quote parity, i.e. an unterminated
-// string literal — and the caller lexes the whole chunk through the
-// reference lexer, which words the authoritative error. Unbalanced
-// nesting needs no up-front check: the absorber's grammar walk catches
-// it positionally and falls back per record. Nor are escaped positions
-// outside strings struck from the bitmap, as the projecting Parser's
-// builder (bitmaps.go) strikes them: the backslash before one is a
-// syntax error no certified span covers, so the walk bails before it
-// could consume the character.
-func (w *FieldWalker) Reset(data []byte, base int) error {
+// bitmaps in place. Nothing is checked up front. An unterminated string
+// raises no structural bit after its quote, and unbalanced nesting is
+// caught by the absorber's grammar walk; either way the record falls to
+// the token walk. Nor are escaped positions outside strings struck from
+// the bitmap, as the projecting Parser's builder (bitmaps.go) strikes
+// them: the backslash before one is a syntax error no certified span
+// covers, so the walk bails before it could consume the character.
+func (w *FieldWalker) Reset(data []byte, base int) {
 	w.structural = resetWords(w.structural, words(len(data)))
-	return w.ts.index(data, base, w.structural)
+	w.ts.index(data, base, w.structural)
 }
 
 // TokensAt returns the walker's token source positioned at pos of the

@@ -81,13 +81,13 @@ func (ts *TokenSource) SetInternStrings(on bool) { ts.scan.SetInternStrings(on) 
 func (ts *TokenSource) SetSymbolTable(st *jsontext.SymbolTable) { ts.scan.SetSymbolTable(st) }
 
 // Reset rebinds the source to a chunk whose first byte sits at absolute
-// stream offset base, rebuilding the structural bitmaps in place. It
-// returns an *IndexError when the index rejects the chunk — an odd
-// number of structural quotes, i.e. an unterminated string literal —
-// and the caller falls back to the plain lexer, which reports the
-// authoritative error for whatever is wrong. The returned offset is
-// absolute, naming the unmatched opening quote.
-func (ts *TokenSource) Reset(data []byte, base int) error { return ts.index(data, base, nil) }
+// stream offset base, rebuilding the structural bitmaps in place. Every
+// chunk is indexed: the error is always nil, and is kept only because
+// bench/ checks it.
+func (ts *TokenSource) Reset(data []byte, base int) error {
+	ts.index(data, base, nil)
+	return nil
+}
 
 // index is the one classification pass over a chunk — one load per
 // eight bytes, every class read off that word: the quote,
@@ -95,11 +95,12 @@ func (ts *TokenSource) Reset(data []byte, base int) error { return ts.index(data
 // not nil (the FieldWalker's, one word per 64 bytes of data), the six
 // structural characters { } [ ] : , outside strings. Escaped quotes are
 // struck once per 64-byte word (the escape carry crosses word edges)
-// and the string mask — the prefix XOR of the surviving quotes, carried
-// across words as inString — serves both the structural mask and the
-// parity verdict, which falls after the last word: a rejected chunk
-// wasted its structural words, and that is the malformed-input path.
-func (ts *TokenSource) index(data []byte, base int, structural []uint64) error {
+// and the string mask is the prefix XOR of the surviving quotes, carried
+// across words as inString. It issues no verdict: after a quote with no
+// closer everything reads "in string", no structural bit is raised
+// there, and the walks meet the quote itself — readString finds no
+// closing bit and the reference scanner words the error.
+func (ts *TokenSource) index(data []byte, base int, structural []uint64) {
 	ts.data, ts.base, ts.pos = data, base, 0
 	nw := words(len(data))
 	ts.quote = resetWords(ts.quote, nw)
@@ -135,10 +136,6 @@ func (ts *TokenSource) index(data []byte, base int, structural []uint64) error {
 			inString = ^inString
 		}
 	}
-	if inString != 0 {
-		return &IndexError{Offset: base + lastSetBit(ts.quote), Msg: "unterminated string literal (index rejects chunk)"}
-	}
-	return nil
 }
 
 // InputOffset returns the absolute stream offset of the next unconsumed
@@ -371,14 +368,4 @@ func anyInRange(bm []uint64, lo, hi int) bool {
 		}
 	}
 	return false
-}
-
-// lastSetBit returns the largest set bit position, or -1.
-func lastSetBit(bm []uint64) int {
-	for w := len(bm) - 1; w >= 0; w-- {
-		if bm[w] != 0 {
-			return w*64 + 63 - bits.LeadingZeros64(bm[w])
-		}
-	}
-	return -1
 }

@@ -47,12 +47,7 @@ func assertTokensMatchLexer(t *testing.T, input string) {
 
 		ts := NewTokenSource()
 		if err := ts.Reset(data, 0); err != nil {
-			// The index rejected the chunk; the engine falls back to the
-			// plain lexer, so equivalence demands the lexer errors too.
-			if wantErr == nil {
-				t.Fatalf("%q/%s: index rejected (%v) but the lexer accepts", input, mode, err)
-			}
-			continue
+			t.Fatalf("%q/%s: Reset returned %v; every chunk is indexed", input, mode, err)
 		}
 		got, gotErr := driveTokens(ts, mode, 1<<20)
 
@@ -104,29 +99,39 @@ func TestTokenSourceMatchesLexer(t *testing.T) {
 	}
 }
 
-// TestTokenSourceRejectsUnterminatedChunk pins the index-rejection
-// fallback contract: Reset reports an absolute-offset IndexError on odd
-// quote parity, and the reference lexer agrees something is wrong.
+// unterminatedChunks are the inputs the index used to reject outright
+// (odd structural-quote parity): the token walk over the index must
+// read them exactly as the reference lexer does, up to and including
+// the error the unmatched quote earns.
+var unterminatedChunks = []string{
+	"{\"a\": 1}\n{\"b\": \"oops}\n",
+	"{\"a\":1}\n{\"s\":\"open",
+	"\"a\nb\"",
+	strings.Repeat("{\"k\": [1, \"v\"]}\n", 100) + `"`,
+	`{"s": "odd run` + strings.Repeat(`\`, 7) + `"}`,
+	`{"s": "even run` + strings.Repeat(`\`, 8) + `"} "`,
+}
+
+// TestTokenSourceRejectsUnterminatedChunk pins what replaced the
+// index-rejection fallback: a chunk holding an unterminated string is
+// indexed like any other, and the token walk words its error — message
+// and absolute offset — as the reference lexer does.
 func TestTokenSourceRejectsUnterminatedChunk(t *testing.T) {
-	data := []byte("{\"a\": 1}\n{\"b\": \"oops}\n")
+	for _, c := range unterminatedChunks {
+		assertTokensMatchLexer(t, c)
+		if _, err := driveTokens(jsontext.NewTokenReaderBytes([]byte(c)), "skip", 1<<20); err == nil {
+			t.Errorf("%q: the reference lexer accepts; the case pins nothing", c)
+		}
+	}
+	data := []byte(unterminatedChunks[0])
 	ts := NewTokenSource()
-	err := ts.Reset(data, 1000)
-	if err == nil {
-		t.Fatal("Reset accepted a chunk with an unterminated string")
+	if err := ts.Reset(data, 1000); err != nil {
+		t.Fatal(err)
 	}
-	var ie *IndexError
-	if !errors.As(err, &ie) {
-		t.Fatalf("Reset error = %T (%v), want *IndexError", err, err)
-	}
-	wantOff := 1000 + strings.Index(string(data), `"oops`)
-	if ie.Offset != wantOff {
-		t.Errorf("rejection offset = %d, want %d (absolute position of the unmatched quote)", ie.Offset, wantOff)
-	}
-	// The fallback path must fault too — rejection never hides an
-	// accepting input.
-	tr := jsontext.NewTokenReaderBytes(data)
-	if _, err := driveTokens(tr, "skip", 1<<20); err == nil {
-		t.Error("reference lexer accepted the rejected chunk")
+	_, err := driveTokens(ts, "skip", 1<<20)
+	var se *jsontext.SyntaxError
+	if wantOff := 1000 + strings.Index(string(data), `"oops`) + len(`"oops}`); !errors.As(err, &se) || se.Offset != wantOff {
+		t.Errorf("error = %v, want a *jsontext.SyntaxError at %d (the raw newline in the open string, rebased)", err, wantOff)
 	}
 }
 

@@ -199,8 +199,8 @@ type IngestResult struct {
 	// clocks of exactly this ingest (reduce-side counters accrue on the
 	// collection's shared collector and appear in Snapshot.Pipeline);
 	// ChunksDirect == ChunksSplit says the body was absorbed in line.
-	// The daemon's tracer and slow-request log read the shape, fallback
-	// and parity figures from here.
+	// The daemon's tracer and slow-request log read the shape and
+	// fallback figures from here.
 	Stats infer.StatsSnapshot
 }
 

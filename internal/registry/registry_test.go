@@ -281,9 +281,9 @@ func TestConcurrentIngestStorm(t *testing.T) {
 		// registry's own accounting: every ingested document was
 		// absorbed exactly once, none fell back (the corpus is clean).
 		if p := snap.Pipeline; p.DocsAbsorbed != snap.Docs || p.BytesLexed != snap.Bytes ||
-			p.FallbackRecords != 0 || p.ParityRejects != 0 {
-			t.Errorf("%s: pipeline stats do not reconcile: absorbed=%d/%d lexed=%d/%d fallback=%d parity=%d",
-				name, p.DocsAbsorbed, snap.Docs, p.BytesLexed, snap.Bytes, p.FallbackRecords, p.ParityRejects)
+			p.FallbackRecords != 0 {
+			t.Errorf("%s: pipeline stats do not reconcile: absorbed=%d/%d lexed=%d/%d fallback=%d",
+				name, p.DocsAbsorbed, snap.Docs, p.BytesLexed, snap.Bytes, p.FallbackRecords)
 		}
 		if snap.Version != writers*slices || snap.Ingests != writers*slices || snap.Errors != 0 {
 			t.Errorf("%s: version=%d ingests=%d errors=%d, want %d/%d/0",
@@ -383,7 +383,7 @@ func TestWarmMapperServesLikeCold(t *testing.T) {
 		good := jsontext.MarshalLines(genjson.Collection(genjson.Twitter{Seed: int64(i)}, 5))
 		bad, prefix := numbered(8, 5, `{"a": trve}`+"\n"), 5 // a failed document: the record falls back, then errors
 		if i%2 == 1 {
-			bad, prefix = append(numbered(3, -1, ""), `{"s": "unterminated`+"\n"...), 3 // odd quote parity: the index rejects the chunk
+			bad, prefix = append(numbered(3, -1, ""), `{"s": "unterminated`+"\n"...), 3 // odd quote parity: indexed all the same, the token walk words the error
 		}
 		for _, body := range [][]byte{bad, good} {
 			cold := New(opts)
@@ -762,7 +762,6 @@ func TestPipelineStatsReconcile(t *testing.T) {
 		{p.DocsAbsorbed, sum.DocsAbsorbed, 2},
 		{p.IndexRecords, sum.IndexRecords, 3},
 		{p.FallbackRecords, sum.FallbackRecords, 4},
-		{p.ParityRejects, sum.ParityRejects, 5},
 		{p.ScanDelegations, sum.ScanDelegations, 6},
 		{p.ReadNanos, sum.ReadNanos, 7},
 		{p.SplitNanos, sum.SplitNanos, 8},
@@ -887,11 +886,11 @@ func TestSealsFollowReadsNotIngests(t *testing.T) {
 	}
 }
 
-// TestPipelineStatsAdversarialThroughRegistry: the fallback and parity
-// counters surface through the registry exactly as through the bare
-// pipeline — a malformed literal delegates one record, an unterminated
-// string rejects one chunk, and both ride the per-call delta as well as
-// the cumulative snapshot.
+// TestPipelineStatsAdversarialThroughRegistry: the fallback counter
+// surfaces through the registry exactly as through the bare pipeline —
+// a malformed literal delegates one record, and so does an unterminated
+// string, after the records before it came off the index — and both
+// ride the per-call delta as well as the cumulative snapshot.
 func TestPipelineStatsAdversarialThroughRegistry(t *testing.T) {
 	reg := New(Options{Equiv: typelang.EquivLabel})
 	defer reg.Close()
@@ -904,17 +903,18 @@ func TestPipelineStatsAdversarialThroughRegistry(t *testing.T) {
 		t.Errorf("bad literal delta: index=%d fallback=%d, want 1/1",
 			res.Stats.IndexRecords, res.Stats.FallbackRecords)
 	}
-	res2, err := reg.Ingest("c", strings.NewReader(`{"a": "unterminated`+"\n"))
+	res2, err := reg.Ingest("c", strings.NewReader(`{"a": 1}`+"\n"+`{"a": 2}`+"\n"+`{"a": "unterminated`+"\n"))
 	if err == nil {
 		t.Fatal("unterminated string was accepted")
 	}
-	if res2.Stats.ParityRejects != 1 {
-		t.Errorf("unterminated delta: parity=%d, want 1", res2.Stats.ParityRejects)
+	if res2.Docs != 2 || res2.Stats.IndexRecords != 2 || res2.Stats.FallbackRecords != 1 {
+		t.Errorf("unterminated delta: docs=%d index=%d fallback=%d, want 2/2/1",
+			res2.Docs, res2.Stats.IndexRecords, res2.Stats.FallbackRecords)
 	}
 	snap, _ := reg.Get("c")
-	if snap.Pipeline.FallbackRecords != 1 || snap.Pipeline.ParityRejects != 1 {
-		t.Errorf("cumulative: fallback=%d parity=%d, want 1/1",
-			snap.Pipeline.FallbackRecords, snap.Pipeline.ParityRejects)
+	if snap.Pipeline.IndexRecords != 3 || snap.Pipeline.FallbackRecords != 2 {
+		t.Errorf("cumulative: index=%d fallback=%d, want 3/2",
+			snap.Pipeline.IndexRecords, snap.Pipeline.FallbackRecords)
 	}
 	if snap.Errors != 2 {
 		t.Errorf("Errors=%d, want 2", snap.Errors)
