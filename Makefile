@@ -94,9 +94,10 @@ docs:
 serve:
 	$(GO) run repro/cmd/jsinferd -addr :8787
 
-# End-to-end daemon smoke: boot jsinferd, POST a checked-in fixture,
-# and assert the served schema is byte-identical to `jsinfer`
-# over the same file.
+# End-to-end daemon smoke: boot jsinferd, POST a checked-in fixture and
+# two generated bodies of several read blocks (NDJSON and pretty-printed),
+# and assert each served schema is byte-identical to `jsinfer` over the
+# same file and each long body was absorbed in line.
 smoke-daemon:
 	./scripts/smoke_jsinferd.sh
 

@@ -98,9 +98,9 @@ func BenchmarkE3ParallelInference(b *testing.B) {
 // through the mutable accumulator core (typelang.Accum: absorb in
 // place, seal once per run and, above one worker, once per chunk); the
 // parallel rows reduce in line on the committer (one accumulator, one
-// seal), and the registry-ingest rows measure the same bytes arriving
+// seal), and the registry-ingest row measures the same bytes arriving
 // through the live-merge registry (shared symbol table, collector left
-// open across requests).
+// open across requests, every body absorbed in line: no worker count).
 // domInfer is the DOM baseline of the E3 rows: decode the whole
 // collection to value trees, then run the materialised map/reduce over
 // them.
@@ -212,23 +212,23 @@ func BenchmarkE3StreamingInference(b *testing.B) {
 				}
 			}
 		})
-		// The registry ingest path: same pipeline, but folding into one
-		// long-lived collection's collector through the shared
-		// symbol table — the steady-state per-request cost of the
-		// jsinferd daemon (the schema converges after the first request,
-		// so later iterations measure warm live-merge).
-		b.Run(fmt.Sprintf("registry-ingest-%d", workers), func(b *testing.B) {
-			reg := registry.New(registry.Options{Equiv: typelang.EquivLabel, Workers: workers})
-			defer reg.Close()
-			b.SetBytes(int64(len(raw)))
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := reg.Ingest("bench", bytes.NewReader(raw)); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
+	// The registry ingest path: the same bytes in 256 KiB windows on the
+	// request's goroutine, folding into one long-lived collection's
+	// collector through the shared symbol table — the steady-state
+	// per-request cost of the jsinferd daemon (the schema converges after
+	// the first request, so later iterations measure warm live-merge).
+	b.Run("registry-ingest", func(b *testing.B) {
+		reg := registry.New(registry.Options{Equiv: typelang.EquivLabel})
+		defer reg.Close()
+		b.SetBytes(int64(len(raw)))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := reg.Ingest("bench", bytes.NewReader(raw)); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 	// The colon-dense corpus (jsgen -kind fields): hundreds of short
 	// fields per object, shallow atoms — the workload where never
 	// tokenising separators matters most.

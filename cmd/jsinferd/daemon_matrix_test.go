@@ -455,7 +455,7 @@ func TestDecompressionBomb413(t *testing.T) {
 // steady collection must still converge deterministically, and every
 // scrape must succeed mid-storm.
 func TestStormWithMetricsAndDeletes(t *testing.T) {
-	srv, reg := newTestServer(t, registry.Options{Workers: 2, Shards: 2})
+	srv, reg := newTestServer(t, registry.Options{})
 	const writers, rounds = 4, 6
 	doc := []byte(`{"k": 1, "v": "x"}` + "\n")
 

@@ -7,7 +7,6 @@
 // Usage:
 //
 //	jsinferd [-addr :8787] [-engine parametric-L|parametric-K]
-//	         [-workers N] [-shards N]
 //	         [-max-body N] [-rate-docs N] [-rate-bytes N]
 //	         [-log-format text|json] [-slow-request D]
 //	         [-trace-buffer N] [-debug-addr addr]
@@ -132,7 +131,7 @@ import (
 // set main parses.
 type daemonFlags struct {
 	addr, engine, logFormat, debugAddr *string
-	workers, shards, traceBuf          *int
+	traceBuf                           *int
 	maxBody                            *int64
 	rateDocs, rateBytes                *float64
 	slowReq                            *time.Duration
@@ -142,8 +141,6 @@ func registerFlags(fs *flag.FlagSet) daemonFlags {
 	return daemonFlags{
 		addr:      fs.String("addr", ":8787", "listen address"),
 		engine:    fs.String("engine", "parametric-L", "inference engine: parametric-L or parametric-K"),
-		workers:   fs.Int("workers", 0, "parallel chunk workers per ingest request of more than one chunk (0 = GOMAXPROCS)"),
-		shards:    fs.Int("shards", 0, "accumulators per collection: how many requests can absorb into one collection at once (0 = auto)"),
 		maxBody:   fs.Int64("max-body", 0, "max ingest request body in bytes (decoded, for compressed bodies); 0 disables the limit"),
 		rateDocs:  fs.Float64("rate-docs", 0, "default per-collection ingest quota in documents/sec; 0 disables the limit"),
 		rateBytes: fs.Float64("rate-bytes", 0, "default per-collection ingest quota in decoded bytes/sec; 0 disables the limit"),
@@ -180,11 +177,7 @@ func main() {
 		os.Exit(1)
 	}
 
-	opts := registry.Options{
-		Workers: *opt.workers,
-		Shards:  *opt.shards,
-		Quota:   registry.Quota{DocsPerSec: *opt.rateDocs, BytesPerSec: *opt.rateBytes},
-	}
+	opts := registry.Options{Quota: registry.Quota{DocsPerSec: *opt.rateDocs, BytesPerSec: *opt.rateBytes}}
 	switch *opt.engine {
 	case "parametric-L":
 		opts.Equiv = typelang.EquivLabel

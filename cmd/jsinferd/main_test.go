@@ -116,7 +116,7 @@ func TestConcurrentIngestOneCollection(t *testing.T) {
 	for i, ln := range lines {
 		parts[i%clients] = append(parts[i%clients], ln...)
 	}
-	srv, reg := newTestServer(t, registry.Options{Equiv: typelang.EquivLabel, Workers: 2})
+	srv, reg := newTestServer(t, registry.Options{Equiv: typelang.EquivLabel})
 	var wg sync.WaitGroup
 	for c := 0; c < clients; c++ {
 		wg.Add(1)
@@ -248,7 +248,7 @@ func TestEndpointsAndFormats(t *testing.T) {
 // TestManyCollectionsConcurrently drives distinct collections in
 // parallel and checks isolation: each ends with its own schema.
 func TestManyCollectionsConcurrently(t *testing.T) {
-	srv, reg := newTestServer(t, registry.Options{Workers: 2, Shards: 2})
+	srv, reg := newTestServer(t, registry.Options{})
 	const cols = 5
 	var wg sync.WaitGroup
 	for c := 0; c < cols; c++ {

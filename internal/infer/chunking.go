@@ -13,7 +13,8 @@ import (
 // (docs/ARCHITECTURE.md, "The zero-copy input layer"): one chunkReader
 // per run, which an io.Reader fills a read block at a time and a
 // caller-owned slice rides already filled, and the two loops that cut
-// it into runs of bytes for the map phase; stream (tokens.go) picks.
+// it into runs of bytes for the map phase; the caller picks (run and
+// InferStreamInto, tokens.go).
 //
 // windows feeds the sequential shape, and nothing scans the input to
 // cut them: a window ends just after a raw '\n' — the last one inside
@@ -32,9 +33,7 @@ import (
 // a newline at depth zero outside any string so workers can type them
 // independently. Boundary finding is mison.Chunker's (a docSplitter, so
 // tests can run the byte-at-a-time reference through the same code); it
-// runs only where chunks travel to other goroutines — an input that
-// ends inside the first read block (or is a slice), provably one chunk
-// (oneChunk), is emitted whole, unscanned, as the final window.
+// runs only in this shape, where chunks travel to other goroutines.
 //
 // A reader's chunks alias the pooled, refcounted array they were read
 // into (chunkBuf) and hold a reference the consumer releases after
@@ -155,23 +154,6 @@ func (o Options) chunkTargets() chunkTargets {
 // documents per work unit and cuts nothing where there are none.
 const sequentialChunkBytes = 4 << 20
 
-// oneChunk reports whether data, the whole input, is provably a single
-// chunk under t: no more bytes than the byte target or, every top-level
-// newline being a raw one, fewer raw newlines than the document target.
-func (t chunkTargets) oneChunk(data []byte) bool {
-	if t.bytes > 0 {
-		return len(data) <= t.bytes
-	}
-	for n := 0; n < t.docs; n++ {
-		i := bytes.IndexByte(data, '\n')
-		if i < 0 {
-			return true
-		}
-		data = data[i+1:]
-	}
-	return false
-}
-
 // ripe reports whether a chunk spanning size bytes and docs documents
 // has reached the emission target.
 func (t chunkTargets) ripe(docs, size int) bool {
@@ -266,8 +248,8 @@ func (cr *chunkReader) fill() {
 // chunk emits pending[start:end) and moves start past it. The chunk
 // holds a reference on the buffer it aliases: the consumer release()s
 // it once the bytes are dead, or the array never returns to the pool.
-func (cr *chunkReader) chunk(end int, last bool) byteChunk {
-	ch := byteChunk{index: cr.index, base: cr.base + cr.start, data: cr.pending[cr.start:end], buf: cr.buf, last: last}
+func (cr *chunkReader) chunk(end int) byteChunk {
+	ch := byteChunk{index: cr.index, base: cr.base + cr.start, data: cr.pending[cr.start:end], buf: cr.buf}
 	cr.buf.acquire()
 	cr.index++
 	cr.start = end
@@ -315,7 +297,7 @@ func windows(cr *chunkReader, target int, direct func(byteChunk) (int, int, erro
 			continue
 		}
 		last := cr.eof && end == len(avail)
-		ch := cr.chunk(cr.start+end, last)
+		ch := cr.chunk(cr.start + end)
 		ch.open = !last
 		cr.frame.ChunksDirect++
 		n, used, err := direct(ch)
@@ -343,44 +325,36 @@ func windows(cr *chunkReader, target int, direct func(byteChunk) (int, int, erro
 // false to stop early). Split candidates come from sp, asked one read
 // block at a time whatever cr rides — a slice handed over whole would
 // cost eight bytes of scratch per document of a mapped file; this loop
-// batches them into chunks per the targets. The chunk the input ends
-// with is marked last — and an input that ends inside the first read
-// block (or is a slice), provably one chunk, is emitted without asking
-// sp anything.
+// batches them into chunks per the targets.
 func readChunks(cr *chunkReader, targets chunkTargets, sp docSplitter, emit func(byteChunk) bool) error {
 	defer cr.close()
-	for len(cr.pending) < chunkReadSize && !cr.eof {
-		cr.fill()
-	}
 	cut := func(end int) bool {
 		if cr.buf == nil {
 			cr.frame.BytesAliased += int64(end - cr.start)
 		}
-		return emit(cr.chunk(end, cr.eof && end == len(cr.pending)))
+		return emit(cr.chunk(end))
 	}
-	if !cr.eof || !targets.oneChunk(cr.pending) { // else nothing to find: the tail below is the whole input
-		splits := make([]int, 0, 512) // sized once: nothing below allocates per chunk
-		docs := 0                     // top-level newlines seen since the last split
-		for !cr.eof || cr.scanned < len(cr.pending) {
-			if cr.scanned == len(cr.pending) {
-				cr.fill()
-			}
-			// Find boundaries in the next block, emitting at every ripe one.
-			block := cr.pending[cr.scanned:min(cr.scanned+chunkReadSize, len(cr.pending))]
-			splitStart := statsClock(cr.st)
-			splits = sp.Splits(block, splits[:0])
-			statsSince(cr.st, &cr.frame.SplitNanos, splitStart)
-			for _, rel := range splits {
-				docs++
-				if end := cr.scanned + rel; targets.ripe(docs, end-cr.start) {
-					docs = 0
-					if !cut(end) {
-						return cr.err
-					}
+	splits := make([]int, 0, 512) // sized once: nothing below allocates per chunk
+	docs := 0                     // top-level newlines seen since the last split
+	for !cr.eof || cr.scanned < len(cr.pending) {
+		if cr.scanned == len(cr.pending) {
+			cr.fill()
+		}
+		// Find boundaries in the next block, emitting at every ripe one.
+		block := cr.pending[cr.scanned:min(cr.scanned+chunkReadSize, len(cr.pending))]
+		splitStart := statsClock(cr.st)
+		splits = sp.Splits(block, splits[:0])
+		statsSince(cr.st, &cr.frame.SplitNanos, splitStart)
+		for _, rel := range splits {
+			docs++
+			if end := cr.scanned + rel; targets.ripe(docs, end-cr.start) {
+				docs = 0
+				if !cut(end) {
+					return cr.err
 				}
 			}
-			cr.scanned += len(block)
 		}
+		cr.scanned += len(block)
 	}
 	if cr.start < len(cr.pending) {
 		cut(len(cr.pending))

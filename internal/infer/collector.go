@@ -14,17 +14,16 @@ import (
 // read while it grows, i.e. the live-merge engine of internal/registry:
 // long-lived collections fold ingest traffic into it (InferStreamInto)
 // and serve snapshot reads from it. It is the one-shot engine's reduce
-// (run in tokens.go) made shareable: a chunk's documents (the
-// sequential shape) or committed chunk types (the parallel one) are
-// absorbed in line, on the ingest's goroutine or its committer's, into
-// one of N mutex-guarded typelang.Accums, and nothing is canonicalised
-// until somebody reads — a Snapshot seals the shards added to since the
-// last one and, when several hold data, fuses the sealed partials. By
+// (run in tokens.go) made shareable: each window's documents are
+// absorbed in line, on the ingest's own goroutine, into one of N
+// mutex-guarded typelang.Accums, and nothing is canonicalised until
+// somebody reads — a Snapshot seals the shards added to since the last
+// one and, when several hold data, fuses the sealed partials. By
 // associativity and commutativity of the merge (Accum seals are pinned
 // byte-identical to the MergeAll reference fold) the result is
 // byte-identical (same rendering, same counts) to a single ordered
-// fold's, whichever shard each chunk or batch landed on; the collector
-// tests pin that.
+// fold's, whichever shard each window landed on; the collector tests
+// pin that.
 
 // maxAutoShards caps the automatically-sized collector: shard partials
 // multiply the fuse cost, and past a handful of shards concurrent
@@ -32,22 +31,22 @@ import (
 const maxAutoShards = 8
 
 // shard is one stripe of the collector: an open accumulator and the
-// number of documents its absorbed types summarise, guarded together so
-// a reader sees a type and a count of the same set of batches.
+// number of documents it holds, guarded together so a reader sees a
+// type and a count of the same set of documents.
 type shard struct {
 	mu   sync.Mutex
 	acc  *typelang.Accum
 	docs int64
 }
 
-// ShardedCollector is the striped reduce. AddBatch absorbs a batch of
-// chunk types into one shard on the caller's goroutine — complete, and
-// visible to the next Snapshot, when it returns. Snapshot returns the
-// merged type and document count of everything added, and Close the
-// final fold.
+// ShardedCollector is the striped reduce. InferStreamInto absorbs a
+// body's windows into it, each into one shard on the caller's goroutine
+// — complete, and visible to the next Snapshot, when it returns.
+// Snapshot returns the merged type and document count of everything
+// added.
 //
-// AddBatch and Snapshot may be called concurrently from any number of
-// goroutines. AddBatch after Close panics.
+// InferStreamInto and Snapshot may be called concurrently from any
+// number of goroutines.
 type ShardedCollector struct {
 	equiv  typelang.Equiv
 	shards []shard
@@ -73,10 +72,9 @@ type ShardedCollector struct {
 		t     *typelang.Type
 	}
 
-	// stats, when non-nil, receives the reduce-side counters: the
-	// absorb clock, and the seals, fuses and fuse clock of snapshots
-	// that found something new. A long-lived collection points this at
-	// its cumulative PipelineStats.
+	// stats, when non-nil, receives the read-side counters: the seals,
+	// fuses and fuse clock of snapshots that found something new. A
+	// long-lived collection points this at its cumulative PipelineStats.
 	stats *PipelineStats
 }
 
@@ -88,7 +86,7 @@ func NewShardedCollector(shards int, e typelang.Equiv) *ShardedCollector {
 }
 
 // NewShardedCollectorStats is NewShardedCollector with the collector's
-// reduce-side counters reporting into st (nil: recording off) — the
+// read-side counters reporting into st (nil: recording off) — the
 // collector half of the pipeline's flight recorder.
 func NewShardedCollectorStats(shards int, e typelang.Equiv, st *PipelineStats) *ShardedCollector {
 	if shards <= 0 {
@@ -125,7 +123,7 @@ func (c *ShardedCollector) lock() *shard {
 	return s
 }
 
-// absorbChunk is the sequential shape's fold: it types ch's documents
+// absorbChunk is InferStreamInto's fold: it types ch's documents
 // through m straight into a shard's accumulator and books them, all
 // under that shard's lock — held for this window only, never across a
 // read of the input. It returns what m.absorb does; the shard
@@ -175,20 +173,19 @@ func (c *ShardedCollector) release(m *chunkMapper) {
 	c.mu.Unlock()
 }
 
-// AddBatch folds a batch of chunk results — their types and total
-// document count — into the collector. The whole batch lands on one
-// shard (see lock), under that shard's lock. ts is not retained.
+// AddBatch folds a batch of sealed types — summarising docs documents
+// in all — into the collector. The whole batch lands on one shard (see
+// lock), under that shard's lock. ts is not retained. It has no
+// production caller: bench/jsperf measures the collector through it,
+// and the tests use it to fill shards by hand. AddBatch after Close
+// panics.
 func (c *ShardedCollector) AddBatch(ts []*typelang.Type, docs int64) {
 	s := c.lock()
-	start := statsClock(c.stats)
 	for _, t := range ts {
 		s.acc.Absorb(t)
 	}
 	s.docs += docs
 	s.mu.Unlock()
-	if c.stats != nil {
-		c.stats.AddSnapshot(StatsSnapshot{ReduceNanos: time.Since(start).Nanoseconds()})
-	}
 }
 
 // Snapshot returns the merged type and document count of every addition
@@ -241,7 +238,8 @@ func (c *ShardedCollector) Snapshot() (*typelang.Type, int64) {
 }
 
 // Close returns the final merged type and document count. The collector
-// must not be added to afterwards.
+// must not be added to afterwards. Like AddBatch it has no production
+// caller (a registry drops a deleted collection's collector unread).
 func (c *ShardedCollector) Close() (*typelang.Type, int64) {
 	c.closed.Store(true)
 	return c.Snapshot()

@@ -71,8 +71,8 @@ func TestShardedCollectorSnapshotSemantics(t *testing.T) {
 
 // TestShardedCollectorConcurrent is the race-detector workout: parallel
 // adders — some handing over sealed types, more of them than there are
-// shards streaming bodies in through InferStreamInto, one-chunk and
-// multi-chunk, sharing the collector's mapper and chunk-array pools —
+// shards streaming bodies in through InferStreamInto, of one window and
+// of many, sharing the collector's mapper and chunk-array pools —
 // against continuous snapshot readers. Snapshots are serialised under
 // the root lock, so the ones a reader observes, in the order it
 // observes them, only grow — in documents and in schema (each subsumes
@@ -134,8 +134,8 @@ func TestShardedCollectorConcurrent(t *testing.T) {
 				for _, d := range docs {
 					all[adders+f] = append(all[adders+f], TypeOf(d, typelang.EquivLabel))
 				}
-				// Every other body spans several chunks: the parallel shape.
-				opts := Options{Equiv: typelang.EquivLabel, Workers: 2, batch: 256 - 248*(i%2), Symbols: symbols}
+				// Every other body spans many windows, each a shard lock of its own.
+				opts := Options{Equiv: typelang.EquivLabel, ChunkBytes: (i % 2) << 10, Symbols: symbols}
 				if n, err := InferStreamInto(bytes.NewReader(jsontext.MarshalLines(docs)), opts, col); err != nil || n != len(docs) {
 					t.Errorf("feeder %d body %d: %d docs, err %v", f, i, n, err)
 				}

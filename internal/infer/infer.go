@@ -24,16 +24,20 @@ type Options struct {
 	// Equiv is the merge equivalence: typelang.EquivKind (K) or
 	// typelang.EquivLabel (L). The zero value is K.
 	Equiv typelang.Equiv
-	// Workers bounds parallel workers in InferParallel and the streamed
-	// engine; 0 means GOMAXPROCS.
+	// Workers bounds parallel workers in InferParallel and picks the
+	// shape of a one-shot streamed run (InferStream, InferStreamBytes):
+	// one worker absorbs windows in line, several cut document-aligned
+	// chunks for that many workers; 0 means GOMAXPROCS. InferStreamInto
+	// does not read it: a collector feed is always absorbed in line.
 	Workers int
-	// ChunkBytes, when positive, switches the chunking stage to a byte
-	// target: chunks are emitted at the first document boundary at or
-	// past ChunkBytes bytes instead of every DefaultBatch documents. GB-scale
-	// inputs want this — bigger chunks amortise the per-chunk pipeline
-	// overhead regardless of how small the documents are. 0 keeps the
-	// document-count trigger. At one worker it is the window length
-	// (0: 4 MiB, or one read block into a collector).
+	// ChunkBytes, when positive, sets the byte length of a streamed
+	// run's units. In the parallel shape chunks are emitted at the first
+	// document boundary at or past ChunkBytes bytes instead of every
+	// DefaultBatch documents — GB-scale inputs want this, bigger chunks
+	// amortise the per-chunk pipeline overhead regardless of how small
+	// the documents are. In the sequential shape it is the window length
+	// (0: 4 MiB for a one-shot run, one 256 KiB read block into a
+	// collector).
 	ChunkBytes int
 	// Symbols, when non-nil, is a shared field-name symbol table: every
 	// worker interns record labels through it, deduping names across
@@ -55,6 +59,14 @@ func (o Options) workers() int {
 		return runtime.GOMAXPROCS(0)
 	}
 	return o.Workers
+}
+
+// window is the sequential shape's window length: ChunkBytes, else def.
+func (o Options) window(def int) int {
+	if o.ChunkBytes > 0 {
+		return o.ChunkBytes
+	}
+	return def
 }
 
 func (o Options) batchSize() int {

@@ -91,37 +91,40 @@ func assertMatchesOracle(t *testing.T, label string, data []byte, chunkings ...O
 }
 
 // assertEngineYields runs the engine over data with base's equivalence
-// and chunking under every given worker count and input
-// kind — the collector feed included, at the worker counts that give it
-// each of its shapes — and demands the given outcome each time: the same schema in
-// plain and counted rendering, the same document count and — on
-// malformed input — the same error message and absolute offset, with
-// type and count covering exactly the documents before it.
+// and chunking under every given worker count and input kind, and the
+// collector feed once (it reads no worker count), and demands the given
+// outcome each time: the same schema in plain and counted rendering,
+// the same document count and — on malformed input — the same error
+// message and absolute offset, with type and count covering exactly the
+// documents before it.
 func assertEngineYields(t *testing.T, label string, data []byte, base Options, workers []int, want *typelang.Type, wantN int, wantErr error) {
 	t.Helper()
-	for _, w := range workers {
-		kinds := inputKinds
-		if w <= 2 {
-			kinds = append(kinds[:len(kinds):len(kinds)], "into")
+	check := func(input string, opts Options) {
+		t.Helper()
+		name := fmt.Sprintf("%s/%v/w%d/%s/batch%d/bytes%d", label, opts.Equiv, opts.Workers, input, opts.batch, opts.ChunkBytes)
+		got, n, err := inferStreamOver(input, data, opts)
+		if (err == nil) != (wantErr == nil) ||
+			(err != nil && (err.Error() != wantErr.Error() || syntaxOffset(err) != syntaxOffset(wantErr))) {
+			t.Errorf("%s: error %v (offset %d), oracle %v (offset %d)",
+				name, err, syntaxOffset(err), wantErr, syntaxOffset(wantErr))
 		}
-		for _, input := range kinds {
-			opts := Options{Equiv: base.Equiv, Workers: w, batch: base.batch, ChunkBytes: base.ChunkBytes}
-			name := fmt.Sprintf("%s/%v/w%d/%s/batch%d/bytes%d", label, opts.Equiv, w, input, opts.batch, opts.ChunkBytes)
-			got, n, err := inferStreamOver(input, data, opts)
-			if (err == nil) != (wantErr == nil) ||
-				(err != nil && (err.Error() != wantErr.Error() || syntaxOffset(err) != syntaxOffset(wantErr))) {
-				t.Errorf("%s: error %v (offset %d), oracle %v (offset %d)",
-					name, err, syntaxOffset(err), wantErr, syntaxOffset(wantErr))
-			}
-			if n != wantN {
-				t.Errorf("%s: typed %d docs, oracle %d", name, n, wantN)
-			}
-			if want.String() != got.String() || want.StringCounted() != got.StringCounted() {
-				t.Errorf("%s: schema diverges\n oracle: %s\n engine: %s",
-					name, want.StringCounted(), got.StringCounted())
-			}
+		if n != wantN {
+			t.Errorf("%s: typed %d docs, oracle %d", name, n, wantN)
+		}
+		if want.String() != got.String() || want.StringCounted() != got.StringCounted() {
+			t.Errorf("%s: schema diverges\n oracle: %s\n engine: %s",
+				name, want.StringCounted(), got.StringCounted())
 		}
 	}
+	opts := Options{Equiv: base.Equiv, batch: base.batch, ChunkBytes: base.ChunkBytes}
+	for _, w := range workers {
+		opts.Workers = w
+		for _, input := range inputKinds {
+			check(input, opts)
+		}
+	}
+	opts.Workers = 0
+	check("into", opts)
 }
 
 // forEachFixture calls fn with every checked-in NDJSON fixture.

@@ -184,27 +184,25 @@ func TestKeptMapperTreeIsWarmOnTheNextIngest(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, workers := range []int{1, 4} {
-				col := NewShardedCollector(2, e)
-				symbols := jsontext.NewSymbolTable()
-				var closed [2]int64
-				for i := range closed {
-					var st PipelineStats
-					opts := Options{Equiv: e, Workers: workers, Symbols: symbols, Stats: &st}
-					if _, err := InferStreamInto(bytes.NewReader(data), opts, col); err != nil {
-						t.Fatalf("%s: %v", name, err)
-					}
-					closed[i] = st.Snapshot().PatternRecords
+			col := NewShardedCollector(2, e)
+			symbols := jsontext.NewSymbolTable()
+			var closed [2]int64
+			for i := range closed {
+				var st PipelineStats
+				opts := Options{Equiv: e, Symbols: symbols, Stats: &st}
+				if _, err := InferStreamInto(bytes.NewReader(data), opts, col); err != nil {
+					t.Fatalf("%s: %v", name, err)
 				}
-				got, gotN := col.Close()
-				if gotN != int64(wantN) || got.StringCounted() != want.StringCounted() {
-					t.Errorf("%s/%v/w%d: two ingests diverge from the oracle\n oracle: %s\n engine: %s",
-						name, e, workers, want.StringCounted(), got.StringCounted())
-				}
-				if closed[1] < closed[0] {
-					t.Errorf("%s/%v/w%d: the second ingest closed %d objects on the tree, the first %d",
-						name, e, workers, closed[1], closed[0])
-				}
+				closed[i] = st.Snapshot().PatternRecords
+			}
+			got, gotN := col.Close()
+			if gotN != int64(wantN) || got.StringCounted() != want.StringCounted() {
+				t.Errorf("%s/%v: two ingests diverge from the oracle\n oracle: %s\n engine: %s",
+					name, e, want.StringCounted(), got.StringCounted())
+			}
+			if closed[1] < closed[0] {
+				t.Errorf("%s/%v: the second ingest closed %d objects on the tree, the first %d",
+					name, e, closed[1], closed[0])
 			}
 		}
 	}

@@ -16,7 +16,7 @@ import (
 // path and nothing at all when Stats is nil (every site is nil-guarded).
 //
 // The registry keeps one cumulative PipelineStats per collection (its
-// collector reports the reduce-side counters straight into it) and
+// collector reports the read-side counters straight into it) and
 // hands each ingest call a private one, whose snapshot becomes the
 // per-request delta that rides in IngestResult and on trace spans — so
 // `jsinfer -stats`, /v1/stats, /metrics and /debug/traces all account
@@ -25,8 +25,9 @@ import (
 // StatsSnapshot is a point-in-time copy of the pipeline counters — a
 // plain value, safe to aggregate, diff and serialise.
 type StatsSnapshot struct {
-	// ChunksSplit counts document-aligned byte chunks the chunking
-	// stage emitted to the map phase.
+	// ChunksSplit counts the runs of bytes the input stage handed to the
+	// map phase: windows cut at raw newlines in the sequential shape,
+	// document-aligned chunks in the parallel one.
 	ChunksSplit int64
 	// BytesLexed counts payload bytes handed to the map phase (the sum
 	// of emitted chunk lengths).
@@ -52,21 +53,23 @@ type StatsSnapshot struct {
 	// the reference scanner (escaped strings, fancy numbers) instead of
 	// resolving positionally.
 	ScanDelegations int64
-	// ChunksDirect counts chunks absorbed in the sequential shape —
+	// ChunksDirect counts windows absorbed in the sequential shape —
 	// straight into the run's accumulator or a collector shard, with no
 	// chunk seal and no reduce. Against ChunksSplit it says which shape
-	// ran: equal on a one-worker or one-chunk run, 0 on a parallel one.
+	// ran: equal on a one-worker run and on every collector feed, 0 on a
+	// parallel one.
 	ChunksDirect int64
 	// RootFuses counts collector snapshots that found a shard changed
 	// and rebuilt the served schema (cache-miss reads). Collector only:
 	// 0 on a one-shot run.
 	RootFuses int64
 	// Seals counts accumulator seals the pipeline performed: one per
-	// chunk in the parallel shape (none in the sequential one), plus the
-	// one-shot run's single final seal or, in a collector, the seals a
-	// cache-miss read did: one per shard that changed since the last
-	// read, plus the fuse's when several shards hold data. A memoised
-	// seal that rebuilt nothing is not counted.
+	// chunk in the parallel shape (none in the sequential one, the only
+	// shape a collector is fed in), plus the one-shot run's single final
+	// seal or, in a collector, the seals a cache-miss read did: one per
+	// shard that changed since the last read, plus the fuse's when
+	// several shards hold data. A memoised seal that rebuilt nothing is
+	// not counted.
 	Seals int64
 	// BytesAliased counts chunk bytes emitted zero-copy — chunks that
 	// alias the caller's buffer (byte-slice engines, mmap'd files)
@@ -97,8 +100,8 @@ type StatsSnapshot struct {
 	// wall". In the sequential shape they are one goroutine's and add up.
 	ReadNanos   int64 // the run's caller blocked in io.Reader.Read
 	SplitNanos  int64 // boundary finding (docSplitter.Splits)
-	MapNanos    int64 // workers indexing, lexing, absorbing and sealing chunks
-	ReduceNanos int64 // parallel shape only: committer absorbing committed chunk types (into the run's accumulator, or a collector shard); plus the one-shot run's final seal in either shape
+	MapNanos    int64 // indexing, lexing and absorbing runs of bytes, plus the parallel shape's per-chunk seals
+	ReduceNanos int64 // one-shot runs only: the parallel shape's committer absorbing chunk types, plus the final seal at every worker count (0 in a collector)
 	FuseNanos   int64 // collector cache-miss reads: sealing the changed shards and fusing the partials (0 on a one-shot run)
 }
 
@@ -126,16 +129,16 @@ func (f StatsField) Clock() bool { return strings.HasSuffix(f.Name, "_nanos") }
 // StatsFields lists every StatsSnapshot field exactly once, in wire
 // order (TestStatsFieldsCoverSnapshot holds it to the struct).
 var StatsFields = []StatsField{
-	{"chunks_split", "read", "Document-aligned byte chunks emitted to ingest worker pools.", func(s *StatsSnapshot) *int64 { return &s.ChunksSplit }},
+	{"chunks_split", "read", "Runs of bytes handed to the map phase: windows, or the parallel shape's document-aligned chunks.", func(s *StatsSnapshot) *int64 { return &s.ChunksSplit }},
 	{"bytes_lexed", "map", "Payload bytes handed to the map phase.", func(s *StatsSnapshot) *int64 { return &s.BytesLexed }},
 	{"docs_absorbed", "map", "Documents absorbed by the map phase (kept prefixes of failed ingests included).", func(s *StatsSnapshot) *int64 { return &s.DocsAbsorbed }},
 	{"index_records", "map", "Records absorbed entirely off the mison structural index.", func(s *StatsSnapshot) *int64 { return &s.IndexRecords }},
 	{"pattern_records", "map", "Objects (at any depth) closed on the index walk's pattern tree of learned record layouts.", func(s *StatsSnapshot) *int64 { return &s.PatternRecords }},
 	{"fallback_records", "map", "Records the index walk delegated to the token walker (0 on well-formed input).", func(s *StatsSnapshot) *int64 { return &s.FallbackRecords }},
 	{"scan_delegations", "map", "Tokens the index and token walks handed to the reference scanner.", func(s *StatsSnapshot) *int64 { return &s.ScanDelegations }},
-	{"chunks_direct", "map", "Chunks absorbed straight into the destination accumulator (sequential shape: no chunk seal, no reduce).", func(s *StatsSnapshot) *int64 { return &s.ChunksDirect }},
+	{"chunks_direct", "map", "Windows absorbed straight into the destination accumulator (sequential shape: no chunk seal, no reduce).", func(s *StatsSnapshot) *int64 { return &s.ChunksDirect }},
 	{"root_fuses", "fuse", "Collector reads that found new documents and rebuilt the served schema.", func(s *StatsSnapshot) *int64 { return &s.RootFuses }},
-	{"seals", "fuse", "Accumulator seals: per chunk in the parallel shape, per changed shard (and fuse) in collector reads.", func(s *StatsSnapshot) *int64 { return &s.Seals }},
+	{"seals", "fuse", "Accumulator seals: per chunk in the parallel shape, once per one-shot run, per changed shard (and fuse) in collector reads.", func(s *StatsSnapshot) *int64 { return &s.Seals }},
 	{"bytes_aliased", "split", "Chunk bytes emitted zero-copy, aliasing the input buffer.", func(s *StatsSnapshot) *int64 { return &s.BytesAliased }},
 	{"bytes_reindexed", "split", "Bytes indexed twice because their record straddled a window end (sequential shape).", func(s *StatsSnapshot) *int64 { return &s.BytesReindexed }},
 	{"bytes_copied", "read", "Bytes moved during reader-path buffer compaction.", func(s *StatsSnapshot) *int64 { return &s.BytesCopied }},
@@ -144,8 +147,8 @@ var StatsFields = []StatsField{
 	{"reader_inputs", "read", "Inputs served through the copying io.Reader path.", func(s *StatsSnapshot) *int64 { return &s.ReaderInputs }},
 	{"read_nanos", "read", "Time blocked reading request bodies.", func(s *StatsSnapshot) *int64 { return &s.ReadNanos }},
 	{"split_nanos", "split", "Time finding chunk boundaries.", func(s *StatsSnapshot) *int64 { return &s.SplitNanos }},
-	{"map_nanos", "map", "Worker time lexing and absorbing chunks.", func(s *StatsSnapshot) *int64 { return &s.MapNanos }},
-	{"reduce_nanos", "reduce", "Committer time absorbing chunk results into the collector (parallel shape only).", func(s *StatsSnapshot) *int64 { return &s.ReduceNanos }},
+	{"map_nanos", "map", "Time indexing, lexing and absorbing runs of bytes, plus the parallel shape's per-chunk seals.", func(s *StatsSnapshot) *int64 { return &s.MapNanos }},
+	{"reduce_nanos", "reduce", "One-shot runs: committer time absorbing chunk types (parallel shape) plus the final seal; always 0 in a collector.", func(s *StatsSnapshot) *int64 { return &s.ReduceNanos }},
 	{"fuse_nanos", "fuse", "Collector read time sealing changed shards and fusing them.", func(s *StatsSnapshot) *int64 { return &s.FuseNanos }},
 }
 

@@ -194,12 +194,12 @@ func TestStatsSequentialEngine(t *testing.T) {
 
 // TestStatsShardedCollector pins the collector's laziness through the
 // counters it reports into the stats it was built with: feeding it
-// seals nothing beyond the workers' chunk seals and fuses nothing, the
-// first read of a lone feeder's collector — every batch found shard 0
-// free — seals that one shard and runs no fuse, and a read of the quiet
-// collector does no work at all — it returns the very same *Type. Only
-// once a feeder has found shard 0 busy and filled the next one does a
-// read fuse.
+// bodies of many windows seals nothing, fuses nothing and runs no
+// reduce clock, the first read of a lone feeder's collector — every
+// window found shard 0 free — seals that one shard and runs no fuse,
+// and a read of the quiet collector does no work at all — it returns
+// the very same *Type. Only once a feeder has found shard 0 busy and
+// filled the next one does a read fuse.
 func TestStatsShardedCollector(t *testing.T) {
 	const shards = 2
 	var st PipelineStats
@@ -208,7 +208,7 @@ func TestStatsShardedCollector(t *testing.T) {
 	data := jsontext.MarshalLines(docs)
 	for i := 0; i < 3; i++ {
 		if _, err := InferStreamInto(bytes.NewReader(data), Options{
-			Equiv: typelang.EquivLabel, Workers: 2, batch: 8, Stats: &st,
+			Equiv: typelang.EquivLabel, Workers: 2, batch: 8, ChunkBytes: 4 << 10, Stats: &st,
 		}, col); err != nil {
 			t.Fatal(err)
 		}
@@ -217,12 +217,12 @@ func TestStatsShardedCollector(t *testing.T) {
 	if fed.RootFuses != 0 || fed.FuseNanos != 0 {
 		t.Errorf("RootFuses=%d FuseNanos=%d before any read, want 0/0", fed.RootFuses, fed.FuseNanos)
 	}
-	if fed.Seals != fed.ChunksSplit || fed.ChunksDirect != 0 {
-		t.Errorf("Seals=%d ChunksDirect=%d before any read, want the %d chunk seals of the parallel shape only",
-			fed.Seals, fed.ChunksDirect, fed.ChunksSplit)
+	if fed.ChunksSplit < 3*2 || fed.ChunksDirect != fed.ChunksSplit || fed.Seals != 0 || fed.SplitNanos != 0 {
+		t.Errorf("chunks_split=%d chunks_direct=%d seals=%d split=%dns before any read, want several windows per body, all direct, no seal, no boundary scan",
+			fed.ChunksSplit, fed.ChunksDirect, fed.Seals, fed.SplitNanos)
 	}
-	if fed.ReduceNanos <= 0 {
-		t.Errorf("ReduceNanos=%d, want the committers' absorb time", fed.ReduceNanos)
+	if fed.ReduceNanos != 0 {
+		t.Errorf("ReduceNanos=%d, want 0: a collector feed has no committer", fed.ReduceNanos)
 	}
 	first, n := col.Snapshot()
 	if n != 3*64 {
@@ -266,7 +266,8 @@ func TestStatsShardedCollector(t *testing.T) {
 // the workers when there are several (one worker absorbs every chunk
 // into the run's accumulator directly). sparse.ndjson has thousands of
 // label sets, so that seal is too long for the clock to miss. The
-// registry's feed over the same input fuses exactly when it is read —
+// registry's feed over the same input, at either worker count, seals
+// nothing and runs no reduce clock: it fuses exactly when it is read —
 // here once, by Close.
 func TestStatsOneShotRunSealsOnce(t *testing.T) {
 	for _, fixture := range []string{"sparse.ndjson", "tweets.ndjson"} {
@@ -310,6 +311,10 @@ func TestStatsOneShotRunSealsOnce(t *testing.T) {
 			if _, err := InferStreamInto(bytes.NewReader(data),
 				Options{Equiv: typelang.EquivLabel, Workers: workers, batch: chunking.batch, ChunkBytes: chunking.ChunkBytes, Stats: &st}, col); err != nil {
 				t.Fatal(err)
+			}
+			if s := st.Snapshot(); s.Seals != 0 || s.ReduceNanos != 0 || s.ChunksDirect != s.ChunksSplit {
+				t.Errorf("%s/w%d: registry feed recorded seals=%d reduce=%dns chunks_direct=%d of %d, want 0, 0 and every window direct",
+					fixture, workers, s.Seals, s.ReduceNanos, s.ChunksDirect, s.ChunksSplit)
 			}
 			col.Close()
 			if s := st.Snapshot(); s.RootFuses != 1 || s.FuseNanos <= 0 {

@@ -15,8 +15,8 @@ import (
 // This file is the streamed engine: the token walker that types a
 // document straight from lexer tokens into an accumulator — the
 // fallback of the index walk (index_absorb.go), which absorbs every
-// record the structural index certifies without a token — and the one
-// engine that drives the two over document-aligned byte chunks. The map
+// record the structural index certifies without a token — and the
+// engine that drives the two over runs of bytes, in either shape. The map
 // phase of the paper's map/reduce needs the *type* of each document,
 // never its value, so no value tree — and not even a canonical
 // per-document type — is ever built: both walkers land each document's
@@ -203,15 +203,13 @@ func absorbObject(tr jsontext.TokenSource, dst typelang.Target, depth int) error
 // chunkBuf and hold a reference on it, released by the consumer once
 // the chunk's documents are absorbed; byte-mode chunks alias the
 // caller's buffer and carry no reference (buf is nil, release a no-op).
-// last marks the chunk the input ends with — what lets the engine see,
-// on the first chunk, a run that has no second one. open marks a window
-// more input follows: it may end inside a document (chunkMapper.absorb).
+// open marks a window more input follows: it may end inside a document
+// (chunkMapper.absorb).
 type byteChunk struct {
 	index int
 	base  int
 	data  []byte
 	buf   *chunkBuf
-	last  bool
 	open  bool
 }
 
@@ -309,13 +307,13 @@ func (f *statsFrame) seal(acc *typelang.Accum, st *PipelineStats, clock *int64) 
 // InferStream infers the type of every document on r (NDJSON,
 // concatenated or pretty-printed JSON) without materialising values or
 // the collection, returning it with the number of documents typed. The
-// input is split into runs of whole documents and each run is lexed and
-// absorbed straight into a typelang.Accum (chunkMapper.absorb).
+// input is cut into runs of bytes and each run is lexed and absorbed
+// straight into a typelang.Accum (chunkMapper.absorb).
 //
-// The shape of the run is stream's to decide, from Options.Workers and
-// from whether the input has a second chunk at all, and nothing else
-// depends on it: schema, count and errors are identical in both shapes.
-// Either way the run's accumulator is sealed once, at the end.
+// Options.Workers alone picks the shape of the run (see run), and
+// nothing else depends on it: schema, count and errors are identical in
+// both shapes. Either way the run's accumulator is sealed once, at the
+// end.
 //
 // On a malformed document the error carries its absolute stream offset,
 // and the returned type and count cover exactly the documents before it
@@ -336,29 +334,46 @@ func InferStreamBytes(data []byte, opts Options) (*typelang.Type, int, error) {
 	return run(source{data: data}, opts)
 }
 
-// run is the one-shot engine behind both entry points. A one-shot run
-// has no reader before its end, so its reduce is one accumulator sealed
-// once, whichever shape fills it (the snapshot-serving, lockable
-// collector is InferStreamInto's, for the registry). With one worker
-// the windows only bound the index, so they are cut large.
+// run is the one-shot engine behind both entry points, and where its
+// shape is decided. One worker is the sequential shape: windows
+// (chunking.go) of ChunkBytes, else sequentialChunkBytes — no boundary
+// is looked for, and with one worker the windows only bound the index,
+// so they are cut large — each absorbed on the caller's goroutine
+// straight into the run's accumulator: no goroutine, no per-chunk
+// seal, no reduce of chunk types. Several workers are the
+// parallel shape: readChunks cuts document-aligned chunks for
+// pipeChunks, whose committer absorbs the sealed chunk types into that
+// accumulator in stream order. A one-shot run has no reader before its
+// end, so either way its accumulator is sealed once, at the end (the
+// snapshot-serving, lockable collector is InferStreamInto's, for the
+// registry).
 func run(src source, opts Options) (*typelang.Type, int, error) {
 	st := opts.Stats
 	var frame statsFrame
 	acc := typelang.NewAccum(opts.Equiv)
-	var m *chunkMapper // the sequential shape's; the parallel shape's workers bring their own
-	n, err := stream(src, sequentialChunkBytes, opts, func(ch byteChunk) (int, int, error) {
-		if m == nil {
-			m = newChunkMapper(opts)
+	var n int
+	var err error
+	if opts.workers() <= 1 {
+		m := newChunkMapper(opts)
+		window := opts.window(sequentialChunkBytes)
+		n, err = windows(newChunkReader(src, window, st), window, func(ch byteChunk) (int, int, error) {
+			defer m.frame.flush(st)
+			return m.absorb(ch, acc)
+		})
+	} else {
+		if src.sp == nil {
+			src.sp = mison.NewChunker()
 		}
-		defer m.frame.flush(st)
-		return m.absorb(ch, acc)
-	}, func(ts []*typelang.Type, _ int) {
-		start := statsClock(st)
-		for _, t := range ts {
-			acc.Absorb(t)
-		}
-		statsSince(st, &frame.ReduceNanos, start)
-	})
+		send, finish := pipeChunks(opts, func(ts []*typelang.Type) {
+			start := statsClock(st)
+			for _, t := range ts {
+				acc.Absorb(t)
+			}
+			statsSince(st, &frame.ReduceNanos, start)
+		})
+		targets := opts.chunkTargets()
+		n, err = finish(readChunks(newChunkReader(src, targets.bytes, st), targets, src.sp, send))
+	}
 	t := frame.seal(acc, st, &frame.ReduceNanos)
 	frame.flush(st)
 	return t, n, err
@@ -367,76 +382,25 @@ func run(src source, opts Options) (*typelang.Type, int, error) {
 // InferStreamInto is InferStream folding into a caller-owned collector
 // instead of a fresh accumulator, which is left open: that is what lets
 // a long-lived accumulator (a registry collection) absorb many streams
-// — concurrently, even — into one monotonically-growing schema. In the
-// sequential shape each window is absorbed on the caller's goroutine
-// straight into a shard col lends for that window, through lexers and a
-// chunk array col keeps warm between calls; in the parallel shape
-// committed chunk types are absorbed into col in stream order (batched
-// — one shard lock per commit batch). The sequential shape's windows
-// are one read block long, so no shard is held for longer than that
-// takes to absorb. It returns the number of documents committed and the
-// first error, with exactly InferStream's error semantics: on a
-// malformed document the committed documents are precisely those before
-// it. Everything committed is in col's next Snapshot.
+// — concurrently, even — into one monotonically-growing schema. It
+// always runs the sequential shape, whatever opts.Workers says: windows
+// of one read block (ChunkBytes overrides), each absorbed on the
+// caller's goroutine straight into a shard col lends for that window,
+// through a mapper and chunk arrays col keeps warm between calls — so
+// it starts no goroutine, seals nothing, and holds no shard for longer
+// than one window's absorb, never across a read. It returns the number
+// of documents committed and the first error, with exactly
+// InferStream's error semantics: on a malformed document the committed
+// documents are precisely those before it. Everything committed is in
+// col's next Snapshot.
 func InferStreamInto(r io.Reader, opts Options, col *ShardedCollector) (int, error) {
 	m := col.mapper(opts)
 	defer col.release(m)
-	return stream(source{r: r, pool: &col.chunks}, chunkReadSize, opts, func(ch byteChunk) (int, int, error) {
+	window := opts.window(chunkReadSize)
+	return windows(newChunkReader(source{r: r, pool: &col.chunks}, window, opts.Stats), window, func(ch byteChunk) (int, int, error) {
 		defer m.frame.flush(opts.Stats)
 		return col.absorbChunk(m, ch)
-	}, func(ts []*typelang.Type, docs int) {
-		col.AddBatch(ts, int64(docs))
 	})
-}
-
-// stream is the streamed engine: it runs src on the caller's goroutine
-// and gives the run one of two shapes. The sequential shape hands
-// direct one run of bytes after another, which absorbs it into the
-// run's destination accumulator then and there: no goroutine, no
-// per-chunk seal, no reduce of chunk types. It is taken when there is
-// no parallelism to buy: one worker — the runs are then windows
-// (chunking.go) of ChunkBytes, else window, bytes, and no boundary is
-// looked for — or an input that ends inside its first chunk. The
-// parallel shape (pipeChunks) starts on the first chunk that is not the
-// input's last. Processing stops at the first error; a read failure
-// wins over an error in the run of bytes it truncated, and no other.
-func stream(src source, window int, opts Options, direct func(byteChunk) (int, int, error), commit func([]*typelang.Type, int)) (int, error) {
-	st := opts.Stats
-	if opts.workers() <= 1 {
-		if opts.ChunkBytes > 0 {
-			window = opts.ChunkBytes
-		}
-		return windows(newChunkReader(src, window, st), window, direct)
-	}
-	var (
-		send   func(byteChunk) bool
-		finish func(error) (int, error)
-		total  int
-		docErr error
-	)
-	emit := func(ch byteChunk) bool {
-		if send == nil && ch.last {
-			total, _, docErr = direct(ch)
-			st.AddSnapshot(StatsSnapshot{ChunksDirect: 1})
-			return docErr == nil
-		}
-		if send == nil {
-			send, finish = pipeChunks(opts, commit)
-		}
-		return send(ch)
-	}
-	if src.sp == nil {
-		src.sp = mison.NewChunker()
-	}
-	targets := opts.chunkTargets()
-	rerr := readChunks(newChunkReader(src, targets.bytes, st), targets, src.sp, emit)
-	if finish != nil {
-		return finish(rerr)
-	}
-	if rerr != nil {
-		docErr = rerr
-	}
-	return total, docErr
 }
 
 // chunkResult is what a worker makes of one chunk: the merged type of
@@ -450,25 +414,26 @@ type chunkResult struct {
 }
 
 // commitBatch is how many in-order chunk results the committer buffers
-// per commit call: one collector hand-off (one shard lock) then carries
-// a batch of sealed partials instead of one. Error semantics are
-// unaffected — the buffer holds only already-committed (in-order,
-// pre-error) results and is flushed before the error is recorded.
+// per commit call: one hand-off to the run's accumulator (one reduce
+// clock reading) then carries a batch of sealed partials instead of
+// one. Error semantics are unaffected — the buffer holds only
+// already-committed (in-order, pre-error) results and is flushed before
+// the error is recorded.
 const commitBatch = 8
 
-// pipeChunks starts the multi-worker shape of the engine: workers
-// lexing and absorbing the chunks given to send in parallel, each into
-// its own accumulator (storage-retaining Reset between chunks, so the
-// steady state types documents of seen shapes without allocating)
-// sealed per chunk, and a committer that calls commit with batches of
-// chunk types (in stream order; ownership of the slice passes to
-// commit). Commits stop at the first error — the committed chunks are
-// exactly those before it — and send reports false from then on.
-// finish, called with the source's read error once it has returned,
-// waits for the committer and returns the number of documents committed
-// and that first error. Because the workers drain the work channel even
-// after an early stop, every emitted chunk is released on every path.
-func pipeChunks(opts Options, commit func([]*typelang.Type, int)) (send func(byteChunk) bool, finish func(error) (int, error)) {
+// pipeChunks starts the parallel shape of the engine: workers lexing
+// and absorbing the chunks given to send in parallel, each into its own
+// accumulator (storage-retaining Reset between chunks, so the steady
+// state types documents of seen shapes without allocating) sealed per
+// chunk, and a committer that calls commit with batches of chunk types
+// (in stream order; ownership of the slice passes to commit). Commits
+// stop at the first error — the committed chunks are exactly those
+// before it — and send reports false from then on. finish, called with
+// the source's read error once it has returned, waits for the committer
+// and returns the number of documents committed and that first error.
+// Because the workers drain the work channel even after an early stop,
+// every emitted chunk is released on every path.
+func pipeChunks(opts Options, commit func([]*typelang.Type)) (send func(byteChunk) bool, finish func(error) (int, error)) {
 	workers := opts.workers()
 	work := make(chan byteChunk, 2*workers)
 	results := make(chan chunkResult, workers)
@@ -498,8 +463,7 @@ func pipeChunks(opts Options, commit func([]*typelang.Type, int)) (send func(byt
 	// Committer: release chunk results in stream order for exact error
 	// and count semantics, buffering up to commitBatch in-order results
 	// per commit call. The bookkeeping here is cheap — the merge work
-	// happens in commit (the one-shot run's accumulator, or the
-	// registry's collector).
+	// happens in commit, into the one-shot run's accumulator.
 	var (
 		pending     = make(map[int]chunkResult)
 		next        int
@@ -508,14 +472,13 @@ func pipeChunks(opts Options, commit func([]*typelang.Type, int)) (send func(byt
 		firstErrIdx = -1
 		stopped     bool
 		batch       []*typelang.Type
-		batchDocs   int
 	)
 	flush := func() {
 		if len(batch) == 0 {
 			return
 		}
-		commit(batch, batchDocs)
-		batch, batchDocs = nil, 0
+		commit(batch)
+		batch = nil
 	}
 	done := make(chan struct{})
 	go func() {
@@ -536,7 +499,6 @@ func pipeChunks(opts Options, commit func([]*typelang.Type, int)) (send func(byt
 					batch = make([]*typelang.Type, 0, commitBatch)
 				}
 				batch = append(batch, cr.t)
-				batchDocs += cr.n
 				total += cr.n
 				if len(batch) == commitBatch {
 					flush()

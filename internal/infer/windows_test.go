@@ -212,31 +212,39 @@ func (c *countingSplitter) Splits(block []byte, dst []int) []int {
 }
 
 // TestSequentialShapeNeverSplits pins where the Chunker is off the
-// path: a one-worker run of many windows, from either source, and a
-// several-worker run over an input that ends inside its first read
-// block with fewer lines than DefaultBatch — a 100-line ingest body. The
-// control is the same body at batch 64: the splitter runs from the
-// first byte, and the run takes the parallel shape.
+// path: a one-worker run of many windows, from either source, and
+// InferStreamInto at Workers: 4 never asks the splitter — a collector
+// feed reads neither Workers nor batch and is absorbed in windows. The
+// control is the same body at four workers and batch 64 through the
+// one-shot engine: the splitter runs from the first byte, and the run
+// takes the parallel shape.
 func TestSequentialShapeNeverSplits(t *testing.T) {
 	body := jsontext.MarshalLines(genjson.Collection(genjson.Twitter{Seed: 22}, 100))
 	want, wantN, _ := oracle(body, typelang.EquivKind)
 	for _, c := range []struct {
 		name        string
 		opts        Options
+		into        bool
 		wantWindows bool
 		wantSplit   bool
 	}{
-		{"w1-windows", Options{Workers: 1, ChunkBytes: 2 << 10}, true, false},
-		{"w4-one-chunk", Options{Workers: 4}, false, false},
-		{"w4-byte-target", Options{Workers: 4, ChunkBytes: len(body)}, false, false},
-		{"w4-control", Options{Workers: 4, batch: 64}, false, true},
+		{"w1-windows", Options{Workers: 1, ChunkBytes: 2 << 10}, false, true, false},
+		{"into-w4", Options{Workers: 4, batch: 64, ChunkBytes: 2 << 10}, true, true, false},
+		{"w4-control", Options{Workers: 4, batch: 64}, false, false, true},
 	} {
 		for _, src := range []source{{data: body}, readerSource(body)} {
+			if c.into && src.r == nil {
+				continue // a collector is fed through a reader only
+			}
 			sp := &countingSplitter{}
 			src.sp = sp
 			var st PipelineStats
 			c.opts.Stats = &st
-			got, n, err := run(src, c.opts)
+			engine := run
+			if c.into {
+				engine = func(_ source, opts Options) (*typelang.Type, int, error) { return inferStreamOver("into", body, opts) }
+			}
+			got, n, err := engine(src, c.opts)
 			if err != nil || n != wantN || got.StringCounted() != want.StringCounted() {
 				t.Fatalf("%s: %d documents, err %v, schema %s; want %d of %s", c.name, n, err, got.StringCounted(), wantN, want.StringCounted())
 			}

@@ -6,25 +6,24 @@
 // behind the jsinferd daemon.
 //
 // Each collection owns a sharded collector (infer.ShardedCollector)
-// of N mutex-guarded typelang.Accums, and ingest requests run
-// infer.InferStreamInto over their body on their own goroutine. A body
-// that ends inside its first chunk (up to 256 documents — what a
-// shipper's batch is) starts nothing: it is read into a chunk array and
-// typed off a structural index the collection keeps warm, straight into
-// the first shard that is free, so a lone shipper keeps filling one
+// of N = min(GOMAXPROCS, 8) mutex-guarded typelang.Accums, and ingest
+// requests run infer.InferStreamInto over their body on their own
+// goroutine. However long the body, no goroutine starts: it is read a
+// 256 KiB block at a time into a chunk array, and each window is typed
+// off a structural index the collection keeps warm, straight into the
+// first shard that is free, so a lone shipper keeps filling one
 // accumulator and concurrent shippers spread over the shards — at most
 // N bodies absorb into one collection at a time, and nobody waits
-// behind a busy shard while another is idle. A longer body is lexed by
-// parallel workers whose sealed chunk types its committer absorbs into
-// a shard the same way. A shard is locked per chunk, never across a
-// read of the body, so a stalled client holds nothing. Nothing is
-// sealed until somebody reads: a snapshot read (Get, List, Stats) seals
-// the shards that changed since the last read — each under its own
-// lock, so only adds to that shard wait, and for no longer than one
-// chunk's absorb — and fuses the sealed partials when several shards
-// hold data; Get/List on a quiet collection reuse the previous sealed
-// snapshot. Delete removes a collection, waiting out in-flight ingests,
-// and drops its collector unread; the name is immediately reusable.
+// behind a busy shard while another is idle. A shard is locked per
+// window, never across a read of the body, so a stalled client holds
+// nothing. Nothing is sealed until somebody reads: a snapshot read
+// (Get, List, Stats) seals the shards that changed since the last read
+// — each under its own lock, so only adds to that shard wait, and for
+// no longer than one window's absorb — and fuses the sealed partials
+// when several shards hold data; Get/List on a quiet collection reuse
+// the previous sealed snapshot. Delete removes a collection, waiting
+// out in-flight ingests, and drops its collector unread; the name is
+// immediately reusable.
 //
 // Consistency model: within one collection the schema only ever grows
 // (every snapshot subsumes every earlier one — reads are serialised,
@@ -32,12 +31,12 @@
 // it commits by the time it returns (a client that completes a POST
 // sees its documents in the next read — read-your-writes), and a snapshot
 // taken while an ingest is in flight reflects some prefix of that
-// ingest's chunks. After all ingests complete, the snapshot is exactly
+// ingest's documents. After all ingests complete, the snapshot is exactly
 // the schema batch inference (infer.InferStream) computes over the
 // concatenated inputs — byte-identical rendering and counts — which the
 // registry tests pin on the checked-in fixtures.
 //
 // All collections in one Registry share a jsontext.SymbolTable, so a
 // field name is materialised once per process no matter how many
-// workers, requests or collections decode it.
+// requests or collections decode it.
 package registry

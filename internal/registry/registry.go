@@ -18,19 +18,11 @@ import (
 )
 
 // Options configure a Registry; the zero value is usable (kind
-// equivalence, auto-sized workers and collectors).
+// equivalence, no quota).
 type Options struct {
 	// Equiv is the merge equivalence every collection folds under:
 	// typelang.EquivKind (K) or typelang.EquivLabel (L).
 	Equiv typelang.Equiv
-	// Workers bounds the parallel chunk workers of an ingest call whose
-	// body spans several chunks (a one-chunk body starts none); 0 means
-	// GOMAXPROCS.
-	Workers int
-	// Shards is the number of accumulators each collection's collector
-	// stripes ingested chunks over — how many bodies can absorb into one
-	// collection at the same time; 0 sizes it automatically.
-	Shards int
 	// Quota is the default ingest rate limit for new collections (the
 	// daemon's -rate-docs/-rate-bytes flags); the zero value is
 	// unlimited. Collections can pin their own via
@@ -83,7 +75,7 @@ type Registry struct {
 }
 
 // collection is one named schema accumulator: a live collector (ingests
-// absorb into its typelang.Accums — on their own goroutine, one chunk
+// absorb into its typelang.Accums — on their own goroutine, one window
 // per shard lock — reads seal what changed and fuse when several shards
 // hold data, so Get/List on a quiet collection reuse the previous
 // sealed snapshot) plus counters.
@@ -100,10 +92,9 @@ type collection struct {
 	limited atomic.Int64  // ingest requests rejected by the quota
 
 	// stats is the collection's cumulative pipeline flight recorder:
-	// the collector reports its reduce-side counters (a multi-chunk
-	// body's committer clock, the reads' seals and fuses) straight into
-	// it, and each ingest call's map-side delta is folded in on
-	// completion (IngestWith).
+	// the collector reports its read-side counters (the reads' seals,
+	// fuses and fuse clock) straight into it, and each ingest call's
+	// delta is folded in on completion (IngestWith).
 	stats infer.PipelineStats
 
 	// life guards the collector against Delete: ingests hold the read
@@ -150,7 +141,7 @@ func (r *Registry) resolve(name string, co CollectionOptions) (c *collection, cr
 				equiv: want,
 				lim:   newLimiter(quota, r.now()),
 			}
-			c.col = infer.NewShardedCollectorStats(r.opts.Shards, want, &c.stats)
+			c.col = infer.NewShardedCollectorStats(0, want, &c.stats)
 			r.cols[name] = c
 			created = true
 		}
@@ -195,23 +186,25 @@ type IngestResult struct {
 	Bytes int64
 	// Version is the collection version after this call.
 	Version uint64
-	// Stats is this call's pipeline delta — the map-side counters and
-	// clocks of exactly this ingest (reduce-side counters accrue on the
-	// collection's shared collector and appear in Snapshot.Pipeline);
-	// ChunksDirect == ChunksSplit says the body was absorbed in line.
-	// The daemon's tracer and slow-request log read the shape and
-	// fallback figures from here.
+	// Stats is this call's pipeline delta — the counters and clocks of
+	// exactly this ingest (the read-side ones, seals, fuses and the fuse
+	// clock, accrue on the collection's shared collector and appear in
+	// Snapshot.Pipeline). Every body is absorbed in line, window by
+	// window, so ChunksDirect == ChunksSplit and Seals, SplitNanos and
+	// ReduceNanos are 0. The daemon's tracer and slow-request log read
+	// the window and fallback figures from here.
 	Stats infer.StatsSnapshot
 }
 
-// Ingest streams the documents on rd (NDJSON or concatenated JSON) into
-// the named collection, creating it if needed. A body of one chunk (up
-// to 256 documents) is lexed and typed on the caller's goroutine
-// straight into one of the collection's accumulators; a longer one is
-// lexed and typed in parallel, its chunk results committed into the
-// collector in stream order. Any number of Ingest calls may run
-// concurrently, on the same or different collections (up to Shards of
-// them absorb into one collection at the same time).
+// Ingest streams the documents on rd (NDJSON, concatenated or
+// pretty-printed JSON) into the named collection, creating it if
+// needed. However long the body, it is read a 256 KiB block at a time
+// and each window is lexed and typed on the caller's goroutine straight
+// into one of the collection's accumulators: an ingest starts no
+// goroutine and seals nothing. Any number of Ingest calls may run
+// concurrently, on the same or different collections (as many of them
+// as a collection has shards — min(GOMAXPROCS, 8) — absorb into it at
+// the same time).
 //
 // On a malformed document the merged documents are exactly those before
 // it (the error carries an absolute body offset) and the error is both
@@ -263,13 +256,12 @@ func (r *Registry) IngestWith(name string, rd io.Reader, co CollectionOptions) (
 	// Each call records into a private flight recorder so its snapshot
 	// is an exact per-request delta; the delta then folds into the
 	// collection's cumulative stats (the collector reports its
-	// reduce-side counters there directly).
+	// read-side counters there directly).
 	var st infer.PipelineStats
 	cr := &countReader{r: rd}
 	endPipeline := stage("pipeline")
 	n, err := infer.InferStreamInto(cr, infer.Options{
 		Equiv:   c.equiv,
-		Workers: r.opts.Workers,
 		Symbols: r.symbols,
 		Stats:   &st,
 	}, c.col)
@@ -291,7 +283,7 @@ func (r *Registry) IngestWith(name string, rd io.Reader, co CollectionOptions) (
 
 // countReader counts payload bytes for the quota charge and the ingest
 // byte counters. The pipeline reads the body on the ingest call's own
-// goroutine, in either shape, so the count is a plain one.
+// goroutine, so the count is a plain one.
 type countReader struct {
 	r io.Reader
 	n int64
@@ -331,10 +323,10 @@ type Snapshot struct {
 	// unlimited).
 	Quota Quota
 	// Pipeline is the collection's cumulative pipeline flight recorder:
-	// map-side deltas of every finished ingest plus the collector's
-	// reduce-side counters. Once ingest quiesces it reconciles exactly
-	// with the sum of the per-call IngestResult.Stats deltas (plus the
-	// collector's own absorb clock, seals and fuses).
+	// the deltas of every finished ingest plus the collector's read-side
+	// counters. Once ingest quiesces it reconciles exactly with the sum
+	// of the per-call IngestResult.Stats deltas (plus the reads' seals,
+	// fuses and fuse clock).
 	Pipeline infer.StatsSnapshot
 }
 
@@ -434,7 +426,7 @@ type Stats struct {
 	// RateLimited counts ingest calls rejected by collection quotas.
 	RateLimited int64
 	// Symbols is the number of distinct field names interned across all
-	// workers, requests and collections.
+	// requests and collections.
 	Symbols int
 	// SchemaNodes is the total node count of the sealed snapshot
 	// schemas across all collections — the aggregate schema size the

@@ -30,23 +30,33 @@ func batchType(t *testing.T, data []byte, e typelang.Equiv) (*typelang.Type, int
 	return ty, n
 }
 
-// oracleType is the independent reference — the paper's definition,
+// oracle is the independent reference — the paper's definition,
 // sharing no code with the streamed engine: decode each document, type
-// it, fold once.
-func oracleType(t *testing.T, data []byte, e typelang.Equiv) (*typelang.Type, int) {
-	t.Helper()
+// it, fold once. It returns the type and count of the documents before
+// the decoder's first error, and that error.
+func oracle(data []byte, e typelang.Equiv) (*typelang.Type, int, error) {
 	dec := jsontext.NewDecoder(bytes.NewReader(data))
 	var ts []*typelang.Type
 	for {
 		v, err := dec.Decode()
-		if errors.Is(err, io.EOF) {
-			return typelang.MergeAll(ts, e), len(ts)
-		}
 		if err != nil {
-			t.Fatalf("oracle: %v", err)
+			if errors.Is(err, io.EOF) {
+				err = nil
+			}
+			return typelang.MergeAll(ts, e), len(ts), err
 		}
 		ts = append(ts, infer.TypeOf(v, e))
 	}
+}
+
+// oracleType is oracle over well-formed data.
+func oracleType(t *testing.T, data []byte, e typelang.Equiv) (*typelang.Type, int) {
+	t.Helper()
+	ty, n, err := oracle(data, e)
+	if err != nil {
+		t.Fatalf("oracle: %v", err)
+	}
+	return ty, n
 }
 
 // TestIngestMatchesBatchInferStream pins the acceptance criterion on
@@ -68,37 +78,35 @@ func TestIngestMatchesBatchInferStream(t *testing.T) {
 		}
 		for _, e := range []typelang.Equiv{typelang.EquivKind, typelang.EquivLabel} {
 			want, wantN := batchType(t, data, e)
-			for _, shards := range []int{0, 1, 3} {
-				reg := New(Options{Equiv: e, Shards: shards})
-				res, err := reg.Ingest("c", bytes.NewReader(data))
-				if err != nil {
-					t.Fatalf("%s/%v: ingest: %v", name, e, err)
-				}
-				if res.Docs != wantN || res.TotalDocs != int64(wantN) {
-					t.Errorf("%s/%v: ingested %d docs (total %d), want %d", name, e, res.Docs, res.TotalDocs, wantN)
-				}
-				snap, ok := reg.Get("c")
-				if !ok {
-					t.Fatalf("%s/%v: collection missing after ingest", name, e)
-				}
-				if got := snap.Type.StringCounted(); got != want.StringCounted() {
-					t.Errorf("%s/%v/shards=%d: live schema diverges from batch\n batch: %s\n live:  %s",
-						name, e, shards, want.StringCounted(), got)
-				}
-				if snap.Docs != int64(wantN) || snap.Version != 1 {
-					t.Errorf("%s/%v: snapshot docs=%d version=%d, want docs=%d version=1",
-						name, e, snap.Docs, snap.Version, wantN)
-				}
-				reg.Close()
+			reg := New(Options{Equiv: e})
+			res, err := reg.Ingest("c", bytes.NewReader(data))
+			if err != nil {
+				t.Fatalf("%s/%v: ingest: %v", name, e, err)
 			}
+			if res.Docs != wantN || res.TotalDocs != int64(wantN) {
+				t.Errorf("%s/%v: ingested %d docs (total %d), want %d", name, e, res.Docs, res.TotalDocs, wantN)
+			}
+			snap, ok := reg.Get("c")
+			if !ok {
+				t.Fatalf("%s/%v: collection missing after ingest", name, e)
+			}
+			if got := snap.Type.StringCounted(); got != want.StringCounted() {
+				t.Errorf("%s/%v: live schema diverges from batch\n batch: %s\n live:  %s",
+					name, e, want.StringCounted(), got)
+			}
+			if snap.Docs != int64(wantN) || snap.Version != 1 {
+				t.Errorf("%s/%v: snapshot docs=%d version=%d, want docs=%d version=1",
+					name, e, snap.Docs, snap.Version, wantN)
+			}
+			reg.Close()
 		}
 	}
 }
 
 // TestConcurrentIngestStorm is the race-detector workout: many
-// goroutines — more per collection than it has shards — ingesting
-// one-chunk slices into several collections while readers snapshot
-// continuously, one of them holding every view of col-0 to the
+// goroutines — more per collection than it has shards, at most 8 —
+// ingesting one-window slices into several collections while readers
+// snapshot continuously, one of them holding every view of col-0 to the
 // consistency model (documents and schema only grow). Afterwards every
 // collection's schema must be byte-identical to the oracle's fold over
 // everything it received — regardless of arrival order and of which
@@ -107,11 +115,11 @@ func TestIngestMatchesBatchInferStream(t *testing.T) {
 func TestConcurrentIngestStorm(t *testing.T) {
 	const (
 		collections = 3
-		writers     = 4
+		writers     = 9
 		slices      = 5
 		docsPer     = 40
 	)
-	reg := New(Options{Equiv: typelang.EquivLabel, Workers: 2, Shards: 2})
+	reg := New(Options{Equiv: typelang.EquivLabel})
 	defer reg.Close()
 
 	// Pre-build each collection's slices so the expected result is a
@@ -161,7 +169,7 @@ func TestConcurrentIngestStorm(t *testing.T) {
 					}
 					lastDocs, lastType = snap.Docs, snap.Type
 					// The flight recorder is monotone under load too:
-					// per-call deltas and direct reduce-side adds only
+					// per-call deltas and direct read-side adds only
 					// ever increase the cumulative counters.
 					p := snap.Pipeline
 					if p.DocsAbsorbed < lastPipe.DocsAbsorbed || p.BytesLexed < lastPipe.BytesLexed ||
@@ -329,27 +337,23 @@ func TestIngestErrorKeepsPrefix(t *testing.T) {
 		t.Errorf("docs=%d version=%d after recovery, want 2/2", snap.Docs, snap.Version)
 	}
 
-	// The same contract in every shape an ingest takes — in line at one
-	// worker or in a body of one chunk, workers and a committer in a body
-	// of three — with document k malformed: exactly k documents kept, and
-	// the one-shot engine's error, absolute offset included.
-	for _, workers := range []int{1, 2, 4} {
-		for _, docs := range []int{100, 3 * infer.DefaultBatch} {
-			for _, k := range []int{0, docs / 2, docs - 1} {
-				body := numbered(docs, k, `{"a": ]}`+"\n")
-				_, wantN, wantErr := infer.InferStream(bytes.NewReader(body), infer.Options{Workers: 1})
-				reg := New(Options{Workers: workers})
-				res, err := reg.Ingest("c", bytes.NewReader(body))
-				var got, want *jsontext.SyntaxError
-				if !errors.As(err, &got) || !errors.As(wantErr, &want) || *got != *want {
-					t.Errorf("workers=%d docs=%d k=%d: err = %v, one-shot engine: %v", workers, docs, k, err, wantErr)
-				}
-				if snap, _ := reg.Get("c"); res.Docs != k || wantN != k || snap.Docs != int64(k) {
-					t.Errorf("workers=%d docs=%d k=%d: kept %d docs (snapshot %d, one-shot engine %d)",
-						workers, docs, k, res.Docs, snap.Docs, wantN)
-				}
-				reg.Close()
+	// The same contract in bodies of 100 and 3×256 documents — and of
+	// 40 000, three read blocks — with document k malformed: exactly k
+	// documents kept, and the oracle's error, absolute offset included.
+	for _, docs := range []int{100, 3 * infer.DefaultBatch, 40000} {
+		for _, k := range []int{0, docs / 2, docs - 1} {
+			body := numbered(docs, k, `{"a": ]}`+"\n")
+			_, wantN, wantErr := oracle(body, typelang.EquivKind)
+			reg := New(Options{})
+			res, err := reg.Ingest("c", bytes.NewReader(body))
+			var got, want *jsontext.SyntaxError
+			if !errors.As(err, &got) || !errors.As(wantErr, &want) || *got != *want {
+				t.Errorf("docs=%d k=%d: err = %v, oracle: %v", docs, k, err, wantErr)
 			}
+			if snap, _ := reg.Get("c"); res.Docs != k || wantN != k || snap.Docs != int64(k) {
+				t.Errorf("docs=%d k=%d: kept %d docs (snapshot %d, oracle %d)", docs, k, res.Docs, snap.Docs, wantN)
+			}
+			reg.Close()
 		}
 	}
 }
@@ -458,22 +462,21 @@ func TestIngestReaderErrorMidBody(t *testing.T) {
 		t.Errorf("docs after recovery = %d, want 3", snap.Docs)
 	}
 
-	// A failure that cuts a document in two: in every shape the ingest
-	// reports the transport error — not the syntax error the truncation
-	// would read as — and keeps the complete documents before the cut.
-	for _, workers := range []int{1, 2, 4} {
-		for _, docs := range []int{100, 3 * infer.DefaultBatch} {
-			reg := New(Options{Workers: workers})
-			res, err := reg.Ingest("c", &stutterReader{data: numbered(docs, docs-1, `{"a": [1, `)})
-			var se *jsontext.SyntaxError
-			if err == nil || !strings.Contains(err.Error(), "connection reset") || errors.As(err, &se) {
-				t.Errorf("workers=%d docs=%d: err = %v, want the transport error, not a syntax error", workers, docs, err)
-			}
-			if res.Docs != docs-1 {
-				t.Errorf("workers=%d docs=%d: kept %d docs, want the %d complete ones", workers, docs, res.Docs, docs-1)
-			}
-			reg.Close()
+	// A failure that cuts a document in two: whatever the body's length
+	// the ingest reports the transport error — not the syntax error the
+	// truncation would read as — and keeps the complete documents before
+	// the cut.
+	for _, docs := range []int{100, 3 * infer.DefaultBatch, 40000} {
+		reg := New(Options{})
+		res, err := reg.Ingest("c", &stutterReader{data: numbered(docs, docs-1, `{"a": [1, `)})
+		var se *jsontext.SyntaxError
+		if err == nil || !strings.Contains(err.Error(), "connection reset") || errors.As(err, &se) {
+			t.Errorf("docs=%d: err = %v, want the transport error, not a syntax error", docs, err)
 		}
+		if res.Docs != docs-1 {
+			t.Errorf("docs=%d: kept %d docs, want the %d complete ones", docs, res.Docs, docs-1)
+		}
+		reg.Close()
 	}
 }
 
@@ -585,7 +588,7 @@ func TestDeleteCollection(t *testing.T) {
 // same name: every ingest must either land in the pre-delete collection
 // (and die with it) or a fresh one — never panic, never corrupt.
 func TestDeleteUnderConcurrentIngest(t *testing.T) {
-	reg := New(Options{Equiv: typelang.EquivLabel, Workers: 2, Shards: 2})
+	reg := New(Options{Equiv: typelang.EquivLabel})
 	defer reg.Close()
 	docs := genjson.Collection(genjson.Twitter{Seed: 91}, 40)
 	data := jsontext.MarshalLines(docs)
@@ -723,16 +726,14 @@ func TestCreateCollection(t *testing.T) {
 // TestPipelineStatsReconcile pins the flight recorder's accounting
 // identity: once ingest quiesces, a collection's cumulative
 // Snapshot.Pipeline equals the sum of the per-call IngestResult.Stats
-// deltas on every map-side counter (the reduce-side counters — the
-// committers' absorb clock of multi-chunk bodies, and the fuses, seals
-// and clock of reads that found something new — accrue on the shared
-// collector directly, so the cumulative figures can only exceed the
-// deltas there), and the
-// registry-wide Stats().Pipeline is the sum over
-// live collections. The same identity is what makes /metrics reconcile
-// with /v1/stats on the daemon.
+// deltas on every map-side counter (the read-side counters — the
+// fuses, seals and clock of reads that found something new — accrue on
+// the shared collector directly, so the cumulative figures can only
+// exceed the deltas there), and the registry-wide Stats().Pipeline is
+// the sum over live collections. The same identity is what makes
+// /metrics reconcile with /v1/stats on the daemon.
 func TestPipelineStatsReconcile(t *testing.T) {
-	reg := New(Options{Equiv: typelang.EquivLabel, Workers: 2, Shards: 2})
+	reg := New(Options{Equiv: typelang.EquivLabel})
 
 	var sum infer.StatsSnapshot
 	var wantDocs, wantBytes int64
@@ -786,8 +787,8 @@ func TestPipelineStatsReconcile(t *testing.T) {
 		t.Errorf("IndexRecords=%d fallbacks=%d on clean input, want %d/0",
 			p.IndexRecords, p.FallbackRecords, wantDocs)
 	}
-	// Every body was one chunk, absorbed in line: no chunk seal, no
-	// committer and so no reduce clock. Reduce-side, the collector saw
+	// Every body was one window, absorbed in line: no chunk seal, no
+	// committer and so no reduce clock. Read-side, the collector saw
 	// — four ingests by a lone shipper, one read — one cache-miss
 	// read, whose one seal (the one shard that holds data; nothing to
 	// fuse) is all the cumulative count has.
@@ -852,14 +853,14 @@ func TestCollectionsParkNoGoroutines(t *testing.T) {
 }
 
 // TestSealsFollowReadsNotIngests replays the shipper shape of the
-// repository benchmark's serve_mixed workload — one one-chunk body
+// repository benchmark's serve_mixed workload — one one-window body
 // after another into one collection, a schema read after every 8th —
 // and ties the reduce to its readers: a lone shipper fills one shard,
 // so each read that finds news seals exactly that shard and fuses
 // nothing, and an ingest — absorbed in line — seals nothing at all.
 func TestSealsFollowReadsNotIngests(t *testing.T) {
-	const bodies, perBody, shards = 48, 40, 2
-	reg := New(Options{Equiv: typelang.EquivLabel, Shards: shards})
+	const bodies, perBody = 48, 40
+	reg := New(Options{Equiv: typelang.EquivLabel})
 	defer reg.Close()
 	var reads int64
 	for i := 0; i < bodies; i++ {
@@ -881,7 +882,7 @@ func TestSealsFollowReadsNotIngests(t *testing.T) {
 		t.Errorf("RootFuses=%d over %d ingests and %d reads, want one per read", p.RootFuses, bodies, reads)
 	}
 	if p.Seals != reads || p.ChunksDirect != bodies {
-		t.Errorf("Seals=%d ChunksDirect=%d over %d one-chunk ingests and %d reads, want one seal per read and every chunk in line",
+		t.Errorf("Seals=%d ChunksDirect=%d over %d one-window ingests and %d reads, want one seal per read and every window in line",
 			p.Seals, p.ChunksDirect, bodies, reads)
 	}
 }
@@ -922,7 +923,7 @@ func TestPipelineStatsAdversarialThroughRegistry(t *testing.T) {
 }
 
 // TestWarmIngestAllocs pins what an ingest builds per call once its
-// collection is warm: re-ingesting a 100-tweet body — one chunk —
+// collection is warm: re-ingesting a 100-tweet body — one window —
 // reuses the collection's lexers, chunk array and the accumulator of
 // the shard it lands on, so what is left is the call's own bookkeeping
 // (22 allocations when this was written; the accumulator's staging pools
@@ -944,7 +945,7 @@ func TestWarmIngestAllocs(t *testing.T) {
 		ingest()
 	}
 	if n := testing.AllocsPerRun(20, ingest); n > 150 {
-		t.Errorf("a warm one-chunk ingest allocates %.0f times, want <= 150", n)
+		t.Errorf("a warm one-window ingest allocates %.0f times, want <= 150", n)
 	}
 }
 
@@ -960,27 +961,54 @@ func (g *goroutineCountingReader) Read(p []byte) (int, error) {
 	return g.r.Read(p)
 }
 
-// TestOneChunkIngestStartsNoGoroutine: a body that ends inside its
-// first chunk has no parallelism to buy, at any worker count — it is
-// read, split, lexed and absorbed on the caller's goroutine, straight
-// into a collector shard, and its counters say so.
+// TestOneChunkIngestStartsNoGoroutine: an ingest has no parallelism to
+// buy, however long its body — a 100-tweet body of one window, or 2000
+// tweets of several 256 KiB read blocks as NDJSON and pretty-printed,
+// each also with a malformed document in its last block. Every window
+// is read, lexed and absorbed on the caller's goroutine straight into a
+// collector shard; the counters say so (every window direct, nothing
+// sealed, no reduce clock), and schema, count, error text and absolute
+// offset are the oracle's.
 func TestOneChunkIngestStartsNoGoroutine(t *testing.T) {
-	body := jsontext.MarshalLines(genjson.Collection(genjson.Twitter{Seed: 2}, 100))
-	for _, workers := range []int{1, 2, 4} {
-		reg := New(Options{Equiv: typelang.EquivLabel, Workers: workers})
-		rd := &goroutineCountingReader{r: bytes.NewReader(body)}
-		before := runtime.NumGoroutine()
-		res, err := reg.Ingest("c", rd)
-		if err != nil {
-			t.Fatal(err)
+	long := genjson.Collection(genjson.Twitter{Seed: 3}, 2000)
+	var pretty bytes.Buffer
+	for _, d := range long {
+		pretty.Write(jsontext.MarshalIndent(d, "  "))
+		pretty.WriteByte('\n')
+	}
+	for _, c := range []struct {
+		name    string
+		body    []byte
+		windows int64
+	}{
+		{"one-window", jsontext.MarshalLines(genjson.Collection(genjson.Twitter{Seed: 2}, 100)), 1},
+		{"ndjson", jsontext.MarshalLines(long), 4},
+		{"pretty", pretty.Bytes(), 4},
+	} {
+		for _, tail := range []string{"", `{"a": ]}` + "\n" + `{"b": 1}` + "\n"} {
+			body := append(c.body[:len(c.body):len(c.body)], tail...)
+			want, wantN, wantErr := oracle(body, typelang.EquivLabel)
+			reg := New(Options{Equiv: typelang.EquivLabel})
+			rd := &goroutineCountingReader{r: bytes.NewReader(body)}
+			before := runtime.NumGoroutine()
+			res, err := reg.Ingest("c", rd)
+			label := fmt.Sprintf("%s/malformed=%t", c.name, tail != "")
+			var got, wantSE *jsontext.SyntaxError
+			if (err == nil) != (wantErr == nil) || (err != nil && (!errors.As(err, &got) || !errors.As(wantErr, &wantSE) || *got != *wantSE)) {
+				t.Errorf("%s: err = %v, oracle: %v", label, err, wantErr)
+			}
+			if rd.max != before {
+				t.Errorf("%s: %d goroutines while the body was read, %d before the call", label, rd.max, before)
+			}
+			if s := res.Stats; s.ChunksSplit < c.windows || s.ChunksDirect != s.ChunksSplit || s.Seals != 0 || s.ReduceNanos != 0 {
+				t.Errorf("%s: chunks_split=%d chunks_direct=%d seals=%d reduce=%dns, want >= %d windows, all direct, 0, 0",
+					label, s.ChunksSplit, s.ChunksDirect, s.Seals, s.ReduceNanos, c.windows)
+			}
+			if snap, _ := reg.Get("c"); res.Docs != wantN || snap.Docs != int64(wantN) || snap.Type.StringCounted() != want.StringCounted() {
+				t.Errorf("%s: kept %d docs (snapshot %d) as %s, oracle %d as %s",
+					label, res.Docs, snap.Docs, snap.Type.StringCounted(), wantN, want.StringCounted())
+			}
+			reg.Close()
 		}
-		if rd.max != before {
-			t.Errorf("workers=%d: %d goroutines while the body was read, %d before the call", workers, rd.max, before)
-		}
-		if s := res.Stats; s.ChunksSplit != 1 || s.ChunksDirect != 1 || s.Seals != 0 || s.ReduceNanos != 0 {
-			t.Errorf("workers=%d: chunks_split=%d chunks_direct=%d seals=%d reduce=%dns, want 1/1/0/0",
-				workers, s.ChunksSplit, s.ChunksDirect, s.Seals, s.ReduceNanos)
-		}
-		reg.Close()
 	}
 }

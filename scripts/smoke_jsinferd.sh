@@ -2,8 +2,10 @@
 # Daemon smoke test: boot jsinferd, POST a checked-in fixture (identity
 # and gzip-encoded), and assert the served schemas are byte-identical to
 # batch `jsinfer` over the same file, then assert /metrics
-# serves ingest counters that add up. Run from anywhere; used by
-# `make smoke-daemon` and CI.
+# serves ingest counters that add up. Then POST two generated bodies of
+# several read blocks (NDJSON and pretty-printed) and assert the same
+# identity, and that each was absorbed in line, window by window. Run
+# from anywhere; used by `make smoke-daemon` and CI.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -21,7 +23,7 @@ cleanup() {
 }
 trap cleanup EXIT
 
-go build -o "$bindir" ./cmd/jsinferd ./cmd/jsinfer
+go build -o "$bindir" ./cmd/jsinferd ./cmd/jsinfer ./cmd/jsgen
 
 # Boot with port-collision retry: a daemon that dies before becoming
 # healthy (typically EADDRINUSE from a stale run) moves to the next
@@ -113,4 +115,39 @@ echo "$stats" | grep -q "\"docs_absorbed\": $want_docs" || {
     echo "smoke: /v1/stats pipeline.docs_absorbed != $want_docs" >&2
     exit 1
 }
+
+# Bodies of several 256 KiB read blocks, NDJSON and pretty-printed:
+# each serves what jsinfer makes of the same file, and was absorbed in
+# line — every window direct, no committer clock.
+"$bindir/jsgen" -kind twitter -target 1MB > "$bindir/big.ndjson"
+"$bindir/jsgen" -kind twitter -indent -target 1MB > "$bindir/big-indent.json"
+for f in big.ndjson big-indent.json; do
+    col=${f%.*}
+    echo "smoke: ingesting $f ($(wc -c < "$bindir/$f") bytes) into $col"
+    curl -fsS -X POST --data-binary "@$bindir/$f" "$base/v1/collections/$col/ingest"
+    served=$(curl -fsS "$base/v1/collections/$col/schema")
+    batch=$("$bindir/jsinfer" "$bindir/$f")
+    if [ "$served" != "$batch" ]; then
+        echo "smoke: schema mismatch on $col" >&2
+        echo "  daemon:  $served" >&2
+        echo "  jsinfer: $batch" >&2
+        exit 1
+    fi
+done
+collections=$(curl -fsS "$base/v1/collections")
+# pipeline_stat COLLECTION STAT: the counter in that collection's entry.
+pipeline_stat() {
+    echo "$collections" | sed -n "/\"name\": \"$1\"/,/\"name\"/p" |
+        grep -o "\"$2\": [0-9]*" | head -1 | grep -o '[0-9]*$'
+}
+for col in big big-indent; do
+    split=$(pipeline_stat "$col" chunks_split)
+    direct=$(pipeline_stat "$col" chunks_direct)
+    reduce=$(pipeline_stat "$col" reduce_nanos)
+    if [ -z "$split" ] || [ "$split" -le 1 ] || [ "$direct" != "$split" ] || [ "$reduce" != 0 ]; then
+        echo "smoke: $col: chunks_split=$split chunks_direct=$direct reduce_nanos=$reduce; want several windows, all direct, 0" >&2
+        exit 1
+    fi
+    echo "smoke: $col absorbed in line: $split windows, all direct, reduce_nanos 0"
+done
 echo "smoke ok: served schema is byte-identical to jsinfer"
