@@ -27,12 +27,14 @@ race:
 # The differentials, $(FUZZTIME) each: the index walk and the token
 # walk over mison's structural index against the reference lexer, the
 # reference lexer against the DOM decoder, the absorption surface
-# against MergeAll, the sequential shape's windows (any target, every
-# input kind) against the oracle, mison.Chunker against the
-# byte-at-a-time splitter, and an index walk whose pattern tree was
-# trained on foreign bytes against the token walker. They gate every
-# change to a lexer, to either walk or to the input stage; `go test
-# -fuzz` takes one target of one package per run.
+# against MergeAll, windows (any target, one, two and four workers,
+# every input kind) against the oracle, mison.Chunker against the
+# byte-at-a-time splitter, an index walk whose pattern tree was
+# trained on foreign bytes against the token walker, and the daemon's
+# body decoder against compress/gzip plus http.MaxBytesReader. They
+# gate every change to a lexer, to either walk, to the input stage or
+# to the intake; `go test -fuzz` takes one target of one package per
+# run.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzIndexAbsorb$$' -fuzztime $(FUZZTIME) ./internal/infer/
@@ -42,6 +44,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzStreamWindows$$' -fuzztime $(FUZZTIME) ./internal/infer/
 	$(GO) test -run '^$$' -fuzz '^FuzzChunkerVsScan$$' -fuzztime $(FUZZTIME) ./internal/infer/
 	$(GO) test -run '^$$' -fuzz '^FuzzPatternTree$$' -fuzztime $(FUZZTIME) ./internal/infer/
+	$(GO) test -run '^$$' -fuzz '^FuzzIntakeBody$$' -fuzztime $(FUZZTIME) ./internal/daemon/intake/
 
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem ./...

@@ -65,7 +65,7 @@ func registerFlags(fs *flag.FlagSet) cliFlags {
 		workers:    fs.Int("workers", 0, "parallel inference workers (parametric engines; 0 = GOMAXPROCS)"),
 		stream:     fs.Bool("stream", false, "no effect: the parametric engines always stream (kept for scripts that pass it)"),
 		precision:  fs.Bool("precision", false, "fill -output report's precision column in a second pass over the input files (parametric engines)"),
-		chunkBytes: fs.String("chunk-bytes", "", "cut chunks at this byte size instead of every 256 documents — with -workers 1, the length of the windows absorbed, 4M by default — e.g. 8M (parametric engines)"),
+		chunkBytes: fs.String("chunk-bytes", "", "the byte length of the windows the input is cut into, at every worker count — by default 4M at -workers 1, 256 documents' worth otherwise — e.g. 8M (parametric engines)"),
 		stats:      fs.Bool("stats", false, "print pipeline stage stats to stderr after inference (parametric engines; fuse and root_fuses are the registry's counters and read 0 here)"),
 		cpuprofile: fs.String("cpuprofile", "", "write a CPU profile of the inference pass to this file"),
 		memprofile: fs.String("memprofile", "", "write a heap profile (taken after inference) to this file"),

@@ -247,14 +247,13 @@ const mmapMinSize = 1 << 20
 
 // StreamOptions tune the streamed inference engine.
 type StreamOptions struct {
-	// Workers bounds the parallel chunk workers; 0 means GOMAXPROCS.
+	// Workers bounds the parallel window workers; 0 means GOMAXPROCS.
 	Workers int
-	// ChunkBytes, when positive, switches the chunking stage to a
-	// byte-size target: chunks are cut at the first document boundary
-	// at or past it, instead of every 256 documents — the knob that
-	// lets GB-scale inputs amortise per-chunk overhead over far larger
-	// chunks. 0 keeps the document-count default. At one worker it is
-	// the length of the windows the input is absorbed in (0: 4 MiB).
+	// ChunkBytes, when positive, is the byte length of the windows the
+	// input is cut into, at every worker count — the knob that lets
+	// GB-scale inputs amortise per-window overhead over far larger
+	// windows. 0 keeps the defaults: 4 MiB at one worker, 256
+	// document-starting lines at several.
 	ChunkBytes int
 	// Stats, when non-nil, receives the pipeline's stage counters and
 	// clocks (see infer.PipelineStats); nil keeps recording entirely

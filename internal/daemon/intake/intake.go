@@ -123,9 +123,10 @@ func (l *lazyGzipReader) Read(p []byte) (int, error) {
 			}
 			return 0, l.err
 		}
-		// The request body is one gzip member stream, not a framing for
-		// concatenated members with trailing garbage.
-		zr.Multistream(true)
+		// compress/gzip reads concatenated members as one stream (RFC
+		// 1952 §2.2), and bytes after a member that do not open another
+		// fail the read: a body's members decode back to back, and
+		// trailing garbage is an error, not ignored.
 		l.zr = zr
 	}
 	n, err := l.zr.Read(p)

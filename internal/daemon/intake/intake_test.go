@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -20,7 +21,7 @@ func req(encoding string, body []byte) *http.Request {
 	return r
 }
 
-func gzipped(t *testing.T, data []byte) []byte {
+func gzipped(t testing.TB, data []byte) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	gw := gzip.NewWriter(&buf)
@@ -124,4 +125,93 @@ func TestBodyLazyDecodeErrors(t *testing.T) {
 	if got, err := io.ReadAll(rc); err != nil || len(got) != 0 {
 		t.Errorf("empty gzip body: %d bytes, err %v", len(got), err)
 	}
+	// Concatenated members decode as one stream, back to back; bytes
+	// after a member that open no other fail the read, after the member.
+	a, b := []byte(`{"a": 1}`+"\n"), []byte(`{"b": 2}`+"\n")
+	rc, _ = Body(nil, req("gzip", slices.Concat(gzipped(t, a), gzipped(t, b))), 0)
+	if got, err := io.ReadAll(rc); err != nil || !bytes.Equal(got, slices.Concat(a, b)) {
+		t.Errorf("two gzip members: %q, err %v; want both documents", got, err)
+	}
+	rc, _ = Body(nil, req("gzip", slices.Concat(gzipped(t, a), []byte("trailing garbage"))), 0)
+	if got, err := io.ReadAll(rc); err == nil || !strings.HasPrefix(err.Error(), "gzip:") || !bytes.Equal(got, a) {
+		t.Errorf("gzip member + garbage: %q, err %v; want the member, then a gzip: error", got, err)
+	}
+}
+
+// decodeReference decodes wire with compress/gzip (gz) or as is, behind
+// http.MaxBytesReader when limit > 0: what Body must deliver. An empty
+// gzip body is an empty stream, as Body has it.
+func decodeReference(wire []byte, gz bool, limit int64) ([]byte, error) {
+	var r io.Reader = bytes.NewReader(wire)
+	if gz {
+		zr, err := gzip.NewReader(r)
+		if err == io.EOF {
+			return nil, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+		r = zr
+	}
+	if limit > 0 {
+		r = http.MaxBytesReader(nil, io.NopCloser(r), limit)
+	}
+	return io.ReadAll(r)
+}
+
+// FuzzIntakeBody holds Body to compress/gzip plus http.MaxBytesReader
+// over the same wire bytes, as identity and as gzip, under a fuzz-chosen
+// limit on decoded bytes (0: none): the same decoded prefix, never more
+// than limit bytes, *http.MaxBytesError exactly when the decoded stream
+// passes the limit, and every other failure a gzip: read error.
+func FuzzIntakeBody(f *testing.F) {
+	doc := []byte(`{"a": 1}` + "\n")
+	member := gzipped(f, doc)
+	bomb := bytes.Repeat(doc, 4096)
+	for _, s := range []struct {
+		wire  []byte
+		limit uint32
+	}{
+		{member[:len(member)/2], 0},                       // a truncated member
+		{slices.Concat(member, member), uint32(len(doc))}, // concatenated members, the limit inside the second
+		{slices.Concat(member, []byte("junk")), 0},        // trailing garbage
+		{gzipped(f, bomb), uint32(len(bomb))},             // a bomb exactly at the limit
+		{gzipped(f, bomb), uint32(len(bomb) - 1)},         // and one byte past it
+		{doc, 3},
+		{nil, 0},
+	} {
+		for _, gz := range []bool{true, false} {
+			f.Add(s.wire, gz, s.limit)
+		}
+	}
+	f.Fuzz(func(t *testing.T, wire []byte, gz bool, limit uint32) {
+		enc := "identity"
+		if gz {
+			enc = "gzip"
+		}
+		rc, err := Body(nil, req(enc, wire), int64(limit))
+		if err != nil {
+			t.Fatalf("%s: Body: %v", enc, err)
+		}
+		got, err := io.ReadAll(rc)
+		want, wantErr := decodeReference(wire, gz, int64(limit))
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s limit %d: decoded %q, reference %q", enc, limit, got, want)
+		}
+		if limit > 0 && len(got) > int(limit) {
+			t.Fatalf("%s: delivered %d bytes past the limit %d", enc, len(got), limit)
+		}
+		full, _ := decodeReference(wire, gz, 0)
+		passes := limit > 0 && len(full) > int(limit)
+		var mbe *http.MaxBytesError
+		if errors.As(err, &mbe) != passes || (passes && mbe.Limit != int64(limit)) {
+			t.Fatalf("%s limit %d: err %v over a %d-byte decoded stream; want *http.MaxBytesError exactly past the limit", enc, limit, err, len(full))
+		}
+		if (err == nil) != (wantErr == nil) {
+			t.Fatalf("%s limit %d: err %v, reference %v", enc, limit, err, wantErr)
+		}
+		if err != nil && !passes && (!gz || !strings.HasPrefix(err.Error(), "gzip:")) {
+			t.Fatalf("%s: err %v, want a gzip: read error", enc, err)
+		}
+	})
 }

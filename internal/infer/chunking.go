@@ -11,47 +11,21 @@ import (
 
 // This file is the input stage of the streamed engine
 // (docs/ARCHITECTURE.md, "The zero-copy input layer"): one chunkReader
-// per run, which an io.Reader fills a read block at a time and a
-// caller-owned slice rides already filled, and the two loops that cut
-// it into runs of bytes for the map phase; the caller picks (run and
-// InferStreamInto, tokens.go).
-//
-// windows feeds the sequential shape, and nothing scans the input to
-// cut them: a window ends just after a raw '\n' — the last one inside
-// the byte target, else the first one past it, else at the end of input
-// (cutWindow). No JSON token holds a raw newline, so no token is cut; a
-// pretty-printed document may be. The index walk is the splitter: in a
-// window that is not the input's last, the record failing with an error
-// more input could cure (curable) is the straddler — absorption is
-// transactional per document, nothing of it was committed — and the
-// next window begins at its first byte. A window that completed no
-// document is followed by one at least twice as long, so a document
-// larger than the target makes progress and the bytes indexed twice
-// stay O(n); input with no newline at all is one window.
-//
-// readChunks feeds the parallel shape: runs of whole documents, cut at
-// a newline at depth zero outside any string so workers can type them
-// independently. Boundary finding is mison.Chunker's (a docSplitter, so
-// tests can run the byte-at-a-time reference through the same code); it
-// runs only in this shape, where chunks travel to other goroutines.
-//
-// A reader's chunks alias the pooled, refcounted array they were read
-// into (chunkBuf) and hold a reference the consumer releases after
-// absorbing them; a fully released array returns to its pool — the
-// run's, or the collector's an ingest feeds — so the steady state
-// recycles a handful of arrays, and a straddler is carried over exactly
-// as an unsplit tail is. A slice's chunks alias the caller's memory:
-// nothing copied, nothing pooled, nothing allocated per chunk
-// (TestSplitChunksBytesAllocFree).
+// per run — an io.Reader read a block at a time into pooled, refcounted
+// arrays (chunkBuf), or a caller-owned slice riding it already filled —
+// and windows, the one loop that cuts it for the map phase in either
+// shape. Nothing scans the input to cut a window (cutWindow): it ends
+// just after a raw '\n', which no JSON token holds; a document may span
+// windows. The walks find the documents: in a window that is not the
+// input's last, the record failing with an error more input could cure
+// (curable) is the straddler, of which nothing was committed. The
+// sequential shape starts the next window at it, one at least twice as
+// long after a window that completed no document, so the bytes indexed
+// twice stay O(n); the parallel shape cuts the next window at the last
+// one's end, and its committer verifies each window's start
+// (pipeChunks, tokens.go).
 
-// docSplitter finds document-aligned split candidates incrementally:
-// Splits appends the exclusive end offset of every top-level newline in
-// block to dst, carrying string/escape/depth state to the next call.
-type docSplitter interface {
-	Splits(block []byte, dst []int) []int
-}
-
-// chunkReadSize is the read-block size of the chunk splitter.
+// chunkReadSize is the read block of a reader's input.
 const chunkReadSize = 256 << 10
 
 // maxInitialChunkBuf caps the pre-sized first buffer of the reader
@@ -59,17 +33,17 @@ const chunkReadSize = 256 << 10
 const maxInitialChunkBuf = 64 << 20
 
 // chunkBuf is one refcounted chunk array of the reader path. The reader
-// holds one reference while it fills the buffer; every chunk emitted
-// from it holds another, released once the chunk has been absorbed.
-// When the last reference drops the array returns to its pool, ready
-// for a reader to refill.
+// holds one reference while it fills the buffer; every window emitted
+// from it holds another while its consumer runs, and a consumer that
+// keeps it longer takes one of its own. When the last reference drops
+// the array returns to its pool, ready for a reader to refill.
 type chunkBuf struct {
 	data []byte // full backing array, sliced up to capacity
 	refs atomic.Int32
 	pool *chunkPool
 }
 
-// acquire adds a reference (one per aliasing chunk).
+// acquire adds a reference.
 func (b *chunkBuf) acquire() {
 	if b != nil {
 		b.refs.Add(1)
@@ -77,8 +51,7 @@ func (b *chunkBuf) acquire() {
 }
 
 // release drops a reference; the last one returns the array to the
-// pool. Safe on nil (byte-mode chunks alias caller memory and carry no
-// buffer).
+// pool. Safe on nil (byte-mode windows carry no buffer).
 func (b *chunkBuf) release() {
 	if b != nil && b.refs.Add(-1) == 0 {
 		b.pool.put(b)
@@ -132,51 +105,27 @@ func (cp *chunkPool) put(b *chunkBuf) {
 	cp.mu.Unlock()
 }
 
-// chunkTargets bundles the chunk-size policy: emit a chunk at a split
-// point once it holds docs documents (docs mode, the default) or once
-// it holds at least bytes bytes (byte-target mode, Options.ChunkBytes —
-// the knob that lets GB-scale inputs ride far larger chunks than the
-// 256-doc default would cut).
-type chunkTargets struct {
-	docs  int
-	bytes int
-}
-
-func (o Options) chunkTargets() chunkTargets {
-	return chunkTargets{docs: o.batchSize(), bytes: max(o.ChunkBytes, 0)}
-}
-
 // sequentialChunkBytes is the default window of a one-shot run's
 // sequential shape. The parallel shape keeps small document-count
-// chunks to balance load across workers; with one worker windows only
+// windows to balance load across workers; with one worker windows only
 // bound the index's bitmaps and the reader's buffer, so it prefers a
-// handful of large ones. An explicit ChunkBytes wins; Batch counts
-// documents per work unit and cuts nothing where there are none.
+// handful of large ones. An explicit ChunkBytes wins in both shapes.
 const sequentialChunkBytes = 4 << 20
 
-// ripe reports whether a chunk spanning size bytes and docs documents
-// has reached the emission target.
-func (t chunkTargets) ripe(docs, size int) bool {
-	if t.bytes > 0 {
-		return size >= t.bytes
-	}
-	return docs >= t.docs
-}
-
-// chunkReader is the input of both loops: the bytes read and not yet
-// consumed, in a pooled array the emitted chunks alias. A caller-owned
-// slice rides it already filled: eof set, nil buf, no reads, and its
-// chunks count into BytesAliased instead of holding a reference.
+// chunkReader is the input of the window loop: the bytes read and not
+// yet consumed, in a pooled array the emitted windows alias. A
+// caller-owned slice rides it already filled: eof set, nil buf, no
+// reads, and its windows count into BytesAliased instead of holding a
+// reference.
 type chunkReader struct {
 	r       io.Reader
 	pool    *chunkPool
-	st      *PipelineStats // the read clock, the chunk counter and the copy/recycle counters record here
-	frame   statsFrame     // flushed once per emitted chunk
+	st      *PipelineStats // the read and cut clocks, the window counter and the copy/recycle counters record here
+	frame   statsFrame     // flushed once per emitted window
 	buf     *chunkBuf      // current fill buffer; the reader holds one ref
 	pending []byte         // filled prefix of buf.data
 	base    int            // absolute offset of pending[0]
 	start   int            // pending[:start] has been emitted and consumed
-	scanned int            // pending[:scanned] has been handed to the splitter
 	index   int
 	eof     bool  // the input has ended, or failed with err
 	err     error // the read error, nil at a clean end
@@ -231,7 +180,7 @@ func (cr *chunkReader) fill() {
 		cr.frame.BytesCopied += int64(tail)
 		cr.base += cr.start
 		cr.pending = cr.buf.data[:tail]
-		cr.scanned, cr.start = tail, 0
+		cr.start = 0
 	}
 	readStart := statsClock(cr.st)
 	n, err := cr.r.Read(cr.buf.data[len(cr.pending) : len(cr.pending)+chunkReadSize])
@@ -245,9 +194,10 @@ func (cr *chunkReader) fill() {
 	}
 }
 
-// chunk emits pending[start:end) and moves start past it. The chunk
-// holds a reference on the buffer it aliases: the consumer release()s
-// it once the bytes are dead, or the array never returns to the pool.
+// chunk emits pending[start:end) and moves start past it. The window
+// holds a reference on the buffer it aliases, which windows releases
+// once its consumer returns; the array never returns to the pool while
+// a reference is held.
 func (cr *chunkReader) chunk(end int) byteChunk {
 	ch := byteChunk{index: cr.index, base: cr.base + cr.start, data: cr.pending[cr.start:end], buf: cr.buf}
 	cr.buf.acquire()
@@ -258,16 +208,48 @@ func (cr *chunkReader) chunk(end int) byteChunk {
 	return ch
 }
 
-// cutWindow returns the length of the window at the head of avail: just
-// past the last raw '\n' in avail[floor:want], else the first one from
-// want on, else — at the end of input, or when avail is all there is —
-// everything. -1 asks for more input first.
-func cutWindow(avail []byte, floor, want int, eof bool) int {
-	if len(avail) > want {
-		if i := bytes.LastIndexByte(avail[floor:want], '\n'); i >= 0 {
-			return floor + i + 1
+// cutWindow returns the length of the window at the head of avail. By
+// bytes (docs 0) it ends just past the last raw '\n' in
+// avail[floor:want] that starts a line a document may start
+// (startsDocument), else the last one there, else the first one from
+// want on; by documents, just past the docs'th raw '\n' that starts
+// such a line. It never ends at avail's last byte, which leaves
+// whether more input follows unknown: there — at the end of input — the
+// window is everything. -1 asks for more input first. avail is never
+// empty.
+func cutWindow(avail []byte, floor, want, docs int, eof bool) int {
+	read := avail[:len(avail)-1] // the bytes a newline that ends a window may be
+	switch {
+	case docs > 0:
+		for i := 0; ; {
+			j := bytes.IndexByte(read[i:], '\n')
+			if j < 0 {
+				break
+			}
+			if i += j + 1; startsDocument(avail[i]) {
+				if docs--; docs == 0 {
+					return i
+				}
+			}
 		}
-		if i := bytes.IndexByte(avail[want:], '\n'); i >= 0 {
+	case len(avail) > want:
+		last := -1
+		for hi := want; ; {
+			i := bytes.LastIndexByte(avail[floor:hi], '\n')
+			if i < 0 {
+				break
+			}
+			if hi = floor + i; last < 0 {
+				last = hi + 1
+			}
+			if startsDocument(avail[hi+1]) {
+				return hi + 1
+			}
+		}
+		if last >= 0 {
+			return last
+		}
+		if i := bytes.IndexByte(read[want:], '\n'); i >= 0 {
 			return want + i + 1
 		}
 	}
@@ -277,12 +259,26 @@ func cutWindow(avail []byte, floor, want int, eof bool) int {
 	return -1
 }
 
-// windows is the sequential shape's input loop (see the file comment):
-// it hands direct one window after another and starts the next where
+// startsDocument reports whether a line beginning with c may begin a
+// document: c is none of whitespace, '}', ']' or ','. Every NDJSON line
+// qualifies, and in `jsgen -indent` output and the common
+// pretty-printers' only a document's first line does. It is a guess
+// either way: a window cut by it is verified, never trusted.
+func startsDocument(c byte) bool {
+	switch c {
+	case ' ', '\t', '\r', '\n', '}', ']', ',':
+		return false
+	}
+	return true
+}
+
+// windows is the one input loop (see the file comment): it cuts windows
+// of docs document-starting lines when docs is positive, else of target
+// bytes, hands direct one after another, and starts the next where
 // direct says absorption stopped — the window's end, or its straddler.
 // It returns the documents absorbed and the first error; a read error
 // wins over an error in the window it truncated, and only that one.
-func windows(cr *chunkReader, target int, direct func(byteChunk) (int, int, error)) (int, error) {
+func windows(cr *chunkReader, target, docs int, direct func(byteChunk) (int, int, error)) (int, error) {
 	defer cr.close()
 	total := 0
 	for floor, want := 0, target; !cr.eof || cr.start < len(cr.pending); {
@@ -291,16 +287,18 @@ func windows(cr *chunkReader, target int, direct func(byteChunk) (int, int, erro
 			cr.fill()
 			continue
 		}
-		end := cutWindow(avail, floor, want, cr.eof)
-		if end < 0 { // no newline in avail[floor:]: look again at twice the bytes
+		cutStart := statsClock(cr.st)
+		end := cutWindow(avail, floor, want, docs, cr.eof)
+		statsSince(cr.st, &cr.frame.SplitNanos, cutStart)
+		if end < 0 { // no cut in avail[floor:]: look again at twice the bytes
 			floor, want = len(avail), 2*len(avail)
 			continue
 		}
 		last := cr.eof && end == len(avail)
 		ch := cr.chunk(cr.start + end)
 		ch.open = !last
-		cr.frame.ChunksDirect++
 		n, used, err := direct(ch)
+		ch.buf.release()
 		total += n
 		if cr.buf == nil {
 			cr.frame.BytesAliased += int64(used)
@@ -312,52 +310,11 @@ func windows(cr *chunkReader, target int, direct func(byteChunk) (int, int, erro
 			return total, err
 		}
 		cr.start -= end - used
+		cr.frame.BytesReindexed += int64(end - used)
 		floor, want = 0, target
 		if n == 0 && used < end { // nothing completed: the straddler needs a longer window
 			floor, want = end-used, 2*(end-used)
 		}
 	}
 	return total, cr.err
-}
-
-// readChunks is the parallel shape's input loop: it cuts cr's input
-// into document-aligned chunks and hands them to emit (which reports
-// false to stop early). Split candidates come from sp, asked one read
-// block at a time whatever cr rides — a slice handed over whole would
-// cost eight bytes of scratch per document of a mapped file; this loop
-// batches them into chunks per the targets.
-func readChunks(cr *chunkReader, targets chunkTargets, sp docSplitter, emit func(byteChunk) bool) error {
-	defer cr.close()
-	cut := func(end int) bool {
-		if cr.buf == nil {
-			cr.frame.BytesAliased += int64(end - cr.start)
-		}
-		return emit(cr.chunk(end))
-	}
-	splits := make([]int, 0, 512) // sized once: nothing below allocates per chunk
-	docs := 0                     // top-level newlines seen since the last split
-	for !cr.eof || cr.scanned < len(cr.pending) {
-		if cr.scanned == len(cr.pending) {
-			cr.fill()
-		}
-		// Find boundaries in the next block, emitting at every ripe one.
-		block := cr.pending[cr.scanned:min(cr.scanned+chunkReadSize, len(cr.pending))]
-		splitStart := statsClock(cr.st)
-		splits = sp.Splits(block, splits[:0])
-		statsSince(cr.st, &cr.frame.SplitNanos, splitStart)
-		for _, rel := range splits {
-			docs++
-			if end := cr.scanned + rel; targets.ripe(docs, end-cr.start) {
-				docs = 0
-				if !cut(end) {
-					return cr.err
-				}
-			}
-		}
-		cr.scanned += len(block)
-	}
-	if cr.start < len(cr.pending) {
-		cut(len(cr.pending))
-	}
-	return cr.err
 }

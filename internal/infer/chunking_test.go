@@ -15,7 +15,8 @@ import (
 
 // scanSplitter is the byte-at-a-time reference splitter: a
 // string/escape/depth state machine over every byte, the independent
-// implementation mison.Chunker is compared against.
+// implementation mison.Chunker is compared against, and the oracle of
+// where document-target windows fall on NDJSON.
 type scanSplitter struct {
 	inStr, esc bool
 	depth      int
@@ -57,7 +58,7 @@ func (s *scanSplitter) Splits(block []byte, dst []int) []int {
 
 // collectSplits feeds data to sp in blocks of at most blockSize bytes
 // and returns the absolute split offsets.
-func collectSplits(t *testing.T, sp docSplitter, data []byte, blockSize int) []int {
+func collectSplits(t *testing.T, sp interface{ Splits([]byte, []int) []int }, data []byte, blockSize int) []int {
 	t.Helper()
 	var out []int
 	var buf []int
@@ -203,51 +204,57 @@ func FuzzChunkerVsScan(f *testing.F) {
 	})
 }
 
-// TestReadChunksEquivalence drives the full chunking stage with both
-// splitters at several chunk targets and demands identical chunk
-// streams: same data, same absolute bases, same indexes.
+// TestReadChunksEquivalence drives the window loop at several document
+// targets over NDJSON, from a reader and from a slice, and demands the
+// chunk stream the byte-at-a-time splitter implies: a window every
+// docsPerChunk top-level newlines, same data, same absolute bases, same
+// indexes.
 func TestReadChunksEquivalence(t *testing.T) {
 	docs := genjson.Collection(genjson.Twitter{Seed: 88}, 400)
 	data := jsontext.MarshalLines(docs)
+	splits := collectSplits(t, &scanSplitter{}, data, len(data))
 	for _, docsPerChunk := range []int{1, 3, 100} {
 		type chunk struct {
 			index, base int
 			data        string
 		}
-		collect := func(sp docSplitter) []chunk {
-			var out []chunk
-			err := cutChunks(readerSource(data), chunkTargets{docs: docsPerChunk}, sp, nil, func(ch byteChunk) bool {
-				out = append(out, chunk{ch.index, ch.base, string(ch.data)})
-				ch.buf.release()
-				return true
-			})
-			if err != nil {
+		var want []chunk
+		for lo, i := 0, docsPerChunk-1; lo < len(data); i += docsPerChunk {
+			hi := len(data)
+			if i < len(splits) {
+				hi = splits[i]
+			}
+			want = append(want, chunk{len(want), lo, string(data[lo:hi])})
+			lo = hi
+		}
+		for _, src := range []source{readerSource(data), {data: data}} {
+			var got []chunk
+			if err := cutWindows(src, 0, docsPerChunk, nil, func(ch byteChunk) {
+				got = append(got, chunk{ch.index, ch.base, string(ch.data)})
+			}); err != nil {
 				t.Fatal(err)
 			}
-			return out
-		}
-		want := collect(&scanSplitter{})
-		got := collect(mison.NewChunker())
-		if len(want) != len(got) {
-			t.Fatalf("docsPerChunk=%d: %d mison chunks, want %d", docsPerChunk, len(got), len(want))
-		}
-		for i := range want {
-			if want[i] != got[i] {
-				t.Fatalf("docsPerChunk=%d: chunk %d = {%d %d %q}, want {%d %d %q}",
-					docsPerChunk, i, got[i].index, got[i].base, got[i].data,
-					want[i].index, want[i].base, want[i].data)
+			if len(want) != len(got) {
+				t.Fatalf("docsPerChunk=%d (reader: %t): %d windows, want %d", docsPerChunk, src.r != nil, len(got), len(want))
 			}
-		}
-		// Chunks must cover the stream exactly, in order.
-		off := 0
-		for _, ch := range got {
-			if ch.base != off {
-				t.Fatalf("docsPerChunk=%d: chunk base %d, want %d", docsPerChunk, ch.base, off)
+			for i := range want {
+				if want[i] != got[i] {
+					t.Fatalf("docsPerChunk=%d (reader: %t): window %d = {%d %d %q}, want {%d %d %q}",
+						docsPerChunk, src.r != nil, i, got[i].index, got[i].base, got[i].data,
+						want[i].index, want[i].base, want[i].data)
+				}
 			}
-			off += len(ch.data)
-		}
-		if off != len(data) {
-			t.Fatalf("docsPerChunk=%d: chunks cover %d bytes, want %d", docsPerChunk, off, len(data))
+			// Windows must cover the stream exactly, in order.
+			off := 0
+			for _, ch := range got {
+				if ch.base != off {
+					t.Fatalf("docsPerChunk=%d: window base %d, want %d", docsPerChunk, ch.base, off)
+				}
+				off += len(ch.data)
+			}
+			if off != len(data) {
+				t.Fatalf("docsPerChunk=%d: windows cover %d bytes, want %d", docsPerChunk, off, len(data))
+			}
 		}
 	}
 }

@@ -126,11 +126,11 @@ func (c *ShardedCollector) lock() *shard {
 // absorbChunk is InferStreamInto's fold: it types ch's documents
 // through m straight into a shard's accumulator and books them, all
 // under that shard's lock — held for this window only, never across a
-// read of the input. It returns what m.absorb does; the shard
+// read of the input. It returns what m.direct does; the shard
 // holds exactly the documents before the error or the straddler.
 func (c *ShardedCollector) absorbChunk(m *chunkMapper, ch byteChunk) (int, int, error) {
 	s := c.lock()
-	n, used, err := m.absorb(ch, s.acc)
+	n, used, err := m.direct(ch, s.acc)
 	s.docs += int64(n)
 	s.mu.Unlock()
 	return n, used, err

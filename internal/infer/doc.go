@@ -36,7 +36,7 @@
 //
 // How the streamed engine works — the input stage (chunking.go), the
 // map phase and its one fallback (index_absorb.go, tokens.go), the two
-// run shapes (stream), the collector (collector.go) and the flight
+// run shapes (run), the collector (collector.go) and the flight
 // recorder (stats.go) — is described once, in docs/ARCHITECTURE.md
 // ("End-to-end data flow", "Index-driven absorption: the map phase",
 // "The zero-copy input layer"); the files' own comments cover only

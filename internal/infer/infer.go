@@ -14,7 +14,8 @@ import (
 )
 
 // DefaultBatch is the number of documents per work unit of the batched
-// and parallel engines. Batches amortise merge canonicalisation and
+// and parallel engines — of document-starting lines per window in the
+// streamed parallel shape. Batches amortise merge canonicalisation and
 // channel traffic; the value only needs to be large enough that the
 // per-batch overhead vanishes against typing cost.
 const DefaultBatch = 256
@@ -26,18 +27,17 @@ type Options struct {
 	Equiv typelang.Equiv
 	// Workers bounds parallel workers in InferParallel and picks the
 	// shape of a one-shot streamed run (InferStream, InferStreamBytes):
-	// one worker absorbs windows in line, several cut document-aligned
-	// chunks for that many workers; 0 means GOMAXPROCS. InferStreamInto
-	// does not read it: a collector feed is always absorbed in line.
+	// one worker absorbs windows in line, several walk windows for that
+	// many workers; 0 means GOMAXPROCS. InferStreamInto does not read
+	// it: a collector feed is always absorbed in line.
 	Workers int
 	// ChunkBytes, when positive, sets the byte length of a streamed
-	// run's units. In the parallel shape chunks are emitted at the first
-	// document boundary at or past ChunkBytes bytes instead of every
-	// DefaultBatch documents — GB-scale inputs want this, bigger chunks
-	// amortise the per-chunk pipeline overhead regardless of how small
-	// the documents are. In the sequential shape it is the window length
-	// (0: 4 MiB for a one-shot run, one 256 KiB read block into a
-	// collector).
+	// run's windows at every worker count. At 0 a window is 4 MiB for a
+	// one-worker run, one 256 KiB read block into a collector, and
+	// DefaultBatch document-starting lines at several workers — GB-scale
+	// inputs want larger ones there: bigger windows amortise the
+	// per-window pipeline overhead regardless of how small the documents
+	// are.
 	ChunkBytes int
 	// Symbols, when non-nil, is a shared field-name symbol table: every
 	// worker interns record labels through it, deduping names across
@@ -61,7 +61,7 @@ func (o Options) workers() int {
 	return o.Workers
 }
 
-// window is the sequential shape's window length: ChunkBytes, else def.
+// window is a run's window length in bytes: ChunkBytes, else def.
 func (o Options) window(def int) int {
 	if o.ChunkBytes > 0 {
 		return o.ChunkBytes

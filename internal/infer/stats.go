@@ -25,16 +25,16 @@ import (
 // StatsSnapshot is a point-in-time copy of the pipeline counters — a
 // plain value, safe to aggregate, diff and serialise.
 type StatsSnapshot struct {
-	// ChunksSplit counts the runs of bytes the input stage handed to the
-	// map phase: windows cut at raw newlines in the sequential shape,
-	// document-aligned chunks in the parallel one.
+	// ChunksSplit counts the windows the input stage cut at raw newlines
+	// and handed to the map phase, in either shape.
 	ChunksSplit int64
 	// BytesLexed counts payload bytes handed to the map phase (the sum
 	// of emitted chunk lengths).
 	BytesLexed int64
 	// DocsAbsorbed counts documents the map phase absorbed into chunk
-	// accumulators — work done, including chunks a later error discards
-	// before commit (IngestResult.Docs counts the committed prefix).
+	// accumulators — work done, including windows a later error, or the
+	// parallel committer's check of a window's start, discards before
+	// commit (IngestResult.Docs counts the committed prefix).
 	DocsAbsorbed int64
 	// IndexRecords counts records absorbed entirely off the structural
 	// index (the index walk, no token ever materialised).
@@ -53,18 +53,18 @@ type StatsSnapshot struct {
 	// the reference scanner (escaped strings, fancy numbers) instead of
 	// resolving positionally.
 	ScanDelegations int64
-	// ChunksDirect counts windows absorbed in the sequential shape —
-	// straight into the run's accumulator or a collector shard, with no
-	// chunk seal and no reduce. Against ChunksSplit it says which shape
-	// ran: equal on a one-worker run and on every collector feed, 0 on a
-	// parallel one.
+	// ChunksDirect counts walks straight into the run's accumulator or a
+	// collector shard, with no chunk seal and no reduce: every window of
+	// the sequential shape, the parallel committer's re-walks. Against
+	// ChunksSplit it says which shape ran: equal on a one-worker run and
+	// on every collector feed, below it (0 on NDJSON) on a parallel one.
 	ChunksDirect int64
 	// RootFuses counts collector snapshots that found a shard changed
 	// and rebuilt the served schema (cache-miss reads). Collector only:
 	// 0 on a one-shot run.
 	RootFuses int64
 	// Seals counts accumulator seals the pipeline performed: one per
-	// chunk in the parallel shape (none in the sequential one, the only
+	// window in the parallel shape (none in the sequential one, the only
 	// shape a collector is fed in), plus the one-shot run's single final
 	// seal or, in a collector, the seals a cache-miss read did: one per
 	// shard that changed since the last read, plus the fuse's when
@@ -75,9 +75,10 @@ type StatsSnapshot struct {
 	// alias the caller's buffer (byte-slice engines, mmap'd files)
 	// instead of a reader-owned array.
 	BytesAliased int64
-	// BytesReindexed counts bytes the sequential shape indexed twice: the
-	// part of a window from its straddler — the record its end cut — on.
-	// 0 when windows end between documents (NDJSON); 0 in the parallel shape.
+	// BytesReindexed counts bytes indexed again: the part of a window
+	// from its straddler — the record its end cut — on, and the windows
+	// the parallel committer discarded and re-walked. 0 when windows end
+	// between documents (NDJSON).
 	BytesReindexed int64
 	// BytesCopied counts bytes the reader path moved during buffer
 	// compaction (the unsplit tail carried between refills) — the copy
@@ -93,14 +94,14 @@ type StatsSnapshot struct {
 	ReaderInputs int64
 
 	// Per-stage wall time, monotonic nanoseconds. In the parallel shape
-	// the stages overlap in real time (the caller splits while workers
+	// the stages overlap in real time (the caller cuts while workers
 	// absorb while the committer folds), so the sum across stages can
 	// exceed the request wall time — each figure answers "where did this
 	// stage's goroutines spend their time", not "what fraction of the
 	// wall". In the sequential shape they are one goroutine's and add up.
 	ReadNanos   int64 // the run's caller blocked in io.Reader.Read
-	SplitNanos  int64 // boundary finding (docSplitter.Splits)
-	MapNanos    int64 // indexing, lexing and absorbing runs of bytes, plus the parallel shape's per-chunk seals
+	SplitNanos  int64 // cutting windows (cutWindow), in either shape
+	MapNanos    int64 // indexing, lexing and absorbing windows, plus the parallel shape's per-window seals
 	ReduceNanos int64 // one-shot runs only: the parallel shape's committer absorbing chunk types, plus the final seal at every worker count (0 in a collector)
 	FuseNanos   int64 // collector cache-miss reads: sealing the changed shards and fusing the partials (0 on a one-shot run)
 }
@@ -129,25 +130,25 @@ func (f StatsField) Clock() bool { return strings.HasSuffix(f.Name, "_nanos") }
 // StatsFields lists every StatsSnapshot field exactly once, in wire
 // order (TestStatsFieldsCoverSnapshot holds it to the struct).
 var StatsFields = []StatsField{
-	{"chunks_split", "read", "Runs of bytes handed to the map phase: windows, or the parallel shape's document-aligned chunks.", func(s *StatsSnapshot) *int64 { return &s.ChunksSplit }},
+	{"chunks_split", "read", "Windows cut at raw newlines and handed to the map phase.", func(s *StatsSnapshot) *int64 { return &s.ChunksSplit }},
 	{"bytes_lexed", "map", "Payload bytes handed to the map phase.", func(s *StatsSnapshot) *int64 { return &s.BytesLexed }},
 	{"docs_absorbed", "map", "Documents absorbed by the map phase (kept prefixes of failed ingests included).", func(s *StatsSnapshot) *int64 { return &s.DocsAbsorbed }},
 	{"index_records", "map", "Records absorbed entirely off the mison structural index.", func(s *StatsSnapshot) *int64 { return &s.IndexRecords }},
 	{"pattern_records", "map", "Objects (at any depth) closed on the index walk's pattern tree of learned record layouts.", func(s *StatsSnapshot) *int64 { return &s.PatternRecords }},
 	{"fallback_records", "map", "Records the index walk delegated to the token walker (0 on well-formed input).", func(s *StatsSnapshot) *int64 { return &s.FallbackRecords }},
 	{"scan_delegations", "map", "Tokens the index and token walks handed to the reference scanner.", func(s *StatsSnapshot) *int64 { return &s.ScanDelegations }},
-	{"chunks_direct", "map", "Windows absorbed straight into the destination accumulator (sequential shape: no chunk seal, no reduce).", func(s *StatsSnapshot) *int64 { return &s.ChunksDirect }},
+	{"chunks_direct", "map", "Walks straight into the destination accumulator, with no chunk seal and no reduce: every window of the sequential shape, the parallel committer's re-walks from a straddler.", func(s *StatsSnapshot) *int64 { return &s.ChunksDirect }},
 	{"root_fuses", "fuse", "Collector reads that found new documents and rebuilt the served schema.", func(s *StatsSnapshot) *int64 { return &s.RootFuses }},
-	{"seals", "fuse", "Accumulator seals: per chunk in the parallel shape, once per one-shot run, per changed shard (and fuse) in collector reads.", func(s *StatsSnapshot) *int64 { return &s.Seals }},
+	{"seals", "fuse", "Accumulator seals: per window in the parallel shape, once per one-shot run, per changed shard (and fuse) in collector reads.", func(s *StatsSnapshot) *int64 { return &s.Seals }},
 	{"bytes_aliased", "split", "Chunk bytes emitted zero-copy, aliasing the input buffer.", func(s *StatsSnapshot) *int64 { return &s.BytesAliased }},
-	{"bytes_reindexed", "split", "Bytes indexed twice because their record straddled a window end (sequential shape).", func(s *StatsSnapshot) *int64 { return &s.BytesReindexed }},
+	{"bytes_reindexed", "split", "Bytes indexed again because their record straddled a window end: the straddler's part of its window, and the windows the parallel committer discarded and re-walked.", func(s *StatsSnapshot) *int64 { return &s.BytesReindexed }},
 	{"bytes_copied", "read", "Bytes moved during reader-path buffer compaction.", func(s *StatsSnapshot) *int64 { return &s.BytesCopied }},
 	{"buffers_recycled", "read", "Chunk arrays reacquired from the pool instead of allocated.", func(s *StatsSnapshot) *int64 { return &s.BuffersRecycled }},
 	{"mmap_inputs", "read", "Inputs served through a memory mapping.", func(s *StatsSnapshot) *int64 { return &s.MmapInputs }},
 	{"reader_inputs", "read", "Inputs served through the copying io.Reader path.", func(s *StatsSnapshot) *int64 { return &s.ReaderInputs }},
 	{"read_nanos", "read", "Time blocked reading request bodies.", func(s *StatsSnapshot) *int64 { return &s.ReadNanos }},
-	{"split_nanos", "split", "Time finding chunk boundaries.", func(s *StatsSnapshot) *int64 { return &s.SplitNanos }},
-	{"map_nanos", "map", "Time indexing, lexing and absorbing runs of bytes, plus the parallel shape's per-chunk seals.", func(s *StatsSnapshot) *int64 { return &s.MapNanos }},
+	{"split_nanos", "split", "Time cutting windows at raw newlines.", func(s *StatsSnapshot) *int64 { return &s.SplitNanos }},
+	{"map_nanos", "map", "Time indexing, lexing and absorbing windows, plus the parallel shape's per-window seals.", func(s *StatsSnapshot) *int64 { return &s.MapNanos }},
 	{"reduce_nanos", "reduce", "One-shot runs: committer time absorbing chunk types (parallel shape) plus the final seal; always 0 in a collector.", func(s *StatsSnapshot) *int64 { return &s.ReduceNanos }},
 	{"fuse_nanos", "fuse", "Collector read time sealing changed shards and fusing them.", func(s *StatsSnapshot) *int64 { return &s.FuseNanos }},
 }

@@ -8,7 +8,6 @@ import (
 	"sync"
 
 	"repro/internal/jsontext"
-	"repro/internal/mison"
 	"repro/internal/typelang"
 )
 
@@ -196,14 +195,12 @@ func absorbObject(tr jsontext.TokenSource, dst typelang.Target, depth int) error
 	}
 }
 
-// byteChunk is one run of bytes handed to the map phase — a work unit
-// of the parallel shape (whole top-level documents) or a window of the
-// sequential one — with the absolute stream offset of its first byte
-// for exact error attribution. Reader-path chunks alias a pooled
-// chunkBuf and hold a reference on it, released by the consumer once
-// the chunk's documents are absorbed; byte-mode chunks alias the
-// caller's buffer and carry no reference (buf is nil, release a no-op).
-// open marks a window more input follows: it may end inside a document
+// byteChunk is one window handed to the map phase, with the absolute
+// stream offset of its first byte for exact error attribution.
+// Reader-path windows alias a pooled chunkBuf and hold a reference on
+// it (see windows); byte-mode windows alias the caller's buffer and
+// carry no reference (buf is nil, acquire and release no-ops). open
+// marks a window more input follows: it may end inside a document
 // (chunkMapper.absorb).
 type byteChunk struct {
 	index int
@@ -215,26 +212,23 @@ type byteChunk struct {
 
 // source is the input of a streamed run, what newChunkReader builds the
 // run's reader from: r, read through pool's buffers, or — r nil — the
-// caller-owned slice data, aliased where it sits. sp finds the parallel
-// shape's chunk boundaries: nil means a mison.Chunker (the tests put
-// their own here).
+// caller-owned slice data, aliased where it sits.
 type source struct {
 	r    io.Reader
 	pool *chunkPool
 	data []byte
-	sp   docSplitter
 }
 
 // chunkMapper is the map phase of one worker: the index absorber every
-// run of bytes goes through, wired once to the run's symbol table, and
-// the stats frame the worker records into. Both run shapes drive it. A
+// window goes through, wired once to the run's symbol table, and the
+// stats frame the worker records into. Both run shapes drive it. A
 // collector keeps its mappers warm between ingests
 // (ShardedCollector.mapper), which is what symbols and widest are
 // remembered for.
 type chunkMapper struct {
 	ia      *IndexAbsorber        // the structural index and both walks over it
 	symbols *jsontext.SymbolTable // what the absorber interns through
-	widest  int                   // longest chunk lexed: the index's bitmaps are that wide
+	widest  int                   // longest window lexed: the index's bitmaps are that wide
 	st      *PipelineStats
 	frame   statsFrame
 }
@@ -250,14 +244,14 @@ func newChunkMapper(opts Options) *chunkMapper {
 
 // absorb absorbs every document of ch into acc off the structural index
 // (a record the index walk cannot certify falls back to the token walk
-// over the same index inside AbsorbFromIndex, which words every error)
-// and releases the chunk. It returns the number of documents absorbed,
-// how many of ch's bytes it consumed and the first error; acc then
-// holds exactly the documents before it (a failed document's staged
-// frames are aborted). used is all of ch, unless ch is an open window
-// whose last record failed with an error more input could cure. That
-// record is the straddler: nothing of it was committed, it is no error,
-// and used is its first byte — where the next window begins.
+// over the same index inside AbsorbFromIndex, which words every error).
+// It returns the number of documents absorbed, how many of ch's bytes
+// it consumed and the first error; acc then holds exactly the documents
+// before it (a failed document's staged frames are aborted). used is
+// all of ch, unless ch is an open window whose last record failed with
+// an error more input could cure. That record is the straddler: nothing
+// of it was committed, it is no error, and used is its first byte —
+// where the next walk begins.
 func (m *chunkMapper) absorb(ch byteChunk, acc *typelang.Accum) (n, used int, err error) {
 	m.widest = max(m.widest, len(ch.data))
 	start := statsClock(m.st)
@@ -271,19 +265,25 @@ func (m *chunkMapper) absorb(ch byteChunk, acc *typelang.Accum) (n, used int, er
 	m.frame.PatternRecords += m.ia.TakePatternRecords()
 	m.frame.ScanDelegations += m.ia.TakeScanDelegations()
 	statsSince(m.st, &m.frame.MapNanos, start)
-	ch.buf.release()
 	m.frame.DocsAbsorbed += int64(n)
 	used = len(ch.data)
 	if errors.Is(err, io.EOF) {
 		err = nil
 	} else if ch.open && curable(err, ch.base+used) {
 		// m.ia.pos is where the record err is about begins.
-		m.frame.BytesReindexed += int64(used - m.ia.pos)
 		used, err = m.ia.pos, nil
 		m.frame.FallbackRecords-- // the walk's bail was the window's end, not the record
 	}
 	m.frame.BytesLexed += int64(used)
 	return n, used, err
+}
+
+// direct is absorb in the sequential shape: straight into the
+// destination accumulator, counted as such and published per window.
+func (m *chunkMapper) direct(ch byteChunk, acc *typelang.Accum) (int, int, error) {
+	defer m.frame.flush(m.st)
+	m.frame.ChunksDirect++
+	return m.absorb(ch, acc)
 }
 
 // curable reports whether more input could cure err, met in a window
@@ -307,8 +307,8 @@ func (f *statsFrame) seal(acc *typelang.Accum, st *PipelineStats, clock *int64) 
 // InferStream infers the type of every document on r (NDJSON,
 // concatenated or pretty-printed JSON) without materialising values or
 // the collection, returning it with the number of documents typed. The
-// input is cut into runs of bytes and each run is lexed and absorbed
-// straight into a typelang.Accum (chunkMapper.absorb).
+// input is cut into windows and each is lexed and absorbed straight
+// into a typelang.Accum (chunkMapper.absorb).
 //
 // Options.Workers alone picks the shape of the run (see run), and
 // nothing else depends on it: schema, count and errors are identical in
@@ -317,17 +317,17 @@ func (f *statsFrame) seal(acc *typelang.Accum, st *PipelineStats, clock *int64) 
 //
 // On a malformed document the error carries its absolute stream offset,
 // and the returned type and count cover exactly the documents before it
-// — work done on later chunks is discarded. A read error from r wins
-// over a syntax error in the chunk it truncated.
+// — work done on later windows is discarded. A read error from r wins
+// over a syntax error in the window it truncated.
 func InferStream(r io.Reader, opts Options) (*typelang.Type, int, error) {
 	return run(source{r: r, pool: new(chunkPool)}, opts)
 }
 
 // InferStreamBytes is InferStream over a caller-owned byte slice — the
-// zero-copy entry point. Chunks alias data (no pending array, no
-// compaction, no per-chunk allocation) and are lexed where they sit, so
-// a memory-mapped file streams through without ever being copied. The
-// caller keeps data alive and unmodified until the call returns.
+// zero-copy entry point. Windows alias data (no pending array, no
+// compaction, no per-window allocation) and are lexed where they sit,
+// so a memory-mapped file streams through without ever being copied.
+// The caller keeps data alive and unmodified until the call returns.
 // Schema, count and error offsets are identical to InferStream's over a
 // reader of the same bytes.
 func InferStreamBytes(data []byte, opts Options) (*typelang.Type, int, error) {
@@ -335,18 +335,13 @@ func InferStreamBytes(data []byte, opts Options) (*typelang.Type, int, error) {
 }
 
 // run is the one-shot engine behind both entry points, and where its
-// shape is decided. One worker is the sequential shape: windows
-// (chunking.go) of ChunkBytes, else sequentialChunkBytes — no boundary
-// is looked for, and with one worker the windows only bound the index,
-// so they are cut large — each absorbed on the caller's goroutine
-// straight into the run's accumulator: no goroutine, no per-chunk
-// seal, no reduce of chunk types. Several workers are the
-// parallel shape: readChunks cuts document-aligned chunks for
-// pipeChunks, whose committer absorbs the sealed chunk types into that
-// accumulator in stream order. A one-shot run has no reader before its
-// end, so either way its accumulator is sealed once, at the end (the
-// snapshot-serving, lockable collector is InferStreamInto's, for the
-// registry).
+// shape is decided. One worker is the sequential shape: windows of
+// ChunkBytes, else sequentialChunkBytes, each absorbed on the caller's
+// goroutine straight into the run's accumulator — no goroutine, no
+// per-window seal, no reduce. Several workers are the parallel shape:
+// windows of ChunkBytes, else of DefaultBatch document-starting lines,
+// for pipeChunks. Either way the accumulator is sealed once, at the end
+// (the snapshot-serving collector is InferStreamInto's).
 func run(src source, opts Options) (*typelang.Type, int, error) {
 	st := opts.Stats
 	var frame statsFrame
@@ -356,23 +351,17 @@ func run(src source, opts Options) (*typelang.Type, int, error) {
 	if opts.workers() <= 1 {
 		m := newChunkMapper(opts)
 		window := opts.window(sequentialChunkBytes)
-		n, err = windows(newChunkReader(src, window, st), window, func(ch byteChunk) (int, int, error) {
-			defer m.frame.flush(st)
-			return m.absorb(ch, acc)
+		n, err = windows(newChunkReader(src, window, st), window, 0, func(ch byteChunk) (int, int, error) {
+			return m.direct(ch, acc)
 		})
 	} else {
-		if src.sp == nil {
-			src.sp = mison.NewChunker()
+		window, docs := opts.window(0), 0
+		if window == 0 {
+			docs = opts.batchSize()
 		}
-		send, finish := pipeChunks(opts, func(ts []*typelang.Type) {
-			start := statsClock(st)
-			for _, t := range ts {
-				acc.Absorb(t)
-			}
-			statsSince(st, &frame.ReduceNanos, start)
-		})
-		targets := opts.chunkTargets()
-		n, err = finish(readChunks(newChunkReader(src, targets.bytes, st), targets, src.sp, send))
+		send, finish := pipeChunks(opts, acc, &frame)
+		_, err = windows(newChunkReader(src, window, st), window, docs, send)
+		n, err = finish(err)
 	}
 	t := frame.seal(acc, st, &frame.ReduceNanos)
 	frame.flush(st)
@@ -397,47 +386,48 @@ func InferStreamInto(r io.Reader, opts Options, col *ShardedCollector) (int, err
 	m := col.mapper(opts)
 	defer col.release(m)
 	window := opts.window(chunkReadSize)
-	return windows(newChunkReader(source{r: r, pool: &col.chunks}, window, opts.Stats), window, func(ch byteChunk) (int, int, error) {
-		defer m.frame.flush(opts.Stats)
+	return windows(newChunkReader(source{r: r, pool: &col.chunks}, window, opts.Stats), window, 0, func(ch byteChunk) (int, int, error) {
 		return col.absorbChunk(m, ch)
 	})
 }
 
-// chunkResult is what a worker makes of one chunk: the merged type of
-// its documents, how many were typed, and the first error hit (with the
-// partial type covering the documents before it).
+// chunkResult is what a worker makes of one window: the sealed type of
+// the documents its walk absorbed, how many, how many of the window's
+// bytes the walk consumed (all, but for a straddler) and its first
+// error — a guess until the committer accepts it, as the window may
+// have begun inside a document.
 type chunkResult struct {
-	index int
-	t     *typelang.Type
-	n     int
-	err   error
+	ch   byteChunk
+	t    *typelang.Type
+	n    int
+	used int
+	err  error
 }
 
-// commitBatch is how many in-order chunk results the committer buffers
-// per commit call: one hand-off to the run's accumulator (one reduce
-// clock reading) then carries a batch of sealed partials instead of
-// one. Error semantics are unaffected — the buffer holds only
-// already-committed (in-order, pre-error) results and is flushed before
-// the error is recorded.
+// commitBatch is how many accepted window types the committer buffers
+// per hand-off to the run's accumulator (one reduce clock reading per
+// batch instead of per window). The buffer holds only accepted results
+// and is flushed before an error is recorded.
 const commitBatch = 8
 
-// pipeChunks starts the parallel shape of the engine: workers lexing
-// and absorbing the chunks given to send in parallel, each into its own
-// accumulator (storage-retaining Reset between chunks, so the steady
-// state types documents of seen shapes without allocating) sealed per
-// chunk, and a committer that calls commit with batches of chunk types
-// (in stream order; ownership of the slice passes to commit). Commits
-// stop at the first error — the committed chunks are exactly those
-// before it — and send reports false from then on. finish, called with
-// the source's read error once it has returned, waits for the committer
-// and returns the number of documents committed and that first error.
-// Because the workers drain the work channel even after an early stop,
-// every emitted chunk is released on every path.
-func pipeChunks(opts Options, commit func([]*typelang.Type)) (send func(byteChunk) bool, finish func(error) (int, error)) {
+// errStopped is what pipeChunks' send returns once the committer has
+// recorded the run's error: windows stops cutting.
+var errStopped = errors.New("infer: run stopped")
+
+// pipeChunks starts the parallel shape: workers absorbing the windows
+// given to send, each into its own accumulator (Reset between windows,
+// so the steady state allocates nothing) sealed per window, and a
+// committer deciding in stream order what of that speculation holds.
+// send keeps a reference on the window's buffer for the committer to
+// release, and reports errStopped after the first error. finish, called
+// with windows' error, waits for the committer and returns the number
+// of documents committed — exactly those before the first error — and
+// that error.
+func pipeChunks(opts Options, acc *typelang.Accum, frame *statsFrame) (send func(byteChunk) (int, int, error), finish func(error) (int, error)) {
 	workers := opts.workers()
 	work := make(chan byteChunk, 2*workers)
 	results := make(chan chunkResult, workers)
-	stop := make(chan struct{})
+	c := &committer{st: opts.Stats, acc: acc, frame: frame, stop: make(chan struct{}), m: newChunkMapper(opts)}
 
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -448,10 +438,10 @@ func pipeChunks(opts Options, commit func([]*typelang.Type)) (send func(byteChun
 			acc := typelang.NewAccum(opts.Equiv)
 			for ch := range work {
 				acc.Reset()
-				n, _, err := m.absorb(ch, acc)
+				n, used, err := m.absorb(ch, acc)
 				t := m.frame.seal(acc, opts.Stats, &m.frame.MapNanos)
 				m.frame.flush(opts.Stats)
-				results <- chunkResult{index: ch.index, t: t, n: n, err: err}
+				results <- chunkResult{ch: ch, t: t, n: n, used: used, err: err}
 			}
 		}()
 	}
@@ -460,82 +450,129 @@ func pipeChunks(opts Options, commit func([]*typelang.Type)) (send func(byteChun
 		close(results)
 	}()
 
-	// Committer: release chunk results in stream order for exact error
-	// and count semantics, buffering up to commitBatch in-order results
-	// per commit call. The bookkeeping here is cheap — the merge work
-	// happens in commit, into the one-shot run's accumulator.
-	var (
-		pending     = make(map[int]chunkResult)
-		next        int
-		total       int
-		firstErr    error
-		firstErrIdx = -1
-		stopped     bool
-		batch       []*typelang.Type
-	)
-	flush := func() {
-		if len(batch) == 0 {
-			return
-		}
-		commit(batch)
-		batch = nil
-	}
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
+		pending := make(map[int]chunkResult)
+		next := 0
 		for res := range results {
-			pending[res.index] = res
-			for {
-				cr, ok := pending[next]
-				if !ok {
-					break
-				}
+			pending[res.ch.index] = res
+			for r, ok := pending[next]; ok; r, ok = pending[next] {
 				delete(pending, next)
 				next++
-				if firstErr != nil {
-					continue
-				}
-				if batch == nil {
-					batch = make([]*typelang.Type, 0, commitBatch)
-				}
-				batch = append(batch, cr.t)
-				total += cr.n
-				if len(batch) == commitBatch {
-					flush()
-				}
-				if cr.err != nil {
-					flush()
-					firstErr = cr.err
-					firstErrIdx = cr.index
-					if !stopped {
-						stopped = true
-						close(stop)
-					}
-				}
+				c.decide(r)
+				r.ch.buf.release()
 			}
 		}
-		flush()
+		c.flush()
 	}()
-	send = func(ch byteChunk) bool {
+	send = func(ch byteChunk) (int, int, error) {
+		ch.buf.acquire()
 		select {
 		case work <- ch:
-			return true
-		case <-stop:
+			return 0, len(ch.data), nil
+		case <-c.stop:
 			ch.buf.release()
-			return false
+			return 0, 0, errStopped
 		}
 	}
 	finish = func(rerr error) (int, error) {
 		close(work)
 		<-done
-		// A read failure truncates the final chunk, and the syntax error the
-		// worker reports on that cut is an artifact of the failed read, not
-		// of the data — so the I/O error wins over an error in the last
-		// chunk (earlier chunks are complete; their errors are genuine).
-		if rerr != nil && (firstErr == nil || firstErrIdx == next-1) {
-			firstErr = rerr
+		// A read failure truncates the final window: the I/O error wins
+		// over an error the walk through it found, and over no other.
+		if rerr != nil && !errors.Is(rerr, errStopped) && (c.err == nil || c.errLast) {
+			c.err = rerr
 		}
-		return total, firstErr
+		return c.total, c.err
 	}
 	return send, finish
+}
+
+// committer is the parallel shape's reduce and the check on its
+// speculation, by induction: window 0 begins at a document boundary,
+// and window i does exactly when the walk committed for window i-1
+// ended with no straddler. Then the worker's walk is the sequential
+// shape's and is accepted, error included; otherwise it is discarded,
+// error included, and the committer walks from the straddler itself.
+type committer struct {
+	st    *PipelineStats
+	acc   *typelang.Accum
+	frame *statsFrame // the run's: the reduce clock and bytes_reindexed
+	stop  chan struct{}
+	batch []*typelang.Type // accepted window types not yet in acc
+
+	total   int
+	err     error
+	errLast bool // err came from the walk through the input's last window
+
+	// tail holds the bytes from the open straddler (at absolute offset
+	// base; empty: none) to the end of the windows decided since; the
+	// next re-walk waits until it holds need bytes.
+	tail []byte
+	base int
+	need int
+	m    *chunkMapper // the re-walks'
+}
+
+// decide accepts r, or discards it and, once tail holds enough bytes,
+// walks tail in line into the run's accumulator with the committer's
+// own mapper. The bytes walked again count into bytes_reindexed.
+func (c *committer) decide(r chunkResult) {
+	if c.err != nil {
+		return
+	}
+	if len(c.tail) == 0 {
+		c.batch = append(c.batch, r.t)
+		if len(c.batch) == commitBatch {
+			c.flush()
+		}
+		c.commit(r.ch, r.n, r.used, r.err)
+		return
+	}
+	c.frame.BytesReindexed += int64(len(r.ch.data))
+	c.tail = append(c.tail, r.ch.data...)
+	// Twice the bytes, rounded to the nearest window: a window ends a
+	// few bytes short of its target, and waiting for one more would
+	// compound into every later doubling.
+	if r.ch.open && len(c.tail)+len(r.ch.data)/2 < c.need {
+		return
+	}
+	walk := byteChunk{base: c.base, data: c.tail, open: r.ch.open}
+	n, used, err := c.m.direct(walk, c.acc)
+	c.commit(walk, n, used, err)
+}
+
+// commit books a committed walk of ch: its documents, and its error,
+// which ends the run, or its straddler, which becomes tail. After a
+// walk that completed no document the next re-walk waits for twice the
+// bytes — windows' own doubling — so the bytes walked again stay O(n).
+func (c *committer) commit(ch byteChunk, n, used int, err error) {
+	c.total += n
+	if err != nil {
+		c.flush()
+		c.err, c.errLast = err, !ch.open
+		close(c.stop)
+		return
+	}
+	rest := ch.data[used:]
+	c.frame.BytesReindexed += int64(len(rest))
+	c.tail = append(c.tail[:0], rest...)
+	c.base, c.need = ch.base+used, 0
+	if n == 0 {
+		c.need = 2 * len(rest)
+	}
+}
+
+// flush absorbs the buffered window types into the run's accumulator.
+func (c *committer) flush() {
+	if len(c.batch) == 0 {
+		return
+	}
+	start := statsClock(c.st)
+	for _, t := range c.batch {
+		c.acc.Absorb(t)
+	}
+	statsSince(c.st, &c.frame.ReduceNanos, start)
+	c.batch = c.batch[:0]
 }

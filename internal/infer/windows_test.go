@@ -14,14 +14,21 @@ import (
 	"repro/internal/typelang"
 )
 
-// This file pins the sequential shape's input protocol: windows cut at
-// raw newlines without scanning, and the straddler — the record a
-// window's end cut — left for the next window.
+// This file pins the input protocol of both shapes: windows cut at raw
+// newlines without scanning, and the straddler — the record a window's
+// end cut — left for the next walk: the next window's in the sequential
+// shape, the committer's in the parallel one, where every window after
+// a straddling one is walked speculatively from a byte that is no
+// document boundary and the committer discards that walk.
 
-// windowChunkings are byte targets under which a one-worker run cuts
-// many windows: one line each, a few lines, a few documents. Over a
-// layout whose documents span lines most windows end inside one.
+// windowChunkings are byte targets under which a run cuts many windows:
+// one line each, a few lines, a few documents. Over a layout whose
+// documents span lines most windows end inside one.
 var windowChunkings = []Options{{ChunkBytes: 1}, {ChunkBytes: 7}, {ChunkBytes: 64}, {ChunkBytes: 4096}}
+
+// windowWorkers are the worker counts of the window sweeps: the
+// sequential shape, and the parallel one with windows in flight.
+var windowWorkers = []int{1, 2, 4}
 
 // indented re-renders the documents of data one per several lines, the
 // layout `jsgen -indent` writes.
@@ -42,7 +49,7 @@ func indented(t *testing.T, data []byte) []byte {
 	}
 }
 
-// assertWindowsMatchOracle is assertMatchesOracle at one worker under
+// assertWindowsMatchOracle is assertMatchesOracle at windowWorkers under
 // windowChunkings: every input kind, both equivalences.
 func assertWindowsMatchOracle(t *testing.T, label string, data []byte) {
 	t.Helper()
@@ -50,7 +57,7 @@ func assertWindowsMatchOracle(t *testing.T, label string, data []byte) {
 		want, wantN, wantErr := oracle(data, e)
 		for _, ck := range windowChunkings {
 			ck.Equiv = e
-			assertEngineYields(t, label, data, ck, []int{1}, want, wantN, wantErr)
+			assertEngineYields(t, label, data, ck, windowWorkers, want, wantN, wantErr)
 		}
 	}
 }
@@ -111,13 +118,27 @@ var brokenStrings = []string{
 	"\"",
 }
 
+// straddleDefects put a defect after a document that spans lines: in
+// the window right after the one whose end cut that document, and
+// behind lines — a bare key, a member's tail, a closing bracket — from
+// which a window's speculative walk fails before it reaches the defect.
+var straddleDefects = []string{
+	"{\"a\": 1}\n{\n\"s\": \"x\",\n\"t\": [1,\n2]\n}\n{\"b\": tru}\n",
+	"{\n\"a\": {\n\"b\": [\n1\n]\n}\n}\n{\"c\": 1}\n{\"d\": ]}\n{\"e\": 2}\n",
+	"[\n{\"k\": 1},\n{\"k\": 2}\n]\n{\n\"s\": \"open\n}\n",
+	"{\n\"a\": 1\n}\n{\n\"a\":\n}\n",
+}
+
 // TestBrokenStringsMatchOracle sweeps brokenStrings after 0, 3, 8 and
 // DefaultBatch good documents — so that each is met mid-chunk and as
 // the first record of a later chunk — through every worker count, input
 // kind and chunking, through every window target, and through the one
-// window target that cuts exactly at the defect's first raw newline:
-// the oracle's schema and count of the preceding documents, its error
-// text and its absolute offset, whichever walk met the defect.
+// window target that cuts exactly at the defect's first raw newline;
+// then straddleDefects under every window length from one byte to the
+// whole input. Each time: the oracle's schema and count of the
+// preceding documents, its error text and its absolute offset,
+// whichever walk met the defect — never the error of a speculative walk
+// the committer discarded.
 func TestBrokenStringsMatchOracle(t *testing.T) {
 	good := `{"a": 1, "s": "x"}` + "\n"
 	for _, defect := range brokenStrings {
@@ -129,8 +150,19 @@ func TestBrokenStringsMatchOracle(t *testing.T) {
 			if i := strings.IndexByte(defect, '\n'); i >= 0 {
 				for _, e := range sweepEquivs {
 					want, wantN, wantErr := oracle(data, e)
-					assertEngineYields(t, label+"/cut", data, Options{Equiv: e, ChunkBytes: n*len(good) + i + 1}, []int{1}, want, wantN, wantErr)
+					assertEngineYields(t, label+"/cut", data, Options{Equiv: e, ChunkBytes: n*len(good) + i + 1}, windowWorkers, want, wantN, wantErr)
 				}
+			}
+		}
+	}
+	for _, defect := range straddleDefects {
+		for _, e := range sweepEquivs {
+			want, wantN, wantErr := oracle([]byte(defect), e)
+			if wantErr == nil {
+				t.Fatalf("%q: the oracle accepts it; a straddle defect must be one", defect)
+			}
+			for size := 1; size <= len(defect); size++ {
+				assertEngineYields(t, fmt.Sprintf("%.20q", defect), []byte(defect), Options{Equiv: e, ChunkBytes: size}, windowWorkers, want, wantN, wantErr)
 			}
 		}
 	}
@@ -147,8 +179,8 @@ func TestWindowsMatchOracleEdgeCases(t *testing.T) {
 	}
 }
 
-// FuzzStreamWindows pins the window protocol on arbitrary bytes: a
-// one-worker run cutting windows of a fuzz-chosen target — one byte to
+// FuzzStreamWindows pins the window protocol on arbitrary bytes: a run
+// at windowWorkers cutting windows of a fuzz-chosen target — one byte to
 // the whole input — must yield the oracle's outcome over the same bytes
 // from every input kind: schema (plain and counted), document count,
 // error text and absolute offset, under K and under L.
@@ -163,98 +195,145 @@ func FuzzStreamWindows(f *testing.F) {
 		for _, e := range sweepEquivs {
 			ck.Equiv = e
 			want, wantN, wantErr := oracle(data, e)
-			assertEngineYields(t, "fuzz", data, ck, []int{1}, want, wantN, wantErr)
+			assertEngineYields(t, "fuzz", data, ck, windowWorkers, want, wantN, wantErr)
 		}
 	})
 }
 
 // TestStraddlerIsReindexedNotCommitted follows one straddler through
-// the flight recorder: a document cut by three windows is absorbed
-// once, the windows it failed in commit nothing of it, and the bytes
-// indexed again are exactly the cut parts.
+// the flight recorder: a document cut by several windows is committed
+// once, the walks that failed on it commit nothing of it, and the bytes
+// indexed again are the cut parts, growing geometrically — one worker
+// re-walks the straddler from the next window, several re-walk it on
+// the committer (chunks_direct counts those walks), past the windows
+// whose speculative walks the committer discarded. Then a defect right
+// after the straddling document, and one behind a line a speculative
+// walk fails on first: the error is the oracle's, never a discarded
+// walk's.
 func TestStraddlerIsReindexedNotCommitted(t *testing.T) {
 	doc := "{\n\"a\": 1,\n\"b\": [2,\n3]\n}\n"
 	data := []byte("1\n" + doc + "2\n")
-	for _, input := range inputKinds {
-		var st PipelineStats
-		got, n, err := inferStreamOver(input, data, Options{Workers: 1, ChunkBytes: 4, Stats: &st})
-		if err != nil || n != 3 {
-			t.Fatalf("%s: %d documents, err %v; want 3", input, n, err)
+	for _, workers := range windowWorkers {
+		for _, input := range inputKinds {
+			label := fmt.Sprintf("w%d/%s", workers, input)
+			var st PipelineStats
+			got, n, err := inferStreamOver(input, data, Options{Workers: workers, ChunkBytes: 4, Stats: &st})
+			if err != nil || n != 3 {
+				t.Fatalf("%s: %d documents, err %v; want 3", label, n, err)
+			}
+			if want := "(Int + {a: Int, b: [Int]})"; got.String() != want {
+				t.Errorf("%s: schema %s, want %s", label, got, want)
+			}
+			s := st.Snapshot()
+			bound := 2 // the sequential shape's cut parts
+			if workers > 1 {
+				bound = 3 // and every discarded window once
+			}
+			if s.BytesReindexed <= 0 || s.BytesReindexed > int64(bound*len(doc)) {
+				t.Errorf("%s: bytes_reindexed=%d; want the cut parts of a %d-byte document, growing geometrically", label, s.BytesReindexed, len(doc))
+			}
+			if s.ChunksSplit < 4 || s.SplitNanos <= 0 {
+				t.Errorf("%s: windows=%d cut clock %dns; want several windows, each cut on the clock", label, s.ChunksSplit, s.SplitNanos)
+			}
+			if workers == 1 {
+				if s.BytesLexed != int64(len(data)) || s.DocsAbsorbed != 3 || s.IndexRecords != 3 || s.FallbackRecords != 0 {
+					t.Errorf("%s: bytes_lexed=%d docs=%d index=%d fallback=%d; want %d/3/3/0",
+						label, s.BytesLexed, s.DocsAbsorbed, s.IndexRecords, s.FallbackRecords, len(data))
+				}
+				if s.ChunksDirect != s.ChunksSplit || s.Seals != 1 {
+					t.Errorf("%s: windows=%d direct=%d seals=%d; want all direct, one seal", label, s.ChunksSplit, s.ChunksDirect, s.Seals)
+				}
+			} else if s.ChunksDirect < 1 || s.ChunksDirect >= s.ChunksSplit || s.Seals != s.ChunksSplit+1 {
+				t.Errorf("%s: windows=%d re-walks=%d seals=%d; want some windows re-walked on the committer, a seal per window and the run's",
+					label, s.ChunksSplit, s.ChunksDirect, s.Seals)
+			}
 		}
-		if want := "(Int + {a: Int, b: [Int]})"; got.String() != want {
-			t.Errorf("%s: schema %s, want %s", input, got, want)
-		}
-		s := st.Snapshot()
-		if s.BytesLexed != int64(len(data)) || s.DocsAbsorbed != 3 || s.IndexRecords != 3 || s.FallbackRecords != 0 {
-			t.Errorf("%s: bytes_lexed=%d docs=%d index=%d fallback=%d; want %d/3/3/0",
-				input, s.BytesLexed, s.DocsAbsorbed, s.IndexRecords, s.FallbackRecords, len(data))
-		}
-		if s.BytesReindexed <= 0 || s.BytesReindexed > 2*int64(len(doc)) {
-			t.Errorf("%s: bytes_reindexed=%d; want the cut parts of a %d-byte document, growing geometrically", input, s.BytesReindexed, len(doc))
-		}
-		if s.ChunksSplit < 4 || s.ChunksDirect != s.ChunksSplit || s.SplitNanos != 0 || s.Seals != 1 {
-			t.Errorf("%s: windows=%d direct=%d split=%dns seals=%d; want several windows, all direct, no boundary scan, one seal",
-				input, s.ChunksSplit, s.ChunksDirect, s.SplitNanos, s.Seals)
+	}
+
+	// The window after the straddling one holds a defect; a window
+	// beginning at `"b": [2,` is walked as a string document and fails at
+	// its ':' — before the defect, and never reported.
+	for _, tail := range []string{"{\"c\": ]}\n", "2\n{\"c\": tru}\n"} {
+		broken := []byte("1\n" + doc + tail)
+		for _, e := range sweepEquivs {
+			want, wantN, wantErr := oracle(broken, e)
+			for _, size := range []int{4, 8, len(doc)} {
+				assertEngineYields(t, fmt.Sprintf("%.20q", tail), broken, Options{Equiv: e, ChunkBytes: size}, windowWorkers, want, wantN, wantErr)
+			}
 		}
 	}
 }
 
-// countingSplitter is mison.Chunker's stand-in where the pin is whether
-// boundaries were looked for at all.
-type countingSplitter struct {
-	scanSplitter
-	calls int
-}
-
-func (c *countingSplitter) Splits(block []byte, dst []int) []int {
-	c.calls++
-	return c.scanSplitter.Splits(block, dst)
-}
-
-// TestSequentialShapeNeverSplits pins where the Chunker is off the
-// path: a one-worker run of many windows, from either source, and
-// InferStreamInto at Workers: 4 never asks the splitter — a collector
-// feed reads neither Workers nor batch and is absorbed in windows. The
-// control is the same body at four workers and batch 64 through the
-// one-shot engine: the splitter runs from the first byte, and the run
-// takes the parallel shape.
+// TestSequentialShapeNeverSplits pins that no shape looks for document
+// boundaries: every run only cuts windows and lets the walks find the
+// documents. On NDJSON — at every worker count, from a slice and from a
+// reader, and through a collector feed — and on `jsgen -indent` layouts
+// at four workers, no byte is walked twice, and at several workers the
+// windows are the batch-document chunks a boundary scan would have cut.
+// One pretty-printed document of over a megabyte, cut into 64 KiB
+// windows that four workers walk speculatively, is walked again at most
+// twice over.
 func TestSequentialShapeNeverSplits(t *testing.T) {
-	body := jsontext.MarshalLines(genjson.Collection(genjson.Twitter{Seed: 22}, 100))
-	want, wantN, _ := oracle(body, typelang.EquivKind)
+	const docs, batch = 100, 16
+	ndjson := jsontext.MarshalLines(genjson.Collection(genjson.Twitter{Seed: 22}, docs))
+	pretty := indented(t, ndjson)
 	for _, c := range []struct {
-		name        string
-		opts        Options
-		into        bool
-		wantWindows bool
-		wantSplit   bool
+		name string
+		data []byte
+		opts Options
 	}{
-		{"w1-windows", Options{Workers: 1, ChunkBytes: 2 << 10}, false, true, false},
-		{"into-w4", Options{Workers: 4, batch: 64, ChunkBytes: 2 << 10}, true, true, false},
-		{"w4-control", Options{Workers: 4, batch: 64}, false, false, true},
+		{"ndjson-w1", ndjson, Options{Workers: 1, ChunkBytes: 2 << 10}},
+		{"ndjson-w2", ndjson, Options{Workers: 2, batch: batch}},
+		{"ndjson-w4", ndjson, Options{Workers: 4, batch: batch}},
+		{"indent-w4", pretty, Options{Workers: 4, batch: batch}},
 	} {
-		for _, src := range []source{{data: body}, readerSource(body)} {
-			if c.into && src.r == nil {
-				continue // a collector is fed through a reader only
-			}
-			sp := &countingSplitter{}
-			src.sp = sp
+		want, wantN, _ := oracle(c.data, typelang.EquivKind)
+		inputs := inputKinds
+		if c.opts.Workers == 1 {
+			inputs = slices.Concat(inputKinds, []string{"into"}) // a collector feed takes the sequential shape
+		}
+		for _, input := range inputs {
 			var st PipelineStats
 			c.opts.Stats = &st
-			engine := run
-			if c.into {
-				engine = func(_ source, opts Options) (*typelang.Type, int, error) { return inferStreamOver("into", body, opts) }
-			}
-			got, n, err := engine(src, c.opts)
+			got, n, err := inferStreamOver(input, c.data, c.opts)
 			if err != nil || n != wantN || got.StringCounted() != want.StringCounted() {
-				t.Fatalf("%s: %d documents, err %v, schema %s; want %d of %s", c.name, n, err, got.StringCounted(), wantN, want.StringCounted())
+				t.Fatalf("%s/%s: %d documents, err %v, schema %s; want %d of %s", c.name, input, n, err, got.StringCounted(), wantN, want.StringCounted())
 			}
 			s := st.Snapshot()
-			if (sp.calls > 0) != c.wantSplit || (s.SplitNanos > 0) != c.wantSplit {
-				t.Errorf("%s (reader: %t): the splitter was asked %d times (split clock %dns); want asked: %t", c.name, src.r != nil, sp.calls, s.SplitNanos, c.wantSplit)
+			if s.BytesReindexed != 0 || s.SplitNanos <= 0 {
+				t.Errorf("%s/%s: bytes_reindexed=%d cut clock %dns; want 0 and a running clock", c.name, input, s.BytesReindexed, s.SplitNanos)
 			}
-			if sequential := s.ChunksDirect == s.ChunksSplit; sequential == c.wantSplit || (s.ChunksSplit > 1) != (c.wantWindows || c.wantSplit) {
-				t.Errorf("%s (reader: %t): chunks_split=%d chunks_direct=%d", c.name, src.r != nil, s.ChunksSplit, s.ChunksDirect)
+			parallel := c.opts.Workers > 1
+			if parallel && (s.ChunksSplit != (docs+batch-1)/batch || s.ChunksDirect != 0) {
+				t.Errorf("%s/%s: chunks_split=%d chunks_direct=%d; want %d windows, none re-walked", c.name, input, s.ChunksSplit, s.ChunksDirect, (docs+batch-1)/batch)
 			}
+			if !parallel && (s.ChunksSplit < 2 || s.ChunksDirect != s.ChunksSplit) {
+				t.Errorf("%s/%s: chunks_split=%d chunks_direct=%d; want several windows, all direct", c.name, input, s.ChunksSplit, s.ChunksDirect)
+			}
+		}
+	}
+
+	var big bytes.Buffer
+	big.WriteString("[\n")
+	for i, d := range genjson.Collection(genjson.Twitter{Seed: 23}, 1000) {
+		if i > 0 {
+			big.WriteString(",\n")
+		}
+		big.Write(jsontext.MarshalIndent(d, "  "))
+		if big.Len() > 1<<20 {
+			break
+		}
+	}
+	big.WriteString("\n]\n")
+	want, _, _ := oracle(big.Bytes(), typelang.EquivKind)
+	for _, input := range inputKinds {
+		var st PipelineStats
+		got, n, err := inferStreamOver(input, big.Bytes(), Options{Workers: 4, ChunkBytes: 64 << 10, Stats: &st})
+		if err != nil || n != 1 || got.StringCounted() != want.StringCounted() {
+			t.Fatalf("big/%s: %d documents, err %v; want the one document's schema", input, n, err)
+		}
+		if s := st.Snapshot(); s.BytesReindexed <= 0 || s.BytesReindexed > 2*int64(big.Len()) {
+			t.Errorf("big/%s: bytes_reindexed=%d of a %d-byte document; want at most twice it", input, s.BytesReindexed, big.Len())
 		}
 	}
 }

@@ -3,6 +3,7 @@ package infer
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
@@ -12,16 +13,23 @@ import (
 
 // This file pins the zero-copy input layer: the byte-slice entry point
 // must be byte-identical to the reader one over the same input
-// (schemas, counts, error offsets); the one chunk loop must cut a slice
-// into exactly the chunk stream it cuts a reader into, allocating
-// nothing per chunk and asking the splitter one block at a time; and
-// the pooled reader buffers must never be recycled while a chunk still
-// aliases them (the race test below runs under `make race`).
+// (schemas, counts, error offsets); the one window loop must cut a
+// slice into exactly the window stream it cuts a reader into,
+// allocating nothing per window however long the slice; and the pooled
+// reader buffers must never be recycled while a window still aliases
+// them (the race test below runs under `make race`).
 
-// cutChunks runs the parallel shape's input loop over src as stream
-// does: one chunkReader, readChunks.
-func cutChunks(src source, targets chunkTargets, sp docSplitter, st *PipelineStats, emit func(byteChunk) bool) error {
-	return readChunks(newChunkReader(src, targets.bytes, st), targets, sp, emit)
+// cutWindows runs the window loop over src as the parallel shape does —
+// one chunkReader, every window consumed whole — with a target of docs
+// document-starting lines, or of target bytes when docs is 0. emit
+// owns a window only until it returns: to keep one it acquires its
+// buffer.
+func cutWindows(src source, target, docs int, st *PipelineStats, emit func(byteChunk)) error {
+	_, err := windows(newChunkReader(src, target, st), target, docs, func(ch byteChunk) (int, int, error) {
+		emit(ch)
+		return 0, len(ch.data), nil
+	})
+	return err
 }
 
 // readerSource is data behind an io.Reader with a run's own pool.
@@ -48,9 +56,10 @@ func TestBytesEngineErrorEquivalence(t *testing.T) {
 	}
 }
 
-// TestSplitChunksBytesMatchesReadChunks pins the chunk loop to the same
-// chunk stream over a slice as over a reader — same data, same absolute
-// bases, same indexes — across document-count and byte-size targets.
+// TestSplitChunksBytesMatchesReadChunks pins the window loop to the same
+// window stream over a slice as over a reader — same data, same
+// absolute bases, same indexes — across document-count and byte-size
+// targets.
 func TestSplitChunksBytesMatchesReadChunks(t *testing.T) {
 	docs := genjson.Collection(genjson.Twitter{Seed: 90}, 400)
 	data := jsontext.MarshalLines(docs)
@@ -58,25 +67,23 @@ func TestSplitChunksBytesMatchesReadChunks(t *testing.T) {
 		index, base int
 		data        string
 	}
-	collect := func(viaReader bool, targets chunkTargets) []chunk {
+	type targets struct{ docs, bytes int }
+	collect := func(viaReader bool, tg targets) []chunk {
 		var out []chunk
-		emit := func(ch byteChunk) bool {
-			out = append(out, chunk{ch.index, ch.base, string(ch.data)})
-			ch.buf.release()
-			return true
-		}
 		src := source{data: data}
 		if viaReader {
 			src = readerSource(data)
 		}
-		if err := cutChunks(src, targets, &scanSplitter{}, nil, emit); err != nil {
+		if err := cutWindows(src, tg.bytes, tg.docs, nil, func(ch byteChunk) {
+			out = append(out, chunk{ch.index, ch.base, string(ch.data)})
+		}); err != nil {
 			t.Fatal(err)
 		}
 		return out
 	}
-	for _, targets := range []chunkTargets{
+	for _, targets := range []targets{
 		{docs: 1}, {docs: 7}, {docs: 256},
-		{docs: 256, bytes: 1 << 10}, {docs: 1, bytes: 64 << 10}, {docs: 256, bytes: 1},
+		{bytes: 1 << 10}, {bytes: 64 << 10}, {bytes: 1},
 	} {
 		want := collect(true, targets)
 		got := collect(false, targets)
@@ -94,8 +101,8 @@ func TestSplitChunksBytesMatchesReadChunks(t *testing.T) {
 				t.Fatalf("targets=%+v: chunk %d base %d, want %d", targets, i, got[i].base, off)
 			}
 			off += len(got[i].data)
-			if targets.bytes > 0 && i < len(got)-1 && len(got[i].data) < targets.bytes {
-				t.Errorf("targets=%+v: chunk %d holds %d bytes, below the byte target", targets, i, len(got[i].data))
+			if w := got[i].data; targets.bytes > 0 && len(w) > targets.bytes && strings.IndexByte(w[:targets.bytes], '\n') >= 0 {
+				t.Errorf("targets=%+v: window %d holds %d bytes, past the byte target with a newline inside it", targets, i, len(w))
 			}
 		}
 		if off != len(data) {
@@ -104,53 +111,30 @@ func TestSplitChunksBytesMatchesReadChunks(t *testing.T) {
 	}
 }
 
-// boundedSplitter fails the test when the chunk loop hands the splitter
-// more than one read block, or scratch grown past what one block of
-// these documents can hold.
-type boundedSplitter struct {
-	scanSplitter
-	t      *testing.T
-	maxCap int
-}
-
-func (b *boundedSplitter) Splits(block []byte, dst []int) []int {
-	if len(block) > chunkReadSize || cap(dst) > b.maxCap {
-		b.t.Fatalf("splitter asked about %d bytes with %d candidates of scratch; want at most %d and %d", len(block), cap(dst), chunkReadSize, b.maxCap)
-	}
-	return b.scanSplitter.Splits(block, dst)
-}
-
-// TestSplitChunksBytesAllocFree pins the slice side of the chunk loop:
-// no pending array, no compaction, nothing allocated per chunk — a run
-// allocates its reader and its split scratch whether it cuts 19 chunks
-// or 300 — and the scratch stays one block's worth of candidates
-// however long the slice is (a mapped file is never handed to the
-// splitter whole).
+// TestSplitChunksBytesAllocFree pins the slice side of the window loop:
+// no pending array, no compaction, nothing allocated per window — a run
+// allocates the same whether it cuts 19 windows, 300, or the 256-line
+// windows of a 16 MB slice, which nothing scans past the window it
+// cuts.
 func TestSplitChunksBytesAllocFree(t *testing.T) {
 	docs := genjson.Collection(genjson.Orders{Seed: 91}, 300)
 	data := jsontext.MarshalLines(docs)
-	sp := &scanSplitter{}
 	var chunks, total int
-	emit := func(ch byteChunk) bool {
+	emit := func(ch byteChunk) {
 		chunks++
 		total += len(ch.data)
-		return true
 	}
-	var perRun [2]float64
-	for i, targets := range []chunkTargets{{docs: 16}, {docs: 1}} {
+	var perRun [3]float64
+	for i, docs := range []int{16, 1} {
 		chunks = 0
 		perRun[i] = testing.AllocsPerRun(20, func() {
-			*sp = scanSplitter{}
-			if err := cutChunks(source{data: data}, targets, sp, nil, emit); err != nil {
+			if err := cutWindows(source{data: data}, 0, docs, nil, emit); err != nil {
 				t.Fatal(err)
 			}
 		})
-		if want := 21 * ((300 + targets.docs - 1) / targets.docs); chunks != want {
-			t.Fatalf("targets=%+v: %d chunks emitted over 21 runs, want %d", targets, chunks, want)
+		if want := 21 * ((300 + docs - 1) / docs); chunks != want {
+			t.Fatalf("docs=%d: %d windows emitted over 21 runs, want %d", docs, chunks, want)
 		}
-	}
-	if perRun[0] != perRun[1] || perRun[0] > 2 {
-		t.Errorf("slice chunking allocates %.1f times per run at 16 documents a chunk and %.1f at one; want the same, at most 2", perRun[0], perRun[1])
 	}
 	if total == 0 {
 		t.Fatal("no bytes emitted")
@@ -159,20 +143,24 @@ func TestSplitChunksBytesAllocFree(t *testing.T) {
 	line := []byte(`{"id":12345678,"name":"a document of sixty-four bytes, newline"}` + "\n")
 	long := bytes.Repeat(line, (16<<20)/len(line))
 	chunks, total = 0, 0
-	bounded := &boundedSplitter{t: t, maxCap: 2 * (chunkReadSize/len(line) + 1)}
-	if err := cutChunks(source{data: long}, chunkTargets{docs: DefaultBatch}, bounded, nil, emit); err != nil {
-		t.Fatal(err)
+	perRun[2] = testing.AllocsPerRun(2, func() {
+		if err := cutWindows(source{data: long}, 0, DefaultBatch, nil, emit); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if want := 3 * ((len(long)/len(line) + DefaultBatch - 1) / DefaultBatch); chunks != want || total != 3*len(long) {
+		t.Errorf("16 MB slice: %d windows covering %d bytes over 3 runs, want %d covering %d", chunks, total, want, 3*len(long))
 	}
-	if want := (len(long)/len(line) + DefaultBatch - 1) / DefaultBatch; chunks != want || total != len(long) {
-		t.Errorf("16 MB slice: %d chunks covering %d bytes, want %d covering %d", chunks, total, want, len(long))
+	if perRun[0] != perRun[1] || perRun[0] != perRun[2] || perRun[0] > 2 {
+		t.Errorf("slice windows allocate %.1f times per run at 16 documents a window, %.1f at one and %.1f over 16 MB; want the same, at most 2", perRun[0], perRun[1], perRun[2])
 	}
 }
 
-// TestReadChunksCompactionReuse pins the satellite fix: when every
-// emitted chunk has been released by compaction time, the reader slides
-// the unsplit tail down in place — no fresh array, no pool churn — so
-// a run whose consumer keeps up recycles zero buffers and copies only
-// tails.
+// TestReadChunksCompactionReuse pins the window loop's buffer reuse:
+// when every emitted window has been released by compaction time, the
+// reader slides the uncut tail down in place — no fresh array, no pool
+// churn — so a run whose consumer keeps up recycles zero buffers and
+// copies only tails.
 func TestReadChunksCompactionReuse(t *testing.T) {
 	docs := genjson.Collection(genjson.Twitter{Seed: 92}, 4000)
 	data := jsontext.MarshalLines(docs)
@@ -180,8 +168,7 @@ func TestReadChunksCompactionReuse(t *testing.T) {
 		t.Fatalf("fixture too small to force compactions: %d bytes", len(data))
 	}
 	var st PipelineStats
-	if err := cutChunks(readerSource(data), chunkTargets{docs: 64}, &scanSplitter{}, &st,
-		func(ch byteChunk) bool { ch.buf.release(); return true }); err != nil {
+	if err := cutWindows(readerSource(data), 0, 64, &st, func(byteChunk) {}); err != nil {
 		t.Fatal(err)
 	}
 	s := st.Snapshot()
@@ -195,17 +182,16 @@ func TestReadChunksCompactionReuse(t *testing.T) {
 		t.Errorf("reader run counted reader_inputs=%d mmap_inputs=%d, want 1/0", s.ReaderInputs, s.MmapInputs)
 	}
 
-	// Holding the newest chunk until the next one arrives keeps refs > 1
+	// Holding the newest window until the next one arrives keeps refs > 1
 	// at compaction time, forcing the pooled path — and the pool must
 	// then recycle the arrays freed by earlier releases.
 	var held byteChunk
 	st = PipelineStats{}
-	if err := cutChunks(readerSource(data), chunkTargets{docs: 64}, &scanSplitter{}, &st,
-		func(ch byteChunk) bool {
-			held.buf.release()
-			held = ch
-			return true
-		}); err != nil {
+	if err := cutWindows(readerSource(data), 0, 64, &st, func(ch byteChunk) {
+		held.buf.release()
+		ch.buf.acquire()
+		held = ch
+	}); err != nil {
 		t.Fatal(err)
 	}
 	held.buf.release()
@@ -215,11 +201,11 @@ func TestReadChunksCompactionReuse(t *testing.T) {
 }
 
 // TestChunkPoolLifetimeRace is the pool-lifetime race test (run under
-// `make race`): chunks are consumed on concurrent goroutines that
-// verify every byte against the original input before releasing, while
-// the reader recycles released buffers as fast as it can. A buffer
-// recycled while a chunk still aliases it shows up both as a content
-// mismatch and as a data race on the array.
+// `make race`): windows are consumed on concurrent goroutines that
+// verify every byte against the original input before releasing the
+// reference taken for them, while the reader recycles released buffers
+// as fast as it can. A buffer recycled while a window still aliases it
+// shows up both as a content mismatch and as a data race on the array.
 func TestChunkPoolLifetimeRace(t *testing.T) {
 	docs := genjson.Collection(genjson.GitHub{Seed: 93}, 6000)
 	data := jsontext.MarshalLines(docs)
@@ -246,8 +232,10 @@ func TestChunkPoolLifetimeRace(t *testing.T) {
 			}
 		}()
 	}
-	err := cutChunks(readerSource(data), chunkTargets{docs: 8}, &scanSplitter{}, nil,
-		func(ch byteChunk) bool { work <- ch; return true })
+	err := cutWindows(readerSource(data), 0, 8, nil, func(ch byteChunk) {
+		ch.buf.acquire()
+		work <- ch
+	})
 	close(work)
 	wg.Wait()
 	if err != nil {

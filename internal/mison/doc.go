@@ -19,7 +19,7 @@
 // the records the first cannot certify. Everything the bitmaps cannot
 // prove clean is delegated per token to jsontext.Scanner, keeping both
 // walks byte-identical to jsontext.TokenReader on every input. Chunker
-// finds document-aligned chunk boundaries for the parallel shape. The
+// is bench-only until ROADMAP item 1(e): no production path cuts by it. The
 // pipeline around them is described in docs/ARCHITECTURE.md
 // ("Index-driven absorption: the map phase", "The mison fast path in
 // one paragraph"). The projecting face reports defects as *IndexError
