@@ -30,11 +30,12 @@ race:
 # against MergeAll, windows (any target, one, two and four workers,
 # every input kind) against the oracle, mison.Chunker against the
 # byte-at-a-time splitter, an index walk whose pattern tree was
-# trained on foreign bytes against the token walker, and the daemon's
-# body decoder against compress/gzip plus http.MaxBytesReader. They
-# gate every change to a lexer, to either walk, to the input stage or
-# to the intake; `go test -fuzz` takes one target of one package per
-# run.
+# trained on foreign bytes against the token walker, the daemon's body
+# decoder against compress/gzip plus http.MaxBytesReader, and Spark's
+# fold against its projection of the K and L schemas (DOM and
+# streamed). They gate every change to a lexer, to either walk, to the
+# input stage, to the intake or to the projection; `go test -fuzz` takes
+# one target of one package per run.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzIndexAbsorb$$' -fuzztime $(FUZZTIME) ./internal/infer/
@@ -45,6 +46,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzChunkerVsScan$$' -fuzztime $(FUZZTIME) ./internal/infer/
 	$(GO) test -run '^$$' -fuzz '^FuzzPatternTree$$' -fuzztime $(FUZZTIME) ./internal/infer/
 	$(GO) test -run '^$$' -fuzz '^FuzzIntakeBody$$' -fuzztime $(FUZZTIME) ./internal/daemon/intake/
+	$(GO) test -run '^$$' -fuzz '^FuzzSparkFromType$$' -fuzztime $(FUZZTIME) ./internal/sparkinfer/
 
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem ./...

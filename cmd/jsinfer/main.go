@@ -11,21 +11,20 @@
 //	        [-precision] [-counted] [-stats] [-stream]
 //	        [-cpuprofile f] [-memprofile f] [file.ndjson ...]
 //
-// The parametric engines always run the streamed pipeline of
+// Every engine but Skinfer runs the streamed pipeline of
 // docs/ARCHITECTURE.md — the input is never materialised, whatever its
 // size: file arguments go through core.InferSchemaStreamFilesWith
 // (large regular files memory-mapped), stdin through
-// core.InferSchemaStreamWith; -workers, -chunk-bytes SIZE (64K, 4M, …)
-// and -stats (the pipeline's flight recorder, on stderr; stdout is
-// unaffected) apply to every such run, and -stream is accepted and
-// ignored. Their report has no precision column in its single pass;
-// -precision fills it in a bounded-memory second pass, which needs file
-// arguments (stdin cannot be re-read). Spark and Skinfer need the whole
-// collection and are the only engines that materialise it; -counted
-// there falls back to a parametric-K pass over those documents. Flag
-// mistakes are rejected before any input is read. -cpuprofile and
-// -memprofile write pprof profiles of the inference pass (the heap
-// profile after it completes).
+// core.InferSchemaStreamWith, and Spark's schema is projected from the
+// parametric-K type. -workers, -chunk-bytes SIZE (64K, 4M, …) and -stats
+// (the pipeline's flight recorder, on stderr) apply to every such run;
+// -stream is accepted and ignored. The report has no precision column in
+// a single pass; -precision fills it in a bounded-memory second pass over
+// the file arguments. Skinfer alone materialises the collection. The
+// counted type of -counted is parametric K's for Spark and Skinfer too,
+// whose types carry no counts. Flag mistakes are rejected before any
+// input is read. -cpuprofile and -memprofile write pprof profiles of the
+// inference pass (the heap profile after it completes).
 package main
 
 import (
@@ -44,7 +43,6 @@ import (
 	"repro/internal/infer"
 	"repro/internal/jsontext"
 	"repro/internal/jsonvalue"
-	"repro/internal/typelang"
 )
 
 // cliFlags are jsinfer's flags. registerFlags defines them on a flag
@@ -62,11 +60,11 @@ func registerFlags(fs *flag.FlagSet) cliFlags {
 		output:     fs.String("output", "type", "output form: "+strings.Join(outputs, ", ")),
 		counted:    fs.Bool("counted", false, "render counting annotations (type output only)"),
 		simplify:   fs.Bool("simplify", false, "drop union alternatives subsumed by others"),
-		workers:    fs.Int("workers", 0, "parallel inference workers (parametric engines; 0 = GOMAXPROCS)"),
-		stream:     fs.Bool("stream", false, "no effect: the parametric engines always stream (kept for scripts that pass it)"),
-		precision:  fs.Bool("precision", false, "fill -output report's precision column in a second pass over the input files (parametric engines)"),
-		chunkBytes: fs.String("chunk-bytes", "", "the byte length of the windows the input is cut into, at every worker count — by default 4M at -workers 1, 256 documents' worth otherwise — e.g. 8M (parametric engines)"),
-		stats:      fs.Bool("stats", false, "print pipeline stage stats to stderr after inference (parametric engines; fuse and root_fuses are the registry's counters and read 0 here)"),
+		workers:    fs.Int("workers", 0, "parallel inference workers (every engine but skinfer; 0 = GOMAXPROCS)"),
+		stream:     fs.Bool("stream", false, "no effect: every engine but skinfer always streams (kept for scripts that pass it)"),
+		precision:  fs.Bool("precision", false, "fill -output report's precision column in a second pass over the input files (every engine but skinfer)"),
+		chunkBytes: fs.String("chunk-bytes", "", "the byte length of the windows the input is cut into, at every worker count — by default 4M at -workers 1, 256 documents' worth otherwise — e.g. 8M (every engine but skinfer)"),
+		stats:      fs.Bool("stats", false, "print pipeline stage stats to stderr after inference (every engine but skinfer; fuse and root_fuses are the registry's counters and read 0 here)"),
 		cpuprofile: fs.String("cpuprofile", "", "write a CPU profile of the inference pass to this file"),
 		memprofile: fs.String("memprofile", "", "write a heap profile (taken after inference) to this file"),
 	}
@@ -137,7 +135,6 @@ func inferAndPrint(opt cliFlags, files []string, stdin io.Reader, stdout, stderr
 	default:
 		return fmt.Errorf("unknown engine %q", *opt.engine)
 	}
-	parametric := eng == core.ParametricK || eng == core.ParametricL
 	if !slices.Contains(outputs, *opt.output) {
 		return fmt.Errorf("unknown output %q", *opt.output)
 	}
@@ -149,16 +146,18 @@ func inferAndPrint(opt cliFlags, files []string, stdin io.Reader, stdout, stderr
 		}
 		chunkTarget = int(cb)
 	}
-	if err := validateStreamFlags(parametric, *opt.precision, *opt.stats, *opt.chunkBytes != "", *opt.output, len(files)); err != nil {
+	if err := validateStreamFlags(eng, *opt.precision, *opt.stats, *opt.chunkBytes != "", *opt.output, len(files)); err != nil {
 		return err
+	}
+	if *opt.counted && *opt.output == "type" && (eng == core.Spark || eng == core.Skinfer) {
+		eng = core.ParametricK // their types carry no counts: the counted type is K's
 	}
 
 	var (
 		result *core.Inference
 		ndocs  int
-		docs   []*jsonvalue.Value // materialised for Spark and Skinfer only
 	)
-	if parametric {
+	if eng != core.Skinfer {
 		var pstats *core.PipelineStats
 		if *opt.stats {
 			pstats = &core.PipelineStats{}
@@ -185,10 +184,11 @@ func inferAndPrint(opt cliFlags, files []string, stdin io.Reader, stdout, stderr
 			result.Precision = p
 		}
 	} else {
-		if docs, err = readInput(files, stdin); err != nil {
+		docs, err := readInput(files, stdin)
+		if err != nil {
 			return err
 		}
-		// Checked before inference: these engines cannot type an empty
+		// Checked before inference: Skinfer cannot type an empty
 		// collection.
 		if ndocs = len(docs); ndocs == 0 {
 			return errNoInput
@@ -203,15 +203,9 @@ func inferAndPrint(opt cliFlags, files []string, stdin io.Reader, stdout, stderr
 
 	switch *opt.output {
 	case "type":
-		switch {
-		case *opt.counted && parametric:
+		if *opt.counted {
 			fmt.Fprintln(stdout, result.Type.StringCounted())
-		case *opt.counted:
-			// Spark/Skinfer types carry no counts; derive them with a
-			// parametric K pass over the materialised documents.
-			ty := infer.InferParallel(docs, infer.Options{Equiv: typelang.EquivKind, Workers: *opt.workers})
-			fmt.Fprintln(stdout, ty.StringCounted())
-		default:
+		} else {
 			fmt.Fprintln(stdout, result.Type)
 		}
 	case "jsonschema":
@@ -246,25 +240,25 @@ func writeHeapProfile(name string) error {
 
 // validateStreamFlags rejects mistakes in the streamed pipeline's flags
 // up front, before any input is read: -stats, -chunk-bytes and
-// -precision configure the pipeline only the parametric engines run, so
-// setting one for Spark or Skinfer is a mistake rather than something
-// to ignore; -precision re-reads the input for the report's precision
-// column, so it needs the report output and re-readable file arguments.
-func validateStreamFlags(parametric, precision, stats, chunkBytesSet bool, output string, nArgs int) error {
-	if !parametric && (precision || stats || chunkBytesSet) {
-		return fmt.Errorf("-stats, -chunk-bytes and -precision apply to the parametric engines")
+// -precision configure the pipeline every engine but Skinfer runs, so
+// setting one for Skinfer is a mistake rather than something to ignore;
+// -precision re-reads the input for the report's precision column, so it
+// needs the report output and re-readable file arguments.
+func validateStreamFlags(eng core.Engine, precision, stats, chunkBytesSet bool, output string, nArgs int) error {
+	if eng == core.Skinfer && (precision || stats || chunkBytesSet) {
+		return fmt.Errorf("-stats, -chunk-bytes and -precision apply to every engine but skinfer")
 	}
 	if precision && output != "report" {
 		return fmt.Errorf("-precision only affects -output report")
 	}
 	if precision && nArgs == 0 {
-		return fmt.Errorf("-precision with -stream needs file arguments: stdin cannot be re-read")
+		return fmt.Errorf("-precision needs file arguments: stdin cannot be re-read")
 	}
 	return nil
 }
 
 // readInput materialises stdin or the named files (a decode error names
-// its file) — for the engines that need the whole collection.
+// its file) — for Skinfer, which needs the whole collection.
 func readInput(files []string, stdin io.Reader) ([]*jsonvalue.Value, error) {
 	if len(files) == 0 {
 		return jsontext.NewDecoder(stdin).DecodeAll()

@@ -7,6 +7,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -14,6 +15,7 @@ import (
 	"repro/internal/infer"
 	"repro/internal/jsontext"
 	"repro/internal/jsonvalue"
+	"repro/internal/sparkinfer"
 	"repro/internal/typelang"
 )
 
@@ -39,28 +41,31 @@ func cli(stdin io.Reader, args ...string) (stdout, stderr string, status int) {
 // pass must be rejected before any input is read.
 func TestValidateStreamFlags(t *testing.T) {
 	cases := []struct {
-		name                         string
-		parametric, precision, stats bool
-		chunkBytesSet                bool
-		output                       string
-		nArgs                        int
-		wantErr                      bool
+		name             string
+		eng              core.Engine
+		precision, stats bool
+		chunkBytesSet    bool
+		output           string
+		nArgs            int
+		wantErr          bool
 	}{
-		{"plain parametric file", true, false, false, false, "type", 1, false},
-		{"plain parametric stdin", true, false, false, false, "type", 0, false},
-		{"report from files with precision", true, true, false, false, "report", 2, false},
-		{"stats", true, false, true, false, "type", 0, false},
-		{"chunk-bytes", true, false, false, true, "type", 0, false},
-		{"plain spark", false, false, false, false, "report", 1, false},
+		{"plain parametric file", core.ParametricL, false, false, false, "type", 1, false},
+		{"plain parametric stdin", core.ParametricK, false, false, false, "type", 0, false},
+		{"report from files with precision", core.ParametricL, true, false, false, "report", 2, false},
+		{"stats", core.ParametricL, false, true, false, "type", 0, false},
+		{"chunk-bytes", core.ParametricK, false, false, true, "type", 0, false},
+		{"stats with spark", core.Spark, false, true, false, "type", 0, false},
+		{"precision with spark", core.Spark, true, false, false, "report", 1, false},
+		{"plain skinfer", core.Skinfer, false, false, false, "report", 1, false},
 
-		{"precision on non-report output", true, true, false, false, "type", 1, true},
-		{"precision from stdin", true, true, false, false, "report", 0, true},
-		{"precision with spark", false, true, false, false, "report", 1, true},
-		{"stats with spark", false, false, true, false, "type", 1, true},
-		{"chunk-bytes with skinfer", false, false, false, true, "type", 1, true},
+		{"precision on non-report output", core.ParametricL, true, false, false, "type", 1, true},
+		{"precision from stdin", core.Spark, true, false, false, "report", 0, true},
+		{"precision with skinfer", core.Skinfer, true, false, false, "report", 1, true},
+		{"stats with skinfer", core.Skinfer, false, true, false, "type", 1, true},
+		{"chunk-bytes with skinfer", core.Skinfer, false, false, true, "type", 1, true},
 	}
 	for _, c := range cases {
-		err := validateStreamFlags(c.parametric, c.precision, c.stats, c.chunkBytesSet, c.output, c.nArgs)
+		err := validateStreamFlags(c.eng, c.precision, c.stats, c.chunkBytesSet, c.output, c.nArgs)
 		if (err != nil) != c.wantErr {
 			t.Errorf("%s: err = %v, wantErr = %v", c.name, err, c.wantErr)
 		}
@@ -73,13 +78,19 @@ func TestValidateStreamFlags(t *testing.T) {
 		{"-output", "bogus"},
 		{"-engine", "bogus"},
 		{"-chunk-bytes", "lots"},
-		{"-engine", "spark", "-stats"},
+		{"-engine", "skinfer", "-stats"},
 		{"-engine", "skinfer", "-stream", "-chunk-bytes", "4M"},
 	} {
 		stdout, stderr, status := cli(untouched{t}, args...)
 		if status != 1 || stdout != "" || !strings.HasPrefix(stderr, "jsinfer: ") || strings.Count(stderr, "\n") != 1 {
 			t.Errorf("jsinfer %v: status %d, stdout %q, stderr %q; want 1, nothing, one jsinfer: line", args, status, stdout, stderr)
 		}
+	}
+
+	// Spark streams, so the pipeline's flags configure its run.
+	if stdout, stderr, status := cli(strings.NewReader(`{"a":1}`+"\n"), "-engine", "spark", "-stats"); status != 0 ||
+		stdout != "{a?: (Null + Int)}\n" || !strings.HasPrefix(stderr, "pipeline stats:\n") {
+		t.Errorf("jsinfer -engine spark -stats: status %d, stdout %q, stderr %q; want 0, the schema, the stats table", status, stdout, stderr)
 	}
 }
 
@@ -121,69 +132,87 @@ func (f fixture) oracle(e typelang.Equiv) *typelang.Type {
 	return typelang.MergeAll(ts, e)
 }
 
-var parametric = []struct {
-	name  string
-	equiv typelang.Equiv
-}{{"parametric-K", typelang.EquivKind}, {"parametric-L", typelang.EquivLabel}}
+// streamedEngines are the engines the command streams, each with the
+// equivalence of its pass and the -workers settings the matrix runs it
+// at; Spark's output is the projection of its K pass, and -counted
+// prints that pass's counted type.
+var streamedEngines = []struct {
+	name    string
+	equiv   typelang.Equiv
+	workers [][]string
+}{
+	{"parametric-K", typelang.EquivKind, [][]string{nil}},
+	{"parametric-L", typelang.EquivLabel, [][]string{nil}},
+	{"spark", typelang.EquivKind, [][]string{nil, {"-workers", "1"}, {"-workers", "2"}}},
+}
 
-// TestCLIMatrix runs the command end to end over every fixture × {K, L}
-// × every -output × {–, -counted, -simplify} × {file argument, stdin} ×
-// {without, with -stream}. -stream selects nothing, so both settings
-// agree byte for byte; and every expectation is computed here from the
-// Parse+TypeOf+MergeAll oracle, not read from a golden file.
+// TestCLIMatrix runs the command end to end over every fixture × {K, L,
+// Spark} × every -output × {–, -counted, -simplify} × {file argument,
+// stdin} (× -workers {default, 1, 2} for Spark) × {without, with
+// -stream}. -stream
+// selects nothing, so both settings agree byte for byte; and every
+// expectation is computed here, not read from a golden file: from the
+// Parse+TypeOf+MergeAll oracle, and for Spark from sparkinfer.Infer's
+// fold over the parsed documents (-counted: the K oracle's).
 func TestCLIMatrix(t *testing.T) {
 	fixtures := loadFixtures(t)
 	t.Run("errors", func(t *testing.T) { testCLIErrors(t, fixtures[0]) })
 	for _, fx := range fixtures {
-		for _, eng := range parametric {
-			want := fx.oracle(eng.equiv)
+		for _, eng := range streamedEngines {
+			counted := fx.oracle(eng.equiv)
+			want := counted
+			if eng.name == "spark" {
+				want = sparkinfer.Infer(fx.docs).ToTypelang()
+			}
 			for _, output := range outputs {
 				for _, mod := range []string{"", "-counted", "-simplify"} {
-					for _, fromStdin := range []bool{false, true} {
-						args := []string{"-engine", eng.name, "-output", output}
-						if mod != "" {
-							args = append(args, mod)
-						}
-						label := fmt.Sprintf("jsinfer %s < %s", strings.Join(args, " "), fx.path)
-						var stdin io.Reader = bytes.NewReader(fx.data)
-						if !fromStdin {
-							label = fmt.Sprintf("jsinfer %s %s", strings.Join(args, " "), fx.path)
-							args, stdin = append(args, fx.path), untouched{t}
-						}
-						stdout, stderr, status := cli(stdin, args...)
-						if status != 0 || stderr != "" {
-							t.Fatalf("%s: status %d, stderr %q", label, status, stderr)
-						}
-						if fromStdin {
-							stdin = bytes.NewReader(fx.data)
-						}
-						if o, e, s := cli(stdin, append([]string{"-stream"}, args...)...); o != stdout || e != stderr || s != status {
-							t.Errorf("%s: -stream changes the run: status %d, stderr %q, stdout\n%s\nwant\n%s", label, s, e, o, stdout)
-						}
-
-						ty := want
-						if mod == "-simplify" {
-							ty = typelang.Simplify(want)
-						}
-						var wantOut string
-						switch output {
-						case "type":
-							wantOut = ty.String() + "\n"
-							if mod == "-counted" {
-								wantOut = ty.StringCounted() + "\n"
+					for _, workers := range eng.workers {
+						for _, fromStdin := range []bool{false, true} {
+							args := append([]string{"-engine", eng.name, "-output", output}, workers...)
+							if mod != "" {
+								args = append(args, mod)
 							}
-						case "jsonschema":
-							wantOut = string(core.MarshalIndent(core.TypeToJSONSchema(ty), "  ")) + "\n"
-						case "typescript":
-							wantOut = core.TypeToTypeScript("Root", ty)
-						case "swift":
-							wantOut = core.TypeToSwift("Root", ty)
-						case "report":
-							wantOut = fmt.Sprintf("engine:    %s\ndocuments: %d\nsize:      %d nodes\nprecision: n/a (streamed single pass; rerun with -precision and file arguments for a second pass)\ntype:      %s\n",
-								eng.name, len(fx.docs), ty.Size(), ty)
-						}
-						if stdout != wantOut {
-							t.Errorf("%s printed\n%s\nthe oracle gives\n%s", label, stdout, wantOut)
+							label := fmt.Sprintf("jsinfer %s < %s", strings.Join(args, " "), fx.path)
+							var stdin io.Reader = bytes.NewReader(fx.data)
+							if !fromStdin {
+								label = fmt.Sprintf("jsinfer %s %s", strings.Join(args, " "), fx.path)
+								args, stdin = append(args, fx.path), untouched{t}
+							}
+							stdout, stderr, status := cli(stdin, args...)
+							if status != 0 || stderr != "" {
+								t.Fatalf("%s: status %d, stderr %q", label, status, stderr)
+							}
+							if fromStdin {
+								stdin = bytes.NewReader(fx.data)
+							}
+							if o, e, s := cli(stdin, append([]string{"-stream"}, args...)...); o != stdout || e != stderr || s != status {
+								t.Errorf("%s: -stream changes the run: status %d, stderr %q, stdout\n%s\nwant\n%s", label, s, e, o, stdout)
+							}
+
+							ty := want
+							if mod == "-simplify" {
+								ty = typelang.Simplify(want)
+							}
+							var wantOut string
+							switch output {
+							case "type":
+								wantOut = ty.String() + "\n"
+								if mod == "-counted" {
+									wantOut = counted.StringCounted() + "\n"
+								}
+							case "jsonschema":
+								wantOut = string(core.MarshalIndent(core.TypeToJSONSchema(ty), "  ")) + "\n"
+							case "typescript":
+								wantOut = core.TypeToTypeScript("Root", ty)
+							case "swift":
+								wantOut = core.TypeToSwift("Root", ty)
+							case "report":
+								wantOut = fmt.Sprintf("engine:    %s\ndocuments: %d\nsize:      %d nodes\nprecision: n/a (streamed single pass; rerun with -precision and file arguments for a second pass)\ntype:      %s\n",
+									eng.name, len(fx.docs), ty.Size(), ty)
+							}
+							if stdout != wantOut {
+								t.Errorf("%s printed\n%s\nthe oracle gives\n%s", label, stdout, wantOut)
+							}
 						}
 					}
 				}
@@ -201,19 +230,17 @@ func TestCLIMatrix(t *testing.T) {
 			}
 		}
 
-		// Spark and Skinfer materialise; their report grades in place,
-		// and -stream is ignored there too.
-		for _, eng := range []string{"spark", "skinfer"} {
-			stdout, stderr, status := cli(untouched{t}, "-engine", eng, "-output", "report", fx.path)
-			var precision float64
-			_, rest, _ := strings.Cut(stdout, "precision: ")
-			if _, err := fmt.Sscanf(rest, "%f", &precision); err != nil || precision < 0 || status != 0 || stderr != "" ||
-				!strings.HasPrefix(stdout, fmt.Sprintf("engine:    %s\ndocuments: %d\n", eng, len(fx.docs))) {
-				t.Errorf("jsinfer -engine %s -output report %s: status %d, stderr %q, precision %v (%v), stdout\n%s", eng, fx.path, status, stderr, precision, err, stdout)
-			}
-			if o, e, s := cli(untouched{t}, "-stream", "-engine", eng, "-output", "report", fx.path); o != stdout || e != stderr || s != status {
-				t.Errorf("jsinfer -engine %s: -stream changes the run: status %d, stderr %q, stdout\n%s", eng, s, e, o)
-			}
+		// Skinfer materialises; its report grades in place, and -stream
+		// is ignored there too.
+		stdout, stderr, status := cli(untouched{t}, "-engine", "skinfer", "-output", "report", fx.path)
+		var precision float64
+		_, rest, _ := strings.Cut(stdout, "precision: ")
+		if _, err := fmt.Sscanf(rest, "%f", &precision); err != nil || precision < 0 || status != 0 || stderr != "" ||
+			!strings.HasPrefix(stdout, fmt.Sprintf("engine:    skinfer\ndocuments: %d\n", len(fx.docs))) {
+			t.Errorf("jsinfer -engine skinfer -output report %s: status %d, stderr %q, precision %v (%v), stdout\n%s", fx.path, status, stderr, precision, err, stdout)
+		}
+		if o, e, s := cli(untouched{t}, "-stream", "-engine", "skinfer", "-output", "report", fx.path); o != stdout || e != stderr || s != status {
+			t.Errorf("jsinfer -engine skinfer: -stream changes the run: status %d, stderr %q, stdout\n%s", s, e, o)
 		}
 	}
 }
@@ -235,22 +262,28 @@ func testCLIErrors(t *testing.T, fx fixture) {
 	}
 	_, openErr := os.Open(missing)
 
-	for _, c := range []struct {
+	type errCase struct {
 		name  string
 		stdin []byte // nil: must not be read
 		args  []string
 		want  string
-	}{
-		{"malformed stdin", malformed, nil, decodeErr.Error()},
-		{"malformed file", nil, []string{fx.path, bad}, bad + ": " + decodeErr.Error()},
-		{"malformed file, spark", nil, []string{"-engine", "spark", bad}, bad + ": " + decodeErr.Error()},
-		{"empty stdin", []byte{}, nil, "no input documents"},
+	}
+	cases := []errCase{
 		{"empty stdin, skinfer", []byte(" \n"), []string{"-engine", "skinfer"}, "no input documents"},
-		{"missing file named once", nil, []string{fx.path, missing}, openErr.Error()},
-		{"missing file named once, spark", nil, []string{"-engine", "spark", missing}, openErr.Error()},
-		{"precision on stdin", nil, []string{"-precision", "-output", "report"}, "-precision with -stream needs file arguments: stdin cannot be re-read"},
+		{"precision on stdin", nil, []string{"-precision", "-output", "report"}, "-precision needs file arguments: stdin cannot be re-read"},
 		{"unknown output", nil, []string{"-output", "bogus"}, `unknown output "bogus"`},
-	} {
+	}
+	// The input failures read the same whichever engine streams, and for
+	// skinfer -counted, which prints the counted K type.
+	for _, eng := range [][]string{nil, {"-engine", "spark"}, {"-engine", "skinfer", "-counted"}} {
+		cases = append(cases,
+			errCase{fmt.Sprint("malformed stdin", eng), malformed, eng, decodeErr.Error()},
+			errCase{fmt.Sprint("malformed file", eng), nil, slices.Concat(eng, []string{fx.path, bad}), bad + ": " + decodeErr.Error()},
+			errCase{fmt.Sprint("empty stdin", eng), []byte{}, eng, "no input documents"},
+			errCase{fmt.Sprint("missing file named once", eng), nil, slices.Concat(eng, []string{fx.path, missing}), openErr.Error()},
+		)
+	}
+	for _, c := range cases {
 		for _, stream := range [][]string{nil, {"-stream"}} {
 			var stdin io.Reader = untouched{t}
 			if c.stdin != nil {

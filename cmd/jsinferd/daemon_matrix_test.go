@@ -12,12 +12,14 @@ import (
 	"compress/gzip"
 	"fmt"
 	"io"
+	"math/rand"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -841,5 +843,58 @@ func TestStalledBodyClientIsDisconnected(t *testing.T) {
 	}
 	if code, out, _ := request(t, "DELETE", srv.URL+"/v1/collections/c", "", nil); code != http.StatusOK {
 		t.Errorf("DELETE after the stalled ingest: %d %s", code, out)
+	}
+}
+
+// TestShuffledBodiesMatchCLI is the CLI-vs-daemon leg of the metamorphic
+// invariant: every fixture's documents, shuffled with a fixed seed, cut
+// at document boundaries into 1, 3 or 7 bodies with every other one
+// gzipped, and POSTed to one collection, serve the counted schema and
+// document count the files facade gives over the unshuffled file, under
+// K and under L.
+func TestShuffledBodiesMatchCLI(t *testing.T) {
+	fixtures, err := filepath.Glob(filepath.Join("..", "..", "testdata", "*.ndjson"))
+	if err != nil || len(fixtures) == 0 {
+		t.Fatalf("fixtures: %v (%d found)", err, len(fixtures))
+	}
+	srv, reg := newTestServer(t, registry.Options{})
+	for _, name := range fixtures {
+		data, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines := bytes.SplitAfter(data, []byte("\n"))
+		if len(lines[len(lines)-1]) == 0 {
+			lines = lines[:len(lines)-1]
+		}
+		for _, eng := range []struct {
+			param  string
+			engine core.Engine
+		}{{"K", core.ParametricK}, {"L", core.ParametricL}} {
+			want, n, err := core.InferSchemaStreamFilesWith([]string{name}, eng.engine, core.StreamOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, bodies := range []int{1, 3, 7} {
+				shuffled := slices.Clone(lines)
+				rand.New(rand.NewSource(int64(bodies))).Shuffle(len(shuffled), func(i, j int) {
+					shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
+				})
+				col := fmt.Sprintf("%s-%s-%d", filepath.Base(name), eng.param, bodies)
+				for i := range bodies {
+					enc := encodings[i%2]
+					body := bytes.Join(shuffled[i*len(shuffled)/bodies:(i+1)*len(shuffled)/bodies], nil)
+					code, out, _ := request(t, "POST", srv.URL+"/v1/collections/"+col+"/ingest?equiv="+eng.param, enc, encodeBody(t, enc, body))
+					if code != http.StatusOK {
+						t.Fatalf("%s body %d (%q): status %d: %s", col, i, enc, code, out)
+					}
+				}
+				_, counted, _ := request(t, "GET", srv.URL+"/v1/collections/"+col+"/schema?output=counted", "", nil)
+				snap, _ := reg.Get(col)
+				if counted != want.Type.StringCounted()+"\n" || snap.Docs != int64(n) {
+					t.Errorf("%s: daemon served docs=%d %s\nthe files facade gives docs=%d %s", col, snap.Docs, counted, n, want.Type.StringCounted())
+				}
+			}
+		}
 	}
 }

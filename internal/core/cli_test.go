@@ -12,6 +12,7 @@ import (
 	"repro/internal/jsontext"
 	"repro/internal/jsonvalue"
 	"repro/internal/mmapio"
+	"repro/internal/sparkinfer"
 	"repro/internal/typelang"
 )
 
@@ -94,8 +95,37 @@ func TestInferSchemaStreamFilesWith(t *testing.T) {
 		t.Errorf("missing file: error %q after %d docs, want a PathError naming missing.ndjson once after 60", err, n)
 	}
 
-	if _, _, err := InferSchemaStreamFilesWith([]string{f1}, Spark, StreamOptions{}); err == nil {
-		t.Error("Spark must reject streaming")
+	// Spark streams the K pass and projects once, after the files merge:
+	// `a` is Int in one file and Str in the other, so its column is a
+	// string — the merged images of the two files would be Int + Str + Null.
+	ints, strs := filepath.Join(dir, "ints.ndjson"), filepath.Join(dir, "strs.ndjson")
+	if err := os.WriteFile(ints, []byte(`{"a":1}`+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(strs, []byte(`{"a":"x"}`+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, names := range [][]string{{f1, f2}, {ints, strs}} {
+		var docs []*Value
+		for _, name := range names {
+			data, err := os.ReadFile(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			part, err := ParseCollection(data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			docs = append(docs, part...)
+		}
+		want := sparkinfer.Infer(docs)
+		inf, n, err := InferSchemaStreamFilesWith(names, Spark, StreamOptions{Workers: 2})
+		if err != nil || n != len(docs) || inf.Engine != Spark || !typelang.Equal(inf.Type, want.ToTypelang()) {
+			t.Errorf("Spark over %v: %d docs, err %v, type %s; want %d docs and %s (%s)", names, n, err, inf.Type, len(docs), want.ToTypelang(), want)
+		}
+	}
+	if _, _, err := InferSchemaStreamFilesWith([]string{f1}, Skinfer, StreamOptions{}); err == nil {
+		t.Error("Skinfer must reject streaming")
 	}
 }
 

@@ -199,10 +199,11 @@ func (inf *Inference) Simplify() {
 	}
 }
 
-// equivFor maps a parametric engine to its merge equivalence.
+// equivFor maps an engine to the equivalence its streamed pass runs
+// under: Spark's schema is a projection of K's.
 func equivFor(engine Engine) (typelang.Equiv, bool) {
 	switch engine {
-	case ParametricK:
+	case ParametricK, Spark:
 		return typelang.EquivKind, true
 	case ParametricL:
 		return typelang.EquivLabel, true
@@ -261,16 +262,6 @@ type StreamOptions struct {
 	Stats *PipelineStats
 }
 
-// inferOptions lowers the facade options to the engine's option set.
-func (o StreamOptions) inferOptions(eq typelang.Equiv) infer.Options {
-	return infer.Options{
-		Equiv:      eq,
-		Workers:    o.Workers,
-		ChunkBytes: o.ChunkBytes,
-		Stats:      o.Stats,
-	}
-}
-
 // PipelineStats re-exports the streamed engines' flight recorder, and
 // StatsSnapshot its point-in-time copy.
 type PipelineStats = infer.PipelineStats
@@ -279,17 +270,20 @@ type PipelineStats = infer.PipelineStats
 type StatsSnapshot = infer.StatsSnapshot
 
 // streamed is the one constructor of a streamed Inference: it rejects
-// the engines that need the whole collection, runs the pass under the
-// engine's equivalence and wraps whatever type came back — on a decode
-// error too, where it covers every document before the error. Precision
-// is -1: grading needs a second pass over data the stream no longer
-// holds (StreamPrecisionFiles, on re-readable input).
+// Skinfer, which needs the whole collection, runs the pass under the
+// engine's equivalence, projects Spark's schema from the K type, and
+// wraps whatever type came back — on a decode error too, where it covers
+// every document before the error. Precision is -1: grading needs a
+// second pass over data the stream no longer holds (StreamPrecisionFiles).
 func streamed(engine Engine, opts StreamOptions, pass func(infer.Options) (*Type, int, error)) (*Inference, int, error) {
 	eq, ok := equivFor(engine)
 	if !ok {
 		return nil, 0, fmt.Errorf("core: engine %s cannot infer from a stream", engine)
 	}
-	t, n, err := pass(opts.inferOptions(eq))
+	t, n, err := pass(infer.Options{Equiv: eq, Workers: opts.Workers, ChunkBytes: opts.ChunkBytes, Stats: opts.Stats})
+	if engine == Spark {
+		t = sparkinfer.FromType(t).ToTypelang()
+	}
 	return &Inference{
 		Engine:     engine,
 		Type:       t,
@@ -357,21 +351,24 @@ func StreamPrecisionFiles(files []string, t *Type) (float64, int, error) {
 // InferSchemaStreamFilesWith streams each named file in turn and merges
 // the per-file schemas into one inference — exact by associativity of
 // the merge; the first file's schema is adopted as it is, Merge runs
-// from the second file on. Each file gets its own decoder, so a decode
-// error is prefixed with the offending file's name (an open error
-// already names it); inference stops there, and the Inference and count
-// returned with the error cover exactly the documents before it: the
-// earlier files and the failing file's prefix.
+// from the second file on, and Spark's projection runs once, on the
+// merged K type. Each file gets its own decoder, so a decode error is
+// prefixed with the offending file's name (an open error already names
+// it); inference stops there, and the Inference and count returned with
+// the error cover exactly the documents before it.
 //
 // Regular files of at least mmapMinSize are memory-mapped where the
-// platform can and stream through the zero-copy byte engines (the raw
-// file pages are split and lexed in place), everything else through the
-// buffered reader path — results are byte-identical either way.
+// platform can and stream through the zero-copy byte engines, everything
+// else through the buffered reader path — results are byte-identical.
 func InferSchemaStreamFilesWith(files []string, engine Engine, opts StreamOptions) (*Inference, int, error) {
+	perFile := engine
+	if engine == Spark {
+		perFile = ParametricK // merge the files' K types; streamed projects the merge once
+	}
 	return streamed(engine, opts, func(o infer.Options) (*Type, int, error) {
 		acc, total := typelang.Bottom, 0
 		for _, name := range files {
-			part, n, err := streamOneFile(name, engine, opts)
+			part, n, err := streamOneFile(name, perFile, opts)
 			if part == nil { // not opened: the *fs.PathError names the file itself
 				return acc, total, err
 			}

@@ -8,12 +8,11 @@
 // Schema inference has two entries. InferSchemaStreamWith (a reader),
 // InferSchemaStreamBytesWith (a byte slice) and
 // InferSchemaStreamFilesWith (named files, large regular ones
-// memory-mapped) run the parametric engines in bounded memory — the one
-// pipeline docs/ARCHITECTURE.md describes, and what cmd/jsinfer runs for
-// every parametric invocation; StreamPrecisionFiles grades the result in
-// a second bounded-memory pass. InferSchema runs any engine over a
-// materialised collection and grades it in place: the library API, and
-// the CLI's path for Spark and Skinfer, which need the whole collection.
+// memory-mapped) run every engine but Skinfer in bounded memory — the one
+// pipeline docs/ARCHITECTURE.md describes, Spark as a projection of the K
+// type — and StreamPrecisionFiles grades the result in a second pass.
+// InferSchema runs any engine over a materialised collection and grades
+// it in place: the library API, and cmd/jsinfer's path for Skinfer alone.
 // internal/registry + cmd/jsinferd serve the same inference as a
 // long-running ingest daemon with live, versioned schemas.
 package core

@@ -10,6 +10,7 @@ import (
 	"repro/internal/genjson"
 	"repro/internal/jsontext"
 	"repro/internal/mmapio"
+	"repro/internal/sparkinfer"
 	"repro/internal/typelang"
 )
 
@@ -88,7 +89,11 @@ func TestStreamBytesMatchesStreamReader(t *testing.T) {
 		t.Errorf("bytes entrypoint (%d docs, %s) diverges from reader (%d docs, %s)",
 			gotN, got.Type, wantN, want.Type)
 	}
-	if _, _, err := InferSchemaStreamBytesWith(data, Spark, StreamOptions{}); err == nil {
-		t.Error("Spark must reject byte streaming")
+	spark, _, err := InferSchemaStreamBytesWith(data, Spark, StreamOptions{Workers: 4})
+	if want := sparkinfer.Infer(docs).ToTypelang(); err != nil || !typelang.Equal(spark.Type, want) {
+		t.Errorf("Spark over the bytes entrypoint: err %v, %s; want %s", err, spark.Type, want)
+	}
+	if _, _, err := InferSchemaStreamBytesWith(data, Skinfer, StreamOptions{}); err == nil {
+		t.Error("Skinfer must reject byte streaming")
 	}
 }

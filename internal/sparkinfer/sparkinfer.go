@@ -20,6 +20,15 @@
 // The fallback is the whole point: there is no union constructor, so a
 // field that is sometimes a number and sometimes a record becomes a
 // plain string column.
+//
+// compatibleType is a join — NullType its unit, StringType absorbing
+// every other type — and every distinction it draws the parametric K
+// type keeps, so Spark's schema is a projection of K's: FromType of the K
+// (or L) schema of a collection equals Infer over its documents.
+// TestFromTypeIsInfer pins that over every fixture and generator, and
+// FuzzSparkFromType over arbitrary input, against the streamed engine
+// too. The CLI streams `-engine spark` through the K pass and projects;
+// Infer stays as the reference and the API over materialised documents.
 package sparkinfer
 
 import (
@@ -248,20 +257,38 @@ func (t *DataType) render(b *strings.Builder) {
 	}
 }
 
-// Size counts nodes (fields count as one each), comparable with
-// typelang.Type.Size.
-func (t *DataType) Size() int {
+// FromType projects a type of the shared algebra onto Spark's types: ⊥
+// and Null are NullType, Bool BooleanType, Int LongType, Num DoubleType,
+// Str and Any StringType; a record is a name-sorted struct of nullable
+// fields, an array the array of its element's image, and a union the
+// CompatibleType fold of its members' images. Over the parametric K (or
+// L) type of a collection it is Infer over the same documents.
+func FromType(t *typelang.Type) *DataType {
 	switch t.Kind {
-	case StructType:
-		n := 1
-		for _, f := range t.Fields {
-			n += 1 + f.Type.Size()
+	case typelang.KBool:
+		return boolT
+	case typelang.KInt:
+		return longT
+	case typelang.KNum:
+		return doubleT
+	case typelang.KStr, typelang.KAny:
+		return stringT
+	case typelang.KArray:
+		return &DataType{Kind: ArrayType, Elem: FromType(t.Elem)}
+	case typelang.KRecord:
+		fields := make([]StructField, len(t.Fields))
+		for i, f := range t.Fields {
+			fields[i] = StructField{Name: f.Name, Type: FromType(f.Type), Nullable: true}
 		}
-		return n
-	case ArrayType:
-		return 1 + t.Elem.Size()
-	default:
-		return 1
+		return &DataType{Kind: StructType, Fields: fields}
+	case typelang.KUnion:
+		acc := nullT
+		for _, a := range t.Alts {
+			acc = CompatibleType(acc, FromType(a))
+		}
+		return acc
+	default: // KBottom, KNull
+		return nullT
 	}
 }
 

@@ -1,11 +1,17 @@
 package sparkinfer
 
 import (
+	"bytes"
+	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/genjson"
 	"repro/internal/infer"
 	"repro/internal/jsontext"
+	"repro/internal/jsonvalue"
 	"repro/internal/typelang"
 )
 
@@ -143,10 +149,101 @@ func TestToTypelangNullability(t *testing.T) {
 	}
 }
 
-func TestSize(t *testing.T) {
-	d := InferValue(jsontext.MustParse(`{"a":1,"b":[true]}`))
-	// struct(1) + a(1)+bigint(1) + b(1)+array(1)+bool(1) = 6
-	if got := d.Size(); got != 6 {
-		t.Errorf("Size = %d, want 6", got)
+// projectionInputs are the edge cases of the projection: duplicate keys
+// (the effective, last binding), empty and nested-empty arrays, nulls in
+// arrays, empty records, Int against Num, a field that is a struct in one
+// document and an array in another, and top-level scalars.
+var projectionInputs = []string{
+	`{"a":1,"a":"x"}` + "\n" + `{"a":2}`,
+	`[]`,
+	`[[]]` + "\n" + `[[1.5]]`,
+	`[null]` + "\n" + `[1]`,
+	`{}` + "\n" + `{"a":null}`,
+	`1` + "\n" + `1.5`,
+	`{"a":[1]}` + "\n" + `{"a":{"b":1}}`,
+	`{"a":{"b":1}}` + "\n" + `{"a":{"c":"x"}}` + "\n" + `{"a":null}`,
+	`1` + "\n" + `"s"` + "\n" + `true` + "\n" + `null`,
+	`[1,"s",{"a":1},[2]]`,
+}
+
+// assertProjectsToInfer checks that Spark's schema of docs — the bytes
+// data, decoded — is FromType of the parametric schema under K and
+// under L, from the DOM fold and from the streamed engine at one and two
+// workers: equal as Spark types, as Spark DDL and as typelang images.
+func assertProjectsToInfer(t *testing.T, label string, data []byte, docs []*jsonvalue.Value) {
+	t.Helper()
+	want := Infer(docs)
+	got := map[string]*DataType{
+		"K": FromType(infer.Infer(docs, infer.Options{Equiv: typelang.EquivKind})),
+		"L": FromType(infer.Infer(docs, infer.Options{Equiv: typelang.EquivLabel})),
 	}
+	for _, w := range []int{1, 2} {
+		k, n, err := infer.InferStreamBytes(data, infer.Options{Equiv: typelang.EquivKind, Workers: w})
+		if err != nil || n != len(docs) {
+			t.Fatalf("%s: streamed K at %d workers: %d documents, err %v; the decoder read %d", label, w, n, err, len(docs))
+		}
+		got[fmt.Sprintf("streamed K, %d workers", w)] = FromType(k)
+	}
+	for name, g := range got {
+		if !Equal(g, want) || g.String() != want.String() || !typelang.Equal(g.ToTypelang(), want.ToTypelang()) {
+			t.Errorf("%s: FromType(%s) = %s, Infer = %s", label, name, g, want)
+		}
+	}
+}
+
+// TestFromTypeIsInfer pins the projection: Spark's schema is a function
+// of the parametric K (and L) schema, over every fixture, every
+// generator at 1, 7 and 500 documents, and the edge cases.
+func TestFromTypeIsInfer(t *testing.T) {
+	paths, err := filepath.Glob("../../testdata/*.ndjson")
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no fixtures under testdata: %v", err)
+	}
+	for _, p := range paths {
+		data, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		docs, err := jsontext.ParseLines(data)
+		if err != nil {
+			t.Fatalf("%s: %v", p, err)
+		}
+		assertProjectsToInfer(t, p, data, docs)
+	}
+	gens := []genjson.Generator{
+		genjson.Twitter{Seed: 1}, genjson.GitHub{Seed: 2}, genjson.TypeDrift{Seed: 3},
+		genjson.SkewedOptional{Seed: 4}, genjson.NestedArrays{Seed: 5}, genjson.Orders{Seed: 6},
+		genjson.OpenData{Seed: 7}, genjson.NYTArticles{Seed: 14}, genjson.Wide{Seed: 15},
+		genjson.Sparse{Seed: 16}, genjson.Deep{Seed: 17}, genjson.Fields{Seed: 18},
+		genjson.Mixture{Seed: 8, Generators: []genjson.Generator{genjson.Twitter{Seed: 1}, genjson.GitHub{Seed: 2}}, Weights: []float64{1, 1}},
+	}
+	for _, g := range gens {
+		for _, n := range []int{1, 7, 500} {
+			docs := genjson.Collection(g, n)
+			assertProjectsToInfer(t, fmt.Sprintf("%s×%d", g.Name(), n), jsontext.MarshalLines(docs), docs)
+		}
+	}
+	for _, in := range projectionInputs {
+		docs, err := jsontext.NewDecoder(strings.NewReader(in)).DecodeAll()
+		if err != nil {
+			t.Fatalf("%q: %v", in, err)
+		}
+		assertProjectsToInfer(t, fmt.Sprintf("%q", in), []byte(in), docs)
+	}
+}
+
+// FuzzSparkFromType holds the projection on arbitrary input: whatever
+// the decoder accepts, Spark's fold and FromType of the K and L schemas
+// (DOM and streamed) agree.
+func FuzzSparkFromType(f *testing.F) {
+	for _, in := range projectionInputs {
+		f.Add([]byte(in))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		docs, err := jsontext.NewDecoder(bytes.NewReader(data)).DecodeAll()
+		if err != nil {
+			return
+		}
+		assertProjectsToInfer(t, fmt.Sprintf("%q", data), data, docs)
+	})
 }
