@@ -597,7 +597,6 @@ func TestMetricsReconcileWithStats(t *testing.T) {
 		"jsinferd_rate_limited_total":   "rate_limited",
 		"jsinferd_registry_collections": "collections",
 		"jsinferd_registry_docs":        "docs",
-		"jsinferd_registry_symbols":     "symbols",
 	} {
 		want, ok := sv.Get(stat)
 		if !ok {
@@ -679,7 +678,7 @@ func TestMetricsScrapeTakesStatsOnce(t *testing.T) {
 	calls, memReads := 0, 0
 	h := statsGauges(metrics.NewRegistry(), func() registry.Stats {
 		calls++
-		return registry.Stats{Collections: calls, Docs: 10 * int64(calls), Symbols: 100 * calls,
+		return registry.Stats{Collections: calls, Docs: 10 * int64(calls),
 			Pipeline: core.StatsSnapshot{Seals: 1000 * int64(calls)}}
 	}, func(ms *runtime.MemStats) {
 		memReads++
@@ -696,7 +695,6 @@ func TestMetricsScrapeTakesStatsOnce(t *testing.T) {
 		for metric, want := range map[string]float64{
 			"jsinferd_registry_collections": float64(scrape),
 			"jsinferd_registry_docs":        10 * float64(scrape),
-			"jsinferd_registry_symbols":     100 * float64(scrape),
 			"jsinferd_pipeline_seals_total": 1000 * float64(scrape),
 			"jsinferd_heap_alloc_bytes":     4096 * float64(scrape),
 			"jsinferd_heap_objects":         7 * float64(scrape),

@@ -72,8 +72,8 @@
 //	    each collection's pipeline stage counters.
 //	GET /v1/stats
 //	    Registry-wide aggregates (collections, docs, bytes, ingests,
-//	    errors, rate-limited rejections, interned symbols, sealed
-//	    schema nodes) plus the aggregated pipeline flight recorder:
+//	    errors, rate-limited rejections, sealed schema nodes) plus the
+//	    aggregated pipeline flight recorder:
 //	    chunk/doc counters, index fast-path vs token-fallback records,
 //	    seals and collector fuses, and per-stage clocks.
 //	GET /debug/traces
@@ -330,7 +330,6 @@ func newHandler(reg *registry.Registry, cfg handlerConfig) http.Handler {
 			"ingests", st.Ingests,
 			"errors", st.Errors,
 			"rate_limited", st.RateLimited,
-			"symbols", st.Symbols,
 			"schema_nodes", st.SchemaNodes,
 			"pipeline", pipelineMeta(st.Pipeline),
 		))
@@ -720,8 +719,6 @@ func statsGauges(prom *metrics.Registry, stats func() registry.Stats, readMem fu
 		func() float64 { return float64(cur.Load().Docs) })
 	prom.Gauge("jsinferd_registry_schema_nodes", "Sealed schema nodes across all collection schemas.",
 		func() float64 { return float64(cur.Load().SchemaNodes) })
-	prom.Gauge("jsinferd_registry_symbols", "Interned key symbols in the shared symbol table.",
-		func() float64 { return float64(cur.Load().Symbols) })
 	for _, f := range infer.StatsFields {
 		name, div := f.Name+"_total", 1.0
 		if f.Clock() {

@@ -136,12 +136,8 @@ func (c *ShardedCollector) absorbChunk(m *chunkMapper, ch byteChunk) (int, int, 
 	return n, used, err
 }
 
-// maxPooledSymbols bounds a kept mapper's private intern caches from
-// outside: they only hold names the shared table holds too.
-const maxPooledSymbols = 1 << 16
-
-// mapper returns a chunk mapper wired for opts: a kept one when it was
-// wired to the same symbol table, a cold one otherwise.
+// mapper returns a chunk mapper recording into opts.Stats: a kept one
+// when there is one, a cold one otherwise.
 func (c *ShardedCollector) mapper(opts Options) *chunkMapper {
 	c.mu.Lock()
 	var m *chunkMapper
@@ -150,19 +146,18 @@ func (c *ShardedCollector) mapper(opts Options) *chunkMapper {
 		c.mappers = slices.Delete(c.mappers, n-1, n)
 	}
 	c.mu.Unlock()
-	if m == nil || m.symbols != opts.Symbols {
+	if m == nil {
 		return newChunkMapper(opts)
 	}
 	m.st = opts.Stats
 	return m
 }
 
-// release keeps m for the next ingest unless that would keep too much:
-// bitmaps as wide as a chunk no bounded pool would keep the array of,
-// or intern caches nothing bounds (no shared table, or one grown past
-// maxPooledSymbols). The absorber is unbound from the last chunk's bytes.
+// release keeps m for the next ingest unless its bitmaps are as wide as
+// a chunk no bounded pool would keep the array of; its intern cache
+// bounds itself. The absorber is unbound from the last chunk's bytes.
 func (c *ShardedCollector) release(m *chunkMapper) {
-	if m.widest > maxPooledChunkBuf || m.symbols == nil || m.symbols.Len() > maxPooledSymbols {
+	if m.widest > maxPooledChunkBuf {
 		return
 	}
 	_ = m.ia.Reset(nil, 0) // always nil

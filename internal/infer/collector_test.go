@@ -3,7 +3,6 @@ package infer
 import (
 	"bytes"
 	"fmt"
-	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -81,7 +80,6 @@ func TestShardedCollectorSnapshotSemantics(t *testing.T) {
 func TestShardedCollectorConcurrent(t *testing.T) {
 	const adders, perAdder, feeders, perFeeder, nReaders = 4, 200, 6, 8, 2
 	col := NewShardedCollector(4, typelang.EquivLabel)
-	symbols := jsontext.NewSymbolTable()
 	stop := make(chan struct{})
 	var readers sync.WaitGroup
 	for r := 0; r < nReaders; r++ {
@@ -135,7 +133,7 @@ func TestShardedCollectorConcurrent(t *testing.T) {
 					all[adders+f] = append(all[adders+f], TypeOf(d, typelang.EquivLabel))
 				}
 				// Every other body spans many windows, each a shard lock of its own.
-				opts := Options{Equiv: typelang.EquivLabel, ChunkBytes: (i % 2) << 10, Symbols: symbols}
+				opts := Options{Equiv: typelang.EquivLabel, ChunkBytes: (i % 2) << 10}
 				if n, err := InferStreamInto(bytes.NewReader(jsontext.MarshalLines(docs)), opts, col); err != nil || n != len(docs) {
 					t.Errorf("feeder %d body %d: %d docs, err %v", f, i, n, err)
 				}
@@ -174,11 +172,12 @@ func ingestInto(t *testing.T, col *ShardedCollector, body []byte, opts Options) 
 // ingest to the next: the chunk array and the mapper of an ordinary
 // body, which the next body reuses — and neither the array an
 // unsplittable 4 MiB document grew, nor the mapper whose bitmaps grew
-// with it, nor a mapper whose intern caches nothing bounds.
+// with it. A vocabulary never costs a mapper: its intern cache bounds
+// itself.
 func TestCollectorKeepsBoundedState(t *testing.T) {
 	small := []byte(`{"a": 1}` + "\n" + `{"b": [true]}` + "\n")
 	giant := []byte(`{"blob": "` + strings.Repeat("x", 4<<20) + `"}` + "\n")
-	opts := Options{Equiv: typelang.EquivLabel, Symbols: jsontext.NewSymbolTable()}
+	opts := Options{Equiv: typelang.EquivLabel}
 	col := NewShardedCollector(2, typelang.EquivLabel)
 	kept := func() (arrays, widest, mappers int) {
 		for _, b := range col.chunks.free {
@@ -216,48 +215,32 @@ func TestCollectorKeepsBoundedState(t *testing.T) {
 		t.Errorf("the pools grew to %d arrays and %d mappers, want at most one per shard (%d)", arrays, mappers, len(col.shards))
 	}
 
-	// The private intern caches only hold names the shared table holds,
-	// so its size bounds them; without a table, or past the cap, a mapper
-	// dies with its ingest as it did before mappers were kept.
-	for _, symbols := range []*jsontext.SymbolTable{nil, jsontext.NewSymbolTable()} {
-		if symbols != nil {
-			for i := 0; i <= maxPooledSymbols; i++ {
-				symbols.Intern(strconv.AppendInt(nil, int64(i), 10))
+	// The lexer starts a fresh intern cache when one holds 1 << 16
+	// names, so a mapper is kept whatever vocabulary it met: after a
+	// small body, and after a body of more distinct names than that.
+	wide := NewShardedCollector(2, typelang.EquivKind)
+	ingestInto(t, wide, small, Options{})
+	if len(wide.mappers) != 1 {
+		t.Fatalf("after a small body the collector keeps %d mappers, want 1", len(wide.mappers))
+	}
+	warm = wide.mappers[0]
+	// 70 documents of 1000 names, zero-padded so the names sort in
+	// arrival order and the K record's field table only appends.
+	var body []byte
+	for d := range 70 {
+		body = append(body, '{')
+		for k := range 1000 {
+			if k > 0 {
+				body = append(body, ',')
 			}
+			body = fmt.Appendf(body, `"k%08d":0`, d*1000+k)
 		}
-		col := NewShardedCollector(2, typelang.EquivLabel)
-		ingestInto(t, col, small, Options{Equiv: typelang.EquivLabel, Symbols: symbols})
-		if len(col.mappers) != 0 {
-			t.Errorf("symbols=%v: mapper kept with unbounded intern caches", symbols != nil)
-		}
+		body = append(body, "}\n"...)
 	}
-}
-
-// TestCollectorMapperKeepsItsSymbolTable walks one collector through
-// calls that switch symbol table every other call: the kept mapper,
-// wired for the other table, must not serve the call — a vocabulary
-// interned through the wrong table would miss from the call's own.
-// Every call absorbs all its records off the index.
-func TestCollectorMapperKeepsItsSymbolTable(t *testing.T) {
-	docs := genjson.Collection(genjson.Orders{Seed: 5}, 20)
-	body := jsontext.MarshalLines(docs)
-	col := NewShardedCollector(2, typelang.EquivKind)
-	tables := []*jsontext.SymbolTable{jsontext.NewSymbolTable(), jsontext.NewSymbolTable()}
-	for i := 0; i < 8; i++ {
-		symbols := tables[i/2%2]
-		before := symbols.Len()
-		s := ingestInto(t, col, body, Options{Symbols: symbols})
-		if s.IndexRecords != int64(len(docs)) || s.FallbackRecords != 0 {
-			t.Errorf("call %d: index_records=%d fallback_records=%d, want %d/0", i, s.IndexRecords, s.FallbackRecords, len(docs))
-		}
-		if grew := symbols.Len() > before; grew != (i == 0 || i == 2) {
-			t.Errorf("call %d: symbol table went %d → %d names; each table meets the vocabulary on its first call (0 and 2)",
-				i, before, symbols.Len())
-		}
-	}
-	want, wantN, _ := oracle(bytes.Repeat(body, 8), typelang.EquivKind)
-	if got, n := col.Close(); n != int64(wantN) || got.StringCounted() != want.StringCounted() {
-		t.Errorf("alternating tables: %d docs %s, oracle %d docs %s", n, got.StringCounted(), wantN, want.StringCounted())
+	ingestInto(t, wide, body, Options{})
+	if len(wide.mappers) != 1 || wide.mappers[0] != warm {
+		t.Errorf("after 70000 distinct names the collector keeps %d mappers (the warm one: %v), want the warm one",
+			len(wide.mappers), len(wide.mappers) == 1 && wide.mappers[0] == warm)
 	}
 }
 
@@ -268,80 +251,4 @@ func TestCollectorMapperKeepsItsSymbolTable(t *testing.T) {
 func TestInferStreamWorkerSweep(t *testing.T) {
 	docs := genjson.Collection(genjson.Twitter{Seed: 92}, 400)
 	assertMatchesOracle(t, "tweets-400", jsontext.MarshalLines(docs))
-}
-
-// TestInferStreamSharedSymbols: a shared symbol table changes nothing
-// about the result and ends up holding the stream's field-name
-// vocabulary exactly once.
-func TestInferStreamSharedSymbols(t *testing.T) {
-	docs := genjson.Collection(genjson.Orders{Seed: 93}, 200)
-	data := jsontext.MarshalLines(docs)
-	want, wantN, err := oracle(data, typelang.EquivKind)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := jsontext.NewSymbolTable()
-	got, n, err := InferStream(bytes.NewReader(data), Options{Workers: 4, Symbols: st})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != wantN || got.StringCounted() != want.StringCounted() {
-		t.Errorf("shared-symbol run diverges (%d docs)\n want: %s\n got:  %s",
-			n, want.StringCounted(), got.StringCounted())
-	}
-	if st.Len() == 0 {
-		t.Error("symbol table empty after a field-bearing stream")
-	}
-	// Every field name in the schema must be the canonical interned
-	// string — pointer-equal to the table's copy.
-	var walk func(ty *typelang.Type)
-	walk = func(ty *typelang.Type) {
-		switch ty.Kind {
-		case typelang.KRecord:
-			for _, f := range ty.Fields {
-				if canon := st.Intern([]byte(f.Name)); canon != f.Name {
-					t.Errorf("field %q not canonical", f.Name)
-				}
-				walk(f.Type)
-			}
-		case typelang.KArray:
-			walk(ty.Elem)
-		case typelang.KUnion:
-			for _, a := range ty.Alts {
-				walk(a)
-			}
-		}
-	}
-	walk(got)
-}
-
-// TestSymbolTableInternCanonical: equal byte sequences intern to the
-// same string value from any goroutine.
-func TestSymbolTableInternCanonical(t *testing.T) {
-	st := jsontext.NewSymbolTable()
-	const names = 64
-	var wg sync.WaitGroup
-	results := make([][]string, 8)
-	for g := range results {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			out := make([]string, names)
-			for i := 0; i < names; i++ {
-				out[i] = st.Intern([]byte(fmt.Sprintf("field-%d", i)))
-			}
-			results[g] = out
-		}(g)
-	}
-	wg.Wait()
-	if st.Len() != names {
-		t.Errorf("table holds %d symbols, want %d", st.Len(), names)
-	}
-	for g := 1; g < len(results); g++ {
-		for i := range results[g] {
-			if results[g][i] != results[0][i] {
-				t.Errorf("goroutine %d interned %q, goroutine 0 %q", g, results[g][i], results[0][i])
-			}
-		}
-	}
 }

@@ -81,10 +81,6 @@ func NewIndexAbsorber() *IndexAbsorber { return &IndexAbsorber{w: mison.NewField
 // SetInternStrings toggles field-name interning, for both walks.
 func (a *IndexAbsorber) SetInternStrings(on bool) { a.w.SetInternStrings(on) }
 
-// SetSymbolTable attaches a shared field-name interner, so names are
-// canonical across workers whichever walk decoded them.
-func (a *IndexAbsorber) SetSymbolTable(st *jsontext.SymbolTable) { a.w.SetSymbolTable(st) }
-
 // Reset rebinds the absorber to a chunk whose first byte sits at
 // absolute stream offset base. Every chunk is indexed: the error is
 // always nil, and is kept only because bench/ checks it.

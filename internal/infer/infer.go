@@ -8,7 +8,6 @@ import (
 	"runtime"
 	"sync"
 
-	"repro/internal/jsontext"
 	"repro/internal/jsonvalue"
 	"repro/internal/typelang"
 )
@@ -39,11 +38,6 @@ type Options struct {
 	// per-window pipeline overhead regardless of how small the documents
 	// are.
 	ChunkBytes int
-	// Symbols, when non-nil, is a shared field-name symbol table: every
-	// worker interns record labels through it, deduping names across
-	// workers (and, in the registry, across requests) instead of once
-	// per worker.
-	Symbols *jsontext.SymbolTable
 	// Stats, when non-nil, receives the streamed engines' pipeline
 	// counters and per-stage clocks (see PipelineStats). Recording is
 	// lock-free and flushed at chunk granularity; nil keeps the pipeline

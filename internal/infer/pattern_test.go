@@ -185,11 +185,10 @@ func TestKeptMapperTreeIsWarmOnTheNextIngest(t *testing.T) {
 				t.Fatal(err)
 			}
 			col := NewShardedCollector(2, e)
-			symbols := jsontext.NewSymbolTable()
 			var closed [2]int64
 			for i := range closed {
 				var st PipelineStats
-				opts := Options{Equiv: e, Symbols: symbols, Stats: &st}
+				opts := Options{Equiv: e, Stats: &st}
 				if _, err := InferStreamInto(bytes.NewReader(data), opts, col); err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}

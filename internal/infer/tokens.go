@@ -220,25 +220,20 @@ type source struct {
 }
 
 // chunkMapper is the map phase of one worker: the index absorber every
-// window goes through, wired once to the run's symbol table, and the
-// stats frame the worker records into. Both run shapes drive it. A
-// collector keeps its mappers warm between ingests
-// (ShardedCollector.mapper), which is what symbols and widest are
-// remembered for.
+// window goes through, which interns field names in its own bounded
+// cache, and the stats frame the worker records into. Both run shapes
+// drive it. A collector keeps its mappers warm between ingests
+// (ShardedCollector.mapper), which is what widest is remembered for.
 type chunkMapper struct {
-	ia      *IndexAbsorber        // the structural index and both walks over it
-	symbols *jsontext.SymbolTable // what the absorber interns through
-	widest  int                   // longest window lexed: the index's bitmaps are that wide
-	st      *PipelineStats
-	frame   statsFrame
+	ia     *IndexAbsorber // the structural index and both walks over it
+	widest int            // longest window lexed: the index's bitmaps are that wide
+	st     *PipelineStats
+	frame  statsFrame
 }
 
 func newChunkMapper(opts Options) *chunkMapper {
-	m := &chunkMapper{ia: NewIndexAbsorber(), symbols: opts.Symbols, st: opts.Stats}
+	m := &chunkMapper{ia: NewIndexAbsorber(), st: opts.Stats}
 	m.ia.SetInternStrings(true)
-	if opts.Symbols != nil {
-		m.ia.SetSymbolTable(opts.Symbols)
-	}
 	return m
 }
 

@@ -14,9 +14,9 @@
 // caller-chosen positions, so that tokenizer can delegate exactly the
 // tokens its index cannot prove clean and still be byte-identical to
 // the reference lexer on payload decoding, accept/reject decisions and
-// error offsets. SymbolTable is a sharded, concurrency-safe field-name
-// interner shared across lexers, so workers — and, in the registry
-// daemon, requests — hand out one canonical string per name.
+// error offsets. Field names are interned by each lexer's own bounded
+// cache (SetInternStrings), never across lexers: a name is a label
+// compared by content, so the cache is a saving, not a meaning.
 //
 // It is the "conventional parser" of the tutorial's §4.2 — the baseline
 // that Mison-style structural-index parsing (internal/mison) and

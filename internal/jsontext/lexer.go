@@ -127,12 +127,13 @@ type lexer struct {
 	data   []byte
 	pos    int
 	intern map[string]string
-	// symbols, when non-nil, is the shared cross-lexer interner behind
-	// the private intern map: a miss in the map resolves through the
-	// table, so every lexer attached to one table hands out the same
-	// canonical string for a given name.
-	symbols *SymbolTable
 }
+
+// maxInterned bounds the intern cache: a full cache is replaced by a
+// fresh map, so a lexer kept warm across an unbounded vocabulary holds
+// at most this many names. A fresh map, not clear: a Go map never
+// shrinks, and clear would keep the old buckets.
+const maxInterned = 1 << 16
 
 func (l *lexer) skipSpace() {
 	for l.pos < len(l.data) {
@@ -331,26 +332,18 @@ func (l *lexer) scanString(skip bool) (string, error) {
 
 // internBytes converts b to a string through the intern cache when one
 // is installed. The map lookup with a converted key does not allocate,
-// so repeated field names cost zero allocations after the first. With a
-// shared SymbolTable attached, the private map acts as a lock-free front
-// cache and a miss resolves through the table, so the returned string is
-// canonical across every lexer sharing that table.
+// so repeated field names cost zero allocations after the first.
 func (l *lexer) internBytes(b []byte) string {
 	if l.intern == nil {
-		if l.symbols != nil {
-			return l.symbols.Intern(b)
-		}
 		return string(b)
 	}
 	if s, ok := l.intern[string(b)]; ok {
 		return s
 	}
-	var s string
-	if l.symbols != nil {
-		s = l.symbols.Intern(b)
-	} else {
-		s = string(b)
+	if len(l.intern) >= maxInterned {
+		l.intern = make(map[string]string)
 	}
+	s := string(b)
 	l.intern[s] = s
 	return s
 }

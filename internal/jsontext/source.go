@@ -42,32 +42,21 @@ type Scanner struct {
 }
 
 // SetInternStrings toggles the decoded-string intern cache, exactly as
-// TokenReader.SetInternStrings does (off also detaches any shared
-// SymbolTable).
+// TokenReader.SetInternStrings does.
 func (s *Scanner) SetInternStrings(on bool) {
 	if on && s.lex.intern == nil {
 		s.lex.intern = make(map[string]string)
 	} else if !on {
 		s.lex.intern = nil
-		s.lex.symbols = nil
 	}
 }
 
-// Intern returns b as a string through the scanner's intern cache and
-// shared symbol table, exactly as a decoded field name would be. A
-// caller with its own string fast path (the mison token source) dedups
-// the names it certifies positionally here, so a name is the same
-// string whether the fast path or a delegated token decoded it.
+// Intern returns b as a string through the scanner's intern cache,
+// exactly as a decoded field name would be. A caller with its own
+// string fast path (the mison token source) dedups the names it
+// certifies positionally here, so a name is the same string whether the
+// fast path or a delegated token decoded it.
 func (s *Scanner) Intern(b []byte) string { return s.lex.internBytes(b) }
-
-// SetSymbolTable attaches a shared field-name interner behind the
-// private intern cache, exactly as TokenReader.SetSymbolTable does.
-func (s *Scanner) SetSymbolTable(st *SymbolTable) {
-	s.lex.symbols = st
-	if st != nil {
-		s.SetInternStrings(true)
-	}
-}
 
 // ScanAt lexes the single token beginning at or after data[pos:]
 // (leading whitespace is skipped) and returns it together with the

@@ -58,26 +58,14 @@ func (t *TokenReader) ResetBytes(data []byte, base int) {
 
 // SetInternStrings toggles the decoded-string intern cache. Streams of
 // NDJSON documents repeat the same field names millions of times;
-// interning makes every repeat allocation-free. Turning interning off
-// also detaches any shared SymbolTable: "off" means decoded strings
-// are never retained anywhere.
+// interning makes every repeat allocation-free. The cache holds at most
+// 1 << 16 names, starting over when full; off drops it, so decoded
+// strings are retained nowhere.
 func (t *TokenReader) SetInternStrings(on bool) {
 	if on && t.lex.intern == nil {
 		t.lex.intern = make(map[string]string)
 	} else if !on {
 		t.lex.intern = nil
-		t.lex.symbols = nil
-	}
-}
-
-// SetSymbolTable attaches a shared field-name interner behind the
-// private intern cache (which it enables): decoded names canonicalise
-// through st, so every reader sharing one table hands out pointer-equal
-// strings for equal names. Pass nil to detach.
-func (t *TokenReader) SetSymbolTable(st *SymbolTable) {
-	t.lex.symbols = st
-	if st != nil {
-		t.SetInternStrings(true)
 	}
 }
 

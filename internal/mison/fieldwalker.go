@@ -51,10 +51,6 @@ func NewFieldWalker() *FieldWalker { return &FieldWalker{} }
 // (TokenSource.SetInternStrings).
 func (w *FieldWalker) SetInternStrings(on bool) { w.ts.SetInternStrings(on) }
 
-// SetSymbolTable attaches a shared field-name interner
-// (TokenSource.SetSymbolTable). Pass nil to detach.
-func (w *FieldWalker) SetSymbolTable(st *jsontext.SymbolTable) { w.ts.SetSymbolTable(st) }
-
 // Reset rebinds the walker to a chunk whose first byte sits at absolute
 // stream offset base: the token source's one pass rebuilds all four
 // bitmaps in place. Nothing is checked up front. An unterminated string

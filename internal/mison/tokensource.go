@@ -51,8 +51,8 @@ type TokenSource struct {
 	nonascii []uint64
 
 	// scan is the reference lexer tokens are delegated to. It also owns
-	// the field-name intern cache and the shared symbol table, so a name
-	// dedups identically whichever path decoded it.
+	// the field-name intern cache, so a name dedups identically
+	// whichever path decoded it.
 	scan jsontext.Scanner
 
 	// delegations counts tokens handed to the reference scanner instead
@@ -73,12 +73,6 @@ func NewTokenSource() *TokenSource { return &TokenSource{} }
 // Reset and is the delegated lexer's own, so a chunk worker dedups
 // every name once no matter which path decoded it.
 func (ts *TokenSource) SetInternStrings(on bool) { ts.scan.SetInternStrings(on) }
-
-// SetSymbolTable attaches a shared field-name interner behind the
-// private intern cache (which it enables), mirroring
-// jsontext.TokenReader.SetSymbolTable; both the positional fast path and
-// the delegated lexer canonicalise names through st. Pass nil to detach.
-func (ts *TokenSource) SetSymbolTable(st *jsontext.SymbolTable) { ts.scan.SetSymbolTable(st) }
 
 // Reset rebinds the source to a chunk whose first byte sits at absolute
 // stream offset base, rebuilding the structural bitmaps in place. Every

@@ -36,7 +36,8 @@
 // concatenated inputs — byte-identical rendering and counts — which the
 // registry tests pin on the checked-in fixtures.
 //
-// All collections in one Registry share a jsontext.SymbolTable, so a
-// field name is materialised once per process no matter how many
-// requests or collections decode it.
+// Field names are interned by the mapper that reads them: each of a
+// collection's kept mappers has its own intern cache, bounded by the
+// lexer, so no vocabulary is shared between collections or outlives a
+// Delete.
 package registry

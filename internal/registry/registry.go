@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"repro/internal/infer"
-	"repro/internal/jsontext"
 	"repro/internal/typelang"
 )
 
@@ -66,9 +65,8 @@ var ErrEquivMismatch = errors.New("equivalence differs from the collection's")
 // methods are safe for concurrent use; see doc.go for the consistency
 // model.
 type Registry struct {
-	opts    Options
-	symbols *jsontext.SymbolTable
-	now     func() time.Time // quota clock; swapped in tests
+	opts Options
+	now  func() time.Time // quota clock; swapped in tests
 
 	mu   sync.RWMutex // guards cols (the map, not the collections)
 	cols map[string]*collection
@@ -109,10 +107,9 @@ type collection struct {
 // New returns an empty registry.
 func New(opts Options) *Registry {
 	return &Registry{
-		opts:    opts,
-		symbols: jsontext.NewSymbolTable(),
-		now:     time.Now,
-		cols:    make(map[string]*collection),
+		opts: opts,
+		now:  time.Now,
+		cols: make(map[string]*collection),
 	}
 }
 
@@ -261,9 +258,8 @@ func (r *Registry) IngestWith(name string, rd io.Reader, co CollectionOptions) (
 	cr := &countReader{r: rd}
 	endPipeline := stage("pipeline")
 	n, err := infer.InferStreamInto(cr, infer.Options{
-		Equiv:   c.equiv,
-		Symbols: r.symbols,
-		Stats:   &st,
+		Equiv: c.equiv,
+		Stats: &st,
 	}, c.col)
 	endPipeline()
 	delta := st.Snapshot()
@@ -387,17 +383,6 @@ func (r *Registry) Delete(name string) bool {
 	return true
 }
 
-// Version returns the named collection's version (completed ingests).
-func (r *Registry) Version(name string) (uint64, bool) {
-	r.mu.RLock()
-	c := r.cols[name]
-	r.mu.RUnlock()
-	if c == nil {
-		return 0, false
-	}
-	return c.version.Load(), true
-}
-
 // List snapshots every collection, sorted by name.
 func (r *Registry) List() []Snapshot {
 	r.mu.RLock()
@@ -425,9 +410,6 @@ type Stats struct {
 	Bytes int64
 	// RateLimited counts ingest calls rejected by collection quotas.
 	RateLimited int64
-	// Symbols is the number of distinct field names interned across all
-	// requests and collections.
-	Symbols int
 	// SchemaNodes is the total node count of the sealed snapshot
 	// schemas across all collections — the aggregate schema size the
 	// registry currently serves.
@@ -441,7 +423,7 @@ type Stats struct {
 // the same sealed (and memoised) snapshots Get/List serve, so a quiet
 // registry reports them without re-fusing.
 func (r *Registry) Stats() Stats {
-	s := Stats{Symbols: r.symbols.Len()}
+	var s Stats
 	for _, snap := range r.List() {
 		s.Collections++
 		s.Docs += snap.Docs

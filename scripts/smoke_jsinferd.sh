@@ -4,8 +4,11 @@
 # batch `jsinfer` over the same file, then assert /metrics
 # serves ingest counters that add up. Then POST two generated bodies of
 # several read blocks (NDJSON and pretty-printed) and assert the same
-# identity, and that each was absorbed in line, window by window. Run
-# from anywhere; used by `make smoke-daemon` and CI.
+# identity, and that each was absorbed in line, window by window. Last,
+# POST 70 000 distinct field names into a collection, DELETE it, and
+# assert a fresh collection still serves jsinfer's schema of the fixture
+# and /v1/stats carries no "symbols" key. Run from anywhere; used by
+# `make smoke-daemon` and CI.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -150,4 +153,41 @@ for col in big big-indent; do
     fi
     echo "smoke: $col absorbed in line: $split windows, all direct, reduce_nanos 0"
 done
+
+# A collection of 70 000 distinct field names — 70 documents of 1000 —
+# is deleted, and the collection ingested after it serves exactly what
+# jsinfer makes of the fixture: no vocabulary outlives its collection.
+seq 0 69999 | awk '{ printf "%s\"k%08d\":0", ($1 % 1000 ? "," : "{"), $1 }
+    $1 % 1000 == 999 { print "}" }' > "$bindir/wide.ndjson"
+echo "smoke: ingesting 70000 distinct names into wide"
+res=$(curl -fsS -X POST --data-binary "@$bindir/wide.ndjson" "$base/v1/collections/wide/ingest")
+echo "$res" | grep -q '"docs": 70,' || {
+    echo "smoke: wide ingest did not merge 70 documents: $res" >&2
+    exit 1
+}
+code=$(curl -sS -o /dev/null -w '%{http_code}' -X DELETE "$base/v1/collections/wide")
+if [ "$code" != 200 ]; then
+    echo "smoke: DELETE wide answered $code, want 200" >&2
+    exit 1
+fi
+code=$(curl -sS -o /dev/null -w '%{http_code}' "$base/v1/collections/wide/schema")
+if [ "$code" != 404 ]; then
+    echo "smoke: schema of deleted wide answered $code, want 404" >&2
+    exit 1
+fi
+curl -fsS -X POST --data-binary "@$fixture" "$base/v1/collections/after-wide/ingest" >/dev/null
+served=$(curl -fsS "$base/v1/collections/after-wide/schema")
+batch=$("$bindir/jsinfer" "$fixture")
+if [ "$served" != "$batch" ]; then
+    echo "smoke: schema mismatch on after-wide" >&2
+    echo "  daemon:  $served" >&2
+    echo "  jsinfer: $batch" >&2
+    exit 1
+fi
+stats=$(curl -fsS "$base/v1/stats")
+if echo "$stats" | grep -q '"symbols"'; then
+    echo "smoke: /v1/stats still carries a \"symbols\" key" >&2
+    exit 1
+fi
+echo "smoke: wide deleted (200, then 404); after-wide serves jsinfer's schema"
 echo "smoke ok: served schema is byte-identical to jsinfer"
