@@ -7,7 +7,7 @@ DOC_PKGS = repro/internal/jsontext repro/internal/infer \
            repro/internal/registry repro/internal/daemon/intake \
            repro/internal/daemon/metrics
 
-.PHONY: all build vet test race fuzz-smoke bench bench-stream bench-e2e bench-compare test-bench docs fixtures serve smoke-daemon ci
+.PHONY: all build vet test race fuzz-smoke bench bench-stream bench-e2e bench-compare bench-budget test-bench docs fixtures serve smoke-daemon pgo ci
 
 all: build
 
@@ -80,6 +80,21 @@ bench-e2e:
 bench-compare:
 	$(GO) run -C bench ./jsperf -compare '$(OLD)' '$(NEW)'
 
+# The layer budget of one workload from one traced run (a minute or
+# two): jsperf's `# budget`, `# self time` and `# core.infer` notes and
+# its per-layer metrics.
+#   make bench-budget W=fields_par SEED=1
+# The traced in-process layers (core.infer, mison.*, typelang.*,
+# infer.*, registry.*) run inside jsperf's own binary, which carries no
+# profile, so they do not show PGO. It shows where the built commands
+# are timed: the cold CLI op clock of the `# core.infer` note,
+# jsinfer.process_overhead_ms and the jsinferd.* latencies.
+W    ?= fields_par
+SEED ?= 1
+bench-budget:
+	@out="$$($(GO) run -C bench ./jsperf -workload $(W) -seed $(SEED) -trace 1)" || exit 1; \
+		echo "$$out" | grep -E '^# (budget |self time:|core\.infer: |[a-zA-Z0-9_.]+ +-?[0-9])'
+
 # The benchmark's own unit and smoke tests (bench/ is a nested module,
 # so tier-1 `go test ./...` does not see them; about a minute).
 test-bench:
@@ -105,6 +120,14 @@ serve:
 # same file and each long body was absorbed in line.
 smoke-daemon:
 	./scripts/smoke_jsinferd.sh
+
+# Regenerate cmd/jsinfer/default.pgo and cmd/jsinferd/default.pgo from
+# the benchmark's workload shapes (a minute or more). Every plain `go
+# build` / `go install` of the two commands applies its own profile
+# (-pgo=auto); -pgo=off builds the baseline. A change to the hot loops
+# reruns this and measures each side with its own profile.
+pgo:
+	./scripts/pgo.sh
 
 # Regenerate the checked-in NDJSON fixtures (deterministic seeds).
 fixtures:
