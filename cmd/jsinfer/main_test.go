@@ -6,12 +6,18 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"os/exec"
 	"path/filepath"
+	"runtime"
+	"runtime/debug"
+	"runtime/metrics"
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/core"
+	"repro/internal/genjson"
 	"repro/internal/infer"
 	"repro/internal/jsontext"
 	"repro/internal/jsonvalue"
@@ -311,7 +317,7 @@ func TestPrintStats(t *testing.T) {
 		MmapInputs: 1, ReaderInputs: 2,
 		ReadNanos: 1_500_000, SplitNanos: 250_000, MapNanos: 7_000_000,
 		ReduceNanos: 900_000, FuseNanos: 100_000,
-	})
+	}, 2_500_000, 3)
 	want := `pipeline stats:
   stage           time  counters
   read         1.500ms  chunks_split=3 bytes_copied=512 buffers_recycled=4 mmap_inputs=1 reader_inputs=2
@@ -319,8 +325,95 @@ func TestPrintStats(t *testing.T) {
   map          7.000ms  bytes_lexed=4096 docs_absorbed=128 index_records=120 pattern_records=400 fallback_records=8 scan_delegations=5 chunks_direct=3
   reduce       0.900ms
   fuse         0.100ms  root_fuses=2 seals=9
+  gc           2.500ms  cycles=3
 `
 	if got := b.String(); got != want {
 		t.Errorf("stats table:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// TestMain makes the test binary the command itself when
+// JSINFER_TEST_MAIN is set, so a test can run the real main — start
+// heap included — in a process of its own.
+func TestMain(m *testing.M) {
+	if os.Getenv("JSINFER_TEST_MAIN") != "" {
+		main()
+	}
+	os.Exit(m.Run())
+}
+
+// gcCycles runs `jsinfer -workers 1 -stats path` as a process, with
+// neither GOGC nor GOMEMLIMIT from this environment but env added, and
+// returns the cycles its -stats gc row reports.
+func gcCycles(t *testing.T, path string, env ...string) int {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], "-workers", "1", "-stats", path)
+	cmd.Env = slices.DeleteFunc(os.Environ(), func(kv string) bool {
+		return strings.HasPrefix(kv, "GOGC=") || strings.HasPrefix(kv, "GOMEMLIMIT=")
+	})
+	cmd.Env = append(cmd.Env, append(env, "JSINFER_TEST_MAIN=1")...)
+	var stderr bytes.Buffer
+	cmd.Stdout, cmd.Stderr = io.Discard, &stderr
+	if err := cmd.Run(); err != nil {
+		t.Fatalf("jsinfer %v: %v\n%s", env, err, stderr.String())
+	}
+	for _, line := range strings.Split(stderr.String(), "\n") {
+		var n int
+		if f := strings.Fields(line); len(f) == 3 && f[0] == "gc" {
+			if _, err := fmt.Sscanf(f[2], "cycles=%d", &n); err == nil {
+				return n
+			}
+		}
+	}
+	t.Fatalf("jsinfer %v: no gc row in\n%s", env, stderr.String())
+	return 0
+}
+
+// TestStartHeapEndToEnd runs the command over 5000 generated tweets
+// (about 3.5 MB) in a process of its own: the run stays below the start
+// heap, so no collection runs at all — and GOGC=100 in the environment
+// wins over the start heap, so collections run.
+func TestStartHeapEndToEnd(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "tweets.ndjson")
+	if err := os.WriteFile(path, jsontext.MarshalLines(genjson.Collection(genjson.Twitter{Seed: 1}, 5000)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if n := gcCycles(t, path); n != 0 {
+		t.Errorf("jsinfer ran %d GC cycles below its %d MiB start heap, want 0", n, startHeap>>20)
+	}
+	if n := gcCycles(t, path, "GOGC=100"); n == 0 {
+		t.Error("jsinfer with GOGC=100 ran no GC cycle: the environment's GOGC must win over the start heap")
+	}
+}
+
+// gcPercent is the GOGC value the runtime paces with now.
+func gcPercent() uint64 {
+	s := []metrics.Sample{{Name: "/gc/gogc:percent"}}
+	metrics.Read(s)
+	return s[0].Value.Uint64()
+}
+
+// TestDeferFirstGC pins the start-heap helper in process: a GOGC set in
+// the environment is left alone; otherwise GOGC is raised until the
+// first collection, and is 100 once that collection has run.
+func TestDeferFirstGC(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(137))
+	t.Setenv("GOGC", "137")
+	deferFirstGC()
+	if p := gcPercent(); p != 137 {
+		t.Errorf("with GOGC=137 in the environment GC percent is %d after deferFirstGC, want 137", p)
+	}
+
+	os.Unsetenv("GOGC")
+	runtime.GC() // the goal the helper scales from: this process's smallest
+	deferFirstGC()
+	if p := gcPercent(); p <= 100 {
+		t.Fatalf("GC percent %d after deferFirstGC, want it raised above 100", p)
+	}
+	runtime.GC()
+	for deadline := time.Now().Add(10 * time.Second); gcPercent() != 100; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("GC percent %d ten seconds after a collection, want 100", gcPercent())
+		}
 	}
 }

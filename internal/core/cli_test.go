@@ -5,13 +5,16 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
 	"repro/internal/genjson"
+	"repro/internal/infer"
 	"repro/internal/jsontext"
 	"repro/internal/jsonvalue"
 	"repro/internal/mmapio"
+	"repro/internal/skinfer"
 	"repro/internal/sparkinfer"
 	"repro/internal/typelang"
 )
@@ -31,7 +34,7 @@ func TestPipelineGenerateInferValidate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	validator, err := CompileJSONSchema(inf.JSONSchema)
+	validator, err := CompileJSONSchema(inf.JSONSchema())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,6 +270,85 @@ func TestStreamFilesKeepPrefixOnError(t *testing.T) {
 	}
 }
 
+// TestFilesFacadeRendersNothingUnasked pins that the files facade adds
+// no pass over the schema its caller did not ask for: over the same
+// reader path it allocates what infer.InferStream does, plus a few KB —
+// no JSON Schema document, no per-file Inference. A rendering costs the
+// size of the schema (megabytes on sparse, where L's schema is as large
+// as the data).
+func TestFilesFacadeRendersNothingUnasked(t *testing.T) {
+	allocated := func(f func()) uint64 {
+		f() // warm: the first run pays one-time setup on both sides
+		best := ^uint64(0)
+		for range 3 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			f()
+			runtime.ReadMemStats(&after)
+			best = min(best, after.TotalAlloc-before.TotalAlloc)
+		}
+		return best
+	}
+	for _, name := range []string{"sparse.ndjson", "tweets.ndjson"} {
+		path := filepath.Join("..", "..", "testdata", name)
+		engine := allocated(func() {
+			f, err := os.Open(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer f.Close()
+			if _, _, err := infer.InferStream(f, infer.Options{Equiv: typelang.EquivLabel, Workers: 1}); err != nil {
+				t.Fatal(err)
+			}
+		})
+		facade := allocated(func() {
+			if _, _, err := InferSchemaStreamFilesWith([]string{path}, ParametricL, StreamOptions{Workers: 1}); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if facade > engine+4<<10 {
+			t.Errorf("%s: the facade allocates %d B over infer.InferStream's %d B; at most 4 KiB more", name, facade-engine, engine)
+		}
+	}
+}
+
+// TestJSONSchemaIsRenderedFromType pins the method every caller reads
+// the document through: for each streamed engine it is Type's rendering,
+// and Skinfer's is its own native document, not a rendering of its
+// best-effort Type.
+func TestJSONSchemaIsRenderedFromType(t *testing.T) {
+	paths, err := filepath.Glob(filepath.Join("..", "..", "testdata", "*.ndjson"))
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no fixtures: %v", err)
+	}
+	for _, path := range paths {
+		for _, engine := range []Engine{ParametricK, ParametricL, Spark} {
+			inf, _, err := InferSchemaStreamFilesWith([]string{path}, engine, StreamOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := inf.JSONSchema(), TypeToJSONSchema(inf.Type); !jsonvalue.Equal(got, want) {
+				t.Errorf("%s %s: JSONSchema() = %s, want %s", path, engine, Marshal(got), Marshal(want))
+			}
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		docs, err := ParseCollection(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inf, err := InferSchema(docs, Skinfer)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := inf.JSONSchema(); got != inf.JSONSchema() || !jsonvalue.Equal(got, skinfer.Infer(docs)) {
+			t.Errorf("%s skinfer: JSONSchema() = %s, want its native document %s", path, Marshal(got), Marshal(skinfer.Infer(docs)))
+		}
+	}
+}
+
 // TestInferenceSimplifyCarriesDocument pins `jsinfer -simplify -output
 // jsonschema`: the document (and Size) must be the simplified type's,
 // not the one built before simplification. The type is the
@@ -281,16 +363,16 @@ func TestInferenceSimplifyCarriesDocument(t *testing.T) {
 		typelang.Field{Name: "b", Type: typelang.Str, Optional: true},
 	)
 	u := &typelang.Type{Kind: typelang.KUnion, Alts: []*typelang.Type{narrow, wide}}
-	inf := &Inference{Engine: ParametricL, Type: u, JSONSchema: TypeToJSONSchema(u), Size: u.Size()}
+	inf := &Inference{Engine: ParametricL, Type: u, Size: u.Size()}
 	inf.Simplify()
 	want := typelang.Simplify(u)
 	if !typelang.Equal(inf.Type, wide) || inf.Size != want.Size() {
 		t.Fatalf("Simplify left type %s (size %d), want the wide record alone (size %d)", inf.Type, inf.Size, want.Size())
 	}
-	if !jsonvalue.Equal(inf.JSONSchema, TypeToJSONSchema(want)) {
-		t.Errorf("document after Simplify = %s, want %s", Marshal(inf.JSONSchema), Marshal(TypeToJSONSchema(want)))
+	if !jsonvalue.Equal(inf.JSONSchema(), TypeToJSONSchema(want)) {
+		t.Errorf("document after Simplify = %s, want %s", Marshal(inf.JSONSchema()), Marshal(TypeToJSONSchema(want)))
 	}
-	if jsonvalue.Equal(inf.JSONSchema, TypeToJSONSchema(u)) {
+	if jsonvalue.Equal(inf.JSONSchema(), TypeToJSONSchema(u)) {
 		t.Error("Simplify changed the type but not the document")
 	}
 }

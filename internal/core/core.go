@@ -177,25 +177,32 @@ type Inference struct {
 	// Type is the schema in the shared algebra (for Skinfer this is a
 	// best-effort conversion of its JSON Schema output).
 	Type *Type
-	// JSONSchema is the schema as a JSON Schema document.
-	JSONSchema *Value
 	// Precision and Size are the E1/E2 metrics against the input.
 	Precision float64
 	Size      int
+
+	// native is Skinfer's own JSON Schema output; nil for every engine
+	// whose document is a rendering of Type.
+	native *Value
 }
 
-// Simplify replaces Type with typelang.Simplify(Type) and brings the
-// fields derived from it — the JSON Schema document and Size — along, so
-// every output form shows the same schema. Skinfer's document is its
-// native output, not a rendering of Type, and is kept.
-func (inf *Inference) Simplify() {
-	s := typelang.Simplify(inf.Type)
-	if s == inf.Type {
-		return
+// JSONSchema returns the schema as a JSON Schema document. It is
+// rendered from Type on each call — on a large schema as costly as a
+// pass over the data, so callers that never print it never pay for it —
+// except for Skinfer, whose document is its native output.
+func (inf *Inference) JSONSchema() *Value {
+	if inf.native != nil {
+		return inf.native
 	}
-	inf.Type, inf.Size = s, s.Size()
-	if inf.Engine != Skinfer {
-		inf.JSONSchema = jsonschema.FromType(s)
+	return jsonschema.FromType(inf.Type)
+}
+
+// Simplify replaces Type with typelang.Simplify(Type) and brings Size
+// along, so every output form shows the same schema. Skinfer's document
+// is its native output, not a rendering of Type, and is kept.
+func (inf *Inference) Simplify() {
+	if s := typelang.Simplify(inf.Type); s != inf.Type {
+		inf.Type, inf.Size = s, s.Size()
 	}
 }
 
@@ -222,13 +229,11 @@ func InferSchema(docs []*Value, engine Engine) (*Inference, error) {
 	case ParametricK, ParametricL:
 		eq, _ := equivFor(engine)
 		out.Type = infer.InferParallel(docs, infer.Options{Equiv: eq})
-		out.JSONSchema = jsonschema.FromType(out.Type)
 	case Spark:
 		out.Type = sparkinfer.Infer(docs).ToTypelang()
-		out.JSONSchema = jsonschema.FromType(out.Type)
 	case Skinfer:
-		out.JSONSchema = skinfer.Infer(docs)
-		s, err := jsonschema.Compile(out.JSONSchema)
+		out.native = skinfer.Infer(docs)
+		s, err := jsonschema.Compile(out.native)
 		if err != nil {
 			return nil, fmt.Errorf("core: skinfer produced uncompilable schema: %w", err)
 		}
@@ -284,13 +289,7 @@ func streamed(engine Engine, opts StreamOptions, pass func(infer.Options) (*Type
 	if engine == Spark {
 		t = sparkinfer.FromType(t).ToTypelang()
 	}
-	return &Inference{
-		Engine:     engine,
-		Type:       t,
-		JSONSchema: jsonschema.FromType(t),
-		Precision:  -1,
-		Size:       t.Size(),
-	}, n, err
+	return &Inference{Engine: engine, Type: t, Precision: -1, Size: t.Size()}, n, err
 }
 
 // InferSchemaStreamWith infers a parametric schema from a stream of
@@ -361,22 +360,18 @@ func StreamPrecisionFiles(files []string, t *Type) (float64, int, error) {
 // platform can and stream through the zero-copy byte engines, everything
 // else through the buffered reader path — results are byte-identical.
 func InferSchemaStreamFilesWith(files []string, engine Engine, opts StreamOptions) (*Inference, int, error) {
-	perFile := engine
-	if engine == Spark {
-		perFile = ParametricK // merge the files' K types; streamed projects the merge once
-	}
 	return streamed(engine, opts, func(o infer.Options) (*Type, int, error) {
 		acc, total := typelang.Bottom, 0
 		for _, name := range files {
-			part, n, err := streamOneFile(name, perFile, opts)
+			part, n, err := streamOneFile(name, o)
 			if part == nil { // not opened: the *fs.PathError names the file itself
 				return acc, total, err
 			}
 			total += n
 			if acc == typelang.Bottom {
-				acc = part.Type
+				acc = part
 			} else {
-				acc = typelang.Merge(acc, part.Type, o.Equiv)
+				acc = typelang.Merge(acc, part, o.Equiv)
 			}
 			if err != nil {
 				return acc, total, fmt.Errorf("%s: %w", name, err)
@@ -387,8 +382,9 @@ func InferSchemaStreamFilesWith(files []string, engine Engine, opts StreamOption
 }
 
 // streamOneFile infers one named file, through a memory mapping when
-// mapForStream grants one and the reader path otherwise.
-func streamOneFile(name string, engine Engine, opts StreamOptions) (*Inference, int, error) {
+// mapForStream grants one and the reader path otherwise; a nil type
+// means the file could not be opened.
+func streamOneFile(name string, o infer.Options) (*Type, int, error) {
 	f, err := os.Open(name)
 	if err != nil {
 		return nil, 0, err
@@ -399,10 +395,10 @@ func streamOneFile(name string, engine Engine, opts StreamOptions) (*Inference, 
 		// The engines count reader inputs themselves (they own that
 		// path end to end); mapped inputs are a routing decision made
 		// here, so they are counted here.
-		opts.Stats.AddSnapshot(StatsSnapshot{MmapInputs: 1})
-		return InferSchemaStreamBytesWith(m.Data(), engine, opts)
+		o.Stats.AddSnapshot(StatsSnapshot{MmapInputs: 1})
+		return infer.InferStreamBytes(m.Data(), o)
 	}
-	return InferSchemaStreamWith(f, engine, opts)
+	return infer.InferStream(f, o)
 }
 
 // mapForStream decides whether f streams through a memory mapping — a

@@ -88,7 +88,7 @@ func TestInferSchemaEngines(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: %v", e, err)
 		}
-		if inf.Type == nil || inf.JSONSchema == nil {
+		if inf.Type == nil || inf.JSONSchema() == nil {
 			t.Fatalf("%v: missing outputs", e)
 		}
 		if inf.Size <= 0 {
@@ -102,7 +102,7 @@ func TestInferSchemaEngines(t *testing.T) {
 			results[ParametricL].Precision, results[Spark].Precision)
 	}
 	// Parametric JSON Schemas validate their own collection.
-	v, err := CompileJSONSchema(results[ParametricL].JSONSchema)
+	v, err := CompileJSONSchema(results[ParametricL].JSONSchema())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func TestJSONSchemaTypeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := JSONSchemaToType(inf.JSONSchema)
+	back, err := JSONSchemaToType(inf.JSONSchema())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -59,7 +59,7 @@ func TestGoldenPipelines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := CompileJSONSchema(inf.JSONSchema)
+	v, err := CompileJSONSchema(inf.JSONSchema())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,7 +29,7 @@ func TestWitnessesAcceptedAcrossFormalisms(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			schema := jsonschema.MustCompile(inf.JSONSchema)
+			schema := jsonschema.MustCompile(inf.JSONSchema())
 			for seed := int64(0); seed < 40; seed++ {
 				w := inf.Type.Witness(seed)
 				if w == nil {

@@ -19,9 +19,11 @@
 # Every program the script runs is built with -pgo=off, so a profile
 # never feeds on itself, and every corpus comes from cmd/jsgen at a
 # fixed seed the benchmark does not use (it runs seeds 1..N). Last,
-# both commands are rebuilt with the new profiles and their outputs
-# compared byte for byte with the -pgo=off builds': PGO cannot change
-# what a program prints, so a difference is a build or profile mix-up.
+# both commands are rebuilt with the new profiles and their outputs —
+# the three corpora's types, sparse's JSON Schema and the daemon's
+# served schema — compared byte for byte with the -pgo=off builds': PGO
+# cannot change what a program prints, so a difference is a build or
+# profile mix-up.
 #
 # Takes a minute or more and needs go, curl, gzip and split; nothing is
 # downloaded. The profiles' bytes vary with sampling, so CI never runs
@@ -172,6 +174,12 @@ for name in tweets fields sparse; do
     "$pgo/jsinfer" ${flags[$name]} "$work/$name.ndjson" > "$work/$name.pgo.out"
     cmp "$work/$name.off.out" "$work/$name.pgo.out"
 done
+# -output jsonschema is the one output that renders a JSON Schema
+# document; check it on the corpus with the largest schema.
+for build in off pgo; do
+    "${!build}/jsinfer" -output jsonschema "$work/sparse.ndjson" > "$work/sparse.$build.jsonschema"
+done
+cmp "$work/sparse.off.jsonschema" "$work/sparse.pgo.jsonschema"
 start_daemon "$pgo/jsinferd"
 curl -sS -K "$work/op.curl"
 curl -fsS -o "$work/served.pgo.out" "$base$collection/schema"
