@@ -52,8 +52,9 @@ bench:
 	$(GO) test -run '^$$' -bench . -benchmem ./...
 
 # Short streaming benchmark — the dom/mison pairs, the
-# reader-vs-bytes zero-copy pair and the colon-dense fields row (one
-# row per shape: the streamed engine has one map phase), plus the
+# reader-vs-bytes zero-copy pair, the colon-dense fields row (one
+# row per shape: the streamed engine has one map phase) and the
+# high-cardinality L sparse rows at one and two workers, plus the
 # mison-vs-lexer token-throughput pair. Every row is five samples of
 # five iterations (benchstat-comparable; a time-based -benchtime gave
 # the 50–350 ms tweets rows one iteration each, i.e. noise). CI runs this as a

@@ -99,8 +99,11 @@ func BenchmarkE3ParallelInference(b *testing.B) {
 // place, seal once per run and, above one worker, once per chunk); the
 // parallel rows reduce in line on the committer (one accumulator, one
 // seal), and the registry-ingest row measures the same bytes arriving
-// through the live-merge registry (shared symbol table, collector left
-// open across requests, every body absorbed in line: no worker count).
+// through the live-merge registry (collector and its mapper kept across
+// requests, every body absorbed in line: no worker count). The sparse
+// rows are high-cardinality L: a few keys drawn from a large universe
+// give about one record type per document, so the schema is as large
+// as the data and the reduce handles schema-sized work.
 // domInfer is the DOM baseline of the E3 rows: decode the whole
 // collection to value trees, then run the materialised map/reduce over
 // them.
@@ -215,7 +218,7 @@ func BenchmarkE3StreamingInference(b *testing.B) {
 	}
 	// The registry ingest path: the same bytes in 256 KiB windows on the
 	// request's goroutine, folding into one long-lived collection's
-	// collector through the shared symbol table — the steady-state
+	// collector through its kept mapper — the steady-state
 	// per-request cost of the jsinferd daemon (the schema converges after
 	// the first request, so later iterations measure warm live-merge).
 	b.Run("registry-ingest", func(b *testing.B) {
@@ -243,6 +246,24 @@ func BenchmarkE3StreamingInference(b *testing.B) {
 			}
 		}
 	})
+	// The sparse corpus (jsgen -kind sparse): 8 of 500 keys per record.
+	sparseRaw := jsontext.MarshalLines(genjson.Collection(genjson.Sparse{Seed: 13}, 10000))
+	for _, workers := range []int{1, 2} {
+		name := "sparse-mison-sequential"
+		if workers > 1 {
+			name = fmt.Sprintf("sparse-mison-parallel-%d", workers)
+		}
+		b.Run(name, func(b *testing.B) {
+			b.SetBytes(int64(len(sparseRaw)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := infer.InferStream(bytes.NewReader(sparseRaw),
+					infer.Options{Equiv: typelang.EquivLabel, Workers: workers}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }
 
 // E3 (large corpus): the zero-copy claims at the scale they were built

@@ -205,7 +205,7 @@ func inferAndPrint(opt cliFlags, files []string, stdin io.Reader, stdout, stderr
 			// counters cover exactly the work done before the failure.
 			gc := []metrics.Sample{{Name: "/cpu/classes/gc/total:cpu-seconds"}, {Name: "/gc/cycles/total:gc-cycles"}}
 			metrics.Read(gc)
-			printStats(stderr, pstats.Snapshot(), time.Duration(gc[0].Value.Float64()*float64(time.Second)), gc[1].Value.Uint64())
+			printStats(stderr, pstats.Snapshot(), time.Duration(gc[0].Value.Float64()*float64(time.Second)), gc[1].Value.Uint64(), result.Size, ndocs)
 		}
 		if err != nil {
 			return err
@@ -322,17 +322,21 @@ func readInput(files []string, stdin io.Reader) ([]*jsonvalue.Value, error) {
 // — the CLI face of the same counters jsinferd serves from /v1/stats
 // and /metrics. The stages overlap in real time (the reader splits
 // while the workers absorb), so the times answer "where did each
-// stage's goroutines spend their time", not fractions of the wall. The
-// last row is the process's garbage collector, which is no pipeline
-// stage: its CPU time and the cycles run so far, as runtime/metrics
-// reports them to the caller.
-func printStats(w io.Writer, s core.StatsSnapshot, gcCPU time.Duration, gcCycles uint64) {
+// stage's goroutines spend their time", not fractions of the wall. Two
+// rows that are no pipeline stage follow: the process's garbage
+// collector — its CPU time and the cycles run so far, as runtime/metrics
+// reports them to the caller — and, when documents were absorbed, the
+// schema's size in nodes against them. Under L a per_doc that stays
+// high as docs grow says the equivalence is not summarising the input
+// (every document brings a label set of its own); K is the answer.
+func printStats(w io.Writer, s core.StatsSnapshot, gcCPU time.Duration, gcCycles uint64, schemaNodes, docs int) {
 	fmt.Fprintln(w, "pipeline stats:")
 	fmt.Fprintf(w, "  %-7s %12s  %s\n", "stage", "time", "counters")
-	row := func(stage string, nanos int64, counters []string) {
-		line := fmt.Sprintf("  %-7s %12s  %s", stage, fmt.Sprintf("%.3fms", float64(nanos)/1e6), strings.Join(counters, " "))
+	row := func(stage, clock string, counters []string) {
+		line := fmt.Sprintf("  %-7s %12s  %s", stage, clock, strings.Join(counters, " "))
 		fmt.Fprintln(w, strings.TrimRight(line, " "))
 	}
+	ms := func(nanos int64) string { return fmt.Sprintf("%.3fms", float64(nanos)/1e6) }
 	for _, clock := range infer.StatsFields {
 		if !clock.Clock() {
 			continue // one row per stage: the stages are the clocks, in table order
@@ -343,9 +347,12 @@ func printStats(w io.Writer, s core.StatsSnapshot, gcCPU time.Duration, gcCycles
 				counters = append(counters, fmt.Sprintf("%s=%d", f.Name, *f.At(&s)))
 			}
 		}
-		row(clock.Stage, *clock.At(&s), counters)
+		row(clock.Stage, ms(*clock.At(&s)), counters)
 	}
-	row("gc", int64(gcCPU), []string{fmt.Sprintf("cycles=%d", gcCycles)})
+	row("gc", ms(int64(gcCPU)), []string{fmt.Sprintf("cycles=%d", gcCycles)})
+	if docs > 0 {
+		row("schema", "", []string{fmt.Sprintf("nodes=%d docs=%d per_doc=%.2f", schemaNodes, docs, float64(schemaNodes)/float64(docs))})
+	}
 }
 
 // streamInput runs the streamed engine over stdin or the named files

@@ -305,8 +305,9 @@ func testCLIErrors(t *testing.T, fx fixture) {
 
 // TestPrintStats pins the -stats table: one row per pipeline stage,
 // every counter name=value on its stage's row (in the order of
-// infer.StatsFields), and times rendered in milliseconds. Scripts
-// scrape this, so the shape is a contract.
+// infer.StatsFields), and times rendered in milliseconds, then the gc
+// row and the schema row — which a run that absorbed no document does
+// not print. Scripts scrape this, so the shape is a contract.
 func TestPrintStats(t *testing.T) {
 	var b strings.Builder
 	printStats(&b, core.StatsSnapshot{
@@ -317,7 +318,7 @@ func TestPrintStats(t *testing.T) {
 		MmapInputs: 1, ReaderInputs: 2,
 		ReadNanos: 1_500_000, SplitNanos: 250_000, MapNanos: 7_000_000,
 		ReduceNanos: 900_000, FuseNanos: 100_000,
-	}, 2_500_000, 3)
+	}, 2_500_000, 3, 1000, 128)
 	want := `pipeline stats:
   stage           time  counters
   read         1.500ms  chunks_split=3 bytes_copied=512 buffers_recycled=4 mmap_inputs=1 reader_inputs=2
@@ -326,9 +327,15 @@ func TestPrintStats(t *testing.T) {
   reduce       0.900ms
   fuse         0.100ms  root_fuses=2 seals=9
   gc           2.500ms  cycles=3
+  schema                nodes=1000 docs=128 per_doc=7.81
 `
 	if got := b.String(); got != want {
 		t.Errorf("stats table:\n%s\nwant:\n%s", got, want)
+	}
+	b.Reset()
+	printStats(&b, core.StatsSnapshot{}, 0, 0, 1, 0)
+	if got := b.String(); strings.Contains(got, "schema") {
+		t.Errorf("a run that absorbed nothing prints a schema row:\n%s", got)
 	}
 }
 

@@ -12,10 +12,10 @@
 // exactly as it was, once the walker aborts its open frames (an abort
 // ends the document: every enclosing frame must be aborted too). Staging
 // nodes and open records are pooled on the Accum and retain their
-// storage — bounded by keepPooled and the pool-length caps below — so
-// the steady state absorbs documents of seen shapes without allocating,
-// and recycling a staged node costs what the document put into it, not
-// what the node ever held (accumNode.reset).
+// storage — bounded by keptGroups, keptSlots and the pool-length caps
+// below — so the steady state absorbs documents of seen shapes without
+// allocating, and recycling a staged node costs what the document put
+// into it, not what the node ever held (accumNode.reset).
 
 package typelang
 
@@ -112,9 +112,9 @@ func (t Target) EndArray(n int) {
 				nd.arr = &arrayAccum{}
 			}
 			nd.arr.extend(n)
-			nd.arr.elem.absorbNode(a.stageArr, a.equiv)
+			nd.arr.elem.absorbNode(a.stageArr, a)
 		}
-		a.stageArr.reset(keepPooled)
+		a.stageArr.reset()
 		a.gen++
 		return
 	}
@@ -131,7 +131,7 @@ func (t Target) EndArray(n int) {
 // them.
 func (t Target) AbortArray() {
 	if t.root && t.acc.stageArr != nil {
-		t.acc.stageArr.reset(keepPooled)
+		t.acc.stageArr.reset()
 	}
 }
 
@@ -236,7 +236,7 @@ func (t Target) BeginRecord() *OpenRecord {
 func (r *OpenRecord) Field(name string) Target {
 	if i := r.index(name); i >= 0 {
 		n := r.fields[i].node
-		n.reset(keepPooled)
+		n.reset()
 		return Target{acc: r.acc, n: n}
 	}
 	return r.Stage(name)
@@ -298,7 +298,7 @@ func (t Target) EndRecord(r *OpenRecord, s *Shape) {
 		}
 		ra.nrecs++
 		ra.count++
-		ra.absorbStaged(r.fields, t.acc.equiv)
+		ra.absorbStaged(r.fields, t.acc)
 	}
 	t.acc.releaseOpen(r)
 	if t.root {
@@ -387,8 +387,23 @@ func (a *Accum) stagedKey(fields []stagedField) []byte {
 }
 
 // sameStagedLabels is sameLabels over a staged field list; the same
-// L-invariant argument applies (the table is exactly the label set).
+// L-invariant argument applies (the table is exactly the label set, or
+// the group holds a record of it). The held case is a plain loop, not
+// slices.EqualFunc: the closure would stop this inlining into the
+// linear group scan, which every unshaped record takes.
 func (ra *recordAccum) sameStagedLabels(fields []stagedField) bool {
+	if ra.held != nil {
+		hf := ra.held.Fields
+		if len(hf) != len(fields) {
+			return false
+		}
+		for i := range fields {
+			if hf[i].Name != fields[i].name {
+				return false
+			}
+		}
+		return true
+	}
 	if len(ra.fields) != len(fields) {
 		return false
 	}
@@ -406,15 +421,18 @@ func (ra *recordAccum) sameStagedLabels(fields []stagedField) bool {
 // in place. Under L a group that has its table was found by its label
 // set and the table is that set, so the two lists are aligned and no
 // name is compared; a group just born, and the one group of K, take the
-// merge walk.
-func (ra *recordAccum) absorbStaged(fields []stagedField, e Equiv) {
+// merge walk. A held group first spreads its record into the table.
+func (ra *recordAccum) absorbStaged(fields []stagedField, a *Accum) {
+	if ra.held != nil {
+		ra.unhold(a)
+	}
 	fs := ra.fields
-	if e == EquivLabel && len(fs) == len(fields) {
+	if a.equiv == EquivLabel && len(fs) == len(fields) {
 		for j := range fields {
 			fa := &fs[j]
 			fa.count++
 			fa.seenIn++
-			fa.node.absorbNode(fields[j].node, e)
+			fa.node.absorbNode(fields[j].node, a)
 		}
 		return
 	}
@@ -431,7 +449,7 @@ func (ra *recordAccum) absorbStaged(fields []stagedField, e Equiv) {
 		fa := &fs[i]
 		fa.count++
 		fa.seenIn++
-		fa.node.absorbNode(sf.node, e)
+		fa.node.absorbNode(sf.node, a)
 		i++
 	}
 	ra.fields = fs
@@ -456,7 +474,7 @@ func (a *Accum) releaseOpen(r *OpenRecord) {
 		n := r.fields[i].node
 		r.fields[i] = stagedField{}
 		if len(a.nodePool) < maxPooledNodes {
-			n.reset(keepPooled)
+			n.reset()
 			a.nodePool = append(a.nodePool, n)
 		}
 	}
@@ -475,8 +493,10 @@ func (a *Accum) releaseOpen(r *OpenRecord) {
 // absorbNode folds one accumulator node into another — the accumulator
 // twin of absorb(t): absorbing src is equivalent to absorbing src's
 // seal, bucket by bucket, with no canonical node in between. It is the
-// commit step of the staged containers above.
-func (dst *accumNode) absorbNode(src *accumNode, e Equiv) {
+// commit step of the staged containers above, so src is staging, which
+// only the Target surface fills and which therefore holds no group; dst
+// may (absorbAccum unholds).
+func (dst *accumNode) absorbNode(src *accumNode, a *Accum) {
 	dst.total += src.total
 	if dst.haveAny {
 		return
@@ -509,21 +529,21 @@ func (dst *accumNode) absorbNode(src *accumNode, e Equiv) {
 		if dst.arr == nil {
 			dst.arr = &arrayAccum{}
 		}
-		dst.arr.absorbNodeArr(src.arr, e)
+		dst.arr.absorbNodeArr(src.arr, a)
 	}
 	for _, sra := range src.recs[:src.live] {
-		dra := dst.accumGroup(sra, e)
+		dra := dst.accumGroup(sra, a.equiv)
 		if sra.shape != nil {
 			dra.shape = sra.shape
 		}
 		dra.nrecs += sra.nrecs
 		dra.count += sra.count
-		dra.absorbAccum(sra, e)
+		dra.absorbAccum(sra, a)
 	}
 }
 
 // absorbNodeArr folds one array bucket into another.
-func (a *arrayAccum) absorbNodeArr(src *arrayAccum, e Equiv) {
+func (a *arrayAccum) absorbNodeArr(src *arrayAccum, acc *Accum) {
 	if a.n == 0 {
 		a.minLen, a.maxLen = src.minLen, src.maxLen
 	} else {
@@ -538,7 +558,7 @@ func (a *arrayAccum) absorbNodeArr(src *arrayAccum, e Equiv) {
 	}
 	a.n += src.n
 	a.count += src.count
-	a.elem.absorbNode(&src.elem, e)
+	a.elem.absorbNode(&src.elem, acc)
 }
 
 // accumGroup finds (or creates) the group a source record group fuses
@@ -568,8 +588,21 @@ func (n *accumNode) accumGroup(src *recordAccum, e Equiv) *recordAccum {
 	return n.newGroup(src.labelKey())
 }
 
-// sameAccumLabels compares a group's label set with a live group's.
+// sameAccumLabels compares a group's label set with a live group's (a
+// staged one, which holds nothing).
 func (ra *recordAccum) sameAccumLabels(src *recordAccum) bool {
+	if ra.held != nil {
+		hf := ra.held.Fields
+		if len(hf) != len(src.fields) {
+			return false
+		}
+		for i := range hf {
+			if hf[i].Name != src.fields[i].name {
+				return false
+			}
+		}
+		return true
+	}
 	if len(ra.fields) != len(src.fields) {
 		return false
 	}
@@ -584,16 +617,19 @@ func (ra *recordAccum) sameAccumLabels(src *recordAccum) bool {
 // absorbAccum merges one record group into another: absorbStaged
 // generalised to counted slots — counts, seen totals and optionality
 // flags add, exactly as absorbing the source's sealed record would —
-// with the same aligned zip under L.
-func (ra *recordAccum) absorbAccum(src *recordAccum, e Equiv) {
+// with the same aligned zip under L, after unholding a held group.
+func (ra *recordAccum) absorbAccum(src *recordAccum, a *Accum) {
+	if ra.held != nil {
+		ra.unhold(a)
+	}
 	fs := ra.fields
-	if e == EquivLabel && len(fs) == len(src.fields) {
+	if a.equiv == EquivLabel && len(fs) == len(src.fields) {
 		for j := range src.fields {
 			fa, sf := &fs[j], &src.fields[j]
 			fa.count += sf.count
 			fa.optional = fa.optional || sf.optional
 			fa.seenIn += sf.seenIn
-			fa.node.absorbNode(&sf.node, e)
+			fa.node.absorbNode(&sf.node, a)
 		}
 		return
 	}
@@ -614,7 +650,7 @@ func (ra *recordAccum) absorbAccum(src *recordAccum, e Equiv) {
 		fa.count += sf.count
 		fa.optional = fa.optional || sf.optional
 		fa.seenIn += sf.seenIn
-		fa.node.absorbNode(&sf.node, e)
+		fa.node.absorbNode(&sf.node, a)
 		i++
 	}
 	ra.fields = fs

@@ -47,8 +47,8 @@ func (n *accumNode) dirt() string {
 		if n.recIndex != nil && n.recIndex[ra.labelKey()] != ra {
 			return fmt.Sprintf("group %d missing from the index", i)
 		}
-		if ra.nrecs != 0 || ra.count != 0 {
-			return fmt.Sprintf("group %d: nrecs=%d count=%d", i, ra.nrecs, ra.count)
+		if ra.nrecs != 0 || ra.count != 0 || ra.held != nil {
+			return fmt.Sprintf("group %d: nrecs=%d count=%d held=%v", i, ra.nrecs, ra.count, ra.held)
 		}
 		for j := range ra.fields {
 			fa := &ra.fields[j]
@@ -90,8 +90,8 @@ func (a *Accum) stagingDirt() string {
 }
 
 // surfaceProg interprets a byte string as a program over the absorption
-// surface: an equivalence, then documents (and the odd Reset or
-// *Type-absorb) until the bytes run out. Each value byte picks an atom,
+// surface: an equivalence, then documents (and the odd Reset or Absorb
+// of a sealed type) until the bytes run out. Each value byte picks an atom,
 // an array, a record — with duplicate names, and wide enough now and
 // then to cross smallOpenFields — or an abort, which abandons the
 // document the way the walkers do: every open frame aborted, innermost
@@ -135,7 +135,7 @@ const (
 	opArray      = 6  // 6..8
 	opRecord     = 9  // 9..13
 	progReset    = 15 // at the document level only
-	progAbsorb   = 31 // at the document level only: Absorb a random canonical type
+	progAbsorb   = 31 // at the document level only: Absorb a random sealed type
 )
 
 // value drives one value with op byte b into dst and returns its type
@@ -242,7 +242,9 @@ func (p *surfaceProg) run() error {
 			a.Reset()
 			committed = committed[:0]
 		case b%32 == progAbsorb:
-			t := randomType(int64(p.next()), 2)
+			// A sealed type, as the reduce absorbs them: its record
+			// groups open held.
+			t := sealOf(p.e, randomType(int64(p.next()), 2), randomType(int64(p.next()), 2))
 			a.Absorb(t)
 			committed = append(committed, t)
 		default:
@@ -258,8 +260,8 @@ func (p *surfaceProg) run() error {
 			return fmt.Errorf("step %d (byte %d): seal diverges from MergeAll over the %d committed documents\n want: %s\n got:  %s",
 				step, p.pos, len(committed), want.StringCounted(), got.StringCounted())
 		}
-		if a.Empty() != (len(committed) == 0) {
-			return fmt.Errorf("step %d: Empty() = %v with %d committed documents", step, a.Empty(), len(committed))
+		if empty(a) != (len(committed) == 0) {
+			return fmt.Errorf("step %d: empty = %v with %d committed documents", step, empty(a), len(committed))
 		}
 	}
 	return nil
@@ -498,9 +500,9 @@ func TestStagingRetentionIsCapped(t *testing.T) {
 	if r.PooledNodes > 8 {
 		t.Errorf("pooled nodes = %d", r.PooledNodes)
 	}
-	// Each node on the dirty path keeps at most keepPooled.groups groups:
+	// Each node on the dirty path keeps at most keptGroups groups:
 	// the node for f, and the element node of nest below each group of it.
-	if max := keepPooled.groups * (1 + keepPooled.groups); r.Groups > max {
+	if max := keptGroups * (1 + keptGroups); r.Groups > max {
 		t.Errorf("retained groups = %d after %d drifting documents, cap allows %d: %+v", r.Groups, docs, max, r)
 	}
 	if got := DistinctRecordAlternatives(a.Seal().Fields[0].Type); got != docs {
@@ -508,16 +510,16 @@ func TestStagingRetentionIsCapped(t *testing.T) {
 	}
 
 	// Under K the drift lands in one group's field table instead: a
-	// table wider than keepPooled.slots is not kept.
+	// table wider than keptSlots is not kept.
 	k := NewAccum(EquivKind)
-	for i := 0; i < 3*keepPooled.slots; i++ {
+	for i := 0; i < 3*keptSlots; i++ {
 		absorbValue(k.Doc(), jsonvalue.ObjectFromPairs("f", jsonvalue.ObjectFromPairs(fmt.Sprintf("k%05d", i), 1)))
 	}
-	if r := k.Retained(); r.Slots > keepPooled.slots {
-		t.Errorf("K: retained slots = %d, cap allows %d: %+v", r.Slots, keepPooled.slots, r)
+	if r := k.Retained(); r.Slots > keptSlots {
+		t.Errorf("K: retained slots = %d, cap allows %d: %+v", r.Slots, keptSlots, r)
 	}
-	if got := len(k.Seal().Fields[0].Type.Fields); got != 3*keepPooled.slots {
-		t.Errorf("K: schema holds %d fields under f, want %d", got, 3*keepPooled.slots)
+	if got := len(k.Seal().Fields[0].Type.Fields); got != 3*keptSlots {
+		t.Errorf("K: schema holds %d fields under f, want %d", got, 3*keptSlots)
 	}
 
 	wide := make([]jsonvalue.Field, maxPooledNodes+500)

@@ -7,7 +7,6 @@
 package typelang
 
 import (
-	"math"
 	"slices"
 	"strings"
 )
@@ -32,10 +31,11 @@ import (
 // Inputs must be canonical, exactly as Merge requires: types produced
 // by this package's constructors, by Merge/MergeAll, by Seal itself, or
 // by the inference map phase. Seal results never alias accumulator
-// state or absorbed inputs (other than the shared atom singletons), so
-// a sealed type may be published to other goroutines while the
-// accumulator keeps absorbing. An Accum itself is not safe for
-// concurrent use.
+// state; they may share immutable nodes with absorbed sealed types (a
+// record whose label set was absorbed once is handed back as it came,
+// exactly as MergeAll reuses a lone alternative). So a sealed type may
+// be published to other goroutines while the accumulator keeps
+// absorbing. An Accum itself is not safe for concurrent use.
 //
 // The zero Accum is NOT ready to use; construct with NewAccum so the
 // equivalence is explicit.
@@ -53,10 +53,11 @@ type Accum struct {
 
 	// Direct-absorption staging (absorb.go): the root-array element
 	// staging node, the pools of staged field nodes and open records,
-	// the scratch label-key buffer and the spare field list a shaped
-	// record is put in name order through — retained across documents
-	// and Resets, up to the keepPooled bounds, so steady-state
-	// absorption allocates nothing.
+	// the scratch label-key buffer (group lookup by key, here and in
+	// absorb.go) and the spare field list a shaped record is put in name
+	// order through — retained across documents and Resets, up to
+	// keptGroups and keptSlots, so steady-state absorption allocates
+	// nothing.
 	stageArr *accumNode
 	nodePool []*accumNode
 	recPool  []*OpenRecord
@@ -78,15 +79,16 @@ func (a *Accum) Absorb(t *Type) {
 	if t == nil || t.Kind == KBottom {
 		return
 	}
-	a.node.absorb(t, a.equiv)
+	a.node.absorb(t, a)
 	a.gen++
 }
 
 // Seal returns the canonical type of everything absorbed so far —
-// byte-identical to MergeAll over the same types — building fresh
-// immutable nodes that never alias accumulator state. Seals are
-// memoised: calling Seal repeatedly without intervening Absorbs returns
-// the same *Type without rebuilding.
+// byte-identical to MergeAll over the same types — building immutable
+// nodes that never alias accumulator state and may share immutable
+// nodes with absorbed sealed types. Seals are memoised: calling Seal
+// repeatedly without intervening Absorbs returns the same *Type without
+// rebuilding.
 func (a *Accum) Seal() *Type {
 	if a.sealed != nil && a.sealGen == a.gen {
 		return a.sealed
@@ -97,26 +99,24 @@ func (a *Accum) Seal() *Type {
 }
 
 // Reset empties the accumulator for reuse, retaining the bucket and
-// field-table storage of the shapes it has seen so a worker absorbing
+// field-table storage of the shapes it has seen — up to keptGroups and
+// keptSlots, the most recently live groups first — so a worker absorbing
 // similar chunks allocates nothing on the next round. Its cost is the
 // size of what was absorbed since the previous Reset, not of what is
 // retained. Previously sealed types remain valid (they never alias
-// accumulator state).
+// accumulator state, and the absorbed sealed types they may share are
+// immutable).
 func (a *Accum) Reset() {
-	a.node.reset(keepAll)
+	a.node.reset()
 	if a.stageArr != nil {
 		// Defensive: direct absorption aborts its own staging, but a
 		// Reset must leave no residue regardless of how the previous
 		// round ended.
-		a.stageArr.reset(keepPooled)
+		a.stageArr.reset()
 	}
 	a.gen++
 	a.sealed = nil
 }
-
-// Empty reports whether anything has been absorbed since construction
-// or the last Reset.
-func (a *Accum) Empty() bool { return a.node.empty() }
 
 // accumNode is one level of accumulator state: the union alternatives
 // kept pre-classified by kind, mirroring the buckets canonical()
@@ -186,6 +186,15 @@ type arrayAccum struct {
 // by name and merged in place, the record count, and how many records
 // were absorbed (nrecs — the denominator of the optionality rule: a
 // field absent from any absorbed record is optional).
+//
+// A group that Absorb opened with a sealed record is held: it keeps
+// that record (held) and no field table, and seals to it unchanged —
+// types are immutable, and sealing an absorbed canonical record gives
+// it back. Under L, where high-cardinality data gives about one group
+// per document, most groups never take a second record, so a reduce
+// over sealed partial schemas builds nothing for them. The second
+// record of the label set, however it arrives, first spreads the held
+// one into the table (unhold). A reset drops held groups.
 type recordAccum struct {
 	key      string // label key, built lazily for the seal ordering
 	keyValid bool
@@ -194,6 +203,7 @@ type recordAccum struct {
 	nrecs    int
 	count    int64
 	fields   []fieldAccum
+	held     *Type // the group's one record while it is held, else nil
 }
 
 // fieldAccum is one field slot of a record group. seenIn counts the
@@ -208,13 +218,13 @@ type fieldAccum struct {
 	node     accumNode
 }
 
-func (n *accumNode) absorb(t *Type, e Equiv) {
+func (n *accumNode) absorb(t *Type, a *Accum) {
 	if t == nil {
 		return
 	}
 	if t.Kind == KUnion {
 		for _, alt := range t.Alts {
-			n.absorb(alt, e)
+			n.absorb(alt, a)
 		}
 		return
 	}
@@ -248,13 +258,31 @@ func (n *accumNode) absorb(t *Type, e Equiv) {
 		if n.arr == nil {
 			n.arr = &arrayAccum{}
 		}
-		n.arr.absorb(t, e)
+		n.arr.absorb(t, a)
 	case KRecord:
-		n.recordGroup(t, e).absorb(t, e)
+		ra := n.recordGroup(t, a)
+		if ra.nrecs == 0 && len(ra.fields) == 0 && sortedLabels(t.Fields) {
+			// A group without a table (a new one, or a clean {} kept
+			// by a reset) takes a sealed record as it is.
+			ra.held, ra.nrecs, ra.count = t, 1, t.Count
+			return
+		}
+		ra.absorb(t, a)
 	}
 }
 
-func (a *arrayAccum) absorb(t *Type, e Equiv) {
+// sortedLabels reports whether the names are strictly increasing: a
+// canonical record's field list, which seal can hand back unchanged.
+func sortedLabels(fields []Field) bool {
+	for i := 1; i < len(fields); i++ {
+		if fields[i-1].Name >= fields[i].Name {
+			return false
+		}
+	}
+	return true
+}
+
+func (a *arrayAccum) absorb(t *Type, acc *Accum) {
 	if a.n == 0 {
 		a.minLen, a.maxLen = t.MinLen, t.MaxLen
 	} else {
@@ -269,22 +297,24 @@ func (a *arrayAccum) absorb(t *Type, e Equiv) {
 	}
 	a.n++
 	a.count += t.Count
-	a.elem.absorb(t.Elem, e)
+	a.elem.absorb(t.Elem, acc)
 }
 
 // recordGroup finds (or creates) the group record t fuses into — the
 // single group under K, the group with t's label set under L — and
-// marks it live.
-func (n *accumNode) recordGroup(t *Type, e Equiv) *recordAccum {
-	if e == EquivKind {
+// marks it live. The label key is built in the accumulator's scratch
+// buffer, so finding a group allocates nothing; the key string is made
+// only for a group being born.
+func (n *accumNode) recordGroup(t *Type, a *Accum) *recordAccum {
+	if a.equiv == EquivKind {
 		return n.kindGroup()
 	}
 	if n.recIndex != nil {
-		key := labelKey(t)
-		if ra := n.recIndex[key]; ra != nil {
+		key := a.typeKey(t)
+		if ra := n.recIndex[string(key)]; ra != nil {
 			return n.activate(ra)
 		}
-		return n.newGroup(key)
+		return n.newGroup(string(key))
 	}
 	for _, ra := range n.recs {
 		if ra.sameLabels(t.Fields) {
@@ -292,8 +322,20 @@ func (n *accumNode) recordGroup(t *Type, e Equiv) *recordAccum {
 		}
 	}
 	// New group: its key is the incoming record's label set (the field
-	// table is still empty; absorb fills it right after).
-	return n.newGroup(labelKey(t))
+	// table is still empty; absorb fills it right after, or the group
+	// holds t).
+	return n.newGroup(string(a.typeKey(t)))
+}
+
+// typeKey renders t's label set exactly as labelKey does, into the
+// accumulator's scratch buffer.
+func (a *Accum) typeKey(t *Type) []byte {
+	b := a.keyBuf[:0]
+	for i := range t.Fields {
+		b = appendLabel(b, t.Fields[i].Name)
+	}
+	a.keyBuf = b
+	return b
 }
 
 // kindGroup is the one group every record fuses into under K.
@@ -351,8 +393,21 @@ func (n *accumNode) removeGroup(i int) {
 // ever recycled by a record matching its full retained name set (an
 // exact match marks every slot live again), so an L group never holds a
 // clean slot while it has absorbed records, and the straight aligned
-// walk below compares the label set either way.
+// walk below compares the label set either way. A held group's label
+// set is its held record's.
 func (ra *recordAccum) sameLabels(fields []Field) bool {
+	if ra.held != nil {
+		hf := ra.held.Fields
+		if len(hf) != len(fields) {
+			return false
+		}
+		for i := range fields {
+			if hf[i].Name != fields[i].Name {
+				return false
+			}
+		}
+		return true
+	}
 	if len(ra.fields) != len(fields) {
 		return false
 	}
@@ -364,24 +419,44 @@ func (ra *recordAccum) sameLabels(fields []Field) bool {
 	return true
 }
 
-// absorb merges one record into the group: a sorted merge walk over the
-// in-place field table. New names insert into the table (rare once the
-// shape has been seen); existing slots just bump counts and recurse.
-func (ra *recordAccum) absorb(t *Type, e Equiv) {
+// unhold turns a held group back into an ordinary one, before it takes
+// its second record: the held record's fields go into the field table
+// (its count and nrecs are the group's already). The table is then
+// exactly the held record's label set, which is the group's key.
+func (ra *recordAccum) unhold(a *Accum) {
+	t := ra.held
+	ra.held = nil
+	ra.absorbFields(t.Fields, a)
+	ra.keyValid = true
+}
+
+// absorb merges one record into the group.
+func (ra *recordAccum) absorb(t *Type, a *Accum) {
+	if ra.held != nil {
+		ra.unhold(a)
+	}
 	ra.nrecs++
 	ra.count += t.Count
+	ra.absorbFields(t.Fields, a)
+}
+
+// absorbFields merges a record's fields into the group's field table: a
+// sorted merge walk over the in-place table. New names insert into the
+// table (rare once the shape has been seen); existing slots just bump
+// counts and recurse.
+func (ra *recordAccum) absorbFields(tf []Field, a *Accum) {
 	fs := ra.fields
-	if cap(fs) < len(t.Fields) {
+	if cap(fs) < len(tf) {
 		// The table ends up at least as wide as the record (exactly as
 		// wide under L), and a slot embeds a whole accumNode by value:
 		// growing a fresh group's table one insert at a time would copy
 		// it 1→2→4→8.
-		fs = slices.Grow(fs, len(t.Fields)-len(fs))
+		fs = slices.Grow(fs, len(tf)-len(fs))
 	}
 	i := 0
 	prev := ""
-	for j := range t.Fields {
-		f := &t.Fields[j]
+	for j := range tf {
+		f := &tf[j]
 		if j > 0 && f.Name < prev {
 			// Non-canonical (unsorted) input: restart the walk so the
 			// table stays sorted and duplicate-free regardless.
@@ -399,7 +474,7 @@ func (ra *recordAccum) absorb(t *Type, e Equiv) {
 		fa.count += f.Count
 		fa.optional = fa.optional || f.Optional
 		fa.seenIn++
-		fa.node.absorb(f.Type, e)
+		fa.node.absorb(f.Type, a)
 		i++
 	}
 	ra.fields = fs
@@ -499,6 +574,9 @@ func (n *accumNode) seal(e Equiv) *Type {
 }
 
 func (ra *recordAccum) seal(e Equiv) *Type {
+	if ra.held != nil {
+		return ra.held
+	}
 	var fields []Field
 	for i := range ra.fields {
 		fa := &ra.fields[i]
@@ -528,31 +606,28 @@ func (a *arrayAccum) seal(e Equiv) *Type {
 	return &Type{Kind: KArray, Elem: elem, Count: a.count, MinLen: a.minLen, MaxLen: a.maxLen}
 }
 
-// retention bounds what a reset leaves behind for reuse: the record
-// groups one node may keep, and the field slots a group may have and
-// still be kept.
-type retention struct{ groups, slots int }
-
-var (
-	// keepAll is the accumulator tree's own Reset: the next chunk is
-	// expected to hold the same shapes, so everything is kept.
-	keepAll = retention{groups: math.MaxInt, slots: math.MaxInt}
-	// keepPooled is the recycle of staging storage (absorb.go): a pooled
-	// node serves whatever field comes next, so on a drifting or hostile
-	// corpus it would collect every label set it ever staged. It keeps
-	// the most recently live groups — enough that the nested label sets
-	// of an ordinary corpus never churn (evicting a group that comes
-	// back costs its allocation again: capping the tweets corpus, which
-	// needs 15, at 8 costs 40% throughput) — and drops the rest to the
-	// garbage collector.
-	keepPooled = retention{groups: 4 * smallRecordGroups, slots: 1024}
+// The retention bounds of a reset: the record groups one node may keep,
+// and the field slots a group may have and still be kept. A pooled
+// staging node (absorb.go) serves whatever field comes next, and a
+// worker's accumulator sees a new window of the corpus each round, so
+// on a drifting or high-cardinality corpus either would collect every
+// label set it ever saw. A reset keeps the most recently live groups —
+// enough that the nested label sets of an ordinary corpus never churn
+// (evicting a group that comes back costs its allocation again: capping
+// the tweets corpus, which needs 15, at 8 costs 40% throughput) — and
+// drops the rest to the garbage collector.
+const (
+	keptGroups = 4 * smallRecordGroups
+	keptSlots  = 1024
 )
 
 // reset clears the node for reuse in place, retaining its storage —
-// field tables, group lists, nested nodes — up to keep. Keeping the
-// group tables is the reuse payoff: a worker absorbing the next chunk
-// (or the next document's arrays) of the same shapes allocates nothing
-// at all.
+// field tables, group lists, nested nodes — up to keptGroups and
+// keptSlots. Keeping the group tables is the reuse payoff: a worker
+// absorbing the next chunk (or the next document's arrays) of the same
+// shapes allocates nothing at all. Held groups are dropped, as they
+// have no table to keep: a clean group must hold in its table the label
+// set it is found by.
 //
 // It costs what was dirtied since the previous reset, not what is
 // retained, by the clean-subtree invariant every mutation of the tree
@@ -564,7 +639,7 @@ var (
 // (elements land in arr.elem before EndArray counts the array, and an
 // abandoned document or an Any-collapsed node never counts it); that is
 // what arrayAccum.opened records.
-func (n *accumNode) reset(keep retention) {
+func (n *accumNode) reset() {
 	n.total = 0
 	n.haveAny, n.haveNull, n.haveBool, n.haveInt, n.haveNum, n.haveStr = false, false, false, false, false, false
 	n.nullCount, n.boolCount, n.intCount, n.numCount, n.strCount = 0, 0, 0, 0, 0
@@ -572,19 +647,19 @@ func (n *accumNode) reset(keep retention) {
 		a.n, a.opened = 0, false
 		a.count = 0
 		a.minLen, a.maxLen = 0, 0
-		a.elem.reset(keep)
+		a.elem.reset()
 	}
 	// Downwards, so removeGroup only ever moves in a group that is clean
 	// already.
 	for i := n.live - 1; i >= 0; i-- {
-		if ra := n.recs[i]; len(ra.fields) > keep.slots {
+		if ra := n.recs[i]; ra.held != nil || len(ra.fields) > keptSlots {
 			n.removeGroup(i)
 		} else {
-			ra.reset(keep)
+			ra.reset()
 		}
 	}
 	n.live = 0
-	for len(n.recs) > keep.groups {
+	for len(n.recs) > keptGroups {
 		n.removeGroup(len(n.recs) - 1)
 	}
 	if n.recIndex != nil && len(n.recs) <= smallRecordGroups {
@@ -592,7 +667,7 @@ func (n *accumNode) reset(keep retention) {
 	}
 }
 
-func (ra *recordAccum) reset(keep retention) {
+func (ra *recordAccum) reset() {
 	ra.nrecs = 0
 	ra.count = 0
 	for i := range ra.fields {
@@ -603,6 +678,6 @@ func (ra *recordAccum) reset(keep retention) {
 		fa.count = 0
 		fa.optional = false
 		fa.seenIn = 0
-		fa.node.reset(keep)
+		fa.node.reset()
 	}
 }

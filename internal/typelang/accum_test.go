@@ -3,10 +3,15 @@ package typelang
 import (
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/jsontext"
+	"repro/internal/jsonvalue"
 )
 
 // sealOf folds ts through a fresh accumulator and seals.
@@ -17,6 +22,10 @@ func sealOf(e Equiv, ts ...*Type) *Type {
 	}
 	return a.Seal()
 }
+
+// empty reports whether anything has been absorbed into a since its
+// construction or its last Reset.
+func empty(a *Accum) bool { return a.node.empty() }
 
 // identical is the byte-identity relation the accumulator is pinned
 // under: same structure, same plain rendering, same counted rendering
@@ -166,12 +175,12 @@ func TestAccumResetLabelGroups(t *testing.T) {
 // and unknown-bound arrays.
 func TestAccumEdgeCases(t *testing.T) {
 	a := NewAccum(EquivKind)
-	if !a.Empty() || a.Seal() != Bottom {
+	if !empty(a) || a.Seal() != Bottom {
 		t.Error("fresh accum should seal to Bottom")
 	}
 	a.Absorb(nil)
 	a.Absorb(Bottom)
-	if !a.Empty() {
+	if !empty(a) {
 		t.Error("nil/Bottom absorbs should be no-ops")
 	}
 	if a.Equiv() != EquivKind {
@@ -371,5 +380,173 @@ func TestShapedRecordsFindTheirLabelSet(t *testing.T) {
 		if got := DistinctRecordAlternatives(a.Seal()); got != pad+len(layouts)-1 {
 			t.Errorf("pad %d: %d record types, want %d", pad, got, pad+len(layouts)-1)
 		}
+	}
+}
+
+// fixtureSchemas seals every testdata fixture under e, each through the
+// direct-absorption surface as the streamed engine folds it.
+func fixtureSchemas(t *testing.T, e Equiv) map[string]*Type {
+	t.Helper()
+	files, err := filepath.Glob(filepath.Join("..", "..", "testdata", "*.ndjson"))
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no testdata fixtures found (err %v)", err)
+	}
+	out := make(map[string]*Type, len(files))
+	for _, name := range files {
+		data, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		docs, err := jsontext.ParseLines(data)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		a := NewAccum(e)
+		for _, d := range docs {
+			absorbValue(a.Doc(), d)
+		}
+		out[filepath.Base(name)] = a.Seal()
+	}
+	return out
+}
+
+// TestAbsorbSealedIsIdentity pins the held-group shortcut: sealing
+// after one Absorb of a sealed type gives that type back, and each of
+// its record alternatives is the very node absorbed — no group opened
+// with a sealed record builds a field table.
+func TestAbsorbSealedIsIdentity(t *testing.T) {
+	for _, e := range []Equiv{EquivKind, EquivLabel} {
+		for name, s := range fixtureSchemas(t, e) {
+			a := NewAccum(e)
+			a.Absorb(s)
+			got := a.Seal()
+			if got.StringCounted() != s.StringCounted() {
+				t.Errorf("%s/%v: seal of the absorbed schema differs\n want: %s\n got:  %s", name, e, s.StringCounted(), got.StringCounted())
+				continue
+			}
+			want, have := recordAlts(s), recordAlts(got)
+			for i := range want {
+				if want[i] != have[i] {
+					t.Errorf("%s/%v: record alternative %d was rebuilt", name, e, i)
+				}
+			}
+		}
+	}
+}
+
+// recordAlts lists t's record alternatives (t itself if a record).
+func recordAlts(t *Type) []*Type {
+	if t.Kind == KRecord {
+		return []*Type{t}
+	}
+	var out []*Type
+	for _, alt := range t.Alts {
+		if alt.Kind == KRecord {
+			out = append(out, alt)
+		}
+	}
+	return out
+}
+
+// TestHeldGroupTakesEveryKindOfSecondRecord drives a held group's second
+// record in through each surface — a sealed type, a staged record at the
+// root (the committer's re-walk into the run's accumulator), a staged
+// root array committed through absorbNode — and then a third sealed
+// type, below and past the label-key index: after every step the seal
+// must equal MergeAll over what was absorbed. Each document has a label
+// set of its own, so its group is still held when it is staged.
+func TestHeldGroupTakesEveryKindOfSecondRecord(t *testing.T) {
+	docs := []*jsonvalue.Value{
+		jsonvalue.ObjectFromPairs("a", 1, "b", jsonvalue.ObjectFromPairs("c", "x")),
+		jsonvalue.NewArray(jsonvalue.ObjectFromPairs("a", 2.5), jsonvalue.ObjectFromPairs("d", nil)),
+		jsonvalue.ObjectFromPairs("x", jsonvalue.ObjectFromPairs("c", 1, "e", true)),
+	}
+	for _, e := range []Equiv{EquivKind, EquivLabel} {
+		for _, pad := range []int{0, smallRecordGroups + 4} {
+			// The sealed side: the same documents, each sealed alone,
+			// plus pad label sets that only ever arrive sealed.
+			var sealed []*Type
+			for i := 0; i < pad; i++ {
+				sealed = append(sealed, sealOf(e, NewRecordCounted(1, Field{Name: fmt.Sprintf("p%02d", i), Type: Atom(KInt, 1), Count: 1})))
+			}
+			for _, d := range docs {
+				s := NewAccum(e)
+				absorbValue(s.Doc(), d)
+				sealed = append(sealed, s.Seal())
+			}
+			a := NewAccum(e)
+			var all []*Type
+			check := func(step string) {
+				t.Helper()
+				if want, got := MergeAll(all, e), a.Seal(); !identical(want, got) {
+					t.Fatalf("%v pad %d, after %s: diverges from MergeAll\n want: %s\n got:  %s", e, pad, step, want.StringCounted(), got.StringCounted())
+				}
+			}
+			for _, s := range sealed {
+				a.Absorb(s)
+				all = append(all, s)
+			}
+			check("the sealed types")
+			for i, d := range docs {
+				absorbValue(a.Doc(), d)
+				all = append(all, sealed[pad+i])
+				check(fmt.Sprintf("staged document %d", i))
+			}
+			for i, s := range sealed[pad:] {
+				a.Absorb(s)
+				all = append(all, s)
+				check(fmt.Sprintf("sealed document %d again", i))
+			}
+		}
+	}
+}
+
+// TestResetDropsHeldGroups: a held group must not survive a reset as a
+// clean group standing in for a label set its table does not hold — a
+// staged record of that label set afterwards is the schema's one
+// record alternative, below and past the label-key index.
+func TestResetDropsHeldGroups(t *testing.T) {
+	doc := jsonvalue.ObjectFromPairs("a", 1, "b", "s")
+	for _, n := range []int{1, 3 * smallRecordGroups} {
+		var alts []*Type
+		for i := 0; i < n-1; i++ {
+			alts = append(alts, NewRecordCounted(1, Field{Name: fmt.Sprintf("p%02d", i), Type: Atom(KInt, 1), Count: 1}))
+		}
+		alts = append(alts, NewRecordCounted(1, Field{Name: "a", Type: Atom(KStr, 1), Count: 1}, Field{Name: "b", Type: Atom(KStr, 1), Count: 1}))
+		a := NewAccum(EquivLabel)
+		a.Absorb(MergeAll(alts, EquivLabel))
+		a.Reset()
+		for _, ra := range a.node.recs {
+			if ra.held != nil {
+				t.Fatalf("%d groups: a reset kept the held group %s", n, ra.held)
+			}
+		}
+		absorbValue(a.Doc(), doc)
+		got := a.Seal()
+		if k := DistinctRecordAlternatives(got); k != 1 {
+			t.Errorf("%d groups: %d record alternatives after the reset, want 1: %s", n, k, got.StringCounted())
+		}
+		if want := "{a:1: Int(1), b:1: Str(1)}(1)"; got.StringCounted() != want {
+			t.Errorf("%d groups: got %s, want %s", n, got.StringCounted(), want)
+		}
+	}
+}
+
+// TestIndexedGroupLookupAllocatesNothing: once an L node has outgrown
+// the linear scan, finding a record's group by its label key is free —
+// only a group being born makes its key string.
+func TestIndexedGroupLookupAllocatesNothing(t *testing.T) {
+	var alts []*Type
+	for i := 0; i < 2*smallRecordGroups; i++ {
+		alts = append(alts, NewRecordCounted(1,
+			Field{Name: fmt.Sprintf("k%02d", i), Type: Atom(KInt, 1), Count: 1},
+			Field{Name: "shared", Type: Atom(KStr, 1), Count: 1}))
+	}
+	u := MergeAll(alts, EquivLabel)
+	a := NewAccum(EquivLabel)
+	a.Absorb(u) // every group held
+	a.Absorb(u) // every group unheld: tables built
+	if allocs := testing.AllocsPerRun(20, func() { a.Absorb(u) }); allocs != 0 {
+		t.Errorf("absorbing a seen union of %d label sets: %.1f allocs, want 0", len(alts), allocs)
 	}
 }

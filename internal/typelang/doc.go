@@ -38,8 +38,9 @@
 // subtrees (a record group outside the live prefix, a field slot no
 // record touched, an array bucket neither counted nor opened) are deeply
 // zero by invariant and reset skips them (accumNode.reset). What the
-// pools may keep is capped (keepPooled, maxPooledNodes) so a drifting or
-// hostile corpus cannot grow them with the schema. Accum.Retained
+// pools, and a reset accumulator, may keep is capped (keptGroups,
+// keptSlots, maxPooledNodes) so a drifting or hostile corpus cannot
+// grow them with the schema. Accum.Retained
 // reports what they hold — pooled nodes and open records, nested nodes,
 // clean groups and slots — and is the intended source for the
 // per-collection accumulator memory gauges of /v1/stats and /metrics.
