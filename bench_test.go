@@ -264,6 +264,41 @@ func BenchmarkE3StreamingInference(b *testing.B) {
 			}
 		})
 	}
+	// The same tweets and sparse bytes as the sequential rows above, cut
+	// into many files and passed as file arguments are: one run over all
+	// of them, so the gap to the one-reader row is what opening and
+	// reading a file costs.
+	for _, many := range []struct {
+		name string
+		raw  []byte
+		n    int
+	}{{"tweets-2000-files-sequential", raw, 2000}, {"sparse-1000-files-sequential", sparseRaw, 1000}} {
+		files := writeLayout(b, many.raw, many.n)
+		b.Run(many.name, func(b *testing.B) {
+			b.SetBytes(int64(len(many.raw)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := infer.InferStreamFiles(files, infer.Options{Equiv: typelang.EquivLabel, Workers: 1}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// writeLayout cuts NDJSON data into n files of whole lines under a
+// temporary directory and returns their names, in order.
+func writeLayout(b *testing.B, data []byte, n int) []string {
+	lines := bytes.SplitAfter(bytes.TrimSuffix(data, []byte("\n")), []byte("\n"))
+	dir, per := b.TempDir(), (len(lines)+n-1)/n
+	var files []string
+	for i := 0; i*per < len(lines); i++ {
+		files = append(files, filepath.Join(dir, fmt.Sprintf("part%04d.ndjson", i)))
+		if err := os.WriteFile(files[i], bytes.Join(lines[i*per:min((i+1)*per, len(lines))], nil), 0o644); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return files
 }
 
 // E3 (large corpus): the zero-copy claims at the scale they were built

@@ -13,10 +13,10 @@
 //
 // Every engine but Skinfer runs the streamed pipeline of
 // docs/ARCHITECTURE.md — the input is never materialised, whatever its
-// size: file arguments go through core.InferSchemaStreamFilesWith
-// (large regular files memory-mapped), stdin through
-// core.InferSchemaStreamWith, and Spark's schema is projected from the
-// parametric-K type. -workers, -chunk-bytes SIZE (64K, 4M, …) and -stats
+// size: file arguments are one collection, read in turn through one run
+// by core.InferSchemaStreamFilesWith (large regular files
+// memory-mapped), stdin goes through core.InferSchemaStreamWith, and
+// Spark's schema is projected from the parametric-K type. -workers, -chunk-bytes SIZE (64K, 4M, …) and -stats
 // (the pipeline's flight recorder, on stderr) apply to every such run;
 // -stream is accepted and ignored. The report has no precision column in
 // a single pass; -precision fills it in a bounded-memory second pass over
@@ -355,8 +355,9 @@ func printStats(w io.Writer, s core.StatsSnapshot, gcCPU time.Duration, gcCycles
 	}
 }
 
-// streamInput runs the streamed engine over stdin or the named files
-// (one decoder per file, so errors name the file).
+// streamInput runs the streamed engine over stdin or the named files,
+// which are one collection: one run reads them in turn, and an error
+// names its file.
 func streamInput(files []string, stdin io.Reader, eng core.Engine, opts core.StreamOptions) (*core.Inference, int, error) {
 	if len(files) == 0 {
 		return core.InferSchemaStreamWith(stdin, eng, opts)

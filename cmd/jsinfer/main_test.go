@@ -155,8 +155,8 @@ var streamedEngines = []struct {
 // TestCLIMatrix runs the command end to end over every fixture × {K, L,
 // Spark} × every -output × {–, -counted, -simplify} × {file argument,
 // stdin} (× -workers {default, 1, 2} for Spark) × {without, with
-// -stream}. -stream
-// selects nothing, so both settings agree byte for byte; and every
+// -stream}, and over every fixture cut into files (testFileLayouts).
+// -stream selects nothing, so both settings agree byte for byte; and every
 // expectation is computed here, not read from a golden file: from the
 // Parse+TypeOf+MergeAll oracle, and for Spark from sparkinfer.Infer's
 // fold over the parsed documents (-counted: the K oracle's).
@@ -236,6 +236,8 @@ func TestCLIMatrix(t *testing.T) {
 			}
 		}
 
+		testFileLayouts(t, fx)
+
 		// Skinfer materialises; its report grades in place, and -stream
 		// is ignored there too.
 		stdout, stderr, status := cli(untouched{t}, "-engine", "skinfer", "-output", "report", fx.path)
@@ -247,6 +249,64 @@ func TestCLIMatrix(t *testing.T) {
 		}
 		if o, e, s := cli(untouched{t}, "-stream", "-engine", "skinfer", "-output", "report", fx.path); o != stdout || e != stderr || s != status {
 			t.Errorf("jsinfer -engine skinfer: -stream changes the run: status %d, stderr %q, stdout\n%s", s, e, o)
+		}
+	}
+}
+
+// testFileLayouts pins that file arguments are one collection: the
+// fixture cut into 1, 3 and 100 files — an empty file second, and a
+// first file with no trailing newline — prints the oracle's schema of
+// the whole fixture for K, L and Spark at every worker count, counted
+// too; and at -workers 1 its -stats show one seal and every file
+// counted as an input.
+func testFileLayouts(t *testing.T, fx fixture) {
+	lines := bytes.SplitAfter(bytes.TrimSuffix(fx.data, []byte("\n")), []byte("\n"))
+	for _, n := range []int{1, 3, 100} {
+		dir := t.TempDir()
+		per := (len(lines) + n - 1) / n
+		var files []string
+		for i := 0; i*per < len(lines); i++ {
+			part := bytes.Join(lines[i*per:min((i+1)*per, len(lines))], nil)
+			if i == 0 {
+				part = bytes.TrimSuffix(part, []byte("\n"))
+			}
+			files = append(files, filepath.Join(dir, fmt.Sprintf("part%03d.ndjson", i)))
+			if err := os.WriteFile(files[len(files)-1], part, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if i == 0 {
+				files = append(files, filepath.Join(dir, "empty.ndjson"))
+				if err := os.WriteFile(files[1], nil, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		for _, eng := range streamedEngines {
+			want := fx.oracle(eng.equiv)
+			wantCounted := want.StringCounted() + "\n"
+			if eng.name == "spark" {
+				want = sparkinfer.Infer(fx.docs).ToTypelang()
+			}
+			for _, workers := range []string{"0", "1", "2", "4"} {
+				for _, mod := range []string{"-output=type", "-counted"} {
+					args := append([]string{"-engine", eng.name, "-workers", workers, mod}, files...)
+					wantOut := want.String() + "\n"
+					if mod == "-counted" {
+						wantOut = wantCounted
+					}
+					if stdout, stderr, status := cli(untouched{t}, args...); status != 0 || stderr != "" || stdout != wantOut {
+						t.Errorf("%s in %d files, -engine %s -workers %s %s: status %d, stderr %q, stdout\n%s\nthe oracle gives\n%s",
+							fx.path, len(files), eng.name, workers, mod, status, stderr, stdout, wantOut)
+					}
+				}
+			}
+		}
+		_, stderr, status := cli(untouched{t}, append([]string{"-workers", "1", "-stats"}, files...)...)
+		var mapped, read int
+		_, rest, _ := strings.Cut(stderr, "mmap_inputs=")
+		if _, err := fmt.Sscanf(rest, "%d reader_inputs=%d", &mapped, &read); err != nil || status != 0 ||
+			!strings.Contains(stderr, " seals=1\n") || mapped+read != len(files) {
+			t.Errorf("jsinfer -workers 1 -stats over %d files of %s: status %d, want seals=1 and %d inputs, stderr\n%s", len(files), fx.path, status, len(files), stderr)
 		}
 	}
 }

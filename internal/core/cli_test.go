@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -98,7 +99,7 @@ func TestInferSchemaStreamFilesWith(t *testing.T) {
 		t.Errorf("missing file: error %q after %d docs, want a PathError naming missing.ndjson once after 60", err, n)
 	}
 
-	// Spark streams the K pass and projects once, after the files merge:
+	// Spark streams the K pass and projects once, at the end of the run:
 	// `a` is Int in one file and Str in the other, so its column is a
 	// string — the merged images of the two files would be Int + Str + Null.
 	ints, strs := filepath.Join(dir, "ints.ndjson"), filepath.Join(dir, "strs.ndjson")
@@ -129,6 +130,9 @@ func TestInferSchemaStreamFilesWith(t *testing.T) {
 	}
 	if _, _, err := InferSchemaStreamFilesWith([]string{f1}, Skinfer, StreamOptions{}); err == nil {
 		t.Error("Skinfer must reject streaming")
+	}
+	if _, _, err := InferSchemaStreamWith(strings.NewReader(`{"a":1}`), Skinfer, StreamOptions{}); err == nil {
+		t.Error("Skinfer must reject streaming from a reader")
 	}
 }
 
@@ -212,18 +216,29 @@ func TestCodegenOutputsMentionEveryTopLevelField(t *testing.T) {
 }
 
 // TestStreamFilesKeepPrefixOnError pins the error contract the reader
-// and bytes facades already had on the files facade too: when a file is
-// malformed mid-way, the Inference returned with the error covers
-// exactly the documents before it — every earlier file plus the failing
-// file's good prefix — through the reader and the mmap route alike: the
-// failing file is once short of mmapMinSize (read) and once past it
-// (mapped, where the platform can).
+// facade already had on the files facade too: when a file is malformed
+// mid-way, the Inference returned with the error covers exactly the
+// documents before it — every earlier file plus the failing file's good
+// prefix — through the reader and the mmap route alike: the failing
+// file is once short of infer's 1 MiB mapping threshold (read) and once
+// past it (mapped, where the platform can). The malformed record sits
+// in its file's last window, and at every worker count whatever follows
+// that file — nothing, a file that cannot be opened, one that ends
+// inside a document, one that fails its first read — leaves the error
+// the failing file's own.
 func TestStreamFilesKeepPrefixOnError(t *testing.T) {
 	docs1 := genjson.Collection(genjson.Orders{Seed: 211}, 60)
 	dir := t.TempDir()
 	f1 := filepath.Join(dir, "a.ndjson")
 	bad := filepath.Join(dir, "bad.ndjson")
+	truncated, unreadable := filepath.Join(dir, "truncated.ndjson"), filepath.Join(dir, "unreadable")
 	if err := os.WriteFile(f1, jsontext.MarshalLines(docs1), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(truncated, []byte(`{"a":1}`+"\n"+`{"a":`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Mkdir(unreadable, 0o755); err != nil { // opens, then fails its first read
 		t.Fatal(err)
 	}
 	for _, goodDocs := range []int{25, 2000} {
@@ -233,39 +248,47 @@ func TestStreamFilesKeepPrefixOnError(t *testing.T) {
 		if err := os.WriteFile(bad, broken, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		mapped := len(broken) >= mmapMinSize && mmapio.Supported()
-		if (goodDocs == 2000) != (len(broken) >= mmapMinSize) {
-			t.Fatalf("good=%d: bad.ndjson is %d bytes, on the wrong side of mmapMinSize", goodDocs, len(broken))
+		mapped := goodDocs == 2000 && mmapio.Supported()
+		if (goodDocs == 2000) != (len(broken) >= 1<<20) {
+			t.Fatalf("good=%d: bad.ndjson is %d bytes, on the wrong side of 1 MiB", goodDocs, len(broken))
 		}
 		want, err := InferSchema(append(append([]*Value{}, docs1...), docs2[:goodDocs]...), ParametricL)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var stats PipelineStats
-		inf, n, err := InferSchemaStreamFilesWith([]string{f1, bad}, ParametricL,
-			StreamOptions{Workers: 3, Stats: &stats})
-		if got := stats.Snapshot().MmapInputs == 1; got != mapped {
-			t.Errorf("good=%d: bad.ndjson mapped = %v, want %v", goodDocs, got, mapped)
-		}
-		var se *jsontext.SyntaxError
-		if !errors.As(err, &se) || !strings.Contains(err.Error(), "bad.ndjson") {
-			t.Fatalf("mapped=%v: error = %v, want a syntax error naming bad.ndjson", mapped, err)
-		}
-		if wantOff := len(good) + 1; se.Offset != wantOff {
-			t.Errorf("mapped=%v: error offset %d, want %d (the ']', relative to its file)", mapped, se.Offset, wantOff)
-		}
-		if n != 60+goodDocs {
-			t.Errorf("mapped=%v: typed %d docs before the error, want %d", mapped, n, 60+goodDocs)
-		}
-		if inf == nil {
-			t.Fatalf("mapped=%v: no Inference returned with the error", mapped)
-		}
-		if inf.Type.StringCounted() != want.Type.StringCounted() {
-			t.Errorf("mapped=%v: prefix type differs from inference over the %d good documents\n want: %s\n got:  %s",
-				mapped, 60+goodDocs, want.Type.StringCounted(), inf.Type.StringCounted())
-		}
-		if inf.Size != want.Size || inf.Precision != -1 {
-			t.Errorf("mapped=%v: size %d precision %v, want %d and -1", mapped, inf.Size, inf.Precision, want.Size)
+		for _, next := range []string{"", filepath.Join(dir, "missing.ndjson"), truncated, unreadable} {
+			for _, workers := range []int{1, 2, 3, 4} {
+				files := []string{f1, bad}
+				if next != "" {
+					files = append(files, next)
+				}
+				label := fmt.Sprintf("good=%d workers=%d then %q", goodDocs, workers, filepath.Base(next))
+				var stats PipelineStats
+				inf, n, err := InferSchemaStreamFilesWith(files, ParametricL, StreamOptions{Workers: workers, Stats: &stats})
+				if got := stats.Snapshot().MmapInputs == 1; got != mapped {
+					t.Errorf("%s: bad.ndjson mapped = %v, want %v", label, got, mapped)
+				}
+				var se *jsontext.SyntaxError
+				if !errors.As(err, &se) || !strings.HasPrefix(err.Error(), bad+": ") {
+					t.Fatalf("%s: error = %v, want a syntax error naming bad.ndjson", label, err)
+				}
+				if wantOff := len(good) + 1; se.Offset != wantOff {
+					t.Errorf("%s: error offset %d, want %d (the ']', relative to its file)", label, se.Offset, wantOff)
+				}
+				if n != 60+goodDocs {
+					t.Errorf("%s: typed %d docs before the error, want %d", label, n, 60+goodDocs)
+				}
+				if inf == nil {
+					t.Fatalf("%s: no Inference returned with the error", label)
+				}
+				if inf.Type.StringCounted() != want.Type.StringCounted() {
+					t.Errorf("%s: prefix type differs from inference over the %d good documents\n want: %s\n got:  %s",
+						label, 60+goodDocs, want.Type.StringCounted(), inf.Type.StringCounted())
+				}
+				if inf.Size != want.Size || inf.Precision != -1 {
+					t.Errorf("%s: size %d precision %v, want %d and -1", label, inf.Size, inf.Precision, want.Size)
+				}
+			}
 		}
 	}
 }

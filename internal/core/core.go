@@ -14,7 +14,6 @@ import (
 	"repro/internal/jsontext"
 	"repro/internal/jsonvalue"
 	"repro/internal/jsound"
-	"repro/internal/mmapio"
 	"repro/internal/mongoschema"
 	"repro/internal/skinfer"
 	"repro/internal/sparkinfer"
@@ -41,11 +40,6 @@ func ParseString(s string) (*Value, error) { return jsontext.ParseString(s) }
 
 // ParseCollection parses NDJSON (one document per line).
 func ParseCollection(data []byte) ([]*Value, error) { return jsontext.ParseLines(data) }
-
-// ReadCollection streams a collection from a reader.
-func ReadCollection(r io.Reader) ([]*Value, error) {
-	return jsontext.NewDecoder(r).DecodeAll()
-}
 
 // Marshal serialises a value compactly.
 func Marshal(v *Value) []byte { return jsontext.Marshal(v) }
@@ -246,11 +240,6 @@ func InferSchema(docs []*Value, engine Engine) (*Inference, error) {
 	return out, nil
 }
 
-// mmapMinSize is the smallest file the *Files engines memory-map: below
-// it the mapping-setup syscalls cost more than the copies they save, so
-// short files keep the reader path.
-const mmapMinSize = 1 << 20
-
 // StreamOptions tune the streamed inference engine.
 type StreamOptions struct {
 	// Workers bounds the parallel window workers; 0 means GOMAXPROCS.
@@ -305,17 +294,6 @@ func InferSchemaStreamWith(r io.Reader, engine Engine, opts StreamOptions) (*Inf
 	})
 }
 
-// InferSchemaStreamBytesWith is InferSchemaStreamWith over an
-// in-memory buffer — the zero-copy entry point: every chunk aliases
-// data, which must stay alive and unmodified until the call returns.
-// Results, counts and error offsets are byte-identical to
-// InferSchemaStreamWith over a reader of the same bytes.
-func InferSchemaStreamBytesWith(data []byte, engine Engine, opts StreamOptions) (*Inference, int, error) {
-	return streamed(engine, opts, func(o infer.Options) (*Type, int, error) {
-		return infer.InferStreamBytes(data, o)
-	})
-}
-
 // StreamPrecisionFiles grades an inferred schema against the documents
 // in the named files in a bounded-memory pass: documents are decoded one
 // at a time and folded into one precision accumulator, never held
@@ -347,79 +325,12 @@ func StreamPrecisionFiles(files []string, t *Type) (float64, int, error) {
 	return acc.Value(), acc.Docs(), nil
 }
 
-// InferSchemaStreamFilesWith streams each named file in turn and merges
-// the per-file schemas into one inference — exact by associativity of
-// the merge; the first file's schema is adopted as it is, Merge runs
-// from the second file on, and Spark's projection runs once, on the
-// merged K type. Each file gets its own decoder, so a decode error is
-// prefixed with the offending file's name (an open error already names
-// it); inference stops there, and the Inference and count returned with
-// the error cover exactly the documents before it.
-//
-// Regular files of at least mmapMinSize are memory-mapped where the
-// platform can and stream through the zero-copy byte engines, everything
-// else through the buffered reader path — results are byte-identical.
+// InferSchemaStreamFilesWith is InferSchemaStreamWith over the named
+// files, one collection through one run (infer.InferStreamFiles): an
+// error names its file, and a file that cannot be opened returns its
+// *fs.PathError.
 func InferSchemaStreamFilesWith(files []string, engine Engine, opts StreamOptions) (*Inference, int, error) {
-	return streamed(engine, opts, func(o infer.Options) (*Type, int, error) {
-		acc, total := typelang.Bottom, 0
-		for _, name := range files {
-			part, n, err := streamOneFile(name, o)
-			if part == nil { // not opened: the *fs.PathError names the file itself
-				return acc, total, err
-			}
-			total += n
-			if acc == typelang.Bottom {
-				acc = part
-			} else {
-				acc = typelang.Merge(acc, part, o.Equiv)
-			}
-			if err != nil {
-				return acc, total, fmt.Errorf("%s: %w", name, err)
-			}
-		}
-		return acc, total, nil
-	})
-}
-
-// streamOneFile infers one named file, through a memory mapping when
-// mapForStream grants one and the reader path otherwise; a nil type
-// means the file could not be opened.
-func streamOneFile(name string, o infer.Options) (*Type, int, error) {
-	f, err := os.Open(name)
-	if err != nil {
-		return nil, 0, err
-	}
-	defer f.Close()
-	if m := mapForStream(f); m != nil {
-		defer m.Close()
-		// The engines count reader inputs themselves (they own that
-		// path end to end); mapped inputs are a routing decision made
-		// here, so they are counted here.
-		o.Stats.AddSnapshot(StatsSnapshot{MmapInputs: 1})
-		return infer.InferStreamBytes(m.Data(), o)
-	}
-	return infer.InferStream(f, o)
-}
-
-// mapForStream decides whether f streams through a memory mapping — a
-// selection made from what the code can observe: a regular file of at
-// least mmapMinSize on a platform with mmap is mapped, and everything
-// else (pipe, short file, no syscall, mmap refusal) gets nil, "use the
-// reader". A file that may be truncated while it is read belongs on
-// stdin, which always takes the reader path.
-func mapForStream(f *os.File) *mmapio.Mapping {
-	if !mmapio.Supported() {
-		return nil
-	}
-	fi, err := f.Stat()
-	if err != nil || !fi.Mode().IsRegular() || fi.Size() < mmapMinSize {
-		return nil
-	}
-	m, err := mmapio.Map(f)
-	if err != nil {
-		return nil
-	}
-	return m
+	return streamed(engine, opts, func(o infer.Options) (*Type, int, error) { return infer.InferStreamFiles(files, o) })
 }
 
 // AnalyzeStreaming runs the mongodb-schema style analyzer over a
@@ -440,16 +351,6 @@ func TypeToSwift(name string, t *Type) string { return codegen.Swift(name, t) }
 
 // TypeToJSONSchema renders a type as a JSON Schema document.
 func TypeToJSONSchema(t *Type) *Value { return jsonschema.FromType(t) }
-
-// JSONSchemaToType converts a JSON Schema document into the type
-// algebra, best effort.
-func JSONSchemaToType(doc *Value) (*Type, error) {
-	s, err := jsonschema.Compile(doc)
-	if err != nil {
-		return nil, err
-	}
-	return jsonschema.ToType(s), nil
-}
 
 // Translation bundles the two schema-driven target formats of §5.
 type Translation struct {

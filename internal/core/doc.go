@@ -5,17 +5,16 @@
 // program against this package; the internal/* packages behind it stay
 // independently usable.
 //
-// Schema inference has two entries. InferSchemaStreamWith (a reader),
-// InferSchemaStreamBytesWith (a byte slice) and
-// InferSchemaStreamFilesWith (named files, large regular ones
-// memory-mapped) run every engine but Skinfer in bounded memory — the one
-// pipeline docs/ARCHITECTURE.md describes, Spark as a projection of the K
-// type — and StreamPrecisionFiles grades the result in a second pass.
-// A run builds one Inference: the files facade streams each file
-// straight through the engine, adopts the first file's type and merges
-// the rest into it, and Inference.JSONSchema renders the JSON Schema
-// document only when called, since on a large schema a render costs as
-// much as a pass over the data.
+// Schema inference has two entries. InferSchemaStreamWith (a reader)
+// and InferSchemaStreamFilesWith (named files) run every engine but
+// Skinfer in bounded memory — the one pipeline docs/ARCHITECTURE.md
+// describes, Spark as a projection of the K type — and
+// StreamPrecisionFiles grades the result in a second pass. Named files
+// are one collection: infer reads them in turn as the inputs of one
+// run (one accumulator, one seal) and decides which are memory-mapped.
+// A run builds one Inference, and Inference.JSONSchema renders the JSON
+// Schema document only when called, since on a large schema a render
+// costs as much as a pass over the data.
 // InferSchema runs any engine over a materialised collection and grades
 // it in place: the library API, and cmd/jsinfer's path for Skinfer alone.
 // internal/registry + cmd/jsinferd serve the same inference as a

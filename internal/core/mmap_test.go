@@ -4,25 +4,24 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"repro/internal/genjson"
 	"repro/internal/jsontext"
 	"repro/internal/mmapio"
-	"repro/internal/sparkinfer"
 	"repro/internal/typelang"
 )
 
-// TestStreamFilesMmapEquivalence pins the mmap routing layer: a file of
-// at least mmapMinSize is mapped and a shorter one read, the stats
-// attribute each input to the path that served it, and the schema and
-// document count are those of the reader path over the same bytes.
+// TestStreamFilesMmapEquivalence pins the mmap routing seen through the
+// facade: a file past infer's 1 MiB threshold is mapped and a shorter
+// one read, the stats attribute each input to the path that served it,
+// and the schema and document count are those of the reader path over
+// the same bytes.
 func TestStreamFilesMmapEquivalence(t *testing.T) {
 	big := jsontext.MarshalLines(genjson.Collection(genjson.Twitter{Seed: 301}, 2000))
 	small := jsontext.MarshalLines(genjson.Collection(genjson.Orders{Seed: 302}, 150))
-	if len(big) < mmapMinSize || len(small) >= mmapMinSize {
-		t.Fatalf("corpora are %d and %d bytes; the pin needs one on each side of %d", len(big), len(small), mmapMinSize)
+	if len(big) < 1<<20 || len(small) >= 1<<20 {
+		t.Fatalf("corpora are %d and %d bytes; the pin needs one on each side of 1 MiB", len(big), len(small))
 	}
 	dir := t.TempDir()
 	f1 := filepath.Join(dir, "big.ndjson")
@@ -69,31 +68,5 @@ func TestStreamFilesMmapEquivalence(t *testing.T) {
 	if s := stats.Snapshot(); s.MmapInputs != wantMapped || s.ReaderInputs != 2-wantMapped || s.BytesAliased != wantAliased {
 		t.Errorf("files facade counted mmap_inputs=%d reader_inputs=%d bytes_aliased=%d, want %d/%d/%d",
 			s.MmapInputs, s.ReaderInputs, s.BytesAliased, wantMapped, 2-wantMapped, wantAliased)
-	}
-}
-
-// TestStreamBytesMatchesStreamReader pins the exported byte-slice
-// entrypoint against the reader entrypoint at the core layer.
-func TestStreamBytesMatchesStreamReader(t *testing.T) {
-	docs := genjson.Collection(genjson.NestedArrays{Seed: 303}, 180)
-	data := jsontext.MarshalLines(docs)
-	want, wantN, err := InferSchemaStreamWith(strings.NewReader(string(data)), ParametricL, StreamOptions{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, gotN, err := InferSchemaStreamBytesWith(data, ParametricL, StreamOptions{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if wantN != gotN || !typelang.Equal(want.Type, got.Type) {
-		t.Errorf("bytes entrypoint (%d docs, %s) diverges from reader (%d docs, %s)",
-			gotN, got.Type, wantN, want.Type)
-	}
-	spark, _, err := InferSchemaStreamBytesWith(data, Spark, StreamOptions{Workers: 4})
-	if want := sparkinfer.Infer(docs).ToTypelang(); err != nil || !typelang.Equal(spark.Type, want) {
-		t.Errorf("Spark over the bytes entrypoint: err %v, %s; want %s", err, spark.Type, want)
-	}
-	if _, _, err := InferSchemaStreamBytesWith(data, Skinfer, StreamOptions{}); err == nil {
-		t.Error("Skinfer must reject byte streaming")
 	}
 }

@@ -4,26 +4,32 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"iter"
+	"os"
 	"slices"
 	"sync"
 	"sync/atomic"
+
+	"repro/internal/mmapio"
 )
 
 // This file is the input stage of the streamed engine
 // (docs/ARCHITECTURE.md, "The zero-copy input layer"): one chunkReader
-// per run — an io.Reader read a block at a time into pooled, refcounted
-// arrays (chunkBuf), or a caller-owned slice riding it already filled —
-// and windows, the one loop that cuts it for the map phase in either
-// shape. Nothing scans the input to cut a window (cutWindow): it ends
-// just after a raw '\n', which no JSON token holds; a document may span
-// windows. The walks find the documents: in a window that is not the
-// input's last, the record failing with an error more input could cure
-// (curable) is the straddler, of which nothing was committed. The
-// sequential shape starts the next window at it, one at least twice as
-// long after a window that completed no document, so the bytes indexed
-// twice stay O(n); the parallel shape cuts the next window at the last
-// one's end, and its committer verifies each window's start
-// (pipeChunks, tokens.go).
+// per input — an io.Reader read a block at a time into pooled,
+// refcounted arrays (chunkBuf), or a caller-owned slice or mapped file
+// riding it already filled — the routing that decides which a named
+// file gets (fileSources), and windows, the one loop that cuts an input
+// for the map phase in either shape. Nothing scans the input to cut a
+// window (cutWindow): it ends just after a raw '\n', which no JSON
+// token holds; a document may span windows, never inputs. The walks
+// find the documents: in a window that is not the input's last, the
+// record failing with an error more input could cure (curable) is the
+// straddler, of which nothing was committed. The sequential shape
+// starts the next window at it, one at least twice as long after a
+// window that completed no document, so the bytes indexed twice stay
+// O(n); the parallel shape cuts the next window at the last one's end,
+// and its committer verifies each window's start (pipeChunks,
+// tokens.go).
 
 // chunkReadSize is the read block of a reader's input.
 const chunkReadSize = 256 << 10
@@ -32,15 +38,16 @@ const chunkReadSize = 256 << 10
 // path; byte targets beyond it are reached by growth doubling.
 const maxInitialChunkBuf = 64 << 20
 
-// chunkBuf is one refcounted chunk array of the reader path. The reader
-// holds one reference while it fills the buffer; every window emitted
-// from it holds another while its consumer runs, and a consumer that
-// keeps it longer takes one of its own. When the last reference drops
-// the array returns to its pool, ready for a reader to refill.
+// chunkBuf is one refcounted chunk array of the reader path, or a
+// mapped input's pages. The reader holds one reference while it fills
+// the buffer; every window emitted from it holds another while its
+// consumer runs, and a consumer that keeps it longer takes one of its
+// own. The last release pools the array for a refill, or unmaps it.
 type chunkBuf struct {
-	data []byte // full backing array, sliced up to capacity
-	refs atomic.Int32
-	pool *chunkPool
+	data    []byte // full backing array, sliced up to capacity
+	refs    atomic.Int32
+	pool    *chunkPool
+	mapping *mmapio.Mapping
 }
 
 // acquire adds a reference.
@@ -50,10 +57,15 @@ func (b *chunkBuf) acquire() {
 	}
 }
 
-// release drops a reference; the last one returns the array to the
-// pool. Safe on nil (byte-mode windows carry no buffer).
+// release drops a reference. Safe on nil (a caller-owned slice's
+// windows carry no buffer).
 func (b *chunkBuf) release() {
-	if b != nil && b.refs.Add(-1) == 0 {
+	if b == nil || b.refs.Add(-1) != 0 {
+		return
+	}
+	if b.mapping != nil {
+		b.mapping.Close()
+	} else {
 		b.pool.put(b)
 	}
 }
@@ -114,33 +126,37 @@ const sequentialChunkBytes = 4 << 20
 
 // chunkReader is the input of the window loop: the bytes read and not
 // yet consumed, in a pooled array the emitted windows alias. A
-// caller-owned slice rides it already filled: eof set, nil buf, no
-// reads, and its windows count into BytesAliased instead of holding a
-// reference.
+// caller-owned slice or a mapping rides it already filled: eof set, no
+// reads, and its windows count into BytesAliased; only a mapping's
+// windows hold a reference, on its pages.
 type chunkReader struct {
-	r       io.Reader
-	pool    *chunkPool
+	source
 	st      *PipelineStats // the read and cut clocks, the window counter and the copy/recycle counters record here
 	frame   statsFrame     // flushed once per emitted window
 	buf     *chunkBuf      // current fill buffer; the reader holds one ref
 	pending []byte         // filled prefix of buf.data
-	base    int            // absolute offset of pending[0]
+	base    int            // absolute offset of pending[0], from the input's first byte
 	start   int            // pending[:start] has been emitted and consumed
-	index   int
-	eof     bool  // the input has ended, or failed with err
-	err     error // the read error, nil at a clean end
+	eof     bool           // the input has ended, or failed with err
+	err     error          // the read error, nil at a clean end
 }
 
-// newChunkReader returns the reader of a run over src: a caller-owned
-// slice already filled, else a first buffer sized for one read block
+// newChunkReader returns the reader of src: a caller-owned slice or a
+// mapping already filled, else a first buffer sized for one read block
 // past the byte target (capped, so a huge target cannot pre-commit
 // memory the input may never fill), so byte targets do not copy their
 // way up.
 func newChunkReader(src source, target int, st *PipelineStats) *chunkReader {
+	cr := &chunkReader{source: src, st: st}
 	if src.r == nil {
-		return &chunkReader{pending: src.data, eof: true, st: st}
+		cr.pending, cr.eof = src.data, true
+		if src.mapping != nil {
+			cr.buf = &chunkBuf{data: src.data, mapping: src.mapping}
+			cr.buf.refs.Store(1)
+			cr.frame.MmapInputs = 1
+		}
+		return cr
 	}
-	cr := &chunkReader{r: src.r, pool: src.pool, st: st}
 	cr.frame.ReaderInputs = 1
 	cr.buf = cr.pool.get(min(max(2*chunkReadSize, target+chunkReadSize), maxInitialChunkBuf), &cr.frame.BuffersRecycled)
 	cr.pending = cr.buf.data[:0]
@@ -199,9 +215,8 @@ func (cr *chunkReader) fill() {
 // once its consumer returns; the array never returns to the pool while
 // a reference is held.
 func (cr *chunkReader) chunk(end int) byteChunk {
-	ch := byteChunk{index: cr.index, base: cr.base + cr.start, data: cr.pending[cr.start:end], buf: cr.buf}
+	ch := byteChunk{base: cr.base + cr.start, data: cr.pending[cr.start:end], buf: cr.buf, in: cr}
 	cr.buf.acquire()
-	cr.index++
 	cr.start = end
 	cr.frame.ChunksSplit++
 	cr.frame.flush(cr.st)
@@ -300,7 +315,7 @@ func windows(cr *chunkReader, target, docs int, direct func(byteChunk) (int, int
 		n, used, err := direct(ch)
 		ch.buf.release()
 		total += n
-		if cr.buf == nil {
+		if cr.r == nil {
 			cr.frame.BytesAliased += int64(used)
 		}
 		if last && cr.err != nil {
@@ -317,4 +332,36 @@ func windows(cr *chunkReader, target, docs int, direct func(byteChunk) (int, int
 		}
 	}
 	return total, cr.err
+}
+
+// mmapMinSize is the smallest file fileSources maps: below it the
+// mapping's syscalls cost more than the copies they save.
+const mmapMinSize = 1 << 20
+
+// fileSources yields the named files in turn, read through one pool: a
+// regular file of at least mmapMinSize mapped where the platform can,
+// anything else — pipe, short file, no mmap, a refused mapping — read.
+// A file that cannot be opened ends the sequence with its error.
+func fileSources(names []string) iter.Seq2[source, error] {
+	pool := new(chunkPool)
+	return func(yield func(source, error) bool) {
+		for _, name := range names {
+			f, err := os.Open(name)
+			if err != nil {
+				yield(source{}, err)
+				return
+			}
+			src := source{r: f, name: name, pool: pool}
+			if fi, err := f.Stat(); err == nil && fi.Mode().IsRegular() && fi.Size() >= mmapMinSize && mmapio.Supported() {
+				if m, err := mmapio.Map(f); err == nil {
+					src = source{data: m.Data(), name: name, mapping: m}
+				}
+			}
+			more := yield(src, nil)
+			f.Close()
+			if !more {
+				return
+			}
+		}
+	}
 }

@@ -207,16 +207,15 @@ func FuzzChunkerVsScan(f *testing.F) {
 // TestReadChunksEquivalence drives the window loop at several document
 // targets over NDJSON, from a reader and from a slice, and demands the
 // chunk stream the byte-at-a-time splitter implies: a window every
-// docsPerChunk top-level newlines, same data, same absolute bases, same
-// indexes.
+// docsPerChunk top-level newlines, same data, same absolute bases.
 func TestReadChunksEquivalence(t *testing.T) {
 	docs := genjson.Collection(genjson.Twitter{Seed: 88}, 400)
 	data := jsontext.MarshalLines(docs)
 	splits := collectSplits(t, &scanSplitter{}, data, len(data))
 	for _, docsPerChunk := range []int{1, 3, 100} {
 		type chunk struct {
-			index, base int
-			data        string
+			base int
+			data string
 		}
 		var want []chunk
 		for lo, i := 0, docsPerChunk-1; lo < len(data); i += docsPerChunk {
@@ -224,13 +223,13 @@ func TestReadChunksEquivalence(t *testing.T) {
 			if i < len(splits) {
 				hi = splits[i]
 			}
-			want = append(want, chunk{len(want), lo, string(data[lo:hi])})
+			want = append(want, chunk{lo, string(data[lo:hi])})
 			lo = hi
 		}
 		for _, src := range []source{readerSource(data), {data: data}} {
 			var got []chunk
 			if err := cutWindows(src, 0, docsPerChunk, nil, func(ch byteChunk) {
-				got = append(got, chunk{ch.index, ch.base, string(ch.data)})
+				got = append(got, chunk{ch.base, string(ch.data)})
 			}); err != nil {
 				t.Fatal(err)
 			}
@@ -239,9 +238,8 @@ func TestReadChunksEquivalence(t *testing.T) {
 			}
 			for i := range want {
 				if want[i] != got[i] {
-					t.Fatalf("docsPerChunk=%d (reader: %t): window %d = {%d %d %q}, want {%d %d %q}",
-						docsPerChunk, src.r != nil, i, got[i].index, got[i].base, got[i].data,
-						want[i].index, want[i].base, want[i].data)
+					t.Fatalf("docsPerChunk=%d (reader: %t): window %d = {%d %q}, want {%d %q}",
+						docsPerChunk, src.r != nil, i, got[i].base, got[i].data, want[i].base, want[i].data)
 				}
 			}
 			// Windows must cover the stream exactly, in order.

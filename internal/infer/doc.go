@@ -25,12 +25,13 @@
 //     worker pool, each worker folds its own partial type with the
 //     batched MergeAll, and the partials meet in a parallel binary tree
 //     reduction;
-//   - InferStream, InferStreamBytes and InferStreamInto (the registry's
-//     feed) never materialise anything: each document's structure is
-//     absorbed straight from the input bytes into a typelang.Accum, so
-//     no per-document type and no value tree is ever built, and
-//     collections larger than memory are inferred while holding only a
-//     bounded window of bytes. The result is pinned byte-identical to
+//   - InferStream, InferStreamBytes, InferStreamFiles (named files,
+//     one collection through one run) and InferStreamInto (the
+//     registry's feed) never materialise anything: each document's
+//     structure is absorbed straight from the input bytes into a
+//     typelang.Accum, so no per-document type and no value tree is
+//     ever built, and collections larger than memory are inferred while
+//     holding only a bounded window of bytes. The result is pinned byte-identical to
 //     an independent oracle (DOM decoder, TypeOf, one MergeAll) —
 //     schemas, counts, error messages and offsets — by oracle_test.go.
 //

@@ -25,7 +25,8 @@ type Options struct {
 	// typelang.EquivLabel (L). The zero value is K.
 	Equiv typelang.Equiv
 	// Workers bounds parallel workers in InferParallel and picks the
-	// shape of a one-shot streamed run (InferStream, InferStreamBytes):
+	// shape of a one-shot streamed run (InferStream, InferStreamBytes,
+	// InferStreamFiles):
 	// one worker absorbs windows in line, several walk windows for that
 	// many workers; 0 means GOMAXPROCS. InferStreamInto does not read
 	// it: a collector feed is always absorbed in line.

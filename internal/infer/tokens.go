@@ -4,10 +4,12 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"iter"
 	"math"
 	"sync"
 
 	"repro/internal/jsontext"
+	"repro/internal/mmapio"
 	"repro/internal/typelang"
 )
 
@@ -195,28 +197,39 @@ func absorbObject(tr jsontext.TokenSource, dst typelang.Target, depth int) error
 	}
 }
 
-// byteChunk is one window handed to the map phase, with the absolute
-// stream offset of its first byte for exact error attribution.
-// Reader-path windows alias a pooled chunkBuf and hold a reference on
-// it (see windows); byte-mode windows alias the caller's buffer and
-// carry no reference (buf is nil, acquire and release no-ops). open
-// marks a window more input follows: it may end inside a document
-// (chunkMapper.absorb).
+// byteChunk is one window of the input in, handed to the map phase with
+// the offset of its first byte within in for exact error attribution.
+// Reader-path and mapped windows hold a reference on the chunkBuf they
+// alias (see windows); a caller-owned slice's carry none (buf is nil,
+// acquire and release no-ops). open marks a window more of in follows:
+// it may end inside a document (chunkMapper.absorb). index numbers the
+// windows of a parallel run (pipeChunks).
 type byteChunk struct {
 	index int
 	base  int
 	data  []byte
 	buf   *chunkBuf
 	open  bool
+	in    *chunkReader
 }
 
-// source is the input of a streamed run, what newChunkReader builds the
-// run's reader from: r, read through pool's buffers, or — r nil — the
-// caller-owned slice data, aliased where it sits.
+// source is one input of a streamed run: r, read through pool's
+// buffers, or — r nil — data, a caller-owned slice or mapping's pages,
+// aliased where it sits. name, if any, prefixes its errors.
 type source struct {
-	r    io.Reader
-	pool *chunkPool
-	data []byte
+	r       io.Reader
+	name    string
+	pool    *chunkPool
+	data    []byte
+	mapping *mmapio.Mapping
+}
+
+// named prefixes err with the name of its input, if that has one.
+func named(name string, err error) error {
+	if err == nil || name == "" {
+		return err
+	}
+	return fmt.Errorf("%s: %w", name, err)
 }
 
 // chunkMapper is the map phase of one worker: the index absorber every
@@ -315,7 +328,7 @@ func (f *statsFrame) seal(acc *typelang.Accum, st *PipelineStats, clock *int64) 
 // — work done on later windows is discarded. A read error from r wins
 // over a syntax error in the window it truncated.
 func InferStream(r io.Reader, opts Options) (*typelang.Type, int, error) {
-	return run(source{r: r, pool: new(chunkPool)}, opts)
+	return run(only(source{r: r, pool: new(chunkPool)}), opts)
 }
 
 // InferStreamBytes is InferStream over a caller-owned byte slice — the
@@ -326,36 +339,64 @@ func InferStream(r io.Reader, opts Options) (*typelang.Type, int, error) {
 // Schema, count and error offsets are identical to InferStream's over a
 // reader of the same bytes.
 func InferStreamBytes(data []byte, opts Options) (*typelang.Type, int, error) {
-	return run(source{data: data}, opts)
+	return run(only(source{data: data}), opts)
 }
 
-// run is the one-shot engine behind both entry points, and where its
-// shape is decided. One worker is the sequential shape: windows of
-// ChunkBytes, else sequentialChunkBytes, each absorbed on the caller's
-// goroutine straight into the run's accumulator — no goroutine, no
-// per-window seal, no reduce. Several workers are the parallel shape:
-// windows of ChunkBytes, else of DefaultBatch document-starting lines,
-// for pipeChunks. Either way the accumulator is sealed once, at the end
-// (the snapshot-serving collector is InferStreamInto's).
-func run(src source, opts Options) (*typelang.Type, int, error) {
+// InferStreamFiles is InferStream over the named files in turn, one
+// collection through one run: a document may not span two files, and
+// how a collection is cut into files changes nothing else. Regular
+// files of 1 MiB or more are memory-mapped where the platform can. An
+// error is prefixed with its file's name and placed within that file,
+// and the type and count returned with it cover exactly the documents
+// before it; a file that cannot be opened returns its *fs.PathError.
+func InferStreamFiles(names []string, opts Options) (*typelang.Type, int, error) {
+	return run(fileSources(names), opts)
+}
+
+// only is the sequence of a run's one input.
+func only(src source) iter.Seq2[source, error] {
+	return func(yield func(source, error) bool) { yield(src, nil) }
+}
+
+// run is the one-shot engine behind every entry point, and where its
+// shape is decided; it reads the inputs in turn, each through a
+// chunkReader of its own. One worker is the sequential shape: windows
+// of ChunkBytes, else sequentialChunkBytes, each absorbed on the
+// caller's goroutine straight into the run's accumulator — no
+// goroutine, no per-window seal, no reduce. Several workers are the
+// parallel shape: windows of ChunkBytes, else of DefaultBatch
+// document-starting lines, for pipeChunks. Either way the accumulator
+// is sealed once, at the end (the snapshot-serving collector is
+// InferStreamInto's). The first error ends the run, prefixed with its
+// input's name; an error opening an input is returned as it is.
+func run(inputs iter.Seq2[source, error], opts Options) (*typelang.Type, int, error) {
 	st := opts.Stats
 	var frame statsFrame
 	acc := typelang.NewAccum(opts.Equiv)
-	var n int
-	var err error
+	window, docs := opts.window(sequentialChunkBytes), 0
+	var direct func(byteChunk) (int, int, error)
+	var finish func(error) (int, error)
 	if opts.workers() <= 1 {
 		m := newChunkMapper(opts)
-		window := opts.window(sequentialChunkBytes)
-		n, err = windows(newChunkReader(src, window, st), window, 0, func(ch byteChunk) (int, int, error) {
-			return m.direct(ch, acc)
-		})
+		direct = func(ch byteChunk) (int, int, error) { return m.direct(ch, acc) }
 	} else {
-		window, docs := opts.window(0), 0
-		if window == 0 {
+		if window = opts.window(0); window == 0 {
 			docs = opts.batchSize()
 		}
-		send, finish := pipeChunks(opts, acc, &frame)
-		_, err = windows(newChunkReader(src, window, st), window, docs, send)
+		direct, finish = pipeChunks(opts, acc, &frame)
+	}
+	var n int
+	var err error
+	for src, openErr := range inputs {
+		if err = openErr; err != nil {
+			break
+		}
+		k, werr := windows(newChunkReader(src, window, st), window, docs, direct)
+		if n, err = n+k, named(src.name, werr); err != nil {
+			break
+		}
+	}
+	if finish != nil {
 		n, err = finish(err)
 	}
 	t := frame.seal(acc, st, &frame.ReduceNanos)
@@ -412,10 +453,11 @@ var errStopped = errors.New("infer: run stopped")
 // pipeChunks starts the parallel shape: workers absorbing the windows
 // given to send, each into its own accumulator (Reset between windows,
 // so the steady state allocates nothing) sealed per window, and a
-// committer deciding in stream order what of that speculation holds.
-// send keeps a reference on the window's buffer for the committer to
-// release, and reports errStopped after the first error. finish, called
-// with windows' error, waits for the committer and returns the number
+// committer deciding in run order what of that speculation holds. send
+// numbers the windows across the run's inputs, keeps a reference on
+// each one's buffer for the committer to release, and reports
+// errStopped after the first error. finish, called with the error that
+// ended the input loop, waits for the committer and returns the number
 // of documents committed — exactly those before the first error — and
 // that error.
 func pipeChunks(opts Options, acc *typelang.Accum, frame *statsFrame) (send func(byteChunk) (int, int, error), finish func(error) (int, error)) {
@@ -461,7 +503,9 @@ func pipeChunks(opts Options, acc *typelang.Accum, frame *statsFrame) (send func
 		}
 		c.flush()
 	}()
+	sent := 0
 	send = func(ch byteChunk) (int, int, error) {
+		ch.index, sent = sent, sent+1
 		ch.buf.acquire()
 		select {
 		case work <- ch:
@@ -474,9 +518,9 @@ func pipeChunks(opts Options, acc *typelang.Accum, frame *statsFrame) (send func
 	finish = func(rerr error) (int, error) {
 		close(work)
 		<-done
-		// A read failure truncates the final window: the I/O error wins
-		// over an error the walk through it found, and over no other.
-		if rerr != nil && !errors.Is(rerr, errStopped) && (c.err == nil || c.errLast) {
+		// An error no window carried — an input that failed to open, or
+		// to read before its first window — follows every window sent.
+		if c.err == nil {
 			c.err = rerr
 		}
 		return c.total, c.err
@@ -497,9 +541,8 @@ type committer struct {
 	stop  chan struct{}
 	batch []*typelang.Type // accepted window types not yet in acc
 
-	total   int
-	err     error
-	errLast bool // err came from the walk through the input's last window
+	total int
+	err   error
 
 	// tail holds the bytes from the open straddler (at absolute offset
 	// base; empty: none) to the end of the windows decided since; the
@@ -533,20 +576,26 @@ func (c *committer) decide(r chunkResult) {
 	if r.ch.open && len(c.tail)+len(r.ch.data)/2 < c.need {
 		return
 	}
-	walk := byteChunk{base: c.base, data: c.tail, open: r.ch.open}
+	walk := r.ch
+	walk.base, walk.data = c.base, c.tail
 	n, used, err := c.m.direct(walk, c.acc)
 	c.commit(walk, n, used, err)
 }
 
 // commit books a committed walk of ch: its documents, and its error,
-// which ends the run, or its straddler, which becomes tail. After a
-// walk that completed no document the next re-walk waits for twice the
+// which ends the run, or its straddler, which becomes tail. A read
+// failure truncates its input's last window, so it wins over the error
+// the walk through that window found, and over no other. After a walk
+// that completed no document the next re-walk waits for twice the
 // bytes — windows' own doubling — so the bytes walked again stay O(n).
 func (c *committer) commit(ch byteChunk, n, used int, err error) {
 	c.total += n
+	if !ch.open && ch.in.err != nil {
+		err = ch.in.err
+	}
 	if err != nil {
 		c.flush()
-		c.err, c.errLast = err, !ch.open
+		c.err = named(ch.in.name, err)
 		close(c.stop)
 		return
 	}

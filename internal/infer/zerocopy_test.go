@@ -58,14 +58,13 @@ func TestBytesEngineErrorEquivalence(t *testing.T) {
 
 // TestSplitChunksBytesMatchesReadChunks pins the window loop to the same
 // window stream over a slice as over a reader — same data, same
-// absolute bases, same indexes — across document-count and byte-size
-// targets.
+// absolute bases — across document-count and byte-size targets.
 func TestSplitChunksBytesMatchesReadChunks(t *testing.T) {
 	docs := genjson.Collection(genjson.Twitter{Seed: 90}, 400)
 	data := jsontext.MarshalLines(docs)
 	type chunk struct {
-		index, base int
-		data        string
+		base int
+		data string
 	}
 	type targets struct{ docs, bytes int }
 	collect := func(viaReader bool, tg targets) []chunk {
@@ -75,7 +74,7 @@ func TestSplitChunksBytesMatchesReadChunks(t *testing.T) {
 			src = readerSource(data)
 		}
 		if err := cutWindows(src, tg.bytes, tg.docs, nil, func(ch byteChunk) {
-			out = append(out, chunk{ch.index, ch.base, string(ch.data)})
+			out = append(out, chunk{ch.base, string(ch.data)})
 		}); err != nil {
 			t.Fatal(err)
 		}
@@ -93,9 +92,8 @@ func TestSplitChunksBytesMatchesReadChunks(t *testing.T) {
 		off := 0
 		for i := range want {
 			if want[i] != got[i] {
-				t.Fatalf("targets=%+v: chunk %d = {%d %d %dB}, want {%d %d %dB}",
-					targets, i, got[i].index, got[i].base, len(got[i].data),
-					want[i].index, want[i].base, len(want[i].data))
+				t.Fatalf("targets=%+v: chunk %d = {%d %dB}, want {%d %dB}",
+					targets, i, got[i].base, len(got[i].data), want[i].base, len(want[i].data))
 			}
 			if got[i].base != off {
 				t.Fatalf("targets=%+v: chunk %d base %d, want %d", targets, i, got[i].base, off)

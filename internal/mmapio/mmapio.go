@@ -7,8 +7,8 @@
 //
 // The syscall implementation is gated behind a `unix` build tag with a
 // portable fallback that reports Supported() == false and fails every
-// Map with ErrUnsupported — callers (core's file router, jsinfer's
-// -mmap=auto) treat that exactly like a pipe or short file and fall
+// Map with ErrUnsupported — callers (infer's file router behind
+// `jsinfer FILE`) treat that exactly like a pipe or short file and fall
 // back to the io.Reader path, so the rest of the tree never needs a
 // build tag of its own.
 package mmapio
