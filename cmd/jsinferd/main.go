@@ -68,8 +68,10 @@
 //	    type/counted/typescript/swift, application/json for jsonschema.
 //	    With ?meta=1, a JSON envelope with docs/version/schema instead.
 //	GET /v1/collections
-//	    JSON list of collections with docs/version/error counters and
-//	    each collection's pipeline stage counters.
+//	    JSON list of collections with docs/version/error counters, the
+//	    schema's size (schema_nodes, and per_doc against docs, as
+//	    jsinfer -stats prints it) and each collection's pipeline stage
+//	    counters.
 //	GET /v1/stats
 //	    Registry-wide aggregates (collections, docs, bytes, ingests,
 //	    errors, rate-limited rejections, sealed schema nodes) plus the
@@ -812,6 +814,7 @@ func traceMeta(info trace.TraceInfo) *jsonvalue.Value {
 // snapshotMeta is the JSON envelope of one collection snapshot, minus
 // the schema itself.
 func snapshotMeta(s registry.Snapshot) *jsonvalue.Value {
+	nodes := s.Type.Size()
 	return jsonvalue.ObjectFromPairs(
 		"name", s.Name,
 		"equiv", s.Equiv.String(),
@@ -822,9 +825,23 @@ func snapshotMeta(s registry.Snapshot) *jsonvalue.Value {
 		"errors", s.Errors,
 		"rate_limited", s.RateLimited,
 		"quota", s.Quota.String(),
-		"schema_nodes", s.Type.Size(),
+		"schema_nodes", nodes,
+		"per_doc", perDoc(nodes, s.Docs),
 		"pipeline", pipelineMeta(s.Pipeline),
 	)
+}
+
+// perDoc is schema nodes per document with two decimals, the figure
+// jsinfer -stats prints: under L, one that stays high as docs grow says
+// the equivalence is not summarising the collection. 0 before any
+// document.
+func perDoc(nodes int, docs int64) *jsonvalue.Value {
+	if docs == 0 {
+		return jsonvalue.NewInt(0)
+	}
+	raw := fmt.Sprintf("%.2f", float64(nodes)/float64(docs))
+	f, _ := strconv.ParseFloat(raw, 64)
+	return jsonvalue.NewNumberRaw(f, raw)
 }
 
 func writeJSON(w http.ResponseWriter, status int, v *jsonvalue.Value) {

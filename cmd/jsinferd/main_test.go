@@ -378,10 +378,12 @@ func TestMaxBodyReturns413AndKeepsPrefix(t *testing.T) {
 }
 
 // TestStatsSchemaNodesServed pins the sealed-snapshot stats surfaced on
-// /v1/stats.
+// /v1/stats, and a collection's schema nodes per document on
+// /v1/collections: jsinfer -stats' per_doc, two decimals.
 func TestStatsSchemaNodesServed(t *testing.T) {
-	srv, reg := newTestServer(t, registry.Options{})
-	if code, _ := post(t, srv.URL+"/v1/collections/c/ingest", []byte(`{"a": 1, "b": "x"}`+"\n")); code != http.StatusOK {
+	srv, reg := newTestServer(t, registry.Options{Equiv: typelang.EquivLabel})
+	body := strings.Repeat(`{"a": 1, "b": "x"}`+"\n"+`{"c": null}`+"\n", 2)
+	if code, _ := post(t, srv.URL+"/v1/collections/c/ingest", []byte(body)); code != http.StatusOK {
 		t.Fatal("ingest failed")
 	}
 	snap, _ := reg.Get("c")
@@ -392,6 +394,16 @@ func TestStatsSchemaNodesServed(t *testing.T) {
 	}
 	if n, _ := v.Get("schema_nodes"); int(n.Int()) != snap.Type.Size() {
 		t.Errorf("schema_nodes = %d, want %d\n%s", n.Int(), snap.Type.Size(), stats)
+	}
+	_, list := get(t, srv.URL+"/v1/collections")
+	lv, err := jsontext.Parse([]byte(list))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cols, _ := lv.Get("collections")
+	// {a: Int, b: Str} + {c: Null}: 9 nodes over 4 documents.
+	if pd, _ := cols.Elem(0).Get("per_doc"); snap.Type.Size() != 9 || pd.NumRaw() != "2.25" {
+		t.Errorf("per_doc = %s with %d schema nodes, want 2.25 with 9\n%s", pd.NumRaw(), snap.Type.Size(), list)
 	}
 }
 

@@ -65,7 +65,7 @@ func TestTwitterHeterogeneity(t *testing.T) {
 		if d.Has("retweeted_status") {
 			withRetweet++
 		}
-		if c, ok := d.Get("coordinates"); ok && c.IsNull() {
+		if c, ok := d.Get("coordinates"); ok && c.Kind() == jsonvalue.Null {
 			nullCoords++
 		}
 	}
@@ -216,7 +216,7 @@ func TestNYTArticlesShape(t *testing.T) {
 	nullKickers, withMedia, withPrint := 0, 0, 0
 	for _, d := range docs {
 		h, _ := d.Get("headline")
-		if k, ok := h.Get("kicker"); ok && k.IsNull() {
+		if k, ok := h.Get("kicker"); ok && k.Kind() == jsonvalue.Null {
 			nullKickers++
 		}
 		if m, _ := d.Get("multimedia"); m.Len() > 0 {

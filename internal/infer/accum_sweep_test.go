@@ -5,6 +5,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -158,6 +159,36 @@ func TestAbsorbFromTokensWarmTweetsZeroAllocs(t *testing.T) {
 		}
 		if got := acc.Seal(); want.StringCounted() != got.StringCounted() {
 			t.Errorf("%v: warm passes diverge from MergeAll\n mergeall: %s\n accum:    %s", e, want.StringCounted(), got.StringCounted())
+		}
+	}
+}
+
+// TestHighCardinalityRootBuildsNoTable pins what a root record of a
+// label set seen once costs under L: 2000 sparse documents (8 of 500
+// keys, about one label set each) are held as their staged fields seal,
+// so no field table is built for them, at one worker and in the
+// parallel shape. Bytes allocated per document, best of three runs:
+// 4168 at one worker and 4360 at two when every root record built its
+// table, 1648 and about 2090 with the hold. The bound sits between.
+func TestHighCardinalityRootBuildsNoTable(t *testing.T) {
+	const docs = 2000
+	data := jsontext.MarshalLines(genjson.Collection(genjson.Sparse{Seed: 1}, docs))
+	for _, c := range []struct {
+		workers int
+		bound   uint64
+	}{{1, 2900}, {2, 3200}} {
+		best := ^uint64(0)
+		for range 3 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			if _, n, err := InferStreamBytes(data, Options{Equiv: typelang.EquivLabel, Workers: c.workers}); err != nil || n != docs {
+				t.Fatalf("workers %d: %d docs, err %v", c.workers, n, err)
+			}
+			runtime.ReadMemStats(&after)
+			best = min(best, after.TotalAlloc-before.TotalAlloc)
+		}
+		if perDoc := best / docs; perDoc > c.bound {
+			t.Errorf("workers %d: %d B allocated per sparse document, want at most %d: root records build field tables", c.workers, perDoc, c.bound)
 		}
 	}
 }

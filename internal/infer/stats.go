@@ -134,7 +134,7 @@ var StatsFields = []StatsField{
 	{"bytes_lexed", "map", "Payload bytes handed to the map phase.", func(s *StatsSnapshot) *int64 { return &s.BytesLexed }},
 	{"docs_absorbed", "map", "Documents absorbed by the map phase (kept prefixes of failed ingests included).", func(s *StatsSnapshot) *int64 { return &s.DocsAbsorbed }},
 	{"index_records", "map", "Records absorbed entirely off the mison structural index.", func(s *StatsSnapshot) *int64 { return &s.IndexRecords }},
-	{"pattern_records", "map", "Objects (at any depth) closed on the index walk's pattern tree of learned record layouts.", func(s *StatsSnapshot) *int64 { return &s.PatternRecords }},
+	{"pattern_records", "map", "Objects (at any depth) closed on the index walk's pattern tree of learned record layouts. Each worker learns the layouts anew, so at several workers the count differs between identical runs with the windows each worker took.", func(s *StatsSnapshot) *int64 { return &s.PatternRecords }},
 	{"fallback_records", "map", "Records the index walk delegated to the token walker (0 on well-formed input).", func(s *StatsSnapshot) *int64 { return &s.FallbackRecords }},
 	{"scan_delegations", "map", "Tokens the index and token walks handed to the reference scanner.", func(s *StatsSnapshot) *int64 { return &s.ScanDelegations }},
 	{"chunks_direct", "map", "Walks straight into the destination accumulator, with no chunk seal and no reduce: every window of the sequential shape, the parallel committer's re-walks from a straddler.", func(s *StatsSnapshot) *int64 { return &s.ChunksDirect }},
@@ -143,7 +143,7 @@ var StatsFields = []StatsField{
 	{"bytes_aliased", "split", "Chunk bytes emitted zero-copy, aliasing the input buffer.", func(s *StatsSnapshot) *int64 { return &s.BytesAliased }},
 	{"bytes_reindexed", "split", "Bytes indexed again because their record straddled a window end: the straddler's part of its window, and the windows the parallel committer discarded and re-walked.", func(s *StatsSnapshot) *int64 { return &s.BytesReindexed }},
 	{"bytes_copied", "read", "Bytes moved during reader-path buffer compaction.", func(s *StatsSnapshot) *int64 { return &s.BytesCopied }},
-	{"buffers_recycled", "read", "Chunk arrays reacquired from the pool instead of allocated.", func(s *StatsSnapshot) *int64 { return &s.BuffersRecycled }},
+	{"buffers_recycled", "read", "Chunk arrays reacquired from the pool instead of allocated. At several workers it depends on when workers release their windows, so it differs between identical runs.", func(s *StatsSnapshot) *int64 { return &s.BuffersRecycled }},
 	{"mmap_inputs", "read", "Inputs served through a memory mapping.", func(s *StatsSnapshot) *int64 { return &s.MmapInputs }},
 	{"reader_inputs", "read", "Inputs served through the copying io.Reader path.", func(s *StatsSnapshot) *int64 { return &s.ReaderInputs }},
 	{"read_nanos", "read", "Time blocked reading request bodies.", func(s *StatsSnapshot) *int64 { return &s.ReadNanos }},

@@ -24,10 +24,10 @@ func TestFieldEval(t *testing.T) {
 	if got := F("a.b").Eval(doc); got.Int() != 1 {
 		t.Errorf("a.b = %v", got)
 	}
-	if got := F("missing").Eval(doc); !got.IsNull() {
+	if got := F("missing").Eval(doc); got.Kind() != jsonvalue.Null {
 		t.Errorf("missing = %v, want null", got)
 	}
-	if got := F("s.deep").Eval(doc); !got.IsNull() {
+	if got := F("s.deep").Eval(doc); got.Kind() != jsonvalue.Null {
 		t.Errorf("s.deep = %v, want null", got)
 	}
 }

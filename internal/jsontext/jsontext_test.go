@@ -56,7 +56,7 @@ func TestParseContainers(t *testing.T) {
 		t.Fatalf("a has %d elems", a.Len())
 	}
 	inner, _ := a.Elem(1).Get("b")
-	if !inner.IsNull() {
+	if inner.Kind() != jsonvalue.Null {
 		t.Error("a[1].b should be null")
 	}
 	if c, _ := v.Get("c"); c.Len() != 0 {

@@ -222,9 +222,6 @@ func (v *Value) Kind() Kind {
 	return v.kind
 }
 
-// IsNull reports whether v is JSON null.
-func (v *Value) IsNull() bool { return v.Kind() == Null }
-
 // Bool returns the boolean payload; it panics if v is not a boolean.
 func (v *Value) Bool() bool {
 	v.mustBe(Bool)
@@ -353,19 +350,6 @@ func (v *Value) WithField(name string, val *Value) *Value {
 		}
 	}
 	return NewObject(append(fields, Field{Name: name, Value: val})...)
-}
-
-// WithoutField returns a copy of object v with every binding of name
-// removed.
-func (v *Value) WithoutField(name string) *Value {
-	v.mustBe(Object)
-	fields := make([]Field, 0, len(v.fields))
-	for _, f := range v.fields {
-		if f.Name != name {
-			fields = append(fields, f)
-		}
-	}
-	return NewObject(fields...)
 }
 
 func (v *Value) mustBe(k Kind) {

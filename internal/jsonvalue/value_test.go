@@ -17,7 +17,7 @@ func TestKindString(t *testing.T) {
 }
 
 func TestConstructorsAndAccessors(t *testing.T) {
-	if !NewNull().IsNull() {
+	if NewNull().Kind() != Null {
 		t.Error("NewNull not null")
 	}
 	if NewBool(true).Bool() != true || NewBool(false).Bool() != false {
@@ -98,7 +98,7 @@ func TestObjectFromPairsAndFromGo(t *testing.T) {
 	if got, _ := obj.Get("tags"); got.Len() != 2 {
 		t.Error("tags wrong")
 	}
-	if got, _ := obj.Get("meta"); !got.IsNull() {
+	if got, _ := obj.Get("meta"); got.Kind() != Null {
 		t.Error("meta wrong")
 	}
 	m := FromGo(map[string]any{"b": 1, "a": 2})
@@ -108,7 +108,7 @@ func TestObjectFromPairsAndFromGo(t *testing.T) {
 	}
 }
 
-func TestWithFieldWithoutField(t *testing.T) {
+func TestWithField(t *testing.T) {
 	obj := ObjectFromPairs("a", 1, "b", 2)
 	obj2 := obj.WithField("a", NewInt(9))
 	if v, _ := obj2.Get("a"); v.Int() != 9 {
@@ -120,10 +120,6 @@ func TestWithFieldWithoutField(t *testing.T) {
 	obj3 := obj.WithField("c", NewInt(3))
 	if obj3.Len() != 3 {
 		t.Error("WithField append failed")
-	}
-	obj4 := obj.WithoutField("a")
-	if obj4.Has("a") || obj4.Len() != 1 {
-		t.Error("WithoutField failed")
 	}
 }
 
@@ -211,40 +207,6 @@ func TestStringDebug(t *testing.T) {
 	want := `{"a":[1,"x",null,true]}`
 	if got := v.String(); got != want {
 		t.Errorf("String = %s, want %s", got, want)
-	}
-}
-
-func TestLookup(t *testing.T) {
-	v := ObjectFromPairs("user", map[string]any{"ids": []any{10, 20}})
-	got, ok := v.Lookup(FieldStep("user"), FieldStep("ids"), IndexStep(1))
-	if !ok || got.Int() != 20 {
-		t.Errorf("Lookup = %v, %v", got, ok)
-	}
-	if _, ok := v.Lookup(FieldStep("user"), FieldStep("nope")); ok {
-		t.Error("Lookup of missing path succeeded")
-	}
-	if _, ok := v.Lookup(FieldStep("user"), FieldStep("ids"), IndexStep(9)); ok {
-		t.Error("Lookup out of bounds succeeded")
-	}
-}
-
-func TestWalkVisitsAllAndPrunes(t *testing.T) {
-	v := ObjectFromPairs("a", 1, "b", []any{2, 3})
-	var count int
-	Walk(v, func(path []PathStep, v *Value) bool {
-		count++
-		return true
-	})
-	if count != 5 { // obj, a, arr, 2, 3
-		t.Errorf("visited %d nodes, want 5", count)
-	}
-	count = 0
-	Walk(v, func(path []PathStep, v *Value) bool {
-		count++
-		return v.Kind() != Array // prune below the array
-	})
-	if count != 3 {
-		t.Errorf("with pruning visited %d, want 3", count)
 	}
 }
 

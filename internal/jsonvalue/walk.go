@@ -1,71 +1,5 @@
 package jsonvalue
 
-// PathStep is one step of a path into a value: a field name for objects
-// or an index for arrays.
-type PathStep struct {
-	// Name is the field name when Index < 0.
-	Name string
-	// Index is the array index, or -1 for a field step.
-	Index int
-}
-
-// FieldStep returns a path step selecting an object field.
-func FieldStep(name string) PathStep { return PathStep{Name: name, Index: -1} }
-
-// IndexStep returns a path step selecting an array element.
-func IndexStep(i int) PathStep { return PathStep{Index: i} }
-
-// Lookup walks a sequence of steps from v, returning the value reached
-// and whether every step resolved.
-func (v *Value) Lookup(path ...PathStep) (*Value, bool) {
-	cur := v
-	for _, s := range path {
-		if cur == nil {
-			return nil, false
-		}
-		if s.Index >= 0 {
-			if cur.Kind() != Array || s.Index >= cur.Len() {
-				return nil, false
-			}
-			cur = cur.Elem(s.Index)
-			continue
-		}
-		next, ok := cur.Get(s.Name)
-		if !ok {
-			return nil, false
-		}
-		cur = next
-	}
-	return cur, true
-}
-
-// Visitor receives every node of a value tree in depth-first, document
-// order. path is shared and must be copied if retained. Returning false
-// prunes the subtree below the visited node.
-type Visitor func(path []PathStep, v *Value) bool
-
-// Walk traverses v depth-first, invoking fn on every node including v
-// itself.
-func Walk(v *Value, fn Visitor) {
-	walk(v, nil, fn)
-}
-
-func walk(v *Value, path []PathStep, fn Visitor) {
-	if v == nil || !fn(path, v) {
-		return
-	}
-	switch v.Kind() {
-	case Array:
-		for i, e := range v.Elems() {
-			walk(e, append(path, IndexStep(i)), fn)
-		}
-	case Object:
-		for _, f := range v.Fields() {
-			walk(f.Value, append(path, FieldStep(f.Name)), fn)
-		}
-	}
-}
-
 // Paths returns every root-to-leaf field path occurring in v, rendered
 // as dot-separated field names with array traversal rendered as "[]".
 // It is the path vocabulary used by the skeleton and profiling modules.

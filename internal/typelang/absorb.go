@@ -15,7 +15,10 @@
 // storage — bounded by keptGroups, keptSlots and the pool-length caps
 // below — so the steady state absorbs documents of seen shapes without
 // allocating, and recycling a staged node costs what the document put
-// into it, not what the node ever held (accumNode.reset).
+// into it, not what the node ever held (accumNode.reset). A document's
+// record whose label set the root has no table for is held as its
+// staged fields seal (EndRecord): the field table is built only when a
+// second record of the label set arrives.
 
 package typelang
 
@@ -282,7 +285,11 @@ func (r *OpenRecord) index(name string) int {
 // field table. A record staged along a layout the walker holds the
 // Shape of passes it: the order is then the shape's permutation instead
 // of a sort, and the group is looked for by the shape's address first.
-// s is nil for any other record.
+// s is nil for any other record. At the root, a group with no table
+// instead holds the record sealed from the staged fields, as Absorb
+// holds a sealed one (recordAccum.held): under L most label sets of
+// high-cardinality data never take a second record, and their table
+// would only be sealed back into the same fields.
 func (t Target) EndRecord(r *OpenRecord, s *Shape) {
 	n := t.n
 	n.total++
@@ -296,9 +303,15 @@ func (t Target) EndRecord(r *OpenRecord, s *Shape) {
 		if s != nil {
 			ra.shape = s
 		}
-		ra.nrecs++
-		ra.count++
-		ra.absorbStaged(r.fields, t.acc)
+		if t.root && ra.nrecs == 0 && len(ra.fields) == 0 {
+			// A root group without a table (a new one, or a clean {} kept
+			// by a reset) holds the record sealed from its staged fields.
+			ra.held, ra.nrecs, ra.count = t.acc.sealStaged(r.fields), 1, 1
+		} else {
+			ra.nrecs++
+			ra.count++
+			ra.absorbStaged(r.fields, t.acc)
+		}
 	}
 	t.acc.releaseOpen(r)
 	if t.root {
@@ -322,6 +335,20 @@ func (a *Accum) permute(r *OpenRecord, s *Shape) {
 	}
 	clear(r.fields)
 	r.fields, a.spare = out, r.fields[:0]
+}
+
+// sealStaged is the record a group with one staged record seals to —
+// each field sealed from its staged node, counted once, none optional —
+// built without the field table.
+func (a *Accum) sealStaged(fields []stagedField) *Type {
+	var fs []Field
+	if len(fields) > 0 {
+		fs = make([]Field, len(fields))
+	}
+	for i := range fields {
+		fs[i] = Field{Name: fields[i].name, Type: fields[i].node.seal(a.equiv), Count: 1}
+	}
+	return &Type{Kind: KRecord, Fields: fs, Count: 1}
 }
 
 // Abort discards the staged record (a document abandoned mid-parse),

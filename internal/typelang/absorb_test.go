@@ -3,6 +3,7 @@ package typelang
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/genjson"
@@ -537,5 +538,163 @@ func TestStagingRetentionIsCapped(t *testing.T) {
 	}
 	if d := a.stagingDirt(); d != "" {
 		t.Error(d)
+	}
+}
+
+// tdoc is a test document for the staging surface that, unlike a
+// jsonvalue, can hold an Any atom: a Kind is an atom, a []tdoc an array
+// and a trec a record (names distinct).
+type tdoc any
+
+type trec []tfield
+
+type tfield struct {
+	name string
+	v    tdoc
+}
+
+// stageDoc drives d through the surface exactly as the walkers do.
+func stageDoc(dst Target, d tdoc) {
+	switch d := d.(type) {
+	case Kind:
+		dst.AbsorbKind(d)
+	case []tdoc:
+		el := dst.BeginArray()
+		for _, x := range d {
+			stageDoc(el, x)
+		}
+		dst.EndArray(len(d))
+	case trec:
+		r := dst.BeginRecord()
+		for _, f := range d {
+			stageDoc(r.Field(f.name), f.v)
+		}
+		dst.EndRecord(r, nil)
+	}
+}
+
+// docType is d's type by the reference definition (infer.TypeOf).
+func docType(d tdoc, e Equiv) *Type {
+	switch d := d.(type) {
+	case Kind:
+		return Atom(d, 1)
+	case []tdoc:
+		ts := make([]*Type, len(d))
+		for i, x := range d {
+			ts[i] = docType(x, e)
+		}
+		return NewArrayCounted(MergeAll(ts, e), 1, len(d), len(d))
+	default:
+		r := d.(trec)
+		fs := make([]Field, len(r))
+		for i, f := range r {
+			fs[i] = Field{Name: f.name, Type: docType(f.v, e), Count: 1}
+		}
+		return NewRecordCounted(1, fs...)
+	}
+}
+
+// TestStagedRootRecordIsHeld pins the staged hold: a record staged at
+// the root into a group with no table is held as the record its staged
+// fields seal to, builds no table, and is handed back by Seal as that
+// very node; a second record of its label set — staged or sealed, after
+// a staged or a sealed first — folds exactly as MergeAll does, nested
+// records, arrays of records and an Any-collapsed field included; and a
+// reset turns held groups into tables, so the label set's next round
+// stages without allocating. Below and past the label-key index.
+func TestStagedRootRecordIsHeld(t *testing.T) {
+	first := func(i int) trec {
+		return trec{
+			{fmt.Sprintf("f%03d", i), KInt},
+			{"in", trec{{"a", KInt}}},
+			{"list", []tdoc{trec{{"x", KStr}}}},
+			{"v", KBool},
+		}
+	}
+	second := trec{
+		{"f000", KNum},
+		{"in", trec{{"a", KStr}, {"b", KNull}}},
+		{"list", []tdoc{trec{{"x", KInt}}, trec{{"y", KBool}}}},
+		{"v", KAny},
+	}
+	for _, e := range []Equiv{EquivKind, EquivLabel} {
+		for _, n := range []int{1, 3 * smallRecordGroups} {
+			var docs []tdoc
+			var types []*Type
+			for i := 0; i < n; i++ {
+				docs = append(docs, first(i))
+				types = append(types, docType(first(i), e))
+			}
+			a := NewAccum(e)
+			for _, d := range docs {
+				stageDoc(a.Doc(), d)
+			}
+			got := a.Seal()
+			if want := MergeAll(types, e); !identical(want, got) {
+				t.Fatalf("%v, %d label sets: staged seal diverges from MergeAll\n want: %s\n got:  %s", e, n, want.StringCounted(), got.StringCounted())
+			}
+			// Under K every record fuses into one group, held only while
+			// it has taken one record.
+			if e == EquivLabel || n == 1 {
+				live := a.node.recs[:a.node.live]
+				alts := recordAlts(got)
+				if len(live) != n || len(alts) != n {
+					t.Fatalf("%v, %d label sets: %d live groups, %d record alternatives", e, n, len(live), len(alts))
+				}
+				for i, ra := range live {
+					if ra.held == nil || ra.fields != nil {
+						t.Fatalf("%v, %d label sets: group %d held=%v with a %d-slot table", e, n, i, ra.held != nil, len(ra.fields))
+					}
+					if alts[i] != ra.held {
+						t.Errorf("%v, %d label sets: record alternative %d is not the held record", e, n, i)
+					}
+				}
+			}
+
+			// The second record of label set 0, after a staged or a
+			// sealed first, itself staged or sealed.
+			for _, order := range []struct {
+				name                      string
+				firstStaged, secondStaged bool
+			}{{"staged then staged", true, true}, {"staged then Absorb", true, false}, {"Absorb then staged", false, true}} {
+				b := NewAccum(e)
+				for i, d := range docs {
+					if order.firstStaged {
+						stageDoc(b.Doc(), d)
+					} else {
+						b.Absorb(types[i])
+					}
+				}
+				if order.secondStaged {
+					stageDoc(b.Doc(), second)
+				} else {
+					b.Absorb(docType(second, e))
+				}
+				want := MergeAll(append(slices.Clone(types), docType(second, e)), e)
+				if got := b.Seal(); !identical(want, got) {
+					t.Errorf("%v, %d label sets, %s: diverges from MergeAll\n want: %s\n got:  %s", e, n, order.name, want.StringCounted(), got.StringCounted())
+				}
+			}
+
+			// A reset keeps every held group (all within keptGroups) as
+			// a clean table of its label set: the next round of one of
+			// them stages without allocating.
+			a.Reset()
+			for _, ra := range a.node.recs {
+				if ra.held != nil || ra.nrecs != 0 {
+					t.Fatalf("%v, %d label sets: a reset left a group held or counted", e, n)
+				}
+			}
+			if e == EquivLabel && len(a.node.recs) != n {
+				t.Fatalf("%v, %d label sets: %d groups kept by the reset", e, n, len(a.node.recs))
+			}
+			last := docs[n-1]
+			if allocs := testing.AllocsPerRun(20, func() {
+				stageDoc(a.Doc(), last)
+				a.Reset()
+			}); allocs != 0 {
+				t.Errorf("%v, %d label sets: a kept label set stages with %.1f allocs per round, want 0", e, n, allocs)
+			}
+		}
 	}
 }

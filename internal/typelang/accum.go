@@ -190,11 +190,14 @@ type arrayAccum struct {
 // A group that Absorb opened with a sealed record is held: it keeps
 // that record (held) and no field table, and seals to it unchanged —
 // types are immutable, and sealing an absorbed canonical record gives
-// it back. Under L, where high-cardinality data gives about one group
-// per document, most groups never take a second record, so a reduce
-// over sealed partial schemas builds nothing for them. The second
-// record of the label set, however it arrives, first spreads the held
-// one into the table (unhold). A reset drops held groups.
+// it back. So is a root group a staged record opened (EndRecord): it
+// holds the record its staged fields seal to. Under L, where
+// high-cardinality data gives about one group per document, most
+// groups never take a second record, so neither the map phase nor a
+// reduce over sealed partial schemas builds a table for them. The
+// second record of the label set, however it arrives, first spreads the
+// held one into the table (unhold). A reset turns a held group into a
+// clean table of its label set, or drops it (reset).
 type recordAccum struct {
 	key      string // label key, built lazily for the seal ordering
 	keyValid bool
@@ -430,6 +433,18 @@ func (ra *recordAccum) unhold(a *Accum) {
 	ra.keyValid = true
 }
 
+// clearHeld turns a held group into a clean one at a reset: a table of
+// the held record's label set with every count zero, so the label set,
+// if it comes back, absorbs into storage that is already there.
+func (ra *recordAccum) clearHeld() {
+	hf := ra.held.Fields
+	ra.fields = make([]fieldAccum, len(hf))
+	for i := range hf {
+		ra.fields[i].name = hf[i].Name
+	}
+	ra.held, ra.nrecs, ra.count = nil, 0, 0
+}
+
 // absorb merges one record into the group.
 func (ra *recordAccum) absorb(t *Type, a *Accum) {
 	if ra.held != nil {
@@ -625,9 +640,11 @@ const (
 // field tables, group lists, nested nodes — up to keptGroups and
 // keptSlots. Keeping the group tables is the reuse payoff: a worker
 // absorbing the next chunk (or the next document's arrays) of the same
-// shapes allocates nothing at all. Held groups are dropped, as they
-// have no table to keep: a clean group must hold in its table the label
-// set it is found by.
+// shapes allocates nothing at all. A held group has no table to keep:
+// one among the first keptGroups gets a clean table of its label set
+// (clearHeld) — a clean group must hold in its table the label set it
+// is found by — so the label set, if it comes back, stages without
+// allocating; the others are dropped.
 //
 // It costs what was dirtied since the previous reset, not what is
 // retained, by the clean-subtree invariant every mutation of the tree
@@ -649,12 +666,24 @@ func (n *accumNode) reset() {
 		a.minLen, a.maxLen = 0, 0
 		a.elem.reset()
 	}
+	if n.live > 0 {
+		n.resetGroups()
+	}
+}
+
+// resetGroups is reset's part for the live record groups. A node with
+// none has nothing to trim either: groups are only ever added live.
+func (n *accumNode) resetGroups() {
 	// Downwards, so removeGroup only ever moves in a group that is clean
 	// already.
 	for i := n.live - 1; i >= 0; i-- {
-		if ra := n.recs[i]; ra.held != nil || len(ra.fields) > keptSlots {
+		ra := n.recs[i]
+		switch {
+		case ra.held != nil && i < keptGroups && len(ra.held.Fields) <= keptSlots:
+			ra.clearHeld()
+		case ra.held != nil || len(ra.fields) > keptSlots:
 			n.removeGroup(i)
-		} else {
+		default:
 			ra.reset()
 		}
 	}
