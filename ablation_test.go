@@ -1,7 +1,7 @@
 package repro_test
 
-// Ablation benchmarks for the design choices DESIGN.md calls out:
-// what each speculative/structural mechanism actually buys.
+// Ablation benchmarks for the design choices docs/EXPERIMENTS.md
+// calls out: what each speculative/structural mechanism actually buys.
 
 import (
 	"testing"

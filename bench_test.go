@@ -1,5 +1,5 @@
 // Package repro_test holds the benchmark harness: one BenchmarkE* per
-// experiment in DESIGN.md's index (E1–E14). Each bench measures the
+// experiment in docs/EXPERIMENTS.md (E1–E16). Each bench measures the
 // inner operation of its experiment and reports the experiment's shape
 // metric (schema size, precision, coverage, hit rate, ...) via
 // b.ReportMetric, so `go test -bench=. -benchmem` regenerates every
@@ -75,25 +75,30 @@ func BenchmarkE2SparkImprecision(b *testing.B) {
 }
 
 // E3: the associative reduce parallelises; same result, more workers.
+// The call E3's table times: the streamed byte engine jsinfer runs,
+// over the experiment's serialised corpus, at each width.
 func BenchmarkE3ParallelInference(b *testing.B) {
-	docs := genjson.Collection(genjson.Twitter{Seed: 13}, 5000)
+	raw := jsontext.MarshalLines(genjson.Collection(genjson.Twitter{Seed: 13}, 12000))
 	for _, workers := range []int{1, 2, 4, 8} {
-		workers := workers
 		b.Run(fmt.Sprintf("workers-%d", workers), func(b *testing.B) {
+			b.SetBytes(int64(len(raw)))
 			for i := 0; i < b.N; i++ {
-				infer.InferParallel(docs, infer.Options{Equiv: typelang.EquivLabel, Workers: workers})
+				if _, _, err := infer.InferStreamBytes(raw,
+					infer.Options{Equiv: typelang.EquivLabel, Workers: workers}); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}
 }
 
 // E3 (streaming): the DOM pipeline (the library API over materialised
-// values: decode every document to a value tree, then type the trees)
-// versus the streamed engine (what jsinfer runs for the parametric
-// engines: type straight off the structural index) — the dom/mison
-// pairs. The streamed rows build no value
-// trees, their parallel variants lex on the workers instead of the
-// feeding goroutine, and they lex through the structural index (bitmap
+// values: decode every document to a value tree, then fold the trees
+// sequentially with infer.Infer) versus the streamed engine (what
+// jsinfer runs for the parametric engines: type straight off the
+// structural index). The streamed rows build no value trees, their
+// parallel variants lex on the workers instead of the feeding
+// goroutine, and they lex through the structural index (bitmap
 // chunking, positional string skipping). All streamed rows fold
 // through the mutable accumulator core (typelang.Accum: absorb in
 // place, seal once per run and, above one worker, once per chunk); the
@@ -105,14 +110,13 @@ func BenchmarkE3ParallelInference(b *testing.B) {
 // give about one record type per document, so the schema is as large
 // as the data and the reduce handles schema-sized work.
 // domInfer is the DOM baseline of the E3 rows: decode the whole
-// collection to value trees, then run the materialised map/reduce over
-// them.
+// collection to value trees, then run the materialised fold over them.
 func domInfer(b *testing.B, raw []byte, opts infer.Options) {
 	docs, err := jsontext.NewDecoder(bytes.NewReader(raw)).DecodeAll()
 	if err != nil {
 		b.Fatal(err)
 	}
-	infer.InferParallel(docs, opts)
+	infer.Infer(docs, opts)
 }
 
 func BenchmarkE3StreamingInference(b *testing.B) {
@@ -122,7 +126,7 @@ func BenchmarkE3StreamingInference(b *testing.B) {
 		b.SetBytes(int64(len(raw)))
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			domInfer(b, raw, infer.Options{Equiv: typelang.EquivLabel, Workers: 1})
+			domInfer(b, raw, infer.Options{Equiv: typelang.EquivLabel})
 		}
 	})
 	b.Run("mison-sequential", func(b *testing.B) {
@@ -186,13 +190,6 @@ func BenchmarkE3StreamingInference(b *testing.B) {
 	})
 	for _, workers := range []int{2, 4, 8} {
 		workers := workers
-		b.Run(fmt.Sprintf("dom-parallel-%d", workers), func(b *testing.B) {
-			b.SetBytes(int64(len(raw)))
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				domInfer(b, raw, infer.Options{Equiv: typelang.EquivLabel, Workers: workers})
-			}
-		})
 		b.Run(fmt.Sprintf("mison-parallel-%d", workers), func(b *testing.B) {
 			b.SetBytes(int64(len(raw)))
 			b.ReportAllocs()

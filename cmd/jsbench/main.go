@@ -1,6 +1,6 @@
-// Command jsbench regenerates every experiment table of DESIGN.md's
-// experiment index (E1–E14) and prints them — the harness behind
-// EXPERIMENTS.md. Run a subset with -only (comma-separated IDs).
+// Command jsbench regenerates every experiment table indexed in
+// docs/EXPERIMENTS.md (E1–E16) and prints them — the harness behind
+// that record. Run a subset with -only (comma-separated IDs).
 //
 // Usage:
 //

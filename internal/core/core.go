@@ -214,15 +214,14 @@ func equivFor(engine Engine) (typelang.Equiv, bool) {
 }
 
 // InferSchema runs the selected engine over a materialised collection
-// and grades the result against it (Precision, Size). The parametric
-// engines reduce over GOMAXPROCS workers; Spark and Skinfer are
-// single-threaded.
+// and grades the result against it (Precision, Size). Every engine runs
+// sequentially: the parametric ones fold with infer.Infer.
 func InferSchema(docs []*Value, engine Engine) (*Inference, error) {
 	out := &Inference{Engine: engine}
 	switch engine {
 	case ParametricK, ParametricL:
 		eq, _ := equivFor(engine)
-		out.Type = infer.InferParallel(docs, infer.Options{Equiv: eq})
+		out.Type = infer.Infer(docs, infer.Options{Equiv: eq})
 	case Spark:
 		out.Type = sparkinfer.Infer(docs).ToTypelang()
 	case Skinfer:

@@ -274,25 +274,3 @@ func indexOf(h, n string) int {
 	}
 	return -1
 }
-
-// All runs every experiment in order.
-func All() []*Table {
-	return []*Table{
-		E1SchemaSizes(),
-		E2SparkImprecision(),
-		E3ParallelSpeedup(),
-		E4MongoVsStudio3T(),
-		E5SkinferArrayGap(),
-		E6MisonProjection(),
-		E7FadjsSpeculation(),
-		E8SkeletonCoverage(),
-		E9ValidatorThroughput(),
-		E10SchemaTranslation(),
-		E11Normalization(),
-		E12CountingTypes(),
-		E13SchemaProfiling(),
-		E14Codegen(),
-		E15JaqlOutputSchema(),
-		E16SchemaDiscovery(),
-	}
-}

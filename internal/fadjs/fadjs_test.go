@@ -10,8 +10,8 @@ import (
 )
 
 func TestDecodeEquivalentToGeneric(t *testing.T) {
-	// Property (per DESIGN.md): fadjs decode == generic parse, across
-	// generators, including after the shape cache warms up.
+	// Property (per docs/EXPERIMENTS.md, E7): fadjs decode == generic
+	// parse, across generators, including after the shape cache warms up.
 	gens := []genjson.Generator{
 		genjson.Twitter{Seed: 41},
 		genjson.GitHub{Seed: 42},

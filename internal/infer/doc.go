@@ -17,21 +17,20 @@
 //
 // Because the merge is associative and commutative, the reduce can be
 // parallelised and distributed arbitrarily. The execution layer here
-// exploits that two ways:
+// has two entry points:
 //
-//   - Infer and InferParallel run over a materialised collection (the
-//     Spark/Skinfer/precision paths need the values anyway):
-//     InferParallel feeds batches through a bounded work queue to a
-//     worker pool, each worker folds its own partial type with the
-//     batched MergeAll, and the partials meet in a parallel binary tree
-//     reduction;
+//   - Infer runs over a materialised collection (the library API for
+//     values already in memory, and the oracle): it folds TypeOf of
+//     each document in batches with MergeAll, sequentially;
 //   - InferStream, InferStreamBytes, InferStreamFiles (named files,
 //     one collection through one run) and InferStreamInto (the
 //     registry's feed) never materialise anything: each document's
 //     structure is absorbed straight from the input bytes into a
 //     typelang.Accum, so no per-document type and no value tree is
 //     ever built, and collections larger than memory are inferred while
-//     holding only a bounded window of bytes. The result is pinned byte-identical to
+//     holding only a bounded window of bytes. It is the one parallel
+//     engine: several workers walk windows of the input and their
+//     partial types are merged. The result is pinned byte-identical to
 //     an independent oracle (DOM decoder, TypeOf, one MergeAll) —
 //     schemas, counts, error messages and offsets — by oracle_test.go.
 //

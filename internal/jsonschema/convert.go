@@ -61,12 +61,6 @@ func FromType(t *typelang.Type) *jsonvalue.Value {
 	}
 }
 
-// CompileType compiles FromType's output — a convenience for validating
-// documents against inferred types with the full JSON Schema machinery.
-func CompileType(t *typelang.Type) *Schema {
-	return MustCompile(FromType(t))
-}
-
 // ToType converts a compiled schema into the type algebra, best effort:
 // value constraints that the algebra cannot express (bounds, patterns,
 // enums, negations) are dropped, yielding an over-approximation. This

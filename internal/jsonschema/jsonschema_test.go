@@ -310,7 +310,7 @@ func TestFromTypeRoundTripAgreement(t *testing.T) {
 	for _, g := range gens {
 		docs := genjson.Collection(g, 60)
 		ty := infer.Infer(docs, infer.Options{Equiv: typelang.EquivLabel})
-		schema := CompileType(ty)
+		schema := MustCompile(FromType(ty))
 		for i, d := range docs {
 			if !schema.Accepts(d) {
 				t.Fatalf("%s: doc %d rejected by schema generated from its inferred type", g.Name(), i)
@@ -331,7 +331,7 @@ func TestFromTypeMembershipAgreementProperty(t *testing.T) {
 	f := func(s1, s2 int64) bool {
 		ty := randomType(s1, 3)
 		v := randomValue(s2, 3)
-		schema := CompileType(ty)
+		schema := MustCompile(FromType(ty))
 		return ty.Matches(v) == schema.Accepts(v)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 1500}); err != nil {

@@ -1,7 +1,6 @@
 package jsontext
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"io"
@@ -393,15 +392,9 @@ func TestStreamingDecoderErrors(t *testing.T) {
 	}
 }
 
-func TestEncoderNDJSON(t *testing.T) {
-	var buf bytes.Buffer
-	enc := NewEncoder(&buf)
-	for _, s := range []string{`{"a":1}`, `[2]`} {
-		if err := enc.Encode(MustParse(s)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := buf.String(); got != "{\"a\":1}\n[2]\n" {
+func TestMarshalLinesNDJSON(t *testing.T) {
+	got := string(MarshalLines([]*jsonvalue.Value{MustParse(`{"a":1}`), MustParse(`[2]`)}))
+	if got != "{\"a\":1}\n[2]\n" {
 		t.Errorf("NDJSON output = %q", got)
 	}
 }

@@ -59,25 +59,3 @@ func (d *Decoder) DecodeAll() ([]*jsonvalue.Value, error) {
 		out = append(out, v)
 	}
 }
-
-// Encoder writes a stream of JSON values to an io.Writer, one per line.
-type Encoder struct {
-	w    io.Writer
-	opts WriteOptions
-	buf  []byte
-}
-
-// NewEncoder returns an Encoder writing NDJSON to w.
-func NewEncoder(w io.Writer) *Encoder { return &Encoder{w: w} }
-
-// SetOptions replaces the encoder's write options.
-func (e *Encoder) SetOptions(opts WriteOptions) { e.opts = opts }
-
-// Encode writes one value followed by a newline.
-func (e *Encoder) Encode(v *jsonvalue.Value) error {
-	e.buf = e.buf[:0]
-	e.buf = AppendValue(e.buf, v, e.opts)
-	e.buf = append(e.buf, '\n')
-	_, err := e.w.Write(e.buf)
-	return err
-}

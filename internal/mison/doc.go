@@ -25,8 +25,8 @@
 // one paragraph"). The projecting face reports defects as *IndexError
 // values with absolute byte offsets.
 //
-// Substitution note (recorded in DESIGN.md): the original uses AVX2
-// SIMD to build per-character bitmaps. Go with stdlib only has no
+// Substitution note (recorded in docs/EXPERIMENTS.md): the original
+// uses AVX2 SIMD to build per-character bitmaps. Go with stdlib only has no
 // vector intrinsics, so the bitmap pipeline here is word-at-a-time over
 // packed uint64 bitmaps (SWAR, swar.go): the same four-phase structure
 // — (1) character bitmaps, (2) escaped-character removal, (3)

@@ -160,8 +160,8 @@ func TestParseRecordSimpleProjection(t *testing.T) {
 }
 
 func TestProjectionEquivalentToFullParse(t *testing.T) {
-	// Property (per DESIGN.md): Mison projection == full-parse + path
-	// lookup, across generators and field orders.
+	// Property (per docs/EXPERIMENTS.md, E6): Mison projection ==
+	// full-parse + path lookup, across generators and field orders.
 	gens := []genjson.Generator{
 		genjson.Twitter{Seed: 31},
 		genjson.GitHub{Seed: 32},

@@ -23,7 +23,7 @@ func parseCompactJSON(data []byte) (*jsonvalue.Value, error) {
 // streams written and read in document walk order, which is what lets
 // reassembly work for arbitrary nesting without Dremel-style
 // repetition levels (a simplification relative to Parquet, recorded in
-// DESIGN.md: per-document varint counts play the role of repetition
+// docs/EXPERIMENTS.md: per-document varint counts play the role of repetition
 // levels, presence bytes the role of definition levels).
 type Column struct {
 	Path string

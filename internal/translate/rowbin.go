@@ -5,8 +5,9 @@
 // columnar format, both driven by a typelang schema (typically one
 // produced by internal/infer).
 //
-// Substitution note (recorded in DESIGN.md): the real Avro and Parquet
-// are large framework ecosystems; what §5 needs is their *shape* —
+// Substitution note (recorded in docs/EXPERIMENTS.md): the real Avro
+// and Parquet are large framework ecosystems; what §5 needs is their
+// *shape* —
 // schema-driven binary rows (no field names on the wire, varint-packed
 // scalars) and column-major storage with per-column encoding. Both
 // formats here are self-contained but follow those layouts, so the

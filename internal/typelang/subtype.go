@@ -86,8 +86,3 @@ func recordSubtype(a, b *Type) bool {
 	}
 	return true
 }
-
-// Equivalent reports mutual subtyping.
-func Equivalent(a, b *Type) bool {
-	return Subtype(a, b) && Subtype(b, a)
-}

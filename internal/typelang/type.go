@@ -128,13 +128,6 @@ func NewRecord(fields ...Field) *Type {
 	return &Type{Kind: KRecord, Fields: fs}
 }
 
-// NewRecordCounted is NewRecord with a value count.
-func NewRecordCounted(count int64, fields ...Field) *Type {
-	t := NewRecord(fields...)
-	t.Count = count
-	return t
-}
-
 // RecordOwned builds a counted record taking ownership of fields: no
 // defensive copy is made, and the caller must not reuse the slice and
 // must guarantee the names are duplicate-free. It is the allocation-lean

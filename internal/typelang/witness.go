@@ -11,6 +11,7 @@ import (
 // value space — the generative direction of the membership relation,
 // used to cross-test every formalism that claims to accept the type's
 // values (JSON Schema from FromType, the validators, the translators).
+// Only tests call it; it is exported because core's tests do.
 func (t *Type) Witness(seed int64) *jsonvalue.Value {
 	g := &witnessGen{state: uint64(seed)*2654435761 + 1}
 	return g.gen(t, 4)
