@@ -205,7 +205,7 @@ func inferAndPrint(opt cliFlags, files []string, stdin io.Reader, stdout, stderr
 			// counters cover exactly the work done before the failure.
 			gc := []metrics.Sample{{Name: "/cpu/classes/gc/total:cpu-seconds"}, {Name: "/gc/cycles/total:gc-cycles"}}
 			metrics.Read(gc)
-			printStats(stderr, pstats.Snapshot(), time.Duration(gc[0].Value.Float64()*float64(time.Second)), gc[1].Value.Uint64(), result.Size, ndocs)
+			printStats(stderr, pstats.Snapshot(), time.Duration(gc[0].Value.Float64()*float64(time.Second)), gc[1].Value.Uint64(), result.Size(), ndocs)
 		}
 		if err != nil {
 			return err
@@ -242,11 +242,7 @@ func inferAndPrint(opt cliFlags, files []string, stdin io.Reader, stdout, stderr
 
 	switch *opt.output {
 	case "type":
-		if *opt.counted {
-			fmt.Fprintln(stdout, result.Type.StringCounted())
-		} else {
-			fmt.Fprintln(stdout, result.Type)
-		}
+		return result.Type.Render(stdout, *opt.counted)
 	case "jsonschema":
 		fmt.Fprintln(stdout, string(core.MarshalIndent(result.JSONSchema(), "  ")))
 	case "typescript":
@@ -256,13 +252,14 @@ func inferAndPrint(opt cliFlags, files []string, stdin io.Reader, stdout, stderr
 	case "report":
 		fmt.Fprintf(stdout, "engine:    %s\n", result.Engine)
 		fmt.Fprintf(stdout, "documents: %d\n", ndocs)
-		fmt.Fprintf(stdout, "size:      %d nodes\n", result.Size)
+		fmt.Fprintf(stdout, "size:      %d nodes\n", result.Size())
 		if result.Precision >= 0 {
 			fmt.Fprintf(stdout, "precision: %.3f\n", result.Precision)
 		} else {
 			fmt.Fprintf(stdout, "precision: n/a (streamed single pass; rerun with -precision and file arguments for a second pass)\n")
 		}
-		fmt.Fprintf(stdout, "type:      %s\n", result.Type)
+		fmt.Fprint(stdout, "type:      ")
+		return result.Type.Render(stdout, false)
 	}
 	return nil
 }

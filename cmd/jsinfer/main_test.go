@@ -363,6 +363,37 @@ func testCLIErrors(t *testing.T, fx fixture) {
 	}
 }
 
+// TestRenderErrorExitsOne pins the streamed type outputs' failure path:
+// when stdout fails part-way through the type, plain or counted, bare or
+// in the report, run exits 1 and names the writer's error.
+func TestRenderErrorExitsOne(t *testing.T) {
+	path := filepath.Join("..", "..", "testdata", "sparse.ndjson")
+	for _, args := range [][]string{nil, {"-counted"}, {"-output", "report"}} {
+		for _, limit := range []int{0, 100, 40 << 10} {
+			out := &failingStdout{limit: limit}
+			var errs bytes.Buffer
+			status := run(append(slices.Clone(args), path), untouched{t}, out, &errs)
+			if want := "jsinfer: " + errStdout.Error() + "\n"; status != 1 || errs.String() != want {
+				t.Errorf("%v, stdout failing after %d bytes: status %d, stderr %q; want 1, %q", args, limit, status, errs.String(), want)
+			}
+		}
+	}
+}
+
+var errStdout = errors.New("stdout closed")
+
+// failingStdout accepts limit bytes, then fails every write.
+type failingStdout struct{ limit, n int }
+
+func (w *failingStdout) Write(p []byte) (int, error) {
+	if room := w.limit - w.n; len(p) > room {
+		w.n = w.limit
+		return room, errStdout
+	}
+	w.n += len(p)
+	return len(p), nil
+}
+
 // TestPrintStats pins the -stats table: one row per pipeline stage,
 // every counter name=value on its stage's row (in the order of
 // infer.StatsFields), and times rendered in milliseconds, then the gc

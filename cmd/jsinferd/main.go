@@ -500,6 +500,11 @@ func newHandler(reg *registry.Registry, cfg handlerConfig) http.Handler {
 		switch output {
 		case "jsonschema":
 			writeJSON(w, http.StatusOK, core.TypeToJSONSchema(snap.Type))
+		case "type", "counted":
+			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+			// The status line is sent: a failed write is a client gone,
+			// and nothing is left to tell it.
+			_ = snap.Type.Render(w, output == "counted")
 		default:
 			rendered, err := renderSchema(snap.Type, output)
 			if err != nil {

@@ -32,8 +32,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("parametric-K: size %4d nodes, precision %.3f\n", k.Size, k.Precision)
-	fmt.Printf("parametric-L: size %4d nodes, precision %.3f\n", l.Size, l.Precision)
+	fmt.Printf("parametric-K: size %4d nodes, precision %.3f\n", k.Size(), k.Precision)
+	fmt.Printf("parametric-L: size %4d nodes, precision %.3f\n", l.Size(), l.Precision)
 
 	// 2. Spark-style inference collapses the per-event-type payloads.
 	spark, err := core.InferSchema(docs, core.Spark)
@@ -41,7 +41,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("spark:        size %4d nodes, precision %.3f  <- union-free lattice\n",
-		spark.Size, spark.Precision)
+		spark.Size(), spark.Precision)
 
 	// 3. Streaming per-field statistics (mongodb-schema style).
 	report := core.AnalyzeStreaming(docs)

@@ -285,8 +285,8 @@ func TestStreamFilesKeepPrefixOnError(t *testing.T) {
 					t.Errorf("%s: prefix type differs from inference over the %d good documents\n want: %s\n got:  %s",
 						label, 60+goodDocs, want.Type.StringCounted(), inf.Type.StringCounted())
 				}
-				if inf.Size != want.Size || inf.Precision != -1 {
-					t.Errorf("%s: size %d precision %v, want %d and -1", label, inf.Size, inf.Precision, want.Size)
+				if inf.Size() != want.Size() || inf.Precision != -1 {
+					t.Errorf("%s: size %d precision %v, want %d and -1", label, inf.Size(), inf.Precision, want.Size())
 				}
 			}
 		}
@@ -386,11 +386,11 @@ func TestInferenceSimplifyCarriesDocument(t *testing.T) {
 		typelang.Field{Name: "b", Type: typelang.Str, Optional: true},
 	)
 	u := &typelang.Type{Kind: typelang.KUnion, Alts: []*typelang.Type{narrow, wide}}
-	inf := &Inference{Engine: ParametricL, Type: u, Size: u.Size()}
+	inf := &Inference{Engine: ParametricL, Type: u}
 	inf.Simplify()
 	want := typelang.Simplify(u)
-	if !typelang.Equal(inf.Type, wide) || inf.Size != want.Size() {
-		t.Fatalf("Simplify left type %s (size %d), want the wide record alone (size %d)", inf.Type, inf.Size, want.Size())
+	if !typelang.Equal(inf.Type, wide) || inf.Size() != want.Size() {
+		t.Fatalf("Simplify left type %s (size %d), want the wide record alone (size %d)", inf.Type, inf.Size(), want.Size())
 	}
 	if !jsonvalue.Equal(inf.JSONSchema(), TypeToJSONSchema(want)) {
 		t.Errorf("document after Simplify = %s, want %s", Marshal(inf.JSONSchema()), Marshal(TypeToJSONSchema(want)))

@@ -171,14 +171,19 @@ type Inference struct {
 	// Type is the schema in the shared algebra (for Skinfer this is a
 	// best-effort conversion of its JSON Schema output).
 	Type *Type
-	// Precision and Size are the E1/E2 metrics against the input.
+	// Precision is the E2 metric against the input (-1 when a streamed
+	// single pass could not grade it).
 	Precision float64
-	Size      int
 
 	// native is Skinfer's own JSON Schema output; nil for every engine
 	// whose document is a rendering of Type.
 	native *Value
 }
+
+// Size is the E1 metric: the number of nodes of Type. It is counted on
+// each call, a walk of the whole schema, so callers that never print it
+// never pay for it.
+func (inf *Inference) Size() int { return inf.Type.Size() }
 
 // JSONSchema returns the schema as a JSON Schema document. It is
 // rendered from Type on each call — on a large schema as costly as a
@@ -191,13 +196,11 @@ func (inf *Inference) JSONSchema() *Value {
 	return jsonschema.FromType(inf.Type)
 }
 
-// Simplify replaces Type with typelang.Simplify(Type) and brings Size
-// along, so every output form shows the same schema. Skinfer's document
-// is its native output, not a rendering of Type, and is kept.
+// Simplify replaces Type with typelang.Simplify(Type), so every output
+// form shows the same schema. Skinfer's document is its native output,
+// not a rendering of Type, and is kept.
 func (inf *Inference) Simplify() {
-	if s := typelang.Simplify(inf.Type); s != inf.Type {
-		inf.Type, inf.Size = s, s.Size()
-	}
+	inf.Type = typelang.Simplify(inf.Type)
 }
 
 // equivFor maps an engine to the equivalence its streamed pass runs
@@ -214,7 +217,7 @@ func equivFor(engine Engine) (typelang.Equiv, bool) {
 }
 
 // InferSchema runs the selected engine over a materialised collection
-// and grades the result against it (Precision, Size). Every engine runs
+// and grades the result against it (Precision). Every engine runs
 // sequentially: the parametric ones fold with infer.Infer.
 func InferSchema(docs []*Value, engine Engine) (*Inference, error) {
 	out := &Inference{Engine: engine}
@@ -235,7 +238,6 @@ func InferSchema(docs []*Value, engine Engine) (*Inference, error) {
 		return nil, fmt.Errorf("core: unknown engine %d", engine)
 	}
 	out.Precision = typelang.Precision(out.Type, docs)
-	out.Size = out.Type.Size()
 	return out, nil
 }
 
@@ -277,7 +279,7 @@ func streamed(engine Engine, opts StreamOptions, pass func(infer.Options) (*Type
 	if engine == Spark {
 		t = sparkinfer.FromType(t).ToTypelang()
 	}
-	return &Inference{Engine: engine, Type: t, Precision: -1, Size: t.Size()}, n, err
+	return &Inference{Engine: engine, Type: t, Precision: -1}, n, err
 }
 
 // InferSchemaStreamWith infers a parametric schema from a stream of

@@ -3,6 +3,9 @@
 package core
 
 import (
+	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -10,6 +13,8 @@ import (
 	"repro/internal/joi"
 	"repro/internal/jsonschema"
 	"repro/internal/jsonvalue"
+	"repro/internal/sparkinfer"
+	"repro/internal/typelang"
 )
 
 func TestParseMarshalRoundTrip(t *testing.T) {
@@ -81,8 +86,8 @@ func TestInferSchemaEngines(t *testing.T) {
 		if inf.Type == nil || inf.JSONSchema() == nil {
 			t.Fatalf("%v: missing outputs", e)
 		}
-		if inf.Size <= 0 {
-			t.Fatalf("%v: size %d", e, inf.Size)
+		if inf.Size() <= 0 {
+			t.Fatalf("%v: size %d", e, inf.Size())
 		}
 		results[e] = inf
 	}
@@ -203,5 +208,75 @@ func TestEngineString(t *testing.T) {
 	}
 	if _, err := InferSchema(nil, Engine(99)); err == nil {
 		t.Error("unknown engine should error")
+	}
+}
+
+// TestSharedAtomsStayImmutable: a seal shares one node per atom kind
+// among all atoms counted once, so every consumer of a sealed schema
+// must treat it as immutable. Every fixture is sealed under K and L and
+// run through Simplify, MergeAll with the previous fixture's type, the
+// JSON Schema and Spark projections and both code generators; afterwards
+// every shared atom still reads its kind and count 1, and every sealed
+// schema renders as it did before.
+func TestSharedAtomsStayImmutable(t *testing.T) {
+	kinds := []typelang.Kind{typelang.KNull, typelang.KBool, typelang.KInt, typelang.KNum, typelang.KStr, typelang.KAny}
+	shared := make([]*typelang.Type, len(kinds))
+	for i, k := range kinds {
+		once := func() *typelang.Type {
+			a := typelang.NewAccum(typelang.EquivLabel)
+			a.Absorb(typelang.Atom(k, 1))
+			return a.Seal()
+		}
+		shared[i] = once()
+		if s := once(); s != shared[i] || s.Kind != k || s.Count != 1 {
+			t.Fatalf("%s counted once: two seals give %s(%d) and %s(%d), not one shared node", k, shared[i].Kind, shared[i].Count, s.Kind, s.Count)
+		}
+	}
+
+	paths, err := filepath.Glob(filepath.Join("..", "..", "testdata", "*.ndjson"))
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no fixtures under testdata: %v", err)
+	}
+	type sealed struct {
+		name           string
+		t              *typelang.Type
+		plain, counted string
+	}
+	var seals []sealed
+	for _, engine := range []Engine{ParametricK, ParametricL} {
+		eq, _ := equivFor(engine)
+		var prev *typelang.Type
+		for _, p := range paths {
+			data, err := os.ReadFile(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			inf, _, err := InferSchemaStreamWith(bytes.NewReader(data), engine, StreamOptions{})
+			if err != nil {
+				t.Fatalf("%s %s: %v", p, engine, err)
+			}
+			s := inf.Type
+			seals = append(seals, sealed{p + " " + engine.String(), s, s.String(), s.StringCounted()})
+			_ = typelang.Simplify(s).StringCounted()
+			if prev != nil {
+				_ = typelang.Merge(prev, s, eq).StringCounted()
+				_ = typelang.MergeAll([]*typelang.Type{s, prev, s}, eq).StringCounted()
+			}
+			_ = Marshal(jsonschema.FromType(s))
+			_ = sparkinfer.FromType(s).ToTypelang().String()
+			_ = TypeToTypeScript("Root", s)
+			_ = TypeToSwift("Root", s)
+			prev = s
+		}
+	}
+	for i, at := range shared {
+		if at.Kind != kinds[i] || at.Count != 1 || at.Fields != nil || at.Elem != nil || at.Alts != nil {
+			t.Errorf("the shared %s atom changed: %+v", kinds[i], *at)
+		}
+	}
+	for _, s := range seals {
+		if s.t.String() != s.plain || s.t.StringCounted() != s.counted {
+			t.Errorf("%s: the sealed schema changed under its consumers", s.name)
+		}
 	}
 }

@@ -33,9 +33,13 @@ import (
 // by the inference map phase. Seal results never alias accumulator
 // state; they may share immutable nodes with absorbed sealed types (a
 // record whose label set was absorbed once is handed back as it came,
-// exactly as MergeAll reuses a lone alternative). So a sealed type may
-// be published to other goroutines while the accumulator keeps
-// absorbing. An Accum itself is not safe for concurrent use.
+// exactly as MergeAll reuses a lone alternative) and with the package:
+// every atom counted once is its kind's one shared node, in every seal
+// of every accumulator. Sealed types are therefore immutable — code
+// that wants a changed node copies it first, as Simplify and Merge do —
+// and a sealed type may be published to other goroutines while the
+// accumulator keeps absorbing. An Accum itself is not safe for
+// concurrent use.
 //
 // The zero Accum is NOT ready to use; construct with NewAccum so the
 // equivalence is explicit.
@@ -525,47 +529,57 @@ func (n *accumNode) empty() bool {
 
 // seal builds the canonical type of the node: the same buckets, in the
 // same canonical alternative order, with the same counts, as canonical()
-// produces when MergeAll folds the absorbed types.
+// produces when MergeAll folds the absorbed types. A node with one
+// alternative seals to it with no alternatives slice, and an atom
+// counted once is its kind's shared node (countedAtom).
 func (n *accumNode) seal(e Equiv) *Type {
 	if n.haveAny {
-		return &Type{Kind: KAny, Count: n.total}
+		return countedAtom(KAny, n.total)
 	}
 	live := n.recs[:n.live]
-	nalts := len(live)
+	haveArr := n.arr != nil && n.arr.n > 0
+	natoms := 0
 	if n.haveNull {
-		nalts++
+		natoms++
 	}
 	if n.haveBool {
-		nalts++
+		natoms++
 	}
 	if n.haveInt || n.haveNum {
-		nalts++
+		natoms++
 	}
 	if n.haveStr {
-		nalts++
+		natoms++
 	}
-	if n.arr != nil && n.arr.n > 0 {
+	nalts := natoms + len(live)
+	if haveArr {
 		nalts++
 	}
 	if nalts == 0 {
 		return Bottom
 	}
+	if nalts == 1 {
+		switch {
+		case natoms == 1:
+			return n.sealAtom()
+		case haveArr:
+			return n.arr.seal(e)
+		default:
+			return live[0].seal(e) // the one live group is at position 0
+		}
+	}
 	out := make([]*Type, 0, nalts)
 	if n.haveNull {
-		out = append(out, &Type{Kind: KNull, Count: n.nullCount})
+		out = append(out, countedAtom(KNull, n.nullCount))
 	}
 	if n.haveBool {
-		out = append(out, &Type{Kind: KBool, Count: n.boolCount})
+		out = append(out, countedAtom(KBool, n.boolCount))
 	}
-	// Num absorbs Int: Int values are Num values, so Int + Num = Num.
-	switch {
-	case n.haveNum:
-		out = append(out, &Type{Kind: KNum, Count: n.intCount + n.numCount})
-	case n.haveInt:
-		out = append(out, &Type{Kind: KInt, Count: n.intCount})
+	if n.haveInt || n.haveNum {
+		out = append(out, n.sealNumber())
 	}
 	if n.haveStr {
-		out = append(out, &Type{Kind: KStr, Count: n.strCount})
+		out = append(out, countedAtom(KStr, n.strCount))
 	}
 	if len(live) > 1 {
 		// The live prefix is in arrival order; the canonical union wants
@@ -579,13 +593,55 @@ func (n *accumNode) seal(e Equiv) *Type {
 		ra.pos = i
 		out = append(out, ra.seal(e))
 	}
-	if n.arr != nil && n.arr.n > 0 {
+	if haveArr {
 		out = append(out, n.arr.seal(e))
 	}
-	if len(out) == 1 {
-		return out[0]
-	}
 	return &Type{Kind: KUnion, Alts: out, Count: n.total}
+}
+
+// sealAtom is the seal of a node whose one alternative is an atom.
+func (n *accumNode) sealAtom() *Type {
+	switch {
+	case n.haveNull:
+		return countedAtom(KNull, n.nullCount)
+	case n.haveBool:
+		return countedAtom(KBool, n.boolCount)
+	case n.haveStr:
+		return countedAtom(KStr, n.strCount)
+	default:
+		return n.sealNumber()
+	}
+}
+
+// sealNumber is the node's numeric alternative. Num absorbs Int: Int
+// values are Num values, so Int + Num = Num.
+func (n *accumNode) sealNumber() *Type {
+	if n.haveNum {
+		return countedAtom(KNum, n.intCount+n.numCount)
+	}
+	return countedAtom(KInt, n.intCount)
+}
+
+// onceAtoms are the sealed atoms counted once, one immutable node per
+// kind shared by every seal. Under L, high-cardinality data gives about
+// one record type per document, and almost every field of it is an atom
+// seen once: sharing them makes such a field cost its Field entry alone.
+var onceAtoms = [...]*Type{
+	KNull: {Kind: KNull, Count: 1},
+	KBool: {Kind: KBool, Count: 1},
+	KInt:  {Kind: KInt, Count: 1},
+	KNum:  {Kind: KNum, Count: 1},
+	KStr:  {Kind: KStr, Count: 1},
+	KAny:  {Kind: KAny, Count: 1},
+}
+
+// countedAtom is the sealed atom of kind k summarising count values: its
+// kind's shared node when count is 1, else a fresh one.
+func countedAtom(k Kind, count int64) *Type {
+	if count == 1 {
+		return onceAtoms[k]
+	}
+	return &Type{Kind: k, Count: count}
 }
 
 func (ra *recordAccum) seal(e Equiv) *Type {

@@ -2,11 +2,13 @@ package typelang
 
 import (
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -387,11 +389,21 @@ func TestShapedRecordsFindTheirLabelSet(t *testing.T) {
 // direct-absorption surface as the streamed engine folds it.
 func fixtureSchemas(t *testing.T, e Equiv) map[string]*Type {
 	t.Helper()
+	out := make(map[string]*Type)
+	for name, docs := range fixtureDocs(t) {
+		out[name] = sealDocs(e, docs)
+	}
+	return out
+}
+
+// fixtureDocs parses every testdata fixture, by file name.
+func fixtureDocs(t *testing.T) map[string][]*jsonvalue.Value {
+	t.Helper()
 	files, err := filepath.Glob(filepath.Join("..", "..", "testdata", "*.ndjson"))
 	if err != nil || len(files) == 0 {
 		t.Fatalf("no testdata fixtures found (err %v)", err)
 	}
-	out := make(map[string]*Type, len(files))
+	out := make(map[string][]*jsonvalue.Value, len(files))
 	for _, name := range files {
 		data, err := os.ReadFile(name)
 		if err != nil {
@@ -401,13 +413,143 @@ func fixtureSchemas(t *testing.T, e Equiv) map[string]*Type {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		a := NewAccum(e)
-		for _, d := range docs {
-			absorbValue(a.Doc(), d)
-		}
-		out[filepath.Base(name)] = a.Seal()
+		out[filepath.Base(name)] = docs
 	}
 	return out
+}
+
+// sealDocs stages docs through a fresh accumulator under e and seals.
+func sealDocs(e Equiv, docs []*jsonvalue.Value) *Type {
+	a := NewAccum(e)
+	for _, d := range docs {
+		absorbValue(a.Doc(), d)
+	}
+	return a.Seal()
+}
+
+// walkTypes calls fn on t and on every node below it.
+func walkTypes(t *Type, fn func(*Type)) {
+	fn(t)
+	switch t.Kind {
+	case KRecord:
+		for _, f := range t.Fields {
+			walkTypes(f.Type, fn)
+		}
+	case KArray:
+		walkTypes(t.Elem, fn)
+	case KUnion:
+		for _, a := range t.Alts {
+			walkTypes(a, fn)
+		}
+	}
+}
+
+// isAtom reports whether k is an atom kind a seal may share.
+func isAtom(k Kind) bool { return int(k) < len(onceAtoms) && onceAtoms[k] != nil }
+
+// TestSealOnceAtomsShare pins what sealing costs on high-cardinality L
+// data, where almost every field is an atom seen once: a one-atom node
+// seals to its atom with no alternatives slice, and an atom counted
+// once is its kind's shared node. Sealing a root record of eight atom
+// fields — held as staged, or spread into a table — allocates its
+// []Field and its record node, nothing else; every count-1 atom of a
+// sealed fixture is the shared node of its kind, and no other atom is.
+func TestSealOnceAtomsShare(t *testing.T) {
+	kinds := []Kind{KInt, KStr, KBool, KNull, KNum, KInt, KStr, KStr}
+	stage := func(dst Target) *OpenRecord {
+		r := dst.BeginRecord()
+		for i, k := range kinds {
+			r.Field(fmt.Sprintf("f%d", i)).AbsorbKind(k)
+		}
+		return r
+	}
+	a := NewAccum(EquivLabel)
+	r := stage(a.Doc())
+	if allocs := testing.AllocsPerRun(100, func() { a.sealStaged(r.fields) }); allocs != 2 {
+		t.Errorf("sealing a staged record of %d atoms: %.1f allocs, want 2", len(kinds), allocs)
+	}
+	a.Doc().EndRecord(r, nil)
+	held := a.Seal()
+	a.Reset() // the held group becomes a clean table of its label set
+	a.Doc().EndRecord(stage(a.Doc()), nil)
+	if ra := a.node.recs[0]; ra.held != nil || len(ra.fields) != len(kinds) {
+		t.Fatalf("the second round's record is not in a table (held %v, %d slots)", ra.held != nil, len(ra.fields))
+	}
+	if allocs := testing.AllocsPerRun(100, func() { a.node.seal(a.equiv) }); allocs != 2 {
+		t.Errorf("sealing an accumulator of one record of %d atoms: %.1f allocs, want 2", len(kinds), allocs)
+	}
+	for _, s := range []*Type{held, a.Seal()} {
+		for _, f := range s.Fields {
+			if f.Type != onceAtoms[f.Type.Kind] {
+				t.Errorf("field %s: %s(%d) is not the shared node of its kind", f.Name, f.Type.Kind, f.Type.Count)
+			}
+		}
+	}
+
+	for _, e := range []Equiv{EquivKind, EquivLabel} {
+		for name, s := range fixtureSchemas(t, e) {
+			shared := 0
+			walkTypes(s, func(n *Type) {
+				if !isAtom(n.Kind) {
+					return
+				}
+				if (n == onceAtoms[n.Kind]) != (n.Count == 1) {
+					t.Errorf("%s/%v: %s(%d) shared=%v", name, e, n.Kind, n.Count, n == onceAtoms[n.Kind])
+				}
+				if n.Count == 1 {
+					shared++
+				}
+			})
+			if name == "sparse.ndjson" && e == EquivLabel && shared == 0 {
+				t.Errorf("%s/%v: no count-1 atom to share", name, e)
+			}
+		}
+	}
+
+	twice := sealOf(EquivLabel, NewRecordCounted(1, Field{Name: "a", Type: Atom(KInt, 1), Count: 1}),
+		NewRecordCounted(1, Field{Name: "a", Type: Atom(KInt, 1), Count: 1}))
+	if f := twice.Fields[0]; f.Type.Count != 2 || f.Type == onceAtoms[KInt] {
+		t.Errorf("a count-2 atom: %s(%d) shared=%v", f.Type.Kind, f.Type.Count, f.Type == onceAtoms[KInt])
+	}
+}
+
+// TestSharedAtomsConcurrentSealAndRender seals and renders every
+// fixture under K and L on two goroutines at once, simplifying and
+// merging the results as well, so the race detector sees any write to
+// the atoms the seals share; afterwards every shared atom still reads
+// its kind and count 1. (internal/core's TestSharedAtomsStayImmutable
+// drives the converters the same way.)
+func TestSharedAtomsConcurrentSealAndRender(t *testing.T) {
+	fixtures := fixtureDocs(t)
+	var wg sync.WaitGroup
+	for range 2 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, e := range []Equiv{EquivKind, EquivLabel} {
+				var prev *Type
+				for _, docs := range fixtures {
+					s := sealDocs(e, docs)
+					_ = s.String()
+					_ = s.StringCounted()
+					if err := s.Render(io.Discard, true); err != nil {
+						t.Error(err)
+					}
+					_ = Simplify(s).StringCounted()
+					if prev != nil {
+						_ = MergeAll([]*Type{prev, s, s}, e).StringCounted()
+					}
+					prev = s
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for k, at := range onceAtoms {
+		if at != nil && (at.Kind != Kind(k) || at.Count != 1 || at.Fields != nil || at.Alts != nil || at.Elem != nil) {
+			t.Errorf("the shared %s atom changed: %+v", Kind(k), *at)
+		}
+	}
 }
 
 // TestAbsorbSealedIsIdentity pins the held-group shortcut: sealing

@@ -46,7 +46,16 @@
 // per-collection accumulator memory gauges of /v1/stats and /metrics.
 //
 // Types are immutable once built; all operations on them return new
-// values. Accum is the one deliberately mutable value: it is owned by
-// a single goroutine, and only its sealed (immutable) outputs are
-// shared.
+// values. Seals lean on that: a node with one alternative seals to it
+// with no alternatives slice, and every atom counted once is its kind's
+// one package-level node, shared by all seals, so a record of atoms
+// seen once costs its field list and its record node. Code that wants a
+// changed node copies it first, as Simplify and Merge do. Accum is the
+// one deliberately mutable value: it is owned by a single goroutine,
+// and only its sealed (immutable) outputs are shared.
+//
+// A type renders in the compact notation of the papers through one
+// renderer: String and StringCounted return the rendering, and Render
+// writes it to an io.Writer through a bounded buffer, so printing a
+// schema as large as its data builds no string of that size.
 package typelang

@@ -4,8 +4,10 @@
 package typelang
 
 import (
+	"io"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 
 	"repro/internal/jsonvalue"
@@ -260,91 +262,110 @@ func Equal(a, b *Type) bool {
 // inference papers: atoms by name, {a: T, b?: T} for records, [T] for
 // arrays, T1 + T2 for unions. Counts are not shown; use StringCounted.
 func (t *Type) String() string {
-	var b strings.Builder
-	t.render(&b, false)
-	return b.String()
+	r := renderer{}
+	r.render(t)
+	return string(r.buf)
 }
 
 // StringCounted renders the type with counting annotations: atom(n),
 // field:n, record{..}(n).
 func (t *Type) StringCounted() string {
-	var b strings.Builder
-	t.render(&b, true)
-	return b.String()
+	r := renderer{counted: true}
+	r.render(t)
+	return string(r.buf)
 }
 
-func (t *Type) render(b *strings.Builder, counted bool) {
-	if t == nil {
-		b.WriteString("⊥")
+// Render writes the type's rendering — StringCounted's when counted,
+// else String's — and a newline to w, through a buffer of about
+// renderFlush bytes: a schema of any size is written without a string
+// of its size. It returns the first error w returns, and renders no
+// further once w has failed.
+func (t *Type) Render(w io.Writer, counted bool) error {
+	r := renderer{buf: make([]byte, 0, renderFlush+renderFlush/8), w: w, counted: counted}
+	r.render(t)
+	r.buf = append(r.buf, '\n')
+	if r.err == nil {
+		_, r.err = w.Write(r.buf)
+	}
+	return r.err
+}
+
+// renderFlush is the size at which Render hands its buffer to the
+// writer.
+const renderFlush = 32 << 10
+
+// renderer appends a rendering to buf. With a writer, buf is flushed to
+// it whenever it reaches renderFlush bytes; without one, buf ends up
+// holding the whole rendering.
+type renderer struct {
+	buf     []byte
+	w       io.Writer
+	err     error
+	counted bool
+}
+
+func (r *renderer) render(t *Type) {
+	if r.w != nil && len(r.buf) >= renderFlush {
+		if r.err == nil {
+			_, r.err = r.w.Write(r.buf)
+		}
+		r.buf = r.buf[:0]
+	}
+	if r.err != nil {
 		return
 	}
-	writeCount := func(n int64) {
-		if counted {
-			b.WriteByte('(')
-			b.WriteString(i64(n))
-			b.WriteByte(')')
-		}
+	if t == nil {
+		r.buf = append(r.buf, "⊥"...)
+		return
 	}
 	switch t.Kind {
 	case KRecord:
-		b.WriteByte('{')
+		r.buf = append(r.buf, '{')
 		for i, f := range t.Fields {
 			if i > 0 {
-				b.WriteString(", ")
+				r.buf = append(r.buf, ", "...)
 			}
-			b.WriteString(f.Name)
+			r.buf = append(r.buf, f.Name...)
 			if f.Optional {
-				b.WriteByte('?')
+				r.buf = append(r.buf, '?')
 			}
-			if counted {
-				b.WriteByte(':')
-				b.WriteString(i64(f.Count))
+			if r.counted {
+				r.buf = append(r.buf, ':')
+				r.buf = strconv.AppendInt(r.buf, f.Count, 10)
 			}
-			b.WriteString(": ")
-			f.Type.render(b, counted)
+			r.buf = append(r.buf, ": "...)
+			r.render(f.Type)
 		}
-		b.WriteByte('}')
-		writeCount(t.Count)
+		r.buf = append(r.buf, '}')
+		r.count(t.Count)
 	case KArray:
-		b.WriteByte('[')
-		t.Elem.render(b, counted)
-		b.WriteByte(']')
-		writeCount(t.Count)
+		r.buf = append(r.buf, '[')
+		r.render(t.Elem)
+		r.buf = append(r.buf, ']')
+		r.count(t.Count)
 	case KUnion:
-		b.WriteByte('(')
+		r.buf = append(r.buf, '(')
 		for i, a := range t.Alts {
 			if i > 0 {
-				b.WriteString(" + ")
+				r.buf = append(r.buf, " + "...)
 			}
-			a.render(b, counted)
+			r.render(a)
 		}
-		b.WriteByte(')')
+		r.buf = append(r.buf, ')')
 	default:
-		b.WriteString(t.Kind.String())
-		writeCount(t.Count)
+		r.buf = append(r.buf, t.Kind.String()...)
+		r.count(t.Count)
 	}
 }
 
-func i64(n int64) string {
-	if n == 0 {
-		return "0"
+// count appends a node's count annotation, when the rendering is
+// counted.
+func (r *renderer) count(n int64) {
+	if r.counted {
+		r.buf = append(r.buf, '(')
+		r.buf = strconv.AppendInt(r.buf, n, 10)
+		r.buf = append(r.buf, ')')
 	}
-	var digits [20]byte
-	i := len(digits)
-	neg := n < 0
-	if neg {
-		n = -n
-	}
-	for n > 0 {
-		i--
-		digits[i] = byte('0' + n%10)
-		n /= 10
-	}
-	if neg {
-		i--
-		digits[i] = '-'
-	}
-	return string(digits[i:])
 }
 
 // Matches reports whether value v is an instance of t. Records are

@@ -1,7 +1,10 @@
 package typelang
 
 import (
+	"bytes"
+	"errors"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -316,6 +319,79 @@ func TestStringRendering(t *testing.T) {
 	if got := ty.StringCounted(); got != "{a:10: Int(10), b?:4: Str(4)}(10)" {
 		t.Errorf("StringCounted = %s", got)
 	}
+}
+
+// TestRenderIsString pins the streamed rendering: Render writes exactly
+// String (or StringCounted) and a newline, for every fixture under K and
+// L, in writes no larger than its buffer — the sparse fixture's L schema
+// outgrows it, so it is written in several — and a writer's error is
+// returned, with nothing rendered after it.
+func TestRenderIsString(t *testing.T) {
+	flushed := false
+	for _, e := range []Equiv{EquivKind, EquivLabel} {
+		for name, s := range fixtureSchemas(t, e) {
+			for _, counted := range []bool{false, true} {
+				want := s.String()
+				if counted {
+					want = s.StringCounted()
+				}
+				want += "\n"
+				var w chunkWriter
+				if err := s.Render(&w, counted); err != nil {
+					t.Fatalf("%s/%v counted=%v: %v", name, e, counted, err)
+				}
+				if got := w.buf.String(); got != want {
+					t.Errorf("%s/%v counted=%v: Render differs from the string\n want: %s\n got:  %s", name, e, counted, want, got)
+				}
+				for i, n := range w.writes {
+					if n > renderFlush+renderFlush/8 || (i < len(w.writes)-1 && n < renderFlush) {
+						t.Errorf("%s/%v counted=%v: write %d of %d is %d bytes", name, e, counted, i, len(w.writes), n)
+					}
+				}
+				flushed = flushed || len(w.writes) > 1
+
+				for _, limit := range []int{0, 7, len(want) / 2, len(want) - 1} {
+					f := &failingWriter{limit: limit}
+					err := s.Render(f, counted)
+					if !errors.Is(err, errWriteFailed) || f.failed != 1 || !strings.HasPrefix(want, f.buf.String()) {
+						t.Errorf("%s/%v counted=%v, writer failing after %d bytes: err %v, %d failed writes, wrote %q", name, e, counted, limit, err, f.failed, f.buf.String())
+					}
+				}
+			}
+		}
+	}
+	if !flushed {
+		t.Error("no fixture's rendering outgrew the buffer")
+	}
+}
+
+// chunkWriter records what it is written and the size of each write.
+type chunkWriter struct {
+	buf    bytes.Buffer
+	writes []int
+}
+
+func (w *chunkWriter) Write(p []byte) (int, error) {
+	w.writes = append(w.writes, len(p))
+	return w.buf.Write(p)
+}
+
+var errWriteFailed = errors.New("write failed")
+
+// failingWriter accepts limit bytes, then fails every write.
+type failingWriter struct {
+	buf    bytes.Buffer
+	limit  int
+	failed int
+}
+
+func (w *failingWriter) Write(p []byte) (int, error) {
+	if room := w.limit - w.buf.Len(); len(p) > room {
+		w.buf.Write(p[:room])
+		w.failed++
+		return room, errWriteFailed
+	}
+	return w.buf.Write(p)
 }
 
 func TestPrecisionOrdering(t *testing.T) {
