@@ -7,7 +7,7 @@ DOC_PKGS = repro/internal/jsontext repro/internal/infer \
            repro/internal/registry repro/internal/daemon/intake \
            repro/internal/daemon/metrics
 
-.PHONY: all build vet test race fuzz-smoke bench bench-stream bench-e2e bench-compare bench-budget test-bench docs fixtures serve smoke-daemon pgo ci
+.PHONY: all build vet test race fuzz-smoke bench bench-stream bench-e2e bench-compare bench-budget test-bench docs fixtures serve smoke-daemon ci
 
 all: build
 
@@ -86,10 +86,9 @@ bench-compare:
 # its per-layer metrics.
 #   make bench-budget W=fields_par SEED=1
 # The traced in-process layers (core.infer, mison.*, typelang.*,
-# infer.*, registry.*) run inside jsperf's own binary, which carries no
-# profile, so they do not show PGO. It shows where the built commands
-# are timed: the cold CLI op clock of the `# core.infer` note,
-# jsinfer.process_overhead_ms and the jsinferd.* latencies.
+# infer.*, registry.*) run inside jsperf's own binary; the built
+# commands are timed by the cold CLI op clock of the `# core.infer`
+# note, jsinfer.process_overhead_ms and the jsinferd.* latencies.
 W    ?= fields_par
 SEED ?= 1
 bench-budget:
@@ -121,14 +120,6 @@ serve:
 # same file and each long body was absorbed in line.
 smoke-daemon:
 	./scripts/smoke_jsinferd.sh
-
-# Regenerate cmd/jsinfer/default.pgo and cmd/jsinferd/default.pgo from
-# the benchmark's workload shapes (a minute or more). Every plain `go
-# build` / `go install` of the two commands applies its own profile
-# (-pgo=auto); -pgo=off builds the baseline. A change to the hot loops
-# reruns this and measures each side with its own profile.
-pgo:
-	./scripts/pgo.sh
 
 # Regenerate the checked-in NDJSON fixtures (deterministic seeds).
 fixtures:

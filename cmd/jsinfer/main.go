@@ -61,9 +61,9 @@ func registerFlags(fs *flag.FlagSet) cliFlags {
 	return cliFlags{
 		engine:     fs.String("engine", "parametric-L", "inference engine: parametric-L, parametric-K, spark, skinfer"),
 		output:     fs.String("output", "type", "output form: "+strings.Join(outputs, ", ")),
-		counted:    fs.Bool("counted", false, "render counting annotations (type output only)"),
+		counted:    fs.Bool("counted", false, "render counting annotations (-output type only)"),
 		simplify:   fs.Bool("simplify", false, "drop union alternatives subsumed by others"),
-		workers:    fs.Int("workers", 0, "parallel inference workers (every engine but skinfer; 0 = GOMAXPROCS)"),
+		workers:    fs.Int("workers", 0, "parallel inference workers (0 = GOMAXPROCS; above 1, every engine but skinfer)"),
 		stream:     fs.Bool("stream", false, "no effect: every engine but skinfer always streams (kept for scripts that pass it)"),
 		precision:  fs.Bool("precision", false, "fill -output report's precision column in a second pass over the input files (every engine but skinfer)"),
 		chunkBytes: fs.String("chunk-bytes", "", "the byte length of the windows the input is cut into, at every worker count — by default 4M at -workers 1, 256 documents' worth otherwise — e.g. 8M (every engine but skinfer)"),
@@ -175,6 +175,9 @@ func inferAndPrint(opt cliFlags, files []string, stdin io.Reader, stdout, stderr
 	if !slices.Contains(outputs, *opt.output) {
 		return fmt.Errorf("unknown output %q", *opt.output)
 	}
+	if *opt.counted && *opt.output != "type" {
+		return errors.New("-counted only affects -output type")
+	}
 	var chunkTarget int
 	if *opt.chunkBytes != "" {
 		cb, err := genjson.ParseSize(*opt.chunkBytes)
@@ -183,10 +186,10 @@ func inferAndPrint(opt cliFlags, files []string, stdin io.Reader, stdout, stderr
 		}
 		chunkTarget = int(cb)
 	}
-	if err := validateStreamFlags(eng, *opt.precision, *opt.stats, *opt.chunkBytes != "", *opt.output, len(files)); err != nil {
+	if err := validateStreamFlags(eng, *opt.workers, *opt.precision, *opt.stats, *opt.chunkBytes != "", *opt.output, len(files)); err != nil {
 		return err
 	}
-	if *opt.counted && *opt.output == "type" && (eng == core.Spark || eng == core.Skinfer) {
+	if *opt.counted && (eng == core.Spark || eng == core.Skinfer) {
 		eng = core.ParametricK // their types carry no counts: the counted type is K's
 	}
 
@@ -275,14 +278,21 @@ func writeHeapProfile(name string) error {
 }
 
 // validateStreamFlags rejects mistakes in the streamed pipeline's flags
-// up front, before any input is read: -stats, -chunk-bytes and
-// -precision configure the pipeline every engine but Skinfer runs, so
-// setting one for Skinfer is a mistake rather than something to ignore;
-// -precision re-reads the input for the report's precision column, so it
-// needs the report output and re-readable file arguments.
-func validateStreamFlags(eng core.Engine, precision, stats, chunkBytesSet bool, output string, nArgs int) error {
+// up front, before any input is read: -stats, -chunk-bytes, -precision
+// and a -workers above 1 configure the pipeline every engine but Skinfer
+// runs, so setting one for Skinfer (which runs on one worker) is a
+// mistake rather than something to ignore; -precision re-reads the input
+// for the report's precision column, so it needs the report output and
+// re-readable file arguments.
+func validateStreamFlags(eng core.Engine, workers int, precision, stats, chunkBytesSet bool, output string, nArgs int) error {
+	if workers < 0 {
+		return errors.New("-workers must be 0 (GOMAXPROCS) or more")
+	}
 	if eng == core.Skinfer && (precision || stats || chunkBytesSet) {
 		return fmt.Errorf("-stats, -chunk-bytes and -precision apply to every engine but skinfer")
+	}
+	if eng == core.Skinfer && workers > 1 {
+		return errors.New("-workers above 1 applies to every engine but skinfer")
 	}
 	if precision && output != "report" {
 		return fmt.Errorf("-precision only affects -output report")

@@ -49,29 +49,34 @@ func TestValidateStreamFlags(t *testing.T) {
 	cases := []struct {
 		name             string
 		eng              core.Engine
+		workers          int
 		precision, stats bool
 		chunkBytesSet    bool
 		output           string
 		nArgs            int
 		wantErr          bool
 	}{
-		{"plain parametric file", core.ParametricL, false, false, false, "type", 1, false},
-		{"plain parametric stdin", core.ParametricK, false, false, false, "type", 0, false},
-		{"report from files with precision", core.ParametricL, true, false, false, "report", 2, false},
-		{"stats", core.ParametricL, false, true, false, "type", 0, false},
-		{"chunk-bytes", core.ParametricK, false, false, true, "type", 0, false},
-		{"stats with spark", core.Spark, false, true, false, "type", 0, false},
-		{"precision with spark", core.Spark, true, false, false, "report", 1, false},
-		{"plain skinfer", core.Skinfer, false, false, false, "report", 1, false},
+		{"plain parametric file", core.ParametricL, 0, false, false, false, "type", 1, false},
+		{"plain parametric stdin", core.ParametricK, 0, false, false, false, "type", 0, false},
+		{"report from files with precision", core.ParametricL, 0, true, false, false, "report", 2, false},
+		{"stats", core.ParametricL, 0, false, true, false, "type", 0, false},
+		{"chunk-bytes", core.ParametricK, 0, false, false, true, "type", 0, false},
+		{"stats with spark", core.Spark, 0, false, true, false, "type", 0, false},
+		{"precision with spark", core.Spark, 0, true, false, false, "report", 1, false},
+		{"plain skinfer", core.Skinfer, 0, false, false, false, "report", 1, false},
 
-		{"precision on non-report output", core.ParametricL, true, false, false, "type", 1, true},
-		{"precision from stdin", core.Spark, true, false, false, "report", 0, true},
-		{"precision with skinfer", core.Skinfer, true, false, false, "report", 1, true},
-		{"stats with skinfer", core.Skinfer, false, true, false, "type", 1, true},
-		{"chunk-bytes with skinfer", core.Skinfer, false, false, true, "type", 1, true},
+		{"precision on non-report output", core.ParametricL, 0, true, false, false, "type", 1, true},
+		{"precision from stdin", core.Spark, 0, true, false, false, "report", 0, true},
+		{"precision with skinfer", core.Skinfer, 0, true, false, false, "report", 1, true},
+		{"stats with skinfer", core.Skinfer, 0, false, true, false, "type", 1, true},
+		{"chunk-bytes with skinfer", core.Skinfer, 0, false, false, true, "type", 1, true},
+		{"negative workers", core.ParametricL, -3, false, false, false, "type", 1, true},
+		{"workers above 1 with skinfer", core.Skinfer, 3, false, false, false, "type", 1, true},
+		{"one worker with skinfer", core.Skinfer, 1, false, false, false, "type", 1, false},
+		{"workers with spark", core.Spark, 3, false, false, false, "type", 1, false},
 	}
 	for _, c := range cases {
-		err := validateStreamFlags(c.eng, c.precision, c.stats, c.chunkBytesSet, c.output, c.nArgs)
+		err := validateStreamFlags(c.eng, c.workers, c.precision, c.stats, c.chunkBytesSet, c.output, c.nArgs)
 		if (err != nil) != c.wantErr {
 			t.Errorf("%s: err = %v, wantErr = %v", c.name, err, c.wantErr)
 		}
@@ -155,7 +160,8 @@ var streamedEngines = []struct {
 // TestCLIMatrix runs the command end to end over every fixture × {K, L,
 // Spark} × every -output × {–, -counted, -simplify} × {file argument,
 // stdin} (× -workers {default, 1, 2} for Spark) × {without, with
-// -stream}, and over every fixture cut into files (testFileLayouts).
+// -stream}, and over every fixture cut into files (testFileLayouts);
+// -counted with any output but type is rejected before the input is read.
 // -stream selects nothing, so both settings agree byte for byte; and every
 // expectation is computed here, not read from a golden file: from the
 // Parse+TypeOf+MergeAll oracle, and for Spark from sparkinfer.Infer's
@@ -183,6 +189,15 @@ func TestCLIMatrix(t *testing.T) {
 							if !fromStdin {
 								label = fmt.Sprintf("jsinfer %s %s", strings.Join(args, " "), fx.path)
 								args, stdin = append(args, fx.path), untouched{t}
+							}
+							if mod == "-counted" && output != "type" {
+								// Counts exist only in the type expression:
+								// the flag is a mistake, rejected unread.
+								stdout, stderr, status := cli(untouched{t}, args...)
+								if want := "jsinfer: -counted only affects -output type\n"; status != 1 || stdout != "" || stderr != want {
+									t.Errorf("%s: status %d, stdout %q, stderr %q; want 1, nothing, %q", label, status, stdout, stderr, want)
+								}
+								continue
 							}
 							stdout, stderr, status := cli(stdin, args...)
 							if status != 0 || stderr != "" {
@@ -338,6 +353,13 @@ func testCLIErrors(t *testing.T, fx fixture) {
 		{"empty stdin, skinfer", []byte(" \n"), []string{"-engine", "skinfer"}, "no input documents"},
 		{"precision on stdin", nil, []string{"-precision", "-output", "report"}, "-precision needs file arguments: stdin cannot be re-read"},
 		{"unknown output", nil, []string{"-output", "bogus"}, `unknown output "bogus"`},
+		{"negative workers", nil, []string{"-workers", "-3"}, "-workers must be 0 (GOMAXPROCS) or more"},
+		{"workers with skinfer", nil, []string{"-engine", "skinfer", "-workers", "3"}, "-workers above 1 applies to every engine but skinfer"},
+	}
+	for _, output := range outputs {
+		if output != "type" {
+			cases = append(cases, errCase{"counted " + output, nil, []string{"-counted", "-output", output}, "-counted only affects -output type"})
+		}
 	}
 	// The input failures read the same whichever engine streams, and for
 	// skinfer -counted, which prints the counted K type.

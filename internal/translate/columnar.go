@@ -62,12 +62,6 @@ func (cs *ColumnSet) Columns() []string {
 	return out
 }
 
-// Column returns the named column, if present.
-func (cs *ColumnSet) Column(path string) (*Column, bool) {
-	c, ok := cs.columns[path]
-	return c, ok
-}
-
 // EncodedSize is the total payload size in bytes plus a footer charge
 // for column names — the size measure of E10.
 func (cs *ColumnSet) EncodedSize() int {

@@ -683,11 +683,11 @@ func (ra *recordAccum) absorbAccum(src *recordAccum, a *Accum) {
 	ra.fields = fs
 }
 
-// Retained is a census of the storage an accumulator's staging pools
+// retained is a census of the storage an accumulator's staging pools
 // hold between documents: none of it is schema state, all of it is
 // clean (deeply zero) and kept only so the next document stages without
 // allocating.
-type Retained struct {
+type retained struct {
 	PooledNodes   int // staging nodes in the pool, plus the root-array staging node
 	PooledRecords int // open records in the pool
 	Nodes         int // accumulator nodes nested below the pooled ones (array elements, field slots)
@@ -695,12 +695,12 @@ type Retained struct {
 	Slots         int // clean field slots inside those groups
 }
 
-// Retained walks the staging pools and counts what they hold. It is
+// retained walks the staging pools and counts what they hold. It is
 // read-only and costs the size of the retained storage, so it is meant
 // for gauges and tests, not for the absorb path; call it between
 // documents, from the goroutine that owns the accumulator.
-func (a *Accum) Retained() Retained {
-	r := Retained{PooledNodes: len(a.nodePool), PooledRecords: len(a.recPool)}
+func (a *Accum) retained() retained {
+	r := retained{PooledNodes: len(a.nodePool), PooledRecords: len(a.recPool)}
 	for _, n := range a.nodePool {
 		n.census(&r)
 	}
@@ -712,7 +712,7 @@ func (a *Accum) Retained() Retained {
 }
 
 // census adds the storage retained below n (n itself excluded).
-func (n *accumNode) census(r *Retained) {
+func (n *accumNode) census(r *retained) {
 	if n.arr != nil {
 		r.Nodes++
 		n.arr.elem.census(r)

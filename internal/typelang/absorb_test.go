@@ -376,7 +376,7 @@ func absorbValue(dst Target, v *jsonvalue.Value) {
 }
 
 // nested calls fn on every accumulator node retained below n, clean or
-// not — the walk Retained counts as Nodes.
+// not — the walk retained counts as Nodes.
 func (n *accumNode) nested(fn func(*accumNode)) {
 	if n.arr != nil {
 		fn(&n.arr.elem)
@@ -404,7 +404,7 @@ func TestRecycleCostIsWhatTheDocumentDirtied(t *testing.T) {
 		for _, d := range genjson.Collection(genjson.Twitter{Seed: 7}, 600) {
 			absorbValue(a.Doc(), d)
 		}
-		warm := a.Retained()
+		warm := a.retained()
 		if warm.Nodes < 200 || warm.PooledNodes < 10 {
 			t.Fatalf("%v: warm-up retained too little to pin anything: %+v", e, warm)
 		}
@@ -413,7 +413,7 @@ func TestRecycleCostIsWhatTheDocumentDirtied(t *testing.T) {
 			n.nested(func(m *accumNode) { m.total = sentinel; planted++ })
 		}
 		if planted != warm.Nodes {
-			t.Fatalf("%v: planted %d sentinels, Retained counts %d nested nodes", e, planted, warm.Nodes)
+			t.Fatalf("%v: planted %d sentinels, retained counts %d nested nodes", e, planted, warm.Nodes)
 		}
 		fields := make([]jsonvalue.Field, len(a.nodePool))
 		for i := range fields {
@@ -496,7 +496,7 @@ func TestStagingRetentionIsCapped(t *testing.T) {
 		outer := jsonvalue.ObjectFromPairs(fmt.Sprintf("out%04d", i), 1, "nest", jsonvalue.NewArray(inner))
 		absorbValue(a.Doc(), jsonvalue.ObjectFromPairs("f", outer))
 	}
-	r := a.Retained()
+	r := a.retained()
 	// One pooled node per open frame's fields: f, {out, nest}, in.
 	if r.PooledNodes > 8 {
 		t.Errorf("pooled nodes = %d", r.PooledNodes)
@@ -516,7 +516,7 @@ func TestStagingRetentionIsCapped(t *testing.T) {
 	for i := 0; i < 3*keptSlots; i++ {
 		absorbValue(k.Doc(), jsonvalue.ObjectFromPairs("f", jsonvalue.ObjectFromPairs(fmt.Sprintf("k%05d", i), 1)))
 	}
-	if r := k.Retained(); r.Slots > keptSlots {
+	if r := k.retained(); r.Slots > keptSlots {
 		t.Errorf("K: retained slots = %d, cap allows %d: %+v", r.Slots, keptSlots, r)
 	}
 	if got := len(k.Seal().Fields[0].Type.Fields); got != 3*keptSlots {
@@ -528,7 +528,7 @@ func TestStagingRetentionIsCapped(t *testing.T) {
 		wide[i] = jsonvalue.Field{Name: fmt.Sprintf("k%05d", i), Value: jsonvalue.NewObject()}
 	}
 	absorbValue(a.Doc(), jsonvalue.NewObject(wide...))
-	if r := a.Retained(); r.PooledNodes > maxPooledNodes+1 || r.PooledRecords > maxPooledRecords {
+	if r := a.retained(); r.PooledNodes > maxPooledNodes+1 || r.PooledRecords > maxPooledRecords {
 		t.Errorf("pools exceed their length caps: %+v", r)
 	}
 	for _, or := range a.recPool {

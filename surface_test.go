@@ -14,8 +14,10 @@ import (
 // surfaceAllowlist names the exported functions and methods that may
 // have no caller in the module's non-test Go code (bench/, a module of
 // its own, does not count), each with the reason it stays. The audit is
-// by name, as the Go parser sees identifiers: a dead method hides
-// behind a live one of the same name.
+// by name, as the Go parser sees identifiers: a function is called where
+// its name appears, a method only where a selector names it (x.Name), so
+// a dead method hides behind a live method of the same name but not
+// behind a type, field or variable.
 var surfaceAllowlist = map[string]string{
 	// Bench-only: bench/jsperf measures layers through them; they go
 	// when the collector and chunker layers are retired from jsperf.
@@ -61,18 +63,20 @@ var surfaceAllowlist = map[string]string{
 	"Unwrap": "interface: http.ResponseController unwraps jsinferd's status recorder",
 }
 
-// TestExportedSurface fails when an exported function or method has a
-// name that appears in no non-test Go file outside bench/ except at its
-// own declaration, unless the allowlist gives a reason for it; and when
-// an allowlist entry no longer names such a function.
+// TestExportedSurface fails when an exported function has a name that
+// appears in no non-test Go file outside bench/ except at its own
+// declaration, or an exported method has a name no selector there
+// names, unless the allowlist gives a reason for it; and when an
+// allowlist entry no longer names such a function or method.
 func TestExportedSurface(t *testing.T) {
 	fset := token.NewFileSet()
 	type decl struct {
-		name string
-		pos  token.Pos
+		name   string
+		pos    token.Pos
+		method bool
 	}
 	var decls []decl
-	uses := map[string]int{}
+	uses, selected := map[string]int{}, map[string]bool{}
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -92,12 +96,15 @@ func TestExportedSurface(t *testing.T) {
 		}
 		for _, dcl := range f.Decls {
 			if fd, ok := dcl.(*ast.FuncDecl); ok && fd.Name.IsExported() {
-				decls = append(decls, decl{fd.Name.Name, fd.Name.Pos()})
+				decls = append(decls, decl{fd.Name.Name, fd.Name.Pos(), fd.Recv != nil})
 			}
 		}
 		ast.Inspect(f, func(n ast.Node) bool {
-			if id, ok := n.(*ast.Ident); ok {
-				uses[id.Name]++
+			switch n := n.(type) {
+			case *ast.Ident:
+				uses[n.Name]++
+			case *ast.SelectorExpr:
+				selected[n.Sel.Name] = true
 			}
 			return true
 		})
@@ -110,7 +117,7 @@ func TestExportedSurface(t *testing.T) {
 	var bad []string
 	for _, d := range decls {
 		// Every declaration is one use of its own name.
-		if uses[d.name] > 1 {
+		if d.method && selected[d.name] || !d.method && uses[d.name] > 1 {
 			continue
 		}
 		uncalled[d.name] = true
