@@ -355,6 +355,8 @@ func testCLIErrors(t *testing.T, fx fixture) {
 		{"unknown output", nil, []string{"-output", "bogus"}, `unknown output "bogus"`},
 		{"negative workers", nil, []string{"-workers", "-3"}, "-workers must be 0 (GOMAXPROCS) or more"},
 		{"workers with skinfer", nil, []string{"-engine", "skinfer", "-workers", "3"}, "-workers above 1 applies to every engine but skinfer"},
+		{"chunk bytes wrapping negative", nil, []string{"-chunk-bytes", "8589934592G"}, `-chunk-bytes: invalid size "8589934592G" (want e.g. 64K, 100MB, 1G)`},
+		{"chunk bytes past int64", nil, []string{"-chunk-bytes", "99999999999G"}, `-chunk-bytes: invalid size "99999999999G" (want e.g. 64K, 100MB, 1G)`},
 	}
 	for _, output := range outputs {
 		if output != "type" {

@@ -153,6 +153,31 @@ func registerFlags(fs *flag.FlagSet) daemonFlags {
 	}
 }
 
+// check rejects the flag values that would silently mean something
+// else: a quota rate ?quota= would refuse (negative, NaN or infinite —
+// Quota.Limited would read it as no limit), and a negative -max-body,
+// -trace-buffer or -slow-request (which would read as off or as the
+// default).
+func (f daemonFlags) check() error {
+	for _, r := range []struct {
+		flag, key string
+		rate      float64
+	}{{"-rate-docs", "docs", *f.rateDocs}, {"-rate-bytes", "bytes", *f.rateBytes}} {
+		if _, err := parseQuota(r.key + "=" + strconv.FormatFloat(r.rate, 'g', -1, 64)); err != nil {
+			return fmt.Errorf("%s: %w", r.flag, err)
+		}
+	}
+	switch {
+	case *f.maxBody < 0:
+		return errors.New("-max-body must be 0 (no limit) or more")
+	case *f.traceBuf < 0:
+		return fmt.Errorf("-trace-buffer must be 0 (the default, %d) or more", trace.DefaultCapacity)
+	case *f.slowReq < 0:
+		return errors.New("-slow-request must be 0 (off) or more")
+	}
+	return nil
+}
+
 // Both listeners get the same connection deadlines: a client that
 // stalls before finishing its request headers, or parks an idle
 // keep-alive connection, is disconnected instead of pinning a goroutine
@@ -174,6 +199,9 @@ func main() {
 	flag.Parse()
 
 	logger, err := newLogger(*opt.logFormat)
+	if err == nil {
+		err = opt.check()
+	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "jsinferd: %v\n", err)
 		os.Exit(1)

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"flag"
 	"fmt"
 	"io"
 	"net/http"
@@ -488,5 +489,36 @@ func TestEquivParamCreateAndIngest(t *testing.T) {
 	// Unknown equiv value -> 400.
 	if code, _ := post(t, srv.URL+"/v1/collections/x/ingest?equiv=Z", body); code != http.StatusBadRequest {
 		t.Fatalf("equiv=Z: status %d, want 400", code)
+	}
+}
+
+// TestFlagCheckRejectsWhatQuotaRejects: a rate flag is held to the rule
+// ?quota= is held to, and a negative size, buffer or threshold is
+// refused rather than read as off or as the default — before main binds.
+func TestFlagCheckRejectsWhatQuotaRejects(t *testing.T) {
+	for _, c := range []struct {
+		args []string
+		want string // "" accepts
+	}{
+		{nil, ""},
+		{[]string{"-rate-docs", "0", "-rate-bytes", "1.5e6", "-max-body", "0", "-trace-buffer", "0", "-slow-request", "0"}, ""},
+		{[]string{"-rate-docs", "100", "-max-body", "1048576", "-trace-buffer", "8", "-slow-request", "1s"}, ""},
+		{[]string{"-rate-docs", "-1"}, `-rate-docs: bad quota rate "docs=-1" (want a non-negative number)`},
+		{[]string{"-rate-docs", "NaN"}, `-rate-docs: bad quota rate "docs=NaN" (want a non-negative number)`},
+		{[]string{"-rate-bytes", "+Inf"}, `-rate-bytes: bad quota rate "bytes=+Inf" (want a non-negative number)`},
+		{[]string{"-rate-bytes", "-Inf"}, `-rate-bytes: bad quota rate "bytes=-Inf" (want a non-negative number)`},
+		{[]string{"-max-body", "-1"}, "-max-body must be 0 (no limit) or more"},
+		{[]string{"-trace-buffer", "-5"}, "-trace-buffer must be 0 (the default, 128) or more"},
+		{[]string{"-slow-request", "-1ms"}, "-slow-request must be 0 (off) or more"},
+	} {
+		fs := flag.NewFlagSet("jsinferd", flag.ContinueOnError)
+		opt := registerFlags(fs)
+		if err := fs.Parse(c.args); err != nil {
+			t.Fatalf("%v: %v", c.args, err)
+		}
+		err := opt.check()
+		if got := fmt.Sprint(err); c.want == "" && err != nil || c.want != "" && got != c.want {
+			t.Errorf("%v: check() = %v, want %q", c.args, err, c.want)
+		}
 	}
 }

@@ -20,6 +20,7 @@ package genjson
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"strconv"
 	"strings"
@@ -30,7 +31,8 @@ import (
 // ParseSize parses a human-friendly byte size: a bare byte count or a
 // number with a K/M/G suffix (optionally followed by B),
 // case-insensitive — the format jsgen's -target, jsinfer's -chunk-bytes
-// and the benchmark harness all speak.
+// and the benchmark harness all speak. A size that does not fit in an
+// int64 is invalid.
 func ParseSize(s string) (int64, error) {
 	t := strings.TrimSuffix(strings.ToUpper(strings.TrimSpace(s)), "B")
 	mult := int64(1)
@@ -43,7 +45,7 @@ func ParseSize(s string) (int64, error) {
 		mult, t = 1<<30, t[:len(t)-1]
 	}
 	n, err := strconv.ParseInt(t, 10, 64)
-	if err != nil || n <= 0 {
+	if err != nil || n <= 0 || n > math.MaxInt64/mult {
 		return 0, fmt.Errorf("invalid size %q (want e.g. 64K, 100MB, 1G)", s)
 	}
 	return n * mult, nil

@@ -1,6 +1,8 @@
 package genjson
 
 import (
+	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/jsontext"
@@ -305,5 +307,27 @@ func TestDeepNesting(t *testing.T) {
 	}
 	if depth < 30 {
 		t.Errorf("walked depth %d, want >= 30", depth)
+	}
+}
+
+func TestParseSize(t *testing.T) {
+	for in, want := range map[string]int64{
+		"1":                   1,
+		"64k":                 64 << 10,
+		"100MB":               100 << 20,
+		" 1G ":                1 << 30,
+		"8589934591G":         8589934591 << 30, // the largest G count that fits
+		"9223372036854775807": math.MaxInt64,
+	} {
+		if got, err := ParseSize(in); err != nil || got != want {
+			t.Errorf("ParseSize(%q) = %d, %v; want %d", in, got, err, want)
+		}
+	}
+	// A product beyond int64 is rejected, not wrapped to a negative size
+	// or a smaller positive one.
+	for _, in := range []string{"", "0", "-1K", "lots", "1T", "8589934592G", "99999999999G", "9007199254740992K", "9223372036854775808"} {
+		if got, err := ParseSize(in); err == nil || !strings.HasPrefix(err.Error(), "invalid size") {
+			t.Errorf("ParseSize(%q) = %d, %v; want an invalid size error", in, got, err)
+		}
 	}
 }

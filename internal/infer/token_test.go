@@ -3,6 +3,8 @@ package infer
 import (
 	"errors"
 	"fmt"
+	"io"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -165,6 +167,53 @@ func (f *failingReader) Read(p []byte) (int, error) {
 	n := copy(p, f.data)
 	f.data = f.data[n:]
 	return n, nil
+}
+
+// goroutineReader hands out its data one line per Read and records the
+// most goroutines running at any Read.
+type goroutineReader struct {
+	data []byte
+	peak int
+}
+
+func (g *goroutineReader) Read(p []byte) (int, error) {
+	g.peak = max(g.peak, runtime.NumGoroutine())
+	if len(g.data) == 0 {
+		return 0, io.EOF
+	}
+	line := g.data[:strings.IndexByte(string(g.data), '\n')+1]
+	n := copy(p, line)
+	g.data = g.data[n:]
+	return n, nil
+}
+
+// TestParallelRunStartsOnlyTheWorkersItUses: worker k starts with window
+// k, so Workers far above the windows a run has — and above GOMAXPROCS —
+// starts a worker per window and no more, and the schema is the one
+// worker's. Two windows at Workers 64 run two workers and the committer
+// beside the reading goroutine; starting them all up front ran 64.
+func TestParallelRunStartsOnlyTheWorkersItUses(t *testing.T) {
+	var doc strings.Builder
+	for i := 0; i < 8; i++ {
+		fmt.Fprintf(&doc, "{\"a\": %d, \"k%d\": \"s\"}\n", i, i%3)
+	}
+	want, _, err := InferStreamBytes([]byte(doc.String()), Options{Equiv: typelang.EquivLabel, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st PipelineStats
+	r := &goroutineReader{data: []byte(doc.String())}
+	base := runtime.NumGoroutine()
+	got, n, err := InferStream(r, Options{Equiv: typelang.EquivLabel, Workers: 64, batch: 4, Stats: &st})
+	if err != nil || n != 8 || got.StringCounted() != want.StringCounted() {
+		t.Fatalf("Workers 64: %d docs, %v, %s; want 8 docs, %s", n, err, got.StringCounted(), want.StringCounted())
+	}
+	if s := st.Snapshot(); s.ChunksSplit != 2 {
+		t.Fatalf("%d windows, want 2", s.ChunksSplit)
+	}
+	if extra := r.peak - base; extra > 3 {
+		t.Errorf("%d goroutines beside the test's while reading, want at most 3: two workers and the committer", extra)
+	}
 }
 
 // TestInferStreamIOErrorNotMaskedAsSyntax: when the reader dies mid-

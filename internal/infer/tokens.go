@@ -6,6 +6,7 @@ import (
 	"io"
 	"iter"
 	"math"
+	"runtime"
 	"sync"
 
 	"repro/internal/jsontext"
@@ -454,38 +455,35 @@ var errStopped = errors.New("infer: run stopped")
 // given to send, each into its own accumulator (Reset between windows,
 // so the steady state allocates nothing) sealed per window, and a
 // committer deciding in run order what of that speculation holds. send
-// numbers the windows across the run's inputs, keeps a reference on
-// each one's buffer for the committer to release, and reports
-// errStopped after the first error. finish, called with the error that
-// ended the input loop, waits for the committer and returns the number
-// of documents committed — exactly those before the first error — and
-// that error.
+// numbers the windows across the run's inputs, starts worker k with
+// window k (so a run starts no more workers than it has windows), keeps
+// a reference on each window's buffer for the committer to release,
+// and reports errStopped after the first error. finish, called with
+// the error that ended the input loop, waits for the workers and the
+// committer and returns the number of documents committed — exactly
+// those before the first error — and that error.
 func pipeChunks(opts Options, acc *typelang.Accum, frame *statsFrame) (send func(byteChunk) (int, int, error), finish func(error) (int, error)) {
 	workers := opts.workers()
-	work := make(chan byteChunk, 2*workers)
-	results := make(chan chunkResult, workers)
+	// The buffers are sized for the workers that can run at once, so
+	// Workers far above GOMAXPROCS costs nothing it does not use.
+	slots := min(workers, runtime.GOMAXPROCS(0))
+	work := make(chan byteChunk, 2*slots)
+	results := make(chan chunkResult, slots)
 	c := &committer{st: opts.Stats, acc: acc, frame: frame, stop: make(chan struct{}), m: newChunkMapper(opts)}
 
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			m := newChunkMapper(opts)
-			acc := typelang.NewAccum(opts.Equiv)
-			for ch := range work {
-				acc.Reset()
-				n, used, err := m.absorb(ch, acc)
-				t := m.frame.seal(acc, opts.Stats, &m.frame.MapNanos)
-				m.frame.flush(opts.Stats)
-				results <- chunkResult{ch: ch, t: t, n: n, used: used, err: err}
-			}
-		}()
+	worker := func() {
+		defer wg.Done()
+		m := newChunkMapper(opts)
+		acc := typelang.NewAccum(opts.Equiv)
+		for ch := range work {
+			acc.Reset()
+			n, used, err := m.absorb(ch, acc)
+			t := m.frame.seal(acc, opts.Stats, &m.frame.MapNanos)
+			m.frame.flush(opts.Stats)
+			results <- chunkResult{ch: ch, t: t, n: n, used: used, err: err}
+		}
 	}
-	go func() {
-		wg.Wait()
-		close(results)
-	}()
 
 	done := make(chan struct{})
 	go func() {
@@ -506,6 +504,10 @@ func pipeChunks(opts Options, acc *typelang.Accum, frame *statsFrame) (send func
 	sent := 0
 	send = func(ch byteChunk) (int, int, error) {
 		ch.index, sent = sent, sent+1
+		if ch.index < workers {
+			wg.Add(1)
+			go worker()
+		}
 		ch.buf.acquire()
 		select {
 		case work <- ch:
@@ -517,6 +519,8 @@ func pipeChunks(opts Options, acc *typelang.Accum, frame *statsFrame) (send func
 	}
 	finish = func(rerr error) (int, error) {
 		close(work)
+		wg.Wait()
+		close(results)
 		<-done
 		// An error no window carried — an input that failed to open, or
 		// to read before its first window — follows every window sent.

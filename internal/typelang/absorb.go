@@ -23,6 +23,7 @@
 package typelang
 
 import (
+	"math/bits"
 	"slices"
 	"strings"
 )
@@ -42,33 +43,22 @@ type Target struct {
 // its derived targets) interleave freely with Absorb; Seal covers both.
 func (a *Accum) Doc() Target { return Target{acc: a, n: &a.node, root: true} }
 
+// atomKinds is the kind set of the atoms AbsorbKind takes.
+const atomKinds = 1<<KNull | 1<<KBool | 1<<KInt | 1<<KNum | 1<<KStr | anyKind
+
 // AbsorbKind folds one atomic value of kind k into the target — the
 // direct equivalent of absorbing Atom(k, 1). k must be an atom kind
 // (KNull, KBool, KInt, KNum, KStr or KAny).
 func (t Target) AbsorbKind(k Kind) {
+	if atomKinds>>k&1 == 0 {
+		panic("typelang: AbsorbKind on non-atom kind " + k.String())
+	}
 	n := t.n
 	n.total++
-	if !n.haveAny {
-		switch k {
-		case KNull:
-			n.haveNull = true
-			n.nullCount++
-		case KBool:
-			n.haveBool = true
-			n.boolCount++
-		case KInt:
-			n.haveInt = true
-			n.intCount++
-		case KNum:
-			n.haveNum = true
-			n.numCount++
-		case KStr:
-			n.haveStr = true
-			n.strCount++
-		case KAny:
-			n.haveAny = true
-		default:
-			panic("typelang: AbsorbKind on non-atom kind " + k.String())
+	if n.kinds&anyKind == 0 {
+		n.kinds |= 1 << k
+		if k <= KStr {
+			n.counts[k]++
 		}
 	}
 	if t.root {
@@ -91,15 +81,12 @@ func (t Target) BeginArray() Target {
 		}
 		return Target{acc: a, n: a.stageArr}
 	}
-	n := t.n
-	if n.arr == nil {
-		n.arr = &arrayAccum{}
-	}
+	arr := t.n.array()
 	// The elements dirty arr.elem before (and, if the document is
-	// abandoned or n collapsed to Any, without) EndArray counting the
-	// array: tell reset.
-	n.arr.opened = true
-	return Target{acc: t.acc, n: &n.arr.elem}
+	// abandoned or the node collapsed to Any, without) EndArray counting
+	// the array: tell reset.
+	arr.opened = true
+	return Target{acc: t.acc, n: &arr.elem}
 }
 
 // EndArray commits the array opened by BeginArray on t, with n the
@@ -108,24 +95,18 @@ func (t Target) BeginArray() Target {
 func (t Target) EndArray(n int) {
 	nd := t.n
 	nd.total++
-	if t.root {
-		a := t.acc
-		if !nd.haveAny {
-			if nd.arr == nil {
-				nd.arr = &arrayAccum{}
-			}
-			nd.arr.extend(n)
-			nd.arr.elem.absorbNode(a.stageArr, a)
+	if nd.kinds&anyKind == 0 {
+		// Below the root BeginArray made nd.arr, and the elements are in
+		// it already.
+		nd.array().fold(1, 1, n, n)
+		if t.root {
+			nd.arr.elem.absorbNode(t.acc.stageArr, t.acc)
 		}
-		a.stageArr.reset()
-		a.gen++
-		return
 	}
-	if nd.haveAny {
-		return
+	if t.root {
+		t.acc.stageArr.reset()
+		t.acc.gen++
 	}
-	// nd.arr exists: BeginArray activated it.
-	nd.arr.extend(n)
 }
 
 // AbortArray discards the array opened by BeginArray on t (a document
@@ -136,23 +117,6 @@ func (t Target) AbortArray() {
 	if t.root && t.acc.stageArr != nil {
 		t.acc.stageArr.reset()
 	}
-}
-
-// extend folds one directly-absorbed array of n elements into the
-// bucket's length bounds and counts.
-func (a *arrayAccum) extend(n int) {
-	if a.n == 0 {
-		a.minLen, a.maxLen = n, n
-	} else {
-		if n < a.minLen {
-			a.minLen = n
-		}
-		if a.maxLen != -1 && n > a.maxLen {
-			a.maxLen = n
-		}
-	}
-	a.n++
-	a.count++
 }
 
 // OpenRecord stages one object's fields until EndRecord commits them:
@@ -293,7 +257,7 @@ func (r *OpenRecord) index(name string) int {
 func (t Target) EndRecord(r *OpenRecord, s *Shape) {
 	n := t.n
 	n.total++
-	if !n.haveAny {
+	if n.kinds&anyKind == 0 {
 		if s != nil {
 			t.acc.permute(r, s)
 		} else if !slices.IsSortedFunc(r.fields, compareStagedNames) {
@@ -308,8 +272,6 @@ func (t Target) EndRecord(r *OpenRecord, s *Shape) {
 			// by a reset) holds the record sealed from its staged fields.
 			ra.held, ra.nrecs, ra.count = t.acc.sealStaged(r.fields), 1, 1
 		} else {
-			ra.nrecs++
-			ra.count++
 			ra.absorbStaged(r.fields, t.acc)
 		}
 	}
@@ -358,10 +320,8 @@ func (r *OpenRecord) Abort() { r.acc.releaseOpen(r) }
 func compareStagedNames(a, b stagedField) int { return strings.Compare(a.name, b.name) }
 
 // stagedGroup finds (or creates) the group the staged record fuses
-// into — recordGroup's staged twin, except the label key is built in
-// the accumulator's scratch buffer so the common lookup allocates
-// nothing (the real key string is made only when a new group is born),
-// and a record closed with a Shape is looked for by that first.
+// into: K's one group, the group of its shape, or the group of its
+// label key, rendered into the accumulator's scratch buffer.
 func (n *accumNode) stagedGroup(fields []stagedField, s *Shape, a *Accum) *recordAccum {
 	if a.equiv == EquivKind {
 		return n.kindGroup()
@@ -369,27 +329,19 @@ func (n *accumNode) stagedGroup(fields []stagedField, s *Shape, a *Accum) *recor
 	if ra := n.byShape(s); ra != nil {
 		return ra
 	}
-	if n.recIndex != nil {
-		key := a.stagedKey(fields)
-		if ra := n.recIndex[string(key)]; ra != nil {
-			return n.activate(ra)
-		}
-		return n.newGroup(string(key))
+	b := a.keyBuf[:0]
+	for i := range fields {
+		b = appendLabel(b, fields[i].name)
 	}
-	for _, ra := range n.recs {
-		if ra.sameStagedLabels(fields) {
-			return n.activate(ra)
-		}
-	}
-	return n.newGroup(string(a.stagedKey(fields)))
+	a.keyBuf = b
+	return n.groupByKey(b)
 }
 
 // byShape finds the group that last took a record, or a group, of shape
 // s (recordAccum.shape), on the linear scan only: a node past
 // smallRecordGroups looks up by key. It is sound under L because a
-// Shape stands for one label set for good and so does a group — its
-// table is its label set from its first record on, resets included
-// (sameLabels).
+// Shape stands for one label set for good, and so does a group's key
+// (recordAccum).
 func (n *accumNode) byShape(s *Shape) *recordAccum {
 	if s == nil || n.recIndex != nil {
 		return nil
@@ -402,84 +354,18 @@ func (n *accumNode) byShape(s *Shape) *recordAccum {
 	return nil
 }
 
-// stagedKey renders the staged label set exactly as labelKey does, into
-// the accumulator's scratch buffer.
-func (a *Accum) stagedKey(fields []stagedField) []byte {
-	b := a.keyBuf[:0]
-	for i := range fields {
-		b = appendLabel(b, fields[i].name)
-	}
-	a.keyBuf = b
-	return b
-}
-
-// sameStagedLabels is sameLabels over a staged field list; the same
-// L-invariant argument applies (the table is exactly the label set, or
-// the group holds a record of it). The held case is a plain loop, not
-// slices.EqualFunc: the closure would stop this inlining into the
-// linear group scan, which every unshaped record takes.
-func (ra *recordAccum) sameStagedLabels(fields []stagedField) bool {
-	if ra.held != nil {
-		hf := ra.held.Fields
-		if len(hf) != len(fields) {
-			return false
-		}
-		for i := range fields {
-			if hf[i].Name != fields[i].name {
-				return false
-			}
-		}
-		return true
-	}
-	if len(ra.fields) != len(fields) {
-		return false
-	}
-	for i := range fields {
-		if ra.fields[i].name != fields[i].name {
-			return false
-		}
-	}
-	return true
-}
-
-// absorbStaged merges the staged (sorted, duplicate-free) fields into
-// the group's field table — recordAccum.absorb without the canonical
-// detour: each staged field bumps its slot and absorbs its staged node
-// in place. Under L a group that has its table was found by its label
-// set and the table is that set, so the two lists are aligned and no
-// name is compared; a group just born, and the one group of K, take the
-// merge walk. A held group first spreads its record into the table.
+// absorbStaged merges the staged (sorted, duplicate-free) fields of one
+// record into the group: each staged field bumps its slot and absorbs
+// its staged node in place, with no canonical detour. Under L the group
+// was found by the record's label set, so the walk zips.
 func (ra *recordAccum) absorbStaged(fields []stagedField, a *Accum) {
-	if ra.held != nil {
-		ra.unhold(a)
-	}
-	fs := ra.fields
-	if a.equiv == EquivLabel && len(fs) == len(fields) {
-		for j := range fields {
-			fa := &fs[j]
-			fa.count++
-			fa.seenIn++
-			fa.node.absorbNode(fields[j].node, a)
-		}
-		return
-	}
-	i := 0
+	w := ra.take(1, 1, len(fields), a.equiv == EquivLabel, a)
 	for j := range fields {
-		sf := &fields[j]
-		for i < len(fs) && fs[i].name < sf.name {
-			i++
-		}
-		if i == len(fs) || fs[i].name != sf.name {
-			fs = slices.Insert(fs, i, fieldAccum{name: sf.name})
-			ra.keyValid = false
-		}
-		fa := &fs[i]
+		fa := w.slot(fields[j].name)
 		fa.count++
 		fa.seenIn++
-		fa.node.absorbNode(sf.node, a)
-		i++
+		fa.node.absorbNode(fields[j].node, a)
 	}
-	ra.fields = fs
 }
 
 // getNode takes a (reset, empty) node from the staging pool.
@@ -521,166 +407,59 @@ func (a *Accum) releaseOpen(r *OpenRecord) {
 // twin of absorb(t): absorbing src is equivalent to absorbing src's
 // seal, bucket by bucket, with no canonical node in between. It is the
 // commit step of the staged containers above, so src is staging, which
-// only the Target surface fills and which therefore holds no group; dst
-// may (absorbAccum unholds).
+// only the Target surface fills and which therefore holds no record
+// (recordAccum.held); dst may, and take unholds it.
 func (dst *accumNode) absorbNode(src *accumNode, a *Accum) {
 	dst.total += src.total
-	if dst.haveAny {
+	if (dst.kinds|src.kinds)&anyKind != 0 {
+		dst.kinds |= anyKind
 		return
 	}
-	if src.haveAny {
-		dst.haveAny = true
-		return
+	dst.kinds |= src.kinds
+	for s := src.kinds; s != 0; s &= s - 1 {
+		k := bits.TrailingZeros16(s)
+		dst.counts[k] += src.counts[k]
 	}
-	if src.haveNull {
-		dst.haveNull = true
-		dst.nullCount += src.nullCount
-	}
-	if src.haveBool {
-		dst.haveBool = true
-		dst.boolCount += src.boolCount
-	}
-	if src.haveInt {
-		dst.haveInt = true
-		dst.intCount += src.intCount
-	}
-	if src.haveNum {
-		dst.haveNum = true
-		dst.numCount += src.numCount
-	}
-	if src.haveStr {
-		dst.haveStr = true
-		dst.strCount += src.strCount
-	}
-	if src.arr != nil && src.arr.n > 0 {
-		if dst.arr == nil {
-			dst.arr = &arrayAccum{}
-		}
-		dst.arr.absorbNodeArr(src.arr, a)
+	if sa := src.arr; sa != nil && sa.n > 0 {
+		da := dst.array()
+		da.fold(sa.n, sa.count, sa.minLen, sa.maxLen)
+		da.elem.absorbNode(&sa.elem, a)
 	}
 	for _, sra := range src.recs[:src.live] {
-		dra := dst.accumGroup(sra, a.equiv)
+		dra := dst.accumGroup(sra, a)
 		if sra.shape != nil {
 			dra.shape = sra.shape
 		}
-		dra.nrecs += sra.nrecs
-		dra.count += sra.count
-		dra.absorbAccum(sra, a)
-	}
-}
-
-// absorbNodeArr folds one array bucket into another.
-func (a *arrayAccum) absorbNodeArr(src *arrayAccum, acc *Accum) {
-	if a.n == 0 {
-		a.minLen, a.maxLen = src.minLen, src.maxLen
-	} else {
-		if src.minLen < a.minLen {
-			a.minLen = src.minLen
-		}
-		if src.maxLen == -1 || a.maxLen == -1 {
-			a.maxLen = -1
-		} else if src.maxLen > a.maxLen {
-			a.maxLen = src.maxLen
-		}
-	}
-	a.n += src.n
-	a.count += src.count
-	a.elem.absorbNode(&src.elem, acc)
-}
-
-// accumGroup finds (or creates) the group a source record group fuses
-// into: by the shape the source last took a record of, which travels
-// with it, else by label set. Under L the source's label key doubles as
-// the lookup key: a live group's field table is exactly its label set
-// on both sides.
-func (n *accumNode) accumGroup(src *recordAccum, e Equiv) *recordAccum {
-	if e == EquivKind {
-		return n.kindGroup()
-	}
-	if ra := n.byShape(src.shape); ra != nil {
-		return ra
-	}
-	if n.recIndex != nil {
-		key := src.labelKey()
-		if ra := n.recIndex[key]; ra != nil {
-			return n.activate(ra)
-		}
-		return n.newGroup(key)
-	}
-	for _, ra := range n.recs {
-		if ra.sameAccumLabels(src) {
-			return n.activate(ra)
-		}
-	}
-	return n.newGroup(src.labelKey())
-}
-
-// sameAccumLabels compares a group's label set with a live group's (a
-// staged one, which holds nothing).
-func (ra *recordAccum) sameAccumLabels(src *recordAccum) bool {
-	if ra.held != nil {
-		hf := ra.held.Fields
-		if len(hf) != len(src.fields) {
-			return false
-		}
-		for i := range hf {
-			if hf[i].Name != src.fields[i].name {
-				return false
+		// Counts, seen totals and optionality flags add, exactly as
+		// absorbing the source's sealed record would.
+		w := dra.take(sra.nrecs, sra.count, len(sra.fields), a.equiv == EquivLabel, a)
+		for j := range sra.fields {
+			sf := &sra.fields[j]
+			if sf.seenIn == 0 {
+				continue // clean slot of a K group
 			}
-		}
-		return true
-	}
-	if len(ra.fields) != len(src.fields) {
-		return false
-	}
-	for i := range ra.fields {
-		if ra.fields[i].name != src.fields[i].name {
-			return false
-		}
-	}
-	return true
-}
-
-// absorbAccum merges one record group into another: absorbStaged
-// generalised to counted slots — counts, seen totals and optionality
-// flags add, exactly as absorbing the source's sealed record would —
-// with the same aligned zip under L, after unholding a held group.
-func (ra *recordAccum) absorbAccum(src *recordAccum, a *Accum) {
-	if ra.held != nil {
-		ra.unhold(a)
-	}
-	fs := ra.fields
-	if a.equiv == EquivLabel && len(fs) == len(src.fields) {
-		for j := range src.fields {
-			fa, sf := &fs[j], &src.fields[j]
+			fa := w.slot(sf.name)
 			fa.count += sf.count
 			fa.optional = fa.optional || sf.optional
 			fa.seenIn += sf.seenIn
 			fa.node.absorbNode(&sf.node, a)
 		}
-		return
 	}
-	i := 0
-	for j := range src.fields {
-		sf := &src.fields[j]
-		if sf.seenIn == 0 {
-			continue // clean slot of a K group
-		}
-		for i < len(fs) && fs[i].name < sf.name {
-			i++
-		}
-		if i == len(fs) || fs[i].name != sf.name {
-			fs = slices.Insert(fs, i, fieldAccum{name: sf.name})
-			ra.keyValid = false
-		}
-		fa := &fs[i]
-		fa.count += sf.count
-		fa.optional = fa.optional || sf.optional
-		fa.seenIn += sf.seenIn
-		fa.node.absorbNode(&sf.node, a)
-		i++
+}
+
+// accumGroup finds (or creates) the group a source record group fuses
+// into: K's one group, the group of the shape the source last took a
+// record of (it travels with the source), or the group of the source's
+// label key.
+func (n *accumNode) accumGroup(src *recordAccum, a *Accum) *recordAccum {
+	if a.equiv == EquivKind {
+		return n.kindGroup()
 	}
-	ra.fields = fs
+	if ra := n.byShape(src.shape); ra != nil {
+		return ra
+	}
+	a.keyBuf = append(a.keyBuf[:0], src.key...)
+	return n.groupByKey(a.keyBuf)
 }
 
 // retained is a census of the storage an accumulator's staging pools

@@ -23,10 +23,10 @@ func (n *accumNode) dirt() string {
 	switch {
 	case n.total != 0:
 		return fmt.Sprintf("total=%d", n.total)
-	case n.haveAny || n.haveNull || n.haveBool || n.haveInt || n.haveNum || n.haveStr:
-		return "atom flag set"
-	case n.nullCount|n.boolCount|n.intCount|n.numCount|n.strCount != 0:
-		return "atom count set"
+	case n.kinds != 0:
+		return fmt.Sprintf("atom kinds %#x", n.kinds)
+	case n.counts != [len(n.counts)]int64{}:
+		return fmt.Sprintf("atom counts %v", n.counts)
 	case n.live != 0:
 		return fmt.Sprintf("live=%d", n.live)
 	}
@@ -45,7 +45,7 @@ func (n *accumNode) dirt() string {
 		if ra.pos != i {
 			return fmt.Sprintf("group %d has pos %d", i, ra.pos)
 		}
-		if n.recIndex != nil && n.recIndex[ra.labelKey()] != ra {
+		if n.recIndex != nil && n.recIndex[ra.key] != ra {
 			return fmt.Sprintf("group %d missing from the index", i)
 		}
 		if ra.nrecs != 0 || ra.count != 0 || ra.held != nil {
@@ -303,6 +303,37 @@ var surfaceSeeds = [][]byte{
 		9, 253, 1, 2, 2, 2, 3, 2, 4, 2, 6, 2, 7, 2, 8, 2, 9, 2, 11, 2, 12, 2, 13, 2, 14, 2, 16, 2, 17, 2, 18, 2, 19, 2, 21, 2, 22, 2, 23, 2,
 		9, 253, 1, 2, 2, 2, 3, 2, 4, 2, 6, 2, 7, 2, 8, 2, 9, 2, 11, 2, 12, 2, 13, 2, 14, 2, 16, 2, 17, 2, 18, 2, 19, 2, 21, 2, 20, 4, 23, 2,
 		9, 121, 0, 3},
+	// L: more root label sets than smallRecordGroups, some with a nested
+	// record, so the root finds its groups by key, from every route.
+	manyGroupsSeed(),
+}
+
+// manyGroupsSeed stages {x: v, y: "s"} for 17 pairs of names x < y, v
+// an Int or, every third pair, the nested record {a: Int}, and every
+// other record closed with its layout's Shape; then the first four
+// again, a Reset, all 17 as the one element of a root array (EndArray's
+// absorbNode route) and the first four at the root once more.
+func manyGroupsSeed() []byte {
+	var docs [][]byte
+	for x := byte(0); x < 7 && len(docs) < smallRecordGroups+1; x++ {
+		for y := x + 1; y < 7 && len(docs) < smallRecordGroups+1; y++ {
+			c := byte(2) // two fields, unshaped
+			if len(docs)%2 == 1 {
+				c = 116 // two fields, shaped
+			}
+			v := []byte{2}
+			if len(docs)%3 == 0 {
+				v = []byte{9, 121, 0, 2}
+			}
+			docs = append(docs, slices.Concat([]byte{9, c, x}, v, []byte{y, 4}))
+		}
+	}
+	prog := append([]byte{1}, slices.Concat(docs...)...)
+	prog = append(append(prog, slices.Concat(docs[:4]...)...), progReset)
+	for _, d := range docs {
+		prog = append(append(prog, 6, 1), d...)
+	}
+	return append(prog, slices.Concat(docs[:4]...)...)
 }
 
 func TestAbsorbSurfaceSeeds(t *testing.T) {

@@ -7,6 +7,7 @@
 package typelang
 
 import (
+	"math/bits"
 	"slices"
 	"strings"
 )
@@ -124,26 +125,19 @@ func (a *Accum) Reset() {
 
 // accumNode is one level of accumulator state: the union alternatives
 // kept pre-classified by kind, mirroring the buckets canonical()
-// rebuilds on every merge. Atoms are presence flags plus counts; the
-// array bucket and record groups recurse.
+// rebuilds on every merge. Atoms are a kind set plus a count per kind;
+// the array bucket and record groups recurse.
 type accumNode struct {
 	// total is the sum of the top-level counts of every absorbed
 	// alternative — the count of the sealed union, and of the sealed Any
 	// when an Any alternative collapsed the node.
 	total int64
 
-	haveAny  bool
-	haveNull bool
-	haveBool bool
-	haveInt  bool
-	haveNum  bool
-	haveStr  bool
-
-	nullCount int64
-	boolCount int64
-	intCount  int64
-	numCount  int64
-	strCount  int64
+	// kinds is the set of atom kinds absorbed, bit k for Kind k, and
+	// counts[k] how many values of kind k. Once KAny is in the set the
+	// node is Any, and only total, its count, is kept up.
+	kinds  uint16
+	counts [KStr + 1]int64
 
 	arr *arrayAccum
 
@@ -153,23 +147,21 @@ type accumNode struct {
 	// reset; recs[live:] are clean groups kept only so the next round
 	// can reuse their storage (see reset). Everything that reads the
 	// node — seal, empty, absorbNode — walks the live prefix only.
-	// Lookup on absorb is a linear scan while the groups are few (the
-	// common case; the scan is cheap — label sets differ in length most
-	// of the time, equal field names are pointer-equal when the map
-	// phase interns them, and the groups of the previous round sit at
-	// the front) and switches to recIndex, a label-key map over all of
-	// recs, past smallRecordGroups — the hashed grouping the reference
-	// fold uses, so high-cardinality L data stays linear in documents
-	// instead of going quadratic in groups.
+	// Lookup by label key (groupByKey) is a linear scan while the groups
+	// are few (the common case; keys differ in length most of the time,
+	// and the groups of the previous round sit at the front) and switches
+	// to recIndex, a label-key map over all of recs, past
+	// smallRecordGroups — the hashed grouping the reference fold uses, so
+	// high-cardinality L data stays linear in documents instead of going
+	// quadratic in groups.
 	recs     []*recordAccum
 	live     int
 	recIndex map[string]*recordAccum
 }
 
 // smallRecordGroups bounds the linear group scan under L: below it the
-// scan beats paying a label-key allocation per absorbed record; above
-// it the map keeps group lookup O(fields) no matter how many label
-// sets the data holds.
+// scan beats hashing the key; above it the map keeps group lookup
+// O(fields) no matter how many label sets the data holds.
 const smallRecordGroups = 16
 
 // arrayAccum accumulates the array alternatives of one node: arrays
@@ -191,6 +183,12 @@ type arrayAccum struct {
 // were absorbed (nrecs — the denominator of the optionality rule: a
 // field absent from any absorbed record is optional).
 //
+// Under L a group's key, rendered from the label set of the record that
+// opened it (newGroup), is its label set for good: a held group's is
+// its held record's, a table group's is its table, and a clean group is
+// only ever found again by that key or by a shape of that label set.
+// Under K the one group's key is empty and never read.
+//
 // A group that Absorb opened with a sealed record is held: it keeps
 // that record (held) and no field table, and seals to it unchanged —
 // types are immutable, and sealing an absorbed canonical record gives
@@ -203,14 +201,13 @@ type arrayAccum struct {
 // held one into the table (unhold). A reset turns a held group into a
 // clean table of its label set, or drops it (reset).
 type recordAccum struct {
-	key      string // label key, built lazily for the seal ordering
-	keyValid bool
-	shape    *Shape // of the last shaped record (or group) taken, nil if none: the pointer lookup of byShape
-	pos      int    // index in the owning node's recs
-	nrecs    int
-	count    int64
-	fields   []fieldAccum
-	held     *Type // the group's one record while it is held, else nil
+	key    string // the label key (appendLabel) of the group's label set
+	shape  *Shape // of the last shaped record (or group) taken, nil if none: the pointer lookup of byShape
+	pos    int    // index in the owning node's recs
+	nrecs  int
+	count  int64
+	fields []fieldAccum
+	held   *Type // the group's one record while it is held, else nil
 }
 
 // fieldAccum is one field slot of a record group. seenIn counts the
@@ -224,6 +221,9 @@ type fieldAccum struct {
 	seenIn   int
 	node     accumNode
 }
+
+// anyKind is the kind set bit of KAny: a node holding it is Any.
+const anyKind = 1 << KAny
 
 func (n *accumNode) absorb(t *Type, a *Accum) {
 	if t == nil {
@@ -239,42 +239,39 @@ func (n *accumNode) absorb(t *Type, a *Accum) {
 		return
 	}
 	n.total += t.Count
-	if n.haveAny {
+	if n.kinds&anyKind != 0 {
 		// Any absorbs everything; only the count matters from here on.
 		return
 	}
 	switch t.Kind {
-	case KAny:
-		n.haveAny = true
-	case KNull:
-		n.haveNull = true
-		n.nullCount += t.Count
-	case KBool:
-		n.haveBool = true
-		n.boolCount += t.Count
-	case KInt:
-		n.haveInt = true
-		n.intCount += t.Count
-	case KNum:
-		n.haveNum = true
-		n.numCount += t.Count
-	case KStr:
-		n.haveStr = true
-		n.strCount += t.Count
 	case KArray:
-		if n.arr == nil {
-			n.arr = &arrayAccum{}
-		}
-		n.arr.absorb(t, a)
+		arr := n.array()
+		arr.fold(1, t.Count, t.MinLen, t.MaxLen)
+		arr.elem.absorb(t.Elem, a)
 	case KRecord:
-		ra := n.recordGroup(t, a)
+		var ra *recordAccum
+		if a.equiv == EquivKind {
+			ra = n.kindGroup()
+		} else {
+			b := a.keyBuf[:0]
+			for i := range t.Fields {
+				b = appendLabel(b, t.Fields[i].Name)
+			}
+			a.keyBuf = b
+			ra = n.groupByKey(b)
+		}
 		if ra.nrecs == 0 && len(ra.fields) == 0 && sortedLabels(t.Fields) {
 			// A group without a table (a new one, or a clean {} kept
 			// by a reset) takes a sealed record as it is.
 			ra.held, ra.nrecs, ra.count = t, 1, t.Count
 			return
 		}
-		ra.absorb(t, a)
+		ra.absorbFields(1, t.Count, t.Fields, a)
+	default:
+		n.kinds |= 1 << t.Kind
+		if t.Kind <= KStr {
+			n.counts[t.Kind] += t.Count
+		}
 	}
 }
 
@@ -289,60 +286,30 @@ func sortedLabels(fields []Field) bool {
 	return true
 }
 
-func (a *arrayAccum) absorb(t *Type, acc *Accum) {
+// array is the node's array bucket, made on first use.
+func (n *accumNode) array() *arrayAccum {
+	if n.arr == nil {
+		n.arr = &arrayAccum{}
+	}
+	return n.arr
+}
+
+// fold counts n more arrays, of count values, into the bucket, with
+// lengths between minLen and maxLen (-1: unbounded). The elements are
+// the caller's to fold.
+func (a *arrayAccum) fold(n int, count int64, minLen, maxLen int) {
 	if a.n == 0 {
-		a.minLen, a.maxLen = t.MinLen, t.MaxLen
+		a.minLen, a.maxLen = minLen, maxLen
 	} else {
-		if t.MinLen < a.minLen {
-			a.minLen = t.MinLen
-		}
-		if t.MaxLen == -1 || a.maxLen == -1 {
+		a.minLen = min(a.minLen, minLen)
+		if maxLen == -1 || a.maxLen == -1 {
 			a.maxLen = -1
-		} else if t.MaxLen > a.maxLen {
-			a.maxLen = t.MaxLen
+		} else {
+			a.maxLen = max(a.maxLen, maxLen)
 		}
 	}
-	a.n++
-	a.count += t.Count
-	a.elem.absorb(t.Elem, acc)
-}
-
-// recordGroup finds (or creates) the group record t fuses into — the
-// single group under K, the group with t's label set under L — and
-// marks it live. The label key is built in the accumulator's scratch
-// buffer, so finding a group allocates nothing; the key string is made
-// only for a group being born.
-func (n *accumNode) recordGroup(t *Type, a *Accum) *recordAccum {
-	if a.equiv == EquivKind {
-		return n.kindGroup()
-	}
-	if n.recIndex != nil {
-		key := a.typeKey(t)
-		if ra := n.recIndex[string(key)]; ra != nil {
-			return n.activate(ra)
-		}
-		return n.newGroup(string(key))
-	}
-	for _, ra := range n.recs {
-		if ra.sameLabels(t.Fields) {
-			return n.activate(ra)
-		}
-	}
-	// New group: its key is the incoming record's label set (the field
-	// table is still empty; absorb fills it right after, or the group
-	// holds t).
-	return n.newGroup(string(a.typeKey(t)))
-}
-
-// typeKey renders t's label set exactly as labelKey does, into the
-// accumulator's scratch buffer.
-func (a *Accum) typeKey(t *Type) []byte {
-	b := a.keyBuf[:0]
-	for i := range t.Fields {
-		b = appendLabel(b, t.Fields[i].Name)
-	}
-	a.keyBuf = b
-	return b
+	a.n += n
+	a.count += count
 }
 
 // kindGroup is the one group every record fuses into under K.
@@ -353,17 +320,38 @@ func (n *accumNode) kindGroup() *recordAccum {
 	return n.activate(n.recs[0])
 }
 
+// groupByKey finds (or creates) the group of the label set whose key
+// is given, under L, and marks it live: the one lookup every route to
+// a group takes once K's one group and a shaped record's group
+// (byShape) are ruled out. The key is a scratch buffer, so finding a
+// group allocates nothing; the key string is made only for a group
+// being born.
+func (n *accumNode) groupByKey(key []byte) *recordAccum {
+	if n.recIndex != nil {
+		if ra := n.recIndex[string(key)]; ra != nil {
+			return n.activate(ra)
+		}
+	} else {
+		for _, ra := range n.recs {
+			if ra.key == string(key) {
+				return n.activate(ra)
+			}
+		}
+	}
+	return n.newGroup(string(key))
+}
+
 // newGroup appends a live group with the given label key, building the
 // label-key index when the node outgrows the linear scan.
 func (n *accumNode) newGroup(key string) *recordAccum {
-	ra := &recordAccum{key: key, keyValid: true, pos: len(n.recs)}
+	ra := &recordAccum{key: key, pos: len(n.recs)}
 	n.recs = append(n.recs, ra)
 	if n.recIndex != nil {
 		n.recIndex[key] = ra
 	} else if len(n.recs) > smallRecordGroups {
 		n.recIndex = make(map[string]*recordAccum, 2*len(n.recs))
 		for _, g := range n.recs {
-			n.recIndex[g.labelKey()] = g
+			n.recIndex[g.key] = g
 		}
 	}
 	return n.activate(ra)
@@ -386,44 +374,12 @@ func (n *accumNode) activate(ra *recordAccum) *recordAccum {
 func (n *accumNode) removeGroup(i int) {
 	last := len(n.recs) - 1
 	if n.recIndex != nil {
-		delete(n.recIndex, n.recs[i].labelKey())
+		delete(n.recIndex, n.recs[i].key)
 	}
 	n.recs[i] = n.recs[last]
 	n.recs[i].pos = i
 	n.recs[last] = nil
 	n.recs = n.recs[:last]
-}
-
-// sameLabels reports whether the group's label set equals the given
-// (name-sorted) field list's. Under L a group's field table holds
-// exactly its label set, even across a reset: a clean group is only
-// ever recycled by a record matching its full retained name set (an
-// exact match marks every slot live again), so an L group never holds a
-// clean slot while it has absorbed records, and the straight aligned
-// walk below compares the label set either way. A held group's label
-// set is its held record's.
-func (ra *recordAccum) sameLabels(fields []Field) bool {
-	if ra.held != nil {
-		hf := ra.held.Fields
-		if len(hf) != len(fields) {
-			return false
-		}
-		for i := range fields {
-			if hf[i].Name != fields[i].Name {
-				return false
-			}
-		}
-		return true
-	}
-	if len(ra.fields) != len(fields) {
-		return false
-	}
-	for i := range fields {
-		if ra.fields[i].name != fields[i].Name {
-			return false
-		}
-	}
-	return true
 }
 
 // unhold turns a held group back into an ordinary one, before it takes
@@ -433,8 +389,7 @@ func (ra *recordAccum) sameLabels(fields []Field) bool {
 func (ra *recordAccum) unhold(a *Accum) {
 	t := ra.held
 	ra.held = nil
-	ra.absorbFields(t.Fields, a)
-	ra.keyValid = true
+	ra.absorbFields(0, 0, t.Fields, a)
 }
 
 // clearHeld turns a held group into a clean one at a reset: a table of
@@ -449,82 +404,83 @@ func (ra *recordAccum) clearHeld() {
 	ra.held, ra.nrecs, ra.count = nil, 0, 0
 }
 
-// absorb merges one record into the group.
-func (ra *recordAccum) absorb(t *Type, a *Accum) {
-	if ra.held != nil {
-		ra.unhold(a)
-	}
-	ra.nrecs++
-	ra.count += t.Count
-	ra.absorbFields(t.Fields, a)
-}
-
-// absorbFields merges a record's fields into the group's field table: a
-// sorted merge walk over the in-place table. New names insert into the
-// table (rare once the shape has been seen); existing slots just bump
-// counts and recurse.
-func (ra *recordAccum) absorbFields(tf []Field, a *Accum) {
-	fs := ra.fields
-	if cap(fs) < len(tf) {
+// absorbFields merges nrecs records counting count values, whose fields
+// are tf, into the group.
+func (ra *recordAccum) absorbFields(nrecs int, count int64, tf []Field, a *Accum) {
+	w := ra.take(nrecs, count, len(tf), false, a)
+	if cap(ra.fields) < len(tf) {
 		// The table ends up at least as wide as the record (exactly as
 		// wide under L), and a slot embeds a whole accumNode by value:
 		// growing a fresh group's table one insert at a time would copy
 		// it 1→2→4→8.
-		fs = slices.Grow(fs, len(tf)-len(fs))
+		ra.fields = slices.Grow(ra.fields, len(tf)-len(ra.fields))
 	}
-	i := 0
-	prev := ""
 	for j := range tf {
 		f := &tf[j]
-		if j > 0 && f.Name < prev {
-			// Non-canonical (unsorted) input: restart the walk so the
-			// table stays sorted and duplicate-free regardless.
-			i = 0
-		}
-		prev = f.Name
-		for i < len(fs) && fs[i].name < f.Name {
-			i++
-		}
-		if i == len(fs) || fs[i].name != f.Name {
-			fs = slices.Insert(fs, i, fieldAccum{name: f.Name})
-			ra.keyValid = false
-		}
-		fa := &fs[i]
+		fa := w.slot(f.Name)
 		fa.count += f.Count
 		fa.optional = fa.optional || f.Optional
 		fa.seenIn++
 		fa.node.absorb(f.Type, a)
-		i++
 	}
-	ra.fields = fs
 }
 
-// labelKey renders the group's label set exactly as merge.go's labelKey
-// does — for the canonical union ordering at seal, and as the recIndex
-// key. It covers every slot in the field table: under L (the only
-// equivalence that uses keys) the table is exactly the label set even
-// across a reset, because a clean group is only ever recycled by its
-// exact label set.
-func (ra *recordAccum) labelKey() string {
-	if !ra.keyValid {
-		var b []byte
-		for i := range ra.fields {
-			b = appendLabel(b, ra.fields[i].name)
-		}
-		ra.key = string(b)
-		ra.keyValid = true
+// take readies the group for nrecs more records counting count values,
+// whose width fields the returned walk then finds the slots of: a held
+// group first spreads its record into the table (unhold). zip says the
+// fields are the group's label set if its table is as wide — a staged
+// record or group found by key or shape under L, where a group's table
+// is its label set. A sealed record's fields are not certified sorted,
+// so it never zips.
+func (ra *recordAccum) take(nrecs int, count int64, width int, zip bool, a *Accum) slotWalk {
+	if ra.held != nil {
+		ra.unhold(a)
 	}
-	return ra.key
+	ra.nrecs += nrecs
+	ra.count += count
+	return slotWalk{ra: ra, zip: zip && len(ra.fields) == width}
+}
+
+// slotWalk finds the field-table slots of one incoming record's fields,
+// which come in name order: the one find-or-insert walk of every
+// absorption route. A zipped walk pairs the i-th field with the i-th
+// slot and compares no name; otherwise it merges by name, inserting the
+// names the table lacks (rare once the shape has been seen).
+type slotWalk struct {
+	ra   *recordAccum
+	next int // where the next name's search starts
+	zip  bool
+}
+
+// slot returns the slot of the next incoming field, name.
+func (w *slotWalk) slot(name string) *fieldAccum {
+	if !w.zip {
+		w.find(name)
+	}
+	w.next++
+	return &w.ra.fields[w.next-1]
+}
+
+// find moves next to name's slot, at or after next, inserting one in
+// name order if the table has none.
+func (w *slotWalk) find(name string) {
+	fs, i := w.ra.fields, w.next
+	if i > 0 && name < fs[i-1].name {
+		// Non-canonical (unsorted) input: restart the walk so the table
+		// stays sorted and duplicate-free regardless.
+		i = 0
+	}
+	for i < len(fs) && fs[i].name < name {
+		i++
+	}
+	if i == len(fs) || fs[i].name != name {
+		w.ra.fields = slices.Insert(fs, i, fieldAccum{name: name})
+	}
+	w.next = i
 }
 
 func (n *accumNode) empty() bool {
-	if n.haveAny || n.haveNull || n.haveBool || n.haveInt || n.haveNum || n.haveStr {
-		return false
-	}
-	if n.arr != nil && n.arr.n > 0 {
-		return false
-	}
-	return n.live == 0
+	return n.kinds == 0 && (n.arr == nil || n.arr.n == 0) && n.live == 0
 }
 
 // seal builds the canonical type of the node: the same buckets, in the
@@ -533,60 +489,41 @@ func (n *accumNode) empty() bool {
 // alternative seals to it with no alternatives slice, and an atom
 // counted once is its kind's shared node (countedAtom).
 func (n *accumNode) seal(e Equiv) *Type {
-	if n.haveAny {
+	if n.kinds&anyKind != 0 {
 		return countedAtom(KAny, n.total)
 	}
 	live := n.recs[:n.live]
 	haveArr := n.arr != nil && n.arr.n > 0
-	natoms := 0
-	if n.haveNull {
-		natoms++
+	atoms := n.kinds
+	if atoms&(1<<KNum) != 0 {
+		// Num absorbs Int: Int values are Num values, so Int + Num = Num.
+		atoms &^= 1 << KInt
 	}
-	if n.haveBool {
-		natoms++
-	}
-	if n.haveInt || n.haveNum {
-		natoms++
-	}
-	if n.haveStr {
-		natoms++
-	}
-	nalts := natoms + len(live)
+	nalts := bits.OnesCount16(atoms) + len(live)
 	if haveArr {
 		nalts++
 	}
-	if nalts == 0 {
+	switch {
+	case nalts == 0:
 		return Bottom
-	}
-	if nalts == 1 {
-		switch {
-		case natoms == 1:
-			return n.sealAtom()
-		case haveArr:
-			return n.arr.seal(e)
-		default:
-			return live[0].seal(e) // the one live group is at position 0
-		}
+	case nalts > 1:
+	case atoms != 0:
+		return n.sealAtom(Kind(bits.TrailingZeros16(atoms)))
+	case haveArr:
+		return n.arr.seal(e)
+	default:
+		return live[0].seal(e) // the one live group is at position 0
 	}
 	out := make([]*Type, 0, nalts)
-	if n.haveNull {
-		out = append(out, countedAtom(KNull, n.nullCount))
-	}
-	if n.haveBool {
-		out = append(out, countedAtom(KBool, n.boolCount))
-	}
-	if n.haveInt || n.haveNum {
-		out = append(out, n.sealNumber())
-	}
-	if n.haveStr {
-		out = append(out, countedAtom(KStr, n.strCount))
+	for s := atoms; s != 0; s &= s - 1 { // null, bool, the number, str
+		out = append(out, n.sealAtom(Kind(bits.TrailingZeros16(s))))
 	}
 	if len(live) > 1 {
 		// The live prefix is in arrival order; the canonical union wants
 		// label-key order. Sorted in place (groups are found by label
 		// set, never by position).
 		slices.SortFunc(live, func(a, b *recordAccum) int {
-			return strings.Compare(a.labelKey(), b.labelKey())
+			return strings.Compare(a.key, b.key)
 		})
 	}
 	for i, ra := range live {
@@ -599,27 +536,15 @@ func (n *accumNode) seal(e Equiv) *Type {
 	return &Type{Kind: KUnion, Alts: out, Count: n.total}
 }
 
-// sealAtom is the seal of a node whose one alternative is an atom.
-func (n *accumNode) sealAtom() *Type {
-	switch {
-	case n.haveNull:
-		return countedAtom(KNull, n.nullCount)
-	case n.haveBool:
-		return countedAtom(KBool, n.boolCount)
-	case n.haveStr:
-		return countedAtom(KStr, n.strCount)
-	default:
-		return n.sealNumber()
+// sealAtom is the node's atom alternative of kind k. The number
+// alternative is Num when the node absorbed any Num, and counts the Int
+// values too.
+func (n *accumNode) sealAtom(k Kind) *Type {
+	c := n.counts[k]
+	if k == KNum {
+		c += n.counts[KInt]
 	}
-}
-
-// sealNumber is the node's numeric alternative. Num absorbs Int: Int
-// values are Num values, so Int + Num = Num.
-func (n *accumNode) sealNumber() *Type {
-	if n.haveNum {
-		return countedAtom(KNum, n.intCount+n.numCount)
-	}
-	return countedAtom(KInt, n.intCount)
+	return countedAtom(k, c)
 }
 
 // onceAtoms are the sealed atoms counted once, one immutable node per
@@ -714,8 +639,9 @@ const (
 // what arrayAccum.opened records.
 func (n *accumNode) reset() {
 	n.total = 0
-	n.haveAny, n.haveNull, n.haveBool, n.haveInt, n.haveNum, n.haveStr = false, false, false, false, false, false
-	n.nullCount, n.boolCount, n.intCount, n.numCount, n.strCount = 0, 0, 0, 0, 0
+	if n.kinds != 0 {
+		n.kinds, n.counts = 0, [KStr + 1]int64{}
+	}
 	if a := n.arr; a != nil && (a.n > 0 || a.opened) {
 		a.n, a.opened = 0, false
 		a.count = 0

@@ -276,7 +276,11 @@ func BenchmarkAccumAbsorb(b *testing.B) {
 
 // TestAccumManyLabelGroups crosses the smallRecordGroups threshold so
 // group lookup switches from the linear scan to the label-key index,
-// and pins the result (and a post-reset reuse round) against MergeAll.
+// and pins the result (and a post-reset reuse round) against MergeAll,
+// under K and L. Each label set arrives by all three routes to a group,
+// interleaved: sealed (Absorb), staged at the root (EndRecord) and
+// staged inside a root array (EndArray's absorbNode, where the element
+// node and the root-array staging node cross the threshold too).
 func TestAccumManyLabelGroups(t *testing.T) {
 	var ts []*Type
 	for i := 0; i < 3*smallRecordGroups; i++ {
@@ -292,16 +296,45 @@ func TestAccumManyLabelGroups(t *testing.T) {
 	// Absorb each shape twice so indexed lookups hit existing groups.
 	ts = append(ts, ts...)
 
-	a := NewAccum(EquivLabel)
-	for round := 0; round < 2; round++ {
-		a.Reset()
-		for _, d := range ts {
-			a.Absorb(d)
+	stage := func(dst Target, d *Type) {
+		r := dst.BeginRecord()
+		for _, f := range d.Fields {
+			r.Field(f.Name).AbsorbKind(f.Type.Kind)
 		}
-		want := MergeAll(ts, EquivLabel)
-		if got := a.Seal(); !identical(want, got) {
-			t.Fatalf("round %d: indexed groups diverge\n want: %s\n got:  %s",
-				round, want.StringCounted(), got.StringCounted())
+		dst.EndRecord(r, nil)
+	}
+	for _, e := range []Equiv{EquivKind, EquivLabel} {
+		a := NewAccum(e)
+		for round := 0; round < 2; round++ {
+			a.Reset()
+			var all []*Type
+			for i, d := range ts {
+				for route := range 3 {
+					switch (i + route) % 3 {
+					case 0:
+						a.Absorb(d)
+						all = append(all, d)
+					case 1:
+						stage(a.Doc(), d)
+						all = append(all, d)
+					case 2:
+						stage(a.Doc().BeginArray(), d)
+						a.Doc().EndArray(1)
+						all = append(all, NewArrayCounted(d, 1, 1, 1))
+					}
+				}
+			}
+			want := MergeAll(all, e)
+			if got := a.Seal(); !identical(want, got) {
+				t.Fatalf("%v round %d: indexed groups diverge\n want: %s\n got:  %s",
+					e, round, want.StringCounted(), got.StringCounted())
+			}
+			if e == EquivLabel && (a.node.recIndex == nil || a.node.arr.elem.recIndex == nil) {
+				t.Fatalf("round %d: the root or the array element node never indexed its groups", round)
+			}
+			if d := a.stagingDirt(); d != "" {
+				t.Fatalf("%v round %d: staging not clean: %s", e, round, d)
+			}
 		}
 	}
 }

@@ -22,9 +22,13 @@
 // the reference implementation and the A/B baseline. On top of the
 // accumulator sits the direct-absorption surface (absorb.go): Accum.Doc
 // hands out a Target through which a token walker lands one document's
-// atoms, arrays and records in the union buckets and field tables
-// directly — staged per document so a malformed document aborts without
-// a trace — eliminating the per-document canonical type entirely.
+// atoms, arrays and records in the union buckets — a kind set and a
+// count per atom kind, one array bucket, and the record groups with
+// their field tables — directly, staged per document so a malformed
+// document aborts without a trace, eliminating the per-document
+// canonical type entirely. Each bucket is folded one way whichever
+// form the value arrives in (a sealed *Type, a staged record, a staged
+// node), and every record finds its group by one label-key lookup.
 // Sealing after N absorbed documents is pinned byte-identical to
 // merging N per-document types. A walker that has certified a record
 // layout closes its records with the layout's Shape: EndRecord then
