@@ -15,6 +15,7 @@ import (
 	"testing"
 
 	"repro/internal/codegen"
+	"repro/internal/core"
 	"repro/internal/discovery"
 	"repro/internal/fadjs"
 	"repro/internal/genjson"
@@ -112,7 +113,7 @@ func BenchmarkE3ParallelInference(b *testing.B) {
 // domInfer is the DOM baseline of the E3 rows: decode the whole
 // collection to value trees, then run the materialised fold over them.
 func domInfer(b *testing.B, raw []byte, opts infer.Options) {
-	docs, err := jsontext.NewDecoder(bytes.NewReader(raw)).DecodeAll()
+	docs, err := core.ReadCollection(nil, bytes.NewReader(raw))
 	if err != nil {
 		b.Fatal(err)
 	}

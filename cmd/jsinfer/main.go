@@ -1,7 +1,9 @@
 // Command jsinfer infers a schema from an NDJSON collection on stdin
 // (or files given as arguments) with a selectable engine, and prints
 // the result as a type expression, a JSON Schema document, or
-// generated TypeScript/Swift declarations.
+// generated TypeScript/Swift declarations — written by
+// core.Inference.WriteSchema, the writer jsinferd serves the same forms
+// through.
 //
 // Usage:
 //
@@ -20,9 +22,9 @@
 // (the pipeline's flight recorder, on stderr) apply to every such run;
 // -stream is accepted and ignored. The report has no precision column in
 // a single pass; -precision fills it in a bounded-memory second pass over
-// the file arguments. Skinfer alone materialises the collection. The
-// counted type of -counted is parametric K's for Spark and Skinfer too,
-// whose types carry no counts. Flag mistakes are rejected before any
+// the file arguments. Skinfer alone materialises the collection
+// (core.ReadCollection). The counted type of -counted is parametric K's
+// for Spark and Skinfer too, whose types carry no counts. Flag mistakes are rejected before any
 // input is read. -cpuprofile and -memprofile write pprof profiles of the
 // inference pass (the heap profile after it completes).
 package main
@@ -44,8 +46,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/genjson"
 	"repro/internal/infer"
-	"repro/internal/jsontext"
-	"repro/internal/jsonvalue"
 )
 
 // cliFlags are jsinfer's flags. registerFlags defines them on a flag
@@ -73,8 +73,8 @@ func registerFlags(fs *flag.FlagSet) cliFlags {
 	}
 }
 
-// outputs are the forms -output selects; inferAndPrint's final switch
-// has a case for each.
+// outputs are the forms -output selects: the report, or a form
+// core.Inference.WriteSchema writes (-counted turns type into counted).
 var outputs = []string{"type", "jsonschema", "typescript", "swift", "report"}
 
 var errNoInput = errors.New("no input documents")
@@ -226,7 +226,7 @@ func inferAndPrint(opt cliFlags, files []string, stdin io.Reader, stdout, stderr
 			result.Precision = p
 		}
 	} else {
-		docs, err := readInput(files, stdin)
+		docs, err := core.ReadCollection(files, stdin)
 		if err != nil {
 			return err
 		}
@@ -243,28 +243,23 @@ func inferAndPrint(opt cliFlags, files []string, stdin io.Reader, stdout, stderr
 		result.Simplify()
 	}
 
-	switch *opt.output {
-	case "type":
-		return result.Type.Render(stdout, *opt.counted)
-	case "jsonschema":
-		fmt.Fprintln(stdout, string(core.MarshalIndent(result.JSONSchema(), "  ")))
-	case "typescript":
-		fmt.Fprint(stdout, core.TypeToTypeScript("Root", result.Type))
-	case "swift":
-		fmt.Fprint(stdout, core.TypeToSwift("Root", result.Type))
-	case "report":
-		fmt.Fprintf(stdout, "engine:    %s\n", result.Engine)
-		fmt.Fprintf(stdout, "documents: %d\n", ndocs)
-		fmt.Fprintf(stdout, "size:      %d nodes\n", result.Size())
-		if result.Precision >= 0 {
-			fmt.Fprintf(stdout, "precision: %.3f\n", result.Precision)
-		} else {
-			fmt.Fprintf(stdout, "precision: n/a (streamed single pass; rerun with -precision and file arguments for a second pass)\n")
+	if *opt.output != "report" {
+		form := *opt.output
+		if *opt.counted {
+			form = "counted"
 		}
-		fmt.Fprint(stdout, "type:      ")
-		return result.Type.Render(stdout, false)
+		return result.WriteSchema(stdout, form)
 	}
-	return nil
+	fmt.Fprintf(stdout, "engine:    %s\n", result.Engine)
+	fmt.Fprintf(stdout, "documents: %d\n", ndocs)
+	fmt.Fprintf(stdout, "size:      %d nodes\n", result.Size())
+	if result.Precision >= 0 {
+		fmt.Fprintf(stdout, "precision: %.3f\n", result.Precision)
+	} else {
+		fmt.Fprintf(stdout, "precision: n/a (streamed single pass; rerun with -precision and file arguments for a second pass)\n")
+	}
+	fmt.Fprint(stdout, "type:      ")
+	return result.WriteSchema(stdout, "type")
 }
 
 func writeHeapProfile(name string) error {
@@ -301,28 +296,6 @@ func validateStreamFlags(eng core.Engine, workers int, precision, stats, chunkBy
 		return fmt.Errorf("-precision needs file arguments: stdin cannot be re-read")
 	}
 	return nil
-}
-
-// readInput materialises stdin or the named files (a decode error names
-// its file) — for Skinfer, which needs the whole collection.
-func readInput(files []string, stdin io.Reader) ([]*jsonvalue.Value, error) {
-	if len(files) == 0 {
-		return jsontext.NewDecoder(stdin).DecodeAll()
-	}
-	var docs []*jsonvalue.Value
-	for _, name := range files {
-		f, err := os.Open(name)
-		if err != nil {
-			return nil, err
-		}
-		part, err := jsontext.NewDecoder(f).DecodeAll()
-		f.Close()
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", name, err)
-		}
-		docs = append(docs, part...)
-	}
-	return docs, nil
 }
 
 // printStats renders the pipeline flight recorder as a per-stage table

@@ -331,7 +331,7 @@ func testFileLayouts(t *testing.T, fx fixture) {
 // -stream.
 func testCLIErrors(t *testing.T, fx fixture) {
 	malformed := append(append([]byte{}, fx.data...), "{]\n"...)
-	_, decodeErr := jsontext.NewDecoder(bytes.NewReader(malformed)).DecodeAll()
+	_, decodeErr := core.ReadCollection(nil, bytes.NewReader(malformed))
 	var se *jsontext.SyntaxError
 	if !errors.As(decodeErr, &se) || se.Offset != len(fx.data)+1 {
 		t.Fatalf("oracle error %v, want a syntax error at offset %d", decodeErr, len(fx.data)+1)

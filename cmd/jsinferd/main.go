@@ -2,7 +2,10 @@
 // HTTP service over the live-merge registry (internal/registry). Clients
 // stream NDJSON at named collections and read back the monotonically
 // growing schema at any time, in any of jsinfer's output formats — the
-// batch CLI turned into a service, with byte-identical schemas.
+// batch CLI turned into a service, with byte-identical schemas: both
+// commands write every form through one writer,
+// core.Inference.WriteSchema, and the daemon decides only the
+// Content-Type and the 400 for an unknown form.
 //
 // Usage:
 //
@@ -64,7 +67,9 @@
 //	    is unknown). The name is immediately reusable; a later ingest
 //	    starts from scratch.
 //	GET /v1/collections/{name}/schema?output=type|counted|jsonschema|typescript|swift
-//	    The live schema in jsinfer's output formats: text/plain for
+//	    The live schema in jsinfer's output formats, byte for byte what
+//	    `jsinfer -output FORM` prints over the same documents (counted
+//	    is `jsinfer -counted`): text/plain for
 //	    type/counted/typescript/swift, application/json for jsonschema.
 //	    With ?meta=1, a JSON envelope with docs/version/schema instead.
 //	GET /v1/collections
@@ -515,34 +520,20 @@ func newHandler(reg *registry.Registry, cfg handlerConfig) http.Handler {
 		if output == "" {
 			output = "type"
 		}
-		if r.URL.Query().Get("meta") != "" {
-			rendered, err := renderSchema(snap.Type, output)
-			if err != nil {
-				writeError(w, http.StatusBadRequest, err.Error())
-				return
-			}
-			meta := snapshotMeta(snap).WithField("schema", jsonvalue.FromGo(rendered))
-			writeJSON(w, http.StatusOK, meta)
+		contentType, ok := schemaContentTypes[output]
+		if !ok {
+			writeError(w, http.StatusBadRequest, fmt.Sprintf("unknown output %q (want type, counted, jsonschema, typescript or swift)", output))
 			return
 		}
-		switch output {
-		case "jsonschema":
-			writeJSON(w, http.StatusOK, core.TypeToJSONSchema(snap.Type))
-		case "type", "counted":
-			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-			// The status line is sent: a failed write is a client gone,
-			// and nothing is left to tell it.
-			_ = snap.Type.Render(w, output == "counted")
-		default:
-			rendered, err := renderSchema(snap.Type, output)
-			if err != nil {
-				writeError(w, http.StatusBadRequest, err.Error())
-				return
-			}
-			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-			s, _ := rendered.(string)
-			fmt.Fprintln(w, s)
+		inf := &core.Inference{Type: snap.Type}
+		if r.URL.Query().Get("meta") != "" {
+			writeJSON(w, http.StatusOK, snapshotMeta(snap).WithField("schema", metaSchema(inf, output)))
+			return
 		}
+		w.Header().Set("Content-Type", contentType)
+		// The status line is sent: a failed write is a client gone,
+		// and nothing is left to tell it.
+		_ = inf.WriteSchema(w, output)
 	})
 	return instrument(cfg, metrics.NewHTTP(prom, "jsinferd"), mux)
 }
@@ -711,23 +702,31 @@ func retryAfterSeconds(d time.Duration) int {
 	return secs
 }
 
-// renderSchema renders t in one of jsinfer's output formats: a string
-// for the text forms, a *jsonvalue.Value for jsonschema.
-func renderSchema(t *core.Type, output string) (any, error) {
-	switch output {
-	case "type":
-		return t.String(), nil
-	case "counted":
-		return t.StringCounted(), nil
-	case "typescript":
-		return core.TypeToTypeScript("Root", t), nil
-	case "swift":
-		return core.TypeToSwift("Root", t), nil
-	case "jsonschema":
-		return core.TypeToJSONSchema(t), nil
-	default:
-		return nil, fmt.Errorf("unknown output %q (want type, counted, jsonschema, typescript or swift)", output)
+// schemaContentTypes maps each output form the schema GET serves — the
+// forms core.Inference.WriteSchema writes, byte for byte as jsinfer
+// prints them — to the Content-Type it is served under.
+var schemaContentTypes = map[string]string{
+	"type":       "text/plain; charset=utf-8",
+	"counted":    "text/plain; charset=utf-8",
+	"jsonschema": "application/json",
+	"typescript": "text/plain; charset=utf-8",
+	"swift":      "text/plain; charset=utf-8",
+}
+
+// metaSchema is the schema a ?meta=1 envelope carries: the JSON Schema
+// document itself, or the text the plain GET serves as one string, less
+// the newline Render ends the type forms with.
+func metaSchema(inf *core.Inference, output string) *jsonvalue.Value {
+	if output == "jsonschema" {
+		return inf.JSONSchema()
 	}
+	var b strings.Builder
+	_ = inf.WriteSchema(&b, output) // a strings.Builder does not fail
+	text := b.String()
+	if output == "type" || output == "counted" {
+		text = strings.TrimSuffix(text, "\n")
+	}
+	return jsonvalue.NewString(text)
 }
 
 // statsGauges registers the registry aggregates, the pipeline flight

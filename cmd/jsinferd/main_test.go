@@ -67,7 +67,8 @@ func get(t *testing.T, url string) (int, string) {
 // TestServedSchemaMatchesBatchCLI is the acceptance criterion end to
 // end: ingest a checked-in fixture over HTTP and the served schema must
 // be byte-identical to what `jsinfer` prints for the same file
-// (the CLI is fmt.Println over core.InferSchemaStreamFilesWith's Type).
+// (the CLI writes core.InferSchemaStreamFilesWith's Inference through
+// WriteSchema; TestServedFormsAreJsinferStdout runs the built command).
 func TestServedSchemaMatchesBatchCLI(t *testing.T) {
 	fixtures, err := filepath.Glob(filepath.Join("..", "..", "testdata", "*.ndjson"))
 	if err != nil || len(fixtures) == 0 {

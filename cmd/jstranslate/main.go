@@ -15,7 +15,6 @@ import (
 	"os"
 
 	"repro/internal/core"
-	"repro/internal/jsontext"
 	"repro/internal/jsonvalue"
 )
 
@@ -28,7 +27,7 @@ func main() {
 	if *out == "" {
 		fatal(fmt.Errorf("-out is required"))
 	}
-	docs, err := readInput(flag.Args())
+	docs, err := core.ReadCollection(flag.Args(), os.Stdin)
 	if err != nil {
 		fatal(err)
 	}
@@ -73,26 +72,6 @@ func main() {
 		}
 		fmt.Printf("verify:   %d documents round-trip exactly\n", len(docs))
 	}
-}
-
-func readInput(files []string) ([]*jsonvalue.Value, error) {
-	if len(files) == 0 {
-		return jsontext.NewDecoder(os.Stdin).DecodeAll()
-	}
-	var docs []*jsonvalue.Value
-	for _, name := range files {
-		f, err := os.Open(name)
-		if err != nil {
-			return nil, err
-		}
-		part, err := jsontext.NewDecoder(f).DecodeAll()
-		f.Close()
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", name, err)
-		}
-		docs = append(docs, part...)
-	}
-	return docs, nil
 }
 
 func fatal(err error) {

@@ -15,7 +15,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/jsontext"
-	"repro/internal/jsonvalue"
 )
 
 func main() {
@@ -48,7 +47,7 @@ func main() {
 		fatal(err)
 	}
 
-	docs, err := readInput(flag.Args())
+	docs, err := core.ReadCollection(flag.Args(), os.Stdin)
 	if err != nil {
 		fatal(err)
 	}
@@ -69,26 +68,6 @@ func main() {
 	if invalid > 0 {
 		os.Exit(1)
 	}
-}
-
-func readInput(files []string) ([]*jsonvalue.Value, error) {
-	if len(files) == 0 {
-		return jsontext.NewDecoder(os.Stdin).DecodeAll()
-	}
-	var docs []*jsonvalue.Value
-	for _, name := range files {
-		f, err := os.Open(name)
-		if err != nil {
-			return nil, err
-		}
-		part, err := jsontext.NewDecoder(f).DecodeAll()
-		f.Close()
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", name, err)
-		}
-		docs = append(docs, part...)
-	}
-	return docs, nil
 }
 
 func fatal(err error) {

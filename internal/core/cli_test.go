@@ -179,6 +179,51 @@ func TestStreamPrecisionSecondPass(t *testing.T) {
 	}
 }
 
+// TestReadCollection pins the collection reader: named files are read
+// in turn as one collection, stdin when none is named, and a decode
+// error names its file and carries the offset within it; the precision
+// pass reads through the same loop and reports the same error.
+func TestReadCollection(t *testing.T) {
+	dir := t.TempDir()
+	a, b, bad := filepath.Join(dir, "a.ndjson"), filepath.Join(dir, "b.ndjson"), filepath.Join(dir, "bad.ndjson")
+	for name, body := range map[string]string{a: `{"x":1}` + "\n", b: `{"y":"s"} [2]` + "\n", bad: `{"z":true}` + "\n{]\n"} {
+		if err := os.WriteFile(name, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	docs, err := ReadCollection([]string{a, b}, strings.NewReader(`{"ignored":0}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	stdin, err := ReadCollection(nil, strings.NewReader(`{"x":1} {"y":"s"}`+"\n[2]"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{`{"x":1}`, `{"y":"s"}`, `[2]`}
+	for _, got := range [][]*Value{docs, stdin} {
+		if len(got) != len(want) {
+			t.Fatalf("read %d documents, want %d", len(got), len(want))
+		}
+		for i, d := range got {
+			if string(MarshalIndent(d, "")) != want[i] {
+				t.Errorf("document %d = %s, want %s", i, MarshalIndent(d, ""), want[i])
+			}
+		}
+	}
+
+	_, err = ReadCollection([]string{a, bad}, nil)
+	var se *jsontext.SyntaxError
+	if err == nil || !strings.HasPrefix(err.Error(), bad+": ") || !errors.As(err, &se) || se.Offset != 12 {
+		t.Errorf("malformed file: err = %v, want a syntax error at offset 12 prefixed with %s", err, bad)
+	}
+	if _, _, perr := StreamPrecisionFiles([]string{a, bad}, typelang.Any); perr == nil || perr.Error() != err.Error() {
+		t.Errorf("precision pass error = %v, want the reader's %v", perr, err)
+	}
+	if _, err := ReadCollection([]string{filepath.Join(dir, "missing.ndjson")}, nil); !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("missing file: err = %v, want fs.ErrNotExist", err)
+	}
+}
+
 func TestPipelineGenerateTranslateRestore(t *testing.T) {
 	docs := genjson.Collection(genjson.NestedArrays{Seed: 112}, 90)
 	tr, err := Translate(docs)
@@ -351,7 +396,7 @@ func TestJSONSchemaIsRenderedFromType(t *testing.T) {
 				t.Fatal(err)
 			}
 			if got, want := inf.JSONSchema(), TypeToJSONSchema(inf.Type); !jsonvalue.Equal(got, want) {
-				t.Errorf("%s %s: JSONSchema() = %s, want %s", path, engine, Marshal(got), Marshal(want))
+				t.Errorf("%s %s: JSONSchema() = %s, want %s", path, engine, MarshalIndent(got, ""), MarshalIndent(want, ""))
 			}
 		}
 		data, err := os.ReadFile(path)
@@ -367,7 +412,7 @@ func TestJSONSchemaIsRenderedFromType(t *testing.T) {
 			t.Fatal(err)
 		}
 		if got := inf.JSONSchema(); got != inf.JSONSchema() || !jsonvalue.Equal(got, skinfer.Infer(docs)) {
-			t.Errorf("%s skinfer: JSONSchema() = %s, want its native document %s", path, Marshal(got), Marshal(skinfer.Infer(docs)))
+			t.Errorf("%s skinfer: JSONSchema() = %s, want its native document %s", path, MarshalIndent(got, ""), MarshalIndent(skinfer.Infer(docs), ""))
 		}
 	}
 }
@@ -393,7 +438,7 @@ func TestInferenceSimplifyCarriesDocument(t *testing.T) {
 		t.Fatalf("Simplify left type %s (size %d), want the wide record alone (size %d)", inf.Type, inf.Size(), want.Size())
 	}
 	if !jsonvalue.Equal(inf.JSONSchema(), TypeToJSONSchema(want)) {
-		t.Errorf("document after Simplify = %s, want %s", Marshal(inf.JSONSchema()), Marshal(TypeToJSONSchema(want)))
+		t.Errorf("document after Simplify = %s, want %s", MarshalIndent(inf.JSONSchema(), ""), MarshalIndent(TypeToJSONSchema(want), ""))
 	}
 	if jsonvalue.Equal(inf.JSONSchema(), TypeToJSONSchema(u)) {
 		t.Error("Simplify changed the type but not the document")

@@ -3,6 +3,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"os"
@@ -32,17 +33,11 @@ type Value = jsonvalue.Value
 // Type re-exports the type algebra.
 type Type = typelang.Type
 
-// Parse parses one JSON text.
-func Parse(data []byte) (*Value, error) { return jsontext.Parse(data) }
-
 // ParseString parses one JSON string.
 func ParseString(s string) (*Value, error) { return jsontext.ParseString(s) }
 
 // ParseCollection parses NDJSON (one document per line).
 func ParseCollection(data []byte) ([]*Value, error) { return jsontext.ParseLines(data) }
-
-// Marshal serialises a value compactly.
-func Marshal(v *Value) []byte { return jsontext.Marshal(v) }
 
 // MarshalIndent serialises a value with indentation.
 func MarshalIndent(v *Value, indent string) []byte { return jsontext.MarshalIndent(v, indent) }
@@ -196,6 +191,36 @@ func (inf *Inference) JSONSchema() *Value {
 	return jsonschema.FromType(inf.Type)
 }
 
+// WriteSchema writes the schema to w in one of the output forms jsinfer
+// prints and jsinferd serves, the one place their bytes are decided:
+//
+//   - "type" and "counted": the type expression, without and with its
+//     counting annotations, streamed by Type.Render (ends in a newline);
+//   - "jsonschema": the JSON Schema document (Skinfer's native one, every
+//     other engine's rendered from Type), indented two spaces, then a
+//     newline;
+//   - "typescript" and "swift": the declarations codegen generates for
+//     a root named Root, exactly as generated.
+//
+// An unknown form writes nothing and returns an error; otherwise the
+// error is w's.
+func (inf *Inference) WriteSchema(w io.Writer, form string) error {
+	var err error
+	switch form {
+	case "type", "counted":
+		return inf.Type.Render(w, form == "counted")
+	case "jsonschema":
+		_, err = w.Write(append(jsontext.MarshalIndent(inf.JSONSchema(), "  "), '\n'))
+	case "typescript":
+		_, err = io.WriteString(w, TypeToTypeScript("Root", inf.Type))
+	case "swift":
+		_, err = io.WriteString(w, TypeToSwift("Root", inf.Type))
+	default:
+		return fmt.Errorf("unknown output form %q", form)
+	}
+	return err
+}
+
 // Simplify replaces Type with typelang.Simplify(Type), so every output
 // form shows the same schema. Skinfer's document is its native output,
 // not a rendering of Type, and is kept.
@@ -304,26 +329,58 @@ func InferSchemaStreamWith(r io.Reader, engine Engine, opts StreamOptions) (*Inf
 // error names the offending file.
 func StreamPrecisionFiles(files []string, t *Type) (float64, int, error) {
 	var acc typelang.PrecisionAcc
+	// No file named is no document: there is no stdin to grade.
+	err := eachDocument(files, bytes.NewReader(nil), func(v *Value) { acc.Add(t, v) })
+	return acc.Value(), acc.Docs(), err
+}
+
+// ReadCollection materialises the documents of the named files, read in
+// turn as one collection, or of stdin when no file is named — for the
+// engines and tools that need the whole collection (Skinfer, validation,
+// translation). A decode error names its file.
+func ReadCollection(files []string, stdin io.Reader) ([]*Value, error) {
+	var docs []*Value
+	if err := eachDocument(files, stdin, func(v *Value) { docs = append(docs, v) }); err != nil {
+		return nil, err
+	}
+	return docs, nil
+}
+
+// eachDocument is the one per-document loop over a collection on disk:
+// it decodes the named files in turn, or stdin when none is named, and
+// hands add each document as it is decoded. A decode error is prefixed
+// with its file's name; a file that cannot be opened returns its
+// *fs.PathError.
+func eachDocument(files []string, stdin io.Reader, add func(*Value)) error {
+	if len(files) == 0 {
+		return decodeEach(stdin, add)
+	}
 	for _, name := range files {
 		f, err := os.Open(name)
 		if err != nil {
-			return acc.Value(), acc.Docs(), err
+			return err
 		}
-		dec := jsontext.NewDecoder(f)
-		for {
-			v, err := dec.Decode()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				f.Close()
-				return acc.Value(), acc.Docs(), fmt.Errorf("%s: %w", name, err)
-			}
-			acc.Add(t, v)
-		}
+		err = decodeEach(f, add)
 		f.Close()
+		if err != nil {
+			return fmt.Errorf("%s: %w", name, err)
+		}
 	}
-	return acc.Value(), acc.Docs(), nil
+	return nil
+}
+
+func decodeEach(r io.Reader, add func(*Value)) error {
+	dec := jsontext.NewDecoder(r)
+	for {
+		v, err := dec.Decode()
+		if err == io.EOF {
+			return nil
+		}
+		if err != nil {
+			return err
+		}
+		add(v)
+	}
 }
 
 // InferSchemaStreamFilesWith is InferSchemaStreamWith over the named

@@ -16,7 +16,13 @@
 // Schema document only when called, since on a large schema a render
 // costs as much as a pass over the data.
 // InferSchema runs any engine over a materialised collection and grades
-// it in place: the library API, and cmd/jsinfer's path for Skinfer alone.
-// internal/registry + cmd/jsinferd serve the same inference as a
-// long-running ingest daemon with live, versioned schemas.
+// it in place: the library API, and cmd/jsinfer's path for Skinfer alone,
+// over the collection ReadCollection materialises from files or stdin
+// (the reader jsvalidate and jstranslate use too; it and
+// StreamPrecisionFiles share one per-document loop).
+// Inference.WriteSchema writes a schema in each output form, the one
+// place those bytes are decided: cmd/jsinfer prints with it, and
+// cmd/jsinferd, which serves the same inference over internal/registry
+// as a long-running ingest daemon with live, versioned schemas, serves
+// with it.
 package core

@@ -32,71 +32,35 @@ var ErrUnsupportedEncoding = errors.New("unsupported Content-Encoding")
 // Body returns r's body decoded according to its Content-Encoding
 // header ("" / "identity" pass through; "gzip" and "x-gzip" decode
 // transparently). limit > 0 caps the number of *decoded* bytes a
-// caller may read: past it, Read returns *http.MaxBytesError exactly
-// like http.MaxBytesReader, so over-limit compressed bodies keep the
+// caller may read: every encoding's decoded stream goes through
+// http.MaxBytesReader, so past the limit Read returns
+// *http.MaxBytesError and over-limit compressed bodies keep the
 // identity path's 413 semantics. An unrecognised or multi-valued
 // encoding returns ErrUnsupportedEncoding (wrapped); no body byte has
 // been read at that point.
 func Body(w http.ResponseWriter, r *http.Request, limit int64) (io.ReadCloser, error) {
-	enc := strings.ToLower(strings.TrimSpace(r.Header.Get("Content-Encoding")))
-	switch enc {
+	var body io.ReadCloser
+	switch enc := strings.ToLower(strings.TrimSpace(r.Header.Get("Content-Encoding"))); enc {
 	case "", "identity":
-		if limit > 0 {
-			return http.MaxBytesReader(w, r.Body, limit), nil
-		}
-		return r.Body, nil
+		body = r.Body
 	case "gzip", "x-gzip":
-		return limited(&lazyGzipReader{src: r.Body}, r.Body, limit), nil
+		body = readCloser{&lazyGzipReader{src: r.Body}, r.Body}
 	default:
 		return nil, fmt.Errorf("%w %q (supported: identity, gzip)", ErrUnsupportedEncoding, enc)
 	}
-}
-
-// limited wraps a decoded stream with the decompressed-byte cap and a
-// Close that closes the underlying request body.
-func limited(dec io.Reader, body io.Closer, limit int64) io.ReadCloser {
 	if limit > 0 {
-		dec = &maxBytesReader{r: dec, remaining: limit, limit: limit}
+		body = http.MaxBytesReader(w, body, limit)
 	}
-	return readCloser{dec, body}
+	return body, nil
 }
 
+// readCloser is a decoded stream whose Close closes the request body.
 type readCloser struct {
 	io.Reader
 	c io.Closer
 }
 
 func (rc readCloser) Close() error { return rc.c.Close() }
-
-// maxBytesReader enforces the decompressed-byte limit with the same
-// error type http.MaxBytesReader uses, so callers' 413 mapping
-// (errors.As(*http.MaxBytesError)) is encoding-agnostic.
-type maxBytesReader struct {
-	r         io.Reader
-	remaining int64
-	limit     int64
-	hit       bool
-}
-
-func (m *maxBytesReader) Read(p []byte) (int, error) {
-	if m.hit {
-		return 0, &http.MaxBytesError{Limit: m.limit}
-	}
-	// Read one byte past the limit so a body of exactly limit bytes
-	// succeeds (mirrors http.MaxBytesReader).
-	if int64(len(p)) > m.remaining+1 {
-		p = p[:m.remaining+1]
-	}
-	n, err := m.r.Read(p)
-	if int64(n) <= m.remaining {
-		m.remaining -= int64(n)
-		return n, err
-	}
-	n = int(m.remaining)
-	m.remaining = 0
-	m.hit = true
-	return n, &http.MaxBytesError{Limit: m.limit}
-}
 
 // lazyGzipReader defers gzip.NewReader to the first Read, so header
 // errors (empty body, not-gzip bytes) surface as read errors inside the

@@ -125,9 +125,6 @@ func (c *Counter) Inc() { c.v.Add(1) }
 // Add adds n (n must be non-negative; counters only go up).
 func (c *Counter) Add(n uint64) { c.v.Add(n) }
 
-// Value returns the current count.
-func (c *Counter) Value() uint64 { return c.v.Load() }
-
 func (c *Counter) render(b *strings.Builder, fam *family, lv string) {
 	b.WriteString(fam.name)
 	b.WriteString(lv)
@@ -206,9 +203,6 @@ func (h *Histogram) Observe(v float64) {
 		}
 	}
 }
-
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 { return h.count.Load() }
 
 func (h *Histogram) render(b *strings.Builder, fam *family, lv string) {
 	// lv is either "" or "{k=\"v\",...}"; _bucket needs le spliced in.

@@ -193,8 +193,8 @@ func TestSameSeriesSharedAndPanicOnMismatch(t *testing.T) {
 	v := reg.CounterVec("x_total", "X.", "a")
 	v.With("1").Inc()
 	v.With("1").Inc()
-	if got := v.With("1").Value(); got != 2 {
-		t.Errorf("same label values must share a series: %d, want 2", got)
+	if got := validateExposition(t, reg.Render())[`x_total{a="1"}`]; got != 2 {
+		t.Errorf("same label values must share a series: %v, want 2", got)
 	}
 	defer func() {
 		if recover() == nil {
@@ -229,13 +229,14 @@ func TestConcurrentUpdatesAndScrapes(t *testing.T) {
 	}()
 	wg.Wait()
 	<-done
-	if c.Value() != 8000 {
-		t.Errorf("counter = %d, want 8000", c.Value())
+	final := validateExposition(t, reg.Render())
+	if final["n_total"] != 8000 {
+		t.Errorf("counter = %v, want 8000", final["n_total"])
 	}
-	if hs.Count() != 8000 {
-		t.Errorf("histogram count = %d, want 8000", hs.Count())
+	if final["h_seconds_count"] != 8000 {
+		t.Errorf("histogram count = %v, want 8000", final["h_seconds_count"])
 	}
-	sum := validateExposition(t, reg.Render())[`h_seconds_sum`]
+	sum := final[`h_seconds_sum`]
 	if want := 8 * 999 * 1000 / 2 / 100.0; math.Abs(sum-float64(want)) > 1e-6 {
 		t.Errorf("histogram sum = %v, want %v (atomic float adds lost updates?)", sum, want)
 	}

@@ -224,12 +224,6 @@ func (r *Report) collect(v *jsonvalue.Value, prefix string) {
 	}
 }
 
-// Field returns the statistics for one path.
-func (r *Report) Field(path string) (*FieldInfo, bool) {
-	f, ok := r.fieldIndex[path]
-	return f, ok
-}
-
 // IndexSuggestion is one ranked secondary-index recommendation.
 type IndexSuggestion struct {
 	Path string

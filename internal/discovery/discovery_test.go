@@ -63,20 +63,30 @@ func TestFieldStatistics(t *testing.T) {
 		jsontext.MustParse(`{"id": 3}`),
 	}
 	r := Discover(docs)
-	id, ok := r.Field("id")
+	id, ok := field(r, "id")
 	if !ok || id.Count != 3 || id.Distinct != 3 {
 		t.Fatalf("id stats = %+v", id)
 	}
 	if id.Selectivity() != 1.0 || id.Support(r.TotalDocs) != 1.0 {
 		t.Errorf("id support/selectivity = %v/%v", id.Support(3), id.Selectivity())
 	}
-	city, _ := r.Field("city")
+	city, _ := field(r, "city")
 	if city.Count != 2 || city.Distinct != 1 {
 		t.Fatalf("city stats = %+v", city)
 	}
 	if got := city.Selectivity(); got != 0.5 {
 		t.Errorf("city selectivity = %v", got)
 	}
+}
+
+// field is the statistics of path in r's Fields.
+func field(r *Report, path string) (*FieldInfo, bool) {
+	for _, f := range r.Fields {
+		if f.Path == path {
+			return f, true
+		}
+	}
+	return nil, false
 }
 
 func TestSuggestIndexes(t *testing.T) {

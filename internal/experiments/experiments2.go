@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"strings"
 	"time"
 
 	"repro/internal/codegen"
@@ -242,35 +243,12 @@ func E14Codegen() *Table {
 		// A union maps if TypeScript's structural `A | B` has a Swift
 		// counterpart: an enum with associated values, or an Optional
 		// when the union was Null + T.
-		unionMapped := !containsAny(ts, " | ") ||
-			containsAny(sw, "enum ") || containsAny(sw, "?")
+		unionMapped := !strings.Contains(ts, " | ") ||
+			strings.Contains(sw, "enum ") || strings.Contains(sw, "?")
 		t.Rows = append(t.Rows, []string{
-			g.Name(), d(countLines(ts)), d(countLines(sw)),
+			g.Name(), d(strings.Count(ts, "\n")), d(strings.Count(sw, "\n")),
 			fmt.Sprint(tsOK), fmt.Sprint(swOK), fmt.Sprint(unionMapped),
 		})
 	}
 	return t
-}
-
-func countLines(s string) int {
-	n := 0
-	for _, c := range s {
-		if c == '\n' {
-			n++
-		}
-	}
-	return n
-}
-
-func containsAny(s, sub string) bool {
-	return len(s) >= len(sub) && indexOf(s, sub) >= 0
-}
-
-func indexOf(h, n string) int {
-	for i := 0; i+len(n) <= len(h); i++ {
-		if h[i:i+len(n)] == n {
-			return i
-		}
-	}
-	return -1
 }

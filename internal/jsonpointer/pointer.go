@@ -39,15 +39,6 @@ func Parse(s string) (Pointer, error) {
 	return Pointer{tokens: tokens}, nil
 }
 
-// MustParse parses or panics; for fixtures.
-func MustParse(s string) Pointer {
-	p, err := Parse(s)
-	if err != nil {
-		panic(err)
-	}
-	return p
-}
-
 // FromTokens builds a pointer from already-decoded reference tokens.
 func FromTokens(tokens ...string) Pointer {
 	t := make([]string, len(tokens))

@@ -266,7 +266,7 @@ func TestStreamingDecoder(t *testing.T) {
 	[1,2,3]   "str"
 	42 null true`
 	dec := NewDecoder(strings.NewReader(input))
-	vals, err := dec.DecodeAll()
+	vals, err := decodeAll(dec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,7 +282,7 @@ func TestStreamingDecoderSmallReads(t *testing.T) {
 	// One byte at a time exercises buffer growth and number termination.
 	input := `{"key":"value","n":12345}  678  [true]`
 	dec := NewDecoder(iotest{r: strings.NewReader(input)})
-	vals, err := dec.DecodeAll()
+	vals, err := decodeAll(dec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -417,8 +417,8 @@ func TestParseLinesAndMarshalLines(t *testing.T) {
 }
 
 func TestQuote(t *testing.T) {
-	if got := Quote(`a"b`); got != `"a\"b"` {
-		t.Errorf("Quote = %s", got)
+	if got := string(AppendQuoted(nil, `a"b`, false)); got != `"a\"b"` {
+		t.Errorf("AppendQuoted = %s", got)
 	}
 }
 
@@ -427,5 +427,20 @@ func TestInvalidUTF8Replaced(t *testing.T) {
 	out := MarshalString(v)
 	if out != `"\ufffda"` {
 		t.Errorf("invalid UTF-8 marshal = %s", out)
+	}
+}
+
+// decodeAll decodes every value dec holds, up to its first error.
+func decodeAll(dec *Decoder) ([]*jsonvalue.Value, error) {
+	var out []*jsonvalue.Value
+	for {
+		v, err := dec.Decode()
+		if err == io.EOF {
+			return out, nil
+		}
+		if err != nil {
+			return out, err
+		}
+		out = append(out, v)
 	}
 }

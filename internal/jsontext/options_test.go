@@ -55,14 +55,14 @@ func TestSurrogatePairDecoding(t *testing.T) {
 	}
 }
 
-func TestDecodeAllPartialResults(t *testing.T) {
+func TestDecodeReturnsValuesBeforeError(t *testing.T) {
 	dec := NewDecoder(strings.NewReader(`{"ok":1} {"broken":`))
-	vals, err := dec.DecodeAll()
+	vals, err := decodeAll(dec)
 	if err == nil {
 		t.Fatal("expected error")
 	}
 	if len(vals) != 1 || !jsonvalue.Equal(vals[0], MustParse(`{"ok":1}`)) {
-		t.Errorf("partial results = %v", vals)
+		t.Errorf("values before the error = %v", vals)
 	}
 }
 

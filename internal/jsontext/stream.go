@@ -1,7 +1,6 @@
 package jsontext
 
 import (
-	"errors"
 	"io"
 
 	"repro/internal/jsonvalue"
@@ -39,23 +38,4 @@ func (d *Decoder) Decode() (*jsonvalue.Value, error) {
 		return nil, io.EOF
 	}
 	return parseValueAt(d.tr, tok, 0)
-}
-
-// InputOffset returns the absolute byte offset of the next unconsumed
-// byte of the stream.
-func (d *Decoder) InputOffset() int { return d.tr.InputOffset() }
-
-// DecodeAll drains the stream, returning every value.
-func (d *Decoder) DecodeAll() ([]*jsonvalue.Value, error) {
-	var out []*jsonvalue.Value
-	for {
-		v, err := d.Decode()
-		if errors.Is(err, io.EOF) {
-			return out, nil
-		}
-		if err != nil {
-			return out, err
-		}
-		out = append(out, v)
-	}
 }

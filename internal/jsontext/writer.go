@@ -205,11 +205,6 @@ func AppendQuoted(dst []byte, s string, escapeHTML bool) []byte {
 	return append(dst, '"')
 }
 
-// Quote returns s as a JSON string literal.
-func Quote(s string) string {
-	return string(AppendQuoted(nil, s, false))
-}
-
 // MarshalLines serialises a collection one value per line (NDJSON), the
 // on-disk layout assumed by the inference and parsing experiments.
 func MarshalLines(vs []*jsonvalue.Value) []byte {

@@ -358,30 +358,6 @@ func (v *Value) mustBe(k Kind) {
 	}
 }
 
-// Clone returns a deep copy of v.
-func (v *Value) Clone() *Value {
-	if v == nil {
-		return nil
-	}
-	switch v.kind {
-	case Array:
-		elems := make([]*Value, len(v.arr))
-		for i, e := range v.arr {
-			elems[i] = e.Clone()
-		}
-		return NewArray(elems...)
-	case Object:
-		fields := make([]Field, len(v.fields))
-		for i, f := range v.fields {
-			fields[i] = Field{Name: f.Name, Value: f.Value.Clone()}
-		}
-		return NewObject(fields...)
-	default:
-		c := *v
-		return &c
-	}
-}
-
 // Equal reports deep structural equality. Object comparison is
 // order-insensitive, as in the JSON data model (and in JSON Schema's
 // notion of instance equality used by "enum", "const" and
@@ -467,34 +443,6 @@ func (v *Value) Size() int {
 			n += f.Value.Size()
 		}
 		return n
-	default:
-		return 1
-	}
-}
-
-// Depth returns the nesting depth: 1 for an atom, 1 + max child depth
-// otherwise (empty containers have depth 1).
-func (v *Value) Depth() int {
-	if v == nil {
-		return 0
-	}
-	switch v.kind {
-	case Array:
-		d := 0
-		for _, e := range v.arr {
-			if ed := e.Depth(); ed > d {
-				d = ed
-			}
-		}
-		return 1 + d
-	case Object:
-		d := 0
-		for _, f := range v.fields {
-			if fd := f.Value.Depth(); fd > d {
-				d = fd
-			}
-		}
-		return 1 + d
 	default:
 		return 1
 	}

@@ -156,33 +156,11 @@ func TestEqualDuplicateFields(t *testing.T) {
 	}
 }
 
-func TestCloneIsDeep(t *testing.T) {
-	orig := ObjectFromPairs("xs", []any{1, 2}, "o", map[string]any{"k": "v"})
-	clone := orig.Clone()
-	if !Equal(orig, clone) {
-		t.Fatal("clone not equal")
-	}
-	// Mutating the clone through WithField must not affect the original;
-	// deep-clone means even shared containers are distinct pointers.
-	if orig.Fields()[0].Value == clone.Fields()[0].Value {
-		t.Error("clone shares child pointers")
-	}
-}
-
-func TestSizeAndDepth(t *testing.T) {
+func TestSize(t *testing.T) {
 	v := ObjectFromPairs("a", 1, "b", []any{1, 2, 3}, "c", map[string]any{"d": "x"})
 	// nodes: obj(1) + a(1) + arr(1)+3 + c-obj(1)+d(1) = 8
 	if got := v.Size(); got != 8 {
 		t.Errorf("Size = %d, want 8", got)
-	}
-	if got := v.Depth(); got != 3 {
-		t.Errorf("Depth = %d, want 3", got)
-	}
-	if got := NewInt(1).Depth(); got != 1 {
-		t.Errorf("atom depth = %d, want 1", got)
-	}
-	if NewArray().Depth() != 1 {
-		t.Error("empty array depth wrong")
 	}
 }
 

@@ -105,13 +105,6 @@ func Build(docs []*jsonvalue.Value, minSupport float64) *Skeleton {
 	return sk
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // Size returns the number of distinct paths retained — the skeleton's
 // size measure (E8).
 func (s *Skeleton) Size() int { return len(s.paths) }

@@ -3,6 +3,7 @@ package sparkinfer
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -224,7 +225,7 @@ func TestFromTypeIsInfer(t *testing.T) {
 		}
 	}
 	for _, in := range projectionInputs {
-		docs, err := jsontext.NewDecoder(strings.NewReader(in)).DecodeAll()
+		docs, err := decodeAll(strings.NewReader(in))
 		if err != nil {
 			t.Fatalf("%q: %v", in, err)
 		}
@@ -240,10 +241,27 @@ func FuzzSparkFromType(f *testing.F) {
 		f.Add([]byte(in))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		docs, err := jsontext.NewDecoder(bytes.NewReader(data)).DecodeAll()
+		docs, err := decodeAll(bytes.NewReader(data))
 		if err != nil {
 			return
 		}
 		assertProjectsToInfer(t, fmt.Sprintf("%q", data), data, docs)
 	})
+}
+
+// decodeAll decodes every document r holds (NDJSON or concatenated
+// JSON).
+func decodeAll(r io.Reader) ([]*jsonvalue.Value, error) {
+	var docs []*jsonvalue.Value
+	dec := jsontext.NewDecoder(r)
+	for {
+		v, err := dec.Decode()
+		if err == io.EOF {
+			return docs, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+		docs = append(docs, v)
+	}
 }

@@ -74,9 +74,6 @@ type Accum struct {
 // Sealing it before any Absorb yields Bottom.
 func NewAccum(e Equiv) *Accum { return &Accum{equiv: e} }
 
-// Equiv returns the equivalence the accumulator folds under.
-func (a *Accum) Equiv() Equiv { return a.equiv }
-
 // Absorb folds one type into the accumulator: the in-place equivalent
 // of acc = Merge(acc, t, equiv). t must be canonical; nil and Bottom
 // are no-ops.

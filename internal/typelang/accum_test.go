@@ -185,9 +185,6 @@ func TestAccumEdgeCases(t *testing.T) {
 	if !empty(a) {
 		t.Error("nil/Bottom absorbs should be no-ops")
 	}
-	if a.Equiv() != EquivKind {
-		t.Error("Equiv getter wrong")
-	}
 
 	cases := []struct {
 		name string

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Daemon smoke test: boot jsinferd, POST a checked-in fixture (identity
 # and gzip-encoded), and assert the served schemas are byte-identical to
-# batch `jsinfer` over the same file, then assert /metrics
+# batch `jsinfer` over the same file in every output form (type, counted,
+# jsonschema, typescript, swift), then assert /metrics
 # serves ingest counters that add up. Then POST two generated bodies of
 # several read blocks (NDJSON and pretty-printed) and assert the same
 # identity, and that each was absorbed in line, window by window. Last,
@@ -55,6 +56,21 @@ if [ -z "$base" ]; then
     exit 1
 fi
 
+# assert_served COL FILE FORM: the schema COL serves in FORM is
+# byte-identical to what jsinfer prints for FILE. Both sides go to files
+# and cmp, never through $(…), which drops trailing newlines.
+assert_served() {
+    local col=$1 file=$2 form=$3 flags=(-output "$3")
+    [ "$form" = counted ] && flags=(-counted)
+    "$bindir/jsinfer" "${flags[@]}" "$file" > "$bindir/want"
+    curl -fsS "$base/v1/collections/$col/schema?output=$form" > "$bindir/got"
+    if ! cmp -s "$bindir/want" "$bindir/got"; then
+        echo "smoke: $form schema of $col: the daemon serves $(wc -c < "$bindir/got") bytes, jsinfer prints $(wc -c < "$bindir/want")" >&2
+        diff "$bindir/want" "$bindir/got" | head -20 >&2
+        exit 1
+    fi
+}
+
 trace_id=4bf92f3577b34da6a3ce929d0e0e4736
 echo "smoke: ingesting $fixture (identity, traced as $trace_id)"
 curl -fsS -X POST -H "Traceparent: 00-$trace_id-00f067aa0ba902b7-01" \
@@ -64,17 +80,12 @@ echo "smoke: ingesting $fixture (gzip)"
 gzip -c "$fixture" | curl -fsS -X POST -H 'Content-Encoding: gzip' \
     --data-binary @- "$base/v1/collections/smoke-gz/ingest"
 
-batch=$("$bindir/jsinfer" "$fixture")
 for col in smoke smoke-gz; do
-    served=$(curl -fsS "$base/v1/collections/$col/schema")
-    if [ "$served" != "$batch" ]; then
-        echo "smoke: schema mismatch on $col" >&2
-        echo "  daemon:  $served" >&2
-        echo "  jsinfer: $batch" >&2
-        exit 1
-    fi
+    for form in type counted jsonschema typescript swift; do
+        assert_served "$col" "$fixture" "$form"
+    done
 done
-echo "smoke: gzip-encoded ingest schema is byte-identical to identity"
+echo "smoke: identity and gzip ingests serve jsinfer's bytes in all five forms"
 
 metrics=$(curl -fsS "$base/metrics")
 echo "$metrics" | grep -q '^# TYPE jsinferd_ingest_docs_total counter$' || {
@@ -128,14 +139,7 @@ for f in big.ndjson big-indent.json; do
     col=${f%.*}
     echo "smoke: ingesting $f ($(wc -c < "$bindir/$f") bytes) into $col"
     curl -fsS -X POST --data-binary "@$bindir/$f" "$base/v1/collections/$col/ingest"
-    served=$(curl -fsS "$base/v1/collections/$col/schema")
-    batch=$("$bindir/jsinfer" "$bindir/$f")
-    if [ "$served" != "$batch" ]; then
-        echo "smoke: schema mismatch on $col" >&2
-        echo "  daemon:  $served" >&2
-        echo "  jsinfer: $batch" >&2
-        exit 1
-    fi
+    assert_served "$col" "$bindir/$f" type
 done
 collections=$(curl -fsS "$base/v1/collections")
 # pipeline_stat COLLECTION STAT: the counter in that collection's entry.
@@ -176,14 +180,7 @@ if [ "$code" != 404 ]; then
     exit 1
 fi
 curl -fsS -X POST --data-binary "@$fixture" "$base/v1/collections/after-wide/ingest" >/dev/null
-served=$(curl -fsS "$base/v1/collections/after-wide/schema")
-batch=$("$bindir/jsinfer" "$fixture")
-if [ "$served" != "$batch" ]; then
-    echo "smoke: schema mismatch on after-wide" >&2
-    echo "  daemon:  $served" >&2
-    echo "  jsinfer: $batch" >&2
-    exit 1
-fi
+assert_served after-wide "$fixture" type
 stats=$(curl -fsS "$base/v1/stats")
 if echo "$stats" | grep -q '"symbols"'; then
     echo "smoke: /v1/stats still carries a \"symbols\" key" >&2

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"go/ast"
 	"go/importer"
 	"go/parser"
@@ -14,6 +15,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"sort"
+	"sync"
 	"testing"
 )
 
@@ -38,66 +40,17 @@ var sealedWriteAllowlist = map[string]string{
 // Every name that reaches a Type counts — core.Inference.Type.Count as
 // much as t.Count — so the check needs types, not just identifiers.
 func TestSealedTypesAreNotWritten(t *testing.T) {
-	cmd := exec.Command("go", "list", "-export", "-deps", "-json=ImportPath,Dir,GoFiles,Export,Module", "./...")
-	cmd.Stderr = os.Stderr
-	out, err := cmd.Output()
-	if err != nil {
-		t.Fatalf("go list: %v", err)
-	}
-	type listed struct {
-		ImportPath, Dir, Export string
-		GoFiles                 []string
-		Module                  *struct{ Path string }
-	}
-	exports := map[string]string{}
-	var pkgs []listed
-	for dec := json.NewDecoder(bytes.NewReader(out)); ; {
-		var p listed
-		if err := dec.Decode(&p); errors.Is(err, io.EOF) {
-			break
-		} else if err != nil {
-			t.Fatal(err)
-		}
-		exports[p.ImportPath] = p.Export
-		if p.Module != nil && p.Module.Path == "repro" {
-			pkgs = append(pkgs, p)
-		}
-	}
-
-	fset := token.NewFileSet()
-	imp := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
-		if exports[path] == "" {
-			return nil, errors.New("go list gave no export data for " + path)
-		}
-		return os.Open(exports[path])
-	})
+	fset, pkgs := checkModule(t)
 	allowed := map[string]bool{}
 	var bad []string
 	for _, p := range pkgs {
-		var files []*ast.File
-		for _, name := range p.GoFiles {
-			f, err := parser.ParseFile(fset, filepath.Join(p.Dir, name), nil, parser.SkipObjectResolution)
-			if err != nil {
-				t.Fatal(err)
-			}
-			files = append(files, f)
-		}
-		info := &types.Info{
-			Defs:       map[*ast.Ident]types.Object{},
-			Uses:       map[*ast.Ident]types.Object{},
-			Selections: map[*ast.SelectorExpr]*types.Selection{},
-		}
-		pkg, err := (&types.Config{Importer: imp}).Check(p.ImportPath, fset, files, info)
-		if err != nil {
-			t.Fatalf("type-checking %s: %v", p.ImportPath, err)
-		}
-		for _, f := range files {
+		for _, f := range p.files {
 			for _, d := range f.Decls {
 				fd, ok := d.(*ast.FuncDecl)
 				if !ok || fd.Body == nil {
 					continue
 				}
-				fn := info.Defs[fd.Name].(*types.Func).FullName()
+				fn := p.info.Defs[fd.Name].(*types.Func).FullName()
 				ast.Inspect(fd.Body, func(n ast.Node) bool {
 					var lhs []ast.Expr
 					switch n := n.(type) {
@@ -108,7 +61,7 @@ func TestSealedTypesAreNotWritten(t *testing.T) {
 					}
 					for _, e := range lhs {
 						sel, ok := ast.Unparen(e).(*ast.SelectorExpr)
-						if !ok || !sealedFields[sel.Sel.Name] || !writesSharedType(sel, info, pkg) {
+						if !ok || !sealedFields[sel.Sel.Name] || !writesSharedType(sel, p.info, p.pkg) {
 							continue
 						}
 						if _, ok := sealedWriteAllowlist[fn]; ok {
@@ -160,4 +113,95 @@ func writesSharedType(sel *ast.SelectorExpr, info *types.Info, pkg *types.Packag
 	}
 	v, ok := info.Uses[id].(*types.Var)
 	return !ok || v.Parent() == pkg.Scope()
+}
+
+// checkedPackage is one package of the module, type-checked from its
+// non-test files.
+type checkedPackage struct {
+	pkg   *types.Package
+	files []*ast.File
+	info  *types.Info
+}
+
+// module caches what checkModule loads: it is the same for every test.
+var module struct {
+	once sync.Once
+	fset *token.FileSet
+	pkgs []checkedPackage
+	imp  types.Importer
+	// deps are every package path the module depends on, itself
+	// included, and exports their export data files ("" for a main
+	// package).
+	deps    []string
+	exports map[string]string
+	err     error
+}
+
+// checkModule type-checks every package of the module — its non-test
+// files; bench/ is a module of its own — against the export data `go
+// list -export` builds for its dependencies, once per test binary.
+func checkModule(t *testing.T) (*token.FileSet, []checkedPackage) {
+	t.Helper()
+	module.once.Do(func() { module.err = loadModule() })
+	if module.err != nil {
+		t.Fatal(module.err)
+	}
+	return module.fset, module.pkgs
+}
+
+func loadModule() error {
+	cmd := exec.Command("go", "list", "-export", "-deps", "-json=ImportPath,Dir,GoFiles,Export,Module", "./...")
+	cmd.Stderr = os.Stderr
+	out, err := cmd.Output()
+	if err != nil {
+		return fmt.Errorf("go list: %w", err)
+	}
+	type listed struct {
+		ImportPath, Dir, Export string
+		GoFiles                 []string
+		Module                  *struct{ Path string }
+	}
+	exports := map[string]string{}
+	module.exports = exports
+	var own []listed
+	for dec := json.NewDecoder(bytes.NewReader(out)); ; {
+		var p listed
+		if err := dec.Decode(&p); errors.Is(err, io.EOF) {
+			break
+		} else if err != nil {
+			return err
+		}
+		exports[p.ImportPath] = p.Export
+		module.deps = append(module.deps, p.ImportPath)
+		if p.Module != nil && p.Module.Path == "repro" {
+			own = append(own, p)
+		}
+	}
+
+	module.fset = token.NewFileSet()
+	module.imp = importer.ForCompiler(module.fset, "gc", func(path string) (io.ReadCloser, error) {
+		if exports[path] == "" {
+			return nil, errors.New("go list gave no export data for " + path)
+		}
+		return os.Open(exports[path])
+	})
+	for _, p := range own {
+		c := checkedPackage{info: &types.Info{
+			Defs:       map[*ast.Ident]types.Object{},
+			Uses:       map[*ast.Ident]types.Object{},
+			Selections: map[*ast.SelectorExpr]*types.Selection{},
+		}}
+		for _, name := range p.GoFiles {
+			f, err := parser.ParseFile(module.fset, filepath.Join(p.Dir, name), nil, parser.SkipObjectResolution)
+			if err != nil {
+				return err
+			}
+			c.files = append(c.files, f)
+		}
+		if c.pkg, err = (&types.Config{Importer: module.imp}).Check(p.ImportPath, module.fset, c.files, c.info); err != nil {
+			return fmt.Errorf("type-checking %s: %w", p.ImportPath, err)
+		}
+		module.pkgs = append(module.pkgs, c)
+	}
+	return nil
 }
