@@ -7,7 +7,7 @@ DOC_PKGS = repro/internal/jsontext repro/internal/infer \
            repro/internal/registry repro/internal/daemon/intake \
            repro/internal/daemon/metrics
 
-.PHONY: all build vet test race fuzz-smoke bench bench-stream bench-e2e bench-compare bench-budget test-bench docs fixtures serve smoke-daemon ci
+.PHONY: all build vet test race fuzz-smoke bench bench-stream bench-e2e bench-compare bench-budget test-bench docs loc fixtures serve smoke-daemon ci
 
 all: build
 
@@ -109,6 +109,11 @@ docs:
 	@for pkg in $(DOC_PKGS); do \
 		$(GO) doc $$pkg >/dev/null || exit 1; done
 	@echo "docs ok"
+
+# Lines of non-test Go outside bench/, all and code (neither blank nor a
+# // comment), in total and per package: the count ROADMAP's "Sizes" uses.
+loc:
+	@./scripts/loc.sh
 
 # Run the jsinferd ingest daemon locally (ctrl-C to stop).
 serve:

@@ -451,6 +451,53 @@ func TestDecompressionBomb413(t *testing.T) {
 	}
 }
 
+// TestOversizedBodyClosesConnection pins that a 413 ends its
+// connection, for identity and gzip bodies: the response carries
+// Connection: close, and the client's next read on that connection sees
+// EOF, where a kept-alive connection would leave it waiting for the
+// server to read the rest of the rejected body.
+func TestOversizedBodyClosesConnection(t *testing.T) {
+	docs := []byte(strings.Repeat(`{"a": 1}`+"\n", 10))
+	for _, enc := range encodings {
+		t.Run("enc="+enc, func(t *testing.T) {
+			srv, _ := newTestServerMaxBody(t, registry.Options{}, 40)
+			conn, err := net.Dial("tcp", srv.Listener.Addr().String())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			body := encodeBody(t, enc, docs)
+			head := fmt.Sprintf("POST /v1/collections/c/ingest HTTP/1.1\r\nHost: jsinferd\r\nContent-Length: %d\r\n", len(body))
+			if enc != "" {
+				head += "Content-Encoding: " + enc + "\r\n"
+			}
+			if _, err := conn.Write(append([]byte(head+"\r\n"), body...)); err != nil {
+				t.Fatal(err)
+			}
+			conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+			br := bufio.NewReader(conn)
+			resp, err := http.ReadResponse(br, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resp.StatusCode != http.StatusRequestEntityTooLarge {
+				t.Fatalf("status = %d (%s), want 413", resp.StatusCode, out)
+			}
+			if !resp.Close { // ReadResponse consumes the Connection: close header
+				t.Error("the 413 does not carry Connection: close")
+			}
+			if n, err := br.Read(make([]byte, 1)); err != io.EOF {
+				t.Errorf("next read on the connection = %d bytes, %v; want EOF", n, err)
+			}
+		})
+	}
+}
+
 // TestStormWithMetricsAndDeletes hammers the daemon with concurrent
 // encoded ingests while other goroutines scrape /metrics, delete and
 // recreate a churn collection, and bounce off a rate-limited one. The

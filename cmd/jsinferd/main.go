@@ -618,9 +618,17 @@ type statusRecorder struct {
 	status int
 }
 
+// WriteHeader also closes the connection after a 413: the recorder hides
+// the server's own response from http.MaxBytesReader, which would
+// otherwise mark the connection for closing, so a rejected body would be
+// answered on a kept-alive connection the server then reads the rest of
+// the body from.
 func (w *statusRecorder) WriteHeader(code int) {
 	if w.status == 0 {
 		w.status = code
+	}
+	if code == http.StatusRequestEntityTooLarge {
+		w.Header().Set("Connection", "close")
 	}
 	w.ResponseWriter.WriteHeader(code)
 }

@@ -282,18 +282,3 @@ func kindList(kinds map[string]int) []string {
 	sort.Strings(out)
 	return out
 }
-
-// Describe renders the report.
-func (r *Report) Describe() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "documents: %d, flavors: %d, scalar paths: %d\n",
-		r.TotalDocs, len(r.Flavors), len(r.Fields))
-	for i, fl := range r.Flavors {
-		if i >= 5 {
-			fmt.Fprintf(&b, "  ... %d more flavors\n", len(r.Flavors)-5)
-			break
-		}
-		fmt.Fprintf(&b, "  flavor %d (%d docs): %s\n", i+1, fl.Count, fl.Signature)
-	}
-	return b.String()
-}

@@ -141,14 +141,6 @@ func TestFreeTextPenalty(t *testing.T) {
 	}
 }
 
-func TestDescribe(t *testing.T) {
-	docs := genjson.Collection(genjson.GitHub{Seed: 134}, 50)
-	out := Discover(docs).Describe()
-	if !strings.Contains(out, "flavors") || !strings.Contains(out, "flavor 1") {
-		t.Errorf("Describe output:\n%s", out)
-	}
-}
-
 func TestSemanticRefinementInSignature(t *testing.T) {
 	// Same structure, different string semantics -> different flavors.
 	docs := []*jsonvalue.Value{

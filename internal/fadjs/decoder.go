@@ -1,7 +1,9 @@
-// Package fadjs implements the speculative JSON codec of Bonetta and
-// Brantner, "FAD.js: Fast JSON Data Access Using JIT-based Speculative
-// Optimizations" (VLDB 2017) — the §4.2 tool built on the assumption
-// "that most applications never use all the fields of input objects".
+// Package fadjs implements the decoding side of the speculative JSON
+// codec of Bonetta and Brantner, "FAD.js: Fast JSON Data Access Using
+// JIT-based Speculative Optimizations" (VLDB 2017) — the §4.2 tool built
+// on the assumption "that most applications never use all the fields of
+// input objects". E7 reproduces the decoding claim; the encoding side
+// is not built.
 //
 // Substitution note (recorded in docs/EXPERIMENTS.md): Fad.js installs
 // its speculation in the Graal.js JIT; stdlib Go has no JIT, so the

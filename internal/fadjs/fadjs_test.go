@@ -212,44 +212,3 @@ func TestDecodeQuickEquivalence(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestEncoderEquivalenceAndHits(t *testing.T) {
-	e := NewEncoder()
-	docs := genjson.Collection(genjson.Orders{Seed: 47}, 100)
-	for i, doc := range docs {
-		got := e.Encode(nil, doc)
-		want := jsontext.Marshal(doc)
-		if string(got) != string(want) {
-			t.Fatalf("doc %d: %s != %s", i, got, want)
-		}
-	}
-	if e.Hits == 0 {
-		t.Error("encoder cache never hit on a near-constant stream")
-	}
-	// Non-objects pass through.
-	arr := jsontext.MustParse(`[1,2]`)
-	if string(e.Encode(nil, arr)) != `[1,2]` {
-		t.Error("non-object encode wrong")
-	}
-}
-
-func TestEncoderEscapedKeys(t *testing.T) {
-	e := NewEncoder()
-	doc := jsonvalue.NewObject(jsonvalue.Field{Name: `a"b`, Value: jsonvalue.NewInt(1)})
-	for i := 0; i < 3; i++ {
-		got := e.Encode(nil, doc)
-		if string(got) != `{"a\"b":1}` {
-			t.Fatalf("escaped-key encode = %s", got)
-		}
-	}
-}
-
-func TestEncoderEmptyObject(t *testing.T) {
-	e := NewEncoder()
-	empty := jsonvalue.NewObject()
-	for i := 0; i < 2; i++ {
-		if got := e.Encode(nil, empty); string(got) != "{}" {
-			t.Fatalf("empty encode = %s", got)
-		}
-	}
-}

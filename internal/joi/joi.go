@@ -1,10 +1,12 @@
 // Package joi reimplements the schema style of Walmart Labs' Joi
 // library ([6] in the tutorial): schemas for JSON objects built by
 // chained function calls inside the host language, validating data in
-// an otherwise untyped setting. The tutorial highlights exactly the
-// features modelled here: "the ability to specify co-occurrence and
-// mutual exclusion constraints on fields, as well as union and
-// value-dependent types".
+// an otherwise untyped setting. The tutorial highlights "the ability to
+// specify co-occurrence and mutual exclusion constraints on fields, as
+// well as union and value-dependent types"; modelled here are the
+// co-occurrence and exclusion constraints (Xor, With, Without) and the
+// value-dependent types (When), the ones the experiments and examples
+// use.
 //
 // The builder API mirrors Joi's JavaScript one:
 //
@@ -32,15 +34,12 @@ type kind uint8
 
 const (
 	kAny kind = iota
-	kNull
 	kBool
 	kNumber
 	kString
 	kArray
 	kObject
-	kAlternatives
 	kWhen
-	kForbidden
 )
 
 // K is the key→schema map accepted by Object().Keys.
@@ -56,13 +55,10 @@ type Schema struct {
 	integer  bool
 	hasMin   bool
 	min      float64
-	hasMax   bool
-	max      float64
 	positive bool
 
 	// string
 	minLen  int // -1 unset
-	maxLen  int
 	pattern *regexp.Regexp
 
 	// any
@@ -71,21 +67,13 @@ type Schema struct {
 	// array
 	items    *Schema
 	minItems int // -1 unset
-	maxItems int
-	unique   bool
 
 	// object
 	keys         map[string]*Schema
 	unknown      bool
-	andPeers     [][]string
-	orPeers      [][]string
 	xorPeers     [][]string
-	nandPeers    [][]string
 	withPeers    map[string][]string
 	withoutPeers map[string][]string
-
-	// alternatives
-	alts []*Schema
 
 	// when
 	whenRef       string
@@ -100,10 +88,7 @@ func (s *Schema) clone() *Schema {
 }
 
 // Any matches every value.
-func Any() *Schema { return &Schema{kind: kAny, minLen: -1, minItems: -1, maxLen: -1, maxItems: -1} }
-
-// Null matches JSON null only.
-func Null() *Schema { s := Any(); s.kind = kNull; return s }
+func Any() *Schema { return &Schema{kind: kAny, minLen: -1, minItems: -1} }
 
 // Boolean matches booleans.
 func Boolean() *Schema { s := Any(); s.kind = kBool; return s }
@@ -119,18 +104,6 @@ func Array() *Schema { s := Any(); s.kind = kArray; return s }
 
 // Object matches objects.
 func Object() *Schema { s := Any(); s.kind = kObject; return s }
-
-// Forbidden matches only absence; a present value fails (Joi's
-// .forbidden()).
-func Forbidden() *Schema { s := Any(); s.kind = kForbidden; return s }
-
-// Alternatives matches any of the given schemas — Joi's union types.
-func Alternatives(alts ...*Schema) *Schema {
-	s := Any()
-	s.kind = kAlternatives
-	s.alts = alts
-	return s
-}
 
 // When builds a value-dependent schema: if the sibling field ref (in
 // the enclosing object) matches is, the value must satisfy then,
@@ -194,22 +167,6 @@ func (s *Schema) Min(n float64) *Schema {
 	return c
 }
 
-// Max sets the numeric maximum or length maximum, as Min.
-func (s *Schema) Max(n float64) *Schema {
-	c := s.clone()
-	switch s.kind {
-	case kNumber:
-		c.hasMax, c.max = true, n
-	case kString:
-		c.maxLen = int(n)
-	case kArray, kObject:
-		c.maxItems = int(n)
-	default:
-		panic("joi: Max on " + s.kindName())
-	}
-	return c
-}
-
 // Pattern constrains strings by a regular expression.
 func (s *Schema) Pattern(re string) *Schema {
 	s.mustBe(kString, "Pattern")
@@ -223,14 +180,6 @@ func (s *Schema) Items(item *Schema) *Schema {
 	s.mustBe(kArray, "Items")
 	c := s.clone()
 	c.items = item
-	return c
-}
-
-// Unique requires array elements to be pairwise distinct.
-func (s *Schema) Unique() *Schema {
-	s.mustBe(kArray, "Unique")
-	c := s.clone()
-	c.unique = true
 	return c
 }
 
@@ -253,35 +202,11 @@ func (s *Schema) Unknown(allow bool) *Schema {
 	return c
 }
 
-// And requires the peers to appear all together or not at all.
-func (s *Schema) And(peers ...string) *Schema {
-	s.mustBe(kObject, "And")
-	c := s.clone()
-	c.andPeers = append(append([][]string{}, s.andPeers...), peers)
-	return c
-}
-
-// Or requires at least one of the peers.
-func (s *Schema) Or(peers ...string) *Schema {
-	s.mustBe(kObject, "Or")
-	c := s.clone()
-	c.orPeers = append(append([][]string{}, s.orPeers...), peers)
-	return c
-}
-
 // Xor requires exactly one of the peers — Joi's mutual exclusion.
 func (s *Schema) Xor(peers ...string) *Schema {
 	s.mustBe(kObject, "Xor")
 	c := s.clone()
 	c.xorPeers = append(append([][]string{}, s.xorPeers...), peers)
-	return c
-}
-
-// Nand forbids all peers from appearing together.
-func (s *Schema) Nand(peers ...string) *Schema {
-	s.mustBe(kObject, "Nand")
-	c := s.clone()
-	c.nandPeers = append(append([][]string{}, s.nandPeers...), peers)
 	return c
 }
 
@@ -321,8 +246,6 @@ func (s *Schema) kindName() string {
 	switch s.kind {
 	case kAny:
 		return "any"
-	case kNull:
-		return "null"
 	case kBool:
 		return "boolean"
 	case kNumber:
@@ -333,12 +256,8 @@ func (s *Schema) kindName() string {
 		return "array"
 	case kObject:
 		return "object"
-	case kAlternatives:
-		return "alternatives"
 	case kWhen:
 		return "when"
-	case kForbidden:
-		return "forbidden"
 	default:
 		return "?"
 	}
@@ -390,12 +309,6 @@ func (s *Schema) validate(v *jsonvalue.Value, ctx *jsonvalue.Value, path string,
 	switch s.kind {
 	case kAny:
 		return
-	case kForbidden:
-		addf("value is forbidden")
-	case kNull:
-		if v.Kind() != jsonvalue.Null {
-			addf("must be null")
-		}
 	case kBool:
 		if v.Kind() != jsonvalue.Bool {
 			addf("must be a boolean")
@@ -408,15 +321,6 @@ func (s *Schema) validate(v *jsonvalue.Value, ctx *jsonvalue.Value, path string,
 		s.validateArray(v, ctx, path, errs, addf)
 	case kObject:
 		s.validateObject(v, path, errs, addf)
-	case kAlternatives:
-		for _, alt := range s.alts {
-			var altErrs []Error
-			alt.validate(v, ctx, path, &altErrs)
-			if len(altErrs) == 0 {
-				return
-			}
-		}
-		addf("value matches none of %d alternatives", len(s.alts))
 	case kWhen:
 		s.resolveWhen(ctx).validate(v, ctx, path, errs)
 	}
@@ -450,9 +354,6 @@ func (s *Schema) validateNumber(v *jsonvalue.Value, addf func(string, ...any)) {
 	if s.hasMin && n < s.min {
 		addf("must be >= %v", s.min)
 	}
-	if s.hasMax && n > s.max {
-		addf("must be <= %v", s.max)
-	}
 }
 
 func (s *Schema) validateString(v *jsonvalue.Value, addf func(string, ...any)) {
@@ -464,9 +365,6 @@ func (s *Schema) validateString(v *jsonvalue.Value, addf func(string, ...any)) {
 	n := len([]rune(str))
 	if s.minLen >= 0 && n < s.minLen {
 		addf("length must be >= %d", s.minLen)
-	}
-	if s.maxLen >= 0 && n > s.maxLen {
-		addf("length must be <= %d", s.maxLen)
 	}
 	if s.pattern != nil && !s.pattern.MatchString(str) {
 		addf("must match pattern %q", s.pattern)
@@ -481,20 +379,6 @@ func (s *Schema) validateArray(v *jsonvalue.Value, ctx *jsonvalue.Value, path st
 	elems := v.Elems()
 	if s.minItems >= 0 && len(elems) < s.minItems {
 		addf("must have >= %d items", s.minItems)
-	}
-	if s.maxItems >= 0 && len(elems) > s.maxItems {
-		addf("must have <= %d items", s.maxItems)
-	}
-	if s.unique {
-		for i := 0; i < len(elems); i++ {
-			for j := i + 1; j < len(elems); j++ {
-				if jsonvalue.Equal(elems[i], elems[j]) {
-					addf("items %d and %d are duplicates", i, j)
-					i = len(elems)
-					break
-				}
-			}
-		}
 	}
 	if s.items != nil {
 		for i, e := range elems {
@@ -524,13 +408,10 @@ func (s *Schema) validateObject(v *jsonvalue.Value, path string, errs *[]Error, 
 	if s.minItems >= 0 && fieldCount < s.minItems {
 		addf("must have >= %d keys", s.minItems)
 	}
-	if s.maxItems >= 0 && fieldCount > s.maxItems {
-		addf("must have <= %d keys", s.maxItems)
-	}
 	for _, name := range names {
 		sub := s.keys[name]
 		// Value-dependent schemas resolve against the enclosing object
-		// before requiredness and forbidden-ness are judged.
+		// before requiredness is judged.
 		eff := sub
 		for eff.kind == kWhen {
 			eff = eff.resolveWhen(v)
@@ -540,10 +421,6 @@ func (s *Schema) validateObject(v *jsonvalue.Value, path string, errs *[]Error, 
 			if eff.required {
 				addf("missing required key %q", name)
 			}
-			continue
-		}
-		if eff.kind == kForbidden {
-			*errs = append(*errs, Error{Path: joinPath(path, name), Message: "key is forbidden"})
 			continue
 		}
 		eff.validate(fv, v, joinPath(path, name), errs)
@@ -556,25 +433,9 @@ func (s *Schema) validateObject(v *jsonvalue.Value, path string, errs *[]Error, 
 		}
 	}
 	present := func(name string) bool { return v.Has(name) }
-	for _, group := range s.andPeers {
-		n := countPresent(group, present)
-		if n != 0 && n != len(group) {
-			addf("and(%s): all or none must be present", strings.Join(group, ", "))
-		}
-	}
-	for _, group := range s.orPeers {
-		if countPresent(group, present) == 0 {
-			addf("or(%s): at least one must be present", strings.Join(group, ", "))
-		}
-	}
 	for _, group := range s.xorPeers {
 		if n := countPresent(group, present); n != 1 {
 			addf("xor(%s): exactly one must be present, found %d", strings.Join(group, ", "), n)
-		}
-	}
-	for _, group := range s.nandPeers {
-		if countPresent(group, present) == len(group) {
-			addf("nand(%s): must not all be present", strings.Join(group, ", "))
 		}
 	}
 	for key, deps := range s.withPeers {

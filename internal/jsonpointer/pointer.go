@@ -1,7 +1,6 @@
 // Package jsonpointer implements RFC 6901 JSON Pointers over the shared
 // JSON value model. Pointers are the addressing mechanism of JSON
-// Schema's "$ref" keyword (§2 of the tutorial) and of the projection
-// lists handed to the Mison-style and Fad.js-style parsers (§4.2).
+// Schema's "$ref" keyword (§2 of the tutorial).
 package jsonpointer
 
 import (
@@ -37,13 +36,6 @@ func Parse(s string) (Pointer, error) {
 		tokens[i] = t
 	}
 	return Pointer{tokens: tokens}, nil
-}
-
-// FromTokens builds a pointer from already-decoded reference tokens.
-func FromTokens(tokens ...string) Pointer {
-	t := make([]string, len(tokens))
-	copy(t, tokens)
-	return Pointer{tokens: t}
 }
 
 func unescapeToken(p string) (string, error) {
@@ -90,24 +82,6 @@ func (p Pointer) String() string {
 	return b.String()
 }
 
-// Tokens returns the decoded reference tokens.
-func (p Pointer) Tokens() []string {
-	out := make([]string, len(p.tokens))
-	copy(out, p.tokens)
-	return out
-}
-
-// IsRoot reports whether the pointer addresses the whole document.
-func (p Pointer) IsRoot() bool { return len(p.tokens) == 0 }
-
-// Child returns p extended with one more token.
-func (p Pointer) Child(token string) Pointer {
-	tokens := make([]string, len(p.tokens)+1)
-	copy(tokens, p.tokens)
-	tokens[len(p.tokens)] = token
-	return Pointer{tokens: tokens}
-}
-
 // Eval resolves the pointer against doc. Array tokens must be canonical
 // base-10 indices (no leading zeros, per RFC 6901); "-" (the
 // past-the-end element) resolves to nothing.
@@ -149,13 +123,4 @@ func arrayIndex(tok string) (int, error) {
 		return 0, fmt.Errorf("invalid array index %q", tok)
 	}
 	return n, nil
-}
-
-// Resolve is shorthand: parse s and evaluate it against doc.
-func Resolve(doc *jsonvalue.Value, s string) (*jsonvalue.Value, error) {
-	p, err := Parse(s)
-	if err != nil {
-		return nil, err
-	}
-	return p.Eval(doc)
 }

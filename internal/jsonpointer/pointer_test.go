@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/jsontext"
+	"repro/internal/jsonvalue"
 )
 
 // rfcDoc is the example document from RFC 6901 §5.
@@ -39,7 +40,7 @@ func TestRFC6901Examples(t *testing.T) {
 		{`/m~0n`, `8`},
 	}
 	for _, c := range cases {
-		got, err := Resolve(rfcDoc, c.ptr)
+		got, err := resolve(rfcDoc, c.ptr)
 		if err != nil {
 			t.Errorf("Resolve(%q): %v", c.ptr, err)
 			continue
@@ -66,7 +67,7 @@ func TestParseErrors(t *testing.T) {
 
 func TestEvalErrors(t *testing.T) {
 	for _, s := range []string{"/nope", "/foo/2", "/foo/-", "/foo/01", "/foo/x", "/foo/0/deep", "//x"} {
-		if _, err := Resolve(rfcDoc, s); err == nil {
+		if _, err := resolve(rfcDoc, s); err == nil {
 			t.Errorf("Resolve(%q) succeeded, want error", s)
 		}
 	}
@@ -84,19 +85,11 @@ func TestStringRoundTrip(t *testing.T) {
 	}
 }
 
-func TestChildAndTokens(t *testing.T) {
-	p := FromTokens("a").Child("b/c").Child("~d")
-	if got := p.String(); got != "/a/b~1c/~0d" {
-		t.Errorf("escaped string = %q", got)
+// resolve parses s and evaluates it against doc.
+func resolve(doc *jsonvalue.Value, s string) (*jsonvalue.Value, error) {
+	p, err := Parse(s)
+	if err != nil {
+		return nil, err
 	}
-	toks := p.Tokens()
-	if len(toks) != 3 || toks[1] != "b/c" || toks[2] != "~d" {
-		t.Errorf("tokens = %v", toks)
-	}
-	if p.IsRoot() {
-		t.Error("non-empty pointer reported root")
-	}
-	if !(Pointer{}).IsRoot() {
-		t.Error("zero pointer should be root")
-	}
+	return p.Eval(doc)
 }

@@ -13,7 +13,7 @@
 //   - a "?" suffix on the type name allows null ("integer?");
 //   - an object: field descriptors keyed by name, where a "!" name
 //     prefix marks the field required and "@" marks it as the primary
-//     key (implying required; uniqueness is checked per collection);
+//     key (implying required; a schema has at most one);
 //     objects are closed — unknown fields are violations;
 //   - an array with exactly one element type: a homogeneous array;
 //   - an "=value" default: descriptor objects of the form
@@ -264,78 +264,9 @@ func (s *Schema) validate(v *jsonvalue.Value, path string, errs *[]Error) {
 	}
 }
 
-// ValidateCollection validates every document and, if the schema has an
-// @key field, enforces key uniqueness across the collection.
-func (s *Schema) ValidateCollection(docs []*jsonvalue.Value) []Error {
-	var errs []Error
-	seenKeys := make(map[string]int)
-	for i, d := range docs {
-		docErrs := s.Validate(d)
-		for _, e := range docErrs {
-			e.Path = fmt.Sprintf("doc[%d]%s", i, prefixPath(e.Path))
-			errs = append(errs, e)
-		}
-		if s.kind == kindObject && s.keyField != "" {
-			if kv, ok := d.Get(s.keyField); ok {
-				key := kv.String()
-				if prev, dup := seenKeys[key]; dup {
-					errs = append(errs, Error{
-						Path:    fmt.Sprintf("doc[%d].%s", i, s.keyField),
-						Message: fmt.Sprintf("duplicate @key %s (first seen in doc[%d])", key, prev),
-					})
-				} else {
-					seenKeys[key] = i
-				}
-			}
-		}
-	}
-	return errs
-}
-
-// Default returns the default value declared for an object field.
-func (s *Schema) Default(field string) (*jsonvalue.Value, bool) {
-	if s.kind != kindObject {
-		return nil, false
-	}
-	fs, ok := s.fields[field]
-	if !ok || fs.def == nil {
-		return nil, false
-	}
-	return fs.def, true
-}
-
-// ApplyDefaults returns doc with declared defaults filled in for absent
-// fields (top level and nested objects).
-func (s *Schema) ApplyDefaults(doc *jsonvalue.Value) *jsonvalue.Value {
-	if s.kind != kindObject || doc.Kind() != jsonvalue.Object {
-		return doc
-	}
-	out := doc
-	for name, fs := range s.fields {
-		fv, present := out.Get(name)
-		switch {
-		case !present && fs.def != nil:
-			out = out.WithField(name, fs.def)
-		case present && fs.schema.kind == kindObject:
-			out = out.WithField(name, fs.schema.ApplyDefaults(fv))
-		}
-	}
-	return out
-}
-
 func joinPath(base, key string) string {
 	if base == "" {
 		return key
 	}
 	return base + "." + key
-}
-
-func prefixPath(p string) string {
-	if p == "" {
-		return ""
-	}
-	if strings.HasPrefix(p, "[") {
-		return p
-	}
-	return "." + p
 }

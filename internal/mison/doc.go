@@ -7,10 +7,10 @@
 // a given analytics task".
 //
 // The package has two faces. The original experiment is the projecting
-// Parser: BuildBitmaps/BuildIndex raise the four-phase structural index
-// over one record and ParseRecord extracts a fixed set of field paths,
-// speculating on learned field positions and building values only for
-// the projected fields.
+// Parser: ParseRecord raises the four-phase structural index over one
+// record and extracts a fixed set of field paths, speculating on
+// learned field positions and building values only for the projected
+// fields.
 //
 // The production face is the streamed-inference fast path: TokenSource
 // raises one structural index per run of bytes, in one pass, and two

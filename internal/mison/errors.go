@@ -5,9 +5,9 @@ import "fmt"
 // IndexError reports a structural defect the projecting Parser's index
 // found in a record, with the absolute byte offset of the offending
 // position. Absolute means relative to the same stream the caller's
-// other offsets use: BuildIndexAt and ParseLines thread a base offset
-// through, so error attribution lines up exactly with the
-// jsontext.SyntaxError offsets of the reference lexer.
+// other offsets use: the index threads a base offset through, so error
+// attribution lines up exactly with the jsontext.SyntaxError offsets of
+// the reference lexer.
 type IndexError struct {
 	// Offset is the absolute byte offset of the defect.
 	Offset int

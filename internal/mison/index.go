@@ -1,7 +1,6 @@
 package mison
 
 import (
-	"math/bits"
 	"strconv"
 )
 
@@ -40,35 +39,6 @@ type Index struct {
 	merged    []uint64
 	openStack []int
 }
-
-// BuildIndex runs the full bitmap pipeline and extracts leveled
-// structural positions. It fails with an *IndexError on unbalanced
-// nesting (a malformed record), mirroring Mison's minimal structural
-// validation.
-func BuildIndex(data []byte) (*Index, error) { return BuildIndexAt(data, 0) }
-
-// BuildIndexAt is BuildIndex for a record whose first byte sits at
-// absolute stream offset base: any *IndexError carries absolute
-// offsets, so callers splitting a larger input keep exact attribution.
-func BuildIndexAt(data []byte, base int) (*Index, error) {
-	ix := NewIndex()
-	if err := ix.rebuild(data, base); err != nil {
-		return nil, err
-	}
-	return ix, nil
-}
-
-// NewIndex returns an empty reusable Index; bind it to a record with
-// Reset. One warm index per worker amortises the event, colon-list and
-// bitmap storage across an arbitrary number of records, the same
-// amortisation the projecting Parser has always had.
-func NewIndex() *Index { return &Index{Bitmap: &Bitmaps{}} }
-
-// Reset rebinds the index to a record whose first byte sits at absolute
-// stream offset base, reusing all storage. It fails with an *IndexError
-// (absolute offsets) on unbalanced nesting, exactly as BuildIndexAt
-// does.
-func (ix *Index) Reset(data []byte, base int) error { return ix.rebuild(data, base) }
 
 // rebuild reinitialises the index for a new record, reusing the event
 // and bitmap storage of previous records.
@@ -171,26 +141,6 @@ func (ix *Index) RecordSpan() (start, end int, err error) {
 	return 0, 0, &IndexError{Offset: ix.base, Msg: "no top-level object"}
 }
 
-// colonKey extracts the field name owning the colon at byte position
-// colonPos by scanning back over whitespace to the closing quote and
-// then to its structural opening quote. Keys are short, so the
-// backward byte scan is negligible next to the avoided tokenisation.
-func (ix *Index) colonKey(colonPos int) (string, bool) {
-	j := colonPos - 1
-	for j >= 0 && isSpace(ix.Data[j]) {
-		j--
-	}
-	if j < 0 || ix.Data[j] != '"' {
-		return "", false
-	}
-	// Find the structural opening quote: the nearest earlier quote bit.
-	open := ix.prevQuote(j - 1)
-	if open < 0 {
-		return "", false
-	}
-	return string(ix.Data[open+1 : j]), true
-}
-
 // keyMatches compares the colon's key bytes against want without
 // allocating (the speculative probe's verification step).
 func (ix *Index) keyMatches(colonPos int, want string) bool {
@@ -206,25 +156,6 @@ func (ix *Index) keyMatches(colonPos int, want string) bool {
 		return false
 	}
 	return string(ix.Data[start:j]) == want
-}
-
-// prevQuote returns the largest structural-quote position <= from.
-func (ix *Index) prevQuote(from int) int {
-	if from < 0 {
-		return -1
-	}
-	w := from >> 6
-	word := ix.Bitmap.Quote[w] & ((uint64(1) << uint(from&63+1)) - 1)
-	for {
-		if word != 0 {
-			return w*64 + 63 - bits.LeadingZeros64(word)
-		}
-		w--
-		if w < 0 {
-			return -1
-		}
-		word = ix.Bitmap.Quote[w]
-	}
 }
 
 // ValueSpan returns the byte range (exclusive of separators) of the

@@ -2,7 +2,6 @@ package mison
 
 import (
 	"errors"
-	"strings"
 	"testing"
 )
 
@@ -35,28 +34,4 @@ func TestIndexErrorsCarryAbsoluteOffsets(t *testing.T) {
 			t.Errorf("%s: offset = %d, want %d (error: %v)", c.name, ie.Offset, c.wantOff, err)
 		}
 	}
-}
-
-// TestParseLinesErrorOffsetsAreBufferRelative: a malformed record in
-// the middle of an NDJSON buffer must be attributed at its buffer
-// position, not its line-local one.
-func TestParseLinesErrorOffsetsAreBufferRelative(t *testing.T) {
-	data := []byte("{\"x\": 1}\n{\"x\": 2}}\n{\"x\": 3}\n")
-	lineStart := strings.Index(string(data), "{\"x\": 2}}")
-	wantOff := lineStart + 8 // the stray '}'
-	check := func(label string, err error) {
-		t.Helper()
-		if err == nil {
-			t.Fatalf("%s: accepted malformed buffer", label)
-		}
-		var ie *IndexError
-		if !errors.As(err, &ie) {
-			t.Fatalf("%s: error = %T (%v), want *IndexError", label, err, err)
-		}
-		if ie.Offset != wantOff {
-			t.Errorf("%s: offset = %d, want %d", label, ie.Offset, wantOff)
-		}
-	}
-	_, err := MustNewParser("x").ParseLines(data)
-	check("ParseLines", err)
 }

@@ -115,29 +115,33 @@ func TestIndexDepths(t *testing.T) {
 	}
 }
 
-func TestIndexUnbalanced(t *testing.T) {
-	for _, bad := range []string{`{"a": 1`, `{"a": 1}}`, `[1, 2`} {
-		if _, err := BuildIndex([]byte(bad)); err == nil {
-			t.Errorf("BuildIndex(%q) succeeded, want error", bad)
-		}
-	}
-}
-
+// TestColonKeyExtraction pins that the index tells which key owns each
+// record-level colon — keyMatches, the projecting parser's
+// verification step — when keys and values hold ':', ',' and '}'.
 func TestColonKeyExtraction(t *testing.T) {
 	ix, err := BuildIndex([]byte(`{"first" : 1, "se:c,ond": {"x}": 2}}`))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var keys []string
-	for _, evIdx := range ix.Colons[1] {
-		k, ok := ix.colonKey(ix.Events[evIdx].Pos)
-		if !ok {
-			t.Fatalf("colonKey failed")
-		}
-		keys = append(keys, k)
+	if len(ix.Colons[1]) != 2 {
+		t.Fatalf("depth-1 colons = %d, want 2", len(ix.Colons[1]))
 	}
-	if len(keys) != 2 || keys[0] != "first" || keys[1] != "se:c,ond" {
-		t.Errorf("keys = %v", keys)
+	for i, want := range []string{"first", "se:c,ond"} {
+		pos := ix.Events[ix.Colons[1][i]].Pos
+		if !ix.keyMatches(pos, want) {
+			t.Errorf("colon %d: key %q not matched", i, want)
+		}
+		if ix.keyMatches(pos, "x}") || ix.keyMatches(pos, want[1:]) {
+			t.Errorf("colon %d: matched a key it does not own", i)
+		}
+	}
+}
+
+func TestIndexUnbalanced(t *testing.T) {
+	for _, bad := range []string{`{"a": 1`, `{"a": 1}}`, `[1, 2`} {
+		if _, err := BuildIndex([]byte(bad)); err == nil {
+			t.Errorf("BuildIndex(%q) succeeded, want error", bad)
+		}
 	}
 }
 
@@ -234,25 +238,6 @@ func TestProjectionQuickProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestParseLines(t *testing.T) {
-	docs := genjson.Collection(genjson.GitHub{Seed: 3}, 30)
-	data := jsontext.MarshalLines(docs)
-	p := MustNewParser("type")
-	rows, err := p.ParseLines(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 30 {
-		t.Fatalf("rows = %d", len(rows))
-	}
-	for i, row := range rows {
-		want, _ := docs[i].Get("type")
-		if !jsonvalue.Equal(row[0], want) {
-			t.Fatalf("row %d: %v != %v", i, row[0], want)
-		}
 	}
 }
 

@@ -66,18 +66,11 @@ func MustNewParser(paths ...string) *Parser {
 // result slice is aligned with the constructor's paths; fields absent
 // from the record yield nil entries.
 func (p *Parser) ParseRecord(data []byte) ([]*jsonvalue.Value, error) {
-	return p.parseRecordAt(data, 0)
-}
-
-// parseRecordAt is ParseRecord for a record whose first byte sits at
-// absolute offset base: error offsets stay exact when the record is a
-// slice of a larger buffer.
-func (p *Parser) parseRecordAt(data []byte, base int) ([]*jsonvalue.Value, error) {
 	if p.ix == nil {
 		p.ix = &Index{Bitmap: &Bitmaps{}}
 	}
 	ix := p.ix
-	if err := ix.rebuild(data, base); err != nil {
+	if err := ix.rebuild(data, 0); err != nil {
 		return nil, err
 	}
 	objStart, objEnd, err := ix.RecordSpan()
@@ -196,36 +189,4 @@ func (ix *Index) objectWithin(vStart, vEnd int) (int, int, bool) {
 		}
 	}
 	return 0, 0, false
-}
-
-// ParseLines projects fields from an NDJSON buffer, returning one
-// result row per record. Error offsets are relative to the whole
-// buffer, not the offending line.
-func (p *Parser) ParseLines(data []byte) ([][]*jsonvalue.Value, error) {
-	var out [][]*jsonvalue.Value
-	for start := 0; start < len(data); {
-		end := start
-		for end < len(data) && data[end] != '\n' {
-			end++
-		}
-		line := data[start:end]
-		if !allSpace(line) {
-			row, err := p.parseRecordAt(line, start)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, row)
-		}
-		start = end + 1
-	}
-	return out, nil
-}
-
-func allSpace(b []byte) bool {
-	for _, c := range b {
-		if !isSpace(c) {
-			return false
-		}
-	}
-	return true
 }

@@ -13,7 +13,6 @@
 package mongoschema
 
 import (
-	"fmt"
 	"sort"
 	"strings"
 
@@ -71,9 +70,6 @@ func NewAnalyzer() *Analyzer {
 		parentCounts: make(map[string]int),
 	}
 }
-
-// DocCount returns the number of documents analyzed.
-func (a *Analyzer) DocCount() int { return a.docCount }
 
 // Analyze folds one document into the analysis.
 func (a *Analyzer) Analyze(doc *jsonvalue.Value) {
@@ -315,19 +311,4 @@ func (c *ShapeCollector) Schema() *jsonvalue.Value {
 // SchemaSize returns the serialised report size in bytes.
 func (c *ShapeCollector) SchemaSize() int {
 	return len(jsontext.Marshal(c.Schema()))
-}
-
-// Describe prints a short human-readable summary (used by cmd tools).
-func (a *Analyzer) Describe() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "documents: %d, fields: %d\n", a.docCount, len(a.fields))
-	for _, fs := range a.Fields() {
-		parent := a.parentFor(fs.Path)
-		fmt.Fprintf(&b, "  %-40s %6.1f%%", fs.Path, 100*fs.Probability(parent))
-		for _, ts := range fs.Types {
-			fmt.Fprintf(&b, "  %s:%d", ts.Name, ts.Count)
-		}
-		b.WriteByte('\n')
-	}
-	return b.String()
 }

@@ -14,7 +14,6 @@
 package profile
 
 import (
-	"fmt"
 	"sort"
 	"strings"
 
@@ -217,20 +216,6 @@ func gini(labels []string, idxs []int) float64 {
 	return g
 }
 
-// Classify routes a document to its leaf.
-func (t *Tree) Classify(doc *jsonvalue.Value) *Node {
-	n := t.Root
-	for !n.IsLeaf() {
-		v := FeatureValue(doc, n.Feature)
-		child, ok := n.Children[v]
-		if !ok {
-			return n // unseen branch: stop at the inner node
-		}
-		n = child
-	}
-	return n
-}
-
 // Leaves returns all leaf nodes.
 func (t *Tree) Leaves() []*Node {
 	var out []*Node
@@ -278,31 +263,4 @@ func (t *Tree) Purity(groundTruth []int) float64 {
 		return 1
 	}
 	return float64(agree) / float64(total)
-}
-
-// Describe renders the tree.
-func (t *Tree) Describe() string {
-	var b strings.Builder
-	var rec func(n *Node, indent string, branch string)
-	rec = func(n *Node, indent, branch string) {
-		if branch != "" {
-			fmt.Fprintf(&b, "%s[%s]\n", indent, branch)
-			indent += "  "
-		}
-		if n.IsLeaf() {
-			fmt.Fprintf(&b, "%sleaf: %d docs, variant %q\n", indent, len(n.Docs), n.Label)
-			return
-		}
-		fmt.Fprintf(&b, "%ssplit on %q (%d docs)\n", indent, n.Feature, len(n.Docs))
-		keys := make([]string, 0, len(n.Children))
-		for k := range n.Children {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			rec(n.Children[k], indent+"  ", k)
-		}
-	}
-	rec(t.Root, "", "")
-	return b.String()
 }

@@ -1,7 +1,6 @@
 package profile
 
 import (
-	"strings"
 	"testing"
 
 	"repro/internal/genjson"
@@ -72,26 +71,6 @@ func TestThreeWayMixture(t *testing.T) {
 	}
 }
 
-func TestClassifyRoutesToLeaf(t *testing.T) {
-	docs := []*jsonvalue.Value{
-		jsontext.MustParse(`{"kind": "a", "x": 1}`),
-		jsontext.MustParse(`{"kind": "b", "y": 2}`),
-		jsontext.MustParse(`{"kind": "a", "x": 3}`),
-		jsontext.MustParse(`{"kind": "b", "y": 4}`),
-	}
-	tree := Build(docs, 3)
-	leaf := tree.Classify(jsontext.MustParse(`{"kind": "a", "x": 9}`))
-	if leaf.Label != "kind,x" {
-		t.Errorf("classified to %q", leaf.Label)
-	}
-	// An unseen branch value stops at the inner node rather than
-	// failing.
-	odd := tree.Classify(jsontext.MustParse(`{"weird": true}`))
-	if odd == nil {
-		t.Fatal("Classify returned nil")
-	}
-}
-
 func TestPureCollectionSingleLeaf(t *testing.T) {
 	docs := []*jsonvalue.Value{
 		jsontext.MustParse(`{"a": 1}`),
@@ -114,17 +93,5 @@ func TestDepthBudgetRespected(t *testing.T) {
 	tree := Build(docs, 2)
 	if tree.Depth > 2 {
 		t.Errorf("depth = %d, budget 2", tree.Depth)
-	}
-}
-
-func TestDescribeMentionsSplits(t *testing.T) {
-	docs := []*jsonvalue.Value{
-		jsontext.MustParse(`{"kind": "a"}`),
-		jsontext.MustParse(`{"other": 1}`),
-	}
-	tree := Build(docs, 2)
-	out := tree.Describe()
-	if !strings.Contains(out, "split on") || !strings.Contains(out, "leaf:") {
-		t.Errorf("Describe output:\n%s", out)
 	}
 }

@@ -109,16 +109,6 @@ func Build(docs []*jsonvalue.Value, minSupport float64) *Skeleton {
 // size measure (E8).
 func (s *Skeleton) Size() int { return len(s.paths) }
 
-// Paths returns the retained path set, sorted.
-func (s *Skeleton) Paths() []string {
-	out := make([]string, 0, len(s.paths))
-	for p := range s.paths {
-		out = append(out, p)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // AnswersPath reports whether a query touching the given path can be
 // answered from the skeleton — the query-formulation use case of the
 // paper. Paths absent from the skeleton are exactly the "totally

@@ -104,21 +104,12 @@ func TestSkeletonMissesDrillDownButAnswersFrequent(t *testing.T) {
 		t.Error("core tweet paths should be answerable")
 	}
 	found := false
-	for _, p := range sk.Paths() {
+	for p := range sk.paths {
 		if len(p) > 17 && p[:17] == "retweeted_status." {
 			found = true
 		}
 	}
 	if found {
 		t.Error("rare retweet paths should be missed at 5% support")
-	}
-}
-
-func TestPathsSortedAndStable(t *testing.T) {
-	collection := docs(`{"b": 1, "a": 2}`, `{"b": 1, "a": 2}`)
-	sk := Build(collection, 0.5)
-	ps := sk.Paths()
-	if len(ps) != 2 || ps[0] != "a" || ps[1] != "b" {
-		t.Errorf("Paths = %v", ps)
 	}
 }

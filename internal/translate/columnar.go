@@ -62,16 +62,6 @@ func (cs *ColumnSet) Columns() []string {
 	return out
 }
 
-// EncodedSize is the total payload size in bytes plus a footer charge
-// for column names — the size measure of E10.
-func (cs *ColumnSet) EncodedSize() int {
-	n := 0
-	for _, c := range cs.columns {
-		n += len(c.Buf) + len(c.Path) + 8
-	}
-	return n
-}
-
 // Shred translates a collection into columns under schema. Every
 // document must match the schema (as inference guarantees for the
 // collection it was inferred from).
@@ -381,23 +371,6 @@ func (cs *ColumnSet) ScanNums(path string, fn func(float64)) error {
 	}
 	for pos := 0; pos < len(c.Buf); pos += 8 {
 		fn(math.Float64frombits(binary.LittleEndian.Uint64(c.Buf[pos:])))
-	}
-	return nil
-}
-
-// ScanStrings iterates every value of a Str column.
-func (cs *ColumnSet) ScanStrings(path string, fn func(string)) error {
-	c, err := cs.mustCol(path)
-	if err != nil {
-		return err
-	}
-	for pos := 0; pos < len(c.Buf); {
-		n, sz := binary.Uvarint(c.Buf[pos:])
-		if sz <= 0 || pos+sz+int(n) > len(c.Buf) {
-			return truncated(path)
-		}
-		fn(string(c.Buf[pos+sz : pos+sz+int(n)]))
-		pos += sz + int(n)
 	}
 	return nil
 }

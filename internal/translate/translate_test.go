@@ -200,13 +200,6 @@ func TestColumnarScan(t *testing.T) {
 	if sum != want {
 		t.Errorf("ScanInts sum = %d, want %d", sum, want)
 	}
-	var cities int
-	if err := cs.ScanStrings("customer_city", func(string) { cities++ }); err != nil {
-		t.Fatal(err)
-	}
-	if cities != 100 {
-		t.Errorf("city values = %d", cities)
-	}
 	if err := cs.ScanInts("no_such_column", func(int64) {}); err == nil {
 		t.Error("scan of missing column should fail")
 	}
@@ -232,9 +225,6 @@ func TestColumnarBytesRoundTrip(t *testing.T) {
 		if !jsonvalue.Equal(docs[i], back[i]) {
 			t.Fatalf("doc %d blob round trip mismatch", i)
 		}
-	}
-	if cs.EncodedSize() == 0 {
-		t.Error("EncodedSize should be positive")
 	}
 }
 

@@ -44,10 +44,9 @@
 // zero by invariant and reset skips them (accumNode.reset). What the
 // pools, and a reset accumulator, may keep is capped (keptGroups,
 // keptSlots, maxPooledNodes) so a drifting or hostile corpus cannot
-// grow them with the schema. The unexported Accum.retained reports what
-// they hold — pooled nodes and open records, nested nodes, clean groups
-// and slots — and is meant to back per-collection accumulator memory
-// gauges in /v1/stats and /metrics; the tests read it until then.
+// grow them with the schema. The tests' census of an accumulator
+// (Accum.retained, in retained_test.go) counts what they hold: pooled
+// nodes and open records, nested nodes, clean groups and slots.
 //
 // Types are immutable once built; all operations on them return new
 // values. Seals lean on that: a node with one alternative seals to it

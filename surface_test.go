@@ -1,18 +1,20 @@
 package repro_test
 
 import (
+	"errors"
 	"go/ast"
+	"go/parser"
 	"go/token"
 	"go/types"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
 )
 
-// surfaceAllowlist names, by declaration (see declName), the exported
-// functions and methods that may have no caller in the module's non-test
-// Go code (bench/, a module of its own, does not count), each with the
-// reason it stays.
+// surfaceAllowlist names, by declaration (see declName), the functions
+// and methods the reachability walk takes as roots beside the commands,
+// each with the reason no command reaches it.
 var surfaceAllowlist = map[string]string{
 	// Bench-only: bench/jsperf measures layers through them; they go
 	// when the collector and chunker layers are retired from jsperf.
@@ -29,114 +31,114 @@ var surfaceAllowlist = map[string]string{
 	"registry.(*Registry).Ingest":              "bench-only: jsperf's registry layer and BenchmarkE3StreamingInference",
 	"registry.(*Registry).Close":               "bench-only: jsperf's registry layer",
 
-	// Oracles: reference implementations the production paths are
-	// tested against.
-	"mison.BuildBitmaps":         "oracle: mison's one-shot bitmap build, the reference for the amortised builder",
-	"mison.BuildIndex":           "oracle: mison's one-shot index build, the reference for the amortised builder",
-	"mison.(*Bitmaps).InString":  "oracle: the string mask read bit by bit, the reference for the index walk's skips",
-	"typelang.(*Type).Witness":   "oracle: generates values of a type for the membership cross-tests",
+	// Oracles that another package's tests compare against.
+	"typelang.(*Type).Witness":   "oracle: generates values of a type for core's membership cross-tests",
 	"typelang.(*Type).Inhabited": "oracle: which types Witness can generate a value of",
 
-	// The API of a surveyed system or formalism, exercised by an
-	// experiment's package tests.
-	"mongoschema.(*Analyzer).DocCount":    "E4: mongodb-schema's analyzer",
-	"mongoschema.(*Analyzer).Describe":    "E4: mongodb-schema's analyzer summary",
-	"mison.(*Index).Reset":                "E6: the projecting index reused across records",
-	"mison.(*Parser).ParseLines":          "E6: the projecting parser over NDJSON",
-	"fadjs.NewEncoder":                    "E7: Fad.js's encoder half",
-	"fadjs.(*Encoder).Encode":             "E7: Fad.js's encoder half",
-	"skeleton.(*Skeleton).Paths":          "E8: the skeleton's retained paths",
-	"joi.Null":                            "E9: Joi's builder API",
-	"joi.Forbidden":                       "E9: Joi's builder API",
-	"joi.Alternatives":                    "E9: Joi's builder API",
-	"joi.(*Schema).Max":                   "E9: Joi's builder API",
-	"joi.(*Schema).Unique":                "E9: Joi's builder API",
-	"joi.(*Schema).And":                   "E9: Joi's builder API",
-	"joi.(*Schema).Or":                    "E9: Joi's builder API",
-	"joi.(*Schema).Nand":                  "E9: Joi's builder API",
-	"joi.(*Schema).Describe":              "E9: Joi's describe() introspection",
-	"joi.(*Schema).ToType":                "E9: a Joi schema in the type algebra",
-	"jsound.(*Schema).ValidateCollection": "E9: JSound's collection validation",
-	"jsound.(*Schema).Default":            "E9: JSound's field defaults",
-	"jsound.(*Schema).ApplyDefaults":      "E9: JSound's field defaults",
-	"translate.(*ColumnSet).EncodedSize":  "E10: the translated encodings' size",
-	"translate.(*ColumnSet).ScanStrings":  "E10: the columnar encoding's string scan",
-	"profile.(*Tree).Classify":            "E13: the profiler's per-field classification",
-	"profile.(*Tree).Describe":            "E13: the profiler's tree, rendered",
-	"discovery.(*Report).Describe":        "E16: the discovery report, rendered",
-	"jsonpointer.FromTokens":              "JSON Pointer (RFC 6901): jsonschema's $ref paths",
-	"jsonpointer.Pointer.Tokens":          "JSON Pointer (RFC 6901): jsonschema's $ref paths",
-	"jsonpointer.Pointer.IsRoot":          "JSON Pointer (RFC 6901): jsonschema's $ref paths",
-	"jsonpointer.Pointer.Child":           "JSON Pointer (RFC 6901): jsonschema's $ref paths",
-	"jsonpointer.Resolve":                 "JSON Pointer (RFC 6901): jsonschema's $ref paths",
-
-	// Interface methods, called through an interface no declaration in
-	// reach names.
+	// Called through an interface no package-level declaration names.
 	"cmd/jsinferd.(*statusRecorder).Unwrap": "interface: http.ResponseController unwraps jsinferd's status recorder",
 }
 
-// TestExportedSurface fails when an exported function or method of the
-// module has no caller in its non-test Go code outside bench/, unless
-// the allowlist gives a reason for it; and when an allowlist entry no
-// longer names such a declaration. It decides by declaration, on the
-// type-checked module (checkModule): a function or method is called
-// where a use resolves to it — a call, a method value, a function value —
-// anywhere but in its own body, and a method also when its receiver
-// type, T or *T, implements an interface that declares it (fmt.Stringer,
-// io.Writer, core.Validator, ...), since a call through the interface
-// names no declaration.
+// TestExportedSurface fails when a function or method of the module's
+// non-test Go code (bench/, a module of its own, does not count),
+// exported or not, is reachable from no command — see unreachable for
+// the roots and the walk — unless the allowlist makes it a root; and
+// when an allowlist entry is not needed, because it names no declaration
+// or the commands reach it anyway.
 func TestExportedSurface(t *testing.T) {
 	fset, pkgs := checkModule(t)
-	byMethod := interfacesByMethod(t, pkgs)
-	called := map[string]bool{}
-	type decl struct {
-		fn  *types.Func
-		pos token.Pos
-	}
-	var decls []decl
-	for _, p := range pkgs {
-		for _, f := range p.files {
-			for _, d := range f.Decls {
-				var self string
-				if fd, ok := d.(*ast.FuncDecl); ok {
-					fn := p.info.Defs[fd.Name].(*types.Func)
-					self = declName(fn)
-					if fd.Name.IsExported() {
-						decls = append(decls, decl{fn, fd.Name.Pos()})
-					}
-				}
-				ast.Inspect(d, func(n ast.Node) bool {
-					if id, ok := n.(*ast.Ident); ok {
-						if fn, ok := p.info.Uses[id].(*types.Func); ok && declName(fn) != self {
-							called[declName(fn)] = true
-						}
-					}
-					return true
-				})
-			}
-		}
-	}
-	uncalled := map[string]bool{}
+	byMethod := interfacesByMethod(moduleScopes(t, pkgs))
 	var bad []string
-	for _, d := range decls {
-		name := declName(d.fn)
-		if called[name] || implementsDeclaring(d.fn, byMethod) {
-			continue
-		}
-		uncalled[name] = true
-		if _, ok := surfaceAllowlist[name]; !ok {
-			bad = append(bad, fset.Position(d.pos).String()+": "+name+" has no caller outside tests and bench/")
-		}
+	for _, d := range unreachable(pkgs, byMethod, surfaceAllowlist) {
+		bad = append(bad, fset.Position(d.pos).String()+": "+d.name+" is reachable from no command")
+	}
+	deadAlone := map[string]bool{}
+	for _, d := range unreachable(pkgs, byMethod, nil) {
+		deadAlone[d.name] = true
 	}
 	for name := range surfaceAllowlist {
-		if !uncalled[name] {
-			bad = append(bad, "allowlist entry "+name+" names no uncalled exported function or method: drop it")
+		if !deadAlone[name] {
+			bad = append(bad, "allowlist entry "+name+" names no function the commands leave unreached: drop it")
 		}
 	}
 	sort.Strings(bad)
 	for _, b := range bad {
 		t.Error(b)
 	}
+}
+
+// deadFunc is a function or method that no root reaches.
+type deadFunc struct {
+	name string // declName
+	pos  token.Pos
+}
+
+// unreachable walks resolved uses from the roots and returns, sorted by
+// name, every function and method declared in pkgs that the walk does
+// not reach. The roots are every main function of a main package, every
+// init function, every package-level var declaration (its initialisers),
+// every method whose receiver implements an interface in byMethod that
+// declares it (a call through the interface names no declaration), and
+// the functions extra names. A use is an identifier that resolves to a
+// function or method — a call, a method value or a function value — and
+// the walk follows it into that declaration's body.
+func unreachable(pkgs []checkedPackage, byMethod map[string][]*types.Interface, extra map[string]string) []deadFunc {
+	type body struct {
+		node ast.Node
+		info *types.Info
+	}
+	decls := map[string][]body{}
+	var dead []deadFunc
+	var roots []string
+	var work []body
+	for _, p := range pkgs {
+		for _, f := range p.files {
+			for _, d := range f.Decls {
+				fd, ok := d.(*ast.FuncDecl)
+				if !ok {
+					if d.(*ast.GenDecl).Tok == token.VAR {
+						work = append(work, body{d, p.info})
+					}
+					continue
+				}
+				fn := p.info.Defs[fd.Name].(*types.Func)
+				name := declName(fn)
+				if len(decls[name]) == 0 {
+					dead = append(dead, deadFunc{name, fd.Name.Pos()})
+				}
+				decls[name] = append(decls[name], body{fd, p.info})
+				entry := fd.Recv == nil && (fd.Name.Name == "init" || fd.Name.Name == "main" && p.pkg.Name() == "main")
+				if _, ok := extra[name]; ok || entry || implementsDeclaring(fn, byMethod) {
+					roots = append(roots, name)
+				}
+			}
+		}
+	}
+	reached := map[string]bool{}
+	reach := func(name string) {
+		if !reached[name] {
+			reached[name] = true
+			work = append(work, decls[name]...)
+		}
+	}
+	for _, name := range roots {
+		reach(name)
+	}
+	for len(work) > 0 {
+		b := work[len(work)-1]
+		work = work[:len(work)-1]
+		ast.Inspect(b.node, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok {
+				if fn, ok := b.info.Uses[id].(*types.Func); ok {
+					reach(declName(fn))
+				}
+			}
+			return true
+		})
+	}
+	dead = slices.DeleteFunc(dead, func(d deadFunc) bool { return reached[d.name] })
+	sort.Slice(dead, func(i, j int) bool { return dead[i].name < dead[j].name })
+	return dead
 }
 
 // declName names a function or method by its declaration, as the
@@ -163,13 +165,12 @@ func declName(fn *types.Func) string {
 	}
 }
 
-// interfacesByMethod indexes, by method name, every interface type
-// declared at package level in the module or in any package it depends
-// on, plus error. A module package's interfaces are indexed twice: from
-// its source check, whose types are the ones its own methods' signatures
-// name, and from its export data, whose types are the ones every other
-// package's signatures name.
-func interfacesByMethod(t *testing.T, pkgs []checkedPackage) map[string][]*types.Interface {
+// moduleScopes returns the universe, the package scope of every package
+// of the module and that of every package it depends on. A module
+// package appears twice: from its source check, whose types are the ones
+// its own methods' signatures name, and from its export data, whose
+// types are the ones every other package's signatures name.
+func moduleScopes(t *testing.T, pkgs []checkedPackage) []*types.Scope {
 	t.Helper()
 	scopes := []*types.Scope{types.Universe}
 	for _, p := range pkgs {
@@ -185,6 +186,12 @@ func interfacesByMethod(t *testing.T, pkgs []checkedPackage) map[string][]*types
 		}
 		scopes = append(scopes, dep.Scope())
 	}
+	return scopes
+}
+
+// interfacesByMethod indexes, by method name, every non-generic
+// interface type declared in scopes.
+func interfacesByMethod(scopes []*types.Scope) map[string][]*types.Interface {
 	byMethod := map[string][]*types.Interface{}
 	for _, scope := range scopes {
 		for _, name := range scope.Names() {
@@ -224,4 +231,101 @@ func implementsDeclaring(fn *types.Func, byMethod map[string][]*types.Interface)
 		}
 	}
 	return false
+}
+
+// TestUnreachableWalk pins the walk on two small packages checked from
+// source. It must report a function called only from an unreachable
+// function and an unexported function nothing calls — both of which a
+// rule asking only whether an exported declaration has a caller lets
+// through — and keep a method reached only through an interface, a
+// function used only by a package-level var's initialiser, and what an
+// init function calls. A name given as an extra root is kept with what
+// it calls.
+func TestUnreachableWalk(t *testing.T) {
+	pkgs := checkSources(t, []string{`package lib
+
+type Shape interface{ Area() int }
+
+type Square struct{ Side int }
+
+func (s Square) Area() int { return s.Side * s.Side }
+
+var Table = map[string]func() int{"one": fromVar}
+
+func fromVar() int { return 1 }
+
+func init() { fromInit() }
+
+func fromInit() {}
+
+func Used() int { return 2 }
+
+func dead() int { return OnlyFromDead() }
+
+func OnlyFromDead() int { return 3 }
+
+func helper() {}
+`, `package main
+
+import "repro/internal/lib"
+
+func main() {
+	var s lib.Shape = lib.Square{Side: 2}
+	_ = s.Area() + lib.Used() + lib.Table["one"]()
+}
+`})
+	scopes := []*types.Scope{types.Universe}
+	for _, p := range pkgs {
+		scopes = append(scopes, p.pkg.Scope())
+	}
+	byMethod := interfacesByMethod(scopes)
+	names := func(extra map[string]string) []string {
+		var out []string
+		for _, d := range unreachable(pkgs, byMethod, extra) {
+			out = append(out, d.name)
+		}
+		return out
+	}
+	if got, want := names(nil), []string{"lib.OnlyFromDead", "lib.dead", "lib.helper"}; !slices.Equal(got, want) {
+		t.Errorf("unreachable = %v, want %v", got, want)
+	}
+	if got, want := names(map[string]string{"lib.dead": "a root"}), []string{"lib.helper"}; !slices.Equal(got, want) {
+		t.Errorf("unreachable with lib.dead a root = %v, want %v", got, want)
+	}
+}
+
+// checkSources type-checks one package per source, in order, as
+// repro/internal/<package name>; a later source may import an earlier.
+func checkSources(t *testing.T, sources []string) []checkedPackage {
+	t.Helper()
+	fset := token.NewFileSet()
+	byPath := sourceImporter{}
+	var pkgs []checkedPackage
+	for _, src := range sources {
+		f, err := parser.ParseFile(fset, "", src, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := checkedPackage{files: []*ast.File{f}, info: &types.Info{
+			Defs: map[*ast.Ident]types.Object{},
+			Uses: map[*ast.Ident]types.Object{},
+		}}
+		path := "repro/internal/" + f.Name.Name
+		if c.pkg, err = (&types.Config{Importer: byPath}).Check(path, fset, c.files, c.info); err != nil {
+			t.Fatal(err)
+		}
+		byPath[path] = c.pkg
+		pkgs = append(pkgs, c)
+	}
+	return pkgs
+}
+
+// sourceImporter imports the packages checkSources has checked.
+type sourceImporter map[string]*types.Package
+
+func (m sourceImporter) Import(path string) (*types.Package, error) {
+	if p, ok := m[path]; ok {
+		return p, nil
+	}
+	return nil, errors.New("no source package " + path)
 }
