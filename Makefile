@@ -31,11 +31,13 @@ race:
 # every input kind) against the oracle, mison.Chunker against the
 # byte-at-a-time splitter, an index walk whose pattern tree was
 # trained on foreign bytes against the token walker, the daemon's body
-# decoder against compress/gzip plus http.MaxBytesReader, and Spark's
+# decoder against compress/gzip plus http.MaxBytesReader, Spark's
 # fold against its projection of the K and L schemas (DOM and
-# streamed). They gate every change to a lexer, to either walk, to the
-# input stage, to the intake or to the projection; `go test -fuzz` takes
-# one target of one package per run.
+# streamed), and the soundness law: every document of a collection is a
+# member of its streamed K and L schemas and of their JSON Schema
+# documents. They gate every change to a lexer, to either walk, to the
+# input stage, to the intake, to the projection or to a schema writer;
+# `go test -fuzz` takes one target of one package per run.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzIndexAbsorb$$' -fuzztime $(FUZZTIME) ./internal/infer/
@@ -47,6 +49,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzPatternTree$$' -fuzztime $(FUZZTIME) ./internal/infer/
 	$(GO) test -run '^$$' -fuzz '^FuzzIntakeBody$$' -fuzztime $(FUZZTIME) ./internal/daemon/intake/
 	$(GO) test -run '^$$' -fuzz '^FuzzSparkFromType$$' -fuzztime $(FUZZTIME) ./internal/sparkinfer/
+	$(GO) test -run '^$$' -fuzz '^FuzzInferredSchemaIsSound$$' -fuzztime $(FUZZTIME) ./internal/core/
 
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem ./...

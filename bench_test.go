@@ -27,7 +27,6 @@ import (
 	"repro/internal/jsonvalue"
 	"repro/internal/jsound"
 	"repro/internal/mison"
-	"repro/internal/mmapio"
 	"repro/internal/mongoschema"
 	"repro/internal/normalize"
 	"repro/internal/profile"
@@ -76,15 +75,17 @@ func BenchmarkE2SparkImprecision(b *testing.B) {
 }
 
 // E3: the associative reduce parallelises; same result, more workers.
-// The call E3's table times: the streamed byte engine jsinfer runs,
-// over the experiment's serialised corpus, at each width.
+// The call E3's table times: the streamed engine over a file of the
+// experiment's serialised corpus, mapped as `jsinfer FILE` maps it, at
+// each width.
 func BenchmarkE3ParallelInference(b *testing.B) {
 	raw := jsontext.MarshalLines(genjson.Collection(genjson.Twitter{Seed: 13}, 12000))
+	file := writeCorpus(b, raw)
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers-%d", workers), func(b *testing.B) {
 			b.SetBytes(int64(len(raw)))
 			for i := 0; i < b.N; i++ {
-				if _, _, err := infer.InferStreamBytes(raw,
+				if _, _, err := infer.InferStreamFiles(file,
 					infer.Options{Equiv: typelang.EquivLabel, Workers: workers}); err != nil {
 					b.Fatal(err)
 				}
@@ -144,46 +145,16 @@ func BenchmarkE3StreamingInference(b *testing.B) {
 			}
 		}
 	})
-	b.Run("mison-sequential-bytes", func(b *testing.B) {
-		// The zero-copy byte engine against the reader row above: same
-		// pipeline, but chunks alias the input slice in place — no read
-		// buffers, no compaction copies, no pool churn. The B/op gap to
+	file := writeCorpus(b, raw)
+	b.Run("mison-sequential-mmap", func(b *testing.B) {
+		// The engine over a memory-mapped file — the full `jsinfer FILE`
+		// data path minus argument parsing. The kernel pages the file
+		// in; the pipeline never copies it, so the B/op gap to
 		// mison-sequential is the cost of streaming through a reader.
 		b.SetBytes(int64(len(raw)))
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, _, err := infer.InferStreamBytes(raw,
-				infer.Options{Equiv: typelang.EquivLabel, Workers: 1}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("mison-sequential-mmap", func(b *testing.B) {
-		// The byte engine fed by a memory-mapped file — the full `jsinfer
-		// FILE` data path minus argument parsing. The kernel
-		// pages the file in; the pipeline never copies it.
-		if !mmapio.Supported() {
-			b.Skip("mmap not supported on this platform")
-		}
-		name := filepath.Join(b.TempDir(), "corpus.ndjson")
-		if err := os.WriteFile(name, raw, 0o644); err != nil {
-			b.Fatal(err)
-		}
-		f, err := os.Open(name)
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer f.Close()
-		m, err := mmapio.Map(f)
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer m.Close()
-		b.SetBytes(int64(len(raw)))
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, _, err := infer.InferStreamBytes(m.Data(),
+			if _, _, err := infer.InferStreamFiles(file,
 				infer.Options{Equiv: typelang.EquivLabel, Workers: 1}); err != nil {
 				b.Fatal(err)
 			}
@@ -201,13 +172,13 @@ func BenchmarkE3StreamingInference(b *testing.B) {
 				}
 			}
 		})
-		// The zero-copy byte engine under parallelism: workers consume
-		// chunks that alias one shared input slice.
-		b.Run(fmt.Sprintf("mison-parallel-%d-bytes", workers), func(b *testing.B) {
+		// The mapped file under parallelism: workers consume windows
+		// that alias one shared mapping.
+		b.Run(fmt.Sprintf("mison-parallel-%d-mmap", workers), func(b *testing.B) {
 			b.SetBytes(int64(len(raw)))
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := infer.InferStreamBytes(raw,
+				if _, _, err := infer.InferStreamFiles(file,
 					infer.Options{Equiv: typelang.EquivLabel, Workers: workers}); err != nil {
 					b.Fatal(err)
 				}
@@ -284,6 +255,17 @@ func BenchmarkE3StreamingInference(b *testing.B) {
 	}
 }
 
+// writeCorpus writes data to a file under a temporary directory and
+// returns it as a file list. A corpus of 1 MiB or more is mapped by
+// InferStreamFiles, as by `jsinfer FILE`.
+func writeCorpus(b *testing.B, data []byte) []string {
+	name := filepath.Join(b.TempDir(), "corpus.ndjson")
+	if err := os.WriteFile(name, data, 0o644); err != nil {
+		b.Fatal(err)
+	}
+	return []string{name}
+}
+
 // writeLayout cuts NDJSON data into n files of whole lines under a
 // temporary directory and returns their names, in order.
 func writeLayout(b *testing.B, data []byte, n int) []string {
@@ -302,8 +284,7 @@ func writeLayout(b *testing.B, data []byte, n int) []string {
 // E3 (large corpus): the zero-copy claims at the scale they were built
 // for — a corpus sized by E3_CORPUS_BYTES (jsgen -target syntax, e.g.
 // 100MB for a run by hand; the default keeps local `make bench` quick)
-// streamed through the reader path, the byte-slice
-// path, and the mmap path. The corpus is generated in index order from
+// streamed through the reader path and the mmap path. The corpus is generated in index order from
 // per-document seeds, so a given (seed, target) names the same bytes on
 // every run.
 func BenchmarkE3LargeCorpus(b *testing.B) {
@@ -333,38 +314,13 @@ func BenchmarkE3LargeCorpus(b *testing.B) {
 			}
 		}
 	})
-	b.Run("bytes", func(b *testing.B) {
-		b.SetBytes(int64(len(raw)))
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, _, err := infer.InferStreamBytes(raw, opts); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 	b.Run("mmap", func(b *testing.B) {
-		if !mmapio.Supported() {
-			b.Skip("mmap not supported on this platform")
-		}
-		name := filepath.Join(b.TempDir(), "corpus.ndjson")
-		if err := os.WriteFile(name, raw, 0o644); err != nil {
-			b.Fatal(err)
-		}
-		f, err := os.Open(name)
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer f.Close()
-		m, err := mmapio.Map(f)
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer m.Close()
+		file := writeCorpus(b, raw)
 		b.SetBytes(int64(len(raw)))
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, _, err := infer.InferStreamBytes(m.Data(), opts); err != nil {
+			if _, _, err := infer.InferStreamFiles(file, opts); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -308,7 +308,8 @@ func validateStreamFlags(eng core.Engine, workers int, precision, stats, chunkBy
 // reports them to the caller — and, when documents were absorbed, the
 // schema's size in nodes against them. Under L a per_doc that stays
 // high as docs grow says the equivalence is not summarising the input
-// (every document brings a label set of its own); K is the answer.
+// (every document brings a label set of its own); K is the answer. A
+// footer line under the table says how to read the times.
 func printStats(w io.Writer, s core.StatsSnapshot, gcCPU time.Duration, gcCycles uint64, schemaNodes, docs int) {
 	fmt.Fprintln(w, "pipeline stats:")
 	fmt.Fprintf(w, "  %-7s %12s  %s\n", "stage", "time", "counters")
@@ -333,6 +334,7 @@ func printStats(w io.Writer, s core.StatsSnapshot, gcCPU time.Duration, gcCycles
 	if docs > 0 {
 		row("schema", "", []string{fmt.Sprintf("nodes=%d docs=%d per_doc=%.2f", schemaNodes, docs, float64(schemaNodes)/float64(docs))})
 	}
+	fmt.Fprintln(w, "  at several workers a stage's time is the sum over its goroutines, so map can exceed the wall time")
 }
 
 // streamInput runs the streamed engine over stdin or the named files,

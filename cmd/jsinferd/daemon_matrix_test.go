@@ -664,10 +664,9 @@ func TestMetricsReconcileWithStats(t *testing.T) {
 	}
 	for metric, stat := range map[string]string{
 		"jsinferd_pipeline_chunks_split_total":     "chunks_split",
-		"jsinferd_pipeline_bytes_lexed_total":      "bytes_lexed",
-		"jsinferd_pipeline_docs_absorbed_total":    "docs_absorbed",
-		"jsinferd_pipeline_index_records_total":    "index_records",
+		"jsinferd_pipeline_pattern_records_total":  "pattern_records",
 		"jsinferd_pipeline_fallback_records_total": "fallback_records",
+		"jsinferd_pipeline_chunks_direct_total":    "chunks_direct",
 		"jsinferd_pipeline_scan_delegations_total": "scan_delegations",
 		"jsinferd_pipeline_root_fuses_total":       "root_fuses",
 		"jsinferd_pipeline_seals_total":            "seals",
@@ -697,11 +696,12 @@ func TestMetricsReconcileWithStats(t *testing.T) {
 				metric, got, stat, want.Int())
 		}
 	}
-	// The mixed workload left its signature in the recorder: documents
-	// were absorbed (successes plus the 400's kept prefix) and bytes
-	// lexed, and the counters agree with the registry's own accounting.
-	if da, _ := pv.Get("docs_absorbed"); da.Int() == 0 {
-		t.Error("pipeline.docs_absorbed = 0 after successful ingests")
+	// The mixed workload left its signature in the recorder: windows
+	// were cut, every one absorbed in line.
+	if split, _ := pv.Get("chunks_split"); split.Int() == 0 {
+		t.Error("pipeline.chunks_split = 0 after successful ingests")
+	} else if direct, _ := pv.Get("chunks_direct"); direct.Int() != split.Int() {
+		t.Errorf("pipeline.chunks_direct = %d of %d windows; every ingest is absorbed in line", direct.Int(), split.Int())
 	}
 	// The middleware metered the ingest route with its status codes.
 	for _, series := range []string{
@@ -794,7 +794,7 @@ func TestShipperLoopAbsorbsInLine(t *testing.T) {
 	}
 	pv, _ := sv.Get("pipeline")
 	for stat, want := range map[string]int64{
-		"chunks_split": posts, "chunks_direct": posts, "docs_absorbed": posts * perPost,
+		"chunks_split": posts, "chunks_direct": posts,
 		"reduce_nanos": 0, "seals": reads, "root_fuses": reads,
 	} {
 		if v, _ := pv.Get(stat); v.Int() != want {

@@ -81,7 +81,7 @@
 //	    Registry-wide aggregates (collections, docs, bytes, ingests,
 //	    errors, rate-limited rejections, sealed schema nodes) plus the
 //	    aggregated pipeline flight recorder:
-//	    chunk/doc counters, index fast-path vs token-fallback records,
+//	    window counters, token-fallback and pattern-tree records,
 //	    seals and collector fuses, and per-stage clocks.
 //	GET /debug/traces
 //	    The most recent finished request traces (JSON, oldest first):
@@ -451,7 +451,6 @@ func newHandler(reg *registry.Registry, cfg handlerConfig) http.Handler {
 			root.SetAttr("docs", int64(res.Docs))
 			root.SetAttr("bytes", res.Bytes)
 			root.SetAttr("chunks_direct", res.Stats.ChunksDirect)
-			root.SetAttr("index_records", res.Stats.IndexRecords)
 			root.SetAttr("fallback_records", res.Stats.FallbackRecords)
 		}
 		// Kept prefixes of failed ingests count too: the documents are

@@ -276,10 +276,11 @@ func TestNewLoggerFormats(t *testing.T) {
 
 // TestPipelineCountersEndToEnd is the acceptance criterion for the
 // stage stats: a default daemon ingests clean and adversarial
-// payloads, and the index/fallback counters — and the shape counter:
+// payloads, and the fallback counter — and the shape counter:
 // every body here is one chunk, absorbed in line — come out, with the
 // same values, on /v1/stats, /metrics, and the request's trace
-// attributes.
+// attributes, where every other attribute names the request or is a
+// flight-recorder counter under its table name.
 func TestPipelineCountersEndToEnd(t *testing.T) {
 	tracer := trace.New(16)
 	srv, _ := newObservedServer(t, registry.Options{}, handlerConfig{tracer: tracer})
@@ -313,9 +314,7 @@ func TestPipelineCountersEndToEnd(t *testing.T) {
 		t.Fatalf("/v1/stats lacks pipeline: %s", stats)
 	}
 	for stat, want := range map[string]int64{
-		"docs_absorbed":    5, // 3 clean + the kept prefixes of the two bad batches
-		"index_records":    5, // every absorbed doc; the two broken records count as fallbacks instead
-		"fallback_records": 2,
+		"fallback_records": 2, // the two broken records; the 5 before them came off the index
 		"chunks_direct":    3,
 		"chunks_split":     3,
 	} {
@@ -326,8 +325,6 @@ func TestPipelineCountersEndToEnd(t *testing.T) {
 
 	_, exp := get(t, srv.URL+"/metrics")
 	for metric, want := range map[string]float64{
-		"jsinferd_pipeline_docs_absorbed_total":    5,
-		"jsinferd_pipeline_index_records_total":    5,
 		"jsinferd_pipeline_fallback_records_total": 2,
 		"jsinferd_pipeline_chunks_direct_total":    3,
 	} {
@@ -354,7 +351,13 @@ func TestPipelineCountersEndToEnd(t *testing.T) {
 		ingests++
 		spans, _ := tr.Get("spans")
 		attrs, _ := spans.Elem(0).Get("attrs")
-		for _, key := range []string{"docs", "chunks_direct", "index_records", "fallback_records"} {
+		for _, attr := range attrs.Fields() {
+			request := slices.Contains([]string{"method", "route", "status", "collection", "docs", "bytes"}, attr.Name)
+			if !request && !slices.ContainsFunc(infer.StatsFields, func(f infer.StatsField) bool { return f.Name == attr.Name }) {
+				t.Errorf("ingest trace attr %q is neither the request's nor a counter of infer.StatsFields", attr.Name)
+			}
+		}
+		for _, key := range []string{"docs", "chunks_direct", "fallback_records"} {
 			v, ok := attrs.Get(key)
 			if !ok {
 				t.Fatalf("ingest trace lacks attr %q: %s", key, tr)
@@ -366,7 +369,7 @@ func TestPipelineCountersEndToEnd(t *testing.T) {
 		t.Fatalf("found %d ingest traces, want 3", ingests)
 	}
 	for key, want := range map[string]int64{
-		"docs": 5, "chunks_direct": 3, "index_records": 5, "fallback_records": 2,
+		"docs": 5, "chunks_direct": 3, "fallback_records": 2,
 	} {
 		if sums[key] != want {
 			t.Errorf("trace attr %s sums to %d, want %d (must reconcile with /v1/stats)", key, sums[key], want)

@@ -9,6 +9,8 @@ package experiments
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"time"
 
@@ -146,10 +148,12 @@ func bestOf3(sides ...func()) []time.Duration {
 }
 
 // E3ParallelSpeedup measures the associative-merge parallel reduce on
-// the engine jsinfer runs: InferStreamBytes over the serialised corpus
-// at several workers, timed against its own 1-worker run, each result
-// checked against the sequential DOM fold (infer.Infer). The widths are
-// interleaved rep by rep, so host noise lands on every row alike.
+// the engine and input route `jsinfer FILE` runs: InferStreamFiles over
+// the serialised corpus in a temporary file (about 8 MB, so it is
+// mapped) at several workers, timed against its own 1-worker run, each
+// result checked against the sequential DOM fold (infer.Infer). The
+// widths are interleaved rep by rep, so host noise lands on every row
+// alike.
 func E3ParallelSpeedup() *Table {
 	t := &Table{
 		ID:     "E3",
@@ -158,7 +162,15 @@ func E3ParallelSpeedup() *Table {
 		Header: []string{"workers", "time", "speedup", "identical_result", "windows", "bytes_reindexed"},
 	}
 	docs := genjson.Collection(genjson.Twitter{Seed: 13}, 12000)
-	data := jsontext.MarshalLines(docs)
+	dir, err := os.MkdirTemp("", "e3-")
+	if err != nil {
+		panic(err)
+	}
+	defer os.RemoveAll(dir)
+	file := filepath.Join(dir, "tweets.ndjson")
+	if err := os.WriteFile(file, jsontext.MarshalLines(docs), 0o644); err != nil {
+		panic(err)
+	}
 	baseline := infer.Infer(docs, infer.Options{Equiv: typelang.EquivLabel})
 	widths := []int{1, 2, 4, 8}
 	got := make([]*typelang.Type, len(widths))
@@ -167,7 +179,7 @@ func E3ParallelSpeedup() *Table {
 	for i, workers := range widths {
 		sides[i] = func() {
 			stats[i] = &infer.PipelineStats{}
-			ty, _, err := infer.InferStreamBytes(data, infer.Options{Equiv: typelang.EquivLabel, Workers: workers, Stats: stats[i]})
+			ty, _, err := infer.InferStreamFiles([]string{file}, infer.Options{Equiv: typelang.EquivLabel, Workers: workers, Stats: stats[i]})
 			if err != nil {
 				panic(err)
 			}

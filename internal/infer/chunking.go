@@ -16,10 +16,10 @@ import (
 // This file is the input stage of the streamed engine
 // (docs/ARCHITECTURE.md, "The zero-copy input layer"): one chunkReader
 // per input — an io.Reader read a block at a time into pooled,
-// refcounted arrays (chunkBuf), or a caller-owned slice or mapped file
-// riding it already filled — the routing that decides which a named
-// file gets (fileSources), and windows, the one loop that cuts an input
-// for the map phase in either shape. Nothing scans the input to cut a
+// refcounted arrays (chunkBuf), or a mapped file riding it already
+// filled — the routing that decides which a named file gets
+// (fileSources), and windows, the one loop that cuts an input for the
+// map phase in either shape. Nothing scans the input to cut a
 // window (cutWindow): it ends just after a raw '\n', which no JSON
 // token holds; a document may span windows, never inputs. The walks
 // find the documents: in a window that is not the input's last, the
@@ -51,16 +51,11 @@ type chunkBuf struct {
 }
 
 // acquire adds a reference.
-func (b *chunkBuf) acquire() {
-	if b != nil {
-		b.refs.Add(1)
-	}
-}
+func (b *chunkBuf) acquire() { b.refs.Add(1) }
 
-// release drops a reference. Safe on nil (a caller-owned slice's
-// windows carry no buffer).
+// release drops a reference.
 func (b *chunkBuf) release() {
-	if b == nil || b.refs.Add(-1) != 0 {
+	if b.refs.Add(-1) != 0 {
 		return
 	}
 	if b.mapping != nil {
@@ -125,10 +120,9 @@ func (cp *chunkPool) put(b *chunkBuf) {
 const sequentialChunkBytes = 4 << 20
 
 // chunkReader is the input of the window loop: the bytes read and not
-// yet consumed, in a pooled array the emitted windows alias. A
-// caller-owned slice or a mapping rides it already filled: eof set, no
-// reads, and its windows count into BytesAliased; only a mapping's
-// windows hold a reference, on its pages.
+// yet consumed, in a pooled array the emitted windows alias. A mapping
+// rides it already filled — eof set, no reads — and its windows hold a
+// reference on its pages.
 type chunkReader struct {
 	source
 	st      *PipelineStats // the read and cut clocks, the window counter and the copy/recycle counters record here
@@ -141,23 +135,19 @@ type chunkReader struct {
 	err     error          // the read error, nil at a clean end
 }
 
-// newChunkReader returns the reader of src: a caller-owned slice or a
-// mapping already filled, else a first buffer sized for one read block
-// past the byte target (capped, so a huge target cannot pre-commit
-// memory the input may never fill), so byte targets do not copy their
-// way up.
+// newChunkReader returns the reader of src: a mapping already filled,
+// else a first buffer sized for one read block past the byte target
+// (capped, so a huge target cannot pre-commit memory the input may
+// never fill), so byte targets do not copy their way up.
 func newChunkReader(src source, target int, st *PipelineStats) *chunkReader {
 	cr := &chunkReader{source: src, st: st}
-	if src.r == nil {
-		cr.pending, cr.eof = src.data, true
-		if src.mapping != nil {
-			cr.buf = &chunkBuf{data: src.data, mapping: src.mapping}
-			cr.buf.refs.Store(1)
-			cr.frame.MmapInputs = 1
-		}
+	if src.mapping != nil {
+		cr.buf = &chunkBuf{data: src.mapping.Data(), mapping: src.mapping}
+		cr.buf.refs.Store(1)
+		cr.pending, cr.eof = cr.buf.data, true
+		cr.frame.MmapInputs = 1
 		return cr
 	}
-	cr.frame.ReaderInputs = 1
 	cr.buf = cr.pool.get(min(max(2*chunkReadSize, target+chunkReadSize), maxInitialChunkBuf), &cr.frame.BuffersRecycled)
 	cr.pending = cr.buf.data[:0]
 	return cr
@@ -315,9 +305,6 @@ func windows(cr *chunkReader, target, docs int, direct func(byteChunk) (int, int
 		n, used, err := direct(ch)
 		ch.buf.release()
 		total += n
-		if cr.r == nil {
-			cr.frame.BytesAliased += int64(used)
-		}
 		if last && cr.err != nil {
 			err = cr.err
 		}
@@ -354,7 +341,7 @@ func fileSources(names []string) iter.Seq2[source, error] {
 			src := source{r: f, name: name, pool: pool}
 			if fi, err := f.Stat(); err == nil && fi.Mode().IsRegular() && fi.Size() >= mmapMinSize && mmapio.Supported() {
 				if m, err := mmapio.Map(f); err == nil {
-					src = source{data: m.Data(), name: name, mapping: m}
+					src = source{name: name, mapping: m}
 				}
 			}
 			more := yield(src, nil)

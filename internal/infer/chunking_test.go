@@ -226,7 +226,7 @@ func TestReadChunksEquivalence(t *testing.T) {
 			want = append(want, chunk{lo, string(data[lo:hi])})
 			lo = hi
 		}
-		for _, src := range []source{readerSource(data), {data: data}} {
+		for _, src := range []source{readerSource(data), mappedSource(t, data)} {
 			var got []chunk
 			if err := cutWindows(src, 0, docsPerChunk, nil, func(ch byteChunk) {
 				got = append(got, chunk{ch.base, string(ch.data)})

@@ -22,8 +22,8 @@
 //   - Infer runs over a materialised collection (the library API for
 //     values already in memory, and the oracle): it folds TypeOf of
 //     each document in batches with MergeAll, sequentially;
-//   - InferStream, InferStreamBytes, InferStreamFiles (named files,
-//     one collection through one run) and InferStreamInto (the
+//   - InferStream, InferStreamFiles (named files, one collection
+//     through one run) and InferStreamInto (the
 //     registry's feed) never materialise anything: each document's
 //     structure is absorbed straight from the input bytes into a
 //     typelang.Accum, so no per-document type and no value tree is

@@ -118,7 +118,7 @@ func TestStreamFilesMatchOracle(t *testing.T) {
 // TestStreamFilesMapped runs files past mmapMinSize — mapped where the
 // platform can — at one and four workers (under `make race` too): the
 // schema and count are one reader's over their concatenation, every
-// file is counted as mapped and aliased, a malformed record in a mapped
+// file is counted as mapped, a malformed record in a mapped
 // file's last window wins over the missing file after it, and no
 // mapping outlives the run.
 func TestStreamFilesMapped(t *testing.T) {
@@ -146,9 +146,8 @@ func TestStreamFilesMapped(t *testing.T) {
 		if err != nil || n != wantN || got.StringCounted() != want.StringCounted() {
 			t.Errorf("w%d: %d docs, err %v, schema\n %s\nwant %d docs and\n %s", w, n, err, got.StringCounted(), wantN, want.StringCounted())
 		}
-		if s := st.Snapshot(); s.MmapInputs != mapped || s.ReaderInputs != 3-mapped || (mapped == 3 && s.BytesAliased != int64(len(all))) {
-			t.Errorf("w%d: mmap_inputs=%d reader_inputs=%d bytes_aliased=%d, want %d/%d and %d aliased",
-				w, s.MmapInputs, s.ReaderInputs, s.BytesAliased, mapped, 3-mapped, len(all))
+		if s := st.Snapshot(); s.MmapInputs != mapped || (mapped == 3 && s.BytesCopied != 0) {
+			t.Errorf("w%d: mmap_inputs=%d bytes_copied=%d, want %d mapped inputs and nothing copied", w, s.MmapInputs, s.BytesCopied, mapped)
 		}
 
 		broken := append(append([]byte{}, parts[1]...), "{]\n"...)

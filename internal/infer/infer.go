@@ -24,7 +24,7 @@ type Options struct {
 	// typelang.EquivLabel (L). The zero value is K.
 	Equiv typelang.Equiv
 	// Workers picks the shape of a one-shot streamed run (InferStream,
-	// InferStreamBytes, InferStreamFiles): one worker absorbs windows in
+	// InferStreamFiles): one worker absorbs windows in
 	// line, several walk windows for that many workers; 0 means
 	// GOMAXPROCS. Infer does not read it, nor does InferStreamInto: a
 	// collector feed is always absorbed in line.

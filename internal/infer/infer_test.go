@@ -208,7 +208,7 @@ func TestInferStreamDecodeError(t *testing.T) {
 	for _, workers := range []int{1, 2, 4, 6} {
 		opts := Options{Equiv: typelang.EquivLabel, Workers: workers, batch: 3}
 		for _, input := range inputKinds {
-			ty, n, err := inferStreamOver(input, []byte(b.String()), opts)
+			ty, n, err := inferStreamOver(t, input, []byte(b.String()), opts)
 			if err == nil {
 				t.Fatal("expected decode error")
 			}
@@ -232,7 +232,7 @@ func TestInferStreamDecodeError(t *testing.T) {
 func TestInferStreamEmptyInput(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		for _, input := range inputKinds {
-			ty, n, err := inferStreamOver(input, nil, Options{Workers: workers})
+			ty, n, err := inferStreamOver(t, input, nil, Options{Workers: workers})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -41,16 +41,17 @@ func oracle(data []byte, e typelang.Equiv) (*typelang.Type, int, error) {
 var (
 	sweepEquivs  = []typelang.Equiv{typelang.EquivKind, typelang.EquivLabel}
 	sweepWorkers = []int{1, 2, 4, 8}
-	inputKinds   = []string{"reader", "bytes"}
+	inputKinds   = []string{"reader", "mapped"}
 )
 
-// inferStreamOver runs the engine over data as the named input kind;
-// "into" is the registry's feed — InferStreamInto a fresh two-shard
-// collector, closed for its fold.
-func inferStreamOver(input string, data []byte, opts Options) (*typelang.Type, int, error) {
+// inferStreamOver runs the engine over data as the named input kind:
+// "reader" behind an io.Reader, "mapped" through a mapping of a file
+// holding it (mappedSource), and "into" the registry's feed —
+// InferStreamInto a fresh two-shard collector, closed for its fold.
+func inferStreamOver(t testing.TB, input string, data []byte, opts Options) (*typelang.Type, int, error) {
 	switch input {
-	case "bytes":
-		return InferStreamBytes(data, opts)
+	case "mapped":
+		return run(only(mappedSource(t, data)), opts)
 	case "into":
 		col := NewShardedCollector(2, opts.Equiv)
 		n, err := InferStreamInto(bytes.NewReader(data), opts, col)
@@ -102,7 +103,7 @@ func assertEngineYields(t *testing.T, label string, data []byte, base Options, w
 	check := func(input string, opts Options) {
 		t.Helper()
 		name := fmt.Sprintf("%s/%v/w%d/%s/batch%d/bytes%d", label, opts.Equiv, opts.Workers, input, opts.batch, opts.ChunkBytes)
-		got, n, err := inferStreamOver(input, data, opts)
+		got, n, err := inferStreamOver(t, input, data, opts)
 		if (err == nil) != (wantErr == nil) ||
 			(err != nil && (err.Error() != wantErr.Error() || syntaxOffset(err) != syntaxOffset(wantErr))) {
 			t.Errorf("%s: error %v (offset %d), oracle %v (offset %d)",

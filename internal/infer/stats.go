@@ -28,17 +28,6 @@ type StatsSnapshot struct {
 	// ChunksSplit counts the windows the input stage cut at raw newlines
 	// and handed to the map phase, in either shape.
 	ChunksSplit int64
-	// BytesLexed counts payload bytes handed to the map phase (the sum
-	// of emitted chunk lengths).
-	BytesLexed int64
-	// DocsAbsorbed counts documents the map phase absorbed into chunk
-	// accumulators — work done, including windows a later error, or the
-	// parallel committer's check of a window's start, discards before
-	// commit (IngestResult.Docs counts the committed prefix).
-	DocsAbsorbed int64
-	// IndexRecords counts records absorbed entirely off the structural
-	// index (the index walk, no token ever materialised).
-	IndexRecords int64
 	// PatternRecords counts objects, at any depth of a record the index
 	// walk absorbed, closed on the walk's pattern tree: every key was a
 	// learned layout's, matched byte for byte, so the object was staged
@@ -71,10 +60,6 @@ type StatsSnapshot struct {
 	// several shards hold data. A memoised seal that rebuilt nothing is
 	// not counted.
 	Seals int64
-	// BytesAliased counts chunk bytes emitted zero-copy — chunks that
-	// alias the caller's buffer (byte-slice engines, mmap'd files)
-	// instead of a reader-owned array.
-	BytesAliased int64
 	// BytesReindexed counts bytes indexed again: the part of a window
 	// from its straddler — the record its end cut — on, and the windows
 	// the parallel committer discarded and re-walked. 0 when windows end
@@ -87,11 +72,9 @@ type StatsSnapshot struct {
 	// BuffersRecycled counts chunk arrays the reader path reacquired
 	// from the run's pool instead of allocating fresh.
 	BuffersRecycled int64
-	// MmapInputs counts inputs served through a memory mapping.
+	// MmapInputs counts inputs served through a memory mapping; every
+	// other input was read through the run's pool.
 	MmapInputs int64
-	// ReaderInputs counts inputs served through the copying io.Reader
-	// path.
-	ReaderInputs int64
 
 	// Per-stage wall time, monotonic nanoseconds. In the parallel shape
 	// the stages overlap in real time (the caller cuts while workers
@@ -131,21 +114,16 @@ func (f StatsField) Clock() bool { return strings.HasSuffix(f.Name, "_nanos") }
 // order (TestStatsFieldsCoverSnapshot holds it to the struct).
 var StatsFields = []StatsField{
 	{"chunks_split", "read", "Windows cut at raw newlines and handed to the map phase.", func(s *StatsSnapshot) *int64 { return &s.ChunksSplit }},
-	{"bytes_lexed", "map", "Payload bytes handed to the map phase.", func(s *StatsSnapshot) *int64 { return &s.BytesLexed }},
-	{"docs_absorbed", "map", "Documents absorbed by the map phase (kept prefixes of failed ingests included).", func(s *StatsSnapshot) *int64 { return &s.DocsAbsorbed }},
-	{"index_records", "map", "Records absorbed entirely off the mison structural index.", func(s *StatsSnapshot) *int64 { return &s.IndexRecords }},
 	{"pattern_records", "map", "Objects (at any depth) closed on the index walk's pattern tree of learned record layouts. Each worker learns the layouts anew, so at several workers the count differs between identical runs with the windows each worker took.", func(s *StatsSnapshot) *int64 { return &s.PatternRecords }},
 	{"fallback_records", "map", "Records the index walk delegated to the token walker (0 on well-formed input).", func(s *StatsSnapshot) *int64 { return &s.FallbackRecords }},
 	{"scan_delegations", "map", "Tokens the index and token walks handed to the reference scanner.", func(s *StatsSnapshot) *int64 { return &s.ScanDelegations }},
 	{"chunks_direct", "map", "Walks straight into the destination accumulator, with no chunk seal and no reduce: every window of the sequential shape, the parallel committer's re-walks from a straddler.", func(s *StatsSnapshot) *int64 { return &s.ChunksDirect }},
 	{"root_fuses", "fuse", "Collector reads that found new documents and rebuilt the served schema.", func(s *StatsSnapshot) *int64 { return &s.RootFuses }},
 	{"seals", "fuse", "Accumulator seals: per window in the parallel shape, once per one-shot run, per changed shard (and fuse) in collector reads.", func(s *StatsSnapshot) *int64 { return &s.Seals }},
-	{"bytes_aliased", "split", "Chunk bytes emitted zero-copy, aliasing the input buffer.", func(s *StatsSnapshot) *int64 { return &s.BytesAliased }},
 	{"bytes_reindexed", "split", "Bytes indexed again because their record straddled a window end: the straddler's part of its window, and the windows the parallel committer discarded and re-walked.", func(s *StatsSnapshot) *int64 { return &s.BytesReindexed }},
 	{"bytes_copied", "read", "Bytes moved during reader-path buffer compaction.", func(s *StatsSnapshot) *int64 { return &s.BytesCopied }},
 	{"buffers_recycled", "read", "Chunk arrays reacquired from the pool instead of allocated. At several workers it depends on when workers release their windows, so it differs between identical runs.", func(s *StatsSnapshot) *int64 { return &s.BuffersRecycled }},
-	{"mmap_inputs", "read", "Inputs served through a memory mapping.", func(s *StatsSnapshot) *int64 { return &s.MmapInputs }},
-	{"reader_inputs", "read", "Inputs served through the copying io.Reader path.", func(s *StatsSnapshot) *int64 { return &s.ReaderInputs }},
+	{"mmap_inputs", "read", "Inputs served through a memory mapping; every other input was read through the run's pool.", func(s *StatsSnapshot) *int64 { return &s.MmapInputs }},
 	{"read_nanos", "read", "Time blocked reading request bodies.", func(s *StatsSnapshot) *int64 { return &s.ReadNanos }},
 	{"split_nanos", "split", "Time cutting windows at raw newlines.", func(s *StatsSnapshot) *int64 { return &s.SplitNanos }},
 	{"map_nanos", "map", "Time indexing, lexing and absorbing windows, plus the parallel shape's per-window seals.", func(s *StatsSnapshot) *int64 { return &s.MapNanos }},

@@ -197,7 +197,7 @@ func TestParallelRunStartsOnlyTheWorkersItUses(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		fmt.Fprintf(&doc, "{\"a\": %d, \"k%d\": \"s\"}\n", i, i%3)
 	}
-	want, _, err := InferStreamBytes([]byte(doc.String()), Options{Equiv: typelang.EquivLabel, Workers: 1})
+	want, _, err := InferStream(strings.NewReader(doc.String()), Options{Equiv: typelang.EquivLabel, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -200,9 +200,8 @@ func absorbObject(tr jsontext.TokenSource, dst typelang.Target, depth int) error
 
 // byteChunk is one window of the input in, handed to the map phase with
 // the offset of its first byte within in for exact error attribution.
-// Reader-path and mapped windows hold a reference on the chunkBuf they
-// alias (see windows); a caller-owned slice's carry none (buf is nil,
-// acquire and release no-ops). open marks a window more of in follows:
+// It holds a reference on the chunkBuf it aliases — pooled array or
+// mapped pages (see windows). open marks a window more of in follows:
 // it may end inside a document (chunkMapper.absorb). index numbers the
 // windows of a parallel run (pipeChunks).
 type byteChunk struct {
@@ -215,13 +214,12 @@ type byteChunk struct {
 }
 
 // source is one input of a streamed run: r, read through pool's
-// buffers, or — r nil — data, a caller-owned slice or mapping's pages,
-// aliased where it sits. name, if any, prefixes its errors.
+// buffers, or — r nil — a mapped file's pages, aliased where they sit.
+// name, if any, prefixes its errors.
 type source struct {
 	r       io.Reader
 	name    string
 	pool    *chunkPool
-	data    []byte
 	mapping *mmapio.Mapping
 }
 
@@ -268,13 +266,11 @@ func (m *chunkMapper) absorb(ch byteChunk, acc *typelang.Accum) (n, used int, er
 	for err = AbsorbFromIndex(m.ia, acc); err == nil; err = AbsorbFromIndex(m.ia, acc) {
 		n++
 	}
-	idx, fb := m.ia.TakeRecordCounts()
-	m.frame.IndexRecords += idx
+	_, fb := m.ia.TakeRecordCounts()
 	m.frame.FallbackRecords += fb
 	m.frame.PatternRecords += m.ia.TakePatternRecords()
 	m.frame.ScanDelegations += m.ia.TakeScanDelegations()
 	statsSince(m.st, &m.frame.MapNanos, start)
-	m.frame.DocsAbsorbed += int64(n)
 	used = len(ch.data)
 	if errors.Is(err, io.EOF) {
 		err = nil
@@ -283,7 +279,6 @@ func (m *chunkMapper) absorb(ch byteChunk, acc *typelang.Accum) (n, used int, er
 		used, err = m.ia.pos, nil
 		m.frame.FallbackRecords-- // the walk's bail was the window's end, not the record
 	}
-	m.frame.BytesLexed += int64(used)
 	return n, used, err
 }
 
@@ -332,21 +327,11 @@ func InferStream(r io.Reader, opts Options) (*typelang.Type, int, error) {
 	return run(only(source{r: r, pool: new(chunkPool)}), opts)
 }
 
-// InferStreamBytes is InferStream over a caller-owned byte slice — the
-// zero-copy entry point. Windows alias data (no pending array, no
-// compaction, no per-window allocation) and are lexed where they sit,
-// so a memory-mapped file streams through without ever being copied.
-// The caller keeps data alive and unmodified until the call returns.
-// Schema, count and error offsets are identical to InferStream's over a
-// reader of the same bytes.
-func InferStreamBytes(data []byte, opts Options) (*typelang.Type, int, error) {
-	return run(only(source{data: data}), opts)
-}
-
 // InferStreamFiles is InferStream over the named files in turn, one
 // collection through one run: a document may not span two files, and
 // how a collection is cut into files changes nothing else. Regular
-// files of 1 MiB or more are memory-mapped where the platform can. An
+// files of 1 MiB or more are memory-mapped where the platform can, and
+// their windows are lexed where they sit, never copied. An
 // error is prefixed with its file's name and placed within that file,
 // and the type and count returned with it cover exactly the documents
 // before it; a file that cannot be opened returns its *fs.PathError.

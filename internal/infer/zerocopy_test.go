@@ -3,21 +3,24 @@ package infer
 import (
 	"bytes"
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/genjson"
 	"repro/internal/jsontext"
+	"repro/internal/mmapio"
 )
 
-// This file pins the zero-copy input layer: the byte-slice entry point
-// must be byte-identical to the reader one over the same input
-// (schemas, counts, error offsets); the one window loop must cut a
-// slice into exactly the window stream it cuts a reader into,
-// allocating nothing per window however long the slice; and the pooled
-// reader buffers must never be recycled while a window still aliases
-// them (the race test below runs under `make race`).
+// This file pins the zero-copy input layer: a mapped input must be
+// byte-identical to a reader over the same bytes (schemas, counts,
+// error offsets); the one window loop must cut a mapping into exactly
+// the window stream it cuts a reader into, allocating nothing per
+// window however long the mapping; and the pooled reader buffers must
+// never be recycled while a window still aliases them (the race test
+// below runs under `make race`).
 
 // cutWindows runs the window loop over src as the parallel shape does —
 // one chunkReader, every window consumed whole — with a target of docs
@@ -37,10 +40,42 @@ func readerSource(data []byte) source {
 	return source{r: bytes.NewReader(data), pool: new(chunkPool)}
 }
 
+// mappedSource maps a new file holding data, as fileSources maps a file
+// of mmapMinSize or more, whatever its size.
+func mappedSource(t testing.TB, data []byte) source {
+	t.Helper()
+	name := filepath.Join(t.TempDir(), "in.ndjson")
+	if err := os.WriteFile(name, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return mapFile(t, name)
+}
+
+// mapFile maps the named file. A run over the source unmaps it when
+// its last window is released; the test's cleanup unmaps one no run
+// read.
+func mapFile(t testing.TB, name string) source {
+	t.Helper()
+	if !mmapio.Supported() {
+		t.Skip("mmap not supported on this platform")
+	}
+	f, err := os.Open(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	m, err := mmapio.Map(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { m.Close() })
+	return source{mapping: m}
+}
+
 // TestBytesEngineMatchesReaderFixtures sweeps every fixture under
-// byte-target chunking (Options.ChunkBytes), where the two sources
-// differ most: the byte splitter emits large chunks by aliasing, the
-// reader has to buffer, compact and grow to hold each one.
+// byte-target chunking (Options.ChunkBytes), where the two input kinds
+// differ most: a mapping's windows alias its pages whatever their
+// length, the reader has to buffer, compact and grow to hold each one.
 func TestBytesEngineMatchesReaderFixtures(t *testing.T) {
 	forEachFixture(t, func(name string, data []byte) {
 		assertMatchesOracle(t, name, data, Options{ChunkBytes: 1 << 10})
@@ -57,7 +92,7 @@ func TestBytesEngineErrorEquivalence(t *testing.T) {
 }
 
 // TestSplitChunksBytesMatchesReadChunks pins the window loop to the same
-// window stream over a slice as over a reader — same data, same
+// window stream over a mapping as over a reader — same data, same
 // absolute bases — across document-count and byte-size targets.
 func TestSplitChunksBytesMatchesReadChunks(t *testing.T) {
 	docs := genjson.Collection(genjson.Twitter{Seed: 90}, 400)
@@ -69,7 +104,7 @@ func TestSplitChunksBytesMatchesReadChunks(t *testing.T) {
 	type targets struct{ docs, bytes int }
 	collect := func(viaReader bool, tg targets) []chunk {
 		var out []chunk
-		src := source{data: data}
+		src := mappedSource(t, data)
 		if viaReader {
 			src = readerSource(data)
 		}
@@ -87,7 +122,7 @@ func TestSplitChunksBytesMatchesReadChunks(t *testing.T) {
 		want := collect(true, targets)
 		got := collect(false, targets)
 		if len(want) != len(got) {
-			t.Fatalf("targets=%+v: %d byte-mode chunks, want %d", targets, len(got), len(want))
+			t.Fatalf("targets=%+v: %d mapped windows, want %d", targets, len(got), len(want))
 		}
 		off := 0
 		for i := range want {
@@ -109,11 +144,12 @@ func TestSplitChunksBytesMatchesReadChunks(t *testing.T) {
 	}
 }
 
-// TestSplitChunksBytesAllocFree pins the slice side of the window loop:
-// no pending array, no compaction, nothing allocated per window — a run
-// allocates the same whether it cuts 19 windows, 300, or the 256-line
-// windows of a 16 MB slice, which nothing scans past the window it
-// cuts.
+// TestSplitChunksBytesAllocFree pins the mapped side of the window
+// loop: no pending array, no compaction, nothing allocated per window —
+// a run allocates the same whether it cuts 19 windows, 300, or the
+// 256-line windows of a 16 MB mapping, which nothing scans past the
+// window it cuts. Each run reads a mapping of its own (its last window
+// unmaps it), made before the count.
 func TestSplitChunksBytesAllocFree(t *testing.T) {
 	docs := genjson.Collection(genjson.Orders{Seed: 91}, 300)
 	data := jsontext.MarshalLines(docs)
@@ -122,11 +158,28 @@ func TestSplitChunksBytesAllocFree(t *testing.T) {
 		chunks++
 		total += len(ch.data)
 	}
+	// mappings writes data to a file and maps it once per call
+	// AllocsPerRun(runs) makes: runs, and its warm-up.
+	mappings := func(data []byte, runs int) func() source {
+		name := filepath.Join(t.TempDir(), "in.ndjson")
+		if err := os.WriteFile(name, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var srcs []source
+		for range runs + 1 {
+			srcs = append(srcs, mapFile(t, name))
+		}
+		return func() (src source) {
+			src, srcs = srcs[0], srcs[1:]
+			return src
+		}
+	}
 	var perRun [3]float64
 	for i, docs := range []int{16, 1} {
 		chunks = 0
+		next := mappings(data, 20)
 		perRun[i] = testing.AllocsPerRun(20, func() {
-			if err := cutWindows(source{data: data}, 0, docs, nil, emit); err != nil {
+			if err := cutWindows(next(), 0, docs, nil, emit); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -141,8 +194,9 @@ func TestSplitChunksBytesAllocFree(t *testing.T) {
 	line := []byte(`{"id":12345678,"name":"a document of sixty-four bytes, newline"}` + "\n")
 	long := bytes.Repeat(line, (16<<20)/len(line))
 	chunks, total = 0, 0
+	next := mappings(long, 2)
 	perRun[2] = testing.AllocsPerRun(2, func() {
-		if err := cutWindows(source{data: long}, 0, DefaultBatch, nil, emit); err != nil {
+		if err := cutWindows(next(), 0, DefaultBatch, nil, emit); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -176,8 +230,8 @@ func TestReadChunksCompactionReuse(t *testing.T) {
 	if s.BytesCopied >= int64(len(data)) {
 		t.Errorf("compaction copied %d of %d input bytes; tails only should be far less", s.BytesCopied, len(data))
 	}
-	if s.ReaderInputs != 1 || s.MmapInputs != 0 {
-		t.Errorf("reader run counted reader_inputs=%d mmap_inputs=%d, want 1/0", s.ReaderInputs, s.MmapInputs)
+	if s.MmapInputs != 0 {
+		t.Errorf("reader run counted mmap_inputs=%d, want 0", s.MmapInputs)
 	}
 
 	// Holding the newest window until the next one arrives keeps refs > 1
@@ -186,7 +240,9 @@ func TestReadChunksCompactionReuse(t *testing.T) {
 	var held byteChunk
 	st = PipelineStats{}
 	if err := cutWindows(readerSource(data), 0, 64, &st, func(ch byteChunk) {
-		held.buf.release()
+		if held.buf != nil {
+			held.buf.release()
+		}
 		ch.buf.acquire()
 		held = ch
 	}); err != nil {
@@ -247,13 +303,14 @@ func TestChunkPoolLifetimeRace(t *testing.T) {
 	}
 }
 
-// TestInferStreamBytesStats pins the zero-copy counters: a byte-mode
-// run aliases every payload byte and copies none.
-func TestInferStreamBytesStats(t *testing.T) {
+// TestMappedInputStats pins the zero-copy counters: a run over a mapping
+// counts it as one mapped input and neither copies nor recycles a
+// buffer.
+func TestMappedInputStats(t *testing.T) {
 	docs := genjson.Collection(genjson.Orders{Seed: 94}, 500)
 	data := jsontext.MarshalLines(docs)
 	var st PipelineStats
-	_, n, err := InferStreamBytes(data, Options{Workers: 4, batch: 32, Stats: &st})
+	_, n, err := run(only(mappedSource(t, data)), Options{Workers: 4, batch: 32, Stats: &st})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,17 +318,11 @@ func TestInferStreamBytesStats(t *testing.T) {
 		t.Fatalf("typed %d docs, want 500", n)
 	}
 	s := st.Snapshot()
-	if s.BytesAliased != int64(len(data)) {
-		t.Errorf("BytesAliased = %d, want %d (every byte emitted in place)", s.BytesAliased, len(data))
+	if s.MmapInputs != 1 {
+		t.Errorf("mmap_inputs = %d, want 1", s.MmapInputs)
 	}
 	if s.BytesCopied != 0 || s.BuffersRecycled != 0 {
-		t.Errorf("byte mode copied %d bytes and recycled %d buffers, want 0/0", s.BytesCopied, s.BuffersRecycled)
-	}
-	if s.ReaderInputs != 0 {
-		t.Errorf("byte mode counted %d reader inputs, want 0", s.ReaderInputs)
-	}
-	if s.BytesLexed != int64(len(data)) {
-		t.Errorf("BytesLexed = %d, want %d", s.BytesLexed, len(data))
+		t.Errorf("a mapped run copied %d bytes and recycled %d buffers, want 0/0", s.BytesCopied, s.BuffersRecycled)
 	}
 }
 
@@ -287,8 +338,8 @@ func TestSequentialIndexedEngineStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := st.Snapshot()
-	if int64(n) != s.DocsAbsorbed || n != 600 {
-		t.Fatalf("typed %d docs (absorbed %d), want 600", n, s.DocsAbsorbed)
+	if n != 600 {
+		t.Fatalf("typed %d docs, want 600", n)
 	}
 	if s.Seals != 1 {
 		t.Errorf("one-worker indexed run sealed %d times, want exactly 1", s.Seals)
@@ -299,13 +350,10 @@ func TestSequentialIndexedEngineStats(t *testing.T) {
 	if s.BytesReindexed != 0 {
 		t.Errorf("NDJSON windows end between documents, yet %d bytes were indexed twice", s.BytesReindexed)
 	}
-	if s.IndexRecords != 600 || s.FallbackRecords != 0 {
-		t.Errorf("clean input absorbed %d of 600 records off the index (fallbacks: %d)", s.IndexRecords, s.FallbackRecords)
+	if s.FallbackRecords != 0 {
+		t.Errorf("clean input sent %d records to the token walk, want 0", s.FallbackRecords)
 	}
-	if s.BytesLexed != int64(len(data)) {
-		t.Errorf("BytesLexed = %d, want %d", s.BytesLexed, len(data))
-	}
-	if s.ReaderInputs != 1 {
-		t.Errorf("ReaderInputs = %d, want 1", s.ReaderInputs)
+	if s.MmapInputs != 0 {
+		t.Errorf("MmapInputs = %d, want 0", s.MmapInputs)
 	}
 }

@@ -410,9 +410,16 @@ func TestParseLinesAndMarshalLines(t *testing.T) {
 		t.Errorf("ParseLines round trip failed: %v", back)
 	}
 	// Blank lines are skipped.
-	back, err = ParseLines([]byte("\n{\"x\":1}\n\n \n5\n"))
+	back, err = ParseLines([]byte("\n{\"x\":1}\n\n \t\r\n5\n"))
 	if err != nil || len(back) != 2 {
 		t.Errorf("ParseLines with blanks = %v, %v", back, err)
+	}
+	// A line of Unicode spaces JSON does not allow is no blank line: the
+	// decoder and the streamed engine reject it at its first byte.
+	for _, space := range []string{"\v", "\f", "\u00a0", "\u0085"} {
+		if back, err := ParseLines([]byte(space + "\n0\n")); err == nil {
+			t.Errorf("ParseLines(%q) = %v, want the syntax error the decoder reports", space+"\n0\n", back)
+		}
 	}
 }
 

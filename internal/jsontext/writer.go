@@ -1,8 +1,8 @@
 package jsontext
 
 import (
+	"bytes"
 	"strconv"
-	"strings"
 	"unicode/utf8"
 
 	"repro/internal/jsonvalue"
@@ -216,7 +216,9 @@ func MarshalLines(vs []*jsonvalue.Value) []byte {
 	return dst
 }
 
-// ParseLines parses NDJSON: one JSON value per non-empty line.
+// ParseLines parses NDJSON: one JSON value per line that holds more
+// than JSON whitespace (space, tab, CR). Any other byte, Unicode spaces
+// such as '\v' included, is the decoder's to accept or reject.
 func ParseLines(data []byte) ([]*jsonvalue.Value, error) {
 	var out []*jsonvalue.Value
 	for start := 0; start < len(data); {
@@ -225,7 +227,7 @@ func ParseLines(data []byte) ([]*jsonvalue.Value, error) {
 			end++
 		}
 		line := data[start:end]
-		if len(trimSpaceBytes(line)) > 0 {
+		if len(bytes.Trim(line, " \t\r")) > 0 {
 			v, err := Parse(line)
 			if err != nil {
 				return nil, err
@@ -235,8 +237,4 @@ func ParseLines(data []byte) ([]*jsonvalue.Value, error) {
 		start = end + 1
 	}
 	return out, nil
-}
-
-func trimSpaceBytes(b []byte) []byte {
-	return []byte(strings.TrimSpace(string(b)))
 }

@@ -42,7 +42,7 @@ func TestTokenSourceZeroSteadyStateAllocs(t *testing.T) {
 func TestIndexZeroSteadyStateAllocs(t *testing.T) {
 	ix := NewIndex()
 	rebuild := func() {
-		if err := ix.rebuild(allocFixture, 0); err != nil {
+		if err := ix.rebuild(allocFixture); err != nil {
 			t.Fatal(err)
 		}
 	}

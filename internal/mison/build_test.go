@@ -1,5 +1,7 @@
 package mison
 
+import "errors"
+
 // The one-shot builders below are the reference the tests hold the
 // amortised builds (Parser's reused index, TokenSource's bitmaps) to.
 
@@ -23,11 +25,15 @@ func (b *Bitmaps) InString(i int) bool {
 func BuildIndex(data []byte) (*Index, error) { return BuildIndexAt(data, 0) }
 
 // BuildIndexAt is BuildIndex for a record whose first byte sits at
-// absolute stream offset base: any *IndexError carries absolute
-// offsets.
+// absolute stream offset base: an *IndexError's record-relative offset
+// is rebased onto it.
 func BuildIndexAt(data []byte, base int) (*Index, error) {
 	ix := NewIndex()
-	if err := ix.rebuild(data, base); err != nil {
+	if err := ix.rebuild(data); err != nil {
+		var ie *IndexError
+		if errors.As(err, &ie) {
+			ie.Offset += base
+		}
 		return nil, err
 	}
 	return ix, nil

@@ -28,11 +28,6 @@ type Index struct {
 	// MaxDepth is the deepest context observed.
 	MaxDepth int
 
-	// base is the absolute stream offset of Data[0]; every *IndexError
-	// this index reports carries base-relative — that is, absolute —
-	// offsets.
-	base int
-
 	// merged is scratch storage for the union bitmap, reused across
 	// rebuilds; openStack tracks unmatched opener positions for exact
 	// error attribution.
@@ -42,9 +37,8 @@ type Index struct {
 
 // rebuild reinitialises the index for a new record, reusing the event
 // and bitmap storage of previous records.
-func (ix *Index) rebuild(data []byte, base int) error {
+func (ix *Index) rebuild(data []byte) error {
 	ix.Data = data
-	ix.base = base
 	ix.Bitmap.build(data)
 	ix.Events = ix.Events[:0]
 	for d := range ix.Colons {
@@ -99,7 +93,7 @@ func (ix *Index) rebuild(data []byte, base int) error {
 		case '}', ']':
 			depth--
 			if depth < 0 {
-				err = &IndexError{Offset: base + pos, Msg: "unbalanced " + string(ch)}
+				err = &IndexError{Offset: pos, Msg: "unbalanced " + string(ch)}
 				return
 			}
 			ix.openStack = ix.openStack[:len(ix.openStack)-1]
@@ -117,7 +111,7 @@ func (ix *Index) rebuild(data []byte, base int) error {
 	if depth != 0 {
 		// The innermost unclosed opener names the defect exactly.
 		return &IndexError{
-			Offset: base + ix.openStack[len(ix.openStack)-1],
+			Offset: ix.openStack[len(ix.openStack)-1],
 			Msg:    strconv.Itoa(depth) + " unclosed containers, innermost opened",
 		}
 	}
@@ -138,7 +132,7 @@ func (ix *Index) RecordSpan() (start, end int, err error) {
 			}
 		}
 	}
-	return 0, 0, &IndexError{Offset: ix.base, Msg: "no top-level object"}
+	return 0, 0, &IndexError{Offset: 0, Msg: "no top-level object"}
 }
 
 // keyMatches compares the colon's key bytes against want without

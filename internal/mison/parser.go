@@ -70,7 +70,7 @@ func (p *Parser) ParseRecord(data []byte) ([]*jsonvalue.Value, error) {
 		p.ix = &Index{Bitmap: &Bitmaps{}}
 	}
 	ix := p.ix
-	if err := ix.rebuild(data, 0); err != nil {
+	if err := ix.rebuild(data); err != nil {
 		return nil, err
 	}
 	objStart, objEnd, err := ix.RecordSpan()
@@ -101,10 +101,10 @@ func (p *Parser) project(ix *Index, objStart, objEnd, depth int, path []string, 
 	if len(path) == 1 {
 		v, err := jsontext.Parse(ix.Data[vStart:vEnd])
 		if err != nil {
-			// Rebase the parse error's record-relative offset onto the
-			// stream so attribution stays exact for sliced records.
+			// Rebase the parse error's value-relative offset onto the
+			// record.
 			if se, ok := err.(*jsontext.SyntaxError); ok {
-				err = se.Rebased(ix.base + vStart)
+				err = se.Rebased(vStart)
 			}
 			return nil, fmt.Errorf("mison: field %q: %w", field, err)
 		}

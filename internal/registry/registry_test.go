@@ -172,7 +172,7 @@ func TestConcurrentIngestStorm(t *testing.T) {
 					// per-call deltas and direct read-side adds only
 					// ever increase the cumulative counters.
 					p := snap.Pipeline
-					if p.DocsAbsorbed < lastPipe.DocsAbsorbed || p.BytesLexed < lastPipe.BytesLexed ||
+					if p.MapNanos < lastPipe.MapNanos || p.ReadNanos < lastPipe.ReadNanos ||
 						p.ChunksSplit < lastPipe.ChunksSplit || p.Seals < lastPipe.Seals ||
 						p.RootFuses < lastPipe.RootFuses {
 						t.Errorf("pipeline stats regressed: %+v after %+v", p, lastPipe)
@@ -286,12 +286,12 @@ func TestConcurrentIngestStorm(t *testing.T) {
 			t.Errorf("%s: docs=%d, want %d", name, snap.Docs, wantN)
 		}
 		// After quiesce the flight recorder reconciles exactly with the
-		// registry's own accounting: every ingested document was
-		// absorbed exactly once, none fell back (the corpus is clean).
-		if p := snap.Pipeline; p.DocsAbsorbed != snap.Docs || p.BytesLexed != snap.Bytes ||
+		// registry's own accounting: every ingest was absorbed in line
+		// and no record fell back (the corpus is clean).
+		if p := snap.Pipeline; p.ChunksDirect != p.ChunksSplit || p.ChunksSplit < snap.Ingests ||
 			p.FallbackRecords != 0 {
-			t.Errorf("%s: pipeline stats do not reconcile: absorbed=%d/%d lexed=%d/%d fallback=%d",
-				name, p.DocsAbsorbed, snap.Docs, p.BytesLexed, snap.Bytes, p.FallbackRecords)
+			t.Errorf("%s: pipeline stats do not reconcile: windows=%d direct=%d over %d ingests, fallback=%d",
+				name, p.ChunksSplit, p.ChunksDirect, snap.Ingests, p.FallbackRecords)
 		}
 		if snap.Version != writers*slices || snap.Ingests != writers*slices || snap.Errors != 0 {
 			t.Errorf("%s: version=%d ingests=%d errors=%d, want %d/%d/0",
@@ -740,8 +740,8 @@ func TestPipelineStatsReconcile(t *testing.T) {
 		if err != nil {
 			t.Fatalf("ingest %d: %v", i, err)
 		}
-		if res.Stats.DocsAbsorbed != int64(res.Docs) {
-			t.Errorf("per-call delta DocsAbsorbed=%d, want %d", res.Stats.DocsAbsorbed, res.Docs)
+		if res.Stats.ChunksSplit < 1 || res.Stats.ChunksDirect != res.Stats.ChunksSplit {
+			t.Errorf("per-call delta: %d windows, %d direct; want at least one, all direct", res.Stats.ChunksSplit, res.Stats.ChunksDirect)
 		}
 		sum.Add(res.Stats)
 		wantDocs += int64(res.Docs)
@@ -756,9 +756,9 @@ func TestPipelineStatsReconcile(t *testing.T) {
 	// Map-side counters: exact equality with the delta sum.
 	exact := [][3]int64{
 		{p.ChunksSplit, sum.ChunksSplit, 0},
-		{p.BytesLexed, sum.BytesLexed, 1},
-		{p.DocsAbsorbed, sum.DocsAbsorbed, 2},
-		{p.IndexRecords, sum.IndexRecords, 3},
+		{p.PatternRecords, sum.PatternRecords, 1},
+		{p.BytesCopied, sum.BytesCopied, 2},
+		{p.BuffersRecycled, sum.BuffersRecycled, 3},
 		{p.FallbackRecords, sum.FallbackRecords, 4},
 		{p.ScanDelegations, sum.ScanDelegations, 6},
 		{p.ReadNanos, sum.ReadNanos, 7},
@@ -772,17 +772,12 @@ func TestPipelineStatsReconcile(t *testing.T) {
 		}
 	}
 	// The work accounted matches the registry's own accounting.
-	if p.DocsAbsorbed != wantDocs || wantDocs != snap.Docs {
-		t.Errorf("DocsAbsorbed=%d, ingested=%d, snapshot docs=%d — must all agree",
-			p.DocsAbsorbed, wantDocs, snap.Docs)
+	if wantDocs != snap.Docs || wantBytes != snap.Bytes {
+		t.Errorf("ingested %d docs and %d bytes, snapshot holds %d and %d — must agree",
+			wantDocs, wantBytes, snap.Docs, snap.Bytes)
 	}
-	if p.BytesLexed != wantBytes || wantBytes != snap.Bytes {
-		t.Errorf("BytesLexed=%d, ingested bytes=%d, snapshot bytes=%d — must all agree",
-			p.BytesLexed, wantBytes, snap.Bytes)
-	}
-	if p.IndexRecords != wantDocs || p.FallbackRecords != 0 {
-		t.Errorf("IndexRecords=%d fallbacks=%d on clean input, want %d/0",
-			p.IndexRecords, p.FallbackRecords, wantDocs)
+	if p.FallbackRecords != 0 || p.PatternRecords == 0 {
+		t.Errorf("fallbacks=%d pattern=%d on clean repeating input, want 0 and some", p.FallbackRecords, p.PatternRecords)
 	}
 	// Every body was one window, absorbed in line: no chunk seal, no
 	// committer and so no reduce clock. Read-side, the collector saw
@@ -887,8 +882,8 @@ func TestSealsFollowReadsNotIngests(t *testing.T) {
 // TestPipelineStatsAdversarialThroughRegistry: the fallback counter
 // surfaces through the registry exactly as through the bare pipeline —
 // a malformed literal delegates one record, and so does an unterminated
-// string, after the records before it came off the index — and both
-// ride the per-call delta as well as the cumulative snapshot.
+// string, not the records before it, which came off the index — and
+// both ride the per-call delta as well as the cumulative snapshot.
 func TestPipelineStatsAdversarialThroughRegistry(t *testing.T) {
 	reg := New(Options{Equiv: typelang.EquivLabel})
 	defer reg.Close()
@@ -897,22 +892,19 @@ func TestPipelineStatsAdversarialThroughRegistry(t *testing.T) {
 	if err == nil {
 		t.Fatal("malformed literal was accepted")
 	}
-	if res.Stats.FallbackRecords != 1 || res.Stats.IndexRecords != 1 {
-		t.Errorf("bad literal delta: index=%d fallback=%d, want 1/1",
-			res.Stats.IndexRecords, res.Stats.FallbackRecords)
+	if res.Docs != 1 || res.Stats.FallbackRecords != 1 {
+		t.Errorf("bad literal delta: docs=%d fallback=%d, want 1/1", res.Docs, res.Stats.FallbackRecords)
 	}
 	res2, err := reg.Ingest("c", strings.NewReader(`{"a": 1}`+"\n"+`{"a": 2}`+"\n"+`{"a": "unterminated`+"\n"))
 	if err == nil {
 		t.Fatal("unterminated string was accepted")
 	}
-	if res2.Docs != 2 || res2.Stats.IndexRecords != 2 || res2.Stats.FallbackRecords != 1 {
-		t.Errorf("unterminated delta: docs=%d index=%d fallback=%d, want 2/2/1",
-			res2.Docs, res2.Stats.IndexRecords, res2.Stats.FallbackRecords)
+	if res2.Docs != 2 || res2.Stats.FallbackRecords != 1 {
+		t.Errorf("unterminated delta: docs=%d fallback=%d, want 2/1", res2.Docs, res2.Stats.FallbackRecords)
 	}
 	snap, _ := reg.Get("c")
-	if snap.Pipeline.IndexRecords != 3 || snap.Pipeline.FallbackRecords != 2 {
-		t.Errorf("cumulative: index=%d fallback=%d, want 3/2",
-			snap.Pipeline.IndexRecords, snap.Pipeline.FallbackRecords)
+	if snap.Docs != 3 || snap.Pipeline.FallbackRecords != 2 {
+		t.Errorf("cumulative: docs=%d fallback=%d, want 3/2", snap.Docs, snap.Pipeline.FallbackRecords)
 	}
 	if snap.Errors != 2 {
 		t.Errorf("Errors=%d, want 2", snap.Errors)

@@ -179,7 +179,7 @@ func assertProjectsToInfer(t *testing.T, label string, data []byte, docs []*json
 		"L": FromType(infer.Infer(docs, infer.Options{Equiv: typelang.EquivLabel})),
 	}
 	for _, w := range []int{1, 2} {
-		k, n, err := infer.InferStreamBytes(data, infer.Options{Equiv: typelang.EquivKind, Workers: w})
+		k, n, err := infer.InferStream(bytes.NewReader(data), infer.Options{Equiv: typelang.EquivKind, Workers: w})
 		if err != nil || n != len(docs) {
 			t.Fatalf("%s: streamed K at %d workers: %d documents, err %v; the decoder read %d", label, w, n, err, len(docs))
 		}

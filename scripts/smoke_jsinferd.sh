@@ -125,8 +125,8 @@ echo "smoke: /debug/traces shows the joined trace with $fixture_docs docs"
 
 stats=$(curl -fsS "$base/v1/stats")
 echo "smoke: stats $stats"
-echo "$stats" | grep -q "\"docs_absorbed\": $want_docs" || {
-    echo "smoke: /v1/stats pipeline.docs_absorbed != $want_docs" >&2
+echo "$stats" | grep -q "\"docs\": $want_docs," || {
+    echo "smoke: /v1/stats docs != $want_docs" >&2
     exit 1
 }
 
