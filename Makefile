@@ -33,10 +33,13 @@ race:
 # trained on foreign bytes against the token walker, the daemon's body
 # decoder against compress/gzip plus http.MaxBytesReader, Spark's
 # fold against its projection of the K and L schemas (DOM and
-# streamed), and the soundness law: every document of a collection is a
+# streamed), the soundness law: every document of a collection is a
 # member of its streamed K and L schemas and of their JSON Schema
-# documents. They gate every change to a lexer, to either walk, to the
-# input stage, to the intake, to the projection or to a schema writer;
+# documents, and the code generators over arbitrary field names: both
+# outputs balanced with every string literal on one line, every Swift
+# property a distinct legal identifier. They gate every change to a
+# lexer, to either walk, to the input stage, to the intake, to the
+# projection, to a schema writer or to a code generator;
 # `go test -fuzz` takes one target of one package per run.
 FUZZTIME ?= 10s
 fuzz-smoke:
@@ -50,6 +53,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzIntakeBody$$' -fuzztime $(FUZZTIME) ./internal/daemon/intake/
 	$(GO) test -run '^$$' -fuzz '^FuzzSparkFromType$$' -fuzztime $(FUZZTIME) ./internal/sparkinfer/
 	$(GO) test -run '^$$' -fuzz '^FuzzInferredSchemaIsSound$$' -fuzztime $(FUZZTIME) ./internal/core/
+	$(GO) test -run '^$$' -fuzz '^FuzzCodegenNames$$' -fuzztime $(FUZZTIME) ./internal/codegen/
 
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem ./...

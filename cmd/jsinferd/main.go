@@ -439,9 +439,6 @@ func newHandler(reg *registry.Registry, cfg handlerConfig) http.Handler {
 			// spans off this request's trace; the registry itself stays
 			// tracing-agnostic.
 			co.Observer = func(stage string) func() {
-				if stage == "pipeline" {
-					stage = "ingest"
-				}
 				return tr.StartSpan(stage, nil).End
 			}
 		}

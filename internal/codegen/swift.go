@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"unicode"
 
 	"repro/internal/typelang"
 )
@@ -13,7 +14,7 @@ import (
 // enums with associated values for general unions — the §3 contrast
 // with TypeScript, whose structural unions need no nominal wrapper.
 func Swift(rootName string, t *typelang.Type) string {
-	g := &swiftGen{decls: map[string]string{}}
+	g := &swiftGen{decls: map[string]string{}, used: map[string]bool{}}
 	expr := g.expr(t, rootName)
 	var b strings.Builder
 	b.WriteString("// Generated by jsonkit codegen; do not edit.\nimport Foundation\n\n")
@@ -97,30 +98,35 @@ func stripNull(t *typelang.Type) (*typelang.Type, bool) {
 	}
 }
 
+// structDecl declares a record as a Codable struct. A field whose name
+// is not a legal Swift property, or whose legal form an earlier field
+// already took, gets a distinct property and a CodingKey carrying its
+// JSON name.
 func (g *swiftGen) structDecl(t *typelang.Type, hint string) string {
-	name := g.freshName(hint)
+	name := fresh(g.used, exportName(hint))
 	var b strings.Builder
 	fmt.Fprintf(&b, "struct %s: Codable {\n", name)
+	props := make([]string, len(t.Fields))
+	taken := make(map[string]bool, len(t.Fields))
 	var needKeys bool
-	for _, f := range t.Fields {
-		prop := swiftPropName(f.Name)
-		if prop != f.Name {
+	for i, f := range t.Fields {
+		props[i] = fresh(taken, swiftPropName(f.Name))
+		if props[i] != f.Name {
 			needKeys = true
 		}
 		typ := g.expr(f.Type, name+exportName(f.Name))
 		if f.Optional && !strings.HasSuffix(typ, "?") {
 			typ += "?"
 		}
-		fmt.Fprintf(&b, "    let %s: %s\n", prop, typ)
+		fmt.Fprintf(&b, "    let %s: %s\n", props[i], typ)
 	}
 	if needKeys {
 		b.WriteString("\n    enum CodingKeys: String, CodingKey {\n")
-		for _, f := range t.Fields {
-			prop := swiftPropName(f.Name)
-			if prop == f.Name {
-				fmt.Fprintf(&b, "        case %s\n", prop)
+		for i, f := range t.Fields {
+			if props[i] == f.Name {
+				fmt.Fprintf(&b, "        case %s\n", props[i])
 			} else {
-				fmt.Fprintf(&b, "        case %s = %s\n", prop, strconvQuote(f.Name))
+				fmt.Fprintf(&b, "        case %s = %s\n", props[i], swiftQuote(f.Name))
 			}
 		}
 		b.WriteString("    }\n")
@@ -133,7 +139,7 @@ func (g *swiftGen) structDecl(t *typelang.Type, hint string) string {
 // unionEnum models a general union as an enum with associated values —
 // what §3 notes Swift must do where TypeScript writes A | B.
 func (g *swiftGen) unionEnum(t *typelang.Type, hint string) string {
-	name := g.freshName(hint)
+	name := fresh(g.used, exportName(hint))
 	var b strings.Builder
 	fmt.Fprintf(&b, "enum %s: Codable {\n", name)
 	caseNames := make([]string, len(t.Alts))
@@ -152,7 +158,7 @@ func (g *swiftGen) unionEnum(t *typelang.Type, hint string) string {
 			caseTypes[i], caseNames[i])
 	}
 	fmt.Fprintf(&b, "        throw DecodingError.typeMismatch(%s.self, .init(codingPath: decoder.codingPath, debugDescription: %s))\n",
-		name, strconvQuote("no union branch matched"))
+		name, swiftQuote("no union branch matched"))
 	b.WriteString("    }\n")
 	b.WriteString("\n    func encode(to encoder: Encoder) throws {\n")
 	b.WriteString("        var c = encoder.singleValueContainer()\n")
@@ -186,12 +192,32 @@ func unionCaseName(t *typelang.Type, i int) string {
 	}
 }
 
+// swiftReserved is Swift's keyword list — the declaration, statement,
+// expression and pattern keywords, none of which a property may be
+// named unescaped — plus Type and Protocol, which name a metatype's
+// members.
 var swiftReserved = map[string]bool{
-	"class": true, "struct": true, "enum": true, "let": true, "var": true,
-	"func": true, "return": true, "if": true, "else": true, "switch": true,
-	"case": true, "default": true, "import": true, "init": true, "self": true,
-	"Type": true, "Protocol": true, "in": true, "for": true, "while": true,
-	"extension": true, "public": true, "private": true, "internal": true,
+	// Declarations.
+	"associatedtype": true, "borrowing": true, "class": true, "consuming": true,
+	"deinit": true, "enum": true, "extension": true, "fileprivate": true,
+	"func": true, "import": true, "init": true, "inout": true, "internal": true,
+	"let": true, "nonisolated": true, "open": true, "operator": true,
+	"private": true, "precedencegroup": true, "protocol": true, "public": true,
+	"rethrows": true, "static": true, "struct": true, "subscript": true,
+	"typealias": true, "var": true,
+	// Statements.
+	"break": true, "case": true, "catch": true, "continue": true, "default": true,
+	"defer": true, "do": true, "else": true, "fallthrough": true, "for": true,
+	"guard": true, "if": true, "in": true, "repeat": true, "return": true,
+	"throw": true, "switch": true, "where": true, "while": true,
+	// Expressions and types.
+	"Any": true, "as": true, "await": true, "false": true, "is": true,
+	"nil": true, "self": true, "Self": true, "super": true, "throws": true,
+	"true": true, "try": true,
+	// Patterns.
+	"_": true,
+	// Metatype members.
+	"Type": true, "Protocol": true,
 }
 
 // swiftPropName maps a JSON field name onto a legal Swift property
@@ -200,36 +226,45 @@ func swiftPropName(name string) string {
 	if identRe.MatchString(name) && !swiftReserved[name] {
 		return name
 	}
-	candidate := ""
-	for _, r := range name {
-		if (r >= 'a' && r <= 'z') || (r >= 'A' && r <= 'Z') || (r >= '0' && r <= '9') || r == '_' {
-			candidate += string(r)
-		} else {
-			candidate += "_"
+	candidate := strings.Map(func(r rune) rune {
+		if 'a' <= r && r <= 'z' || 'A' <= r && r <= 'Z' || '0' <= r && r <= '9' || r == '_' {
+			return r
 		}
-	}
+		return '_'
+	}, name)
 	if candidate == "" || !identRe.MatchString(candidate) || swiftReserved[candidate] {
 		candidate = "field_" + candidate
 	}
 	return candidate
 }
 
-func (g *swiftGen) freshName(hint string) string {
-	if g.used == nil {
-		g.used = map[string]bool{}
-	}
-	name := exportName(hint)
-	if name == "" {
-		name = "T"
-	}
-	for i := 0; ; i++ {
-		candidate := name
-		if i > 0 {
-			candidate = fmt.Sprintf("%s%d", name, i+1)
+// swiftQuote quotes s as a Swift string literal, which has escapes of
+// its own and holds no raw line break.
+func swiftQuote(s string) string {
+	var b strings.Builder
+	b.WriteByte('"')
+	for _, r := range s {
+		switch r {
+		case '"':
+			b.WriteString(`\"`)
+		case '\\':
+			b.WriteString(`\\`)
+		case '\n':
+			b.WriteString(`\n`)
+		case '\r':
+			b.WriteString(`\r`)
+		case '\t':
+			b.WriteString(`\t`)
+		case 0:
+			b.WriteString(`\0`)
+		default:
+			if unicode.IsControl(r) {
+				fmt.Fprintf(&b, `\u{%x}`, r)
+			} else {
+				b.WriteRune(r)
+			}
 		}
-		if !g.used[candidate] {
-			g.used[candidate] = true
-			return candidate
-		}
 	}
+	b.WriteByte('"')
+	return b.String()
 }

@@ -12,8 +12,10 @@ import (
 	"fmt"
 	"regexp"
 	"sort"
+	"strconv"
 	"strings"
 
+	"repro/internal/jsontext"
 	"repro/internal/typelang"
 )
 
@@ -25,7 +27,7 @@ var identRe = regexp.MustCompile(`^[A-Za-z_][A-Za-z0-9_]*$`)
 // one named interface per record (nested records get derived names) and
 // a type alias for the root.
 func TypeScript(rootName string, t *typelang.Type) string {
-	g := &tsGen{decls: map[string]string{}}
+	g := &tsGen{decls: map[string]string{}, used: map[string]bool{}}
 	expr := g.expr(t, rootName)
 	var b strings.Builder
 	b.WriteString("// Generated by jsonkit codegen; do not edit.\n\n")
@@ -78,7 +80,7 @@ func (g *tsGen) expr(t *typelang.Type, hint string) string {
 		}
 		return strings.Join(parts, " | ")
 	case typelang.KRecord:
-		name := g.freshName(hint)
+		name := fresh(g.used, exportName(hint))
 		var b strings.Builder
 		fmt.Fprintf(&b, "export interface %s {\n", name)
 		for _, f := range t.Fields {
@@ -86,9 +88,10 @@ func (g *tsGen) expr(t *typelang.Type, hint string) string {
 			if f.Optional {
 				opt = "?"
 			}
+			// JSON's escapes are all TypeScript's.
 			key := f.Name
 			if !identRe.MatchString(key) {
-				key = strconvQuote(key)
+				key = string(jsontext.AppendQuoted(nil, key))
 			}
 			fmt.Fprintf(&b, "  %s%s: %s;\n", key, opt, g.expr(f.Type, name+exportName(f.Name)))
 		}
@@ -100,24 +103,15 @@ func (g *tsGen) expr(t *typelang.Type, hint string) string {
 	}
 }
 
-func (g *tsGen) freshName(hint string) string {
-	if g.used == nil {
-		g.used = map[string]bool{}
+// fresh returns name, or name with the smallest numeric suffix from 2
+// up that taken does not hold yet, and marks the result taken.
+func fresh(taken map[string]bool, name string) string {
+	candidate := name
+	for i := 2; taken[candidate]; i++ {
+		candidate = name + strconv.Itoa(i)
 	}
-	name := exportName(hint)
-	if name == "" {
-		name = "T"
-	}
-	for i := 0; ; i++ {
-		candidate := name
-		if i > 0 {
-			candidate = fmt.Sprintf("%s%d", name, i+1)
-		}
-		if !g.used[candidate] {
-			g.used[candidate] = true
-			return candidate
-		}
-	}
+	taken[candidate] = true
+	return candidate
 }
 
 // exportName turns an arbitrary field name into an identifier-ish
@@ -143,28 +137,11 @@ func exportName(s string) string {
 	return out
 }
 
-func strconvQuote(s string) string {
-	var b strings.Builder
-	b.WriteByte('"')
-	for _, r := range s {
-		switch r {
-		case '"':
-			b.WriteString(`\"`)
-		case '\\':
-			b.WriteString(`\\`)
-		default:
-			b.WriteRune(r)
-		}
-	}
-	b.WriteByte('"')
-	return b.String()
-}
-
 // CheckBalanced is a light well-formedness gate for generated sources:
-// brackets balance outside string literals and no line is empty of
-// content where a declaration is expected. It is not a compiler, but it
-// catches the classes of emitter bugs that matter (unclosed blocks,
-// stray quotes), and E14 uses it as its oracle.
+// brackets balance outside string literals, and every string literal
+// closes on its own line. It is not a compiler, but it catches the
+// classes of emitter bugs that matter (unclosed blocks, stray quotes,
+// unescaped line breaks), and E14 uses it as its oracle.
 func CheckBalanced(src string) error {
 	var stack []rune
 	inString := false
@@ -173,6 +150,8 @@ func CheckBalanced(src string) error {
 	for i, r := range src {
 		if inString {
 			switch {
+			case r == '\n' || r == '\r':
+				return fmt.Errorf("codegen: raw line break in a string literal at offset %d", i)
 			case escaped:
 				escaped = false
 			case r == '\\':

@@ -2,7 +2,6 @@ package infer
 
 import (
 	"runtime"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -32,11 +31,15 @@ const maxAutoShards = 8
 
 // shard is one stripe of the collector: an open accumulator and the
 // number of documents it holds, guarded together so a reader sees a
-// type and a count of the same set of documents.
+// type and a count of the same set of documents, and the chunk mapper
+// that types the windows it takes — made on first use and kept warm
+// between ingests, pattern tree and intern cache included, unless a
+// window wider than maxPooledChunkBuf grew its bitmaps.
 type shard struct {
 	mu   sync.Mutex
 	acc  *typelang.Accum
 	docs int64
+	m    *chunkMapper
 }
 
 // ShardedCollector is the striped reduce. InferStreamInto absorbs a
@@ -53,13 +56,12 @@ type ShardedCollector struct {
 	rr     atomic.Uint64
 	closed atomic.Bool
 
-	// What InferStreamInto would otherwise build per call, kept warm
-	// between ingests and bounded: at most one chunk array and one
-	// mapper per shard, none that a giant document or an unbounded key
-	// universe has bloated (chunkPool.put, release).
-	chunks  chunkPool
-	mu      sync.Mutex // guards mappers
-	mappers []*chunkMapper
+	// The chunk arrays InferStreamInto would otherwise allocate per
+	// call, kept warm between ingests and bounded: at most one per
+	// shard, none that a giant document grew (chunkPool.put). A body is
+	// read into them before any shard is locked, never while one is
+	// held, so they cannot be a shard's own.
+	chunks chunkPool
 
 	// root serialises Snapshot, so the views it returns are totally
 	// ordered and, each shard only ever growing, monotone. parts holds
@@ -124,48 +126,27 @@ func (c *ShardedCollector) lock() *shard {
 }
 
 // absorbChunk is InferStreamInto's fold: it types ch's documents
-// through m straight into a shard's accumulator and books them, all
-// under that shard's lock — held for this window only, never across a
-// read of the input. It returns what m.direct does; the shard
-// holds exactly the documents before the error or the straddler.
-func (c *ShardedCollector) absorbChunk(m *chunkMapper, ch byteChunk) (int, int, error) {
+// through a shard's mapper, recording into st, straight into the
+// shard's accumulator and books them, all under that shard's lock —
+// held for this window only, never across a read of the input. The
+// mapper is then unbound from ch's bytes, and dropped when ch was wider
+// than any array the chunk pool keeps: its bitmaps grew with it. It
+// returns what chunkMapper.direct does; the shard holds exactly the
+// documents before the error or the straddler.
+func (c *ShardedCollector) absorbChunk(st *PipelineStats, ch byteChunk) (int, int, error) {
 	s := c.lock()
-	n, used, err := m.direct(ch, s.acc)
+	defer s.mu.Unlock()
+	if s.m == nil {
+		s.m = newChunkMapper(st)
+	}
+	s.m.st = st
+	n, used, err := s.m.direct(ch, s.acc)
 	s.docs += int64(n)
-	s.mu.Unlock()
+	_ = s.m.ia.Reset(nil, 0) // always nil
+	if len(ch.data) > maxPooledChunkBuf {
+		s.m = nil
+	}
 	return n, used, err
-}
-
-// mapper returns a chunk mapper recording into opts.Stats: a kept one
-// when there is one, a cold one otherwise.
-func (c *ShardedCollector) mapper(opts Options) *chunkMapper {
-	c.mu.Lock()
-	var m *chunkMapper
-	if n := len(c.mappers); n > 0 {
-		m = c.mappers[n-1]
-		c.mappers = slices.Delete(c.mappers, n-1, n)
-	}
-	c.mu.Unlock()
-	if m == nil {
-		return newChunkMapper(opts)
-	}
-	m.st = opts.Stats
-	return m
-}
-
-// release keeps m for the next ingest unless its bitmaps are as wide as
-// a chunk no bounded pool would keep the array of; its intern cache
-// bounds itself. The absorber is unbound from the last chunk's bytes.
-func (c *ShardedCollector) release(m *chunkMapper) {
-	if m.widest > maxPooledChunkBuf {
-		return
-	}
-	_ = m.ia.Reset(nil, 0) // always nil
-	c.mu.Lock()
-	if len(c.mappers) < len(c.shards) {
-		c.mappers = append(c.mappers, m)
-	}
-	c.mu.Unlock()
 }
 
 // AddBatch folds a batch of sealed types — summarising docs documents

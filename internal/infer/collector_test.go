@@ -169,8 +169,8 @@ func ingestInto(t *testing.T, col *ShardedCollector, body []byte, opts Options) 
 }
 
 // TestCollectorKeepsBoundedState pins what a collector carries from one
-// ingest to the next: the chunk array and the mapper of an ordinary
-// body, which the next body reuses — and neither the array an
+// ingest to the next: the chunk array of an ordinary body and each
+// shard's mapper, which the next body reuses — and neither the array an
 // unsplittable 4 MiB document grew, nor the mapper whose bitmaps grew
 // with it. A vocabulary never costs a mapper: its intern cache bounds
 // itself.
@@ -183,7 +183,12 @@ func TestCollectorKeepsBoundedState(t *testing.T) {
 		for _, b := range col.chunks.free {
 			widest = max(widest, cap(b.data))
 		}
-		return len(col.chunks.free), widest, len(col.mappers)
+		for i := range col.shards {
+			if col.shards[i].m != nil {
+				mappers++
+			}
+		}
+		return len(col.chunks.free), widest, mappers
 	}
 
 	if s := ingestInto(t, col, giant, opts); s.ChunksDirect != 1 || s.BytesCopied == 0 {
@@ -196,23 +201,43 @@ func TestCollectorKeepsBoundedState(t *testing.T) {
 	if s := ingestInto(t, col, small, opts); s.BuffersRecycled > 1 {
 		t.Errorf("small body after the giant one recycled %d arrays", s.BuffersRecycled)
 	}
-	if arrays, widest, mappers := kept(); arrays == 0 || widest > maxPooledChunkBuf || mappers != 1 {
-		t.Errorf("after a small body the collector keeps %d arrays (widest %d B) and %d mappers, want its array and its mapper",
+	if arrays, widest, mappers := kept(); arrays == 0 || widest > maxPooledChunkBuf || mappers != 1 || col.shards[0].m == nil {
+		t.Errorf("after a small body the collector keeps %d arrays (widest %d B) and %d mappers, want its array and shard 0's mapper",
 			arrays, widest, mappers)
 	}
-	warm := col.mappers[0]
+	warm := col.shards[0].m
 	if s := ingestInto(t, col, small, opts); s.BuffersRecycled != 1 {
 		t.Errorf("second small body recycled %d arrays, want 1 (the kept one)", s.BuffersRecycled)
 	}
-	if col.mappers[0] != warm {
+	if col.shards[0].m != warm {
 		t.Error("second small body did not reuse the kept mapper")
 	}
+	if warm.ia.data != nil {
+		t.Error("the kept mapper still holds the last window's bytes")
+	}
+	ingestInto(t, col, giant, opts)
+	if _, _, mappers := kept(); mappers != 0 {
+		t.Errorf("after a second 4 MiB document the collector keeps %d mappers, want the grown one dropped", mappers)
+	}
+
+	// Concurrent feeders spread over the shards, each of which keeps at
+	// most the one mapper it typed with.
+	var wg sync.WaitGroup
+	for range 3 * len(col.shards) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := InferStreamInto(bytes.NewReader(small), opts, col); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
 	for i := 0; i < 3*len(col.shards); i++ {
-		col.release(newChunkMapper(opts))
 		col.chunks.put(&chunkBuf{data: make([]byte, 8)})
 	}
-	if arrays, _, mappers := kept(); arrays > len(col.shards) || mappers > len(col.shards) {
-		t.Errorf("the pools grew to %d arrays and %d mappers, want at most one per shard (%d)", arrays, mappers, len(col.shards))
+	if arrays, _, mappers := kept(); arrays > len(col.shards) || mappers == 0 || mappers > len(col.shards) {
+		t.Errorf("the collector keeps %d arrays and %d mappers, want at most one of each per shard (%d)", arrays, mappers, len(col.shards))
 	}
 
 	// The lexer starts a fresh intern cache when one holds 1 << 16
@@ -220,10 +245,10 @@ func TestCollectorKeepsBoundedState(t *testing.T) {
 	// small body, and after a body of more distinct names than that.
 	wide := NewShardedCollector(2, typelang.EquivKind)
 	ingestInto(t, wide, small, Options{})
-	if len(wide.mappers) != 1 {
-		t.Fatalf("after a small body the collector keeps %d mappers, want 1", len(wide.mappers))
+	warm = wide.shards[0].m
+	if warm == nil {
+		t.Fatal("after a small body shard 0 keeps no mapper")
 	}
-	warm = wide.mappers[0]
 	// 70 documents of 1000 names, zero-padded so the names sort in
 	// arrival order and the K record's field table only appends.
 	var body []byte
@@ -238,9 +263,8 @@ func TestCollectorKeepsBoundedState(t *testing.T) {
 		body = append(body, "}\n"...)
 	}
 	ingestInto(t, wide, body, Options{})
-	if len(wide.mappers) != 1 || wide.mappers[0] != warm {
-		t.Errorf("after 70000 distinct names the collector keeps %d mappers (the warm one: %v), want the warm one",
-			len(wide.mappers), len(wide.mappers) == 1 && wide.mappers[0] == warm)
+	if wide.shards[0].m != warm {
+		t.Errorf("after 70000 distinct names shard 0 keeps mapper %p, want the warm one %p", wide.shards[0].m, warm)
 	}
 }
 

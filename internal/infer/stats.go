@@ -8,12 +8,16 @@ import (
 
 // This file is the pipeline's flight recorder: PipelineStats is a set of
 // monotone counters and per-stage clocks every stage of the streamed
-// engines reports into when Options.Stats is set. Each worker (and the
-// chunking stage, and the one-shot committer) accumulates into a
+// engines reports into when Options.Stats is set. Each recording site
+// (a mapper, the chunking stage, the one-shot run) accumulates into a
 // private, plain statsFrame while it works and publishes the frame under
 // the recorder's one lock at chunk granularity — never per document,
 // never per token — so the counters cost nothing measurable on the hot
 // path and nothing at all when Stats is nil (every site is nil-guarded).
+// A parallel worker's window is a guess until the committer decides it,
+// so its frame rides the window's result to the committer, which books
+// it into the run's frame (of a discarded window, only the clock and
+// the seal).
 //
 // The registry keeps one cumulative PipelineStats per collection (its
 // collector reports the read-side counters straight into it) and

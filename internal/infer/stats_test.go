@@ -309,6 +309,44 @@ func TestStatsOneShotRunSealsOnce(t *testing.T) {
 	}
 }
 
+// TestDiscardedWindowsBookNoRecords: on pretty-printed documents whose
+// lines are stripped of their indentation every inner line starts a
+// window, so at several workers most windows begin inside a document
+// and the committer discards their walks. A discarded walk books its
+// clock and its seal, never its records: fallback_records stays 0 on
+// clean input at every window size, and schema and count are the
+// sequential shape's.
+func TestDiscardedWindowsBookNoRecords(t *testing.T) {
+	var data []byte
+	for _, doc := range genjson.Collection(genjson.Twitter{Seed: 1}, 300) {
+		for line := range bytes.Lines(append(jsontext.MarshalIndent(doc, "  "), '\n')) {
+			data = append(data, bytes.TrimLeft(line, " ")...)
+		}
+	}
+	want, wantN, err := InferStream(bytes.NewReader(data), Options{Equiv: typelang.EquivLabel, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, chunkBytes := range []int{0, 16 << 10} {
+		var st PipelineStats
+		got, n, err := InferStream(bytes.NewReader(data), Options{Equiv: typelang.EquivLabel, Workers: 2, ChunkBytes: chunkBytes, Stats: &st})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n != wantN || got.StringCounted() != want.StringCounted() {
+			t.Errorf("chunk-bytes %d: %d docs, want %d; schema equal to one worker's: %v", chunkBytes, n, wantN, got.StringCounted() == want.StringCounted())
+		}
+		s := st.Snapshot()
+		if s.ChunksDirect == 0 {
+			t.Fatalf("chunk-bytes %d: no window was re-walked; the pin needs windows that begin inside documents", chunkBytes)
+		}
+		if s.FallbackRecords != 0 || s.Seals != s.ChunksSplit+1 || s.MapNanos <= 0 {
+			t.Errorf("chunk-bytes %d: fallback_records=%d seals=%d map=%dns over %d windows, want 0, one per window plus the final one, and a clock",
+				chunkBytes, s.FallbackRecords, s.Seals, s.MapNanos, s.ChunksSplit)
+		}
+	}
+}
+
 // TestStatsSnapshotMonotoneUnderLoad is the race-detector workout the
 // issue asks for: snapshots taken while the pipeline runs must be
 // monotone field by field — the recording discipline publishes with

@@ -129,7 +129,7 @@ func TestAbsorbFromTokensWideObject(t *testing.T) {
 		if i == 7 || i == 33 {
 			name = "dup"
 		}
-		b.Write(jsontext.AppendQuoted(nil, name, false))
+		b.Write(jsontext.AppendQuoted(nil, name))
 		b.WriteString(": ")
 		if i == 33 {
 			b.WriteString(`"last"`)

@@ -234,17 +234,16 @@ func named(name string, err error) error {
 // chunkMapper is the map phase of one worker: the index absorber every
 // window goes through, which interns field names in its own bounded
 // cache, and the stats frame the worker records into. Both run shapes
-// drive it. A collector keeps its mappers warm between ingests
-// (ShardedCollector.mapper), which is what widest is remembered for.
+// drive it, and each collector shard keeps one warm between ingests
+// (ShardedCollector.absorbChunk).
 type chunkMapper struct {
-	ia     *IndexAbsorber // the structural index and both walks over it
-	widest int            // longest window lexed: the index's bitmaps are that wide
-	st     *PipelineStats
-	frame  statsFrame
+	ia    *IndexAbsorber // the structural index and both walks over it
+	st    *PipelineStats
+	frame statsFrame
 }
 
-func newChunkMapper(opts Options) *chunkMapper {
-	m := &chunkMapper{ia: NewIndexAbsorber(), st: opts.Stats}
+func newChunkMapper(st *PipelineStats) *chunkMapper {
+	m := &chunkMapper{ia: NewIndexAbsorber(), st: st}
 	m.ia.SetInternStrings(true)
 	return m
 }
@@ -260,7 +259,6 @@ func newChunkMapper(opts Options) *chunkMapper {
 // of it was committed, it is no error, and used is its first byte —
 // where the next walk begins.
 func (m *chunkMapper) absorb(ch byteChunk, acc *typelang.Accum) (n, used int, err error) {
-	m.widest = max(m.widest, len(ch.data))
 	start := statsClock(m.st)
 	_ = m.ia.Reset(ch.data, ch.base) // always nil; the result is bench/'s to check
 	for err = AbsorbFromIndex(m.ia, acc); err == nil; err = AbsorbFromIndex(m.ia, acc) {
@@ -363,7 +361,7 @@ func run(inputs iter.Seq2[source, error], opts Options) (*typelang.Type, int, er
 	var direct func(byteChunk) (int, int, error)
 	var finish func(error) (int, error)
 	if opts.workers() <= 1 {
-		m := newChunkMapper(opts)
+		m := newChunkMapper(st)
 		direct = func(ch byteChunk) (int, int, error) { return m.direct(ch, acc) }
 	} else {
 		if window = opts.window(0); window == 0 {
@@ -397,33 +395,32 @@ func run(inputs iter.Seq2[source, error], opts Options) (*typelang.Type, int, er
 // always runs the sequential shape, whatever opts.Workers says: windows
 // of one read block (ChunkBytes overrides), each absorbed on the
 // caller's goroutine straight into a shard col lends for that window,
-// through a mapper and chunk arrays col keeps warm between calls — so
-// it starts no goroutine, seals nothing, and holds no shard for longer
-// than one window's absorb, never across a read. It returns the number
-// of documents committed and the first error, with exactly
+// through that shard's mapper and chunk arrays col keeps warm between
+// calls — so it starts no goroutine, seals nothing, and holds no shard
+// for longer than one window's absorb, never across a read. It returns
+// the number of documents committed and the first error, with exactly
 // InferStream's error semantics: on a malformed document the committed
 // documents are precisely those before it. Everything committed is in
 // col's next Snapshot.
 func InferStreamInto(r io.Reader, opts Options, col *ShardedCollector) (int, error) {
-	m := col.mapper(opts)
-	defer col.release(m)
 	window := opts.window(chunkReadSize)
 	return windows(newChunkReader(source{r: r, pool: &col.chunks}, window, opts.Stats), window, 0, func(ch byteChunk) (int, int, error) {
-		return col.absorbChunk(m, ch)
+		return col.absorbChunk(opts.Stats, ch)
 	})
 }
 
 // chunkResult is what a worker makes of one window: the sealed type of
 // the documents its walk absorbed, how many, how many of the window's
-// bytes the walk consumed (all, but for a straddler) and its first
-// error — a guess until the committer accepts it, as the window may
-// have begun inside a document.
+// bytes the walk consumed (all, but for a straddler), its first error
+// and the counters of the walk and the seal — a guess until the
+// committer accepts it, as the window may have begun inside a document.
 type chunkResult struct {
-	ch   byteChunk
-	t    *typelang.Type
-	n    int
-	used int
-	err  error
+	ch    byteChunk
+	t     *typelang.Type
+	n     int
+	used  int
+	err   error
+	frame StatsSnapshot
 }
 
 // commitBatch is how many accepted window types the committer buffers
@@ -454,19 +451,20 @@ func pipeChunks(opts Options, acc *typelang.Accum, frame *statsFrame) (send func
 	slots := min(workers, runtime.GOMAXPROCS(0))
 	work := make(chan byteChunk, 2*slots)
 	results := make(chan chunkResult, slots)
-	c := &committer{st: opts.Stats, acc: acc, frame: frame, stop: make(chan struct{}), m: newChunkMapper(opts)}
+	c := &committer{st: opts.Stats, acc: acc, frame: frame, stop: make(chan struct{}), m: newChunkMapper(opts.Stats)}
 
 	var wg sync.WaitGroup
 	worker := func() {
 		defer wg.Done()
-		m := newChunkMapper(opts)
+		m := newChunkMapper(opts.Stats)
 		acc := typelang.NewAccum(opts.Equiv)
 		for ch := range work {
 			acc.Reset()
 			n, used, err := m.absorb(ch, acc)
 			t := m.frame.seal(acc, opts.Stats, &m.frame.MapNanos)
-			m.frame.flush(opts.Stats)
-			results <- chunkResult{ch: ch, t: t, n: n, used: used, err: err}
+			r := chunkResult{ch: ch, t: t, n: n, used: used, err: err, frame: m.frame.StatsSnapshot}
+			m.frame = statsFrame{}
+			results <- r
 		}
 	}
 
@@ -526,7 +524,7 @@ func pipeChunks(opts Options, acc *typelang.Accum, frame *statsFrame) (send func
 type committer struct {
 	st    *PipelineStats
 	acc   *typelang.Accum
-	frame *statsFrame // the run's: the reduce clock and bytes_reindexed
+	frame *statsFrame // the run's: the reduce clock, bytes_reindexed and the workers' counters
 	stop  chan struct{}
 	batch []*typelang.Type // accepted window types not yet in acc
 
@@ -544,12 +542,20 @@ type committer struct {
 
 // decide accepts r, or discards it and, once tail holds enough bytes,
 // walks tail in line into the run's accumulator with the committer's
-// own mapper. The bytes walked again count into bytes_reindexed.
+// own mapper. The bytes walked again count into bytes_reindexed. An
+// accepted window's counters join the run's; of a discarded one only
+// the clock and the seal do, the work that was really done — its
+// walk's records, fallbacks and delegations were a guess.
 func (c *committer) decide(r chunkResult) {
+	if c.err != nil || len(c.tail) > 0 {
+		c.frame.MapNanos += r.frame.MapNanos
+		c.frame.Seals += r.frame.Seals
+	}
 	if c.err != nil {
 		return
 	}
 	if len(c.tail) == 0 {
+		c.frame.Add(r.frame)
 		c.batch = append(c.batch, r.t)
 		if len(c.batch) == commitBatch {
 			c.flush()

@@ -110,9 +110,8 @@ type PatternSchema struct {
 
 // compiler holds per-document compilation state.
 type compiler struct {
-	doc   *jsonvalue.Value
-	memo  map[string]*Schema
-	stack []string // pointers currently compiling, for cycle setup
+	doc  *jsonvalue.Value
+	memo map[string]*Schema
 }
 
 // Compile parses a schema document (an object or boolean value) into a

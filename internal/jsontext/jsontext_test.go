@@ -137,32 +137,12 @@ func TestMarshalAtoms(t *testing.T) {
 	}
 }
 
-func TestMarshalEscapeHTML(t *testing.T) {
-	v := jsonvalue.NewString("<a>&</a>")
-	got := string(AppendValue(nil, v, WriteOptions{EscapeHTML: true}))
-	if got != `"\u003ca\u003e\u0026\u003c/a\u003e"` {
-		t.Errorf("EscapeHTML output = %s", got)
-	}
-	plain := MarshalString(v)
-	if plain != `"<a>&</a>"` {
-		t.Errorf("default output = %s", plain)
-	}
-}
-
 func TestMarshalIndent(t *testing.T) {
 	v := MustParse(`{"a":[1,2],"b":{}}`)
 	got := string(MarshalIndent(v, "  "))
 	want := "{\n  \"a\": [\n    1,\n    2\n  ],\n  \"b\": {}\n}"
 	if got != want {
 		t.Errorf("MarshalIndent:\n%s\nwant:\n%s", got, want)
-	}
-}
-
-func TestMarshalSortFields(t *testing.T) {
-	v := MustParse(`{"b":1,"a":2}`)
-	got := string(AppendValue(nil, v, WriteOptions{SortFields: true}))
-	if got != `{"a":2,"b":1}` {
-		t.Errorf("sorted marshal = %s", got)
 	}
 }
 
@@ -424,8 +404,11 @@ func TestParseLinesAndMarshalLines(t *testing.T) {
 }
 
 func TestQuote(t *testing.T) {
-	if got := string(AppendQuoted(nil, `a"b`, false)); got != `"a\"b"` {
+	if got := string(AppendQuoted(nil, `a"b`)); got != `"a\"b"` {
 		t.Errorf("AppendQuoted = %s", got)
+	}
+	if got := MarshalString(jsonvalue.NewString("<a>&</a>")); got != `"<a>&</a>"` {
+		t.Errorf("HTML characters are escaped: %s", got)
 	}
 }
 

@@ -8,13 +8,6 @@ import (
 	"repro/internal/jsonvalue"
 )
 
-func TestAppendValueSortFields(t *testing.T) {
-	got := string(AppendValue(nil, MustParse(`{"b":1,"a":2}`), WriteOptions{SortFields: true}))
-	if got != "{\"a\":2,\"b\":1}" {
-		t.Errorf("sorted encode = %q", got)
-	}
-}
-
 func TestAppendNumberEdgeCases(t *testing.T) {
 	cases := []struct {
 		f    float64

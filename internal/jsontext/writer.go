@@ -13,12 +13,6 @@ type WriteOptions struct {
 	// Indent, when non-empty, produces multi-line output using Indent as
 	// the per-level unit.
 	Indent string
-	// SortFields serialises object fields in name order instead of
-	// document order.
-	SortFields bool
-	// EscapeHTML escapes <, > and & as < etc., mirroring
-	// encoding/json's default for embedding in HTML.
-	EscapeHTML bool
 }
 
 // Marshal serialises v compactly.
@@ -58,7 +52,7 @@ func (w *writer) value(dst []byte, v *jsonvalue.Value, depth int) []byte {
 	case jsonvalue.Number:
 		return AppendNumber(dst, v.Num(), v.NumRaw())
 	case jsonvalue.String:
-		return AppendQuoted(dst, v.Str(), w.opts.EscapeHTML)
+		return AppendQuoted(dst, v.Str())
 	case jsonvalue.Array:
 		return w.array(dst, v, depth)
 	case jsonvalue.Object:
@@ -89,19 +83,13 @@ func (w *writer) object(dst []byte, v *jsonvalue.Value, depth int) []byte {
 	if len(fields) == 0 {
 		return append(dst, "{}"...)
 	}
-	if w.opts.SortFields {
-		sorted := make([]jsonvalue.Field, len(fields))
-		copy(sorted, fields)
-		insertionSortFields(sorted)
-		fields = sorted
-	}
 	dst = append(dst, '{')
 	for i, f := range fields {
 		if i > 0 {
 			dst = append(dst, ',')
 		}
 		dst = w.newlineIndent(dst, depth+1)
-		dst = AppendQuoted(dst, f.Name, w.opts.EscapeHTML)
+		dst = AppendQuoted(dst, f.Name)
 		dst = append(dst, ':')
 		if w.opts.Indent != "" {
 			dst = append(dst, ' ')
@@ -123,14 +111,6 @@ func (w *writer) newlineIndent(dst []byte, depth int) []byte {
 	return dst
 }
 
-func insertionSortFields(fs []jsonvalue.Field) {
-	for i := 1; i < len(fs); i++ {
-		for j := i; j > 0 && fs[j].Name < fs[j-1].Name; j-- {
-			fs[j], fs[j-1] = fs[j-1], fs[j]
-		}
-	}
-}
-
 // AppendNumber appends a JSON number literal. A remembered raw spelling
 // wins; otherwise the shortest round-tripping decimal form is used.
 func AppendNumber(dst []byte, f float64, raw string) []byte {
@@ -150,19 +130,12 @@ func AppendNumber(dst []byte, f float64, raw string) []byte {
 const hexDigits = "0123456789abcdef"
 
 // AppendQuoted appends s as a quoted, escaped JSON string literal.
-func AppendQuoted(dst []byte, s string, escapeHTML bool) []byte {
+func AppendQuoted(dst []byte, s string) []byte {
 	dst = append(dst, '"')
 	start := 0
 	for i := 0; i < len(s); {
 		c := s[i]
 		if c >= 0x20 && c != '"' && c != '\\' && c < utf8.RuneSelf {
-			if escapeHTML && (c == '<' || c == '>' || c == '&') {
-				dst = append(dst, s[start:i]...)
-				dst = append(dst, '\\', 'u', '0', '0', hexDigits[c>>4], hexDigits[c&0xf])
-				i++
-				start = i
-				continue
-			}
 			i++
 			continue
 		}

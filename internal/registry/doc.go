@@ -36,8 +36,8 @@
 // concatenated inputs — byte-identical rendering and counts — which the
 // registry tests pin on the checked-in fixtures.
 //
-// Field names are interned by the mapper that reads them: each of a
-// collection's kept mappers has its own intern cache, bounded by the
-// lexer, so no vocabulary is shared between collections or outlives a
-// Delete.
+// Field names are interned by the mapper that reads them: each shard
+// of a collection's collector keeps one mapper, with its own intern
+// cache bounded by the lexer, so no vocabulary is shared between
+// collections or outlives a Delete.
 package registry

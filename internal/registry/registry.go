@@ -51,7 +51,7 @@ type CollectionOptions struct {
 }
 
 // StageObserver observes the phases of one ingest call: it is invoked
-// with a stage name ("quota", "pipeline") as the stage begins and the
+// with a stage name ("quota", "ingest") as the stage begins and the
 // func it returns is called when that stage ends. The daemon's request
 // tracer hangs spans off this hook; the registry itself knows nothing
 // about tracing.
@@ -83,9 +83,8 @@ type collection struct {
 	col     *infer.ShardedCollector
 	lim     *limiter
 	docs    atomic.Int64  // documents merged by finished ingests
-	version atomic.Uint64 // completed ingests
-	ingests atomic.Int64  // ingest requests finished (with or without error)
-	errors  atomic.Int64  // ingest requests that ended in an error
+	version atomic.Uint64 // ingest calls finished, with or without error
+	errors  atomic.Int64  // ingest calls that ended in an error
 	bytesIn atomic.Int64  // decoded payload bytes read by finished ingests
 	limited atomic.Int64  // ingest requests rejected by the quota
 
@@ -256,18 +255,17 @@ func (r *Registry) IngestWith(name string, rd io.Reader, co CollectionOptions) (
 	// read-side counters there directly).
 	var st infer.PipelineStats
 	cr := &countReader{r: rd}
-	endPipeline := stage("pipeline")
+	endIngest := stage("ingest")
 	n, err := infer.InferStreamInto(cr, infer.Options{
 		Equiv: c.equiv,
 		Stats: &st,
 	}, c.col)
-	endPipeline()
+	endIngest()
 	delta := st.Snapshot()
 	c.stats.AddSnapshot(delta)
 	bytes := cr.n
 	c.lim.charge(int64(n), bytes, r.now())
 	c.bytesIn.Add(bytes)
-	c.ingests.Add(1)
 	if err != nil {
 		c.errors.Add(1)
 		err = fmt.Errorf("registry: ingest into %q: %w", name, err)
@@ -303,12 +301,12 @@ type Snapshot struct {
 	Type *typelang.Type
 	// Docs is the number of documents Type summarises.
 	Docs int64
-	// Version counts completed ingests. A snapshot taken while an
+	// Version counts finished ingest calls. A snapshot taken while an
 	// ingest is in flight may already include documents of the next
 	// version.
 	Version uint64
-	// Ingests and Errors count finished ingest calls and how many of
-	// them ended in an error.
+	// Ingests is Version, and Errors counts how many of those calls
+	// ended in an error.
 	Ingests int64
 	Errors  int64
 	// Bytes counts the decoded payload bytes finished ingests read.
@@ -351,7 +349,7 @@ func (c *collection) snapshot() Snapshot {
 		Type:        t,
 		Docs:        docs,
 		Version:     v,
-		Ingests:     c.ingests.Load(),
+		Ingests:     int64(v),
 		Errors:      c.errors.Load(),
 		Bytes:       c.bytesIn.Load(),
 		RateLimited: c.limited.Load(),
