@@ -28,7 +28,8 @@ race:
 # walk over mison's structural index against the reference lexer, the
 # reference lexer against the DOM decoder, the absorption surface
 # against MergeAll, windows (any target, one, two and four workers,
-# every input kind) against the oracle, mison.Chunker against the
+# every input kind) against the oracle — with no byte walked twice and
+# no window re-walked on any input the oracle accepts — mison.Chunker against the
 # byte-at-a-time splitter, an index walk whose pattern tree was
 # trained on foreign bytes against the token walker, the daemon's body
 # decoder against compress/gzip plus http.MaxBytesReader, Spark's

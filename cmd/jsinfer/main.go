@@ -1,6 +1,6 @@
 // Command jsinfer infers a schema from an NDJSON collection on stdin
 // (or files given as arguments) with a selectable engine, and prints
-// the result as a type expression, a JSON Schema document, or
+// the result as a type expression (plain or counted), a JSON Schema document, or
 // generated TypeScript/Swift declarations — written by
 // core.Inference.WriteSchema, the writer jsinferd serves the same forms
 // through.
@@ -8,9 +8,9 @@
 // Usage:
 //
 //	jsinfer [-engine parametric-L|parametric-K|spark|skinfer]
-//	        [-output type|jsonschema|typescript|swift|report]
+//	        [-output type|counted|jsonschema|typescript|swift|report]
 //	        [-workers N] [-simplify] [-chunk-bytes SIZE]
-//	        [-precision] [-counted] [-stats] [-stream]
+//	        [-precision] [-stats] [-stream]
 //	        [-cpuprofile f] [-memprofile f] [file.ndjson ...]
 //
 // Every engine but Skinfer runs the streamed pipeline of
@@ -23,8 +23,8 @@
 // -stream is accepted and ignored. The report has no precision column in
 // a single pass; -precision fills it in a bounded-memory second pass over
 // the file arguments. Skinfer alone materialises the collection
-// (core.ReadCollection). The counted type of -counted is parametric K's
-// for Spark and Skinfer too, whose types carry no counts. Flag mistakes are rejected before any
+// (core.ReadCollection). The counted type of -output counted is
+// parametric K's for Spark and Skinfer too, whose types carry no counts. Flag mistakes are rejected before any
 // input is read. -cpuprofile and -memprofile write pprof profiles of the
 // inference pass (the heap profile after it completes).
 package main
@@ -53,7 +53,7 @@ import (
 // set run parses.
 type cliFlags struct {
 	engine, output, chunkBytes, cpuprofile, memprofile *string
-	counted, simplify, stream, precision, stats        *bool
+	simplify, stream, precision, stats                 *bool
 	workers                                            *int
 }
 
@@ -61,21 +61,20 @@ func registerFlags(fs *flag.FlagSet) cliFlags {
 	return cliFlags{
 		engine:     fs.String("engine", "parametric-L", "inference engine: parametric-L, parametric-K, spark, skinfer"),
 		output:     fs.String("output", "type", "output form: "+strings.Join(outputs, ", ")),
-		counted:    fs.Bool("counted", false, "render counting annotations (-output type only)"),
 		simplify:   fs.Bool("simplify", false, "drop union alternatives subsumed by others"),
 		workers:    fs.Int("workers", 0, "parallel inference workers (0 = GOMAXPROCS; above 1, every engine but skinfer)"),
 		stream:     fs.Bool("stream", false, "no effect: every engine but skinfer always streams (kept for scripts that pass it)"),
 		precision:  fs.Bool("precision", false, "fill -output report's precision column in a second pass over the input files (every engine but skinfer)"),
-		chunkBytes: fs.String("chunk-bytes", "", "the byte length of the windows the input is cut into, at every worker count — by default 4M at -workers 1, 256 documents' worth otherwise — e.g. 8M (every engine but skinfer)"),
+		chunkBytes: fs.String("chunk-bytes", "", "the least byte length of the windows the input is cut into, at every worker count: a window ends at the first document end at or past SIZE — by default 4M at -workers 1, 256 documents otherwise — e.g. 8M (every engine but skinfer)"),
 		stats:      fs.Bool("stats", false, "print pipeline stage stats to stderr after inference (every engine but skinfer; fuse and root_fuses are the registry's counters and read 0 here)"),
 		cpuprofile: fs.String("cpuprofile", "", "write a CPU profile of the inference pass to this file"),
 		memprofile: fs.String("memprofile", "", "write a heap profile (taken after inference) to this file"),
 	}
 }
 
-// outputs are the forms -output selects: the report, or a form
-// core.Inference.WriteSchema writes (-counted turns type into counted).
-var outputs = []string{"type", "jsonschema", "typescript", "swift", "report"}
+// outputs are the forms -output selects: a form
+// core.Inference.WriteSchema writes, or the report.
+var outputs = []string{"type", "counted", "jsonschema", "typescript", "swift", "report"}
 
 var errNoInput = errors.New("no input documents")
 
@@ -175,9 +174,6 @@ func inferAndPrint(opt cliFlags, files []string, stdin io.Reader, stdout, stderr
 	if !slices.Contains(outputs, *opt.output) {
 		return fmt.Errorf("unknown output %q", *opt.output)
 	}
-	if *opt.counted && *opt.output != "type" {
-		return errors.New("-counted only affects -output type")
-	}
 	var chunkTarget int
 	if *opt.chunkBytes != "" {
 		cb, err := genjson.ParseSize(*opt.chunkBytes)
@@ -189,7 +185,7 @@ func inferAndPrint(opt cliFlags, files []string, stdin io.Reader, stdout, stderr
 	if err := validateStreamFlags(eng, *opt.workers, *opt.precision, *opt.stats, *opt.chunkBytes != "", *opt.output, len(files)); err != nil {
 		return err
 	}
-	if *opt.counted && (eng == core.Spark || eng == core.Skinfer) {
+	if *opt.output == "counted" && (eng == core.Spark || eng == core.Skinfer) {
 		eng = core.ParametricK // their types carry no counts: the counted type is K's
 	}
 
@@ -244,11 +240,7 @@ func inferAndPrint(opt cliFlags, files []string, stdin io.Reader, stdout, stderr
 	}
 
 	if *opt.output != "report" {
-		form := *opt.output
-		if *opt.counted {
-			form = "counted"
-		}
-		return result.WriteSchema(stdout, form)
+		return result.WriteSchema(stdout, *opt.output)
 	}
 	fmt.Fprintf(stdout, "engine:    %s\n", result.Engine)
 	fmt.Fprintf(stdout, "documents: %d\n", ndocs)

@@ -145,8 +145,8 @@ func (f fixture) oracle(e typelang.Equiv) *typelang.Type {
 
 // streamedEngines are the engines the command streams, each with the
 // equivalence of its pass and the -workers settings the matrix runs it
-// at; Spark's output is the projection of its K pass, and -counted
-// prints that pass's counted type.
+// at; Spark's output is the projection of its K pass, and -output
+// counted prints that pass's counted type.
 var streamedEngines = []struct {
 	name    string
 	equiv   typelang.Equiv
@@ -158,14 +158,13 @@ var streamedEngines = []struct {
 }
 
 // TestCLIMatrix runs the command end to end over every fixture × {K, L,
-// Spark} × every -output × {–, -counted, -simplify} × {file argument,
-// stdin} (× -workers {default, 1, 2} for Spark) × {without, with
-// -stream}, and over every fixture cut into files (testFileLayouts);
-// -counted with any output but type is rejected before the input is read.
-// -stream selects nothing, so both settings agree byte for byte; and every
-// expectation is computed here, not read from a golden file: from the
+// Spark} × every -output × {–, -simplify} × {file argument, stdin}
+// (× -workers {default, 1, 2} for Spark) × {without, with -stream}, and
+// over every fixture cut into files (testFileLayouts). -stream selects
+// nothing, so both settings agree byte for byte; and every expectation
+// is computed here, not read from a golden file: from the
 // Parse+TypeOf+MergeAll oracle, and for Spark from sparkinfer.Infer's
-// fold over the parsed documents (-counted: the K oracle's).
+// fold over the parsed documents (-output counted: the K oracle's).
 func TestCLIMatrix(t *testing.T) {
 	fixtures := loadFixtures(t)
 	t.Run("errors", func(t *testing.T) { testCLIErrors(t, fixtures[0]) })
@@ -177,7 +176,7 @@ func TestCLIMatrix(t *testing.T) {
 				want = sparkinfer.Infer(fx.docs).ToTypelang()
 			}
 			for _, output := range outputs {
-				for _, mod := range []string{"", "-counted", "-simplify"} {
+				for _, mod := range []string{"", "-simplify"} {
 					for _, workers := range eng.workers {
 						for _, fromStdin := range []bool{false, true} {
 							args := append([]string{"-engine", eng.name, "-output", output}, workers...)
@@ -189,15 +188,6 @@ func TestCLIMatrix(t *testing.T) {
 							if !fromStdin {
 								label = fmt.Sprintf("jsinfer %s %s", strings.Join(args, " "), fx.path)
 								args, stdin = append(args, fx.path), untouched{t}
-							}
-							if mod == "-counted" && output != "type" {
-								// Counts exist only in the type expression:
-								// the flag is a mistake, rejected unread.
-								stdout, stderr, status := cli(untouched{t}, args...)
-								if want := "jsinfer: -counted only affects -output type\n"; status != 1 || stdout != "" || stderr != want {
-									t.Errorf("%s: status %d, stdout %q, stderr %q; want 1, nothing, %q", label, status, stdout, stderr, want)
-								}
-								continue
 							}
 							stdout, stderr, status := cli(stdin, args...)
 							if status != 0 || stderr != "" {
@@ -218,8 +208,10 @@ func TestCLIMatrix(t *testing.T) {
 							switch output {
 							case "type":
 								wantOut = ty.String() + "\n"
-								if mod == "-counted" {
-									wantOut = counted.StringCounted() + "\n"
+							case "counted":
+								wantOut = counted.StringCounted() + "\n"
+								if mod == "-simplify" {
+									wantOut = typelang.Simplify(counted).StringCounted() + "\n"
 								}
 							case "jsonschema":
 								wantOut = string(core.MarshalIndent(core.TypeToJSONSchema(ty), "  ")) + "\n"
@@ -303,10 +295,10 @@ func testFileLayouts(t *testing.T, fx fixture) {
 				want = sparkinfer.Infer(fx.docs).ToTypelang()
 			}
 			for _, workers := range []string{"0", "1", "2", "4"} {
-				for _, mod := range []string{"-output=type", "-counted"} {
+				for _, mod := range []string{"-output=type", "-output=counted"} {
 					args := append([]string{"-engine", eng.name, "-workers", workers, mod}, files...)
 					wantOut := want.String() + "\n"
-					if mod == "-counted" {
+					if mod == "-output=counted" {
 						wantOut = wantCounted
 					}
 					if stdout, stderr, status := cli(untouched{t}, args...); status != 0 || stderr != "" || stdout != wantOut {
@@ -357,14 +349,9 @@ func testCLIErrors(t *testing.T, fx fixture) {
 		{"chunk bytes wrapping negative", nil, []string{"-chunk-bytes", "8589934592G"}, `-chunk-bytes: invalid size "8589934592G" (want e.g. 64K, 100MB, 1G)`},
 		{"chunk bytes past int64", nil, []string{"-chunk-bytes", "99999999999G"}, `-chunk-bytes: invalid size "99999999999G" (want e.g. 64K, 100MB, 1G)`},
 	}
-	for _, output := range outputs {
-		if output != "type" {
-			cases = append(cases, errCase{"counted " + output, nil, []string{"-counted", "-output", output}, "-counted only affects -output type"})
-		}
-	}
 	// The input failures read the same whichever engine streams, and for
-	// skinfer -counted, which prints the counted K type.
-	for _, eng := range [][]string{nil, {"-engine", "spark"}, {"-engine", "skinfer", "-counted"}} {
+	// skinfer -output counted, which prints the counted K type.
+	for _, eng := range [][]string{nil, {"-engine", "spark"}, {"-engine", "skinfer", "-output", "counted"}} {
 		cases = append(cases,
 			errCase{fmt.Sprint("malformed stdin", eng), malformed, eng, decodeErr.Error()},
 			errCase{fmt.Sprint("malformed file", eng), nil, slices.Concat(eng, []string{fx.path, bad}), bad + ": " + decodeErr.Error()},
@@ -391,7 +378,7 @@ func testCLIErrors(t *testing.T, fx fixture) {
 // in the report, run exits 1 and names the writer's error.
 func TestRenderErrorExitsOne(t *testing.T) {
 	path := filepath.Join("..", "..", "testdata", "sparse.ndjson")
-	for _, args := range [][]string{nil, {"-counted"}, {"-output", "report"}} {
+	for _, args := range [][]string{nil, {"-output", "counted"}, {"-output", "report"}} {
 		for _, limit := range []int{0, 100, 40 << 10} {
 			out := &failingStdout{limit: limit}
 			var errs bytes.Buffer

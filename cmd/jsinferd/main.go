@@ -68,8 +68,7 @@
 //	    starts from scratch.
 //	GET /v1/collections/{name}/schema?output=type|counted|jsonschema|typescript|swift
 //	    The live schema in jsinfer's output formats, byte for byte what
-//	    `jsinfer -output FORM` prints over the same documents (counted
-//	    is `jsinfer -counted`): text/plain for
+//	    `jsinfer -output FORM` prints over the same documents: text/plain for
 //	    type/counted/typescript/swift, application/json for jsonschema.
 //	    With ?meta=1, a JSON envelope with docs/version/schema instead.
 //	GET /v1/collections

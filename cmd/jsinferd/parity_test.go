@@ -56,9 +56,6 @@ func TestServedFormsAreJsinferStdout(t *testing.T) {
 			}
 			for _, form := range forms {
 				args := []string{"-engine", engine.name, "-output", form.name, fixture}
-				if form.name == "counted" {
-					args = []string{"-engine", engine.name, "-counted", fixture}
-				}
 				var stdout, stderr bytes.Buffer
 				cli := exec.Command(jsinfer, args...)
 				cli.Stdout, cli.Stderr = &stdout, &stderr

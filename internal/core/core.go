@@ -270,11 +270,12 @@ func InferSchema(docs []*Value, engine Engine) (*Inference, error) {
 type StreamOptions struct {
 	// Workers bounds the parallel window workers; 0 means GOMAXPROCS.
 	Workers int
-	// ChunkBytes, when positive, is the byte length of the windows the
-	// input is cut into, at every worker count — the knob that lets
+	// ChunkBytes, when positive, is the least byte length of the
+	// windows the input is cut into, at every worker count: a window
+	// ends at the first document end at or past it — the knob that lets
 	// GB-scale inputs amortise per-window overhead over far larger
 	// windows. 0 keeps the defaults: 4 MiB at one worker, 256
-	// document-starting lines at several.
+	// documents at several.
 	ChunkBytes int
 	// Stats, when non-nil, receives the pipeline's stage counters and
 	// clocks (see infer.PipelineStats); nil keeps recording entirely

@@ -234,26 +234,29 @@ func E5SkinferArrayGap() *Table {
 		Claim:  "Skinfer \"cannot be recursively applied to objects nested inside arrays\" (§4.1 [23])",
 		Header: []string{"engine", "docs_validating", "of", "precision"},
 	}
-	docs := genjson.Collection(genjson.NestedArrays{Seed: 15, Shapes: 3}, 500)
-	sk := skinfer.Infer(docs)
-	skSchema := jsonschema.MustCompile(sk)
-	skOK := 0
+	t.Rows = skinferGapRows(genjson.Collection(genjson.NestedArrays{Seed: 15, Shapes: 3}, 500))
+	return t
+}
+
+// skinferGapRows are E5's rows over docs: for Skinfer's schema and for
+// the parametric L type, the documents it validates, of how many, and
+// its precision.
+func skinferGapRows(docs []*jsonvalue.Value) [][]string {
+	sk := jsonschema.MustCompile(skinfer.Infer(docs))
+	param := infer.Infer(docs, infer.Options{Equiv: typelang.EquivLabel})
+	skOK, paramOK := 0, 0
 	for _, doc := range docs {
-		if skSchema.Accepts(doc) {
+		if sk.Accepts(doc) {
 			skOK++
 		}
-	}
-	skType := jsonschema.ToType(skSchema)
-	param := infer.Infer(docs, infer.Options{Equiv: typelang.EquivLabel})
-	paramOK := 0
-	for _, doc := range docs {
 		if param.Matches(doc) {
 			paramOK++
 		}
 	}
-	t.Rows = append(t.Rows, []string{"skinfer", d(skOK), d(len(docs)), f3(typelang.Precision(skType, docs))})
-	t.Rows = append(t.Rows, []string{"parametric-L", d(paramOK), d(len(docs)), f3(typelang.Precision(param, docs))})
-	return t
+	return [][]string{
+		{"skinfer", d(skOK), d(len(docs)), f3(typelang.Precision(jsonschema.ToType(sk), docs))},
+		{"parametric-L", d(paramOK), d(len(docs)), f3(typelang.Precision(param, docs))},
+	}
 }
 
 // E6MisonProjection sweeps projectivity: Mison versus full parsers.

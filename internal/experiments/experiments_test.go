@@ -1,10 +1,14 @@
 package experiments
 
 import (
+	"bytes"
 	"fmt"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/core"
 )
 
 // The experiment tests assert the SHAPES docs/EXPERIMENTS.md records —
@@ -81,6 +85,45 @@ func TestE2Shapes(t *testing.T) {
 	}
 }
 
+// TestE2SparkCoercesMixedRootsToString pins Spark's StringType coercion
+// where it reaches the root: over objects, an array, a string and null,
+// `jsinfer -engine spark -output jsonschema` prints {"type":"string"},
+// and jsvalidate finds one document of six valid — the string. That is
+// the surveyed system's behaviour ("resorts to Str"), so the schema
+// says what Spark infers, not a coercion every value satisfies.
+func TestE2SparkCoercesMixedRootsToString(t *testing.T) {
+	const collection = "{\"a\":1}\n{\"b\":\"x\"}\n[1,2]\n\"s\"\nnull\n{\"a\":2}\n"
+	docs, err := core.ReadCollection(nil, strings.NewReader(collection))
+	if err != nil {
+		t.Fatal(err)
+	}
+	inf, n, err := core.InferSchemaStreamWith(strings.NewReader(collection), core.Spark, core.StreamOptions{})
+	if err != nil || n != len(docs) {
+		t.Fatalf("spark: %d documents, err %v; want %d", n, err, len(docs))
+	}
+	var schema bytes.Buffer
+	if err := inf.WriteSchema(&schema, "jsonschema"); err != nil {
+		t.Fatal(err)
+	}
+	doc, err := core.ParseString(schema.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, err := core.CompileJSONSchema(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	valid := 0
+	for _, d := range docs {
+		if v.Accepts(d) {
+			valid++
+		}
+	}
+	if schema.String() != "{\n  \"type\": \"string\"\n}\n" || valid != 1 {
+		t.Errorf("spark schema %q accepts %d of %d documents; want {\"type\": \"string\"} accepting 1", schema.String(), valid, len(docs))
+	}
+}
+
 func TestE3Shapes(t *testing.T) {
 	tab := E3ParallelSpeedup()
 	for r := range tab.Rows {
@@ -113,18 +156,32 @@ func TestE4Shapes(t *testing.T) {
 	}
 }
 
+// TestE5Shapes pins E5's rows over its nested-array corpus and over the
+// checked-in `deep` fixture. On the fixture Skinfer's first-seen array
+// items admit none of the 40 documents it was inferred from (`jsinfer
+// -engine skinfer -output jsonschema | jsvalidate` reads 0/40): that is
+// Skinfer's documented behaviour, pinned as such.
 func TestE5Shapes(t *testing.T) {
-	tab := E5SkinferArrayGap()
-	skOK, paramOK := num(t, tab, 0, 1), num(t, tab, 1, 1)
-	total := num(t, tab, 0, 2)
-	if paramOK != total {
-		t.Error("parametric schema must validate every doc")
+	deep, err := core.ReadCollection([]string{filepath.Join("..", "..", "testdata", "deep.ndjson")}, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if skOK >= paramOK {
-		t.Error("skinfer must lose documents to its array-merge gap")
+	deepTab := &Table{ID: "E5-deep", Rows: skinferGapRows(deep)}
+	for _, tab := range []*Table{E5SkinferArrayGap(), deepTab} {
+		skOK, paramOK := num(t, tab, 0, 1), num(t, tab, 1, 1)
+		total := num(t, tab, 0, 2)
+		if paramOK != total {
+			t.Errorf("%s: parametric schema must validate every doc", tab.ID)
+		}
+		if skOK >= paramOK {
+			t.Errorf("%s: skinfer must lose documents to its array-merge gap", tab.ID)
+		}
+		if num(t, tab, 0, 3) >= num(t, tab, 1, 3) {
+			t.Errorf("%s: parametric precision should beat skinfer", tab.ID)
+		}
 	}
-	if num(t, tab, 0, 3) >= num(t, tab, 1, 3) {
-		t.Error("parametric precision should beat skinfer")
+	if skOK, total := num(t, deepTab, 0, 1), num(t, deepTab, 0, 2); skOK != 0 || total != 40 {
+		t.Errorf("deep fixture: skinfer validates %v of %v documents, want 0 of 40", skOK, total)
 	}
 }
 

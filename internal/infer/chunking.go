@@ -19,17 +19,17 @@ import (
 // refcounted arrays (chunkBuf), or a mapped file riding it already
 // filled — the routing that decides which a named file gets
 // (fileSources), and windows, the one loop that cuts an input for the
-// map phase in either shape. Nothing scans the input to cut a
-// window (cutWindow): it ends just after a raw '\n', which no JSON
-// token holds; a document may span windows, never inputs. The walks
-// find the documents: in a window that is not the input's last, the
-// record failing with an error more input could cure (curable) is the
-// straddler, of which nothing was committed. The sequential shape
-// starts the next window at it, one at least twice as long after a
-// window that completed no document, so the bytes indexed twice stay
-// O(n); the parallel shape cuts the next window at the last one's end,
-// and its committer verifies each window's start (pipeChunks,
-// tokens.go).
+// map phase in either shape. A window ends only where a document can
+// end (cutWindow, boundary), so on valid input every walk completes; a
+// document may span windows only on malformed input, and never inputs.
+// There the walks still find the documents: in a window that is not the
+// input's last, the record failing with an error more input could cure
+// (curable) is the straddler, of which nothing was committed. The
+// sequential shape starts the next window at it, one at least twice as
+// long after a window that completed no document, so the bytes indexed
+// twice stay O(n); the parallel shape cuts the next window at the last
+// one's end, and its committer verifies each window's start
+// (pipeChunks, tokens.go).
 
 // chunkReadSize is the read block of a reader's input.
 const chunkReadSize = 256 << 10
@@ -213,72 +213,73 @@ func (cr *chunkReader) chunk(end int) byteChunk {
 	return ch
 }
 
-// cutWindow returns the length of the window at the head of avail. By
-// bytes (docs 0) it ends just past the last raw '\n' in
-// avail[floor:want] that starts a line a document may start
-// (startsDocument), else the last one there, else the first one from
-// want on; by documents, just past the docs'th raw '\n' that starts
-// such a line. It never ends at avail's last byte, which leaves
-// whether more input follows unknown: there — at the end of input — the
-// window is everything. -1 asks for more input first. avail is never
-// empty.
-func cutWindow(avail []byte, floor, want, docs int, eof bool) int {
-	read := avail[:len(avail)-1] // the bytes a newline that ends a window may be
-	switch {
-	case docs > 0:
-		for i := 0; ; {
-			j := bytes.IndexByte(read[i:], '\n')
-			if j < 0 {
-				break
-			}
-			if i += j + 1; startsDocument(avail[i]) {
-				if docs--; docs == 0 {
-					return i
-				}
-			}
+// cutWindow returns the length of the window at the head of avail: it
+// ends past the docs'th boundary when docs is positive, else past the
+// first boundary at or after want, and at the end of input without such
+// a boundary it is all of avail. A boundary is decided with the next
+// line's first byte that is not a blank in hand, so no window ends at
+// avail's last byte before the end of input. -1 asks for more input
+// first: *at and *seen then hold where the scan stopped and the
+// boundaries it passed, and the next call, over the same bytes and
+// more, resumes from them.
+func cutWindow(avail []byte, at, seen *int, want, docs int, eof bool) int {
+	i := *at
+	if docs == 0 {
+		i = max(i, want-1) // a newline before want-1 would end the window short of want
+	}
+	for i < len(avail)-1 {
+		j := bytes.IndexByte(avail[i:len(avail)-1], '\n')
+		if j < 0 {
+			i = len(avail) - 1
+			break
 		}
-	case len(avail) > want:
-		last := -1
-		for hi := want; ; {
-			i := bytes.LastIndexByte(avail[floor:hi], '\n')
-			if i < 0 {
-				break
-			}
-			if hi = floor + i; last < 0 {
-				last = hi + 1
-			}
-			if startsDocument(avail[hi+1]) {
-				return hi + 1
-			}
+		nl, k := i+j, i+j+1
+		for k < len(avail) && (avail[k] == ' ' || avail[k] == '\t') {
+			k++
 		}
-		if last >= 0 {
-			return last
+		if k == len(avail) { // the next line is blank so far: decide it with more input
+			i = nl
+			break
 		}
-		if i := bytes.IndexByte(read[want:], '\n'); i >= 0 {
-			return want + i + 1
+		if i = nl + 1; boundary(avail, nl, k) {
+			if *seen++; docs == 0 || *seen == docs {
+				return i
+			}
 		}
 	}
 	if eof {
 		return len(avail)
 	}
+	*at = i
 	return -1
 }
 
-// startsDocument reports whether a line beginning with c may begin a
-// document: c is none of whitespace, '}', ']' or ','. Every NDJSON line
-// qualifies, and in `jsgen -indent` output and the common
-// pretty-printers' only a document's first line does. It is a guess
-// either way: a window cut by it is verified, never trusted.
-func startsDocument(c byte) bool {
-	switch c {
-	case ' ', '\t', '\r', '\n', '}', ']', ',':
+// boundary reports whether the '\n' at avail[nl] ends a document, where
+// avail[k] is the first byte after it that is not a space or tab: that
+// byte is none of '\r', '\n', '}', ']', ',' or ':', and the last byte
+// before the break that is not whitespace is none of ',', '{', '[' or
+// ':'. No break inside a valid document passes, and the one starting a
+// document's line always does (docs/ARCHITECTURE.md, "The zero-copy
+// input layer"); on malformed input the cut is a guess the walks verify.
+func boundary(avail []byte, nl, k int) bool {
+	switch avail[k] {
+	case '\r', '\n', '}', ']', ',', ':':
 		return false
 	}
-	return true
+	for j := nl - 1; j >= 0; j-- {
+		switch avail[j] {
+		case ' ', '\t', '\r', '\n':
+			continue
+		case ',', '{', '[', ':':
+			return false
+		}
+		return true
+	}
+	return false
 }
 
 // windows is the one input loop (see the file comment): it cuts windows
-// of docs document-starting lines when docs is positive, else of target
+// of docs documents when docs is positive, else of at least target
 // bytes, hands direct one after another, and starts the next where
 // direct says absorption stopped — the window's end, or its straddler.
 // It returns the documents absorbed and the first error; a read error
@@ -286,17 +287,17 @@ func startsDocument(c byte) bool {
 func windows(cr *chunkReader, target, docs int, direct func(byteChunk) (int, int, error)) (int, error) {
 	defer cr.close()
 	total := 0
-	for floor, want := 0, target; !cr.eof || cr.start < len(cr.pending); {
+	for want, at, seen := target, 0, 0; !cr.eof || cr.start < len(cr.pending); {
 		avail := cr.pending[cr.start:]
 		if len(avail) <= want && !cr.eof {
 			cr.fill()
 			continue
 		}
 		cutStart := statsClock(cr.st)
-		end := cutWindow(avail, floor, want, docs, cr.eof)
+		end := cutWindow(avail, &at, &seen, want, docs, cr.eof)
 		statsSince(cr.st, &cr.frame.SplitNanos, cutStart)
-		if end < 0 { // no cut in avail[floor:]: look again at twice the bytes
-			floor, want = len(avail), 2*len(avail)
+		if end < 0 {
+			cr.fill()
 			continue
 		}
 		last := cr.eof && end == len(avail)
@@ -313,9 +314,9 @@ func windows(cr *chunkReader, target, docs int, direct func(byteChunk) (int, int
 		}
 		cr.start -= end - used
 		cr.frame.BytesReindexed += int64(end - used)
-		floor, want = 0, target
+		want, at, seen = target, 0, 0
 		if n == 0 && used < end { // nothing completed: the straddler needs a longer window
-			floor, want = end-used, 2*(end-used)
+			want = 2 * (end - used)
 		}
 	}
 	return total, cr.err

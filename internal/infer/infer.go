@@ -12,7 +12,7 @@ import (
 )
 
 // DefaultBatch is the number of documents per merge batch of Infer and
-// of document-starting lines per window in the streamed parallel shape.
+// per window in the streamed parallel shape.
 // Batches amortise merge canonicalisation and per-window pipeline
 // overhead; the value only needs to be large enough that the per-batch
 // overhead vanishes against typing cost.
@@ -29,10 +29,11 @@ type Options struct {
 	// GOMAXPROCS. Infer does not read it, nor does InferStreamInto: a
 	// collector feed is always absorbed in line.
 	Workers int
-	// ChunkBytes, when positive, sets the byte length of a streamed
-	// run's windows at every worker count. At 0 a window is 4 MiB for a
-	// one-worker run, one 256 KiB read block into a collector, and
-	// DefaultBatch document-starting lines at several workers — GB-scale
+	// ChunkBytes, when positive, sets the least byte length of a
+	// streamed run's windows at every worker count: a window ends at the
+	// first document end at or past it, or at the end of its input. At 0
+	// it is 4 MiB for a one-worker run and one 256 KiB read block into a
+	// collector, and a window is DefaultBatch documents at several workers — GB-scale
 	// inputs want larger ones there: bigger windows amortise the
 	// per-window pipeline overhead regardless of how small the documents
 	// are.

@@ -2,6 +2,7 @@ package infer
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -310,39 +311,47 @@ func TestStatsOneShotRunSealsOnce(t *testing.T) {
 }
 
 // TestDiscardedWindowsBookNoRecords: on pretty-printed documents whose
-// lines are stripped of their indentation every inner line starts a
-// window, so at several workers most windows begin inside a document
-// and the committer discards their walks. A discarded walk books its
-// clock and its seal, never its records: fallback_records stays 0 on
-// clean input at every window size, and schema and count are the
-// sequential shape's.
+// lines are stripped of their indentation every inner line starts like
+// a document, yet no window begins inside one, so nothing is re-walked.
+// Then a record missing the comma before a member on a line of its own,
+// which boundary takes for a document's end, ends a window: the walk of
+// the window ends on a straddler, the next window's walk begins inside
+// that record, and the committer discards it and re-walks from the
+// straddler. A discarded walk books its clock and its seal, never its
+// records: fallback_records counts the malformed record once, as the
+// sequential shape does, at both window sizes, and schema, count and
+// error are the sequential shape's.
 func TestDiscardedWindowsBookNoRecords(t *testing.T) {
-	var data []byte
-	for _, doc := range genjson.Collection(genjson.Twitter{Seed: 1}, 300) {
+	var clean []byte
+	for _, doc := range genjson.Collection(genjson.Twitter{Seed: 1}, DefaultBatch-1) {
 		for line := range bytes.Lines(append(jsontext.MarshalIndent(doc, "  "), '\n')) {
-			data = append(data, bytes.TrimLeft(line, " ")...)
+			clean = append(clean, bytes.TrimLeft(line, " ")...)
 		}
 	}
-	want, wantN, err := InferStream(bytes.NewReader(data), Options{Equiv: typelang.EquivLabel, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, chunkBytes := range []int{0, 16 << 10} {
-		var st PipelineStats
-		got, n, err := InferStream(bytes.NewReader(data), Options{Equiv: typelang.EquivLabel, Workers: 2, ChunkBytes: chunkBytes, Stats: &st})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if n != wantN || got.StringCounted() != want.StringCounted() {
-			t.Errorf("chunk-bytes %d: %d docs, want %d; schema equal to one worker's: %v", chunkBytes, n, wantN, got.StringCounted() == want.StringCounted())
-		}
-		s := st.Snapshot()
-		if s.ChunksDirect == 0 {
-			t.Fatalf("chunk-bytes %d: no window was re-walked; the pin needs windows that begin inside documents", chunkBytes)
-		}
-		if s.FallbackRecords != 0 || s.Seals != s.ChunksSplit+1 || s.MapNanos <= 0 {
-			t.Errorf("chunk-bytes %d: fallback_records=%d seals=%d map=%dns over %d windows, want 0, one per window plus the final one, and a clock",
-				chunkBytes, s.FallbackRecords, s.Seals, s.MapNanos, s.ChunksSplit)
+	const bad = "{\"a\": 1\n\"b\": 2}\n"
+	broken := append(slices.Clip(clean), bad...)
+	cut := len(clean) + strings.IndexByte(bad, '\n') + 1 // the DefaultBatch'th boundary
+	for _, c := range []struct {
+		data             []byte
+		windows, rewalks int64
+	}{{clean, 1, 0}, {broken, 2, 1}} {
+		var one PipelineStats
+		want, wantN, wantErr := InferStream(bytes.NewReader(c.data), Options{Equiv: typelang.EquivLabel, Workers: 1, Stats: &one})
+		for _, chunkBytes := range []int{0, cut} {
+			label := fmt.Sprintf("%d bytes, chunk-bytes %d", len(c.data), chunkBytes)
+			var st PipelineStats
+			got, n, err := InferStream(bytes.NewReader(c.data), Options{Equiv: typelang.EquivLabel, Workers: 2, ChunkBytes: chunkBytes, Stats: &st})
+			if fmt.Sprint(err) != fmt.Sprint(wantErr) || n != wantN || got.StringCounted() != want.StringCounted() {
+				t.Errorf("%s: %d docs, error %v, want %d, %v; schema equal to one worker's: %v", label, n, err, wantN, wantErr, got.StringCounted() == want.StringCounted())
+			}
+			s := st.Snapshot()
+			if s.ChunksSplit != c.windows || s.ChunksDirect != c.rewalks {
+				t.Errorf("%s: chunks_split=%d chunks_direct=%d, want %d and %d", label, s.ChunksSplit, s.ChunksDirect, c.windows, c.rewalks)
+			}
+			if fb := one.Snapshot().FallbackRecords; s.FallbackRecords != fb || s.Seals != s.ChunksSplit+1 || s.MapNanos <= 0 {
+				t.Errorf("%s: fallback_records=%d seals=%d map=%dns over %d windows, want %d, one per window plus the final one, and a clock",
+					label, s.FallbackRecords, s.Seals, s.MapNanos, s.ChunksSplit, fb)
+			}
 		}
 	}
 }

@@ -349,7 +349,7 @@ func only(src source) iter.Seq2[source, error] {
 // caller's goroutine straight into the run's accumulator — no
 // goroutine, no per-window seal, no reduce. Several workers are the
 // parallel shape: windows of ChunkBytes, else of DefaultBatch
-// document-starting lines, for pipeChunks. Either way the accumulator
+// documents, for pipeChunks. Either way the accumulator
 // is sealed once, at the end (the snapshot-serving collector is
 // InferStreamInto's). The first error ends the run, prefixed with its
 // input's name; an error opening an input is returned as it is.
@@ -393,7 +393,7 @@ func run(inputs iter.Seq2[source, error], opts Options) (*typelang.Type, int, er
 // a long-lived accumulator (a registry collection) absorb many streams
 // — concurrently, even — into one monotonically-growing schema. It
 // always runs the sequential shape, whatever opts.Workers says: windows
-// of one read block (ChunkBytes overrides), each absorbed on the
+// of at least one read block (ChunkBytes overrides), each absorbed on the
 // caller's goroutine straight into a shard col lends for that window,
 // through that shard's mapper and chunk arrays col keeps warm between
 // calls — so it starts no goroutine, seals nothing, and holds no shard
@@ -413,7 +413,8 @@ func InferStreamInto(r io.Reader, opts Options, col *ShardedCollector) (int, err
 // the documents its walk absorbed, how many, how many of the window's
 // bytes the walk consumed (all, but for a straddler), its first error
 // and the counters of the walk and the seal — a guess until the
-// committer accepts it, as the window may have begun inside a document.
+// committer accepts it, as on malformed input the window may have
+// begun inside a document.
 type chunkResult struct {
 	ch    byteChunk
 	t     *typelang.Type

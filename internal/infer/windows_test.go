@@ -14,16 +14,17 @@ import (
 	"repro/internal/typelang"
 )
 
-// This file pins the input protocol of both shapes: windows cut at raw
-// newlines without scanning, and the straddler — the record a window's
-// end cut — left for the next walk: the next window's in the sequential
-// shape, the committer's in the parallel one, where every window after
-// a straddling one is walked speculatively from a byte that is no
-// document boundary and the committer discards that walk.
+// This file pins the input protocol of both shapes: windows cut at the
+// raw newlines boundary certifies, without parsing, so that on valid
+// input no walk is cut short; and, on malformed input, the straddler —
+// the record a window's end cut — left for the next walk: the next
+// window's in the sequential shape, the committer's in the parallel
+// one, where every window after a straddling one is walked
+// speculatively from a byte that is no document boundary and the
+// committer discards that walk.
 
 // windowChunkings are byte targets under which a run cuts many windows:
-// one line each, a few lines, a few documents. Over a layout whose
-// documents span lines most windows end inside one.
+// one document each, a few documents, many.
 var windowChunkings = []Options{{ChunkBytes: 1}, {ChunkBytes: 7}, {ChunkBytes: 64}, {ChunkBytes: 4096}}
 
 // windowWorkers are the worker counts of the window sweeps: the
@@ -63,8 +64,8 @@ func assertWindowsMatchOracle(t *testing.T, label string, data []byte) {
 }
 
 // TestWindowsMatchOracleFixtures sweeps every checked-in fixture, as
-// NDJSON (every window ends between documents) and indented (most end
-// inside one).
+// NDJSON and indented (documents over many lines, of which only the
+// last ends a window).
 func TestWindowsMatchOracleFixtures(t *testing.T) {
 	forEachFixture(t, func(name string, data []byte) {
 		assertWindowsMatchOracle(t, name, data)
@@ -90,6 +91,12 @@ var windowEdgeCases = []string{
 	"{\"a\": 1} {\"a\": 2}\n{\"b\": \"x\"} [1,\n2] 3\n\n\n4",
 	"{\"a\": 1}\r\n{\r\n\"a\": [1,\r\n2]\r\n}\r\n",
 	`{"a": 1} {"a": 2} {"b": "x"}`,
+	// Valid documents broken before and after every separator and
+	// bracket: no line break inside them may end a window.
+	"{\"a\"\n:\n1\n,\"b\"\n:[\n2\n,3\n]\n}\n[\n]\n{\n}\n\"s\"\n",
+	// Lines that begin with blanks, a line of blanks between documents
+	// and blanks at the end of input: every document still ends a window.
+	" {\"a\": 1}\n\t[1,\n 2]\n  \n\t \"s\"\n {\n  \"b\": {}\n }\n 3\n  ",
 	// A document far longer than the window, between short ones.
 	"1\n[" + strings.Repeat("{\"k\": [1, 2, 3]},\n", 200) + "null]\n2\n",
 	// A raw newline inside a string at the cut; a stray backslash, an
@@ -183,7 +190,10 @@ func TestWindowsMatchOracleEdgeCases(t *testing.T) {
 // at windowWorkers cutting windows of a fuzz-chosen target — one byte to
 // the whole input — must yield the oracle's outcome over the same bytes
 // from every input kind: schema (plain and counted), document count,
-// error text and absolute offset, under K and under L.
+// error text and absolute offset, under K and under L. On every input
+// the oracle accepts, no byte may be walked twice, and at several
+// workers no window re-walked (assertEngineYields): the cut rule is
+// exact.
 func FuzzStreamWindows(f *testing.F) {
 	for _, in := range windowInputs {
 		for _, target := range []uint{0, 6, 63} {
@@ -200,16 +210,17 @@ func FuzzStreamWindows(f *testing.F) {
 	})
 }
 
-// TestStraddlerIsReindexedNotCommitted follows one straddler through
-// the flight recorder: a document cut by several windows is committed
-// once, the walks that failed on it commit nothing of it, and the bytes
-// indexed again are the cut parts, growing geometrically — one worker
-// re-walks the straddler from the next window, several re-walk it on
-// the committer (chunks_direct counts those walks), past the windows
-// whose speculative walks the committer discarded. Then a defect right
-// after the straddling document, and one behind a line a speculative
-// walk fails on first: the error is the oracle's, never a discarded
-// walk's.
+// TestStraddlerIsReindexedNotCommitted pins where the straddler
+// machinery runs: a document over several lines between two short ones,
+// under a byte target far below its length, is one window of its own —
+// every window ends where a document does — so no shape walks a byte
+// twice, and several workers re-walk nothing on the committer. A defect
+// in the window after that document, or a window later, is the
+// oracle's error. Only a malformed document is cut: a long valid
+// prefix, then a member with no comma before it on a line of its own,
+// whose line break passes the test. The prefix is walked again in
+// longer windows, at most twice or, at several workers, three times,
+// and no discarded walk's records or error are committed.
 func TestStraddlerIsReindexedNotCommitted(t *testing.T) {
 	doc := "{\n\"a\": 1,\n\"b\": [2,\n3]\n}\n"
 	data := []byte("1\n" + doc + "2\n")
@@ -225,33 +236,20 @@ func TestStraddlerIsReindexedNotCommitted(t *testing.T) {
 				t.Errorf("%s: schema %s, want %s", label, got, want)
 			}
 			s := st.Snapshot()
-			bound := 2 // the sequential shape's cut parts
-			if workers > 1 {
-				bound = 3 // and every discarded window once
+			if s.BytesReindexed != 0 || s.FallbackRecords != 0 {
+				t.Errorf("%s: bytes_reindexed=%d fallback_records=%d; want 0 and 0: no window ends inside a document", label, s.BytesReindexed, s.FallbackRecords)
 			}
-			if s.BytesReindexed <= 0 || s.BytesReindexed > int64(bound*len(doc)) {
-				t.Errorf("%s: bytes_reindexed=%d; want the cut parts of a %d-byte document, growing geometrically", label, s.BytesReindexed, len(doc))
+			if s.ChunksSplit != 2 || s.SplitNanos <= 0 {
+				t.Errorf("%s: windows=%d cut clock %dns; want 2 (\"1\" and the document, then \"2\"), each cut on the clock", label, s.ChunksSplit, s.SplitNanos)
 			}
-			if s.ChunksSplit < 4 || s.SplitNanos <= 0 {
-				t.Errorf("%s: windows=%d cut clock %dns; want several windows, each cut on the clock", label, s.ChunksSplit, s.SplitNanos)
-			}
-			if workers == 1 {
-				if s.FallbackRecords != 0 {
-					t.Errorf("%s: fallback_records=%d; want 0: a window's end is no record's fault", label, s.FallbackRecords)
-				}
-				if s.ChunksDirect != s.ChunksSplit || s.Seals != 1 {
-					t.Errorf("%s: windows=%d direct=%d seals=%d; want all direct, one seal", label, s.ChunksSplit, s.ChunksDirect, s.Seals)
-				}
-			} else if s.ChunksDirect < 1 || s.ChunksDirect >= s.ChunksSplit || s.Seals != s.ChunksSplit+1 {
-				t.Errorf("%s: windows=%d re-walks=%d seals=%d; want some windows re-walked on the committer, a seal per window and the run's",
-					label, s.ChunksSplit, s.ChunksDirect, s.Seals)
+			if workers > 1 && (s.ChunksDirect != 0 || s.Seals != s.ChunksSplit+1) {
+				t.Errorf("%s: windows=%d re-walks=%d seals=%d; want no re-walk, a seal per window and the run's", label, s.ChunksSplit, s.ChunksDirect, s.Seals)
+			} else if workers == 1 && (s.ChunksDirect != s.ChunksSplit || s.Seals != 1) {
+				t.Errorf("%s: windows=%d direct=%d seals=%d; want all direct, one seal", label, s.ChunksSplit, s.ChunksDirect, s.Seals)
 			}
 		}
 	}
 
-	// The window after the straddling one holds a defect; a window
-	// beginning at `"b": [2,` is walked as a string document and fails at
-	// its ':' — before the defect, and never reported.
 	for _, tail := range []string{"{\"c\": ]}\n", "2\n{\"c\": tru}\n"} {
 		broken := []byte("1\n" + doc + tail)
 		for _, e := range sweepEquivs {
@@ -261,17 +259,43 @@ func TestStraddlerIsReindexedNotCommitted(t *testing.T) {
 			}
 		}
 	}
+
+	straddler := "{\"big\": [\n" + strings.Repeat("{\"k\": [1, 2, 3]},\n", 200) + "1]\n\"b\": 2}\n"
+	broken := []byte("1\n" + straddler + "2\n")
+	want, wantN, wantErr := oracle(broken, typelang.EquivKind)
+	for _, size := range []int{4, len(straddler) / 3} {
+		assertEngineYields(t, "straddler", broken, Options{ChunkBytes: size}, windowWorkers, want, wantN, wantErr)
+		for _, workers := range windowWorkers {
+			for _, input := range inputKinds {
+				label := fmt.Sprintf("straddler/w%d/%s/bytes%d", workers, input, size)
+				var st PipelineStats
+				if _, _, err := inferStreamOver(t, input, broken, Options{Workers: workers, ChunkBytes: size, Stats: &st}); err == nil {
+					t.Fatalf("%s: no error; want the oracle's %v", label, wantErr)
+				}
+				bound := 2 // the sequential shape's windows ending at the cut, growing geometrically
+				if workers > 1 {
+					bound = 3 // and every discarded window once
+				}
+				s := st.Snapshot()
+				if s.BytesReindexed <= 0 || s.BytesReindexed > int64(bound*len(straddler)) {
+					t.Errorf("%s: bytes_reindexed=%d; want the cut prefix of a %d-byte document at most %d times", label, s.BytesReindexed, len(straddler), bound)
+				}
+				if workers > 1 && s.ChunksDirect < 1 {
+					t.Errorf("%s: chunks_direct=%d; want the window after the cut re-walked on the committer", label, s.ChunksDirect)
+				}
+			}
+		}
+	}
 }
 
-// TestSequentialShapeNeverSplits pins that no shape looks for document
-// boundaries: every run only cuts windows and lets the walks find the
-// documents. On NDJSON — at every worker count, from a slice and from a
-// reader, and through a collector feed — and on `jsgen -indent` layouts
-// at four workers, no byte is walked twice, and at several workers the
-// windows are the batch-document chunks a boundary scan would have cut.
-// One pretty-printed document of over a megabyte, cut into 64 KiB
-// windows that four workers walk speculatively, is walked again at most
-// twice over.
+// TestSequentialShapeNeverSplits pins that no shape parses to cut: every
+// run cuts windows at the line breaks boundary certifies and lets the
+// walks find the documents. On NDJSON — at every worker count, from a
+// mapping and from a reader, and through a collector feed — and on
+// `jsgen -indent` layouts at four workers, no byte is walked twice, and
+// at several workers the windows are the batch-document chunks a
+// boundary scan would have cut. One pretty-printed document of over a
+// megabyte under a 64 KiB byte target is one window, walked once.
 func TestSequentialShapeNeverSplits(t *testing.T) {
 	const docs, batch = 100, 16
 	ndjson := jsontext.MarshalLines(genjson.Collection(genjson.Twitter{Seed: 22}, docs))
@@ -331,8 +355,8 @@ func TestSequentialShapeNeverSplits(t *testing.T) {
 		if err != nil || n != 1 || got.StringCounted() != want.StringCounted() {
 			t.Fatalf("big/%s: %d documents, err %v; want the one document's schema", input, n, err)
 		}
-		if s := st.Snapshot(); s.BytesReindexed <= 0 || s.BytesReindexed > 2*int64(big.Len()) {
-			t.Errorf("big/%s: bytes_reindexed=%d of a %d-byte document; want at most twice it", input, s.BytesReindexed, big.Len())
+		if s := st.Snapshot(); s.BytesReindexed != 0 || s.ChunksSplit != 1 {
+			t.Errorf("big/%s: bytes_reindexed=%d over %d windows of a %d-byte document; want 0 over one window", input, s.BytesReindexed, s.ChunksSplit, big.Len())
 		}
 	}
 }

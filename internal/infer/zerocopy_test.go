@@ -5,9 +5,10 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
+	"slices"
 	"sync"
 	"testing"
+	"testing/iotest"
 
 	"repro/internal/genjson"
 	"repro/internal/jsontext"
@@ -24,7 +25,7 @@ import (
 
 // cutWindows runs the window loop over src as the parallel shape does —
 // one chunkReader, every window consumed whole — with a target of docs
-// document-starting lines, or of target bytes when docs is 0. emit
+// documents, or of target bytes when docs is 0. emit
 // owns a window only until it returns: to keep one it acquires its
 // buffer.
 func cutWindows(src source, target, docs int, st *PipelineStats, emit func(byteChunk)) error {
@@ -92,22 +93,27 @@ func TestBytesEngineErrorEquivalence(t *testing.T) {
 }
 
 // TestSplitChunksBytesMatchesReadChunks pins the window loop to the same
-// window stream over a mapping as over a reader — same data, same
-// absolute bases — across document-count and byte-size targets.
+// window stream over a mapping, over a reader and over a reader that
+// returns one byte a read (every cut resumes a stopped scan) — same
+// data, same absolute bases — across document-count and byte-size
+// targets, and a byte window to its length: it ends at the first
+// document end at or after its target, or at the end of the input.
+// NDJSON whose every line begins with blanks cuts like plain NDJSON:
+// the same number of windows per document target, one per line under a
+// one-byte target.
 func TestSplitChunksBytesMatchesReadChunks(t *testing.T) {
-	docs := genjson.Collection(genjson.Twitter{Seed: 90}, 400)
-	data := jsontext.MarshalLines(docs)
+	plain := jsontext.MarshalLines(genjson.Collection(genjson.Twitter{Seed: 90}, 400))
+	var blank []byte
+	for line := range bytes.Lines(plain) {
+		blank = append(append(blank, "\t "...), line...)
+	}
 	type chunk struct {
 		base int
 		data string
 	}
 	type targets struct{ docs, bytes int }
-	collect := func(viaReader bool, tg targets) []chunk {
+	collect := func(src source, tg targets) []chunk {
 		var out []chunk
-		src := mappedSource(t, data)
-		if viaReader {
-			src = readerSource(data)
-		}
 		if err := cutWindows(src, tg.bytes, tg.docs, nil, func(ch byteChunk) {
 			out = append(out, chunk{ch.base, string(ch.data)})
 		}); err != nil {
@@ -115,31 +121,47 @@ func TestSplitChunksBytesMatchesReadChunks(t *testing.T) {
 		}
 		return out
 	}
-	for _, targets := range []targets{
-		{docs: 1}, {docs: 7}, {docs: 256},
-		{bytes: 1 << 10}, {bytes: 64 << 10}, {bytes: 1},
-	} {
-		want := collect(true, targets)
-		got := collect(false, targets)
-		if len(want) != len(got) {
-			t.Fatalf("targets=%+v: %d mapped windows, want %d", targets, len(got), len(want))
-		}
-		off := 0
-		for i := range want {
-			if want[i] != got[i] {
-				t.Fatalf("targets=%+v: chunk %d = {%d %dB}, want {%d %dB}",
-					targets, i, got[i].base, len(got[i].data), want[i].base, len(want[i].data))
+	plainWindows := map[targets]int{}
+	for _, data := range [][]byte{plain, blank} {
+		for _, targets := range []targets{
+			{docs: 1}, {docs: 7}, {docs: 256},
+			{bytes: 1 << 10}, {bytes: 64 << 10}, {bytes: 1},
+		} {
+			want := collect(readerSource(data), targets)
+			for _, src := range []source{mappedSource(t, data), {r: iotest.OneByteReader(bytes.NewReader(data)), pool: new(chunkPool)}} {
+				if got := collect(src, targets); !slices.Equal(got, want) {
+					t.Fatalf("targets=%+v (mapped: %t): %d windows differ from the reader's %d", targets, src.r == nil, len(got), len(want))
+				}
 			}
-			if got[i].base != off {
-				t.Fatalf("targets=%+v: chunk %d base %d, want %d", targets, i, got[i].base, off)
+			if n, ok := plainWindows[targets]; !ok {
+				plainWindows[targets] = len(want)
+			} else if (targets.docs > 0 || targets.bytes == 1) && len(want) != n {
+				t.Errorf("targets=%+v: %d windows over blank-led lines, %d over plain NDJSON", targets, len(want), n)
 			}
-			off += len(got[i].data)
-			if w := got[i].data; targets.bytes > 0 && len(w) > targets.bytes && strings.IndexByte(w[:targets.bytes], '\n') >= 0 {
-				t.Errorf("targets=%+v: window %d holds %d bytes, past the byte target with a newline inside it", targets, i, len(w))
+			off := 0
+			for i, w := range want {
+				if w.base != off {
+					t.Fatalf("targets=%+v: chunk %d base %d, want %d", targets, i, w.base, off)
+				}
+				off += len(w.data)
+				// On NDJSON every line break ends a document, so a byte
+				// window ends past the first one at or after its target,
+				// or at the end of the input.
+				if targets.bytes > 0 {
+					end := len(data)
+					if lo := w.base + targets.bytes - 1; lo < len(data) {
+						if j := bytes.IndexByte(data[lo:], '\n'); j >= 0 {
+							end = lo + j + 1
+						}
+					}
+					if off != end {
+						t.Errorf("targets=%+v: window %d ends at %d, want %d: past the first line break at or after the target", targets, i, off, end)
+					}
+				}
 			}
-		}
-		if off != len(data) {
-			t.Fatalf("targets=%+v: chunks cover %d bytes, want %d", targets, off, len(data))
+			if off != len(data) {
+				t.Fatalf("targets=%+v: chunks cover %d bytes, want %d", targets, off, len(data))
+			}
 		}
 	}
 }

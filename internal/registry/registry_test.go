@@ -356,6 +356,29 @@ func TestIngestErrorKeepsPrefix(t *testing.T) {
 			reg.Close()
 		}
 	}
+
+	// A body with no line break that ends a document — two documents on
+	// its first line, then an array over 40 000 lines, three read
+	// blocks, with a defect in its last member — is one window, read to
+	// its end before the walk meets the defect: the two documents are
+	// kept, and the error is the oracle's.
+	var b bytes.Buffer
+	b.WriteString(`{"a": 0} {"a": 1} [` + "\n")
+	for i := 0; i < 40000; i++ {
+		fmt.Fprintf(&b, "{\"a\": %d},\n", i)
+	}
+	b.WriteString("{\"a\": ]}\n]\n")
+	_, wantN, wantErr := oracle(b.Bytes(), typelang.EquivKind)
+	reg = New(Options{})
+	defer reg.Close()
+	res, err = reg.Ingest("c", bytes.NewReader(b.Bytes()))
+	var got, want *jsontext.SyntaxError
+	if !errors.As(err, &got) || !errors.As(wantErr, &want) || *got != *want {
+		t.Errorf("no-boundary body: err = %v, oracle: %v", err, wantErr)
+	}
+	if snap, _ := reg.Get("c"); res.Docs != 2 || wantN != 2 || snap.Docs != 2 || snap.Type.String() != "{a: Int}" {
+		t.Errorf("no-boundary body: kept %d docs (snapshot %d of %s, oracle %d), want 2 of {a: Int}", res.Docs, snap.Docs, snap.Type, wantN)
+	}
 }
 
 // numbered renders docs one-line documents {"a": i}, with document k

@@ -60,9 +60,8 @@ fi
 # byte-identical to what jsinfer prints for FILE. Both sides go to files
 # and cmp, never through $(…), which drops trailing newlines.
 assert_served() {
-    local col=$1 file=$2 form=$3 flags=(-output "$3")
-    [ "$form" = counted ] && flags=(-counted)
-    "$bindir/jsinfer" "${flags[@]}" "$file" > "$bindir/want"
+    local col=$1 file=$2 form=$3
+    "$bindir/jsinfer" -output "$form" "$file" > "$bindir/want"
     curl -fsS "$base/v1/collections/$col/schema?output=$form" > "$bindir/got"
     if ! cmp -s "$bindir/want" "$bindir/got"; then
         echo "smoke: $form schema of $col: the daemon serves $(wc -c < "$bindir/got") bytes, jsinfer prints $(wc -c < "$bindir/want")" >&2
@@ -130,12 +129,14 @@ echo "$stats" | grep -q "\"docs\": $want_docs," || {
     exit 1
 }
 
-# Bodies of several 256 KiB read blocks, NDJSON and pretty-printed:
-# each serves what jsinfer makes of the same file, and was absorbed in
+# Bodies of several 256 KiB read blocks — NDJSON, NDJSON whose every
+# line begins with a blank, and pretty-printed: each serves what jsinfer
+# makes of the same file, and was cut into several windows absorbed in
 # line — every window direct, no committer clock.
 "$bindir/jsgen" -kind twitter -target 1MB > "$bindir/big.ndjson"
+sed 's/^/ /' "$bindir/big.ndjson" > "$bindir/big-blank.ndjson"
 "$bindir/jsgen" -kind twitter -indent -target 1MB > "$bindir/big-indent.json"
-for f in big.ndjson big-indent.json; do
+for f in big.ndjson big-blank.ndjson big-indent.json; do
     col=${f%.*}
     echo "smoke: ingesting $f ($(wc -c < "$bindir/$f") bytes) into $col"
     curl -fsS -X POST --data-binary "@$bindir/$f" "$base/v1/collections/$col/ingest"
@@ -147,7 +148,7 @@ pipeline_stat() {
     echo "$collections" | sed -n "/\"name\": \"$1\"/,/\"name\"/p" |
         grep -o "\"$2\": [0-9]*" | head -1 | grep -o '[0-9]*$'
 }
-for col in big big-indent; do
+for col in big big-blank big-indent; do
     split=$(pipeline_stat "$col" chunks_split)
     direct=$(pipeline_stat "$col" chunks_direct)
     reduce=$(pipeline_stat "$col" reduce_nanos)
@@ -157,6 +158,25 @@ for col in big big-indent; do
     fi
     echo "smoke: $col absorbed in line: $split windows, all direct, reduce_nanos 0"
 done
+
+# A JSON array of one object per line is one document with no line
+# break that ends a document until its last: the whole body is one
+# window, served as jsinfer prints it, and no byte of it — nor of any
+# body before it — was walked twice.
+{ echo '['; sed '$!s/$/,/' "$bindir/big.ndjson"; echo ']'; } > "$bindir/big-array.json"
+echo "smoke: ingesting big-array.json ($(wc -c < "$bindir/big-array.json") bytes, one array of one object per line)"
+curl -fsS -X POST --data-binary "@$bindir/big-array.json" "$base/v1/collections/big-array/ingest"
+for form in type counted jsonschema typescript swift; do
+    assert_served big-array "$bindir/big-array.json" "$form"
+done
+collections=$(curl -fsS "$base/v1/collections")
+split=$(pipeline_stat big-array chunks_split)
+reindexed=$(curl -fsS "$base/v1/stats" | grep -o '"bytes_reindexed": [0-9]*' | head -1 | grep -o '[0-9]*$')
+if [ "$split" != 1 ] || [ "$reindexed" != 0 ]; then
+    echo "smoke: big-array: chunks_split=$split, /v1/stats bytes_reindexed=$reindexed; want one window and 0" >&2
+    exit 1
+fi
+echo "smoke: big-array served in all five forms from one window; bytes_reindexed 0 in /v1/stats"
 
 # A collection of 70 000 distinct field names — 70 documents of 1000 —
 # is deleted, and the collection ingested after it serves exactly what
