@@ -7,7 +7,7 @@ DOC_PKGS = repro/internal/jsontext repro/internal/infer \
            repro/internal/registry repro/internal/daemon/intake \
            repro/internal/daemon/metrics
 
-.PHONY: all build vet test race fuzz-smoke bench bench-stream bench-e2e bench-compare bench-budget test-bench docs loc fixtures serve smoke-daemon ci
+.PHONY: all build vet test race fuzz-smoke bench bench-stream bench-e2e bench-compare bench-budget test-bench docs loc fixtures serve smoke-daemon ab-identity ci
 
 all: build
 
@@ -28,8 +28,9 @@ race:
 # walk over mison's structural index against the reference lexer, the
 # reference lexer against the DOM decoder, the absorption surface
 # against MergeAll, windows (any target, one, two and four workers,
-# every input kind) against the oracle — with no byte walked twice and
-# no window re-walked on any input the oracle accepts — mison.Chunker against the
+# every input kind) against the oracle — every walk final, whatever
+# the bytes, and no byte walked twice on any input the oracle
+# accepts — mison.Chunker against the
 # byte-at-a-time splitter, an index walk whose pattern tree was
 # trained on foreign bytes against the token walker, the daemon's body
 # decoder against compress/gzip plus http.MaxBytesReader, Spark's
@@ -133,6 +134,15 @@ serve:
 # same file and each long body was absorbed in line.
 smoke-daemon:
 	./scripts/smoke_jsinferd.sh
+
+# Identity A/B of jsinfer between two versions of this repository, each
+# a checkout directory or a git revision: stdout, stderr and exit code
+# over every valid and malformed cell scripts/ab_jsinfer.sh lists (a few
+# thousand runs, some minutes); prints each cell that differs and exits
+# 1 if any does.
+#   make ab-identity OLD=HEAD~1 NEW=.
+ab-identity:
+	./scripts/ab_jsinfer.sh '$(OLD)' '$(NEW)'
 
 # Regenerate the checked-in NDJSON fixtures (deterministic seeds).
 fixtures:

@@ -414,7 +414,7 @@ func TestPrintStats(t *testing.T) {
 	var b strings.Builder
 	printStats(&b, core.StatsSnapshot{
 		ChunksSplit: 3, PatternRecords: 400, FallbackRecords: 8,
-		ScanDelegations: 5, ChunksDirect: 3, RootFuses: 2, Seals: 9,
+		ScanDelegations: 5, RootFuses: 2, Seals: 9,
 		BytesReindexed: 77, BytesCopied: 512, BuffersRecycled: 4, MmapInputs: 1,
 		ReadNanos: 1_500_000, SplitNanos: 250_000, MapNanos: 7_000_000,
 		ReduceNanos: 900_000, FuseNanos: 100_000,
@@ -423,7 +423,7 @@ func TestPrintStats(t *testing.T) {
   stage           time  counters
   read         1.500ms  chunks_split=3 bytes_copied=512 buffers_recycled=4 mmap_inputs=1
   split        0.250ms  bytes_reindexed=77
-  map          7.000ms  pattern_records=400 fallback_records=8 scan_delegations=5 chunks_direct=3
+  map          7.000ms  pattern_records=400 fallback_records=8 scan_delegations=5
   reduce       0.900ms
   fuse         0.100ms  root_fuses=2 seals=9
   gc           2.500ms  cycles=3

@@ -666,7 +666,6 @@ func TestMetricsReconcileWithStats(t *testing.T) {
 		"jsinferd_pipeline_chunks_split_total":     "chunks_split",
 		"jsinferd_pipeline_pattern_records_total":  "pattern_records",
 		"jsinferd_pipeline_fallback_records_total": "fallback_records",
-		"jsinferd_pipeline_chunks_direct_total":    "chunks_direct",
 		"jsinferd_pipeline_scan_delegations_total": "scan_delegations",
 		"jsinferd_pipeline_root_fuses_total":       "root_fuses",
 		"jsinferd_pipeline_seals_total":            "seals",
@@ -697,11 +696,11 @@ func TestMetricsReconcileWithStats(t *testing.T) {
 		}
 	}
 	// The mixed workload left its signature in the recorder: windows
-	// were cut, every one absorbed in line.
+	// were cut, every one absorbed in line: no committer, no reduce.
 	if split, _ := pv.Get("chunks_split"); split.Int() == 0 {
 		t.Error("pipeline.chunks_split = 0 after successful ingests")
-	} else if direct, _ := pv.Get("chunks_direct"); direct.Int() != split.Int() {
-		t.Errorf("pipeline.chunks_direct = %d of %d windows; every ingest is absorbed in line", direct.Int(), split.Int())
+	} else if reduce, _ := pv.Get("reduce_nanos"); reduce.Int() != 0 {
+		t.Errorf("pipeline.reduce_nanos = %d over %d windows; every ingest is absorbed in line", reduce.Int(), split.Int())
 	}
 	// The middleware metered the ingest route with its status codes.
 	for _, series := range []string{
@@ -794,7 +793,7 @@ func TestShipperLoopAbsorbsInLine(t *testing.T) {
 	}
 	pv, _ := sv.Get("pipeline")
 	for stat, want := range map[string]int64{
-		"chunks_split": posts, "chunks_direct": posts,
+		"chunks_split": posts,
 		"reduce_nanos": 0, "seals": reads, "root_fuses": reads,
 	} {
 		if v, _ := pv.Get(stat); v.Int() != want {

@@ -446,7 +446,6 @@ func newHandler(reg *registry.Registry, cfg handlerConfig) http.Handler {
 			root.SetAttr("collection", name)
 			root.SetAttr("docs", int64(res.Docs))
 			root.SetAttr("bytes", res.Bytes)
-			root.SetAttr("chunks_direct", res.Stats.ChunksDirect)
 			root.SetAttr("fallback_records", res.Stats.FallbackRecords)
 		}
 		// Kept prefixes of failed ingests count too: the documents are

@@ -276,11 +276,11 @@ func TestNewLoggerFormats(t *testing.T) {
 
 // TestPipelineCountersEndToEnd is the acceptance criterion for the
 // stage stats: a default daemon ingests clean and adversarial
-// payloads, and the fallback counter — and the shape counter:
-// every body here is one chunk, absorbed in line — come out, with the
-// same values, on /v1/stats, /metrics, and the request's trace
-// attributes, where every other attribute names the request or is a
-// flight-recorder counter under its table name.
+// payloads, and the fallback counter — and the window counter: every
+// body here is one chunk — come out, with the same values, on
+// /v1/stats and /metrics, the fallback counter also on the request's
+// trace attributes, where every other attribute names the request or
+// is a flight-recorder counter under its table name.
 func TestPipelineCountersEndToEnd(t *testing.T) {
 	tracer := trace.New(16)
 	srv, _ := newObservedServer(t, registry.Options{}, handlerConfig{tracer: tracer})
@@ -315,7 +315,6 @@ func TestPipelineCountersEndToEnd(t *testing.T) {
 	}
 	for stat, want := range map[string]int64{
 		"fallback_records": 2, // the two broken records; the 5 before them came off the index
-		"chunks_direct":    3,
 		"chunks_split":     3,
 	} {
 		if v, _ := pv.Get(stat); v.Int() != want {
@@ -326,7 +325,7 @@ func TestPipelineCountersEndToEnd(t *testing.T) {
 	_, exp := get(t, srv.URL+"/metrics")
 	for metric, want := range map[string]float64{
 		"jsinferd_pipeline_fallback_records_total": 2,
-		"jsinferd_pipeline_chunks_direct_total":    3,
+		"jsinferd_pipeline_chunks_split_total":     3,
 	} {
 		if got := metricValue(t, exp, metric); got != want {
 			t.Errorf("%s = %v, want %v", metric, got, want)
@@ -357,7 +356,7 @@ func TestPipelineCountersEndToEnd(t *testing.T) {
 				t.Errorf("ingest trace attr %q is neither the request's nor a counter of infer.StatsFields", attr.Name)
 			}
 		}
-		for _, key := range []string{"docs", "chunks_direct", "fallback_records"} {
+		for _, key := range []string{"docs", "fallback_records"} {
 			v, ok := attrs.Get(key)
 			if !ok {
 				t.Fatalf("ingest trace lacks attr %q: %s", key, tr)
@@ -369,7 +368,7 @@ func TestPipelineCountersEndToEnd(t *testing.T) {
 		t.Fatalf("found %d ingest traces, want 3", ingests)
 	}
 	for key, want := range map[string]int64{
-		"docs": 5, "chunks_direct": 3, "fallback_records": 2,
+		"docs": 5, "fallback_records": 2,
 	} {
 		if sums[key] != want {
 			t.Errorf("trace attr %s sums to %d, want %d (must reconcile with /v1/stats)", key, sums[key], want)

@@ -22,14 +22,9 @@ import (
 // map phase in either shape. A window ends only where a document can
 // end (cutWindow, boundary), so on valid input every walk completes; a
 // document may span windows only on malformed input, and never inputs.
-// There the walks still find the documents: in a window that is not the
-// input's last, the record failing with an error more input could cure
-// (curable) is the straddler, of which nothing was committed. The
-// sequential shape starts the next window at it, one at least twice as
-// long after a window that completed no document, so the bytes indexed
-// twice stay O(n); the parallel shape cuts the next window at the last
-// one's end, and its committer verifies each window's start
-// (pipeChunks, tokens.go).
+// Each window carries the line after it, which decides such a
+// document's error (chunkMapper.absorb): every walk is final, and the
+// next window begins where the last one ended.
 
 // chunkReadSize is the read block of a reader's input.
 const chunkReadSize = 256 << 10
@@ -200,12 +195,12 @@ func (cr *chunkReader) fill() {
 	}
 }
 
-// chunk emits pending[start:end) and moves start past it. The window
-// holds a reference on the buffer it aliases, which windows releases
-// once its consumer returns; the array never returns to the pool while
-// a reference is held.
-func (cr *chunkReader) chunk(end int) byteChunk {
-	ch := byteChunk{base: cr.base + cr.start, data: cr.pending[cr.start:end], buf: cr.buf, in: cr}
+// chunk emits pending[start:end), carrying the length next of the line
+// after it, and moves start past it. The window holds a reference on the
+// buffer it aliases, which windows releases once its consumer returns;
+// the array never returns to the pool while a reference is held.
+func (cr *chunkReader) chunk(end, next int) byteChunk {
+	ch := byteChunk{base: cr.base + cr.start, data: cr.pending[cr.start:end], next: next, buf: cr.buf, in: cr}
 	cr.buf.acquire()
 	cr.start = end
 	cr.frame.ChunksSplit++
@@ -213,45 +208,64 @@ func (cr *chunkReader) chunk(end int) byteChunk {
 	return ch
 }
 
-// cutWindow returns the length of the window at the head of avail: it
-// ends past the docs'th boundary when docs is positive, else past the
-// first boundary at or after want, and at the end of input without such
-// a boundary it is all of avail. A boundary is decided with the next
-// line's first byte that is not a blank in hand, so no window ends at
-// avail's last byte before the end of input. -1 asks for more input
-// first: *at and *seen then hold where the scan stopped and the
-// boundaries it passed, and the next call, over the same bytes and
-// more, resumes from them.
-func cutWindow(avail []byte, at, seen *int, want, docs int, eof bool) int {
-	i := *at
+// cutScan is where a cutWindow that asked for more input stopped, so
+// that the next call scans no byte again: the offset to resume from,
+// the boundaries passed, the '\n' whose next line's first byte that is
+// not a blank is awaited (brk, one past it), and the cut found whose
+// next line's end is awaited (cut). brk and cut are 0 when none is.
+type cutScan struct{ at, seen, brk, cut int }
+
+// cutWindow returns the window at the head of avail and the length of
+// the line after it: the window ends past the docs'th boundary when
+// docs is positive, else past the first boundary at or after want, and
+// is cut only once the line after it is in hand — through its '\n', or
+// to the end of input. At the end of input without such a boundary the
+// window is all of avail and no line follows. A boundary is decided
+// with the next line's first byte that is not a blank. end -1 asks for
+// more input first: sc then holds where the scan stopped, and the next
+// call, over the same bytes and more, resumes from it.
+func cutWindow(avail []byte, sc *cutScan, want, docs int, eof bool) (end, next int) {
+	i := sc.at
 	if docs == 0 {
-		i = max(i, want-1) // a newline before want-1 would end the window short of want
+		i = max(i, min(want, len(avail))-1) // a newline before want-1 would end the window short of want
 	}
-	for i < len(avail)-1 {
-		j := bytes.IndexByte(avail[i:len(avail)-1], '\n')
-		if j < 0 {
-			i = len(avail) - 1
-			break
-		}
-		nl, k := i+j, i+j+1
-		for k < len(avail) && (avail[k] == ' ' || avail[k] == '\t') {
-			k++
-		}
-		if k == len(avail) { // the next line is blank so far: decide it with more input
-			i = nl
-			break
-		}
-		if i = nl + 1; boundary(avail, nl, k) {
-			if *seen++; docs == 0 || *seen == docs {
-				return i
+	for sc.cut == 0 {
+		nl := sc.brk - 1
+		if nl < 0 {
+			j := bytes.IndexByte(avail[i:], '\n')
+			if j < 0 {
+				i = len(avail)
+				break
 			}
+			nl, i = i+j, i+j+1
+		}
+		for i < len(avail) && (avail[i] == ' ' || avail[i] == '\t') {
+			i++
+		}
+		if sc.brk = 0; i == len(avail) { // the next line is blank so far: decide it with more input
+			sc.brk = nl + 1
+			break
+		}
+		if boundary(avail, nl, i) {
+			if docs > 0 && sc.seen+1 < docs {
+				sc.seen++
+				continue
+			}
+			sc.cut = nl + 1
 		}
 	}
-	if eof {
-		return len(avail)
+	if sc.cut > 0 {
+		if e := bytes.IndexByte(avail[i:], '\n'); e >= 0 {
+			return sc.cut, i + e + 1 - sc.cut
+		}
+		if i = len(avail); eof {
+			return sc.cut, i - sc.cut
+		}
+	} else if eof {
+		return len(avail), 0
 	}
-	*at = i
-	return -1
+	sc.at = i
+	return -1, 0
 }
 
 // boundary reports whether the '\n' at avail[nl] ends a document, where
@@ -260,7 +274,8 @@ func cutWindow(avail []byte, at, seen *int, want, docs int, eof bool) int {
 // before the break that is not whitespace is none of ',', '{', '[' or
 // ':'. No break inside a valid document passes, and the one starting a
 // document's line always does (docs/ARCHITECTURE.md, "The zero-copy
-// input layer"); on malformed input the cut is a guess the walks verify.
+// input layer"); on malformed input a document may span a cut, and the
+// line after it decides that document's error (chunkMapper.absorb).
 func boundary(avail []byte, nl, k int) bool {
 	switch avail[k] {
 	case '\r', '\n', '}', ']', ',', ':':
@@ -280,44 +295,34 @@ func boundary(avail []byte, nl, k int) bool {
 
 // windows is the one input loop (see the file comment): it cuts windows
 // of docs documents when docs is positive, else of at least target
-// bytes, hands direct one after another, and starts the next where
-// direct says absorption stopped — the window's end, or its straddler.
-// It returns the documents absorbed and the first error; a read error
-// wins over an error in the window it truncated, and only that one.
-func windows(cr *chunkReader, target, docs int, direct func(byteChunk) (int, int, error)) (int, error) {
+// bytes, each carrying the line after it, and hands direct one after
+// another until the input ends or direct reports an error. It returns
+// the documents absorbed and the first error: direct's, or the input's
+// read error when no window carried it.
+func windows(cr *chunkReader, target, docs int, direct func(byteChunk) (int, error)) (int, error) {
 	defer cr.close()
 	total := 0
-	for want, at, seen := target, 0, 0; !cr.eof || cr.start < len(cr.pending); {
+	for sc := (cutScan{}); !cr.eof || cr.start < len(cr.pending); {
 		avail := cr.pending[cr.start:]
-		if len(avail) <= want && !cr.eof {
+		if len(avail) <= target && !cr.eof {
 			cr.fill()
 			continue
 		}
 		cutStart := statsClock(cr.st)
-		end := cutWindow(avail, &at, &seen, want, docs, cr.eof)
+		end, next := cutWindow(avail, &sc, target, docs, cr.eof)
 		statsSince(cr.st, &cr.frame.SplitNanos, cutStart)
 		if end < 0 {
 			cr.fill()
 			continue
 		}
-		last := cr.eof && end == len(avail)
-		ch := cr.chunk(cr.start + end)
-		ch.open = !last
-		n, used, err := direct(ch)
+		ch := cr.chunk(cr.start+end, next)
+		n, err := direct(ch)
 		ch.buf.release()
 		total += n
-		if last && cr.err != nil {
-			err = cr.err
-		}
-		if err != nil || last {
+		if err != nil {
 			return total, err
 		}
-		cr.start -= end - used
-		cr.frame.BytesReindexed += int64(end - used)
-		want, at, seen = target, 0, 0
-		if n == 0 && used < end { // nothing completed: the straddler needs a longer window
-			want = 2 * (end - used)
-		}
+		sc = cutScan{}
 	}
 	return total, cr.err
 }

@@ -256,3 +256,74 @@ func TestReadChunksEquivalence(t *testing.T) {
 		}
 	}
 }
+
+// TestCutWindowScansEachByteOnce feeds cutWindow an input a read block
+// at a time, as windows does, where the cut or its line waits for more
+// input: a long line after a found cut, a long blank run after a break,
+// and a long line with no break at all. Each input ends with the line
+// the cut waits for. Every call that asks for more
+// input must leave the scan at the end of the bytes in hand, so the
+// next call scans none of them again, and the final call must cut where
+// an uninterrupted scan does.
+func TestCutWindowScansEachByteOnce(t *testing.T) {
+	const block = chunkReadSize
+	long := `{"b":"` + strings.Repeat("x", 4<<20) + `"}` + "\n"
+	for _, tc := range []struct {
+		name       string
+		input      string
+		want, docs int
+		end, next  int
+		brk, cut   int // sc's fields while the scan waits
+	}{
+		{name: "line after a document cut", input: `{"a":1}` + "\n" + long, docs: 1, end: 8, next: len(long), cut: 8},
+		{name: "line after a byte cut", input: `{"a":1}` + "\n" + long, want: 1, end: 8, next: len(long), cut: 8},
+		{name: "blank run after a break", input: `{"a":1}` + "\n" + strings.Repeat(" ", 4<<20) + "{}\n", docs: 1, end: 8, next: 4<<20 + 3, brk: 8},
+		{name: "line without a break", input: long[:len(long)-1], docs: 1, end: len(long) - 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var sc cutScan
+			for n := block; ; n += block {
+				eof := n >= len(tc.input)
+				avail := []byte(tc.input[:min(n, len(tc.input))])
+				end, next := cutWindow(avail, &sc, tc.want, tc.docs, eof)
+				if end >= 0 { // each input's last line is the one the cut waits for
+					if !eof || end != tc.end || next != tc.next {
+						t.Fatalf("cut (%d, %d) at %d of %d bytes, want (%d, %d) at the end", end, next, len(avail), len(tc.input), tc.end, tc.next)
+					}
+					return
+				}
+				if eof {
+					t.Fatal("asked for more input at its end")
+				}
+				if sc.at != len(avail) {
+					t.Fatalf("scan stopped at %d of %d bytes in hand: the next call scans them again", sc.at, len(avail))
+				}
+				if n > block && (sc.brk != tc.brk || sc.cut != tc.cut) {
+					t.Fatalf("waiting with brk %d, cut %d; want %d, %d", sc.brk, sc.cut, tc.brk, tc.cut)
+				}
+			}
+		})
+	}
+}
+
+// TestWindowCarriesALongLineAfterIt runs the window loop over a reader
+// holding a short document and a multi-MiB one-line document at a
+// one-byte target: the first window is the short document, carrying
+// the whole long line, and the second is that line.
+func TestWindowCarriesALongLineAfterIt(t *testing.T) {
+	long := `{"b":"` + strings.Repeat("x", 4<<20) + `"}` + "\n"
+	data := []byte(`{"a":1}` + "\n" + long)
+	type window struct {
+		base, size, next int
+	}
+	var got []window
+	if err := cutWindows(readerSource(data), 1, 0, nil, func(ch byteChunk) {
+		got = append(got, window{int(ch.base), len(ch.data), ch.next})
+	}); err != nil {
+		t.Fatal(err)
+	}
+	want := []window{{0, 8, len(long)}, {8, len(long), 0}}
+	if !slices.Equal(got, want) {
+		t.Fatalf("windows %v, want %v", got, want)
+	}
+}

@@ -132,21 +132,21 @@ func (c *ShardedCollector) lock() *shard {
 // mapper is then unbound from ch's bytes, and dropped when ch was wider
 // than any array the chunk pool keeps: its bitmaps grew with it. It
 // returns what chunkMapper.direct does; the shard holds exactly the
-// documents before the error or the straddler.
-func (c *ShardedCollector) absorbChunk(st *PipelineStats, ch byteChunk) (int, int, error) {
+// documents before the error.
+func (c *ShardedCollector) absorbChunk(st *PipelineStats, ch byteChunk) (int, error) {
 	s := c.lock()
 	defer s.mu.Unlock()
 	if s.m == nil {
 		s.m = newChunkMapper(st)
 	}
 	s.m.st = st
-	n, used, err := s.m.direct(ch, s.acc)
+	n, err := s.m.direct(ch, s.acc)
 	s.docs += int64(n)
 	_ = s.m.ia.Reset(nil, 0) // always nil
 	if len(ch.data) > maxPooledChunkBuf {
 		s.m = nil
 	}
-	return n, used, err
+	return n, err
 }
 
 // AddBatch folds a batch of sealed types — summarising docs documents

@@ -191,8 +191,8 @@ func TestCollectorKeepsBoundedState(t *testing.T) {
 		return len(col.chunks.free), widest, mappers
 	}
 
-	if s := ingestInto(t, col, giant, opts); s.ChunksDirect != 1 || s.BytesCopied == 0 {
-		t.Fatalf("giant body: chunks_direct=%d bytes_copied=%d, want one in-line chunk grown by copying", s.ChunksDirect, s.BytesCopied)
+	if s := ingestInto(t, col, giant, opts); s.ChunksSplit != 1 || s.Seals != 0 || s.BytesCopied == 0 {
+		t.Fatalf("giant body: chunks_split=%d seals=%d bytes_copied=%d, want one chunk absorbed in line, grown by copying", s.ChunksSplit, s.Seals, s.BytesCopied)
 	}
 	if arrays, widest, mappers := kept(); widest > maxPooledChunkBuf || mappers != 0 {
 		t.Errorf("after a 4 MiB document the collector keeps %d arrays (widest %d B) and %d mappers; want nothing that grew with it",

@@ -205,7 +205,7 @@ func TestColdMapperAllocatesFourBitmaps(t *testing.T) {
 		acc := typelang.NewAccum(typelang.EquivKind)
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		n, _, err := newChunkMapper(nil).absorb(byteChunk{data: data}, acc)
+		n, err := newChunkMapper(nil).absorb(byteChunk{data: data, in: new(chunkReader)}, acc)
 		runtime.ReadMemStats(&after)
 		if n != len(clean)/len(record) || (err != nil) != (name == "odd-parity") {
 			t.Fatalf("%s: absorbed %d documents, err %v", name, n, err)

@@ -98,8 +98,7 @@ func assertMatchesOracle(t *testing.T, label string, data []byte, chunkings ...O
 // the same document count and — on malformed input — the same error
 // message and absolute offset, with type and count covering exactly the
 // documents before it. On valid input it also demands that no byte was
-// walked twice and, at several workers, that the committer re-walked
-// no window.
+// walked twice.
 func assertEngineYields(t *testing.T, label string, data []byte, base Options, workers []int, want *typelang.Type, wantN int, wantErr error) {
 	t.Helper()
 	check := func(input string, opts Options) {
@@ -108,9 +107,9 @@ func assertEngineYields(t *testing.T, label string, data []byte, base Options, w
 		var st PipelineStats
 		opts.Stats = &st
 		got, n, err := inferStreamOver(t, input, data, opts)
-		if s := st.Snapshot(); wantErr == nil && (s.BytesReindexed != 0 || opts.Workers > 1 && s.ChunksDirect != 0) {
-			t.Errorf("%s: bytes_reindexed=%d chunks_direct=%d on valid input; want 0 and, at several workers, 0: a window ends only where a document does",
-				name, s.BytesReindexed, s.ChunksDirect)
+		if s := st.Snapshot(); wantErr == nil && s.BytesReindexed != 0 {
+			t.Errorf("%s: bytes_reindexed=%d on valid input; want 0: a window ends only where a document does",
+				name, s.BytesReindexed)
 		}
 		if (err == nil) != (wantErr == nil) ||
 			(err != nil && (err.Error() != wantErr.Error() || syntaxOffset(err) != syntaxOffset(wantErr))) {

@@ -14,10 +14,9 @@ import (
 // the recorder's one lock at chunk granularity — never per document,
 // never per token — so the counters cost nothing measurable on the hot
 // path and nothing at all when Stats is nil (every site is nil-guarded).
-// A parallel worker's window is a guess until the committer decides it,
-// so its frame rides the window's result to the committer, which books
-// it into the run's frame (of a discarded window, only the clock and
-// the seal).
+// A parallel worker's frame rides its window's result to the committer,
+// which books it into the run's frame — of a window after the run's
+// first error, only the clock and the seal.
 //
 // The registry keeps one cumulative PipelineStats per collection (its
 // collector reports the read-side counters straight into it) and
@@ -46,12 +45,6 @@ type StatsSnapshot struct {
 	// the reference scanner (escaped strings, fancy numbers) instead of
 	// resolving positionally.
 	ScanDelegations int64
-	// ChunksDirect counts walks straight into the run's accumulator or a
-	// collector shard, with no chunk seal and no reduce: every window of
-	// the sequential shape, the parallel committer's re-walks. Against
-	// ChunksSplit it says which shape ran: equal on a one-worker run and
-	// on every collector feed, below it (0 on NDJSON) on a parallel one.
-	ChunksDirect int64
 	// RootFuses counts collector snapshots that found a shard changed
 	// and rebuilt the served schema (cache-miss reads). Collector only:
 	// 0 on a one-shot run.
@@ -65,9 +58,10 @@ type StatsSnapshot struct {
 	// not counted.
 	Seals int64
 	// BytesReindexed counts bytes indexed again: the part of a window
-	// from its straddler — the record its end cut — on, and the windows
-	// the parallel committer discarded and re-walked. 0 when windows end
-	// between documents (NDJSON).
+	// from its straddler — the malformed record its end cut — on, which
+	// is indexed once more with the line after the window. Once per run,
+	// the same in either shape, and 0 on valid input, where every window
+	// ends between documents.
 	BytesReindexed int64
 	// BytesCopied counts bytes the reader path moved during buffer
 	// compaction (the unsplit tail carried between refills) — the copy
@@ -121,10 +115,9 @@ var StatsFields = []StatsField{
 	{"pattern_records", "map", "Objects (at any depth) closed on the index walk's pattern tree of learned record layouts. Each worker learns the layouts anew, so at several workers the count differs between identical runs with the windows each worker took.", func(s *StatsSnapshot) *int64 { return &s.PatternRecords }},
 	{"fallback_records", "map", "Records the index walk delegated to the token walker (0 on well-formed input).", func(s *StatsSnapshot) *int64 { return &s.FallbackRecords }},
 	{"scan_delegations", "map", "Tokens the index and token walks handed to the reference scanner.", func(s *StatsSnapshot) *int64 { return &s.ScanDelegations }},
-	{"chunks_direct", "map", "Walks straight into the destination accumulator, with no chunk seal and no reduce: every window of the sequential shape, the parallel committer's re-walks from a straddler.", func(s *StatsSnapshot) *int64 { return &s.ChunksDirect }},
 	{"root_fuses", "fuse", "Collector reads that found new documents and rebuilt the served schema.", func(s *StatsSnapshot) *int64 { return &s.RootFuses }},
 	{"seals", "fuse", "Accumulator seals: per window in the parallel shape, once per one-shot run, per changed shard (and fuse) in collector reads.", func(s *StatsSnapshot) *int64 { return &s.Seals }},
-	{"bytes_reindexed", "split", "Bytes indexed again because their record straddled a window end: the straddler's part of its window, and the windows the parallel committer discarded and re-walked.", func(s *StatsSnapshot) *int64 { return &s.BytesReindexed }},
+	{"bytes_reindexed", "split", "Bytes indexed again because their malformed record straddled a window end: the straddler's part of its window, walked once more with the line after the window.", func(s *StatsSnapshot) *int64 { return &s.BytesReindexed }},
 	{"bytes_copied", "read", "Bytes moved during reader-path buffer compaction.", func(s *StatsSnapshot) *int64 { return &s.BytesCopied }},
 	{"buffers_recycled", "read", "Chunk arrays reacquired from the pool instead of allocated. At several workers it depends on when workers release their windows, so it differs between identical runs.", func(s *StatsSnapshot) *int64 { return &s.BuffersRecycled }},
 	{"mmap_inputs", "read", "Inputs served through a memory mapping; every other input was read through the run's pool.", func(s *StatsSnapshot) *int64 { return &s.MmapInputs }},

@@ -202,9 +202,9 @@ func TestStatsShardedCollector(t *testing.T) {
 	if fed.RootFuses != 0 || fed.FuseNanos != 0 {
 		t.Errorf("RootFuses=%d FuseNanos=%d before any read, want 0/0", fed.RootFuses, fed.FuseNanos)
 	}
-	if fed.ChunksSplit < 3*2 || fed.ChunksDirect != fed.ChunksSplit || fed.Seals != 0 || fed.SplitNanos <= 0 {
-		t.Errorf("chunks_split=%d chunks_direct=%d seals=%d split=%dns before any read, want several windows per body, all direct, no seal, each cut on the clock",
-			fed.ChunksSplit, fed.ChunksDirect, fed.Seals, fed.SplitNanos)
+	if fed.ChunksSplit < 3*2 || fed.Seals != 0 || fed.SplitNanos <= 0 {
+		t.Errorf("chunks_split=%d seals=%d split=%dns before any read, want several windows per body absorbed in line (no seal), each cut on the clock",
+			fed.ChunksSplit, fed.Seals, fed.SplitNanos)
 	}
 	if fed.ReduceNanos != 0 {
 		t.Errorf("ReduceNanos=%d, want 0: a collector feed has no committer", fed.ReduceNanos)
@@ -297,9 +297,9 @@ func TestStatsOneShotRunSealsOnce(t *testing.T) {
 				Options{Equiv: typelang.EquivLabel, Workers: workers, batch: chunking.batch, ChunkBytes: chunking.ChunkBytes, Stats: &st}, col); err != nil {
 				t.Fatal(err)
 			}
-			if s := st.Snapshot(); s.Seals != 0 || s.ReduceNanos != 0 || s.ChunksDirect != s.ChunksSplit {
-				t.Errorf("%s/w%d: registry feed recorded seals=%d reduce=%dns chunks_direct=%d of %d, want 0, 0 and every window direct",
-					fixture, workers, s.Seals, s.ReduceNanos, s.ChunksDirect, s.ChunksSplit)
+			if s := st.Snapshot(); s.Seals != 0 || s.ReduceNanos != 0 {
+				t.Errorf("%s/w%d: registry feed recorded seals=%d reduce=%dns, want 0 and 0: every window absorbed in line",
+					fixture, workers, s.Seals, s.ReduceNanos)
 			}
 			col.Close()
 			if s := st.Snapshot(); s.RootFuses != 1 || s.FuseNanos <= 0 {
@@ -312,15 +312,15 @@ func TestStatsOneShotRunSealsOnce(t *testing.T) {
 
 // TestDiscardedWindowsBookNoRecords: on pretty-printed documents whose
 // lines are stripped of their indentation every inner line starts like
-// a document, yet no window begins inside one, so nothing is re-walked.
-// Then a record missing the comma before a member on a line of its own,
-// which boundary takes for a document's end, ends a window: the walk of
-// the window ends on a straddler, the next window's walk begins inside
-// that record, and the committer discards it and re-walks from the
-// straddler. A discarded walk books its clock and its seal, never its
-// records: fallback_records counts the malformed record once, as the
-// sequential shape does, at both window sizes, and schema, count and
-// error are the sequential shape's.
+// a document, yet no window begins inside one, so nothing is walked
+// twice. Then a record missing the comma before a member on a line of
+// its own, which boundary takes for a document's end, ends a window:
+// its worker walks the straddler again through the line after the
+// window, and that error ends the run. The windows after it, walked
+// from inside that record, book their clock and their seal, never their
+// records: fallback_records, pattern_records and scan_delegations are
+// the sequential shape's at both window sizes, and so are schema, count
+// and error.
 func TestDiscardedWindowsBookNoRecords(t *testing.T) {
 	var clean []byte
 	for _, doc := range genjson.Collection(genjson.Twitter{Seed: 1}, DefaultBatch-1) {
@@ -329,28 +329,30 @@ func TestDiscardedWindowsBookNoRecords(t *testing.T) {
 		}
 	}
 	const bad = "{\"a\": 1\n\"b\": 2}\n"
-	broken := append(slices.Clip(clean), bad...)
+	broken := slices.Concat(clean, []byte(bad), clean)
 	cut := len(clean) + strings.IndexByte(bad, '\n') + 1 // the DefaultBatch'th boundary
-	for _, c := range []struct {
-		data             []byte
-		windows, rewalks int64
-	}{{clean, 1, 0}, {broken, 2, 1}} {
+	for _, data := range [][]byte{clean, broken} {
 		var one PipelineStats
-		want, wantN, wantErr := InferStream(bytes.NewReader(c.data), Options{Equiv: typelang.EquivLabel, Workers: 1, Stats: &one})
+		want, wantN, wantErr := InferStream(bytes.NewReader(data), Options{Equiv: typelang.EquivLabel, Workers: 1, Stats: &one})
+		o := one.Snapshot()
 		for _, chunkBytes := range []int{0, cut} {
-			label := fmt.Sprintf("%d bytes, chunk-bytes %d", len(c.data), chunkBytes)
+			label := fmt.Sprintf("%d bytes, chunk-bytes %d", len(data), chunkBytes)
 			var st PipelineStats
-			got, n, err := InferStream(bytes.NewReader(c.data), Options{Equiv: typelang.EquivLabel, Workers: 2, ChunkBytes: chunkBytes, Stats: &st})
+			got, n, err := InferStream(bytes.NewReader(data), Options{Equiv: typelang.EquivLabel, Workers: 2, ChunkBytes: chunkBytes, Stats: &st})
 			if fmt.Sprint(err) != fmt.Sprint(wantErr) || n != wantN || got.StringCounted() != want.StringCounted() {
 				t.Errorf("%s: %d docs, error %v, want %d, %v; schema equal to one worker's: %v", label, n, err, wantN, wantErr, got.StringCounted() == want.StringCounted())
 			}
 			s := st.Snapshot()
-			if s.ChunksSplit != c.windows || s.ChunksDirect != c.rewalks {
-				t.Errorf("%s: chunks_split=%d chunks_direct=%d, want %d and %d", label, s.ChunksSplit, s.ChunksDirect, c.windows, c.rewalks)
+			if malformed := len(data) > len(clean); malformed && s.ChunksSplit < 2 || !malformed && s.ChunksSplit != 1 {
+				t.Errorf("%s: chunks_split=%d; want one window of the clean documents, several of the broken ones", label, s.ChunksSplit)
 			}
-			if fb := one.Snapshot().FallbackRecords; s.FallbackRecords != fb || s.Seals != s.ChunksSplit+1 || s.MapNanos <= 0 {
-				t.Errorf("%s: fallback_records=%d seals=%d map=%dns over %d windows, want %d, one per window plus the final one, and a clock",
-					label, s.FallbackRecords, s.Seals, s.MapNanos, s.ChunksSplit, fb)
+			if s.FallbackRecords != o.FallbackRecords || s.PatternRecords != o.PatternRecords || s.ScanDelegations != o.ScanDelegations {
+				t.Errorf("%s: fallback_records=%d pattern_records=%d scan_delegations=%d, want one worker's %d, %d and %d",
+					label, s.FallbackRecords, s.PatternRecords, s.ScanDelegations, o.FallbackRecords, o.PatternRecords, o.ScanDelegations)
+			}
+			// A window cut after the error was recorded is never sent.
+			if s.Seals < 2 || s.Seals > s.ChunksSplit+1 || s.MapNanos <= 0 {
+				t.Errorf("%s: seals=%d map=%dns over %d windows, want one per window walked plus the final one, and a clock", label, s.Seals, s.MapNanos, s.ChunksSplit)
 			}
 		}
 	}

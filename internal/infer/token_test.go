@@ -218,37 +218,54 @@ func TestParallelRunStartsOnlyTheWorkersItUses(t *testing.T) {
 
 // TestInferStreamIOErrorNotMaskedAsSyntax: when the reader dies mid-
 // document, the engine must report the I/O error, not a syntax error
-// manufactured by the truncation, and must cover the complete prefix.
+// manufactured by the truncation, and must cover the complete prefix —
+// also when the failure truncates the line after a window that ends
+// inside a document, whose error that line decides. A genuine syntax
+// error before the failure still wins: it is earlier in the stream, in
+// a window — or before the line — the failed read did not truncate.
+// Every shape alike, the collector feed included.
 func TestInferStreamIOErrorNotMaskedAsSyntax(t *testing.T) {
 	ioErr := errors.New("connection reset by peer")
-	payload := "{\"a\": 1}\n{\"a\": 2}\n{\"a\": 3}\n{\"a\":"
-	for _, workers := range sweepWorkers {
-		ty, n, err := InferStream(
-			&failingReader{data: []byte(payload), err: ioErr},
-			Options{Workers: workers, batch: 2})
-		if !errors.Is(err, ioErr) {
-			t.Fatalf("workers=%d: error = %v, want the reader's I/O error", workers, err)
-		}
-		if n != 3 {
-			t.Errorf("workers=%d: typed %d docs, want the 3 complete ones", workers, n)
-		}
-		if got := ty.String(); got != "{a: Int}" {
-			t.Errorf("workers=%d: prefix type = %s", workers, got)
-		}
-	}
-	// A genuine syntax error before the I/O failure still wins: it is
-	// earlier in the stream, in a chunk — at one worker, a window — the
-	// failed read did not truncate.
-	bad := "{\"a\": 1}\n{]\n{\"a\": 2}\n"
-	for _, workers := range sweepWorkers {
-		_, n, err := InferStream(
-			&failingReader{data: []byte(bad), err: ioErr},
-			Options{Workers: workers, batch: 1, ChunkBytes: 1})
-		if err == nil || errors.Is(err, ioErr) {
-			t.Fatalf("workers=%d: error = %v, want the syntax error from the malformed document", workers, err)
-		}
-		if n != 1 {
-			t.Errorf("workers=%d: typed %d docs before the syntax error, want 1", workers, n)
+	for _, c := range []struct {
+		data   string
+		opts   Options
+		n      int
+		prefix string
+		ioErr  bool
+	}{
+		{"{\"a\": 1}\n{\"a\": 2}\n{\"a\": 3}\n{\"a\":", Options{batch: 2}, 3, "{a: Int}", true},
+		{"{\"a\": 1}\n{]\n{\"a\": 2}\n", Options{batch: 1, ChunkBytes: 1}, 1, "{a: Int}", false},
+		// The window "{\"a\": 1\n" ends inside its document, whose line
+		// "\"b\": 2" runs into the failure.
+		{"1\n{\"a\": 1\n\"b\": 2", Options{ChunkBytes: 1}, 1, "Int", true},
+		// One window holds "{]" and that straddler: its walk stops at
+		// "{]" and never reaches the line.
+		{"1\n{]\n{\"a\": 1\n\"b\": 2", Options{ChunkBytes: 6}, 1, "Int", false},
+	} {
+		for _, workers := range append([]int{0}, sweepWorkers...) {
+			label := fmt.Sprintf("%q/w%d", c.data, workers)
+			opts := c.opts
+			opts.Workers = workers
+			r := &failingReader{data: []byte(c.data), err: ioErr}
+			var n int
+			var err error
+			if workers == 0 {
+				label += "/into"
+				n, err = InferStreamInto(r, opts, NewShardedCollector(2, opts.Equiv))
+			} else {
+				var ty *typelang.Type
+				ty, n, err = InferStream(r, opts)
+				if ty.String() != c.prefix {
+					t.Errorf("%s: prefix type = %s, want %s", label, ty, c.prefix)
+				}
+			}
+			var se *jsontext.SyntaxError
+			if errors.Is(err, ioErr) != c.ioErr || !c.ioErr && !errors.As(err, &se) {
+				t.Errorf("%s: error = %v, want the reader's I/O error: %v", label, err, c.ioErr)
+			}
+			if n != c.n {
+				t.Errorf("%s: typed %d docs, want the %d complete ones", label, n, c.n)
+			}
 		}
 	}
 }

@@ -25,7 +25,11 @@ import (
 // structure directly in the chunk accumulator (typelang.Target), and
 // the steady state of a worker — same shapes, chunk after chunk —
 // allocates nothing in the map phase at all. Because the work queue
-// carries raw byte chunks, lexing itself runs on every worker.
+// carries raw byte chunks, lexing itself runs on every worker. Every
+// walk of a window is final in either shape — a document the window's
+// end cuts is malformed, and is walked once more through the line after
+// the window (chunkMapper.absorb) — so the parallel shape's committer
+// only orders the windows' types and stops at the first error.
 
 // AbsorbFromTokens types exactly one JSON value read from tr straight
 // into acc — the fused map phase: the document's structure lands in the
@@ -201,15 +205,17 @@ func absorbObject(tr jsontext.TokenSource, dst typelang.Target, depth int) error
 // byteChunk is one window of the input in, handed to the map phase with
 // the offset of its first byte within in for exact error attribution.
 // It holds a reference on the chunkBuf it aliases — pooled array or
-// mapped pages (see windows). open marks a window more of in follows:
-// it may end inside a document (chunkMapper.absorb). index numbers the
-// windows of a parallel run (pipeChunks).
+// mapped pages (see windows). next is the length of the line after the
+// window, over the same array: 0 marks in's last window, and otherwise
+// the line decides the error of a document the window's end cut
+// (chunkMapper.absorb). index numbers the windows of a parallel run
+// (pipeChunks).
 type byteChunk struct {
 	index int
 	base  int
 	data  []byte
+	next  int
 	buf   *chunkBuf
-	open  bool
 	in    *chunkReader
 }
 
@@ -251,40 +257,51 @@ func newChunkMapper(st *PipelineStats) *chunkMapper {
 // absorb absorbs every document of ch into acc off the structural index
 // (a record the index walk cannot certify falls back to the token walk
 // over the same index inside AbsorbFromIndex, which words every error).
-// It returns the number of documents absorbed, how many of ch's bytes
-// it consumed and the first error; acc then holds exactly the documents
-// before it (a failed document's staged frames are aborted). used is
-// all of ch, unless ch is an open window whose last record failed with
-// an error more input could cure. That record is the straddler: nothing
-// of it was committed, it is no error, and used is its first byte —
-// where the next walk begins.
-func (m *chunkMapper) absorb(ch byteChunk, acc *typelang.Accum) (n, used int, err error) {
+// It returns the number of documents absorbed and the first error; acc
+// then holds exactly the documents before it (a failed document's
+// staged frames are aborted). The error is final. A window ends only
+// where a valid document can end, so a record the window's end cuts —
+// the straddler, failing with an error more input could cure — is
+// malformed, and its first error lies on the line after the window: the
+// straddler is indexed again through that line and walked once, and
+// that walk's error is its. A read failure of ch's input wins over the
+// result of a walk that reached the input's end, and over no other.
+func (m *chunkMapper) absorb(ch byteChunk, acc *typelang.Accum) (n int, err error) {
 	start := statsClock(m.st)
 	_ = m.ia.Reset(ch.data, ch.base) // always nil; the result is bench/'s to check
 	for err = AbsorbFromIndex(m.ia, acc); err == nil; err = AbsorbFromIndex(m.ia, acc) {
 		n++
+	}
+	atEnd := ch.next == 0 // the walk reached the end of its input
+	if errors.Is(err, io.EOF) {
+		err = nil
+	} else if !atEnd && curable(err, ch.base+len(ch.data)) {
+		// m.ia.pos is where the straddler begins.
+		used := m.ia.pos
+		line := ch.data[used : len(ch.data)+ch.next]
+		m.frame.FallbackRecords-- // the walk's bail was the window's end, not the record
+		m.frame.BytesReindexed += int64(len(ch.data) - used)
+		_ = m.ia.Reset(line, ch.base+used)
+		if err = AbsorbFromIndex(m.ia, acc); err == nil {
+			err = fmt.Errorf("infer: internal error: the document at offset %d completed past a window's cut", ch.base+used)
+		}
+		atEnd = line[len(line)-1] != '\n'
 	}
 	_, fb := m.ia.TakeRecordCounts()
 	m.frame.FallbackRecords += fb
 	m.frame.PatternRecords += m.ia.TakePatternRecords()
 	m.frame.ScanDelegations += m.ia.TakeScanDelegations()
 	statsSince(m.st, &m.frame.MapNanos, start)
-	used = len(ch.data)
-	if errors.Is(err, io.EOF) {
-		err = nil
-	} else if ch.open && curable(err, ch.base+used) {
-		// m.ia.pos is where the record err is about begins.
-		used, err = m.ia.pos, nil
-		m.frame.FallbackRecords-- // the walk's bail was the window's end, not the record
+	if atEnd && ch.in.err != nil {
+		err = ch.in.err
 	}
-	return n, used, err
+	return n, err
 }
 
 // direct is absorb in the sequential shape: straight into the
-// destination accumulator, counted as such and published per window.
-func (m *chunkMapper) direct(ch byteChunk, acc *typelang.Accum) (int, int, error) {
+// destination accumulator, published per window.
+func (m *chunkMapper) direct(ch byteChunk, acc *typelang.Accum) (int, error) {
 	defer m.frame.flush(m.st)
-	m.frame.ChunksDirect++
 	return m.absorb(ch, acc)
 }
 
@@ -320,7 +337,8 @@ func (f *statsFrame) seal(acc *typelang.Accum, st *PipelineStats, clock *int64) 
 // On a malformed document the error carries its absolute stream offset,
 // and the returned type and count cover exactly the documents before it
 // — work done on later windows is discarded. A read error from r wins
-// over a syntax error in the window it truncated.
+// over a syntax error in the bytes before it that it truncated: the last
+// window, or the line after a window ending inside a document.
 func InferStream(r io.Reader, opts Options) (*typelang.Type, int, error) {
 	return run(only(source{r: r, pool: new(chunkPool)}), opts)
 }
@@ -358,11 +376,11 @@ func run(inputs iter.Seq2[source, error], opts Options) (*typelang.Type, int, er
 	var frame statsFrame
 	acc := typelang.NewAccum(opts.Equiv)
 	window, docs := opts.window(sequentialChunkBytes), 0
-	var direct func(byteChunk) (int, int, error)
+	var direct func(byteChunk) (int, error)
 	var finish func(error) (int, error)
 	if opts.workers() <= 1 {
 		m := newChunkMapper(st)
-		direct = func(ch byteChunk) (int, int, error) { return m.direct(ch, acc) }
+		direct = func(ch byteChunk) (int, error) { return m.direct(ch, acc) }
 	} else {
 		if window = opts.window(0); window == 0 {
 			docs = opts.batchSize()
@@ -404,30 +422,26 @@ func run(inputs iter.Seq2[source, error], opts Options) (*typelang.Type, int, er
 // col's next Snapshot.
 func InferStreamInto(r io.Reader, opts Options, col *ShardedCollector) (int, error) {
 	window := opts.window(chunkReadSize)
-	return windows(newChunkReader(source{r: r, pool: &col.chunks}, window, opts.Stats), window, 0, func(ch byteChunk) (int, int, error) {
+	return windows(newChunkReader(source{r: r, pool: &col.chunks}, window, opts.Stats), window, 0, func(ch byteChunk) (int, error) {
 		return col.absorbChunk(opts.Stats, ch)
 	})
 }
 
 // chunkResult is what a worker makes of one window: the sealed type of
-// the documents its walk absorbed, how many, how many of the window's
-// bytes the walk consumed (all, but for a straddler), its first error
-// and the counters of the walk and the seal — a guess until the
-// committer accepts it, as on malformed input the window may have
-// begun inside a document.
+// the documents its walk absorbed, how many, its first error and the
+// counters of the walk and the seal.
 type chunkResult struct {
 	ch    byteChunk
 	t     *typelang.Type
 	n     int
-	used  int
 	err   error
 	frame StatsSnapshot
 }
 
-// commitBatch is how many accepted window types the committer buffers
-// per hand-off to the run's accumulator (one reduce clock reading per
-// batch instead of per window). The buffer holds only accepted results
-// and is flushed before an error is recorded.
+// commitBatch is how many window types the committer buffers per
+// hand-off to the run's accumulator (one reduce clock reading per batch
+// instead of per window). The buffer is flushed before an error is
+// recorded.
 const commitBatch = 8
 
 // errStopped is what pipeChunks' send returns once the committer has
@@ -437,22 +451,22 @@ var errStopped = errors.New("infer: run stopped")
 // pipeChunks starts the parallel shape: workers absorbing the windows
 // given to send, each into its own accumulator (Reset between windows,
 // so the steady state allocates nothing) sealed per window, and a
-// committer deciding in run order what of that speculation holds. send
-// numbers the windows across the run's inputs, starts worker k with
-// window k (so a run starts no more workers than it has windows), keeps
-// a reference on each window's buffer for the committer to release,
-// and reports errStopped after the first error. finish, called with
-// the error that ended the input loop, waits for the workers and the
-// committer and returns the number of documents committed — exactly
-// those before the first error — and that error.
-func pipeChunks(opts Options, acc *typelang.Accum, frame *statsFrame) (send func(byteChunk) (int, int, error), finish func(error) (int, error)) {
+// committer folding their types into acc in run order. send numbers the
+// windows across the run's inputs, starts worker k with window k (so a
+// run starts no more workers than it has windows), keeps a reference on
+// each window's buffer for the committer to release, and reports
+// errStopped after the first error. finish, called with the error that
+// ended the input loop, waits for the workers and the committer and
+// returns the number of documents committed — exactly those before the
+// first error — and that error.
+func pipeChunks(opts Options, acc *typelang.Accum, frame *statsFrame) (send func(byteChunk) (int, error), finish func(error) (int, error)) {
 	workers := opts.workers()
 	// The buffers are sized for the workers that can run at once, so
 	// Workers far above GOMAXPROCS costs nothing it does not use.
 	slots := min(workers, runtime.GOMAXPROCS(0))
 	work := make(chan byteChunk, 2*slots)
 	results := make(chan chunkResult, slots)
-	c := &committer{st: opts.Stats, acc: acc, frame: frame, stop: make(chan struct{}), m: newChunkMapper(opts.Stats)}
+	c := &committer{st: opts.Stats, acc: acc, frame: frame, stop: make(chan struct{})}
 
 	var wg sync.WaitGroup
 	worker := func() {
@@ -461,9 +475,9 @@ func pipeChunks(opts Options, acc *typelang.Accum, frame *statsFrame) (send func
 		acc := typelang.NewAccum(opts.Equiv)
 		for ch := range work {
 			acc.Reset()
-			n, used, err := m.absorb(ch, acc)
+			n, err := m.absorb(ch, acc)
 			t := m.frame.seal(acc, opts.Stats, &m.frame.MapNanos)
-			r := chunkResult{ch: ch, t: t, n: n, used: used, err: err, frame: m.frame.StatsSnapshot}
+			r := chunkResult{ch: ch, t: t, n: n, err: err, frame: m.frame.StatsSnapshot}
 			m.frame = statsFrame{}
 			results <- r
 		}
@@ -479,14 +493,14 @@ func pipeChunks(opts Options, acc *typelang.Accum, frame *statsFrame) (send func
 			for r, ok := pending[next]; ok; r, ok = pending[next] {
 				delete(pending, next)
 				next++
-				c.decide(r)
+				c.commit(r)
 				r.ch.buf.release()
 			}
 		}
 		c.flush()
 	}()
 	sent := 0
-	send = func(ch byteChunk) (int, int, error) {
+	send = func(ch byteChunk) (int, error) {
 		ch.index, sent = sent, sent+1
 		if ch.index < workers {
 			wg.Add(1)
@@ -495,10 +509,10 @@ func pipeChunks(opts Options, acc *typelang.Accum, frame *statsFrame) (send func
 		ch.buf.acquire()
 		select {
 		case work <- ch:
-			return 0, len(ch.data), nil
+			return 0, nil
 		case <-c.stop:
 			ch.buf.release()
-			return 0, 0, errStopped
+			return 0, errStopped
 		}
 	}
 	finish = func(rerr error) (int, error) {
@@ -516,91 +530,41 @@ func pipeChunks(opts Options, acc *typelang.Accum, frame *statsFrame) (send func
 	return send, finish
 }
 
-// committer is the parallel shape's reduce and the check on its
-// speculation, by induction: window 0 begins at a document boundary,
-// and window i does exactly when the walk committed for window i-1
-// ended with no straddler. Then the worker's walk is the sequential
-// shape's and is accepted, error included; otherwise it is discarded,
-// error included, and the committer walks from the straddler itself.
+// committer is the parallel shape's reduce. Every window up to the
+// first error begins at a document — the first does, and a window whose
+// walk found no error ended where a document did — so each worker's
+// walk is the sequential shape's, error included: the committer only
+// orders the windows, batches their types and stops at the first error.
 type committer struct {
 	st    *PipelineStats
 	acc   *typelang.Accum
-	frame *statsFrame // the run's: the reduce clock, bytes_reindexed and the workers' counters
+	frame *statsFrame // the run's: the reduce clock and the workers' counters
 	stop  chan struct{}
-	batch []*typelang.Type // accepted window types not yet in acc
+	batch []*typelang.Type // window types not yet in acc
 
 	total int
 	err   error
-
-	// tail holds the bytes from the open straddler (at absolute offset
-	// base; empty: none) to the end of the windows decided since; the
-	// next re-walk waits until it holds need bytes.
-	tail []byte
-	base int
-	need int
-	m    *chunkMapper // the re-walks'
 }
 
-// decide accepts r, or discards it and, once tail holds enough bytes,
-// walks tail in line into the run's accumulator with the committer's
-// own mapper. The bytes walked again count into bytes_reindexed. An
-// accepted window's counters join the run's; of a discarded one only
-// the clock and the seal do, the work that was really done — its
-// walk's records, fallbacks and delegations were a guess.
-func (c *committer) decide(r chunkResult) {
-	if c.err != nil || len(c.tail) > 0 {
+// commit books r, the next window in run order: its documents, its type
+// and its counters, and its error, which ends the run. Of a window after
+// the error only the clock and the seal count, the work that was really
+// done — its records, fallbacks and delegations were never the run's.
+func (c *committer) commit(r chunkResult) {
+	if c.err != nil {
 		c.frame.MapNanos += r.frame.MapNanos
 		c.frame.Seals += r.frame.Seals
-	}
-	if c.err != nil {
 		return
 	}
-	if len(c.tail) == 0 {
-		c.frame.Add(r.frame)
-		c.batch = append(c.batch, r.t)
-		if len(c.batch) == commitBatch {
-			c.flush()
-		}
-		c.commit(r.ch, r.n, r.used, r.err)
-		return
-	}
-	c.frame.BytesReindexed += int64(len(r.ch.data))
-	c.tail = append(c.tail, r.ch.data...)
-	// Twice the bytes, rounded to the nearest window: a window ends a
-	// few bytes short of its target, and waiting for one more would
-	// compound into every later doubling.
-	if r.ch.open && len(c.tail)+len(r.ch.data)/2 < c.need {
-		return
-	}
-	walk := r.ch
-	walk.base, walk.data = c.base, c.tail
-	n, used, err := c.m.direct(walk, c.acc)
-	c.commit(walk, n, used, err)
-}
-
-// commit books a committed walk of ch: its documents, and its error,
-// which ends the run, or its straddler, which becomes tail. A read
-// failure truncates its input's last window, so it wins over the error
-// the walk through that window found, and over no other. After a walk
-// that completed no document the next re-walk waits for twice the
-// bytes — windows' own doubling — so the bytes walked again stay O(n).
-func (c *committer) commit(ch byteChunk, n, used int, err error) {
-	c.total += n
-	if !ch.open && ch.in.err != nil {
-		err = ch.in.err
-	}
-	if err != nil {
+	c.frame.Add(r.frame)
+	c.total += r.n
+	c.batch = append(c.batch, r.t)
+	if len(c.batch) == commitBatch || r.err != nil {
 		c.flush()
-		c.err = named(ch.in.name, err)
-		close(c.stop)
-		return
 	}
-	rest := ch.data[used:]
-	c.frame.BytesReindexed += int64(len(rest))
-	c.tail = append(c.tail[:0], rest...)
-	c.base, c.need = ch.base+used, 0
-	if n == 0 {
-		c.need = 2 * len(rest)
+	if r.err != nil {
+		c.err = named(r.ch.in.name, r.err)
+		close(c.stop)
 	}
 }
 

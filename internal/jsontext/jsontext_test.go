@@ -97,6 +97,38 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
+// TestHex4TruncatedOnlyWhenEveryByteIsHex: a \u escape with fewer than
+// four bytes in hand is a truncation only when each of those bytes is a
+// hex digit, as literal and numErrAt decide theirs; a byte that no more
+// input can make a hex digit is the error, at its offset.
+func TestHex4TruncatedOnlyWhenEveryByteIsHex(t *testing.T) {
+	for _, c := range []struct {
+		in        string
+		offset    int
+		truncated bool
+	}{
+		{"\"\\u", 3, true},
+		{"\"\\u12", 3, true},
+		{"\"\\u\n0", 3, false},
+		{"\"\\u1x", 4, false},
+		{"\"\\u12\n", 5, false},
+		{"\"\\u123g\"", 6, false},
+	} {
+		for _, skip := range []bool{false, true} {
+			l := lexer{data: []byte(c.in)}
+			_, err := l.next(skip)
+			var se *SyntaxError
+			if !errors.As(err, &se) || se.Offset != c.offset || se.Truncated() != c.truncated {
+				t.Errorf("%q (skip %v): error %v, want one at offset %d, truncated %v", c.in, skip, err, c.offset, c.truncated)
+				continue
+			}
+			if want := "truncated \\u escape"; c.truncated != (se.Msg == want) {
+				t.Errorf("%q (skip %v): %q; truncated reads %q, every other error names its digit", c.in, skip, se.Msg, want)
+			}
+		}
+	}
+}
+
 func TestParseDeepNestingBounded(t *testing.T) {
 	depth := MaxDepth + 10
 	in := strings.Repeat("[", depth) + strings.Repeat("]", depth)

@@ -375,12 +375,15 @@ func (l *lexer) scanUnicodeEscape() (rune, error) {
 	return rune(r1), nil
 }
 
+// hex4 decodes the four hex digits of a \u escape. Fewer than four
+// bytes in hand is a truncation only when every one of them is a hex
+// digit, as literal and numErrAt decide theirs.
 func (l *lexer) hex4() (uint32, error) {
-	if l.pos+4 > len(l.data) {
-		return 0, errTruncAt(l.pos, "truncated \\u escape")
-	}
 	var v uint32
 	for i := 0; i < 4; i++ {
+		if l.pos+i == len(l.data) {
+			return 0, errTruncAt(l.pos, "truncated \\u escape")
+		}
 		c := l.data[l.pos+i]
 		var d uint32
 		switch {

@@ -186,9 +186,8 @@ type IngestResult struct {
 	// exactly this ingest (the read-side ones, seals, fuses and the fuse
 	// clock, accrue on the collection's shared collector and appear in
 	// Snapshot.Pipeline). Every body is absorbed in line, window by
-	// window, so ChunksDirect == ChunksSplit and Seals and ReduceNanos
-	// are 0. The daemon's tracer and slow-request log read
-	// the window and fallback figures from here.
+	// window, so Seals and ReduceNanos are 0. The daemon's tracer and
+	// slow-request log read the window and fallback figures from here.
 	Stats infer.StatsSnapshot
 }
 

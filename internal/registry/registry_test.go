@@ -288,10 +288,9 @@ func TestConcurrentIngestStorm(t *testing.T) {
 		// After quiesce the flight recorder reconciles exactly with the
 		// registry's own accounting: every ingest was absorbed in line
 		// and no record fell back (the corpus is clean).
-		if p := snap.Pipeline; p.ChunksDirect != p.ChunksSplit || p.ChunksSplit < snap.Ingests ||
-			p.FallbackRecords != 0 {
-			t.Errorf("%s: pipeline stats do not reconcile: windows=%d direct=%d over %d ingests, fallback=%d",
-				name, p.ChunksSplit, p.ChunksDirect, snap.Ingests, p.FallbackRecords)
+		if p := snap.Pipeline; p.ChunksSplit < snap.Ingests || p.ReduceNanos != 0 || p.FallbackRecords != 0 {
+			t.Errorf("%s: pipeline stats do not reconcile: windows=%d over %d ingests, reduce=%dns, fallback=%d",
+				name, p.ChunksSplit, snap.Ingests, p.ReduceNanos, p.FallbackRecords)
 		}
 		if snap.Version != writers*slices || snap.Ingests != writers*slices || snap.Errors != 0 {
 			t.Errorf("%s: version=%d ingests=%d errors=%d, want %d/%d/0",
@@ -763,8 +762,8 @@ func TestPipelineStatsReconcile(t *testing.T) {
 		if err != nil {
 			t.Fatalf("ingest %d: %v", i, err)
 		}
-		if res.Stats.ChunksSplit < 1 || res.Stats.ChunksDirect != res.Stats.ChunksSplit {
-			t.Errorf("per-call delta: %d windows, %d direct; want at least one, all direct", res.Stats.ChunksSplit, res.Stats.ChunksDirect)
+		if res.Stats.ChunksSplit < 1 || res.Stats.Seals != 0 {
+			t.Errorf("per-call delta: %d windows, %d seals; want at least one, absorbed in line", res.Stats.ChunksSplit, res.Stats.Seals)
 		}
 		sum.Add(res.Stats)
 		wantDocs += int64(res.Docs)
@@ -787,7 +786,7 @@ func TestPipelineStatsReconcile(t *testing.T) {
 		{p.ReadNanos, sum.ReadNanos, 7},
 		{p.SplitNanos, sum.SplitNanos, 8},
 		{p.MapNanos, sum.MapNanos, 9},
-		{p.ChunksDirect, sum.ChunksDirect, 10},
+		{p.BytesReindexed, sum.BytesReindexed, 10},
 	}
 	for _, e := range exact {
 		if e[0] != e[1] {
@@ -807,9 +806,9 @@ func TestPipelineStatsReconcile(t *testing.T) {
 	// — four ingests by a lone shipper, one read — one cache-miss
 	// read, whose one seal (the one shard that holds data; nothing to
 	// fuse) is all the cumulative count has.
-	if p.ChunksDirect != 4 || sum.Seals != 0 || p.ReduceNanos != 0 {
-		t.Errorf("ChunksDirect=%d, ingest seals=%d, ReduceNanos=%d; want 4 in-line chunks, 0, 0",
-			p.ChunksDirect, sum.Seals, p.ReduceNanos)
+	if p.ChunksSplit != 4 || sum.Seals != 0 || p.ReduceNanos != 0 {
+		t.Errorf("ChunksSplit=%d, ingest seals=%d, ReduceNanos=%d; want 4 in-line chunks, 0, 0",
+			p.ChunksSplit, sum.Seals, p.ReduceNanos)
 	}
 	if p.RootFuses != 1 || p.FuseNanos <= 0 {
 		t.Errorf("RootFuses=%d FuseNanos=%d after one read, want 1 and a running clock", p.RootFuses, p.FuseNanos)
@@ -896,9 +895,9 @@ func TestSealsFollowReadsNotIngests(t *testing.T) {
 	if p.RootFuses != reads {
 		t.Errorf("RootFuses=%d over %d ingests and %d reads, want one per read", p.RootFuses, bodies, reads)
 	}
-	if p.Seals != reads || p.ChunksDirect != bodies {
-		t.Errorf("Seals=%d ChunksDirect=%d over %d one-window ingests and %d reads, want one seal per read and every window in line",
-			p.Seals, p.ChunksDirect, bodies, reads)
+	if p.Seals != reads || p.ChunksSplit != bodies || p.ReduceNanos != 0 {
+		t.Errorf("Seals=%d ChunksSplit=%d ReduceNanos=%d over %d one-window ingests and %d reads, want one seal per read and every window in line",
+			p.Seals, p.ChunksSplit, p.ReduceNanos, bodies, reads)
 	}
 }
 
@@ -1057,9 +1056,9 @@ func TestOneChunkIngestStartsNoGoroutine(t *testing.T) {
 			if rd.max != before {
 				t.Errorf("%s: %d goroutines while the body was read, %d before the call", label, rd.max, before)
 			}
-			if s := res.Stats; s.ChunksSplit < c.windows || s.ChunksDirect != s.ChunksSplit || s.Seals != 0 || s.ReduceNanos != 0 {
-				t.Errorf("%s: chunks_split=%d chunks_direct=%d seals=%d reduce=%dns, want >= %d windows, all direct, 0, 0",
-					label, s.ChunksSplit, s.ChunksDirect, s.Seals, s.ReduceNanos, c.windows)
+			if s := res.Stats; s.ChunksSplit < c.windows || s.Seals != 0 || s.ReduceNanos != 0 {
+				t.Errorf("%s: chunks_split=%d seals=%d reduce=%dns, want >= %d windows absorbed in line: 0, 0",
+					label, s.ChunksSplit, s.Seals, s.ReduceNanos, c.windows)
 			}
 			if snap, _ := reg.Get("c"); res.Docs != wantN || snap.Docs != int64(wantN) || snap.Type.StringCounted() != want.StringCounted() {
 				t.Errorf("%s: kept %d docs (snapshot %d) as %s, oracle %d as %s",

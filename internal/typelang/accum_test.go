@@ -622,7 +622,7 @@ func recordAlts(t *Type) []*Type {
 
 // TestHeldGroupTakesEveryKindOfSecondRecord drives a held group's second
 // record in through each surface — a sealed type, a staged record at the
-// root (the committer's re-walk into the run's accumulator), a staged
+// root (a window walked in line into the run's accumulator), a staged
 // root array committed through absorbNode — and then a third sealed
 // type, below and past the label-key index: after every step the seal
 // must equal MergeAll over what was absorbed. Each document has a label
