@@ -26,6 +26,7 @@ race:
 
 # The differentials, $(FUZZTIME) each: the index walk and the token
 # walk over mison's structural index against the reference lexer, the
+# index's four bitmaps against a byte-at-a-time reference, the
 # reference lexer against the DOM decoder, the absorption surface
 # against MergeAll, windows (any target, one, two and four workers,
 # every input kind) against the oracle — every walk final, whatever
@@ -47,6 +48,7 @@ FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzIndexAbsorb$$' -fuzztime $(FUZZTIME) ./internal/infer/
 	$(GO) test -run '^$$' -fuzz '^FuzzTokenSource$$' -fuzztime $(FUZZTIME) ./internal/mison/
+	$(GO) test -run '^$$' -fuzz '^FuzzIndexBitmaps$$' -fuzztime $(FUZZTIME) ./internal/mison/
 	$(GO) test -run '^$$' -fuzz '^FuzzTokenReader$$' -fuzztime $(FUZZTIME) ./internal/jsontext/
 	$(GO) test -run '^$$' -fuzz '^FuzzAbsorbSurface$$' -fuzztime $(FUZZTIME) ./internal/typelang/
 	$(GO) test -run '^$$' -fuzz '^FuzzStreamWindows$$' -fuzztime $(FUZZTIME) ./internal/infer/
@@ -64,14 +66,16 @@ bench:
 # reader-vs-bytes zero-copy pair, the colon-dense fields row (one
 # row per shape: the streamed engine has one map phase) and the
 # high-cardinality L sparse rows at one and two workers, plus the
-# mison-vs-lexer token-throughput pair. Every row is five samples of
+# mison-vs-lexer token-throughput pair and the index pass alone
+# (FieldWalker.Reset's MB/s on the jsperf-sized tweets, fields and
+# sparse corpora). Every row is five samples of
 # five iterations (benchstat-comparable; a time-based -benchtime gave
 # the 50–350 ms tweets rows one iteration each, i.e. noise). CI runs this as a
 # non-blocking step so the numbers land in every build log without
 # gating merges on a noisy runner.
 bench-stream:
 	$(GO) test -run '^$$' -bench 'BenchmarkE3StreamingInference' -benchtime 5x -count 5 -benchmem .
-	$(GO) test -run '^$$' -bench 'BenchmarkTokenSourceVsLexer' -benchtime 5x -count 5 -benchmem ./internal/mison/
+	$(GO) test -run '^$$' -bench 'BenchmarkTokenSourceVsLexer|BenchmarkFieldWalkerReset' -benchtime 5x -count 5 -benchmem ./internal/mison/
 
 # The repository benchmark (BENCHMARK.json, bench/README.md): bench-e2e
 # appends one result set — every workload, ten 25-second runs each — to

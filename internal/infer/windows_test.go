@@ -211,7 +211,7 @@ func FuzzStreamWindows(f *testing.F) {
 	})
 }
 
-// TestStraddlerIsReindexedNotCommitted pins where a document may span a
+// TestStraddlerIsMalformedAndReindexedOnce pins where a document may span a
 // cut, and what that costs: a document over several lines between two
 // short ones, under a byte target far below its length, is one window
 // of its own — every window ends where a document does — so no shape
@@ -223,7 +223,7 @@ func FuzzStreamWindows(f *testing.F) {
 // in every shape alike: bytes_reindexed is the same at every worker
 // count and no more than the straddler, and fallback_records counts the
 // straddler once.
-func TestStraddlerIsReindexedNotCommitted(t *testing.T) {
+func TestStraddlerIsMalformedAndReindexedOnce(t *testing.T) {
 	doc := "{\n\"a\": 1,\n\"b\": [2,\n3]\n}\n"
 	data := []byte("1\n" + doc + "2\n")
 	for _, workers := range windowWorkers {

@@ -73,20 +73,20 @@ func mapFile(t testing.TB, name string) source {
 	return source{mapping: m}
 }
 
-// TestBytesEngineMatchesReaderFixtures sweeps every fixture under
-// byte-target chunking (Options.ChunkBytes), where the two input kinds
-// differ most: a mapping's windows alias its pages whatever their
-// length, the reader has to buffer, compact and grow to hold each one.
-func TestBytesEngineMatchesReaderFixtures(t *testing.T) {
+// TestKiBWindowsMatchOracleFixtures sweeps every fixture under a 1 KiB
+// byte target (Options.ChunkBytes), where the two input kinds differ
+// most: a mapping's windows alias its pages whatever their length, the
+// reader has to buffer, compact and grow to hold each one.
+func TestKiBWindowsMatchOracleFixtures(t *testing.T) {
 	forEachFixture(t, func(name string, data []byte) {
 		assertMatchesOracle(t, name, data, Options{ChunkBytes: 1 << 10})
 	})
 }
 
-// TestBytesEngineErrorEquivalence is the error sweep under a byte
+// TestOneByteWindowsMatchOracleErrors is the error sweep under a byte
 // target of one: every chunk ends at the first boundary past its first
 // byte, so absolute offsets ride on chunk bases in both sources.
-func TestBytesEngineErrorEquivalence(t *testing.T) {
+func TestOneByteWindowsMatchOracleErrors(t *testing.T) {
 	for _, in := range malformedInputs {
 		assertMatchesOracle(t, fmt.Sprintf("%q", in), []byte(in), Options{ChunkBytes: 1})
 	}

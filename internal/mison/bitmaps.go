@@ -36,18 +36,18 @@ func words(n int) int { return (n + 63) / 64 }
 func (b *Bitmaps) build(data []byte) {
 	nw := words(len(data))
 	b.N = len(data)
-	b.Backslash = resetWords(b.Backslash, nw)
-	b.Quote = resetWords(b.Quote, nw)
-	b.Colon = resetWords(b.Colon, nw)
-	b.Comma = resetWords(b.Comma, nw)
-	b.LBrace = resetWords(b.LBrace, nw)
-	b.RBrace = resetWords(b.RBrace, nw)
-	b.LBracket = resetWords(b.LBracket, nw)
-	b.RBracket = resetWords(b.RBracket, nw)
+	b.Backslash = sizeWords(b.Backslash, nw)
+	b.Quote = sizeWords(b.Quote, nw)
+	b.Colon = sizeWords(b.Colon, nw)
+	b.Comma = sizeWords(b.Comma, nw)
+	b.LBrace = sizeWords(b.LBrace, nw)
+	b.RBrace = sizeWords(b.RBrace, nw)
+	b.LBracket = sizeWords(b.LBracket, nw)
+	b.RBracket = sizeWords(b.RBracket, nw)
 	// Phase 1+2 on the shared SWAR classifier (swar.go): each 64-byte
 	// bitmap word is classified eight bytes at a time with the same
-	// word-at-a-time compares the Chunker and TokenSource use, then the
-	// escaped positions are struck out with escapedMask. The Backslash
+	// word-at-a-time compares the Chunker uses, then the escaped
+	// positions are struck out with escapedMask. The Backslash
 	// bitmap keeps ALL backslashes (escaped ones included) while every
 	// other class keeps only unescaped occurrences — the exact semantics
 	// of the old byte-at-a-time scan, pinned by TestBitmapsMatchScalar
@@ -88,7 +88,7 @@ func (b *Bitmaps) build(data []byte) {
 	}
 	// Phase 3: string mask via bit-parallel prefix XOR over the
 	// structural quote bitmap, with an inter-word parity carry.
-	b.StringMask = resetWords(b.StringMask, nw)
+	b.StringMask = sizeWords(b.StringMask, nw)
 	carry := uint64(0) // all-ones while inside a string across words
 	for w := 0; w < nw; w++ {
 		m := prefixXor(b.Quote[w]) ^ carry
@@ -109,16 +109,13 @@ func (b *Bitmaps) build(data []byte) {
 	}
 }
 
-// resetWords returns a zeroed slice of n words, reusing capacity.
-func resetWords(s []uint64, n int) []uint64 {
+// sizeWords returns a slice of n words, reusing capacity. A reused
+// slice is not cleared: every caller writes each word.
+func sizeWords(s []uint64, n int) []uint64 {
 	if cap(s) < n {
 		return make([]uint64, n)
 	}
-	s = s[:n]
-	for i := range s {
-		s[i] = 0
-	}
-	return s
+	return s[:n]
 }
 
 // prefixXor computes, for every bit position i, the XOR of bits 0..i —

@@ -32,10 +32,13 @@
 // — (1) character bitmaps, (2) escaped-character removal, (3)
 // string-mask construction by bit-parallel prefix XOR, (4) leveled
 // structural positions — with the SIMD byte-compare replaced by
-// eight-byte word arithmetic feeding the packed words. Every later
-// phase is genuinely bit-parallel, and the algorithmic speedups (no
-// tokenisation of skipped content, speculative field lookup) are
-// preserved. The speculation has a production counterpart too: where
+// eight-byte word arithmetic feeding the packed words. The streamed
+// path's TokenSource runs it as a kernel over 64-byte blocks read in
+// place: every class of the eight lanes at once, each gathered into
+// its bitmap word by one 8×8 bit transpose where AVX has a movemask.
+// Every later phase is genuinely bit-parallel, and the algorithmic
+// speedups (no tokenisation of skipped content, speculative field
+// lookup) are preserved. The speculation has a production counterpart too: where
 // the Parser learns at which position a projected field sits, the
 // production walk learns which field names follow which
 // (infer.IndexAbsorber's pattern tree) and verifies the next record's

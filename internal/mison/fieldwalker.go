@@ -4,7 +4,7 @@ import "repro/internal/jsontext"
 
 // FieldWalker is the driving surface of index-driven absorption: a view
 // over the TokenSource it owns. The token source keeps the chunk, the
-// one word-at-a-time pass that classifies it (TokenSource.index), the
+// one block-at-a-time pass that classifies it (TokenSource.index), the
 // delegated reference scanner and the field-name intern cache; the
 // walker holds the one bitmap only it
 // reads — every structural character outside a string, raised by that
@@ -61,7 +61,7 @@ func (w *FieldWalker) SetInternStrings(on bool) { w.ts.SetInternStrings(on) }
 // them: the backslash before one is a syntax error no certified span
 // covers, so the walk bails before it could consume the character.
 func (w *FieldWalker) Reset(data []byte, base int) {
-	w.structural = resetWords(w.structural, words(len(data)))
+	w.structural = sizeWords(w.structural, words(len(data)))
 	w.ts.index(data, base, w.structural)
 }
 

@@ -1,6 +1,8 @@
 package mison
 
 import (
+	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -36,6 +38,15 @@ func assertWalkerMatchesBitmaps(t *testing.T, label string, w *FieldWalker, data
 }
 
 func TestWalkerStructuralMatchesBitmaps(t *testing.T) {
+	w := NewFieldWalker()
+	forEachIndexInput(t, func(name string, data []byte) { assertWalkerMatchesBitmaps(t, name, w, data) })
+}
+
+// forEachIndexInput calls fn on every fixture, on all 13 generators and
+// on the escapeAdversarial layouts: each whole, and cut on either side
+// of the first and last 8-byte lane and 64-byte block edges.
+func forEachIndexInput(t *testing.T, fn func(name string, data []byte)) {
+	t.Helper()
 	inputs := map[string][]byte{}
 	fixtures, err := filepath.Glob(filepath.Join("..", "..", "testdata", "*.ndjson"))
 	if err != nil || len(fixtures) == 0 {
@@ -60,18 +71,114 @@ func TestWalkerStructuralMatchesBitmaps(t *testing.T) {
 	for name, s := range escapeAdversarial {
 		inputs[name] = []byte(s)
 	}
-	w := NewFieldWalker()
 	for name, data := range inputs {
-		// The whole input, and cuts on either side of the first and last
-		// 8-byte lane and 64-byte word edges.
 		lengths := []int{len(data)}
 		for _, edge := range []int{8, 64, 128, len(data) &^ 7, len(data) &^ 63} {
 			lengths = append(lengths, edge-1, edge, edge+1)
 		}
 		for _, n := range lengths {
 			if n >= 0 && n <= len(data) {
-				assertWalkerMatchesBitmaps(t, name, w, data[:n])
+				fn(name, data[:n])
 			}
+		}
+	}
+}
+
+// indexReference builds the four bitmaps of TokenSource.index a byte at
+// a time: quotes not escaped by a backslash (an unescaped backslash
+// escapes the byte after it, anywhere); backslashes and control bytes;
+// non-ASCII bytes; and { } [ ] : , outside strings, where a string runs
+// from a quote through the byte before the next one. Escaped structural
+// characters outside strings stay marked (FieldWalker.Reset).
+func indexReference(data []byte) (quote, dirty, nonASCII, structural []uint64) {
+	nw := words(len(data))
+	quote, dirty, nonASCII, structural = make([]uint64, nw), make([]uint64, nw), make([]uint64, nw), make([]uint64, nw)
+	escaped, inString := false, false
+	for i, c := range data {
+		bit := uint64(1) << uint(i&63)
+		if c == '"' && !escaped {
+			quote[i>>6] |= bit
+			inString = !inString
+		}
+		if c == '\\' || c < 0x20 {
+			dirty[i>>6] |= bit
+		}
+		if c >= 0x80 {
+			nonASCII[i>>6] |= bit
+		}
+		switch c {
+		case '{', '}', '[', ']', ':', ',':
+			if !inString {
+				structural[i>>6] |= bit
+			}
+		}
+		escaped = c == '\\' && !escaped
+	}
+	return quote, dirty, nonASCII, structural
+}
+
+// assertIndexMatchesReference resets w on data and holds all four of
+// its bitmaps, every word, to indexReference.
+func assertIndexMatchesReference(t *testing.T, label string, w *FieldWalker, data []byte) {
+	t.Helper()
+	if msg := indexMismatch(w, data); msg != "" {
+		t.Fatalf("%s (%d bytes): %s", label, len(data), msg)
+	}
+}
+
+// indexMismatch resets w on data and describes the first word of its
+// four bitmaps that differs from indexReference, or returns "".
+func indexMismatch(w *FieldWalker, data []byte) string {
+	w.Reset(data, 0)
+	quote, dirty, nonASCII, structural := indexReference(data)
+	for _, bm := range []struct {
+		name      string
+		got, want []uint64
+	}{
+		{"quote", w.ts.quote, quote},
+		{"dirty", w.ts.dirty, dirty},
+		{"non-ASCII", w.ts.nonascii, nonASCII},
+		{"structural", w.structural, structural},
+	} {
+		if len(bm.got) != len(bm.want) {
+			return fmt.Sprintf("%s bitmap has %d words, want %d", bm.name, len(bm.got), len(bm.want))
+		}
+		for i := range bm.want {
+			if bm.got[i] != bm.want[i] {
+				return fmt.Sprintf("%s word %d = %064b, byte-at-a-time %064b", bm.name, i, bm.got[i], bm.want[i])
+			}
+		}
+	}
+	return ""
+}
+
+// TestIndexMatchesByteReference pins all four bitmaps of the block
+// kernel to the byte-at-a-time reference on the fixtures, generators
+// and escape layouts, with one warm walker across all of them, so a
+// word a reset failed to write would show.
+func TestIndexMatchesByteReference(t *testing.T) {
+	w := NewFieldWalker()
+	forEachIndexInput(t, func(name string, data []byte) { assertIndexMatchesReference(t, name, w, data) })
+}
+
+// TestIndexClassifiesEveryByteEverywhere puts every byte value at every
+// position of a full block followed by a tail of every length 0–63 (the
+// zero-padded tail block). Among the values are 0x0C and 0x1A, which
+// the kernel's structural compares fold onto , and :, and [ ] { }. The
+// string mask and the escape carry, which see only the quote and
+// backslash bits, are left to the corpora and FuzzIndexBitmaps.
+func TestIndexClassifiesEveryByteEverywhere(t *testing.T) {
+	w := NewFieldWalker()
+	for tail := 0; tail < 64; tail++ {
+		data := bytes.Repeat([]byte("a"), 64+tail)
+		for p := range data {
+			for c := 0; c < 256; c++ {
+				data[p] = byte(c)
+				if msg := indexMismatch(w, data); msg != "" {
+					t.Fatalf("byte %#02x at %d of %d: %s", c, p, len(data), msg)
+				}
+			}
+			data[p] = 'a'
 		}
 	}
 }

@@ -37,3 +37,23 @@ func FuzzTokenSource(f *testing.F) {
 		assertTokensMatchLexer(t, string(data))
 	})
 }
+
+// FuzzIndexBitmaps holds all four bitmaps of the block kernel to the
+// byte-at-a-time reference on arbitrary bytes, one warm walker across
+// inputs.
+func FuzzIndexBitmaps(f *testing.F) {
+	for _, s := range escapeAdversarial {
+		f.Add([]byte(s))
+	}
+	for _, s := range []string{
+		`{"a": [1, {"b": "x\"]"}, null], "c": "\\"}`,
+		"\x0c\x1a[]{}:,\"\x00\x1f\x7f\x80\xff",
+		strings.Repeat(`{"k\\": "vé"},`, 9),
+	} {
+		f.Add([]byte(s))
+	}
+	w := NewFieldWalker()
+	f.Fuzz(func(t *testing.T, data []byte) {
+		assertIndexMatchesReference(t, "fuzz", w, data)
+	})
+}

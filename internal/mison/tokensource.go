@@ -83,46 +83,42 @@ func (ts *TokenSource) Reset(data []byte, base int) error {
 	return nil
 }
 
-// index is the one classification pass over a chunk — one load per
-// eight bytes, every class read off that word: the quote,
-// backslash-or-control and non-ASCII bitmaps and, when structural is
-// not nil (the FieldWalker's, one word per 64 bytes of data), the six
-// structural characters { } [ ] : , outside strings. Escaped quotes are
-// struck once per 64-byte word (the escape carry crosses word edges)
-// and the string mask is the prefix XOR of the surviving quotes, carried
-// across words as inString. It issues no verdict: after a quote with no
-// closer everything reads "in string", no structural bit is raised
-// there, and the walks meet the quote itself — readString finds no
-// closing bit and the reference scanner words the error.
+// index is the one classification pass over a chunk, one 64-byte block
+// at a time through classifyBlock (swar.go): full blocks are read in
+// place, the tail through one zero-padded block on the stack. It writes
+// every word of the quote, backslash-or-control and non-ASCII bitmaps
+// and, when structural is not nil (the FieldWalker's, one word per 64
+// bytes of data), the six structural characters { } [ ] : , outside
+// strings. Escaped quotes are struck once per block (the escape carry
+// crosses block edges) and the string mask is the prefix XOR of the
+// surviving quotes, carried across blocks as inString. It issues no
+// verdict: after a quote with no closer everything reads "in string",
+// no structural bit is raised there, and the walks meet the quote
+// itself — readString finds no closing bit and the reference scanner
+// words the error.
 func (ts *TokenSource) index(data []byte, base int, structural []uint64) {
 	ts.data, ts.base, ts.pos = data, base, 0
 	nw := words(len(data))
-	ts.quote = resetWords(ts.quote, nw)
-	ts.dirty = resetWords(ts.dirty, nw)
-	ts.nonascii = resetWords(ts.nonascii, nw)
-	var escCarry, inString uint64 // inString: all-ones while a string is open across a word edge
+	ts.quote = sizeWords(ts.quote, nw)
+	ts.dirty = sizeWords(ts.dirty, nw)
+	ts.nonascii = sizeWords(ts.nonascii, nw)
+	var tail [64]byte
+	var escCarry, inString uint64 // inString: all-ones while a string is open across a block edge
 	for w := 0; w < nw; w++ {
-		wordStart := w * 64
-		n := min(len(data)-wordStart, 64)
-		var q, bs, ct, na, s uint64
-		for lane := 0; lane < n; lane += 8 {
-			v := loadWord(data, wordStart+lane)
-			shift := uint(lane)
-			q |= swarEq(v, '"') << shift
-			bs |= swarEq(v, '\\') << shift
-			ct |= swarLess(v, 0x20) << shift
-			na |= swarNonASCII(v) << shift
-			if structural != nil {
-				s |= (swarEq(v, ':') | swarEq(v, ',') | swarEq(v, '{') | swarEq(v, '}') | swarEq(v, '[') | swarEq(v, ']')) << shift
-			}
+		blk, n := &tail, len(data)-w*64
+		if n >= 64 {
+			blk, n = (*[64]byte)(data[w*64:]), 64
+		} else {
+			copy(tail[:], data[w*64:])
 		}
-		ct &= ^uint64(0) >> uint(64-n) // the zero padding of a final partial lane is not input
+		q, bs, dirty, na, s := classifyBlock(blk)
+		dirty &= ^uint64(0) >> uint(64-n) // the zero padding of the tail block is not input
 		if bs != 0 || escCarry != 0 {
 			var esc uint64
 			esc, escCarry = escapedMaskTail(bs, escCarry, n)
 			q &^= esc
 		}
-		ts.quote[w], ts.dirty[w], ts.nonascii[w] = q, bs|ct, na
+		ts.quote[w], ts.dirty[w], ts.nonascii[w] = q, dirty, na
 		if structural != nil {
 			structural[w] = s &^ (prefixXor(q) ^ inString)
 		}

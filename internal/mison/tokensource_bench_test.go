@@ -48,3 +48,30 @@ func BenchmarkTokenSourceVsLexer(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkFieldWalkerReset is the structural index pass alone:
+// FieldWalker.Reset builds all four bitmaps over one warm walker, on
+// corpora the size of jsperf's workloads (seed 1; tweets_seq and
+// serve_mixed, fields_par, sparse_par). MB/s is index throughput.
+func BenchmarkFieldWalkerReset(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		gen  genjson.Generator
+		docs int
+	}{
+		{"twitter", genjson.Twitter{Seed: 1}, 5000},
+		{"fields", genjson.Fields{Seed: 1}, 2400},
+		{"sparse", genjson.Sparse{Seed: 1}, 10000},
+	} {
+		raw := jsontext.MarshalLines(genjson.Collection(c.gen, c.docs))
+		b.Run(c.name, func(b *testing.B) {
+			b.SetBytes(int64(len(raw)))
+			b.ReportAllocs()
+			w := NewFieldWalker()
+			w.Reset(raw, 0) // size the bitmaps
+			for b.Loop() {
+				w.Reset(raw, 0)
+			}
+		})
+	}
+}
