@@ -7,7 +7,7 @@ DOC_PKGS = repro/internal/jsontext repro/internal/infer \
            repro/internal/registry repro/internal/daemon/intake \
            repro/internal/daemon/metrics
 
-.PHONY: all build vet test race fuzz-smoke bench bench-stream bench-e2e bench-compare bench-budget test-bench docs loc fixtures serve smoke-daemon ab-identity ci
+.PHONY: all build vet test test-wall race fuzz-smoke bench bench-stream bench-e2e bench-compare bench-budget test-bench docs loc fixtures serve smoke-daemon ab-identity ci
 
 all: build
 
@@ -20,6 +20,11 @@ vet:
 test:
 	$(GO) test ./...
 
+# Tier-1 wall time: each package's and the ten slowest top-level tests'
+# (go test -json, read by awk); exits with go test's status.
+test-wall:
+	@GO='$(GO)' ./scripts/test_wall.sh
+
 # Concurrency-sensitive packages under the race detector.
 race:
 	$(GO) test -race ./internal/infer/ ./internal/typelang/ ./internal/jsontext/ ./internal/mison/ ./internal/registry/ ./internal/daemon/... ./cmd/jsinferd/
@@ -31,7 +36,8 @@ race:
 # against MergeAll, windows (any target, one, two and four workers,
 # every input kind) against the oracle — every walk final, whatever
 # the bytes, and no byte walked twice on any input the oracle
-# accepts — mison.Chunker against the
+# accepts; seeded with the engine table's small inputs (windowInputs,
+# infer/oracle_test.go) — mison.Chunker against the
 # byte-at-a-time splitter, an index walk whose pattern tree was
 # trained on foreign bytes against the token walker, the daemon's body
 # decoder against compress/gzip plus http.MaxBytesReader, Spark's

@@ -143,107 +143,114 @@ func (f fixture) oracle(e typelang.Equiv) *typelang.Type {
 	return typelang.MergeAll(ts, e)
 }
 
-// streamedEngines are the engines the command streams, each with the
-// equivalence of its pass and the -workers settings the matrix runs it
-// at; Spark's output is the projection of its K pass, and -output
-// counted prints that pass's counted type.
-var streamedEngines = []struct {
-	name    string
-	equiv   typelang.Equiv
-	workers [][]string
-}{
-	{"parametric-K", typelang.EquivKind, [][]string{nil}},
-	{"parametric-L", typelang.EquivLabel, [][]string{nil}},
-	{"spark", typelang.EquivKind, [][]string{nil, {"-workers", "1"}, {"-workers", "2"}}},
+// schema is what the named engine prints for f under e: the oracle's
+// type, or for Spark its projection of the parsed documents.
+func (f fixture) schema(engine string, e typelang.Equiv) *typelang.Type {
+	if engine == "spark" {
+		return sparkinfer.Infer(f.docs).ToTypelang()
+	}
+	return f.oracle(e)
 }
 
-// TestCLIMatrix runs the command end to end over every fixture × {K, L,
-// Spark} × every -output × {–, -simplify} × {file argument, stdin}
-// (× -workers {default, 1, 2} for Spark) × {without, with -stream}, and
-// over every fixture cut into files (testFileLayouts). -stream selects
-// nothing, so both settings agree byte for byte; and every expectation
+// streamedEngines are the engines the command streams, each with the
+// equivalence of its pass; Spark's output is the projection of its K
+// pass, and -output counted prints that pass's counted type.
+var streamedEngines = []struct {
+	name  string
+	equiv typelang.Equiv
+}{
+	{"parametric-K", typelang.EquivKind},
+	{"parametric-L", typelang.EquivLabel},
+	{"spark", typelang.EquivKind},
+}
+
+// cliWorkers are the -workers settings the matrix turns through.
+var cliWorkers = [][]string{nil, {"-workers", "1"}, {"-workers", "2"}}
+
+// TestCLIMatrix pins the command's own axes end to end, over every
+// fixture. Each -output runs once per fixture, its -engine (K, L or
+// Spark), -workers, -simplify and input (file argument or stdin)
+// turning with the fixture and the output, so that over the fixtures
+// every engine prints every output and runs at every -workers setting,
+// and every output runs with and without -simplify, from a file and
+// from stdin; the test fails if the fixtures are too few for that.
+// Every cell runs again with -stream, which selects nothing, so both
+// runs agree byte for byte. Then -precision's report line, Skinfer's
+// report, the fixture cut into files (testFileLayouts) and the exit
+// codes and stderr of failed runs (testCLIErrors). Every expectation
 // is computed here, not read from a golden file: from the
 // Parse+TypeOf+MergeAll oracle, and for Spark from sparkinfer.Infer's
 // fold over the parsed documents (-output counted: the K oracle's).
+// The engine's identity across workers, input kinds and window targets
+// is the engine table's (internal/infer, runEngineRows) and make
+// ab-identity's.
 func TestCLIMatrix(t *testing.T) {
 	fixtures := loadFixtures(t)
 	t.Run("errors", func(t *testing.T) { testCLIErrors(t, fixtures[0]) })
-	for _, fx := range fixtures {
-		for _, eng := range streamedEngines {
-			counted := fx.oracle(eng.equiv)
-			want := counted
-			if eng.name == "spark" {
-				want = sparkinfer.Infer(fx.docs).ToTypelang()
-			}
-			for _, output := range outputs {
-				for _, mod := range []string{"", "-simplify"} {
-					for _, workers := range eng.workers {
-						for _, fromStdin := range []bool{false, true} {
-							args := append([]string{"-engine", eng.name, "-output", output}, workers...)
-							if mod != "" {
-								args = append(args, mod)
-							}
-							label := fmt.Sprintf("jsinfer %s < %s", strings.Join(args, " "), fx.path)
-							var stdin io.Reader = bytes.NewReader(fx.data)
-							if !fromStdin {
-								label = fmt.Sprintf("jsinfer %s %s", strings.Join(args, " "), fx.path)
-								args, stdin = append(args, fx.path), untouched{t}
-							}
-							stdout, stderr, status := cli(stdin, args...)
-							if status != 0 || stderr != "" {
-								t.Fatalf("%s: status %d, stderr %q", label, status, stderr)
-							}
-							if fromStdin {
-								stdin = bytes.NewReader(fx.data)
-							}
-							if o, e, s := cli(stdin, append([]string{"-stream"}, args...)...); o != stdout || e != stderr || s != status {
-								t.Errorf("%s: -stream changes the run: status %d, stderr %q, stdout\n%s\nwant\n%s", label, s, e, o, stdout)
-							}
+	covered := map[string]bool{}
+	for f, fx := range fixtures {
+		for o, output := range outputs {
+			eng := streamedEngines[(f+o)%len(streamedEngines)]
+			workers := cliWorkers[(2*f+o)%len(cliWorkers)]
+			simplify, fromStdin := (f+o)%2 == 1, (f/2+o)%2 == 1
+			covered[fmt.Sprint(eng.name, output)] = true
+			covered[fmt.Sprint(eng.name, workers)] = true
+			covered[fmt.Sprint(output, simplify, fromStdin)] = true
 
-							ty := want
-							if mod == "-simplify" {
-								ty = typelang.Simplify(want)
-							}
-							var wantOut string
-							switch output {
-							case "type":
-								wantOut = ty.String() + "\n"
-							case "counted":
-								wantOut = counted.StringCounted() + "\n"
-								if mod == "-simplify" {
-									wantOut = typelang.Simplify(counted).StringCounted() + "\n"
-								}
-							case "jsonschema":
-								wantOut = string(core.MarshalIndent(core.TypeToJSONSchema(ty), "  ")) + "\n"
-							case "typescript":
-								wantOut = core.TypeToTypeScript("Root", ty)
-							case "swift":
-								wantOut = core.TypeToSwift("Root", ty)
-							case "report":
-								wantOut = fmt.Sprintf("engine:    %s\ndocuments: %d\nsize:      %d nodes\nprecision: n/a (streamed single pass; rerun with -precision and file arguments for a second pass)\ntype:      %s\n",
-									eng.name, len(fx.docs), ty.Size(), ty)
-							}
-							if stdout != wantOut {
-								t.Errorf("%s printed\n%s\nthe oracle gives\n%s", label, stdout, wantOut)
-							}
-						}
-					}
-				}
+			counted, ty := fx.oracle(eng.equiv), fx.schema(eng.name, eng.equiv)
+			args := append([]string{"-engine", eng.name, "-output", output}, workers...)
+			if simplify {
+				args = append(args, "-simplify")
+				ty, counted = typelang.Simplify(ty), typelang.Simplify(counted)
+			}
+			var wantOut string
+			switch output {
+			case "type":
+				wantOut = ty.String() + "\n"
+			case "counted":
+				wantOut = counted.StringCounted() + "\n"
+			case "jsonschema":
+				wantOut = string(core.MarshalIndent(core.TypeToJSONSchema(ty), "  ")) + "\n"
+			case "typescript":
+				wantOut = core.TypeToTypeScript("Root", ty)
+			case "swift":
+				wantOut = core.TypeToSwift("Root", ty)
+			case "report":
+				wantOut = fmt.Sprintf("engine:    %s\ndocuments: %d\nsize:      %d nodes\nprecision: n/a (streamed single pass; rerun with -precision and file arguments for a second pass)\ntype:      %s\n",
+					eng.name, len(fx.docs), ty.Size(), ty)
 			}
 
-			// The precision column is the second pass's: the oracle's
-			// grade of its own schema against the parsed documents.
-			wantLine := fmt.Sprintf("precision: %.3f\n", typelang.Precision(want, fx.docs))
-			for _, stream := range [][]string{nil, {"-stream"}} {
-				args := append(stream, "-engine", eng.name, "-precision", "-output", "report", fx.path)
-				stdout, stderr, status := cli(untouched{t}, args...)
-				if status != 0 || stderr != "" || !strings.Contains(stdout, wantLine) {
-					t.Errorf("jsinfer %v: status %d, stderr %q, stdout\n%s\nwant the line %q", args, status, stderr, stdout, wantLine)
-				}
+			label := fmt.Sprintf("jsinfer %s < %s", strings.Join(args, " "), fx.path)
+			stdin := func() io.Reader { return bytes.NewReader(fx.data) }
+			if !fromStdin {
+				label = fmt.Sprintf("jsinfer %s %s", strings.Join(args, " "), fx.path)
+				args, stdin = append(args, fx.path), func() io.Reader { return untouched{t} }
+			}
+			stdout, stderr, status := cli(stdin(), args...)
+			if status != 0 || stderr != "" {
+				t.Fatalf("%s: status %d, stderr %q", label, status, stderr)
+			}
+			if stdout != wantOut {
+				t.Errorf("%s printed\n%s\nthe oracle gives\n%s", label, stdout, wantOut)
+			}
+			if o, e, s := cli(stdin(), append([]string{"-stream"}, args...)...); o != stdout || e != stderr || s != status {
+				t.Errorf("%s: -stream changes the run: status %d, stderr %q, stdout\n%s\nwant\n%s", label, s, e, o, stdout)
 			}
 		}
 
-		testFileLayouts(t, fx)
+		// The precision column is the second pass's: the oracle's grade
+		// of its own schema against the parsed documents.
+		eng := streamedEngines[f%len(streamedEngines)]
+		wantLine := fmt.Sprintf("precision: %.3f\n", typelang.Precision(fx.schema(eng.name, eng.equiv), fx.docs))
+		for _, stream := range [][]string{nil, {"-stream"}} {
+			args := append(stream, "-engine", eng.name, "-precision", "-output", "report", fx.path)
+			stdout, stderr, status := cli(untouched{t}, args...)
+			if status != 0 || stderr != "" || !strings.Contains(stdout, wantLine) {
+				t.Errorf("jsinfer %v: status %d, stderr %q, stdout\n%s\nwant the line %q", args, status, stderr, stdout, wantLine)
+			}
+		}
+
+		testFileLayouts(t, f, fx)
 
 		// Skinfer materialises; its report grades in place, and -stream
 		// is ignored there too.
@@ -258,17 +265,21 @@ func TestCLIMatrix(t *testing.T) {
 			t.Errorf("jsinfer -engine skinfer: -stream changes the run: status %d, stderr %q, stdout\n%s", s, e, o)
 		}
 	}
+	if want := len(streamedEngines)*(len(outputs)+len(cliWorkers)) + 4*len(outputs); len(covered) != want {
+		t.Errorf("the matrix covers %d engine × output, engine × -workers and output × -simplify × input pairs, want %d: too few fixtures", len(covered), want)
+	}
 }
 
 // testFileLayouts pins that file arguments are one collection: the
 // fixture cut into 1, 3 and 100 files — an empty file second, and a
 // first file with no trailing newline — prints the oracle's schema of
-// the whole fixture for K, L and Spark at every worker count, counted
-// too; and at -workers 1 its -stats show one seal and every file but
-// the empty one read as a window of its own, none mapped.
-func testFileLayouts(t *testing.T, fx fixture) {
+// the whole fixture, plain and counted, each under an engine and a
+// -workers setting that turn with the fixture; and at -workers 1 its
+// -stats show one seal and every file but the empty one read as a
+// window of its own, none mapped.
+func testFileLayouts(t *testing.T, f int, fx fixture) {
 	lines := bytes.SplitAfter(bytes.TrimSuffix(fx.data, []byte("\n")), []byte("\n"))
-	for _, n := range []int{1, 3, 100} {
+	for i, n := range []int{1, 3, 100} {
 		dir := t.TempDir()
 		per := (len(lines) + n - 1) / n
 		var files []string
@@ -288,24 +299,17 @@ func testFileLayouts(t *testing.T, fx fixture) {
 				}
 			}
 		}
-		for _, eng := range streamedEngines {
-			want := fx.oracle(eng.equiv)
-			wantCounted := want.StringCounted() + "\n"
-			if eng.name == "spark" {
-				want = sparkinfer.Infer(fx.docs).ToTypelang()
+		for j, mod := range []string{"-output=type", "-output=counted"} {
+			eng := streamedEngines[(f+i+j)%len(streamedEngines)]
+			workers := []string{"0", "1", "2", "4"}[(f+i+2*j)%4]
+			wantOut := fx.oracle(eng.equiv).StringCounted() + "\n"
+			if mod == "-output=type" {
+				wantOut = fx.schema(eng.name, eng.equiv).String() + "\n"
 			}
-			for _, workers := range []string{"0", "1", "2", "4"} {
-				for _, mod := range []string{"-output=type", "-output=counted"} {
-					args := append([]string{"-engine", eng.name, "-workers", workers, mod}, files...)
-					wantOut := want.String() + "\n"
-					if mod == "-output=counted" {
-						wantOut = wantCounted
-					}
-					if stdout, stderr, status := cli(untouched{t}, args...); status != 0 || stderr != "" || stdout != wantOut {
-						t.Errorf("%s in %d files, -engine %s -workers %s %s: status %d, stderr %q, stdout\n%s\nthe oracle gives\n%s",
-							fx.path, len(files), eng.name, workers, mod, status, stderr, stdout, wantOut)
-					}
-				}
+			args := append([]string{"-engine", eng.name, "-workers", workers, mod}, files...)
+			if stdout, stderr, status := cli(untouched{t}, args...); status != 0 || stderr != "" || stdout != wantOut {
+				t.Errorf("%s in %d files, -engine %s -workers %s %s: status %d, stderr %q, stdout\n%s\nthe oracle gives\n%s",
+					fx.path, len(files), eng.name, workers, mod, status, stderr, stdout, wantOut)
 			}
 		}
 		_, stderr, status := cli(untouched{t}, append([]string{"-workers", "1", "-stats"}, files...)...)

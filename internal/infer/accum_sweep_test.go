@@ -1,12 +1,10 @@
 package infer
 
 import (
-	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 	"runtime"
-	"strings"
 	"testing"
 
 	"repro/internal/genjson"
@@ -19,58 +17,13 @@ import (
 // in-line fold, the one-worker shape's single accumulator), and each of
 // those seals must be byte-identical to the oracle's one MergeAll.
 
-// TestAccumFoldMatchesMergeAllFixtures sweeps every checked-in fixture
-// at the default chunking — the shapes a production run takes: one
-// 4 MiB-target accumulator at one worker, 256-document chunks above.
-func TestAccumFoldMatchesMergeAllFixtures(t *testing.T) {
-	forEachFixture(t, func(name string, data []byte) {
-		assertMatchesOracle(t, name, data)
-	})
-}
-
-// TestMalformedInputKeepsExactPrefix is the error sweep at the default
-// chunking, where the failing document shares its chunk (and, at one
-// worker, its accumulator) with the documents before it: aborting a
-// half-absorbed document — off the index first, then from tokens —
-// must leave exactly the prefix behind.
-func TestMalformedInputKeepsExactPrefix(t *testing.T) {
-	for _, in := range malformedInputs {
-		assertMatchesOracle(t, fmt.Sprintf("%q", in), []byte(in))
-	}
-}
-
-// collidingLabelSets are pairs of records whose label sets typelang's
-// key rendered alike while it joined names with NUL: the empty name
-// against no name, and a NUL in a name against two names. MergeAll, the
-// oracle, fused each pair under L and an accumulator below its label-key
-// index did not.
-var collidingLabelSets = []string{
-	"{\"\": 0}\n{}\n",
-	"{\"a\\u0000b\": 1}\n{\"a\": 1, \"b\": 1}\n",
-}
-
-// TestLabelSetsNeverCollide sweeps them, each twice over — the second
-// record of a layout closes on the pattern tree and finds its group by
-// the shape's address — alone and after enough label sets that the
-// root looks its groups up by key, and holds the oracle itself to
-// keeping every label set apart.
+// TestLabelSetsNeverCollide sweeps the label-sets corpora: each of
+// collidingLabelSets twice over — the second record of a layout closes
+// on the pattern tree and finds its group by the shape's address —
+// alone and after enough label sets that the root looks its groups up
+// by key, the oracle itself held to keeping every label set apart.
 func TestLabelSetsNeverCollide(t *testing.T) {
-	var pad strings.Builder
-	for i := 0; i < 20; i++ { // past typelang's linear group scan
-		fmt.Fprintf(&pad, "{\"pad%d\": null}\n", i)
-	}
-	for _, pair := range collidingLabelSets {
-		for label, in := range map[string]string{"scan": pair + pair, "index": pad.String() + pair + pair} {
-			want, _, err := oracle([]byte(in), typelang.EquivLabel)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got, sets := typelang.DistinctRecordAlternatives(want), strings.Count(in, "\n")-2; got != sets {
-				t.Errorf("%s %q: the oracle keeps %d record types apart under L, want %d: %s", label, pair, got, sets, want)
-			}
-			assertMatchesOracle(t, fmt.Sprintf("%s/%q", label, pair), []byte(in))
-		}
-	}
+	runEngineRows(t, engineRow{"label-sets", asListed, sweepWorkers, []Options{{}}})
 }
 
 // TestAbsorbSurfaceMatchesMergeAll drives typelang's direct-absorption

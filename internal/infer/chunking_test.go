@@ -1,7 +1,6 @@
 package infer
 
 import (
-	"bytes"
 	"os"
 	"path/filepath"
 	"slices"
@@ -123,14 +122,9 @@ func TestMisonChunkerMatchesScanChunkerGenerated(t *testing.T) {
 		genjson.OpenData{Seed: 87},
 	}
 	for _, g := range gens {
-		docs := genjson.Collection(g, 150)
-		assertSameSplits(t, g.Name(), jsontext.MarshalLines(docs))
-		var pretty bytes.Buffer
-		for _, d := range docs {
-			pretty.Write(jsontext.MarshalIndent(d, "  "))
-			pretty.WriteByte('\n')
-		}
-		assertSameSplits(t, g.Name()+"-pretty", pretty.Bytes())
+		data := jsontext.MarshalLines(genjson.Collection(g, 150))
+		assertSameSplits(t, g.Name(), data)
+		assertSameSplits(t, g.Name()+"-pretty", indented(t, data))
 	}
 }
 
@@ -204,11 +198,12 @@ func FuzzChunkerVsScan(f *testing.F) {
 	})
 }
 
-// TestReadChunksEquivalence drives the window loop at several document
-// targets over NDJSON, from a reader and from a slice, and demands the
-// chunk stream the byte-at-a-time splitter implies: a window every
-// docsPerChunk top-level newlines, same data, same absolute bases.
-func TestReadChunksEquivalence(t *testing.T) {
+// TestDocumentWindowsMatchScanSplitter drives the window loop at
+// several document targets over NDJSON, from a reader and from a
+// mapping, and demands the window stream the byte-at-a-time splitter
+// implies: a window every docsPerChunk top-level newlines, same data,
+// same absolute bases.
+func TestDocumentWindowsMatchScanSplitter(t *testing.T) {
 	docs := genjson.Collection(genjson.Twitter{Seed: 88}, 400)
 	data := jsontext.MarshalLines(docs)
 	splits := collectSplits(t, &scanSplitter{}, data, len(data))

@@ -267,12 +267,3 @@ func TestCollectorKeepsBoundedState(t *testing.T) {
 		t.Errorf("after 70000 distinct names shard 0 keeps mapper %p, want the warm one %p", wide.shards[0].m, warm)
 	}
 }
-
-// TestInferStreamWorkerSweep pins the one-shot engine to the oracle on
-// a corpus that spans several default-sized chunks: however the chunks
-// interleave on their way to the committer's accumulator, schema and
-// count are the oracle's.
-func TestInferStreamWorkerSweep(t *testing.T) {
-	docs := genjson.Collection(genjson.Twitter{Seed: 92}, 400)
-	assertMatchesOracle(t, "tweets-400", jsontext.MarshalLines(docs))
-}

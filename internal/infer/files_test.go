@@ -64,55 +64,15 @@ func filesOracle(names []string, parts [][]byte, e typelang.Equiv) (*typelang.Ty
 	return oracle(data, e)
 }
 
-// assertFilesMatchOracle runs InferStreamFiles over the files under
-// every equivalence, at one, two and four workers, by default and at
-// small chunkings, and demands filesOracle's outcome each time.
-func assertFilesMatchOracle(t *testing.T, label string, names []string, parts [][]byte) {
-	t.Helper()
-	for _, e := range sweepEquivs {
-		want, wantN, wantErr := filesOracle(names, parts, e)
-		for _, ck := range []Options{{}, {batch: 2}, {ChunkBytes: 64}} {
-			for _, w := range []int{1, 2, 4} {
-				opts := Options{Equiv: e, Workers: w, batch: ck.batch, ChunkBytes: ck.ChunkBytes}
-				name := fmt.Sprintf("%s/%v/w%d/batch%d/bytes%d", label, e, w, ck.batch, ck.ChunkBytes)
-				got, n, err := InferStreamFiles(names, opts)
-				if (err == nil) != (wantErr == nil) ||
-					(err != nil && (err.Error() != wantErr.Error() || syntaxOffset(err) != syntaxOffset(wantErr))) {
-					t.Errorf("%s: error %v (offset %d), oracle %v (offset %d)",
-						name, err, syntaxOffset(err), wantErr, syntaxOffset(wantErr))
-				}
-				if n != wantN {
-					t.Errorf("%s: typed %d docs, oracle %d", name, n, wantN)
-				}
-				if want.StringCounted() != got.StringCounted() {
-					t.Errorf("%s: schema diverges\n oracle: %s\n engine: %s", name, want.StringCounted(), got.StringCounted())
-				}
-			}
-		}
-	}
-}
-
 // TestStreamFilesMatchOracle pins that many files are one collection:
-// a collection cut into 1, 3 and 100 files — an empty one and one with
-// no trailing newline among them — is the oracle's schema of their
-// concatenation in every shape; and a malformed record in one file ends
-// the run with that file's error, at its offset within the file, after
-// exactly the documents before it.
+// the large-files corpora cut into 1, 3 and 100 files (filesLayout) are
+// the oracle's schema of their concatenation in every shape; and that a
+// malformed record in one of many files (malformed-files) ends the run
+// with that file's error, at its offset within the file, after exactly
+// the documents before it.
 func TestStreamFilesMatchOracle(t *testing.T) {
-	for _, gen := range []genjson.Generator{
-		genjson.Twitter{Seed: 1}, genjson.TypeDrift{Seed: 3}, genjson.Sparse{Seed: 14}, genjson.Deep{Seed: 15},
-	} {
-		data := jsontext.MarshalLines(genjson.Collection(gen, 150))
-		for _, n := range []int{1, 3, 100} {
-			parts := cutLines(data, n)
-			assertFilesMatchOracle(t, fmt.Sprintf("%T/%d", gen, n), writeFiles(t, t.TempDir(), parts), parts)
-		}
-	}
-	clean := cutLines(jsontext.MarshalLines(genjson.Collection(genjson.Orders{Seed: 6}, 40)), 2)
-	for _, in := range malformedInputs {
-		parts := [][]byte{clean[0], clean[1], []byte(in), clean[2]}
-		assertFilesMatchOracle(t, fmt.Sprintf("%q", in), writeFiles(t, t.TempDir(), parts), parts)
-	}
+	targets := []Options{{}, {batch: 2}, {ChunkBytes: 64}}
+	runEngineRows(t, engineRow{"large-files", filesLayout, windowWorkers, targets}, engineRow{"malformed-files", asListed, windowWorkers, targets})
 }
 
 // TestStreamFilesMapped runs files past mmapMinSize — mapped where the

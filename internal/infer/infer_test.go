@@ -1,7 +1,7 @@
 package infer
 
 import (
-	"errors"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -132,67 +132,6 @@ func TestInferredTypeMatchesAllDocs(t *testing.T) {
 	}
 }
 
-func TestInferStream(t *testing.T) {
-	docs := genjson.Collection(genjson.GitHub{Seed: 5}, 100)
-	data := jsontext.MarshalLines(docs)
-	want := Infer(docs, Options{Equiv: typelang.EquivLabel})
-
-	ty, n, err := InferStream(strings.NewReader(string(data)), Options{Equiv: typelang.EquivLabel})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 100 {
-		t.Errorf("stream consumed %d docs, want 100", n)
-	}
-	if !typelang.Equal(ty, want) {
-		t.Error("streamed inference differs from batch")
-	}
-}
-
-func TestInferEnginesEquivalent(t *testing.T) {
-	// The streamed engine at several workers must agree exactly (types
-	// and counts) with the sequential fold, across collection sizes that
-	// exercise every window shape: empty input, one document, fewer
-	// documents than workers, a partial final window.
-	g := genjson.Twitter{Seed: 42}
-	for _, n := range []int{0, 1, 3, 100, 513} {
-		docs := genjson.Collection(g, n)
-		data := jsontext.MarshalLines(docs)
-		for _, e := range []typelang.Equiv{typelang.EquivKind, typelang.EquivLabel} {
-			seq := Infer(docs, Options{Equiv: e})
-			for _, workers := range []int{2, 5} {
-				for _, batch := range []int{0, 1, 7} {
-					opts := Options{Equiv: e, Workers: workers, batch: batch}
-					tk, m, err := InferStream(strings.NewReader(string(data)), opts)
-					if err != nil {
-						t.Fatalf("n=%d equiv=%v workers=%d batch=%d: %v", n, e, workers, batch, err)
-					}
-					if m != n {
-						t.Errorf("n=%d: stream consumed %d docs", n, m)
-					}
-					if !typelang.Equal(seq, tk) || seq.StringCounted() != tk.StringCounted() {
-						t.Errorf("n=%d equiv=%v workers=%d batch=%d: InferStream diverges", n, e, workers, batch)
-					}
-				}
-			}
-		}
-	}
-	// Skewed optional fields: every field count must survive the
-	// parallel merge, so the counted renderings agree too.
-	docs := genjson.Collection(genjson.SkewedOptional{Seed: 9}, 300)
-	seq := Infer(docs, Options{Equiv: typelang.EquivKind})
-	par, _, err := InferStream(strings.NewReader(string(jsontext.MarshalLines(docs))), Options{Equiv: typelang.EquivKind, Workers: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seq.Count != 300 || par.Count != 300 {
-		t.Errorf("counts diverge: seq=%d par=%d, want 300", seq.Count, par.Count)
-	}
-	if seq.StringCounted() != par.StringCounted() {
-		t.Error("counted renderings diverge between sequential and streamed")
-	}
-}
-
 func TestInferStreamDecodeError(t *testing.T) {
 	// A malformed document mid-stream stops the pipeline: the error
 	// propagates with its absolute stream offset, and the partial result
@@ -200,47 +139,18 @@ func TestInferStreamDecodeError(t *testing.T) {
 	// later chunks is discarded.
 	docs := genjson.Collection(genjson.GitHub{Seed: 6}, 10)
 	prefix := jsontext.MarshalLines(docs)
-	var b strings.Builder
-	b.Write(prefix)
-	b.WriteString("{]\n")
-	b.Write(jsontext.MarshalLines(genjson.Collection(genjson.GitHub{Seed: 7}, 5)))
-	want := Infer(docs, Options{Equiv: typelang.EquivLabel})
-	for _, workers := range []int{1, 2, 4, 6} {
-		opts := Options{Equiv: typelang.EquivLabel, Workers: workers, batch: 3}
-		for _, input := range inputKinds {
-			ty, n, err := inferStreamOver(t, input, []byte(b.String()), opts)
-			if err == nil {
-				t.Fatal("expected decode error")
-			}
-			var se *jsontext.SyntaxError
-			if !errors.As(err, &se) {
-				t.Fatalf("error type %T, want *jsontext.SyntaxError", err)
-			}
-			if wantOff := len(prefix) + 1; se.Offset != wantOff {
-				t.Errorf("workers=%d %s: error offset %d, want %d (the ']')", workers, input, se.Offset, wantOff)
-			}
-			if n != 10 {
-				t.Errorf("workers=%d %s: typed %d docs before the error, want 10", workers, input, n)
-			}
-			if !typelang.Equal(ty, want) || ty.StringCounted() != want.StringCounted() {
-				t.Errorf("workers=%d %s: partial result differs from inference over the decoded prefix", workers, input)
-			}
-		}
+	data := slices.Concat(prefix, []byte("{]\n"), jsontext.MarshalLines(genjson.Collection(genjson.GitHub{Seed: 7}, 5)))
+	_, _, err := oracle(data, typelang.EquivLabel)
+	if syntaxOffset(err) != len(prefix)+1 {
+		t.Fatalf("the decoder fails with %v; want a syntax error at the ']', offset %d", err, len(prefix)+1)
 	}
+	want := Infer(docs, Options{Equiv: typelang.EquivLabel})
+	assertEngineYields(t, "decode-error", data, Options{Equiv: typelang.EquivLabel, batch: 3}, []int{1, 2, 4, 6}, want, 10, err)
 }
 
 func TestInferStreamEmptyInput(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		for _, input := range inputKinds {
-			ty, n, err := inferStreamOver(t, input, nil, Options{Workers: workers})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if n != 0 || ty.Kind != typelang.KBottom {
-				t.Errorf("workers=%d %s: empty stream inferred %v over %d docs, want Bottom over 0", workers, input, ty, n)
-			}
-		}
-	}
+	// Bottom over no documents, as Infer (TestInferEmptyCollection).
+	assertEngineYields(t, "empty", nil, Options{}, []int{1, 4}, Infer(nil, Options{}), 0, nil)
 }
 
 func TestInferEmptyCollection(t *testing.T) {

@@ -3,6 +3,7 @@ package infer
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -103,9 +104,8 @@ func FuzzPatternTree(f *testing.F) {
 // every generator family, by name.
 func sweepCorpora(t *testing.T) map[string][]byte {
 	corpora := map[string][]byte{}
-	forEachFixture(t, func(name string, data []byte) { corpora[name] = data })
-	for _, g := range sweepGenerators {
-		corpora["gen-"+g.Name()] = jsontext.MarshalLines(genjson.Collection(g, 40))
+	for _, c := range slices.Concat(corpusClasses["fixtures"](t), corpusClasses["generated"](t)) {
+		corpora[c.name] = c.data
 	}
 	return corpora
 }
@@ -113,7 +113,7 @@ func sweepCorpora(t *testing.T) map[string][]byte {
 // TestPatternTreeTrainedOnOtherCorpora: every fixture and generator,
 // absorbed by an absorber whose tree was trained on all the others,
 // comes out as from a cold absorber — the token walker's outcome. The
-// engine's own sweeps (assertMatchesOracle, every worker count) run
+// engine table (runEngineRows, every worker count) runs
 // with trees that learn as they go; this is the tree at its most wrong.
 func TestPatternTreeTrainedOnOtherCorpora(t *testing.T) {
 	corpora := sweepCorpora(t)

@@ -8,75 +8,9 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/genjson"
 	"repro/internal/jsontext"
 	"repro/internal/typelang"
 )
-
-// TestTokenPathMatchesDOMPathFixtures pins the engine to the oracle on
-// every checked-in fixture under tiny document-count chunks — many
-// chunks per run, so the ordered commit and the per-chunk seals are
-// exercised on every fixture.
-func TestTokenPathMatchesDOMPathFixtures(t *testing.T) {
-	forEachFixture(t, func(name string, data []byte) {
-		assertMatchesOracle(t, name, data, Options{batch: 1}, Options{batch: 5})
-	})
-}
-
-// TestTokenPathMatchesDOMPathGenerated sweeps random documents from
-// every generator family, at the default chunking and a small one.
-func TestTokenPathMatchesDOMPathGenerated(t *testing.T) {
-	gens := []genjson.Generator{
-		genjson.Twitter{Seed: 71},
-		genjson.GitHub{Seed: 72},
-		genjson.TypeDrift{Seed: 73},
-		genjson.SkewedOptional{Seed: 74},
-		genjson.NestedArrays{Seed: 75},
-		genjson.Orders{Seed: 76},
-		genjson.OpenData{Seed: 77},
-	}
-	for _, g := range gens {
-		data := jsontext.MarshalLines(genjson.Collection(g, 120))
-		assertMatchesOracle(t, g.Name(), data, Options{}, Options{batch: 7})
-	}
-}
-
-// TestTokenPathHandlesNonNDJSONLayouts exercises the chunker's
-// guarantees beyond one-doc-per-line input: multi-line (pretty-printed)
-// documents must never be split mid-document, several documents on one
-// line must all be typed, and input with no top-level newline at all
-// must degrade to a single chunk.
-func TestTokenPathHandlesNonNDJSONLayouts(t *testing.T) {
-	cases := []struct {
-		name  string
-		input string
-		docs  int
-	}{
-		{"pretty-printed", "{\n  \"a\": [1,\n 2],\n  \"s\": \"x\\\"\\n{\"\n}\n{\n\"a\": [3], \"s\": \"}\"\n}\n", 2},
-		{"many-per-line", `1 "two" [3] {"four": 4}` + "\n" + `null true`, 6},
-		{"no-newline", `{"a": 1} {"a": 2} {"b": "x"}`, 3},
-		{"blank-lines", "\n\n{\"a\": 1}\n\n\n{\"a\": 2}\n\n", 2},
-	}
-	for _, c := range cases {
-		if _, n, err := oracle([]byte(c.input), typelang.EquivKind); err != nil || n != c.docs {
-			t.Fatalf("%s: oracle typed %d docs (err %v), want %d", c.name, n, err, c.docs)
-		}
-		assertMatchesOracle(t, c.name, []byte(c.input), Options{}, Options{batch: 1})
-	}
-}
-
-// TestTokenPathRejectsWhatDOMRejects is the error sweep at one document
-// per chunk: the failing document sits in a chunk of its own, later
-// chunks are lexed concurrently and must be discarded, and message,
-// absolute offset and committed prefix are the decoder's.
-func TestTokenPathRejectsWhatDOMRejects(t *testing.T) {
-	for _, in := range malformedInputs {
-		if _, _, err := oracle([]byte(in), typelang.EquivKind); err == nil {
-			t.Fatalf("DOM decoder accepted %q", in)
-		}
-		assertMatchesOracle(t, fmt.Sprintf("%q", in), []byte(in), Options{batch: 1})
-	}
-}
 
 // typeFromTokens types exactly one JSON value through the token walker:
 // absorb into a fresh accumulator and seal (the MergeAll of one
@@ -274,15 +208,10 @@ func TestInferStreamIOErrorNotMaskedAsSyntax(t *testing.T) {
 // fine but which ends in a truncated value must report the error while
 // covering the complete prefix.
 func TestInferStreamTrailingGarbageAfterValue(t *testing.T) {
-	in := "{\"a\": 1}\n{\"a\": 2}\n{\"a\":"
-	ty, n, err := InferStream(strings.NewReader(in), Options{})
-	if err == nil {
-		t.Fatal("expected error for truncated trailing document")
+	in := []byte("{\"a\": 1}\n{\"a\": 2}\n{\"a\":")
+	want, n, err := oracle(in, typelang.EquivKind)
+	if err == nil || n != 2 || want.String() != "{a: Int}" {
+		t.Fatalf("the decoder types %s over %d docs, then error %v; want {a: Int} over 2, then an error", want, n, err)
 	}
-	if n != 2 {
-		t.Errorf("typed %d docs, want 2", n)
-	}
-	if got := ty.String(); got != "{a: Int}" {
-		t.Errorf("prefix type = %s", got)
-	}
+	assertEngineYields(t, "trailing", in, Options{Equiv: typelang.EquivKind}, sweepWorkers, want, n, err)
 }

@@ -2,9 +2,7 @@ package infer
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
-	"io"
 	"slices"
 	"strings"
 	"testing"
@@ -20,172 +18,6 @@ import (
 // the record a window's end cut — whose error the line after the window
 // decides, so that every walk is final in either shape, and the
 // windows the parallel shape walked past that error count for nothing.
-
-// windowChunkings are byte targets under which a run cuts many windows:
-// one document each, a few documents, many.
-var windowChunkings = []Options{{ChunkBytes: 1}, {ChunkBytes: 7}, {ChunkBytes: 64}, {ChunkBytes: 4096}}
-
-// windowWorkers are the worker counts of the window sweeps: the
-// sequential shape, and the parallel one with windows in flight.
-var windowWorkers = []int{1, 2, 4}
-
-// indented re-renders the documents of data one per several lines, the
-// layout `jsgen -indent` writes.
-func indented(t *testing.T, data []byte) []byte {
-	t.Helper()
-	dec := jsontext.NewDecoder(bytes.NewReader(data))
-	var out bytes.Buffer
-	for {
-		v, err := dec.Decode()
-		if errors.Is(err, io.EOF) {
-			return out.Bytes()
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		out.Write(jsontext.MarshalIndent(v, "  "))
-		out.WriteByte('\n')
-	}
-}
-
-// assertWindowsMatchOracle is assertMatchesOracle at windowWorkers under
-// windowChunkings: every input kind, both equivalences.
-func assertWindowsMatchOracle(t *testing.T, label string, data []byte) {
-	t.Helper()
-	for _, e := range sweepEquivs {
-		want, wantN, wantErr := oracle(data, e)
-		for _, ck := range windowChunkings {
-			ck.Equiv = e
-			assertEngineYields(t, label, data, ck, windowWorkers, want, wantN, wantErr)
-		}
-	}
-}
-
-// TestWindowsMatchOracleFixtures sweeps every checked-in fixture, as
-// NDJSON and indented (documents over many lines, of which only the
-// last ends a window).
-func TestWindowsMatchOracleFixtures(t *testing.T) {
-	forEachFixture(t, func(name string, data []byte) {
-		assertWindowsMatchOracle(t, name, data)
-		assertWindowsMatchOracle(t, name+"-indent", indented(t, data))
-	})
-}
-
-// TestWindowsMatchOracleGenerated sweeps every generator family in both
-// layouts.
-func TestWindowsMatchOracleGenerated(t *testing.T) {
-	for _, g := range sweepGenerators {
-		data := jsontext.MarshalLines(genjson.Collection(g, 40))
-		assertWindowsMatchOracle(t, g.Name(), data)
-		assertWindowsMatchOracle(t, g.Name()+"-indent", indented(t, data))
-	}
-}
-
-// windowEdgeCases are the layouts and defects the straddler rule has to
-// get right at a window's end.
-var windowEdgeCases = []string{
-	// Pretty-printed and concatenated layouts, CRLF, no newline at all.
-	"{\n  \"a\": [1,\n 2],\n  \"s\": \"x\\\"\\n{\"\n}\n{\n\"a\": [3], \"s\": \"}\"\n}\n",
-	"{\"a\": 1} {\"a\": 2}\n{\"b\": \"x\"} [1,\n2] 3\n\n\n4",
-	"{\"a\": 1}\r\n{\r\n\"a\": [1,\r\n2]\r\n}\r\n",
-	`{"a": 1} {"a": 2} {"b": "x"}`,
-	// Valid documents broken before and after every separator and
-	// bracket: no line break inside them may end a window.
-	"{\"a\"\n:\n1\n,\"b\"\n:[\n2\n,3\n]\n}\n[\n]\n{\n}\n\"s\"\n",
-	// Lines that begin with blanks, a line of blanks between documents
-	// and blanks at the end of input: every document still ends a window.
-	" {\"a\": 1}\n\t[1,\n 2]\n  \n\t \"s\"\n {\n  \"b\": {}\n }\n 3\n  ",
-	// A document far longer than the window, between short ones.
-	"1\n[" + strings.Repeat("{\"k\": [1, 2, 3]},\n", 200) + "null]\n2\n",
-	// A raw newline inside a string at the cut; a stray backslash, an
-	// unterminated escape and a short \u escape before it.
-	"{\"a\": 1}\n{\"s\": \"line\nbreak\"}\n{\"b\": 2}\n",
-	"{\"a\": 1}\\\n{\"b\": 2}\n",
-	"{\"a\": 1}\n{\"s\": \"x\\\n\"}\n",
-	"{\"a\": 1}\n{\"s\": \"\\u12\n34\"}\n{\"b\": 2}\n",
-	// A \u escape cut by a line break whose next line passes the test:
-	// "\n" is no hex digit, so that is the error, not a truncation.
-	"\"\\u\n0\n0",
-	// Structural defects in the first, a middle and the last window.
-	"{]\n{\"a\": 1}\n", "{\"a\": 1}\n{\n\"a\": ]\n}\n{\"b\": 2}\n", "{\"a\": 1}\n{\n\"a\": 1,\n}\n",
-	// Truncated literals, escapes and containers at the end of input.
-	"{\"a\": 1}\ntru", "{\"a\": 1}\n\"\\u12", "{\"a\": 1}\n\"abc\\", "{\"a\": 1}\n{\n\"a\": [1,\n", "{\"a\": 1}\n12e", "{\"a\":\n",
-	strings.Repeat("[\n", jsontext.MaxDepth+2),
-}
-
-// brokenStrings are the defects that leave a run of bytes with an odd
-// number of structural quotes — what the index once rejected a whole
-// chunk for, to be lexed by the reference lexer: an unterminated string
-// before more documents and at the end of input, a raw newline inside a
-// string, a stray quote after a document and alone.
-var brokenStrings = []string{
-	"{\"s\": \"open\n{\"b\": 2}\n",
-	"{\"s\": \"open",
-	"{\"s\": \"line\nbreak\"}\n{\"b\": 2}\n",
-	"{\"b\": 2} \"\n{\"b\": 3}\n",
-	"\"",
-}
-
-// straddleDefects put a defect after a document that spans lines: in
-// the window right after the one whose end cut that document, and
-// behind lines — a bare key, a member's tail, a closing bracket — from
-// which a window's speculative walk fails before it reaches the defect.
-var straddleDefects = []string{
-	"{\"a\": 1}\n{\n\"s\": \"x\",\n\"t\": [1,\n2]\n}\n{\"b\": tru}\n",
-	"{\n\"a\": {\n\"b\": [\n1\n]\n}\n}\n{\"c\": 1}\n{\"d\": ]}\n{\"e\": 2}\n",
-	"[\n{\"k\": 1},\n{\"k\": 2}\n]\n{\n\"s\": \"open\n}\n",
-	"{\n\"a\": 1\n}\n{\n\"a\":\n}\n",
-}
-
-// TestBrokenStringsMatchOracle sweeps brokenStrings after 0, 3, 8 and
-// DefaultBatch good documents — so that each is met mid-chunk and as
-// the first record of a later chunk — through every worker count, input
-// kind and chunking, through every window target, and through the one
-// window target that cuts exactly at the defect's first raw newline;
-// then straddleDefects under every window length from one byte to the
-// whole input. Each time: the oracle's schema and count of the
-// preceding documents, its error text and its absolute offset,
-// whichever walk met the defect — never the error of a speculative walk
-// the committer discarded.
-func TestBrokenStringsMatchOracle(t *testing.T) {
-	good := `{"a": 1, "s": "x"}` + "\n"
-	for _, defect := range brokenStrings {
-		for _, n := range []int{0, 3, 8, DefaultBatch} {
-			data := []byte(strings.Repeat(good, n) + defect)
-			label := fmt.Sprintf("%d+%.20q", n, defect)
-			assertMatchesOracle(t, label, data, Options{}, Options{batch: 4}, Options{batch: 1}, Options{ChunkBytes: 2 * len(good)})
-			assertWindowsMatchOracle(t, label, data)
-			if i := strings.IndexByte(defect, '\n'); i >= 0 {
-				for _, e := range sweepEquivs {
-					want, wantN, wantErr := oracle(data, e)
-					assertEngineYields(t, label+"/cut", data, Options{Equiv: e, ChunkBytes: n*len(good) + i + 1}, windowWorkers, want, wantN, wantErr)
-				}
-			}
-		}
-	}
-	for _, defect := range straddleDefects {
-		for _, e := range sweepEquivs {
-			want, wantN, wantErr := oracle([]byte(defect), e)
-			if wantErr == nil {
-				t.Fatalf("%q: the oracle accepts it; a straddle defect must be one", defect)
-			}
-			for size := 1; size <= len(defect); size++ {
-				assertEngineYields(t, fmt.Sprintf("%.20q", defect), []byte(defect), Options{Equiv: e, ChunkBytes: size}, windowWorkers, want, wantN, wantErr)
-			}
-		}
-	}
-}
-
-// windowInputs are those, the shared malformed inputs and the label
-// sets typelang's key once confused.
-var windowInputs = slices.Concat(windowEdgeCases, brokenStrings, malformedInputs, collidingLabelSets)
-
-// TestWindowsMatchOracleEdgeCases runs them under every window target.
-func TestWindowsMatchOracleEdgeCases(t *testing.T) {
-	for _, in := range windowInputs {
-		assertWindowsMatchOracle(t, fmt.Sprintf("%.40q", in), []byte(in))
-	}
-}
 
 // FuzzStreamWindows pins the window protocol on arbitrary bytes: a run
 // at windowWorkers cutting windows of a fuzz-chosen target — one byte to

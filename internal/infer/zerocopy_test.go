@@ -2,7 +2,6 @@ package infer
 
 import (
 	"bytes"
-	"fmt"
 	"os"
 	"path/filepath"
 	"slices"
@@ -15,13 +14,13 @@ import (
 	"repro/internal/mmapio"
 )
 
-// This file pins the zero-copy input layer: a mapped input must be
-// byte-identical to a reader over the same bytes (schemas, counts,
-// error offsets); the one window loop must cut a mapping into exactly
-// the window stream it cuts a reader into, allocating nothing per
-// window however long the mapping; and the pooled reader buffers must
-// never be recycled while a window still aliases them (the race test
-// below runs under `make race`).
+// This file pins the zero-copy input layer (that a mapped input is
+// byte-identical to a reader over the same bytes, every cell of the
+// engine table checks, runEngineRows): the one window loop must cut a
+// mapping into exactly the window stream it cuts a reader into,
+// allocating nothing per window however long the mapping; and the
+// pooled reader buffers must never be recycled while a window still
+// aliases them (the race test below runs under `make race`).
 
 // cutWindows runs the window loop over src as the parallel shape does —
 // one chunkReader, every window consumed whole — with a target of docs
@@ -73,26 +72,7 @@ func mapFile(t testing.TB, name string) source {
 	return source{mapping: m}
 }
 
-// TestKiBWindowsMatchOracleFixtures sweeps every fixture under a 1 KiB
-// byte target (Options.ChunkBytes), where the two input kinds differ
-// most: a mapping's windows alias its pages whatever their length, the
-// reader has to buffer, compact and grow to hold each one.
-func TestKiBWindowsMatchOracleFixtures(t *testing.T) {
-	forEachFixture(t, func(name string, data []byte) {
-		assertMatchesOracle(t, name, data, Options{ChunkBytes: 1 << 10})
-	})
-}
-
-// TestOneByteWindowsMatchOracleErrors is the error sweep under a byte
-// target of one: every chunk ends at the first boundary past its first
-// byte, so absolute offsets ride on chunk bases in both sources.
-func TestOneByteWindowsMatchOracleErrors(t *testing.T) {
-	for _, in := range malformedInputs {
-		assertMatchesOracle(t, fmt.Sprintf("%q", in), []byte(in), Options{ChunkBytes: 1})
-	}
-}
-
-// TestSplitChunksBytesMatchesReadChunks pins the window loop to the same
+// TestWindowsOverMappingMatchReader pins the window loop to the same
 // window stream over a mapping, over a reader and over a reader that
 // returns one byte a read (every cut resumes a stopped scan) — same
 // data, same absolute bases — across document-count and byte-size
@@ -101,7 +81,7 @@ func TestOneByteWindowsMatchOracleErrors(t *testing.T) {
 // NDJSON whose every line begins with blanks cuts like plain NDJSON:
 // the same number of windows per document target, one per line under a
 // one-byte target.
-func TestSplitChunksBytesMatchesReadChunks(t *testing.T) {
+func TestWindowsOverMappingMatchReader(t *testing.T) {
 	plain := jsontext.MarshalLines(genjson.Collection(genjson.Twitter{Seed: 90}, 400))
 	var blank []byte
 	for line := range bytes.Lines(plain) {
@@ -166,13 +146,13 @@ func TestSplitChunksBytesMatchesReadChunks(t *testing.T) {
 	}
 }
 
-// TestSplitChunksBytesAllocFree pins the mapped side of the window
-// loop: no pending array, no compaction, nothing allocated per window —
-// a run allocates the same whether it cuts 19 windows, 300, or the
-// 256-line windows of a 16 MB mapping, which nothing scans past the
-// window it cuts. Each run reads a mapping of its own (its last window
+// TestMappedWindowsAllocateNothingPerWindow pins the mapped side of
+// the window loop: no pending array, no compaction, nothing allocated
+// per window — a run allocates the same whether it cuts 19 windows,
+// 300, or the 256-line windows of a 16 MB mapping, which nothing scans
+// past the window it cuts. Each run reads a mapping of its own (its last window
 // unmaps it), made before the count.
-func TestSplitChunksBytesAllocFree(t *testing.T) {
+func TestMappedWindowsAllocateNothingPerWindow(t *testing.T) {
 	docs := genjson.Collection(genjson.Orders{Seed: 91}, 300)
 	data := jsontext.MarshalLines(docs)
 	var chunks, total int
@@ -230,12 +210,13 @@ func TestSplitChunksBytesAllocFree(t *testing.T) {
 	}
 }
 
-// TestReadChunksCompactionReuse pins the window loop's buffer reuse:
-// when every emitted window has been released by compaction time, the
-// reader slides the uncut tail down in place — no fresh array, no pool
-// churn — so a run whose consumer keeps up recycles zero buffers and
-// copies only tails.
-func TestReadChunksCompactionReuse(t *testing.T) {
+// TestReaderSlidesTailInPlaceOrRecycles pins the window loop's buffer
+// reuse: when every emitted window has been released by compaction
+// time, the reader slides the uncut tail down in place — no fresh
+// array, no pool churn — so a run whose consumer keeps up recycles zero
+// buffers and copies only tails; when one is still held, the pool
+// recycles the arrays earlier releases freed.
+func TestReaderSlidesTailInPlaceOrRecycles(t *testing.T) {
 	docs := genjson.Collection(genjson.Twitter{Seed: 92}, 4000)
 	data := jsontext.MarshalLines(docs)
 	if len(data) < 3*chunkReadSize {
@@ -348,10 +329,11 @@ func TestMappedInputStats(t *testing.T) {
 	}
 }
 
-// TestSequentialIndexedEngineStats pins the one-worker shape: windowed
-// absorption off the structural index, one seal, and the fast path
-// taken by every record of a clean input.
-func TestSequentialIndexedEngineStats(t *testing.T) {
+// TestOneWorkerAbsorbsEveryWindowInLine pins the one-worker shape:
+// several windows, each absorbed off the structural index into the
+// run's accumulator, one seal, and the fast path taken by every record
+// of a clean input.
+func TestOneWorkerAbsorbsEveryWindowInLine(t *testing.T) {
 	docs := genjson.Collection(genjson.Twitter{Seed: 95}, 600)
 	data := jsontext.MarshalLines(docs)
 	var st PipelineStats
