@@ -46,9 +46,12 @@ race:
 # member of its streamed K and L schemas and of their JSON Schema
 # documents, and the code generators over arbitrary field names: both
 # outputs balanced with every string literal on one line, every Swift
-# property a distinct legal identifier. They gate every change to a
+# property a distinct legal identifier, and the registry's kept schema
+# renderings against a fresh seal's over arbitrary bytes cut into
+# ingests. They gate every change to a
 # lexer, to either walk, to the input stage, to the intake, to the
-# projection, to a schema writer or to a code generator;
+# projection, to a schema writer, to a code generator or to the
+# registry's read path;
 # `go test -fuzz` takes one target of one package per run.
 FUZZTIME ?= 10s
 fuzz-smoke:
@@ -64,6 +67,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzSparkFromType$$' -fuzztime $(FUZZTIME) ./internal/sparkinfer/
 	$(GO) test -run '^$$' -fuzz '^FuzzInferredSchemaIsSound$$' -fuzztime $(FUZZTIME) ./internal/core/
 	$(GO) test -run '^$$' -fuzz '^FuzzCodegenNames$$' -fuzztime $(FUZZTIME) ./internal/codegen/
+	$(GO) test -run '^$$' -fuzz '^FuzzKeptRenderingIsFresh$$' -fuzztime $(FUZZTIME) ./internal/registry/
 
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem ./...

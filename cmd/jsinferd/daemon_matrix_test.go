@@ -30,6 +30,7 @@ import (
 	"repro/internal/daemon/metrics"
 	"repro/internal/genjson"
 	"repro/internal/jsontext"
+	"repro/internal/jsonvalue"
 	"repro/internal/registry"
 	"repro/internal/typelang"
 )
@@ -604,6 +605,12 @@ func TestMetricsReconcileWithStats(t *testing.T) {
 	if code, _, _ := request(t, "POST", srv.URL+"/v1/collections/tight/ingest", "", []byte(`{"x": 1}`+"\n")); code != 429 {
 		t.Fatal("want 429")
 	}
+	// Two count-free forms, one read twice: two renderings.
+	for _, form := range []string{"type", "swift", "type"} {
+		if code, _, _ := request(t, "GET", srv.URL+"/v1/collections/mix/schema?output="+form, "", nil); code != 200 {
+			t.Fatalf("GET %s schema failed", form)
+		}
+	}
 
 	code, stats, _ := request(t, "GET", srv.URL+"/v1/stats", "", nil)
 	if code != 200 {
@@ -644,6 +651,7 @@ func TestMetricsReconcileWithStats(t *testing.T) {
 		"jsinferd_rate_limited_total":   "rate_limited",
 		"jsinferd_registry_collections": "collections",
 		"jsinferd_registry_docs":        "docs",
+		"jsinferd_schema_renders_total": "renders",
 	} {
 		want, ok := sv.Get(stat)
 		if !ok {
@@ -652,6 +660,9 @@ func TestMetricsReconcileWithStats(t *testing.T) {
 		if got := metricValue(t, exp, metric); got != float64(want.Int()) {
 			t.Errorf("%s = %v, /v1/stats %s = %d — counters must reconcile", metric, got, stat, want.Int())
 		}
+	}
+	if r, _ := sv.Get("renders"); r.Int() != 2 {
+		t.Errorf("/v1/stats renders = %d after reads of two count-free forms, want 2", r.Int())
 	}
 	// The pipeline flight recorder reconciles field for field: the
 	// jsinferd_pipeline_* gauges read the same registry snapshots the
@@ -758,46 +769,77 @@ func TestMetricsScrapeTakesStatsOnce(t *testing.T) {
 // 8th — and reads the cost model off /v1/stats: every body is one
 // chunk absorbed in line (no worker, no chunk seal, no committer
 // clock), the lone shipper fills one shard, so each read that finds
-// news seals once and fuses nothing, and what is served is what
-// `jsinfer` makes of the same documents.
+// new structure renders, sealing once and fusing nothing, and what is
+// served is what `jsinfer` makes of the same documents. A second pass
+// over the same bodies moves counts only: its reads are served from
+// the kept rendering and seal nothing, until /v1/stats seals once.
 func TestShipperLoopAbsorbsInLine(t *testing.T) {
 	const posts, perPost = 24, 100
 	data := jsontext.MarshalLines(genjson.Collection(genjson.Twitter{Seed: 19}, posts*perPost))
 	lines := bytes.SplitAfter(data, []byte("\n"))
 	srv, _ := newTestServer(t, registry.Options{Equiv: typelang.EquivLabel})
-	reads := int64(0)
-	for i := 0; i < posts; i++ {
-		enc := ""
-		if i%4 == 3 {
-			enc = "gzip"
+	stats := func() (*jsonvalue.Value, *jsonvalue.Value) {
+		_, stats := get(t, srv.URL+"/v1/stats")
+		sv, err := jsontext.ParseString(stats)
+		if err != nil {
+			t.Fatal(err)
 		}
-		body := bytes.Join(lines[i*perPost:(i+1)*perPost], nil)
-		if code, out, _ := request(t, "POST", srv.URL+"/v1/collections/c/ingest", enc, encodeBody(t, enc, body)); code != http.StatusOK {
-			t.Fatalf("POST %d: %d %s", i, code, out)
+		pv, _ := sv.Get("pipeline")
+		return sv, pv
+	}
+	var renders int64
+	for pass := 1; pass <= 2; pass++ {
+		for i := 0; i < posts; i++ {
+			enc := ""
+			if i%4 == 3 {
+				enc = "gzip"
+			}
+			body := bytes.Join(lines[i*perPost:(i+1)*perPost], nil)
+			if code, out, _ := request(t, "POST", srv.URL+"/v1/collections/c/ingest", enc, encodeBody(t, enc, body)); code != http.StatusOK {
+				t.Fatalf("POST %d: %d %s", i, code, out)
+			}
+			if i%8 == 7 {
+				upTo := lines[:(i+1)*perPost]
+				if pass == 2 {
+					upTo = lines
+				}
+				want, _, err := core.InferSchemaStreamWith(bytes.NewReader(bytes.Join(upTo, nil)), core.ParametricL, core.StreamOptions{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, served := get(t, srv.URL+"/v1/collections/c/schema"); served != want.Type.String()+"\n" {
+					t.Fatalf("pass %d: after POST %d the served schema diverges from jsinfer\n cli:    %s\n daemon: %s", pass, i, want.Type, served)
+				}
+			}
 		}
-		if i%8 == 7 {
-			want, _, err := core.InferSchemaStreamWith(bytes.NewReader(bytes.Join(lines[:(i+1)*perPost], nil)), core.ParametricL, core.StreamOptions{})
-			if err != nil {
-				t.Fatal(err)
+		if pass == 1 {
+			// Quiet since the last read, which rendered: a cache hit.
+			sv, pv := stats()
+			r, _ := sv.Get("renders")
+			renders = r.Int()
+			if renders == 0 || renders > posts/8 {
+				t.Errorf("/v1/stats renders = %d over %d reads, want 1 to %d", renders, posts/8, posts/8)
 			}
-			if _, served := get(t, srv.URL+"/v1/collections/c/schema"); served != want.Type.String()+"\n" {
-				t.Fatalf("after POST %d the served schema diverges from jsinfer\n cli:    %s\n daemon: %s", i, want.Type, served)
+			for stat, want := range map[string]int64{
+				"chunks_split": posts,
+				"reduce_nanos": 0, "seals": renders, "root_fuses": renders,
+			} {
+				if v, _ := pv.Get(stat); v.Int() != want {
+					t.Errorf("pass 1: /v1/stats pipeline.%s = %d, want %d", stat, v.Int(), want)
+				}
 			}
-			reads++
 		}
 	}
-	_, stats := get(t, srv.URL+"/v1/stats") // quiet since the last read: a cache hit
-	sv, err := jsontext.ParseString(stats)
-	if err != nil {
-		t.Fatal(err)
+	sv, pv := stats()
+	if r, _ := sv.Get("renders"); r.Int() != renders {
+		t.Errorf("/v1/stats renders = %d after a count-only pass, want %d", r.Int(), renders)
 	}
-	pv, _ := sv.Get("pipeline")
 	for stat, want := range map[string]int64{
-		"chunks_split": posts,
-		"reduce_nanos": 0, "seals": reads, "root_fuses": reads,
+		"chunks_split": 2 * posts,
+		"reduce_nanos": 0, "seals": renders + 1, "root_fuses": renders + 1,
 	} {
 		if v, _ := pv.Get(stat); v.Int() != want {
-			t.Errorf("/v1/stats pipeline.%s = %d, want %d", stat, v.Int(), want)
+			t.Errorf("pass 2: /v1/stats pipeline.%s = %d, want %d", stat, v.Int(), want)
 		}
 	}
 }

@@ -71,14 +71,19 @@
 //	    `jsinfer -output FORM` prints over the same documents: text/plain for
 //	    type/counted/typescript/swift, application/json for jsonschema.
 //	    With ?meta=1, a JSON envelope with docs/version/schema instead.
+//	    type, jsonschema, typescript and swift read no counts: each is
+//	    served from the rendering the collection keeps while its
+//	    structure holds, so a read of a settled collection seals
+//	    nothing; counted and ?meta=1 seal what changed.
 //	GET /v1/collections
 //	    JSON list of collections with docs/version/error counters, the
 //	    schema's size (schema_nodes, and per_doc against docs, as
-//	    jsinfer -stats prints it) and each collection's pipeline stage
-//	    counters.
+//	    jsinfer -stats prints it), the schema renderings made (renders)
+//	    and each collection's pipeline stage counters.
 //	GET /v1/stats
 //	    Registry-wide aggregates (collections, docs, bytes, ingests,
-//	    errors, rate-limited rejections, sealed schema nodes) plus the
+//	    errors, rate-limited rejections, sealed schema nodes, schema
+//	    renderings) plus the
 //	    aggregated pipeline flight recorder:
 //	    window counters, token-fallback and pattern-tree records,
 //	    seals and collector fuses, and per-stage clocks.
@@ -97,7 +102,9 @@
 //
 // Concurrent ingests — to one collection or many — absorb into each
 // collection's sharded collector; a schema read seals and fuses what
-// was added since the last one, or answers from a cache. See
+// was added since the last one, or answers from a cache, and a read of
+// a count-free form whose structure has not changed writes the
+// rendering the collection kept. See
 // docs/ARCHITECTURE.md for the collector and the consistency model.
 package main
 
@@ -365,6 +372,7 @@ func newHandler(reg *registry.Registry, cfg handlerConfig) http.Handler {
 			"errors", st.Errors,
 			"rate_limited", st.RateLimited,
 			"schema_nodes", st.SchemaNodes,
+			"renders", st.Renders,
 			"pipeline", pipelineMeta(st.Pipeline),
 		))
 	})
@@ -505,29 +513,35 @@ func newHandler(reg *registry.Registry, cfg handlerConfig) http.Handler {
 		))
 	})
 	mux.HandleFunc("GET /v1/collections/{name}/schema", func(w http.ResponseWriter, r *http.Request) {
-		snap, ok := reg.Get(r.PathValue("name"))
-		if !ok {
-			writeError(w, http.StatusNotFound, "unknown collection "+r.PathValue("name"))
-			return
-		}
+		name := r.PathValue("name")
 		output := r.URL.Query().Get("output")
 		if output == "" {
 			output = "type"
 		}
-		contentType, ok := schemaContentTypes[output]
+		contentType, known := schemaContentTypes[output]
+		if known && r.URL.Query().Get("meta") == "" {
+			// The registry serves a count-free form from the rendering
+			// it keeps while the structure holds. Nothing is written
+			// before it finds the collection, so a 404 replaces the
+			// header; once the status line is sent a failed write is a
+			// client gone, and nothing is left to tell it.
+			w.Header().Set("Content-Type", contentType)
+			if found, _ := reg.WriteSchema(w, name, output); !found {
+				writeError(w, http.StatusNotFound, "unknown collection "+name)
+			}
+			return
+		}
+		snap, ok := reg.Get(name)
 		if !ok {
+			writeError(w, http.StatusNotFound, "unknown collection "+name)
+			return
+		}
+		if !known {
 			writeError(w, http.StatusBadRequest, fmt.Sprintf("unknown output %q (want type, counted, jsonschema, typescript or swift)", output))
 			return
 		}
 		inf := &core.Inference{Type: snap.Type}
-		if r.URL.Query().Get("meta") != "" {
-			writeJSON(w, http.StatusOK, snapshotMeta(snap).WithField("schema", metaSchema(inf, output)))
-			return
-		}
-		w.Header().Set("Content-Type", contentType)
-		// The status line is sent: a failed write is a client gone,
-		// and nothing is left to tell it.
-		_ = inf.WriteSchema(w, output)
+		writeJSON(w, http.StatusOK, snapshotMeta(snap).WithField("schema", metaSchema(inf, output)))
 	})
 	return instrument(cfg, metrics.NewHTTP(prom, "jsinferd"), mux)
 }
@@ -755,6 +769,8 @@ func statsGauges(prom *metrics.Registry, stats func() registry.Stats, readMem fu
 		func() float64 { return float64(cur.Load().Docs) })
 	prom.Gauge("jsinferd_registry_schema_nodes", "Sealed schema nodes across all collection schemas.",
 		func() float64 { return float64(cur.Load().SchemaNodes) })
+	prom.Gauge("jsinferd_schema_renders_total", "Schema renderings made for count-free schema reads; a read of a settled collection serves the kept one.",
+		func() float64 { return float64(cur.Load().Renders) })
 	for _, f := range infer.StatsFields {
 		name, div := f.Name+"_total", 1.0
 		if f.Clock() {
@@ -861,6 +877,7 @@ func snapshotMeta(s registry.Snapshot) *jsonvalue.Value {
 		"quota", s.Quota.String(),
 		"schema_nodes", nodes,
 		"per_doc", perDoc(nodes, s.Docs),
+		"renders", s.Renders,
 		"pipeline", pipelineMeta(s.Pipeline),
 	)
 }

@@ -2,10 +2,12 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -22,7 +24,9 @@ import (
 // ?meta=1 envelope of each form is pinned too: the collection's snapshot
 // fields, then the schema as jsinfer prints it — the JSON Schema
 // document as JSON, the type forms as one string without the final
-// newline, the generated declarations as printed.
+// newline, the generated declarations as printed. Each fixture is
+// posted twice, and both rounds are compared, the second with jsinfer's
+// output for the fixture concatenated with itself.
 func TestServedFormsAreJsinferStdout(t *testing.T) {
 	jsinfer := filepath.Join(t.TempDir(), "jsinfer")
 	build := exec.Command("go", "build", "-o", jsinfer, "repro/cmd/jsinfer")
@@ -51,48 +55,62 @@ func TestServedFormsAreJsinferStdout(t *testing.T) {
 				t.Fatal(err)
 			}
 			col := strings.TrimSuffix(filepath.Base(fixture), ".ndjson")
-			if code, body := post(t, srv.URL+"/v1/collections/"+col+"/ingest", data); code != http.StatusOK {
-				t.Fatalf("%s %s: ingest status %d: %s", engine.name, col, code, body)
+			// The second round posts the fixture again, which moves
+			// counts only: the count-free forms are then served from the
+			// renderings the first round kept, and must still be what
+			// jsinfer prints for the two bodies concatenated.
+			twice := filepath.Join(t.TempDir(), col+".ndjson")
+			if err := os.WriteFile(twice, append(slices.Clip(data), data...), 0o644); err != nil {
+				t.Fatal(err)
 			}
-			for _, form := range forms {
-				args := []string{"-engine", engine.name, "-output", form.name, fixture}
-				var stdout, stderr bytes.Buffer
-				cli := exec.Command(jsinfer, args...)
-				cli.Stdout, cli.Stderr = &stdout, &stderr
-				if err := cli.Run(); err != nil {
-					t.Fatalf("jsinfer %s: %v\n%s", strings.Join(args, " "), err, stderr.Bytes())
+			for round, file := range []string{fixture, twice} {
+				if code, body := post(t, srv.URL+"/v1/collections/"+col+"/ingest", data); code != http.StatusOK {
+					t.Fatalf("%s %s: ingest status %d: %s", engine.name, col, code, body)
 				}
-				want := stdout.String()
-				where := engine.name + " " + col + " " + form.name
-
-				resp, err := http.Get(srv.URL + "/v1/collections/" + col + "/schema?output=" + form.name)
-				if err != nil {
-					t.Fatal(err)
-				}
-				var served bytes.Buffer
-				served.ReadFrom(resp.Body)
-				resp.Body.Close()
-				if resp.StatusCode != http.StatusOK || resp.Header.Get("Content-Type") != form.contentType {
-					t.Errorf("%s: status %d, Content-Type %q; want 200, %q", where, resp.StatusCode, resp.Header.Get("Content-Type"), form.contentType)
-				}
-				if served.String() != want {
-					t.Errorf("%s: GET serves %d bytes ending %q, jsinfer prints %d ending %q",
-						where, served.Len(), tail(served.String()), len(want), tail(want))
-				}
-
-				snap, _ := reg.Get(col)
-				schema := jsonvalue.NewString(want)
-				switch form.name {
-				case "jsonschema":
-					if schema, err = jsontext.Parse([]byte(want)); err != nil {
-						t.Fatalf("%s: jsinfer printed no JSON: %v", where, err)
+				for _, form := range forms {
+					args := []string{"-engine", engine.name, "-output", form.name, file}
+					var stdout, stderr bytes.Buffer
+					cli := exec.Command(jsinfer, args...)
+					cli.Stdout, cli.Stderr = &stdout, &stderr
+					if err := cli.Run(); err != nil {
+						t.Fatalf("jsinfer %s: %v\n%s", strings.Join(args, " "), err, stderr.Bytes())
 					}
-				case "type", "counted":
-					schema = jsonvalue.NewString(strings.TrimSuffix(want, "\n"))
+					want := stdout.String()
+					where := fmt.Sprintf("%s %s %s round %d", engine.name, col, form.name, round+1)
+
+					resp, err := http.Get(srv.URL + "/v1/collections/" + col + "/schema?output=" + form.name)
+					if err != nil {
+						t.Fatal(err)
+					}
+					var served bytes.Buffer
+					served.ReadFrom(resp.Body)
+					resp.Body.Close()
+					if resp.StatusCode != http.StatusOK || resp.Header.Get("Content-Type") != form.contentType {
+						t.Errorf("%s: status %d, Content-Type %q; want 200, %q", where, resp.StatusCode, resp.Header.Get("Content-Type"), form.contentType)
+					}
+					if served.String() != want {
+						t.Errorf("%s: GET serves %d bytes ending %q, jsinfer prints %d ending %q",
+							where, served.Len(), tail(served.String()), len(want), tail(want))
+					}
+
+					snap, _ := reg.Get(col)
+					schema := jsonvalue.NewString(want)
+					switch form.name {
+					case "jsonschema":
+						if schema, err = jsontext.Parse([]byte(want)); err != nil {
+							t.Fatalf("%s: jsinfer printed no JSON: %v", where, err)
+						}
+					case "type", "counted":
+						schema = jsonvalue.NewString(strings.TrimSuffix(want, "\n"))
+					}
+					envelope := string(jsontext.MarshalIndent(snapshotMeta(snap).WithField("schema", schema), "  ")) + "\n"
+					if _, meta := get(t, srv.URL+"/v1/collections/"+col+"/schema?meta=1&output="+form.name); meta != envelope {
+						t.Errorf("%s: ?meta=1 envelope\n got: %s\nwant: %s", where, meta, envelope)
+					}
 				}
-				envelope := string(jsontext.MarshalIndent(snapshotMeta(snap).WithField("schema", schema), "  ")) + "\n"
-				if _, meta := get(t, srv.URL+"/v1/collections/"+col+"/schema?meta=1&output="+form.name); meta != envelope {
-					t.Errorf("%s: ?meta=1 envelope\n got: %s\nwant: %s", where, meta, envelope)
+				// One rendering per count-free form, in the first round.
+				if snap, _ := reg.Get(col); snap.Renders != 4 {
+					t.Errorf("%s %s round %d: %d renderings, want 4", engine.name, col, round+1, snap.Renders)
 				}
 			}
 		}

@@ -2,6 +2,7 @@ package infer
 
 import (
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -175,6 +176,43 @@ func (c *ShardedCollector) AddBatch(ts []*typelang.Type, docs int64) {
 func (c *ShardedCollector) Snapshot() (*typelang.Type, int64) {
 	c.root.mu.Lock()
 	defer c.root.mu.Unlock()
+	return c.snapshot()
+}
+
+// SnapshotParts is Snapshot's type together with the shard seals it
+// was fused from, in shard order: what SameStructure takes to tell
+// whether a rendering of that type that reads no counts still holds.
+func (c *ShardedCollector) SnapshotParts() (*typelang.Type, []*typelang.Type) {
+	c.root.mu.Lock()
+	defer c.root.mu.Unlock()
+	t, _ := c.snapshot()
+	return t, slices.Clone(c.root.parts)
+}
+
+// SameStructure reports whether every shard would now seal to the
+// structure of its part in parts (typelang.Accum.SameStructure), parts
+// being what SnapshotParts returned. The fused type's structure is a
+// function of its parts' structures alone, so when it holds, the
+// snapshot's type has the structure it had then. It seals and
+// allocates nothing, and is serialised with Snapshot: a read that
+// sealed new structure is never followed by one that finds the old.
+func (c *ShardedCollector) SameStructure(parts []*typelang.Type) bool {
+	c.root.mu.Lock()
+	defer c.root.mu.Unlock()
+	for i := range c.shards {
+		s := &c.shards[i]
+		s.mu.Lock()
+		same := s.acc.SameStructure(parts[i])
+		s.mu.Unlock()
+		if !same {
+			return false
+		}
+	}
+	return true
+}
+
+// snapshot is Snapshot under the root lock.
+func (c *ShardedCollector) snapshot() (*typelang.Type, int64) {
 	start := statsClock(c.stats)
 	var docs, seals int64
 	for i := range c.shards {

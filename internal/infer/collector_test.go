@@ -267,3 +267,69 @@ func TestCollectorKeepsBoundedState(t *testing.T) {
 		t.Errorf("after 70000 distinct names shard 0 keeps mapper %p, want the warm one %p", wide.shards[0].m, warm)
 	}
 }
+
+// TestCollectorSameStructureAcrossShards: the check is asked of every
+// shard, and holds exactly while each shard's fresh seal renders as its
+// part does without counts — and then the fused type does too (the
+// converse need not hold: a shard learning a field another shard has
+// leaves the fuse's structure as it was) — across several shards
+// holding data, shards that fill for the first time, and a fuse that
+// makes a field optional although no single shard does. Documents go
+// to chosen shards by hand, each as one ingest would absorb it.
+func TestCollectorSameStructureAcrossShards(t *testing.T) {
+	docs := genjson.Collection(genjson.Mixture{Seed: 8,
+		Generators: []genjson.Generator{genjson.Twitter{Seed: 1}, genjson.GitHub{Seed: 2}, genjson.TypeDrift{Seed: 3}},
+		Weights:    []float64{1, 1, 1}}, 600)
+	for _, e := range []typelang.Equiv{typelang.EquivKind, typelang.EquivLabel} {
+		col := NewShardedCollector(3, e)
+		kept, parts := col.SnapshotParts()
+		for i, d := range docs {
+			s := &col.shards[(i/7)%3]
+			s.acc.Absorb(TypeOf(d, e))
+			s.docs++
+			if i%5 != 4 {
+				continue
+			}
+			same := col.SameStructure(parts)
+			now, nowParts := col.SnapshotParts()
+			want := true
+			for j := range parts {
+				want = want && nowParts[j].String() == parts[j].String()
+			}
+			if same != want {
+				t.Fatalf("%v after %d docs: SameStructure = %v, want %v", e, i+1, same, want)
+			}
+			if same && now.String() != kept.String() {
+				t.Fatalf("%v after %d docs: every part kept its structure, the fuse did not\n then: %s\n  now: %s", e, i+1, kept, now)
+			}
+			if i%3 == 0 || !same {
+				kept, parts = col.SnapshotParts()
+			}
+		}
+	}
+
+	// K fuses {a, b} from one shard and {a} from another into {a, b?}:
+	// the fuse's structure follows the parts', and a shard filling for
+	// the first time is a change.
+	col := NewShardedCollector(2, typelang.EquivKind)
+	ab := TypeOf(jsontext.MustParse(`{"a": 1, "b": 2}`), typelang.EquivKind)
+	a := TypeOf(jsontext.MustParse(`{"a": 3}`), typelang.EquivKind)
+	col.shards[0].acc.Absorb(ab)
+	kept, parts := col.SnapshotParts()
+	col.shards[1].acc.Absorb(a)
+	if col.SameStructure(parts) {
+		t.Error("a shard's first record left the structure as it was")
+	}
+	if now, _ := col.Snapshot(); now.String() == kept.String() {
+		t.Fatalf("fused %s, as before", now)
+	}
+	kept, parts = col.SnapshotParts()
+	col.shards[0].acc.Absorb(ab)
+	col.shards[1].acc.Absorb(a)
+	if !col.SameStructure(parts) {
+		t.Errorf("count-only additions to both shards changed the structure of %s", kept)
+	}
+	if n := testing.AllocsPerRun(10, func() { col.SameStructure(parts) }); n != 0 {
+		t.Errorf("SameStructure allocates %.0f times, want 0", n)
+	}
+}

@@ -4,14 +4,17 @@
 package registry
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/infer"
 	"repro/internal/typelang"
 )
@@ -93,6 +96,15 @@ type collection struct {
 	// fuses and fuse clock) straight into it, and each ingest call's
 	// delta is folded in on completion (IngestWith).
 	stats infer.PipelineStats
+
+	// render holds the collection's last rendering of each form in
+	// keptForms, with the shard seals it was rendered from; renders
+	// counts the renderings made (collection.rendering).
+	render struct {
+		mu   sync.Mutex
+		kept [len(keptForms)]rendering
+	}
+	renders atomic.Int64
 
 	// life guards the collector against Delete: ingests hold the read
 	// side for their whole run, Delete takes the write side to wait
@@ -315,6 +327,10 @@ type Snapshot struct {
 	// Quota is the collection's current ingest rate limit (zero =
 	// unlimited).
 	Quota Quota
+	// Renders counts the renderings WriteSchema made of the forms it
+	// keeps: one per read that found no kept rendering, or found the
+	// structure changed since it was made.
+	Renders int64
 	// Pipeline is the collection's cumulative pipeline flight recorder:
 	// the deltas of every finished ingest plus the collector's read-side
 	// counters. Once ingest quiesces it reconciles exactly with the sum
@@ -323,18 +339,79 @@ type Snapshot struct {
 	Pipeline infer.StatsSnapshot
 }
 
+// keptForms are the output forms of core.Inference.WriteSchema that
+// read neither counts nor array bounds: their bytes depend on the
+// schema's structure alone, which ingests stop moving once a
+// collection has settled.
+var keptForms = [...]string{"type", "jsonschema", "typescript", "swift"}
+
+// rendering is one kept rendering: the bytes, never written to again,
+// and the shard seals of the snapshot they were rendered from.
+type rendering struct {
+	parts []*typelang.Type
+	b     []byte
+}
+
+// WriteSchema writes the named collection's schema to w in one of
+// core.Inference.WriteSchema's output forms, byte for byte what
+// WriteSchema makes of a fresh Get's type, and reports whether the
+// collection exists. A form in keptForms is served from the
+// collection's kept rendering while the collection's structure is
+// the one it was rendered from — a read of a settled collection seals
+// nothing and allocates nothing in proportion to its schema — and
+// rendered again, and kept, otherwise. Any other form seals and
+// renders on every read, as Get does; no read evicts a kept rendering.
+func (r *Registry) WriteSchema(w io.Writer, name, form string) (bool, error) {
+	c := r.lookup(name)
+	if c == nil {
+		return false, nil
+	}
+	i := slices.Index(keptForms[:], form)
+	if i < 0 {
+		t, _ := c.col.Snapshot()
+		return true, (&core.Inference{Type: t}).WriteSchema(w, form)
+	}
+	_, err := w.Write(c.rendering(i))
+	return true, err
+}
+
+// rendering returns the collection's rendering of keptForms[i]: the
+// kept one while every shard still has the structure it was rendered
+// from, else a fresh one, which it keeps. Renderings of one collection
+// are serialised, and a kept one is replaced, never written to, so the
+// bytes returned stay valid.
+func (c *collection) rendering(i int) []byte {
+	c.render.mu.Lock()
+	defer c.render.mu.Unlock()
+	k := &c.render.kept[i]
+	if k.b != nil && c.col.SameStructure(k.parts) {
+		return k.b
+	}
+	t, parts := c.col.SnapshotParts()
+	var b bytes.Buffer
+	_ = (&core.Inference{Type: t}).WriteSchema(&b, keptForms[i]) // a bytes.Buffer does not fail
+	*k = rendering{parts: parts, b: b.Bytes()}
+	c.renders.Add(1)
+	return k.b
+}
+
 // Get returns a snapshot of the named collection. A quiet collection
 // answers from the collector's cache; after an ingest the read seals
 // what changed (and fuses, when several shards hold data), holding each
 // shard's lock only for its seal.
 func (r *Registry) Get(name string) (Snapshot, bool) {
-	r.mu.RLock()
-	c := r.cols[name]
-	r.mu.RUnlock()
+	c := r.lookup(name)
 	if c == nil {
 		return Snapshot{}, false
 	}
 	return c.snapshot(), true
+}
+
+// lookup returns the named collection, nil when there is none.
+func (r *Registry) lookup(name string) *collection {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	return r.cols[name]
 }
 
 func (c *collection) snapshot() Snapshot {
@@ -353,6 +430,7 @@ func (c *collection) snapshot() Snapshot {
 		Bytes:       c.bytesIn.Load(),
 		RateLimited: c.limited.Load(),
 		Quota:       c.lim.quota(),
+		Renders:     c.renders.Load(),
 		Pipeline:    c.stats.Snapshot(),
 	}
 }
@@ -411,6 +489,8 @@ type Stats struct {
 	// schemas across all collections — the aggregate schema size the
 	// registry currently serves.
 	SchemaNodes int
+	// Renders sums the live collections' Snapshot.Renders.
+	Renders int64
 	// Pipeline aggregates the live collections' pipeline flight
 	// recorders (see Snapshot.Pipeline).
 	Pipeline infer.StatsSnapshot
@@ -429,6 +509,7 @@ func (r *Registry) Stats() Stats {
 		s.Bytes += snap.Bytes
 		s.RateLimited += snap.RateLimited
 		s.SchemaNodes += snap.Type.Size()
+		s.Renders += snap.Renders
 		s.Pipeline.Add(snap.Pipeline)
 	}
 	return s

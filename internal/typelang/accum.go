@@ -100,6 +100,28 @@ func (a *Accum) Seal() *Type {
 	return a.sealed
 }
 
+// SameStructure reports whether a seal now would give t's structure —
+// the same alternatives, labels, optionality and element types; counts
+// and array bounds aside — for a t this accumulator sealed since its
+// last Reset. It seals nothing and allocates nothing: a reader that
+// kept a rendering which reads no counts asks it before serving that
+// rendering again.
+//
+// The walk pairs each node with t's the way seal builds them, and
+// three facts make the pairing exact. A seal sorts a node's live groups
+// in place, and groups are only ever appended (until a Reset), so a
+// node with as many groups as t has record alternatives holds the
+// groups t was sealed from, in t's order. A group still held seals to
+// the very record t holds, so it matches by pointer. A group that took
+// its second record since compares field by field, its table having
+// been spread from the held record.
+func (a *Accum) SameStructure(t *Type) bool {
+	if t == a.sealed && a.sealGen == a.gen {
+		return true
+	}
+	return a.node.sameStructure(t)
+}
+
 // Reset empties the accumulator for reuse, retaining the bucket and
 // field-table storage of the shapes it has seen — up to keptGroups and
 // keptSlots, the most recently live groups first — so a worker absorbing
@@ -531,6 +553,84 @@ func (n *accumNode) seal(e Equiv) *Type {
 		out = append(out, n.arr.seal(e))
 	}
 	return &Type{Kind: KUnion, Alts: out, Count: n.total}
+}
+
+// sameStructure is SameStructure's walk of one node: seal's case
+// analysis, comparing with t where seal would build.
+func (n *accumNode) sameStructure(t *Type) bool {
+	if t == nil {
+		return false
+	}
+	if n.kinds&anyKind != 0 {
+		return t.Kind == KAny
+	}
+	live := n.recs[:n.live]
+	haveArr := n.arr != nil && n.arr.n > 0
+	atoms := n.kinds
+	if atoms&(1<<KNum) != 0 {
+		atoms &^= 1 << KInt
+	}
+	nalts := bits.OnesCount16(atoms) + len(live)
+	if haveArr {
+		nalts++
+	}
+	switch {
+	case nalts == 0:
+		return t.Kind == KBottom
+	case nalts > 1:
+	case atoms != 0:
+		return t.Kind == Kind(bits.TrailingZeros16(atoms))
+	case haveArr:
+		return n.arr.sameStructure(t)
+	default:
+		return live[0].sameStructure(t)
+	}
+	if t.Kind != KUnion || len(t.Alts) != nalts {
+		return false
+	}
+	alts := t.Alts
+	for s := atoms; s != 0; s &= s - 1 {
+		if alts[0].Kind != Kind(bits.TrailingZeros16(s)) {
+			return false
+		}
+		alts = alts[1:]
+	}
+	for _, ra := range live {
+		if !ra.sameStructure(alts[0]) {
+			return false
+		}
+		alts = alts[1:]
+	}
+	return !haveArr || n.arr.sameStructure(alts[0])
+}
+
+func (ra *recordAccum) sameStructure(t *Type) bool {
+	if ra.held != nil {
+		return ra.held == t
+	}
+	if t.Kind != KRecord {
+		return false
+	}
+	tf := t.Fields
+	for i := range ra.fields {
+		fa := &ra.fields[i]
+		if fa.seenIn == 0 {
+			continue // clean slot of a K group
+		}
+		if len(tf) == 0 || tf[0].Name != fa.name ||
+			tf[0].Optional != (fa.optional || fa.seenIn < ra.nrecs) ||
+			!fa.node.sameStructure(tf[0].Type) {
+			return false
+		}
+		tf = tf[1:]
+	}
+	return len(tf) == 0
+}
+
+// sameStructure of an array: an element collection nothing reached
+// seals to Bottom, as an empty node's walk expects.
+func (a *arrayAccum) sameStructure(t *Type) bool {
+	return t.Kind == KArray && a.elem.sameStructure(t.Elem)
 }
 
 // sealAtom is the node's atom alternative of kind k. The number

@@ -3,7 +3,10 @@
 # and gzip-encoded), and assert the served schemas are byte-identical to
 # batch `jsinfer` over the same file in every output form (type, counted,
 # jsonschema, typescript, swift), then assert /metrics
-# serves ingest counters that add up. Then POST two generated bodies of
+# serves ingest counters that add up. POST the fixture again (counts
+# only: the four count-free forms are served from the kept renderings,
+# and `renders` does not move) and a document with a new field (each
+# form is rendered again). Then POST two generated bodies of
 # several read blocks (NDJSON and pretty-printed) and assert the same
 # identity, and that each was absorbed in line, window by window. Last,
 # POST 70 000 distinct field names into a collection, DELETE it, and
@@ -129,6 +132,50 @@ echo "$stats" | grep -q "\"docs\": $want_docs," || {
     exit 1
 }
 
+# collection_stat COLLECTION STAT: the first counter of that name in
+# the collection's /v1/collections entry.
+collection_stat() {
+    curl -fsS "$base/v1/collections" | sed -n "/\"name\": \"$1\"/,/\"name\"/p" |
+        grep -o "\"$2\": [0-9]*" | head -1 | grep -o '[0-9]*$'
+}
+
+# The count-free forms (type, jsonschema, typescript, swift) are served
+# from the rendering the collection keeps while its structure holds: the
+# fixture posted again moves counts only, so all five forms are still
+# jsinfer's bytes for the two copies and no rendering is made; a
+# document with a new field is rendered again, and the field shows.
+renders=$(collection_stat smoke renders)
+if [ "$renders" != 4 ]; then
+    echo "smoke: smoke made $renders renderings after one read of each form, want 4" >&2
+    exit 1
+fi
+cat "$fixture" "$fixture" > "$bindir/twice.ndjson"
+curl -fsS -X POST --data-binary "@$fixture" "$base/v1/collections/smoke/ingest"
+for form in type counted jsonschema typescript swift; do
+    assert_served smoke "$bindir/twice.ndjson" "$form"
+done
+if [ "$(collection_stat smoke renders)" != 4 ]; then
+    echo "smoke: a count-only ingest moved renders from 4 to $(collection_stat smoke renders)" >&2
+    exit 1
+fi
+echo "smoke: after a count-only ingest all five forms are jsinfer's and renders stays 4"
+head -1 "$fixture" | sed 's/^{/{"smoke_added": true, /' > "$bindir/added.ndjson"
+cat "$bindir/twice.ndjson" "$bindir/added.ndjson" > "$bindir/thrice.ndjson"
+curl -fsS -X POST --data-binary "@$bindir/added.ndjson" "$base/v1/collections/smoke/ingest"
+for form in type jsonschema typescript swift; do
+    assert_served smoke "$bindir/thrice.ndjson" "$form"
+done
+grep -q smoke_added "$bindir/got" || {
+    echo "smoke: the added field does not show in the served schema" >&2
+    exit 1
+}
+renders=$(collection_stat smoke renders)
+if [ "$renders" != 8 ]; then
+    echo "smoke: an ingest that adds a field moved renders to $renders, want 8" >&2
+    exit 1
+fi
+echo "smoke: an ingest that adds a field renders each form again (renders 8) and the field shows"
+
 # Bodies of several 256 KiB read blocks — NDJSON, NDJSON whose every
 # line begins with a blank, and pretty-printed: each serves what jsinfer
 # makes of the same file, and was cut into several windows absorbed in
@@ -188,6 +235,8 @@ echo "$res" | grep -q '"docs": 70,' || {
     echo "smoke: wide ingest did not merge 70 documents: $res" >&2
     exit 1
 }
+# Read it first, so the collection holds a kept rendering when deleted.
+assert_served wide "$bindir/wide.ndjson" type
 code=$(curl -sS -o /dev/null -w '%{http_code}' -X DELETE "$base/v1/collections/wide")
 if [ "$code" != 200 ]; then
     echo "smoke: DELETE wide answered $code, want 200" >&2
