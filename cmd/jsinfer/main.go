@@ -72,9 +72,8 @@ func registerFlags(fs *flag.FlagSet) cliFlags {
 	}
 }
 
-// outputs are the forms -output selects: a form
-// core.Inference.WriteSchema writes, or the report.
-var outputs = []string{"type", "counted", "jsonschema", "typescript", "swift", "report"}
+// outputs are the forms -output selects: core.OutputForms, then report.
+var outputs = append(core.FormNames(), "report")
 
 var errNoInput = errors.New("no input documents")
 

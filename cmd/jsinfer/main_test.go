@@ -218,6 +218,8 @@ func TestCLIMatrix(t *testing.T) {
 			case "report":
 				wantOut = fmt.Sprintf("engine:    %s\ndocuments: %d\nsize:      %d nodes\nprecision: n/a (streamed single pass; rerun with -precision and file arguments for a second pass)\ntype:      %s\n",
 					eng.name, len(fx.docs), ty.Size(), ty)
+			default:
+				t.Fatalf("-output %s has no oracle here", output)
 			}
 
 			label := fmt.Sprintf("jsinfer %s < %s", strings.Join(args, " "), fx.path)

@@ -69,12 +69,14 @@
 //	GET /v1/collections/{name}/schema?output=type|counted|jsonschema|typescript|swift
 //	    The live schema in jsinfer's output formats, byte for byte what
 //	    `jsinfer -output FORM` prints over the same documents: text/plain for
-//	    type/counted/typescript/swift, application/json for jsonschema.
-//	    With ?meta=1, a JSON envelope with docs/version/schema instead.
-//	    type, jsonschema, typescript and swift read no counts: each is
-//	    served from the rendering the collection keeps while its
-//	    structure holds, so a read of a settled collection seals
-//	    nothing; counted and ?meta=1 seal what changed.
+//	    type/counted/typescript/swift, application/json for jsonschema
+//	    (the forms, their media types and which of them read counts are
+//	    core.OutputForms). With ?meta=1, a JSON envelope with
+//	    docs/version/schema instead. type, jsonschema, typescript and
+//	    swift read no counts: each is served from the bytes the
+//	    collection keeps while the collector says their structure epoch
+//	    holds, so a read of a settled collection seals nothing; counted
+//	    and ?meta=1 seal what changed.
 //	GET /v1/collections
 //	    JSON list of collections with docs/version/error counters, the
 //	    schema's size (schema_nodes, and per_doc against docs, as
@@ -103,12 +105,14 @@
 // Concurrent ingests — to one collection or many — absorb into each
 // collection's sharded collector; a schema read seals and fuses what
 // was added since the last one, or answers from a cache, and a read of
-// a count-free form whose structure has not changed writes the
-// rendering the collection kept. See
+// a count-free form whose structure has not moved — whichever read
+// found the move, the collector's structure epoch records it — writes
+// the rendering the collection kept. See
 // docs/ARCHITECTURE.md for the collector and the consistency model.
 package main
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"flag"
@@ -514,18 +518,15 @@ func newHandler(reg *registry.Registry, cfg handlerConfig) http.Handler {
 	})
 	mux.HandleFunc("GET /v1/collections/{name}/schema", func(w http.ResponseWriter, r *http.Request) {
 		name := r.PathValue("name")
-		output := r.URL.Query().Get("output")
-		if output == "" {
-			output = "type"
-		}
-		contentType, known := schemaContentTypes[output]
-		if known && r.URL.Query().Get("meta") == "" {
+		output := cmp.Or(r.URL.Query().Get("output"), "type")
+		form := core.FormIndex(output)
+		if form >= 0 && r.URL.Query().Get("meta") == "" {
 			// The registry serves a count-free form from the rendering
 			// it keeps while the structure holds. Nothing is written
 			// before it finds the collection, so a 404 replaces the
 			// header; once the status line is sent a failed write is a
 			// client gone, and nothing is left to tell it.
-			w.Header().Set("Content-Type", contentType)
+			w.Header().Set("Content-Type", core.OutputForms[form].ContentType)
 			if found, _ := reg.WriteSchema(w, name, output); !found {
 				writeError(w, http.StatusNotFound, "unknown collection "+name)
 			}
@@ -536,12 +537,11 @@ func newHandler(reg *registry.Registry, cfg handlerConfig) http.Handler {
 			writeError(w, http.StatusNotFound, "unknown collection "+name)
 			return
 		}
-		if !known {
-			writeError(w, http.StatusBadRequest, fmt.Sprintf("unknown output %q (want type, counted, jsonschema, typescript or swift)", output))
+		if form < 0 {
+			writeError(w, http.StatusBadRequest, fmt.Sprintf("unknown output %q (want one of %s)", output, strings.Join(core.FormNames(), ", ")))
 			return
 		}
-		inf := &core.Inference{Type: snap.Type}
-		writeJSON(w, http.StatusOK, snapshotMeta(snap).WithField("schema", metaSchema(inf, output)))
+		writeJSON(w, http.StatusOK, snapshotMeta(snap).WithField("schema", metaSchema(&core.Inference{Type: snap.Type}, output)))
 	})
 	return instrument(cfg, metrics.NewHTTP(prom, "jsinferd"), mux)
 }
@@ -711,22 +711,7 @@ func parseQuota(s string) (registry.Quota, error) {
 // whole seconds, rounded up so the advertised wait is never too short,
 // and at least 1 (Retry-After: 0 invites an immediate, doomed retry).
 func retryAfterSeconds(d time.Duration) int {
-	secs := int(math.Ceil(d.Seconds()))
-	if secs < 1 {
-		secs = 1
-	}
-	return secs
-}
-
-// schemaContentTypes maps each output form the schema GET serves — the
-// forms core.Inference.WriteSchema writes, byte for byte as jsinfer
-// prints them — to the Content-Type it is served under.
-var schemaContentTypes = map[string]string{
-	"type":       "text/plain; charset=utf-8",
-	"counted":    "text/plain; charset=utf-8",
-	"jsonschema": "application/json",
-	"typescript": "text/plain; charset=utf-8",
-	"swift":      "text/plain; charset=utf-8",
+	return max(1, int(math.Ceil(d.Seconds())))
 }
 
 // metaSchema is the schema a ?meta=1 envelope carries: the JSON Schema

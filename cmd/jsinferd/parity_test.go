@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/jsontext"
 	"repro/internal/jsonvalue"
 	"repro/internal/registry"
@@ -37,12 +38,11 @@ func TestServedFormsAreJsinferStdout(t *testing.T) {
 	if err != nil || len(fixtures) != 5 {
 		t.Fatalf("fixtures: %v (%d found, want 5)", err, len(fixtures))
 	}
-	forms := []struct{ name, contentType string }{
-		{"type", "text/plain; charset=utf-8"},
-		{"counted", "text/plain; charset=utf-8"},
-		{"jsonschema", "application/json"},
-		{"typescript", "text/plain; charset=utf-8"},
-		{"swift", "text/plain; charset=utf-8"},
+	var countFree int64
+	for _, form := range core.OutputForms {
+		if !form.Counts {
+			countFree++
+		}
 	}
 	for _, engine := range []struct {
 		name  string
@@ -67,8 +67,8 @@ func TestServedFormsAreJsinferStdout(t *testing.T) {
 				if code, body := post(t, srv.URL+"/v1/collections/"+col+"/ingest", data); code != http.StatusOK {
 					t.Fatalf("%s %s: ingest status %d: %s", engine.name, col, code, body)
 				}
-				for _, form := range forms {
-					args := []string{"-engine", engine.name, "-output", form.name, file}
+				for _, form := range core.OutputForms {
+					args := []string{"-engine", engine.name, "-output", form.Name, file}
 					var stdout, stderr bytes.Buffer
 					cli := exec.Command(jsinfer, args...)
 					cli.Stdout, cli.Stderr = &stdout, &stderr
@@ -76,17 +76,17 @@ func TestServedFormsAreJsinferStdout(t *testing.T) {
 						t.Fatalf("jsinfer %s: %v\n%s", strings.Join(args, " "), err, stderr.Bytes())
 					}
 					want := stdout.String()
-					where := fmt.Sprintf("%s %s %s round %d", engine.name, col, form.name, round+1)
+					where := fmt.Sprintf("%s %s %s round %d", engine.name, col, form.Name, round+1)
 
-					resp, err := http.Get(srv.URL + "/v1/collections/" + col + "/schema?output=" + form.name)
+					resp, err := http.Get(srv.URL + "/v1/collections/" + col + "/schema?output=" + form.Name)
 					if err != nil {
 						t.Fatal(err)
 					}
 					var served bytes.Buffer
 					served.ReadFrom(resp.Body)
 					resp.Body.Close()
-					if resp.StatusCode != http.StatusOK || resp.Header.Get("Content-Type") != form.contentType {
-						t.Errorf("%s: status %d, Content-Type %q; want 200, %q", where, resp.StatusCode, resp.Header.Get("Content-Type"), form.contentType)
+					if resp.StatusCode != http.StatusOK || resp.Header.Get("Content-Type") != form.ContentType {
+						t.Errorf("%s: status %d, Content-Type %q; want 200, %q", where, resp.StatusCode, resp.Header.Get("Content-Type"), form.ContentType)
 					}
 					if served.String() != want {
 						t.Errorf("%s: GET serves %d bytes ending %q, jsinfer prints %d ending %q",
@@ -95,7 +95,7 @@ func TestServedFormsAreJsinferStdout(t *testing.T) {
 
 					snap, _ := reg.Get(col)
 					schema := jsonvalue.NewString(want)
-					switch form.name {
+					switch form.Name {
 					case "jsonschema":
 						if schema, err = jsontext.Parse([]byte(want)); err != nil {
 							t.Fatalf("%s: jsinfer printed no JSON: %v", where, err)
@@ -104,13 +104,13 @@ func TestServedFormsAreJsinferStdout(t *testing.T) {
 						schema = jsonvalue.NewString(strings.TrimSuffix(want, "\n"))
 					}
 					envelope := string(jsontext.MarshalIndent(snapshotMeta(snap).WithField("schema", schema), "  ")) + "\n"
-					if _, meta := get(t, srv.URL+"/v1/collections/"+col+"/schema?meta=1&output="+form.name); meta != envelope {
+					if _, meta := get(t, srv.URL+"/v1/collections/"+col+"/schema?meta=1&output="+form.Name); meta != envelope {
 						t.Errorf("%s: ?meta=1 envelope\n got: %s\nwant: %s", where, meta, envelope)
 					}
 				}
 				// One rendering per count-free form, in the first round.
-				if snap, _ := reg.Get(col); snap.Renders != 4 {
-					t.Errorf("%s %s round %d: %d renderings, want 4", engine.name, col, round+1, snap.Renders)
+				if snap, _ := reg.Get(col); snap.Renders != countFree {
+					t.Errorf("%s %s round %d: %d renderings, want %d", engine.name, col, round+1, snap.Renders, countFree)
 				}
 			}
 		}

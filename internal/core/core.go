@@ -191,34 +191,70 @@ func (inf *Inference) JSONSchema() *Value {
 	return jsonschema.FromType(inf.Type)
 }
 
-// WriteSchema writes the schema to w in one of the output forms jsinfer
-// prints and jsinferd serves, the one place their bytes are decided:
-//
-//   - "type" and "counted": the type expression, without and with its
-//     counting annotations, streamed by Type.Render (ends in a newline);
-//   - "jsonschema": the JSON Schema document (Skinfer's native one, every
-//     other engine's rendered from Type), indented two spaces, then a
-//     newline;
-//   - "typescript" and "swift": the declarations codegen generates for
-//     a root named Root, exactly as generated.
-//
-// An unknown form writes nothing and returns an error; otherwise the
-// error is w's.
-func (inf *Inference) WriteSchema(w io.Writer, form string) error {
-	var err error
-	switch form {
-	case "type", "counted":
-		return inf.Type.Render(w, form == "counted")
-	case "jsonschema":
-		_, err = w.Write(append(jsontext.MarshalIndent(inf.JSONSchema(), "  "), '\n'))
-	case "typescript":
-		_, err = io.WriteString(w, TypeToTypeScript("Root", inf.Type))
-	case "swift":
-		_, err = io.WriteString(w, TypeToSwift("Root", inf.Type))
-	default:
-		return fmt.Errorf("unknown output form %q", form)
+// OutputForm is one output form jsinfer prints and jsinferd serves:
+// its name (jsinfer's -output, the daemon's ?output=), the daemon's
+// media type for it, whether its bytes read counts or array bounds (if
+// not, they depend on the structure alone, and the registry keeps
+// them), and its writer.
+type OutputForm struct {
+	Name, ContentType string
+	Counts            bool
+	write             func(inf *Inference, w io.Writer) error
+}
+
+// OutputForms are the forms WriteSchema writes, the one place their
+// bytes are decided: "type" and "counted" are the type expression
+// without and with its counting annotations, streamed by Type.Render
+// (ends in a newline); "jsonschema" the JSON Schema document (Skinfer's
+// native one, every other engine's rendered from Type), indented two
+// spaces, then a newline; "typescript" and "swift" the declarations
+// codegen generates for a root named Root, exactly as generated.
+var OutputForms = [...]OutputForm{
+	{"type", textPlain, false, func(inf *Inference, w io.Writer) error { return inf.Type.Render(w, false) }},
+	{"counted", textPlain, true, func(inf *Inference, w io.Writer) error { return inf.Type.Render(w, true) }},
+	{"jsonschema", "application/json", false, func(inf *Inference, w io.Writer) error {
+		_, err := w.Write(append(jsontext.MarshalIndent(inf.JSONSchema(), "  "), '\n'))
+		return err
+	}},
+	{"typescript", textPlain, false, func(inf *Inference, w io.Writer) error {
+		_, err := io.WriteString(w, TypeToTypeScript("Root", inf.Type))
+		return err
+	}},
+	{"swift", textPlain, false, func(inf *Inference, w io.Writer) error {
+		_, err := io.WriteString(w, TypeToSwift("Root", inf.Type))
+		return err
+	}},
+}
+
+const textPlain = "text/plain; charset=utf-8"
+
+// FormIndex returns the index in OutputForms of the form named name, or
+// -1 when there is none.
+func FormIndex(name string) int {
+	for i := range OutputForms {
+		if OutputForms[i].Name == name {
+			return i
+		}
 	}
-	return err
+	return -1
+}
+
+// FormNames are the names of OutputForms, in order.
+func FormNames() (names []string) {
+	for _, f := range OutputForms {
+		names = append(names, f.Name)
+	}
+	return names
+}
+
+// WriteSchema writes the schema to w in the output form named form (see
+// OutputForms). An unknown form writes nothing and returns an error;
+// otherwise the error is w's.
+func (inf *Inference) WriteSchema(w io.Writer, form string) error {
+	if i := FormIndex(form); i >= 0 {
+		return OutputForms[i].write(inf, w)
+	}
+	return fmt.Errorf("unknown output form %q", form)
 }
 
 // Simplify replaces Type with typelang.Simplify(Type), so every output

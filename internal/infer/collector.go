@@ -2,7 +2,6 @@ package infer
 
 import (
 	"runtime"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -69,10 +68,13 @@ type ShardedCollector struct {
 	// each shard's seal as of the snapshot that computed t: seals are
 	// memoised in the accumulator and rebuilt after any Absorb, so a
 	// pointer that has not moved is a shard nothing was added to.
+	// epoch counts the snapshots that moved a part's structure: a
+	// replaced part the shard is not Accum.SameStructure as.
 	root struct {
 		mu    sync.Mutex
 		parts []*typelang.Type
 		t     *typelang.Type
+		epoch uint64
 	}
 
 	// stats, when non-nil, receives the read-side counters: the seals,
@@ -179,30 +181,31 @@ func (c *ShardedCollector) Snapshot() (*typelang.Type, int64) {
 	return c.snapshot()
 }
 
-// SnapshotParts is Snapshot's type together with the shard seals it
-// was fused from, in shard order: what SameStructure takes to tell
-// whether a rendering of that type that reads no counts still holds.
-func (c *ShardedCollector) SnapshotParts() (*typelang.Type, []*typelang.Type) {
+// SnapshotEpoch is Snapshot's type together with its structure epoch,
+// what StructureHolds takes.
+func (c *ShardedCollector) SnapshotEpoch() (*typelang.Type, uint64) {
 	c.root.mu.Lock()
 	defer c.root.mu.Unlock()
 	t, _ := c.snapshot()
-	return t, slices.Clone(c.root.parts)
+	return t, c.root.epoch
 }
 
-// SameStructure reports whether every shard would now seal to the
-// structure of its part in parts (typelang.Accum.SameStructure), parts
-// being what SnapshotParts returned. The fused type's structure is a
-// function of its parts' structures alone, so when it holds, the
-// snapshot's type has the structure it had then. It seals and
-// allocates nothing, and is serialised with Snapshot: a read that
-// sealed new structure is never followed by one that finds the old.
-func (c *ShardedCollector) SameStructure(parts []*typelang.Type) bool {
+// StructureHolds reports whether a Snapshot now would have the
+// structure (typelang.Accum.SameStructure) of the one SnapshotEpoch
+// returned epoch with: no snapshot since moved a part's structure, and
+// every shard would still seal to its part's. The fused type's
+// structure is a function of its parts' alone. It seals and allocates
+// nothing, and is serialised with Snapshot.
+func (c *ShardedCollector) StructureHolds(epoch uint64) bool {
 	c.root.mu.Lock()
 	defer c.root.mu.Unlock()
+	if epoch != c.root.epoch {
+		return false
+	}
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.Lock()
-		same := s.acc.SameStructure(parts[i])
+		same := s.acc.SameStructure(c.root.parts[i])
 		s.mu.Unlock()
 		if !same {
 			return false
@@ -215,19 +218,24 @@ func (c *ShardedCollector) SameStructure(parts []*typelang.Type) bool {
 func (c *ShardedCollector) snapshot() (*typelang.Type, int64) {
 	start := statsClock(c.stats)
 	var docs, seals int64
+	moved := false
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.Lock()
 		t := s.acc.Seal()
 		docs += s.docs
-		s.mu.Unlock()
 		if t != c.root.parts[i] {
+			moved = moved || !s.acc.SameStructure(c.root.parts[i])
 			c.root.parts[i] = t
 			seals++
 		}
+		s.mu.Unlock()
 	}
 	if seals == 0 {
 		return c.root.t, docs
+	}
+	if moved {
+		c.root.epoch++
 	}
 	var filled []*typelang.Type
 	for _, part := range c.root.parts {

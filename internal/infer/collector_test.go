@@ -3,6 +3,7 @@ package infer
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -268,21 +269,31 @@ func TestCollectorKeepsBoundedState(t *testing.T) {
 	}
 }
 
-// TestCollectorSameStructureAcrossShards: the check is asked of every
-// shard, and holds exactly while each shard's fresh seal renders as its
-// part does without counts — and then the fused type does too (the
-// converse need not hold: a shard learning a field another shard has
-// leaves the fuse's structure as it was) — across several shards
-// holding data, shards that fill for the first time, and a fuse that
-// makes a field optional although no single shard does. Documents go
-// to chosen shards by hand, each as one ingest would absorb it.
+// TestCollectorSameStructureAcrossShards: StructureHolds(epoch) holds
+// exactly while every shard's fresh seal renders as its part did at
+// epoch without counts — and then the fused type does too (the converse
+// need not hold: a shard learning a field another shard has leaves the
+// fuse's structure as it was) — across several shards holding data,
+// shards that fill for the first time, and a fuse that makes a field
+// optional although no single shard does. A snapshot moves the epoch
+// exactly when it moves a part's structure, so a move a sealing read
+// found first fails the query too. Documents go to chosen shards by
+// hand, each as one ingest would absorb it.
 func TestCollectorSameStructureAcrossShards(t *testing.T) {
+	structures := func(c *ShardedCollector) []string {
+		out := make([]string, len(c.root.parts))
+		for i, p := range c.root.parts {
+			out[i] = p.String()
+		}
+		return out
+	}
 	docs := genjson.Collection(genjson.Mixture{Seed: 8,
 		Generators: []genjson.Generator{genjson.Twitter{Seed: 1}, genjson.GitHub{Seed: 2}, genjson.TypeDrift{Seed: 3}},
 		Weights:    []float64{1, 1, 1}}, 600)
 	for _, e := range []typelang.Equiv{typelang.EquivKind, typelang.EquivLabel} {
 		col := NewShardedCollector(3, e)
-		kept, parts := col.SnapshotParts()
+		kept, epoch := col.SnapshotEpoch()
+		parts := structures(col)
 		for i, d := range docs {
 			s := &col.shards[(i/7)%3]
 			s.acc.Absorb(TypeOf(d, e))
@@ -290,20 +301,20 @@ func TestCollectorSameStructureAcrossShards(t *testing.T) {
 			if i%5 != 4 {
 				continue
 			}
-			same := col.SameStructure(parts)
-			now, nowParts := col.SnapshotParts()
-			want := true
-			for j := range parts {
-				want = want && nowParts[j].String() == parts[j].String()
+			holds := col.StructureHolds(epoch)
+			now, nowEpoch := col.SnapshotEpoch()
+			want := slices.Equal(structures(col), parts)
+			if holds != want {
+				t.Fatalf("%v after %d docs: StructureHolds = %v, want %v", e, i+1, holds, want)
 			}
-			if same != want {
-				t.Fatalf("%v after %d docs: SameStructure = %v, want %v", e, i+1, same, want)
+			if moved := nowEpoch != epoch; moved == holds {
+				t.Fatalf("%v after %d docs: the snapshot moved the epoch %d → %d, and the structure held: %v", e, i+1, epoch, nowEpoch, holds)
 			}
-			if same && now.String() != kept.String() {
+			if holds && now.String() != kept.String() {
 				t.Fatalf("%v after %d docs: every part kept its structure, the fuse did not\n then: %s\n  now: %s", e, i+1, kept, now)
 			}
-			if i%3 == 0 || !same {
-				kept, parts = col.SnapshotParts()
+			if i%3 == 0 || !holds {
+				kept, epoch, parts = now, nowEpoch, structures(col)
 			}
 		}
 	}
@@ -315,21 +326,32 @@ func TestCollectorSameStructureAcrossShards(t *testing.T) {
 	ab := TypeOf(jsontext.MustParse(`{"a": 1, "b": 2}`), typelang.EquivKind)
 	a := TypeOf(jsontext.MustParse(`{"a": 3}`), typelang.EquivKind)
 	col.shards[0].acc.Absorb(ab)
-	kept, parts := col.SnapshotParts()
+	kept, epoch := col.SnapshotEpoch()
 	col.shards[1].acc.Absorb(a)
-	if col.SameStructure(parts) {
+	if col.StructureHolds(epoch) {
 		t.Error("a shard's first record left the structure as it was")
 	}
 	if now, _ := col.Snapshot(); now.String() == kept.String() {
 		t.Fatalf("fused %s, as before", now)
 	}
-	kept, parts = col.SnapshotParts()
+	kept, epoch = col.SnapshotEpoch()
 	col.shards[0].acc.Absorb(ab)
 	col.shards[1].acc.Absorb(a)
-	if !col.SameStructure(parts) {
+	if !col.StructureHolds(epoch) {
 		t.Errorf("count-only additions to both shards changed the structure of %s", kept)
 	}
-	if n := testing.AllocsPerRun(10, func() { col.SameStructure(parts) }); n != 0 {
-		t.Errorf("SameStructure allocates %.0f times, want 0", n)
+	if n := testing.AllocsPerRun(10, func() { col.StructureHolds(epoch) }); n != 0 {
+		t.Errorf("StructureHolds allocates %.0f times, want 0", n)
+	}
+	if _, now := col.SnapshotEpoch(); now != epoch || !col.StructureHolds(epoch) {
+		t.Errorf("a snapshot of count-only additions moved the epoch %d → %d", epoch, now)
+	}
+
+	// A new field that a snapshot seals before anyone asks: every shard
+	// now seals to its part's structure, and the epoch alone tells.
+	col.shards[0].acc.Absorb(TypeOf(jsontext.MustParse(`{"a": 1, "b": 2, "c": 3}`), typelang.EquivKind))
+	col.Snapshot()
+	if col.StructureHolds(epoch) {
+		t.Error("a structural change a snapshot sealed first leaves the epoch holding")
 	}
 }

@@ -22,11 +22,12 @@
 // no longer than one window's absorb — and fuses the sealed partials
 // when several shards hold data; Get/List on a quiet collection reuse
 // the previous sealed snapshot. WriteSchema, the daemon's schema read,
-// keeps each collection's last rendering of every form that reads no
-// counts (type, jsonschema, typescript, swift) with the shard seals it
-// came from, and writes it again while every shard still has that
-// structure: once a collection has settled, ingests move only its
-// counts, and such a read seals nothing. Delete removes a collection, waiting
+// keeps the bytes of each collection's last rendering of every form of
+// core.OutputForms that reads no counts (type, jsonschema, typescript,
+// swift) with the collector's structure epoch — no schema, so it pins
+// no seal — and writes them again while that epoch holds: once a
+// collection has settled, ingests move only its counts, and such a
+// read seals nothing. Delete removes a collection, waiting
 // out in-flight ingests, and drops its collector unread; the name is
 // immediately reusable.
 //

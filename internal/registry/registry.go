@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"slices"
 	"sort"
 	"sync"
@@ -97,12 +98,17 @@ type collection struct {
 	// delta is folded in on completion (IngestWith).
 	stats infer.PipelineStats
 
-	// render holds the collection's last rendering of each form in
-	// keptForms, with the shard seals it was rendered from; renders
-	// counts the renderings made (collection.rendering).
+	// render holds the collection's last rendering of each form of
+	// core.OutputForms that reads no counts, by the form's index: the
+	// bytes, replaced and never written to, and the collector's
+	// structure epoch they were rendered at. renders counts the
+	// renderings made (WriteSchema).
 	render struct {
 		mu   sync.Mutex
-		kept [len(keptForms)]rendering
+		kept [len(core.OutputForms)]struct {
+			epoch uint64
+			b     []byte
+		}
 	}
 	renders atomic.Int64
 
@@ -339,60 +345,37 @@ type Snapshot struct {
 	Pipeline infer.StatsSnapshot
 }
 
-// keptForms are the output forms of core.Inference.WriteSchema that
-// read neither counts nor array bounds: their bytes depend on the
-// schema's structure alone, which ingests stop moving once a
-// collection has settled.
-var keptForms = [...]string{"type", "jsonschema", "typescript", "swift"}
-
-// rendering is one kept rendering: the bytes, never written to again,
-// and the shard seals of the snapshot they were rendered from.
-type rendering struct {
-	parts []*typelang.Type
-	b     []byte
-}
-
 // WriteSchema writes the named collection's schema to w in one of
-// core.Inference.WriteSchema's output forms, byte for byte what
-// WriteSchema makes of a fresh Get's type, and reports whether the
-// collection exists. A form in keptForms is served from the
-// collection's kept rendering while the collection's structure is
-// the one it was rendered from — a read of a settled collection seals
-// nothing and allocates nothing in proportion to its schema — and
-// rendered again, and kept, otherwise. Any other form seals and
-// renders on every read, as Get does; no read evicts a kept rendering.
+// core.OutputForms, byte for byte what core.Inference.WriteSchema makes
+// of a fresh Get's type, and reports whether the collection exists. A
+// form that reads no counts is written from the kept rendering while
+// the collector says its structure epoch holds — a read of a settled
+// collection seals and allocates nothing — and rendered and kept anew
+// otherwise. Any other form seals and renders on every read, as Get
+// does; no read evicts a kept rendering.
 func (r *Registry) WriteSchema(w io.Writer, name, form string) (bool, error) {
 	c := r.lookup(name)
 	if c == nil {
 		return false, nil
 	}
-	i := slices.Index(keptForms[:], form)
-	if i < 0 {
+	i := core.FormIndex(form)
+	if i < 0 || core.OutputForms[i].Counts {
 		t, _ := c.col.Snapshot()
 		return true, (&core.Inference{Type: t}).WriteSchema(w, form)
 	}
-	_, err := w.Write(c.rendering(i))
-	return true, err
-}
-
-// rendering returns the collection's rendering of keptForms[i]: the
-// kept one while every shard still has the structure it was rendered
-// from, else a fresh one, which it keeps. Renderings of one collection
-// are serialised, and a kept one is replaced, never written to, so the
-// bytes returned stay valid.
-func (c *collection) rendering(i int) []byte {
 	c.render.mu.Lock()
-	defer c.render.mu.Unlock()
 	k := &c.render.kept[i]
-	if k.b != nil && c.col.SameStructure(k.parts) {
-		return k.b
+	if k.b == nil || !c.col.StructureHolds(k.epoch) {
+		t, epoch := c.col.SnapshotEpoch()
+		var b bytes.Buffer
+		_ = (&core.Inference{Type: t}).WriteSchema(&b, form) // a bytes.Buffer does not fail
+		k.epoch, k.b = epoch, b.Bytes()
+		c.renders.Add(1)
 	}
-	t, parts := c.col.SnapshotParts()
-	var b bytes.Buffer
-	_ = (&core.Inference{Type: t}).WriteSchema(&b, keptForms[i]) // a bytes.Buffer does not fail
-	*k = rendering{parts: parts, b: b.Bytes()}
-	c.renders.Add(1)
-	return k.b
+	b := k.b
+	c.render.mu.Unlock()
+	_, err := w.Write(b)
+	return true, err
 }
 
 // Get returns a snapshot of the named collection. A quiet collection
@@ -445,9 +428,7 @@ func (c *collection) snapshot() Snapshot {
 func (r *Registry) Delete(name string) bool {
 	r.mu.Lock()
 	c := r.cols[name]
-	if c != nil {
-		delete(r.cols, name)
-	}
+	delete(r.cols, name)
 	r.mu.Unlock()
 	if c == nil {
 		return false
@@ -461,10 +442,7 @@ func (r *Registry) Delete(name string) bool {
 // List snapshots every collection, sorted by name.
 func (r *Registry) List() []Snapshot {
 	r.mu.RLock()
-	cols := make([]*collection, 0, len(r.cols))
-	for _, c := range r.cols {
-		cols = append(cols, c)
-	}
+	cols := slices.Collect(maps.Values(r.cols))
 	r.mu.RUnlock()
 	out := make([]Snapshot, len(cols))
 	for i, c := range cols {

@@ -7,9 +7,11 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
+	"weak"
 
 	"repro/internal/core"
 	"repro/internal/genjson"
@@ -17,15 +19,26 @@ import (
 	"repro/internal/typelang"
 )
 
+// keptForms are the forms of core.OutputForms the registry keeps
+// renderings of: those that read no counts.
+var keptForms = func() (out []string) {
+	for _, f := range core.OutputForms {
+		if !f.Counts {
+			out = append(out, f.Name)
+		}
+	}
+	return out
+}()
+
 // freshForms renders every kept form of the collection's schema from a
 // fresh Get — the reference a kept rendering is held to.
-func freshForms(t *testing.T, reg *Registry, name string) [len(keptForms)]string {
+func freshForms(t *testing.T, reg *Registry, name string) []string {
 	t.Helper()
 	snap, ok := reg.Get(name)
 	if !ok {
 		t.Fatalf("Get(%q): no such collection", name)
 	}
-	var out [len(keptForms)]string
+	out := make([]string, len(keptForms))
 	for i, form := range keptForms {
 		var b strings.Builder
 		if err := (&core.Inference{Type: snap.Type}).WriteSchema(&b, form); err != nil {
@@ -37,9 +50,9 @@ func freshForms(t *testing.T, reg *Registry, name string) [len(keptForms)]string
 }
 
 // servedForms reads every kept form through WriteSchema.
-func servedForms(t *testing.T, reg *Registry, name string) [len(keptForms)]string {
+func servedForms(t *testing.T, reg *Registry, name string) []string {
 	t.Helper()
-	var out [len(keptForms)]string
+	out := make([]string, len(keptForms))
 	for i, form := range keptForms {
 		var b strings.Builder
 		if found, err := reg.WriteSchema(&b, name, form); !found || err != nil {
@@ -104,7 +117,7 @@ func TestKeptRenderingsAreFresh(t *testing.T) {
 				read := func(pass, at int) {
 					cycle++
 					served := servedForms(t, reg, "c")
-					if fresh := freshForms(t, reg, "c"); served != fresh {
+					if fresh := freshForms(t, reg, "c"); !slices.Equal(served, fresh) {
 						for i := range served {
 							if served[i] != fresh[i] {
 								t.Fatalf("%s pass %d after line %d: %s serves\n%s\nfresh seal renders\n%s", where, pass, at, keptForms[i], served[i], fresh[i])
@@ -117,7 +130,7 @@ func TestKeptRenderingsAreFresh(t *testing.T) {
 						reg.WriteSchema(&counted, "c", "counted")
 						reg.Stats()
 						reg.List()
-						if again := servedForms(t, reg, "c"); again != served {
+						if again := servedForms(t, reg, "c"); !slices.Equal(again, served) {
 							t.Fatalf("%s: a second read after counted, Get and Stats reads serves other bytes", where)
 						}
 						if after := renders(t, reg, "c"); after != before {
@@ -158,7 +171,9 @@ func TestKeptRenderingsAreFresh(t *testing.T) {
 // change — a new field, a new atom kind, a first array element or a new
 // array, a new label set and, under K, a field turning optional — the
 // next read of every count-free form serves new bytes, those of a fresh
-// seal, and counts one rendering per form.
+// seal, and counts one rendering per form. Each change runs twice: read
+// at once, and after sealing reads (Get, Stats and a counted read),
+// whose snapshot, not the kept read, finds the move.
 func TestKeptRenderingSeesEachChange(t *testing.T) {
 	const base = `{"a": 1, "b": {"c": "x"}, "l": [], "n": 2.5}` + "\n"
 	cases := []struct {
@@ -182,28 +197,73 @@ func TestKeptRenderingSeesEachChange(t *testing.T) {
 			equivs = []typelang.Equiv{typelang.EquivKind, typelang.EquivLabel}
 		}
 		for _, e := range equivs {
-			where := c.name + " " + e.String()
-			reg := New(Options{Equiv: e})
-			if _, err := reg.Ingest("c", strings.NewReader(strings.Repeat(base, 3))); err != nil {
-				t.Fatal(err)
+			for _, sealFirst := range []bool{false, true} {
+				where := fmt.Sprintf("%s %v sealing reads first %v", c.name, e, sealFirst)
+				reg := New(Options{Equiv: e})
+				if _, err := reg.Ingest("c", strings.NewReader(strings.Repeat(base, 3))); err != nil {
+					t.Fatal(err)
+				}
+				before := servedForms(t, reg, "c")
+				n := renders(t, reg, "c")
+				if _, err := reg.Ingest("c", strings.NewReader(c.doc+"\n")); err != nil {
+					t.Fatal(err)
+				}
+				if sealFirst {
+					reg.Get("c")
+					reg.Stats()
+					reg.WriteSchema(io.Discard, "c", "counted")
+				}
+				after := servedForms(t, reg, "c")
+				if after[0] == before[0] {
+					t.Errorf("%s: the type form still reads %q", where, after[0])
+				}
+				if fresh := freshForms(t, reg, "c"); !slices.Equal(after, fresh) {
+					t.Errorf("%s: served %q, a fresh seal renders %q", where, after, fresh)
+				}
+				if got := renders(t, reg, "c") - n; got != int64(len(keptForms)) {
+					t.Errorf("%s: %d renderings after the change, want one per form (%d)", where, got, len(keptForms))
+				}
+				reg.Close()
 			}
-			before := servedForms(t, reg, "c")
-			n := renders(t, reg, "c")
-			if _, err := reg.Ingest("c", strings.NewReader(c.doc+"\n")); err != nil {
-				t.Fatal(err)
-			}
-			after := servedForms(t, reg, "c")
-			if after[0] == before[0] {
-				t.Errorf("%s: the type form still reads %q", where, after[0])
-			}
-			if fresh := freshForms(t, reg, "c"); after != fresh {
-				t.Errorf("%s: served %q, a fresh seal renders %q", where, after, fresh)
-			}
-			if got := renders(t, reg, "c") - n; got != int64(len(keptForms)) {
-				t.Errorf("%s: %d renderings after the change, want one per form (%d)", where, got, len(keptForms))
-			}
-			reg.Close()
 		}
+	}
+}
+
+// TestKeptRenderingPinsNoSeal: a kept rendering holds its bytes and a
+// structure epoch, nothing of the schema it was rendered from. After a
+// count-only ingest and a sealing read, the seal the rendering was made
+// of is garbage, and a kept read still renders nothing.
+func TestKeptRenderingPinsNoSeal(t *testing.T) {
+	body := jsontext.MarshalLines(genjson.Collection(genjson.Twitter{Seed: 1}, 50))
+	for _, e := range []typelang.Equiv{typelang.EquivKind, typelang.EquivLabel} {
+		reg := New(Options{Equiv: e})
+		if _, err := reg.Ingest("c", bytes.NewReader(body)); err != nil {
+			t.Fatal(err)
+		}
+		if found, err := reg.WriteSchema(io.Discard, "c", "type"); !found || err != nil {
+			t.Fatalf("WriteSchema: %v %v", found, err)
+		}
+		first := func() weak.Pointer[typelang.Type] {
+			snap, _ := reg.Get("c") // the cached seal the rendering was made of
+			return weak.Make(snap.Type)
+		}()
+		if _, err := reg.Ingest("c", bytes.NewReader(body)); err != nil {
+			t.Fatal(err)
+		}
+		reg.Get("c")
+		reg.Stats()
+		runtime.GC()
+		if first.Value() != nil {
+			t.Errorf("%v: after a count-only ingest and a sealing read the first seal is still live", e)
+		}
+		n := renders(t, reg, "c")
+		if found, err := reg.WriteSchema(io.Discard, "c", "type"); !found || err != nil {
+			t.Fatalf("WriteSchema: %v %v", found, err)
+		}
+		if got := renders(t, reg, "c") - n; got != 0 {
+			t.Errorf("%v: a type read after a count-only ingest made %d renderings, want 0", e, got)
+		}
+		reg.Close()
 	}
 }
 
@@ -298,7 +358,7 @@ func TestKeptRenderingUnderConcurrentIngest(t *testing.T) {
 		wg.Wait()
 		close(stop)
 		readers.Wait()
-		if served, fresh := servedForms(t, reg, "c"), freshForms(t, reg, "c"); served != fresh {
+		if served, fresh := servedForms(t, reg, "c"), freshForms(t, reg, "c"); !slices.Equal(served, fresh) {
 			t.Errorf("%v: after concurrent ingests and reads the kept renderings differ from a fresh seal", e)
 		}
 		reg.Close()
@@ -366,7 +426,7 @@ func TestDeleteDropsKeptRenderings(t *testing.T) {
 		t.Fatal("a deleted collection still serves its schema")
 	}
 	reg.Ingest("c", strings.NewReader(`{"z": null}`+"\n"))
-	if got := servedForms(t, reg, "c"); got != freshForms(t, reg, "c") || got[0] != "{z: Null}\n" {
+	if got := servedForms(t, reg, "c"); !slices.Equal(got, freshForms(t, reg, "c")) || got[0] != "{z: Null}\n" {
 		t.Errorf("the recreated collection serves %q", got[0])
 	}
 	if n := renders(t, reg, "c"); n != int64(len(keptForms)) {

@@ -103,18 +103,15 @@ func (a *Accum) Seal() *Type {
 // SameStructure reports whether a seal now would give t's structure —
 // the same alternatives, labels, optionality and element types; counts
 // and array bounds aside — for a t this accumulator sealed since its
-// last Reset. It seals nothing and allocates nothing: a reader that
-// kept a rendering which reads no counts asks it before serving that
-// rendering again.
+// last Reset. It seals and allocates nothing: the sharded collector
+// asks it whether a shard's structure moved.
 //
-// The walk pairs each node with t's the way seal builds them, and
-// three facts make the pairing exact. A seal sorts a node's live groups
-// in place, and groups are only ever appended (until a Reset), so a
-// node with as many groups as t has record alternatives holds the
-// groups t was sealed from, in t's order. A group still held seals to
-// the very record t holds, so it matches by pointer. A group that took
-// its second record since compares field by field, its table having
-// been spread from the held record.
+// The walk pairs each node with t's the way seal builds them, exactly:
+// a seal sorts a node's live groups in place and groups are only ever
+// appended (until a Reset), so a node with as many groups as t has
+// record alternatives holds t's groups in t's order; a group still held
+// matches by pointer; one that took its second record since compares
+// field by field, its table spread from the held record.
 func (a *Accum) SameStructure(t *Type) bool {
 	if t == a.sealed && a.sealGen == a.gen {
 		return true
@@ -498,10 +495,6 @@ func (w *slotWalk) find(name string) {
 	w.next = i
 }
 
-func (n *accumNode) empty() bool {
-	return n.kinds == 0 && (n.arr == nil || n.arr.n == 0) && n.live == 0
-}
-
 // seal builds the canonical type of the node: the same buckets, in the
 // same canonical alternative order, with the same counts, as canonical()
 // produces when MergeAll folds the absorbed types. A node with one
@@ -511,97 +504,100 @@ func (n *accumNode) seal(e Equiv) *Type {
 	if n.kinds&anyKind != 0 {
 		return countedAtom(KAny, n.total)
 	}
-	live := n.recs[:n.live]
-	haveArr := n.arr != nil && n.arr.n > 0
-	atoms := n.kinds
-	if atoms&(1<<KNum) != 0 {
-		// Num absorbs Int: Int values are Num values, so Int + Num = Num.
-		atoms &^= 1 << KInt
-	}
-	nalts := bits.OnesCount16(atoms) + len(live)
-	if haveArr {
-		nalts++
-	}
+	c := n.alternatives()
 	switch {
-	case nalts == 0:
+	case c.nalts == 0:
 		return Bottom
-	case nalts > 1:
-	case atoms != 0:
-		return n.sealAtom(Kind(bits.TrailingZeros16(atoms)))
-	case haveArr:
+	case c.nalts > 1:
+	case c.atoms != 0:
+		return n.sealAtom(Kind(bits.TrailingZeros16(c.atoms)))
+	case c.arr:
 		return n.arr.seal(e)
 	default:
-		return live[0].seal(e) // the one live group is at position 0
+		return c.live[0].seal(e) // the one live group is at position 0
 	}
-	out := make([]*Type, 0, nalts)
-	for s := atoms; s != 0; s &= s - 1 { // null, bool, the number, str
+	out := make([]*Type, 0, c.nalts)
+	for s := c.atoms; s != 0; s &= s - 1 { // null, bool, the number, str
 		out = append(out, n.sealAtom(Kind(bits.TrailingZeros16(s))))
 	}
-	if len(live) > 1 {
+	if len(c.live) > 1 {
 		// The live prefix is in arrival order; the canonical union wants
 		// label-key order. Sorted in place (groups are found by label
 		// set, never by position).
-		slices.SortFunc(live, func(a, b *recordAccum) int {
+		slices.SortFunc(c.live, func(a, b *recordAccum) int {
 			return strings.Compare(a.key, b.key)
 		})
 	}
-	for i, ra := range live {
+	for i, ra := range c.live {
 		ra.pos = i
 		out = append(out, ra.seal(e))
 	}
-	if haveArr {
+	if c.arr {
 		out = append(out, n.arr.seal(e))
 	}
 	return &Type{Kind: KUnion, Alts: out, Count: n.total}
 }
 
-// sameStructure is SameStructure's walk of one node: seal's case
-// analysis, comparing with t where seal would build.
-func (n *accumNode) sameStructure(t *Type) bool {
-	if t == nil {
-		return false
+// census is a node's alternatives, in canonical order, as seal builds
+// and sameStructure compares them: the atom kinds, the live record
+// groups, the array bucket if it holds an array, and their number.
+type census struct {
+	atoms uint16
+	live  []*recordAccum
+	arr   bool
+	nalts int
+}
+
+func (n *accumNode) alternatives() census {
+	c := census{atoms: n.kinds, live: n.recs[:n.live], arr: n.arr != nil && n.arr.n > 0}
+	if c.atoms&(1<<KNum) != 0 {
+		// Num absorbs Int: Int values are Num values, so Int + Num = Num.
+		c.atoms &^= 1 << KInt
 	}
+	c.nalts = bits.OnesCount16(c.atoms) + len(c.live)
+	if c.arr {
+		c.nalts++
+	}
+	return c
+}
+
+// optionalIn is the optionality rule of a field of a group of nrecs
+// records: optional when a record marked it so, or a record lacked it.
+func (fa *fieldAccum) optionalIn(nrecs int) bool {
+	return fa.optional || fa.seenIn < nrecs
+}
+
+// sameStructure is SameStructure's walk of one node: seal's census,
+// compared alternative by alternative with t's — t itself when the node
+// seals to one alternative.
+func (n *accumNode) sameStructure(t *Type) bool {
 	if n.kinds&anyKind != 0 {
 		return t.Kind == KAny
 	}
-	live := n.recs[:n.live]
-	haveArr := n.arr != nil && n.arr.n > 0
-	atoms := n.kinds
-	if atoms&(1<<KNum) != 0 {
-		atoms &^= 1 << KInt
-	}
-	nalts := bits.OnesCount16(atoms) + len(live)
-	if haveArr {
-		nalts++
-	}
+	c := n.alternatives()
+	alts := []*Type{t}
 	switch {
-	case nalts == 0:
+	case c.nalts == 0:
 		return t.Kind == KBottom
-	case nalts > 1:
-	case atoms != 0:
-		return t.Kind == Kind(bits.TrailingZeros16(atoms))
-	case haveArr:
-		return n.arr.sameStructure(t)
-	default:
-		return live[0].sameStructure(t)
+	case c.nalts > 1:
+		if t.Kind != KUnion || len(t.Alts) != c.nalts {
+			return false
+		}
+		alts = t.Alts
 	}
-	if t.Kind != KUnion || len(t.Alts) != nalts {
-		return false
-	}
-	alts := t.Alts
-	for s := atoms; s != 0; s &= s - 1 {
+	for s := c.atoms; s != 0; s &= s - 1 {
 		if alts[0].Kind != Kind(bits.TrailingZeros16(s)) {
 			return false
 		}
 		alts = alts[1:]
 	}
-	for _, ra := range live {
+	for _, ra := range c.live {
 		if !ra.sameStructure(alts[0]) {
 			return false
 		}
 		alts = alts[1:]
 	}
-	return !haveArr || n.arr.sameStructure(alts[0])
+	return !c.arr || n.arr.sameStructure(alts[0])
 }
 
 func (ra *recordAccum) sameStructure(t *Type) bool {
@@ -618,7 +614,7 @@ func (ra *recordAccum) sameStructure(t *Type) bool {
 			continue // clean slot of a K group
 		}
 		if len(tf) == 0 || tf[0].Name != fa.name ||
-			tf[0].Optional != (fa.optional || fa.seenIn < ra.nrecs) ||
+			tf[0].Optional != fa.optionalIn(ra.nrecs) ||
 			!fa.node.sameStructure(tf[0].Type) {
 			return false
 		}
@@ -627,8 +623,6 @@ func (ra *recordAccum) sameStructure(t *Type) bool {
 	return len(tf) == 0
 }
 
-// sameStructure of an array: an element collection nothing reached
-// seals to Bottom, as an empty node's walk expects.
 func (a *arrayAccum) sameStructure(t *Type) bool {
 	return t.Kind == KArray && a.elem.sameStructure(t.Elem)
 }
@@ -682,7 +676,7 @@ func (ra *recordAccum) seal(e Equiv) *Type {
 		fields = append(fields, Field{
 			Name:     fa.name,
 			Type:     fa.node.seal(e),
-			Optional: fa.optional || fa.seenIn < ra.nrecs,
+			Optional: fa.optionalIn(ra.nrecs),
 			Count:    fa.count,
 		})
 	}
@@ -691,12 +685,10 @@ func (ra *recordAccum) seal(e Equiv) *Type {
 	return &Type{Kind: KRecord, Fields: fields, Count: ra.count}
 }
 
+// seal of an array: an element collection nothing reached seals to
+// Bottom.
 func (a *arrayAccum) seal(e Equiv) *Type {
-	elem := Bottom
-	if !a.elem.empty() {
-		elem = a.elem.seal(e)
-	}
-	return &Type{Kind: KArray, Elem: elem, Count: a.count, MinLen: a.minLen, MaxLen: a.maxLen}
+	return &Type{Kind: KArray, Elem: a.elem.seal(e), Count: a.count, MinLen: a.minLen, MaxLen: a.maxLen}
 }
 
 // The retention bounds of a reset: the record groups one node may keep,

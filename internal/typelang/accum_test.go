@@ -27,7 +27,10 @@ func sealOf(e Equiv, ts ...*Type) *Type {
 
 // empty reports whether anything has been absorbed into a since its
 // construction or its last Reset.
-func empty(a *Accum) bool { return a.node.empty() }
+func empty(a *Accum) bool {
+	n := &a.node
+	return n.kinds == 0 && (n.arr == nil || n.arr.n == 0) && n.live == 0
+}
 
 // identical is the byte-identity relation the accumulator is pinned
 // under: same structure, same plain rendering, same counted rendering

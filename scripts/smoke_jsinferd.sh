@@ -6,7 +6,9 @@
 # serves ingest counters that add up. POST the fixture again (counts
 # only: the four count-free forms are served from the kept renderings,
 # and `renders` does not move) and a document with a new field (each
-# form is rendered again). Then POST two generated bodies of
+# form is rendered again), and another new field that a /metrics scrape
+# seals before any schema read (each form is rendered again too). Then
+# POST two generated bodies of
 # several read blocks (NDJSON and pretty-printed) and assert the same
 # identity, and that each was absorbed in line, window by window. Last,
 # POST 70 000 distinct field names into a collection, DELETE it, and
@@ -175,6 +177,26 @@ if [ "$renders" != 8 ]; then
     exit 1
 fi
 echo "smoke: an ingest that adds a field renders each form again (renders 8) and the field shows"
+# Another new field, found by a sealing read: /metrics seals before any
+# schema GET, so its snapshot, not a kept read, sees the structure move,
+# and each count-free form is rendered again all the same.
+head -1 "$fixture" | sed 's/^{/{"smoke_sealed": true, /' > "$bindir/sealed.ndjson"
+cat "$bindir/thrice.ndjson" "$bindir/sealed.ndjson" > "$bindir/four.ndjson"
+curl -fsS -X POST --data-binary "@$bindir/sealed.ndjson" "$base/v1/collections/smoke/ingest"
+curl -fsS "$base/metrics" > /dev/null
+for form in type jsonschema typescript swift; do
+    assert_served smoke "$bindir/four.ndjson" "$form"
+    grep -q smoke_sealed "$bindir/got" || {
+        echo "smoke: the field a sealing read found does not show in the served $form schema" >&2
+        exit 1
+    }
+done
+renders=$(collection_stat smoke renders)
+if [ "$renders" != 12 ]; then
+    echo "smoke: an ingest that adds a field, sealed by a /metrics scrape first, moved renders from 8 to $renders, want 12" >&2
+    exit 1
+fi
+echo "smoke: a field a /metrics scrape sealed first renders each form again (renders 12) and shows"
 
 # Bodies of several 256 KiB read blocks — NDJSON, NDJSON whose every
 # line begins with a blank, and pretty-printed: each serves what jsinfer
